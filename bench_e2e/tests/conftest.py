@@ -1,0 +1,6 @@
+"""Make ``repro`` importable without PYTHONPATH, as the worker does."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
