@@ -90,7 +90,7 @@ def main() -> None:
             state=state,
             affected=ALGORITHMS["DEGK"].affected_from_batch(batch, graph),
         )
-        pricing = price_compute_run(run, "DAH", deg_in[:n], deg_out[:n], ctx)
+        pricing = price_compute_run(run, ("DAH",), deg_in[:n], deg_out[:n], ctx)["DAH"]
         dense = int(state.values[:n].sum())
         print(f"batch {index}: {dense:5d} vertices with in-degree >= {K} "
               f"(INC compute {pricing.latency_seconds(edge_server) * 1e3:.3f} ms "

@@ -62,11 +62,11 @@ def main() -> None:
                 graph, states[name], affected, source=flagged_account
             )
             fs_ms = price_compute_run(
-                fs, "AS", deg_in[:n], deg_out[:n], ctx
-            ).latency_seconds(ctx.machine) * 1e3
+                fs, ("AS",), deg_in[:n], deg_out[:n], ctx
+            )["AS"].latency_seconds(ctx.machine) * 1e3
             inc_ms = price_compute_run(
-                inc, "AS", deg_in[:n], deg_out[:n], ctx
-            ).latency_seconds(ctx.machine) * 1e3
+                inc, ("AS",), deg_in[:n], deg_out[:n], ctx
+            )["AS"].latency_seconds(ctx.machine) * 1e3
             row.append(f"{fs_ms:>9.3f} {inc_ms:>9.3f} {fs_ms / inc_ms:>7.1f}x ")
         print(" ".join(row))
 

@@ -55,9 +55,9 @@ def main() -> None:
         deg_in = np.array([reference.in_degree(v) for v in range(n)])
         deg_out = np.array([reference.out_degree(v) for v in range(n)])
         compute = price_compute_run(
-            run, "AS", deg_in, deg_out, ctx,
+            run, ("AS",), deg_in, deg_out, ctx,
             neighbor_degree_query=pagerank.neighbor_degree_query,
-        )
+        )["AS"]
 
         update_ms = update.latency_seconds(ctx.machine) * 1e3
         compute_ms = compute.latency_seconds(ctx.machine) * 1e3

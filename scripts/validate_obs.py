@@ -26,7 +26,9 @@ Checks:
   present alongside the wall-clock lane;
 - the Prometheus dump parses line by line, every family has both a
   ``# HELP`` and a ``# TYPE`` header with non-empty text, sample
-  values are finite, and every ``--require``'d family is present.
+  values are finite, no histogram series has more than half of its
+  observations beyond its largest finite bucket (buckets in the wrong
+  unit), and every ``--require``'d family is present.
 
 Stdlib only; exits non-zero with a message on the first violation.
 """
@@ -43,6 +45,8 @@ ALLOWED_PHASES = TIMED_PHASES | {"M"}
 SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$"
 )
+# family, labels without ``le`` (always the last label), ``le``, count
+BUCKET_RE = re.compile(r'^(.+)_bucket\{(.*?),?le="([^"]*)"\} ([^ ]+)$')
 
 
 def fail(message):
@@ -94,6 +98,8 @@ def validate_prometheus(path, required=("stream_update_latency_seconds",)):
     helped = set()
     typed = set()
     sampled = set()
+    # {(family, labels without le): [observations, within finite buckets]}
+    histograms = {}
     for number, line in enumerate(lines, 1):
         if not line:
             continue
@@ -119,6 +125,23 @@ def validate_prometheus(path, required=("stream_update_latency_seconds",)):
                 name = name[: -len(suffix)]
                 break
         sampled.add(name)
+        bucket = BUCKET_RE.match(line)
+        if bucket is not None and bucket.group(1) in typed:
+            family, labels, le, count = bucket.groups()
+            series = histograms.setdefault((family, labels), [0.0, 0.0])
+            # Buckets are cumulative: +Inf holds every observation, the
+            # largest finite bucket those that fit the bucket range.
+            if le == "+Inf":
+                series[0] = float(count)
+            else:
+                series[1] = max(series[1], float(count))
+    for (name, labels), (observations, finite) in sorted(histograms.items()):
+        if observations - finite > observations / 2:
+            fail(
+                f"{path}: histogram {name}{{{labels}}} has "
+                f"{observations - finite:g} of {observations:g} observations "
+                f"in +Inf: its buckets do not cover the values observed"
+            )
     for name in sorted(sampled):
         if name not in helped:
             fail(f"{path}: family {name} has samples but no # HELP line")

@@ -387,14 +387,14 @@ class HardwareProfiler:
                     )
                     for cores, sctx in scaling_ctxs.items():
                         pricing = price_compute_run(
-                            run, structure_name, deg_in[:n], deg_out[:n], sctx,
+                            run, (structure_name,), deg_in[:n], deg_out[:n], sctx,
                             neighbor_degree_query=algorithm.neighbor_degree_query,
-                        )
+                        )[structure_name]
                         cell.scaling_cycles["compute"][cores] += pricing.latency_cycles
                     pricing = price_compute_run(
-                        run, structure_name, deg_in[:n], deg_out[:n], full_ctx,
+                        run, (structure_name,), deg_in[:n], deg_out[:n], full_ctx,
                         neighbor_degree_query=algorithm.neighbor_degree_query,
-                    )
+                    )[structure_name]
                     trace, task_thread = self._compute_trace(
                         run, structure, reference, properties, alg_name,
                         visited_region, threads,

@@ -45,7 +45,7 @@ import numpy as np
 from repro.compute import ckernels
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.errors import SimulationError
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, METRICS
 from repro.obs.tracer import TRACER
 
 #: Set to "1" to run the legacy per-vertex compute engines.
@@ -566,6 +566,7 @@ def _observe_frontier(run: ComputeRun, size: int) -> None:
         METRICS.histogram(
             "compute_frontier_size",
             "frontier size per compute-kernel round",
+            buckets=DEFAULT_COUNT_BUCKETS,
             algorithm=run.algorithm,
             model=run.model,
         ).observe(float(size))
@@ -578,6 +579,7 @@ def _observe_expansion(run: ComputeRun, edges: int) -> None:
         METRICS.histogram(
             "compute_expanded_edges",
             "edges expanded per compute-kernel round",
+            buckets=DEFAULT_COUNT_BUCKETS,
             algorithm=run.algorithm,
             model=run.model,
         ).observe(float(edges))

@@ -18,7 +18,11 @@ import numpy as np
 
 from repro.errors import StructureError
 from repro.graph.adjacency_shared import _price_vector_ops
-from repro.graph.base import ExecutionContext, GraphDataStructure
+from repro.graph.base import (
+    ExecutionContext,
+    GraphDataStructure,
+    contiguous_traversal_cost,
+)
 from repro.graph.nativestore import make_vector_store, native_vec_ingest
 from repro.graph.vectorstore import bulk_ingest, row_layout
 from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, Task, TaskArray
@@ -267,10 +271,8 @@ class AdjacencyListChunked(GraphDataStructure):
         cost = self.cost
         return cost.probe_element * (1 + self._in.degree(u))
 
-    @staticmethod
-    def vector_traversal_cost(degrees, cost):
-        """Vectorized :meth:`out_traversal_cost` over a degree array."""
-        return cost.probe_element * (1.0 + degrees)
+    #: Vectorized :meth:`out_traversal_cost` over a degree array.
+    vector_traversal_cost = staticmethod(contiguous_traversal_cost)
 
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in

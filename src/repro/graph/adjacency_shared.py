@@ -19,6 +19,7 @@ from repro.graph.base import (
     ExecutionContext,
     GraphDataStructure,
     IN_STORE_LOCK_BASE,
+    contiguous_traversal_cost,
 )
 from repro.graph.nativestore import make_vector_store, native_vec_ingest
 from repro.graph.vectorstore import bulk_ingest, row_layout
@@ -257,10 +258,8 @@ class AdjacencyListShared(GraphDataStructure):
         cost = self.cost
         return cost.probe_element * (1 + self._in.degree(u))
 
-    @staticmethod
-    def vector_traversal_cost(degrees, cost):
-        """Vectorized :meth:`out_traversal_cost` over a degree array."""
-        return cost.probe_element * (1.0 + degrees)
+    #: Vectorized :meth:`out_traversal_cost` over a degree array.
+    vector_traversal_cost = staticmethod(contiguous_traversal_cost)
 
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in

@@ -51,6 +51,17 @@ from repro.sim.trace import MemoryTrace, NullRecorder, TraceRecorder
 IN_STORE_LOCK_BASE = 1 << 40
 
 
+def contiguous_traversal_cost(degrees, cost):
+    """Vectorized traversal cost of a contiguous neighbor array.
+
+    One header read plus one light access per neighbor.  AS, AC and BA
+    all expose this one function object as ``vector_traversal_cost``:
+    compute pricing keys its per-vertex cost tables on the function's
+    identity, so the three are priced once.
+    """
+    return cost.probe_element * (1.0 + degrees)
+
+
 @dataclass
 class ExecutionContext:
     """Where and how a phase executes on the simulated machine.

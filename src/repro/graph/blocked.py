@@ -30,7 +30,11 @@ import numpy as np
 
 from repro.errors import StructureError
 from repro.graph.adjacency_chunked import chunk_overhead_array
-from repro.graph.base import ExecutionContext, GraphDataStructure
+from repro.graph.base import (
+    ExecutionContext,
+    GraphDataStructure,
+    contiguous_traversal_cost,
+)
 from repro.graph.nativestore import make_blocked_store, native_vec_ingest
 from repro.graph.vectorstore import bulk_ingest, row_layout
 from repro.sim.memory import AddressSpace, Region
@@ -399,10 +403,8 @@ class BlockedAdjacency(GraphDataStructure):
     def _in_traversal_cost_directed(self, u: int) -> float:
         return self.cost.probe_element * (1 + self._in.degree(u))
 
-    @staticmethod
-    def vector_traversal_cost(degrees, cost):
-        """Contiguous segments traverse like plain vectors."""
-        return cost.probe_element * (1.0 + degrees)
+    #: Vectorized :meth:`out_traversal_cost` over a degree array.
+    vector_traversal_cost = staticmethod(contiguous_traversal_cost)
 
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in

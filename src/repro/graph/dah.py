@@ -785,8 +785,6 @@ class DegreeAwareHash(GraphDataStructure):
         exceeds :data:`LOW_DEGREE_THRESHOLD` (the flush is triggered on
         the insert that crosses it).
         """
-        import numpy as np
-
         base = cost.degree_query + cost.hash_compute + cost.hash_probe
         high = degrees > LOW_DEGREE_THRESHOLD
         per_neighbor = np.where(high, cost.hash_iterate_slot, cost.probe_element)

@@ -692,8 +692,6 @@ class Stinger(GraphDataStructure):
         Blocks fill front-to-back and are never compacted, so the block
         count of a vertex with degree ``d`` is exactly ``ceil(d / 16)``.
         """
-        import numpy as np
-
         blocks = np.ceil(degrees / BLOCK_CAPACITY)
         return (
             cost.probe_element

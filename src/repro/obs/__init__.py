@@ -40,6 +40,7 @@ from repro.obs.export import (
 )
 from repro.obs.features import FEATURES, FeatureLog
 from repro.obs.metrics import (
+    DEFAULT_COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
@@ -53,6 +54,7 @@ from repro.obs.tracer import NULL_SPAN, SpanTracer, TRACER
 
 __all__ = [
     "Counter",
+    "DEFAULT_COUNT_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "FEATURES",
     "FeatureLog",

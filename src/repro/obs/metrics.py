@@ -37,6 +37,10 @@ DEFAULT_LATENCY_BUCKETS = (
     1.0, 2.5, 5.0, 10.0,
 )
 
+#: Histogram buckets for counts (frontier sizes, expanded edges):
+#: powers of two up to 2**30; +Inf is implicit.
+DEFAULT_COUNT_BUCKETS = tuple(float(1 << k) for k in range(31))
+
 #: Label tuples are sorted (key, value) pairs.
 LabelSet = Tuple[Tuple[str, str], ...]
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -760,6 +760,32 @@ class ChunkedScheduler:
         )
 
 
+def graham_makespan(
+    work: float,
+    longest: float,
+    tasks: int,
+    threads: int,
+    physical_cores: int,
+    cost: CostModel,
+    dispatch_chunk: int = 64,
+) -> Tuple[float, float]:
+    """``(makespan, total work)`` of a lock-free ``parallel for``, from scalars.
+
+    ``work`` and ``longest`` are the sum and the maximum of the
+    ``tasks`` per-iteration costs.  The greedy list-scheduling bound
+    ``makespan = total/T + (1 - 1/T) * max_task`` (Graham) is a tight
+    model for dynamic scheduling of independent iterations; ``total``
+    adds the per-dispatch overhead amortized over ``dispatch_chunk``
+    iterations.
+    """
+    if threads < 1:
+        raise SimulationError(f"threads must be >= 1, got {threads}")
+    scale = _work_scale(threads, physical_cores, cost)
+    total = work + cost.task_dispatch * tasks / dispatch_chunk
+    makespan = (total / threads + (1.0 - 1.0 / threads) * longest) * scale
+    return makespan, total
+
+
 def parallel_for_makespan(
     costs: np.ndarray,
     threads: int,
@@ -769,32 +795,27 @@ def parallel_for_makespan(
 ) -> ScheduleResult:
     """Makespan of a lock-free OpenMP ``parallel for`` over ``costs``.
 
-    Uses the greedy list-scheduling bound
-    ``makespan = total/T + (1 - 1/T) * max_task`` (Graham), which is a
-    tight model for dynamic scheduling of independent iterations, plus
-    per-dispatch overhead amortized over ``dispatch_chunk`` iterations.
+    :func:`graham_makespan` over the array's sum and maximum, reported
+    as a :class:`ScheduleResult` with a round-robin task assignment.
     """
     if threads < 1:
         raise SimulationError(f"threads must be >= 1, got {threads}")
-    cost = cost_model
     cores = physical_cores if physical_cores is not None else threads
-    scale = _work_scale(threads, cores, cost)
+    scale = _work_scale(threads, cores, cost_model)
     costs = np.asarray(costs, dtype=np.float64)
     n = int(costs.size)
-    task_thread = (np.arange(n, dtype=np.int32) % threads) if n else np.empty(0, np.int32)
     if n == 0:
-        return ScheduleResult(
-            makespan_cycles=0.0,
-            total_work_cycles=0.0,
-            threads=threads,
-            task_count=0,
-            thread_busy_cycles=np.zeros(threads),
-            task_thread=task_thread,
-        )
-    dispatch = cost.task_dispatch * n / dispatch_chunk
-    total = float(costs.sum()) + dispatch
-    longest = float(costs.max())
-    makespan = (total / threads + (1.0 - 1.0 / threads) * longest) * scale
+        return _empty_result(threads)
+    makespan, total = graham_makespan(
+        float(costs.sum()),
+        float(costs.max()),
+        n,
+        threads,
+        cores,
+        cost_model,
+        dispatch_chunk,
+    )
+    task_thread = np.arange(n, dtype=np.int32) % threads
     busy = np.bincount(task_thread, weights=costs, minlength=threads)
     return ScheduleResult(
         makespan_cycles=makespan,

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.algorithms.registry import COMPUTE_MODELS, get_algorithm
 from repro.compute import kernels
-from repro.compute.pricing import price_compute_run
 from repro.errors import ConfigError
 from repro.graph import ReferenceGraph, make_structure
 from repro.graph.migrate import migrate_structure
@@ -56,6 +55,7 @@ from repro.streaming.driver import (
     StreamDriver,
     _EMPTY_IDS,
     _InEdgeBuffer,
+    _price_runs,
     _run_ops_decomposition,
     make_batches,
 )
@@ -793,18 +793,12 @@ class AdaptiveStreamDriver(StreamDriver):
                             time.perf_counter() - wall_start
                             if features_on else 0.0
                         )
-                        for structure_name in self.candidate_structures:
-                            cycles = 0.0
-                            for priced_run in runs:
-                                pricing = price_compute_run(
-                                    priced_run,
-                                    structure_name,
-                                    deg_in[:n],
-                                    deg_out[:n],
-                                    ctx,
-                                    neighbor_degree_query=algorithm.neighbor_degree_query,
-                                )
-                                cycles += pricing.latency_cycles
+                        structure_cycles = _price_runs(
+                            runs, self.candidate_structures,
+                            deg_in[:n], deg_out[:n], ctx,
+                            algorithm.neighbor_degree_query,
+                        )
+                        for structure_name, cycles in structure_cycles.items():
                             seconds = ctx.seconds(cycles)
                             compute_actual[
                                 (structure_name, alg_name, model)

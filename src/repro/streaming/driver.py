@@ -185,16 +185,26 @@ def _run_ops_decomposition(
     pull_degree = push_degree = 0
     pushes = cas_ops = 0
     rounds = scans = 0
+    # Jacobi FS rounds record the same vertex arrays round after round:
+    # the same object has the same degree mass.
+    last_pull = last_push = None
+    last_pull_degree = last_push_degree = 0
     for run in runs:
         scans += run.linear_scans
         rounds += run.frontier_rounds or run.iteration_count
         for it in run.iterations:
             if len(it.pull_vertices):
-                pull_vertices += int(len(it.pull_vertices))
-                pull_degree += int(deg_in[it.pull_vertices].sum())
+                if it.pull_vertices is not last_pull:
+                    last_pull = it.pull_vertices
+                    last_pull_degree = int(deg_in[last_pull].sum())
+                pull_vertices += int(len(last_pull))
+                pull_degree += last_pull_degree
             if len(it.push_vertices):
-                push_vertices += int(len(it.push_vertices))
-                push_degree += int(deg_out[it.push_vertices].sum())
+                if it.push_vertices is not last_push:
+                    last_push = it.push_vertices
+                    last_push_degree = int(deg_out[last_push].sum())
+                push_vertices += int(len(last_push))
+                push_degree += last_push_degree
             pushes += int(it.pushes)
             cas_ops += int(it.cas_ops)
     scan_ops = scans * int(num_nodes)
@@ -216,6 +226,25 @@ def _run_ops_decomposition(
         "frontier_rounds": rounds,
         "ops": float(ops),
     }
+
+
+def _price_runs(
+    runs, structures, deg_in, deg_out, ctx: ExecutionContext, neighbor_degree_query
+) -> Dict[str, float]:
+    """Compute-phase cycles of one algorithm x model on each structure.
+
+    The runs a batch schedules (INC, plus its deletion repair under
+    churn) belong to the same compute phase, so their latencies add.
+    """
+    cycles = dict.fromkeys(structures, 0.0)
+    for run in runs:
+        pricings = price_compute_run(
+            run, structures, deg_in, deg_out, ctx,
+            neighbor_degree_query=neighbor_degree_query,
+        )
+        for structure, pricing in pricings.items():
+            cycles[structure] += pricing.latency_cycles
+    return cycles
 
 
 @dataclass
@@ -706,18 +735,11 @@ class StreamDriver:
                             ops_row = _run_ops_decomposition(
                                 runs, deg_in, deg_out, n, ctx.cost_model
                             )
-                        for structure_name in cfg.structures:
-                            cycles = 0.0
-                            for priced_run in runs:
-                                pricing = price_compute_run(
-                                    priced_run,
-                                    structure_name,
-                                    deg_in[:n],
-                                    deg_out[:n],
-                                    ctx,
-                                    neighbor_degree_query=algorithm.neighbor_degree_query,
-                                )
-                                cycles += pricing.latency_cycles
+                        structure_cycles = _price_runs(
+                            runs, cfg.structures, deg_in[:n], deg_out[:n], ctx,
+                            algorithm.neighbor_degree_query,
+                        )
+                        for structure_name, cycles in structure_cycles.items():
                             record.compute_cycles[
                                 (alg_name, model, structure_name)
                             ] = cycles

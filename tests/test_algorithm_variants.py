@@ -104,11 +104,12 @@ class TestDijkstraVariant:
         deg_in = np.array([view.in_degree(v) for v in range(n)])
         deg_out = np.array([view.out_degree(v) for v in range(n)])
         delta = price_compute_run(
-            SSSP().fs_run(view, source=0), "AS", deg_in, deg_out, ctx
-        )
+            SSSP().fs_run(view, source=0), ("AS",), deg_in, deg_out, ctx
+        )["AS"]
         dijkstra = price_compute_run(
-            SSSP(use_dijkstra=True).fs_run(view, source=0), "AS", deg_in, deg_out, ctx
-        )
+            SSSP(use_dijkstra=True).fs_run(view, source=0),
+            ("AS",), deg_in, deg_out, ctx,
+        )["AS"]
         assert dijkstra.latency_cycles > delta.latency_cycles
 
     @given(

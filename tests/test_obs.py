@@ -452,3 +452,62 @@ class TestCli:
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_validate_obs_rejects_mass_in_inf(self, tmp_path, capsys):
+        """Buckets in the wrong unit put the observations in +Inf."""
+        import importlib.util
+        from pathlib import Path
+
+        from repro.obs import DEFAULT_COUNT_BUCKETS
+
+        script = Path(__file__).parent.parent / "scripts" / "validate_obs.py"
+        spec = importlib.util.spec_from_file_location("validate_obs", script)
+        validate_obs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(validate_obs)
+
+        def dump(name, **histogram_args):
+            registry = MetricsRegistry()
+            for size in (0, 3, 900, 40_000):
+                registry.histogram(
+                    "frontier", "frontier size", model="INC", **histogram_args
+                ).observe(float(size))
+            path = tmp_path / name
+            path.write_text(prometheus_text(registry))
+            return path
+
+        # Latency buckets stop at 10.0: two of four sizes are beyond it,
+        # which is still at most half; a third tips it over.
+        latency = dump("latency.prom")
+        validate_obs.validate_prometheus(latency, required=())
+        with open(latency, "a") as handle:
+            handle.write(
+                'frontier_bucket{model="FS",le="10.0"} 1\n'
+                'frontier_bucket{model="FS",le="+Inf"} 3\n'
+            )
+        with pytest.raises(SystemExit):
+            validate_obs.validate_prometheus(latency, required=())
+        assert 'frontier{model="FS"} has 2 of 3' in capsys.readouterr().err
+        # Count buckets hold every size a frontier can have.
+        counts = dump("counts.prom", buckets=DEFAULT_COUNT_BUCKETS)
+        validate_obs.validate_prometheus(counts, required=())
+        assert 'le="+Inf"} 4' in counts.read_text()
+        assert 'le="65536.0"} 4' in counts.read_text()
+
+    def test_frontier_histograms_use_count_buckets(self):
+        """compute_frontier_size / compute_expanded_edges observe counts."""
+        from repro.obs import DEFAULT_COUNT_BUCKETS
+
+        METRICS.enable()
+        config = StreamConfig(
+            batch_size=500, structures=("AS",), algorithms=("BFS", "PR")
+        )
+        run_stream("RMAT", config, seed=0, size_factor=0.1, store=None)
+        families = {
+            name: series for name, _, _, series in METRICS.families()
+            if name in ("compute_frontier_size", "compute_expanded_edges")
+        }
+        assert "compute_frontier_size" in families
+        for name, series in families.items():
+            for labels, histogram in series:
+                assert histogram.buckets == DEFAULT_COUNT_BUCKETS, (name, labels)
+                assert histogram.counts[-1] == 0, (name, labels)

@@ -196,3 +196,46 @@ def test_predict_convenience(quick_fit):
     )
     with pytest.raises(ConfigError, match="available groups"):
         model.predict("update", "no-such-structure", ops=10.0)
+
+
+def test_compute_rows_equal_a_gather_per_iteration(monkeypatch):
+    """Reusing a repeated vertex array's degree mass changes no row."""
+    from repro.streaming import driver
+
+    ops_columns = ("pull_vertices", "push_vertices", "pull_degree", "push_degree")
+    expected = []
+    repeated = []
+    decompose = driver._run_ops_decomposition
+
+    def recording(runs, deg_in, deg_out, num_nodes, cost):
+        counts = dict.fromkeys(ops_columns, 0)
+        for run in runs:
+            pulls = [id(it.pull_vertices) for it in run.iterations]
+            repeated.append(len(set(pulls)) < len(pulls))
+            for it in run.iterations:
+                counts["pull_vertices"] += len(it.pull_vertices)
+                counts["push_vertices"] += len(it.push_vertices)
+                counts["pull_degree"] += int(deg_in[it.pull_vertices].sum())
+                counts["push_degree"] += int(deg_out[it.push_vertices].sum())
+        expected.append(counts)
+        return decompose(runs, deg_in, deg_out, num_nodes, cost)
+
+    monkeypatch.setattr(driver, "_run_ops_decomposition", recording)
+    config = StreamConfig(
+        batch_size=BATCH_SIZE, algorithms=("BFS", "CC", "PR"), churn_fraction=CHURN
+    )
+    FEATURES.reset()
+    FEATURES.enable()
+    try:
+        run_stream(DATASET, config, seed=0, size_factor=0.1, store=None)
+        rows = FEATURES.rows("compute")
+    finally:
+        FEATURES.disable()
+        FEATURES.reset()
+    # Both kinds of run were seen, and each decomposition fans out to
+    # one feature row per structure.
+    assert any(repeated) and not all(repeated)
+    assert len(rows) == len(expected) * len(config.structures)
+    for i, row in enumerate(rows):
+        counts = expected[i // len(config.structures)]
+        assert {name: row[name] for name in ops_columns} == counts
