@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.stats import stage_slices
+from repro.compute.kernels import ComputeView, expand_frontier, view_scope
 from repro.compute.pricing import price_compute_run
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, HEAVY_TAILED, SHORT_TAILED, load_dataset
 from repro.engine.fingerprint import canonical, describe_dataset, fingerprint
@@ -44,10 +45,12 @@ from repro.sim.cache import CacheHierarchy
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.counters import PhaseCounters, derive_counters
 from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
+from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim.scheduler import ScheduleResult
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import MemoryTrace, TraceRecorder, ragged_arange
 from repro.streaming.batching import make_batches
+from repro.streaming.driver import _edge_arrays, add_edge_degrees
 
 #: Core counts swept in Fig. 9(a).
 DEFAULT_CORE_COUNTS = (4, 8, 12, 16, 20, 24, 28)
@@ -319,7 +322,7 @@ class HardwareProfiler:
         for algorithm in self.algorithms:
             properties.add(algorithm)
         visited_region = structure.space.alloc(
-            max(dataset.max_nodes // 8, 64), "inc.visited"
+            max((dataset.max_nodes + 7) // 8, 64), "inc.visited"
         )
         states = {
             name: get_algorithm(name).make_state(dataset.max_nodes)
@@ -360,6 +363,7 @@ class HardwareProfiler:
                 scaled = structure.schedule_tasks(tasks, sctx)
                 cell.scaling_cycles["update"][cores] += scaled.makespan_cycles
             full_trace = update.trace
+            _count_emitted("update", full_trace)
             sampled = full_trace.sample(self.trace_cap, seed=batch_index)
             scale = max(1.0, len(full_trace) / max(len(sampled), 1))
             stats = hierarchy.replay(sampled, update.schedule.task_thread)
@@ -368,46 +372,52 @@ class HardwareProfiler:
             )
 
             # ---- reference bookkeeping -----------------------------
-            for u, v, w in reference.update_collect(batch):
-                deg_out[u] += 1
-                deg_in[v] += 1
-                if not dataset.directed and u != v:
-                    deg_out[v] += 1
-                    deg_in[u] += 1
+            inserted = reference.update_collect(batch)
+            if inserted:
+                ins_src, ins_dst, _ = _edge_arrays(inserted)
+                add_edge_degrees(deg_in, deg_out, ins_src, ins_dst, dataset.directed)
             n = reference.num_nodes
 
             # ---- compute phase (INC, averaged over algorithms) -----
+            # One columnar view per batch, shared by every algorithm's
+            # INC run and trace emission.
+            compute_view = ComputeView.of(reference)
             compute_counter_list = []
-            for alg_name in self.algorithms:
-                with TRACER.span("compute"):
-                    algorithm = get_algorithm(alg_name)
-                    affected = algorithm.affected_from_batch(batch, reference)
-                    run = algorithm.inc_run(
-                        reference, states[alg_name], affected, source=source
-                    )
-                    for cores, sctx in scaling_ctxs.items():
+            with view_scope(reference, compute_view):
+                for alg_name in self.algorithms:
+                    with TRACER.span("compute"):
+                        algorithm = get_algorithm(alg_name)
+                        affected = algorithm.affected_from_batch(batch, reference)
+                        run = algorithm.inc_run(
+                            reference, states[alg_name], affected, source=source
+                        )
+                        for cores, sctx in scaling_ctxs.items():
+                            pricing = price_compute_run(
+                                run, (structure_name,), deg_in[:n], deg_out[:n], sctx,
+                                neighbor_degree_query=algorithm.neighbor_degree_query,
+                            )[structure_name]
+                            cell.scaling_cycles["compute"][cores] += (
+                                pricing.latency_cycles
+                            )
                         pricing = price_compute_run(
-                            run, (structure_name,), deg_in[:n], deg_out[:n], sctx,
+                            run, (structure_name,), deg_in[:n], deg_out[:n], full_ctx,
                             neighbor_degree_query=algorithm.neighbor_degree_query,
                         )[structure_name]
-                        cell.scaling_cycles["compute"][cores] += pricing.latency_cycles
-                    pricing = price_compute_run(
-                        run, (structure_name,), deg_in[:n], deg_out[:n], full_ctx,
-                        neighbor_degree_query=algorithm.neighbor_degree_query,
-                    )[structure_name]
-                    trace, task_thread = self._compute_trace(
-                        run, structure, reference, properties, alg_name,
-                        visited_region, threads,
+                        with TRACER.span("compute.trace"):
+                            trace, task_thread = self._compute_trace(
+                                run, structure, compute_view, properties, alg_name,
+                                visited_region, threads,
+                            )
+                    _count_emitted("compute", trace)
+                    sampled = trace.sample(self.trace_cap, seed=batch_index)
+                    scale = max(1.0, len(trace) / max(len(sampled), 1))
+                    stats = hierarchy.replay(sampled, task_thread)
+                    schedule = _synthetic_schedule(
+                        pricing.latency_cycles, pricing.total_work_cycles, threads
                     )
-                sampled = trace.sample(self.trace_cap, seed=batch_index)
-                scale = max(1.0, len(trace) / max(len(sampled), 1))
-                stats = hierarchy.replay(sampled, task_thread)
-                schedule = _synthetic_schedule(
-                    pricing.latency_cycles, pricing.total_work_cycles, threads
-                )
-                compute_counter_list.append(
-                    derive_counters(schedule, stats, machine, scale)
-                )
+                    compute_counter_list.append(
+                        derive_counters(schedule, stats, machine, scale)
+                    )
             cell.counters["compute"].append(
                 _average_counters(compute_counter_list)
             )
@@ -417,7 +427,7 @@ class HardwareProfiler:
         self,
         run,
         structure,
-        reference: ReferenceGraph,
+        compute_view: ComputeView,
         properties: VertexProperties,
         algorithm: str,
         visited_region,
@@ -428,28 +438,99 @@ class HardwareProfiler:
         Every evaluated vertex reads its in-neighbors' values from the
         structure plus their property entries and writes its own; every
         triggered vertex scans its out-neighbors and touches the
-        visited bitvector.  One task per vertex, round-robin threads.
+        visited bitvector.  One task per vertex (an iteration's pulled
+        vertices, then its pushed ones), round-robin threads.
+
+        Each task is ``[traversal | neighbor accesses | own write]``;
+        the three sections are collected a frontier at a time and
+        interleaved into task order once for the whole run.
         """
-        recorder = TraceRecorder()
-        task = 0
+        in_csr, out_csr = compute_view.in_csr, compute_view.out_csr
+        traversal = _Section()  # structure reads (both directions)
+        neighbors = _Section()  # property reads (pull) / visited writes (push)
+        own = _Section()  # the pulled vertex's property write
+        tasks = 0
         for iteration in run.iterations:
-            for v in iteration.pull_vertices:
-                v = int(v)
-                recorder.begin_task(task)
-                task += 1
-                structure.trace_in_traversal(v, recorder)
-                for u, _ in reference.in_neigh(v):
-                    recorder.access(properties.address_of(algorithm, int(u)))
-                recorder.access(properties.address_of(algorithm, v), write=True)
-            for v in iteration.push_vertices:
-                v = int(v)
-                recorder.begin_task(task)
-                task += 1
-                structure.trace_out_traversal(v, recorder)
-                for w, _ in reference.out_neigh(v):
-                    recorder.access(visited_region.element(int(w) // 8, 1), write=True)
-        task_thread = np.arange(max(task, 1), dtype=np.int32) % threads
-        return recorder.finalize(), task_thread
+            pull, push = iteration.pull_vertices, iteration.push_vertices
+            tasks += len(pull) + len(push)
+            traversal.add(*structure.trace_in_traversal(pull))
+            neighbors.add(
+                in_csr.degrees[pull],
+                properties.addresses_of(algorithm, expand_frontier(in_csr, pull)[1]),
+            )
+            own.add(
+                np.ones(len(pull), dtype=np.int64),
+                properties.addresses_of(algorithm, pull),
+                write=True,
+            )
+            traversal.add(*structure.trace_out_traversal(push))
+            neighbors.add(
+                out_csr.degrees[push],
+                visited_region.elements(expand_frontier(out_csr, push)[1] // 8, 1),
+                write=True,
+            )
+            own.add(np.zeros(len(push), dtype=np.int64), _NO_ADDRESSES)
+        trace = _interleave((traversal, neighbors, own))
+        task_thread = np.arange(max(tasks, 1), dtype=np.int32) % threads
+        return trace, task_thread
+
+
+_NO_ADDRESSES = np.empty(0, dtype=np.int64)
+
+
+class _Section:
+    """One section of every task's accesses, gathered in task order."""
+
+    def __init__(self) -> None:
+        self._counts = [_NO_ADDRESSES]
+        self._addresses = [_NO_ADDRESSES]
+        self._writes = [np.empty(0, dtype=bool)]
+
+    def add(self, counts: np.ndarray, addresses: np.ndarray, write: bool = False) -> None:
+        """Append the next tasks' access counts and their flat addresses."""
+        self._counts.append(counts)
+        self._addresses.append(addresses)
+        self._writes.append(np.full(len(addresses), write))
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.concatenate(self._counts)
+
+    @property
+    def addresses(self) -> np.ndarray:
+        return np.concatenate(self._addresses)
+
+    @property
+    def writes(self) -> np.ndarray:
+        return np.concatenate(self._writes)
+
+
+def _interleave(sections: Sequence[_Section]) -> MemoryTrace:
+    """Task-major trace of per-task sections: task 0's sections back to
+    back, then task 1's, ...  Every section covers the same tasks."""
+    counts = [section.counts for section in sections]
+    totals = np.sum(counts, axis=0)
+    lead = np.cumsum(totals) - totals  # where each task's next section starts
+    addresses = np.empty(int(totals.sum()), dtype=np.int64)
+    is_write = np.empty(len(addresses), dtype=bool)
+    for section, section_counts in zip(sections, counts):
+        seg, within = ragged_arange(section_counts)
+        slots = lead[seg] + within
+        addresses[slots] = section.addresses
+        is_write[slots] = section.writes
+        lead = lead + section_counts
+    task_ids = np.repeat(np.arange(len(totals), dtype=np.int64), totals)
+    return MemoryTrace(task_ids=task_ids, addresses=addresses, is_write=is_write)
+
+
+def _count_emitted(phase: str, trace: MemoryTrace) -> None:
+    """Count a phase's emitted accesses, before sampling caps the replay."""
+    if METRICS.enabled:
+        METRICS.counter(
+            "sim_trace_accesses_total",
+            "memory accesses emitted into phase traces, before sampling",
+            phase=phase,
+        ).inc(len(trace))
 
 
 def _run_hardware_cell(payload) -> HardwareCell:

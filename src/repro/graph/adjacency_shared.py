@@ -264,3 +264,9 @@ class AdjacencyListShared(GraphDataStructure):
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in
         store.trace_traversal(u, recorder)
+
+    def _trace_traversals(self, vertices, out: bool):
+        store = self._out if out else self._in
+        if getattr(store, "native", False):
+            return store.trace_traversals(vertices)
+        return super()._trace_traversals(vertices, out)

@@ -524,16 +524,36 @@ class GraphDataStructure(abc.ABC):
         """
         return self.cost.probe_element
 
-    def trace_out_traversal(self, u: int, recorder) -> None:
-        """Emit the memory accesses of one out-neighbor traversal."""
-        self._trace_traversal(u, recorder, out=True)
+    def trace_out_traversal(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The memory reads of one out-neighbor traversal per vertex.
 
-    def trace_in_traversal(self, u: int, recorder) -> None:
-        """Emit the memory accesses of one in-neighbor traversal."""
-        if not self.directed:
-            self._trace_traversal(u, recorder, out=True)
-        else:
-            self._trace_traversal(u, recorder, out=False)
+        Returns ``(counts, addresses)``: ``counts[i]`` accesses for
+        ``vertices[i]``, and the flat read addresses of all traversals
+        back to back in emission order.
+        """
+        return self._trace_traversals(np.asarray(vertices, dtype=np.int64), out=True)
+
+    def trace_in_traversal(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`trace_out_traversal` for in-neighbor traversals."""
+        return self._trace_traversals(
+            np.asarray(vertices, dtype=np.int64), out=not self.directed
+        )
+
+    def _trace_traversals(
+        self, vertices: np.ndarray, out: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Reference emitter: the per-vertex :meth:`_trace_traversal` in a loop.
+
+        Structures whose stores can emit a whole vertex array at once
+        override this; the result must equal this loop's.
+        """
+        recorder = TraceRecorder()
+        ends = []
+        for u in vertices.tolist():
+            self._trace_traversal(u, recorder, out)
+            ends.append(len(recorder))
+        counts = np.diff(np.asarray(ends, dtype=np.int64), prepend=0)
+        return counts, recorder.finalize().addresses
 
     # ------------------------------------------------------------------
     # Subclass responsibilities

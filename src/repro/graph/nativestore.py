@@ -42,6 +42,7 @@ from repro.obs.tracer import TRACER
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace, Region
 from repro.sim.scheduler import use_legacy_tasks
+from repro.sim.trace import ragged_arange
 
 #: Initial per-store entry pool; doubled on demand (kernel stall).
 INITIAL_POOL = 1 << 14
@@ -140,13 +141,15 @@ class NativeVectorStore(_PooledVectorState):
     def __init__(self, max_nodes, space, label, kernels) -> None:
         super().__init__(max_nodes, space, label, kernels)
         self._region: List[Optional[Region]] = [None] * max_nodes
+        #: ``_region[v].base`` as a column, for :meth:`trace_traversals`.
+        self._region_base = np.zeros(max_nodes, dtype=np.int64)
         self._vec_label = f"{label}.vec"
 
     def _replay_grow(self, vertex: int, new_capacity: int) -> None:
         old_region = self._region[vertex]
-        self._region[vertex] = self.space.alloc(
-            new_capacity * ENTRY_BYTES, self._vec_label
-        )
+        region = self.space.alloc(new_capacity * ENTRY_BYTES, self._vec_label)
+        self._region[vertex] = region
+        self._region_base[vertex] = region.base
         if old_region is not None:
             self.space.free(old_region)
 
@@ -218,6 +221,18 @@ class NativeVectorStore(_PooledVectorState):
         region = self._region[u]
         if region is not None:
             recorder.access_range(region.base, int(self._len[u]), ENTRY_BYTES)
+
+    def trace_traversals(self, vertices: np.ndarray):
+        """:meth:`trace_traversal` of every vertex: ``(counts, addresses)``.
+
+        Per vertex the header, then the contiguous neighbor range (a
+        vertex without a region has no entries).
+        """
+        headers = self._header.elements(vertices, HEADER_BYTES)
+        counts = 1 + self._len[vertices]
+        seg, within = ragged_arange(counts)
+        entries = self._region_base[vertices][seg] + (within - 1) * ENTRY_BYTES
+        return counts, np.where(within == 0, headers[seg], entries)
 
 
 class NativeBlockedStore(_PooledVectorState):
@@ -803,6 +818,9 @@ class NativeDAHStore:
             for c in range(chunks)
         ]
         self._set_regions: List[Region] = []
+        #: ``_set_regions[sid].base`` as a column (sized like the set
+        #: meta arrays), for :meth:`trace_traversals`.
+        self._set_base = np.zeros(meta, dtype=np.int64)
 
     # -- arena plumbing ------------------------------------------------
 
@@ -865,6 +883,7 @@ class NativeDAHStore:
         self._soff = self._grown(self._soff, target)
         self._scap = self._grown(self._scap, target)
         self._ssize = self._grown(self._ssize, target)
+        self._set_base = self._grown(self._set_base, target)
 
     def _replay_event(self, kind: int, a: int, b: int) -> None:
         from repro.graph.dah import (
@@ -883,17 +902,16 @@ class NativeDAHStore:
             self._high_regions[a] = self.space.alloc(
                 b * HIGH_SLOT_BYTES, f"{self.label}.high{a}"
             )
-        elif kind == 2:  # set a created (ids are sequential)
-            self._set_regions.append(
-                self.space.alloc(
-                    b * NEIGHBOR_SLOT_BYTES, f"{self.label}.nbr{a}"
-                )
-            )
-        else:  # set a resized
-            self.space.free(self._set_regions[a])
-            self._set_regions[a] = self.space.alloc(
+        else:
+            if kind == 2:  # set a created (ids are sequential)
+                self._set_regions.append(None)
+            else:  # set a resized
+                self.space.free(self._set_regions[a])
+            region = self.space.alloc(
                 b * NEIGHBOR_SLOT_BYTES, f"{self.label}.nbr{a}"
             )
+            self._set_regions[a] = region
+            self._set_base[a] = region.base
 
     # -- per-edge twin: table primitives -------------------------------
     # Probe paths and slot layouts replicate hashtables.py expression
@@ -1097,8 +1115,6 @@ class NativeDAHStore:
 
     def _set_put(self, sid: int, key: int, weight: float):
         """Neighbor-set put with growth; returns (path, resized_moves)."""
-        from repro.graph.dah import NEIGHBOR_SLOT_BYTES
-
         moved = 0
         if 10 * (int(self._ssize[sid]) + 1) > 7 * int(self._scap[sid]):
             old_cap = int(self._scap[sid])
@@ -1122,10 +1138,7 @@ class NativeDAHStore:
             self._state[4] = new_off + new_cap
             self._soff[sid] = new_off
             self._scap[sid] = new_cap
-            self.space.free(self._set_regions[sid])
-            self._set_regions[sid] = self.space.alloc(
-                new_cap * NEIGHBOR_SLOT_BYTES, f"{self.label}.nbr{sid}"
-            )
+            self._replay_event(3, sid, new_cap)
         path = self._oa_put(
             self._skeys, self._swgt, int(self._soff[sid]),
             int(self._scap[sid]), key, weight,
@@ -1134,8 +1147,6 @@ class NativeDAHStore:
         return path, moved
 
     def _new_set(self) -> int:
-        from repro.graph.dah import NEIGHBOR_SLOT_BYTES
-
         if int(self._state[5]) >= len(self._soff):
             self._grow_set_meta()
         if int(self._state[4]) + self.SET_INIT > len(self._skeys):
@@ -1148,12 +1159,7 @@ class NativeDAHStore:
         self._scap[sid] = self.SET_INIT
         self._ssize[sid] = 0
         self._skeys[off:off + self.SET_INIT] = self.EMPTY
-        self._set_regions.append(
-            self.space.alloc(
-                self.SET_INIT * NEIGHBOR_SLOT_BYTES,
-                f"{self.label}.nbr{sid}",
-            )
-        )
+        self._replay_event(2, sid, self.SET_INIT)
         return sid
 
     def _alloc_inline(self) -> int:
@@ -1437,6 +1443,111 @@ class NativeDAHStore:
             return
         _, path = self._rh_get_path(int(self._loff[c]), int(self._lcap[c]), u)
         self._trace_path(self._low_regions[c], LOW_SLOT_BYTES, path, recorder)
+
+    # -- array twin of trace_traversal ---------------------------------
+    # Both tables probe linearly, so a probe path is
+    # ``(slot0 + arange(length)) & mask``: only its length has to be
+    # found by walking the table.
+
+    @staticmethod
+    def _hash_array(keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """:meth:`_hash` of a key array (uint64 wraps like ``_HASH_WRAP``)."""
+        from repro.graph.hashtables import _HASH_MULT
+
+        hashed = keys.astype(np.uint64) * np.uint64(_HASH_MULT)
+        return (hashed >> np.uint64(17)).astype(np.int64) & mask
+
+    def _probe_lengths(self, table, off, slot0, mask, keys, robin_hood: bool):
+        """``(lengths, found)`` of every key's ``get`` probe path.
+
+        Step ``k`` inspects slot ``(slot0 + k) & mask`` of all keys
+        still probing; the stop rules are those of ``_rh_get_path``
+        (``robin_hood``) and ``_oa_get_path``.
+        """
+        lengths = np.zeros(len(keys), dtype=np.int64)
+        found = np.zeros(len(keys), dtype=bool)
+        active = np.arange(len(keys))
+        k = 0
+        while active.size:
+            key, m = keys[active], mask[active]
+            slot = (slot0[active] + k) & m
+            occ = table[off[active] + slot]
+            hit = occ == key
+            stop = hit | (occ == self.EMPTY)
+            if robin_hood:
+                stop |= ((slot - self._hash_array(occ, m)) & m) < k
+            else:
+                stop |= k == m  # every slot of the table probed
+            k += 1
+            lengths[active[stop]] = k
+            found[active[stop]] = hit[stop]
+            active = active[~stop]
+        return lengths, found
+
+    def trace_traversals(self, vertices: np.ndarray):
+        """:meth:`trace_traversal` of every vertex: ``(counts, addresses)``.
+
+        Per vertex the high-table probe path, then the whole slot array
+        of its neighbor set on a hit or the low-table probe path on a
+        miss.
+        """
+        from repro.graph.dah import (
+            HIGH_SLOT_BYTES,
+            LOW_SLOT_BYTES,
+            NEIGHBOR_SLOT_BYTES,
+        )
+
+        chunk = vertices % self.chunks
+        hoff, hmask = self._hoff[chunk], self._hcap[chunk] - 1
+        hslot = self._hash_array(vertices, hmask)
+        hlen, high = self._probe_lengths(
+            self._hkeys, hoff, hslot, hmask, vertices, robin_hood=False
+        )
+        # The path's last slot holds the set id of a high-degree vertex.
+        sid = np.where(high, self._hval[hoff + ((hslot + hlen - 1) & hmask)], 0)
+        lmask = self._lcap[chunk] - 1
+        lslot = self._hash_array(vertices, lmask)
+        low = np.flatnonzero(~high)
+        tail = np.where(high, self._scap[sid], 0)
+        tail[low] = self._probe_lengths(
+            self._lkeys, self._loff[chunk[low]], lslot[low], lmask[low],
+            vertices[low], robin_hood=True,
+        )[0]
+        counts = hlen + tail
+        seg, within = ragged_arange(counts)
+        chunk = chunk[seg]
+        behind = within - hlen[seg]  # position in the tail, once >= 0
+        in_set = (behind >= 0) & high[seg]
+        in_low = (behind >= 0) & ~high[seg]
+        high_addresses = self._table_addresses(
+            self._high_regions, HIGH_SLOT_BYTES, chunk,
+            (hslot[seg] + within) & hmask[seg], behind < 0,
+        )
+        low_addresses = self._table_addresses(
+            self._low_regions, LOW_SLOT_BYTES, chunk,
+            (lslot[seg] + behind) & lmask[seg], in_low,
+        )
+        set_addresses = self._set_base[sid[seg]] + behind * NEIGHBOR_SLOT_BYTES
+        return counts, np.where(
+            in_set, set_addresses, np.where(in_low, low_addresses, high_addresses)
+        )
+
+    @staticmethod
+    def _table_addresses(regions, slot_bytes, chunk, slot, used):
+        """Slot addresses in per-chunk table regions, overruns checked.
+
+        ``used`` marks the positions that belong to this table; the rest
+        are computed and thrown away by the caller, so only ``used``
+        ones can overrun.
+        """
+        base = np.array([region.base for region in regions], dtype=np.int64)
+        end = np.array([region.end for region in regions], dtype=np.int64)
+        addresses = base[chunk] + slot * slot_bytes
+        over = used & (addresses + slot_bytes > end[chunk])
+        if over.any():
+            i = int(np.argmax(over))
+            regions[int(chunk[i])].element(int(slot[i]), slot_bytes)
+        return addresses
 
 
 def native_dah_ingest(out_store, in_store, batch, directed, delete):

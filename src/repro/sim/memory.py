@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.sim.machine import CACHE_LINE_BYTES
 
@@ -47,6 +49,14 @@ class Region:
                 f"{self.label!r} of {self.size}B"
             )
         return addr
+
+    def elements(self, indices: np.ndarray, element_bytes: int) -> np.ndarray:
+        """:meth:`element` over an index array, with the same overrun check."""
+        addrs = self.base + indices * element_bytes
+        over = addrs + element_bytes > self.end
+        if over.any():
+            self.element(int(indices[np.argmax(over)]), element_bytes)
+        return addrs
 
 
 class AddressSpace:

@@ -14,7 +14,7 @@ profiling (Section VI) attaches one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,19 @@ class MemoryTrace:
         )
 
 
+def ragged_arange(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(seg, within)`` of segments laid back to back.
+
+    Segment ``i`` has ``counts[i]`` elements; element ``j`` of the flat
+    layout belongs to segment ``seg[j]`` at position ``within[j]``.  The
+    array trace emitters build whole frontiers of per-vertex address
+    runs from this instead of looping over vertices.
+    """
+    seg = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return seg, np.arange(len(seg), dtype=np.int64) - starts[seg]
+
+
 class TraceRecorder:
     """Accumulates accesses during a phase; ``finalize`` yields arrays.
 
@@ -90,12 +103,10 @@ class TraceRecorder:
         self._writes.append(write)
 
     def access_range(self, base: int, count: int, stride: int, write: bool = False) -> None:
-        """Record ``count`` accesses at ``base, base+stride, ...``."""
-        task = self._current_task
-        for i in range(count):
-            self._task_ids.append(task)
-            self._addresses.append(base + i * stride)
-            self._writes.append(write)
+        """Record ``count`` accesses at ``base, base+stride, ...`` (stride != 0)."""
+        self._task_ids.extend([self._current_task] * count)
+        self._addresses.extend(range(base, base + count * stride, stride))
+        self._writes.extend([write] * count)
 
     def __len__(self) -> int:
         return len(self._addresses)

@@ -136,6 +136,19 @@ def _edge_arrays(edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src, dst, weight
 
 
+def add_edge_degrees(deg_in, deg_out, src, dst, directed: bool, step: int = 1) -> None:
+    """Add ``step`` to the degree arrays for every ``src -> dst`` edge.
+
+    Undirected edges count in both orientations, self-loops once.
+    """
+    np.add.at(deg_out, src, step)
+    np.add.at(deg_in, dst, step)
+    if not directed:
+        mirrored = src != dst
+        np.add.at(deg_out, dst[mirrored], step)
+        np.add.at(deg_in, src[mirrored], step)
+
+
 def _with_reverse_interleaved(
     src: np.ndarray, dst: np.ndarray, weight: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -531,12 +544,8 @@ class StreamDriver:
         ins_weight = _EMPTY_WEIGHTS
         if inserted:
             ins_src, ins_dst, ins_weight = _edge_arrays(inserted)
-            np.add.at(deg_out, ins_src, 1)
-            np.add.at(deg_in, ins_dst, 1)
+            add_edge_degrees(deg_in, deg_out, ins_src, ins_dst, dataset.directed)
             if not dataset.directed:
-                mirrored = ins_src != ins_dst
-                np.add.at(deg_out, ins_dst[mirrored], 1)
-                np.add.at(deg_in, ins_src[mirrored], 1)
                 ins_src, ins_dst, ins_weight = _with_reverse_interleaved(
                     ins_src, ins_dst, ins_weight
                 )
@@ -554,12 +563,8 @@ class StreamDriver:
         rem_src = rem_dst = _EMPTY_IDS
         if removed:
             rem_src, rem_dst, rem_weight = _edge_arrays(removed)
-            np.add.at(deg_out, rem_src, -1)
-            np.add.at(deg_in, rem_dst, -1)
+            add_edge_degrees(deg_in, deg_out, rem_src, rem_dst, dataset.directed, -1)
             if not dataset.directed:
-                mirrored = rem_src != rem_dst
-                np.add.at(deg_out, rem_dst[mirrored], -1)
-                np.add.at(deg_in, rem_src[mirrored], -1)
                 rem_src, rem_dst, _ = _with_reverse_interleaved(
                     rem_src, rem_dst, rem_weight
                 )

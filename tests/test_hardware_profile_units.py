@@ -10,9 +10,18 @@ from repro.analysis.hardware_profile import (
     _average_counters,
     _synthetic_schedule,
 )
+from repro.algorithms.registry import get_algorithm
+from repro.compute.kernels import ComputeView
+from repro.compute.stats import ComputeRun
+from repro.datasets.catalog import load_dataset
 from repro.errors import SimulationError
+from repro.graph import ExecutionContext, ReferenceGraph, make_structure
+from repro.graph.properties import VertexProperties
 from repro.sim.counters import PhaseCounters
 from repro.sim.machine import MachineConfig
+from repro.sim.trace import TraceRecorder
+from repro.streaming.batching import make_batches
+from tests.conftest import SMALL_MACHINE
 
 
 def counters(**overrides):
@@ -151,3 +160,108 @@ class TestPrefetchOption:
         boosted = fetched.stage_counter("update", 2, "l2_hit_ratio")
         # The streamer can only help (sequential scans abound).
         assert boosted >= base
+
+
+def _per_vertex_compute_trace(
+    run, structure, reference, properties, algorithm, visited_region, threads
+):
+    """The per-vertex loop ``_compute_trace`` used to be: the reference."""
+    recorder = TraceRecorder()
+    task = 0
+    for iteration in run.iterations:
+        for v in iteration.pull_vertices:
+            v = int(v)
+            recorder.begin_task(task)
+            task += 1
+            structure._trace_traversal(v, recorder, out=not structure.directed)
+            for u, _ in reference.in_neigh(v):
+                recorder.access(properties.address_of(algorithm, int(u)))
+            recorder.access(properties.address_of(algorithm, v), write=True)
+        for v in iteration.push_vertices:
+            v = int(v)
+            recorder.begin_task(task)
+            task += 1
+            structure._trace_traversal(v, recorder, out=True)
+            for w, _ in reference.out_neigh(v):
+                recorder.access(visited_region.element(int(w) // 8, 1), write=True)
+    task_thread = np.arange(max(task, 1), dtype=np.int32) % threads
+    return recorder.finalize(), task_thread
+
+
+class TestComputeTraceMatchesPerVertexLoop:
+    @pytest.mark.parametrize(
+        "dataset_name, structure_name",
+        [("Talk", "DAH"), ("RMAT", "AS"), ("Orkut", "AS")],
+    )
+    def test_array_equal(self, dataset_name, structure_name):
+        dataset = load_dataset(dataset_name, seed=3, size_factor=0.04)
+        structure = make_structure(
+            structure_name, dataset.max_nodes, directed=dataset.directed
+        )
+        reference = ReferenceGraph(dataset.max_nodes, directed=dataset.directed)
+        algorithms = ("BFS", "CC", "PR")
+        properties = VertexProperties(dataset.max_nodes, structure.space)
+        for name in algorithms:
+            properties.add(name)
+        visited = structure.space.alloc((dataset.max_nodes + 7) // 8, "inc.visited")
+        states = {
+            name: get_algorithm(name).make_state(dataset.max_nodes)
+            for name in algorithms
+        }
+        source = int(np.bincount(dataset.edges.src).argmax())
+        profiler = HardwareProfiler()
+        accesses = 0
+        for batch in make_batches(dataset.edges, 300, shuffle_seed=3):
+            structure.update(batch, ExecutionContext(machine=SMALL_MACHINE))
+            reference.update(batch)
+            compute_view = ComputeView.of(reference)
+            for name in algorithms:
+                algorithm = get_algorithm(name)
+                run = algorithm.inc_run(
+                    reference,
+                    states[name],
+                    algorithm.affected_from_batch(batch, reference),
+                    source=source,
+                )
+                trace, task_thread = profiler._compute_trace(
+                    run, structure, compute_view, properties, name, visited, 8
+                )
+                want, want_thread = _per_vertex_compute_trace(
+                    run, structure, reference, properties, name, visited, 8
+                )
+                assert np.array_equal(trace.task_ids, want.task_ids)
+                assert np.array_equal(trace.addresses, want.addresses)
+                assert np.array_equal(trace.is_write, want.is_write)
+                assert np.array_equal(task_thread, want_thread)
+                assert task_thread.dtype == want_thread.dtype
+                accesses += len(trace)
+        assert accesses > 10_000
+
+    def test_run_without_iterations(self):
+        dataset = load_dataset("Talk", seed=0, size_factor=0.04)
+        structure = make_structure("DAH", dataset.max_nodes)
+        reference = ReferenceGraph(dataset.max_nodes)
+        properties = VertexProperties(dataset.max_nodes, structure.space)
+        properties.add("BFS")
+        visited = structure.space.alloc(64, "inc.visited")
+        trace, task_thread = HardwareProfiler()._compute_trace(
+            ComputeRun("BFS", "INC", np.zeros(0)), structure,
+            ComputeView.of(reference), properties, "BFS", visited, 8,
+        )
+        assert len(trace) == 0
+        assert task_thread.tolist() == [0]
+
+
+class TestVisitedBitvectorSizing:
+    def test_max_nodes_not_a_multiple_of_eight(self):
+        """Wiki at 0.125 has 1 125 ids: the last partial byte is touched."""
+        profiler = HardwareProfiler(
+            machine=SMALL_MACHINE,
+            core_counts=(4,),
+            algorithms=("BFS",),
+            batch_size=1250,
+            trace_cap=5_000,
+        )
+        assert load_dataset("Wiki", seed=0, size_factor=0.125).max_nodes % 8
+        cell = profiler.profile_cell("Wiki", "DAH", 0.125)
+        assert cell.batches == len(cell.counters["compute"]) > 0

@@ -354,6 +354,28 @@ class TestInstrumentedRun:
         assert "stream_update_latency_seconds" in snapshot
         assert "stream_compute_latency_seconds" in snapshot
 
+    def test_hardware_profile_emitted_vs_replayed_accesses(self):
+        """``sim_trace_accesses_total`` counts before the sampling cap."""
+        from repro.analysis.hardware_profile import HardwareProfiler
+        from tests.conftest import SMALL_MACHINE
+
+        TRACER.enable()
+        METRICS.enable()
+        cell = HardwareProfiler(
+            machine=SMALL_MACHINE, core_counts=(4,), algorithms=("BFS", "PR"),
+            batch_size=500, trace_cap=2_000,
+        ).profile_cell("Talk", "DAH", 0.05)
+        emitted = {
+            phase: METRICS.value("sim_trace_accesses_total", phase=phase)
+            for phase in ("update", "compute")
+        }
+        replayed = METRICS.value("sim_cache_accesses_total")
+        assert emitted["update"] > 0 and emitted["compute"] > 0
+        # Three replays per batch, each of at most trace_cap accesses.
+        assert replayed <= 3 * cell.batches * 2_000 < sum(emitted.values())
+        totals = TRACER.phase_totals()
+        assert totals["compute.trace"][1] == totals["compute"][1] == 2 * cell.batches
+
     def test_parallel_sweep_metrics_equal_serial(self, tmp_path):
         config = StreamConfig(repetitions=2, **self.CONFIG)
         METRICS.enable()

@@ -1,0 +1,196 @@
+"""Array trace emitters against the per-vertex reference.
+
+``trace_in_traversal`` / ``trace_out_traversal`` take a vertex array and
+return ``(counts, addresses)``.  The reference is the per-vertex
+``_trace_traversal(u, recorder, out)`` every structure defines: the
+array result must be that method's accesses, vertex after vertex.  AS,
+AC and DAH have array implementations over their compiled stores;
+Stinger, BA and every plain (no-compiler) store use the base-class loop.
+"""
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import SimulationError
+from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
+from repro.graph.base import GraphDataStructure
+from repro.sim import cingest
+from repro.sim.memory import Region
+from repro.sim.trace import TraceRecorder
+from tests.conftest import SMALL_MACHINE
+
+ALL = sorted(STRUCTURES)
+#: Few ids, so that random streams push vertices across DAH's degree-16
+#: flush (and back to empty through deletes).
+N = 40
+
+
+def _reference(structure, vertices, out):
+    """Concatenated per-vertex emission: the old entry points' loop."""
+    counts, addresses = [], []
+    for u in vertices:
+        recorder = TraceRecorder()
+        structure._trace_traversal(int(u), recorder, out)
+        trace = recorder.finalize()
+        assert not trace.is_write.any()
+        counts.append(len(trace))
+        addresses.extend(trace.addresses.tolist())
+    return counts, addresses
+
+
+def _assert_matches_reference(structure, vertices):
+    vertices = np.asarray(vertices, dtype=np.int64)
+    for emit, out in (
+        (structure.trace_out_traversal, True),
+        (structure.trace_in_traversal, not structure.directed),
+    ):
+        counts, addresses = emit(vertices)
+        want_counts, want_addresses = _reference(structure, vertices, out)
+        assert counts.tolist() == want_counts
+        assert addresses.tolist() == want_addresses
+        assert counts.dtype == addresses.dtype == np.int64
+
+
+def _make(name, directed, plain, max_nodes=N, chunks=2):
+    """A structure over compiled stores, or plain ones when ``plain``.
+
+    Few chunks, so that keys collide in DAH's per-chunk tables.
+    """
+    kwargs = {"chunks": chunks} if name in ("AC", "BA", "DAH") else {}
+    if plain:
+        os.environ[cingest.DISABLE_ENV] = "all"
+    cingest.reset()
+    try:
+        structure = make_structure(name, max_nodes, directed=directed, **kwargs)
+    finally:
+        os.environ.pop(cingest.DISABLE_ENV, None)
+        cingest.reset()
+    assert getattr(structure._out, "native", False) == (
+        not plain and cingest.loaded()
+    )
+    return structure
+
+
+_edges = st.lists(
+    st.tuples(st.integers(0, N - 2), st.integers(0, N - 2)), max_size=120
+)
+_stream = st.lists(st.tuples(st.booleans(), _edges), max_size=5)
+
+
+def _apply(structure, stream):
+    ctx = ExecutionContext(machine=SMALL_MACHINE)
+    for delete, edges in stream:
+        batch = EdgeBatch.from_edges(edges)
+        (structure.delete if delete else structure.update)(batch, ctx)
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("plain", [False, True])
+class TestArrayEmittersMatchPerVertex:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        stream=_stream,
+        # Vertex N - 1 never gets an edge: always absent from the tables.
+        vertices=st.lists(st.integers(0, N - 1), max_size=60),
+    )
+    def test_random_streams(self, name, directed, plain, stream, vertices):
+        structure = _make(name, directed, plain)
+        _apply(structure, stream)
+        _assert_matches_reference(structure, vertices)
+
+    def test_hub_resizes_and_tombstones(self, name, directed, plain):
+        """Hubs past the degree-16 flush, resized tables, deleted edges."""
+        # One chunk: the 20 hubs resize the high table (more than 0.7 x
+        # 16 keys) and the 89 chain vertices fill the resized low table
+        # to just under 0.7 x 128, so that probes of the absent ids
+        # 20..49 run into displaced keys (the Robin Hood stop rule).
+        m = 141
+        structure = _make(name, directed, plain, max_nodes=m, chunks=1)
+        ctx = ExecutionContext(machine=SMALL_MACHINE)
+        hubs = [(u, v) for u in range(20) for v in range(20, 50)]
+        structure.update(EdgeBatch.from_edges(hubs), ctx)
+        structure.update(
+            EdgeBatch.from_edges([(u, u + 1) for u in range(50, m - 2)]), ctx
+        )
+        # Tombstones in the hubs' neighbor sets; vertex 60 emptied.
+        structure.delete(EdgeBatch.from_edges(hubs[::3] + [(60, 61)]), ctx)
+        everyone = list(range(m)) + [0, 0, 60, m - 1]
+        _assert_matches_reference(structure, everyone)
+        _assert_matches_reference(structure, [])
+
+
+class TestOverrunsStillRaise:
+    """The vectorised checks raise where ``Region.element`` did."""
+
+    @pytest.mark.parametrize("name", ["AS", "AC"])
+    def test_vertex_beyond_max_nodes(self, name):
+        structure = _make(name, True, plain=False)
+        with pytest.raises(SimulationError):
+            structure._trace_traversal(N, TraceRecorder(), True)
+        for emit in (structure.trace_out_traversal, structure.trace_in_traversal):
+            with pytest.raises(SimulationError, match=f"element {N} "):
+                emit(np.array([1, N, 2]))
+
+    @pytest.mark.parametrize("table", ["_low_regions", "_high_regions"])
+    def test_region_shorter_than_its_table(self, table):
+        structure = _make("DAH", True, plain=False, chunks=1)
+        if not cingest.loaded():
+            pytest.skip("compiled ingest kernels unavailable")
+        ctx = ExecutionContext(machine=SMALL_MACHINE)
+        structure.update(
+            EdgeBatch.from_edges([(u, 0) for u in range(1, N)]), ctx
+        )
+        region = getattr(structure._out, table)[0]
+        getattr(structure._out, table)[0] = Region(region.base, 8, region.label)
+        vertices = np.arange(N)
+        with pytest.raises(SimulationError, match="overruns region"):
+            _reference(structure, vertices, True)
+        with pytest.raises(SimulationError, match="overruns region"):
+            structure.trace_out_traversal(vertices)
+
+
+def test_per_vertex_only_structure_gets_array_entry_points():
+    """Defining the abstract ``_trace_traversal`` is enough."""
+
+    class Bare(GraphDataStructure):
+        name = "Bare"
+
+        def out_neigh(self, u):
+            return []
+
+        def out_traversal_cost(self, u):
+            return 0.0
+
+        def _insert_out(self, src, dst, weight, recorder):
+            raise NotImplementedError
+
+        def _insert_in(self, src, dst, weight, recorder):
+            raise NotImplementedError
+
+        def _in_neigh_directed(self, u):
+            return []
+
+        def _in_traversal_cost_directed(self, u):
+            return 0.0
+
+        def _trace_traversal(self, u, recorder, out):
+            # u accesses for an out-traversal, one for an in-traversal.
+            recorder.access_range(1000 * u if out else u, u if out else 1, 8)
+
+        def _schedule(self, tasks, ctx):
+            raise NotImplementedError
+
+    bare = Bare(8)
+    counts, addresses = bare.trace_out_traversal(np.array([2, 0, 3]))
+    assert counts.tolist() == [2, 0, 3]
+    assert addresses.tolist() == [2000, 2008, 3000, 3008, 3016]
+    counts, addresses = bare.trace_in_traversal([5, 7])
+    assert (counts.tolist(), addresses.tolist()) == ([1, 1], [5, 7])
+    counts, addresses = Bare(8, directed=False).trace_in_traversal([2])
+    assert addresses.tolist() == [2000, 2008]
+    counts, addresses = bare.trace_out_traversal(np.empty(0, dtype=np.int64))
+    assert len(counts) == len(addresses) == 0
