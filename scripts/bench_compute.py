@@ -60,11 +60,7 @@ from repro.compute.kernels import LEGACY_COMPUTE_ENV, view_scope
 from repro.datasets import load_dataset
 from repro.graph import ReferenceGraph
 from repro.obs import METRICS
-from repro.streaming.driver import (
-    _edge_arrays,
-    _InEdgeBuffer,
-    _with_reverse_interleaved,
-)
+from repro.streaming.driver import _InEdgeBuffer, _with_reverse_interleaved
 
 #: The quick-mode compute workload (same stream as bench_kernels).
 DATASET = "RMAT"
@@ -117,7 +113,7 @@ def run_path(batches, max_nodes, directed, source, legacy):
         ins_src = ins_dst = rem_src = rem_dst = empty_ids
         ins_wt = empty_wts
         if inserted:
-            ins_src, ins_dst, ins_wt = _edge_arrays(inserted)
+            ins_src, ins_dst, ins_wt = inserted.src, inserted.dst, inserted.weight
             if not directed:
                 ins_src, ins_dst, ins_wt = _with_reverse_interleaved(
                     ins_src, ins_dst, ins_wt
@@ -126,10 +122,10 @@ def run_path(batches, max_nodes, directed, source, legacy):
         victims = batch.slice(0, max(1, int(len(batch) * CHURN_FRACTION)))
         removed = reference.delete_collect(victims)
         if removed:
-            rem_src, rem_dst, rem_wt = _edge_arrays(removed)
+            rem_src, rem_dst = removed.src, removed.dst
             if not directed:
                 rem_src, rem_dst, _ = _with_reverse_interleaved(
-                    rem_src, rem_dst, rem_wt
+                    rem_src, rem_dst, removed.weight
                 )
             incidence.delete(rem_src, rem_dst)
         n = reference.num_nodes

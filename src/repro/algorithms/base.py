@@ -193,8 +193,10 @@ class Algorithm(abc.ABC):
         region (KickStarter-style, see
         :func:`repro.compute.incremental.invalidate_after_deletions`),
         then re-derives it with a normal incremental run.  ``view``
-        must already reflect the deletions; ``deleted_edges`` is the
-        ``(src, dst, weight)`` list actually removed.
+        must already reflect the deletions; ``deleted_edges`` holds the
+        edges actually removed -- the :class:`EdgeBatch` that
+        ``ReferenceGraph.delete_collect`` returns, or any iterable of
+        ``(src, dst, weight)``.
 
         Non-monotone algorithms (PR) fall back to a plain incremental
         run over the deletion endpoints, which converges to the new
@@ -203,20 +205,27 @@ class Algorithm(abc.ABC):
         from repro.compute.incremental import invalidate_after_deletions
 
         state.ensure_initialized(view.num_nodes)
-        edges = list(deleted_edges)
-        if not getattr(view, "directed", True):
-            edges = edges + [(v, u, w) for u, v, w in edges if u != v]
+        directed = getattr(view, "directed", True)
         use_kernel = (
             not use_legacy_compute()
             and self.recalculate_batch is not None
             and (self.monotonic is None or self.supports_batch is not None)
         )
         if use_kernel:
-            count = len(edges)
-            src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=count)
-            dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=count)
-            weight = np.fromiter((e[2] for e in edges), dtype=np.float64, count=count)
-            endpoints = np.unique(np.concatenate([src, dst]))
+            deleted = deleted_edges
+            if not isinstance(deleted, EdgeBatch):
+                deleted = EdgeBatch.from_edges(deleted)
+            src, dst, weight = deleted.src, deleted.dst, deleted.weight
+            if not directed:
+                mirrored = src != dst
+                src, dst, weight = (
+                    np.concatenate([src, dst[mirrored]]),
+                    np.concatenate([dst, src[mirrored]]),
+                    np.concatenate([weight, weight[mirrored]]),
+                )
+            endpoints = kernels.as_frontier(
+                np.concatenate([src, dst]), view.num_nodes
+            )
             if self.monotonic is None:
                 return self.inc_run(
                     view, state, endpoints, source=source, compute_view=compute_view
@@ -246,6 +255,9 @@ class Algorithm(abc.ABC):
                 source=source,
                 compute_view=cv,
             )
+        edges = list(deleted_edges)
+        if not directed:
+            edges = edges + [(v, u, w) for u, v, w in edges if u != v]
         endpoints = {v for _, v, _ in edges} | {u for u, _, _ in edges}
         if self.monotonic is None:
             return self.inc_run(view, state, endpoints, source=source)
@@ -267,13 +279,21 @@ class Algorithm(abc.ABC):
 
     # -- affected set ----------------------------------------------------
 
-    def affected_from_batch(self, batch: EdgeBatch, view) -> Set[int]:
+    def affected_from_batch(self, batch: EdgeBatch, view):
         """Vertices directly affected by ingesting ``batch``.
 
         The default marks both endpoints of every edge: the pull-side
         vertex function of the destination sees a new in-edge, and on
-        undirected graphs both ends gain a neighbor.
+        undirected graphs both ends gain a neighbor.  With a columnar
+        view in scope the result is the ascending id array the frontier
+        engine wants; otherwise a set (same vertices either way).
         """
+        cv = kernels.scoped_view(view) if not use_legacy_compute() else None
+        if cv is not None:
+            endpoints = np.concatenate([batch.src, batch.dst])
+            return kernels.unique_ids(
+                endpoints.astype(np.int64, copy=False), cv.num_nodes
+            )
         affected: Set[int] = set()
         for i in range(len(batch)):
             affected.add(int(batch.src[i]))

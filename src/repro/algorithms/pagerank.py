@@ -101,9 +101,11 @@ class PageRank(Algorithm):
         if cv is not None:
             src = np.asarray(batch.src, dtype=np.int64)
             dst = np.asarray(batch.dst, dtype=np.int64)
-            sources = np.unique(src)
+            sources = kernels.unique_ids(src, cv.num_nodes)
             _, fanout, _ = kernels.expand_frontier(cv.out_csr, sources)
-            return np.unique(np.concatenate([src, dst, fanout]))
+            return kernels.unique_ids(
+                np.concatenate([src, dst, fanout]), cv.num_nodes
+            )
         affected = set()
         for i in range(len(batch)):
             u = int(batch.src[i])

@@ -50,7 +50,7 @@ from repro.obs.tracer import TRACER
 from repro.sim.scheduler import ScheduleResult
 from repro.sim.trace import MemoryTrace, TraceRecorder, ragged_arange
 from repro.streaming.batching import make_batches
-from repro.streaming.driver import _edge_arrays, add_edge_degrees
+from repro.streaming.driver import add_edge_degrees
 
 #: Core counts swept in Fig. 9(a).
 DEFAULT_CORE_COUNTS = (4, 8, 12, 16, 20, 24, 28)
@@ -373,9 +373,9 @@ class HardwareProfiler:
 
             # ---- reference bookkeeping -----------------------------
             inserted = reference.update_collect(batch)
-            if inserted:
-                ins_src, ins_dst, _ = _edge_arrays(inserted)
-                add_edge_degrees(deg_in, deg_out, ins_src, ins_dst, dataset.directed)
+            add_edge_degrees(
+                deg_in, deg_out, inserted.src, inserted.dst, dataset.directed
+            )
             n = reference.num_nodes
 
             # ---- compute phase (INC, averaged over algorithms) -----

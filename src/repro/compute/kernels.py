@@ -544,13 +544,25 @@ def writer_reader_deps(
 # ----------------------------------------------------------------------
 
 
+def unique_ids(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.unique(ids)`` for vertex ids in ``[0, bound)``, without sorting.
+
+    Marks a ``bound``-sized bool array and reads the marks back in
+    order: linear in ``len(ids) + bound``, where ``np.unique`` sorts or
+    hashes the (much longer, duplicate-heavy) endpoint columns.
+    """
+    seen = np.zeros(bound, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
 def as_frontier(affected, num_nodes: int) -> np.ndarray:
     """Normalize an affected set to a unique ascending int64 array."""
     if isinstance(affected, np.ndarray):
         arr = affected.astype(np.int64, copy=False)
     else:
         arr = np.fromiter(affected, dtype=np.int64)
-    return np.unique(arr[arr < num_nodes])
+    return unique_ids(arr[arr < num_nodes], num_nodes)
 
 
 def _observe_frontier(run: ComputeRun, size: int) -> None:

@@ -14,9 +14,12 @@ The fused batch path (``native_vec_ingest``) hands the whole batch to
 the C kernel and returns the same count columns the Python
 ``bulk_ingest`` loop appends.  Simulated-memory accounting stays in
 Python: the kernel logs one event per allocation-changing operation
-(vector growth, segment relocation) and the store replays the log in
-order after the call, so ``AddressSpace`` layout and segment-pool
-statistics match the per-edge path exactly.
+(vector growth, segment relocation) and the store replays the log
+after the call, so ``AddressSpace`` layout and segment-pool statistics
+match the per-edge path exactly.  The vector stores (AS, AC) replay it
+as one array -- a bump allocator's layout is a cumsum of the aligned
+sizes (``AddressSpace.alloc_log``) -- while BA replays event by event
+because its segment-pool free lists depend on the order.
 
 Store construction goes through the ``make_*_store`` factories: the
 plain store is returned when the kernels are unavailable, the
@@ -38,6 +41,7 @@ from repro.graph.vectorstore import (
     RemoveOutcome,
     VectorStore,
 )
+from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace, Region
@@ -119,6 +123,18 @@ class _PooledVectorState:
     def _replay_grow(self, vertex: int, new_capacity: int) -> None:
         raise NotImplementedError
 
+    def _replay_growth(self, mirror_store, mirror, vertex, capacity) -> None:
+        """Replay a kernel growth log, in order, event by event.
+
+        ``self`` is the out store; rows with ``mirror`` set belong to
+        ``mirror_store`` (the in store, or ``self`` again when
+        undirected).  Both share one ``AddressSpace``, so the order
+        across the two stores decides the layout.
+        """
+        stores = (self, mirror_store)
+        for m, v, c in zip(mirror.tolist(), vertex.tolist(), capacity.tolist()):
+            stores[m]._replay_grow(v, c)
+
     # -- queries -------------------------------------------------------
 
     def neighbors(self, u: int) -> List[Tuple[int, float]]:
@@ -140,18 +156,47 @@ class NativeVectorStore(_PooledVectorState):
 
     def __init__(self, max_nodes, space, label, kernels) -> None:
         super().__init__(max_nodes, space, label, kernels)
-        self._region: List[Optional[Region]] = [None] * max_nodes
-        #: ``_region[v].base`` as a column, for :meth:`trace_traversals`.
+        #: Base address of each vertex's vector; with ``_capacity`` it
+        #: is the vertex's whole region (see :meth:`_region`).
         self._region_base = np.zeros(max_nodes, dtype=np.int64)
         self._vec_label = f"{label}.vec"
 
+    def _region(self, vertex: int) -> Optional[Region]:
+        """The vertex's vector region (``None`` before its first growth)."""
+        capacity = int(self._capacity[vertex])
+        if not capacity:
+            return None
+        return Region(
+            int(self._region_base[vertex]), capacity * ENTRY_BYTES, self._vec_label
+        )
+
     def _replay_grow(self, vertex: int, new_capacity: int) -> None:
-        old_region = self._region[vertex]
+        old_base = int(self._region_base[vertex])
         region = self.space.alloc(new_capacity * ENTRY_BYTES, self._vec_label)
-        self._region[vertex] = region
         self._region_base[vertex] = region.base
-        if old_region is not None:
-            self.space.free(old_region)
+        if new_capacity > INITIAL_CAPACITY:
+            # Doubling growth: the vacated vector is half the new one.
+            self.space.free(
+                Region(old_base, new_capacity // 2 * ENTRY_BYTES, self._vec_label)
+            )
+
+    def _replay_growth(self, mirror_store, mirror, vertex, capacity) -> None:
+        """The whole growth log as one allocation and one scatter."""
+        freed = np.where(capacity > INITIAL_CAPACITY, capacity // 2, 0)
+        bases = self.space.alloc_log(
+            capacity * ENTRY_BYTES,
+            freed * ENTRY_BYTES,
+            mirror,
+            (self._vec_label, mirror_store._vec_label),
+        )
+        # A vertex that grew more than once keeps its last region: numpy
+        # assigns repeated indices in order.
+        if mirror_store is self:
+            self._region_base[vertex] = bases
+        else:
+            own = mirror == 0
+            self._region_base[vertex[own]] = bases[own]
+            mirror_store._region_base[vertex[~own]] = bases[~own]
 
     def insert(self, src: int, dst: int, weight: float, recorder) -> InsertOutcome:
         tracing = recorder.enabled
@@ -174,14 +219,14 @@ class NativeVectorStore(_PooledVectorState):
         self._nbr[off + length] = dst
         self._wgt[off + length] = weight
         self._len[src] = length + 1
-        if tracing and self._region[src] is not None:
+        if tracing:
             recorder.access(
-                self._region[src].element(length, ENTRY_BYTES), write=True
+                self._region(src).element(length, ENTRY_BYTES), write=True
             )
         return InsertOutcome(scanned=scanned, inserted=True, grew_from=grew_from)
 
     def _trace_scan(self, src: int, count: int, recorder) -> None:
-        region = self._region[src]
+        region = self._region(src)
         if region is None or count == 0:
             return
         recorder.access_range(
@@ -209,16 +254,16 @@ class NativeVectorStore(_PooledVectorState):
             self._nbr[off + position] = self._nbr[off + last]
             self._wgt[off + position] = self._wgt[off + last]
             moved = 1
-            if tracing and self._region[src] is not None:
+            if tracing:
                 recorder.access(
-                    self._region[src].element(position, ENTRY_BYTES), write=True
+                    self._region(src).element(position, ENTRY_BYTES), write=True
                 )
         self._len[src] = last
         return RemoveOutcome(scanned=scanned, removed=True, moved=moved)
 
     def trace_traversal(self, u: int, recorder) -> None:
         recorder.access(self._header.element(u, HEADER_BYTES))
-        region = self._region[u]
+        region = self._region(u)
         if region is not None:
             recorder.access_range(region.base, int(self._len[u]), ENTRY_BYTES)
 
@@ -622,6 +667,16 @@ class NativeStingerStore:
         return result
 
 
+def _count_growth_events(store, count: int) -> None:
+    """Count one batch's replayed allocation events for ``store``'s structure."""
+    if METRICS.enabled and count:
+        METRICS.counter(
+            "ingest_growth_events_total",
+            "allocation-changing kernel events replayed into the address space",
+            structure=store.label.partition(".")[0],
+        ).inc(count)
+
+
 def native_stinger_ingest(out_store, in_store, batch, directed, delete):
     """Fused batch ingest through the compiled Stinger kernel.
 
@@ -669,10 +724,13 @@ def native_stinger_ingest(out_store, in_store, batch, directed, delete):
                 stalled._grow_bid_pool(int(ctl[7]))
             else:
                 stalled._grow_block_pool()
-    for k in range(int(ctl[4])):
-        code, block_id = int(events[3 * k]), int(events[3 * k + 1])
-        store = in_store if code >= 2 else out_store
-        store._replay_event(code & 1, block_id)
+    count = int(ctl[4])
+    with TRACER.span("ingest.replay"):
+        for k in range(count):
+            code, block_id = int(events[3 * k]), int(events[3 * k + 1])
+            store = in_store if code >= 2 else out_store
+            store._replay_event(code & 1, block_id)
+    _count_growth_events(out_store, count)
     return int(ctl[3]), chases, probes, space, hit, newblk, lock
 
 
@@ -716,10 +774,11 @@ def native_vec_ingest(out_store, in_store, batch, directed, delete,
                 break
             stalled = out_store if int(ctl[5]) == 0 else in_store
             stalled._grow_pool(int(ctl[6]))
-    for k in range(int(ctl[4])):
-        mirror, vertex, new_capacity = events[3 * k:3 * k + 3]
-        store = in_store if mirror else out_store
-        store._replay_grow(int(vertex), int(new_capacity))
+    count = int(ctl[4])
+    with TRACER.span("ingest.replay"):
+        log = events[:3 * count].reshape(count, 3)
+        out_store._replay_growth(in_store, log[:, 0], log[:, 1], log[:, 2])
+    _count_growth_events(out_store, count)
     return int(ctl[3]), scanned, hit, aux
 
 
@@ -1608,14 +1667,17 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete):
                 stalled._grow_set_arena(need)
             else:
                 stalled._grow_set_meta()
-    for k in range(int(ctl[4])):
-        code, a, b = (
-            int(events[3 * k]),
-            int(events[3 * k + 1]),
-            int(events[3 * k + 2]),
-        )
-        store = in_store if code >= 4 else out_store
-        store._replay_event(code & 3, a, b)
+    count = int(ctl[4])
+    with TRACER.span("ingest.replay"):
+        for k in range(count):
+            code, a, b = (
+                int(events[3 * k]),
+                int(events[3 * k + 1]),
+                int(events[3 * k + 2]),
+            )
+            store = in_store if code >= 4 else out_store
+            store._replay_event(code & 3, a, b)
+    _count_growth_events(out_store, count)
     return (
         int(ctl[3]), table_probes, hash_ops, inline_scanned,
         degree_queries, flushed, rehash_moves, hit, chunk,

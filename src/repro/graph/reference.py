@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import StructureError
 from repro.graph.edge import EdgeBatch
 
@@ -37,50 +39,72 @@ class ReferenceGraph:
         """Ingest a batch; returns the number of new unique edges."""
         return len(self.update_collect(batch))
 
-    def update_collect(self, batch: EdgeBatch):
-        """Ingest a batch; returns the list of newly inserted edges.
+    def update_collect(self, batch: EdgeBatch) -> EdgeBatch:
+        """Ingest a batch; returns the newly inserted edges as columns.
 
-        Each element is ``(src, dst, weight)``.  For undirected graphs
-        the reverse orientation is ingested too but reported once.  The
-        streaming driver uses the returned list to maintain incremental
-        degree and in-edge arrays.
+        The returned batch holds the rows of ``batch`` that were new, in
+        batch order (it iterates as ``(src, dst, weight)``).  For
+        undirected graphs the reverse orientation is ingested too but
+        reported once.  The streaming driver uses the columns to
+        maintain incremental degree and in-edge arrays.  A batch with an
+        out-of-range vertex is rejected whole, like the structures do.
         """
-        inserted = []
-        for i in range(len(batch)):
-            u = int(batch.src[i])
-            v = int(batch.dst[i])
-            w = float(batch.weight[i])
-            if not (0 <= u < self.max_nodes and 0 <= v < self.max_nodes):
-                raise StructureError(f"edge ({u}, {v}) out of range")
-            if v not in self._out[u]:
-                self._out[u][v] = w
-                inserted.append((u, v, w))
-                if self.directed:
-                    self._in[v][u] = w
+        src, dst = self._checked_endpoints(batch)
+        weight = np.asarray(batch.weight, dtype=np.float64)
+        out, inn, directed = self._out, self._in, self.directed
+        kept = []
+        for i, (u, v, w) in enumerate(
+            zip(src.tolist(), dst.tolist(), weight.tolist())
+        ):
+            row = out[u]
+            if v not in row:
+                row[v] = w
+                kept.append(i)
+                if directed:
+                    inn[v][u] = w
                 elif u != v:
-                    self._out[v][u] = w
-            self._max_seen = max(self._max_seen, u, v)
-        self._num_edges += len(inserted)
-        return inserted
+                    out[v][u] = w
+        if len(src):
+            self._max_seen = max(self._max_seen, int(src.max()), int(dst.max()))
+        self._num_edges += len(kept)
+        return EdgeBatch(src=src[kept], dst=dst[kept], weight=weight[kept])
 
-    def delete_collect(self, batch: EdgeBatch):
-        """Remove a batch's edges; returns the list actually removed."""
-        removed = []
-        for i in range(len(batch)):
-            u = int(batch.src[i])
-            v = int(batch.dst[i])
-            if not (0 <= u < self.max_nodes and 0 <= v < self.max_nodes):
-                raise StructureError(f"edge ({u}, {v}) out of range")
-            weight = self._out[u].pop(v, None)
+    def delete_collect(self, batch: EdgeBatch) -> EdgeBatch:
+        """Remove a batch's edges; returns the ones actually removed.
+
+        Same column form as :meth:`update_collect`; the weights are the
+        stored ones, not the batch's.
+        """
+        src, dst = self._checked_endpoints(batch)
+        out, inn, directed = self._out, self._in, self.directed
+        kept = []
+        weights = []
+        for i, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+            weight = out[u].pop(v, None)
             if weight is None:
                 continue
-            removed.append((u, v, weight))
-            if self.directed:
-                del self._in[v][u]
+            kept.append(i)
+            weights.append(weight)
+            if directed:
+                del inn[v][u]
             elif u != v:
-                del self._out[v][u]
-        self._num_edges -= len(removed)
-        return removed
+                del out[v][u]
+        self._num_edges -= len(kept)
+        return EdgeBatch(
+            src=src[kept],
+            dst=dst[kept],
+            weight=np.asarray(weights, dtype=np.float64),
+        )
+
+    def _checked_endpoints(self, batch: EdgeBatch):
+        """The batch's int64 endpoint columns, range-checked up front."""
+        src = np.asarray(batch.src, dtype=np.int64)
+        dst = np.asarray(batch.dst, dtype=np.int64)
+        bad = (src < 0) | (src >= self.max_nodes) | (dst < 0) | (dst >= self.max_nodes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise StructureError(f"edge ({int(src[i])}, {int(dst[i])}) out of range")
+        return src, dst
 
     @property
     def num_nodes(self) -> int:

@@ -89,6 +89,44 @@ class AddressSpace:
         live[label] = live.get(label, 0) + size
         return Region(base, size, label)
 
+    def alloc_log(self, sizes, freed, label_index, labels) -> np.ndarray:
+        """Replay an ordered allocation log at once; returns the bases.
+
+        Event ``i`` allocates ``sizes[i]`` bytes under
+        ``labels[label_index[i]]`` and then frees ``freed[i]`` bytes of
+        the same label (0 for none) -- the grow-and-discard step of a
+        doubling vector.  Every base is line-aligned, so the layout is
+        an exclusive cumsum of the aligned sizes, and every counter ends
+        where the equivalent :meth:`alloc` / :meth:`free` sequence
+        leaves it.  A rejected log (non-positive size, live bytes going
+        negative at any event) changes nothing.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.size == 0:
+            return np.empty(0, dtype=np.int64)
+        bad = sizes <= 0
+        if bad.any():
+            raise SimulationError(
+                "allocation size must be positive, "
+                f"got {int(sizes[np.argmax(bad)])}"
+            )
+        net = sizes - np.asarray(freed, dtype=np.int64)
+        if self._live_bytes + int(np.cumsum(net).min()) < 0:
+            raise SimulationError("double free detected in AddressSpace")
+        aligned = (sizes + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES * CACHE_LINE_BYTES
+        ends = self._next + np.cumsum(aligned)
+        self._next = int(ends[-1])
+        self._region_count += sizes.size
+        self._live_bytes += int(net.sum())
+        self._allocated_bytes += int(sizes.sum())
+        live = self._live_by_label
+        label_index = np.asarray(label_index)
+        for k, label in enumerate(labels):
+            mine = label_index == k
+            if mine.any():
+                live[label] = live.get(label, 0) + int(net[mine].sum())
+        return ends - aligned
+
     def free(self, region: Region) -> None:
         """Mark ``region`` dead (addresses are never recycled)."""
         self._live_bytes -= region.size

@@ -709,7 +709,7 @@ class AdaptiveStreamDriver(StreamDriver):
                 self._verify_inserted(
                     {live_name: update.edges_inserted}, inserted_count
                 )
-            removed: list = []
+            removed = ()  # an EdgeBatch once churn removes something
             rem_src = rem_dst = _EMPTY_IDS
             churn_attempted = 0
             if cfg.churn_fraction > 0.0 and len(batch):

@@ -127,15 +127,6 @@ class _InEdgeBuffer:
         return self._src[:n], self._dst[:n], self._weight[:n]
 
 
-def _edge_arrays(edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, weight) arrays from a list of (u, v, w) tuples."""
-    count = len(edges)
-    src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=count)
-    dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=count)
-    weight = np.fromiter((e[2] for e in edges), dtype=np.float64, count=count)
-    return src, dst, weight
-
-
 def add_edge_degrees(deg_in, deg_out, src, dst, directed: bool, step: int = 1) -> None:
     """Add ``step`` to the degree arrays for every ``src -> dst`` edge.
 
@@ -543,7 +534,7 @@ class StreamDriver:
         ins_src = ins_dst = _EMPTY_IDS
         ins_weight = _EMPTY_WEIGHTS
         if inserted:
-            ins_src, ins_dst, ins_weight = _edge_arrays(inserted)
+            ins_src, ins_dst, ins_weight = inserted.src, inserted.dst, inserted.weight
             add_edge_degrees(deg_in, deg_out, ins_src, ins_dst, dataset.directed)
             if not dataset.directed:
                 ins_src, ins_dst, ins_weight = _with_reverse_interleaved(
@@ -556,17 +547,17 @@ class StreamDriver:
     def _churn_reference(reference, victims, dataset, deg_in, deg_out, incidence):
         """Apply churn ``victims`` to the reference graph and arrays.
 
-        Returns ``(removed, rem_src, rem_dst)``: the removed edge list
-        plus the incidence-ordered delete columns.
+        Returns ``(removed, rem_src, rem_dst)``: the removed edges as
+        an :class:`EdgeBatch` plus the incidence-ordered delete columns.
         """
         removed = reference.delete_collect(victims)
         rem_src = rem_dst = _EMPTY_IDS
         if removed:
-            rem_src, rem_dst, rem_weight = _edge_arrays(removed)
+            rem_src, rem_dst = removed.src, removed.dst
             add_edge_degrees(deg_in, deg_out, rem_src, rem_dst, dataset.directed, -1)
             if not dataset.directed:
                 rem_src, rem_dst, _ = _with_reverse_interleaved(
-                    rem_src, rem_dst, rem_weight
+                    rem_src, rem_dst, removed.weight
                 )
             incidence.delete(rem_src, rem_dst)
         return removed, rem_src, rem_dst
@@ -668,7 +659,7 @@ class StreamDriver:
             record.edges_inserted = inserted_count
             if __debug__:
                 self._verify_inserted(structure_inserted, inserted_count)
-            removed: list = []
+            removed = ()  # an EdgeBatch once churn removes something
             rem_src = rem_dst = _EMPTY_IDS
             churn_attempted = 0
             if cfg.churn_fraction > 0.0 and len(batch):

@@ -15,10 +15,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.compute import ckernels
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_structure
+from repro.graph import nativestore
 from repro.sim import cingest
+from repro.sim.memory import AddressSpace
 from repro.sim.trace import TraceRecorder
 from tests.conftest import SMALL_MACHINE, random_batch
 
@@ -88,21 +91,124 @@ def _same_graph(a, b) -> None:
         assert a.in_degree(v) == b.in_degree(v)
 
 
-@pytest.mark.parametrize("name", ALL)
-@pytest.mark.parametrize("directed", [True, False])
-def test_native_matches_plain(name, directed):
-    if cingest.get(name) is None:
-        pytest.skip("compiled ingest kernels unavailable")
+def _space_counters(structure):
+    """Everything the address space accounts, beyond the addresses."""
+    space = structure.space
+    return (
+        space._next,
+        space.region_count,
+        space.allocated_bytes,
+        space.live_bytes,
+        {label: size for label, size in space._live_by_label.items() if size},
+    )
+
+
+def _assert_native_matches_plain(name, directed):
     native, native_summary, native_trace = _run_scenario(name, directed, gated=False)
     plain, plain_summary, plain_trace = _run_scenario(name, directed, gated=True)
     assert native_summary == plain_summary
     _same_graph(native, plain)
     # Traced addresses pin down both the per-edge twins and the entire
     # simulated-memory allocation history (region bases are allocation-
-    # order dependent).
+    # order dependent); the counters catch an accounting slip in the
+    # event replay that leaves the addresses intact.
     assert np.array_equal(native_trace.addresses, plain_trace.addresses)
     assert np.array_equal(native_trace.is_write, plain_trace.is_write)
     assert np.array_equal(native_trace.task_ids, plain_trace.task_ids)
+    assert _space_counters(native) == _space_counters(plain)
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("directed", [True, False])
+def test_native_matches_plain(name, directed):
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    _assert_native_matches_plain(name, directed)
+
+
+@pytest.mark.parametrize("pool", [1, 2, 3])
+@pytest.mark.parametrize("name", ["AS", "AC", "BA"])
+@pytest.mark.parametrize("directed", [True, False])
+def test_native_matches_plain_when_every_batch_stalls(
+    name, directed, pool, monkeypatch
+):
+    """A tiny entry pool stalls the vector kernel and resumes it mid-log."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    monkeypatch.setattr(nativestore, "INITIAL_POOL", pool)
+    _assert_native_matches_plain(name, directed)
+
+
+@pytest.mark.parametrize("name", ["AS", "AC"])
+@pytest.mark.parametrize("directed", [True, False])
+def test_vertex_growing_repeatedly_in_one_batch(name, directed):
+    """A hub gaining 40 fresh neighbours grows 4 -> 64 inside one batch:
+    its region is the last one allocated and the four before are freed."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    hub = EdgeBatch.from_edges([(0, v) for v in range(1, 41)])
+    probe = np.arange(N)
+
+    def run(gated):
+        if gated:
+            os.environ[cingest.DISABLE_ENV] = "all"
+        cingest.reset()
+        try:
+            structure = make_structure(name, N, directed=directed)
+            assert getattr(structure._out, "native", False) is not gated
+            structure.update(hub, _ctx())
+            return structure, structure.trace_out_traversal(probe)
+        finally:
+            os.environ.pop(cingest.DISABLE_ENV, None)
+            cingest.reset()
+
+    native, (native_counts, native_addresses) = run(gated=False)
+    plain, (plain_counts, plain_addresses) = run(gated=True)
+    assert np.array_equal(native_counts, plain_counts)
+    assert np.array_equal(native_addresses, plain_addresses)
+    assert int(native._out._region_base[0]) == plain._out._region[0].base
+    assert _space_counters(native) == _space_counters(plain)
+    out_vectors = native.space.live_bytes_for(f"{name}.out.vec")
+    spokes = 40 * nativestore.INITIAL_CAPACITY * nativestore.ENTRY_BYTES
+    assert out_vectors == 64 * nativestore.ENTRY_BYTES + (0 if directed else spokes)
+
+
+@given(
+    log=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=5),
+        ),
+        max_size=40,
+    ),
+    shared=st.booleans(),
+)
+def test_growth_log_as_arrays_matches_event_by_event(log, shared):
+    """One ``alloc_log`` + scatter == the per-event ``_replay_grow`` loop,
+    for two stores on one address space and for one store mirroring
+    itself (undirected), repeated vertices included."""
+    mirror, vertex, doublings = np.asarray(log, dtype=np.int64).reshape(len(log), 3).T
+    capacity = nativestore.INITIAL_CAPACITY << doublings
+
+    def replay(method):
+        space = AddressSpace()
+        out = nativestore.NativeVectorStore(8, space, "AS.out", None)
+        inn = out if shared else nativestore.NativeVectorStore(8, space, "AS.in", None)
+        method(out, inn, mirror, vertex, capacity)
+        return (
+            out._region_base.tolist(),
+            inn._region_base.tolist(),
+            space._next,
+            space.region_count,
+            space.allocated_bytes,
+            space.live_bytes,
+            space._live_by_label,
+        )
+
+    assert replay(nativestore.NativeVectorStore._replay_growth) == replay(
+        nativestore._PooledVectorState._replay_growth
+    )
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -21,7 +21,9 @@ from repro.compute.kernels import (
     LEGACY_COMPUTE_ENV,
     ComputeView,
     relaxation_events,
+    unique_ids,
     use_legacy_compute,
+    view_scope,
 )
 from repro.engine import RunStore, stream_run_key
 from repro.engine.sweep import run_stream
@@ -243,6 +245,32 @@ class TestKernelPrimitives:
                     candidates, targets, start, minimize=minimize
                 )
                 assert got.tolist() == expected
+
+    def test_unique_ids_is_np_unique_without_the_sort(self):
+        rng = np.random.default_rng(11)
+        bound = 64
+        for size in (0, 1, 7, 500):
+            ids = rng.integers(0, bound, size=size)
+            got = unique_ids(ids, bound)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.unique(ids))
+        edge = np.array([bound - 1, 0, bound - 1], dtype=np.int64)
+        assert unique_ids(edge, bound).tolist() == [0, bound - 1]
+        assert unique_ids(np.empty(0, dtype=np.int64), 0).size == 0
+
+    def test_affected_sets_are_the_same_vertices_with_a_view_in_scope(self):
+        """The columnar branch returns the set branch's vertices, ascending."""
+        first, second = _stream(num_nodes=32, batches=2, per_batch=80, seed=4)
+        reference = ReferenceGraph(32, directed=True)
+        reference.update(first)
+        reference.update(second)
+        for name in ("CC", "PR"):
+            algorithm = get_algorithm(name)
+            as_set = algorithm.affected_from_batch(second, reference)
+            assert isinstance(as_set, set)
+            with view_scope(reference, ComputeView.of(reference)):
+                as_array = algorithm.affected_from_batch(second, reference)
+            assert as_array.tolist() == sorted(as_set)
 
     def test_csr_export_matches_neighbor_iteration(self):
         batches = _stream(num_nodes=32, batches=1, per_batch=80, seed=3)

@@ -376,6 +376,28 @@ class TestInstrumentedRun:
         totals = TRACER.phase_totals()
         assert totals["compute.trace"][1] == totals["compute"][1] == 2 * cell.batches
 
+    def test_ingest_replay_span_and_growth_event_counter(self):
+        """One ``ingest.replay`` per ``ingest.ckernel``; every vector
+        allocation of the batch is one counted growth event."""
+        from repro.graph import make_structure
+        from repro.sim import cingest
+        from tests.conftest import random_batch
+
+        if cingest.get("AS") is None:
+            pytest.skip("compiled ingest kernels unavailable")
+        TRACER.enable()
+        METRICS.enable()
+        structure = make_structure("AS", 64, directed=True)
+        regions_before = structure.space.region_count
+        structure.update(random_batch(64, 300, seed=2))
+        totals = TRACER.phase_totals()
+        assert totals["ingest.replay"][1] == totals["ingest.ckernel"][1] == 1
+        assert (
+            METRICS.value("ingest_growth_events_total", structure="AS")
+            == structure.space.region_count - regions_before
+            > 0
+        )
+
     def test_parallel_sweep_metrics_equal_serial(self, tmp_path):
         config = StreamConfig(repetitions=2, **self.CONFIG)
         METRICS.enable()

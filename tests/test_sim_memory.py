@@ -1,11 +1,12 @@
 """Unit tests for the synthetic address space."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.machine import CACHE_LINE_BYTES
-from repro.sim.memory import AddressSpace
+from repro.sim.memory import AddressSpace, Region
 
 
 class TestAllocation:
@@ -80,3 +81,94 @@ def test_property_disjoint_and_accounted(sizes):
     sorted_regions = sorted(regions, key=lambda r: r.base)
     for first, second in zip(sorted_regions, sorted_regions[1:]):
         assert first.end <= second.base
+
+
+# ----------------------------------------------------------------------
+# Bulk allocation log vs the alloc/free loop it replaces
+# ----------------------------------------------------------------------
+
+LABELS = ("out.vec", "in.vec")
+
+
+def _used_space() -> AddressSpace:
+    """A space with history, so the log starts from non-zero counters."""
+    space = AddressSpace()
+    space.alloc(100, "headers")
+    space.free(space.alloc(40, LABELS[0]))
+    return space
+
+
+def _counters(space: AddressSpace):
+    return (
+        space._next,
+        space.region_count,
+        space.allocated_bytes,
+        space.live_bytes,
+        tuple(space.live_bytes_for(label) for label in LABELS + ("headers",)),
+    )
+
+
+def _replay_one_by_one(space: AddressSpace, log):
+    """The reference: one ``alloc`` (and maybe one ``free``) per event."""
+    bases = []
+    for size, label, freed in log:
+        bases.append(space.alloc(size, LABELS[label]).base)
+        if freed:
+            space.free(Region(0, freed, LABELS[label]))
+    return bases
+
+
+def _replay_as_arrays(space: AddressSpace, log):
+    size, label, freed = np.asarray(log, dtype=np.int64).reshape(len(log), 3).T
+    return space.alloc_log(size, freed, label, LABELS)
+
+
+@given(
+    log=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=5000),
+            st.integers(min_value=0, max_value=1),
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=6000)),
+        ),
+        max_size=60,
+    )
+)
+def test_alloc_log_matches_alloc_free_loop(log):
+    """Same bases and counters; a log the loop rejects is rejected whole."""
+    loop_space, bulk_space = _used_space(), _used_space()
+    before = _counters(bulk_space)
+    try:
+        expected = _replay_one_by_one(loop_space, log)
+    except SimulationError:
+        with pytest.raises(SimulationError, match="double free"):
+            _replay_as_arrays(bulk_space, log)
+        assert _counters(bulk_space) == before
+        return
+    bases = _replay_as_arrays(bulk_space, log)
+    assert bases.dtype == np.int64
+    assert bases.tolist() == expected
+    assert _counters(bulk_space) == _counters(loop_space)
+
+
+class TestAllocLogEdges:
+    def test_empty_log_changes_nothing(self):
+        space = _used_space()
+        before = _counters(space)
+        assert len(_replay_as_arrays(space, [])) == 0
+        assert _counters(space) == before
+
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_nonpositive_size_rejected_whole(self, size):
+        space = _used_space()
+        before = _counters(space)
+        with pytest.raises(SimulationError, match=f"must be positive, got {size}"):
+            _replay_as_arrays(space, [(64, 0, 0), (size, 1, 0), (64, 0, 0)])
+        assert _counters(space) == before
+
+    def test_double_free_in_the_middle_of_the_log(self):
+        """Live bytes dip below zero mid-log and recover by the end."""
+        log = [(8, 0, 500), (4096, 1, 0)]
+        with pytest.raises(SimulationError, match="double free"):
+            _replay_one_by_one(_used_space(), log)
+        with pytest.raises(SimulationError, match="double free"):
+            _replay_as_arrays(_used_space(), log)
