@@ -83,12 +83,19 @@ def _feed(digest, run) -> None:
         digest.update(np.int64(it.cas_ops).tobytes())
 
 
+def _native_calls() -> int:
+    """Native compute-kernel calls so far (0 while metrics are off)."""
+    return int(METRICS.total("compute_kernel_calls_total"))
+
+
 def run_path(batches, max_nodes, directed, source, legacy):
     """Replay the stream's compute phase on one path.
 
     Returns per-(algorithm, model) seconds, the shared per-batch view
-    build time (kernel path only), and per-(algorithm, model) digests
-    of every run's values and operation counts.
+    build time (kernel path only), per-(algorithm, model) digests of
+    every run's values and operation counts, and per-(algorithm, model)
+    crossing counts: runs, rounds, and -- when metrics are enabled --
+    native kernel calls (``compute_kernel_calls_total``).
     """
     if legacy:
         os.environ[LEGACY_COMPUTE_ENV] = "1"
@@ -106,6 +113,11 @@ def run_path(batches, max_nodes, directed, source, legacy):
     seconds = {(a, m): 0.0 for a in ALGORITHM_NAMES for m in MODELS}
     digests = {
         (a, m): hashlib.sha256() for a in ALGORITHM_NAMES for m in MODELS
+    }
+    crossings = {
+        (a, m): {"runs": 0, "rounds": 0, "native_calls": 0}
+        for a in ALGORITHM_NAMES
+        for m in MODELS
     }
     view_seconds = 0.0
     for batch in batches:
@@ -139,9 +151,11 @@ def run_path(batches, max_nodes, directed, source, legacy):
         with view_scope(reference, compute_view):
             for alg_name in ALGORITHM_NAMES:
                 algorithm = get_algorithm(alg_name)
+                calls_before = _native_calls()
                 started = time.perf_counter()
                 fs_run = algorithm.fs_run(reference, source=source)
                 seconds[(alg_name, "FS")] += time.perf_counter() - started
+                calls_between = _native_calls()
                 started = time.perf_counter()
                 affected = algorithm.affected_from_batch(batch, reference)
                 runs = [
@@ -156,13 +170,26 @@ def run_path(batches, max_nodes, directed, source, legacy):
                         )
                     )
                 seconds[(alg_name, "INC")] += time.perf_counter() - started
+                calls_after = _native_calls()
                 _feed(digests[(alg_name, "FS")], fs_run)
                 for run in runs:
                     _feed(digests[(alg_name, "INC")], run)
+                for model, model_runs, calls in (
+                    ("FS", [fs_run], calls_between - calls_before),
+                    ("INC", runs, calls_after - calls_between),
+                ):
+                    row = crossings[(alg_name, model)]
+                    row["runs"] += len(model_runs)
+                    row["rounds"] += sum(
+                        run.frontier_rounds or run.iteration_count
+                        for run in model_runs
+                    )
+                    row["native_calls"] += calls
     return {
         "seconds": seconds,
         "view_seconds": view_seconds,
         "digests": {key: digest.hexdigest() for key, digest in digests.items()},
+        "crossings": crossings,
     }
 
 
@@ -237,15 +264,18 @@ def collect_metrics(batches, max_nodes, directed, source):
     Runs separately from the timed repetitions (those execute with
     observability disabled); the snapshot documents the workload --
     including the ``compute_frontier_size`` histogram the kernels
-    observe per algorithm and model.
+    observe per algorithm and model.  Also returns the pass's
+    per-(algorithm, model) crossing counts, native calls included.
     """
     os.environ.pop(LEGACY_COMPUTE_ENV, None)
     was_enabled = METRICS.enabled
     METRICS.reset()
     METRICS.enable()
     try:
-        run_path(batches, max_nodes, directed, source, legacy=False)
-        return METRICS.snapshot()
+        crossings = run_path(batches, max_nodes, directed, source, legacy=False)[
+            "crossings"
+        ]
+        return METRICS.snapshot(), crossings
     finally:
         METRICS.enabled = was_enabled
         METRICS.reset()
@@ -286,6 +316,17 @@ def main(argv=None):
     rows, legacy_seconds, kernel_seconds, view_seconds = bench(
         batches, dataset.max_nodes, dataset.directed, source, args.repeat
     )
+    metrics, crossings = collect_metrics(
+        batches, dataset.max_nodes, dataset.directed, source
+    )
+    for row in rows:
+        for model, cell in row["models"].items():
+            counts = crossings[(row["algorithm"], model)]
+            cell["runs"] = counts["runs"]
+            cell["rounds_per_run"] = round(counts["rounds"] / counts["runs"], 2)
+            cell["native_calls_per_run"] = round(
+                counts["native_calls"] / counts["runs"], 2
+            )
     legacy_total = sum(legacy_seconds.values())
     kernel_total = sum(kernel_seconds.values()) + view_seconds
     overall = legacy_total / kernel_total if kernel_total else 0.0
@@ -309,9 +350,7 @@ def main(argv=None):
         "ckernel_loaded": ckernels.loaded(),
         "compute_threads": ckernels.compute_threads(),
         "algorithms": rows,
-        "metrics": collect_metrics(
-            batches, dataset.max_nodes, dataset.directed, source
-        ),
+        "metrics": metrics,
         "legacy_seconds": round(legacy_total, 4),
         "kernel_seconds": round(kernel_total, 4),
         "view_seconds": round(view_seconds, 4),

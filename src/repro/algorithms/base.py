@@ -26,6 +26,7 @@ from repro.compute.state import AlgorithmState
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.errors import SimulationError
 from repro.graph.edge import EdgeBatch
+from repro.obs.tracer import TRACER
 
 
 class Algorithm(abc.ABC):
@@ -237,23 +238,25 @@ class Algorithm(abc.ABC):
                 state.values[source] = self.source_value()
                 pinned = (source,)
             cv = kernels.resolve_view(view, compute_view)
-            tainted = kernels.invalidate_frontier(
-                view,
-                state.values,
-                src,
-                dst,
-                weight,
-                self.supports_batch,
-                state.init_fn,
-                pinned=pinned,
-                compute_view=cv,
+            with TRACER.span("compute.closure", args={"algorithm": self.name}):
+                tainted = kernels.invalidate_frontier(
+                    view,
+                    state.values,
+                    src,
+                    dst,
+                    weight,
+                    self.supports_batch,
+                    state.init_fn,
+                    pinned=pinned,
+                    compute_view=cv,
+                )
+            # Both id arrays lie below num_nodes, so their union needs
+            # no sort: mark and read back.
+            affected = kernels.unique_ids(
+                np.concatenate((tainted, endpoints)), view.num_nodes
             )
             return self.inc_run(
-                view,
-                state,
-                np.union1d(tainted, endpoints),
-                source=source,
-                compute_view=cv,
+                view, state, affected, source=source, compute_view=cv
             )
         edges = list(deleted_edges)
         if not directed:

@@ -13,25 +13,36 @@ The deeper win is *fusion*: the legacy engines are sequential
 Gauss-Seidel loops, which numpy can only reproduce through
 dependency-level wave scheduling -- but a C loop that processes the
 ascending frontier one position at a time reproduces the sequential
-semantics *directly*.  ``saga_inc_round`` runs one whole INC round
-(recalculate + trigger + dedup) in a single call; ``saga_relax_round``
-and ``saga_delta_pass`` do the same for the FS relaxation and
-delta-stepping passes.  Float accumulation order is the sequential
-order of the legacy loops by construction, NaN semantics follow numpy
-(``np.minimum`` propagates NaN; ``inf - inf`` is not a change), and
-the build forbids FMA contraction.
+semantics *directly*.  The fused unit is a whole compute **run**:
+``saga_inc_run`` loops the INC round body (recalculate + trigger +
+dedup, then an inline sort of the next frontier) until no vertex fires,
+``saga_relax_run`` does the same for the FS relaxation rounds, and both
+record every round in a caller-owned *run log* -- a vertex log
+``[F0][T0][F1][T1]...`` plus a round table -- whose slices become the
+run's ``IterationStats``; a log that fills stalls the kernel, Python
+grows it, and the kernel resumes at its cursor (the
+:mod:`repro.sim.cingest` idiom).  ``saga_taint_closure`` takes the
+KickStarter forward closure on byte masks, and ``saga_delta_pass``
+remains one call per delta-stepping pass.  Float accumulation order is
+the sequential order of the legacy loops by construction, NaN semantics
+follow numpy (``np.minimum`` propagates NaN; ``inf - inf`` is not a
+change), and the build forbids FMA contraction.  Every crossing ticks
+``compute_kernel_calls_total{kernel}``.
 
 Gates:
 
 - ``SAGA_BENCH_NO_CCOMPUTE=1`` (or ``all``) disables every compiled
   compute kernel; a comma list (``inc_round,expand``) disables
-  individual kernels, leaving the rest compiled.
+  individual kernels, leaving the rest compiled.  ``inc_round`` names
+  ``saga_inc_run`` and the closure, ``relax_round`` ``saga_relax_run``;
+  without them the numpy wave engine of :mod:`repro.compute.kernels`
+  runs, the reference the run logs are tested against.
 - ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build into a hard
   error instead of the silent numpy fallback (CI sets it so a broken
   toolchain cannot masquerade as a perf regression).
 - ``SAGA_BENCH_LEGACY_COMPUTE=1`` bypasses the vectorized engines
   entirely, so these kernels never run on the legacy path.
-- ``SAGA_BENCH_COMPUTE_THREADS=N`` runs the fused INC round on a
+- ``SAGA_BENCH_COMPUTE_THREADS=N`` runs the INC round body on a
   persistent pthread pool.  Results are bit-identical at every thread
   count: the round is partitioned into flow-dependency levels, each
   level's recalculation is a pure parallel gather against the values
@@ -47,6 +58,7 @@ from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.metrics import METRICS
 from repro.sim.cbuild import load_library
 
 #: Disable compiled compute kernels: "1"/"all", or a comma list of
@@ -72,7 +84,7 @@ KERNEL_NAMES = frozenset(
     }
 )
 
-#: Fused INC-round vertex functions (``saga_inc_round``'s ``op``).
+#: INC vertex functions (``saga_inc_run``'s ``op``).
 OP_BFS = 0
 OP_SSSP = 1
 OP_SSWP = 2
@@ -80,9 +92,22 @@ OP_CC = 3
 OP_MC = 4
 OP_PR = 5
 
-#: Fused relaxation ops (``saga_relax_round``'s ``op``).
+#: Relaxation ops (``saga_relax_run``'s ``op``).
 RELAX_ADD1 = 0  # candidate = base + 1.0           (BFS)
 RELAX_MINW = 1  # candidate = min(base, weight)    (SSWP)
+
+#: Initial run-log capacities (vertex-log slots, round-table rows) of
+#: the run kernels, sized so that a run is normally one call (slots
+#: cost nothing until they are written).  A log that fills stalls the
+#: kernel and at least doubles; the tests shrink both to 1 so every
+#: stall point is taken.
+RUN_LOG_VERTICES = 1 << 16
+RUN_LOG_ROUNDS = 64
+
+#: ``saga_*_run`` return codes (``SAGA_RUN_*`` in the C source).
+_RUN_STALL_VERTICES = 1
+_RUN_STALL_ROUNDS = 2
+_RUN_OVERRUN = 3
 
 _I64 = ctypes.c_int64
 _I32 = ctypes.c_int32
@@ -202,10 +227,83 @@ void saga_scatter_extreme(
     }
 }
 
-static int cmp_i64(const void *a, const void *b)
+/* ---- next-frontier sort --------------------------------------------
+ * Ascending sort of distinct non-negative vertex ids (the seen[] bytes
+ * already deduplicated them, so this completes np.unique).  Small
+ * frontiers, which arrive nearly sorted because the round walks an
+ * ascending frontier, take an insertion sort; larger ones an LSD radix
+ * over 8-bit digits, as many digits as the largest id has. */
+
+#define SAGA_SORT_INSERTION_MAX 48
+
+static int64_t *g_sort_tmp = NULL;
+static int64_t g_sort_cap = 0;
+
+static void insertion_sort_ids(int64_t *ids, int64_t n)
 {
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
+    int64_t i, j;
+    for (i = 1; i < n; i++) {
+        int64_t x = ids[i];
+        for (j = i; j > 0 && ids[j - 1] > x; j--)
+            ids[j] = ids[j - 1];
+        ids[j] = x;
+    }
+}
+
+static void sort_ids(int64_t *ids, int64_t n)
+{
+    int64_t count[8][256];
+    int64_t *src = ids, *dst;
+    int64_t i, maxid = 0;
+    int d, digits = 1;
+    if (n <= SAGA_SORT_INSERTION_MAX) {
+        insertion_sort_ids(ids, n);
+        return;
+    }
+    if (g_sort_cap < n) {
+        int64_t cap = g_sort_cap ? g_sort_cap : 1024;
+        int64_t *grown;
+        while (cap < n)
+            cap *= 2;
+        grown = (int64_t *)realloc(g_sort_tmp, (size_t)cap * sizeof(int64_t));
+        if (!grown) {
+            insertion_sort_ids(ids, n); /* slow, but never wrong */
+            return;
+        }
+        g_sort_tmp = grown;
+        g_sort_cap = cap;
+    }
+    for (i = 0; i < n; i++)
+        if (ids[i] > maxid)
+            maxid = ids[i];
+    while (digits < 8 && (maxid >> (8 * digits)) != 0)
+        digits++;
+    memset(count, 0, (size_t)digits * sizeof(count[0]));
+    for (i = 0; i < n; i++) {
+        int64_t x = ids[i];
+        for (d = 0; d < digits; d++)
+            count[d][(x >> (8 * d)) & 255]++;
+    }
+    dst = g_sort_tmp;
+    for (d = 0; d < digits; d++) {
+        int64_t *c = count[d], *swap;
+        int64_t off = 0;
+        int shift = 8 * d;
+        for (i = 0; i < 256; i++) {
+            int64_t here = c[i];
+            c[i] = off;
+            off += here;
+        }
+        for (i = 0; i < n; i++) {
+            int64_t x = src[i];
+            dst[c[(x >> shift) & 255]++] = x;
+        }
+        swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != ids)
+        memcpy(ids, src, (size_t)n * sizeof(int64_t));
 }
 
 /* ---- INC-round vertex recalculation ------------------------------
@@ -463,7 +561,7 @@ static int inc_posmap_reserve(int64_t need)
     return 1;
 }
 
-/* Threaded INC round.  Positions are partitioned into dependency
+/* Threaded INC round body.  Positions are partitioned into dependency
  * levels: a flow dependency (position p reads a value that an earlier
  * position q writes) forces lvl[p] > lvl[q]; an anti-dependency
  * (p reads a value a LATER position writes) floors that writer at
@@ -475,7 +573,7 @@ static int inc_posmap_reserve(int64_t need)
  * pairs -- and hence the trigger scan, run in original sequential
  * order afterwards -- match the serial loop bit for bit.  Returns 0
  * on allocation failure (caller falls back to the serial loop). */
-static int saga_inc_round_mt(
+static int inc_round_mt(
     int64_t k,
     const int64_t *frontier,
     const int64_t *in_starts,
@@ -604,7 +702,6 @@ static int saga_inc_round_mt(
         seen[next_out[p]] = 0;
     for (p = 0; p < k; p++)
         g_posmap[frontier[p]] = -1;
-    qsort(next_out, (size_t)nn, sizeof(int64_t), cmp_i64);
     counts_out[0] = nt;
     counts_out[1] = cas;
     counts_out[2] = nn;
@@ -622,11 +719,11 @@ static int saga_inc_round_mt(
  *
  * op selects the Table-I vertex function.  pinned (-1 = none) keeps
  * the source at its current value (old == new, never triggers).
- * Outputs: triggered[] prefix (counts_out[0]), next_out[] prefix
- * sorted ascending (counts_out[2]), counts_out[1] = cas_ops.  seen[]
- * is reset to zero before returning.
+ * Outputs: triggered[] prefix (counts_out[0]), next_out[] prefix in
+ * discovery order, deduplicated but NOT sorted (counts_out[2]),
+ * counts_out[1] = cas_ops.  seen[] is reset to zero before returning.
  */
-void saga_inc_round(
+static void inc_round(
     int64_t k,
     const int64_t *frontier,
     const int64_t *in_starts,
@@ -650,10 +747,10 @@ void saga_inc_round(
 {
     int64_t p, j, nt = 0, cas = 0, nn = 0;
     if (g_threads > 1 && k >= 2 * SAGA_MT_GRAIN &&
-        saga_inc_round_mt(k, frontier, in_starts, in_lens, in_cols,
-                          in_wts, out_starts, out_lens, out_cols,
-                          out_deg, values, op, epsilon, pinned, pr_base,
-                          damping, seen, triggered, next_out, counts_out))
+        inc_round_mt(k, frontier, in_starts, in_lens, in_cols, in_wts,
+                     out_starts, out_lens, out_cols, out_deg, values, op,
+                     epsilon, pinned, pr_base, damping, seen, triggered,
+                     next_out, counts_out))
         return;
     for (p = 0; p < k; p++) {
         int64_t v = frontier[p];
@@ -680,24 +777,128 @@ void saga_inc_round(
     }
     for (p = 0; p < nn; p++)
         seen[next_out[p]] = 0;
-    /* The numpy engine's np.unique: seen[] already deduplicated, so
-     * sorting ascending completes the contract. */
-    qsort(next_out, (size_t)nn, sizeof(int64_t), cmp_i64);
     counts_out[0] = nt;
     counts_out[1] = cas;
     counts_out[2] = nn;
 }
 
-/* One FS frontier-relaxation round (BFS / SSWP), fused: the legacy
- * loop verbatim -- each frontier vertex reads its base value at its
- * turn, relaxes its out-edges sequentially, conditionally updates, and
- * appends each target to the next frontier on its first improvement
- * (improved[] must arrive zeroed; reset before returning).  Returns
- * the next-frontier length; next_out keeps discovery order (the
- * legacy append order), NOT sorted. */
-int64_t saga_relax_round(
-    int64_t k,
-    const int64_t *frontier,
+/* ---- run logs -----------------------------------------------------
+ * A compute RUN, not a round, is what crosses from Python: the run
+ * kernels loop their round body until the frontier empties and record
+ * every round in two caller-owned buffers.
+ *
+ *   vlog   the vertex log.  Round r reads its frontier where round
+ *          r - 1 left it and appends what it produced, so the log is
+ *          [F0][T0][F1][T1]... for INC (frontier, then the triggered
+ *          vertices) and [F0][F1][F2]... for the FS relaxation.
+ *   rtab   one row of four per round: (pulled, pushed, cas_ops,
+ *          pushes).  The first two are the lengths of the round's two
+ *          consecutive vlog segments -- INC pulls F and pushes T, the
+ *          relaxation pulls nothing and pushes F -- so one decoder
+ *          turns either log into IterationStats slices.
+ *   ctl    [0] rounds done, [1] vlog offset of the current frontier,
+ *          [2] its length, [3] capacity needed (set on a stall).
+ *
+ * C never allocates a log (the cingest idiom): when the next round
+ * might not fit, the kernel stores its cursor in ctl and returns a
+ * stall code; Python grows that buffer, keeping the used prefix, and
+ * re-enters.  A round's worst case is known before it starts -- the
+ * next frontier is a deduplicated subset of the frontier's out-rows --
+ * so the check runs before anything is mutated and a stalled round
+ * simply runs later. */
+
+#define SAGA_RUN_DONE 0
+#define SAGA_RUN_STALL_VERTICES 1
+#define SAGA_RUN_STALL_ROUNDS 2
+#define SAGA_RUN_OVERRUN 3
+
+/* Most vertices one round over frontier[] can discover. */
+static int64_t next_frontier_bound(
+    int64_t k, const int64_t *frontier, const int64_t *out_lens, int64_t n)
+{
+    int64_t p, total = 0;
+    for (p = 0; p < k && total < n; p++)
+        total += out_lens[frontier[p]];
+    return total < n ? total : n;
+}
+
+static int run_leave(int64_t *ctl, int64_t r, int64_t off, int64_t k,
+                     int64_t need, int code)
+{
+    ctl[0] = r;
+    ctl[1] = off;
+    ctl[2] = k;
+    ctl[3] = need;
+    return code;
+}
+
+/* All INC rounds of one run (Algorithm 1's outer loop).  The round
+ * body writes T_r behind F_r and collects the next frontier past the
+ * k slots T_r may need; it is then moved down behind the nt triggered
+ * vertices actually written and sorted there, which is where round
+ * r + 1 reads it.  Returns SAGA_RUN_OVERRUN when a frontier is still
+ * non-empty after max_rounds rounds. */
+int64_t saga_inc_run(
+    int64_t n,
+    const int64_t *in_starts,
+    const int64_t *in_lens,
+    const int64_t *in_cols,
+    const double *in_wts,
+    const int64_t *out_starts,
+    const int64_t *out_lens,
+    const int64_t *out_cols,
+    double *values,
+    int32_t op,
+    double epsilon,
+    int64_t pinned,
+    double pr_base,
+    double damping,
+    uint8_t *seen,
+    int64_t max_rounds,
+    int64_t *vlog,
+    int64_t vcap,
+    int64_t *rtab,
+    int64_t rcap,
+    int64_t *ctl)
+{
+    int64_t r = ctl[0], off = ctl[1], k = ctl[2];
+    while (k > 0) {
+        int64_t counts[3], need, *row, *next;
+        if (r >= max_rounds)
+            return run_leave(ctl, r, off, k, 0, SAGA_RUN_OVERRUN);
+        if (r >= rcap)
+            return run_leave(ctl, r, off, k, r + 1, SAGA_RUN_STALL_ROUNDS);
+        need = off + 2 * k + next_frontier_bound(k, vlog + off, out_lens, n);
+        if (need > vcap)
+            return run_leave(ctl, r, off, k, need, SAGA_RUN_STALL_VERTICES);
+        inc_round(k, vlog + off, in_starts, in_lens, in_cols, in_wts,
+                  out_starts, out_lens, out_cols, out_lens, values, op,
+                  epsilon, pinned, pr_base, damping, seen, vlog + off + k,
+                  vlog + off + 2 * k, counts);
+        next = vlog + off + k + counts[0];
+        memmove(next, vlog + off + 2 * k, (size_t)counts[2] * sizeof(int64_t));
+        sort_ids(next, counts[2]);
+        row = rtab + 4 * r;
+        row[0] = k;
+        row[1] = counts[0];
+        row[2] = counts[1];
+        row[3] = counts[2];
+        r++;
+        off += k + counts[0];
+        k = counts[2];
+    }
+    return run_leave(ctl, r, off, 0, 0, SAGA_RUN_DONE);
+}
+
+/* All FS frontier-relaxation rounds of one run (BFS / SSWP), fused:
+ * the legacy loop verbatim -- each frontier vertex reads its base
+ * value at its turn, relaxes its out-edges sequentially, conditionally
+ * updates, and appends each target to the next frontier on its first
+ * improvement (improved[] must arrive zeroed; it leaves zeroed).  The
+ * next frontier keeps discovery order (the legacy append order), NOT
+ * sorted, and is written straight behind the current one. */
+int64_t saga_relax_run(
+    int64_t n,
     const int64_t *starts,
     const int64_t *lens,
     const int64_t *cols,
@@ -706,31 +907,86 @@ int64_t saga_relax_round(
     int32_t op,
     int32_t maximize,
     uint8_t *improved,
-    int64_t *next_out)
+    int64_t *vlog,
+    int64_t vcap,
+    int64_t *rtab,
+    int64_t rcap,
+    int64_t *ctl)
 {
-    int64_t p, j, nn = 0;
-    for (p = 0; p < k; p++) {
-        int64_t v = frontier[p];
-        double base = values[v];
-        int64_t s = starts[v];
-        int64_t d = lens[v];
-        for (j = 0; j < d; j++) {
-            int64_t t = cols[s + j];
-            double w = wts[s + j];
-            double cand = op == 0 ? base + 1.0 : ((base < w) ? base : w);
-            double cur = values[t];
-            if (maximize ? (cand > cur) : (cand < cur)) {
-                values[t] = cand;
-                if (!improved[t]) {
-                    improved[t] = 1;
-                    next_out[nn++] = t;
+    int64_t r = ctl[0], off = ctl[1], k = ctl[2];
+    while (k > 0) {
+        const int64_t *frontier = vlog + off;
+        int64_t *next_out = vlog + off + k, *row;
+        int64_t p, j, nn = 0, need;
+        if (r >= rcap)
+            return run_leave(ctl, r, off, k, r + 1, SAGA_RUN_STALL_ROUNDS);
+        need = off + k + next_frontier_bound(k, frontier, lens, n);
+        if (need > vcap)
+            return run_leave(ctl, r, off, k, need, SAGA_RUN_STALL_VERTICES);
+        for (p = 0; p < k; p++) {
+            int64_t v = frontier[p];
+            double base = values[v];
+            int64_t s = starts[v];
+            int64_t d = lens[v];
+            for (j = 0; j < d; j++) {
+                int64_t t = cols[s + j];
+                double w = wts[s + j];
+                double cand = op == 0 ? base + 1.0 : ((base < w) ? base : w);
+                double cur = values[t];
+                if (maximize ? (cand > cur) : (cand < cur)) {
+                    values[t] = cand;
+                    if (!improved[t]) {
+                        improved[t] = 1;
+                        next_out[nn++] = t;
+                    }
                 }
             }
         }
+        for (p = 0; p < nn; p++)
+            improved[next_out[p]] = 0;
+        row = rtab + 4 * r;
+        row[0] = 0;
+        row[1] = k;
+        row[2] = nn;
+        row[3] = nn;
+        r++;
+        off += k;
+        k = nn;
     }
-    for (p = 0; p < nn; p++)
-        improved[next_out[p]] = 0;
-    return nn;
+    return run_leave(ctl, r, off, 0, 0, SAGA_RUN_DONE);
+}
+
+/* KickStarter trimming: the forward closure of the flagged deletion
+ * targets over the out-CSR.  tainted[] arrives holding the roots and
+ * leaves holding the closure; pinned[] vertices are never tainted.
+ * work[] (n slots: a vertex is queued once, when it is first tainted)
+ * is the traversal queue. */
+void saga_taint_closure(
+    int64_t n,
+    const int64_t *starts,
+    const int64_t *lens,
+    const int64_t *cols,
+    uint8_t *tainted,
+    const uint8_t *pinned,
+    int64_t *work)
+{
+    int64_t head, tail = 0, v, j;
+    for (v = 0; v < n; v++)
+        if (tainted[v])
+            work[tail++] = v;
+    for (head = 0; head < tail; head++) {
+        int64_t s, d;
+        v = work[head];
+        s = starts[v];
+        d = lens[v];
+        for (j = 0; j < d; j++) {
+            int64_t t = cols[s + j];
+            if (!tainted[t] && !pinned[t]) {
+                tainted[t] = 1;
+                work[tail++] = t;
+            }
+        }
+    }
 }
 
 /* One delta-stepping light or heavy pass (SSSP FS), fused: sequential
@@ -784,6 +1040,16 @@ def _sig(fn, restype, argtypes) -> None:
     fn.argtypes = argtypes
 
 
+def _count_call(kernel: str) -> None:
+    """One ``compute_kernel_calls_total`` tick: a crossing into C."""
+    if METRICS.enabled:
+        METRICS.counter(
+            "compute_kernel_calls_total",
+            "native compute-kernel calls (ctypes crossings)",
+            kernel=kernel,
+        ).inc()
+
+
 class ComputeKernels:
     """ctypes wrappers over the compiled kernels (numpy in/out)."""
 
@@ -794,15 +1060,18 @@ class ComputeKernels:
         _sig(lib.saga_segment_sum, None, [_I64, _PTR, _PTR, _PTR])
         _sig(lib.saga_scatter_extreme, None, [_I64, _PTR, _PTR, _I32, _PTR])
         _sig(
-            lib.saga_inc_round,
-            None,
-            [_I64] + [_PTR] * 10 + [_I32, _F64, _I64, _F64, _F64] + [_PTR] * 4,
+            lib.saga_inc_run,
+            _I64,
+            [_I64] + [_PTR] * 8 + [_I32, _F64, _I64, _F64, _F64, _PTR, _I64]
+            + [_PTR, _I64, _PTR, _I64, _PTR],
         )
         _sig(
-            lib.saga_relax_round,
+            lib.saga_relax_run,
             _I64,
-            [_I64] + [_PTR] * 6 + [_I32, _I32] + [_PTR] * 2,
+            [_I64] + [_PTR] * 5 + [_I32, _I32, _PTR]
+            + [_PTR, _I64, _PTR, _I64, _PTR],
         )
+        _sig(lib.saga_taint_closure, None, [_I64] + [_PTR] * 6)
         _sig(
             lib.saga_delta_pass,
             _I64,
@@ -831,6 +1100,7 @@ class ComputeKernels:
         seg = np.empty(total, dtype=np.int64)
         nbr = np.empty(total, dtype=np.int64)
         wt = np.empty(total, dtype=np.float64)
+        _count_call("expand")
         self._lib.saga_expand(
             frontier.size,
             self._p(frontier),
@@ -848,6 +1118,7 @@ class ComputeKernels:
         self, terms: np.ndarray, counts: np.ndarray, identity: float, maximize: bool
     ) -> np.ndarray:
         out = np.empty(counts.size, dtype=np.float64)
+        _count_call("segment_reduce")
         self._lib.saga_segment_reduce(
             counts.size,
             self._p(counts),
@@ -862,6 +1133,7 @@ class ComputeKernels:
         self, terms: np.ndarray, seg: np.ndarray, num_segments: int
     ) -> np.ndarray:
         out = np.zeros(num_segments, dtype=np.float64)
+        _count_call("segment_sum")
         self._lib.saga_segment_sum(
             terms.size, self._p(seg), self._p(terms), self._p(out)
         )
@@ -871,11 +1143,46 @@ class ComputeKernels:
         self, out: np.ndarray, idx: np.ndarray, terms: np.ndarray, maximize: bool
     ) -> None:
         """In-place ``np.minimum.at`` / ``np.maximum.at``."""
+        _count_call("scatter_extreme")
         self._lib.saga_scatter_extreme(
             idx.size, self._p(idx), self._p(terms), 1 if maximize else 0, self._p(out)
         )
 
-    def inc_round(
+    def _run(
+        self, kernel: str, fixed: tuple, frontier: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """Drive the run kernel ``saga_<kernel>`` to the end of its run.
+
+        ``fixed`` are the kernel's leading arguments; the run-log tail
+        ``(vlog, vcap, rtab, rcap, ctl)`` is appended here.  Each stall
+        grows the buffer it names (at least doubling, used prefix kept)
+        and re-enters at the cursor ``ctl`` holds.  Returns the vertex
+        log, the round table trimmed to the rounds run, and whether the
+        run hit its round limit with a frontier still pending.
+        """
+        entry = getattr(self._lib, "saga_" + kernel)
+        p = self._p
+        vlog = np.empty(max(frontier.size, RUN_LOG_VERTICES), dtype=np.int64)
+        vlog[: frontier.size] = frontier
+        rtab = np.empty((RUN_LOG_ROUNDS, 4), dtype=np.int64)
+        ctl = np.zeros(4, dtype=np.int64)
+        ctl[2] = frontier.size
+        while True:
+            _count_call(kernel)
+            code = entry(*fixed, p(vlog), vlog.size, p(rtab), len(rtab), p(ctl))
+            if code == _RUN_STALL_VERTICES:
+                grown = np.empty(max(int(ctl[3]), 2 * vlog.size), dtype=np.int64)
+                used = int(ctl[1] + ctl[2])
+                grown[:used] = vlog[:used]
+                vlog = grown
+            elif code == _RUN_STALL_ROUNDS:
+                grown = np.empty((max(int(ctl[3]), 2 * len(rtab)), 4), dtype=np.int64)
+                grown[: ctl[0]] = rtab[: ctl[0]]
+                rtab = grown
+            else:
+                return vlog, rtab[: ctl[0]], code == _RUN_OVERRUN
+
+    def inc_run(
         self,
         cv,
         frontier: np.ndarray,
@@ -885,66 +1192,80 @@ class ComputeKernels:
         pinned: int,
         pr_base: float,
         damping: float,
-        seen: np.ndarray,
-    ) -> Tuple[np.ndarray, int, np.ndarray]:
-        """One fused INC round; returns (triggered, cas_ops, next)."""
-        k = frontier.size
+        max_rounds: int,
+    ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """Every INC round of one run; see :meth:`_run` for the result.
+
+        The vertex log is ``[F0][T0][F1][T1]...`` and table row r is
+        ``(len(Fr), len(Tr), cas_ops, pushes)``.
+        """
         out_csr = cv.out_csr
         in_csr = cv.in_csr
-        cap = int(out_csr.degrees[frontier].sum()) if k else 0
-        triggered = np.empty(k, dtype=np.int64)
-        next_out = np.empty(cap, dtype=np.int64)
-        counts = np.zeros(3, dtype=np.int64)
-        self._lib.saga_inc_round(
-            k,
-            self._p(frontier),
-            self._p(in_csr.indptr),
-            self._p(in_csr.degrees),
-            self._p(in_csr.indices),
-            self._p(in_csr.weights),
-            self._p(out_csr.indptr),
-            self._p(out_csr.degrees),
-            self._p(out_csr.indices),
-            self._p(out_csr.degrees),
-            self._p(values),
+        seen = np.zeros(cv.num_nodes, dtype=np.uint8)
+        p = self._p
+        fixed = (
+            cv.num_nodes,
+            p(in_csr.indptr),
+            p(in_csr.degrees),
+            p(in_csr.indices),
+            p(in_csr.weights),
+            p(out_csr.indptr),
+            p(out_csr.degrees),
+            p(out_csr.indices),
+            p(values),
             op,
             epsilon,
             pinned,
             pr_base,
             damping,
-            self._p(seen),
-            self._p(triggered),
-            self._p(next_out),
-            self._p(counts),
+            p(seen),
+            max_rounds,
         )
-        return triggered[: counts[0]], int(counts[1]), next_out[: counts[2]]
+        return self._run("inc_run", fixed, frontier)
 
-    def relax_round(
+    def relax_run(
         self,
         csr,
+        num_nodes: int,
         frontier: np.ndarray,
         values: np.ndarray,
         op: int,
         maximize: bool,
-        improved: np.ndarray,
-    ) -> np.ndarray:
-        """One fused FS relaxation round; returns the next frontier."""
-        cap = int(csr.degrees[frontier].sum()) if frontier.size else 0
-        next_out = np.empty(cap, dtype=np.int64)
-        nn = self._lib.saga_relax_round(
-            frontier.size,
-            self._p(frontier),
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every FS relaxation round of one run.
+
+        The vertex log is ``[F0][F1]...`` (discovery order) and table
+        row r is ``(0, len(Fr), pushes, pushes)``.
+        """
+        improved = np.zeros(num_nodes, dtype=np.uint8)
+        p = self._p
+        fixed = (
+            num_nodes,
+            p(csr.indptr),
+            p(csr.degrees),
+            p(csr.indices),
+            p(csr.weights),
+            p(values),
+            op,
+            1 if maximize else 0,
+            p(improved),
+        )
+        vlog, rtab, _ = self._run("relax_run", fixed, frontier)
+        return vlog, rtab
+
+    def taint_closure(self, csr, tainted: np.ndarray, pinned: np.ndarray) -> None:
+        """Close the ``tainted`` byte mask forward over ``csr`` in place."""
+        work = np.empty(tainted.size, dtype=np.int64)
+        _count_call("taint_closure")
+        self._lib.saga_taint_closure(
+            tainted.size,
             self._p(csr.indptr),
             self._p(csr.degrees),
             self._p(csr.indices),
-            self._p(csr.weights),
-            self._p(values),
-            op,
-            1 if maximize else 0,
-            self._p(improved),
-            self._p(next_out),
+            self._p(tainted),
+            self._p(pinned),
+            self._p(work),
         )
-        return next_out[:nn]
 
     def delta_pass(
         self,
@@ -958,6 +1279,7 @@ class ComputeKernels:
         cap = int(csr.degrees[frontier].sum()) if frontier.size else 0
         ev_tgt = np.empty(cap, dtype=np.int64)
         ev_cand = np.empty(cap, dtype=np.float64)
+        _count_call("delta_pass")
         ne = self._lib.saga_delta_pass(
             frontier.size,
             self._p(frontier),

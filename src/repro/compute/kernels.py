@@ -565,23 +565,31 @@ def as_frontier(affected, num_nodes: int) -> np.ndarray:
     return unique_ids(arr[arr < num_nodes], num_nodes)
 
 
-def _observe_frontier(run: ComputeRun, size: int) -> None:
+def _observe_frontiers(run: ComputeRun, sizes) -> None:
     """Per-round frontier accounting: run totals + optional histogram.
 
-    The run totals (``frontier_rounds`` / ``frontier_vertices``) are
-    the per-batch features the cost-model fitter consumes; they are two
-    integer adds, so they stay on even when observability is off.
+    ``sizes`` holds one frontier size per round.  The run totals
+    (``frontier_rounds`` / ``frontier_vertices``) are the per-batch
+    features the cost-model fitter consumes; they are two integer adds,
+    so they stay on even when observability is off.
     """
-    run.frontier_rounds += 1
-    run.frontier_vertices += int(size)
+    run.frontier_rounds += len(sizes)
+    run.frontier_vertices += int(sum(sizes))
     if METRICS.enabled:
-        METRICS.histogram(
+        histogram = METRICS.histogram(
             "compute_frontier_size",
             "frontier size per compute-kernel round",
             buckets=DEFAULT_COUNT_BUCKETS,
             algorithm=run.algorithm,
             model=run.model,
-        ).observe(float(size))
+        )
+        for size in sizes:
+            histogram.observe(float(size))
+
+
+def _observe_frontier(run: ComputeRun, size: int) -> None:
+    """One round's :func:`_observe_frontiers` (the round-at-a-time engines)."""
+    _observe_frontiers(run, (size,))
 
 
 def _observe_expansion(run: ComputeRun, edges: int) -> None:
@@ -595,6 +603,35 @@ def _observe_expansion(run: ComputeRun, edges: int) -> None:
             algorithm=run.algorithm,
             model=run.model,
         ).observe(float(edges))
+
+
+def _append_run_log(
+    run: ComputeRun, vlog: np.ndarray, table: np.ndarray, frontier_col: int
+) -> None:
+    """Turn a run kernel's log into ``run.iterations``, round by round.
+
+    Row r of ``table`` is ``(pulled, pushed, cas_ops, pushes)`` and the
+    round's pull and push vertices are the next ``pulled`` then
+    ``pushed`` entries of ``vlog`` (see ``ckernels``); the arrays handed
+    to :class:`IterationStats` are slices of the log, not copies.
+    ``frontier_col`` names the column that is the round's frontier.
+    """
+    rows = table.tolist()
+    _observe_frontiers(run, [row[frontier_col] for row in rows])
+    append = run.iterations.append
+    start = 0
+    for pulled, pushed, cas_ops, pushes in rows:
+        mid = start + pulled
+        end = mid + pushed
+        append(IterationStats(vlog[start:mid], vlog[mid:end], pushes, cas_ops))
+        start = end
+
+
+def _rounds_exceeded(algorithm_name: str, max_rounds: int) -> SimulationError:
+    return SimulationError(
+        f"incremental {algorithm_name} exceeded {max_rounds} rounds; "
+        "the vertex function is probably not convergent"
+    )
 
 
 def run_incremental_frontier(
@@ -617,11 +654,13 @@ def run_incremental_frontier(
     out-expansion (the legacy visited bitvector becomes ``np.unique``).
 
     When the algorithm declares a compiled vertex function
-    (``ckernel_op``) and the compute kernels built, the whole round --
-    expansion, Gauss-Seidel recalculation, trigger test, next-frontier
-    dedup -- runs as one C call: the C loop IS sequential, so the wave
-    machinery (whose entire purpose is reproducing sequential reads
-    with vector ops) disappears rather than being translated.
+    (``ckernel_op``) and the compute kernels built, the whole run --
+    every round's expansion, Gauss-Seidel recalculation, trigger test
+    and next-frontier dedup -- is one C call that records itself in a
+    run log (``ckernels.ComputeKernels.inc_run``): the C loop IS
+    sequential, so the wave machinery (whose entire purpose is
+    reproducing sequential reads with vector ops) disappears rather
+    than being translated, and ``run.iterations`` are slices of the log.
     """
     cv = resolve_view(view, compute_view)
     n = cv.num_nodes
@@ -630,47 +669,29 @@ def run_incremental_frontier(
     epsilon = algorithm.epsilon
     pinned = source if algorithm.needs_source and source is not None else None
     frontier = as_frontier(affected, n)
-    rounds = 0
     ck = ckernels.get("inc_round")
     ck_op = getattr(algorithm, "ckernel_op", None)
     if ck is not None and ck_op is not None:
         pin = int(pinned) if pinned is not None and pinned < n else -1
         pr_base, damping = algorithm.ckernel_constants(n)
-        seen = np.zeros(n, dtype=np.uint8)
         with TRACER.span(
             "compute.kernel", args={"algorithm": algorithm.name, "model": "INC"}
         ):
-            while frontier.size:
-                rounds += 1
-                if rounds > max_rounds:
-                    raise SimulationError(
-                        f"incremental {algorithm.name} exceeded {max_rounds} "
-                        "rounds; the vertex function is probably not convergent"
-                    )
-                _observe_frontier(run, frontier.size)
-                triggered, cas_ops, next_frontier = ck.inc_round(
-                    cv, frontier, values, ck_op, epsilon, pin, pr_base, damping, seen
-                )
-                run.iterations.append(
-                    IterationStats.make(
-                        pull=frontier,
-                        push=triggered,
-                        pushes=int(next_frontier.size),
-                        cas_ops=cas_ops,
-                    )
-                )
-                frontier = next_frontier
+            vlog, table, overran = ck.inc_run(
+                cv, frontier, values, ck_op, epsilon, pin, pr_base, damping, max_rounds
+            )
+            if overran:
+                raise _rounds_exceeded(algorithm.name, max_rounds)
+            _append_run_log(run, vlog, table, frontier_col=0)
         return run
+    rounds = 0
     with TRACER.span(
         "compute.kernel", args={"algorithm": algorithm.name, "model": "INC"}
     ):
         while frontier.size:
             rounds += 1
             if rounds > max_rounds:
-                raise SimulationError(
-                    f"incremental {algorithm.name} exceeded {max_rounds} rounds; "
-                    "the vertex function is probably not convergent"
-                )
+                raise _rounds_exceeded(algorithm.name, max_rounds)
             _observe_frontier(run, frontier.size)
             k = frontier.size
             seg, nbr, nwt = expand_frontier(cv.in_csr, frontier)
@@ -745,9 +766,9 @@ def run_incremental_frontier(
             _, targets, _ = expand_frontier(cv.out_csr, triggered)
             next_frontier = np.unique(targets)
             run.iterations.append(
-                IterationStats.make(
-                    pull=frontier,
-                    push=triggered,
+                IterationStats(
+                    pull_vertices=frontier,
+                    push_vertices=triggered,
                     pushes=int(next_frontier.size),
                     cas_ops=int(targets.size),
                 )
@@ -788,15 +809,19 @@ def invalidate_frontier(
             es, ed, ew = src[eligible], dst[eligible], weight[eligible]
             supported = supports_batch(values[es], ew, values[ed])
             tainted[ed[supported]] = True
-    frontier = np.nonzero(tainted)[0]
-    while frontier.size:
-        _, targets, _ = expand_frontier(cv.out_csr, frontier)
-        fresh = targets[~(tainted[targets] | pinned_mask[targets])]
-        if fresh.size == 0:
-            break
-        fresh = np.unique(fresh)
-        tainted[fresh] = True
-        frontier = fresh
+    ck = ckernels.get("inc_round")
+    if ck is not None:
+        ck.taint_closure(cv.out_csr, tainted, pinned_mask)
+    else:
+        frontier = np.nonzero(tainted)[0]
+        while frontier.size:
+            _, targets, _ = expand_frontier(cv.out_csr, frontier)
+            fresh = targets[~(tainted[targets] | pinned_mask[targets])]
+            if fresh.size == 0:
+                break
+            fresh = np.unique(fresh)
+            tainted[fresh] = True
+            frontier = fresh
     ids = np.nonzero(tainted)[0]
     if ids.size:
         values[ids] = init_fn(ids)
@@ -935,9 +960,9 @@ def frontier_relaxation_kernel(
 
     ``relax_op`` is the compiled twin of ``relax`` (a
     ``ckernels.RELAX_*`` code); when given and the compute kernels
-    built, each round is one sequential C pass -- relaxation, update,
-    and first-improvement discovery fused, in the exact order the
-    legacy per-edge loop runs.
+    built, the whole run is one C call of sequential passes --
+    relaxation, update, and first-improvement discovery fused, in the
+    exact order the legacy per-edge loop runs -- recorded in a run log.
     """
     cv = resolve_view(view, compute_view)
     run = ComputeRun(algorithm=algorithm, model="FS", values=values, source=source)
@@ -946,24 +971,25 @@ def frontier_relaxation_kernel(
         return run
     frontier = np.array([source], dtype=np.int64)
     ck = ckernels.get("relax_round") if relax_op is not None else None
-    improved = np.zeros(cv.num_nodes, dtype=np.uint8) if ck is not None else None
     with TRACER.span("compute.kernel", args={"algorithm": algorithm, "model": "FS"}):
+        if ck is not None:
+            vlog, table = ck.relax_run(
+                cv.out_csr, cv.num_nodes, frontier, values, relax_op, optimize == "max"
+            )
+            _append_run_log(run, vlog, table, frontier_col=1)
+            return run
         while frontier.size:
             _observe_frontier(run, frontier.size)
-            if ck is not None:
-                next_frontier = ck.relax_round(
-                    cv.out_csr, frontier, values, relax_op, optimize == "max", improved
-                )
-            else:
-                candidates, targets, start_values = relax_pass(
-                    cv, values, frontier, relax, optimize
-                )
-                _observe_expansion(run, candidates.size)
-                rows = first_improvements(candidates, targets, start_values, better)
-                next_frontier = targets[rows]
+            candidates, targets, start_values = relax_pass(
+                cv, values, frontier, relax, optimize
+            )
+            _observe_expansion(run, candidates.size)
+            rows = first_improvements(candidates, targets, start_values, better)
+            next_frontier = targets[rows]
             run.iterations.append(
-                IterationStats.make(
-                    push=frontier,
+                IterationStats(
+                    pull_vertices=_EMPTY_I64,
+                    push_vertices=frontier,
                     pushes=int(next_frontier.size),
                     cas_ops=int(next_frontier.size),
                 )

@@ -15,14 +15,17 @@ tests, which need no library at all.
 
 import contextlib
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.compute import ckernels
 from repro.compute.csrstore import DynamicCSR
 from repro.compute.kernels import (
+    ComputeView,
     csr_from_edges,
     expand_frontier,
     scatter_extreme,
@@ -30,7 +33,9 @@ from repro.compute.kernels import (
     segment_min,
     segment_sum_ordered,
 )
+from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph
+from repro.obs import METRICS
 from tests.test_compute_kernels import _hub, _snapshot_run, _stream
 
 ALGOS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
@@ -301,6 +306,284 @@ class TestFusedKernels:
 
         compiled, fallback = _both_paths(run)
         assert compiled == fallback
+
+
+# ----------------------------------------------------------------------
+# Run logs: one native call per compute run
+# ----------------------------------------------------------------------
+
+#: The numpy wave engine for both run kernels, everything else compiled.
+WAVE_ENGINE = "inc_round,relax_round"
+
+
+@contextlib.contextmanager
+def _engine(setting, threads=1, log_capacity=None):
+    """One engine configuration: kernel gate, gather threads, log sizes."""
+    saved = ckernels.RUN_LOG_VERTICES, ckernels.RUN_LOG_ROUNDS
+    with _ccompute(setting):
+        if log_capacity is not None:
+            ckernels.RUN_LOG_VERTICES = ckernels.RUN_LOG_ROUNDS = log_capacity
+        # Every probe resets the pool to the env's thread count.
+        ckernels.set_compute_threads(threads)
+        try:
+            yield
+        finally:
+            ckernels.RUN_LOG_VERTICES, ckernels.RUN_LOG_ROUNDS = saved
+
+
+@st.composite
+def scenarios(draw):
+    """An insert/delete stream: per step, a batch and how much of it dies.
+
+    Small graphs come edge by edge from hypothesis (self-loops,
+    duplicates and isolated ids included); the 320-vertex graphs are
+    drawn from a seed so that frontiers pass the 128 positions the
+    threaded gather needs.
+    """
+    num_nodes = draw(st.sampled_from([5, 24, 320]))
+    directed = draw(st.booleans())
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        if num_nodes == 320:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            count = draw(st.sampled_from([200, 900]))
+            edges = list(
+                zip(
+                    rng.integers(0, num_nodes, size=count).tolist(),
+                    rng.integers(0, num_nodes, size=count).tolist(),
+                    rng.integers(1, 5, size=count).astype(float).tolist(),
+                )
+            )
+        else:
+            vertex = st.integers(0, num_nodes - 1)
+            edges = [
+                (u, v, float(w))
+                for u, v, w in draw(
+                    st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=50)
+                )
+            ]
+        deleted = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        steps.append((edges, int(len(edges) * deleted)))
+    return num_nodes, directed, steps
+
+
+def _record(run):
+    """Everything the run log must reproduce, in comparable form."""
+    return SimpleNamespace(
+        label=f"{run.algorithm}/{run.model}",
+        values=run.values.view(np.int64).copy(),
+        iterations=[
+            (it.pull_vertices.copy(), it.push_vertices.copy(), it.pushes, it.cas_ops)
+            for it in run.iterations
+        ],
+        frontier_rounds=run.frontier_rounds,
+        frontier_vertices=run.frontier_vertices,
+    )
+
+
+def _play(scenario):
+    """All six algorithms over the stream: FS, INC and delete repair."""
+    num_nodes, directed, steps = scenario
+    reference = ReferenceGraph(num_nodes, directed=directed)
+    states = {a: get_algorithm(a).make_state(num_nodes) for a in ALGOS}
+    records = []
+    for edges, delete_count in steps:
+        batch = EdgeBatch.from_edges(edges)
+        reference.update_collect(batch)
+        for name in ALGOS:
+            algorithm = get_algorithm(name)
+            if reference.num_nodes:
+                records.append(_record(algorithm.fs_run(reference, source=0)))
+            records.append(
+                _record(
+                    algorithm.inc_run(
+                        reference,
+                        states[name],
+                        algorithm.affected_from_batch(batch, reference),
+                        source=0,
+                    )
+                )
+            )
+        # The driver's order: the repair run sees the deletions, the
+        # insertion run never does (Algorithm 1 alone is insertion-only).
+        removed = reference.delete_collect(batch.slice(0, delete_count))
+        for name in ALGOS:
+            records.append(
+                _record(
+                    get_algorithm(name).inc_delete_run(
+                        reference, states[name], removed, source=0
+                    )
+                )
+            )
+    return records
+
+
+def _assert_same_runs(got, expected):
+    assert len(got) == len(expected)
+    for run, wave in zip(got, expected):
+        assert run.label == wave.label
+        assert np.array_equal(run.values, wave.values), run.label
+        assert run.frontier_rounds == wave.frontier_rounds, run.label
+        assert run.frontier_vertices == wave.frontier_vertices, run.label
+        assert len(run.iterations) == len(wave.iterations), run.label
+        for index, (mine, theirs) in enumerate(zip(run.iterations, wave.iterations)):
+            where = (run.label, index)
+            assert mine[0].dtype == mine[1].dtype == np.int64, where
+            assert np.array_equal(mine[0], theirs[0]), where
+            assert np.array_equal(mine[1], theirs[1]), where
+            assert mine[2] == theirs[2], where
+            assert mine[3] == theirs[3], where
+
+
+def _star(num_nodes, leaves):
+    """0 -> 1 -> leaves: CC's label 0 reaches vertex 1 in round one and
+    every leaf in round two, so round one's next frontier is ``leaves``
+    in the out-row's (unsorted) order."""
+    src = np.array([0] + [1] * len(leaves), dtype=np.int64)
+    dst = np.array([1] + list(leaves), dtype=np.int64)
+    return ComputeView.from_edges(src, dst, np.ones(src.size), num_nodes)
+
+
+def _uphill_chain(num_nodes):
+    """``i + 1 -> i``: MC's largest label walks down one vertex per round
+    (the ascending Gauss-Seidel order works against it), so a run over
+    all vertices takes ``num_nodes - 1`` rounds."""
+    reference = ReferenceGraph(num_nodes, directed=True)
+    reference.update_collect(
+        EdgeBatch.from_edges([(i + 1, i, 1.0) for i in range(num_nodes - 1)])
+    )
+    return reference, get_algorithm("MC")
+
+
+@needs_ckernels
+class TestRunLog:
+    """``saga_inc_run`` / ``saga_relax_run`` against the numpy wave engine."""
+
+    @given(scenario=scenarios())
+    @settings(max_examples=20, deadline=None)
+    def test_run_log_matches_wave_engine(self, scenario):
+        """Iteration by iteration, serial and threaded.
+
+        Fails when the kernel drops the next-frontier sort (pull arrays
+        out of order), when the log slices are off by one (pull/push
+        arrays shifted), or when the relaxation log loses discovery
+        order.
+        """
+        with _engine(WAVE_ENGINE):
+            expected = _play(scenario)
+        for threads in (1, 4):
+            with _engine(None, threads=threads):
+                assert ckernels.compute_threads() == threads
+                _assert_same_runs(_play(scenario), expected)
+
+    @given(scenario=scenarios())
+    @settings(max_examples=15, deadline=None)
+    def test_every_stall_point_resumes(self, scenario):
+        """Both logs start at capacity 1, so the vertex log stalls before
+        the first round and whenever a round outgrows the doubling, and
+        the round table stalls at rounds 1, 2, 4, 8...
+
+        Fails when the resume cursor is not restored from ``ctl`` (round
+        0 runs twice), when a grown log drops its used prefix, or when a
+        stalled round has already written values.
+        """
+        with _engine(WAVE_ENGINE):
+            expected = _play(scenario)
+        for threads in (1, 4):
+            with _engine(None, threads=threads, log_capacity=1):
+                _assert_same_runs(_play(scenario), expected)
+
+    def test_stalls_are_counted_as_native_calls(self):
+        """One call when the logs have room, one more per stall when they
+        do not (the injected exhaustion must actually happen)."""
+
+        def calls(log_capacity):
+            reference, algorithm = _uphill_chain(41)
+            METRICS.reset()
+            METRICS.enable()
+            try:
+                with _engine(None, log_capacity=log_capacity):
+                    run = algorithm.inc_run(
+                        reference, algorithm.make_state(41), np.arange(41)
+                    )
+                native = METRICS.value("compute_kernel_calls_total", kernel="inc_run")
+                return run.frontier_rounds, int(native)
+            finally:
+                METRICS.disable()
+                METRICS.reset()
+
+        assert calls(None) == (40, 1)
+        rounds, native = calls(1)
+        assert rounds == 40
+        # Round table 1 -> 2 -> 4 ... -> 64 is six stalls; the vertex
+        # log stalls at least once on top.
+        assert native >= 8
+
+    def test_round_limit_raises_the_same_error(self):
+        """Fails when the kernel ignores ``max_rounds`` (no error) or
+        counts rounds off by one (the compiled run survives a limit the
+        wave engine trips on)."""
+        from repro.compute.kernels import run_incremental_frontier
+
+        reference, algorithm = _uphill_chain(11)
+
+        def attempt(max_rounds):
+            values = algorithm.init_value(np.arange(11))
+            try:
+                run = run_incremental_frontier(
+                    reference, values, np.arange(11), algorithm, max_rounds=max_rounds
+                )
+            except SimulationError as exc:
+                return str(exc)
+            return run.frontier_rounds
+
+        for limit in (1, 9, 10):
+            compiled, fallback = _both_paths(lambda: attempt(limit))
+            assert compiled == fallback, limit
+        assert attempt(10) == 10
+        assert attempt(9) == (
+            "incremental MC exceeded 9 rounds; "
+            "the vertex function is probably not convergent"
+        )
+
+    @pytest.mark.parametrize(
+        "num_nodes, low",
+        [(200, 2), (60_000, 300), (70_000, 65_536)],
+        ids=["one-digit", "two-digits", "three-digits"],
+    )
+    @pytest.mark.parametrize("size", [1, 47, 48, 49, 130])
+    def test_next_frontier_sorted(self, num_nodes, low, size):
+        """``sort_ids`` on both sides of the insertion/radix cut (48),
+        with ids of one, two and three radix digits up to
+        ``max_nodes - 1``.
+
+        Fails when the sort is dropped, when the radix stops a digit
+        early (ids above 255 or 65 535 stay out of order), or when an
+        odd number of passes leaves the result in the scratch buffer.
+        """
+        rng = np.random.default_rng(size)
+        leaves = rng.choice(np.arange(low, num_nodes - 1), size - 1, replace=False)
+        leaves = np.append(leaves, num_nodes - 1)[::-1].tolist()
+        cv = _star(num_nodes, leaves)
+        algorithm = get_algorithm("CC")
+
+        def run():
+            state = algorithm.make_state(num_nodes)
+            return _record(
+                algorithm.inc_run(
+                    SimpleNamespace(num_nodes=num_nodes),
+                    state,
+                    np.array([0, 1]),
+                    compute_view=cv,
+                )
+            )
+
+        with _engine(WAVE_ENGINE):
+            expected = run()
+        with _engine(None):
+            got = run()
+        _assert_same_runs([got], [expected])
+        assert got.iterations[1][0].tolist() == sorted(leaves)
 
 
 class TestEnvGates:

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
+from repro.compute import ckernels
 from repro.compute.incremental import invalidate_after_deletions
+from repro.compute.kernels import ComputeView, invalidate_frontier
 from repro.graph import EdgeBatch, ReferenceGraph
 from tests.conftest import random_batch
+from tests.test_compute_ckernels import WAVE_ENGINE, _engine, needs_ckernels
 
 MONOTONE = ("BFS", "CC", "MC", "SSSP", "SSWP")
 SOURCE = 0
@@ -209,3 +212,80 @@ class TestInvalidationEdgeCases:
         algorithm.inc_delete_run(reference, state, removed)
         assert_matches_fs(algorithm, state, reference)
         assert state.values[1] == 1.0  # 1-2 component keeps min label 1
+
+
+def _closure(edges, num_nodes, flagged, pinned):
+    """``invalidate_frontier`` with every deletion target flagged.
+
+    ``flagged`` are the targets of the (already removed) deleted edges;
+    the always-true derivation test makes each of them a root, so the
+    result is the forward closure alone.  Returns the tainted ids and
+    the value array (tainted vertices reset to -1).
+    """
+    src = np.array([u for u, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v in edges], dtype=np.int64)
+    cv = ComputeView.from_edges(src, dst, np.ones(len(edges)), num_nodes)
+    values = np.arange(num_nodes, dtype=np.float64)
+    roots = np.asarray(flagged, dtype=np.int64)
+    ids = invalidate_frontier(
+        None,
+        values,
+        np.zeros(roots.size, dtype=np.int64),
+        roots,
+        np.ones(roots.size),
+        lambda src_values, weights, dst_values: np.ones(weights.size, dtype=bool),
+        lambda ids: np.full(ids.size, -1.0),
+        pinned=pinned,
+        compute_view=cv,
+    )
+    return ids.tolist(), values.tolist()
+
+
+@needs_ckernels
+class TestTaintClosure:
+    """``saga_taint_closure`` against the numpy closure loop."""
+
+    #: 0 is the pinned source; 1 -> 2 -> 3 -> 1 is a cycle reached from
+    #: 0 and leading back into it; 4 has a self-loop and feeds 5, which
+    #: has no out-edges; 6 is isolated.
+    EDGES = [(0, 1), (1, 2), (2, 3), (3, 1), (3, 0), (4, 4), (4, 5)]
+
+    @pytest.mark.parametrize(
+        "flagged, expected",
+        [
+            ([1], [1, 2, 3]),  # around the cycle, never into the pinned 0
+            ([4], [4, 5]),  # a self-loop terminates
+            ([5], [5]),  # zero-out-degree root: itself only
+            ([5, 6, 2], [1, 2, 3, 5, 6]),
+            ([0], []),  # a pinned target is never a root
+            ([], []),  # nothing flagged, nothing reset
+        ],
+    )
+    def test_matches_numpy_loop(self, flagged, expected):
+        """Fails when the kernel ignores the pinned mask (0 joins every
+        closure through 3 -> 0), stops after the roots' own out-rows
+        (the cycle is cut short), or re-queues a tainted vertex (the
+        self-loop overruns the work buffer)."""
+        with _engine(WAVE_ENGINE):
+            numpy_ids, numpy_values = _closure(self.EDGES, 7, flagged, pinned=(0,))
+        with _engine(None):
+            assert ckernels.get("inc_round") is not None
+            ids, values = _closure(self.EDGES, 7, flagged, pinned=(0,))
+        assert ids == numpy_ids == expected
+        assert values == numpy_values
+        assert [v for v in range(7) if values[v] == -1.0] == expected
+
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60
+        ),
+        flagged=st.lists(st.integers(0, 15), max_size=6),
+        pinned=st.lists(st.integers(0, 15), max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_numpy_loop(self, edges, flagged, pinned):
+        """Random multigraphs, roots and pinned sets (same mutations)."""
+        with _engine(WAVE_ENGINE):
+            expected = _closure(edges, 16, flagged, pinned)
+        with _engine(None):
+            assert _closure(edges, 16, flagged, pinned) == expected

@@ -15,8 +15,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.cli import main
+from repro.compute import ckernels
 from repro.engine import run_stream
+from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import (
     METRICS,
     NULL_SPAN,
@@ -536,6 +539,45 @@ class TestCli:
         validate_obs.validate_prometheus(counts, required=())
         assert 'le="+Inf"} 4' in counts.read_text()
         assert 'le="65536.0"} 4' in counts.read_text()
+
+    def test_frontier_histogram_gets_one_observation_per_round(self):
+        """The run kernels record a whole run in one call; the histogram
+        must still see every round of it, and every crossing is counted."""
+        METRICS.enable()
+        reference = ReferenceGraph(30, directed=True)
+        batch = EdgeBatch.from_edges([(i + 1, i, 1.0) for i in range(29)])
+        reference.update_collect(batch)
+        runs = []
+        for name in ("MC", "BFS"):
+            algorithm = get_algorithm(name)
+            runs.append(algorithm.fs_run(reference, source=29))
+            runs.append(
+                algorithm.inc_run(
+                    reference, algorithm.make_state(30), np.arange(30), source=29
+                )
+            )
+        families = {name: series for name, _, _, series in METRICS.families()}
+        observed = {
+            (labels["algorithm"], labels["model"]): histogram
+            for labels, histogram in (
+                (dict(labels), h) for labels, h in families["compute_frontier_size"]
+            )
+        }
+        for run in runs:
+            if not run.frontier_rounds:
+                continue  # the Jacobi fixpoint has no frontier
+            histogram = observed[(run.algorithm, run.model)]
+            assert run.frontier_rounds > 1
+            assert histogram.count == run.frontier_rounds, run.algorithm
+            assert histogram.sum == run.frontier_vertices, run.algorithm
+        assert {(r.algorithm, r.model) for r in runs if r.frontier_rounds} == {
+            ("MC", "INC"), ("BFS", "INC"), ("BFS", "FS")
+        }
+        if ckernels.get("inc_round") is not None:
+            # One native call per run: two INC runs, one FS relaxation.
+            calls = "compute_kernel_calls_total"
+            assert METRICS.value(calls, kernel="inc_run") == 2
+            assert METRICS.value(calls, kernel="relax_run") == 1
 
     def test_frontier_histograms_use_count_buckets(self):
         """compute_frontier_size / compute_expanded_edges observe counts."""
