@@ -55,12 +55,10 @@ from repro.bench.harness import (
     record_from_bench_json,
 )
 from repro.compute import ckernels
-from repro.compute.csrstore import ViewMaintainer
 from repro.compute.kernels import LEGACY_COMPUTE_ENV, view_scope
 from repro.datasets import load_dataset
 from repro.graph import ReferenceGraph
 from repro.obs import METRICS
-from repro.streaming.driver import _InEdgeBuffer, _with_reverse_interleaved
 
 #: The quick-mode compute workload (same stream as bench_kernels).
 DATASET = "RMAT"
@@ -92,20 +90,16 @@ def run_path(batches, max_nodes, directed, source, legacy):
     """Replay the stream's compute phase on one path.
 
     Returns per-(algorithm, model) seconds, the shared per-batch view
-    build time (kernel path only), per-(algorithm, model) digests of
-    every run's values and operation counts, and per-(algorithm, model)
-    crossing counts: runs, rounds, and -- when metrics are enabled --
-    native kernel calls (``compute_kernel_calls_total``).
+    build time, per-(algorithm, model) digests of every run's values
+    and operation counts, and per-(algorithm, model) crossing counts:
+    runs, rounds, and -- when metrics are enabled -- native kernel
+    calls (``compute_kernel_calls_total``).
     """
     if legacy:
         os.environ[LEGACY_COMPUTE_ENV] = "1"
     else:
         os.environ.pop(LEGACY_COMPUTE_ENV, None)
     reference = ReferenceGraph(max_nodes, directed=directed)
-    incidence = _InEdgeBuffer(max_nodes)
-    maintainer = None if legacy else ViewMaintainer(max_nodes)
-    empty_ids = np.empty(0, dtype=np.int64)
-    empty_wts = np.empty(0, dtype=np.float64)
     states = {
         name: get_algorithm(name).make_state(max_nodes)
         for name in ALGORITHM_NAMES
@@ -121,33 +115,14 @@ def run_path(batches, max_nodes, directed, source, legacy):
     }
     view_seconds = 0.0
     for batch in batches:
-        inserted = reference.update_collect(batch)
-        ins_src = ins_dst = rem_src = rem_dst = empty_ids
-        ins_wt = empty_wts
-        if inserted:
-            ins_src, ins_dst, ins_wt = inserted.src, inserted.dst, inserted.weight
-            if not directed:
-                ins_src, ins_dst, ins_wt = _with_reverse_interleaved(
-                    ins_src, ins_dst, ins_wt
-                )
-            incidence.append(ins_src, ins_dst, ins_wt)
+        reference.update_collect(batch)
         victims = batch.slice(0, max(1, int(len(batch) * CHURN_FRACTION)))
         removed = reference.delete_collect(victims)
-        if removed:
-            rem_src, rem_dst = removed.src, removed.dst
-            if not directed:
-                rem_src, rem_dst, _ = _with_reverse_interleaved(
-                    rem_src, rem_dst, removed.weight
-                )
-            incidence.delete(rem_src, rem_dst)
-        n = reference.num_nodes
-        compute_view = None
-        if n and maintainer is not None:
-            started = time.perf_counter()
-            compute_view = maintainer.apply(
-                ins_src, ins_dst, ins_wt, rem_src, rem_dst, n, incidence.arrays
-            )
-            view_seconds += time.perf_counter() - started
+        # The live graph folds the batch's kept rows into its CSR pair
+        # on this first read; both paths read that one adjacency.
+        started = time.perf_counter()
+        compute_view = reference.compute_view()
+        view_seconds += time.perf_counter() - started
         with view_scope(reference, compute_view):
             for alg_name in ALGORITHM_NAMES:
                 algorithm = get_algorithm(alg_name)

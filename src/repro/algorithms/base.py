@@ -305,36 +305,22 @@ class Algorithm(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Fast neighbor iteration
+# Per-vertex neighbor iteration (the per-vertex tier's vertex functions)
 # ----------------------------------------------------------------------
 
 
 def in_pairs(view, v: int):
-    """``(neighbor, weight)`` pairs of v's in-edges, fastest path.
-
-    :class:`~repro.graph.reference.ReferenceGraph` exposes its internal
-    dicts via ``in_items``; other views fall back to ``in_neigh``.
-    The vertex functions run millions of times, so this matters.
-    """
-    getter = getattr(view, "in_items", None)
-    if getter is not None:
-        return getter(v).items()
+    """``(neighbor, weight)`` pairs of v's in-edges."""
     return view.in_neigh(v)
 
 
 def in_sources(view, v: int):
     """Just the source vertices of v's in-edges (weights unused)."""
-    getter = getattr(view, "in_items", None)
-    if getter is not None:
-        return getter(v)
     return [u for u, _ in view.in_neigh(v)]
 
 
 def out_targets(view, v: int):
     """Just the target vertices of v's out-edges."""
-    getter = getattr(view, "out_items", None)
-    if getter is not None:
-        return getter(v)
     return [w for w, _ in view.out_neigh(v)]
 
 

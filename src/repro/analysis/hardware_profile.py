@@ -50,7 +50,6 @@ from repro.obs.tracer import TRACER
 from repro.sim.scheduler import ScheduleResult
 from repro.sim.trace import MemoryTrace, TraceRecorder, ragged_arange
 from repro.streaming.batching import make_batches
-from repro.streaming.driver import add_edge_degrees
 
 #: Core counts swept in Fig. 9(a).
 DEFAULT_CORE_COUNTS = (4, 8, 12, 16, 20, 24, 28)
@@ -328,8 +327,6 @@ class HardwareProfiler:
             name: get_algorithm(name).make_state(dataset.max_nodes)
             for name in self.algorithms
         }
-        deg_in = np.zeros(dataset.max_nodes, dtype=np.int64)
-        deg_out = np.zeros(dataset.max_nodes, dtype=np.int64)
         source = int(np.bincount(dataset.edges.src).argmax())
         threads = machine.hardware_threads
         full_ctx = ExecutionContext(machine=machine, cost_model=self.cost)
@@ -372,16 +369,15 @@ class HardwareProfiler:
             )
 
             # ---- reference bookkeeping -----------------------------
-            inserted = reference.update_collect(batch)
-            add_edge_degrees(
-                deg_in, deg_out, inserted.src, inserted.dst, dataset.directed
-            )
-            n = reference.num_nodes
+            reference.update_collect(batch)
 
             # ---- compute phase (INC, averaged over algorithms) -----
-            # One columnar view per batch, shared by every algorithm's
-            # INC run and trace emission.
-            compute_view = ComputeView.of(reference)
+            # One columnar view per batch -- the live graph's own, one
+            # fold of the batch's new edges -- shared by every
+            # algorithm's INC run, pricing and trace emission.
+            compute_view = reference.compute_view()
+            deg_in = compute_view.in_csr.degrees
+            deg_out = compute_view.out_csr.degrees
             compute_counter_list = []
             with view_scope(reference, compute_view):
                 for alg_name in self.algorithms:
@@ -393,14 +389,14 @@ class HardwareProfiler:
                         )
                         for cores, sctx in scaling_ctxs.items():
                             pricing = price_compute_run(
-                                run, (structure_name,), deg_in[:n], deg_out[:n], sctx,
+                                run, (structure_name,), deg_in, deg_out, sctx,
                                 neighbor_degree_query=algorithm.neighbor_degree_query,
                             )[structure_name]
                             cell.scaling_cycles["compute"][cores] += (
                                 pricing.latency_cycles
                             )
                         pricing = price_compute_run(
-                            run, (structure_name,), deg_in[:n], deg_out[:n], full_ctx,
+                            run, (structure_name,), deg_in, deg_out, full_ctx,
                             neighbor_degree_query=algorithm.neighbor_degree_query,
                         )[structure_name]
                         with TRACER.span("compute.trace"):

@@ -1,9 +1,9 @@
-"""Incremental CSR maintenance: stop rebuilding ComputeViews per batch.
+"""The live graph's adjacency: a slack CSR pair under edge deltas.
 
-PR 4's driver rebuilt both CSR directions from the full incidence
-buffer every batch -- O(E log E) per batch for a delta of a few
-thousand edges.  This module maintains the CSR arrays *under* the
-insert/delete deltas instead:
+These stores *are* the adjacency of
+:class:`~repro.graph.reference.ReferenceGraph` -- held once, read by its
+per-vertex API and exported zero-copy to the compute kernels -- not a
+second copy kept beside it.
 
 :class:`DynamicCSR`
     A "slack CSR": per-row ``starts``/``lens``/``caps`` plus a shared
@@ -11,21 +11,26 @@ insert/delete deltas instead:
     append is usually an in-place write; a row that overflows relocates
     to the heap's end with doubled capacity (amortized O(1) per edge),
     leaving its old extent behind as a *tombstone* -- dead heap space
-    reclaimed by periodic compaction.  Deletions shift the row's tail
-    left (order-preserving), turning freed slots into reusable row
-    slack rather than tombstones.  Per-row neighbor order remains the
-    chronological insertion order -- exactly the order
-    ``csr_from_edges`` produces and the reference graph's dicts
-    iterate, so every kernel stays bit-identical.
+    reclaimed by compaction.  Deletions shift the row's tail left
+    (order-preserving), turning freed slots into reusable row slack
+    rather than tombstones.  Per-row neighbor order is the
+    chronological insertion order (a deleted and reinserted neighbor
+    moves to the row's end) -- the order ``csr_from_edges`` produces
+    and a dict-of-dicts adjacency iterates, so every kernel is
+    bit-identical to the ``tests/oracles.py`` graph.  ``lens[:n]`` is
+    the degree array the pricing reads.
 
 :class:`ViewMaintainer`
-    Owns one :class:`DynamicCSR` per direction and turns the driver's
-    per-batch ``(inserted, removed)`` arrays into a fresh
-    :class:`~repro.compute.kernels.ComputeView`.  Falls back to a full
-    rebuild when the batch's churn exceeds a threshold of the live edge
-    count (``SAGA_BENCH_CSR_REBUILD_CHURN``, default 0.5; ``0`` forces
-    a rebuild every batch -- the differential-test baseline).  Emits
-    ``compute.view_update`` / ``compute.view_rebuild`` spans and the
+    Owns the out/in pair (one store, aliased, for undirected graphs)
+    and folds each batch's kept ``(inserted, removed)`` columns into a
+    fresh :class:`~repro.compute.kernels.ComputeView`.  The first
+    apply's inserted columns are the whole edge list, so it packs them
+    with one stable sort (:meth:`DynamicCSR.rebuild`); when a later
+    batch's churn exceeds a threshold of the live edge count
+    (``SAGA_BENCH_CSR_REBUILD_CHURN``, default 0.5; ``0`` = every
+    batch) the fold is followed by :meth:`DynamicCSR.compact`, which
+    repacks the store's own rows.  Emits ``compute.view_update`` /
+    ``compute.view_rebuild`` spans and the
     ``compute_view_build_seconds`` / ``compute_view_update_seconds`` /
     ``compute_view_rebuilds_total`` observability series.
 
@@ -33,19 +38,21 @@ The exported view aliases the store's live arrays (zero-copy) and is
 valid until the next :meth:`ViewMaintainer.apply`; within a batch the
 driver's ``view_scope`` reuse across algorithm x model runs sees one
 consistent snapshot.  Each apply bumps :attr:`ViewMaintainer.version`
-and stamps it on the view, so staleness is detectable, and records the
-dirty row range for observability.
+and stamps it on the view, so staleness is detectable.  ``packed`` is
+true exactly when every store's heap is tight (just rebuilt or
+compacted, nothing folded since).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.compute.kernels import ComputeView, CSRArrays
+from repro.compute.kernels import ComputeView, CSRArrays, flat_slots
+from repro.errors import StructureError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 
@@ -61,9 +68,6 @@ DEFAULT_CHURN_THRESHOLD = 0.5
 COMPACT_DEAD_FRACTION = 0.5
 COMPACT_MIN_USED = 4096
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
-
 
 def churn_threshold() -> float:
     raw = os.environ.get(CHURN_ENV)
@@ -72,12 +76,19 @@ def churn_threshold() -> float:
     return float(raw)
 
 
-def _flat_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Heap slot of every row element: starts repeated + within-row rank."""
-    total = int(counts.sum())
-    offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    return np.repeat(starts, counts) + within
+def check_packable(max_nodes: int) -> None:
+    """Reject a ``max_nodes`` whose packed edge keys overflow ``int64``.
+
+    Edge membership packs ``(u, v)`` as ``u * max_nodes + v``; the
+    largest key is ``max_nodes ** 2 - 1``, and numpy wraps silently.
+    """
+    if max_nodes < 1:
+        raise StructureError(f"max_nodes must be >= 1, got {max_nodes}")
+    if max_nodes**2 >= 2**63:
+        raise StructureError(
+            f"max_nodes {max_nodes} too large: packed edge keys "
+            "(src * max_nodes + dst) would overflow int64"
+        )
 
 
 class DynamicCSR:
@@ -98,9 +109,11 @@ class DynamicCSR:
         "used",
         "dead",
         "live",
+        "tight",
     )
 
     def __init__(self, max_nodes: int) -> None:
+        check_packable(max_nodes)
         self.max_nodes = max_nodes
         self.starts = np.zeros(max_nodes, dtype=np.int64)
         self.lens = np.zeros(max_nodes, dtype=np.int64)
@@ -110,20 +123,9 @@ class DynamicCSR:
         self.used = 0  # heap extent handed out (live + dead + slack)
         self.dead = 0  # tombstoned slots from row relocations
         self.live = 0  # live edges
-
-    def reset(self) -> None:
-        """Empty the store in place, keeping the allocated heap.
-
-        The next :meth:`rebuild` repacks from scratch exactly as on a
-        fresh instance (it replaces every row array), so a reset store
-        is indistinguishable from a new one -- minus the allocations.
-        """
-        self.starts[:] = 0
-        self.lens[:] = 0
-        self.caps[:] = 0
-        self.used = 0
-        self.dead = 0
-        self.live = 0
+        #: Heap is exactly the live edges in row-major order: set by
+        #: rebuild/compact, cleared by any insert or delete.
+        self.tight = True
 
     # -- full rebuild ---------------------------------------------------
 
@@ -144,6 +146,7 @@ class DynamicCSR:
         self.wts = wts[order]
         self.used = self.live = int(len(keys))
         self.dead = 0
+        self.tight = True
 
     # -- incremental deltas ---------------------------------------------
 
@@ -178,8 +181,8 @@ class DynamicCSR:
             total_new = int(new_caps.sum())
             self._grow_heap(total_new)
             new_starts = self.used + np.cumsum(new_caps) - new_caps
-            src_flat = _flat_slots(old_starts, old_lens)
-            dst_flat = _flat_slots(new_starts, old_lens)
+            src_flat = flat_slots(old_starts, old_lens)
+            dst_flat = flat_slots(new_starts, old_lens)
             self.cols[dst_flat] = self.cols[src_flat]
             self.wts[dst_flat] = self.wts[src_flat]
             self.dead += int(self.caps[rows_over].sum())
@@ -194,6 +197,7 @@ class DynamicCSR:
         self.wts[dest] = wts[order]
         self.lens[rows] += add
         self.live += m
+        self.tight = False
 
     def delete(self, keys: np.ndarray, vals: np.ndarray) -> int:
         """Remove ``(key, val)`` pairs, preserving surviving row order.
@@ -209,7 +213,7 @@ class DynamicCSR:
         if total == 0:
             return 0
         seg = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        flat = _flat_slots(self.starts[rows], counts)
+        flat = flat_slots(self.starts[rows], counts)
         # Packed (row, col) membership against the deletion set; the
         # reference graph guarantees (src, dst) uniqueness, so each
         # requested pair matches at most one slot.
@@ -221,11 +225,12 @@ class DynamicCSR:
             return 0
         kept_counts = np.bincount(seg[keep], minlength=len(rows)).astype(np.int64)
         src_flat = flat[keep]
-        dst_flat = _flat_slots(self.starts[rows], kept_counts)
+        dst_flat = flat_slots(self.starts[rows], kept_counts)
         self.cols[dst_flat] = self.cols[src_flat]
         self.wts[dst_flat] = self.wts[src_flat]
         self.lens[rows] = kept_counts
         self.live -= removed
+        self.tight = False
         return removed
 
     # -- maintenance ----------------------------------------------------
@@ -238,7 +243,7 @@ class DynamicCSR:
 
     def compact(self) -> None:
         """Repack the heap tight, dropping tombstones and slack."""
-        flat = _flat_slots(self.starts, self.lens)
+        flat = flat_slots(self.starts, self.lens)
         counts = self.lens
         self.cols = self.cols[flat]
         self.wts = self.wts[flat]
@@ -246,6 +251,7 @@ class DynamicCSR:
         self.caps = counts.copy()
         self.used = self.live
         self.dead = 0
+        self.tight = True
 
     # -- export ---------------------------------------------------------
 
@@ -269,42 +275,33 @@ class DynamicCSR:
         """Row-for-row equality with a packed CSR (test helper)."""
         if not np.array_equal(self.lens[:num_nodes], reference_csr.degrees):
             return False
-        flat = _flat_slots(self.starts[:num_nodes], self.lens[:num_nodes])
+        flat = flat_slots(self.starts[:num_nodes], self.lens[:num_nodes])
         return np.array_equal(self.cols[flat], reference_csr.indices) and np.array_equal(
             self.wts[flat], reference_csr.weights
         )
 
 
 class ViewMaintainer:
-    """Per-repetition owner of both CSR directions under edge deltas."""
+    """Owner of the live graph's CSR directions under edge deltas.
+
+    An undirected graph holds one adjacency: ``inc`` is ``out``.  Its
+    deltas arrive with each edge followed by its reverse, which makes
+    the by-source and by-destination row orders identical, so folding
+    them once by source serves both directions.
+    """
 
     def __init__(
-        self, max_nodes: int, churn: Optional[float] = None
+        self, max_nodes: int, churn: Optional[float] = None, directed: bool = True
     ) -> None:
         self.max_nodes = max_nodes
         self.churn = churn_threshold() if churn is None else churn
         self.out = DynamicCSR(max_nodes)
-        self.inc = DynamicCSR(max_nodes)
+        self.inc = DynamicCSR(max_nodes) if directed else self.out
         self.version = 0
-        self.builds = 0  # full (re)builds, including the seed build
-        self.rebuilds = 0  # churn/threshold-triggered rebuilds only
+        self.builds = 0  # tight repacks, including the seed build
+        self.rebuilds = 0  # churn-triggered repacks only
         self.updates = 0  # incremental applies
-        self.compactions = 0
-        self.last_dirty_rows = 0
-        self._packed = False
-
-    def reset(self) -> None:
-        """Empty both directions for reuse across repetitions.
-
-        The first ``apply`` after a reset sees ``live == 0`` and takes
-        the full-rebuild path, exactly as on a fresh maintainer, so
-        exported views (and hence every downstream fingerprint) are
-        unchanged.  The cumulative build/update counters survive --
-        they describe the maintainer's whole lifetime.
-        """
-        self.out.reset()
-        self.inc.reset()
-        self._packed = False
+        self.compactions = 0  # tombstone compactions
 
     def _observe(self, metric: str, help_text: str, seconds: float) -> None:
         if METRICS.enabled:
@@ -318,31 +315,45 @@ class ViewMaintainer:
         rem_src: np.ndarray,
         rem_dst: np.ndarray,
         num_nodes: int,
-        all_edges: Callable[[], Tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> ComputeView:
         """Fold one batch's deltas in and export the ComputeView.
 
         ``ins_*``/``rem_*`` are the batch's actually-inserted and
         actually-removed incidence arrays (both orientations already
         interleaved for undirected graphs), applied in driver order:
-        inserts first, then churn deletions.  ``all_edges`` lazily
-        yields the full live incidence arrays -- only consulted on the
-        full-rebuild path.
+        inserts first, then churn deletions.  Above the churn
+        threshold the folded stores are repacked tight.
         """
         delta = len(ins_src) + len(rem_src)
         live = self.out.live
-        rebuild = live == 0 or delta > self.churn * live
+        repack = live == 0 or delta > self.churn * live
         self.version += 1
+        folds = [(self.out, ins_src, ins_dst, rem_src, rem_dst)]
+        if self.inc is not self.out:
+            folds.append((self.inc, ins_dst, ins_src, rem_dst, rem_src))
         started = time.perf_counter()
-        if rebuild:
-            with TRACER.span(
-                "compute.view_rebuild", args={"delta": delta, "live": live}
-            ):
-                src, dst, wt = all_edges()
-                self.out.rebuild(src, dst, wt)
-                self.inc.rebuild(dst, src, wt)
+        with TRACER.span(
+            "compute.view_rebuild" if repack else "compute.view_update",
+            args={"delta": delta, "live": live},
+        ):
+            for store, ins_keys, ins_vals, rem_keys, rem_vals in folds:
+                if live == 0:
+                    store.rebuild(ins_keys, ins_vals, ins_wt)
+                else:
+                    store.insert(ins_keys, ins_vals, ins_wt)
+                store.delete(rem_keys, rem_vals)
+                if repack and not store.tight:
+                    store.compact()
+                elif store.needs_compaction():
+                    store.compact()
+                    self.compactions += 1
+                    if METRICS.enabled:
+                        METRICS.counter(
+                            "compute_view_compactions_total",
+                            "tombstone compactions of the CSR heap",
+                        ).inc()
+        if repack:
             self.builds += 1
-            self._packed = True
             if live:
                 self.rebuilds += 1
                 if METRICS.enabled:
@@ -356,29 +367,7 @@ class ViewMaintainer:
                 time.perf_counter() - started,
             )
         else:
-            with TRACER.span(
-                "compute.view_update", args={"delta": delta, "live": live}
-            ):
-                self.out.insert(ins_src, ins_dst, ins_wt)
-                self.inc.insert(ins_dst, ins_src, ins_wt)
-                if len(rem_src):
-                    self.out.delete(rem_src, rem_dst)
-                    self.inc.delete(rem_dst, rem_src)
-                compacted = False
-                for store in (self.out, self.inc):
-                    if store.needs_compaction():
-                        store.compact()
-                        self.compactions += 1
-                        compacted = True
-                        if METRICS.enabled:
-                            METRICS.counter(
-                                "compute_view_compactions_total",
-                                "tombstone compactions of the CSR heap",
-                            ).inc()
             self.updates += 1
-            self._packed = False
-            dirty = np.concatenate([ins_src, ins_dst, rem_src, rem_dst])
-            self.last_dirty_rows = int(np.unique(dirty).size) if dirty.size else 0
             self._observe(
                 "compute_view_update_seconds",
                 "incremental CSR delta-apply time per batch",
@@ -388,7 +377,7 @@ class ViewMaintainer:
             num_nodes,
             out_csr=self.out.export(num_nodes),
             in_csr=self.inc.export(num_nodes),
-            packed=self._packed,
+            packed=self.out.tight and self.inc.tight,
         )
         view.version = self.version
         return view

@@ -73,17 +73,11 @@ def invalidate_after_deletions(
             roots.add(v)
     # Forward closure of the flagged vertices (out-edges only: a value
     # can only have been derived along edge direction).
-    out_getter = getattr(view, "out_items", None)
     tainted = set(roots)
     frontier = list(roots)
     while frontier:
         v = frontier.pop()
-        targets = (
-            out_getter(v)
-            if out_getter is not None
-            else [w for w, _ in view.out_neigh(v)]
-        )
-        for w in targets:
+        for w, _ in view.out_neigh(v):
             if w not in tainted and w not in pinned:
                 tainted.add(w)
                 frontier.append(w)
@@ -120,7 +114,6 @@ def run_incremental(
         propagate.
     """
     num_nodes = view.num_nodes
-    out_getter = getattr(view, "out_items", None)
     visited = np.zeros(num_nodes, dtype=bool)
     run = ComputeRun(algorithm=algorithm, model="INC", values=values)
     # Lines 2-7 of Algorithm 1 scan the whole vertex array twice: once
@@ -159,10 +152,7 @@ def run_incremental(
             values[v] = new
             if abs(old - new) > epsilon:
                 triggered.append(v)
-                targets = out_getter(v) if out_getter is not None else [
-                    w for w, _ in view.out_neigh(v)
-                ]
-                for w in targets:
+                for w, _ in view.out_neigh(v):
                     cas_ops += 1
                     if not visited[w]:
                         visited[w] = True

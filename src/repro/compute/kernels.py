@@ -190,10 +190,15 @@ class ComputeView:
     def of(cls, view) -> "ComputeView":
         """Columnar export of any graph view.
 
-        Prefers the view's own ``csr_arrays(direction)``; falls back to
-        per-vertex ``out_neigh``/``in_neigh`` iteration for foreign
-        views, so every view type the legacy engines accepted works.
+        A live graph hands out its own maintained view
+        (``compute_view()``).  Otherwise prefers the view's packed
+        ``csr_arrays(direction)``; falls back to per-vertex
+        ``out_neigh``/``in_neigh`` iteration for foreign views, so
+        every view type the legacy engines accepted works.
         """
+        maintained = getattr(view, "compute_view", None)
+        if maintained is not None:
+            return maintained()
         n = view.num_nodes
         exporter = getattr(view, "csr_arrays", None)
         if exporter is not None:
@@ -240,13 +245,12 @@ def csr_from_pair_rows(rows, num_nodes: int) -> CSRArrays:
     )
 
 
-def _flat_row_slots(csr: CSRArrays, num_nodes: int) -> np.ndarray:
-    """Heap positions of all live entries of rows 0..n, row-major."""
-    counts = csr.degrees[:num_nodes]
+def flat_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Heap slot of every row element: starts repeated + within-row rank."""
     total = int(counts.sum())
     offsets = np.cumsum(counts) - counts
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    return np.repeat(csr.indptr[:num_nodes], counts) + within
+    return np.repeat(starts, counts) + within
 
 
 def packed_in_edges(cv: ComputeView) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,7 +269,7 @@ def packed_in_edges(cv: ComputeView) -> Tuple[np.ndarray, np.ndarray, np.ndarray
         if cv.packed:
             cached = (csr.indices, dst, csr.weights)
         else:
-            flat = _flat_row_slots(csr, n)
+            flat = flat_slots(csr.indptr[:n], csr.degrees[:n])
             cached = (csr.indices[flat], dst, csr.weights[flat])
         cv._packed_in = cached
     return cached
@@ -282,7 +286,8 @@ def packed_out_weights(cv: ComputeView) -> np.ndarray:
         if cv.packed:
             weights = cv.out_csr.weights
         else:
-            weights = cv.out_csr.weights[_flat_row_slots(cv.out_csr, cv.num_nodes)]
+            csr, n = cv.out_csr, cv.num_nodes
+            weights = csr.weights[flat_slots(csr.indptr[:n], csr.degrees[:n])]
         cv._packed_out_w = weights
     return weights
 

@@ -13,9 +13,8 @@ the batch that triggered the switch, so adaptive timings stay honest.
 
 Vertex values never move: algorithms run on the reference graph, so a
 migration cannot change algorithm results -- only update latencies and
-the per-structure compute *pricing* change.  The CSR compute view is
-rebuilt by the caller (``ViewMaintainer.reset()``), taking the proven
-full-rebuild path on the next batch.
+the per-structure compute *pricing* change, and the reference graph's
+own adjacency (the compute view) is untouched.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compute.kernels import flat_slots
 from repro.graph import make_structure
 from repro.graph.base import ExecutionContext, GraphDataStructure
 from repro.graph.edge import EdgeBatch
@@ -45,28 +45,21 @@ class MigrationResult:
 def export_live_edges(reference: ReferenceGraph) -> EdgeBatch:
     """The live logical edge set as one columnar batch.
 
-    Deterministic vertex-major order (dict insertion order per row).
-    Undirected graphs store both orientations in the reference rows, so
-    each pair is emitted once, from the row of its smaller endpoint
-    (self-loops appear in one row only and are emitted once); directed
-    graphs emit every stored entry.
+    Deterministic vertex-major order (chronological per row): one flat
+    gather of the out-adjacency's live slots.  Undirected graphs store
+    both orientations in the reference rows, so each pair is emitted
+    once, from the row of its smaller endpoint (self-loops appear in
+    one row only and are emitted once); directed graphs emit every
+    stored entry.
     """
-    srcs: list = []
-    dsts: list = []
-    weights: list = []
-    directed = reference.directed
-    for u in reference.vertices():
-        for v, w in reference.out_items(u).items():
-            if not directed and v < u:
-                continue
-            srcs.append(u)
-            dsts.append(v)
-            weights.append(w)
-    return EdgeBatch(
-        src=np.asarray(srcs, dtype=np.int64),
-        dst=np.asarray(dsts, dtype=np.int64),
-        weight=np.asarray(weights, dtype=np.float64),
-    )
+    csr = reference.csr_arrays("out")
+    slots = flat_slots(csr.indptr, csr.degrees)
+    src = np.repeat(np.arange(reference.num_nodes, dtype=np.int64), csr.degrees)
+    dst, weight = csr.indices[slots], csr.weights[slots]
+    if not reference.directed:
+        once = dst >= src
+        src, dst, weight = src[once], dst[once], weight[once]
+    return EdgeBatch(src=src, dst=dst, weight=weight)
 
 
 def migrate_structure(

@@ -37,8 +37,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.algorithms.registry import COMPUTE_MODELS, get_algorithm
 from repro.compute import kernels
 from repro.errors import ConfigError
@@ -53,8 +51,6 @@ from repro.streaming.driver import (
     REP_SEED_STRIDE,
     StreamConfig,
     StreamDriver,
-    _EMPTY_IDS,
-    _InEdgeBuffer,
     _price_runs,
     _run_ops_decomposition,
     make_batches,
@@ -619,9 +615,7 @@ class AdaptiveStreamDriver(StreamDriver):
         LAST_DECISION_LOG = self.decision_log
         return result
 
-    def _run_repetition(
-        self, dataset, rep, source, ctx, result, sim_clocks, maintainer=None
-    ) -> None:
+    def _run_repetition(self, dataset, rep, source, ctx, result, sim_clocks) -> None:
         cfg = self.config
         controller = self.controller
         controller.begin_repetition(rep)
@@ -637,9 +631,6 @@ class AdaptiveStreamDriver(StreamDriver):
             for name in cfg.algorithms
             if "INC" in self.candidate_models
         }
-        deg_in = np.zeros(dataset.max_nodes, dtype=np.int64)
-        deg_out = np.zeros(dataset.max_nodes, dtype=np.int64)
-        incidence = _InEdgeBuffer(dataset.max_nodes)
         live_name: Optional[str] = None
         live_structure = None
         total_batches = len(batches)
@@ -675,10 +666,6 @@ class AdaptiveStreamDriver(StreamDriver):
                     migration.edges_moved,
                     ctx.seconds(migration_cycles),
                 )
-                if maintainer is not None:
-                    # Full CSR rebuild on the next apply; proven
-                    # bit-equivalent to the incremental path.
-                    maintainer.reset()
                 if METRICS.enabled:
                     METRICS.counter(
                         "autotune_switches_total",
@@ -701,16 +688,12 @@ class AdaptiveStreamDriver(StreamDriver):
             self._observe_update(
                 dataset, live_name, update.schedule, ctx, sim_clocks, "update"
             )
-            inserted_count, ins_src, ins_dst, ins_weight = self._ingest_reference(
-                reference, batch, dataset, deg_in, deg_out, incidence
-            )
-            record.edges_inserted = inserted_count
+            record.edges_inserted = len(reference.update_collect(batch))
             if __debug__:
                 self._verify_inserted(
-                    {live_name: update.edges_inserted}, inserted_count
+                    {live_name: update.edges_inserted}, record.edges_inserted
                 )
             removed = ()  # an EdgeBatch once churn removes something
-            rem_src = rem_dst = _EMPTY_IDS
             churn_attempted = 0
             if cfg.churn_fraction > 0.0 and len(batch):
                 victims = batch.slice(
@@ -723,13 +706,14 @@ class AdaptiveStreamDriver(StreamDriver):
                     dataset, live_name, deletion.schedule, ctx, sim_clocks,
                     "delete",
                 )
-                removed, rem_src, rem_dst = self._churn_reference(
-                    reference, victims, dataset, deg_in, deg_out, incidence
-                )
+                removed = reference.delete_collect(victims)
             record.update_cycles["adaptive"] = migration_cycles + structure_cycles
             n = reference.num_nodes
             record.num_nodes = n
             record.num_edges = reference.num_edges
+            compute_view, in_edges = self._compute_substrate(reference)
+            deg_in = compute_view.in_csr.degrees
+            deg_out = compute_view.out_csr.degrees
             update_ops = float(record.edges_attempted + churn_attempted)
             update_seconds = ctx.seconds(structure_cycles)
             controller.observe_update(live_name, update_ops, update_seconds)
@@ -737,7 +721,6 @@ class AdaptiveStreamDriver(StreamDriver):
             features_on = FEATURES.enabled
             base_row: Dict[str, object] = {}
             if features_on:
-                live_out = deg_out[:n]
                 base_row = {
                     "dataset": dataset.name,
                     "rep": rep,
@@ -748,8 +731,8 @@ class AdaptiveStreamDriver(StreamDriver):
                     "churn_fraction": cfg.churn_fraction,
                     "num_nodes": n,
                     "num_edges": record.num_edges,
-                    "mean_out_degree": float(live_out.mean()) if n else 0.0,
-                    "max_out_degree": int(live_out.max()) if n else 0,
+                    "mean_out_degree": float(deg_out.mean()) if n else 0.0,
+                    "max_out_degree": int(deg_out.max()) if n else 0,
                 }
                 FEATURES.record(
                     phase="update",
@@ -758,10 +741,6 @@ class AdaptiveStreamDriver(StreamDriver):
                     ops=update_ops,
                     **base_row,
                 )
-            in_edges, compute_view = self._build_compute_view(
-                maintainer, incidence, n,
-                ins_src, ins_dst, ins_weight, rem_src, rem_dst,
-            )
 
             # ---- Compute phase: run every candidate model, price every
             # candidate structure, record only the chosen combination ----
@@ -794,8 +773,7 @@ class AdaptiveStreamDriver(StreamDriver):
                             if features_on else 0.0
                         )
                         structure_cycles = _price_runs(
-                            runs, self.candidate_structures,
-                            deg_in[:n], deg_out[:n], ctx,
+                            runs, self.candidate_structures, deg_in, deg_out, ctx,
                             algorithm.neighbor_degree_query,
                         )
                         for structure_name, cycles in structure_cycles.items():

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.algorithms.registry import ALGORITHMS, COMPUTE_MODELS, get_algorithm
 from repro.compute import kernels
-from repro.compute.csrstore import ViewMaintainer
 from repro.compute.pricing import price_compute_run
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, Dataset
 from repro.errors import ConfigError
@@ -50,121 +49,6 @@ ALL_ALGORITHMS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
 #: sweep engine relies on this to run single repetitions as independent
 #: cells that reproduce the exact batches of a multi-repetition run.
 REP_SEED_STRIDE = 7919
-
-#: Shared empty columns (read-only by convention) for batches that
-#: inserted or removed nothing.
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
-
-
-class _InEdgeBuffer:
-    """Growable columnar (src, dst, weight) incidence buffer.
-
-    Replaces the Python lists the driver used to rebuild with an O(E)
-    list comprehension on every churn batch: appends amortize through
-    capacity doubling, and deletions apply one vectorized membership
-    mask over packed ``src * max_nodes + dst`` keys.
-    """
-
-    def __init__(self, max_nodes: int, capacity: int = 1024) -> None:
-        self._max_nodes = max_nodes
-        self._src = np.empty(capacity, dtype=np.int64)
-        self._dst = np.empty(capacity, dtype=np.int64)
-        self._weight = np.empty(capacity, dtype=np.float64)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._n + extra
-        if needed <= len(self._src):
-            return
-        capacity = max(len(self._src) * 2, needed)
-        for name in ("_src", "_dst", "_weight"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
-    def append(self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
-        count = len(src)
-        if count == 0:
-            return
-        self._reserve(count)
-        n = self._n
-        self._src[n : n + count] = src
-        self._dst[n : n + count] = dst
-        self._weight[n : n + count] = weight
-        self._n = n + count
-
-    def delete(self, removed_src: np.ndarray, removed_dst: np.ndarray) -> None:
-        """Drop every stored edge whose (src, dst) appears in the lists."""
-        if len(removed_src) == 0 or self._n == 0:
-            return
-        n = self._n
-        packed = self._src[:n] * self._max_nodes + self._dst[:n]
-        removed = removed_src * self._max_nodes + removed_dst
-        keep = ~np.isin(packed, removed)
-        kept = int(keep.sum())
-        self._src[:kept] = self._src[:n][keep]
-        self._dst[:kept] = self._dst[:n][keep]
-        self._weight[:kept] = self._weight[:n][keep]
-        self._n = kept
-
-    def view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live (src, dst, weight) arrays, insertion-ordered."""
-        n = self._n
-        return (
-            self._src[:n].copy(),
-            self._dst[:n].copy(),
-            self._weight[:n].copy(),
-        )
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy live slices (valid until the next append/delete)."""
-        n = self._n
-        return self._src[:n], self._dst[:n], self._weight[:n]
-
-
-def add_edge_degrees(deg_in, deg_out, src, dst, directed: bool, step: int = 1) -> None:
-    """Add ``step`` to the degree arrays for every ``src -> dst`` edge.
-
-    Undirected edges count in both orientations, self-loops once.
-    """
-    np.add.at(deg_out, src, step)
-    np.add.at(deg_in, dst, step)
-    if not directed:
-        mirrored = src != dst
-        np.add.at(deg_out, dst[mirrored], step)
-        np.add.at(deg_in, src[mirrored], step)
-
-
-def _with_reverse_interleaved(
-    src: np.ndarray, dst: np.ndarray, weight: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each edge followed by its reverse (skipping self-loops).
-
-    Matches the exact append order of the original per-edge loop for
-    undirected graphs, keeping reductions over the incidence arrays
-    bit-identical.
-    """
-    forward = src != dst
-    counts = 1 + forward.astype(np.int64)
-    offsets = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    out_src = np.empty(total, dtype=np.int64)
-    out_dst = np.empty(total, dtype=np.int64)
-    out_weight = np.empty(total, dtype=np.float64)
-    out_src[offsets] = src
-    out_dst[offsets] = dst
-    out_weight[offsets] = weight
-    rev = offsets[forward] + 1
-    out_src[rev] = dst[forward]
-    out_dst[rev] = src[forward]
-    out_weight[rev] = weight[forward]
-    return out_src, out_dst, out_weight
-
 
 def _run_ops_decomposition(
     runs, deg_in, deg_out, num_nodes: int, cost: CostModel
@@ -406,17 +290,8 @@ class StreamDriver:
                 "ingest_ckernel_loaded",
                 "1 when the compiled batch-ingest kernels are active",
             ).set(1.0 if cingest.loaded() else 0.0)
-        # One CSR maintainer for the whole run: repetitions reset it in
-        # place instead of reallocating the heap arrays.
-        maintainer = (
-            None if kernels.use_legacy_compute() else ViewMaintainer(dataset.max_nodes)
-        )
         for rep in range(cfg.repetitions):
-            if maintainer is not None:
-                maintainer.reset()
-            self._run_repetition(
-                dataset, rep, source, ctx, result, sim_clocks, maintainer
-            )
+            self._run_repetition(dataset, rep, source, ctx, result, sim_clocks)
         return result
 
     def _observe_update(
@@ -523,71 +398,19 @@ class StreamDriver:
             )
 
     @staticmethod
-    def _ingest_reference(reference, batch, dataset, deg_in, deg_out, incidence):
-        """Apply ``batch`` to the reference graph and incremental arrays.
+    def _compute_substrate(reference):
+        """What one batch's compute phase reads, all of it the live graph's.
 
-        Returns ``(inserted_count, ins_src, ins_dst, ins_weight)`` --
-        the incidence-ordered insert columns (reverse edges interleaved
-        for undirected graphs), empty when nothing new landed.
+        Returns ``(view, in_edges)``: the zero-copy columnar view --
+        one fold of the batch's kept rows, shared by every algorithm x
+        model run through the view scope, its ``degrees`` the arrays
+        the pricing reads -- and the in-edge columns the per-vertex
+        tier's FS engines take instead of walking the graph.
         """
-        inserted = reference.update_collect(batch)
-        ins_src = ins_dst = _EMPTY_IDS
-        ins_weight = _EMPTY_WEIGHTS
-        if inserted:
-            ins_src, ins_dst, ins_weight = inserted.src, inserted.dst, inserted.weight
-            add_edge_degrees(deg_in, deg_out, ins_src, ins_dst, dataset.directed)
-            if not dataset.directed:
-                ins_src, ins_dst, ins_weight = _with_reverse_interleaved(
-                    ins_src, ins_dst, ins_weight
-                )
-            incidence.append(ins_src, ins_dst, ins_weight)
-        return len(inserted), ins_src, ins_dst, ins_weight
-
-    @staticmethod
-    def _churn_reference(reference, victims, dataset, deg_in, deg_out, incidence):
-        """Apply churn ``victims`` to the reference graph and arrays.
-
-        Returns ``(removed, rem_src, rem_dst)``: the removed edges as
-        an :class:`EdgeBatch` plus the incidence-ordered delete columns.
-        """
-        removed = reference.delete_collect(victims)
-        rem_src = rem_dst = _EMPTY_IDS
-        if removed:
-            rem_src, rem_dst = removed.src, removed.dst
-            add_edge_degrees(deg_in, deg_out, rem_src, rem_dst, dataset.directed, -1)
-            if not dataset.directed:
-                rem_src, rem_dst, _ = _with_reverse_interleaved(
-                    rem_src, rem_dst, removed.weight
-                )
-            incidence.delete(rem_src, rem_dst)
-        return removed, rem_src, rem_dst
-
-    @staticmethod
-    def _build_compute_view(
-        maintainer, incidence, n, ins_src, ins_dst, ins_weight, rem_src, rem_dst
-    ):
-        """The per-batch compute substrate: CSR view or raw in-edges.
-
-        One incremental CSR update per batch (full rebuild only under
-        extreme churn or after a structure migration), shared by every
-        algorithm x model run through the view scope.
-        """
-        in_edges = None
-        compute_view = None
-        if maintainer is not None and n:
-            with TRACER.span("compute.view"):
-                compute_view = maintainer.apply(
-                    ins_src,
-                    ins_dst,
-                    ins_weight,
-                    rem_src,
-                    rem_dst,
-                    n,
-                    incidence.arrays,
-                )
-        elif maintainer is None:
-            in_edges = incidence.view()
-        return in_edges, compute_view
+        with TRACER.span("compute.view"):
+            view = reference.compute_view()
+        legacy = kernels.use_legacy_compute()
+        return view, kernels.packed_in_edges(view) if legacy else None
 
     @staticmethod
     def _execute_compute(
@@ -617,7 +440,6 @@ class StreamDriver:
         ctx: ExecutionContext,
         result: StreamResult,
         sim_clocks: Dict[str, float],
-        maintainer: Optional[ViewMaintainer] = None,
     ) -> None:
         cfg = self.config
         batches = make_batches(
@@ -633,9 +455,6 @@ class StreamDriver:
             for name in cfg.algorithms
             if "INC" in cfg.models
         }
-        deg_in = np.zeros(dataset.max_nodes, dtype=np.int64)
-        deg_out = np.zeros(dataset.max_nodes, dtype=np.int64)
-        incidence = _InEdgeBuffer(dataset.max_nodes)
 
         for batch_index, batch in enumerate(batches):
             record = BatchRecord(
@@ -653,14 +472,10 @@ class StreamDriver:
             # The reference graph is the single source of truth for how
             # many unique edges the batch contributed; the instrumented
             # structures must agree with it (and with each other).
-            inserted_count, ins_src, ins_dst, ins_weight = self._ingest_reference(
-                reference, batch, dataset, deg_in, deg_out, incidence
-            )
-            record.edges_inserted = inserted_count
+            record.edges_inserted = len(reference.update_collect(batch))
             if __debug__:
-                self._verify_inserted(structure_inserted, inserted_count)
+                self._verify_inserted(structure_inserted, record.edges_inserted)
             removed = ()  # an EdgeBatch once churn removes something
-            rem_src = rem_dst = _EMPTY_IDS
             churn_attempted = 0
             if cfg.churn_fraction > 0.0 and len(batch):
                 victims = batch.slice(
@@ -670,17 +485,17 @@ class StreamDriver:
                 self._delete_structures(
                     structures, victims, dataset, ctx, record, sim_clocks
                 )
-                removed, rem_src, rem_dst = self._churn_reference(
-                    reference, victims, dataset, deg_in, deg_out, incidence
-                )
+                removed = reference.delete_collect(victims)
             n = reference.num_nodes
             record.num_nodes = n
             record.num_edges = reference.num_edges
+            compute_view, in_edges = self._compute_substrate(reference)
+            deg_in = compute_view.in_csr.degrees
+            deg_out = compute_view.out_csr.degrees
             # ---- Per-batch feature capture (cost-model substrate) ----
             features_on = FEATURES.enabled
             base_row: Dict[str, object] = {}
             if features_on:
-                live_out = deg_out[:n]
                 base_row = {
                     "dataset": dataset.name,
                     "rep": rep,
@@ -691,8 +506,8 @@ class StreamDriver:
                     "churn_fraction": cfg.churn_fraction,
                     "num_nodes": n,
                     "num_edges": record.num_edges,
-                    "mean_out_degree": float(live_out.mean()) if n else 0.0,
-                    "max_out_degree": int(live_out.max()) if n else 0,
+                    "mean_out_degree": float(deg_out.mean()) if n else 0.0,
+                    "max_out_degree": int(deg_out.max()) if n else 0,
                 }
                 update_ops = record.edges_attempted + churn_attempted
                 for structure_name, cycles in record.update_cycles.items():
@@ -703,10 +518,6 @@ class StreamDriver:
                         ops=update_ops,
                         **base_row,
                     )
-            in_edges, compute_view = self._build_compute_view(
-                maintainer, incidence, n,
-                ins_src, ins_dst, ins_weight, rem_src, rem_dst,
-            )
 
             # ---- Compute phase: each algorithm under each model ----
             with TRACER.span("compute") as compute_span, kernels.view_scope(
@@ -732,7 +543,7 @@ class StreamDriver:
                                 runs, deg_in, deg_out, n, ctx.cost_model
                             )
                         structure_cycles = _price_runs(
-                            runs, cfg.structures, deg_in[:n], deg_out[:n], ctx,
+                            runs, cfg.structures, deg_in, deg_out, ctx,
                             algorithm.neighbor_degree_query,
                         )
                         for structure_name, cycles in structure_cycles.items():

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
+from repro.compute.csrstore import CHURN_ENV
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph
 from repro.sim.cost_model import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineConfig
@@ -29,6 +33,20 @@ def machine() -> MachineConfig:
 @pytest.fixture
 def ctx(machine) -> ExecutionContext:
     return ExecutionContext(machine=machine, cost_model=DEFAULT_COST_MODEL)
+
+
+@contextlib.contextmanager
+def churn_threshold_env(setting):
+    """Run with ``SAGA_BENCH_CSR_REBUILD_CHURN`` set (``None``: unset)."""
+    previous = os.environ.pop(CHURN_ENV, None)
+    if setting is not None:
+        os.environ[CHURN_ENV] = setting
+    try:
+        yield
+    finally:
+        os.environ.pop(CHURN_ENV, None)
+        if previous is not None:
+            os.environ[CHURN_ENV] = previous
 
 
 def random_batch(num_nodes: int, num_edges: int, seed: int, weights: bool = True) -> EdgeBatch:

@@ -227,8 +227,8 @@ def test_native_matches_reference(name):
         reference.delete_collect(drop)
     assert structure.num_edges == reference.num_edges
     for v in range(N):
-        assert dict(structure.out_neigh(v)) == reference.out_items(v)
-        assert dict(structure.in_neigh(v)) == reference.in_items(v)
+        assert dict(structure.out_neigh(v)) == dict(reference.out_neigh(v))
+        assert dict(structure.in_neigh(v)) == dict(reference.in_neigh(v))
 
 
 class TestGates:

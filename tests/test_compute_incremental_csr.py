@@ -11,43 +11,29 @@ checked row-for-row against ``csr_from_edges`` rebuilt from scratch
 after every batch of an oscillating insert/delete stream.
 """
 
-import contextlib
-import os
-
 import numpy as np
 import pytest
 
 from repro.compute.csrstore import (
-    CHURN_ENV,
     DEFAULT_CHURN_THRESHOLD,
     DynamicCSR,
     ViewMaintainer,
+    check_packable,
     churn_threshold,
 )
 from repro.compute.kernels import (
     csr_from_edges,
+    flat_slots,
     packed_in_edges,
     packed_out_weights,
 )
 from repro.datasets import load_dataset
+from repro.errors import StructureError
+from repro.graph import ReferenceGraph
 from repro.streaming import StreamConfig, StreamDriver
-from tests.conftest import SMALL_MACHINE
+from tests.conftest import SMALL_MACHINE, churn_threshold_env as _churn
 
 STRUCTS = ("AS", "AC", "Stinger", "DAH", "BA")
-
-
-@contextlib.contextmanager
-def _churn(setting):
-    previous = os.environ.pop(CHURN_ENV, None)
-    if setting is not None:
-        os.environ[CHURN_ENV] = setting
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(CHURN_ENV, None)
-        else:
-            os.environ[CHURN_ENV] = previous
 
 
 def _stream_result(churn_setting, churn_fraction, structures=STRUCTS):
@@ -154,16 +140,15 @@ class TestOscillatingStream:
             for batch in batches:
                 delete_keys = set(batch["deletes"])
                 live = [e for e in live if (e[0], e[1]) not in delete_keys]
-                # Driver order inside apply(): inserts first, then the
-                # removals -- but the *live list* the rebuild path reads
-                # must already reflect both, like the incidence buffer.
+                # apply() folds inserts first, then the removals; a
+                # batch never deletes what it inserts, so the order of
+                # the two on the mirror list does not matter.
                 live += batch["inserts"]
                 ins_src, ins_dst, ins_wt = _arrays(batch["inserts"])
                 rem_src, rem_dst, _ = _arrays(batch["deletes_full"])
                 src, dst, wt = _arrays(live)
                 view = maintainer.apply(
-                    ins_src, ins_dst, ins_wt, rem_src, rem_dst, num_nodes,
-                    lambda s=src, d=dst, w=wt: (s, d, w),
+                    ins_src, ins_dst, ins_wt, rem_src, rem_dst, num_nodes
                 )
                 out_ref = csr_from_edges(src, dst, wt, num_nodes, by_src=True)
                 in_ref = csr_from_edges(src, dst, wt, num_nodes, by_src=False)
@@ -192,18 +177,10 @@ class TestOscillatingStream:
         def run(setting):
             with _churn(setting):
                 maintainer = ViewMaintainer(num_nodes)
-                live = []
                 for batch in batches:
-                    delete_keys = set(batch["deletes"])
-                    live = [e for e in live if (e[0], e[1]) not in delete_keys]
-                    live += batch["inserts"]
                     ins = _arrays(batch["inserts"])
                     rem_src, rem_dst, _ = _arrays(batch["deletes_full"])
-                    src, dst, wt = _arrays(live)
-                    maintainer.apply(
-                        *ins, rem_src, rem_dst, num_nodes,
-                        lambda s=src, d=dst, w=wt: (s, d, w),
-                    )
+                    maintainer.apply(*ins, rem_src, rem_dst, num_nodes)
                 return maintainer
 
         rebuild_every = run("0")
@@ -225,15 +202,90 @@ class TestOscillatingStream:
             seed = maintainer.apply(
                 src, dst, wt,
                 np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                num_nodes, lambda: (src, dst, wt),
+                num_nodes,
             )
             assert seed.packed  # seed build is a tight rebuild
             more = maintainer.apply(
                 src + 4, dst + 3, wt,
                 np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                num_nodes, lambda: (None, None, None),  # must not be consulted
+                num_nodes,
             )
             assert not more.packed  # incremental export has slack
+
+
+def _interleaved(edges):
+    """Each undirected edge followed by its reverse (self-loops once)."""
+    rows = []
+    for u, v, w in edges:
+        rows.append((u, v, w))
+        if u != v:
+            rows.append((v, u, w))
+    return _arrays(rows)
+
+
+class TestUndirectedHoldsOneAdjacency:
+    """``directed=False`` aliases ``inc`` to ``out`` and folds once."""
+
+    @pytest.mark.parametrize("churn_setting", ["0", None, "1e9"])
+    def test_aliased_store_matches_the_two_store_result(self, churn_setting):
+        """Orkut-style undirected stream with self-loops: every view of
+        the one-store maintainer equals the two-store maintainer's, both
+        directions.  Fails on: folding an aliased delta twice."""
+        rng = np.random.default_rng(11)
+        num_nodes = 40
+        live = {}
+        with _churn(churn_setting):
+            one = ViewMaintainer(num_nodes, directed=False)
+            two = ViewMaintainer(num_nodes)
+            assert one.inc is one.out and two.inc is not two.out
+            for _ in range(8):
+                fresh = {}
+                for u, v in rng.integers(0, num_nodes, (70, 2)).tolist():
+                    key = (min(u, v), max(u, v))
+                    if key not in live and key not in fresh:
+                        fresh[key] = (u, v, float(rng.uniform(0.5, 9.0)))
+                victims = [live.pop(key) for key in list(live)[::3]]
+                live.update(fresh)
+                ins = _interleaved(fresh.values())
+                rem_src, rem_dst, _ = _interleaved(victims)
+                views = [
+                    m.apply(*ins, rem_src, rem_dst, num_nodes) for m in (one, two)
+                ]
+                assert views[0].packed == views[1].packed
+                for direction in ("out_csr", "in_csr"):
+                    got = getattr(views[0], direction)
+                    expected = getattr(views[1], direction)
+                    assert np.array_equal(got.degrees, expected.degrees)
+                    for column in ("indices", "weights"):
+                        assert np.array_equal(
+                            getattr(got, column)[flat_slots(got.indptr, got.degrees)],
+                            getattr(expected, column)[
+                                flat_slots(expected.indptr, expected.degrees)
+                            ],
+                        )
+                assert one.out.live == two.out.live == two.inc.live
+
+
+class TestPackedKeyOverflow:
+    """``src * max_nodes + dst`` must fit int64: refused at construction."""
+
+    #: Smallest max_nodes whose largest key, max_nodes ** 2 - 1, overflows.
+    LIMIT = 3_037_000_500
+
+    def test_boundary(self):
+        assert (self.LIMIT - 1) ** 2 < 2**63 <= self.LIMIT**2
+        check_packable(self.LIMIT - 1)
+        with pytest.raises(StructureError, match="overflow int64"):
+            check_packable(self.LIMIT)
+
+    @pytest.mark.parametrize(
+        "make", [DynamicCSR, ViewMaintainer, ReferenceGraph], ids=lambda m: m.__name__
+    )
+    def test_constructors_refuse_before_allocating(self, make):
+        with pytest.raises(StructureError, match="overflow int64"):
+            make(self.LIMIT)
+        with pytest.raises(StructureError, match="max_nodes must be >= 1"):
+            make(0)
 
 
 class TestDynamicCSRMechanics:

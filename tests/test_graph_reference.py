@@ -1,9 +1,15 @@
-"""ReferenceGraph's collect methods: columns out, all-or-nothing in.
+"""The columnar live graph against the dict-of-dicts oracle.
 
-``update_collect`` / ``delete_collect`` walk ``tolist()`` columns and
-return the kept rows as an :class:`EdgeBatch`.  The per-edge loops they
-replaced are kept here, verbatim, as the reference the columns must
-reproduce: same edges in the same order, same graph afterwards.
+``ReferenceGraph`` keeps membership as a sorted packed-key column and
+adjacency as a slack CSR pair; ``tests/oracles.py::DictGraph`` is the
+class it replaced, per-edge loops over Python dicts.  Everything a
+caller can observe must agree: the collect columns (same rows, same
+order, same dtypes, stored weights on delete) and the graph afterwards
+(row order from ``out_neigh``/``in_neigh``, degrees, counters, CSR
+export of both directions).
+
+Each test's docstring names the seeded mutation of ``reference.py`` it
+was checked to fail on.
 """
 
 from __future__ import annotations
@@ -14,112 +20,185 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compute.kernels import flat_slots
 from repro.errors import StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
-
-N = 12
-
-
-def _loop_update_collect(graph: ReferenceGraph, batch: EdgeBatch):
-    """The per-edge insert loop the column version replaced."""
-    inserted = []
-    for i in range(len(batch)):
-        u = int(batch.src[i])
-        v = int(batch.dst[i])
-        w = float(batch.weight[i])
-        if v not in graph._out[u]:
-            graph._out[u][v] = w
-            inserted.append((u, v, w))
-            if graph.directed:
-                graph._in[v][u] = w
-            elif u != v:
-                graph._out[v][u] = w
-        graph._max_seen = max(graph._max_seen, u, v)
-    graph._num_edges += len(inserted)
-    return inserted
+from tests.conftest import churn_threshold_env
+from tests.oracles import DictGraph
 
 
-def _loop_delete_collect(graph: ReferenceGraph, batch: EdgeBatch):
-    """The per-edge delete loop the column version replaced."""
-    removed = []
-    for i in range(len(batch)):
-        u = int(batch.src[i])
-        v = int(batch.dst[i])
-        weight = graph._out[u].pop(v, None)
-        if weight is None:
-            continue
-        removed.append((u, v, weight))
-        if graph.directed:
-            del graph._in[v][u]
-        elif u != v:
-            del graph._out[v][u]
-    graph._num_edges -= len(removed)
-    return removed
+def _columns(edges: EdgeBatch):
+    assert edges.src.dtype == edges.dst.dtype == np.int64
+    assert edges.weight.dtype == np.float64
+    return edges.src.tolist(), edges.dst.tolist(), edges.weight.tolist()
 
 
-def _state(graph: ReferenceGraph):
-    """Adjacency with dict order, which the CSR snapshots preserve."""
+def _packed_rows(csr):
+    """(degrees, neighbors, weights) of a possibly slack CSR, row-major."""
+    slots = flat_slots(csr.indptr[: len(csr.degrees)], csr.degrees)
+    return csr.degrees.tolist(), csr.indices[slots].tolist(), csr.weights[slots].tolist()
+
+
+def _state(graph):
+    """Everything the read API shows, in the order it shows it."""
+    every = range(graph.max_nodes)
     return (
         graph.num_edges,
         graph.num_nodes,
-        [list(graph.out_items(v).items()) for v in range(graph.max_nodes)],
-        [list(graph.in_items(v).items()) for v in range(graph.max_nodes)],
+        [list(graph.out_neigh(v)) for v in every],
+        [list(graph.in_neigh(v)) for v in every],
+        [graph.out_degree(v) for v in every],
+        [graph.in_degree(v) for v in every],
+        [[graph.has_edge(u, v) for v in every] for u in every],
+        list(graph.vertices()),
+        _packed_rows(graph.csr_arrays("out")),
+        _packed_rows(graph.csr_arrays("in")),
     )
 
 
-def _as_tuples(edges: EdgeBatch):
-    assert edges.src.dtype == edges.dst.dtype == np.int64
-    assert edges.weight.dtype == np.float64
-    return list(zip(edges.src.tolist(), edges.dst.tolist(), edges.weight.tolist()))
+@st.composite
+def _streams(draw):
+    """A few insert/delete batches over 2-14 vertices.
 
-
-# Few vertices, so streams are dense in duplicates and self-loops.
-_EDGES = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=N - 1),
-        st.integers(min_value=0, max_value=N - 1),
+    Few vertices make duplicates, self-loops and ids at
+    ``max_nodes - 1`` common; an *echo* repeats a row later in its
+    batch, same or flipped orientation, with another weight (the two
+    orientations of one undirected pair in one batch); lists may be
+    empty; ``read`` decides whether the graph is looked at between two
+    mutations or only after a run of them.
+    """
+    n = draw(st.integers(min_value=2, max_value=14))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    row = st.tuples(
+        vertex,
+        vertex,
         st.floats(min_value=0.5, max_value=9.0, allow_nan=False),
-    ),
-    max_size=40,
+        st.sampled_from(["", "", "same", "flipped"]),
+    )
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        edges = []
+        for u, v, w, echo in draw(st.lists(row, max_size=30)):
+            edges.append((u, v, w))
+            if echo:
+                edges.append((u, v, w + 1.0) if echo == "same" else (v, u, w + 2.0))
+        steps.append((draw(st.booleans()), edges, draw(st.booleans())))
+    return n, steps
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    stream=_streams(),
+    directed=st.booleans(),
+    mapped=st.booleans(),
+    churn=st.sampled_from([None, "0", "1e9"]),
 )
-_STREAM = st.lists(st.tuples(st.booleans(), _EDGES), min_size=1, max_size=6)
+def test_collect_columns_match_per_edge_loops(stream, directed, mapped, churn):
+    """Insert/delete streams: same columns out, same graph afterwards.
 
-
-@settings(deadline=None, max_examples=60)
-@given(stream=_STREAM, directed=st.booleans(), mapped=st.booleans())
-def test_collect_columns_match_per_edge_loops(stream, directed, mapped):
-    columns = ReferenceGraph(N, directed=directed)
-    loops = ReferenceGraph(N, directed=directed)
-    with tempfile.TemporaryDirectory() as scratch:
-        for step, (delete, edges) in enumerate(stream):
+    Fails on each of: dropping the ``(min, max)`` canonicalisation of
+    undirected keys; keeping the last instead of the first in-batch
+    occurrence; returning the batch's weight instead of the stored one
+    on delete; skipping the key merge for a batch whose rows all name
+    one edge.
+    """
+    n, steps = stream
+    with churn_threshold_env(churn), tempfile.TemporaryDirectory() as scratch:
+        live = ReferenceGraph(n, directed=directed)
+        oracle = DictGraph(n, directed=directed)
+        for step, (delete, edges, read) in enumerate(steps):
             batch = EdgeBatch.from_edges(edges)
             if mapped and len(batch):
                 batch.to_mmap(f"{scratch}/{step}")
                 batch = EdgeBatch.from_mmap(f"{scratch}/{step}")
                 assert isinstance(batch.src, np.memmap)
             if delete:
-                got = columns.delete_collect(batch)
-                expected = _loop_delete_collect(loops, batch)
+                got, expected = live.delete_collect(batch), oracle.delete_collect(batch)
             else:
-                got = columns.update_collect(batch)
-                expected = _loop_update_collect(loops, batch)
-            assert _as_tuples(got) == expected
-            assert [tuple(edge) for edge in got] == expected
-            assert len(got) == len(expected)
-            assert _state(columns) == _state(loops)
+                got, expected = live.update_collect(batch), oracle.update_collect(batch)
+            assert _columns(got) == _columns(expected)
+            assert (live.num_edges, live.num_nodes) == (oracle.num_edges, oracle.num_nodes)
+            if read:
+                assert _state(live) == _state(oracle)
+        assert _state(live) == _state(oracle)
+
+
+def test_first_occurrence_wins_and_deletes_return_stored_weights():
+    """The four collect rules on one hand-written undirected stream.
+
+    Fails on each of: no ``(min, max)`` canonicalisation (``(2, 1)``
+    would insert beside ``(1, 2)``); last occurrence kept (weight 7.0
+    stored, row 3 returned); batch weight returned on delete (9.0
+    instead of 0.5); merge skipped for an all-duplicates batch (the
+    second batch's one edge never becomes a member).
+    """
+    graph = ReferenceGraph(6, directed=False)
+    kept = graph.update_collect(
+        EdgeBatch.from_edges([(1, 2, 0.5), (3, 3, 1.0), (2, 1, 7.0), (1, 2, 8.0)])
+    )
+    assert _columns(kept) == ([1, 3], [2, 3], [0.5, 1.0])
+    again = graph.update_collect(
+        EdgeBatch.from_edges([(5, 4, 2.0), (4, 5, 3.0), (5, 4, 4.0)])
+    )
+    assert _columns(again) == ([5], [4], [2.0])
+    assert graph.has_edge(4, 5) and graph.has_edge(5, 4) and graph.num_edges == 3
+    assert graph.out_neigh(4) == [(5, 2.0)] and graph.in_neigh(5) == [(4, 2.0)]
+    gone = graph.delete_collect(
+        EdgeBatch.from_edges([(2, 1, 9.0), (0, 0, 9.0), (1, 2, 9.0), (3, 3, 9.0)])
+    )
+    assert _columns(gone) == ([2, 3], [1, 3], [0.5, 1.0])
+    assert graph.num_edges == 1 and not graph.has_edge(1, 2)
+    # Reinserted later, the neighbour goes to the end of the row.
+    graph.update_collect(EdgeBatch.from_edges([(4, 1, 1.5), (5, 1, 2.5)]))
+    graph.delete_collect(EdgeBatch.from_edges([(1, 4)]))
+    graph.update_collect(EdgeBatch.from_edges([(1, 4, 3.5)]))
+    assert graph.out_neigh(1) == [(5, 2.5), (4, 3.5)]
+    assert graph.in_neigh(1) == [(5, 2.5), (4, 3.5)]
 
 
 @pytest.mark.parametrize("bad", [(9, 1), (1, 9), (-1, 2), (2, -1)])
 @pytest.mark.parametrize("directed", [True, False])
 def test_out_of_range_batch_leaves_the_graph_untouched(bad, directed):
-    """The structures reject such a batch whole; so must the reference
-    (the in-loop check applied the edges before the bad one)."""
+    """The structures reject such a batch whole; so must the reference:
+    keys, CSR rows and counters as before (the PR 14 defect: an in-loop
+    check applied the edges before the bad one).
+
+    Fails on: moving the range check after the key merge.
+    """
     graph = ReferenceGraph(8, directed=directed)
     graph.update(EdgeBatch.from_edges([(0, 1), (4, 5)]))
     before = _state(graph)
+    keys = graph._keys.copy()
     with pytest.raises(StructureError, match=r"edge \(-?\d, -?\d\) out of range"):
         graph.update_collect(EdgeBatch.from_edges([(0, 2), (1, 2), bad, (2, 3)]))
-    assert _state(graph) == before
+    assert _state(graph) == before and np.array_equal(graph._keys, keys)
     with pytest.raises(StructureError, match="out of range"):
         graph.delete_collect(EdgeBatch.from_edges([(0, 1), bad, (4, 5)]))
-    assert _state(graph) == before
+    assert _state(graph) == before and np.array_equal(graph._keys, keys)
+
+
+def test_one_fold_per_batch_and_view_reuse():
+    """Mutators only queue; the first read folds once; reads reuse the view.
+
+    Fails on: folding inside ``update_collect`` (two applies for an
+    insert + delete batch).
+    """
+    graph = ReferenceGraph(8)
+    adjacency = graph._adjacency
+    graph.update_collect(EdgeBatch.from_edges([(0, 1), (1, 2), (2, 3)]))
+    graph.delete_collect(EdgeBatch.from_edges([(1, 2)]))
+    assert adjacency.version == 0
+    view = graph.compute_view()
+    assert adjacency.version == 1 and view.num_nodes == 4
+    assert graph.out_neigh(1) == [] and graph.out_degree(0) == 1
+    assert graph.compute_view() is view and adjacency.version == 1
+    graph.update_collect(EdgeBatch.from_edges([(0, 1)]))  # nothing new
+    assert graph.compute_view() is view
+    graph.update_collect(EdgeBatch.from_edges([(1, 2)]))
+    assert graph.compute_view() is not view and adjacency.version == 2
+
+
+@pytest.mark.parametrize("make", [ReferenceGraph, DictGraph])
+def test_max_nodes_must_be_positive(make):
+    with pytest.raises(StructureError, match="max_nodes"):
+        make(0)

@@ -27,8 +27,8 @@ def assert_same_graph(structure, reference):
     assert structure.num_nodes == n
     assert structure.num_edges == reference.num_edges
     for v in range(n):
-        assert dict(structure.out_neigh(v)) == reference.out_items(v)
-        assert dict(structure.in_neigh(v)) == reference.in_items(v)
+        assert dict(structure.out_neigh(v)) == dict(reference.out_neigh(v))
+        assert dict(structure.in_neigh(v)) == dict(reference.in_neigh(v))
         assert structure.out_degree(v) == reference.out_degree(v)
         assert structure.in_degree(v) == reference.in_degree(v)
 

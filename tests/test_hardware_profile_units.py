@@ -132,6 +132,49 @@ class TestProfilerSmall:
         assert perf[2] == pytest.approx(1.0)
 
 
+class TestCellOverTheLiveGraphView:
+    def test_payload_equals_the_packed_dict_view(self, monkeypatch):
+        """``profile_cell`` reads its per-batch view and degrees from the
+        live graph's slack CSR.  Same payload, array for array, as over
+        what it read before: a packed ``ComputeView.of`` walk of the
+        dict-of-dicts graph fed the same batches."""
+        from repro.analysis import hardware_profile
+        from tests.oracles import DictGraph
+
+        live_packed = []  # per batch: was the live graph's own view packed?
+
+        class DictBacked(ReferenceGraph):
+            def __init__(self, max_nodes, directed=True):
+                super().__init__(max_nodes, directed=directed)
+                self.oracle = DictGraph(max_nodes, directed=directed)
+
+            def update_collect(self, batch):
+                self.oracle.update_collect(batch)
+                return super().update_collect(batch)
+
+            def compute_view(self):
+                live_packed.append(super().compute_view().packed)
+                return ComputeView.of(self.oracle)
+
+        profiler = HardwareProfiler(
+            machine=SMALL_MACHINE,
+            core_counts=(2, 4),
+            algorithms=("BFS", "CC", "PR"),
+            batch_size=1250,
+            trace_cap=20_000,
+        )
+        meta, arrays = profiler.profile_cell("Talk", "DAH", 0.125).to_payload()
+        monkeypatch.setattr(hardware_profile, "ReferenceGraph", DictBacked)
+        oracle_meta, oracle_arrays = profiler.profile_cell(
+            "Talk", "DAH", 0.125
+        ).to_payload()
+        assert meta == oracle_meta and meta["batches"] == 5
+        assert live_packed[0] and not all(live_packed)  # slack rows were read
+        assert sorted(arrays) == sorted(oracle_arrays)
+        for name, column in arrays.items():
+            assert np.array_equal(column, oracle_arrays[name]), name
+
+
 class TestPrefetchOption:
     def test_prefetch_profile_runs_and_changes_l2(self):
         machine = MachineConfig(

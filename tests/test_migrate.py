@@ -16,6 +16,7 @@ from repro.graph import EdgeBatch, ReferenceGraph, make_structure
 from repro.graph.migrate import export_live_edges, migrate_structure
 from repro.streaming import StreamConfig, StreamDriver
 from repro.streaming.autotune import AdaptiveStreamDriver
+from tests.oracles import DictGraph
 
 STRUCTURES = ("AS", "AC", "Stinger", "DAH", "BA")
 
@@ -43,6 +44,34 @@ class TestExportLiveEdges:
         # Vertex-major export emits the low endpoint first.
         pairs = sorted(zip(exported.src.tolist(), exported.dst.tolist()))
         assert pairs == [(0, 1), (1, 2), (4, 5)]
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_order_matches_the_dict_walk(self, directed):
+        """Vertex-major, chronological per row (a deleted and reinserted
+        neighbour last), undirected pairs from the smaller endpoint's
+        row: the order the old per-vertex walk of the dicts emitted."""
+        rng = np.random.default_rng(5)
+        reference = ReferenceGraph(12, directed=directed)
+        oracle = DictGraph(12, directed=directed)
+        for step in range(6):
+            batch = EdgeBatch(
+                src=rng.integers(0, 12, 40),
+                dst=rng.integers(0, 12, 40),
+                weight=rng.uniform(0.5, 9.0, 40),
+            )
+            for graph in (reference, oracle):
+                graph.update_collect(batch)
+                if step % 2:
+                    graph.delete_collect(batch.slice(5, 25))
+        expected = [
+            (u, v, w)
+            for u in oracle.vertices()
+            for v, w in oracle.out_items(u).items()
+            if directed or v >= u
+        ]
+        exported = export_live_edges(reference)
+        assert exported.src.dtype == exported.dst.dtype == np.int64
+        assert [tuple(edge) for edge in exported] == expected
 
     def test_self_loops_survive(self):
         for directed in (True, False):
