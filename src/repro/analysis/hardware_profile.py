@@ -26,7 +26,7 @@ simulated machine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from repro.errors import SimulationError
 from repro.graph import ReferenceGraph, make_structure
 from repro.graph.base import ExecutionContext
 from repro.graph.properties import VertexProperties
+from repro.sim import ckernel
 from repro.sim.cache import CacheHierarchy
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.counters import PhaseCounters, derive_counters
@@ -306,6 +307,8 @@ class HardwareProfiler:
         size_factor: float = 1.0,
     ) -> HardwareCell:
         """Stream one dataset on one structure with full instrumentation."""
+        if METRICS.enabled:
+            ckernel.set_loaded_gauge()
         machine = self.machine
         dataset = load_dataset(dataset_name, seed=self.seed, size_factor=size_factor)
         batches = make_batches(dataset.edges, self.batch_size, shuffle_seed=self.seed)
@@ -437,84 +440,77 @@ class HardwareProfiler:
         visited bitvector.  One task per vertex (an iteration's pulled
         vertices, then its pushed ones), round-robin threads.
 
-        Each task is ``[traversal | neighbor accesses | own write]``;
-        the three sections are collected a frontier at a time and
-        interleaved into task order once for the whole run.
+        Each task is ``[traversal | neighbor accesses | own write]``.
+        The graph does not change during a run, so every section is
+        emitted once for all of the run's pulled (resp. pushed)
+        vertices, with zero accesses on the other kind's tasks, and the
+        sections are interleaved into task order.
         """
         in_csr, out_csr = compute_view.in_csr, compute_view.out_csr
-        traversal = _Section()  # structure reads (both directions)
-        neighbors = _Section()  # property reads (pull) / visited writes (push)
-        own = _Section()  # the pulled vertex's property write
-        tasks = 0
-        for iteration in run.iterations:
-            pull, push = iteration.pull_vertices, iteration.push_vertices
-            tasks += len(pull) + len(push)
-            traversal.add(*structure.trace_in_traversal(pull))
-            neighbors.add(
-                in_csr.degrees[pull],
-                properties.addresses_of(algorithm, expand_frontier(in_csr, pull)[1]),
+        # Per iteration (pulled, pushed): the lengths of the task runs
+        # that alternate between the two kinds.
+        sizes = np.array(
+            [(len(it.pull_vertices), len(it.push_vertices)) for it in run.iterations],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        pulled = np.repeat(np.tile([True, False], len(sizes)), sizes.ravel())
+        pull = np.concatenate([_NO_VERTICES] + [it.pull_vertices for it in run.iterations])
+        push = np.concatenate([_NO_VERTICES] + [it.push_vertices for it in run.iterations])
+
+        def section(mask, counts, addresses, write=False):
+            per_task = np.zeros(len(pulled), dtype=np.int64)
+            per_task[mask] = counts
+            return _Section(per_task, addresses, write)
+
+        trace = _interleave(
+            (
+                # structure reads (both directions)
+                section(pulled, *structure.trace_in_traversal(pull)),
+                section(~pulled, *structure.trace_out_traversal(push)),
+                # property reads (pull) / visited writes (push)
+                section(
+                    pulled,
+                    in_csr.degrees[pull],
+                    properties.addresses_of(algorithm, expand_frontier(in_csr, pull)[1]),
+                ),
+                section(
+                    ~pulled,
+                    out_csr.degrees[push],
+                    visited_region.elements(expand_frontier(out_csr, push)[1] // 8, 1),
+                    write=True,
+                ),
+                # the pulled vertex's own property write
+                section(pulled, 1, properties.addresses_of(algorithm, pull), write=True),
             )
-            own.add(
-                np.ones(len(pull), dtype=np.int64),
-                properties.addresses_of(algorithm, pull),
-                write=True,
-            )
-            traversal.add(*structure.trace_out_traversal(push))
-            neighbors.add(
-                out_csr.degrees[push],
-                visited_region.elements(expand_frontier(out_csr, push)[1] // 8, 1),
-                write=True,
-            )
-            own.add(np.zeros(len(push), dtype=np.int64), _NO_ADDRESSES)
-        trace = _interleave((traversal, neighbors, own))
-        task_thread = np.arange(max(tasks, 1), dtype=np.int32) % threads
+        )
+        task_thread = np.arange(max(len(pulled), 1), dtype=np.int32) % threads
         return trace, task_thread
 
 
-_NO_ADDRESSES = np.empty(0, dtype=np.int64)
+_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
-class _Section:
-    """One section of every task's accesses, gathered in task order."""
+class _Section(NamedTuple):
+    """One section of every task's accesses, in task order."""
 
-    def __init__(self) -> None:
-        self._counts = [_NO_ADDRESSES]
-        self._addresses = [_NO_ADDRESSES]
-        self._writes = [np.empty(0, dtype=bool)]
-
-    def add(self, counts: np.ndarray, addresses: np.ndarray, write: bool = False) -> None:
-        """Append the next tasks' access counts and their flat addresses."""
-        self._counts.append(counts)
-        self._addresses.append(addresses)
-        self._writes.append(np.full(len(addresses), write))
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.concatenate(self._counts)
-
-    @property
-    def addresses(self) -> np.ndarray:
-        return np.concatenate(self._addresses)
-
-    @property
-    def writes(self) -> np.ndarray:
-        return np.concatenate(self._writes)
+    counts: np.ndarray  # accesses per task
+    addresses: np.ndarray  # flat, all tasks back to back
+    write: bool
 
 
 def _interleave(sections: Sequence[_Section]) -> MemoryTrace:
     """Task-major trace of per-task sections: task 0's sections back to
     back, then task 1's, ...  Every section covers the same tasks."""
-    counts = [section.counts for section in sections]
-    totals = np.sum(counts, axis=0)
+    totals = np.sum([section.counts for section in sections], axis=0)
     lead = np.cumsum(totals) - totals  # where each task's next section starts
     addresses = np.empty(int(totals.sum()), dtype=np.int64)
     is_write = np.empty(len(addresses), dtype=bool)
-    for section, section_counts in zip(sections, counts):
-        seg, within = ragged_arange(section_counts)
+    for section in sections:
+        seg, within = ragged_arange(section.counts)
         slots = lead[seg] + within
         addresses[slots] = section.addresses
-        is_write[slots] = section.writes
-        lead = lead + section_counts
+        is_write[slots] = section.write
+        lead = lead + section.counts
     task_ids = np.repeat(np.arange(len(totals), dtype=np.int64), totals)
     return MemoryTrace(task_ids=task_ids, addresses=addresses, is_write=is_write)
 

@@ -8,6 +8,21 @@ core share that core's private caches while all cores of a socket share
 its LLC -- exactly the structure behind the paper's Fig. 10 findings
 (update reuse captured by the private L2; compute reuse of
 freshly-updated edge data captured by the shared LLC).
+
+Two implementations, chosen once per hierarchy from whether the sim
+library (:mod:`repro.sim.ckernel`) loaded:
+
+- the reference and no-compiler fallback: :class:`SetAssociativeCache`
+  objects (one insertion-ordered dict per set) driven access by access
+  by ``CacheHierarchy._replay``;
+- the fast path: one ``tags[caches, sets, ways]`` int64 array per level
+  (MRU first, -1 = empty way) walked by one ``saga_cache_replay`` call
+  per replay -- a linear scan over at most 16 ways, the right structure
+  for a loop that evicts on almost half of its look-ups.
+
+A hierarchy never mixes the two.  ``tests/test_sim_cache.py`` replays
+the same traces through both, call by call on persistent hierarchies,
+and requires every :class:`CacheStats` field equal.
 """
 
 from __future__ import annotations
@@ -17,27 +32,45 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
+from repro.sim import ckernel
 from repro.sim.machine import MachineConfig
 from repro.sim.trace import MemoryTrace
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _set_count(size_bytes: int, ways: int, line_bytes: int) -> int:
+    """Number of sets of a cache with this geometry."""
+    if size_bytes <= 0 or ways <= 0 or line_bytes <= 0:
+        raise ConfigError("cache geometry values must be positive")
+    if size_bytes % (ways * line_bytes):
+        raise ConfigError(
+            f"cache size {size_bytes} not divisible by ways*line "
+            f"({ways}*{line_bytes})"
+        )
+    return size_bytes // (ways * line_bytes)
+
+
+def _check_range(column: str, values: np.ndarray, stop: int) -> None:
+    """Raise unless every element of a replay input lies in ``[0, stop)``."""
+    if len(values) and (values.min() < 0 or values.max() >= stop):
+        raise SimulationError(
+            f"cannot replay trace: {column} spans [{values.min()}, {values.max()}], "
+            f"outside [0, {stop})"
+        )
 
 
 class SetAssociativeCache:
     """One set-associative, write-allocate, LRU cache level."""
 
     def __init__(self, size_bytes: int, ways: int, line_bytes: int = 64) -> None:
-        if size_bytes <= 0 or ways <= 0 or line_bytes <= 0:
-            raise ConfigError("cache geometry values must be positive")
-        if size_bytes % (ways * line_bytes):
-            raise ConfigError(
-                f"cache size {size_bytes} not divisible by ways*line "
-                f"({ways}*{line_bytes})"
-            )
+        self.sets = _set_count(size_bytes, ways, line_bytes)
         self.line_bytes = line_bytes
         self.ways = ways
-        self.sets = size_bytes // (ways * line_bytes)
         # One insertion-ordered dict per set: key = tag, order = LRU->MRU.
         self._sets: List[Dict[int, None]] = [dict() for _ in range(self.sets)]
         self.hits = 0
@@ -132,21 +165,26 @@ class CacheHierarchy:
         self.prefetch = prefetch
         self.machine = machine
         self.threads = threads if threads is not None else machine.hardware_threads
-        cores = machine.physical_cores
-        self._l1 = [
-            SetAssociativeCache(machine.l1d_bytes, machine.l1_ways, machine.line_bytes)
-            for _ in range(cores)
-        ]
-        self._l2 = [
-            SetAssociativeCache(machine.l2_bytes, machine.l2_ways, machine.line_bytes)
-            for _ in range(cores)
-        ]
-        self._llc = [
-            SetAssociativeCache(
-                machine.llc_bytes_per_socket, machine.llc_ways, machine.line_bytes
+        cores, line = machine.physical_cores, machine.line_bytes
+        levels = (
+            (cores, machine.l1d_bytes, machine.l1_ways),
+            (cores, machine.l2_bytes, machine.l2_ways),
+            (machine.sockets, machine.llc_bytes_per_socket, machine.llc_ways),
+        )
+        #: The compiled replay when the sim library loaded, else None.
+        #: Decides the state's representation, once, for the
+        #: hierarchy's life.
+        self._native = ckernel.get_cache_replay()
+        if self._native is not None:
+            self._tags = [
+                np.full((caches, _set_count(size, ways, line), ways), -1, dtype=np.int64)
+                for caches, size, ways in levels
+            ]
+        else:
+            self._l1, self._l2, self._llc = (
+                [SetAssociativeCache(size, ways, line) for _ in range(caches)]
+                for caches, size, ways in levels
             )
-            for _ in range(machine.sockets)
-        ]
 
     def core_of_thread(self, thread: int) -> int:
         """Core hosting ``thread``; threads wrap around the cores."""
@@ -157,9 +195,24 @@ class CacheHierarchy:
 
         ``task_thread`` maps each task id in the trace to the thread
         that executed it (from a :class:`~repro.sim.scheduler.ScheduleResult`).
+        A negative address, a task id outside ``task_thread`` or a
+        negative thread id raises :class:`SimulationError` before any
+        cache state changes.
         """
-        with TRACER.span("cache-replay"):
-            stats = self._replay(trace, task_thread)
+        task_thread = np.ascontiguousarray(task_thread, dtype=np.int64)
+        # Below INT64_MAX so that the prefetcher's line + 1 cannot overflow.
+        _check_range("addresses", trace.addresses, _INT64_MAX)
+        _check_range("task_ids", trace.task_ids, len(task_thread))
+        _check_range("task_thread", task_thread, _INT64_MAX)
+        engine, replay = (
+            ("python", self._replay)
+            if self._native is None
+            else ("native", self._replay_native)
+        )
+        with TRACER.span(
+            "cache-replay", args={"engine": engine, "accesses": len(trace)}
+        ):
+            stats = replay(trace, task_thread)
         if METRICS.enabled:
             self._record_metrics(stats)
         return stats
@@ -229,3 +282,28 @@ class CacheHierarchy:
             else:
                 stats.remote_memory_accesses += 1
         return stats
+
+    def _replay_native(self, trace: MemoryTrace, task_thread: np.ndarray) -> CacheStats:
+        """:meth:`_replay` as one ``saga_cache_replay`` call over the columns."""
+        machine = self.machine
+        addresses = np.ascontiguousarray(trace.addresses, dtype=np.int64)
+        task_ids = np.ascontiguousarray(trace.task_ids, dtype=np.int64)
+        counters = np.zeros(8, dtype=np.int64)
+        l1, l2, llc = self._tags
+        geometry = []
+        for tags in (l1, l2, llc):
+            geometry += [tags.ctypes.data, tags.shape[1], tags.shape[2]]
+        self._native(
+            len(addresses),
+            addresses.ctypes.data,
+            task_ids.ctypes.data,
+            task_thread.ctypes.data,
+            machine.line_bytes,
+            machine.page_bytes // machine.line_bytes,
+            l1.shape[0],
+            llc.shape[0],
+            int(self.prefetch),
+            *geometry,
+            counters.ctypes.data,
+        )
+        return CacheStats(len(addresses), *counters.tolist())

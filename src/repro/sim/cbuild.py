@@ -1,8 +1,10 @@
 """Shared build-and-load helper for optional ctypes C kernels.
 
-Two modules compile tiny C sources at runtime -- the scheduler event
-loop (:mod:`repro.sim.ckernel`) and the compute kernels
-(:mod:`repro.compute.ckernels`).  Both follow the same contract, so the
+Three modules compile C sources at runtime, one shared object each --
+the simulator's scheduler event loop and cache replay
+(:mod:`repro.sim.ckernel`), the batch-ingest kernels
+(:mod:`repro.sim.cingest`) and the compute kernels
+(:mod:`repro.compute.ckernels`).  All follow the same contract, so the
 mechanics live here once:
 
 - the shared object is cached under a filename containing the sha256 of

@@ -1,12 +1,23 @@
-"""Optional compiled event-loop kernel for the columnar scheduler.
+"""Optional compiled simulator kernels: the scheduler event loop and
+the cache-hierarchy replay.
 
-The structure-of-arrays task layout (:class:`repro.sim.tasks.TaskArray`)
-makes the discrete-event scheduler loop a pure function of a handful of
-contiguous float64/int64 columns, so it can be compiled once with the
-system C compiler and called through :mod:`ctypes` -- no third-party
-build machinery, no new Python dependencies.
+One shared object holds both sequential loops of the machine model,
+compiled once with the system C compiler and called through
+:mod:`ctypes` -- no third-party build machinery, no new Python
+dependencies:
 
-The kernel is a strict drop-in for the Python loop in
+- ``saga_event_loop`` (:func:`get_kernel`): the discrete-event scheduler
+  loop over the structure-of-arrays task layout
+  (:class:`repro.sim.tasks.TaskArray`), a pure function of a handful of
+  contiguous float64/int64 columns;
+- ``saga_cache_replay`` (:func:`get_cache_replay`): the set-associative
+  LRU replay of a :class:`~repro.sim.trace.MemoryTrace` through the
+  L1/L2/LLC state arrays of :class:`repro.sim.cache.CacheHierarchy`.
+  Integer-only; its reference is the ``SetAssociativeCache`` loop in
+  :mod:`repro.sim.cache`, and ``tests/test_sim_cache.py`` holds the
+  verifier between the two.
+
+The event loop is a strict drop-in for the Python loop in
 ``DynamicScheduler._run_array_event_loop``:
 
 - the float arithmetic is adds/subtracts written in the identical
@@ -18,8 +29,9 @@ The kernel is a strict drop-in for the Python loop in
   of internal arrangement, so the schedule cannot diverge.
 
 Availability is best-effort: if no C compiler is present, the build
-fails, or ``SAGA_BENCH_NO_CKERNEL=1`` is set, :func:`get_kernel`
-returns ``None`` and the scheduler silently uses the Python loop.
+fails, or ``SAGA_BENCH_NO_CKERNEL=1`` is set, :func:`get_kernel` and
+:func:`get_cache_replay` return ``None`` and the scheduler and the
+cache hierarchy silently use their Python loops.
 The compiled object is cached under a content-hashed filename (in
 ``SAGA_BENCH_CKERNEL_DIR`` or the system temp dir), so the compiler
 runs at most once per source revision per machine.
@@ -31,12 +43,20 @@ import ctypes
 import os
 from typing import Optional
 
+from repro.obs.metrics import METRICS
 from repro.sim.cbuild import CACHE_DIR_ENV, load_library
 
 #: Environment variable that disables the compiled kernel entirely.
 DISABLE_ENV = "SAGA_BENCH_NO_CKERNEL"
 
-__all__ = ["DISABLE_ENV", "CACHE_DIR_ENV", "get_kernel", "reset"]
+__all__ = [
+    "DISABLE_ENV",
+    "CACHE_DIR_ENV",
+    "get_kernel",
+    "get_cache_replay",
+    "set_loaded_gauge",
+    "reset",
+]
 
 #: The kernel keeps its heap in fixed stack arrays of this size.
 MAX_KERNEL_THREADS = 64
@@ -140,9 +160,98 @@ int64_t saga_event_loop(
     }
     return contended;
 }
+
+/* One look-up in one set-associative LRU cache; 1 on a hit.
+ *
+ * `tags` is tags[caches][sets][ways], every set ordered MRU first with
+ * -1 in its empty ways, which therefore trail (tags of real lines are
+ * never negative).  A hit at position p rotates [0..p] so the tag
+ * leads; a miss is the same rotation over the whole set, which drops
+ * the last way: an empty one while there is one, else the LRU line.
+ */
+static int lru_access(int64_t *tags, int64_t sets, int64_t ways,
+                      int64_t cache, int64_t line)
+{
+    int64_t *set = tags + (cache * sets + line % sets) * ways;
+    int64_t tag = line / sets;
+    int64_t last = ways - 1, p = 0, q;
+    int hit;
+    while (p < last && set[p] != tag)
+        p++;
+    hit = set[p] == tag;
+    for (q = p; q > 0; q--)
+        set[q] = set[q - 1];
+    set[0] = tag;
+    return hit;
+}
+
+/* Replay an access trace through private L1/L2 per core and a shared
+ * LLC per socket: CacheHierarchy._replay access for access.
+ *
+ * The caller has checked every address, task id and thread id to be in
+ * range (addresses in [0, INT64_MAX), task ids index `task_thread`,
+ * thread ids >= 0) and every divisor below to be >= 1.  `counters`
+ * receives l1 hits/misses, l2 hits/misses, llc hits/misses, local and
+ * remote memory accesses, in CacheStats field order.
+ */
+void saga_cache_replay(
+    int64_t n,
+    const int64_t *addresses,
+    const int64_t *task_ids,
+    const int64_t *task_thread,
+    int64_t line_bytes,
+    int64_t lines_per_page,
+    int64_t cores,
+    int64_t sockets,
+    int64_t prefetch,
+    int64_t *l1, int64_t l1_sets, int64_t l1_ways,
+    int64_t *l2, int64_t l2_sets, int64_t l2_ways,
+    int64_t *llc, int64_t llc_sets, int64_t llc_ways,
+    int64_t *counters)
+{
+    int64_t cores_per_socket = cores / sockets;
+    int64_t l1_hits = 0, l2_hits = 0, l2_misses = 0;
+    int64_t llc_hits = 0, local = 0, remote = 0;
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        int64_t line = addresses[i] / line_bytes;
+        int64_t core = task_thread[task_ids[i]] % cores;
+        int64_t socket;
+        if (lru_access(l1, l1_sets, l1_ways, core, line)) {
+            l1_hits++;
+            continue;
+        }
+        if (lru_access(l2, l2_sets, l2_ways, core, line)) {
+            l2_hits++;
+            continue;
+        }
+        l2_misses++;
+        /* Streamer: the next line is filled into the L2 off the books. */
+        if (prefetch)
+            lru_access(l2, l2_sets, l2_ways, core, line + 1);
+        socket = core / cores_per_socket;
+        if (lru_access(llc, llc_sets, llc_ways, socket, line)) {
+            llc_hits++;
+            continue;
+        }
+        if ((line / lines_per_page) % sockets == socket)
+            local++;
+        else
+            remote++;
+    }
+    counters[0] = l1_hits;
+    counters[1] = n - l1_hits;
+    counters[2] = l2_hits;
+    counters[3] = l2_misses;
+    counters[4] = llc_hits;
+    counters[5] = l2_misses - llc_hits;
+    counters[6] = local;
+    counters[7] = remote;
+}
 """
 
 _kernel: Optional[ctypes.CFUNCTYPE] = None
+_cache_replay: Optional[ctypes.CFUNCTYPE] = None
 _tried = False
 
 
@@ -166,26 +275,57 @@ def _load():
         ctypes.c_void_p,  # waits
         ctypes.c_void_p,  # makespan_out
     ]
-    return fn
+    replay = lib.saga_cache_replay
+    replay.restype = None
+    replay.argtypes = (
+        [ctypes.c_int64]  # n
+        + [ctypes.c_void_p] * 3  # addresses, task_ids, task_thread
+        # line_bytes, lines_per_page, cores, sockets, prefetch
+        + [ctypes.c_int64] * 5
+        # l1, l2, llc: tags, sets, ways
+        + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] * 3
+        + [ctypes.c_void_p]  # counters
+    )
+    return fn, replay
 
 
 def get_kernel():
-    """The compiled event-loop entry point, or ``None`` if unavailable."""
-    global _kernel, _tried
+    """The compiled event-loop entry point, or ``None`` if unavailable.
+
+    Not ``None`` means the sim library loaded, both entry points.
+    """
+    global _kernel, _cache_replay, _tried
     if _tried:
         return _kernel
     _tried = True
     if os.environ.get(DISABLE_ENV):
         return None
     try:
-        _kernel = _load()
+        _kernel, _cache_replay = _load()
     except Exception:
-        _kernel = None
+        _kernel = _cache_replay = None
     return _kernel
+
+
+def get_cache_replay():
+    """The compiled cache-replay entry point, or ``None`` if unavailable.
+
+    Asks :func:`get_kernel`, so whatever turns the library off -- the
+    environment switch, a test's patch -- turns off both entry points.
+    """
+    return _cache_replay if get_kernel() is not None else None
+
+
+def set_loaded_gauge() -> None:
+    """Record which path the scheduler loop and the cache replay take."""
+    METRICS.gauge(
+        "sim_ckernel_loaded",
+        "1 when the compiled sim library (event loop, cache replay) is active",
+    ).set(1.0 if get_kernel() is not None else 0.0)
 
 
 def reset():
     """Forget the cached probe result (test hook)."""
-    global _kernel, _tried
-    _kernel = None
+    global _kernel, _cache_replay, _tried
+    _kernel = _cache_replay = None
     _tried = False

@@ -55,6 +55,14 @@ class MachineConfig:
             raise ConfigError(f"smt must be >= 1, got {self.smt}")
         if self.frequency_hz <= 0:
             raise ConfigError(f"frequency_hz must be > 0, got {self.frequency_hz}")
+        for name in ("line_bytes", "page_bytes", "l1_ways", "l2_ways", "llc_ways"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.page_bytes % self.line_bytes:
+            raise ConfigError(
+                f"page_bytes must be a multiple of the line size "
+                f"{self.line_bytes}, got {self.page_bytes}"
+            )
         for name in ("l1d_bytes", "l2_bytes", "llc_bytes_per_socket"):
             value = getattr(self, name)
             if value <= 0 or value % self.line_bytes:

@@ -277,7 +277,7 @@ class StreamDriver:
         sim_clocks: Dict[str, float] = {}
         if METRICS.enabled:
             from repro.compute import ckernels
-            from repro.sim import cingest
+            from repro.sim import cingest, ckernel
 
             METRICS.gauge(
                 "compute_threads", "threads the fused INC round runs on"
@@ -290,6 +290,7 @@ class StreamDriver:
                 "ingest_ckernel_loaded",
                 "1 when the compiled batch-ingest kernels are active",
             ).set(1.0 if cingest.loaded() else 0.0)
+            ckernel.set_loaded_gauge()
         for rep in range(cfg.repetitions):
             self._run_repetition(dataset, rep, source, ctx, result, sim_clocks)
         return result

@@ -1,5 +1,7 @@
 """Unit tests for hardware-profile internals."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,12 @@ from repro.analysis.hardware_profile import (
 )
 from repro.algorithms.registry import get_algorithm
 from repro.compute.kernels import ComputeView
-from repro.compute.stats import ComputeRun
+from repro.compute.stats import ComputeRun, IterationStats
 from repro.datasets.catalog import load_dataset
 from repro.errors import SimulationError
 from repro.graph import ExecutionContext, ReferenceGraph, make_structure
 from repro.graph.properties import VertexProperties
+from repro.sim import ckernel
 from repro.sim.counters import PhaseCounters
 from repro.sim.machine import MachineConfig
 from repro.sim.trace import TraceRecorder
@@ -41,6 +44,15 @@ def counters(**overrides):
     )
     defaults.update(overrides)
     return PhaseCounters(**defaults)
+
+
+def assert_payloads_equal(payload, other):
+    """Two ``HardwareCell.to_payload()`` results, array for array."""
+    (meta, arrays), (other_meta, other_arrays) = payload, other
+    assert meta == other_meta
+    assert sorted(arrays) == sorted(other_arrays)
+    for name, column in arrays.items():
+        assert np.array_equal(column, other_arrays[name]), name
 
 
 class TestAverageCounters:
@@ -163,16 +175,50 @@ class TestCellOverTheLiveGraphView:
             batch_size=1250,
             trace_cap=20_000,
         )
-        meta, arrays = profiler.profile_cell("Talk", "DAH", 0.125).to_payload()
+        payload = profiler.profile_cell("Talk", "DAH", 0.125).to_payload()
         monkeypatch.setattr(hardware_profile, "ReferenceGraph", DictBacked)
-        oracle_meta, oracle_arrays = profiler.profile_cell(
-            "Talk", "DAH", 0.125
-        ).to_payload()
-        assert meta == oracle_meta and meta["batches"] == 5
+        oracle_payload = profiler.profile_cell("Talk", "DAH", 0.125).to_payload()
+        assert payload[0]["batches"] == 5
         assert live_packed[0] and not all(live_packed)  # slack rows were read
-        assert sorted(arrays) == sorted(oracle_arrays)
-        for name, column in arrays.items():
-            assert np.array_equal(column, oracle_arrays[name]), name
+        assert_payloads_equal(payload, oracle_payload)
+
+
+class TestCellOnBothSimEngines:
+    @pytest.mark.skipif(
+        ckernel.get_kernel() is None, reason="no C compiler: sim library unavailable"
+    )
+    @pytest.mark.parametrize(
+        "dataset_name, structure_name, size_factor, prefetch",
+        [("Talk", "DAH", 0.125, False), ("Orkut", "AS", 0.03, True)],
+    )
+    def test_payload_equal_with_and_without_the_sim_library(
+        self, dataset_name, structure_name, size_factor, prefetch
+    ):
+        """The whole cell -- update and compute replays through one
+        persistent hierarchy per cell, core ladder, counters -- array
+        for array the same from ``saga_cache_replay`` and from the
+        ``SetAssociativeCache`` loop.  Kills, in the kernel: no LRU
+        refresh on a hit; evict the MRU way; ``socket = core %
+        sockets``; home socket from the byte address; and, on the
+        prefetching cell, prefetch fill tallied and prefetch fill
+        skipped when the line is resident."""
+        profiler = HardwareProfiler(
+            machine=SMALL_MACHINE,
+            core_counts=(2, 4),
+            algorithms=("BFS", "CC", "PR"),
+            batch_size=1250,
+            trace_cap=20_000,
+            prefetch=prefetch,
+        )
+        payload = profiler.profile_cell(
+            dataset_name, structure_name, size_factor
+        ).to_payload()
+        with mock.patch.object(ckernel, "get_kernel", return_value=None):
+            python_payload = profiler.profile_cell(
+                dataset_name, structure_name, size_factor
+            ).to_payload()
+        assert payload[0]["batches"] >= 2
+        assert_payloads_equal(payload, python_payload)
 
 
 class TestPrefetchOption:
@@ -279,6 +325,52 @@ class TestComputeTraceMatchesPerVertexLoop:
                 assert task_thread.dtype == want_thread.dtype
                 accesses += len(trace)
         assert accesses > 10_000
+
+    @pytest.mark.parametrize(
+        "dataset_name, structure_name", [("Talk", "DAH"), ("Orkut", "AS")]
+    )
+    def test_run_with_empty_sets_and_a_vertex_pulled_twice(
+        self, dataset_name, structure_name
+    ):
+        """What emitting once per run could get wrong: an iteration that
+        pulls nothing, one that pushes nothing, one that does neither,
+        and a vertex pulled (and pushed) in two different iterations.
+        Kills: all pulled tasks placed before all pushed ones instead
+        of alternating per iteration; push sections spread over the
+        pulled tasks; an iteration that pulls nothing left out of the
+        task layout (which only this run has)."""
+        dataset = load_dataset(dataset_name, seed=3, size_factor=0.04)
+        structure = make_structure(
+            structure_name, dataset.max_nodes, directed=dataset.directed
+        )
+        reference = ReferenceGraph(dataset.max_nodes, directed=dataset.directed)
+        properties = VertexProperties(dataset.max_nodes, structure.space)
+        properties.add("CC")
+        visited = structure.space.alloc((dataset.max_nodes + 7) // 8, "inc.visited")
+        for batch in make_batches(dataset.edges, 600, shuffle_seed=3):
+            structure.update(batch, ExecutionContext(machine=SMALL_MACHINE))
+            reference.update(batch)
+        hub = int(np.bincount(dataset.edges.src).argmax())
+        busy = np.argsort(np.bincount(dataset.edges.dst))[-4:].tolist()
+        run = ComputeRun("CC", "INC", np.zeros(0))
+        run.iterations = [
+            IterationStats.make(pull=[hub, busy[0], busy[1]], push=[hub, busy[0]]),
+            IterationStats.make(push=[busy[2]]),
+            IterationStats.make(),
+            IterationStats.make(pull=[busy[3], hub]),
+            IterationStats.make(pull=[busy[1], 0], push=[hub]),
+        ]
+        trace, task_thread = HardwareProfiler()._compute_trace(
+            run, structure, ComputeView.of(reference), properties, "CC", visited, 8
+        )
+        want, want_thread = _per_vertex_compute_trace(
+            run, structure, reference, properties, "CC", visited, 8
+        )
+        assert len(want_thread) == 11 and len(want) > 50
+        assert np.array_equal(trace.task_ids, want.task_ids)
+        assert np.array_equal(trace.addresses, want.addresses)
+        assert np.array_equal(trace.is_write, want.is_write)
+        assert np.array_equal(task_thread, want_thread)
 
     def test_run_without_iterations(self):
         dataset = load_dataset("Talk", seed=0, size_factor=0.04)

@@ -379,6 +379,40 @@ class TestInstrumentedRun:
         totals = TRACER.phase_totals()
         assert totals["compute.trace"][1] == totals["compute"][1] == 2 * cell.batches
 
+    @pytest.mark.parametrize("engine", ["native", "python"])
+    def test_cache_replay_span_names_its_engine(self, engine):
+        """One ``cache-replay`` span per phase replay -- one update and
+        one per algorithm per batch -- each saying which implementation
+        ran and how many accesses it was handed; the gauge agrees."""
+        from unittest import mock
+
+        from repro.analysis.hardware_profile import HardwareProfiler
+        from repro.sim import ckernel
+        from tests.conftest import SMALL_MACHINE
+
+        if engine == "native" and ckernel.get_kernel() is None:
+            pytest.skip("no C compiler: sim library unavailable")
+        TRACER.enable(keep_events=True)
+        METRICS.enable()
+        profiler = HardwareProfiler(
+            machine=SMALL_MACHINE, core_counts=(4,), algorithms=("BFS", "PR"),
+            batch_size=500, trace_cap=2_000,
+        )
+        if engine == "python":
+            with mock.patch.object(ckernel, "get_kernel", return_value=None):
+                cell = profiler.profile_cell("Talk", "DAH", 0.05)
+        else:
+            cell = profiler.profile_cell("Talk", "DAH", 0.05)
+        spans = [e for e in TRACER.events() if e[0] == "cache-replay"]
+        assert len(spans) == 3 * cell.batches
+        assert {span[6]["engine"] for span in spans} == {engine}
+        assert (
+            sum(span[6]["accesses"] for span in spans)
+            == METRICS.value("sim_cache_accesses_total")
+            > 0
+        )
+        assert METRICS.value("sim_ckernel_loaded") == (engine == "native")
+
     def test_ingest_replay_span_and_growth_event_counter(self):
         """One ``ingest.replay`` per ``ingest.ckernel``; every vector
         allocation of the batch is one counted growth event."""

@@ -40,6 +40,7 @@ def _fixture_inputs():
     metrics = MetricsRegistry()
     metrics.enable()
     metrics.gauge("ckernel_loaded", "compiled kernels active").set(1.0)
+    metrics.gauge("sim_ckernel_loaded", "sim library active").set(1.0)
     metrics.gauge("compute_threads", "threads").set(4.0)
     metrics.histogram("sweep_cell_seconds", "cell wall", dataset="RMAT").observe(0.5)
     metrics.counter("sweep_cells_total", "cells", status="computed").inc(3)
@@ -79,7 +80,8 @@ def test_full_report_is_self_contained():
     for section in SECTIONS:
         assert f"<h2>{section}</h2>" in html
     # Populated sections actually render their data, not the fallback.
-    assert "ckernel_loaded" in html
+    assert "<td>ckernel_loaded</td>" in html
+    assert "<td>sim_ckernel_loaded</td>" in html
     assert 'class="bar-fill"' in html            # phase bars
     assert 'aria-label="fit vs observed"' in html  # model chart
     assert "RMAT" in html                        # sweep cell table

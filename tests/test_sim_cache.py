@@ -1,13 +1,29 @@
-"""Unit and property tests for the cache hierarchy."""
+"""Unit and property tests for the cache hierarchy.
+
+The second half is the verifier between the hierarchy's two
+implementations: the ``SetAssociativeCache`` loop (the reference) and
+``saga_cache_replay`` in the sim library.  Every verifier test names
+the kernel mutant it was checked to kill: the mutant was seeded into
+``ckernel._SOURCE``, the test run and seen to fail, the mutant removed.
+"""
+
+import os
+import subprocess
+import sys
+import unittest
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
+from repro.obs import METRICS
+from repro.sim import cbuild, ckernel
 from repro.sim.cache import CacheHierarchy, CacheStats, SetAssociativeCache
 from repro.sim.machine import MachineConfig
 from repro.sim.trace import MemoryTrace, TraceRecorder
+from tests import test_sim_ckernel
 
 
 def make_trace(addresses, writes=None):
@@ -208,3 +224,340 @@ class TestPrefetcher:
         base = plain.replay(trace, thread)
         boosted = fetched.replay(trace, thread)
         assert boosted.l2_hits == base.l2_hits
+
+
+# ----------------------------------------------------------------------
+# Reference vs native replay
+# ----------------------------------------------------------------------
+
+needs_sim_library = pytest.mark.skipif(
+    ckernel.get_kernel() is None, reason="no C compiler: sim library unavailable"
+)
+
+
+def reference_hierarchy(machine, prefetch=False):
+    """A hierarchy on the ``SetAssociativeCache`` loop, library or not."""
+    with mock.patch.object(ckernel, "get_kernel", return_value=None):
+        return CacheHierarchy(machine, prefetch=prefetch)
+
+
+@pytest.fixture(params=["native", "python"])
+def make_hierarchy(request):
+    """``CacheHierarchy`` on one engine; every test using it runs on both."""
+    if request.param == "python":
+        return reference_hierarchy
+    if ckernel.get_kernel() is None:
+        pytest.skip("no C compiler: sim library unavailable")
+    return CacheHierarchy
+
+
+def _geometry(sockets, cores_per_socket, l1, l2, llc, line=64, page_lines=64):
+    """A machine from ``(sets, ways)`` per level."""
+    return MachineConfig(
+        sockets=sockets,
+        cores_per_socket=cores_per_socket,
+        line_bytes=line,
+        page_bytes=page_lines * line,
+        l1d_bytes=l1[0] * l1[1] * line,
+        l1_ways=l1[1],
+        l2_bytes=l2[0] * l2[1] * line,
+        l2_ways=l2[1],
+        llc_bytes_per_socket=llc[0] * llc[1] * line,
+        llc_ways=llc[1],
+    )
+
+
+#: One set; one way; non-power-of-two set counts; 11 and 16 ways; 1 and
+#: 2 sockets; 1-4 cores per socket; pages of 1, 4 and 64 lines.
+GEOMETRIES = (
+    _geometry(1, 1, l1=(1, 1), l2=(1, 2), llc=(3, 2), page_lines=1),
+    _geometry(2, 1, l1=(1, 1), l2=(2, 1), llc=(8, 1), page_lines=1),
+    _geometry(2, 2, l1=(2, 1), l2=(2, 2), llc=(1, 11), page_lines=4),
+    _geometry(2, 3, l1=(1, 2), l2=(3, 4), llc=(5, 4), page_lines=64),
+    _geometry(1, 4, l1=(2, 2), l2=(1, 16), llc=(6, 11), line=16, page_lines=4),
+    _geometry(2, 4, l1=(1, 2), l2=(3, 2), llc=(2, 16), line=32, page_lines=1),
+)
+
+#: Lines the verifier's traces touch: a few times the largest LLC above,
+#: so every level sees hits, fills and evictions.
+LINES = 96
+
+
+def _replay_both(machine, prefetch, addresses, task_ids, task_thread, cuts):
+    """Replay one trace, cut at ``cuts`` into consecutive calls, through a
+    persistent hierarchy per engine: ``[(native stats, reference stats)]``."""
+    native = CacheHierarchy(machine, prefetch=prefetch)
+    reference = reference_hierarchy(machine, prefetch=prefetch)
+    assert native._native is not None and reference._native is None
+    addresses = np.asarray(addresses, dtype=np.int64)
+    task_ids = np.asarray(task_ids, dtype=np.int64)
+    task_thread = np.asarray(task_thread, dtype=np.int32)
+    pairs = []
+    bounds = [0, *sorted(cuts), len(addresses)]
+    for start, stop in zip(bounds, bounds[1:]):
+        piece = MemoryTrace(
+            task_ids=task_ids[start:stop],
+            addresses=addresses[start:stop],
+            is_write=np.zeros(stop - start, dtype=bool),
+        )
+        pairs.append(
+            (native.replay(piece, task_thread), reference.replay(piece, task_thread))
+        )
+    return pairs
+
+
+@st.composite
+def _replays(draw):
+    machine = draw(st.sampled_from(GEOMETRIES))
+    tasks = draw(st.integers(1, 8))
+    # Thread ids up to three times the core count: they wrap.
+    task_thread = draw(
+        st.lists(
+            st.integers(0, 3 * machine.physical_cores - 1),
+            min_size=tasks,
+            max_size=tasks,
+        )
+    )
+    accesses = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, LINES * machine.line_bytes - 1),
+                st.integers(0, tasks - 1),
+            ),
+            max_size=250,
+        )
+    )
+    cuts = draw(st.lists(st.integers(0, len(accesses)), max_size=3))
+    return machine, draw(st.booleans()), accesses, task_thread, cuts
+
+
+@needs_sim_library
+class TestNativeReplayMatchesReference:
+    @given(case=_replays())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        # The UBSan subclass below runs it a second time; derandomized,
+        # so there is no example database for the two to confuse.
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
+    def test_hypothesis_traces(self, case):
+        """All nine fields equal per call, on hypothesis traces x
+        geometries cut into 1-4 calls.  Kills: no LRU refresh on a hit;
+        evict the MRU way instead of the LRU; prefetch fill tallied;
+        ``socket = core % sockets``; the LLC indexed by core instead of
+        socket; home socket from the byte address instead of the line;
+        line size fixed at 64; thread ids clamped instead of wrapped;
+        state cleared between calls."""
+        machine, prefetch, accesses, task_thread, cuts = case
+        for got, want in _replay_both(
+            machine,
+            prefetch,
+            [address for address, _ in accesses],
+            [task for _, task in accesses],
+            task_thread,
+            cuts,
+        ):
+            assert got == want
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("machine", GEOMETRIES)
+    def test_long_random_traces(self, machine, prefetch):
+        """4 000 accesses in four calls per geometry: long enough that
+        every set of every level has been full for most of the trace.
+        Kills every mutant of ``test_hypothesis_traces``, and: prefetch
+        fill skipped when the line is resident (the resident line must
+        still move to the MRU way)."""
+        rng = np.random.default_rng(11)
+        tasks = 40
+        pairs = _replay_both(
+            machine,
+            prefetch,
+            # Half the accesses walk forward a line at a time, which is
+            # what makes a next-line fill find its line resident.
+            np.where(
+                rng.random(4000) < 0.5,
+                np.arange(4000) % LINES,
+                rng.integers(0, LINES, size=4000),
+            ) * machine.line_bytes + rng.integers(0, machine.line_bytes, size=4000),
+            rng.integers(0, tasks, size=4000),
+            rng.integers(0, 3 * machine.physical_cores, size=tasks),
+            cuts=(1000, 2000, 3000),
+        )
+        for got, want in pairs:
+            assert got == want
+        total = CacheStats()
+        for got, _ in pairs:
+            total = total.merge(got)
+        assert total.l1_hits and total.l2_hits and total.llc_hits and total.llc_misses
+        if machine.sockets > 1:
+            assert total.local_memory_accesses and total.remote_memory_accesses
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_empty_trace(self, prefetch):
+        """No accesses, no tasks: zero stats from both.  Kills: the
+        range check's ``len()`` guard dropped (``min()`` of an empty
+        column raises)."""
+        machine = GEOMETRIES[2]
+        (got, want), = _replay_both(machine, prefetch, [], [], [], cuts=())
+        assert got == want == CacheStats()
+
+    def test_counters_equal_on_both_paths(self):
+        """The ``sim_cache_*`` families read the same after the same
+        replays on either engine.  Kills: prefetch fill tallied;
+        prefetch fill skipped when the line is resident; state cleared
+        between calls."""
+        machine = GEOMETRIES[3]
+        traces = [
+            make_trace(np.random.default_rng(seed).integers(0, LINES, size=400) * 64)
+            for seed in range(3)
+        ]
+        snapshots = []
+        for build in (CacheHierarchy, reference_hierarchy):
+            METRICS.reset()
+            METRICS.enable()
+            try:
+                hierarchy = build(machine, prefetch=True)
+                for trace in traces:
+                    hierarchy.replay(trace, np.zeros(1, dtype=np.int32))
+                snapshots.append(METRICS.snapshot())
+            finally:
+                METRICS.disable()
+                METRICS.reset()
+        native, python = snapshots
+        assert native == python
+        assert sorted(native) == [
+            "sim_cache_accesses_total",
+            "sim_cache_hits_total",
+            "sim_cache_misses_total",
+            "sim_cache_replays_total",
+        ]
+        assert list(native["sim_cache_replays_total"].values()) == [3.0]
+
+
+class TestReplayInputValidation:
+    """Inputs the native loop cannot survive are rejected on both engines
+    before any cache state changes (the negative ones used to replay
+    silently: Python's ``%`` and numpy's indexing wrap them around)."""
+
+    MACHINE = GEOMETRIES[0]  # one-set L1
+
+    def _assert_rejected_and_untouched(self, make_hierarchy, column, trace, task_thread):
+        hierarchy = make_hierarchy(self.MACHINE)
+        with pytest.raises(SimulationError, match=column):
+            hierarchy.replay(trace, task_thread)
+        # The trace's first access was valid: had it been replayed, this
+        # would hit.
+        probe = hierarchy.replay(make_trace([128]), np.zeros(1, dtype=np.int32))
+        assert probe.l1_misses == probe.llc_misses == 1
+
+    def test_negative_address(self, make_hierarchy):
+        """Kills: the address check dropped -- in a one-set cache address
+        -64 is tag -1, which the native state reads as a hit on an empty
+        way (the reference: a miss)."""
+        self._assert_rejected_and_untouched(
+            make_hierarchy, "addresses", make_trace([128, -64]),
+            np.zeros(1, dtype=np.int32),
+        )
+
+    def test_address_whose_next_line_overflows(self, make_hierarchy):
+        trace = make_trace([128, np.iinfo(np.int64).max])
+        self._assert_rejected_and_untouched(
+            make_hierarchy, "addresses", trace, np.zeros(1, dtype=np.int32)
+        )
+
+    @pytest.mark.parametrize("task", [-1, 2])
+    def test_task_id_outside_task_thread(self, make_hierarchy, task):
+        """Task id -1 used to wrap to the last task's thread."""
+        trace = MemoryTrace(
+            task_ids=np.array([0, task], dtype=np.int64),
+            addresses=np.array([128, 128], dtype=np.int64),
+            is_write=np.zeros(2, dtype=bool),
+        )
+        self._assert_rejected_and_untouched(
+            make_hierarchy, "task_ids", trace, np.zeros(2, dtype=np.int32)
+        )
+
+    def test_negative_thread_id(self, make_hierarchy):
+        """Thread -3 used to land on core ``-3 % cores``."""
+        self._assert_rejected_and_untouched(
+            make_hierarchy, "task_thread", make_trace([128, 128]),
+            np.array([-3], dtype=np.int32),
+        )
+
+
+# ----------------------------------------------------------------------
+# The sim library under UndefinedBehaviorSanitizer
+# ----------------------------------------------------------------------
+
+UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+
+@pytest.fixture(scope="class")
+def ubsan_sim_library(tmp_path_factory):
+    """Rebuild the sim library with UBSan for the class's tests.
+
+    Any undefined behaviour the tests then reach aborts the process,
+    which fails the run.  ``dlopen`` pulls in the UBSan runtime as a
+    dependency of the object, so ctypes needs no ``LD_PRELOAD``.
+    """
+    if ckernel.get_kernel() is None:
+        pytest.skip("no C compiler: sim library unavailable")
+    cache_dir = tmp_path_factory.mktemp("ubsan")
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(cbuild.CACHE_DIR_ENV, str(cache_dir))
+            patch.setattr(cbuild, "CFLAGS", cbuild.CFLAGS + UBSAN_FLAGS)
+            ckernel.reset()
+            if ckernel.get_kernel() is None:
+                pytest.skip(f"cc cannot build and link {' '.join(UBSAN_FLAGS)}")
+            yield cache_dir
+    finally:
+        ckernel.reset()  # the next caller loads the regular build again
+
+
+_UBSAN_PROBE = """
+import sys
+import numpy as np
+from repro.sim import cbuild, ckernel
+cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
+one = np.zeros(1, dtype=np.int64)
+levels = [np.full(1, -1, dtype=np.int64) for _ in range(3)]
+geometry = [arg for tags in levels for arg in (tags.ctypes.data, 1, 1)]
+counters = np.zeros(8, dtype=np.int64)
+# lines_per_page = 0: the home-socket division is undefined.
+ckernel.get_cache_replay()(
+    1, one.ctypes.data, one.ctypes.data, one.ctypes.data,
+    64, 0, 1, 1, 0, *geometry, counters.ctypes.data,
+)
+"""
+
+
+@pytest.mark.usefixtures("ubsan_sim_library")
+class TestSimLibraryUnderUBSan(TestNativeReplayMatchesReference):
+    """The replay verifier above (inherited) and the event-loop
+    differential suite, run through the sanitized build."""
+
+    def test_the_sanitizer_is_live(self, ubsan_sim_library):
+        """The build under test does trap: a raw call the Python side
+        would have refused (a page of zero lines) is reported by the
+        UBSan runtime in a child process."""
+        assert list(ubsan_sim_library.glob("saga_event_loop_*.so"))
+        child = subprocess.run(
+            [sys.executable, "-c", _UBSAN_PROBE, *UBSAN_FLAGS],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode != 0
+        assert "runtime error: division by zero" in child.stderr
+
+    def test_event_loop_differential_suite(self):
+        suite = unittest.defaultTestLoader.loadTestsFromTestCase(
+            test_sim_ckernel.CompiledKernelDifferentialTest
+        )
+        result = unittest.TestResult()
+        suite.run(result)
+        assert result.testsRun >= 5 and not result.skipped
+        assert result.wasSuccessful(), result.errors + result.failures

@@ -50,6 +50,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MachineConfig(l2_bytes=1000)  # not a multiple of 64
 
+    def test_rejects_zero_line_size(self):
+        """Was a ``ZeroDivisionError`` out of the capacity check."""
+        with pytest.raises(ConfigError, match="line_bytes"):
+            MachineConfig(line_bytes=0)
+
+    def test_rejects_page_smaller_than_a_line(self):
+        """Was accepted; ``CacheHierarchy.replay`` then divided by
+        ``page_bytes // line_bytes == 0`` at the first memory access."""
+        with pytest.raises(ConfigError, match="page_bytes"):
+            MachineConfig(page_bytes=32)
+
+    @pytest.mark.parametrize("page_bytes", [0, -4096, 96])
+    def test_rejects_page_not_a_whole_number_of_lines(self, page_bytes):
+        with pytest.raises(ConfigError, match="page_bytes"):
+            MachineConfig(page_bytes=page_bytes)
+
+    @pytest.mark.parametrize("field", ["l1_ways", "l2_ways", "llc_ways"])
+    def test_rejects_zero_ways(self, field):
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(**{field: 0})
+
+    def test_accepts_one_line_pages(self):
+        assert MachineConfig(page_bytes=64).page_bytes == 64
+
 
 class TestGeometry:
     def test_cycles_to_seconds(self):
