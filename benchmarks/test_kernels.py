@@ -12,7 +12,8 @@ from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_struct
 from repro.graph.hashtables import OpenAddressTable, RobinHoodTable
 from repro.sim.cache import CacheHierarchy
 from repro.sim.machine import MachineConfig
-from repro.sim.scheduler import DynamicScheduler, Task
+from repro.sim.scheduler import DynamicScheduler
+from repro.sim.tasks import TaskArray
 from repro.sim.trace import MemoryTrace, TraceRecorder
 
 MACHINE = MachineConfig()
@@ -44,10 +45,12 @@ def test_update_throughput(benchmark, name):
 def test_dynamic_scheduler(benchmark):
     """DES throughput on a contended task mix."""
     rng = np.random.default_rng(1)
-    tasks = [
-        Task(unlocked_work=float(w), locked_work=20.0, lock=int(lock))
-        for w, lock in zip(rng.integers(5, 50, 8000), rng.integers(0, 400, 8000))
-    ]
+    tasks = TaskArray.build(
+        8000,
+        unlocked_work=rng.integers(5, 50, 8000),
+        locked_work=20.0,
+        lock=rng.integers(0, 400, 8000),
+    )
     scheduler = DynamicScheduler(64, physical_cores=32)
     result = benchmark(scheduler.run, tasks)
     assert result.makespan_cycles > 0

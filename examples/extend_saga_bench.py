@@ -43,7 +43,7 @@ class DegreeThreshold(Algorithm):
     def recalculate(self, v, view, values) -> float:
         return 1.0 if view.in_degree(v) >= K else 0.0
 
-    def fs_run(self, view, source=None, in_edges=None) -> ComputeRun:
+    def fs_run(self, view, source=None) -> ComputeRun:
         values = np.array(
             [1.0 if view.in_degree(v) >= K else 0.0 for v in range(view.num_nodes)]
         )

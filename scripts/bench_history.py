@@ -42,7 +42,7 @@ from repro.obs.baseline import (
 
 
 def _bench_name(path: str) -> str:
-    """``BENCH_kernels.json`` -> ``kernels`` (stem otherwise)."""
+    """``BENCH_scale.json`` -> ``scale`` (stem otherwise)."""
     stem = path.rsplit("/", 1)[-1]
     if stem.endswith(".json"):
         stem = stem[: -len(".json")]

@@ -19,8 +19,8 @@ Each algorithm is implemented in both compute models:
            ``min(src.path, w)``
 ========  ==============================  =================================
 
-The INC implementations all share the Algorithm-1 engine in
-:mod:`repro.compute.incremental`.
+The INC implementations all share the Algorithm-1 engine
+:func:`repro.compute.kernels.run_incremental_frontier`.
 """
 
 from repro.algorithms.base import Algorithm

@@ -1,27 +1,27 @@
 """Algorithm base class and the shared FS execution engines.
 
 An :class:`Algorithm` supplies its Table-I vertex function plus an FS
-implementation; the INC side is fully generic (Algorithm 1).  Two FS
+implementation; the INC side is fully generic (Algorithm 1, run by
+:func:`repro.compute.kernels.run_incremental_frontier`).  Two FS
 engines cover five of the six algorithms:
 
 - :func:`synchronous_fixpoint` -- evaluate every vertex's pull function
   each iteration until nothing changes (CC, MC and, with a tolerance,
   PR's power iteration).  Vectorized over an in-edge array.
-- :func:`frontier_relaxation` -- push-style rounds relaxing the
-  out-edges of an active frontier (BFS, SSWP).  SSSP's delta-stepping
-  lives in its own module.
+- :func:`repro.compute.kernels.frontier_relaxation_kernel` --
+  push-style rounds relaxing the out-edges of an active frontier (BFS,
+  SSWP).  SSSP's delta-stepping lives in its own module.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Optional, Set, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.compute import kernels
-from repro.compute.incremental import DEFAULT_EPSILON, run_incremental
-from repro.compute.kernels import use_legacy_compute
+from repro.compute.kernels import DEFAULT_EPSILON
 from repro.compute.state import AlgorithmState
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.errors import SimulationError
@@ -67,25 +67,36 @@ class Algorithm(abc.ABC):
 
     @abc.abstractmethod
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
-        """The pull-style vertex function of Table I."""
+        """The pull-style vertex function of Table I.
 
-    #: Vectorized vertex function: ``recalculate_batch(frontier, cv,
-    #: values, rows=None)`` returns the new values of every frontier
-    #: vertex from a :class:`~repro.compute.kernels.ComputeView`.
-    #: ``rows`` optionally carries the pre-expanded in-adjacency
-    #: ``(seg, nbr, wt)`` of the frontier.  Must be bit-identical to
-    #: per-vertex ``recalculate``.  ``None`` keeps the algorithm on the
-    #: legacy engine (third-party algorithms need not implement it).
-    recalculate_batch = None
+        The readable specification of the algorithm and the extension
+        point: defining this (plus :meth:`init_value` and
+        :meth:`fs_run`) is enough to run in both compute models.
+        """
 
-    #: Vectorized derivation test for deletion invalidation:
-    #: ``supports_batch(src_values, weights, dst_values)`` returns a
-    #: boolean array.  ``None`` keeps deletions on the legacy path.
-    supports_batch = None
+    def recalculate_batch(self, frontier, cv, values, rows, view):
+        """The vertex function over one dependency wave of the INC engine.
+
+        Returns the new values of the ``frontier`` vertices (ascending
+        ids) as a float64 array.  ``cv`` is the graph's
+        :class:`~repro.compute.kernels.ComputeView`, ``rows`` the
+        pre-expanded in-adjacency ``(seg, nbr, wt)`` of the frontier,
+        ``view`` the graph itself.  The default evaluates the scalar
+        :meth:`recalculate` per vertex, every call reading ``values``
+        before the engine writes the wave back -- exactly the wave
+        engine's read rule, so an algorithm that defines only the
+        scalar function runs INC unchanged.  The built-ins override it
+        with vector operations over ``rows`` that must stay
+        bit-identical to the scalar function.
+        """
+        return np.array(
+            [self.recalculate(v, view, values) for v in frontier.tolist()],
+            dtype=np.float64,
+        )
 
     #: Compiled vertex-function opcode (a ``ckernels.OP_*`` constant).
-    #: When set and the compute kernels built, the INC engine runs each
-    #: Gauss-Seidel round as a single C call instead of the wave
+    #: When set and the compute kernels built, the INC engine runs the
+    #: whole Gauss-Seidel run as a single C call instead of the wave
     #: machinery.  ``None`` keeps third-party algorithms on numpy.
     ckernel_op: Optional[int] = None
 
@@ -99,17 +110,14 @@ class Algorithm(abc.ABC):
     # -- runs -----------------------------------------------------------
 
     @abc.abstractmethod
-    def fs_run(self, view, source: Optional[int] = None, in_edges=None) -> ComputeRun:
+    def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         """Recomputation from scratch on the current graph.
 
-        ``in_edges`` optionally supplies pre-extracted ``(src, dst,
-        weight)`` arrays of the view's in-edges; the synchronous
-        algorithms use them to skip re-extraction (the streaming driver
-        maintains them incrementally).  Built-in implementations also
-        accept ``compute_view`` (a prebuilt columnar view for the
-        frontier kernels); the driver shares one per batch through
-        :func:`repro.compute.kernels.view_scope` instead of passing it,
-        so third-party overrides need not add the parameter.
+        Built-in implementations also accept ``compute_view`` (a
+        prebuilt columnar view for the kernels); the driver shares one
+        per batch through :func:`repro.compute.kernels.view_scope`
+        instead of passing it, so third-party overrides need not add
+        the parameter.
         """
 
     def inc_run(
@@ -122,9 +130,6 @@ class Algorithm(abc.ABC):
     ) -> ComputeRun:
         """Incremental run (Algorithm 1) updating ``state`` in place.
 
-        Runs the vectorized frontier engine when the algorithm supplies
-        ``recalculate_batch`` (all six built-ins do), unless
-        ``SAGA_BENCH_LEGACY_COMPUTE=1`` selects the per-vertex loop.
         ``compute_view`` optionally supplies a prebuilt columnar view;
         otherwise the driver-scoped view or a fresh export is used.
         """
@@ -133,31 +138,13 @@ class Algorithm(abc.ABC):
             if source is None:
                 raise SimulationError(f"{self.name} requires a source vertex")
             state.values[source] = self.source_value()
-
-        if self.recalculate_batch is not None and not use_legacy_compute():
-            run = kernels.run_incremental_frontier(
-                view,
-                state.values,
-                affected,
-                self,
-                source=source,
-                compute_view=compute_view,
-            )
-            run.source = source
-            return run
-
-        def recalc(v: int) -> float:
-            if self.needs_source and v == source:
-                return state.values[v]
-            return self.recalculate(v, view, state.values)
-
-        run = run_incremental(
+        run = kernels.run_incremental_frontier(
             view,
             state.values,
             affected,
-            recalc,
-            algorithm=self.name,
-            epsilon=self.epsilon,
+            self,
+            source=source,
+            compute_view=compute_view,
         )
         run.source = source
         return run
@@ -178,6 +165,23 @@ class Algorithm(abc.ABC):
         """
         return True
 
+    def supports_batch(self, source_values, weights, target_values) -> np.ndarray:
+        """:meth:`supports` over edge columns (deletion invalidation).
+
+        The default applies the scalar test per edge; the built-ins
+        override it with one vector comparison.
+        """
+        return np.fromiter(
+            (
+                self.supports(s, w, t)
+                for s, w, t in zip(
+                    source_values.tolist(), weights.tolist(), target_values.tolist()
+                )
+            ),
+            dtype=bool,
+            count=len(weights),
+        )
+
     def inc_delete_run(
         self,
         view,
@@ -192,7 +196,7 @@ class Algorithm(abc.ABC):
         deletions through cycles of mutual support.  For the monotone
         algorithms this method first invalidates the possibly-tainted
         region (KickStarter-style, see
-        :func:`repro.compute.incremental.invalidate_after_deletions`),
+        :func:`repro.compute.kernels.invalidate_frontier`),
         then re-derives it with a normal incremental run.  ``view``
         must already reflect the deletions; ``deleted_edges`` holds the
         edges actually removed -- the :class:`EdgeBatch` that
@@ -203,109 +207,65 @@ class Algorithm(abc.ABC):
         run over the deletion endpoints, which converges to the new
         fixpoint without invalidation.
         """
-        from repro.compute.incremental import invalidate_after_deletions
-
         state.ensure_initialized(view.num_nodes)
-        directed = getattr(view, "directed", True)
-        use_kernel = (
-            not use_legacy_compute()
-            and self.recalculate_batch is not None
-            and (self.monotonic is None or self.supports_batch is not None)
-        )
-        if use_kernel:
-            deleted = deleted_edges
-            if not isinstance(deleted, EdgeBatch):
-                deleted = EdgeBatch.from_edges(deleted)
-            src, dst, weight = deleted.src, deleted.dst, deleted.weight
-            if not directed:
-                mirrored = src != dst
-                src, dst, weight = (
-                    np.concatenate([src, dst[mirrored]]),
-                    np.concatenate([dst, src[mirrored]]),
-                    np.concatenate([weight, weight[mirrored]]),
-                )
-            endpoints = kernels.as_frontier(
-                np.concatenate([src, dst]), view.num_nodes
+        deleted = deleted_edges
+        if not isinstance(deleted, EdgeBatch):
+            deleted = EdgeBatch.from_edges(deleted)
+        src, dst, weight = deleted.src, deleted.dst, deleted.weight
+        if not getattr(view, "directed", True):
+            mirrored = src != dst
+            src, dst, weight = (
+                np.concatenate([src, dst[mirrored]]),
+                np.concatenate([dst, src[mirrored]]),
+                np.concatenate([weight, weight[mirrored]]),
             )
-            if self.monotonic is None:
-                return self.inc_run(
-                    view, state, endpoints, source=source, compute_view=compute_view
-                )
-            pinned = ()
-            if self.needs_source:
-                if source is None:
-                    raise SimulationError(f"{self.name} requires a source vertex")
-                state.values[source] = self.source_value()
-                pinned = (source,)
-            cv = kernels.resolve_view(view, compute_view)
-            with TRACER.span("compute.closure", args={"algorithm": self.name}):
-                tainted = kernels.invalidate_frontier(
-                    view,
-                    state.values,
-                    src,
-                    dst,
-                    weight,
-                    self.supports_batch,
-                    state.init_fn,
-                    pinned=pinned,
-                    compute_view=cv,
-                )
-            # Both id arrays lie below num_nodes, so their union needs
-            # no sort: mark and read back.
-            affected = kernels.unique_ids(
-                np.concatenate((tainted, endpoints)), view.num_nodes
-            )
-            return self.inc_run(
-                view, state, affected, source=source, compute_view=cv
-            )
-        edges = list(deleted_edges)
-        if not directed:
-            edges = edges + [(v, u, w) for u, v, w in edges if u != v]
-        endpoints = {v for _, v, _ in edges} | {u for u, _, _ in edges}
+        endpoints = kernels.as_frontier(np.concatenate([src, dst]), view.num_nodes)
         if self.monotonic is None:
-            return self.inc_run(view, state, endpoints, source=source)
-        pinned = set()
+            return self.inc_run(
+                view, state, endpoints, source=source, compute_view=compute_view
+            )
+        pinned = ()
         if self.needs_source:
             if source is None:
                 raise SimulationError(f"{self.name} requires a source vertex")
             state.values[source] = self.source_value()
-            pinned.add(source)
-        affected = invalidate_after_deletions(
-            view,
-            state.values,
-            edges,
-            self.supports,
-            state.init_fn,
-            pinned=pinned,
+            pinned = (source,)
+        cv = kernels.resolve_view(view, compute_view)
+        with TRACER.span("compute.closure", args={"algorithm": self.name}):
+            tainted = kernels.invalidate_frontier(
+                view,
+                state.values,
+                src,
+                dst,
+                weight,
+                self.supports_batch,
+                state.init_fn,
+                pinned=pinned,
+                compute_view=cv,
+            )
+        # Both id arrays lie below num_nodes, so their union needs no
+        # sort: mark and read back.
+        affected = kernels.unique_ids(
+            np.concatenate((tainted, endpoints)), view.num_nodes
         )
-        return self.inc_run(view, state, affected | endpoints, source=source)
+        return self.inc_run(view, state, affected, source=source, compute_view=cv)
 
     # -- affected set ----------------------------------------------------
 
-    def affected_from_batch(self, batch: EdgeBatch, view):
-        """Vertices directly affected by ingesting ``batch``.
+    def affected_from_batch(self, batch: EdgeBatch, view) -> np.ndarray:
+        """Vertices directly affected by ingesting ``batch``, ascending.
 
         The default marks both endpoints of every edge: the pull-side
         vertex function of the destination sees a new in-edge, and on
-        undirected graphs both ends gain a neighbor.  With a columnar
-        view in scope the result is the ascending id array the frontier
-        engine wants; otherwise a set (same vertices either way).
+        undirected graphs both ends gain a neighbor.
         """
-        cv = kernels.scoped_view(view) if not use_legacy_compute() else None
-        if cv is not None:
-            endpoints = np.concatenate([batch.src, batch.dst])
-            return kernels.unique_ids(
-                endpoints.astype(np.int64, copy=False), cv.num_nodes
-            )
-        affected: Set[int] = set()
-        for i in range(len(batch)):
-            affected.add(int(batch.src[i]))
-            affected.add(int(batch.dst[i]))
-        return affected
+        return kernels.as_frontier(
+            np.concatenate([batch.src, batch.dst]), view.num_nodes
+        )
 
 
 # ----------------------------------------------------------------------
-# Per-vertex neighbor iteration (the per-vertex tier's vertex functions)
+# Per-vertex neighbor iteration (the scalar vertex functions)
 # ----------------------------------------------------------------------
 
 
@@ -319,41 +279,9 @@ def in_sources(view, v: int):
     return [u for u, _ in view.in_neigh(v)]
 
 
-def out_targets(view, v: int):
-    """Just the target vertices of v's out-edges."""
-    return [w for w, _ in view.out_neigh(v)]
-
-
 # ----------------------------------------------------------------------
-# Shared FS engines
+# Shared FS engine
 # ----------------------------------------------------------------------
-
-
-def extract_in_edges(view, compute_view=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All edges as (src, dst, weight) arrays, grouped by destination.
-
-    Used by the vectorized synchronous engine; the arrays describe the
-    in-edges of every vertex (for undirected views, both orientations
-    appear, matching ``in_neigh``).  When a :class:`ComputeView` is
-    supplied or in scope (and the legacy path is off), the arrays come
-    from its in-CSR -- the same grouped-by-destination order the
-    per-vertex loop produces, without the per-vertex loop.
-    """
-    if not use_legacy_compute():
-        cv = compute_view if compute_view is not None else kernels.scoped_view(view)
-        if cv is not None:
-            return kernels.packed_in_edges(cv)
-    srcs, dsts, weights = [], [], []
-    for v in range(view.num_nodes):
-        for u, w in view.in_neigh(v):
-            srcs.append(u)
-            dsts.append(v)
-            weights.append(w)
-    return (
-        np.asarray(srcs, dtype=np.int64),
-        np.asarray(dsts, dtype=np.int64),
-        np.asarray(weights, dtype=np.float64),
-    )
 
 
 def synchronous_fixpoint(
@@ -363,24 +291,24 @@ def synchronous_fixpoint(
     algorithm: str,
     epsilon: float = 0.0,
     max_iterations: int = 1000,
-    in_edges=None,
     compute_view=None,
 ) -> ComputeRun:
     """Jacobi iteration of a pull-style vertex function over all vertices.
 
     ``combine(values, src, dst, weight)`` returns the next value array
-    given the current one and the in-edge arrays.  Iterates until the
-    largest change is at most ``epsilon``.
+    given the current one and the in-edge arrays: every edge grouped by
+    destination, each group in the view's ``in_neigh`` order (for
+    undirected views both orientations appear), read from the in-CSR of
+    the view's :class:`~repro.compute.kernels.ComputeView`.  Iterates
+    until the largest change is at most ``epsilon``.
     """
     n = view.num_nodes
     run = ComputeRun(algorithm=algorithm, model="FS", values=values)
     run.linear_scans = 1  # the from-scratch reset
     if n == 0:
         return run
-    src, dst, weight = (
-        in_edges
-        if in_edges is not None
-        else extract_in_edges(view, compute_view)
+    src, dst, weight = kernels.packed_in_edges(
+        kernels.resolve_view(view, compute_view)
     )
     everyone = np.arange(n, dtype=np.int64)
     for _ in range(max_iterations):
@@ -394,64 +322,4 @@ def synchronous_fixpoint(
         if float(delta.max(initial=0.0)) <= epsilon:
             return run
     run.converged = False
-    return run
-
-
-def frontier_relaxation(
-    view,
-    values: np.ndarray,
-    source: int,
-    relax: Callable[[float, float], float],
-    better: Callable[[float, float], bool],
-    algorithm: str,
-    optimize: str = "min",
-    compute_view=None,
-    relax_op: Optional[int] = None,
-) -> ComputeRun:
-    """Round-based push-style relaxation from ``source`` (BFS, SSWP).
-
-    Each round scans the out-edges of the active frontier; a neighbor
-    whose tentative value improves joins the next frontier.  ``relax``
-    and ``better`` must accept numpy arrays as well as scalars: the
-    default engine is the vectorized relaxation kernel (``optimize``
-    names the scatter direction, "min" or "max"), with the per-edge
-    loop below behind ``SAGA_BENCH_LEGACY_COMPUTE=1``.  ``relax_op``
-    optionally names the compiled twin of ``relax`` (a
-    ``ckernels.RELAX_*`` code) for the fused C rounds.
-    """
-    if not use_legacy_compute():
-        return kernels.frontier_relaxation_kernel(
-            view,
-            values,
-            source,
-            relax,
-            better,
-            optimize,
-            algorithm,
-            compute_view=compute_view,
-            relax_op=relax_op,
-        )
-    run = ComputeRun(algorithm=algorithm, model="FS", values=values, source=source)
-    run.linear_scans = 1
-    if source >= view.num_nodes:
-        return run
-    frontier = [source]
-    while frontier:
-        next_frontier = []
-        improved = np.zeros(view.num_nodes, dtype=bool)
-        pushes = 0
-        for v in frontier:
-            base = values[v]
-            for w, wt in view.out_neigh(v):
-                candidate = relax(base, wt)
-                if better(candidate, values[w]):
-                    values[w] = candidate
-                    if not improved[w]:
-                        improved[w] = True
-                        next_frontier.append(w)
-                        pushes += 1
-        run.iterations.append(
-            IterationStats.make(push=frontier, pushes=pushes, cas_ops=pushes)
-        )
-        frontier = next_frontier
     return run

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, frontier_relaxation, in_sources
+from repro.algorithms.base import Algorithm, in_sources
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.errors import SimulationError
@@ -61,15 +61,13 @@ class BFS(Algorithm):
                 best = depth
         return best
 
-    def recalculate_batch(self, frontier, cv, values, rows=None):
-        seg, nbr, _ = rows if rows is not None else kernels.expand_frontier(
-            cv.in_csr, frontier
-        )
+    def recalculate_batch(self, frontier, cv, values, rows, view):
+        seg, nbr, _ = rows
         counts = np.bincount(seg, minlength=len(frontier))
         return kernels.segment_min(values[nbr] + 1.0, counts, np.inf)
 
     def fs_run(
-        self, view, source: Optional[int] = None, in_edges=None, compute_view=None
+        self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
         if source is None:
             raise SimulationError("BFS requires a source vertex")
@@ -78,7 +76,7 @@ class BFS(Algorithm):
         values = np.full(max(view.num_nodes, 1), np.inf)
         if source < view.num_nodes:
             values[source] = 0.0
-        return frontier_relaxation(
+        return kernels.frontier_relaxation_kernel(
             view,
             values,
             source,

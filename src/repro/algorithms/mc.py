@@ -51,17 +51,15 @@ class MaxComputation(Algorithm):
                 best = values[u]
         return best
 
-    def recalculate_batch(self, frontier, cv, values, rows=None):
-        seg, nbr, _ = rows if rows is not None else kernels.expand_frontier(
-            cv.in_csr, frontier
-        )
+    def recalculate_batch(self, frontier, cv, values, rows, view):
+        seg, nbr, _ = rows
         counts = np.bincount(seg, minlength=len(frontier))
         return np.maximum(
             values[frontier], kernels.segment_max(values[nbr], counts, -np.inf)
         )
 
     def fs_run(
-        self, view, source: Optional[int] = None, in_edges=None, compute_view=None
+        self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
         values = np.arange(max(view.num_nodes, 1), dtype=np.float64)
         return synchronous_fixpoint(
@@ -70,6 +68,5 @@ class MaxComputation(Algorithm):
             _combine_max,
             algorithm=self.name,
             epsilon=0.0,
-            in_edges=in_edges,
             compute_view=compute_view,
         )

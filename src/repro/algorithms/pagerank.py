@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, in_sources, out_targets, synchronous_fixpoint
+from repro.algorithms.base import Algorithm, in_sources, synchronous_fixpoint
 from repro.compute import ckernels, kernels
 from repro.compute.state import AlgorithmState
 from repro.compute.stats import ComputeRun
@@ -60,10 +60,8 @@ class PageRank(Algorithm):
             total += values[u] / out_degree(u)
         return (1.0 - DAMPING) / max(view.num_nodes, 1) + DAMPING * total
 
-    def recalculate_batch(self, frontier, cv, values, rows=None):
-        seg, nbr, _ = rows if rows is not None else kernels.expand_frontier(
-            cv.in_csr, frontier
-        )
+    def recalculate_batch(self, frontier, cv, values, rows, view):
+        seg, nbr, _ = rows
         # bincount accumulates in row (= in-neighbor) order: the same
         # float bits as the scalar function's sequential sum.
         totals = kernels.segment_sum_ordered(
@@ -87,68 +85,39 @@ class PageRank(Algorithm):
             view, state, affected, source=source, compute_view=compute_view
         )
 
-    def affected_from_batch(self, batch: EdgeBatch, view) -> set:
+    def affected_from_batch(self, batch: EdgeBatch, view) -> np.ndarray:
         """PR's affected set additionally covers rank renormalization.
 
         Inserting ``(u, v)`` changes v's in-edges *and* u's out-degree;
         the latter perturbs the term ``rank(u)/out_degree(u)`` seen by
-        every existing out-neighbor of u.  With a columnar view in
-        scope the out-neighbor sweep runs over the out-CSR instead of
-        per-vertex Python iteration (same set either way; the engine
-        uniques it).
+        every existing out-neighbor of u, so the out-rows of the
+        batch's sources join the endpoints.
         """
-        cv = kernels.scoped_view(view) if not kernels.use_legacy_compute() else None
-        if cv is not None:
-            src = np.asarray(batch.src, dtype=np.int64)
-            dst = np.asarray(batch.dst, dtype=np.int64)
-            sources = kernels.unique_ids(src, cv.num_nodes)
-            _, fanout, _ = kernels.expand_frontier(cv.out_csr, sources)
-            return kernels.unique_ids(
-                np.concatenate([src, dst, fanout]), cv.num_nodes
-            )
-        affected = set()
-        for i in range(len(batch)):
-            u = int(batch.src[i])
-            v = int(batch.dst[i])
-            affected.add(u)
-            affected.add(v)
-            affected.update(out_targets(view, u))
-        return affected
+        cv = kernels.resolve_view(view)
+        src = np.asarray(batch.src, dtype=np.int64)
+        dst = np.asarray(batch.dst, dtype=np.int64)
+        sources = kernels.unique_ids(src, cv.num_nodes)
+        _, fanout, _ = kernels.expand_frontier(cv.out_csr, sources)
+        return kernels.unique_ids(np.concatenate([src, dst, fanout]), cv.num_nodes)
 
     def fs_run(
-        self, view, source: Optional[int] = None, in_edges=None, compute_view=None
+        self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
         n = max(view.num_nodes, 1)
         values = np.full(n, 1.0 / n)
-        cv = compute_view
-        if cv is None and not kernels.use_legacy_compute():
-            cv = kernels.scoped_view(view)
-        if cv is not None and view.num_nodes:
-            # Small integers convert to float64 exactly: same divisors
-            # as the per-vertex loop below, without the loop.
-            out_degree = np.maximum(cv.out_degree, 1).astype(np.float64)
-        else:
-            out_degree = np.asarray(
-                [max(view.out_degree(v), 1) for v in range(view.num_nodes)] or [1],
-                dtype=np.float64,
-            )
+        cv = kernels.resolve_view(view, compute_view)
+        # Small integers convert to float64 exactly: the scalar
+        # function's divisors.  (A vertex without out-edges is nobody's
+        # in-neighbor, so its zero is never read.)
+        out_degree = cv.out_degree.astype(np.float64)
         base = (1.0 - DAMPING) / n
 
-        legacy = kernels.use_legacy_compute()
-
         def combine(current, src, dst, weight):
-            sums = np.zeros(len(current))
-            if len(src):
-                if legacy:
-                    np.add.at(sums, dst, current[src] / out_degree[src])
-                else:
-                    # bincount accumulates in array order -- the same
-                    # sequential float bits as add.at, much faster.
-                    sums = np.bincount(
-                        dst,
-                        weights=current[src] / out_degree[src],
-                        minlength=len(current),
-                    )
+            # bincount accumulates in array order: the same float bits
+            # as the scalar function's sequential sum over in-neighbors.
+            sums = np.bincount(
+                dst, weights=current[src] / out_degree[src], minlength=len(current)
+            )
             return base + DAMPING * sums
 
         return synchronous_fixpoint(
@@ -158,6 +127,5 @@ class PageRank(Algorithm):
             algorithm=self.name,
             epsilon=PR_EPSILON,
             max_iterations=200,
-            in_edges=in_edges,
             compute_view=cv,
         )

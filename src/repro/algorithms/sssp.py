@@ -12,7 +12,7 @@ bucket.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -64,111 +64,44 @@ class SSSP(Algorithm):
                 best = candidate
         return best
 
-    def recalculate_batch(self, frontier, cv, values, rows=None):
-        seg, nbr, wts = rows if rows is not None else kernels.expand_frontier(
-            cv.in_csr, frontier
-        )
+    def recalculate_batch(self, frontier, cv, values, rows, view):
+        seg, nbr, wts = rows
         counts = np.bincount(seg, minlength=len(frontier))
         return kernels.segment_min(values[nbr] + wts, counts, np.inf)
 
-    def _pick_delta(self, view, cv=None) -> float:
+    def _pick_delta(self, cv) -> float:
         if self.delta is not None:
             return self.delta
         # Mean edge weight is a standard default for delta-stepping.
-        if cv is not None:
-            weights = kernels.packed_out_weights(cv)
-            count = int(weights.size)
-            # Sequential cumsum keeps the scalar loop's accumulation
-            # order (np.sum is pairwise and rounds differently).
-            total = float(np.cumsum(weights)[-1]) if count else 0.0
-            return max(total / count, 1e-9) if count else 1.0
-        total, count = 0.0, 0
-        for v in range(view.num_nodes):
-            for _, w in view.out_neigh(v):
-                total += w
-                count += 1
+        weights = kernels.packed_out_weights(cv)
+        count = int(weights.size)
+        # Sequential cumsum keeps a scalar loop's accumulation order
+        # (np.sum is pairwise and rounds differently).
+        total = float(np.cumsum(weights)[-1]) if count else 0.0
         return max(total / count, 1e-9) if count else 1.0
 
     def fs_run(
-        self, view, source: Optional[int] = None, in_edges=None, compute_view=None
+        self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
         if source is None:
             raise SimulationError("SSSP requires a source vertex")
         if self.use_dijkstra:
             return self._fs_dijkstra(view, source)
-        if not kernels.use_legacy_compute():
-            return self._fs_delta_kernel(view, source, compute_view)
-        n = max(view.num_nodes, 1)
-        values = np.full(n, np.inf)
-        run = ComputeRun(algorithm=self.name, model="FS", values=values, source=source)
-        run.linear_scans = 1
-        if source >= view.num_nodes:
-            return run
-        values[source] = 0.0
-        delta = self._pick_delta(view)
-
-        buckets: Dict[int, Set[int]] = {0: {source}}
-        while buckets:
-            i = min(buckets)
-            bucket = buckets.pop(i)
-            settled: list = []
-            # Light-edge phase: iterate within the bucket.
-            while True:
-                frontier = sorted(
-                    v for v in bucket if int(values[v] // delta) == i
-                )
-                bucket = set()
-                if not frontier:
-                    break
-                settled.extend(frontier)
-                pushes = 0
-                for v in frontier:
-                    base = values[v]
-                    for w, wt in view.out_neigh(v):
-                        if wt > delta:
-                            continue
-                        candidate = base + wt
-                        if candidate < values[w]:
-                            values[w] = candidate
-                            pushes += 1
-                            j = int(candidate // delta)
-                            if j == i:
-                                bucket.add(w)
-                            else:
-                                buckets.setdefault(j, set()).add(w)
-                run.iterations.append(
-                    IterationStats.make(push=frontier, pushes=pushes, cas_ops=pushes)
-                )
-            if not settled:
-                continue
-            # Heavy-edge phase: one relaxation pass over the bucket.
-            pushes = 0
-            for v in settled:
-                base = values[v]
-                for w, wt in view.out_neigh(v):
-                    if wt <= delta:
-                        continue
-                    candidate = base + wt
-                    if candidate < values[w]:
-                        values[w] = candidate
-                        pushes += 1
-                        buckets.setdefault(int(candidate // delta), set()).add(w)
-            run.iterations.append(
-                IterationStats.make(push=settled, pushes=pushes, cas_ops=pushes)
-            )
-        return run
+        return self._fs_delta_kernel(view, source, compute_view)
 
     def _fs_delta_kernel(self, view, source: int, compute_view=None) -> ComputeRun:
         """Delta-stepping over the columnar view, pass-at-a-time.
 
-        Each light/heavy pass becomes one :func:`kernels.relax_pass`
-        (prefix waves reproduce the sequential bases) plus one
+        Light edges (weight <= delta) are relaxed iteratively inside a
+        bucket; heavy edges once per settled bucket.  Each light/heavy
+        pass becomes one :func:`kernels.relax_pass` (prefix waves
+        reproduce the sequential bases) plus one
         :func:`kernels.relaxation_events` scan that recovers exactly the
-        successful compare-and-updates the scalar loop would have
-        performed -- so pushes, bucket membership, and float bits all
-        match the legacy path.  When the compiled compute kernels
-        built, the whole pass (weight filter, sequential conditional
-        relaxation, event capture) is one C call instead.
+        successful compare-and-updates a sequential per-edge loop would
+        have performed -- so pushes, bucket membership, and float bits
+        all match it.  When the compiled compute kernels built, the
+        whole pass (weight filter, sequential conditional relaxation,
+        event capture) is one C call instead.
         """
         cv = kernels.resolve_view(view, compute_view)
         n = max(cv.num_nodes, 1)
@@ -178,7 +111,7 @@ class SSSP(Algorithm):
         if source >= cv.num_nodes:
             return run
         values[source] = 0.0
-        delta = self._pick_delta(view, cv)
+        delta = self._pick_delta(cv)
         ck = ckernels.get("delta_pass")
 
         def relax(base: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -196,7 +129,7 @@ class SSSP(Algorithm):
             return tgt[events], cand[events]
 
         # Buckets hold unmerged member fragments; dedup happens at pop
-        # time (the legacy sets dedup on insert -- same members).
+        # time (same members as deduplicating on insert).
         buckets: Dict[int, List[np.ndarray]] = {
             0: [np.array([source], dtype=np.int64)]
         }

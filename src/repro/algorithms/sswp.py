@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, frontier_relaxation, in_pairs
+from repro.algorithms.base import Algorithm, in_pairs
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 from repro.errors import SimulationError
@@ -52,10 +52,8 @@ class SSWP(Algorithm):
                 best = width
         return best
 
-    def recalculate_batch(self, frontier, cv, values, rows=None):
-        seg, nbr, wts = rows if rows is not None else kernels.expand_frontier(
-            cv.in_csr, frontier
-        )
+    def recalculate_batch(self, frontier, cv, values, rows, view):
+        seg, nbr, wts = rows
         counts = np.bincount(seg, minlength=len(frontier))
         widths = np.minimum(values[nbr], wts)
         # The scalar function starts its max at 0.0 (unreached), so the
@@ -64,14 +62,14 @@ class SSWP(Algorithm):
         return np.maximum(kernels.segment_max(widths, counts, -np.inf), 0.0)
 
     def fs_run(
-        self, view, source: Optional[int] = None, in_edges=None, compute_view=None
+        self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
         if source is None:
             raise SimulationError("SSWP requires a source vertex")
         values = np.zeros(max(view.num_nodes, 1))
         if source < view.num_nodes:
             values[source] = np.inf
-        return frontier_relaxation(
+        return kernels.frontier_relaxation_kernel(
             view,
             values,
             source,

@@ -1,27 +1,21 @@
-"""Shared wall-clock benchmark harness and history (see ``harness``)."""
+"""Wall-clock benchmark history records (see ``harness``)."""
 
 from repro.bench.harness import (
     HISTORY_SCHEMA_VERSION,
-    alternating_runs,
     append_history,
-    batches_of,
     git_sha,
     load_history,
     make_record,
-    min_run,
     record_from_bench_json,
     workload_fingerprint,
 )
 
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
-    "alternating_runs",
     "append_history",
-    "batches_of",
     "git_sha",
     "load_history",
     "make_record",
-    "min_run",
     "record_from_bench_json",
     "workload_fingerprint",
 ]

@@ -1,15 +1,11 @@
-"""Shared harness for the wall-clock benchmark scripts.
+"""History records for the wall-clock benchmark scripts.
 
-The three ``scripts/bench_*.py`` tools used to each carry their own
-copy of the same timing scaffolding: slicing a dataset into batches,
-interleaving cold repetitions of the compared paths, taking the
-minimum per path, and writing a one-off ``BENCH_*.json`` snapshot with
-no memory across runs.  This module is that scaffolding, shared -- plus
-the piece that gives benches a memory: every run can be distilled into
-a schema'd *history record* (git SHA, timestamp, workload fingerprint,
-the flattened min-of-N timings, environment facts) and appended to
-``BENCH_history.jsonl``, which the regression detector in
-:mod:`repro.obs.baseline` reads.
+A ``scripts/bench_*.py`` run writes a one-off ``BENCH_*.json`` snapshot
+with no memory across runs.  This module gives benches a memory: every
+run can be distilled into a schema'd *history record* (git SHA,
+timestamp, workload fingerprint, the flattened min-of-N timings,
+environment facts) and appended to ``BENCH_history.jsonl``, which the
+regression detector in :mod:`repro.obs.baseline` reads.
 
 Design rules:
 
@@ -31,7 +27,7 @@ import json
 import subprocess
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: Bump when the record layout changes; the detector skips records
 #: from other schemas rather than misreading them.
@@ -44,42 +40,6 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 #: Top-level bench-payload keys that describe the environment a number
 #: was measured in (copied verbatim into the history record).
 _ENV_KEYS = ("python", "ckernel_loaded", "cingest_loaded", "compute_threads")
-
-
-# ----------------------------------------------------------------------
-# Timing-loop scaffolding (extracted from the bench scripts)
-# ----------------------------------------------------------------------
-
-
-def batches_of(dataset, batch_size: int):
-    """Slice a dataset's edge stream into driver-shaped batches."""
-    edges = dataset.edges
-    return [
-        edges.slice(i, min(i + batch_size, len(edges)))
-        for i in range(0, len(edges), batch_size)
-    ]
-
-
-def alternating_runs(
-    paths: Dict[str, Callable[[], dict]], repeat: int
-) -> Dict[str, List[dict]]:
-    """``repeat`` cold repetitions per labeled path, interleaved.
-
-    Alternation makes background load hit every compared path equally;
-    each callable must be a fully cold run (fresh structures, fresh
-    address space) so repetitions stay independent.
-    """
-    results: Dict[str, List[dict]] = {label: [] for label in paths}
-    for _ in range(repeat):
-        for label, fn in paths.items():
-            results[label].append(fn())
-    return results
-
-
-def min_run(runs: List[dict], seconds_key: str = "seconds") -> dict:
-    """The repetition with the smallest timing -- the standard way to
-    keep OS scheduling noise out of a single-process comparison."""
-    return min(runs, key=lambda run: run[seconds_key])
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ Two models run an algorithm over the freshly updated graph:
   *processing amortization* (start from the previous batch's values)
   plus *selective triggering* (recompute only vertices affected,
   directly or transitively, by the latest update).  The generic engine
-  lives in :mod:`repro.compute.incremental`.
+  is :func:`repro.compute.kernels.run_incremental_frontier`.
 
 :mod:`repro.compute.pricing` converts the operation counts of a run
 into per-data-structure compute latencies on the simulated machine.
@@ -17,16 +17,11 @@ into per-data-structure compute latencies on the simulated machine.
 :mod:`repro.compute.kernels` holds the vectorized compute path: one
 columnar :class:`~repro.compute.kernels.ComputeView` per batch plus
 frontier-at-a-time kernels for both models, bit-identical to the
-per-vertex engines (``SAGA_BENCH_LEGACY_COMPUTE=1`` restores those).
+sequential per-vertex loops they replaced (kept as the oracle in
+``tests/oracles.py``).
 """
 
-from repro.compute.incremental import run_incremental
-from repro.compute.kernels import (
-    LEGACY_COMPUTE_ENV,
-    ComputeView,
-    use_legacy_compute,
-    view_scope,
-)
+from repro.compute.kernels import ComputeView, run_incremental_frontier, view_scope
 from repro.compute.pricing import ComputePricing, price_compute_run
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.compute.state import AlgorithmState
@@ -37,9 +32,7 @@ __all__ = [
     "ComputeRun",
     "ComputeView",
     "IterationStats",
-    "LEGACY_COMPUTE_ENV",
     "price_compute_run",
-    "run_incremental",
-    "use_legacy_compute",
+    "run_incremental_frontier",
     "view_scope",
 ]

@@ -9,7 +9,7 @@ the system C compiler (the :mod:`repro.sim.cbuild` pattern from PR 2:
 content-hashed build cache, atomic install, ``-ffp-contract=off``) and
 exposes them behind the same bit-identity contract as the numpy twins.
 
-The deeper win is *fusion*: the legacy engines are sequential
+The deeper win is *fusion*: the algorithms are specified as sequential
 Gauss-Seidel loops, which numpy can only reproduce through
 dependency-level wave scheduling -- but a C loop that processes the
 ascending frontier one position at a time reproduces the sequential
@@ -24,7 +24,7 @@ grows it, and the kernel resumes at its cursor (the
 :mod:`repro.sim.cingest` idiom).  ``saga_taint_closure`` takes the
 KickStarter forward closure on byte masks, and ``saga_delta_pass``
 remains one call per delta-stepping pass.  Float accumulation order is
-the sequential order of the legacy loops by construction, NaN semantics
+the sequential order of the per-vertex loops by construction, NaN semantics
 follow numpy (``np.minimum`` propagates NaN; ``inf - inf`` is not a
 change), and the build forbids FMA contraction.  Every crossing ticks
 ``compute_kernel_calls_total{kernel}``.
@@ -40,8 +40,6 @@ Gates:
 - ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build into a hard
   error instead of the silent numpy fallback (CI sets it so a broken
   toolchain cannot masquerade as a perf regression).
-- ``SAGA_BENCH_LEGACY_COMPUTE=1`` bypasses the vectorized engines
-  entirely, so these kernels never run on the legacy path.
 - ``SAGA_BENCH_COMPUTE_THREADS=N`` runs the INC round body on a
   persistent pthread pool.  Results are bit-identical at every thread
   count: the round is partitioned into flow-dependency levels, each
@@ -122,7 +120,7 @@ _SOURCE = r"""
 #include <pthread.h>
 
 /* Compute-phase inner loops.  Every function mirrors a numpy kernel
- * (or the legacy per-vertex loop it vectorizes) operation for
+ * (or the sequential per-vertex loop it vectorizes) operation for
  * operation: identical IEEE float64 arithmetic in identical order, and
  * numpy's NaN semantics where min/max are involved (np.minimum /
  * np.maximum propagate NaN; C fmin/fmax do NOT, so comparisons are
@@ -714,8 +712,9 @@ static int inc_round_mt(
  * updated, later ones not), writes its new value, and on a change
  * greater than epsilon scans its out-row (cas_ops), deduplicating the
  * next frontier through the caller's zeroed seen[] bytes.  This IS the
- * legacy run_incremental loop, so bit-identity holds by construction;
- * the numpy engine needs dependency-level waves to reproduce it.
+ * sequential Algorithm-1 loop (tests/oracles.py keeps it in Python), so
+ * bit-identity holds by construction; the numpy engine needs
+ * dependency-level waves to reproduce it.
  *
  * op selects the Table-I vertex function.  pinned (-1 = none) keeps
  * the source at its current value (old == new, never triggers).
@@ -891,11 +890,11 @@ int64_t saga_inc_run(
 }
 
 /* All FS frontier-relaxation rounds of one run (BFS / SSWP), fused:
- * the legacy loop verbatim -- each frontier vertex reads its base
+ * the sequential loop verbatim -- each frontier vertex reads its base
  * value at its turn, relaxes its out-edges sequentially, conditionally
  * updates, and appends each target to the next frontier on its first
  * improvement (improved[] must arrive zeroed; it leaves zeroed).  The
- * next frontier keeps discovery order (the legacy append order), NOT
+ * next frontier keeps discovery order (the loop's append order), NOT
  * sorted, and is written straight behind the current one. */
 int64_t saga_relax_run(
     int64_t n,
@@ -1383,8 +1382,8 @@ def set_compute_threads(n: int) -> None:
 def loaded() -> bool:
     """True when the compiled library is built and loadable.
 
-    The bench scripts embed this in ``BENCH_*.json`` so a silent numpy
-    fallback cannot masquerade as a perf change.
+    Benchmark records embed this (``bench_e2e/worker.py``) so a silent
+    numpy fallback cannot masquerade as a perf change.
     """
     return _probe() is not None
 

@@ -1,28 +1,28 @@
 """Vectorized compute-phase kernels: columnar CSR views + frontier ops.
 
 PR 2 made the *update* phase columnar; this module does the same for
-the *compute* phase.  The per-vertex engines (``run_incremental``'s
-Python loop, ``frontier_relaxation``'s per-edge relaxations) become
-frontier-at-a-time kernels over a :class:`ComputeView` -- indptr /
+the *compute* phase.  Algorithm 1 and the push-style FS relaxations
+run frontier-at-a-time over a :class:`ComputeView` -- indptr /
 indices / weights CSR arrays exported by every graph structure or
 maintained per batch by the streaming driver -- in the GraphBolt /
 KickStarter shape: expand the frontier with ``np.repeat``, gather
 neighbor values, reduce with segment operations.
 
-The kernels are **bit-identical** to the legacy per-vertex engines:
-same float values, same per-round ``IterationStats`` arrays, same
-triggered counts, and therefore the same priced cycles.  Two things
-make that non-trivial:
+The specification is the sequential per-vertex loop (kept as the
+oracle in ``tests/oracles.py``), and the kernels are **bit-identical**
+to it: same float values, same per-round ``IterationStats`` arrays,
+same triggered counts, and therefore the same priced cycles.  Two
+things make that non-trivial:
 
-1. **Sequential in-round semantics.**  The legacy engines are
-   Gauss-Seidel within a round: a vertex late in the iteration order
-   observes the *updated* values of vertices processed earlier in the
-   same round.  The kernels reproduce this with *prefix waves*: the
-   ordered frontier is cut into contiguous position ranges such that
-   no range contains a position that depends on an earlier position in
-   the same range (:func:`prefix_waves`).  Contiguity matters -- it
-   also preserves the *reverse* constraint that a vertex reads its
-   inputs before any later-positioned vertex overwrites them.
+1. **Sequential in-round semantics.**  Algorithm 1 is Gauss-Seidel
+   within a round: a vertex late in the iteration order observes the
+   *updated* values of vertices processed earlier in the same round.
+   The INC engine reproduces this with *dependency-level waves*
+   (:func:`dependency_levels`): a wave evaluates its vertices from the
+   values as they stand, then writes all of them back, and a vertex
+   sits in a strictly later wave than every earlier-positioned
+   in-neighbor whose new value it must see.  The push-style passes
+   use contiguous *prefix waves* (:func:`prefix_waves`) instead.
 2. **Sequential float accumulation.**  ``np.add.reduce`` and
    ``np.add.reduceat`` use pairwise summation, which is *not* the
    bit pattern of a sequential Python ``+=`` loop.  ``np.bincount``
@@ -30,13 +30,13 @@ make that non-trivial:
    ``bincount`` and whole-array sums (SSSP's delta pick) ``cumsum``.
    Min/max reductions are order-free bitwise and use ``reduceat``.
 
-The legacy path stays available behind ``SAGA_BENCH_LEGACY_COMPUTE=1``
-(mirroring ``SAGA_BENCH_LEGACY_TASKS`` from PR 2).
+The numpy engines here are the reference for, and the no-compiler
+fallback of, the compiled run kernels in :mod:`repro.compute.ckernels`
+(whose ``DISABLE_ENV`` switch selects them).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -48,16 +48,14 @@ from repro.errors import SimulationError
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, METRICS
 from repro.obs.tracer import TRACER
 
-#: Set to "1" to run the legacy per-vertex compute engines.
-LEGACY_COMPUTE_ENV = "SAGA_BENCH_LEGACY_COMPUTE"
+#: The paper's triggering threshold (Algorithm 1 line 1).
+DEFAULT_EPSILON = 1e-7
+
+#: Safety valve: no algorithm here needs anywhere near this many rounds.
+MAX_ROUNDS = 10_000
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
-
-
-def use_legacy_compute() -> bool:
-    """True when the environment selects the per-vertex compute path."""
-    return os.environ.get(LEGACY_COMPUTE_ENV) == "1"
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +192,7 @@ class ComputeView:
         (``compute_view()``).  Otherwise prefers the view's packed
         ``csr_arrays(direction)``; falls back to per-vertex
         ``out_neigh``/``in_neigh`` iteration for foreign views, so
-        every view type the legacy engines accepted works.
+        anything with the paper's neighbor API works.
         """
         maintained = getattr(view, "compute_view", None)
         if maintained is not None:
@@ -257,7 +255,7 @@ def packed_in_edges(cv: ComputeView) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     """``(src, dst, weight)`` of every edge, grouped by destination.
 
     Within one destination the edges keep the view's neighbor order --
-    the order the legacy in-edge extraction iterates.  Zero-copy when
+    the order a per-vertex ``in_neigh`` walk visits them.  Zero-copy when
     the view is packed; a single flat gather otherwise.  Cached on the
     view, which is immutable once published.
     """
@@ -348,7 +346,7 @@ def expand_frontier(
     Returns ``(seg, nbr, wt)``: for row r, frontier position ``seg[r]``
     touches neighbor ``nbr[r]`` with weight ``wt[r]``.  ``seg`` is
     non-decreasing and rows within one position follow the view's
-    neighbor order -- exactly the order the legacy per-vertex loop
+    neighbor order -- exactly the order a sequential per-vertex loop
     visits edges.  Robust to empty adjacency lists.
     """
     counts = csr.degrees[frontier]
@@ -423,10 +421,9 @@ def scatter_extreme(
     """In-place per-index min/max scatter (``np.minimum.at`` twin).
 
     Min/max are order-free bitwise, so the compiled loop and the ufunc
-    ``.at`` form are interchangeable; the C path is skipped under the
-    legacy env so the legacy engines' timings stay untouched.
+    ``.at`` form are interchangeable.
     """
-    ck = None if use_legacy_compute() else ckernels.get("scatter")
+    ck = ckernels.get("scatter")
     if ck is not None and idx.size:
         ck.scatter_extreme(
             out,
@@ -646,17 +643,25 @@ def run_incremental_frontier(
     algorithm,
     source: Optional[int] = None,
     compute_view: Optional[ComputeView] = None,
-    max_rounds: int = 10_000,
+    max_rounds: int = MAX_ROUNDS,
 ) -> ComputeRun:
     """Algorithm 1, one frontier at a time (bit-identical to the loop).
 
-    ``algorithm`` supplies ``recalculate_batch`` (the vectorized Table
-    I vertex function), ``epsilon``, and source pinning.  Per round:
+    The paper's two incremental techniques: *processing amortization*
+    (the run starts from the caller's ``values``, the previous batch's
+    results) and *selective triggering* (the first round re-evaluates
+    only the ``affected`` vertices; a vertex whose value changed by
+    more than ``epsilon`` pushes its out-neighbors onto the next
+    frontier, until no vertex is triggered).
+
+    ``algorithm`` supplies ``recalculate_batch`` (the Table I vertex
+    function over a wave), ``epsilon``, and source pinning.  Per round:
     expand the ascending frontier over the in-CSR, schedule it into
     dependency-level waves so Gauss-Seidel reads see exactly the values
     the sequential loop would, recalculate wave-at-a-time, then derive
     ``triggered``/``cas_ops``/``pushes`` from vectorized masks over the
-    out-expansion (the legacy visited bitvector becomes ``np.unique``).
+    out-expansion (the CAS-guarded visited bitvector of Algorithm 1
+    becomes ``np.unique``).
 
     When the algorithm declares a compiled vertex function
     (``ckernel_op``) and the compute kernels built, the whole run --
@@ -717,7 +722,7 @@ def run_incremental_frontier(
                     # the whole round is one wave.
                     old = values[frontier].copy()
                     new = algorithm.recalculate_batch(
-                        frontier, cv, values, rows=(seg, nbr, nwt)
+                        frontier, cv, values, (seg, nbr, nwt), view
                     )
                     if pin_pos >= 0:
                         # The source keeps its pinned value: old ==
@@ -754,11 +759,12 @@ def run_incremental_frontier(
                             ids,
                             cv,
                             values,
-                            rows=(
+                            (
                                 np.searchsorted(wave_pos, seg[rows]),
                                 nbr[rows],
                                 nwt[rows],
                             ),
+                            view,
                         )
                         if pin_pos >= 0 and lvl[pin_pos] == levels[w]:
                             new[
@@ -793,13 +799,24 @@ def invalidate_frontier(
     pinned=(),
     compute_view: Optional[ComputeView] = None,
 ) -> np.ndarray:
-    """Vectorized KickStarter-style invalidation (see ``incremental``).
+    """KickStarter-style invalidation for deletion batches.
 
-    Flags every deletion target whose value the algorithm's vectorized
-    derivation test ``supports_batch(src_values, weights, dst_values)``
-    says could rest on the deleted edge, then takes the forward closure
-    over the out-CSR with boolean masks.  Returns the tainted vertex
-    ids ascending, after resetting their values to ``init_fn``.
+    Algorithm 1 assumes edge *insertions*: for a monotone vertex
+    function, values only improve, so recomputing affected vertices
+    converges.  After a *deletion*, a vertex's stored value may rest on
+    a path that no longer exists, and plain recomputation can keep such
+    stale values alive through cycles of mutual support (a vertex and
+    its downstream neighbors vouching for each other's dead values).
+
+    The sound fix (the trimming idea of KickStarter): flag every
+    deletion target whose stored value *could* have been derived
+    through the deleted edge -- ``supports_batch(src_values, weights,
+    dst_values)`` is the algorithm's derivation test -- then
+    over-approximate the tainted region by the flagged vertices'
+    forward closure over the out-CSR (a value derived through a tainted
+    vertex lies in that closure by construction), reset the region to
+    ``init_fn``, and let a normal incremental run re-derive it from the
+    still-valid boundary.  Returns the tainted vertex ids ascending.
     """
     cv = resolve_view(view, compute_view)
     n = cv.num_nodes
@@ -889,10 +906,10 @@ def first_improvements(
     """Rows where a target first improves, in sequential order.
 
     In a monotone pass a target's value stays at its start value until
-    the first candidate strictly better than it, so the legacy "append
-    on first improvement" frontier is exactly: per target, the earliest
-    row whose candidate beats the start value; rows sorted ascending
-    reproduce the append order.
+    the first candidate strictly better than it, so the sequential
+    "append on first improvement" frontier is exactly: per target, the
+    earliest row whose candidate beats the start value; rows sorted
+    ascending reproduce the append order.
     """
     improving = np.nonzero(better(candidates, start_values))[0]
     if improving.size == 0:
@@ -913,7 +930,7 @@ def relaxation_events(
 ) -> np.ndarray:
     """Rows that would win a sequential compare-and-update, in order.
 
-    The legacy loop counts a push whenever ``candidate`` beats the
+    A sequential loop counts a push whenever ``candidate`` beats the
     target's *current* value, which during a pass equals the best of
     its start value and all earlier candidates.  Computed exactly with
     a target-grouped exclusive running min/max: group rows by target
@@ -961,13 +978,16 @@ def frontier_relaxation_kernel(
     compute_view: Optional[ComputeView] = None,
     relax_op: Optional[int] = None,
 ) -> ComputeRun:
-    """Vectorized :func:`repro.algorithms.base.frontier_relaxation`.
+    """Round-based push-style relaxation from ``source`` (BFS, SSWP).
 
-    ``relax_op`` is the compiled twin of ``relax`` (a
-    ``ckernels.RELAX_*`` code); when given and the compute kernels
-    built, the whole run is one C call of sequential passes --
+    Each round scans the out-edges of the active frontier; a neighbor
+    whose tentative value improves joins the next frontier.  ``relax``
+    and ``better`` take numpy arrays; ``optimize`` names the scatter
+    direction ("min" or "max").  ``relax_op`` is the compiled twin of
+    ``relax`` (a ``ckernels.RELAX_*`` code); when given and the compute
+    kernels built, the whole run is one C call of sequential passes --
     relaxation, update, and first-improvement discovery fused, in the
-    exact order the legacy per-edge loop runs -- recorded in a run log.
+    exact order a per-edge loop runs -- recorded in a run log.
     """
     cv = resolve_view(view, compute_view)
     run = ComputeRun(algorithm=algorithm, model="FS", values=values, source=source)

@@ -77,8 +77,8 @@ class ComputeRun:
     linear_scans: int = 0
     converged: bool = True
     source: Optional[int] = None
-    #: Frontier accounting filled by the kernel engines (0 on the
-    #: legacy per-vertex paths): rounds executed and total frontier
+    #: Frontier accounting filled by the frontier engines (0 for the
+    #: synchronous fixpoints): rounds executed and total frontier
     #: vertices across them -- the per-batch features the cost-model
     #: fitter joins with the ``compute_frontier_size`` histogram.
     frontier_rounds: int = 0

@@ -23,7 +23,7 @@ from repro.graph.base import (
 )
 from repro.graph.nativestore import make_vector_store, native_vec_ingest
 from repro.graph.vectorstore import bulk_ingest, row_layout
-from repro.sim.scheduler import DynamicScheduler, ScheduleResult, Task, TaskArray
+from repro.sim.scheduler import DynamicScheduler, ScheduleResult, TaskArray
 
 
 class _SharedEmitter:
@@ -31,8 +31,9 @@ class _SharedEmitter:
 
     Records, per operation, the slots scanned, whether the store
     changed, the growth/backfill count, and the lock id; ``finish``
-    prices all rows with the same arithmetic (and the same operation
-    order, for bit-identity) as the per-object path.
+    prices all rows at once.  The entire search-and-insert happens
+    under the vertex lock, so all of an operation's work is
+    ``locked_work``.
     """
 
     __slots__ = (
@@ -144,8 +145,9 @@ class _SharedEmitter:
 def _price_vector_ops(cost, scanned, hit, aux, delete) -> np.ndarray:
     """Vectorized pricing of vector-store scans (shared by AS and AC).
 
-    Replicates the scalar expressions term by term: the probe charge,
-    then the slot charge on changed rows, then the grow/backfill charge.
+    Term by term: the probe charge per scanned slot, then the slot
+    charge on changed rows, then the grow (insert) or backfill
+    (delete) charge.
     """
     work = cost.probe_element * np.asarray(scanned, dtype=np.float64)
     hit = np.asarray(hit, dtype=bool)
@@ -184,47 +186,7 @@ class AdjacencyListShared(GraphDataStructure):
     def _make_emitter(self, delete: bool) -> _SharedEmitter:
         return _SharedEmitter(self, delete)
 
-    def _insert_out(self, src, dst, weight, recorder):
-        return self._locked_insert(self._out, src, dst, weight, recorder, lock=src)
-
-    def _insert_in(self, src, dst, weight, recorder):
-        return self._locked_insert(
-            self._in, src, dst, weight, recorder, lock=IN_STORE_LOCK_BASE + src
-        )
-
-    def _locked_insert(self, store, src, dst, weight, recorder, lock) -> Tuple[Task, bool]:
-        outcome = store.insert(src, dst, weight, recorder)
-        cost = self.cost
-        # The entire search-and-insert happens under the vertex lock.
-        work = cost.probe_element * outcome.scanned
-        if outcome.inserted:
-            work += cost.insert_slot
-            work += cost.vector_grow_per_element * outcome.grew_from
-        return (
-            Task(unlocked_work=0.0, locked_work=work, lock=lock),
-            outcome.inserted,
-        )
-
-    def _delete_out(self, src, dst, recorder):
-        return self._locked_delete(self._out, src, dst, recorder, lock=src)
-
-    def _delete_in(self, src, dst, recorder):
-        return self._locked_delete(
-            self._in, src, dst, recorder, lock=IN_STORE_LOCK_BASE + src
-        )
-
-    def _locked_delete(self, store, src, dst, recorder, lock) -> Tuple[Task, bool]:
-        outcome = store.remove(src, dst, recorder)
-        cost = self.cost
-        work = cost.probe_element * outcome.scanned
-        if outcome.removed:
-            work += cost.insert_slot * (1 + outcome.moved)  # clear + backfill
-        return (
-            Task(unlocked_work=0.0, locked_work=work, lock=lock),
-            outcome.removed,
-        )
-
-    def _schedule(self, tasks: List[Task], ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         scheduler = DynamicScheduler(
             threads=ctx.threads,
             physical_cores=ctx.machine.physical_cores,

@@ -14,13 +14,15 @@ phase latency is the scheduler makespan over the charged tasks.
 Edges are ingested uniquely: as in the paper, every insert first
 searches for the edge and only inserts on a negative search.
 
-Task emission is columnar by default: each structure provides a *task
-emitter* that records the primitive counts of every store operation
-(slots scanned, blocks chased, entries rehashed...) and prices them in
-bulk into a :class:`~repro.sim.tasks.TaskArray` with vectorized
-arithmetic, instead of allocating one ``Task`` object per edge.  The
-legacy object path remains selectable with ``SAGA_BENCH_LEGACY_TASKS=1``
-and produces bit-identical schedules (see ``tests/test_task_kernels.py``).
+Task emission is columnar: each structure provides a *task emitter*
+(:meth:`GraphDataStructure._make_emitter`) that records the primitive
+counts of every store operation (slots scanned, blocks chased, entries
+rehashed...) and prices them in bulk into a
+:class:`~repro.sim.tasks.TaskArray` with vectorized arithmetic.  An
+emitter's per-operation methods are the reference (and what traced
+batches run, since the store methods emit the memory accesses); its
+optional fused ``ingest_batch`` is the fast path for untraced batches.
+``tests/test_task_kernels.py`` pins the emitted columns of both.
 """
 
 from __future__ import annotations
@@ -38,13 +40,7 @@ from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim.memory import AddressSpace
-from repro.sim.scheduler import (
-    ScheduleResult,
-    Task,
-    TaskArray,
-    Tasks,
-    use_legacy_tasks,
-)
+from repro.sim.scheduler import ScheduleResult, TaskArray
 from repro.sim.trace import MemoryTrace, NullRecorder, TraceRecorder
 
 #: Lock-namespace offset separating out-store locks from in-store locks.
@@ -112,56 +108,13 @@ class UpdateResult:
         return machine.cycles_to_seconds(self.latency_cycles)
 
 
-class _ObjectEmitter:
-    """Fallback columnar emitter: runs the object path, boxes at the end.
-
-    Structures that do not define their own emitter still get a
-    :class:`TaskArray` out of the columnar ingest loop -- they just pay
-    the per-edge ``Task`` allocation they would have paid anyway.
-    """
-
-    __slots__ = ("_structure", "_tasks")
-
-    def __init__(self, structure: "GraphDataStructure") -> None:
-        self._structure = structure
-        self._tasks: List[Task] = []
-
-    @property
-    def rows(self) -> int:
-        return len(self._tasks)
-
-    def insert_out(self, src, dst, weight, recorder) -> bool:
-        task, changed = self._structure._insert_out(src, dst, weight, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def insert_in(self, src, dst, weight, recorder) -> bool:
-        task, changed = self._structure._insert_in(src, dst, weight, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def delete_out(self, src, dst, recorder) -> bool:
-        task, changed = self._structure._delete_out(src, dst, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def delete_in(self, src, dst, recorder) -> bool:
-        task, changed = self._structure._delete_in(src, dst, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def finish(self, batch_size: int) -> TaskArray:
-        self._tasks.extend(self._structure._batch_overhead_tasks(batch_size))
-        return TaskArray.from_tasks(self._tasks)
-
-
 class GraphDataStructure(abc.ABC):
     """Base class for the four streaming-graph data structures.
 
-    Subclasses implement single-edge insertion into the out-store and
-    in-store (:meth:`_insert_out` / :meth:`_insert_in`), neighbor
-    retrieval, analytic traversal costs, and the scheduling style used
-    to turn per-edge tasks into a batch-update makespan.
+    Subclasses implement the per-batch task emitter over their out-
+    and in-stores (:meth:`_make_emitter`), neighbor retrieval, analytic
+    traversal costs, and the scheduling style used to turn per-edge
+    tasks into a batch-update makespan.
 
     Parameters
     ----------
@@ -233,10 +186,10 @@ class GraphDataStructure(abc.ABC):
         Deletions follow the same search-then-act discipline as
         insertions and the same multithreading style; an edge that is
         not present costs its (negative) search and is reported in
-        ``duplicates``.  Note that incremental *compute* over deletions
-        is approximate for the monotone algorithms (see
-        ``repro.compute.incremental``); from-scratch recomputation is
-        always exact.
+        ``duplicates``.  Incremental *compute* stays sound across
+        deletions: ``Algorithm.inc_delete_run`` invalidates what the
+        removed edges supported before re-deriving it (the monotone
+        algorithms), and PR converges without invalidation.
         """
         if ctx is None:
             ctx = ExecutionContext()
@@ -263,72 +216,21 @@ class GraphDataStructure(abc.ABC):
 
     def _ingest(
         self, batch: EdgeBatch, recorder, delete: bool
-    ) -> Tuple[Tasks, int, int]:
+    ) -> Tuple[TaskArray, int, int]:
         """Apply ``batch`` to the stores and emit its tasks.
 
         Returns ``(tasks, positive, negative)`` where *positive* counts
         edges actually inserted (or removed) and *negative* counts
-        duplicates (or misses).
-        """
-        if use_legacy_tasks():
-            return self._ingest_objects(batch, recorder, delete)
-        return self._ingest_columnar(batch, recorder, delete)
-
-    def _ingest_objects(
-        self, batch: EdgeBatch, recorder, delete: bool
-    ) -> Tuple[List[Task], int, int]:
-        """The legacy per-edge object loop (one ``Task`` per operation)."""
-        tasks: List[Task] = []
-        positive = 0
-        negative = 0
-        for i in range(len(batch)):
-            u = int(batch.src[i])
-            v = int(batch.dst[i])
-            self._check_vertex(u)
-            self._check_vertex(v)
-            recorder.begin_task(len(tasks))
-            if delete:
-                task, changed = self._delete_out(u, v, recorder)
-            else:
-                w = float(batch.weight[i])
-                task, changed = self._insert_out(u, v, w, recorder)
-            tasks.append(task)
-            if changed:
-                positive += 1
-                self._num_edges += -1 if delete else 1
-            else:
-                negative += 1
-            if u != v or self.directed:
-                recorder.begin_task(len(tasks))
-                if delete:
-                    if self.directed:
-                        tasks.append(self._delete_in(v, u, recorder)[0])
-                    else:
-                        tasks.append(self._delete_out(v, u, recorder)[0])
-                else:
-                    if self.directed:
-                        tasks.append(self._insert_in(v, u, w, recorder)[0])
-                    else:
-                        tasks.append(self._insert_out(v, u, w, recorder)[0])
-            if not delete:
-                self._max_seen_node = max(self._max_seen_node, u, v)
-        tasks.extend(self._batch_overhead_tasks(len(batch)))
-        return tasks, positive, negative
-
-    def _ingest_columnar(
-        self, batch: EdgeBatch, recorder, delete: bool
-    ) -> Tuple[TaskArray, int, int]:
-        """The columnar hot path: count per edge, price in bulk.
-
-        Store mutation is shared with the object path (same store
-        methods, same call order, same trace); only task materialization
-        differs.  The whole batch is range-checked up front, so an
-        out-of-range vertex raises before any edge is applied (the
-        object path raises mid-batch).
+        duplicates (or misses).  Operations are counted per edge and
+        priced in bulk by the emitter's ``finish``.  The whole batch is
+        range-checked up front, so an out-of-range vertex raises before
+        any edge is applied.
         """
         n = len(batch)
         self._check_batch(batch)
         emitter = self._make_emitter(delete)
+        if delete and not hasattr(emitter, "delete_out"):
+            raise StructureError(f"{self.name} does not support deletion")
         tracing = recorder.enabled
         directed = self.directed
         # Untraced batches take the fused bulk loop when the emitter
@@ -384,24 +286,7 @@ class GraphDataStructure(abc.ABC):
                 )
         return emitter.finish(n), positive, n - positive
 
-    def _make_emitter(self, delete: bool):
-        """The columnar task emitter for one batch (per structure).
-
-        The default wraps the object path; structures override this
-        with an emitter that records primitive counts and prices them
-        vectorized in ``finish()``.
-        """
-        return _ObjectEmitter(self)
-
-    def _delete_out(self, src: int, dst: int, recorder) -> Tuple[Task, bool]:
-        """Remove ``src -> dst`` from the out-store (per structure)."""
-        raise StructureError(f"{self.name} does not support deletion")
-
-    def _delete_in(self, src: int, dst: int, recorder) -> Tuple[Task, bool]:
-        """Remove ``src -> dst`` from the in-store (per structure)."""
-        raise StructureError(f"{self.name} does not support deletion")
-
-    def schedule_tasks(self, tasks: Tasks, ctx: ExecutionContext) -> ScheduleResult:
+    def schedule_tasks(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         """Re-schedule kept tasks under a different context.
 
         Tasks depend only on graph content, not on thread count, so one
@@ -560,16 +445,19 @@ class GraphDataStructure(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def _insert_out(self, src: int, dst: int, weight: float, recorder) -> Tuple[Task, bool]:
-        """Insert ``src -> dst`` into the out-store.
+    def _make_emitter(self, delete: bool):
+        """The task emitter for one insert (or delete) batch.
 
-        Returns the schedulable :class:`Task` for the insert and
-        whether the edge was new (False for a duplicate).
+        An emitter applies operations to the stores and counts what
+        they did: ``insert_out(src, dst, weight, recorder)`` and
+        ``insert_in(...)`` return whether the edge was new, ``rows`` is
+        the number of tasks recorded so far, and ``finish(batch_size)``
+        prices all of them into one :class:`TaskArray` (per-batch
+        overhead tasks such as chunk routing included).  A structure
+        that supports deletion adds ``delete_out(src, dst, recorder)``
+        / ``delete_in``; one with a fused untraced loop adds
+        ``ingest_batch(batch)`` returning the positive count.
         """
-
-    @abc.abstractmethod
-    def _insert_in(self, src: int, dst: int, weight: float, recorder) -> Tuple[Task, bool]:
-        """Insert ``src -> dst`` into the in-store (directed only)."""
 
     @abc.abstractmethod
     def _in_neigh_directed(self, u: int) -> Sequence[Tuple[int, float]]:
@@ -584,12 +472,8 @@ class GraphDataStructure(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def _schedule(self, tasks: Tasks, ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         """Turn the batch's tasks into a makespan (structure style)."""
-
-    def _batch_overhead_tasks(self, batch_size: int) -> List[Task]:
-        """Fixed per-batch overhead tasks (chunked routing etc.)."""
-        return []
 
     # ------------------------------------------------------------------
 

@@ -38,7 +38,7 @@ from repro.graph.base import (
 from repro.graph.nativestore import make_blocked_store, native_vec_ingest
 from repro.graph.vectorstore import bulk_ingest, row_layout
 from repro.sim.memory import AddressSpace, Region
-from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, Task, TaskArray
+from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, TaskArray
 
 ENTRY_BYTES = 8
 MIN_SEGMENT = 4
@@ -327,51 +327,7 @@ class BlockedAdjacency(GraphDataStructure):
     def _make_emitter(self, delete: bool) -> _BlockedEmitter:
         return _BlockedEmitter(self, delete)
 
-    def _insert_out(self, src, dst, weight, recorder):
-        return self._blocked_insert(self._out, src, dst, weight, recorder)
-
-    def _insert_in(self, src, dst, weight, recorder):
-        return self._blocked_insert(self._in, src, dst, weight, recorder)
-
-    def _blocked_insert(self, store, src, dst, weight, recorder) -> Tuple[Task, bool]:
-        scanned, inserted, relocated = store.insert(src, dst, weight, recorder)
-        cost = self.cost
-        work = cost.probe_element * scanned
-        if inserted:
-            work += cost.insert_slot
-            # Relocation copies the whole segment (Hornet's memcpy).
-            work += cost.vector_grow_per_element * relocated
-        return (
-            Task(unlocked_work=work, chunk=self.chunk_of(src)),
-            inserted,
-        )
-
-    def _delete_out(self, src, dst, recorder):
-        return self._blocked_delete(self._out, src, dst, recorder)
-
-    def _delete_in(self, src, dst, recorder):
-        return self._blocked_delete(self._in, src, dst, recorder)
-
-    def _blocked_delete(self, store, src, dst, recorder) -> Tuple[Task, bool]:
-        scanned, removed = store.remove(src, dst, recorder)
-        cost = self.cost
-        work = cost.probe_element * scanned
-        if removed:
-            work += 2 * cost.insert_slot
-        return (
-            Task(unlocked_work=work, chunk=self.chunk_of(src)),
-            removed,
-        )
-
-    def _batch_overhead_tasks(self, batch_size: int) -> List[Task]:
-        directions = 2
-        route = self.cost.route_edge * batch_size * directions
-        return [
-            Task(unlocked_work=route, chunk=c, overhead=True)
-            for c in range(self.chunks)
-        ]
-
-    def _schedule(self, tasks: List[Task], ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         scheduler = ChunkedScheduler(
             threads=ctx.threads,
             physical_cores=ctx.machine.physical_cores,

@@ -38,7 +38,7 @@ from repro.graph.hashtables import (
 )
 from repro.graph.nativestore import make_dah_store, native_dah_ingest
 from repro.sim.memory import AddressSpace, Region
-from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, Task, TaskArray
+from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, TaskArray
 
 #: A vertex moves to the high-degree table beyond this many neighbors.
 LOW_DEGREE_THRESHOLD = 16
@@ -677,61 +677,7 @@ class DegreeAwareHash(GraphDataStructure):
     def _make_emitter(self, delete: bool) -> _DAHEmitter:
         return _DAHEmitter(self, delete)
 
-    def _insert_out(self, src, dst, weight, recorder):
-        return self._hashed_insert(self._out, src, dst, weight, recorder)
-
-    def _insert_in(self, src, dst, weight, recorder):
-        return self._hashed_insert(self._in, src, dst, weight, recorder)
-
-    def _hashed_insert(self, store, src, dst, weight, recorder) -> Tuple[Task, bool]:
-        stats = store.insert(src, dst, weight, recorder)
-        cost = self.cost
-        work = (
-            cost.hash_compute * stats.hash_ops
-            + cost.hash_probe * stats.table_probes
-            + cost.probe_element * stats.inline_scanned
-            + cost.degree_query * stats.degree_queries
-            + cost.flush_per_edge * stats.flushed
-            + cost.rehash_per_element * stats.rehash_moves
-        )
-        if stats.inserted:
-            work += cost.insert_slot
-        return (
-            Task(unlocked_work=work, chunk=store.chunk_of(src)),
-            stats.inserted,
-        )
-
-    def _delete_out(self, src, dst, recorder):
-        return self._hashed_delete(self._out, src, dst, recorder)
-
-    def _delete_in(self, src, dst, recorder):
-        return self._hashed_delete(self._in, src, dst, recorder)
-
-    def _hashed_delete(self, store, src, dst, recorder) -> Tuple[Task, bool]:
-        stats = store.remove(src, dst, recorder)
-        cost = self.cost
-        work = (
-            cost.hash_compute * stats.hash_ops
-            + cost.hash_probe * stats.table_probes
-            + cost.probe_element * stats.inline_scanned
-            + cost.degree_query * stats.degree_queries
-        )
-        if stats.inserted:
-            work += cost.insert_slot
-        return (
-            Task(unlocked_work=work, chunk=store.chunk_of(src)),
-            stats.inserted,
-        )
-
-    def _batch_overhead_tasks(self, batch_size: int) -> List[Task]:
-        directions = 2
-        route = self.cost.route_edge * batch_size * directions
-        return [
-            Task(unlocked_work=route, chunk=c, overhead=True)
-            for c in range(self.chunks)
-        ]
-
-    def _schedule(self, tasks: List[Task], ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         scheduler = ChunkedScheduler(
             threads=ctx.threads,
             physical_cores=ctx.machine.physical_cores,

@@ -5,8 +5,8 @@ Stinger block store, DAH's tracked hash tables) has a *native* twin
 here whose state lives in flat numpy arrays so the C kernels in
 :mod:`repro.sim.cingest` can mutate it directly.  A native store
 implements the exact same interface as its plain twin -- the per-edge
-``insert``/``remove`` used by traced batches and the legacy object
-path, neighbor/degree queries, traversal tracing, and the internal
+``insert``/``remove`` used by traced batches, neighbor/degree
+queries, traversal tracing, and the internal
 accounting the tests poke (segment pools, capacities) -- with
 bit-identical outcomes, trace addresses, and simulated-memory layout.
 
@@ -22,9 +22,8 @@ sizes (``AddressSpace.alloc_log``) -- while BA replays event by event
 because its segment-pool free lists depend on the order.
 
 Store construction goes through the ``make_*_store`` factories: the
-plain store is returned when the kernels are unavailable, the
-structure is disabled via ``SAGA_BENCH_NO_CINGEST``, or the legacy
-object path is active (keeping the legacy baseline's timing honest).
+plain store is returned when the kernels are unavailable or the
+structure is disabled via ``SAGA_BENCH_NO_CINGEST``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace, Region
-from repro.sim.scheduler import use_legacy_tasks
+from repro.sim.tasks import NO_LOCK
 from repro.sim.trace import ragged_arange
 
 #: Initial per-store entry pool; doubled on demand (kernel stall).
@@ -449,7 +448,7 @@ class NativeStingerStore:
         else:  # tail block freed
             self.space.free(self._regions[block_id])
 
-    # -- per-edge twin (traced batches and the legacy object path) -----
+    # -- per-edge twin (traced batches) ---------------------------------
 
     def _find_edge(self, u: int, dst: int) -> Tuple[int, int, int]:
         """(block index, slot, probes before the block); (-1,-1,deg) miss."""
@@ -685,8 +684,6 @@ def native_stinger_ingest(out_store, in_store, batch, directed, delete):
     row for row; block alloc/free events replay in call order so the
     simulated address space lays out identically.
     """
-    from repro.sim.scheduler import NO_LOCK
-
     kernels = out_store._kernels
     n = len(batch)
     src = np.ascontiguousarray(batch.src, dtype=np.int64)
@@ -1687,7 +1684,7 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete):
 def make_vector_store(max_nodes, space, label, structure):
     """A kernel-backed vector store, or the plain one when gated off."""
     kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
+    if kernels is not None:
         return NativeVectorStore(max_nodes, space, label, kernels)
     return VectorStore(max_nodes, space, label)
 
@@ -1697,7 +1694,7 @@ def make_blocked_store(max_nodes, space, label, structure="BA"):
     from repro.graph.blocked import _BlockedStore
 
     kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
+    if kernels is not None:
         return NativeBlockedStore(max_nodes, space, label, kernels)
     return _BlockedStore(max_nodes, space, label)
 
@@ -1708,7 +1705,7 @@ def make_stinger_store(max_nodes, space, label, lock_base,
     from repro.graph.stinger import _StingerStore
 
     kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
+    if kernels is not None:
         return NativeStingerStore(max_nodes, space, label, lock_base, kernels)
     return _StingerStore(max_nodes, space, label, lock_base)
 
@@ -1718,6 +1715,6 @@ def make_dah_store(max_nodes, chunks, space, label, structure="DAH"):
     from repro.graph.dah import _DAHStore
 
     kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
+    if kernels is not None:
         return NativeDAHStore(max_nodes, chunks, space, label, kernels)
     return _DAHStore(max_nodes, chunks, space, label)

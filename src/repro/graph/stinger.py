@@ -23,13 +23,8 @@ import numpy as np
 from repro.graph.base import ExecutionContext, GraphDataStructure
 from repro.graph.nativestore import make_stinger_store, native_stinger_ingest
 from repro.sim.memory import AddressSpace, Region
-from repro.sim.scheduler import (
-    NO_LOCK,
-    DynamicScheduler,
-    ScheduleResult,
-    Task,
-    TaskArray,
-)
+from repro.sim.scheduler import DynamicScheduler, ScheduleResult, TaskArray
+from repro.sim.tasks import NO_LOCK
 
 #: Edges per edge block (paper Section III-A3).
 BLOCK_CAPACITY = 16
@@ -527,13 +522,17 @@ class _StingerEmitter:
             )
             locked[hit] = 2 * cost.insert_slot  # clear + backfill
         else:
+            # The search scan reads blocks without holding any lock.  The
+            # space scan, however, must lock-couple: each block's lock is
+            # acquired to check-and-claim a free slot before moving on, so
+            # two threads cannot claim the same slot.  For a high-degree
+            # vertex this couples through the whole list and is the
+            # residual serialization of Stinger's fine-grained locking.
             space_chases = np.asarray(self.space_chases, dtype=np.int64)
             unlocked = (
                 cost.pointer_chase * (search_chases + space_chases).astype(np.float64)
                 + cost.probe_block_element * search_probes
             )
-            # The space scan lock-couples block by block (see
-            # _block_insert); same grouping as the scalar expression.
             per_chase = cost.lock_acquire + cost.lock_release + cost.probe_block_element
             locked[hit] = space_chases[hit] * per_chase + cost.insert_slot
             new_block = np.asarray(self.new_block, dtype=bool) & hit
@@ -581,71 +580,7 @@ class Stinger(GraphDataStructure):
     def _make_emitter(self, delete: bool) -> _StingerEmitter:
         return _StingerEmitter(self, delete)
 
-    def _insert_out(self, src, dst, weight, recorder):
-        return self._block_insert(self._out, src, dst, weight, recorder)
-
-    def _insert_in(self, src, dst, weight, recorder):
-        return self._block_insert(self._in, src, dst, weight, recorder)
-
-    def _block_insert(self, store, src, dst, weight, recorder) -> Tuple[Task, bool]:
-        outcome = store.insert(src, dst, weight, recorder)
-        cost = self.cost
-        # The search scan reads blocks without holding any lock.  The
-        # space scan, however, must lock-couple: each block's lock is
-        # acquired to check-and-claim a free slot before moving on, so
-        # two threads cannot claim the same slot.  For a high-degree
-        # vertex this couples through the whole list and is the
-        # residual serialization of Stinger's fine-grained locking.
-        unlocked = (
-            cost.pointer_chase * (outcome.search_chases + outcome.space_chases)
-            + cost.probe_block_element * outcome.search_probes
-        )
-        locked = 0.0
-        if outcome.inserted:
-            locked = (
-                outcome.space_chases
-                * (cost.lock_acquire + cost.lock_release + cost.probe_block_element)
-                + cost.insert_slot
-            )
-            if outcome.new_block:
-                locked += cost.insert_slot  # link the freshly allocated block
-        return (
-            Task(
-                unlocked_work=unlocked,
-                locked_work=locked,
-                lock=outcome.lock,
-                fine_lock=True,
-            ),
-            outcome.inserted,
-        )
-
-    def _delete_out(self, src, dst, recorder):
-        return self._block_delete(self._out, src, dst, recorder)
-
-    def _delete_in(self, src, dst, recorder):
-        return self._block_delete(self._in, src, dst, recorder)
-
-    def _block_delete(self, store, src, dst, recorder) -> Tuple[Task, bool]:
-        outcome = store.remove(src, dst, recorder)
-        cost = self.cost
-        unlocked = (
-            cost.pointer_chase * outcome.search_chases
-            + cost.probe_block_element * outcome.search_probes
-        )
-        locked = 0.0
-        if outcome.inserted:  # an edge was removed
-            locked = 2 * cost.insert_slot  # clear + backfill
-        return (
-            Task(
-                unlocked_work=unlocked,
-                locked_work=locked,
-                lock=outcome.lock,
-                fine_lock=True,
-            ),
-            outcome.inserted,
-        )
-
-    def _schedule(self, tasks: List[Task], ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         scheduler = DynamicScheduler(
             threads=ctx.threads,
             physical_cores=ctx.machine.physical_cores,

@@ -4,8 +4,8 @@ The registry is the machine-readable side of the observability layer:
 the instrumented layers record batch latencies, scheduler contention,
 cache traffic, and engine cache hits into one process-global
 :data:`METRICS` instance, and the exporters dump it as Prometheus text
-(``--metrics-out``) or embed a :meth:`MetricsRegistry.snapshot` into
-JSON artifacts (``scripts/bench_kernels.py``).
+(``--metrics-out``) or hand out a :meth:`MetricsRegistry.snapshot`
+dict for embedding into JSON artifacts.
 
 Hot-path contract: recording sites guard with ``if METRICS.enabled:``
 -- one attribute check when observability is off, so the simulator's

@@ -1,15 +1,15 @@
 """Compiled C batch-ingest kernels for the update phase.
 
 PR 2 made the update phase columnar: the five data structures ingest a
-whole batch in one fused Python loop (``bulk_ingest`` and friends)
-instead of one ``Task`` object per edge.  That loop is still
-interpreted; this module compiles it.  Each structure family gets one C
+whole batch in one fused Python loop (``bulk_ingest`` and friends).
+That loop is still interpreted; this module compiles it.  Each
+structure family gets one C
 kernel that runs the *entire* batch -- duplicate scans, slot writes,
 segment relocations, block chases, hash probes -- over numpy-backed
 store state, returning the same per-operation count columns the Python
 loop appends (scanned/hit/aux...), which the emitters then price with
-the existing vectorized arithmetic.  Results are bit-identical to both
-the fused numpy path and the legacy object path.
+the existing vectorized arithmetic.  Results are bit-identical to the
+fused Python loop and to the per-operation emitter methods.
 
 The kernels mutate raw arrays, but simulated-memory accounting
 (``AddressSpace`` regions, segment pools, table regions) stays in
@@ -1211,7 +1211,7 @@ def get(structure: str) -> Optional[IngestKernels]:
 def loaded() -> bool:
     """True when the compiled library is built and loadable.
 
-    The bench scripts embed this in ``BENCH_kernels.json`` so a silent
+    Benchmark records embed this (``bench_e2e/worker.py``) so a silent
     Python fallback cannot masquerade as a perf change.
     """
     return _probe() is not None

@@ -18,7 +18,7 @@ dependencies:
   verifier between the two.
 
 The event loop is a strict drop-in for the Python loop in
-``DynamicScheduler._run_array_event_loop``:
+``DynamicScheduler._run_event_loop``:
 
 - the float arithmetic is adds/subtracts written in the identical
   order (there are no multiply-adds for the compiler to contract, and
@@ -66,7 +66,7 @@ _SOURCE = r"""
 
 /* Discrete-event scheduler loop over columnar task streams.
  *
- * Mirrors DynamicScheduler._run_array_event_loop operation for
+ * Mirrors DynamicScheduler._run_event_loop operation for
  * operation: same IEEE float64 adds/subtracts in the same order, and
  * a binary min-heap of (end, thread) pairs under the lexicographic
  * order Python's tuple comparison uses.  `locks` holds dense lock ids

@@ -1,26 +1,12 @@
-"""Schedulable tasks: the object form and the columnar form.
+"""Schedulable tasks, stored column-wise.
 
 A *task* is one schedulable unit of simulated work ("insert edge
 (u, v)", "evaluate the vertex function of v"), carrying its cycle
-costs, the lock it must hold, and the chunk it is pinned to.  Two
-representations coexist:
-
-- :class:`Task` -- one Python dataclass per task.  This is the legacy
-  representation: friendly to poke at in tests, but every per-edge
-  object allocation and attribute access costs interpreter time in the
-  hot path (per edge x per batch x per repetition x per thread count).
-- :class:`TaskArray` -- a structure-of-arrays batch of tasks (numpy
-  columns ``unlocked_work``, ``locked_work``, ``lock``, ``chunk``,
-  ``fine_lock``, ``overhead``).  The graph structures emit these in
-  bulk and the schedulers consume them as array kernels; makespans,
-  lock-wait cycles, contended-acquire counts, and task-to-thread
-  assignments are **bit-identical** to the object path (enforced by
-  ``tests/test_task_kernels.py``).
-
-The legacy object path stays selectable for differential testing:
-setting ``SAGA_BENCH_LEGACY_TASKS=1`` in the environment makes every
-data structure emit ``List[Task]`` again and the schedulers run their
-original per-object loops.
+costs, the lock it must hold, and the chunk it is pinned to.  A batch
+of tasks is a :class:`TaskArray`: a structure of numpy arrays, one
+column per field.  The graph structures emit these in bulk and the
+schedulers consume them as array kernels; no per-task Python object
+exists anywhere.
 
 ``TaskArray`` uses the sentinel ``-1`` (:data:`NO_LOCK` /
 :data:`NO_CHUNK`) for "no lock" / "no chunk" because the real lock and
@@ -29,9 +15,7 @@ chunk namespaces are non-negative.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,66 +25,35 @@ NO_LOCK = -1
 #: Column sentinel for "this task is not pinned to a chunk".
 NO_CHUNK = -1
 
-#: Environment variable selecting the legacy object-based task path.
-LEGACY_TASKS_ENV = "SAGA_BENCH_LEGACY_TASKS"
-
-
-def use_legacy_tasks() -> bool:
-    """True when ``SAGA_BENCH_LEGACY_TASKS=1`` selects the object path."""
-    return os.environ.get(LEGACY_TASKS_ENV, "") == "1"
-
-
-@dataclass
-class Task:
-    """One schedulable unit of work.
-
-    Attributes
-    ----------
-    unlocked_work:
-        Cycles executed before any lock is taken (e.g. Stinger's search
-        scans, which read edge blocks without locking).
-    locked_work:
-        Cycles executed while holding :attr:`lock`.  Zero for lockless
-        tasks.
-    lock:
-        Identifier of the lock the task must hold for its locked
-        portion, or ``None``.  AS uses the source-vertex id; Stinger
-        uses a per-edge-block id.
-    chunk:
-        For chunked-style structures, the chunk this task is pinned to.
-    fine_lock:
-        True when :attr:`lock` is a fine-grained lock (tiny critical
-        section); contended acquires then pay the smaller
-        ``fine_lock_contended_penalty``.
-    """
-
-    unlocked_work: float
-    locked_work: float = 0.0
-    lock: Optional[int] = None
-    chunk: Optional[int] = None
-    fine_lock: bool = False
-    #: Fixed per-batch overhead (e.g. chunk routing) rather than
-    #: per-edge work; analysis code may separate the two.
-    overhead: bool = False
-
-    @property
-    def total_work(self) -> float:
-        return self.unlocked_work + self.locked_work
-
 
 class TaskArray:
     """A batch of tasks stored column-wise (structure of arrays).
 
-    Columns are parallel numpy arrays of one dtype each:
+    Columns are parallel numpy arrays of one dtype each, row ``i``
+    describing task ``i``:
 
-    - ``unlocked_work`` / ``locked_work``: float64 cycle costs;
-    - ``lock``: int64 lock id, :data:`NO_LOCK` for lockless tasks;
-    - ``chunk``: int64 chunk id, :data:`NO_CHUNK` when unpinned;
-    - ``fine_lock`` / ``overhead``: bool flags.
+    ``unlocked_work`` (float64)
+        Cycles executed before any lock is taken (e.g. Stinger's search
+        scans, which read edge blocks without locking).
+    ``locked_work`` (float64)
+        Cycles executed while holding ``lock``.  Zero for lockless
+        tasks.
+    ``lock`` (int64)
+        Identifier of the lock the task must hold for its locked
+        portion, :data:`NO_LOCK` for none.  AS uses the source-vertex
+        id; Stinger uses a per-edge-block id.
+    ``chunk`` (int64)
+        For chunked-style structures, the chunk this task is pinned to;
+        :data:`NO_CHUNK` when unpinned.
+    ``fine_lock`` (bool)
+        True when ``lock`` is a fine-grained lock (tiny critical
+        section); contended acquires then pay the smaller
+        ``fine_lock_contended_penalty``.
+    ``overhead`` (bool)
+        Fixed per-batch overhead (e.g. chunk routing) rather than
+        per-edge work; analysis code may separate the two.
 
-    Iteration and indexing materialize :class:`Task` views for
-    compatibility with object-path consumers; hot paths read the
-    columns directly.
+    Slicing returns a :class:`TaskArray` over the sliced columns.
     """
 
     __slots__ = (
@@ -171,25 +124,6 @@ class TaskArray:
         return cls.build(0)
 
     @classmethod
-    def from_tasks(cls, tasks: Sequence[Task]) -> "TaskArray":
-        """Box a task list into columns (the object -> columnar bridge)."""
-        n = len(tasks)
-        unlocked = np.empty(n, dtype=np.float64)
-        locked = np.empty(n, dtype=np.float64)
-        lock = np.empty(n, dtype=np.int64)
-        chunk = np.empty(n, dtype=np.int64)
-        fine = np.empty(n, dtype=bool)
-        overhead = np.empty(n, dtype=bool)
-        for i, task in enumerate(tasks):
-            unlocked[i] = task.unlocked_work
-            locked[i] = task.locked_work
-            lock[i] = NO_LOCK if task.lock is None else task.lock
-            chunk[i] = NO_CHUNK if task.chunk is None else task.chunk
-            fine[i] = task.fine_lock
-            overhead[i] = task.overhead
-        return cls(unlocked, locked, lock, chunk, fine, overhead)
-
-    @classmethod
     def concatenate(cls, parts: Iterable["TaskArray"]) -> "TaskArray":
         parts = [p for p in parts if len(p)]
         if not parts:
@@ -211,30 +145,8 @@ class TaskArray:
     def __bool__(self) -> bool:
         return len(self) > 0
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TaskArray(
-                *(getattr(self, name)[index] for name in self.__slots__)
-            )
-        i = int(index)
-        lock = int(self.lock[i])
-        chunk = int(self.chunk[i])
-        return Task(
-            unlocked_work=float(self.unlocked_work[i]),
-            locked_work=float(self.locked_work[i]),
-            lock=None if lock == NO_LOCK else lock,
-            chunk=None if chunk == NO_CHUNK else chunk,
-            fine_lock=bool(self.fine_lock[i]),
-            overhead=bool(self.overhead[i]),
-        )
-
-    def __iter__(self) -> Iterator[Task]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def to_tasks(self) -> List[Task]:
-        """Materialize the columns as a list of :class:`Task` objects."""
-        return list(self)
+    def __getitem__(self, index: slice) -> "TaskArray":
+        return TaskArray(*(getattr(self, name)[index] for name in self.__slots__))
 
     # -- derived columns ----------------------------------------------
 

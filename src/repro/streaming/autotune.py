@@ -711,7 +711,7 @@ class AdaptiveStreamDriver(StreamDriver):
             n = reference.num_nodes
             record.num_nodes = n
             record.num_edges = reference.num_edges
-            compute_view, in_edges = self._compute_substrate(reference)
+            compute_view = self._compute_substrate(reference)
             deg_in = compute_view.in_csr.degrees
             deg_out = compute_view.out_csr.degrees
             update_ops = float(record.edges_attempted + churn_attempted)
@@ -759,7 +759,6 @@ class AdaptiveStreamDriver(StreamDriver):
                         runs = self._execute_compute(
                             algorithm, model, reference,
                             states.get(alg_name), batch, removed, source,
-                            in_edges,
                         )
                         if model == chosen_model:
                             record.compute_iterations[(alg_name, "adaptive")] = (

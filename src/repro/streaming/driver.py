@@ -152,9 +152,10 @@ class StreamConfig:
     progress: Optional[Callable[[str], None]] = None
     #: Churn: after each insert batch, delete this fraction of the
     #: batch's edges again (a mixed insert/delete stream).  The update
-    #: phase measures both operations; compute-model values stay exact
-    #: under FS, while INC is approximate for the monotone algorithms
-    #: once edges disappear (see repro.compute.incremental).
+    #: phase measures both operations.  Both compute models stay
+    #: sound: FS recomputes, and INC repairs each deletion batch (see
+    #: ``Algorithm.inc_delete_run``: invalidation then re-derivation
+    #: for the monotone algorithms, PR re-converges without it).
     churn_fraction: float = 0.0
     #: Partition-parallel update simulation: split each batch across
     #: this many vertex-partitioned shards, each ingesting its share
@@ -402,21 +403,15 @@ class StreamDriver:
     def _compute_substrate(reference):
         """What one batch's compute phase reads, all of it the live graph's.
 
-        Returns ``(view, in_edges)``: the zero-copy columnar view --
-        one fold of the batch's kept rows, shared by every algorithm x
-        model run through the view scope, its ``degrees`` the arrays
-        the pricing reads -- and the in-edge columns the per-vertex
-        tier's FS engines take instead of walking the graph.
+        The zero-copy columnar view: one fold of the batch's kept rows,
+        shared by every algorithm x model run through the view scope,
+        its ``degrees`` the arrays the pricing reads.
         """
         with TRACER.span("compute.view"):
-            view = reference.compute_view()
-        legacy = kernels.use_legacy_compute()
-        return view, kernels.packed_in_edges(view) if legacy else None
+            return reference.compute_view()
 
     @staticmethod
-    def _execute_compute(
-        algorithm, model, reference, state, batch, removed, source, in_edges
-    ):
+    def _execute_compute(algorithm, model, reference, state, batch, removed, source):
         """Every run one algorithm x model schedules for this batch.
 
         FS reruns from scratch; INC applies the batch incrementally and,
@@ -424,7 +419,7 @@ class StreamDriver:
         cost belongs to the same compute phase.
         """
         if model == "FS":
-            return [algorithm.fs_run(reference, source=source, in_edges=in_edges)]
+            return [algorithm.fs_run(reference, source=source)]
         affected = algorithm.affected_from_batch(batch, reference)
         runs = [algorithm.inc_run(reference, state, affected, source=source)]
         if removed:
@@ -490,7 +485,7 @@ class StreamDriver:
             n = reference.num_nodes
             record.num_nodes = n
             record.num_edges = reference.num_edges
-            compute_view, in_edges = self._compute_substrate(reference)
+            compute_view = self._compute_substrate(reference)
             deg_in = compute_view.in_csr.degrees
             deg_out = compute_view.out_csr.degrees
             # ---- Per-batch feature capture (cost-model substrate) ----
@@ -531,7 +526,6 @@ class StreamDriver:
                         runs = self._execute_compute(
                             algorithm, model, reference,
                             states.get(alg_name), batch, removed, source,
-                            in_edges,
                         )
                         record.compute_iterations[(alg_name, model)] = sum(
                             r.iteration_count for r in runs

@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.compute import ckernels
 from repro.compute.csrstore import CHURN_ENV
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph
+from repro.sim import cingest
 from repro.sim.cost_model import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineConfig
 
@@ -47,6 +49,33 @@ def churn_threshold_env(setting):
         os.environ.pop(CHURN_ENV, None)
         if previous is not None:
             os.environ[CHURN_ENV] = previous
+
+
+@contextlib.contextmanager
+def _kernel_gate(module, setting):
+    """Re-probe a compiled-kernel module under one ``DISABLE_ENV``
+    setting (``None``: unset); the outer setting comes back afterwards."""
+    previous = os.environ.pop(module.DISABLE_ENV, None)
+    if setting is not None:
+        os.environ[module.DISABLE_ENV] = setting
+    module.reset()
+    try:
+        yield
+    finally:
+        os.environ.pop(module.DISABLE_ENV, None)
+        if previous is not None:
+            os.environ[module.DISABLE_ENV] = previous
+        module.reset()
+
+
+def ccompute_env(setting):
+    """``SAGA_BENCH_NO_CCOMPUTE``: ``None`` compiled, ``"1"`` numpy engines."""
+    return _kernel_gate(ckernels, setting)
+
+
+def cingest_env(setting):
+    """``SAGA_BENCH_NO_CINGEST``: ``None`` compiled stores, ``"all"`` plain."""
+    return _kernel_gate(cingest, setting)
 
 
 def random_batch(num_nodes: int, num_edges: int, seed: int, weights: bool = True) -> EdgeBatch:

@@ -132,7 +132,7 @@ class TestIncBehaviors:
         batch = EdgeBatch.from_edges([(1, 2), (3, 4)])
         reference = ReferenceGraph(10, directed=True)
         reference.update(batch)
-        assert algorithm.affected_from_batch(batch, reference) == {1, 2, 3, 4}
+        assert algorithm.affected_from_batch(batch, reference).tolist() == [1, 2, 3, 4]
 
     def test_pr_affected_covers_source_out_neighbors(self):
         algorithm = get_algorithm("PR")
@@ -142,7 +142,7 @@ class TestIncBehaviors:
         reference.update(batch)
         affected = algorithm.affected_from_batch(batch, reference)
         # 0's out-degree changed, so 5 and 6 see a renormalized term.
-        assert {0, 5, 6, 7} <= affected
+        assert {0, 5, 6, 7} <= set(affected.tolist())
 
 
 @given(

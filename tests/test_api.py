@@ -48,7 +48,7 @@ class TestRegistry:
             def recalculate(self, v, view, values):
                 return float(view.in_degree(v))
 
-            def fs_run(self, view, source=None, in_edges=None):
+            def fs_run(self, view, source=None):
                 values = np.array(
                     [float(view.in_degree(v)) for v in range(view.num_nodes)]
                 )
@@ -56,7 +56,23 @@ class TestRegistry:
 
         register_algorithm(Degree())
         try:
-            assert get_algorithm("DEG").name == "DEG"
+            algorithm = get_algorithm("DEG")
+            assert algorithm.name == "DEG"
+            # The scalar function alone runs both models and the
+            # deletion repair.
+            graph = ReferenceGraph(6, directed=True)
+            batch = EdgeBatch.from_edges([(0, 1), (2, 1), (3, 1), (1, 4)])
+            graph.update(batch)
+            state = algorithm.make_state(6)
+            perform_alg(
+                "DEG", "INC", graph, state=state,
+                affected=algorithm.affected_from_batch(batch, graph),
+            )
+            assert state.values[:5].tolist() == [0, 3, 0, 0, 1]
+            removed = graph.delete_collect(EdgeBatch.from_edges([(2, 1)]))
+            algorithm.inc_delete_run(graph, state, removed)
+            fs = perform_alg("DEG", "FS", graph)
+            assert state.values[:5].tolist() == fs.values.tolist() == [0, 2, 0, 0, 1]
         finally:
             ALGORITHMS.pop("DEG")
 

@@ -11,8 +11,6 @@ float64 values at every thread count.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +21,7 @@ from repro.graph import nativestore
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace
 from repro.sim.trace import TraceRecorder
-from tests.conftest import SMALL_MACHINE, random_batch
+from tests.conftest import SMALL_MACHINE, cingest_env, random_batch
 
 ALL = ("AS", "AC", "Stinger", "DAH", "BA")
 
@@ -50,10 +48,7 @@ def _run_scenario(name: str, directed: bool, gated: bool):
     the end (exercising the per-edge twins and the region layout).
     Returns the structure plus a comparable summary.
     """
-    if gated:
-        os.environ[cingest.DISABLE_ENV] = "all"
-    cingest.reset()
-    try:
+    with cingest_env("all" if gated else None):
         structure = make_structure(name, N, directed=directed)
         if not gated and cingest.loaded():
             assert getattr(structure._out, "native", False), name
@@ -77,9 +72,6 @@ def _run_scenario(name: str, directed: bool, gated: bool):
             random_batch(N, 120, seed=9), _ctx(recorder=TraceRecorder())
         )
         return structure, summary, traced.trace
-    finally:
-        os.environ.pop(cingest.DISABLE_ENV, None)
-        cingest.reset()
 
 
 def _same_graph(a, b) -> None:
@@ -150,17 +142,11 @@ def test_vertex_growing_repeatedly_in_one_batch(name, directed):
     probe = np.arange(N)
 
     def run(gated):
-        if gated:
-            os.environ[cingest.DISABLE_ENV] = "all"
-        cingest.reset()
-        try:
+        with cingest_env("all" if gated else None):
             structure = make_structure(name, N, directed=directed)
             assert getattr(structure._out, "native", False) is not gated
             structure.update(hub, _ctx())
             return structure, structure.trace_out_traversal(probe)
-        finally:
-            os.environ.pop(cingest.DISABLE_ENV, None)
-            cingest.reset()
 
     native, (native_counts, native_addresses) = run(gated=False)
     plain, (plain_counts, plain_addresses) = run(gated=True)

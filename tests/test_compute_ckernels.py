@@ -14,7 +14,6 @@ tests, which need no library at all.
 """
 
 import contextlib
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +35,9 @@ from repro.compute.kernels import (
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import METRICS
-from tests.test_compute_kernels import _hub, _snapshot_run, _stream
+from tests.conftest import ccompute_env
+from tests.oracles import observed as _snapshot_run
+from tests.test_compute_kernels import _hub, _stream
 
 ALGOS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
 
@@ -46,29 +47,12 @@ needs_ckernels = pytest.mark.skipif(
 )
 
 
-@contextlib.contextmanager
-def _ccompute(setting):
-    """Re-probe the compiled kernels under one DISABLE_ENV setting."""
-    previous = os.environ.pop(ckernels.DISABLE_ENV, None)
-    if setting is not None:
-        os.environ[ckernels.DISABLE_ENV] = setting
-    ckernels.reset()
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ckernels.DISABLE_ENV, None)
-        else:
-            os.environ[ckernels.DISABLE_ENV] = previous
-        ckernels.reset()
-
-
 def _both_paths(fn):
     """Evaluate ``fn`` on the compiled path and the numpy fallback."""
-    with _ccompute(None):
+    with ccompute_env(None):
         assert ckernels.loaded()
         compiled = fn()
-    with _ccompute("1"):
+    with ccompute_env("1"):
         assert not ckernels.loaded()
         fallback = fn()
     return compiled, fallback
@@ -320,7 +304,7 @@ WAVE_ENGINE = "inc_round,relax_round"
 def _engine(setting, threads=1, log_capacity=None):
     """One engine configuration: kernel gate, gather threads, log sizes."""
     saved = ckernels.RUN_LOG_VERTICES, ckernels.RUN_LOG_ROUNDS
-    with _ccompute(setting):
+    with ccompute_env(setting):
         if log_capacity is not None:
             ckernels.RUN_LOG_VERTICES = ckernels.RUN_LOG_ROUNDS = log_capacity
         # Every probe resets the pool to the env's thread count.
@@ -591,7 +575,7 @@ class TestEnvGates:
 
     @needs_ckernels
     def test_per_kernel_disable_list(self):
-        with _ccompute("inc_round,expand"):
+        with ccompute_env("inc_round,expand"):
             assert ckernels.loaded()  # library still builds
             assert ckernels.get("inc_round") is None
             assert ckernels.get("expand") is None
@@ -599,14 +583,14 @@ class TestEnvGates:
             assert ckernels.get("segment_sum") is not None
 
     def test_all_disables_everything(self):
-        with _ccompute("all"):
+        with ccompute_env("all"):
             assert not ckernels.loaded()
             for name in ckernels.KERNEL_NAMES:
                 assert ckernels.get(name) is None
 
     def test_unknown_kernel_name_rejected(self):
         with pytest.raises(ValueError, match="unknown kernels"):
-            with _ccompute("inc_round,typo"):
+            with ccompute_env("inc_round,typo"):
                 ckernels.loaded()
 
     def test_require_env_turns_build_failure_into_error(self, monkeypatch):

@@ -1,52 +1,40 @@
-"""Bit-identity of the vectorized compute kernels vs the legacy loops.
+"""The compute engines against the sequential oracle.
 
-The frontier kernels (``repro.compute.kernels``) must reproduce the
-per-vertex Python engines *exactly*: same float bits in the value
-arrays, same per-iteration operation counts, same convergence flags --
-over every algorithm, every graph structure (via the generic
-``csr_arrays`` export), both compute models, and insert as well as
-delete batches.  Anything less would silently change the priced
-latencies the whole benchmark reports.
+The frontier kernels (``repro.compute.kernels``, with or without the
+compiled run kernels of ``repro.compute.ckernels``) must reproduce the
+per-vertex loops of ``tests/oracles.py`` *exactly*: same float bits in
+the value arrays, same per-iteration operation counts, same convergence
+flags -- over every algorithm, both compute models, insert as well as
+delete batches, directed and undirected graphs.  Anything less would
+silently change the priced latencies the whole benchmark reports.  The
+oracle shares no code with the engines: it reads the graph through
+``in_neigh``/``out_neigh`` and the algorithm through its scalar Table-I
+functions.
 """
-
-import contextlib
-import os
 
 import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.compute.incremental import run_incremental
+from repro.algorithms.base import Algorithm
 from repro.compute.kernels import (
-    LEGACY_COMPUTE_ENV,
     ComputeView,
+    packed_in_edges,
     relaxation_events,
     unique_ids,
-    use_legacy_compute,
     view_scope,
 )
 from repro.engine import RunStore, stream_run_key
 from repro.engine.sweep import run_stream
 from repro.graph import EdgeBatch, ReferenceGraph, make_structure
 from repro.graph.snapshots import SnapshotStore
+from tests import oracles
+from tests.conftest import ccompute_env
 
 ALGOS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
 STRUCTS = ("AS", "AC", "Stinger", "DAH", "BA")
-
-
-@contextlib.contextmanager
-def _compute_path(legacy: bool):
-    """Select the legacy or kernel compute path for the enclosed code."""
-    previous = os.environ.pop(LEGACY_COMPUTE_ENV, None)
-    if legacy:
-        os.environ[LEGACY_COMPUTE_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(LEGACY_COMPUTE_ENV, None)
-        else:
-            os.environ[LEGACY_COMPUTE_ENV] = previous
+#: Compiled run kernels, then the numpy wave engine.
+ENGINES = (None, "1")
 
 
 def _stream(num_nodes=64, batches=3, per_batch=90, seed=7):
@@ -61,166 +49,112 @@ def _stream(num_nodes=64, batches=3, per_batch=90, seed=7):
     return out
 
 
-def _snapshot_run(run):
-    """Everything bit-identity covers, as a comparable value."""
-    return (
-        run.algorithm,
-        run.model,
-        run.linear_scans,
-        run.converged,
-        run.source,
-        run.values.tobytes(),
-        [
-            (
-                it.pull_vertices.tobytes(),
-                it.push_vertices.tobytes(),
-                it.pushes,
-                it.cas_ops,
-            )
-            for it in run.iterations
-        ],
-    )
-
-
 def _hub(batches):
     sources = np.concatenate([b.src for b in batches])
     return int(np.bincount(sources).argmax())
 
 
-def _replay_structure(name: str, legacy: bool, directed: bool = True):
-    """Stream inserts + one delete batch through a structure, both models."""
-    num_nodes = 64
-    batches = _stream(num_nodes=num_nodes)
-    source = _hub(batches)
-    snapshots = []
-    with _compute_path(legacy):
-        assert use_legacy_compute() is legacy
-        structure = make_structure(name, num_nodes, directed=directed)
-        states = {a: get_algorithm(a).make_state(num_nodes) for a in ALGOS}
-        mirror = {}  # (u, v) -> weight of every unique ingested edge
-        for batch in batches:
-            structure.update(batch)
-            for i in range(len(batch)):
-                key = (int(batch.src[i]), int(batch.dst[i]))
-                if key not in mirror:
-                    mirror[key] = float(batch.weight[i])
-            for alg_name in ALGOS:
-                algorithm = get_algorithm(alg_name)
-                affected = algorithm.affected_from_batch(batch, structure)
-                snapshots.append(
-                    _snapshot_run(algorithm.fs_run(structure, source=source))
-                )
-                snapshots.append(
-                    _snapshot_run(
-                        algorithm.inc_run(
-                            structure, states[alg_name], affected, source=source
-                        )
-                    )
-                )
-        # Delete a slice of the ingested edges, then repair each state.
-        removed = [(u, v, w) for (u, v), w in list(mirror.items())[:30]]
-        structure.delete(
-            EdgeBatch.from_edges([(u, v) for u, v, _ in removed])
+class _Replay:
+    """One algorithm's product state and oracle state, run side by side.
+
+    Every ``check_*`` runs the product entry point and the oracle on the
+    same graph and requires value bytes, ``converged``, ``linear_scans``
+    and every iteration's pull ids, push ids, ``pushes`` and ``cas_ops``
+    to be equal.
+    """
+
+    def __init__(self, name, max_nodes, source):
+        self.algorithm = get_algorithm(name)
+        self.source = source if self.algorithm.needs_source else None
+        self.state = self.algorithm.make_state(max_nodes)
+        self.oracle_state = oracles.OracleState(max_nodes, self.algorithm)
+
+    def check_fs(self, view):
+        run = self.algorithm.fs_run(view, source=self.source)
+        want = oracles.fs_oracle(self.algorithm, view, source=self.source)
+        assert oracles.observed(run) == oracles.observed(want), self.algorithm.name
+
+    def check_inc(self, view, batch):
+        affected = self.algorithm.affected_from_batch(batch, view)
+        want_affected = oracles.affected_oracle(self.algorithm, batch, view)
+        assert affected.tolist() == sorted(want_affected), self.algorithm.name
+        run = self.algorithm.inc_run(view, self.state, affected, source=self.source)
+        want = oracles.inc_oracle(
+            self.algorithm, view, self.oracle_state, want_affected, source=self.source
         )
-        for alg_name in ALGOS:
-            algorithm = get_algorithm(alg_name)
-            snapshots.append(
-                _snapshot_run(
-                    algorithm.inc_delete_run(
-                        structure, states[alg_name], removed, source=source
-                    )
-                )
-            )
-            snapshots.append(
-                _snapshot_run(algorithm.fs_run(structure, source=source))
-            )
-    return snapshots
+        assert oracles.observed(run) == oracles.observed(want), self.algorithm.name
+
+    def check_inc_delete(self, view, removed):
+        run = self.algorithm.inc_delete_run(
+            view, self.state, removed, source=self.source
+        )
+        want = oracles.inc_delete_oracle(
+            self.algorithm, view, self.oracle_state, list(removed), source=self.source
+        )
+        assert oracles.observed(run) == oracles.observed(want), self.algorithm.name
+
+
+def _replay_stream(view, ingest, delete, batches, source):
+    """Inserts (FS + INC per batch), then one delete batch (repair + FS)."""
+    replays = [_Replay(name, view.max_nodes, source) for name in ALGOS]
+    for batch in batches:
+        ingest(batch)
+        for replay in replays:
+            replay.check_fs(view)
+            replay.check_inc(view, batch)
+    removed = delete()
+    assert len(removed)
+    for replay in replays:
+        replay.check_inc_delete(view, removed)
+        replay.check_fs(view)
 
 
 class TestBitIdentityMatrix:
-    @pytest.mark.parametrize("name", STRUCTS)
-    def test_structures(self, name):
-        assert _replay_structure(name, legacy=False) == _replay_structure(
-            name, legacy=True
-        )
-
     @pytest.mark.parametrize("directed", [True, False])
     def test_reference_graph(self, directed):
-        num_nodes = 64
-        batches = _stream(num_nodes=num_nodes, seed=11)
-        source = _hub(batches)
+        batches = _stream(seed=11)
+        for setting in ENGINES:
+            with ccompute_env(setting):
+                reference = ReferenceGraph(64, directed=directed)
+                _replay_stream(
+                    reference,
+                    reference.update_collect,
+                    lambda: reference.delete_collect(batches[0].slice(0, 40)),
+                    batches,
+                    _hub(batches),
+                )
 
-        def replay(legacy):
-            snapshots = []
-            with _compute_path(legacy):
-                reference = ReferenceGraph(num_nodes, directed=directed)
-                states = {a: get_algorithm(a).make_state(num_nodes) for a in ALGOS}
-                for batch in batches:
-                    reference.update_collect(batch)
-                    for alg_name in ALGOS:
-                        algorithm = get_algorithm(alg_name)
-                        affected = algorithm.affected_from_batch(batch, reference)
-                        snapshots.append(
-                            _snapshot_run(
-                                algorithm.fs_run(reference, source=source)
-                            )
-                        )
-                        snapshots.append(
-                            _snapshot_run(
-                                algorithm.inc_run(
-                                    reference,
-                                    states[alg_name],
-                                    affected,
-                                    source=source,
-                                )
-                            )
-                        )
-                removed = reference.delete_collect(batches[0].slice(0, 40))
-                assert removed
-                for alg_name in ALGOS:
-                    algorithm = get_algorithm(alg_name)
-                    snapshots.append(
-                        _snapshot_run(
-                            algorithm.inc_delete_run(
-                                reference, states[alg_name], removed, source=source
-                            )
-                        )
-                    )
-            return snapshots
+    @pytest.mark.parametrize("name", STRUCTS)
+    def test_structures(self, name):
+        """The instrumented structures' own ``csr_arrays`` export."""
+        batches = _stream()
+        structure = make_structure(name, 64, directed=True)
+        mirror = ReferenceGraph(64, directed=True)
 
-        assert replay(False) == replay(True)
+        def ingest(batch):
+            structure.update(batch)
+            mirror.update_collect(batch)
+
+        def delete():
+            victims = batches[1].slice(0, 30)
+            structure.delete(victims)
+            return mirror.delete_collect(victims)
+
+        _replay_stream(structure, ingest, delete, batches, _hub(batches))
 
     def test_snapshot_views(self):
-        """Historical SnapshotView runs take the kernels unchanged."""
-        num_nodes = 64
-        batches = _stream(num_nodes=num_nodes, seed=23)
+        """Historical SnapshotView runs take the engines unchanged."""
+        batches = _stream(seed=23)
         source = _hub(batches)
-        store = SnapshotStore(num_nodes, directed=True)
+        store = SnapshotStore(64, directed=True)
         for batch in batches:
             store.commit(batch)
-
-        def replay(legacy):
-            snapshots = []
-            with _compute_path(legacy):
-                states = {a: get_algorithm(a).make_state(num_nodes) for a in ALGOS}
-                for t in range(store.num_snapshots):
-                    view = store.snapshot(t)
-                    for alg_name in ALGOS:
-                        algorithm = get_algorithm(alg_name)
-                        affected = algorithm.affected_from_batch(batches[t], view)
-                        snapshots.append(
-                            _snapshot_run(algorithm.fs_run(view, source=source))
-                        )
-                        snapshots.append(
-                            _snapshot_run(
-                                algorithm.inc_run(
-                                    view, states[alg_name], affected, source=source
-                                )
-                            )
-                        )
-            return snapshots
-
-        assert replay(False) == replay(True)
+        replays = [_Replay(name, 64, source) for name in ALGOS]
+        for t in range(store.num_snapshots):
+            view = store.snapshot(t)
+            for replay in replays:
+                replay.check_fs(view)
+                replay.check_inc(view, batches[t])
 
 
 class TestKernelPrimitives:
@@ -259,18 +193,21 @@ class TestKernelPrimitives:
         assert unique_ids(np.empty(0, dtype=np.int64), 0).size == 0
 
     def test_affected_sets_are_the_same_vertices_with_a_view_in_scope(self):
-        """The columnar branch returns the set branch's vertices, ascending."""
+        """One return type: the ascending id array, scoped view or not."""
         first, second = _stream(num_nodes=32, batches=2, per_batch=80, seed=4)
         reference = ReferenceGraph(32, directed=True)
         reference.update(first)
         reference.update(second)
         for name in ("CC", "PR"):
             algorithm = get_algorithm(name)
-            as_set = algorithm.affected_from_batch(second, reference)
-            assert isinstance(as_set, set)
+            bare = algorithm.affected_from_batch(second, reference)
             with view_scope(reference, ComputeView.of(reference)):
-                as_array = algorithm.affected_from_batch(second, reference)
-            assert as_array.tolist() == sorted(as_set)
+                scoped = algorithm.affected_from_batch(second, reference)
+            assert isinstance(bare, np.ndarray) and bare.dtype == np.int64
+            assert bare.tolist() == scoped.tolist()
+            assert bare.tolist() == sorted(
+                oracles.affected_oracle(algorithm, second, reference)
+            )
 
     def test_csr_export_matches_neighbor_iteration(self):
         batches = _stream(num_nodes=32, batches=1, per_batch=80, seed=3)
@@ -286,28 +223,45 @@ class TestKernelPrimitives:
                 pairs = list(structure.in_neigh(u))
                 lo, hi = cv.in_csr.indptr[u], cv.in_csr.indptr[u + 1]
                 assert cv.in_csr.indices[lo:hi].tolist() == [v for v, _ in pairs]
+            # The synchronous FS engine's in-edge columns are the
+            # per-vertex walk, destination by destination.
+            for got, want in zip(
+                packed_in_edges(cv), oracles.extract_in_edges(structure)
+            ):
+                assert got.tolist() == want.tolist()
+
+
+class _Relay(Algorithm):
+    """Scalar-only toy: hop count from vertex 0 (9 = not reached yet)."""
+
+    name = "t"
+
+    def init_value(self, ids):
+        return np.where(ids == 0, 0.0, 9.0)
+
+    def recalculate(self, v, view, values):
+        best = values[v]
+        for u, _ in view.in_neigh(v):
+            best = min(best, values[u] + 1.0)
+        return best
+
+    def fs_run(self, view, source=None):
+        raise NotImplementedError
 
 
 class TestDeterministicRounds:
-    def test_legacy_engine_frontier_order_is_input_independent(self):
-        """Satellite: the numpy frontier rebuild sorts every round."""
+    def test_frontier_order_is_input_independent(self):
+        """Every round's frontier is unique and ascending, whatever
+        order (or multiplicity) the affected vertices arrive in."""
         reference = ReferenceGraph(6, directed=True)
         reference.update(
             EdgeBatch.from_edges([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
         )
+        algorithm = _Relay()
 
-        def run_with(affected_iterable):
-            values = np.array([0.0, 9.0, 9.0, 9.0, 9.0, 9.0])
-
-            def recalc(v):
-                best = values[v]
-                for u, _ in reference.in_neigh(v):
-                    best = min(best, values[u] + 1.0)
-                return best
-
-            return run_incremental(
-                reference, values, affected_iterable, recalc, algorithm="t"
-            ), values
+        def run_with(affected):
+            state = algorithm.make_state(6)
+            return algorithm.inc_run(reference, state, affected), state.values
 
         orderings = [[1, 2], [2, 1], (v for v in (2, 1, 1, 2))]
         runs = [run_with(o) for o in orderings]
@@ -322,11 +276,12 @@ class TestDeterministicRounds:
             for run, _ in runs
         ]
         assert pull_rounds[0] == pull_rounds[1] == pull_rounds[2]
+        assert pull_rounds[0] == [[1, 2], [3], [4]]
 
 
 class TestEngineFingerprint:
-    def test_kernel_and_legacy_paths_share_run_store_entries(self, tmp_path):
-        """No key-schema bump: both paths hit the same cached results."""
+    def test_engines_share_run_store_entries(self, tmp_path):
+        """The engine is not part of the key: both hit the same entries."""
         from repro.streaming.driver import StreamConfig
 
         config = StreamConfig(
@@ -337,19 +292,19 @@ class TestEngineFingerprint:
         )
         key = stream_run_key("RMAT", config, seed=1, size_factor=0.003)
         store = RunStore(tmp_path / "cache")
-        with _compute_path(legacy=False):
+        with ccompute_env(None):
             fresh = run_stream(
                 "RMAT", config, seed=1, size_factor=0.003, store=store
             )
-            assert stream_run_key("RMAT", config, seed=1, size_factor=0.003) == key
         assert store.contains(key)
         assert store.misses == 1
-        with _compute_path(legacy=True):
+        with ccompute_env("1"):
             assert stream_run_key("RMAT", config, seed=1, size_factor=0.003) == key
             cached = run_stream(
                 "RMAT", config, seed=1, size_factor=0.003, store=store
             )
+            recomputed = run_stream("RMAT", config, seed=1, size_factor=0.003)
         assert store.hits == 1
-        assert len(cached.records) == len(fresh.records)
-        for a, b in zip(fresh.records, cached.records):
-            assert a.compute_cycles == b.compute_cycles
+        assert len(cached.records) == len(fresh.records) == len(recomputed.records)
+        for a, b, c in zip(fresh.records, cached.records, recomputed.records):
+            assert a.compute_cycles == b.compute_cycles == c.compute_cycles

@@ -74,11 +74,17 @@ class TestBaseAPI:
             def out_traversal_cost(self, u):
                 return 0.0
 
-            def _insert_out(self, src, dst, weight, recorder):
-                raise NotImplementedError
+            def _make_emitter(self, delete):
+                # Insert operations only: no delete_out / delete_in.
+                class InsertOnly:
+                    rows = 0
 
-            def _insert_in(self, src, dst, weight, recorder):
-                raise NotImplementedError
+                    def insert_out(self, src, dst, weight, recorder):
+                        raise NotImplementedError
+
+                    insert_in = insert_out
+
+                return InsertOnly()
 
             def _in_neigh_directed(self, u):
                 return []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.graph import EdgeBatch, ExecutionContext
 from repro.graph.blocked import MIN_SEGMENT, BlockedAdjacency
+from repro.sim.tasks import NO_CHUNK, NO_LOCK
 from tests.conftest import SMALL_MACHINE
 
 
@@ -49,12 +50,10 @@ class TestSegments:
             EdgeBatch.from_edges([(0, v + 1) for v in range(MIN_SEGMENT)]), ctx
         )
         result = structure.update(EdgeBatch.from_edges([(0, 6)]), ctx)
-        insert_task = result.extra["tasks"][0]
+        insert_work = result.extra["tasks"].total_work[0]
         # The relocating insert pays for copying MIN_SEGMENT entries.
         cost = structure.cost
-        assert insert_task.total_work >= (
-            cost.vector_grow_per_element * MIN_SEGMENT
-        )
+        assert insert_work >= cost.vector_grow_per_element * MIN_SEGMENT
 
 
 class TestPositioning:
@@ -75,9 +74,9 @@ class TestPositioning:
         structure = BlockedAdjacency(max_nodes=8, chunks=4)
         ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
         result = structure.update(EdgeBatch.from_edges([(0, 1), (2, 3)]), ctx)
-        for task in result.extra["tasks"]:
-            assert task.lock is None
-            assert task.chunk is not None
+        tasks = result.extra["tasks"]
+        assert (tasks.lock == NO_LOCK).all()
+        assert (tasks.chunk != NO_CHUNK).all()
 
     def test_rejects_bad_chunks(self):
         from repro.errors import StructureError

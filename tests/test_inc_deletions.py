@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.compute import ckernels
-from repro.compute.incremental import invalidate_after_deletions
 from repro.compute.kernels import ComputeView, invalidate_frontier
 from repro.graph import EdgeBatch, ReferenceGraph
 from tests.conftest import random_batch
@@ -20,6 +19,16 @@ from tests.test_compute_ckernels import WAVE_ENGINE, _engine, needs_ckernels
 
 MONOTONE = ("BFS", "CC", "MC", "SSSP", "SSWP")
 SOURCE = 0
+
+
+def invalidate(reference, values, removed, algorithm, pinned=()):
+    """The product invalidation over a removed-edge list; tainted ids."""
+    removed = EdgeBatch.from_edges(list(removed))
+    tainted = invalidate_frontier(
+        reference, values, removed.src, removed.dst, removed.weight,
+        algorithm.supports_batch, algorithm.init_value, pinned=pinned,
+    )
+    return set(tainted.tolist())
 
 
 def canonical(values):
@@ -125,9 +134,7 @@ class TestInvalidation:
         # 1's depth (1.0) was not derived via (2, 1) under BFS support
         # (it equals 0's depth + 1, and 2's too -- so it IS flagged).
         bfs = get_algorithm("BFS")
-        tainted = invalidate_after_deletions(
-            reference, values, removed, bfs.supports, bfs.init_value, pinned={0}
-        )
+        tainted = invalidate(reference, values, removed, bfs, pinned={0})
         assert 1 in tainted  # conservatively flagged (both supported)
 
     def test_pinned_source_never_reset(self):
@@ -136,9 +143,7 @@ class TestInvalidation:
         values = np.array([0.0, 5.0, np.inf])
         removed = [(1, 0, 1.0)]
         bfs = get_algorithm("BFS")
-        tainted = invalidate_after_deletions(
-            reference, values, removed, bfs.supports, bfs.init_value, pinned={0}
-        )
+        tainted = invalidate(reference, values, removed, bfs, pinned={0})
         assert 0 not in tainted
         assert values[0] == 0.0
 
@@ -185,9 +190,7 @@ class TestInvalidationEdgeCases:
         reference.update(EdgeBatch.from_edges([(0, 1)]))
         values = np.array([0.0, 1.0, np.inf, np.inf])
         bfs = get_algorithm("BFS")
-        tainted = invalidate_after_deletions(
-            reference, values, [], bfs.supports, bfs.init_value
-        )
+        tainted = invalidate(reference, values, [], bfs)
         assert tainted == set()
         assert values[1] == 1.0
 

@@ -4,9 +4,8 @@
 system C compiler when one is available.  These tests check that the
 compiled loop's ScheduleResult is bit-identical to the Python loop's on
 adversarial task streams, and that the scheduler degrades gracefully
-when the kernel is unavailable.  (The legacy-vs-columnar differential
-suite in ``test_task_kernels.py`` covers kernel-vs-object-path identity
-whenever the kernel is active.)
+when the kernel is unavailable.  (``test_task_kernels.py`` holds the
+named cases and the hypothesis properties of the same comparison.)
 """
 
 import unittest

@@ -8,7 +8,6 @@ AC and DAH have array implementations over their compiled stores;
 Stinger, BA and every plain (no-compiler) store use the base-class loop.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from repro.graph.base import GraphDataStructure
 from repro.sim import cingest
 from repro.sim.memory import Region
 from repro.sim.trace import TraceRecorder
-from tests.conftest import SMALL_MACHINE
+from tests.conftest import SMALL_MACHINE, cingest_env
 
 ALL = sorted(STRUCTURES)
 #: Few ids, so that random streams push vertices across DAH's degree-16
@@ -60,17 +59,11 @@ def _make(name, directed, plain, max_nodes=N, chunks=2):
     Few chunks, so that keys collide in DAH's per-chunk tables.
     """
     kwargs = {"chunks": chunks} if name in ("AC", "BA", "DAH") else {}
-    if plain:
-        os.environ[cingest.DISABLE_ENV] = "all"
-    cingest.reset()
-    try:
+    with cingest_env("all" if plain else None):
         structure = make_structure(name, max_nodes, directed=directed, **kwargs)
-    finally:
-        os.environ.pop(cingest.DISABLE_ENV, None)
-        cingest.reset()
-    assert getattr(structure._out, "native", False) == (
-        not plain and cingest.loaded()
-    )
+        assert getattr(structure._out, "native", False) == (
+            not plain and cingest.loaded()
+        )
     return structure
 
 
@@ -165,10 +158,7 @@ def test_per_vertex_only_structure_gets_array_entry_points():
         def out_traversal_cost(self, u):
             return 0.0
 
-        def _insert_out(self, src, dst, weight, recorder):
-            raise NotImplementedError
-
-        def _insert_in(self, src, dst, weight, recorder):
+        def _make_emitter(self, delete):
             raise NotImplementedError
 
         def _in_neigh_directed(self, u):
