@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_structure
-from repro.graph.hashtables import OpenAddressTable, RobinHoodTable
 from repro.sim.cache import CacheHierarchy
 from repro.sim.machine import MachineConfig
 from repro.sim.scheduler import DynamicScheduler
@@ -72,21 +71,6 @@ def test_cache_replay(benchmark):
 
     stats = benchmark(replay)
     assert stats.accesses == 50_000
-
-
-@pytest.mark.parametrize("table_cls", [RobinHoodTable, OpenAddressTable])
-def test_hashtable_inserts(benchmark, table_cls):
-    """Hash-table put/get throughput."""
-    keys = np.random.default_rng(3).integers(0, 1 << 30, size=20_000)
-
-    def fill():
-        table = table_cls(initial_capacity=64)
-        for key in keys:
-            table.put(int(key), None)
-        return table
-
-    table = benchmark(fill)
-    assert len(table) == len(set(keys.tolist()))
 
 
 def test_incremental_engine(benchmark):

@@ -191,7 +191,7 @@ def main(argv=None):
     combos = static_combo_totals(static)
     oracle = oracle_total_seconds(static)
 
-    tuner = TunerConfig.from_env()
+    tuner = TunerConfig()
     driver = AdaptiveStreamDriver(
         stream_config(SCHEDULE, args.seed, adaptive=True, tuner=tuner)
     )

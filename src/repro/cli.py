@@ -175,13 +175,10 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _tuner_from_args(args: argparse.Namespace):
-    """A TunerConfig honoring ``--model-in`` plus the env knobs."""
+    """A TunerConfig honoring ``--model-in``."""
     from repro.streaming import TunerConfig
 
-    model_in = getattr(args, "model_in", None)
-    if model_in:
-        return TunerConfig.from_env(model_path=model_in)
-    return TunerConfig.from_env()
+    return TunerConfig(model_path=getattr(args, "model_in", None) or None)
 
 
 def _run_adaptive_stream(args: argparse.Namespace, size_factor: float):

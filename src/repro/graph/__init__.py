@@ -54,9 +54,10 @@ def make_structure(
 ) -> GraphDataStructure:
     """Instantiate a data structure by its paper name.
 
-    ``name`` is one of ``"AS"``, ``"AC"``, ``"Stinger"``, ``"DAH"``
-    (case-insensitive).  Extra keyword arguments (e.g. ``chunks`` for
-    the chunked structures) are forwarded to the constructor.
+    ``name`` is one of ``"AS"``, ``"AC"``, ``"Stinger"``, ``"DAH"``,
+    ``"BA"`` (case-insensitive).  Extra keyword arguments (e.g.
+    ``chunks`` for the chunked structures) are forwarded to the
+    constructor.
     """
     key = {
         "as": "AS",

@@ -23,8 +23,9 @@ from repro.graph.base import (
     GraphDataStructure,
     contiguous_traversal_cost,
 )
-from repro.graph.nativestore import make_vector_store, native_vec_ingest
-from repro.graph.vectorstore import bulk_ingest, row_layout
+from repro.graph.nativestore import NativeVectorStore, native_vec_ingest
+from repro.graph.vectorstore import row_layout
+from repro.sim import cingest
 from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, TaskArray
 
 #: Default chunk count; matches the paper's 64 hardware threads.
@@ -71,7 +72,7 @@ class _ChunkedEmitter:
         self._chunks = structure.chunks
         self._delete = delete
         self._directed = structure.directed
-        self._layout = None  # (src, dst) of a fused batch, for finish()
+        self._layout = None  # (src, dst) of a compiled batch, for finish()
         self.scanned: List[int] = []
         self.hit: List[bool] = []
         self.aux: List[int] = []  # grew_from (insert) / moved (delete)
@@ -81,30 +82,23 @@ class _ChunkedEmitter:
     def rows(self) -> int:
         return len(self.scanned)
 
-    def ingest_batch(self, batch) -> int:
-        """Fused untraced ingest; chunk ids are rebuilt in ``finish``."""
+    @property
+    def ingest_batch(self):
+        """The one-call batch path; ``None`` for stores without a kernel."""
+        return self._ingest_compiled if self._out.kernels is not None else None
+
+    def _ingest_compiled(self, batch) -> int:
+        """The whole batch in one compiled call; chunk ids are rebuilt
+        in ``finish``."""
         self._layout = (batch.src, batch.dst)
-        if getattr(self._out, "native", False):
-            positive, self.scanned, self.hit, self.aux = native_vec_ingest(
-                self._out,
-                self._in if self._directed else self._out,
-                batch,
-                self._directed,
-                self._delete,
-            )
-            return positive
-        return bulk_ingest(
+        positive, self.scanned, self.hit, self.aux = native_vec_ingest(
             self._out,
             self._in if self._directed else self._out,
-            batch.src.tolist(),
-            batch.dst.tolist(),
-            None if self._delete else batch.weight.tolist(),
+            batch,
             self._directed,
             self._delete,
-            self.scanned,
-            self.hit,
-            self.aux,
         )
+        return positive
 
     def insert_out(self, src, dst, weight, recorder) -> bool:
         return self._insert(self._out, src, dst, weight, recorder)
@@ -176,9 +170,10 @@ class AdjacencyListChunked(GraphDataStructure):
         if chunks < 1:
             raise StructureError(f"chunks must be >= 1, got {chunks}")
         self.chunks = chunks
-        self._out = make_vector_store(max_nodes, self.space, "AC.out", "AC")
+        kernels = cingest.get("AC")
+        self._out = NativeVectorStore(max_nodes, self.space, "AC.out", kernels)
         self._in = (
-            make_vector_store(max_nodes, self.space, "AC.in", "AC")
+            NativeVectorStore(max_nodes, self.space, "AC.in", kernels)
             if directed
             else None
         )
@@ -235,6 +230,4 @@ class AdjacencyListChunked(GraphDataStructure):
 
     def _trace_traversals(self, vertices, out: bool):
         store = self._out if out else self._in
-        if getattr(store, "native", False):
-            return store.trace_traversals(vertices)
-        return super()._trace_traversals(vertices, out)
+        return store.trace_traversals(vertices)

@@ -21,8 +21,9 @@ from repro.graph.base import (
     IN_STORE_LOCK_BASE,
     contiguous_traversal_cost,
 )
-from repro.graph.nativestore import make_vector_store, native_vec_ingest
-from repro.graph.vectorstore import bulk_ingest, row_layout
+from repro.graph.nativestore import NativeVectorStore, native_vec_ingest
+from repro.graph.vectorstore import row_layout
+from repro.sim import cingest
 from repro.sim.scheduler import DynamicScheduler, ScheduleResult, TaskArray
 
 
@@ -55,7 +56,7 @@ class _SharedEmitter:
         self._cost = structure.cost
         self._delete = delete
         self._directed = structure.directed
-        self._layout = None  # (src, dst) of a fused batch, for finish()
+        self._layout = None  # (src, dst) of a compiled batch, for finish()
         self.scanned: List[int] = []
         self.hit: List[bool] = []
         self.aux: List[int] = []  # grew_from (insert) / moved (delete)
@@ -65,34 +66,26 @@ class _SharedEmitter:
     def rows(self) -> int:
         return len(self.scanned)
 
-    def ingest_batch(self, batch) -> int:
-        """Fused untraced ingest: one flat pass over the whole batch.
+    @property
+    def ingest_batch(self):
+        """The one-call batch path; ``None`` for stores without a kernel."""
+        return self._ingest_compiled if self._out.kernels is not None else None
 
-        Lock ids are not appended per operation; they depend only on
+    def _ingest_compiled(self, batch) -> int:
+        """The whole batch in one compiled call.
+
+        Lock ids are not returned per operation; they depend only on
         the batch content and are rebuilt vectorized in ``finish``.
         """
         self._layout = (batch.src, batch.dst)
-        if getattr(self._out, "native", False):
-            positive, self.scanned, self.hit, self.aux = native_vec_ingest(
-                self._out,
-                self._in if self._directed else self._out,
-                batch,
-                self._directed,
-                self._delete,
-            )
-            return positive
-        return bulk_ingest(
+        positive, self.scanned, self.hit, self.aux = native_vec_ingest(
             self._out,
             self._in if self._directed else self._out,
-            batch.src.tolist(),
-            batch.dst.tolist(),
-            None if self._delete else batch.weight.tolist(),
+            batch,
             self._directed,
             self._delete,
-            self.scanned,
-            self.hit,
-            self.aux,
         )
+        return positive
 
     def insert_out(self, src, dst, weight, recorder) -> bool:
         return self._insert(self._out, src, dst, weight, recorder, src)
@@ -174,9 +167,10 @@ class AdjacencyListShared(GraphDataStructure):
             cost_model=cost_model or DEFAULT_COST_MODEL,
             address_space=address_space,
         )
-        self._out = make_vector_store(max_nodes, self.space, "AS.out", "AS")
+        kernels = cingest.get("AS")
+        self._out = NativeVectorStore(max_nodes, self.space, "AS.out", kernels)
         self._in = (
-            make_vector_store(max_nodes, self.space, "AS.in", "AS")
+            NativeVectorStore(max_nodes, self.space, "AS.in", kernels)
             if directed
             else None
         )
@@ -229,6 +223,4 @@ class AdjacencyListShared(GraphDataStructure):
 
     def _trace_traversals(self, vertices, out: bool):
         store = self._out if out else self._in
-        if getattr(store, "native", False):
-            return store.trace_traversals(vertices)
-        return super()._trace_traversals(vertices, out)
+        return store.trace_traversals(vertices)

@@ -19,10 +19,12 @@ Task emission is columnar: each structure provides a *task emitter*
 counts of every store operation (slots scanned, blocks chased, entries
 rehashed...) and prices them in bulk into a
 :class:`~repro.sim.tasks.TaskArray` with vectorized arithmetic.  An
-emitter's per-operation methods are the reference (and what traced
-batches run, since the store methods emit the memory accesses); its
-optional fused ``ingest_batch`` is the fast path for untraced batches.
-``tests/test_task_kernels.py`` pins the emitted columns of both.
+emitter's per-operation methods are the reference: what traced batches
+run, since the store methods emit the memory accesses, and what every
+batch runs when the stores were built without a compiled kernel.  Its
+``ingest_batch`` -- the whole batch as one compiled call -- is the fast
+path for untraced batches.  ``tests/test_task_kernels.py`` pins the
+emitted columns of both.
 """
 
 from __future__ import annotations
@@ -233,10 +235,10 @@ class GraphDataStructure(abc.ABC):
             raise StructureError(f"{self.name} does not support deletion")
         tracing = recorder.enabled
         directed = self.directed
-        # Untraced batches take the fused bulk loop when the emitter
-        # provides one (store internals inlined, no per-op dispatch);
-        # traced batches keep the per-edge loop, whose store methods
-        # emit the memory accesses.
+        # Untraced batches take the emitter's one compiled call when
+        # it offers one; traced batches, and stores without a kernel,
+        # run the per-edge loop, whose store methods emit the memory
+        # accesses.
         bulk = None if tracing else getattr(emitter, "ingest_batch", None)
         if bulk is not None:
             positive = bulk(batch)
@@ -430,7 +432,7 @@ class GraphDataStructure(abc.ABC):
         """Reference emitter: the per-vertex :meth:`_trace_traversal` in a loop.
 
         Structures whose stores can emit a whole vertex array at once
-        override this; the result must equal this loop's.
+        (AS, AC, DAH) override this; the result must equal this loop's.
         """
         recorder = TraceRecorder()
         ends = []
@@ -455,8 +457,9 @@ class GraphDataStructure(abc.ABC):
         prices all of them into one :class:`TaskArray` (per-batch
         overhead tasks such as chunk routing included).  A structure
         that supports deletion adds ``delete_out(src, dst, recorder)``
-        / ``delete_in``; one with a fused untraced loop adds
-        ``ingest_batch(batch)`` returning the positive count.
+        / ``delete_in``; one whose stores have a compiled kernel offers
+        ``ingest_batch(batch)`` returning the positive count (absent or
+        ``None`` otherwise).
         """
 
     @abc.abstractmethod

@@ -9,8 +9,8 @@ is one it cites.  This module adds a simplified Hornet-like structure:
 - when a segment fills, the vertex **relocates** to a segment of twice
   the capacity (one memcpy, amortized O(1) per insert) and the old
   segment returns to its pool for reuse;
-- duplicate detection uses a per-vertex index (charged as a segment
-  scan, like the adjacency lists);
+- duplicate detection is charged as a segment scan, like the
+  adjacency lists;
 - multithreading is chunked and lockless, like AC/DAH.
 
 Compared with the paper's four structures it trades Stinger's
@@ -24,7 +24,7 @@ reproduction pipelines keep using the original four by default.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,138 +35,16 @@ from repro.graph.base import (
     GraphDataStructure,
     contiguous_traversal_cost,
 )
-from repro.graph.nativestore import make_blocked_store, native_vec_ingest
-from repro.graph.vectorstore import bulk_ingest, row_layout
-from repro.sim.memory import AddressSpace, Region
+from repro.graph.nativestore import NativeBlockedStore, native_vec_ingest
+from repro.graph.vectorstore import INITIAL_CAPACITY, row_layout
+from repro.sim import cingest
 from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, TaskArray
 
-ENTRY_BYTES = 8
-MIN_SEGMENT = 4
+#: Capacity of a vertex's first segment (the smallest block pool).
+MIN_SEGMENT = INITIAL_CAPACITY
 
 #: Default chunk count; matches the paper's 64 hardware threads.
 DEFAULT_CHUNKS = 64
-
-
-class _SegmentPool:
-    """A free list of equal-capacity segments (one Hornet block pool)."""
-
-    def __init__(self, capacity: int, space: AddressSpace, label: str) -> None:
-        self.capacity = capacity
-        self.space = space
-        self.label = label
-        self._free: List[Region] = []
-        self._alloc_bytes = capacity * ENTRY_BYTES
-        self._alloc_label = f"{label}.seg{capacity}"
-        self.allocations = 0
-        self.reuses = 0
-
-    def acquire(self) -> Region:
-        if self._free:
-            self.reuses += 1
-            return self._free.pop()
-        self.allocations += 1
-        return self.space.alloc(self._alloc_bytes, self._alloc_label)
-
-    def release(self, region: Region) -> None:
-        self._free.append(region)
-
-
-class _BlockedStore:
-    """One direction of the blocked adjacency."""
-
-    def __init__(self, max_nodes: int, space: AddressSpace, label: str) -> None:
-        self.max_nodes = max_nodes
-        self.space = space
-        self.label = label
-        self._neighbors: List[List[Tuple[int, float]]] = [[] for _ in range(max_nodes)]
-        self._index: List[Dict[int, int]] = [{} for _ in range(max_nodes)]
-        self._segment: List[Optional[Region]] = [None] * max_nodes
-        self._capacity: List[int] = [0] * max_nodes
-        self._pools: Dict[int, _SegmentPool] = {}
-        self._header = space.alloc(max_nodes * 16, f"{label}.headers")
-
-    def _pool(self, capacity: int) -> _SegmentPool:
-        pool = self._pools.get(capacity)
-        if pool is None:
-            pool = _SegmentPool(capacity, self.space, self.label)
-            self._pools[capacity] = pool
-        return pool
-
-    def insert(self, src: int, dst: int, weight: float, recorder):
-        """Search-then-insert; returns (scanned, inserted, relocated)."""
-        vec = self._neighbors[src]
-        index = self._index[src]
-        tracing = recorder.enabled
-        if tracing:
-            recorder.access(self._header.element(src, 16))
-        existing = index.get(dst)
-        if existing is not None:
-            scanned = existing + 1
-            if tracing and self._segment[src] is not None:
-                recorder.access_range(self._segment[src].base, scanned, ENTRY_BYTES)
-            return scanned, False, 0
-        scanned = len(vec)
-        if tracing and self._segment[src] is not None:
-            recorder.access_range(self._segment[src].base, scanned, ENTRY_BYTES)
-        relocated = 0
-        if len(vec) == self._capacity[src]:
-            relocated = self._relocate(src)
-        index[dst] = len(vec)
-        vec.append((dst, weight))
-        if tracing:
-            recorder.access(
-                self._segment[src].element(len(vec) - 1, ENTRY_BYTES), write=True
-            )
-        return scanned, True, relocated
-
-    def _relocate(self, src: int) -> int:
-        """Move ``src`` to a doubled segment; returns entries copied."""
-        old_capacity = self._capacity[src]
-        new_capacity = old_capacity * 2 if old_capacity else MIN_SEGMENT
-        old_segment = self._segment[src]
-        self._segment[src] = self._pool(new_capacity).acquire()
-        self._capacity[src] = new_capacity
-        if old_segment is not None:
-            self._pool(old_capacity).release(old_segment)
-        return len(self._neighbors[src])
-
-    def remove(self, src: int, dst: int, recorder):
-        """Swap-remove; returns (scanned, removed)."""
-        vec = self._neighbors[src]
-        index = self._index[src]
-        position = index.get(dst)
-        if position is None:
-            return len(vec), False
-        last = len(vec) - 1
-        if position != last:
-            vec[position] = vec[last]
-            index[vec[position][0]] = position
-        vec.pop()
-        del index[dst]
-        return position + 1, True
-
-    def _bulk_parts(self):
-        """(neighbors, index, capacity, grow) for :func:`bulk_ingest`."""
-        return self._neighbors, self._index, self._capacity, self._relocate
-
-    def neighbors(self, u: int) -> List[Tuple[int, float]]:
-        return self._neighbors[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._neighbors[u])
-
-    def trace_traversal(self, u: int, recorder) -> None:
-        recorder.access(self._header.element(u, 16))
-        segment = self._segment[u]
-        if segment is not None:
-            recorder.access_range(segment.base, len(self._neighbors[u]), ENTRY_BYTES)
-
-    def pool_stats(self) -> Dict[int, Tuple[int, int]]:
-        """{capacity: (allocations, reuses)} across all pools."""
-        return {
-            capacity: (pool.allocations, pool.reuses)
-            for capacity, pool in sorted(self._pools.items())
-        }
 
 
 class _BlockedEmitter:
@@ -193,7 +71,7 @@ class _BlockedEmitter:
         self._chunks = structure.chunks
         self._delete = delete
         self._directed = structure.directed
-        self._layout = None  # (src, dst) of a fused batch, for finish()
+        self._layout = None  # (src, dst) of a compiled batch, for finish()
         self.scanned: List[int] = []
         self.hit: List[bool] = []
         self.relocated: List[int] = []
@@ -203,36 +81,28 @@ class _BlockedEmitter:
     def rows(self) -> int:
         return len(self.scanned)
 
-    def ingest_batch(self, batch) -> int:
-        """Fused untraced ingest; chunk ids are rebuilt in ``finish``.
+    @property
+    def ingest_batch(self):
+        """The one-call batch path; ``None`` for stores without a kernel."""
+        return self._ingest_compiled if self._out.kernels is not None else None
+
+    def _ingest_compiled(self, batch) -> int:
+        """The whole batch in one compiled call; chunk ids are rebuilt
+        in ``finish``.
 
         BA prices deletions as a flat clear+backfill, so the moved
         count is not recorded (``record_moved=False``).
         """
         self._layout = (batch.src, batch.dst)
-        if getattr(self._out, "native", False):
-            positive, self.scanned, self.hit, self.relocated = native_vec_ingest(
-                self._out,
-                self._in if self._directed else self._out,
-                batch,
-                self._directed,
-                self._delete,
-                record_moved=False,
-            )
-            return positive
-        return bulk_ingest(
+        positive, self.scanned, self.hit, self.relocated = native_vec_ingest(
             self._out,
             self._in if self._directed else self._out,
-            batch.src.tolist(),
-            batch.dst.tolist(),
-            None if self._delete else batch.weight.tolist(),
+            batch,
             self._directed,
             self._delete,
-            self.scanned,
-            self.hit,
-            self.relocated,
             record_moved=False,
         )
+        return positive
 
     def insert_out(self, src, dst, weight, recorder) -> bool:
         return self._insert(self._out, src, dst, weight, recorder)
@@ -312,9 +182,10 @@ class BlockedAdjacency(GraphDataStructure):
         if chunks < 1:
             raise StructureError(f"chunks must be >= 1, got {chunks}")
         self.chunks = chunks
-        self._out = make_blocked_store(max_nodes, self.space, "BA.out")
+        kernels = cingest.get("BA")
+        self._out = NativeBlockedStore(max_nodes, self.space, "BA.out", kernels)
         self._in = (
-            make_blocked_store(max_nodes, self.space, "BA.in")
+            NativeBlockedStore(max_nodes, self.space, "BA.in", kernels)
             if directed
             else None
         )

@@ -1,33 +1,45 @@
-"""Numpy-backed stores driven by the compiled ingest kernels.
+"""The stores: one direction of adjacency in flat numpy arenas.
 
-Each plain Python store (``VectorStore``, ``_BlockedStore``, the
-Stinger block store, DAH's tracked hash tables) has a *native* twin
-here whose state lives in flat numpy arrays so the C kernels in
-:mod:`repro.sim.cingest` can mutate it directly.  A native store
-implements the exact same interface as its plain twin -- the per-edge
-``insert``/``remove`` used by traced batches, neighbor/degree
-queries, traversal tracing, and the internal
-accounting the tests poke (segment pools, capacities) -- with
-bit-identical outcomes, trace addresses, and simulated-memory layout.
+Every structure keeps its out- and in-neighbors in a pair of the stores
+defined here -- :class:`NativeVectorStore` (AS, AC),
+:class:`NativeBlockedStore` (BA), :class:`NativeStingerStore`,
+:class:`NativeDAHStore` -- whose whole state is a handful of numpy
+arrays.  Each operation on that state is written twice:
 
-The fused batch path (``native_vec_ingest``) hands the whole batch to
-the C kernel and returns the same count columns the Python
-``bulk_ingest`` loop appends.  Simulated-memory accounting stays in
-Python: the kernel logs one event per allocation-changing operation
-(vector growth, segment relocation) and the store replays the log
-after the call, so ``AddressSpace`` layout and segment-pool statistics
-match the per-edge path exactly.  The vector stores (AS, AC) replay it
-as one array -- a bump allocator's layout is a cumsum of the aligned
-sizes (``AddressSpace.alloc_log``) -- while BA replays event by event
-because its segment-pool free lists depend on the order.
+* **per edge, in Python** -- ``insert``/``remove`` return the primitive
+  counts of one search-then-act (slots scanned, blocks chased, table
+  slots probed, entries rehashed ...) and emit the memory accesses it
+  makes into the recorder.  This is the reference, what every traced
+  batch runs, and what an untraced batch runs when the store was built
+  without a kernel (no compiler, a failed build, or the structure named
+  in ``SAGA_BENCH_NO_CINGEST``);
+* **per batch, in C** -- ``native_vec_ingest`` / ``native_stinger_ingest``
+  / ``native_dah_ingest`` hand the whole batch to the kernel of
+  :mod:`repro.sim.cingest`, which mutates the same arrays and returns
+  the same counts as columns, row for row.
 
-Store construction goes through the ``make_*_store`` factories: the
-plain store is returned when the kernels are unavailable or the
-structure is disabled via ``SAGA_BENCH_NO_CINGEST``.
+Simulated-memory accounting stays in Python on both paths: the kernel
+logs one event per allocation-changing operation (vector growth,
+segment relocation, block alloc/free, table resize) and the store
+replays the log after the call, so the ``AddressSpace`` layout -- hence
+every traced address -- does not depend on which path ingested which
+batch.  The vector stores (AS, AC) replay the log as one array -- a bump
+allocator's layout is a cumsum of the aligned sizes
+(``AddressSpace.alloc_log``) -- while BA replays event by event because
+its segment-pool free lists depend on the order.  A kernel never
+allocates: when an arena is too small it *stalls*, returning a resume
+cursor and a resource code, the ``_grow_*`` method of that resource
+enlarges the numpy array, and the kernel is re-entered.
+
+The layout constants and outcome records of each family live beside its
+store; the structure modules import them from here, never the reverse.
+``tests/oracle_stores.py`` holds an independent list/dict implementation
+of the same four stores that both paths are tested against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +50,6 @@ from repro.graph.vectorstore import (
     INITIAL_CAPACITY,
     InsertOutcome,
     RemoveOutcome,
-    VectorStore,
 )
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
@@ -53,17 +64,19 @@ INITIAL_POOL = 1 << 14
 
 class _PooledVectorState:
     """Flat (neighbor, weight) pool + per-vertex spans, shared by the
-    vector-family native stores (AS/AC vectors and BA segments have the
-    same mutation semantics; only growth *accounting* differs)."""
+    vector-family stores (AS/AC vectors and BA segments have the same
+    mutation semantics; only growth *accounting* differs).
 
-    native = True
+    ``kernels`` is ``cingest.get(structure)``: ``None`` builds the same
+    store without a compiled batch path.
+    """
 
     def __init__(self, max_nodes: int, space: AddressSpace, label: str,
-                 kernels: cingest.IngestKernels) -> None:
+                 kernels: Optional[cingest.IngestKernels]) -> None:
         self.max_nodes = max_nodes
         self.space = space
         self.label = label
-        self._kernels = kernels
+        self.kernels = kernels
         self._off = np.zeros(max_nodes, dtype=np.int64)
         self._len = np.zeros(max_nodes, dtype=np.int64)
         self._capacity = np.zeros(max_nodes, dtype=np.int64)
@@ -75,7 +88,7 @@ class _PooledVectorState:
     # -- pool plumbing -------------------------------------------------
 
     def _kernel_args(self) -> tuple:
-        p = self._kernels._p
+        p = self.kernels._p
         return (
             p(self._off), p(self._len), p(self._capacity),
             p(self._nbr), p(self._wgt), p(self._state), len(self._nbr),
@@ -151,7 +164,12 @@ class _PooledVectorState:
 
 
 class NativeVectorStore(_PooledVectorState):
-    """Kernel-backed twin of :class:`~repro.graph.vectorstore.VectorStore`."""
+    """AS/AC store: one growable vector per vertex.
+
+    Duplicate detection is charged as the linear scan a contiguous C++
+    vector would perform; a full vector doubles into a freshly allocated
+    region and frees the old one.
+    """
 
     def __init__(self, max_nodes, space, label, kernels) -> None:
         super().__init__(max_nodes, space, label, kernels)
@@ -198,6 +216,7 @@ class NativeVectorStore(_PooledVectorState):
             mirror_store._region_base[vertex[~own]] = bases[~own]
 
     def insert(self, src: int, dst: int, weight: float, recorder) -> InsertOutcome:
+        """Search for ``src -> dst`` and insert it if absent."""
         tracing = recorder.enabled
         if tracing:
             recorder.access(self._header.element(src, HEADER_BYTES))
@@ -233,6 +252,11 @@ class NativeVectorStore(_PooledVectorState):
         )
 
     def remove(self, src: int, dst: int, recorder) -> RemoveOutcome:
+        """Search for ``src -> dst`` and swap-remove it if present.
+
+        The last entry moves into the vacated slot, keeping the vector
+        dense (the standard unordered-vector deletion).
+        """
         tracing = recorder.enabled
         if tracing:
             recorder.access(self._header.element(src, HEADER_BYTES))
@@ -261,6 +285,7 @@ class NativeVectorStore(_PooledVectorState):
         return RemoveOutcome(scanned=scanned, removed=True, moved=moved)
 
     def trace_traversal(self, u: int, recorder) -> None:
+        """Emit the accesses of one full traversal of ``u``'s vector."""
         recorder.access(self._header.element(u, HEADER_BYTES))
         region = self._region(u)
         if region is not None:
@@ -279,22 +304,44 @@ class NativeVectorStore(_PooledVectorState):
         return counts, np.where(within == 0, headers[seg], entries)
 
 
+class _SegmentPool:
+    """A free list of equal-capacity segments (one Hornet block pool)."""
+
+    def __init__(self, capacity: int, space: AddressSpace, label: str) -> None:
+        self.capacity = capacity
+        self.space = space
+        self.label = label
+        self._free: List[Region] = []
+        self._alloc_bytes = capacity * ENTRY_BYTES
+        self._alloc_label = f"{label}.seg{capacity}"
+        self.allocations = 0
+        self.reuses = 0
+
+    def acquire(self) -> Region:
+        if self._free:
+            self.reuses += 1
+            return self._free.pop()
+        self.allocations += 1
+        return self.space.alloc(self._alloc_bytes, self._alloc_label)
+
+    def release(self, region: Region) -> None:
+        self._free.append(region)
+
+
 class NativeBlockedStore(_PooledVectorState):
-    """Kernel-backed twin of BA's ``_BlockedStore`` (pooled segments)."""
+    """BA store: one contiguous segment per vertex, drawn from
+    power-of-two :class:`_SegmentPool` free lists; a full segment
+    relocates to one of twice the capacity and returns to its pool."""
 
     def __init__(self, max_nodes, space, label, kernels) -> None:
         super().__init__(max_nodes, space, label, kernels)
-        # Imported lazily to dodge the blocked -> nativestore cycle.
-        from repro.graph.blocked import _SegmentPool
-
-        self._pool_class = _SegmentPool
         self._segment: List[Optional[Region]] = [None] * max_nodes
-        self._pools: Dict[int, object] = {}
+        self._pools: Dict[int, _SegmentPool] = {}
 
-    def _pool(self, capacity: int):
+    def _pool(self, capacity: int) -> _SegmentPool:
         pool = self._pools.get(capacity)
         if pool is None:
-            pool = self._pool_class(capacity, self.space, self.label)
+            pool = _SegmentPool(capacity, self.space, self.label)
             self._pools[capacity] = pool
         return pool
 
@@ -363,31 +410,54 @@ class NativeBlockedStore(_PooledVectorState):
         }
 
 
+#: Edges per Stinger edge block (paper Section III-A3).
+BLOCK_CAPACITY = 16
+
+#: Bytes per block: header (next pointer, count) + 16 packed entries.
+BLOCK_HEADER_BYTES = 16
+BLOCK_BYTES = BLOCK_HEADER_BYTES + BLOCK_CAPACITY * ENTRY_BYTES
+
+#: Bytes per entry of the vertex array (id, degree, head pointer).
+VERTEX_ENTRY_BYTES = 16
+
+
+@dataclass
+class _InsertOutcome:
+    """Primitive counts of one Stinger insert (or remove)."""
+
+    search_chases: int
+    search_probes: int
+    space_chases: int
+    inserted: bool
+    new_block: bool
+    lock: Optional[int]
+
+
 class NativeStingerStore:
-    """Kernel-backed twin of ``_StingerStore`` (linked edge blocks).
+    """Stinger store: a linked list of 16-edge blocks per vertex.
 
     Blocks live in a flat pool (block id == pool slot; ids are never
-    reused, so the pool cursor doubles as ``_next_block_id``), each
+    reused, so the pool cursor doubles as the next block id), each
     vertex's block list is a span in a flat block-id pool, and the
     per-block ``Region`` objects -- the simulated addresses the traced
     per-edge path emits -- are kept in a Python list indexed by id.
+    An insert scans the list twice (search, then first block with free
+    space); a remove backfills from the block's last entry and unlinks
+    a tail block left empty.
     """
-
-    native = True
 
     #: Initial pool sizes (doubled on demand via kernel stalls).
     INITIAL_BIDS = 1 << 12
     INITIAL_BLOCKS = 256
 
     def __init__(self, max_nodes: int, space: AddressSpace, label: str,
-                 lock_base: int, kernels: cingest.IngestKernels) -> None:
-        from repro.graph.stinger import BLOCK_BYTES, VERTEX_ENTRY_BYTES
-
+                 lock_base: int,
+                 kernels: Optional[cingest.IngestKernels]) -> None:
         self.max_nodes = max_nodes
         self.space = space
         self.label = label
         self.lock_base = lock_base
-        self._kernels = kernels
+        self.kernels = kernels
         self._boff = np.zeros(max_nodes, dtype=np.int64)
         self._bcnt = np.zeros(max_nodes, dtype=np.int64)
         self._bcap = np.zeros(max_nodes, dtype=np.int64)
@@ -402,12 +472,11 @@ class NativeStingerStore:
             max_nodes * VERTEX_ENTRY_BYTES, f"{label}.vertices"
         )
         self._block_label = f"{label}.block"
-        self._block_bytes = BLOCK_BYTES
 
     # -- pool plumbing -------------------------------------------------
 
     def _kernel_args(self) -> tuple:
-        p = self._kernels._p
+        p = self.kernels._p
         return (
             self.lock_base,
             p(self._boff), p(self._bcnt), p(self._bcap), p(self._deg),
@@ -443,12 +512,12 @@ class NativeStingerStore:
     def _replay_event(self, kind: int, block_id: int) -> None:
         if kind == 0:  # block allocated (ids are sequential)
             self._regions.append(
-                self.space.alloc(self._block_bytes, self._block_label)
+                self.space.alloc(BLOCK_BYTES, self._block_label)
             )
         else:  # tail block freed
             self.space.free(self._regions[block_id])
 
-    # -- per-edge twin (traced batches) ---------------------------------
+    # -- per-edge operations --------------------------------------------
 
     def _find_edge(self, u: int, dst: int) -> Tuple[int, int, int]:
         """(block index, slot, probes before the block); (-1,-1,deg) miss."""
@@ -487,13 +556,14 @@ class NativeStingerStore:
         self._replay_event(0, bid)
         return bid
 
-    def insert(self, src: int, dst: int, weight: float, recorder):
-        from repro.graph.stinger import (
-            BLOCK_CAPACITY,
-            VERTEX_ENTRY_BYTES,
-            _InsertOutcome,
-        )
+    def insert(self, src: int, dst: int, weight: float, recorder) -> _InsertOutcome:
+        """Two-scan search-then-insert of ``src -> dst``.
 
+        A search scan that finds the edge stops at its block; a negative
+        search scans the whole list, then a second scan walks it again
+        for the first block with free space (deletions can open holes in
+        any block; an insert-only stream always lands in the tail).
+        """
         tracing = recorder.enabled
         if tracing:
             recorder.access(self._vertex_array.element(src, VERTEX_ENTRY_BYTES))
@@ -544,9 +614,13 @@ class NativeStingerStore:
             lock=self.lock_base + tb,
         )
 
-    def remove(self, src: int, dst: int, recorder):
-        from repro.graph.stinger import VERTEX_ENTRY_BYTES, _InsertOutcome
+    def remove(self, src: int, dst: int, recorder) -> _InsertOutcome:
+        """Search for ``src -> dst`` and remove it from its block.
 
+        The block's last entry backfills the vacated slot; a tail block
+        left empty is unlinked and freed.  Reuses the insert outcome
+        record (``new_block`` then means "a block was freed").
+        """
         tracing = recorder.enabled
         if tracing:
             recorder.access(self._vertex_array.element(src, VERTEX_ENTRY_BYTES))
@@ -588,8 +662,6 @@ class NativeStingerStore:
         )
 
     def _entry_address(self, block_id: int, slot: int) -> int:
-        from repro.graph.stinger import BLOCK_HEADER_BYTES
-
         return (
             self._regions[block_id].base
             + BLOCK_HEADER_BYTES
@@ -597,8 +669,6 @@ class NativeStingerStore:
         )
 
     def _trace_scan(self, u: int, block_count: int, recorder) -> None:
-        from repro.graph.stinger import BLOCK_HEADER_BYTES
-
         boff = int(self._boff[u])
         for k in range(block_count):
             bid = int(self._bids[boff + k])
@@ -633,37 +703,8 @@ class NativeStingerStore:
         return int(self._bcnt[u])
 
     def trace_traversal(self, u: int, recorder) -> None:
-        from repro.graph.stinger import VERTEX_ENTRY_BYTES
-
         recorder.access(self._vertex_array.element(u, VERTEX_ENTRY_BYTES))
         self._trace_scan(u, int(self._bcnt[u]), recorder)
-
-    @property
-    def _blocks(self):
-        """Per-vertex ``_EdgeBlock`` views (plain-store debug shape)."""
-        from repro.graph.stinger import _EdgeBlock
-
-        result = []
-        for u in range(self.max_nodes):
-            boff = int(self._boff[u])
-            vertex_blocks = []
-            for k in range(int(self._bcnt[u])):
-                bid = int(self._bids[boff + k])
-                length = int(self._blen[bid])
-                vertex_blocks.append(
-                    _EdgeBlock(
-                        bid,
-                        self._regions[bid],
-                        list(
-                            zip(
-                                self._bnbr[bid * 16:bid * 16 + length].tolist(),
-                                self._bwgt[bid * 16:bid * 16 + length].tolist(),
-                            )
-                        ),
-                    )
-                )
-            result.append(vertex_blocks)
-        return result
 
 
 def _count_growth_events(store, count: int) -> None:
@@ -680,11 +721,11 @@ def native_stinger_ingest(out_store, in_store, batch, directed, delete):
     """Fused batch ingest through the compiled Stinger kernel.
 
     Returns ``(positive, chases, probes, space, hit, new_block, lock)``
-    with the columns as numpy arrays matching the fused Python loop
-    row for row; block alloc/free events replay in call order so the
-    simulated address space lays out identically.
+    with the columns as numpy arrays, one row per store operation in
+    the per-edge loop's order; block alloc/free events replay in call
+    order so the simulated address space lays out identically.
     """
-    kernels = out_store._kernels
+    kernels = out_store.kernels
     n = len(batch)
     src = np.ascontiguousarray(batch.src, dtype=np.int64)
     dst = np.ascontiguousarray(batch.dst, dtype=np.int64)
@@ -735,13 +776,17 @@ def native_vec_ingest(out_store, in_store, batch, directed, delete,
                       record_moved=True):
     """Fused batch ingest through the compiled vector kernel.
 
-    Operation for operation equivalent to ``bulk_ingest`` -- same store
-    mutations in the same order, same scanned/hit/aux rows, same
-    simulated-memory layout (growth events replayed in call order).
-    Returns ``(positive, scanned, hit, aux)`` with the columns as numpy
-    arrays, ready for the emitters' vectorized pricing.
+    Operation for operation equivalent to the per-edge loop over
+    ``insert``/``remove`` -- same store mutations in the same order,
+    same scanned/hit/aux rows (``aux``: grew_from on insert, moved on
+    delete, 0 when ``record_moved`` is false, for stores that do not
+    price backfill moves), same simulated-memory layout (growth events
+    replayed in call order).  ``in_store`` is the out store itself for
+    undirected graphs.  Returns ``(positive, scanned, hit, aux)`` with
+    the columns as numpy arrays, ready for the emitters' vectorized
+    pricing.
     """
-    kernels = out_store._kernels
+    kernels = out_store.kernels
     n = len(batch)
     src = np.ascontiguousarray(batch.src, dtype=np.int64)
     dst = np.ascontiguousarray(batch.dst, dtype=np.int64)
@@ -779,8 +824,34 @@ def native_vec_ingest(out_store, in_store, batch, directed, delete,
     return int(ctl[3]), scanned, hit, aux
 
 
-class _NativeNeighborSetView:
-    """``_NeighborSet``-shaped view over one native hashed set."""
+#: A DAH vertex moves to the high-degree table beyond this many neighbors.
+LOW_DEGREE_THRESHOLD = 16
+
+#: Slot sizes for trace-address computation.
+LOW_SLOT_BYTES = 8 + LOW_DEGREE_THRESHOLD * 8  # key + inline neighbor array
+HIGH_SLOT_BYTES = 16  # key + pointer to the neighbor set
+NEIGHBOR_SLOT_BYTES = 8
+
+#: Fibonacci hashing multiplier and 64-bit wrap mask of DAH's tables.
+_HASH_MULT = 0x9E3779B97F4A7C15
+_HASH_WRAP = 0xFFFFFFFFFFFFFFFF
+
+
+@dataclass
+class _InsertStats:
+    """Primitive counts of one DAH edge insert, for cost pricing."""
+
+    table_probes: int = 0  # hash-table slots inspected (both tables)
+    hash_ops: int = 0  # hash computations performed
+    inline_scanned: int = 0  # inline-array entries compared
+    degree_queries: int = 0  # table meta-queries
+    flushed: int = 0  # entries migrated low -> high
+    rehash_moves: int = 0  # entries moved by table resizes
+    inserted: bool = False
+
+
+class _NeighborSetView:
+    """The hashed neighbor set of one high-degree vertex."""
 
     __slots__ = ("_store", "_sid")
 
@@ -803,68 +874,76 @@ class _NativeNeighborSetView:
 
 
 class NativeDAHStore:
-    """Kernel-backed twin of ``_DAHStore`` (degree-aware hashing).
+    """DAH store: degree-aware hashing (paper Fig. 5).
 
-    Per-chunk Robin Hood low tables and open-address high tables live
-    as spans in flat key/value arenas; low-table values are ids into a
-    fixed-width inline-neighbor pool, high-table values are ids into a
-    neighbor-set arena.  Table resizes bump-allocate a doubled span
+    Per-chunk Robin Hood low tables (displacement-balanced linear
+    probing, backward-shift deletion) and open-address high tables
+    (tombstones) live as spans in flat key/value arenas; low-table
+    values are ids into a fixed-width inline-neighbor pool, high-table
+    values are ids into a neighbor-set arena.  An insert first asks the
+    high table, then the low table, which of them owns the source (the
+    *degree query*); a vertex outgrowing its inline array is *flushed*
+    into a fresh hashed set, and never demotes.  Tables double when an
+    insert would pass 0.7 load.  Resizes bump-allocate a doubled span
     (old spans leak -- the arenas are backing storage, not the
-    simulated memory, whose regions are replayed from the event log
-    with the exact labels and free-then-alloc order of
-    ``_TrackedTable._sync_region``).
+    simulated memory, which frees a table's region and allocates the
+    doubled one under the same label).
     """
-
-    native = True
 
     EMPTY = -1
     TOMB = -2
-    INLINE_CAP = 17  # threshold 16 + the slot that triggers the flush
+    INLINE_CAP = LOW_DEGREE_THRESHOLD + 1  # + the slot that triggers the flush
     LOW_INIT = 64
     HIGH_INIT = 16
     SET_INIT = 32
 
-    def __init__(self, max_nodes: int, chunks: int, space: AddressSpace,
-                 label: str, kernels: cingest.IngestKernels) -> None:
-        from repro.graph.dah import HIGH_SLOT_BYTES, LOW_SLOT_BYTES
+    #: Initial arena sizes (doubled on demand via kernel stalls): low-
+    #: and high-table slots, inline arrays, neighbor sets, set slots.
+    INITIAL_LOW_ARENA = 1 << 13
+    INITIAL_HIGH_ARENA = 1 << 11
+    INITIAL_INLINE = 1 << 10
+    INITIAL_SETS = 256
+    INITIAL_SET_ARENA = 1 << 12
 
+    def __init__(self, max_nodes: int, chunks: int, space: AddressSpace,
+                 label: str,
+                 kernels: Optional[cingest.IngestKernels]) -> None:
         self.max_nodes = max_nodes
         self.chunks = chunks
         self.space = space
         self.label = label
-        self._kernels = kernels
+        self.kernels = kernels
         low_span = chunks * self.LOW_INIT
         high_span = chunks * self.HIGH_INIT
         self._loff = np.arange(chunks, dtype=np.int64) * self.LOW_INIT
         self._lcap = np.full(chunks, self.LOW_INIT, dtype=np.int64)
         self._lsize = np.zeros(chunks, dtype=np.int64)
         self._lkeys = np.full(
-            max(1 << 13, 2 * low_span), self.EMPTY, dtype=np.int64
+            max(self.INITIAL_LOW_ARENA, 2 * low_span), self.EMPTY, dtype=np.int64
         )
         self._lval = np.zeros(len(self._lkeys), dtype=np.int64)
         self._hoff = np.arange(chunks, dtype=np.int64) * self.HIGH_INIT
         self._hcap = np.full(chunks, self.HIGH_INIT, dtype=np.int64)
         self._hsize = np.zeros(chunks, dtype=np.int64)
         self._hkeys = np.full(
-            max(1 << 11, 2 * high_span), self.EMPTY, dtype=np.int64
+            max(self.INITIAL_HIGH_ARENA, 2 * high_span), self.EMPTY, dtype=np.int64
         )
         self._hval = np.zeros(len(self._hkeys), dtype=np.int64)
-        inline_cap = 1 << 10
+        inline_cap = self.INITIAL_INLINE
         self._inl_nbr = np.empty(self.INLINE_CAP * inline_cap, dtype=np.int64)
         self._inl_wgt = np.empty(self.INLINE_CAP * inline_cap, dtype=np.float64)
         self._inl_len = np.zeros(inline_cap, dtype=np.int64)
         self._inl_free = np.zeros(inline_cap, dtype=np.int64)
-        meta = 256
+        meta = self.INITIAL_SETS
         self._soff = np.zeros(meta, dtype=np.int64)
         self._scap = np.zeros(meta, dtype=np.int64)
         self._ssize = np.zeros(meta, dtype=np.int64)
-        self._skeys = np.full(1 << 12, self.EMPTY, dtype=np.int64)
+        self._skeys = np.full(self.INITIAL_SET_ARENA, self.EMPTY, dtype=np.int64)
         self._swgt = np.zeros(len(self._skeys), dtype=np.float64)
         self._state = np.zeros(6, dtype=np.int64)
         self._state[0] = low_span
         self._state[1] = high_span
-        # Same region-allocation order as the plain store: every low
-        # table, then every high table.
+        # Every low table, then every high table.
         self._low_regions = [
             space.alloc(self.LOW_INIT * LOW_SLOT_BYTES, f"{label}.low{c}")
             for c in range(chunks)
@@ -881,7 +960,7 @@ class NativeDAHStore:
     # -- arena plumbing ------------------------------------------------
 
     def _descriptor(self) -> np.ndarray:
-        p = self._kernels._p
+        p = self.kernels._p
         d = np.empty(26, dtype=np.int64)
         d[0] = self.chunks
         d[1] = p(self._loff); d[2] = p(self._lcap); d[3] = p(self._lsize)
@@ -942,12 +1021,6 @@ class NativeDAHStore:
         self._set_base = self._grown(self._set_base, target)
 
     def _replay_event(self, kind: int, a: int, b: int) -> None:
-        from repro.graph.dah import (
-            HIGH_SLOT_BYTES,
-            LOW_SLOT_BYTES,
-            NEIGHBOR_SLOT_BYTES,
-        )
-
         if kind == 0:  # low table resized to b slots
             self.space.free(self._low_regions[a])
             self._low_regions[a] = self.space.alloc(
@@ -969,15 +1042,12 @@ class NativeDAHStore:
             self._set_regions[a] = region
             self._set_base[a] = region.base
 
-    # -- per-edge twin: table primitives -------------------------------
-    # Probe paths and slot layouts replicate hashtables.py expression
-    # for expression (Python ints throughout -- the hash multiply must
-    # not wrap at 64 bits the numpy way before masking).
+    # -- per-edge operations: table primitives -------------------------
+    # Python ints throughout -- the hash multiply must not wrap at 64
+    # bits the numpy way before masking.
 
     @staticmethod
     def _hash(key: int, mask: int) -> int:
-        from repro.graph.hashtables import _HASH_MULT, _HASH_WRAP
-
         return ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
 
     def _oa_get_path(self, keys, off: int, cap: int, key: int):
@@ -1037,8 +1107,6 @@ class NativeDAHStore:
 
     def _low_put(self, c: int, key: int, val: int):
         """Robin Hood put with growth; returns (path, resized_moves)."""
-        from repro.graph.dah import LOW_SLOT_BYTES
-
         moved = 0
         if 10 * (int(self._lsize[c]) + 1) > 7 * int(self._lcap[c]):
             old_cap = int(self._lcap[c])
@@ -1133,8 +1201,6 @@ class NativeDAHStore:
 
     def _high_put(self, c: int, key: int, sid: int):
         """High-table put with growth; returns (path, resized_moves)."""
-        from repro.graph.dah import HIGH_SLOT_BYTES
-
         moved = 0
         if 10 * (int(self._hsize[c]) + 1) > 7 * int(self._hcap[c]):
             old_cap = int(self._hcap[c])
@@ -1246,12 +1312,10 @@ class NativeDAHStore:
                 write=write_last and i == last,
             )
 
-    # -- per-edge twin: store operations -------------------------------
+    # -- per-edge operations: the store --------------------------------
 
     def _set_insert(self, sid: int, dst: int, weight: float, recorder,
                     stats) -> bool:
-        from repro.graph.dah import NEIGHBOR_SLOT_BYTES
-
         gslot, path = self._oa_get_path(
             self._skeys, int(self._soff[sid]), int(self._scap[sid]), dst
         )
@@ -1272,14 +1336,8 @@ class NativeDAHStore:
         )
         return True
 
-    def insert(self, src: int, dst: int, weight: float, recorder):
-        from repro.graph.dah import (
-            HIGH_SLOT_BYTES,
-            LOW_DEGREE_THRESHOLD,
-            LOW_SLOT_BYTES,
-            _InsertStats,
-        )
-
+    def insert(self, src: int, dst: int, weight: float, recorder) -> _InsertStats:
+        """Degree-aware search-then-insert of ``src -> dst``."""
         stats = _InsertStats()
         c = src % self.chunks
         stats.degree_queries += 1
@@ -1356,14 +1414,15 @@ class NativeDAHStore:
         self._free_inline(iid)
         return stats
 
-    def remove(self, src: int, dst: int, recorder):
-        from repro.graph.dah import (
-            HIGH_SLOT_BYTES,
-            LOW_SLOT_BYTES,
-            NEIGHBOR_SLOT_BYTES,
-            _InsertStats,
-        )
+    def remove(self, src: int, dst: int, recorder) -> _InsertStats:
+        """Degree-aware search-then-remove of ``src -> dst``.
 
+        High-degree vertices tombstone the entry in their neighbor
+        set; low-degree vertices compact their inline array.  Vertices
+        never demote from the high-degree table (as in DegAwareRHH;
+        re-promotion churn would dominate).  ``stats.inserted`` means
+        "an edge was removed".
+        """
         stats = _InsertStats()
         c = src % self.chunks
         stats.degree_queries += 1
@@ -1444,7 +1503,7 @@ class NativeDAHStore:
         )
         if hslot is not None:
             sid = int(self._hval[int(self._hoff[c]) + hslot])
-            return _NativeNeighborSetView(self, sid), True
+            return _NeighborSetView(self, sid), True
         lslot, _ = self._rh_get_path(
             int(self._loff[c]), int(self._lcap[c]), u
         )
@@ -1478,12 +1537,6 @@ class NativeDAHStore:
         return is_high
 
     def trace_traversal(self, u: int, recorder) -> None:
-        from repro.graph.dah import (
-            HIGH_SLOT_BYTES,
-            LOW_SLOT_BYTES,
-            NEIGHBOR_SLOT_BYTES,
-        )
-
         c = u % self.chunks
         hslot, path = self._oa_get_path(
             self._hkeys, int(self._hoff[c]), int(self._hcap[c]), u
@@ -1500,7 +1553,7 @@ class NativeDAHStore:
         _, path = self._rh_get_path(int(self._loff[c]), int(self._lcap[c]), u)
         self._trace_path(self._low_regions[c], LOW_SLOT_BYTES, path, recorder)
 
-    # -- array twin of trace_traversal ---------------------------------
+    # -- trace_traversal of a vertex array -----------------------------
     # Both tables probe linearly, so a probe path is
     # ``(slot0 + arange(length)) & mask``: only its length has to be
     # found by walking the table.
@@ -1508,8 +1561,6 @@ class NativeDAHStore:
     @staticmethod
     def _hash_array(keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """:meth:`_hash` of a key array (uint64 wraps like ``_HASH_WRAP``)."""
-        from repro.graph.hashtables import _HASH_MULT
-
         hashed = keys.astype(np.uint64) * np.uint64(_HASH_MULT)
         return (hashed >> np.uint64(17)).astype(np.int64) & mask
 
@@ -1547,12 +1598,6 @@ class NativeDAHStore:
         of its neighbor set on a hit or the low-table probe path on a
         miss.
         """
-        from repro.graph.dah import (
-            HIGH_SLOT_BYTES,
-            LOW_SLOT_BYTES,
-            NEIGHBOR_SLOT_BYTES,
-        )
-
         chunk = vertices % self.chunks
         hoff, hmask = self._hoff[chunk], self._hcap[chunk] - 1
         hslot = self._hash_array(vertices, hmask)
@@ -1610,11 +1655,11 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete):
     """Fused batch ingest through the compiled DAH kernel.
 
     Returns ``(positive, table_probes, hash_ops, inline_scanned,
-    degree_queries, flushed, rehash_moves, hit, chunk)`` matching the
-    fused Python loop row for row; table-region and neighbor-set
-    allocations replay from the event log in call order.
+    degree_queries, flushed, rehash_moves, hit, chunk)``, one row per
+    store operation in the per-edge loop's order; table-region and
+    neighbor-set allocations replay from the event log in call order.
     """
-    kernels = out_store._kernels
+    kernels = out_store.kernels
     n = len(batch)
     src = np.ascontiguousarray(batch.src, dtype=np.int64)
     dst = np.ascontiguousarray(batch.dst, dtype=np.int64)
@@ -1679,42 +1724,3 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete):
         int(ctl[3]), table_probes, hash_ops, inline_scanned,
         degree_queries, flushed, rehash_moves, hit, chunk,
     )
-
-
-def make_vector_store(max_nodes, space, label, structure):
-    """A kernel-backed vector store, or the plain one when gated off."""
-    kernels = cingest.get(structure)
-    if kernels is not None:
-        return NativeVectorStore(max_nodes, space, label, kernels)
-    return VectorStore(max_nodes, space, label)
-
-
-def make_blocked_store(max_nodes, space, label, structure="BA"):
-    """A kernel-backed blocked store, or the plain one when gated off."""
-    from repro.graph.blocked import _BlockedStore
-
-    kernels = cingest.get(structure)
-    if kernels is not None:
-        return NativeBlockedStore(max_nodes, space, label, kernels)
-    return _BlockedStore(max_nodes, space, label)
-
-
-def make_stinger_store(max_nodes, space, label, lock_base,
-                       structure="Stinger"):
-    """A kernel-backed Stinger store, or the plain one when gated off."""
-    from repro.graph.stinger import _StingerStore
-
-    kernels = cingest.get(structure)
-    if kernels is not None:
-        return NativeStingerStore(max_nodes, space, label, lock_base, kernels)
-    return _StingerStore(max_nodes, space, label, lock_base)
-
-
-def make_dah_store(max_nodes, chunks, space, label, structure="DAH"):
-    """A kernel-backed DAH store, or the plain one when gated off."""
-    from repro.graph.dah import _DAHStore
-
-    kernels = cingest.get(structure)
-    if kernels is not None:
-        return NativeDAHStore(max_nodes, chunks, space, label, kernels)
-    return _DAHStore(max_nodes, chunks, space, label)

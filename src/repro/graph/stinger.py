@@ -15,230 +15,20 @@ Stinger trades two properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.base import ExecutionContext, GraphDataStructure
-from repro.graph.nativestore import make_stinger_store, native_stinger_ingest
-from repro.sim.memory import AddressSpace, Region
+from repro.graph.nativestore import (
+    BLOCK_CAPACITY,
+    NativeStingerStore,
+    _InsertOutcome,
+    native_stinger_ingest,
+)
+from repro.sim import cingest
 from repro.sim.scheduler import DynamicScheduler, ScheduleResult, TaskArray
 from repro.sim.tasks import NO_LOCK
-
-#: Edges per edge block (paper Section III-A3).
-BLOCK_CAPACITY = 16
-
-#: Bytes per block: header (next pointer, count) + 16 packed entries.
-BLOCK_HEADER_BYTES = 16
-ENTRY_BYTES = 8
-BLOCK_BYTES = BLOCK_HEADER_BYTES + BLOCK_CAPACITY * ENTRY_BYTES
-
-#: Bytes per entry of the vertex array (id, degree, head pointer).
-VERTEX_ENTRY_BYTES = 16
-
-
-class _EdgeBlock:
-    """One fixed-capacity block in a vertex's linked list."""
-
-    __slots__ = ("block_id", "region", "entries")
-
-    def __init__(
-        self,
-        block_id: int,
-        region: Region,
-        entries: Optional[List[Tuple[int, float]]] = None,
-    ) -> None:
-        self.block_id = block_id
-        self.region = region
-        self.entries = [] if entries is None else entries
-
-    @property
-    def full(self) -> bool:
-        return len(self.entries) >= BLOCK_CAPACITY
-
-    def entry_address(self, slot: int) -> int:
-        return self.region.base + BLOCK_HEADER_BYTES + slot * ENTRY_BYTES
-
-
-@dataclass
-class _InsertOutcome:
-    search_chases: int
-    search_probes: int
-    space_chases: int
-    inserted: bool
-    new_block: bool
-    lock: Optional[int]
-
-
-class _StingerStore:
-    """One direction (out or in) of the Stinger structure."""
-
-    def __init__(self, max_nodes: int, space: AddressSpace, label: str, lock_base: int) -> None:
-        self.space = space
-        self.label = label
-        self.lock_base = lock_base
-        self._blocks: List[List[_EdgeBlock]] = [[] for _ in range(max_nodes)]
-        self._position: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(max_nodes)]
-        # Per-vertex degree, maintained on insert/remove so negative
-        # searches charge their probe count without summing the blocks.
-        self._degree: List[int] = [0] * max_nodes
-        # While no edge has ever been removed, blocks fill strictly
-        # front-to-back: every block before the tail is full.  The fused
-        # emitter exploits this to compute scan lengths in O(1); any
-        # remove may open a hole and permanently disables the shortcut.
-        self._holes = False
-        self._vertex_array = space.alloc(
-            max_nodes * VERTEX_ENTRY_BYTES, f"{label}.vertices"
-        )
-        self._block_label = f"{label}.block"
-        self._next_block_id = 0
-
-    def _new_block(self) -> _EdgeBlock:
-        block = _EdgeBlock(
-            block_id=self._next_block_id,
-            region=self.space.alloc(BLOCK_BYTES, self._block_label),
-        )
-        self._next_block_id += 1
-        return block
-
-    def insert(self, src: int, dst: int, weight: float, recorder) -> _InsertOutcome:
-        """Two-scan search-then-insert of ``src -> dst``."""
-        blocks = self._blocks[src]
-        position = self._position[src]
-        tracing = recorder.enabled
-        if tracing:
-            recorder.access(self._vertex_array.element(src, VERTEX_ENTRY_BYTES))
-        existing = position.get(dst)
-        if existing is not None:
-            # Search scan stops at the block holding the edge.
-            block_idx, slot = existing
-            probes = slot + 1
-            for i in range(block_idx):
-                probes += len(blocks[i].entries)
-            if tracing:
-                self._trace_scan(blocks, block_idx + 1, recorder)
-            return _InsertOutcome(
-                search_chases=block_idx + 1,
-                search_probes=probes,
-                space_chases=0,
-                inserted=False,
-                new_block=False,
-                lock=None,
-            )
-        # Negative search scans the entire list ...
-        search_chases = len(blocks)
-        search_probes = self._degree[src]
-        if tracing:
-            self._trace_scan(blocks, len(blocks), recorder)
-        # ... then a second scan walks the list again looking for the
-        # first block with free space (deletions can open holes in any
-        # block; an insert-only stream always lands in the tail block).
-        target_index = None
-        for index, block in enumerate(blocks):
-            if not block.full:
-                target_index = index
-                break
-        new_block = False
-        if target_index is None:
-            space_chases = len(blocks)
-            blocks.append(self._new_block())
-            new_block = True
-            target_index = len(blocks) - 1
-        else:
-            space_chases = target_index + 1
-        target = blocks[target_index]
-        slot = len(target.entries)
-        target.entries.append((dst, weight))
-        position[dst] = (target_index, slot)
-        self._degree[src] += 1
-        if tracing:
-            recorder.access(target.entry_address(slot), write=True)
-        return _InsertOutcome(
-            search_chases=search_chases,
-            search_probes=search_probes,
-            space_chases=space_chases,
-            inserted=True,
-            new_block=new_block,
-            lock=self.lock_base + target.block_id,
-        )
-
-    def remove(self, src: int, dst: int, recorder) -> _InsertOutcome:
-        """Search for ``src -> dst`` and remove it from its block.
-
-        The block's last entry backfills the vacated slot; a tail block
-        left empty is unlinked and freed.  Reuses the insert outcome
-        record (``new_block`` then means "a block was freed").
-        """
-        blocks = self._blocks[src]
-        position = self._position[src]
-        tracing = recorder.enabled
-        if tracing:
-            recorder.access(self._vertex_array.element(src, VERTEX_ENTRY_BYTES))
-        existing = position.get(dst)
-        if existing is None:
-            if tracing:
-                self._trace_scan(blocks, len(blocks), recorder)
-            return _InsertOutcome(
-                search_chases=len(blocks),
-                search_probes=self._degree[src],
-                space_chases=0,
-                inserted=False,
-                new_block=False,
-                lock=None,
-            )
-        block_idx, slot = existing
-        probes = slot + 1
-        for i in range(block_idx):
-            probes += len(blocks[i].entries)
-        if tracing:
-            self._trace_scan(blocks, block_idx + 1, recorder)
-        block = blocks[block_idx]
-        last = len(block.entries) - 1
-        if slot != last:
-            block.entries[slot] = block.entries[last]
-            position[block.entries[slot][0]] = (block_idx, slot)
-            if tracing:
-                recorder.access(block.entry_address(slot), write=True)
-        block.entries.pop()
-        del position[dst]
-        self._degree[src] -= 1
-        self._holes = True
-        freed = False
-        if not block.entries and block_idx == len(blocks) - 1:
-            self.space.free(blocks.pop().region)
-            freed = True
-        return _InsertOutcome(
-            search_chases=block_idx + 1,
-            search_probes=probes,
-            space_chases=0,
-            inserted=True,
-            new_block=freed,
-            lock=self.lock_base + block.block_id,
-        )
-
-    def _trace_scan(self, blocks: List[_EdgeBlock], block_count: int, recorder) -> None:
-        for block in blocks[:block_count]:
-            recorder.access(block.region.base)  # header / next pointer
-            recorder.access_range(
-                block.region.base + BLOCK_HEADER_BYTES, len(block.entries), ENTRY_BYTES
-            )
-
-    def neighbors(self, u: int) -> List[Tuple[int, float]]:
-        result: List[Tuple[int, float]] = []
-        for block in self._blocks[u]:
-            result.extend(block.entries)
-        return result
-
-    def degree(self, u: int) -> int:
-        return self._degree[u]
-
-    def block_count(self, u: int) -> int:
-        return len(self._blocks[u])
-
-    def trace_traversal(self, u: int, recorder) -> None:
-        recorder.access(self._vertex_array.element(u, VERTEX_ENTRY_BYTES))
-        self._trace_scan(self._blocks[u], len(self._blocks[u]), recorder)
 
 
 class _StingerEmitter:
@@ -275,217 +65,29 @@ class _StingerEmitter:
     def rows(self) -> int:
         return len(self.search_chases)
 
-    def ingest_batch(self, batch) -> int:
-        """Fused untraced ingest: inlined block scans, no outcome boxing."""
-        directed = self._directed
-        if getattr(self._out, "native", False):
-            (
-                positive,
-                self.search_chases,
-                self.search_probes,
-                self.space_chases,
-                self.hit,
-                self.new_block,
-                self.lock,
-            ) = native_stinger_ingest(
-                self._out,
-                self._in if directed else self._out,
-                batch,
-                directed,
-                self._delete,
-            )
-            return positive
-        out = self._out
-        mirror_store = self._in if directed else out
-        src = batch.src.tolist()
-        dst = batch.dst.tolist()
-        positive = 0
-        if self._delete:
-            remove = self._fused_remove
-            for u, v in zip(src, dst):
-                if remove(out, u, v):
-                    positive += 1
-                if u != v or directed:
-                    remove(mirror_store, v, u)
-            return positive
+    @property
+    def ingest_batch(self):
+        """The one-call batch path; ``None`` for stores without a kernel."""
+        return self._ingest_compiled if self._out.kernels is not None else None
 
-        weight = batch.weight.tolist()
-        app_chases = self.search_chases.append
-        app_probes = self.search_probes.append
-        app_space = self.space_chases.append
-        app_hit = self.hit.append
-        app_new = self.new_block.append
-        app_lock = self.lock.append
-        # Per-store state hoisted once; the insert body is duplicated
-        # for the out and mirror operations so the hot loop runs on
-        # locals only.  Inserts never open holes, so _holes is loop
-        # invariant here (only removes set it).
-        o_blocks_all = out._blocks
-        o_pos_all = out._position
-        o_degree = out._degree
-        o_lock_base = out.lock_base
-        o_alloc = out.space.alloc
-        o_blabel = out._block_label
-        o_holes = out._holes
-        m_blocks_all = mirror_store._blocks
-        m_pos_all = mirror_store._position
-        m_degree = mirror_store._degree
-        m_lock_base = mirror_store.lock_base
-        m_alloc = mirror_store.space.alloc
-        m_blabel = mirror_store._block_label
-        m_holes = mirror_store._holes
-        for u, v, w in zip(src, dst, weight):
-            blocks = o_blocks_all[u]
-            position = o_pos_all[u]
-            existing = position.get(v)
-            if existing is not None:
-                block_idx, slot = existing
-                if o_holes:
-                    probes = slot + 1
-                    for j in range(block_idx):
-                        probes += len(blocks[j].entries)
-                else:
-                    probes = block_idx * BLOCK_CAPACITY + slot + 1
-                app_chases(block_idx + 1)
-                app_probes(probes)
-                app_space(0)
-                app_hit(False)
-                app_new(False)
-                app_lock(NO_LOCK)
-            else:
-                nblocks = len(blocks)
-                app_chases(nblocks)
-                deg = o_degree[u]
-                app_probes(deg)
-                o_degree[u] = deg + 1
-                target = None
-                if o_holes:
-                    target_index = None
-                    for index, block in enumerate(blocks):
-                        if len(block.entries) < BLOCK_CAPACITY:
-                            target_index = index
-                            target = block
-                            break
-                elif nblocks:
-                    # No holes: every block before the tail is full.
-                    target = blocks[-1]
-                    if len(target.entries) < BLOCK_CAPACITY:
-                        target_index = nblocks - 1
-                    else:
-                        target = None
-                if target is None:
-                    app_space(nblocks)
-                    target = _EdgeBlock(
-                        out._next_block_id, o_alloc(BLOCK_BYTES, o_blabel)
-                    )
-                    out._next_block_id += 1
-                    blocks.append(target)
-                    target_index = nblocks
-                    app_new(True)
-                else:
-                    app_space(target_index + 1)
-                    app_new(False)
-                entries = target.entries
-                position[v] = (target_index, len(entries))
-                entries.append((v, w))
-                app_hit(True)
-                app_lock(o_lock_base + target.block_id)
-                positive += 1
-            if u != v or directed:
-                blocks = m_blocks_all[v]
-                position = m_pos_all[v]
-                existing = position.get(u)
-                if existing is not None:
-                    block_idx, slot = existing
-                    if m_holes:
-                        probes = slot + 1
-                        for j in range(block_idx):
-                            probes += len(blocks[j].entries)
-                    else:
-                        probes = block_idx * BLOCK_CAPACITY + slot + 1
-                    app_chases(block_idx + 1)
-                    app_probes(probes)
-                    app_space(0)
-                    app_hit(False)
-                    app_new(False)
-                    app_lock(NO_LOCK)
-                else:
-                    nblocks = len(blocks)
-                    app_chases(nblocks)
-                    deg = m_degree[v]
-                    app_probes(deg)
-                    m_degree[v] = deg + 1
-                    target = None
-                    if m_holes:
-                        target_index = None
-                        for index, block in enumerate(blocks):
-                            if len(block.entries) < BLOCK_CAPACITY:
-                                target_index = index
-                                target = block
-                                break
-                    elif nblocks:
-                        target = blocks[-1]
-                        if len(target.entries) < BLOCK_CAPACITY:
-                            target_index = nblocks - 1
-                        else:
-                            target = None
-                    if target is None:
-                        app_space(nblocks)
-                        target = _EdgeBlock(
-                            mirror_store._next_block_id, m_alloc(BLOCK_BYTES, m_blabel)
-                        )
-                        mirror_store._next_block_id += 1
-                        blocks.append(target)
-                        target_index = nblocks
-                        app_new(True)
-                    else:
-                        app_space(target_index + 1)
-                        app_new(False)
-                    entries = target.entries
-                    position[u] = (target_index, len(entries))
-                    entries.append((u, w))
-                    app_hit(True)
-                    app_lock(m_lock_base + target.block_id)
+    def _ingest_compiled(self, batch) -> int:
+        """The whole batch in one compiled call."""
+        (
+            positive,
+            self.search_chases,
+            self.search_probes,
+            self.space_chases,
+            self.hit,
+            self.new_block,
+            self.lock,
+        ) = native_stinger_ingest(
+            self._out,
+            self._in if self._directed else self._out,
+            batch,
+            self._directed,
+            self._delete,
+        )
         return positive
-
-    def _fused_remove(self, store, src, dst) -> bool:
-        """``_StingerStore.remove`` inlined, appending columns directly."""
-        blocks = store._blocks[src]
-        position = store._position[src]
-        existing = position.get(dst)
-        if existing is None:
-            self.search_chases.append(len(blocks))
-            self.search_probes.append(store._degree[src])
-            self.space_chases.append(0)
-            self.hit.append(False)
-            self.new_block.append(False)
-            self.lock.append(NO_LOCK)
-            return False
-        block_idx, slot = existing
-        probes = slot + 1
-        for i in range(block_idx):
-            probes += len(blocks[i].entries)
-        block = blocks[block_idx]
-        entries = block.entries
-        last = len(entries) - 1
-        if slot != last:
-            entries[slot] = entries[last]
-            position[entries[slot][0]] = (block_idx, slot)
-        entries.pop()
-        del position[dst]
-        store._degree[src] -= 1
-        store._holes = True
-        freed = False
-        if not entries and block_idx == len(blocks) - 1:
-            store.space.free(blocks.pop().region)
-            freed = True
-        self.search_chases.append(block_idx + 1)
-        self.search_probes.append(probes)
-        self.space_chases.append(0)
-        self.hit.append(True)
-        self.new_block.append(freed)
-        self.lock.append(store.lock_base + block.block_id)
-        return True
 
     def insert_out(self, src, dst, weight, recorder) -> bool:
         return self._record(self._out.insert(src, dst, weight, recorder))
@@ -564,12 +166,13 @@ class Stinger(GraphDataStructure):
             cost_model=cost_model or DEFAULT_COST_MODEL,
             address_space=address_space,
         )
-        self._out = make_stinger_store(
-            max_nodes, self.space, "Stinger.out", self._OUT_LOCK_BASE
+        kernels = cingest.get("Stinger")
+        self._out = NativeStingerStore(
+            max_nodes, self.space, "Stinger.out", self._OUT_LOCK_BASE, kernels
         )
         self._in = (
-            make_stinger_store(
-                max_nodes, self.space, "Stinger.in", self._IN_LOCK_BASE
+            NativeStingerStore(
+                max_nodes, self.space, "Stinger.in", self._IN_LOCK_BASE, kernels
             )
             if directed
             else None

@@ -1,15 +1,14 @@
 """Compiled C batch-ingest kernels for the update phase.
 
-PR 2 made the update phase columnar: the five data structures ingest a
-whole batch in one fused Python loop (``bulk_ingest`` and friends).
-That loop is still interpreted; this module compiles it.  Each
-structure family gets one C
-kernel that runs the *entire* batch -- duplicate scans, slot writes,
-segment relocations, block chases, hash probes -- over numpy-backed
-store state, returning the same per-operation count columns the Python
-loop appends (scanned/hit/aux...), which the emitters then price with
-the existing vectorized arithmetic.  Results are bit-identical to the
-fused Python loop and to the per-operation emitter methods.
+The stores of :mod:`repro.graph.nativestore` keep their whole state in
+flat numpy arrays and define every operation per edge in Python.  This
+module compiles the batch loop over those operations: each structure
+family gets one C kernel that runs the *entire* batch -- duplicate
+scans, slot writes, segment relocations, block chases, hash probes --
+over the same arrays, returning the per-operation counts (scanned/hit/
+aux...) as columns, which the emitters then price with the same
+vectorized arithmetic.  Results are bit-identical to the per-operation
+emitter methods.
 
 The kernels mutate raw arrays, but simulated-memory accounting
 (``AddressSpace`` regions, segment pools, table regions) stays in
@@ -26,7 +25,8 @@ Environment gates (mirroring :mod:`repro.compute.ckernels`):
 
 - ``SAGA_BENCH_NO_CINGEST=1`` (or ``all``) disables every structure;
   a comma list (``SAGA_BENCH_NO_CINGEST=DAH,Stinger``) disables only
-  those structures, which then construct the plain Python stores.
+  those structures.  A disabled structure builds the same stores and
+  never calls the kernel: every batch runs the per-edge methods.
 - ``SAGA_BENCH_REQUIRE_CINGEST=1`` turns a failed build into a hard
   error instead of a silent fallback.
 """
@@ -1198,9 +1198,9 @@ def get(structure: str) -> Optional[IngestKernels]:
     """The compiled kernels if ``structure``'s ingest is enabled.
 
     ``structure`` must be one of :data:`STRUCTURE_NAMES`; each data
-    structure gates its native store on its own name so individual
-    structures can fall back to the Python stores for differential
-    debugging.
+    structure hands its stores the result for its own name, so
+    individual structures can be kept on the per-edge methods for
+    differential debugging.
     """
     kernels = _probe()
     if kernels is None or structure in _disabled:

@@ -32,7 +32,6 @@ migrating structure.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -63,27 +62,10 @@ from repro.streaming.results import BatchRecord
 #: run, the same way it collects the tracer and metrics registries.
 LAST_DECISION_LOG: Optional[dict] = None
 
-_ENV_PREFIX = "SAGA_BENCH_AUTOTUNE_"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(_ENV_PREFIX + name, "")
-    return int(raw) if raw else default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(_ENV_PREFIX + name, "")
-    return float(raw) if raw else default
-
 
 @dataclass(frozen=True)
 class TunerConfig:
-    """The auto-tuner's knobs (see docs/AUTOTUNE.md).
-
-    Every field has an environment override so benches and CI can
-    steer the policy without code changes:
-    ``SAGA_BENCH_AUTOTUNE_{EXPLORE,HORIZON,MARGIN,COOLDOWN}``.
-    """
+    """The auto-tuner's knobs (see docs/AUTOTUNE.md)."""
 
     #: Cold start: batches spent on each candidate structure before the
     #: predictive policy takes over (round-robin exploration).
@@ -106,18 +88,6 @@ class TunerConfig:
     prior_weight: float = 8.0
     #: Path of a persisted FittedCostModel to warm-start from.
     model_path: Optional[str] = None
-
-    @classmethod
-    def from_env(cls, **overrides) -> "TunerConfig":
-        """Defaults with ``SAGA_BENCH_AUTOTUNE_*`` environment overrides."""
-        values = dict(
-            explore_rounds=_env_int("EXPLORE", cls.explore_rounds),
-            horizon_batches=_env_int("HORIZON", cls.horizon_batches),
-            switch_margin=_env_float("MARGIN", cls.switch_margin),
-            cooldown_batches=_env_int("COOLDOWN", cls.cooldown_batches),
-        )
-        values.update(overrides)
-        return cls(**values)
 
     def __post_init__(self) -> None:
         if self.explore_rounds < 1:
@@ -240,7 +210,7 @@ class AdaptiveController:
         self.structures = tuple(structures)
         self.models = tuple(models)
         self.algorithms = tuple(algorithms)
-        self.tuner = tuner if tuner is not None else TunerConfig.from_env()
+        self.tuner = tuner if tuner is not None else TunerConfig()
         self.warm_model = warm_model
         self.churn_fraction = churn_fraction
         self.fits: Dict[GroupKey, OnlineGroupFit] = {}
@@ -583,7 +553,7 @@ class AdaptiveStreamDriver(StreamDriver):
         )
         self.candidate_models = tuple(cfg.candidate_models or COMPUTE_MODELS)
         self.tuner: TunerConfig = (
-            cfg.autotune if cfg.autotune is not None else TunerConfig.from_env()
+            cfg.autotune if cfg.autotune is not None else TunerConfig()
         )
         #: Warm-start model; assigned directly by callers that already
         #: hold one, or loaded from ``tuner.model_path``.

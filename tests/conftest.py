@@ -74,7 +74,8 @@ def ccompute_env(setting):
 
 
 def cingest_env(setting):
-    """``SAGA_BENCH_NO_CINGEST``: ``None`` compiled stores, ``"all"`` plain."""
+    """``SAGA_BENCH_NO_CINGEST``: ``None`` stores get the C kernel,
+    ``"all"`` none do (every batch runs the per-edge methods)."""
     return _kernel_gate(cingest, setting)
 
 

@@ -1,13 +1,16 @@
-"""Open-addressing hash tables used by degree-aware hashing (DAH).
+"""The oracle's hash tables: Robin Hood and open addressing over lists.
 
 The paper's DAH (Fig. 5, after Iwabuchi et al.) keeps a *low-degree
 table* using Robin Hood hashing -- displacement-balanced linear probing
 -- and a *high-degree table* using plain open addressing.  These are
 real hash tables, implemented from scratch: probing, displacement
 stealing, backward-shift deletion, and load-factor-driven resizing all
-actually happen, and every operation reports the slots it probed so the
-caller can charge cycle costs and emit memory traces from the genuine
-probe sequence.
+actually happen, and every operation reports the slots it probed.
+
+``tests/oracle_stores.py`` builds the DAH oracle on them.  Nothing here
+is shared with ``repro.graph.nativestore``: keys and values sit in
+Python lists, so a slip in the arena arithmetic or in the C kernel
+cannot hide in both.
 
 Keys are non-negative integers (vertex ids or packed edge keys); values
 are arbitrary Python objects.
@@ -26,9 +29,7 @@ MAX_LOAD_FACTOR = 0.7
 _EMPTY = object()
 
 
-#: Fibonacci hashing multiplier and 64-bit wrap mask.  The fast-path
-#: methods inline the hash expression rather than calling _hash_key --
-#: the occupant re-hash inside Robin Hood probing runs once per probe.
+#: Fibonacci hashing multiplier and 64-bit wrap mask.
 _HASH_MULT = 0x9E3779B97F4A7C15
 _HASH_WRAP = 0xFFFFFFFFFFFFFFFF
 
@@ -232,96 +233,6 @@ class RobinHoodTable(_OpenTableBase):
                 worst = max(worst, (slot - _hash_key(key, mask)) & mask)
         return worst
 
-    # -- untraced fast path --------------------------------------------
-    # The same probe sequences as get/put/delete, counted with an int
-    # instead of materializing a ProbeOutcome and its path list.  Used
-    # by the fused batch-ingest loops, where no trace is recorded.
-
-    def get_fast(self, key: int) -> Tuple[Any, int, bool]:
-        """``get`` without the probe path: (value, probes, found)."""
-        mask = len(self._keys) - 1
-        keys = self._keys
-        slot = ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
-        probes = 0
-        distance = 0
-        while True:
-            probes += 1
-            occupant = keys[slot]
-            if occupant is _EMPTY:
-                return None, probes, False
-            if occupant == key:
-                return self._values[slot], probes, True
-            if ((slot - (((occupant * _HASH_MULT & _HASH_WRAP) >> 17) & mask)) & mask) < distance:
-                return None, probes, False
-            slot = (slot + 1) & mask
-            distance += 1
-
-    def put_fast(self, key: int, value: Any) -> Tuple[int, int, bool]:
-        """``put`` without the probe path: (probes, resized_moves, found)."""
-        moved = self._maybe_grow()
-        mask = len(self._keys) - 1
-        keys = self._keys
-        values = self._values
-        slot = ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
-        probes = 0
-        cur_key, cur_value, cur_distance = key, value, 0
-        inserted_new = True
-        while True:
-            probes += 1
-            occupant = keys[slot]
-            if occupant is _EMPTY:
-                keys[slot] = cur_key
-                values[slot] = cur_value
-                if inserted_new:
-                    self._size += 1
-                break
-            if occupant == cur_key:
-                values[slot] = cur_value
-                inserted_new = False
-                break
-            occupant_distance = (
-                slot - (((occupant * _HASH_MULT & _HASH_WRAP) >> 17) & mask)
-            ) & mask
-            if occupant_distance < cur_distance:
-                keys[slot], cur_key = cur_key, keys[slot]
-                values[slot], cur_value = cur_value, values[slot]
-                cur_distance = occupant_distance
-            slot = (slot + 1) & mask
-            cur_distance += 1
-        return probes, moved, not inserted_new
-
-    def delete_fast(self, key: int) -> Tuple[int, bool]:
-        """``delete`` without the probe path: (probes, found)."""
-        mask = len(self._keys) - 1
-        keys = self._keys
-        slot = ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
-        probes = 0
-        distance = 0
-        while True:
-            probes += 1
-            occupant = keys[slot]
-            if occupant is _EMPTY:
-                return probes, False
-            if occupant == key:
-                break
-            if ((slot - (((occupant * _HASH_MULT & _HASH_WRAP) >> 17) & mask)) & mask) < distance:
-                return probes, False
-            slot = (slot + 1) & mask
-            distance += 1
-        values = self._values
-        while True:
-            next_slot = (slot + 1) & mask
-            occupant = keys[next_slot]
-            if occupant is _EMPTY or (_hash_key(occupant, mask) == next_slot):
-                break
-            keys[slot] = occupant
-            values[slot] = values[next_slot]
-            slot = next_slot
-        keys[slot] = _EMPTY
-        values[slot] = None
-        self._size -= 1
-        return probes, True
-
 
 class OpenAddressTable(_OpenTableBase):
     """Plain linear-probing open addressing with tombstones."""
@@ -407,69 +318,3 @@ class OpenAddressTable(_OpenTableBase):
             for key, value in zip(self._keys, self._values)
             if key is not _EMPTY and key is not tombstone
         ]
-
-    # -- untraced fast path (see RobinHoodTable) -----------------------
-
-    def get_fast(self, key: int) -> Tuple[Any, int, bool]:
-        """``get`` without the probe path: (value, probes, found)."""
-        mask = len(self._keys) - 1
-        keys = self._keys
-        tombstone = self._TOMBSTONE
-        slot = ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
-        probes = 0
-        for _ in range(len(keys)):
-            probes += 1
-            occupant = keys[slot]
-            if occupant is _EMPTY:
-                return None, probes, False
-            if occupant is not tombstone and occupant == key:
-                return self._values[slot], probes, True
-            slot = (slot + 1) & mask
-        return None, probes, False
-
-    def put_fast(self, key: int, value: Any) -> Tuple[int, int, bool]:
-        """``put`` without the probe path: (probes, resized_moves, found)."""
-        moved = self._maybe_grow()
-        mask = len(self._keys) - 1
-        keys = self._keys
-        tombstone = self._TOMBSTONE
-        slot = ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
-        probes = 0
-        first_tombstone = None
-        for _ in range(len(keys) + 1):
-            probes += 1
-            occupant = keys[slot]
-            if occupant is _EMPTY:
-                target = first_tombstone if first_tombstone is not None else slot
-                keys[target] = key
-                self._values[target] = value
-                self._size += 1
-                return probes, moved, False
-            if occupant is tombstone:
-                if first_tombstone is None:
-                    first_tombstone = slot
-            elif occupant == key:
-                self._values[slot] = value
-                return probes, moved, True
-            slot = (slot + 1) & mask
-        raise StructureError("open-address table overflow (load factor violated)")
-
-    def delete_fast(self, key: int) -> Tuple[int, bool]:
-        """``delete`` without the probe path: (probes, found)."""
-        mask = len(self._keys) - 1
-        keys = self._keys
-        tombstone = self._TOMBSTONE
-        slot = ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
-        probes = 0
-        for _ in range(len(keys)):
-            probes += 1
-            occupant = keys[slot]
-            if occupant is _EMPTY:
-                return probes, False
-            if occupant is not tombstone and occupant == key:
-                keys[slot] = tombstone
-                self._values[slot] = None
-                self._size -= 1
-                return probes, True
-            slot = (slot + 1) & mask
-        return probes, False

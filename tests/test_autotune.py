@@ -44,21 +44,6 @@ class TestTunerConfig:
         assert tuner.horizon_batches == 25
         assert tuner.model_path is None
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("SAGA_BENCH_AUTOTUNE_EXPLORE", "5")
-        monkeypatch.setenv("SAGA_BENCH_AUTOTUNE_HORIZON", "7")
-        monkeypatch.setenv("SAGA_BENCH_AUTOTUNE_MARGIN", "0.5")
-        monkeypatch.setenv("SAGA_BENCH_AUTOTUNE_COOLDOWN", "3")
-        tuner = TunerConfig.from_env()
-        assert tuner.explore_rounds == 5
-        assert tuner.horizon_batches == 7
-        assert tuner.switch_margin == 0.5
-        assert tuner.cooldown_batches == 3
-
-    def test_explicit_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("SAGA_BENCH_AUTOTUNE_EXPLORE", "5")
-        assert TunerConfig.from_env(explore_rounds=1).explore_rounds == 1
-
     @pytest.mark.parametrize(
         "field,value",
         [

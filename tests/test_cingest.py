@@ -1,27 +1,42 @@
 """Differential tests for the compiled ingest and compute kernels.
 
-The C batch-ingest kernels (``repro.sim.cingest``) and the plain
-Python stores must be indistinguishable: identical per-row counters
-(hence identical task prices and makespans), identical graph contents,
-identical simulated-memory layouts (checked through traced addresses),
-for every structure, under inserts, deletes, duplicate churn, and
-empty batches.  The threaded INC round must produce bit-identical
-float64 values at every thread count.
+Every store operation exists three times -- in the list/dict oracle
+stores of ``tests/oracle_stores.py``, in the arena stores' per-edge
+methods (what traced batches and kernel-less stores run), and in the C
+batch-ingest kernels (``repro.sim.cingest``) -- and the three must be
+indistinguishable: identical per-row counters (hence identical task
+prices and makespans), identical graph contents, identical simulated-
+memory layouts (checked through traced addresses and the address
+space's counters), for every structure, under inserts, deletes,
+duplicate churn, empty and hostile batches, with the arenas at their
+smallest so every stall/grow/resume routine is taken.  The threaded INC
+round must produce bit-identical float64 values at every thread count.
 """
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.compute import ckernels
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_structure
 from repro.graph import nativestore
+from repro.graph.base import GraphDataStructure
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace
+from repro.sim.tasks import TaskArray
 from repro.sim.trace import TraceRecorder
 from tests.conftest import SMALL_MACHINE, cingest_env, random_batch
+from tests.oracle_stores import (
+    IMPLEMENTATIONS,
+    KERNEL,
+    ORACLE,
+    PER_EDGE,
+    structure_over,
+)
 
 ALL = ("AS", "AC", "Stinger", "DAH", "BA")
 
@@ -32,51 +47,50 @@ def _ctx(**kwargs) -> ExecutionContext:
     return ExecutionContext(machine=SMALL_MACHINE, **kwargs)
 
 
-def _empty_batch() -> EdgeBatch:
-    return EdgeBatch(
-        src=np.empty(0, dtype=np.int64),
-        dst=np.empty(0, dtype=np.int64),
-        weight=np.empty(0, dtype=np.float64),
-    )
+def _run_scenario(name: str, directed: bool, implementation: str,
+                  nodes: int = N, extra=(), **kwargs):
+    """Build a structure over ``implementation`` and run the script.
 
-
-def _run_scenario(name: str, directed: bool, gated: bool):
-    """Build a structure (native or gated-plain) and run the script.
-
-    The script covers fused inserts, duplicate churn, deletions of
-    present and absent edges, empty batches, and one traced batch at
-    the end (exercising the per-edge twins and the region layout).
-    Returns the structure plus a comparable summary.
+    The script covers batch inserts, duplicate churn, deletions of
+    present and absent edges, empty batches, and traced batches in the
+    middle and at the end (one instance alternates between the compiled
+    call and the per-edge methods; the traces pin the region layout).
+    ``extra`` batches are inserted first.  Returns the structure plus a
+    comparable summary and the traces.
     """
-    with cingest_env("all" if gated else None):
-        structure = make_structure(name, N, directed=directed)
-        if not gated and cingest.loaded():
-            assert getattr(structure._out, "native", False), name
-        summary = []
-        first = random_batch(N, 260, seed=7)
-        growth = random_batch(N, 260, seed=8)
-        for result in (
-            structure.update(first, _ctx()),
-            structure.update(growth, _ctx()),
-            structure.update(first, _ctx()),  # duplicate churn
-            structure.update(_empty_batch(), _ctx()),
-            structure.delete(first, _ctx()),
-            structure.delete(first, _ctx()),  # all misses now
-            structure.delete(_empty_batch(), _ctx()),
-            structure.update(first, _ctx()),  # reinsert after delete
-        ):
-            summary.append(
-                (result.edges_inserted, result.duplicates, result.latency_cycles)
-            )
-        traced = structure.update(
-            random_batch(N, 120, seed=9), _ctx(recorder=TraceRecorder())
+    structure = structure_over(implementation, name, nodes, directed, **kwargs)
+    summary, traces = [], []
+
+    def step(operation, batch, traced=False):
+        result = operation(
+            batch, _ctx(recorder=TraceRecorder() if traced else None)
         )
-        return structure, summary, traced.trace
+        summary.append(
+            (result.edges_inserted, result.duplicates, result.latency_cycles)
+        )
+        if traced:
+            traces.append(result.trace)
+
+    first = random_batch(nodes, 260, seed=7)
+    growth = random_batch(nodes, 260, seed=8)
+    for batch in extra:
+        step(structure.update, batch)
+    step(structure.update, first)
+    step(structure.update, growth)
+    step(structure.update, first)  # duplicate churn
+    step(structure.update, EdgeBatch.empty())
+    step(structure.delete, random_batch(nodes, 120, seed=10), traced=True)
+    step(structure.delete, first)
+    step(structure.delete, first)  # all misses now
+    step(structure.delete, EdgeBatch.empty())
+    step(structure.update, first)  # reinsert after delete
+    step(structure.update, random_batch(nodes, 120, seed=9), traced=True)
+    return structure, summary, traces
 
 
-def _same_graph(a, b) -> None:
+def _same_graph(a, b, nodes=N) -> None:
     assert a.num_edges == b.num_edges
-    for v in range(N):
+    for v in range(nodes):
         assert dict(a.out_neigh(v)) == dict(b.out_neigh(v))
         assert dict(a.in_neigh(v)) == dict(b.in_neigh(v))
         assert a.out_degree(v) == b.out_degree(v)
@@ -95,19 +109,26 @@ def _space_counters(structure):
     )
 
 
-def _assert_native_matches_plain(name, directed):
-    native, native_summary, native_trace = _run_scenario(name, directed, gated=False)
-    plain, plain_summary, plain_trace = _run_scenario(name, directed, gated=True)
-    assert native_summary == plain_summary
-    _same_graph(native, plain)
-    # Traced addresses pin down both the per-edge twins and the entire
-    # simulated-memory allocation history (region bases are allocation-
-    # order dependent); the counters catch an accounting slip in the
-    # event replay that leaves the addresses intact.
-    assert np.array_equal(native_trace.addresses, plain_trace.addresses)
-    assert np.array_equal(native_trace.is_write, plain_trace.is_write)
-    assert np.array_equal(native_trace.task_ids, plain_trace.task_ids)
-    assert _space_counters(native) == _space_counters(plain)
+def _assert_native_matches_plain(name, directed, nodes=N, **kwargs):
+    """Per-edge arena methods and the C kernel, each against the oracle."""
+    plain, plain_summary, plain_traces = _run_scenario(
+        name, directed, ORACLE, nodes, **kwargs
+    )
+    for implementation in (PER_EDGE, KERNEL):
+        native, native_summary, native_traces = _run_scenario(
+            name, directed, implementation, nodes, **kwargs
+        )
+        assert native_summary == plain_summary, implementation
+        _same_graph(native, plain, nodes)
+        # Traced addresses pin down both the per-edge methods and the
+        # entire simulated-memory allocation history (region bases are
+        # allocation-order dependent); the counters catch an accounting
+        # slip in the event replay that leaves the addresses intact.
+        for native_trace, plain_trace in zip(native_traces, plain_traces):
+            assert np.array_equal(native_trace.addresses, plain_trace.addresses)
+            assert np.array_equal(native_trace.is_write, plain_trace.is_write)
+            assert np.array_equal(native_trace.task_ids, plain_trace.task_ids)
+        assert _space_counters(native) == _space_counters(plain), implementation
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -131,6 +152,77 @@ def test_native_matches_plain_when_every_batch_stalls(
     _assert_native_matches_plain(name, directed)
 
 
+#: The stall/grow/resume routine of every kernel resource code.
+GROW_ROUTINES = {
+    "Stinger": ("_grow_bid_pool", "_grow_block_pool"),
+    "DAH": (
+        "_grow_low_arena",
+        "_grow_high_arena",
+        "_grow_inline_pool",
+        "_grow_set_arena",
+        "_grow_set_meta",
+    ),
+}
+
+
+def _arena_size(store) -> int:
+    """Total length of the store's numpy arrays."""
+    return sum(
+        value.size for value in vars(store).values() if isinstance(value, np.ndarray)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GROW_ROUTINES))
+@pytest.mark.parametrize("directed", [True, False])
+def test_every_arena_starts_at_its_minimum(name, directed, monkeypatch):
+    """Stinger's and DAH's seven grow routines, each taken by both paths.
+
+    Every initial arena size is forced to 1, so the kernel stalls at
+    every resource code and the per-edge methods outgrow every array;
+    400 vertices in one chunk, with hubs on both sides, flush vertices
+    into neighbor sets and resize the low, high and set tables.
+    """
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    store_class = {
+        "Stinger": nativestore.NativeStingerStore,
+        "DAH": nativestore.NativeDAHStore,
+    }[name]
+    for constant in vars(store_class):
+        if constant.startswith("INITIAL_"):
+            monkeypatch.setattr(store_class, constant, 1)
+    grew = collections.Counter()
+
+    def counting(routine):
+        original = getattr(store_class, routine)
+
+        def wrapper(store, *args):
+            before = _arena_size(store)
+            original(store, *args)
+            if _arena_size(store) > before:
+                grew[store.kernels is not None, store.label, routine] += 1
+
+        return wrapper
+
+    for routine in GROW_ROUTINES[name]:
+        monkeypatch.setattr(store_class, routine, counting(routine))
+    nodes = 400
+    hubs = EdgeBatch.from_edges(
+        [(u, v) for u in range(30) for v in range(40, 70)]
+    )
+    _assert_native_matches_plain(
+        name, directed, nodes, extra=[hubs, random_batch(nodes, 1500, seed=3)],
+        **({"chunks": 1} if name == "DAH" else {}),
+    )
+    for compiled in (False, True):
+        for side in ("out", "in") if directed else ("out",):
+            for routine in GROW_ROUTINES[name]:
+                assert grew[compiled, f"{name}.{side}", routine], (
+                    f"{routine} of {name}.{side} never grew an arena "
+                    f"({'kernel' if compiled else 'per-edge'} path): {dict(grew)}"
+                )
+
+
 @pytest.mark.parametrize("name", ["AS", "AC"])
 @pytest.mark.parametrize("directed", [True, False])
 def test_vertex_growing_repeatedly_in_one_batch(name, directed):
@@ -141,22 +233,27 @@ def test_vertex_growing_repeatedly_in_one_batch(name, directed):
     hub = EdgeBatch.from_edges([(0, v) for v in range(1, 41)])
     probe = np.arange(N)
 
-    def run(gated):
-        with cingest_env("all" if gated else None):
-            structure = make_structure(name, N, directed=directed)
-            assert getattr(structure._out, "native", False) is not gated
-            structure.update(hub, _ctx())
-            return structure, structure.trace_out_traversal(probe)
+    def run(implementation):
+        structure = structure_over(implementation, name, N, directed)
+        structure.update(hub, _ctx())
+        if implementation == ORACLE:
+            trace = GraphDataStructure._trace_traversals(structure, probe, out=True)
+        else:
+            trace = structure.trace_out_traversal(probe)
+        return structure, trace
 
-    native, (native_counts, native_addresses) = run(gated=False)
-    plain, (plain_counts, plain_addresses) = run(gated=True)
-    assert np.array_equal(native_counts, plain_counts)
-    assert np.array_equal(native_addresses, plain_addresses)
-    assert int(native._out._region_base[0]) == plain._out._region[0].base
-    assert _space_counters(native) == _space_counters(plain)
-    out_vectors = native.space.live_bytes_for(f"{name}.out.vec")
-    spokes = 40 * nativestore.INITIAL_CAPACITY * nativestore.ENTRY_BYTES
-    assert out_vectors == 64 * nativestore.ENTRY_BYTES + (0 if directed else spokes)
+    plain, (plain_counts, plain_addresses) = run(ORACLE)
+    for implementation in (PER_EDGE, KERNEL):
+        native, (native_counts, native_addresses) = run(implementation)
+        assert np.array_equal(native_counts, plain_counts)
+        assert np.array_equal(native_addresses, plain_addresses)
+        assert int(native._out._region_base[0]) == plain._out._region[0].base
+        assert _space_counters(native) == _space_counters(plain)
+        out_vectors = native.space.live_bytes_for(f"{name}.out.vec")
+        spokes = 40 * nativestore.INITIAL_CAPACITY * nativestore.ENTRY_BYTES
+        assert out_vectors == 64 * nativestore.ENTRY_BYTES + (
+            0 if directed else spokes
+        )
 
 
 @given(
@@ -199,22 +296,115 @@ def test_growth_log_as_arrays_matches_event_by_event(log, shared):
 
 @pytest.mark.parametrize("name", ALL)
 def test_native_matches_reference(name):
-    """Native stores agree with ReferenceGraph over interleaved churn."""
+    """Every implementation agrees with ReferenceGraph over interleaved churn."""
     if cingest.get(name) is None:
         pytest.skip("compiled ingest kernels unavailable")
-    structure = make_structure(name, N, directed=True)
-    reference = ReferenceGraph(N, directed=True)
-    for seed in range(3):
-        batch = random_batch(N, 200, seed=seed)
-        structure.update(batch, _ctx())
-        reference.update(batch)
-        drop = random_batch(N, 60, seed=seed + 10)
-        structure.delete(drop, _ctx())
-        reference.delete_collect(drop)
-    assert structure.num_edges == reference.num_edges
-    for v in range(N):
-        assert dict(structure.out_neigh(v)) == dict(reference.out_neigh(v))
-        assert dict(structure.in_neigh(v)) == dict(reference.in_neigh(v))
+    for implementation in IMPLEMENTATIONS:
+        structure = structure_over(implementation, name, N, directed=True)
+        reference = ReferenceGraph(N, directed=True)
+        for seed in range(3):
+            batch = random_batch(N, 200, seed=seed)
+            structure.update(batch, _ctx())
+            reference.update(batch)
+            drop = random_batch(N, 60, seed=seed + 10)
+            structure.delete(drop, _ctx())
+            reference.delete_collect(drop)
+        assert structure.num_edges == reference.num_edges
+        for v in range(N):
+            assert dict(structure.out_neigh(v)) == dict(reference.out_neigh(v))
+            assert dict(structure.in_neigh(v)) == dict(reference.in_neigh(v))
+
+
+#: Weights a raw array can carry: zero, negative, infinite, not a number.
+HOSTILE_WEIGHTS = (1.0, 0.0, -3.0, float("inf"), float("-inf"), float("nan"))
+
+
+@st.composite
+def _hostile_streams(draw):
+    """``(max_nodes, [(delete, edges), ...])``: self-loops, in-batch
+    duplicates, the last id, a one-vertex graph, empty batches, deletes
+    of absent edges, and :data:`HOSTILE_WEIGHTS`."""
+    max_nodes = draw(st.sampled_from([1, 2, 7, 40]))
+
+    def decode(code):
+        code, weight = divmod(code, len(HOSTILE_WEIGHTS))
+        return (*divmod(code, max_nodes), HOSTILE_WEIGHTS[weight])
+
+    # One integer per edge: cheap to draw, shrinks to the loop (0, 0, 1.0).
+    codes = st.integers(0, max_nodes * max_nodes * len(HOSTILE_WEIGHTS) - 1)
+    stream = []
+    for delete, batch, hub in draw(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(codes, max_size=30), st.booleans()),
+            max_size=6,
+        )
+    ):
+        edges = [decode(code) for code in batch]
+        if hub and edges:
+            # Every id as a neighbour crosses DAH's degree-16 flush.
+            u, _, weight = edges[0]
+            edges += [(u, v, weight) for v in range(max_nodes)]
+        stream.append((delete, edges))
+    return max_nodes, stream
+
+
+def _hostile_observation(implementation, name, directed, max_nodes, stream):
+    """Everything observable of one stream: per batch the summary and the
+    six emitted columns, then every neighbour list (``repr``: NaN != NaN)."""
+    structure = structure_over(implementation, name, max_nodes, directed)
+    observed = []
+    for delete, edges in stream:
+        operation = structure.delete if delete else structure.update
+        result = operation(EdgeBatch.from_edges(edges), _ctx(keep_tasks=True))
+        tasks = result.extra["tasks"]
+        observed.append(
+            (
+                result.edges_inserted,
+                result.duplicates,
+                result.latency_cycles,
+                [getattr(tasks, column).tolist() for column in TaskArray.__slots__],
+            )
+        )
+    observed.append(
+        [
+            (structure.out_neigh(v), structure.in_neigh(v))
+            for v in range(max_nodes)
+        ]
+    )
+    return repr(observed)
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("directed", [True, False])
+@settings(max_examples=30, deadline=None)
+@given(case=_hostile_streams())
+def test_hostile_batches(name, directed, case):
+    """Oracle, per-edge methods and C kernel agree on hostile raw arrays."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    max_nodes, stream = case
+    for kind, present in {
+        "one-vertex graph": max_nodes == 1,
+        "empty batch": any(not edges for _, edges in stream),
+        "delete batch": any(delete for delete, _ in stream),
+        "self-loop": any(u == v for _, edges in stream for u, v, _ in edges),
+        "in-batch duplicate": any(
+            len({(u, v) for u, v, _ in edges}) < len(edges) for _, edges in stream
+        ),
+        "non-finite weight": any(
+            not np.isfinite(w) for _, edges in stream for _, _, w in edges
+        ),
+        "hub past DAH's degree-16 flush": max_nodes > 17
+        and any(len(edges) > 30 for _, edges in stream),
+    }.items():
+        if present:
+            event(kind)
+    oracle = _hostile_observation(ORACLE, name, directed, max_nodes, stream)
+    for implementation in (PER_EDGE, KERNEL):
+        assert (
+            _hostile_observation(implementation, name, directed, max_nodes, stream)
+            == oracle
+        ), implementation
 
 
 class TestGates:
@@ -229,20 +419,32 @@ class TestGates:
             cingest.reset()
 
     def test_per_structure_gate(self, monkeypatch):
+        """A gated structure builds the same stores and skips the kernel."""
         if not cingest.loaded():
             pytest.skip("compiled ingest kernels unavailable")
-        monkeypatch.setenv(cingest.DISABLE_ENV, "AS")
-        cingest.reset()
-        try:
+        calls = []
+        for entry in ("vec_ingest", "stinger_ingest", "dah_ingest"):
+            def counted(kernels, *args, _entry=entry,
+                        _call=getattr(cingest.IngestKernels, entry)):
+                calls.append(_entry)
+                return _call(kernels, *args)
+
+            monkeypatch.setattr(cingest.IngestKernels, entry, counted)
+        batch = random_batch(N, 50, seed=1)
+        with cingest_env("AS"):
             assert cingest.get("AS") is None
             assert cingest.get("DAH") is not None
             gated = make_structure("AS", N)
-            assert not getattr(gated._out, "native", False)
-            native = make_structure("DAH", N)
-            assert getattr(native._out, "native", False)
-        finally:
-            monkeypatch.delenv(cingest.DISABLE_ENV)
-            cingest.reset()
+            gated.update(batch, _ctx())
+            gated.delete(batch, _ctx())
+            assert calls == []
+            make_structure("DAH", N).update(batch, _ctx())
+            assert calls == ["dah_ingest"]
+        for name in ALL:
+            with cingest_env("all"):
+                without = make_structure(name, 8)
+            with cingest_env(None):
+                assert type(make_structure(name, 8)._out) is type(without._out)
 
 
 class TestComputeThreadInvariance:

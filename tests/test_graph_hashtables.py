@@ -1,9 +1,9 @@
-"""Unit and property tests for the Robin Hood and open-address tables."""
+"""Unit and property tests for the oracle's Robin Hood and open-address tables."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.hashtables import (
+from tests.oracle_hashtables import (
     MAX_LOAD_FACTOR,
     OpenAddressTable,
     RobinHoodTable,

@@ -1,14 +1,15 @@
-"""Unit tests for the shared adjacency vector store."""
+"""Unit tests for the adjacency vector store's per-edge methods."""
 
 import pytest
 
-from repro.graph.vectorstore import INITIAL_CAPACITY, VectorStore
+from repro.graph.nativestore import NativeVectorStore
+from repro.graph.vectorstore import INITIAL_CAPACITY
 from repro.sim.memory import AddressSpace
 from repro.sim.trace import NullRecorder, TraceRecorder
 
 
 def store(max_nodes=8):
-    return VectorStore(max_nodes, AddressSpace(), "test")
+    return NativeVectorStore(max_nodes, AddressSpace(), "test", None)
 
 
 class TestInsert:
@@ -79,7 +80,7 @@ class TestTrace:
 
     def test_memory_freed_on_growth(self):
         space = AddressSpace()
-        s = VectorStore(4, space, "grow")
+        s = NativeVectorStore(4, space, "grow", None)
         recorder = NullRecorder()
         for v in range(INITIAL_CAPACITY * 8):
             s.insert(0, v, 1.0, recorder)

@@ -1,17 +1,17 @@
 """Task emission and scheduling: each fast path against its reference.
 
 **Emission.**  A structure's emitter has per-operation methods over the
-stores (the reference, and what traced batches run) and a fused
-``ingest_batch`` (the fast path of untraced batches: a Python bulk loop,
-or one compiled call over the native stores).  The emitted columns are
-**pinned exactly**: ``test_emitted_columns_are_pinned`` holds a sha256
-of the six ``TaskArray`` columns for every structure x orientation x
-{inserts, insert then delete} stream, recorded from the per-``Task``
-object path this repository had until PR 18 (which priced every
-operation with scalar Python arithmetic) in its last run.  Every
-ingestion mode must reproduce them; the remaining structure tests
-compare schedules and cache statistics of the modes with ``==`` on the
-raw floats.
+stores (the reference: what traced batches and kernel-less stores run)
+and ``ingest_batch``, one compiled call per untraced batch.  The emitted
+columns are **pinned exactly**: ``test_emitted_columns_are_pinned``
+holds a sha256 of the six ``TaskArray`` columns for every structure x
+orientation x {inserts, insert then delete} stream, recorded from the
+per-``Task`` object path this repository had until PR 18 (which priced
+every operation with scalar Python arithmetic) in its last run.  Every
+ingestion mode -- kernel, kernel-less and traced over the arena stores,
+plus the list/dict oracle stores of ``tests/oracle_stores.py`` -- must
+reproduce them; the remaining structure tests compare schedules and
+cache statistics of the modes with ``==`` on the raw floats.
 
 **Scheduling.**  The dynamic scheduler's default dispatch (lock-free
 closed forms, compiled event loop) against the one Python event loop
@@ -30,24 +30,26 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
 from repro.obs.tracer import TRACER
-from repro.sim import cingest, ckernel
+from repro.sim import ckernel
 from repro.sim.cache import CacheHierarchy
 from repro.sim.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.sim.scheduler import ChunkedScheduler, DynamicScheduler
 from repro.sim.tasks import TaskArray
 from repro.sim.trace import TraceRecorder
-from tests.conftest import SMALL_MACHINE, cingest_env, random_batch
+from tests.conftest import SMALL_MACHINE, random_batch
+from tests.oracle_stores import KERNEL, ORACLE, PER_EDGE, structure_over
 
 ALL = sorted(STRUCTURES)
 
 
-#: Ingestion modes as ``(plain stores, traced)``: the fused loop over the
-#: compiled stores and over the plain ones, then the per-operation
-#: emitter methods (what a recorder selects) over each.
-BULK, BULK_PLAIN, PER_OP, PER_OP_PLAIN = (
-    (False, False), (True, False), (False, True), (True, True),
+#: Ingestion modes as ``(store implementation, traced)``: one compiled
+#: call per batch, then the per-operation emitter methods over the arena
+#: stores -- because the stores have no kernel, or because a recorder
+#: selects them -- and over the oracle stores (traced: every branch).
+BULK, KERNEL_LESS, PER_OP, PER_OP_PLAIN = (
+    (KERNEL, False), (PER_EDGE, False), (KERNEL, True), (ORACLE, True),
 )
-MODES = (BULK, BULK_PLAIN, PER_OP, PER_OP_PLAIN)
+MODES = (BULK, KERNEL_LESS, PER_OP, PER_OP_PLAIN)
 
 
 def stream_batches(num_nodes=48, batches=3, edges=220, seed=17):
@@ -64,12 +66,8 @@ def stream_batches(num_nodes=48, batches=3, edges=220, seed=17):
 
 def run_stream(name, mode, threads, delete_last=False, directed=True, cache=False):
     """Ingest the reference stream and collect every comparable number."""
-    plain, traced = mode
-    with cingest_env("all" if plain else None):
-        structure = make_structure(name, 48, directed=directed)
-        assert getattr(structure._out, "native", False) == (
-            not plain and cingest.loaded()
-        )
+    implementation, traced = mode
+    structure = structure_over(implementation, name, 48, directed)
     hierarchy = CacheHierarchy(SMALL_MACHINE, threads=threads)
     observed = []
     digest = hashlib.sha256()
@@ -201,7 +199,7 @@ class TestStructureDifferentialInstrumented:
         assert_modes_agree(name, threads=SMALL_MACHINE.hardware_threads)
 
     def test_trace_and_cache_replay(self, name):
-        # The compiled stores' per-edge twins emit the plain stores'
+        # The arena stores' per-edge methods emit the oracle stores'
         # memory trace, address for address.
         assert_modes_agree(name, (PER_OP, PER_OP_PLAIN), threads=4, cache=True)
 

@@ -4,8 +4,11 @@
 return ``(counts, addresses)``.  The reference is the per-vertex
 ``_trace_traversal(u, recorder, out)`` every structure defines: the
 array result must be that method's accesses, vertex after vertex.  AS,
-AC and DAH have array implementations over their compiled stores;
-Stinger, BA and every plain (no-compiler) store use the base-class loop.
+AC and DAH have array implementations in their stores; Stinger and BA
+use the base-class loop.  The reference is taken twice: from the
+structure under test, and (``plain``) from a second structure over the
+list/dict oracle stores of ``tests/oracle_stores.py`` fed the same
+stream -- which also holds the kernel-ingested layout to the oracle's.
 """
 
 
@@ -16,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
 from repro.graph.base import GraphDataStructure
-from repro.sim import cingest
 from repro.sim.memory import Region
 from repro.sim.trace import TraceRecorder
-from tests.conftest import SMALL_MACHINE, cingest_env
+from tests.conftest import SMALL_MACHINE
+from tests.oracle_stores import oracle_structure
 
 ALL = sorted(STRUCTURES)
 #: Few ids, so that random streams push vertices across DAH's degree-16
@@ -40,31 +43,33 @@ def _reference(structure, vertices, out):
     return counts, addresses
 
 
-def _assert_matches_reference(structure, vertices):
+def _assert_matches_reference(structures, vertices):
+    """The first structure's array emitters against the per-vertex loop
+    over the last one (the same structure, or its oracle-store twin)."""
     vertices = np.asarray(vertices, dtype=np.int64)
+    structure, reference = structures[0], structures[-1]
     for emit, out in (
         (structure.trace_out_traversal, True),
         (structure.trace_in_traversal, not structure.directed),
     ):
         counts, addresses = emit(vertices)
-        want_counts, want_addresses = _reference(structure, vertices, out)
+        want_counts, want_addresses = _reference(reference, vertices, out)
         assert counts.tolist() == want_counts
         assert addresses.tolist() == want_addresses
         assert counts.dtype == addresses.dtype == np.int64
 
 
 def _make(name, directed, plain, max_nodes=N, chunks=2):
-    """A structure over compiled stores, or plain ones when ``plain``.
+    """The structure under test, followed when ``plain`` by an empty
+    twin over the oracle stores.
 
     Few chunks, so that keys collide in DAH's per-chunk tables.
     """
     kwargs = {"chunks": chunks} if name in ("AC", "BA", "DAH") else {}
-    with cingest_env("all" if plain else None):
-        structure = make_structure(name, max_nodes, directed=directed, **kwargs)
-        assert getattr(structure._out, "native", False) == (
-            not plain and cingest.loaded()
-        )
-    return structure
+    structures = [make_structure(name, max_nodes, directed=directed, **kwargs)]
+    if plain:
+        structures.append(oracle_structure(name, max_nodes, directed, **kwargs))
+    return structures
 
 
 _edges = st.lists(
@@ -73,11 +78,12 @@ _edges = st.lists(
 _stream = st.lists(st.tuples(st.booleans(), _edges), max_size=5)
 
 
-def _apply(structure, stream):
+def _apply(structures, stream):
     ctx = ExecutionContext(machine=SMALL_MACHINE)
-    for delete, edges in stream:
-        batch = EdgeBatch.from_edges(edges)
-        (structure.delete if delete else structure.update)(batch, ctx)
+    for structure in structures:
+        for delete, edges in stream:
+            batch = EdgeBatch.from_edges(edges)
+            (structure.delete if delete else structure.update)(batch, ctx)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -91,9 +97,9 @@ class TestArrayEmittersMatchPerVertex:
         vertices=st.lists(st.integers(0, N - 1), max_size=60),
     )
     def test_random_streams(self, name, directed, plain, stream, vertices):
-        structure = _make(name, directed, plain)
-        _apply(structure, stream)
-        _assert_matches_reference(structure, vertices)
+        structures = _make(name, directed, plain)
+        _apply(structures, stream)
+        _assert_matches_reference(structures, vertices)
 
     def test_hub_resizes_and_tombstones(self, name, directed, plain):
         """Hubs past the degree-16 flush, resized tables, deleted edges."""
@@ -102,18 +108,20 @@ class TestArrayEmittersMatchPerVertex:
         # to just under 0.7 x 128, so that probes of the absent ids
         # 20..49 run into displaced keys (the Robin Hood stop rule).
         m = 141
-        structure = _make(name, directed, plain, max_nodes=m, chunks=1)
-        ctx = ExecutionContext(machine=SMALL_MACHINE)
+        structures = _make(name, directed, plain, max_nodes=m, chunks=1)
         hubs = [(u, v) for u in range(20) for v in range(20, 50)]
-        structure.update(EdgeBatch.from_edges(hubs), ctx)
-        structure.update(
-            EdgeBatch.from_edges([(u, u + 1) for u in range(50, m - 2)]), ctx
+        _apply(
+            structures,
+            [
+                (False, hubs),
+                (False, [(u, u + 1) for u in range(50, m - 2)]),
+                # Tombstones in the hubs' neighbor sets; vertex 60 emptied.
+                (True, hubs[::3] + [(60, 61)]),
+            ],
         )
-        # Tombstones in the hubs' neighbor sets; vertex 60 emptied.
-        structure.delete(EdgeBatch.from_edges(hubs[::3] + [(60, 61)]), ctx)
         everyone = list(range(m)) + [0, 0, 60, m - 1]
-        _assert_matches_reference(structure, everyone)
-        _assert_matches_reference(structure, [])
+        _assert_matches_reference(structures, everyone)
+        _assert_matches_reference(structures, [])
 
 
 class TestOverrunsStillRaise:
@@ -121,7 +129,7 @@ class TestOverrunsStillRaise:
 
     @pytest.mark.parametrize("name", ["AS", "AC"])
     def test_vertex_beyond_max_nodes(self, name):
-        structure = _make(name, True, plain=False)
+        (structure,) = _make(name, True, plain=False)
         with pytest.raises(SimulationError):
             structure._trace_traversal(N, TraceRecorder(), True)
         for emit in (structure.trace_out_traversal, structure.trace_in_traversal):
@@ -130,9 +138,7 @@ class TestOverrunsStillRaise:
 
     @pytest.mark.parametrize("table", ["_low_regions", "_high_regions"])
     def test_region_shorter_than_its_table(self, table):
-        structure = _make("DAH", True, plain=False, chunks=1)
-        if not cingest.loaded():
-            pytest.skip("compiled ingest kernels unavailable")
+        (structure,) = _make("DAH", True, plain=False, chunks=1)
         ctx = ExecutionContext(machine=SMALL_MACHINE)
         structure.update(
             EdgeBatch.from_edges([(u, 0) for u in range(1, N)]), ctx
