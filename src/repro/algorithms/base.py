@@ -7,7 +7,8 @@ engines cover five of the six algorithms:
 
 - :func:`synchronous_fixpoint` -- evaluate every vertex's pull function
   each iteration until nothing changes (CC, MC and, with a tolerance,
-  PR's power iteration).  Vectorized over an in-edge array.
+  PR's power iteration).  One compiled call per run, or vectorized over
+  an in-edge array.
 - :func:`repro.compute.kernels.frontier_relaxation_kernel` --
   push-style rounds relaxing the out-edges of an active frontier (BFS,
   SSWP).  SSSP's delta-stepping lives in its own module.
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.compute import kernels
+from repro.compute import ckernels, kernels
 from repro.compute.kernels import DEFAULT_EPSILON
 from repro.compute.state import AlgorithmState
 from repro.compute.stats import ComputeRun, IterationStats
@@ -292,6 +293,8 @@ def synchronous_fixpoint(
     epsilon: float = 0.0,
     max_iterations: int = 1000,
     compute_view=None,
+    kernel_op: Optional[int] = None,
+    kernel_constants: Tuple[float, float] = (0.0, 0.0),
 ) -> ComputeRun:
     """Jacobi iteration of a pull-style vertex function over all vertices.
 
@@ -301,25 +304,45 @@ def synchronous_fixpoint(
     undirected views both orientations appear), read from the in-CSR of
     the view's :class:`~repro.compute.kernels.ComputeView`.  Iterates
     until the largest change is at most ``epsilon``.
+
+    ``kernel_op`` is the compiled twin of ``combine`` (a
+    ``ckernels.OP_*`` vertex function, ``kernel_constants`` its
+    :meth:`Algorithm.ckernel_constants`); when given and the compute
+    kernels built, the whole fixpoint is one C call that sweeps the
+    in-CSR rows in place (``ckernels.ComputeKernels.jacobi_run``) and
+    reports how many rounds it took -- every round pulls every vertex,
+    so that count is the run's whole record.
     """
     n = view.num_nodes
     run = ComputeRun(algorithm=algorithm, model="FS", values=values)
     run.linear_scans = 1  # the from-scratch reset
     if n == 0:
         return run
-    src, dst, weight = kernels.packed_in_edges(
-        kernels.resolve_view(view, compute_view)
-    )
+    cv = kernels.resolve_view(view, compute_view)
     everyone = np.arange(n, dtype=np.int64)
-    for _ in range(max_iterations):
-        new_values = combine(values, src, dst, weight)
-        # inf - inf (an unreached vertex staying unreached) is NaN: not
-        # a change.  A transition between finite and infinite is +/-inf:
-        # a real change, kept as such.
-        delta = np.abs(np.nan_to_num(new_values - values, nan=0.0))
-        values[:] = new_values
-        run.iterations.append(IterationStats.make(pull=everyone))
-        if float(delta.max(initial=0.0)) <= epsilon:
+    ck = ckernels.get("jacobi_round") if kernel_op is not None else None
+    with TRACER.span("compute.kernel", args={"algorithm": algorithm, "model": "FS"}):
+        if ck is not None:
+            rounds = ck.jacobi_run(
+                cv, values, kernel_op, epsilon, *kernel_constants, max_iterations
+            )
+            if rounds < 0:
+                run.converged = False
+                rounds = max_iterations
+            run.iterations.extend(
+                IterationStats.make(pull=everyone) for _ in range(rounds)
+            )
             return run
+        src, dst, weight = kernels.packed_in_edges(cv)
+        for _ in range(max_iterations):
+            new_values = combine(values, src, dst, weight)
+            # inf - inf (an unreached vertex staying unreached) is NaN:
+            # not a change.  A transition between finite and infinite is
+            # +/-inf: a real change, kept as such.
+            delta = np.abs(np.nan_to_num(new_values - values, nan=0.0))
+            values[:] = new_values
+            run.iterations.append(IterationStats.make(pull=everyone))
+            if float(delta.max(initial=0.0)) <= epsilon:
+                return run
     run.converged = False
     return run

@@ -25,7 +25,7 @@ from repro.compute.stats import ComputeRun
 def _combine_min(values: np.ndarray, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
     new_values = values.copy()
     if len(src):
-        kernels.scatter_extreme(new_values, dst, values[src], maximize=False)
+        np.minimum.at(new_values, dst, values[src])
     return new_values
 
 
@@ -70,4 +70,5 @@ class ConnectedComponents(Algorithm):
             algorithm=self.name,
             epsilon=0.0,
             compute_view=compute_view,
+            kernel_op=self.ckernel_op,
         )

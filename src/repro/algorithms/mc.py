@@ -24,7 +24,7 @@ from repro.compute.stats import ComputeRun
 def _combine_max(values: np.ndarray, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
     new_values = values.copy()
     if len(src):
-        kernels.scatter_extreme(new_values, dst, values[src], maximize=True)
+        np.maximum.at(new_values, dst, values[src])
     return new_values
 
 
@@ -69,4 +69,5 @@ class MaxComputation(Algorithm):
             algorithm=self.name,
             epsilon=0.0,
             compute_view=compute_view,
+            kernel_op=self.ckernel_op,
         )

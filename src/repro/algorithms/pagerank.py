@@ -128,4 +128,6 @@ class PageRank(Algorithm):
             epsilon=PR_EPSILON,
             max_iterations=200,
             compute_view=cv,
+            kernel_op=self.ckernel_op,
+            kernel_constants=self.ckernel_constants(n),
         )

@@ -19,8 +19,28 @@ import numpy as np
 from repro.algorithms.base import Algorithm, in_pairs
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun, IterationStats
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.obs.tracer import TRACER
+
+#: First float64 past the largest bucket index an int64 holds.
+_BUCKET_LIMIT = 2.0**63
+
+
+def _bucket_overflow(delta: float) -> SimulationError:
+    return SimulationError(
+        f"SSSP: a path length divided by delta={delta!r} does not fit in an "
+        "int64 bucket index; use a larger delta"
+    )
+
+
+def _bucket_index(lengths: np.ndarray, delta: float) -> np.ndarray:
+    """The delta-stepping bucket of each path length."""
+    # A quotient past float64 is inf or NaN, and refused just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = np.floor_divide(lengths, delta)
+    if not (np.abs(index) < _BUCKET_LIMIT).all():  # NaN fails too
+        raise _bucket_overflow(delta)
+    return index.astype(np.int64)
 
 
 class SSSP(Algorithm):
@@ -47,6 +67,10 @@ class SSSP(Algorithm):
         return target_values == source_values + weights
 
     def __init__(self, delta: Optional[float] = None, use_dijkstra: bool = False) -> None:
+        if delta is not None and not 0 < delta < np.inf:
+            raise ConfigError(
+                f"SSSP delta must be a positive finite bucket width, got {delta!r}"
+            )
         self.delta = delta
         self.use_dijkstra = use_dijkstra
 
@@ -85,25 +109,28 @@ class SSSP(Algorithm):
     ) -> ComputeRun:
         if source is None:
             raise SimulationError("SSSP requires a source vertex")
+        cv = kernels.resolve_view(view, compute_view)
+        # One NaN poisons the delta pick and a negative cycle never
+        # settles: neither loop below can be trusted to return.
+        if not (kernels.packed_out_weights(cv) >= 0).all():
+            raise SimulationError(
+                "SSSP: the view's out-edge weights column holds a negative or "
+                "NaN weight; shortest paths need weights >= 0"
+            )
         if self.use_dijkstra:
             return self._fs_dijkstra(view, source)
-        return self._fs_delta_kernel(view, source, compute_view)
+        return self._fs_delta_kernel(cv, source)
 
-    def _fs_delta_kernel(self, view, source: int, compute_view=None) -> ComputeRun:
-        """Delta-stepping over the columnar view, pass-at-a-time.
+    def _fs_delta_kernel(self, cv, source: int) -> ComputeRun:
+        """Delta-stepping over the columnar view.
 
         Light edges (weight <= delta) are relaxed iteratively inside a
-        bucket; heavy edges once per settled bucket.  Each light/heavy
-        pass becomes one :func:`kernels.relax_pass` (prefix waves
-        reproduce the sequential bases) plus one
-        :func:`kernels.relaxation_events` scan that recovers exactly the
-        successful compare-and-updates a sequential per-edge loop would
-        have performed -- so pushes, bucket membership, and float bits
-        all match it.  When the compiled compute kernels built, the
-        whole pass (weight filter, sequential conditional relaxation,
-        event capture) is one C call instead.
+        bucket; heavy edges once per settled bucket.  When the compute
+        kernels built, the whole bucket loop is one C call recorded in
+        a run log (``ckernels.ComputeKernels.delta_run``);
+        :meth:`_delta_loop` is its reference and the no-compiler
+        fallback.
         """
-        cv = kernels.resolve_view(view, compute_view)
         n = max(cv.num_nodes, 1)
         values = np.full(n, np.inf)
         run = ComputeRun(algorithm=self.name, model="FS", values=values, source=source)
@@ -113,81 +140,76 @@ class SSSP(Algorithm):
         values[source] = 0.0
         delta = self._pick_delta(cv)
         ck = ckernels.get("delta_pass")
+        with TRACER.span(
+            "compute.kernel", args={"algorithm": self.name, "model": "FS"}
+        ):
+            if ck is None:
+                self._delta_loop(cv, run, source, delta)
+                return run
+            vlog, table, overflow = ck.delta_run(cv.out_csr, source, values, delta)
+            if overflow:
+                raise _bucket_overflow(delta)
+            kernels._append_run_log(run, vlog, table, frontier_col=1)
+        return run
+
+    @staticmethod
+    def _delta_loop(cv, run: ComputeRun, source: int, delta: float) -> None:
+        """The bucket loop, pass-at-a-time in numpy.
+
+        Each light/heavy pass is one :func:`kernels.relax_pass` (prefix
+        waves reproduce the sequential bases) plus one
+        :func:`kernels.relaxation_events` scan that recovers exactly the
+        successful compare-and-updates a sequential per-edge loop would
+        have performed -- so pushes, bucket membership, and float bits
+        all match it.
+        """
+        values = run.values
 
         def relax(base: np.ndarray, wts: np.ndarray) -> np.ndarray:
             return base + wts
 
         def pass_events(frontier: np.ndarray, heavy: bool):
-            """(target, candidate) of each winning relaxation, in order."""
-            if ck is not None:
-                return ck.delta_pass(cv.out_csr, frontier, values, delta, heavy)
+            """(target, bucket) of each winning relaxation, in order."""
             mask = (lambda w: w > delta) if heavy else (lambda w: w <= delta)
             cand, tgt, x0 = kernels.relax_pass(
                 cv, values, frontier, relax, "min", edge_mask=mask
             )
             events = kernels.relaxation_events(cand, tgt, x0, minimize=True)
-            return tgt[events], cand[events]
+            kernels._observe_frontier(run, frontier.size)
+            run.iterations.append(
+                IterationStats.make(
+                    push=frontier, pushes=int(events.size), cas_ops=int(events.size)
+                )
+            )
+            return tgt[events], _bucket_index(cand[events], delta)
 
         # Buckets hold unmerged member fragments; dedup happens at pop
         # time (same members as deduplicating on insert).
         buckets: Dict[int, List[np.ndarray]] = {
             0: [np.array([source], dtype=np.int64)]
         }
-        with TRACER.span(
-            "compute.kernel", args={"algorithm": self.name, "model": "FS"}
-        ):
-            while buckets:
-                i = min(buckets)
-                members = np.unique(np.concatenate(buckets.pop(i)))
-                settled_parts: List[np.ndarray] = []
-                # Light-edge phase: iterate within the bucket.
-                while True:
-                    if members.size:
-                        keys = np.floor_divide(values[members], delta).astype(np.int64)
-                        frontier = members[keys == i]
-                    else:
-                        frontier = members
-                    if frontier.size == 0:
-                        break
-                    settled_parts.append(frontier)
-                    kernels._observe_frontier(run, frontier.size)
-                    ev_t, ev_c = pass_events(frontier, heavy=False)
-                    run.iterations.append(
-                        IterationStats.make(
-                            push=frontier,
-                            pushes=int(ev_t.size),
-                            cas_ops=int(ev_t.size),
-                        )
-                    )
-                    if ev_t.size:
-                        js = np.floor_divide(ev_c, delta).astype(np.int64)
-                        same = js == i
-                        members = np.unique(ev_t[same])
-                        other = np.nonzero(~same)[0]
-                        for j in np.unique(js[other]):
-                            buckets.setdefault(int(j), []).append(
-                                ev_t[other[js[other] == j]]
-                            )
-                    else:
-                        members = np.empty(0, dtype=np.int64)
-                if not settled_parts:
-                    continue
-                # Heavy-edge phase: one relaxation pass over the bucket.
-                settled = np.concatenate(settled_parts)
-                kernels._observe_frontier(run, settled.size)
-                ev_t, ev_c = pass_events(settled, heavy=True)
-                run.iterations.append(
-                    IterationStats.make(
-                        push=settled,
-                        pushes=int(ev_t.size),
-                        cas_ops=int(ev_t.size),
-                    )
-                )
-                if ev_t.size:
-                    js = np.floor_divide(ev_c, delta).astype(np.int64)
-                    for j in np.unique(js):
-                        buckets.setdefault(int(j), []).append(ev_t[js == j])
-        return run
+        while buckets:
+            i = min(buckets)
+            members = np.unique(np.concatenate(buckets.pop(i)))
+            settled_parts: List[np.ndarray] = []
+            # Light-edge phase: iterate within the bucket.
+            while True:
+                frontier = members[_bucket_index(values[members], delta) == i]
+                if frontier.size == 0:
+                    break
+                settled_parts.append(frontier)
+                ev_t, js = pass_events(frontier, heavy=False)
+                same = js == i
+                members = np.unique(ev_t[same])
+                other = np.nonzero(~same)[0]
+                for j in np.unique(js[other]):
+                    buckets.setdefault(int(j), []).append(ev_t[other[js[other] == j]])
+            if not settled_parts:
+                continue
+            # Heavy-edge phase: one relaxation pass over the bucket.
+            ev_t, js = pass_events(np.concatenate(settled_parts), heavy=True)
+            for j in np.unique(js):
+                buckets.setdefault(int(j), []).append(ev_t[js == j])
 
     def _fs_dijkstra(self, view, source: int) -> ComputeRun:
         """Serial binary-heap Dijkstra (the textbook comparator)."""

@@ -13,30 +13,38 @@ The deeper win is *fusion*: the algorithms are specified as sequential
 Gauss-Seidel loops, which numpy can only reproduce through
 dependency-level wave scheduling -- but a C loop that processes the
 ascending frontier one position at a time reproduces the sequential
-semantics *directly*.  The fused unit is a whole compute **run**:
-``saga_inc_run`` loops the INC round body (recalculate + trigger +
-dedup, then an inline sort of the next frontier) until no vertex fires,
-``saga_relax_run`` does the same for the FS relaxation rounds, and both
-record every round in a caller-owned *run log* -- a vertex log
-``[F0][T0][F1][T1]...`` plus a round table -- whose slices become the
-run's ``IterationStats``; a log that fills stalls the kernel, Python
-grows it, and the kernel resumes at its cursor (the
-:mod:`repro.sim.cingest` idiom).  ``saga_taint_closure`` takes the
-KickStarter forward closure on byte masks, and ``saga_delta_pass``
-remains one call per delta-stepping pass.  Float accumulation order is
-the sequential order of the per-vertex loops by construction, NaN semantics
-follow numpy (``np.minimum`` propagates NaN; ``inf - inf`` is not a
-change), and the build forbids FMA contraction.  Every crossing ticks
-``compute_kernel_calls_total{kernel}``.
+semantics *directly*.  The fused unit is a whole compute **run**, four
+of them: ``saga_inc_run`` loops the INC round body (recalculate +
+trigger + dedup, then an inline sort of the next frontier) until no
+vertex fires, ``saga_relax_run`` does the same for the FS relaxation
+rounds (BFS, SSWP), ``saga_delta_run`` runs SSSP's whole delta-stepping
+bucket loop, and ``saga_jacobi_run`` sweeps the same vertex functions
+over all vertices from a second value buffer until nothing changes (CC,
+MC, PR under FS).  The first three record every round or pass in a
+caller-owned *run log* -- a vertex log ``[F0][T0][F1][T1]...`` plus a
+round table -- whose slices become the run's ``IterationStats``; a log
+(or the delta run's pending-bucket buffer) that fills stalls the kernel,
+Python grows it, and the kernel resumes at its cursor (the
+:mod:`repro.sim.cingest` idiom).  A Jacobi round pulls every vertex, so
+its run needs no log: it returns the round count.
+``saga_taint_closure`` takes the KickStarter forward closure on byte
+masks.  Float accumulation order is the sequential order of the
+per-vertex loops by construction, NaN semantics follow numpy
+(``np.minimum`` propagates NaN; ``inf - inf`` is not a change), bucket
+indices are ``np.floor_divide``'s, and the build forbids FMA
+contraction.  Every crossing ticks ``compute_kernel_calls_total{kernel}``.
 
 Gates:
 
 - ``SAGA_BENCH_NO_CCOMPUTE=1`` (or ``all``) disables every compiled
   compute kernel; a comma list (``inc_round,expand``) disables
   individual kernels, leaving the rest compiled.  ``inc_round`` names
-  ``saga_inc_run`` and the closure, ``relax_round`` ``saga_relax_run``;
-  without them the numpy wave engine of :mod:`repro.compute.kernels`
-  runs, the reference the run logs are tested against.
+  ``saga_inc_run`` and the closure, ``relax_round`` ``saga_relax_run``,
+  ``jacobi_round`` ``saga_jacobi_run`` and ``delta_pass``
+  ``saga_delta_run``; without them the numpy engines of
+  :mod:`repro.compute.kernels`, ``algorithms/base.py`` and
+  ``algorithms/sssp.py`` run, the reference the run kernels are tested
+  against.
 - ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build into a hard
   error instead of the silent numpy fallback (CI sets it so a broken
   toolchain cannot masquerade as a perf regression).
@@ -77,8 +85,8 @@ KERNEL_NAMES = frozenset(
         "segment_sum",
         "inc_round",
         "relax_round",
+        "jacobi_round",
         "delta_pass",
-        "scatter",
     }
 )
 
@@ -94,18 +102,22 @@ OP_PR = 5
 RELAX_ADD1 = 0  # candidate = base + 1.0           (BFS)
 RELAX_MINW = 1  # candidate = min(base, weight)    (SSWP)
 
-#: Initial run-log capacities (vertex-log slots, round-table rows) of
-#: the run kernels, sized so that a run is normally one call (slots
-#: cost nothing until they are written).  A log that fills stalls the
-#: kernel and at least doubles; the tests shrink both to 1 so every
-#: stall point is taken.
+#: Initial run-log capacities (vertex-log slots, round-table rows,
+#: pending bucket entries of the delta-stepping run) of the run kernels,
+#: sized so that a run is normally one call (slots cost nothing until
+#: they are written).  A buffer that fills stalls the kernel and at
+#: least doubles; the tests shrink all three to 1 so every stall point
+#: is taken.
 RUN_LOG_VERTICES = 1 << 16
 RUN_LOG_ROUNDS = 64
+RUN_LOG_PENDING = 1 << 14
 
 #: ``saga_*_run`` return codes (``SAGA_RUN_*`` in the C source).
 _RUN_STALL_VERTICES = 1
 _RUN_STALL_ROUNDS = 2
 _RUN_OVERRUN = 3
+_RUN_STALL_PENDING = 4
+_RUN_BAD_BUCKET = 5
 
 _I64 = ctypes.c_int64
 _I32 = ctypes.c_int32
@@ -117,6 +129,7 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 #include <math.h>
+#include <float.h>
 #include <pthread.h>
 
 /* Compute-phase inner loops.  Every function mirrors a numpy kernel
@@ -207,22 +220,6 @@ void saga_segment_sum(
     int64_t i;
     for (i = 0; i < m; i++)
         out[seg[i]] += terms[i];
-}
-
-/* np.minimum.at / np.maximum.at: sequential scatter extreme. */
-void saga_scatter_extreme(
-    int64_t m,
-    const int64_t *idx,
-    const double *terms,
-    int32_t maximize,
-    double *out)
-{
-    int64_t i;
-    for (i = 0; i < m; i++) {
-        int64_t t = idx[i];
-        out[t] = maximize ? take_max(out[t], terms[i])
-                          : take_min(out[t], terms[i]);
-    }
 }
 
 /* ---- next-frontier sort --------------------------------------------
@@ -796,7 +793,8 @@ static void inc_round(
  *          relaxation pulls nothing and pushes F -- so one decoder
  *          turns either log into IterationStats slices.
  *   ctl    [0] rounds done, [1] vlog offset of the current frontier,
- *          [2] its length, [3] capacity needed (set on a stall).
+ *          [2] its length, [3] capacity needed (set on a stall); the
+ *          delta-stepping run parks four more words behind them.
  *
  * C never allocates a log (the cingest idiom): when the next round
  * might not fit, the kernel stores its cursor in ctl and returns a
@@ -988,13 +986,245 @@ void saga_taint_closure(
     }
 }
 
-/* One delta-stepping light or heavy pass (SSSP FS), fused: sequential
- * conditional relaxation over the frontier's out-edges filtered by
- * weight (light: w <= delta, heavy: w > delta).  Every successful
- * compare-and-update emits one (target, candidate) event in sequential
- * order -- exactly the rows kernels.relaxation_events reconstructs.
- * Returns the event count. */
-int64_t saga_delta_pass(
+/* ---- FS: the Jacobi fixpoint (CC, MC, PR) -------------------------
+ * Every round evaluates the Table-I vertex function of all n vertices
+ * from the PREVIOUS round's values -- a second buffer, swapped after
+ * each sweep -- so no vertex sees a value written in its own round
+ * (the INC rounds above are Gauss-Seidel; this is not).  The run ends
+ * with the first round whose largest change is <= epsilon: a NaN
+ * difference (inf - inf, an unreached vertex staying unreached) is not
+ * a change, a finite <-> infinite transition is (np.nan_to_num turns it
+ * into DBL_MAX).
+ *
+ * The sweep is inc_recalc over every vertex, with three shortcuts that
+ * keep its bits.  CC and MC only ever select one of the values they
+ * read, so when the run starts without a NaN none can appear, and the
+ * row minimum / maximum needs no NaN test: a bare compare-select
+ * compiles to minsd / maxsd, where take_min's extra test costs a
+ * mispredicted branch per edge (6x on the RMAT matrix).  PR's rank /
+ * out_degree term is taken once per vertex per round instead of once
+ * per in-edge: one division of the same operands.  And since nothing a
+ * sweep reads is written before the swap (and the largest change is a
+ * maximum), the vertices may be visited in any order: order[] lists
+ * them by in-degree, so the row loop runs the same number of times
+ * from one vertex to the next and its exit branch -- mispredicted
+ * about once per vertex in id order on a skewed graph -- predicts.
+ *
+ * No run log: every round pulls every vertex and pushes nothing, so
+ * the round count is the whole record.  scratch holds n doubles (2n
+ * for PR), order n ids.  Returns the rounds run, or -1 when
+ * max_iterations rounds ran and the last one still changed a value by
+ * more than epsilon. */
+
+static inline double row_min(
+    double acc, const double *values, const int64_t *row, int64_t d)
+{
+    int64_t j;
+    for (j = 0; j < d; j++) {
+        double x = values[row[j]];
+        acc = x < acc ? x : acc;
+    }
+    return acc;
+}
+
+static inline double row_max(
+    double acc, const double *values, const int64_t *row, int64_t d)
+{
+    int64_t j;
+    for (j = 0; j < d; j++) {
+        double x = values[row[j]];
+        acc = x > acc ? x : acc;
+    }
+    return acc;
+}
+
+static inline double row_sum(const double *values, const int64_t *row, int64_t d)
+{
+    double acc = 0.0;
+    int64_t j;
+    for (j = 0; j < d; j++)
+        acc += values[row[j]];
+    return acc;
+}
+
+/* The vertices by ascending in-degree (a stable counting sort; degrees
+ * of 63 and up share the last bin). */
+static void order_by_degree(int64_t n, const int64_t *lens, int64_t *order)
+{
+    int64_t start[65] = {0};
+    int64_t v, d;
+    for (v = 0; v < n; v++)
+        start[(lens[v] < 63 ? lens[v] : 63) + 1]++;
+    for (d = 0; d < 64; d++)
+        start[d + 1] += start[d];
+    for (v = 0; v < n; v++)
+        order[start[lens[v] < 63 ? lens[v] : 63]++] = v;
+}
+
+int64_t saga_jacobi_run(
+    int64_t n,
+    const int64_t *in_starts,
+    const int64_t *in_lens,
+    const int64_t *in_cols,
+    const double *in_wts,
+    const int64_t *out_deg,
+    double *values,
+    double *scratch,
+    int64_t *order,
+    int32_t op,
+    double epsilon,
+    double pr_base,
+    double damping,
+    int64_t max_iterations)
+{
+    double *cur = values, *next = scratch, *term = scratch + n;
+    int64_t rounds = 0, v, i;
+    int converged = 0, clean = 1;
+    for (v = 0; v < n; v++)
+        if (values[v] != values[v])
+            clean = 0;
+    order_by_degree(n, in_lens, order);
+#define JACOBI_SWEEP(NEW_VALUE) \
+    for (i = 0; i < n; i++) { \
+        double nv, change; \
+        v = order[i]; \
+        nv = (NEW_VALUE); \
+        change = fabs(nv - cur[v]); \
+        next[v] = nv; \
+        largest = change > largest ? change : largest; /* not for NaN */ \
+    }
+#define JACOBI_ROW(v) in_cols + in_starts[v], in_lens[v]
+    while (!converged && rounds < max_iterations) {
+        double largest = 0.0, *swap;
+        if (op == 3 && clean) {
+            JACOBI_SWEEP(row_min(cur[v], cur, JACOBI_ROW(v)))
+        } else if (op == 4 && clean) {
+            JACOBI_SWEEP(row_max(cur[v], cur, JACOBI_ROW(v)))
+        } else if (op == 5) {
+            for (v = 0; v < n; v++)
+                term[v] = out_deg[v] ? cur[v] / (double)out_deg[v] : 0.0;
+            JACOBI_SWEEP(pr_base + damping * row_sum(term, JACOBI_ROW(v)))
+        } else {
+            JACOBI_SWEEP(inc_recalc(v, cur, in_starts, in_lens, in_cols, in_wts,
+                                    out_deg, op, -1, pr_base, damping))
+        }
+        swap = cur;
+        cur = next;
+        next = swap;
+        rounds++;
+        if (largest > DBL_MAX)
+            largest = DBL_MAX;
+        converged = largest <= epsilon;
+    }
+#undef JACOBI_ROW
+#undef JACOBI_SWEEP
+    if (cur != values)
+        memcpy(values, cur, (size_t)n * sizeof(double));
+    return converged ? rounds : -1;
+}
+
+/* ---- FS: delta-stepping (SSSP) ------------------------------------
+ * The whole bucket loop of one run.  A bucket's life: take the lowest
+ * pending bucket; relax the light edges (w <= delta) of its members
+ * until no relaxation lands in the bucket any more; then relax the
+ * heavy edges (w > delta) of everything the light passes settled, once.
+ * Every pass is one round of the run log: the vertex log is
+ * [P0][P1]... (a pass's frontier; the heavy frontier is the bucket's
+ * light frontiers concatenated, duplicates and order kept) and table
+ * row r is (0, len(Pr), events, events), an event being one successful
+ * compare-and-update.
+ *
+ * An event (target, candidate) is filed under bucket
+ * np.floor_divide(candidate, delta): a light event of the current
+ * bucket joins the next light frontier, every other one is appended to
+ * the caller's pend[] buffer as a (bucket, vertex) pair.  Taking a
+ * bucket is two scans of pend[] (lowest bucket and its size, then the
+ * split): cheaper than a heap's sift per event at the few dozen buckets
+ * a sensible delta makes (a run of the RMAT matrix: 0.40 ms against
+ * 0.65), and buckets x pending entries at a senseless one -- which is
+ * how the Python loop's min(buckets) degrades too.  A frontier is formed
+ * the way that loop forms it: np.unique of the members, minus those
+ * whose value has since left the bucket.
+ *
+ * The extra ctl slots: [4] pending entries, [5] current bucket, [6]
+ * vlog offset of the bucket's first light frontier, [7] phase.  The
+ * most events a pass can emit is the out-degree sum of its frontier,
+ * so room in vlog, rtab and pend is checked before the pass touches
+ * values[]. */
+
+#define SAGA_RUN_STALL_PENDING 4
+#define SAGA_RUN_BAD_BUCKET 5
+
+#define DELTA_LIGHT 0 /* light pass over vlog[off, off + k) */
+#define DELTA_HEAVY 1 /* heavy pass over vlog[first, off) */
+#define DELTA_NEXT 2  /* take the next bucket out of pend[] */
+
+/* np.floor_divide on float64 (numpy's npy_divmod): fmod, then the
+ * quotient of the remainder-free part snapped to the nearest integer.
+ * NOT floor(a / b): 1.0 // 0.1 is 9.0, because fmod is exact and the
+ * rounded quotient is not.  For quotients below 2**51 that makes the
+ * result the floor of the true quotient, and fmod costs 30 ns, so the
+ * common case is settled without it: t is within one rounding
+ * (t * 2**-53) of the true quotient, hence whenever t stands further
+ * than t * 2**-52 from both neighbouring integers (both distances are
+ * exact), floor(t) is that floor too. */
+static double floor_div(double a, double b)
+{
+    double t = a / b, q = floor(t);
+    double mod, div, floordiv;
+    if (t > 0.0 && t < 0x1p50 && t - q > t * 0x1p-52 &&
+        (q + 1.0) - t > t * 0x1p-52)
+        return q;
+    mod = fmod(a, b);
+    div = (a - mod) / b;
+    if (mod != 0.0 && (b < 0.0) != (mod < 0.0))
+        div -= 1.0;
+    if (div == 0.0)
+        return copysign(0.0, a / b);
+    floordiv = floor(div);
+    if (div - floordiv > 0.5)
+        floordiv += 1.0;
+    return floordiv;
+}
+
+/* The bucket of a path length; 0 when it does not fit in int64 (the
+ * cast would be undefined) or is NaN. */
+static int bucket_of(double x, double delta, int64_t *bucket)
+{
+    double q = floor_div(x, delta);
+    if (!(q >= -9223372036854775808.0 && q < 9223372036854775808.0))
+        return 0;
+    *bucket = (int64_t)q;
+    return 1;
+}
+
+/* ids[0..count) -> the frontier they make for `bucket`, in place:
+ * sorted, duplicates dropped, vertices whose value is in another
+ * bucket by now dropped.  Returns its length, -1 on a bad bucket. */
+static int64_t bucket_frontier(
+    int64_t *ids, int64_t count, const double *values, double delta,
+    int64_t bucket)
+{
+    int64_t p, k = 0, last = -1;
+    sort_ids(ids, count);
+    for (p = 0; p < count; p++) {
+        int64_t t = ids[p], b;
+        if (t == last)
+            continue;
+        last = t;
+        if (!bucket_of(values[t], delta, &b))
+            return -1;
+        if (b == bucket)
+            ids[k++] = t;
+    }
+    return k;
+}
+
+/* One light or heavy pass: the sequential conditional relaxation of
+ * the frontier's out-edges on its side of delta.  Light events of
+ * `bucket` are appended to same[] (*nsame), all others to pend[].
+ * Returns the event count, or -1 on a bucket that does not fit. */
+static int64_t delta_pass(
     int64_t k,
     const int64_t *frontier,
     const int64_t *starts,
@@ -1003,9 +1233,12 @@ int64_t saga_delta_pass(
     const double *wts,
     double *values,
     double delta,
-    int32_t heavy,
-    int64_t *ev_tgt,
-    double *ev_cand)
+    int heavy,
+    int64_t bucket,
+    int64_t *same,
+    int64_t *nsame,
+    int64_t *pend,
+    int64_t *pcount)
 {
     int64_t p, j, ne = 0;
     for (p = 0; p < k; p++) {
@@ -1015,7 +1248,7 @@ int64_t saga_delta_pass(
         int64_t d = lens[v];
         for (j = 0; j < d; j++) {
             double w = wts[s + j];
-            int64_t t;
+            int64_t t, b;
             double cand;
             if (heavy ? (w <= delta) : (w > delta))
                 continue;
@@ -1023,13 +1256,121 @@ int64_t saga_delta_pass(
             cand = base + w;
             if (cand < values[t]) {
                 values[t] = cand;
-                ev_tgt[ne] = t;
-                ev_cand[ne] = cand;
                 ne++;
+                if (!bucket_of(cand, delta, &b))
+                    return -1;
+                if (!heavy && b == bucket) {
+                    same[(*nsame)++] = t;
+                } else {
+                    pend[2 * *pcount] = b;
+                    pend[2 * *pcount + 1] = t;
+                    (*pcount)++;
+                }
             }
         }
     }
     return ne;
+}
+
+int64_t saga_delta_run(
+    const int64_t *starts,
+    const int64_t *lens,
+    const int64_t *cols,
+    const double *wts,
+    double *values,
+    double delta,
+    int64_t *vlog,
+    int64_t vcap,
+    int64_t *rtab,
+    int64_t rcap,
+    int64_t *ctl,
+    int64_t *pend,
+    int64_t pcap)
+{
+    int64_t r = ctl[0], off = ctl[1], k = ctl[2];
+    int64_t pcount = ctl[4], bucket = ctl[5], first = ctl[6], phase = ctl[7];
+    int64_t need = 0, code = SAGA_RUN_DONE;
+#define DELTA_LEAVE(needed, why) \
+    do { need = (needed); code = (why); goto leave; } while (0)
+    for (;;) {
+        if (phase == DELTA_NEXT) {
+            int64_t i, members = 0, rest = 0;
+            if (pcount == 0)
+                break;
+            bucket = pend[0];
+            for (i = 0; i < pcount; i++) {
+                if (pend[2 * i] < bucket) {
+                    bucket = pend[2 * i];
+                    members = 0;
+                }
+                members += pend[2 * i] == bucket;
+            }
+            if (off + members > vcap)
+                DELTA_LEAVE(off + members, SAGA_RUN_STALL_VERTICES);
+            members = 0;
+            for (i = 0; i < pcount; i++) {
+                if (pend[2 * i] == bucket) {
+                    vlog[off + members++] = pend[2 * i + 1];
+                } else {
+                    pend[2 * rest] = pend[2 * i];
+                    pend[2 * rest + 1] = pend[2 * i + 1];
+                    rest++;
+                }
+            }
+            pcount = rest;
+            first = off;
+            k = bucket_frontier(vlog + off, members, values, delta, bucket);
+            if (k < 0)
+                DELTA_LEAVE(0, SAGA_RUN_BAD_BUCKET);
+            phase = DELTA_LIGHT;
+        }
+        if (phase == DELTA_LIGHT && k == 0) {
+            /* The bucket ran dry; heavy edges only if it settled anyone. */
+            phase = off == first ? DELTA_NEXT : DELTA_HEAVY;
+            continue;
+        }
+        {
+            int heavy = phase == DELTA_HEAVY;
+            int64_t count = heavy ? off - first : k;
+            const int64_t *from = heavy ? vlog + first : vlog + off;
+            int64_t *same = vlog + off + count, *row;
+            int64_t p, bound = 0, nsame = 0, ne;
+            for (p = 0; p < count; p++)
+                bound += lens[from[p]];
+            if (r >= rcap)
+                DELTA_LEAVE(r + 1, SAGA_RUN_STALL_ROUNDS);
+            if (off + count + (heavy ? 0 : bound) > vcap)
+                DELTA_LEAVE(off + count + (heavy ? 0 : bound),
+                            SAGA_RUN_STALL_VERTICES);
+            if (pcount + bound > pcap)
+                DELTA_LEAVE(pcount + bound, SAGA_RUN_STALL_PENDING);
+            if (heavy)
+                memcpy(vlog + off, from, (size_t)count * sizeof(int64_t));
+            ne = delta_pass(count, vlog + off, starts, lens, cols, wts, values,
+                            delta, heavy, bucket, same, &nsame, pend, &pcount);
+            if (ne < 0)
+                DELTA_LEAVE(0, SAGA_RUN_BAD_BUCKET);
+            row = rtab + 4 * r;
+            row[0] = 0;
+            row[1] = count;
+            row[2] = ne;
+            row[3] = ne;
+            r++;
+            off += count;
+            /* same[] now starts at vlog[off]: the next light frontier. */
+            k = bucket_frontier(same, nsame, values, delta, bucket);
+            if (k < 0)
+                DELTA_LEAVE(0, SAGA_RUN_BAD_BUCKET);
+            phase = heavy ? DELTA_NEXT : DELTA_LIGHT;
+        }
+    }
+leave:
+#undef DELTA_LEAVE
+    ctl[4] = pcount;
+    ctl[5] = bucket;
+    ctl[6] = first;
+    ctl[7] = phase;
+    return run_leave(ctl, r, off, k, need, (int)code);
 }
 """
 
@@ -1057,7 +1398,6 @@ class ComputeKernels:
         _sig(lib.saga_expand, None, [_I64] + [_PTR] * 8)
         _sig(lib.saga_segment_reduce, None, [_I64, _PTR, _PTR, _I32, _F64, _PTR])
         _sig(lib.saga_segment_sum, None, [_I64, _PTR, _PTR, _PTR])
-        _sig(lib.saga_scatter_extreme, None, [_I64, _PTR, _PTR, _I32, _PTR])
         _sig(
             lib.saga_inc_run,
             _I64,
@@ -1072,9 +1412,14 @@ class ComputeKernels:
         )
         _sig(lib.saga_taint_closure, None, [_I64] + [_PTR] * 6)
         _sig(
-            lib.saga_delta_pass,
+            lib.saga_jacobi_run,
             _I64,
-            [_I64] + [_PTR] * 6 + [_F64, _I32] + [_PTR] * 2,
+            [_I64] + [_PTR] * 8 + [_I32, _F64, _F64, _F64, _I64],
+        )
+        _sig(
+            lib.saga_delta_run,
+            _I64,
+            [_PTR] * 5 + [_F64] + [_PTR, _I64, _PTR, _I64, _PTR] + [_PTR, _I64],
         )
         _sig(lib.saga_set_threads, None, [_I64])
         _sig(lib.saga_get_threads, _I64, [])
@@ -1138,37 +1483,32 @@ class ComputeKernels:
         )
         return out
 
-    def scatter_extreme(
-        self, out: np.ndarray, idx: np.ndarray, terms: np.ndarray, maximize: bool
-    ) -> None:
-        """In-place ``np.minimum.at`` / ``np.maximum.at``."""
-        _count_call("scatter_extreme")
-        self._lib.saga_scatter_extreme(
-            idx.size, self._p(idx), self._p(terms), 1 if maximize else 0, self._p(out)
-        )
-
     def _run(
-        self, kernel: str, fixed: tuple, frontier: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        self, kernel: str, fixed: tuple, frontier: np.ndarray, pending: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Drive the run kernel ``saga_<kernel>`` to the end of its run.
 
         ``fixed`` are the kernel's leading arguments; the run-log tail
-        ``(vlog, vcap, rtab, rcap, ctl)`` is appended here.  Each stall
-        grows the buffer it names (at least doubling, used prefix kept)
-        and re-enters at the cursor ``ctl`` holds.  Returns the vertex
-        log, the round table trimmed to the rounds run, and whether the
-        run hit its round limit with a frontier still pending.
+        ``(vlog, vcap, rtab, rcap, ctl)`` is appended here, followed by
+        the pending-bucket buffer ``(pend, pcap)`` when ``pending``.
+        Each stall grows the buffer it names (at least doubling, used
+        prefix kept) and re-enters at the cursor ``ctl`` holds.  Returns
+        the vertex log, the round table trimmed to the rounds run, and
+        the return code the run ended with.
         """
         entry = getattr(self._lib, "saga_" + kernel)
         p = self._p
         vlog = np.empty(max(frontier.size, RUN_LOG_VERTICES), dtype=np.int64)
         vlog[: frontier.size] = frontier
         rtab = np.empty((RUN_LOG_ROUNDS, 4), dtype=np.int64)
-        ctl = np.zeros(4, dtype=np.int64)
+        # (bucket, vertex) pairs.
+        pend = np.empty((RUN_LOG_PENDING if pending else 0, 2), dtype=np.int64)
+        ctl = np.zeros(8, dtype=np.int64)
         ctl[2] = frontier.size
         while True:
             _count_call(kernel)
-            code = entry(*fixed, p(vlog), vlog.size, p(rtab), len(rtab), p(ctl))
+            tail = (p(pend), len(pend)) if pending else ()
+            code = entry(*fixed, p(vlog), vlog.size, p(rtab), len(rtab), p(ctl), *tail)
             if code == _RUN_STALL_VERTICES:
                 grown = np.empty(max(int(ctl[3]), 2 * vlog.size), dtype=np.int64)
                 used = int(ctl[1] + ctl[2])
@@ -1178,8 +1518,12 @@ class ComputeKernels:
                 grown = np.empty((max(int(ctl[3]), 2 * len(rtab)), 4), dtype=np.int64)
                 grown[: ctl[0]] = rtab[: ctl[0]]
                 rtab = grown
+            elif code == _RUN_STALL_PENDING:
+                grown = np.empty((max(int(ctl[3]), 2 * len(pend)), 2), dtype=np.int64)
+                grown[: ctl[4]] = pend[: ctl[4]]
+                pend = grown
             else:
-                return vlog, rtab[: ctl[0]], code == _RUN_OVERRUN
+                return vlog, rtab[: ctl[0]], code
 
     def inc_run(
         self,
@@ -1220,7 +1564,8 @@ class ComputeKernels:
             p(seen),
             max_rounds,
         )
-        return self._run("inc_run", fixed, frontier)
+        vlog, rtab, code = self._run("inc_run", fixed, frontier)
+        return vlog, rtab, code == _RUN_OVERRUN
 
     def relax_run(
         self,
@@ -1266,33 +1611,71 @@ class ComputeKernels:
             self._p(work),
         )
 
-    def delta_pass(
+    def jacobi_run(
         self,
-        csr,
-        frontier: np.ndarray,
+        cv,
         values: np.ndarray,
-        delta: float,
-        heavy: bool,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One fused delta-stepping pass; returns (ev_tgt, ev_cand)."""
-        cap = int(csr.degrees[frontier].sum()) if frontier.size else 0
-        ev_tgt = np.empty(cap, dtype=np.int64)
-        ev_cand = np.empty(cap, dtype=np.float64)
-        _count_call("delta_pass")
-        ne = self._lib.saga_delta_pass(
-            frontier.size,
-            self._p(frontier),
-            self._p(csr.indptr),
-            self._p(csr.degrees),
-            self._p(csr.indices),
-            self._p(csr.weights),
-            self._p(values),
-            delta,
-            1 if heavy else 0,
-            self._p(ev_tgt),
-            self._p(ev_cand),
+        op: int,
+        epsilon: float,
+        pr_base: float,
+        damping: float,
+        max_iterations: int,
+    ) -> int:
+        """The whole Jacobi fixpoint of vertex function ``op``, in place.
+
+        Returns the rounds run, or -1 when ``max_iterations`` rounds ran
+        without the largest change falling to ``epsilon``.
+        """
+        n = cv.num_nodes
+        if values.shape != (n,) or values.dtype != np.float64 or not values.flags.c_contiguous:
+            raise ValueError(
+                f"values must be a contiguous float64 array of {n} entries "
+                f"(the view's vertex count), got {values.dtype}{values.shape}"
+            )
+        in_csr = cv.in_csr
+        scratch = np.empty((2 if op == OP_PR else 1) * n, dtype=np.float64)
+        order = np.empty(n, dtype=np.int64)
+        p = self._p
+        _count_call("jacobi_run")
+        return self._lib.saga_jacobi_run(
+            n,
+            p(in_csr.indptr),
+            p(in_csr.degrees),
+            p(in_csr.indices),
+            p(in_csr.weights),
+            p(cv.out_csr.degrees),
+            p(values),
+            p(scratch),
+            p(order),
+            op,
+            epsilon,
+            pr_base,
+            damping,
+            max_iterations,
         )
-        return ev_tgt[:ne], ev_cand[:ne]
+
+    def delta_run(
+        self, csr, source: int, values: np.ndarray, delta: float
+    ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """Every delta-stepping pass of one SSSP run from ``source``.
+
+        The vertex log is ``[P0][P1]...`` (each pass's frontier) and
+        table row r is ``(0, len(Pr), events, events)``.  The third
+        result is True when the run stopped at a path length whose
+        bucket index does not fit in int64.
+        """
+        p = self._p
+        fixed = (
+            p(csr.indptr),
+            p(csr.degrees),
+            p(csr.indices),
+            p(csr.weights),
+            p(values),
+            delta,
+        )
+        frontier = np.array([source], dtype=np.int64)
+        vlog, rtab, code = self._run("delta_run", fixed, frontier, pending=True)
+        return vlog, rtab, code == _RUN_BAD_BUCKET
 
 
 _kernels: Optional[ComputeKernels] = None
@@ -1326,7 +1709,7 @@ def _probe() -> Optional[ComputeKernels]:
         return None
     try:
         _kernels = ComputeKernels(
-            load_library(_SOURCE, "saga_compute", extra_flags=("-pthread",))
+            load_library(_SOURCE, "saga_compute", extra_flags=("-pthread", "-lm"))
         )
         _kernels.set_threads(_env_threads())
     except Exception as exc:

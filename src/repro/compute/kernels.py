@@ -415,26 +415,6 @@ def segment_sum_ordered(
     return np.bincount(seg, weights=terms, minlength=num_segments)
 
 
-def scatter_extreme(
-    out: np.ndarray, idx: np.ndarray, terms: np.ndarray, maximize: bool
-) -> None:
-    """In-place per-index min/max scatter (``np.minimum.at`` twin).
-
-    Min/max are order-free bitwise, so the compiled loop and the ufunc
-    ``.at`` form are interchangeable.
-    """
-    ck = ckernels.get("scatter")
-    if ck is not None and idx.size:
-        ck.scatter_extreme(
-            out,
-            np.ascontiguousarray(idx, dtype=np.int64),
-            np.ascontiguousarray(terms, dtype=np.float64),
-            maximize,
-        )
-        return
-    (np.maximum if maximize else np.minimum).at(out, idx, terms)
-
-
 def prefix_waves(
     size: int, dep_src: np.ndarray, dep_dst: np.ndarray
 ) -> List[Tuple[int, int]]:

@@ -83,8 +83,8 @@ def load_library(
     """Compile ``source`` (or reuse the cached object) and dlopen it.
 
     ``stem`` names the cached artifact (``<stem>_<hash>.so``) and
-    ``extra_flags`` extends :data:`CFLAGS` (e.g. ``("-pthread",)`` for
-    the threaded compute kernels).  Raises on any failure -- missing
+    ``extra_flags`` extends :data:`CFLAGS` (e.g. ``("-pthread", "-lm")``
+    for the threaded compute kernels).  Raises on any failure -- missing
     compiler, compile error, unloadable object; callers choose the
     fallback policy.
     """
@@ -95,8 +95,10 @@ def load_library(
         with open(c_path, "w") as handle:
             handle.write(source)
         tmp_path = f"{so_path}.tmp{os.getpid()}"
+        # Libraries among the extra flags must follow the object that
+        # needs them (``--as-needed`` linkers drop them otherwise).
         subprocess.run(
-            ["cc", *CFLAGS, *extra_flags, "-o", tmp_path, c_path],
+            ["cc", *CFLAGS, "-o", tmp_path, c_path, *extra_flags],
             check=True,
             capture_output=True,
         )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from repro.compute import ckernels
 from repro.compute.csrstore import CHURN_ENV
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph
-from repro.sim import cingest
+from repro.sim import cbuild, cingest, ckernel
 from repro.sim.cost_model import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineConfig
 
@@ -77,6 +79,58 @@ def cingest_env(setting):
     """``SAGA_BENCH_NO_CINGEST``: ``None`` stores get the C kernel,
     ``"all"`` none do (every batch runs the per-edge methods)."""
     return _kernel_gate(cingest, setting)
+
+
+#: UndefinedBehaviorSanitizer, trapping: any undefined behaviour a test
+#: reaches aborts the process, which fails the run.  GCC leaves the
+#: float -> integer cast check out of ``undefined``; it is named.
+UBSAN_FLAGS = (
+    "-fsanitize=undefined",
+    "-fsanitize=float-cast-overflow",
+    "-fno-sanitize-recover=all",
+)
+
+
+@pytest.fixture(scope="class")
+def ubsan_libraries(request, tmp_path_factory):
+    """Rebuild the sim and compute libraries with UBSan for the class's tests.
+
+    Both are built from :data:`cbuild.CFLAGS`, so extending it (and
+    pointing the build cache at an empty directory) is all it takes;
+    the class says which one it is about through ``library_loaded``,
+    and is skipped when that one does not build.  ``dlopen`` pulls in
+    the UBSan runtime as a dependency of the object, so ctypes needs no
+    ``LD_PRELOAD``.
+    """
+    loaded = request.cls.library_loaded
+    if not loaded():
+        pytest.skip("no C compiler: library unavailable")
+    cache_dir = tmp_path_factory.mktemp("ubsan")
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(cbuild.CACHE_DIR_ENV, str(cache_dir))
+            patch.setattr(cbuild, "CFLAGS", cbuild.CFLAGS + UBSAN_FLAGS)
+            ckernel.reset()
+            ckernels.reset()
+            if not loaded():
+                pytest.skip(f"cc cannot build and link {' '.join(UBSAN_FLAGS)}")
+            yield cache_dir
+    finally:
+        # The next caller loads the regular builds again.
+        ckernel.reset()
+        ckernels.reset()
+
+
+def ubsan_probe(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a child whose ``sys.argv[1:]`` are the UBSan flags
+    (it adds them to ``cbuild.CFLAGS`` itself, then makes a raw kernel
+    call the Python wrappers would have refused)."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *UBSAN_FLAGS],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+    )
 
 
 def random_batch(num_nodes: int, num_edges: int, seed: int, weights: bool = True) -> EdgeBatch:

@@ -361,11 +361,12 @@ def mean_edge_weight(view) -> float:
     return max(total / count, 1e-9) if count else 1.0
 
 
-def delta_stepping(view, source: int) -> OracleRun:
+def delta_stepping(view, source: int, delta=None) -> OracleRun:
     """SSSP by delta-stepping over sets of vertices.
 
     Light edges (weight <= delta) are relaxed iteratively inside a
-    bucket; heavy edges once per settled bucket.
+    bucket; heavy edges once per settled bucket.  ``delta`` defaults to
+    the mean edge weight.
     """
     n = max(view.num_nodes, 1)
     values = np.full(n, np.inf)
@@ -373,7 +374,8 @@ def delta_stepping(view, source: int) -> OracleRun:
     if source >= view.num_nodes:
         return run
     values[source] = 0.0
-    delta = mean_edge_weight(view)
+    if delta is None:
+        delta = mean_edge_weight(view)
 
     buckets: Dict[int, Set[int]] = {0: {source}}
     while buckets:
@@ -481,7 +483,7 @@ def fs_oracle(algorithm, view, source=None) -> OracleRun:
     n = max(view.num_nodes, 1)
     name = algorithm.name
     if name == "SSSP":
-        return delta_stepping(view, source)
+        return delta_stepping(view, source, algorithm.delta)
     if name in ("BFS", "SSWP"):
         values = np.asarray(algorithm.init_value(np.arange(n)), dtype=np.float64)
         if source < view.num_nodes:

@@ -1,13 +1,19 @@
 """FS algorithm correctness against networkx ground truth."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.errors import SimulationError
+from repro.compute import ckernels
+from repro.errors import ConfigError, SimulationError
 from repro.graph import ReferenceGraph
-from tests.conftest import random_batch
+from tests.conftest import ccompute_env, random_batch
 
 SOURCE = 0
 
@@ -73,6 +79,96 @@ class TestSSSP:
             np.nan_to_num(coarse.values, posinf=-1),
             np.nan_to_num(fine.values, posinf=-1),
         )
+
+
+def _weighted(edges):
+    from repro.graph import EdgeBatch
+
+    reference = ReferenceGraph(4, directed=True)
+    reference.update(EdgeBatch.from_edges(edges))
+    return reference
+
+
+#: Compiled ``saga_delta_run``, then the numpy bucket loop.
+ENGINES = pytest.mark.parametrize("engine", [None, "1"], ids=["compiled", "numpy"])
+
+
+class TestSSSPRefusedInput:
+    """Inputs delta-stepping cannot take are refused, not answered
+    wrongly (each of these returned ``[0, inf, inf]``, settled the far
+    vertex first, or never returned at the parent)."""
+
+    PATH = [(0, 1, 1.0), (1, 2, 1.0)]
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        """``delta=0.0`` used to leave every vertex but the source
+        unreached, with no iteration run."""
+        from repro.algorithms.sssp import SSSP
+
+        with pytest.raises(ConfigError, match="delta"):
+            SSSP(delta=delta)
+        run = SSSP(delta=1e-3).fs_run(_weighted(self.PATH), source=0)
+        assert run.values.tolist() == [0.0, 1.0, 2.0]
+
+    @ENGINES
+    @pytest.mark.parametrize("use_dijkstra", [False, True])
+    def test_nan_weight(self, engine, use_dijkstra):
+        """One NaN weight used to poison the delta pick: ``[0, inf, inf]``
+        although ``0 -> 2`` has weight 4."""
+        from repro.algorithms.sssp import SSSP
+
+        view = _weighted([(0, 1, float("nan")), (0, 2, 4.0)])
+        with ccompute_env(engine):
+            with pytest.raises(SimulationError, match="weights"):
+                SSSP(use_dijkstra=use_dijkstra).fs_run(view, source=0)
+
+    @ENGINES
+    def test_infinite_weight_stays_legal(self, engine):
+        view = _weighted([(0, 1, float("inf")), (0, 2, 4.0)])
+        with ccompute_env(engine):
+            run = get_algorithm("SSSP").fs_run(view, source=0)
+        assert run.values.tolist() == [0.0, float("inf"), 4.0]
+
+    @ENGINES
+    def test_negative_cycle_is_refused_not_looped_on(self, engine):
+        """In a child process under a timeout: the bucket loop never
+        settles on ``1 -> 2 -> 1`` of total weight -2, and a compiled
+        loop cannot even be interrupted."""
+        script = (
+            "from repro.algorithms import get_algorithm\n"
+            "from repro.errors import SimulationError\n"
+            "from repro.graph import EdgeBatch, ReferenceGraph\n"
+            "view = ReferenceGraph(4, directed=True)\n"
+            "view.update(EdgeBatch.from_edges([(0, 1, 1.0), (1, 2, -3.0), (2, 1, 1.0)]))\n"
+            "try:\n"
+            "    get_algorithm('SSSP').fs_run(view, source=0)\n"
+            "except SimulationError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop(ckernels.DISABLE_ENV, None)
+        if engine is not None:
+            env[ckernels.DISABLE_ENV] = engine
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith("refused:") and "weights" in child.stdout
+
+    @ENGINES
+    def test_bucket_index_overflow(self, engine):
+        """``1e300 / 1e-9`` does not fit in an int64 bucket index: numpy
+        cast it to ``INT64_MIN`` (three RuntimeWarnings) and settled the
+        far vertex before the near one; in C the cast is undefined."""
+        from repro.algorithms.sssp import SSSP
+
+        view = _weighted([(0, 1, 1.0), (0, 2, 1e300)])
+        with ccompute_env(engine), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="bucket index"):
+                SSSP(delta=1e-9).fs_run(view, source=0)
 
 
 class TestSSWP:

@@ -18,16 +18,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
+from repro.algorithms.sssp import SSSP
 from repro.compute import ckernels
 from repro.compute.csrstore import DynamicCSR
 from repro.compute.kernels import (
     ComputeView,
     csr_from_edges,
     expand_frontier,
-    scatter_extreme,
+    packed_in_edges,
     segment_max,
     segment_min,
     segment_sum_ordered,
@@ -35,8 +36,8 @@ from repro.compute.kernels import (
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import METRICS
-from tests.conftest import ccompute_env
-from tests.oracles import observed as _snapshot_run
+from tests.conftest import ccompute_env, ubsan_probe
+from tests.oracles import fs_oracle, jacobi_fixpoint, observed as _snapshot_run
 from tests.test_compute_kernels import _hub, _stream
 
 ALGOS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
@@ -162,28 +163,6 @@ class TestDirectKernels:
             == np.bincount(seg, weights=terms, minlength=40).tobytes()
         )
 
-    def test_scatter_extreme_duplicates_and_nan(self):
-        rng = np.random.default_rng(13)
-        idx = rng.integers(0, 8, size=64).astype(np.int64)
-        terms = rng.normal(size=64)
-        terms[5] = np.nan
-        with np.errstate(invalid="ignore"):
-            for maximize, ufunc in ((False, np.minimum), (True, np.maximum)):
-                def run(maximize=maximize):
-                    out = np.full(8, 0.0 if maximize else 10.0)
-                    scatter_extreme(out, idx, terms, maximize=maximize)
-                    return out
-
-                compiled, fallback = _both_paths(run)
-                expected = np.full(8, 0.0 if maximize else 10.0)
-                ufunc.at(expected, idx, terms)
-                assert compiled.tobytes() == fallback.tobytes() == expected.tobytes()
-
-    def test_scatter_extreme_empty(self):
-        out = np.array([1.0, 2.0])
-        scatter_extreme(out, np.empty(0, dtype=np.int64), np.empty(0), maximize=False)
-        assert out.tolist() == [1.0, 2.0]
-
 
 def _replay_algorithms(num_nodes=64, seed=17):
     """All six algorithms, FS + INC + delete repair, on one stream."""
@@ -222,7 +201,7 @@ def _replay_algorithms(num_nodes=64, seed=17):
 
 @needs_ckernels
 class TestFusedKernels:
-    """inc_round / relax_round / delta_pass through whole algorithm runs."""
+    """The four run kernels through whole algorithm runs."""
 
     def test_all_algorithms_bit_identical(self):
         compiled, fallback = _both_paths(_replay_algorithms)
@@ -296,23 +275,40 @@ class TestFusedKernels:
 # Run logs: one native call per compute run
 # ----------------------------------------------------------------------
 
-#: The numpy wave engine for both run kernels, everything else compiled.
-WAVE_ENGINE = "inc_round,relax_round"
+#: The numpy engines for all four run kernels, everything else compiled.
+WAVE_ENGINE = "inc_round,relax_round,jacobi_round,delta_pass"
+
+#: The algorithms whose FS run is ``saga_jacobi_run`` / ``saga_delta_run``.
+FS_RUN_ALGOS = ("CC", "MC", "PR", "SSSP")
+
+_CAPACITIES = ("RUN_LOG_VERTICES", "RUN_LOG_ROUNDS", "RUN_LOG_PENDING")
 
 
 @contextlib.contextmanager
 def _engine(setting, threads=1, log_capacity=None):
     """One engine configuration: kernel gate, gather threads, log sizes."""
-    saved = ckernels.RUN_LOG_VERTICES, ckernels.RUN_LOG_ROUNDS
+    saved = [getattr(ckernels, name) for name in _CAPACITIES]
     with ccompute_env(setting):
         if log_capacity is not None:
-            ckernels.RUN_LOG_VERTICES = ckernels.RUN_LOG_ROUNDS = log_capacity
+            for name in _CAPACITIES:
+                setattr(ckernels, name, log_capacity)
         # Every probe resets the pool to the env's thread count.
         ckernels.set_compute_threads(threads)
         try:
             yield
         finally:
-            ckernels.RUN_LOG_VERTICES, ckernels.RUN_LOG_ROUNDS = saved
+            for name, value in zip(_CAPACITIES, saved):
+                setattr(ckernels, name, value)
+
+
+#: ``TestComputeLibraryUnderUBSan`` runs every hypothesis test of
+#: ``TestRunLog`` a second time; derandomized, so there is no example
+#: database for the two to confuse.
+RUN_LOG_SETTINGS = dict(
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.differing_executors],
+)
 
 
 @st.composite
@@ -360,13 +356,19 @@ def _record(run):
             (it.pull_vertices.copy(), it.push_vertices.copy(), it.pushes, it.cas_ops)
             for it in run.iterations
         ],
+        converged=run.converged,
         frontier_rounds=run.frontier_rounds,
         frontier_vertices=run.frontier_vertices,
     )
 
 
+def _pushed(record):
+    """Every iteration's push vertices (a delta-stepping pass's frontier)."""
+    return [push.tolist() for _, push, _, _ in record.iterations]
+
+
 def _play(scenario):
-    """All six algorithms over the stream: FS, INC and delete repair."""
+    """All six algorithms over the stream: FS, INC, delete repair, FS."""
     num_nodes, directed, steps = scenario
     reference = ReferenceGraph(num_nodes, directed=directed)
     states = {a: get_algorithm(a).make_state(num_nodes) for a in ALGOS}
@@ -399,6 +401,10 @@ def _play(scenario):
                     )
                 )
             )
+            if reference.num_nodes:
+                records.append(
+                    _record(get_algorithm(name).fs_run(reference, source=0))
+                )
     return records
 
 
@@ -407,6 +413,7 @@ def _assert_same_runs(got, expected):
     for run, wave in zip(got, expected):
         assert run.label == wave.label
         assert np.array_equal(run.values, wave.values), run.label
+        assert run.converged == wave.converged, run.label
         assert run.frontier_rounds == wave.frontier_rounds, run.label
         assert run.frontier_vertices == wave.frontier_vertices, run.label
         assert len(run.iterations) == len(wave.iterations), run.label
@@ -441,10 +448,10 @@ def _uphill_chain(num_nodes):
 
 @needs_ckernels
 class TestRunLog:
-    """``saga_inc_run`` / ``saga_relax_run`` against the numpy wave engine."""
+    """The four run kernels against the numpy engines and the oracle."""
 
     @given(scenario=scenarios())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, **RUN_LOG_SETTINGS)
     def test_run_log_matches_wave_engine(self, scenario):
         """Iteration by iteration, serial and threaded.
 
@@ -461,7 +468,7 @@ class TestRunLog:
                 _assert_same_runs(_play(scenario), expected)
 
     @given(scenario=scenarios())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, **RUN_LOG_SETTINGS)
     def test_every_stall_point_resumes(self, scenario):
         """Both logs start at capacity 1, so the vertex log stalls before
         the first round and whenever a round outgrows the doubling, and
@@ -568,6 +575,400 @@ class TestRunLog:
             got = run()
         _assert_same_runs([got], [expected])
         assert got.iterations[1][0].tolist() == sorted(leaves)
+
+    # -- FS: saga_jacobi_run / saga_delta_run ---------------------------
+
+    @given(scenario=scenarios())
+    @settings(max_examples=15, **RUN_LOG_SETTINGS)
+    def test_fs_runs_match_the_oracle(self, scenario):
+        """CC/MC/PR/SSSP from scratch after every insert and delete batch,
+        with room in the buffers and with every capacity forced to 1,
+        against ``tests/oracles.py::fs_oracle`` (per-vertex loops that
+        share no code with the kernels or the numpy fallback).
+
+        Fails when the sweep is Gauss-Seidel (reads the buffer it
+        writes), when convergence is tested on the wrong buffer (the
+        swapped one: every run "converges" in one round), when a delta
+        run that stalls on the pending buffer does not store its cursor
+        (the resume re-runs passes that had finished), when the grown
+        pending buffer drops its used prefix, and when PR's per-vertex
+        term is a multiplication by the reciprocal.
+        """
+        num_nodes, directed, steps = scenario
+        for log_capacity in (None, 1):
+            reference = ReferenceGraph(num_nodes, directed=directed)
+            with _engine(None, log_capacity=log_capacity):
+                for edges, delete_count in steps:
+                    batch = EdgeBatch.from_edges(edges)
+                    for change in (
+                        lambda: reference.update_collect(batch),
+                        lambda: reference.delete_collect(batch.slice(0, delete_count)),
+                    ):
+                        change()
+                        if not reference.num_nodes:
+                            continue
+                        for name in FS_RUN_ALGOS:
+                            algorithm = get_algorithm(name)
+                            got = algorithm.fs_run(reference, source=0)
+                            want = fs_oracle(algorithm, reference, source=0)
+                            assert _snapshot_run(got) == _snapshot_run(want), name
+
+    #: delta, edges, the push arrays the passes must have.
+    SSSP_CASES = {
+        # 1 is reached at 3 from the source and at 2 through 2, both in
+        # bucket 0: it is settled twice and the heavy frontier says so.
+        "improved-twice-in-one-bucket": (
+            4.0,
+            [(0, 1, 3.0), (0, 2, 1.0), (2, 1, 1.0)],
+            [[0], [1, 2], [1], [0, 1, 2, 1]],
+        ),
+        # 1 is filed under bucket 5 by the heavy edge, then improved into
+        # bucket 2: bucket 5 holds nobody by the time it is taken.  The
+        # weight-1 edges equal delta, so they are light.
+        "bucket-empties-when-taken": (
+            1.0,
+            [(0, 1, 5.0), (0, 2, 1.0), (2, 1, 1.0)],
+            [[0], [0], [2], [2], [1], [1]],
+        ),
+        "delta-below-every-weight": (
+            0.5,
+            [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 1.0), (2, 3, 2.0)],
+            [[0], [0], [1], [1], [2], [2], [3], [3]],
+        ),
+        "delta-above-every-weight": (
+            100.0,
+            [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 1.0), (2, 3, 2.0)],
+            [[0], [1, 2], [2, 3], [0, 1, 2, 2, 3]],
+        ),
+        "zero-weight-edges": (
+            1.0,
+            [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0), (1, 3, 2.0)],
+            [[0], [1], [2], [0, 1, 2], [3], [3]],
+        ),
+        "one-vertex": (None, [(0, 0, 1.5)], [[0], [0]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SSSP_CASES))
+    def test_delta_stepping_cases(self, case):
+        """The bucket loop's corners, kernel == numpy loop == oracle ==
+        the passes worked out by hand, with room and at capacity 1.
+
+        Fails when the heavy frontier is deduplicated or sorted
+        (improved-twice), when a member whose value left the bucket is
+        not dropped as the bucket is taken (bucket-empties: two extra
+        passes over vertex 1), and when the light filter is ``<``
+        instead of ``<=`` (bucket-empties: its weight-1 edges turn
+        heavy and 2 is settled a bucket late).
+        """
+        delta, edges, passes = self.SSSP_CASES[case]
+        reference = ReferenceGraph(8, directed=True)
+        reference.update_collect(EdgeBatch.from_edges(edges))
+        algorithm = SSSP(delta=delta)
+
+        def run():
+            return _record(algorithm.fs_run(reference, source=0))
+
+        with _engine(WAVE_ENGINE):
+            expected = run()
+        assert _pushed(expected) == passes
+        for log_capacity in (None, 1):
+            with _engine(None, log_capacity=log_capacity):
+                got = algorithm.fs_run(reference, source=0)
+                assert _snapshot_run(got) == _snapshot_run(
+                    fs_oracle(algorithm, reference, source=0)
+                )
+                _assert_same_runs([_record(got)], [expected])
+
+    def test_delta_stepping_without_edges_or_source(self):
+        """An edgeless view settles the source alone (one light and one
+        heavy pass that relax nothing); a source id the view does not
+        have settles nobody, on either engine."""
+        nothing = np.empty(0, dtype=np.int64)
+        cv = ComputeView.from_edges(nothing, nothing, np.empty(0), 3)
+        view = SimpleNamespace(num_nodes=3)
+        algorithm = get_algorithm("SSSP")
+
+        def run(source):
+            return _record(algorithm.fs_run(view, source=source, compute_view=cv))
+
+        for source, passes in ((0, [[0], [0]]), (3, [])):
+            compiled, fallback = _both_paths(lambda: run(source))
+            _assert_same_runs([compiled], [fallback])
+            assert _pushed(compiled) == passes
+            assert np.isinf(compiled.values.view(np.float64)).sum() == 2 + (source == 3)
+
+    def test_bucket_index_is_numpy_floor_divide(self):
+        """A star whose leaf weights sit on and beside multiples of delta:
+        each leaf's bucket is ``np.floor_divide(weight, delta)``, which
+        is not ``floor(weight / delta)`` (``1.0 // 0.1`` is 9), and the
+        leaves of one bucket are settled in one pass.
+
+        Fails when the kernel files events by ``floor(candidate /
+        delta)`` and when its shortcut for quotients clear of an integer
+        is taken too close to one.
+        """
+        delta = 0.1
+        weights = [k * delta for k in range(1, 40)]
+        weights += [np.nextafter(w, np.inf) for w in weights[:20]]
+        weights += [np.nextafter(w, 0.0) for w in weights[:20]]
+        weights += [1.0, 0.3, 0.7, 2.5, 1e-300, 1.23456e14, 2.0**51 * delta]
+        leaves = np.arange(1, len(weights) + 1, dtype=np.int64)
+        cv = ComputeView.from_edges(
+            np.zeros(leaves.size, dtype=np.int64), leaves, np.array(weights), leaves.size + 1
+        )
+        view = SimpleNamespace(num_nodes=leaves.size + 1)
+        algorithm = SSSP(delta=delta)
+        compiled, fallback = _both_paths(
+            lambda: _record(algorithm.fs_run(view, source=0, compute_view=cv))
+        )
+        _assert_same_runs([compiled], [fallback])
+        # Every pass after the source's settles the leaves of one bucket,
+        # buckets ascending, and every leaf is settled.
+        bucket = np.floor_divide(np.array([0.0] + weights), delta)
+        taken = [set(bucket[it[1]].tolist()) for it in compiled.iterations]
+        assert all(len(buckets) == 1 for buckets in taken)
+        order = [buckets.pop() for buckets in taken]
+        assert order == sorted(order) and set(order) == set(bucket.tolist())
+
+    def test_bucket_index_must_fit_int64(self):
+        """The largest quotient below 2**63 is a bucket like any other;
+        2**63 and an infinite quotient are refused with the same error
+        by both engines.  Fails (under UBSan: traps on the cast) when the
+        kernel casts first."""
+        limit = 2.0**63
+        for weight, fits in (
+            (np.nextafter(limit, 0.0), True),
+            (limit, False),
+            (1e300, False),
+        ):
+            cv = ComputeView.from_edges(
+                np.zeros(2, dtype=np.int64),
+                np.array([1, 2], dtype=np.int64),
+                np.array([1.0, weight]),
+                3,
+            )
+
+            def run():
+                try:
+                    return _record(
+                        SSSP(delta=1.0).fs_run(
+                            SimpleNamespace(num_nodes=3), source=0, compute_view=cv
+                        )
+                    )
+                except SimulationError as exc:
+                    return str(exc)
+
+            compiled, fallback = _both_paths(run)
+            if fits:
+                _assert_same_runs([compiled], [fallback])
+                assert _pushed(compiled)[-1] == [2]
+            else:
+                assert compiled == fallback and "bucket index" in compiled
+
+    def test_jacobi_iteration_limit(self):
+        """``max_iterations`` one short of, at, and past what MC needs on
+        the uphill chain (10 rounds to carry the label down, one more to
+        see nothing change): same round count, same ``converged``, same
+        values on both engines.
+
+        Fails when the kernel counts the round after the check (one
+        round too many at the limit) and when it reports a run that hit
+        the limit as converged.
+        """
+        from repro.algorithms.base import synchronous_fixpoint
+        from repro.algorithms.mc import _combine_max
+
+        reference, algorithm = _uphill_chain(11)
+
+        def attempt(limit):
+            run = synchronous_fixpoint(
+                reference,
+                np.arange(11, dtype=np.float64),
+                _combine_max,
+                algorithm="MC",
+                max_iterations=limit,
+                kernel_op=ckernels.OP_MC,
+            )
+            return _record(run)
+
+        for limit, rounds, converged in ((0, 0, False), (10, 10, False), (11, 11, True), (50, 11, True)):
+            compiled, fallback = _both_paths(lambda: attempt(limit))
+            _assert_same_runs([compiled], [fallback])
+            assert (len(compiled.iterations), compiled.converged) == (rounds, converged)
+
+    @pytest.mark.parametrize(
+        "name, start",
+        [
+            # Every vertex takes inf from its in-neighbour in turn (a
+            # change: one more round), then keeps it (inf - inf: not one).
+            ("MC", [0.0, np.inf, 2.0]),
+            ("CC", [0.0, -np.inf, 2.0]),
+            # A NaN label switches the CC/MC sweep to the NaN-propagating
+            # minimum (np.minimum's rule, which the scalar oracle does
+            # not have); a difference with a NaN in it is not a change.
+            ("CC", [np.nan, 1.0, 2.0]),
+            ("MC", [0.0, 1.0, np.nan]),
+        ],
+    )
+    def test_jacobi_infinite_and_nan_changes(self, name, start):
+        """Fails when a finite -> infinite step is not counted as a change
+        (one round instead of three), when inf -> inf is (the run never
+        converges), and when the no-NaN shortcut is taken although a
+        value is NaN (the NaN label is skipped instead of spreading)."""
+        from repro.algorithms import base, cc, mc
+
+        reference = ReferenceGraph(3, directed=True)
+        reference.update_collect(EdgeBatch.from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]))
+        algorithm = get_algorithm(name)
+        combine = cc._combine_min if name == "CC" else mc._combine_max
+
+        def attempt():
+            return _record(
+                base.synchronous_fixpoint(
+                    reference,
+                    np.array(start),
+                    combine,
+                    algorithm=name,
+                    max_iterations=20,
+                    kernel_op=algorithm.ckernel_op,
+                )
+            )
+
+        with np.errstate(invalid="ignore"):
+            compiled, fallback = _both_paths(attempt)
+            want = jacobi_fixpoint(
+                reference, np.array(start), algorithm.recalculate, 0.0, 20
+            )
+        _assert_same_runs([compiled], [fallback])
+        assert compiled.converged
+        if np.isnan(start).any():
+            # The NaN reached at least its out-neighbour.
+            assert np.isnan(compiled.values.view(np.float64)).sum() >= 2
+        else:
+            # inf walks the 3-cycle in two rounds; the third sees no change.
+            assert len(compiled.iterations) == len(want.iterations) == 3
+            assert compiled.values.tobytes() == want.values.tobytes()
+
+    def test_jacobi_rows_of_every_length(self):
+        """The sweep visits vertices by in-degree, telling degrees apart
+        up to 63: rows of 0, 1, 62, 63 and 100 in-edges, kernel == numpy
+        loop == oracle.  Fails when the counting sort files a vertex
+        under its uncapped degree (the hub's slot is read from beyond the
+        bin table: some vertex is never visited)."""
+        edges = [(leaf, 0, 1.0) for leaf in range(1, 101)]
+        edges += [(leaf, 101, 1.0) for leaf in range(1, 64)]
+        edges += [(leaf, 102, 1.0) for leaf in range(1, 63)]
+        edges += [(0, 103, 1.0), (103, 1, 1.0)]
+        reference = ReferenceGraph(104, directed=True)
+        reference.update_collect(EdgeBatch.from_edges(edges))
+        assert sorted(set(reference.compute_view().in_csr.degrees.tolist())) == [
+            0, 1, 62, 63, 100,
+        ]
+        for name in ("CC", "MC", "PR"):
+            algorithm = get_algorithm(name)
+            compiled, fallback = _both_paths(
+                lambda: algorithm.fs_run(reference)
+            )
+            _assert_same_runs([_record(compiled)], [_record(fallback)])
+            assert _snapshot_run(compiled) == _snapshot_run(
+                fs_oracle(algorithm, reference)
+            )
+
+    def test_jacobi_slack_view_equals_packed_view(self):
+        """A maintained view keeps slack between its rows (and dead
+        entries in it); the same rows packed must give the same run, and
+        the numpy loop, which packs them itself, too.  Fails when the
+        sweep takes a row's end from the next row's start."""
+        num_nodes = 40
+        src, dst, wt = _random_edges(num_nodes, 200, seed=5)
+        _, keep = np.unique(src * num_nodes + dst, return_index=True)
+        keep.sort()
+        src, dst, wt = src[keep], dst[keep], wt[keep]
+        out_store = _slack_csr(num_nodes, src, dst, wt, delete_first=25)
+        in_store = _slack_csr(num_nodes, dst, src, wt, delete_first=25)
+        assert not in_store.tight
+        slack = ComputeView(
+            num_nodes, out_store.export(num_nodes), in_store.export(num_nodes), packed=False
+        )
+        packed = ComputeView.from_edges(*packed_in_edges(slack), num_nodes)
+        assert np.array_equal(packed.out_degree, slack.out_degree)
+        view = SimpleNamespace(num_nodes=num_nodes)
+        for name in ("CC", "MC", "PR"):
+            algorithm = get_algorithm(name)
+            with _engine(None):
+                on_slack, on_packed = (
+                    _record(algorithm.fs_run(view, compute_view=cv))
+                    for cv in (slack, packed)
+                )
+            with _engine(WAVE_ENGINE):
+                fallback = _record(algorithm.fs_run(view, compute_view=slack))
+            _assert_same_runs([on_slack, on_packed], [fallback, fallback])
+            assert len(on_slack.iterations) > 2
+
+    def test_fs_native_calls(self):
+        """One ``jacobi_run`` call per Jacobi run whatever the capacities
+        (it has no log to grow); one ``delta_run`` call per SSSP run with
+        room, and one more per stall without."""
+        reference, _ = _uphill_chain(21)
+
+        def calls(name, kernel, log_capacity):
+            METRICS.reset()
+            METRICS.enable()
+            try:
+                with _engine(None, log_capacity=log_capacity):
+                    run = get_algorithm(name).fs_run(reference, source=20)
+                native = METRICS.value("compute_kernel_calls_total", kernel=kernel)
+                return len(run.iterations), int(native)
+            finally:
+                METRICS.disable()
+                METRICS.reset()
+
+        assert calls("MC", "jacobi_run", None) == (21, 1)
+        assert calls("MC", "jacobi_run", 1) == (21, 1)
+        assert calls("SSSP", "delta_run", None) == (42, 1)
+        passes, native = calls("SSSP", "delta_run", 1)
+        assert passes == 42
+        # Round table 1 -> 2 -> ... -> 64 is six stalls; the vertex log
+        # and the pending buffer stall on top.
+        assert native >= 9
+
+# ----------------------------------------------------------------------
+# The compute library under UndefinedBehaviorSanitizer
+# ----------------------------------------------------------------------
+
+_UBSAN_PROBE = """
+import sys
+import numpy as np
+from repro.compute import ckernels
+from repro.sim import cbuild
+cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
+lib = ckernels.get("inc_round")._lib
+# A frontier of 2**62 vertices: the room an INC round needs (2k + ...)
+# overflows before any buffer is touched.
+ctl = np.array([0, 0, 2**62, 0, 0, 0, 0, 0], dtype=np.int64)
+lib.saga_inc_run(
+    0, *[None] * 8, 0, 0.0, -1, 0.0, 0.0, None, 1,
+    None, 0, None, 1, ctl.ctypes.data,
+)
+"""
+
+
+@needs_ckernels
+@pytest.mark.usefixtures("ubsan_libraries")
+class TestComputeLibraryUnderUBSan(TestRunLog):
+    """The run-log verifier above (inherited: INC and FS, threads 1 and
+    4, every stall point), run through the sanitized build."""
+
+    library_loaded = staticmethod(ckernels.loaded)
+
+    def test_the_sanitizer_is_live(self, ubsan_libraries):
+        """The build under test does trap: a raw call with a cursor
+        ``ComputeKernels._run`` never hands over is reported by the UBSan
+        runtime in a child process."""
+        assert list(ubsan_libraries.glob("saga_compute_*.so"))
+        child = ubsan_probe(_UBSAN_PROBE)
+        assert child.returncode != 0
+        assert "runtime error: signed integer overflow" in child.stderr
 
 
 class TestEnvGates:

@@ -576,13 +576,14 @@ class TestCli:
 
     def test_frontier_histogram_gets_one_observation_per_round(self):
         """The run kernels record a whole run in one call; the histogram
-        must still see every round of it, and every crossing is counted."""
+        must still see every round (every delta-stepping pass) of it, and
+        every crossing is counted."""
         METRICS.enable()
         reference = ReferenceGraph(30, directed=True)
         batch = EdgeBatch.from_edges([(i + 1, i, 1.0) for i in range(29)])
         reference.update_collect(batch)
         runs = []
-        for name in ("MC", "BFS"):
+        for name in ("MC", "BFS", "SSSP"):
             algorithm = get_algorithm(name)
             runs.append(algorithm.fs_run(reference, source=29))
             runs.append(
@@ -605,13 +606,41 @@ class TestCli:
             assert histogram.count == run.frontier_rounds, run.algorithm
             assert histogram.sum == run.frontier_vertices, run.algorithm
         assert {(r.algorithm, r.model) for r in runs if r.frontier_rounds} == {
-            ("MC", "INC"), ("BFS", "INC"), ("BFS", "FS")
+            ("MC", "INC"), ("BFS", "INC"), ("BFS", "FS"), ("SSSP", "INC"), ("SSSP", "FS")
         }
-        if ckernels.get("inc_round") is not None:
-            # One native call per run: two INC runs, one FS relaxation.
+        # One light and one heavy pass per vertex of the chain.
+        assert observed[("SSSP", "FS")].count == 60
+        gates = ("inc_round", "relax_round", "jacobi_round", "delta_pass")
+        if all(ckernels.get(gate) is not None for gate in gates):
+            # One native call per run: three INC runs, one FS relaxation,
+            # one Jacobi fixpoint, one delta-stepping run.
             calls = "compute_kernel_calls_total"
-            assert METRICS.value(calls, kernel="inc_run") == 2
+            assert METRICS.value(calls, kernel="inc_run") == 3
             assert METRICS.value(calls, kernel="relax_run") == 1
+            assert METRICS.value(calls, kernel="jacobi_run") == 1
+            assert METRICS.value(calls, kernel="delta_run") == 1
+
+    @pytest.mark.parametrize("engine", [None, "1"], ids=["compiled", "numpy"])
+    def test_every_compute_run_opens_one_kernel_span(self, engine):
+        """``compute.kernel`` once per run, FS and INC, all six algorithms
+        -- the Jacobi fixpoint (CC, MC, PR under FS) used to open none."""
+        from tests.conftest import ccompute_env
+
+        reference = ReferenceGraph(30, directed=True)
+        reference.update_collect(
+            EdgeBatch.from_edges([(i + 1, i, 1.0) for i in range(29)])
+        )
+        names = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
+        with ccompute_env(engine):
+            TRACER.enable()
+            for name in names:
+                algorithm = get_algorithm(name)
+                algorithm.fs_run(reference, source=29)
+                assert TRACER.phase_totals()["compute.kernel"][1] % 2 == 1, name
+                algorithm.inc_run(
+                    reference, algorithm.make_state(30), np.arange(30), source=29
+                )
+        assert TRACER.phase_totals()["compute.kernel"][1] == 2 * len(names)
 
     def test_frontier_histograms_use_count_buckets(self):
         """compute_frontier_size / compute_expanded_edges observe counts."""

@@ -7,9 +7,6 @@ the kernel mutant it was checked to kill: the mutant was seeded into
 ``ckernel._SOURCE``, the test run and seen to fail, the mutant removed.
 """
 
-import os
-import subprocess
-import sys
 import unittest
 from unittest import mock
 
@@ -19,11 +16,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.obs import METRICS
-from repro.sim import cbuild, ckernel
+from repro.sim import ckernel
 from repro.sim.cache import CacheHierarchy, CacheStats, SetAssociativeCache
 from repro.sim.machine import MachineConfig
 from repro.sim.trace import MemoryTrace, TraceRecorder
 from tests import test_sim_ckernel
+from tests.conftest import ubsan_probe
 
 
 def make_trace(addresses, writes=None):
@@ -491,32 +489,6 @@ class TestReplayInputValidation:
 # The sim library under UndefinedBehaviorSanitizer
 # ----------------------------------------------------------------------
 
-UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
-
-
-@pytest.fixture(scope="class")
-def ubsan_sim_library(tmp_path_factory):
-    """Rebuild the sim library with UBSan for the class's tests.
-
-    Any undefined behaviour the tests then reach aborts the process,
-    which fails the run.  ``dlopen`` pulls in the UBSan runtime as a
-    dependency of the object, so ctypes needs no ``LD_PRELOAD``.
-    """
-    if ckernel.get_kernel() is None:
-        pytest.skip("no C compiler: sim library unavailable")
-    cache_dir = tmp_path_factory.mktemp("ubsan")
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(cbuild.CACHE_DIR_ENV, str(cache_dir))
-            patch.setattr(cbuild, "CFLAGS", cbuild.CFLAGS + UBSAN_FLAGS)
-            ckernel.reset()
-            if ckernel.get_kernel() is None:
-                pytest.skip(f"cc cannot build and link {' '.join(UBSAN_FLAGS)}")
-            yield cache_dir
-    finally:
-        ckernel.reset()  # the next caller loads the regular build again
-
-
 _UBSAN_PROBE = """
 import sys
 import numpy as np
@@ -534,22 +506,21 @@ ckernel.get_cache_replay()(
 """
 
 
-@pytest.mark.usefixtures("ubsan_sim_library")
+@pytest.mark.usefixtures("ubsan_libraries")
 class TestSimLibraryUnderUBSan(TestNativeReplayMatchesReference):
     """The replay verifier above (inherited) and the event-loop
     differential suite, run through the sanitized build."""
 
-    def test_the_sanitizer_is_live(self, ubsan_sim_library):
+    @staticmethod
+    def library_loaded():
+        return ckernel.get_kernel() is not None
+
+    def test_the_sanitizer_is_live(self, ubsan_libraries):
         """The build under test does trap: a raw call the Python side
         would have refused (a page of zero lines) is reported by the
         UBSan runtime in a child process."""
-        assert list(ubsan_sim_library.glob("saga_event_loop_*.so"))
-        child = subprocess.run(
-            [sys.executable, "-c", _UBSAN_PROBE, *UBSAN_FLAGS],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-            capture_output=True,
-            text=True,
-        )
+        assert list(ubsan_libraries.glob("saga_event_loop_*.so"))
+        child = ubsan_probe(_UBSAN_PROBE)
         assert child.returncode != 0
         assert "runtime error: division by zero" in child.stderr
 
