@@ -17,6 +17,7 @@ engines cover five of the six algorithms:
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
@@ -136,8 +137,7 @@ class Algorithm(abc.ABC):
         """
         state.ensure_initialized(view.num_nodes)
         if self.needs_source:
-            if source is None:
-                raise SimulationError(f"{self.name} requires a source vertex")
+            source = self.checked_source(source, state)
             state.values[source] = self.source_value()
         run = kernels.run_incremental_frontier(
             view,
@@ -153,6 +153,26 @@ class Algorithm(abc.ABC):
     def source_value(self) -> float:
         """The pinned value of the source vertex (single-source only)."""
         raise SimulationError(f"{self.name} has no source value")
+
+    def checked_source(self, source: Optional[int], holder) -> int:
+        """``source`` as the root of a single-source run, or an error.
+
+        ``holder`` is what the run indexes by vertex id -- the view
+        (FS) or the INC state -- and its ``max_nodes`` the id space: a
+        negative id would wrap to another vertex in numpy and read out
+        of bounds in the compiled kernels, one at or past ``max_nodes``
+        has no value slot.  A root in ``[view.num_nodes, max_nodes)`` is
+        legal -- not in the graph yet; a view that states no
+        ``max_nodes`` has no upper bound to check.
+        """
+        capacity = getattr(holder, "max_nodes", math.inf)
+        if source is None:
+            raise SimulationError(f"{self.name} requires a source vertex")
+        if not 0 <= source < capacity:
+            raise SimulationError(
+                f"{self.name}: source vertex {source} is outside [0, {capacity})"
+            )
+        return source
 
     # -- deletions --------------------------------------------------------
 
@@ -227,8 +247,7 @@ class Algorithm(abc.ABC):
             )
         pinned = ()
         if self.needs_source:
-            if source is None:
-                raise SimulationError(f"{self.name} requires a source vertex")
+            source = self.checked_source(source, state)
             state.values[source] = self.source_value()
             pinned = (source,)
         cv = kernels.resolve_view(view, compute_view)

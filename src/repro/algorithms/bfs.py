@@ -22,7 +22,6 @@ import numpy as np
 from repro.algorithms.base import Algorithm, in_sources
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun, IterationStats
-from repro.errors import SimulationError
 
 #: Switch to bottom-up when the frontier exceeds this fraction of |V|
 #: (GAP uses edge-based thresholds; a vertex fraction is the common
@@ -69,8 +68,7 @@ class BFS(Algorithm):
     def fs_run(
         self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
-        if source is None:
-            raise SimulationError("BFS requires a source vertex")
+        source = self.checked_source(source, view)
         if self.direction_optimizing:
             return self._fs_direction_optimizing(view, source)
         values = np.full(max(view.num_nodes, 1), np.inf)

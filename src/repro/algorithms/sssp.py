@@ -107,8 +107,7 @@ class SSSP(Algorithm):
     def fs_run(
         self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
-        if source is None:
-            raise SimulationError("SSSP requires a source vertex")
+        source = self.checked_source(source, view)
         cv = kernels.resolve_view(view, compute_view)
         # One NaN poisons the delta pick and a negative cycle never
         # settles: neither loop below can be trusted to return.

@@ -20,7 +20,6 @@ import numpy as np
 from repro.algorithms.base import Algorithm, in_pairs
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
-from repro.errors import SimulationError
 
 
 class SSWP(Algorithm):
@@ -64,8 +63,7 @@ class SSWP(Algorithm):
     def fs_run(
         self, view, source: Optional[int] = None, compute_view=None
     ) -> ComputeRun:
-        if source is None:
-            raise SimulationError("SSWP requires a source vertex")
+        source = self.checked_source(source, view)
         values = np.zeros(max(view.num_nodes, 1))
         if source < view.num_nodes:
             values[source] = np.inf

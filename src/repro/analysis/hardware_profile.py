@@ -51,6 +51,7 @@ from repro.obs.tracer import TRACER
 from repro.sim.scheduler import ScheduleResult
 from repro.sim.trace import MemoryTrace, TraceRecorder, ragged_arange
 from repro.streaming.batching import make_batches
+from repro.streaming.driver import pick_source
 
 #: Core counts swept in Fig. 9(a).
 DEFAULT_CORE_COUNTS = (4, 8, 12, 16, 20, 24, 28)
@@ -330,7 +331,7 @@ class HardwareProfiler:
             name: get_algorithm(name).make_state(dataset.max_nodes)
             for name in self.algorithms
         }
-        source = int(np.bincount(dataset.edges.src).argmax())
+        source = pick_source(dataset)
         threads = machine.hardware_threads
         full_ctx = ExecutionContext(machine=machine, cost_model=self.cost)
         scaling_ctxs = {

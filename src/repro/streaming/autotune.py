@@ -14,11 +14,11 @@ crossovers; this module makes the driver *act* on them:
   Equation-1 latency and switches structure only when the predicted
   savings over a look-ahead horizon exceed the priced migration cost by
   a safety margin (hysteresis).
-- :class:`AdaptiveStreamDriver` runs the stream with a single live
-  structure, migrating it through
-  :func:`repro.graph.migrate.migrate_structure` when the controller
-  says so and charging the migration to the triggering batch.  Every
-  candidate compute model still *executes* each batch (INC must, to
+- :class:`AdaptiveStreamDriver` runs :class:`StreamDriver`'s batch loop
+  over a :class:`LiveStructurePlane`: a single live structure, migrated
+  through :func:`repro.graph.migrate.migrate_structure` when the
+  controller says so, the migration charged to the triggering batch.
+  Every candidate compute model still *executes* each batch (INC must, to
   keep its incremental state bit-identical to a static INC run; FS runs
   are pure), and every candidate structure's compute latency is priced
   analytically -- so the controller observes the full matrix each batch
@@ -32,29 +32,21 @@ migrating structure.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.algorithms.registry import COMPUTE_MODELS, get_algorithm
-from repro.compute import kernels
+from repro.algorithms.registry import COMPUTE_MODELS
 from repro.errors import ConfigError
-from repro.graph import ReferenceGraph, make_structure
 from repro.graph.migrate import migrate_structure
-from repro.obs.features import FEATURES
 from repro.obs.metrics import METRICS
 from repro.obs.model import FittedCostModel, GroupFit, GroupKey, group_key
 from repro.obs.tracer import TRACER
 from repro.streaming.driver import (
     ALL_STRUCTURES,
-    REP_SEED_STRIDE,
     StreamConfig,
     StreamDriver,
-    _price_runs,
-    _run_ops_decomposition,
-    make_batches,
+    UpdatePlane,
 )
-from repro.streaming.results import BatchRecord
 
 #: The decision log of the most recent adaptive run in this process:
 #: one dict per batch (see AdaptiveController.complete_batch) plus the
@@ -531,11 +523,136 @@ def oracle_total_seconds(result) -> float:
     return float(result.machine.cycles_to_seconds(per_structure.min(axis=2).sum()))
 
 
+class LiveStructurePlane(UpdatePlane):
+    """The adaptive driver's plane: one live, migrating structure.
+
+    The controller decides before every batch and the live structure
+    alone ingests it; every candidate model is executed and every
+    candidate structure priced, each cell fed to the controller, but
+    only the ``(live, chosen model)`` cell is recorded, under
+    ``"adaptive"``.
+    """
+
+    needs_ops = True
+
+    def __init__(self, driver: "AdaptiveStreamDriver", dataset, ctx) -> None:
+        super().__init__(
+            driver.config, dataset, ctx,
+            driver.candidate_models, driver.candidate_structures,
+        )
+        self.controller = driver.controller
+
+    def begin_repetition(self, rep: int, total_batches: int) -> None:
+        self.controller.begin_repetition(rep)
+        self._total_batches = total_batches
+        self._live_name: Optional[str] = None
+        self._live = None
+
+    def update(self, batch, record, reference) -> Dict[str, int]:
+        cfg, ctx, controller = self.config, self.ctx, self.controller
+        with TRACER.span("autotune.decide"):
+            decision = controller.decide(
+                record.batch_index,
+                self._total_batches,
+                len(batch),
+                self._live_name,
+                reference.num_edges,
+            )
+        self._decision = decision
+        self._migration_cycles = 0.0
+        self._compute_actual: Dict[Tuple[str, str, str], float] = {}
+        if self._live is None:
+            self._live_name = decision.structure
+            self._live = self.new_structure(self._live_name)
+        elif decision.structure != self._live_name:
+            migration = migrate_structure(
+                reference, decision.structure, ctx, cost_model=cfg.cost_model
+            )
+            self._live = migration.structure
+            self._live_name = migration.target
+            self._migration_cycles = migration.latency_cycles
+            controller.note_migration(
+                self._live_name,
+                migration.edges_moved,
+                ctx.seconds(self._migration_cycles),
+            )
+            if METRICS.enabled:
+                METRICS.counter(
+                    "autotune_switches_total",
+                    "live structure migrations performed",
+                    target=self._live_name,
+                ).inc()
+        self._structure_cycles = 0.0
+        return self._apply("update", batch)
+
+    def delete(self, victims, record) -> Dict[str, int]:
+        return self._apply("delete", victims)
+
+    def _apply(self, operation: str, edges) -> Dict[str, int]:
+        outcome = getattr(self._live, operation)(edges, self.ctx)
+        self._structure_cycles += outcome.latency_cycles
+        self.observe(self._live_name, outcome.schedule, operation)
+        return {self._live_name: outcome.edges_inserted}
+
+    def close_update(self, record, update_ops: int):
+        """The record carries the migration; the sample the controller
+        and the feature log fit from does not."""
+        record.update_cycles["adaptive"] = (
+            self._migration_cycles + self._structure_cycles
+        )
+        self._update = (
+            float(update_ops), self.ctx.seconds(self._structure_cycles)
+        )
+        self.controller.observe_update(self._live_name, *self._update)
+        return ((self._live_name, self._structure_cycles),)
+
+    def record_cell(self, algorithm, model, structure, cycles, ops_row):
+        seconds = self.ctx.seconds(cycles)
+        self._compute_actual[(structure, algorithm, model)] = seconds
+        self.controller.observe_compute(
+            structure, algorithm, model, ops_row["ops"], seconds
+        )
+        chosen = self._decision.models.get(algorithm, self.models[0])
+        if structure == self._live_name and model == chosen:
+            return ("adaptive", "adaptive")
+        return None
+
+    def after_batch(self, record) -> str:
+        decision = self._decision
+        outcome = self.controller.complete_batch(
+            decision,
+            *self._update,
+            self.ctx.seconds(self._migration_cycles),
+            self._compute_actual,
+        )
+        if METRICS.enabled:
+            METRICS.histogram(
+                "autotune_predicted_latency_seconds",
+                "controller-predicted per-batch latency",
+            ).observe(decision.predicted_seconds)
+            METRICS.histogram(
+                "autotune_actual_latency_seconds",
+                "realized per-batch latency of the chosen combination",
+            ).observe(outcome["actual_seconds"])
+            METRICS.counter(
+                "autotune_est_regret_seconds_total",
+                "estimated per-batch regret vs the best candidate",
+            ).inc(outcome["est_regret_seconds"])
+            METRICS.histogram(
+                "stream_update_latency_seconds",
+                "simulated per-batch update latency",
+                structure="adaptive",
+            ).observe(self.ctx.seconds(record.update_cycles["adaptive"]))
+        return f" [{self._live_name}/{decision.reason}]"
+
+
 class AdaptiveStreamDriver(StreamDriver):
     """The streaming driver with the auto-tuner in the loop.
 
-    One live structure instead of the static matrix; the controller
-    decides before every batch, migrations go through
+    :class:`StreamDriver`'s batch loop over a
+    :class:`LiveStructurePlane`: one live structure instead of the
+    static matrix; the controller decides before every batch,
+    migrations go through
     :func:`repro.graph.migrate.migrate_structure`, and the result series
     is keyed ``structures=("adaptive",), models=("adaptive",)``.
     """
@@ -565,8 +682,7 @@ class AdaptiveStreamDriver(StreamDriver):
         self.controller: Optional[AdaptiveController] = None
         self.decision_log: Optional[dict] = None
 
-    def run(self, dataset):
-        global LAST_DECISION_LOG
+    def _make_plane(self, dataset, ctx) -> LiveStructurePlane:
         self.controller = AdaptiveController(
             structures=self.candidate_structures,
             models=self.candidate_models,
@@ -576,6 +692,10 @@ class AdaptiveStreamDriver(StreamDriver):
             churn_fraction=self.config.churn_fraction,
         )
         self.controller.forced_plan.update(self.forced_plan)
+        return LiveStructurePlane(self, dataset, ctx)
+
+    def run(self, dataset):
+        global LAST_DECISION_LOG
         result = super().run(dataset)
         self.decision_log = {
             "dataset": dataset.name,
@@ -584,242 +704,3 @@ class AdaptiveStreamDriver(StreamDriver):
         }
         LAST_DECISION_LOG = self.decision_log
         return result
-
-    def _run_repetition(self, dataset, rep, source, ctx, result, sim_clocks) -> None:
-        cfg = self.config
-        controller = self.controller
-        controller.begin_repetition(rep)
-        batches = make_batches(
-            dataset.edges,
-            cfg.batch_size,
-            shuffle_seed=cfg.shuffle_seed + REP_SEED_STRIDE * rep,
-            schedule=cfg.batch_schedule,
-        )
-        reference = ReferenceGraph(dataset.max_nodes, directed=dataset.directed)
-        states = {
-            name: get_algorithm(name).make_state(dataset.max_nodes)
-            for name in cfg.algorithms
-            if "INC" in self.candidate_models
-        }
-        live_name: Optional[str] = None
-        live_structure = None
-        total_batches = len(batches)
-
-        for batch_index in range(total_batches):
-            batch_edges = batches.size_of(batch_index)
-            with TRACER.span("autotune.decide"):
-                decision = controller.decide(
-                    batch_index,
-                    total_batches,
-                    batch_edges,
-                    live_name,
-                    reference.num_edges,
-                )
-            migration_cycles = 0.0
-            if live_structure is None:
-                live_name = decision.structure
-                live_structure = make_structure(
-                    live_name,
-                    dataset.max_nodes,
-                    directed=dataset.directed,
-                    cost_model=cfg.cost_model,
-                )
-            elif decision.structure != live_name:
-                migration = migrate_structure(
-                    reference, decision.structure, ctx, cost_model=cfg.cost_model
-                )
-                live_structure = migration.structure
-                live_name = migration.target
-                migration_cycles = migration.latency_cycles
-                controller.note_migration(
-                    live_name,
-                    migration.edges_moved,
-                    ctx.seconds(migration_cycles),
-                )
-                if METRICS.enabled:
-                    METRICS.counter(
-                        "autotune_switches_total",
-                        "live structure migrations performed",
-                        target=live_name,
-                    ).inc()
-
-            batch = batches[batch_index]
-            record = BatchRecord(
-                repetition=rep,
-                batch_index=batch_index,
-                edges_attempted=len(batch),
-                edges_inserted=0,
-                num_nodes=0,
-                num_edges=0,
-            )
-            # ---- Update phase: only the live structure ingests ----
-            update = live_structure.update(batch, ctx)
-            structure_cycles = update.latency_cycles
-            self._observe_update(
-                dataset, live_name, update.schedule, ctx, sim_clocks, "update"
-            )
-            record.edges_inserted = len(reference.update_collect(batch))
-            if __debug__:
-                self._verify_inserted(
-                    {live_name: update.edges_inserted}, record.edges_inserted
-                )
-            removed = ()  # an EdgeBatch once churn removes something
-            churn_attempted = 0
-            if cfg.churn_fraction > 0.0 and len(batch):
-                victims = batch.slice(
-                    0, max(1, int(len(batch) * cfg.churn_fraction))
-                )
-                churn_attempted = len(victims)
-                deletion = live_structure.delete(victims, ctx)
-                structure_cycles += deletion.latency_cycles
-                self._observe_update(
-                    dataset, live_name, deletion.schedule, ctx, sim_clocks,
-                    "delete",
-                )
-                removed = reference.delete_collect(victims)
-            record.update_cycles["adaptive"] = migration_cycles + structure_cycles
-            n = reference.num_nodes
-            record.num_nodes = n
-            record.num_edges = reference.num_edges
-            compute_view = self._compute_substrate(reference)
-            deg_in = compute_view.in_csr.degrees
-            deg_out = compute_view.out_csr.degrees
-            update_ops = float(record.edges_attempted + churn_attempted)
-            update_seconds = ctx.seconds(structure_cycles)
-            controller.observe_update(live_name, update_ops, update_seconds)
-            # ---- Per-batch feature capture (cost-model substrate) ----
-            features_on = FEATURES.enabled
-            base_row: Dict[str, object] = {}
-            if features_on:
-                base_row = {
-                    "dataset": dataset.name,
-                    "rep": rep,
-                    "batch": batch_index,
-                    "batch_edges": record.edges_attempted,
-                    "edges_inserted": record.edges_inserted,
-                    "edges_deleted": len(removed),
-                    "churn_fraction": cfg.churn_fraction,
-                    "num_nodes": n,
-                    "num_edges": record.num_edges,
-                    "mean_out_degree": float(deg_out.mean()) if n else 0.0,
-                    "max_out_degree": int(deg_out.max()) if n else 0,
-                }
-                FEATURES.record(
-                    phase="update",
-                    structure=live_name,
-                    t_seconds=update_seconds,
-                    ops=update_ops,
-                    **base_row,
-                )
-
-            # ---- Compute phase: run every candidate model, price every
-            # candidate structure, record only the chosen combination ----
-            compute_actual: Dict[Tuple[str, str, str], float] = {}
-            chosen_cycles_total = 0.0
-            with TRACER.span("compute") as compute_span, kernels.view_scope(
-                reference, compute_view
-            ):
-                for alg_name in cfg.algorithms:
-                    algorithm = get_algorithm(alg_name)
-                    chosen_model = decision.models.get(
-                        alg_name, self.candidate_models[0]
-                    )
-                    for model in self.candidate_models:
-                        wall_start = time.perf_counter() if features_on else 0.0
-                        runs = self._execute_compute(
-                            algorithm, model, reference,
-                            states.get(alg_name), batch, removed, source,
-                        )
-                        if model == chosen_model:
-                            record.compute_iterations[(alg_name, "adaptive")] = (
-                                sum(r.iteration_count for r in runs)
-                            )
-                        ops_row = _run_ops_decomposition(
-                            runs, deg_in, deg_out, n, ctx.cost_model
-                        )
-                        wall_seconds = (
-                            time.perf_counter() - wall_start
-                            if features_on else 0.0
-                        )
-                        structure_cycles = _price_runs(
-                            runs, self.candidate_structures, deg_in, deg_out, ctx,
-                            algorithm.neighbor_degree_query,
-                        )
-                        for structure_name, cycles in structure_cycles.items():
-                            seconds = ctx.seconds(cycles)
-                            compute_actual[
-                                (structure_name, alg_name, model)
-                            ] = seconds
-                            controller.observe_compute(
-                                structure_name, alg_name, model,
-                                ops_row["ops"], seconds,
-                            )
-                            if features_on:
-                                FEATURES.record(
-                                    phase="compute",
-                                    structure=structure_name,
-                                    algorithm=alg_name,
-                                    model=model,
-                                    t_seconds=seconds,
-                                    wall_seconds=wall_seconds,
-                                    **ops_row,
-                                    **base_row,
-                                )
-                            if (
-                                structure_name == live_name
-                                and model == chosen_model
-                            ):
-                                record.compute_cycles[
-                                    (alg_name, "adaptive", "adaptive")
-                                ] = cycles
-                                compute_span.add_cycles(cycles)
-                                chosen_cycles_total += cycles
-                                if METRICS.enabled:
-                                    METRICS.histogram(
-                                        "stream_compute_latency_seconds",
-                                        "simulated per-batch compute latency",
-                                        algorithm=alg_name,
-                                        model="adaptive",
-                                        structure="adaptive",
-                                    ).observe(seconds)
-            outcome = controller.complete_batch(
-                decision,
-                update_ops,
-                update_seconds,
-                ctx.seconds(migration_cycles),
-                compute_actual,
-            )
-            if METRICS.enabled:
-                METRICS.histogram(
-                    "autotune_predicted_latency_seconds",
-                    "controller-predicted per-batch latency",
-                ).observe(decision.predicted_seconds)
-                METRICS.histogram(
-                    "autotune_actual_latency_seconds",
-                    "realized per-batch latency of the chosen combination",
-                ).observe(outcome["actual_seconds"])
-                METRICS.counter(
-                    "autotune_est_regret_seconds_total",
-                    "estimated per-batch regret vs the best candidate",
-                ).inc(outcome["est_regret_seconds"])
-                METRICS.histogram(
-                    "stream_update_latency_seconds",
-                    "simulated per-batch update latency",
-                    structure="adaptive",
-                ).observe(ctx.seconds(record.update_cycles["adaptive"]))
-                METRICS.counter(
-                    "stream_batches_total", "batches processed",
-                    dataset=dataset.name,
-                ).inc()
-                METRICS.counter(
-                    "stream_edges_inserted_total",
-                    "unique edges ingested across batches",
-                    dataset=dataset.name,
-                ).inc(record.edges_inserted)
-            result.add_record(record)
-            if cfg.progress is not None:
-                cfg.progress(
-                    f"{dataset.name} rep {rep} batch {batch_index + 1}/"
-                    f"{total_batches} [{live_name}/"
-                    f"{decision.reason}]: |V|={n} |E|={reference.num_edges}"
-                )

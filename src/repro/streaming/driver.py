@@ -14,6 +14,14 @@ Fig. 1:
 
 Batch processing latency = update latency + compute latency
 (Equation 1).
+
+That loop is written once, :meth:`StreamDriver._run_repetition`.  What
+the static, sharded and adaptive drivers disagree on -- who ingests a
+batch, which cells are executed and priced, which are recorded -- is an
+:class:`UpdatePlane`: :class:`MatrixPlane` here,
+:class:`repro.streaming.sharded.ShardPlanPlane` and
+:class:`repro.streaming.autotune.LiveStructurePlane` beside their
+drivers, each of which only chooses its plane.
 """
 
 from __future__ import annotations
@@ -135,6 +143,20 @@ def _price_runs(
     return cycles
 
 
+def _check_names(kind: str, names, known) -> None:
+    """Every entry a known ``kind``, none of them twice.
+
+    A repeated name would not be run twice: both entries share one
+    structure instance, one INC state and one result key, and the
+    second run's numbers overwrite the first's.
+    """
+    for index, name in enumerate(names):
+        if name not in known:
+            raise ConfigError(f"unknown {kind} {name!r}")
+        if name in names[:index]:
+            raise ConfigError(f"{kind} {name!r} is listed more than once")
+
+
 @dataclass
 class StreamConfig:
     """What to run and on which simulated machine."""
@@ -213,27 +235,191 @@ class StreamConfig:
                 )
             if self.shards != 1:
                 raise ConfigError("adaptive mode requires shards == 1")
-            for name in self.candidate_structures or ():
-                if name not in STRUCTURES:
-                    raise ConfigError(f"unknown candidate structure {name!r}")
-            for model in self.candidate_models or ():
-                if model not in COMPUTE_MODELS:
-                    raise ConfigError(f"unknown candidate model {model!r}")
+            _check_names(
+                "candidate structure", self.candidate_structures or (), STRUCTURES
+            )
+            _check_names(
+                "candidate model", self.candidate_models or (), COMPUTE_MODELS
+            )
         else:
-            for name in self.structures:
-                if name not in STRUCTURES:
-                    raise ConfigError(f"unknown structure {name!r}")
-            for model in self.models:
-                if model not in COMPUTE_MODELS:
-                    raise ConfigError(f"unknown compute model {model!r}")
+            _check_names("structure", self.structures, STRUCTURES)
+            _check_names("compute model", self.models, COMPUTE_MODELS)
             if self.candidate_structures or self.candidate_models:
                 raise ConfigError(
                     "candidate_structures/candidate_models only apply to "
                     "adaptive mode (structures=('adaptive',))"
                 )
-        for name in self.algorithms:
-            if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}")
+        _check_names("algorithm", self.algorithms, ALGORITHMS)
+
+
+def pick_source(dataset: Dataset, configured: Optional[int] = None) -> int:
+    """The single-source root of a run over ``dataset``.
+
+    Defaults to the stream's hottest source: a hub is (almost surely)
+    present from the first batch on and reaches a large fraction of the
+    graph, which matches how single-source roots are chosen in graph
+    benchmarks.  A configured root must be a vertex id of the dataset.
+    """
+    if configured is None:
+        if len(dataset.edges) == 0:
+            raise ConfigError(
+                f"{dataset.name} has no edges to pick a source vertex from"
+            )
+        return int(np.bincount(dataset.edges.src).argmax())
+    if not 0 <= configured < dataset.max_nodes:
+        raise ConfigError(
+            f"source {configured} is not a vertex id of {dataset.name} "
+            f"(0 <= source < {dataset.max_nodes})"
+        )
+    return configured
+
+
+def churn_victims(batch, fraction: float):
+    """The head of ``batch`` a churn stream deletes again (never empty)."""
+    return batch.slice(0, max(1, int(len(batch) * fraction)))
+
+
+def _verify_counts(reported: Dict[str, int], expected: int, verb: str) -> None:
+    """Every ingesting structure must agree with the reference graph."""
+    for name, count in reported.items():
+        assert count == expected, (
+            f"{name} {verb} {count} edges where the reference "
+            f"graph {verb} {expected}"
+        )
+
+
+def _execute_compute(algorithm, model, reference, state, batch, removed, source):
+    """Every run one algorithm x model schedules for this batch.
+
+    FS reruns from scratch; INC applies the batch incrementally and,
+    under churn, appends the KickStarter-style deletion repair whose
+    cost belongs to the same compute phase.
+    """
+    if model == "FS":
+        return [algorithm.fs_run(reference, source=source)]
+    affected = algorithm.affected_from_batch(batch, reference)
+    runs = [algorithm.inc_run(reference, state, affected, source=source)]
+    if removed:
+        runs.append(
+            algorithm.inc_delete_run(reference, state, removed, source=source)
+        )
+    return runs
+
+
+class UpdatePlane:
+    """What one driver decides about a batch; the loop does the rest.
+
+    The static, sharded and adaptive drivers run the same batch loop
+    (:meth:`StreamDriver._run_repetition`) and disagree on three things
+    only (DESIGN.md decision #21): *who ingests* a batch
+    (``begin_repetition`` / ``update`` / ``delete``, which the three
+    planes define), *what is executed and priced* (``models`` x
+    ``structures``) and *what is recorded* (the three methods below,
+    whose defaults -- every priced cell under its own key -- serve the
+    static and sharded planes).
+    """
+
+    #: Whether ``record_cell`` reads the ops decomposition even when
+    #: the feature log is off.
+    needs_ops = False
+
+    def __init__(self, config, dataset: Dataset, ctx, models, structures) -> None:
+        self.config = config
+        self.dataset = dataset
+        self.ctx = ctx
+        self.models: Tuple[str, ...] = models
+        self.structures: Tuple[str, ...] = structures
+        self.sim_clocks: Dict[str, float] = {}
+
+    def observe(self, structure_name: str, schedule: ScheduleResult, label: str) -> None:
+        """Per-batch observability for one structure's update schedule.
+
+        ``sim_clocks`` is the simulated clock per timeline track
+        (dataset/structure): batches abut on the track even though each
+        schedule starts at cycle 0.
+        """
+        ctx = self.ctx
+        if METRICS.enabled:
+            METRICS.histogram(
+                "stream_update_latency_seconds",
+                "simulated per-batch update latency",
+                structure=structure_name,
+            ).observe(ctx.seconds(schedule.makespan_cycles))
+        if TRACER.sim_timeline:
+            track = f"{self.dataset.name}/{structure_name}"
+            offset = self.sim_clocks.get(track, 0.0)
+            to_us = 1e6 / ctx.machine.frequency_hz
+            timeline = schedule.extra.get("timeline")
+            if timeline is not None:
+                starts, ends = timeline
+                starts_us = np.asarray(starts, dtype=np.float64) * to_us + offset
+                ends_us = np.asarray(ends, dtype=np.float64) * to_us + offset
+                TRACER.record_schedule_threads(
+                    track,
+                    np.asarray(schedule.task_thread, dtype=np.int64).tolist(),
+                    starts_us.tolist(),
+                    ends_us.tolist(),
+                    [label] * len(starts_us),
+                )
+            self.sim_clocks[track] = offset + schedule.makespan_cycles * to_us
+
+    def new_structure(self, name: str):
+        """An empty ``name`` structure sized for the dataset."""
+        return make_structure(
+            name,
+            self.dataset.max_nodes,
+            directed=self.dataset.directed,
+            cost_model=self.config.cost_model,
+        )
+
+    def begin_repetition(self, rep: int, total_batches: int) -> None:
+        """Fresh ingest state for one repetition."""
+
+    def close_update(self, record: BatchRecord, update_ops: int):
+        """The finished update phase as ``(structure, cycles)`` samples,
+        one feature-log update row each."""
+        return record.update_cycles.items()
+
+    def record_cell(self, algorithm, model, structure, cycles, ops_row):
+        """The ``(model, structure)`` key a priced cell is recorded
+        under, or ``None`` when the batch's record does not carry it."""
+        return (model, structure)
+
+    def after_batch(self, record: BatchRecord) -> str:
+        """Close the batch; returns what its progress line adds."""
+        return ""
+
+
+class MatrixPlane(UpdatePlane):
+    """The static driver's plane: every configured structure ingests."""
+
+    def __init__(self, config: StreamConfig, dataset: Dataset, ctx) -> None:
+        super().__init__(config, dataset, ctx, config.models, config.structures)
+
+    def begin_repetition(self, rep: int, total_batches: int) -> None:
+        self._live = {name: self.new_structure(name) for name in self.structures}
+
+    def update(self, batch, record: BatchRecord, reference) -> Dict[str, int]:
+        """Ingest ``batch`` (``reference`` does not hold it yet) and
+        start ``record.update_cycles``.  Returns each ingesting
+        structure's inserted-edge count for the cross-check."""
+        return self._apply("update", batch, record)
+
+    def delete(self, victims, record: BatchRecord) -> Dict[str, int]:
+        """Apply the churn deletions; add their latency to the batch's.
+        Returns each ingesting structure's removed-edge count."""
+        return self._apply("delete", victims, record)
+
+    def _apply(self, operation: str, edges, record: BatchRecord) -> Dict[str, int]:
+        counts = {}
+        for name, structure in self._live.items():
+            outcome = getattr(structure, operation)(edges, self.ctx)
+            record.update_cycles[name] = (
+                record.update_cycles.get(name, 0.0) + outcome.latency_cycles
+            )
+            counts[name] = outcome.edges_inserted
+            self.observe(name, outcome.schedule, operation)
+        return counts
 
 
 class StreamDriver:
@@ -242,27 +428,16 @@ class StreamDriver:
     def __init__(self, config: Optional[StreamConfig] = None) -> None:
         self.config = config if config is not None else StreamConfig()
 
-    def _pick_source(self, dataset: Dataset) -> int:
-        """Default single-source root: the stream's hottest source.
-
-        A hub is (almost surely) present from the first batch on and
-        reaches a large fraction of the graph, which matches how
-        single-source roots are chosen in graph benchmarks.
-        """
-        if self.config.source is not None:
-            return self.config.source
-        counts = np.bincount(dataset.edges.src)
-        return int(counts.argmax())
+    def _make_plane(self, dataset: Dataset, ctx: ExecutionContext):
+        """This driver's update plane for one run."""
+        return MatrixPlane(self.config, dataset, ctx)
 
     def run(self, dataset: Dataset) -> StreamResult:
         """Stream ``dataset`` and record every simulated latency."""
         cfg = self.config
-        source = self._pick_source(dataset)
+        source = pick_source(dataset, cfg.source)
         ctx = ExecutionContext(
             machine=cfg.machine, threads=cfg.threads, cost_model=cfg.cost_model
-        )
-        batches_per_rep = batch_count(
-            len(dataset.edges), cfg.batch_size, cfg.batch_schedule
         )
         result = StreamResult(
             dataset=dataset.name,
@@ -271,11 +446,10 @@ class StreamDriver:
             algorithms=cfg.algorithms,
             models=cfg.models,
             repetitions=cfg.repetitions,
-            batches_per_rep=batches_per_rep,
+            batches_per_rep=batch_count(
+                len(dataset.edges), cfg.batch_size, cfg.batch_schedule
+            ),
         )
-        # Simulated clock per timeline track (dataset/structure): batches
-        # abut on the track even though each schedule starts at cycle 0.
-        sim_clocks: Dict[str, float] = {}
         if METRICS.enabled:
             from repro.compute import ckernels
             from repro.sim import cingest, ckernel
@@ -292,166 +466,29 @@ class StreamDriver:
                 "1 when the compiled batch-ingest kernels are active",
             ).set(1.0 if cingest.loaded() else 0.0)
             ckernel.set_loaded_gauge()
+        plane = self._make_plane(dataset, ctx)
         for rep in range(cfg.repetitions):
-            self._run_repetition(dataset, rep, source, ctx, result, sim_clocks)
+            self._run_repetition(plane, rep, source, result)
         return result
 
-    def _observe_update(
-        self,
-        dataset: Dataset,
-        structure_name: str,
-        schedule: ScheduleResult,
-        ctx: ExecutionContext,
-        sim_clocks: Dict[str, float],
-        label: str,
-    ) -> None:
-        """Per-batch observability for one structure's update schedule."""
-        if METRICS.enabled:
-            METRICS.histogram(
-                "stream_update_latency_seconds",
-                "simulated per-batch update latency",
-                structure=structure_name,
-            ).observe(ctx.seconds(schedule.makespan_cycles))
-        if TRACER.sim_timeline:
-            track = f"{dataset.name}/{structure_name}"
-            offset = sim_clocks.get(track, 0.0)
-            to_us = 1e6 / ctx.machine.frequency_hz
-            timeline = schedule.extra.get("timeline")
-            if timeline is not None:
-                starts, ends = timeline
-                starts_us = np.asarray(starts, dtype=np.float64) * to_us + offset
-                ends_us = np.asarray(ends, dtype=np.float64) * to_us + offset
-                TRACER.record_schedule_threads(
-                    track,
-                    np.asarray(schedule.task_thread, dtype=np.int64).tolist(),
-                    starts_us.tolist(),
-                    ends_us.tolist(),
-                    [label] * len(starts_us),
-                )
-            sim_clocks[track] = offset + schedule.makespan_cycles * to_us
-
-    def _make_structures(self, dataset: Dataset) -> Dict[str, object]:
-        """One fresh structure instance per configured name.
-
-        Subclasses that do not simulate structures in-process (the
-        sharded driver) return an empty mapping.
-        """
-        cfg = self.config
-        return {
-            name: make_structure(
-                name,
-                dataset.max_nodes,
-                directed=dataset.directed,
-                cost_model=cfg.cost_model,
-            )
-            for name in cfg.structures
-        }
-
-    def _update_structures(
-        self,
-        structures: Dict[str, object],
-        batch,
-        dataset: Dataset,
-        ctx: ExecutionContext,
-        record: BatchRecord,
-        sim_clocks: Dict[str, float],
-    ) -> Dict[str, int]:
-        """Ingest ``batch`` into every structure; fill update latencies.
-
-        Returns each structure's reported inserted-edge count, which
-        :meth:`_verify_inserted` cross-checks against the reference
-        graph.  The sharded driver overrides this with precomputed
-        per-shard schedules.
-        """
-        structure_inserted = {}
-        for name, structure in structures.items():
-            update = structure.update(batch, ctx)
-            record.update_cycles[name] = update.latency_cycles
-            structure_inserted[name] = update.edges_inserted
-            self._observe_update(
-                dataset, name, update.schedule, ctx, sim_clocks, "update"
-            )
-        return structure_inserted
-
-    def _delete_structures(
-        self,
-        structures: Dict[str, object],
-        victims,
-        dataset: Dataset,
-        ctx: ExecutionContext,
-        record: BatchRecord,
-        sim_clocks: Dict[str, float],
-    ) -> None:
-        """Apply the churn deletions; add their latency to the batch's."""
-        for name, structure in structures.items():
-            deletion = structure.delete(victims, ctx)
-            record.update_cycles[name] += deletion.latency_cycles
-            self._observe_update(
-                dataset, name, deletion.schedule, ctx, sim_clocks, "delete"
-            )
-
-    @staticmethod
-    def _verify_inserted(structure_inserted: Dict[str, int], expected: int) -> None:
-        """Every structure must agree with the reference graph."""
-        for name, count in structure_inserted.items():
-            assert count == expected, (
-                f"{name} inserted {count} edges where the reference "
-                f"graph inserted {expected}"
-            )
-
-    @staticmethod
-    def _compute_substrate(reference):
-        """What one batch's compute phase reads, all of it the live graph's.
-
-        The zero-copy columnar view: one fold of the batch's kept rows,
-        shared by every algorithm x model run through the view scope,
-        its ``degrees`` the arrays the pricing reads.
-        """
-        with TRACER.span("compute.view"):
-            return reference.compute_view()
-
-    @staticmethod
-    def _execute_compute(algorithm, model, reference, state, batch, removed, source):
-        """Every run one algorithm x model schedules for this batch.
-
-        FS reruns from scratch; INC applies the batch incrementally and,
-        under churn, appends the KickStarter-style deletion repair whose
-        cost belongs to the same compute phase.
-        """
-        if model == "FS":
-            return [algorithm.fs_run(reference, source=source)]
-        affected = algorithm.affected_from_batch(batch, reference)
-        runs = [algorithm.inc_run(reference, state, affected, source=source)]
-        if removed:
-            runs.append(
-                algorithm.inc_delete_run(reference, state, removed, source=source)
-            )
-        return runs
-
-    def _run_repetition(
-        self,
-        dataset: Dataset,
-        rep: int,
-        source: int,
-        ctx: ExecutionContext,
-        result: StreamResult,
-        sim_clocks: Dict[str, float],
-    ) -> None:
-        cfg = self.config
+    def _run_repetition(self, plane, rep: int, source: int, result) -> None:
+        """The one batch loop: Fig. 1's two phases for every batch."""
+        cfg, dataset, ctx = self.config, plane.dataset, plane.ctx
         batches = make_batches(
             dataset.edges,
             cfg.batch_size,
             shuffle_seed=cfg.shuffle_seed + REP_SEED_STRIDE * rep,
             schedule=cfg.batch_schedule,
         )
-        structures = self._make_structures(dataset)
+        plane.begin_repetition(rep, len(batches))
         reference = ReferenceGraph(dataset.max_nodes, directed=dataset.directed)
         states = {
             name: get_algorithm(name).make_state(dataset.max_nodes)
             for name in cfg.algorithms
-            if "INC" in cfg.models
+            if "INC" in plane.models
         }
 
+        record_cell = plane.record_cell
         for batch_index, batch in enumerate(batches):
             record = BatchRecord(
                 repetition=rep,
@@ -461,33 +498,36 @@ class StreamDriver:
                 num_nodes=0,
                 num_edges=0,
             )
-            # ---- Update phase: every structure ingests the batch ----
-            structure_inserted = self._update_structures(
-                structures, batch, dataset, ctx, record, sim_clocks
-            )
+            # ---- Update phase: the plane's structures ingest the batch ----
+            inserted = plane.update(batch, record, reference)
             # The reference graph is the single source of truth for how
-            # many unique edges the batch contributed; the instrumented
-            # structures must agree with it (and with each other).
+            # many unique edges the batch contributed (and, under churn,
+            # lost again); the instrumented structures must agree with
+            # it (and with each other).
             record.edges_inserted = len(reference.update_collect(batch))
             if __debug__:
-                self._verify_inserted(structure_inserted, record.edges_inserted)
+                _verify_counts(inserted, record.edges_inserted, "inserted")
             removed = ()  # an EdgeBatch once churn removes something
             churn_attempted = 0
             if cfg.churn_fraction > 0.0 and len(batch):
-                victims = batch.slice(
-                    0, max(1, int(len(batch) * cfg.churn_fraction))
-                )
+                victims = churn_victims(batch, cfg.churn_fraction)
                 churn_attempted = len(victims)
-                self._delete_structures(
-                    structures, victims, dataset, ctx, record, sim_clocks
-                )
+                deleted = plane.delete(victims, record)
                 removed = reference.delete_collect(victims)
+                if __debug__:
+                    _verify_counts(deleted, len(removed), "removed")
             n = reference.num_nodes
             record.num_nodes = n
             record.num_edges = reference.num_edges
-            compute_view = self._compute_substrate(reference)
+            # The zero-copy columnar view: one fold of the batch's kept
+            # rows, shared by every algorithm x model run through the
+            # view scope, its ``degrees`` the arrays the pricing reads.
+            with TRACER.span("compute.view"):
+                compute_view = reference.compute_view()
             deg_in = compute_view.in_csr.degrees
             deg_out = compute_view.out_csr.degrees
+            update_ops = record.edges_attempted + churn_attempted
+            update_samples = plane.close_update(record, update_ops)
             # ---- Per-batch feature capture (cost-model substrate) ----
             features_on = FEATURES.enabled
             base_row: Dict[str, object] = {}
@@ -505,8 +545,7 @@ class StreamDriver:
                     "mean_out_degree": float(deg_out.mean()) if n else 0.0,
                     "max_out_degree": int(deg_out.max()) if n else 0,
                 }
-                update_ops = record.edges_attempted + churn_attempted
-                for structure_name, cycles in record.update_cycles.items():
+                for structure_name, cycles in update_samples:
                     FEATURES.record(
                         phase="update",
                         structure=structure_name,
@@ -515,38 +554,34 @@ class StreamDriver:
                         **base_row,
                     )
 
-            # ---- Compute phase: each algorithm under each model ----
+            # ---- Compute phase: each algorithm under each model the
+            # plane executes, priced on each structure it prices ----
             with TRACER.span("compute") as compute_span, kernels.view_scope(
                 reference, compute_view
             ):
                 for alg_name in cfg.algorithms:
                     algorithm = get_algorithm(alg_name)
-                    for model in cfg.models:
+                    for model in plane.models:
                         wall_start = time.perf_counter() if features_on else 0.0
-                        runs = self._execute_compute(
+                        runs = _execute_compute(
                             algorithm, model, reference,
                             states.get(alg_name), batch, removed, source,
-                        )
-                        record.compute_iterations[(alg_name, model)] = sum(
-                            r.iteration_count for r in runs
                         )
                         ops_row = None
                         wall_seconds = 0.0
                         if features_on:
                             wall_seconds = time.perf_counter() - wall_start
+                        if features_on or plane.needs_ops:
                             ops_row = _run_ops_decomposition(
                                 runs, deg_in, deg_out, n, ctx.cost_model
                             )
                         structure_cycles = _price_runs(
-                            runs, cfg.structures, deg_in, deg_out, ctx,
+                            runs, plane.structures, deg_in, deg_out, ctx,
                             algorithm.neighbor_degree_query,
                         )
+                        recorded_model = None
                         for structure_name, cycles in structure_cycles.items():
-                            record.compute_cycles[
-                                (alg_name, model, structure_name)
-                            ] = cycles
-                            compute_span.add_cycles(cycles)
-                            if ops_row is not None:
+                            if features_on:
                                 FEATURES.record(
                                     phase="compute",
                                     structure=structure_name,
@@ -557,14 +592,29 @@ class StreamDriver:
                                     **ops_row,
                                     **base_row,
                                 )
+                            key = record_cell(
+                                alg_name, model, structure_name, cycles, ops_row
+                            )
+                            if key is None:
+                                continue
+                            recorded_model, recorded_structure = key
+                            record.compute_cycles[
+                                (alg_name, recorded_model, recorded_structure)
+                            ] = cycles
+                            compute_span.add_cycles(cycles)
                             if METRICS.enabled:
                                 METRICS.histogram(
                                     "stream_compute_latency_seconds",
                                     "simulated per-batch compute latency",
                                     algorithm=alg_name,
-                                    model=model,
-                                    structure=structure_name,
+                                    model=recorded_model,
+                                    structure=recorded_structure,
                                 ).observe(ctx.seconds(cycles))
+                        if recorded_model is not None:
+                            record.compute_iterations[
+                                (alg_name, recorded_model)
+                            ] = sum(r.iteration_count for r in runs)
+            progress_suffix = plane.after_batch(record)
             if METRICS.enabled:
                 METRICS.counter(
                     "stream_batches_total", "batches processed",
@@ -579,7 +629,8 @@ class StreamDriver:
             if cfg.progress is not None:
                 cfg.progress(
                     f"{dataset.name} rep {rep} batch {batch_index + 1}/"
-                    f"{len(batches)}: |V|={n} |E|={reference.num_edges}"
+                    f"{len(batches)}{progress_suffix}: "
+                    f"|V|={n} |E|={reference.num_edges}"
                 )
 
 

@@ -23,15 +23,18 @@ The sharded driver splits the run in two phases:
 
 1. **Shard simulation** (:func:`_simulate_shard`): each shard replays
    the whole stream against its own structures, producing per
-   ``(repetition, batch, structure)`` makespan/work/count arrays.  A
+   ``(repetition, batch, structure)`` makespan and count arrays (its
+   own update/churn replay, not the driver's loop: a shard has no
+   reference graph and no compute phase to run).  A
    pure function of ``(stream, config, shard)``, so running shards in
    a process pool or in-process yields bit-identical arrays; workers
    read the stream through the mmap directory or a shared-memory
    segment -- never a pickled copy.
-2. **Replay** (the inherited :class:`StreamDriver` loop): the parent
-   runs reference graph, degrees, incidence, and the full compute
-   phase exactly as the serial driver -- so algorithm values, inserted
-   counts, and compute cycles are bit-identical to ``shards=1`` -- and
+2. **Replay** (:class:`StreamDriver`'s one batch loop over a
+   :class:`ShardPlanPlane`): the parent runs reference graph, degrees
+   and the full compute phase exactly as the serial driver -- so
+   algorithm values, inserted and removed counts, and compute cycles
+   are bit-identical to ``shards=1`` -- and the plane
    fills each batch's update latency from the plan:
    ``max over shards of the shard makespan + the cross-shard merge
    charge`` (:func:`repro.sim.counters.shard_merge_cycles`).
@@ -61,13 +64,14 @@ from repro.sim.cost_model import CostModel
 from repro.sim.counters import shard_merge_cycles
 from repro.sim.machine import MachineConfig
 from repro.streaming import shm
-from repro.streaming.batching import make_batches
+from repro.streaming.batching import batch_count, make_batches
 from repro.streaming.driver import (
     REP_SEED_STRIDE,
     StreamConfig,
     StreamDriver,
+    UpdatePlane,
+    churn_victims,
 )
-from repro.streaming.results import BatchRecord
 
 
 def shard_of(
@@ -131,7 +135,6 @@ class ShardPlan:
 
     shards: int
     update_makespan: np.ndarray
-    update_work: np.ndarray
     inserted: np.ndarray
     delete_makespan: np.ndarray
     removed: np.ndarray
@@ -171,21 +174,32 @@ def _simulate_shard(task: _ShardTask) -> dict:
         TRACER.enabled, TRACER.keep_events, TRACER.sim_timeline = tracer_state
 
 
+def _home_share(edges: EdgeBatch, task: _ShardTask) -> EdgeBatch:
+    """The rows of ``edges`` whose home shard is ``task.shard``."""
+    mask = task.shard == shard_of(
+        edges.src, edges.dst, task.shards, task.max_nodes, task.directed
+    )
+    return EdgeBatch(
+        src=edges.src[mask], dst=edges.dst[mask], weight=edges.weight[mask]
+    )
+
+
 def _simulate_shard_inner(task: _ShardTask, edges: EdgeBatch) -> dict:
     ctx = ExecutionContext(
         machine=task.machine, threads=task.threads, cost_model=task.cost_model
     )
-    reps = task.repetitions
-    num_batches = (len(edges) + task.batch_size - 1) // task.batch_size
-    num_structs = len(task.structures)
-    shape = (reps, num_batches, num_structs)
-    update_makespan = np.zeros(shape)
-    update_work = np.zeros(shape)
-    inserted = np.zeros(shape, dtype=np.int64)
-    delete_makespan = np.zeros(shape)
-    removed = np.zeros(shape, dtype=np.int64)
-    started = time.perf_counter()
-    for rep in range(reps):
+    shape = (
+        task.repetitions,
+        batch_count(len(edges), task.batch_size),
+        len(task.structures),
+    )
+    columns = {
+        "update_makespan": np.zeros(shape),
+        "inserted": np.zeros(shape, dtype=np.int64),
+        "delete_makespan": np.zeros(shape),
+        "removed": np.zeros(shape, dtype=np.int64),
+    }
+    for rep in range(task.repetitions):
         batches = make_batches(
             edges,
             task.batch_size,
@@ -201,50 +215,23 @@ def _simulate_shard_inner(task: _ShardTask, edges: EdgeBatch) -> dict:
             for name in task.structures
         }
         for batch_index, batch in enumerate(batches):
-            ids = shard_of(
-                batch.src, batch.dst, task.shards, task.max_nodes, task.directed
-            )
-            mask = ids == task.shard
-            sub = EdgeBatch(
-                src=batch.src[mask],
-                dst=batch.dst[mask],
-                weight=batch.weight[mask],
-            )
-            for si, name in enumerate(task.structures):
-                update = structures[name].update(sub, ctx)
-                update_makespan[rep, batch_index, si] = update.latency_cycles
-                update_work[rep, batch_index, si] = (
-                    update.schedule.total_work_cycles
-                )
-                inserted[rep, batch_index, si] = update.edges_inserted
+            phases = [
+                ("update", batch, columns["update_makespan"], columns["inserted"])
+            ]
             if task.churn_fraction > 0.0 and len(batch):
-                victims = batch.slice(
-                    0, max(1, int(len(batch) * task.churn_fraction))
+                # The victims are the head of the whole batch, as in the
+                # serial loop; this shard deletes the ones it owns.
+                victims = churn_victims(batch, task.churn_fraction)
+                phases.append(
+                    ("delete", victims, columns["delete_makespan"], columns["removed"])
                 )
-                vids = shard_of(
-                    victims.src, victims.dst, task.shards, task.max_nodes,
-                    task.directed,
-                )
-                vmask = vids == task.shard
-                sub_victims = EdgeBatch(
-                    src=victims.src[vmask],
-                    dst=victims.dst[vmask],
-                    weight=victims.weight[vmask],
-                )
+            for operation, affected, makespans, counts in phases:
+                share = _home_share(affected, task)
                 for si, name in enumerate(task.structures):
-                    deletion = structures[name].delete(sub_victims, ctx)
-                    delete_makespan[rep, batch_index, si] = (
-                        deletion.latency_cycles
-                    )
-                    removed[rep, batch_index, si] = deletion.edges_inserted
-    return {
-        "update_makespan": update_makespan,
-        "update_work": update_work,
-        "inserted": inserted,
-        "delete_makespan": delete_makespan,
-        "removed": removed,
-        "wall_seconds": time.perf_counter() - started,
-    }
+                    outcome = getattr(structures[name], operation)(share, ctx)
+                    makespans[rep, batch_index, si] = outcome.latency_cycles
+                    counts[rep, batch_index, si] = outcome.edges_inserted
+    return columns
 
 
 def _mmap_directory(edges: EdgeBatch) -> Optional[str]:
@@ -265,9 +252,70 @@ def _mmap_directory(edges: EdgeBatch) -> Optional[str]:
     return str(directory)
 
 
+class ShardPlanPlane(UpdatePlane):
+    """The sharded driver's plane: lookups into a :class:`ShardPlan`.
+
+    Nothing ingests in this process -- the shards already did, in phase
+    1 -- so a batch's update latency is the slowest shard's makespan
+    plus the cross-shard merge charge, and the counts handed to the
+    reference cross-check are the sums over shards.
+    """
+
+    def __init__(self, config: StreamConfig, dataset, ctx, plan: ShardPlan) -> None:
+        super().__init__(config, dataset, ctx, config.models, config.structures)
+        self.plan = plan
+
+    def _cross(self, edges) -> int:
+        return cross_shard_count(
+            edges.src, edges.dst, self.plan.shards, self.dataset.max_nodes
+        )
+
+    def _lookup(self, cross: int, record, makespans, counts) -> Dict[str, int]:
+        merge = shard_merge_cycles(cross, self.ctx.machine)
+        totals: Dict[str, int] = {}
+        for si, name in enumerate(self.structures):
+            per_shard = (record.repetition, record.batch_index, slice(None), si)
+            cycles = float(makespans[per_shard].max()) + merge
+            record.update_cycles[name] = record.update_cycles.get(name, 0.0) + cycles
+            totals[name] = int(counts[per_shard].sum())
+            if METRICS.enabled:
+                METRICS.histogram(
+                    "stream_update_latency_seconds",
+                    "simulated per-batch update latency",
+                    structure=name,
+                ).observe(self.ctx.seconds(cycles))
+        return totals
+
+    def update(self, batch, record, reference) -> Dict[str, int]:
+        merge_started = time.perf_counter()
+        cross = self._cross(batch)
+        inserted = self._lookup(
+            cross, record, self.plan.update_makespan, self.plan.inserted
+        )
+        if METRICS.enabled:
+            METRICS.counter(
+                "shard_cross_edges_total",
+                "edges crossing vertex partitions (merge traffic units)",
+                dataset=self.dataset.name,
+            ).inc(cross)
+            METRICS.histogram(
+                "shard_merge_seconds",
+                "wall time of the per-batch cross-shard merge step",
+                dataset=self.dataset.name,
+            ).observe(time.perf_counter() - merge_started)
+        return inserted
+
+    def delete(self, victims, record) -> Dict[str, int]:
+        return self._lookup(
+            self._cross(victims), record,
+            self.plan.delete_makespan, self.plan.removed,
+        )
+
+
 class ShardedStreamDriver(StreamDriver):
     """Drives one dataset with partition-parallel update simulation.
 
+    :class:`StreamDriver`'s batch loop over a :class:`ShardPlanPlane`.
     ``parallel=True`` (default) fans the shard replays out over a
     process pool, reading the stream through its mmap directory when
     the dataset is mmap-backed, else through a temporary shared-memory
@@ -281,9 +329,12 @@ class ShardedStreamDriver(StreamDriver):
     ) -> None:
         super().__init__(config)
         self.parallel = parallel
-        self._plan: Optional[ShardPlan] = None
 
-    # -- phase 1: shard simulation --------------------------------------
+    def _make_plane(self, dataset, ctx) -> ShardPlanPlane:
+        """Phase 1, then the plane phase 2 reads it through."""
+        return ShardPlanPlane(
+            self.config, dataset, ctx, self._simulate_shards(dataset)
+        )
 
     def _shard_tasks(self, dataset, source: tuple) -> list:
         cfg = self.config
@@ -340,16 +391,11 @@ class ShardedStreamDriver(StreamDriver):
                 stream.unlink()
         plan = ShardPlan(
             shards=cfg.shards,
-            update_makespan=np.stack(
-                [out["update_makespan"] for out in outs], axis=2
-            ),
-            update_work=np.stack([out["update_work"] for out in outs], axis=2),
-            inserted=np.stack([out["inserted"] for out in outs], axis=2),
-            delete_makespan=np.stack(
-                [out["delete_makespan"] for out in outs], axis=2
-            ),
-            removed=np.stack([out["removed"] for out in outs], axis=2),
             sim_seconds=time.perf_counter() - started,
+            **{
+                column: np.stack([out[column] for out in outs], axis=2)
+                for column in outs[0]
+            },
         )
         if METRICS.enabled:
             METRICS.histogram(
@@ -358,83 +404,3 @@ class ShardedStreamDriver(StreamDriver):
                 dataset=dataset.name,
             ).observe(plan.sim_seconds)
         return plan
-
-    # -- phase 2: replay with plan lookups ------------------------------
-
-    def run(self, dataset):
-        self._plan = self._simulate_shards(dataset)
-        try:
-            return super().run(dataset)
-        finally:
-            self._plan = None
-
-    def _make_structures(self, dataset) -> Dict[str, object]:
-        # Structures were already simulated shard by shard in phase 1.
-        return {}
-
-    def _update_structures(
-        self,
-        structures: Dict[str, object],
-        batch,
-        dataset,
-        ctx: ExecutionContext,
-        record: BatchRecord,
-        sim_clocks: Dict[str, float],
-    ) -> Dict[str, int]:
-        cfg = self.config
-        plan = self._plan
-        r, b = record.repetition, record.batch_index
-        merge_started = time.perf_counter()
-        cross = cross_shard_count(
-            batch.src, batch.dst, cfg.shards, dataset.max_nodes
-        )
-        merge = shard_merge_cycles(cross, ctx.machine)
-        inserted: Dict[str, int] = {}
-        for si, name in enumerate(cfg.structures):
-            makespan = float(plan.update_makespan[r, b, :, si].max())
-            record.update_cycles[name] = makespan + merge
-            inserted[name] = int(plan.inserted[r, b, :, si].sum())
-            if METRICS.enabled:
-                METRICS.histogram(
-                    "stream_update_latency_seconds",
-                    "simulated per-batch update latency",
-                    structure=name,
-                ).observe(ctx.seconds(makespan + merge))
-        if METRICS.enabled:
-            METRICS.counter(
-                "shard_cross_edges_total",
-                "edges crossing vertex partitions (merge traffic units)",
-                dataset=dataset.name,
-            ).inc(cross)
-            METRICS.histogram(
-                "shard_merge_seconds",
-                "wall time of the per-batch cross-shard merge step",
-                dataset=dataset.name,
-            ).observe(time.perf_counter() - merge_started)
-        return inserted
-
-    def _delete_structures(
-        self,
-        structures: Dict[str, object],
-        victims,
-        dataset,
-        ctx: ExecutionContext,
-        record: BatchRecord,
-        sim_clocks: Dict[str, float],
-    ) -> None:
-        cfg = self.config
-        plan = self._plan
-        r, b = record.repetition, record.batch_index
-        cross = cross_shard_count(
-            victims.src, victims.dst, cfg.shards, dataset.max_nodes
-        )
-        merge = shard_merge_cycles(cross, ctx.machine)
-        for si, name in enumerate(cfg.structures):
-            makespan = float(plan.delete_makespan[r, b, :, si].max())
-            record.update_cycles[name] += makespan + merge
-            if METRICS.enabled:
-                METRICS.histogram(
-                    "stream_update_latency_seconds",
-                    "simulated per-batch update latency",
-                    structure=name,
-                ).observe(ctx.seconds(makespan + merge))

@@ -171,6 +171,76 @@ class TestSSSPRefusedInput:
                 SSSP(delta=1e-9).fs_run(view, source=0)
 
 
+class TestSourceRange:
+    """``fs_run`` / ``inc_run`` / ``inc_delete_run`` are public: a root
+    outside the id space is refused before any value is written."""
+
+    EDGES = [(0, 1, 1.0), (1, 2, 1.0), (7, 3, 1.0)]
+
+    @ENGINES
+    def test_negative_source_is_refused_by_every_entry_point(self, engine):
+        """In a child process: the compiled kernels read ``starts[-1]``
+        (SIGSEGV at the parent), the numpy engines wrapped to vertex 7
+        and answered ``[inf inf inf 1 inf inf inf 0]`` for it."""
+        script = (
+            "from repro.algorithms import get_algorithm\n"
+            "from repro.errors import SimulationError\n"
+            "from repro.graph import EdgeBatch, ReferenceGraph\n"
+            f"batch = EdgeBatch.from_edges({self.EDGES!r})\n"
+            "view = ReferenceGraph(8, directed=True)\n"
+            "view.update(batch)\n"
+            "for name in ('BFS', 'SSSP', 'SSWP'):\n"
+            "    algorithm = get_algorithm(name)\n"
+            "    state = algorithm.make_state(8)\n"
+            "    before = state.values.copy()\n"
+            "    for call in (\n"
+            "        lambda: algorithm.fs_run(view, source=-1),\n"
+            "        lambda: algorithm.inc_run(view, state, [0, 1, 2, 3, 7], source=-1),\n"
+            "        lambda: algorithm.inc_delete_run(view, state, batch, source=-1),\n"
+            "    ):\n"
+            "        try:\n"
+            "            print(name, 'answered', call().values.tolist())\n"
+            "        except SimulationError as exc:\n"
+            "            assert (state.values == before).all()\n"
+            "            print(name, 'refused:', exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop(ckernels.DISABLE_ENV, None)
+        if engine is not None:
+            env[ckernels.DISABLE_ENV] = engine
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, (child.returncode, child.stderr)
+        assert child.stdout.splitlines() == [
+            f"{name} refused: {name}: source vertex -1 is outside [0, 8)"
+            for name in ("BFS", "SSSP", "SSWP")
+            for _ in range(3)
+        ]
+
+    @ENGINES
+    @pytest.mark.parametrize("name", ["BFS", "SSSP", "SSWP"])
+    def test_bounds(self, engine, name):
+        """The bound is the id space, not the live vertex count: a root
+        the stream has not reached yet is legal and reaches nothing."""
+        algorithm = get_algorithm(name)
+        view = _weighted(self.EDGES[:2])  # 4 ids, 3 of them live
+        with ccompute_env(engine):
+            for source in (4, 5):
+                with pytest.raises(SimulationError, match=rf"{source} is outside \[0, 4\)"):
+                    algorithm.fs_run(view, source=source)
+                with pytest.raises(SimulationError, match=rf"{source} is outside \[0, 4\)"):
+                    algorithm.inc_run(
+                        view, algorithm.make_state(4), [0, 1, 2], source=source
+                    )
+            assert view.num_nodes == 3
+            unreached = algorithm.fs_run(view, source=3)
+            reached = algorithm.fs_run(view, source=0)
+        assert len(set(unreached.values.tolist())) == 1
+        assert len(set(reached.values.tolist())) > 1
+
+
 class TestSSWP:
     def test_widths_match_bruteforce(self, graph_pair):
         reference, nx_graph = graph_pair

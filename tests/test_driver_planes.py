@@ -1,0 +1,499 @@
+"""The three drivers' batch loops, pinned against each other.
+
+One stream (Talk at 0.05, batch 400, BFS/PR/SSSP under FS and INC,
+churn 0.25, candidate structures AS and DAH) through every path --
+static, ``shards=2`` (in-process and pooled), adaptive (free-running
+and with a forced plan that migrates twice) -- with the feature log,
+the metrics registry and the span tracer on.  Everything the paths
+share must come out equal; everything they differ in is asserted
+against an independent restatement.
+
+Each docstring names the seeded loop mutants its assertions were seen
+to kill.
+"""
+
+from collections import Counter, namedtuple
+
+import numpy as np
+import pytest
+
+from repro.datasets import load_dataset
+from repro.graph import EdgeBatch, make_structure
+from repro.graph.base import ExecutionContext
+from repro.obs import METRICS, TRACER
+from repro.obs.features import FEATURES
+from repro.sim.counters import shard_merge_cycles
+from repro.streaming import StreamConfig, StreamDriver, make_batches
+from repro.streaming.autotune import AdaptiveStreamDriver
+from repro.streaming.sharded import (
+    ShardedStreamDriver,
+    cross_shard_count,
+    shard_of,
+)
+
+STRUCTURES = ("AS", "DAH")
+ALGORITHMS = ("BFS", "PR", "SSSP")
+MODELS = ("FS", "INC")
+BATCH_SIZE = 400
+CHURN = 0.25
+SHARDS = 2
+BATCHES = 6
+#: Migrates at batches 2 and 4.
+FORCED_PLAN = {0: "AS", 1: "AS", 2: "DAH", 3: "DAH", 4: "AS", 5: "AS"}
+
+#: The series the driver loop (not the structures or kernels) owns.
+DRIVER_FAMILIES = ("stream_", "autotune_", "shard_")
+DRIVER_SPANS = ("autotune.decide", "compute.view", "compute", "autotune.migrate")
+
+Observed = namedtuple(
+    "Observed", "result rows metrics spans compute_span_cycles lines driver"
+)
+
+
+def _dataset():
+    return load_dataset("Talk", size_factor=0.05)
+
+
+def _config(**overrides):
+    fields = dict(
+        batch_size=BATCH_SIZE,
+        structures=STRUCTURES,
+        algorithms=ALGORITHMS,
+        models=MODELS,
+        churn_fraction=CHURN,
+    )
+    fields.update(overrides)
+    return StreamConfig(**fields)
+
+
+def _adaptive_config():
+    return _config(
+        structures=("adaptive",),
+        models=("adaptive",),
+        candidate_structures=STRUCTURES,
+        candidate_models=MODELS,
+    )
+
+
+def _observe(driver, observability=True):
+    """Run ``driver`` on the stream with every registry on (or off)."""
+    lines = []
+    driver.config.progress = lines.append
+    registries = (FEATURES, METRICS, TRACER)
+    for registry in registries:
+        registry.disable()
+        registry.reset()
+    if observability:
+        FEATURES.enable()
+        METRICS.enable()
+        TRACER.enable(keep_events=True)
+    try:
+        result = driver.run(_dataset())
+        return Observed(
+            result=result,
+            rows=FEATURES.rows(),
+            metrics=METRICS.snapshot(),
+            spans=Counter(event[0] for event in TRACER.events()),
+            compute_span_cycles=TRACER.phase_cycles().get("compute", 0.0),
+            lines=lines,
+            driver=driver,
+        )
+    finally:
+        for registry in registries:
+            registry.disable()
+            registry.reset()
+
+
+@pytest.fixture(scope="module")
+def paths():
+    forced = AdaptiveStreamDriver(_adaptive_config())
+    forced.forced_plan = dict(FORCED_PLAN)
+    return {
+        "static": _observe(StreamDriver(_config())),
+        "sharded": _observe(
+            ShardedStreamDriver(_config(shards=SHARDS), parallel=False)
+        ),
+        "pooled": _observe(
+            ShardedStreamDriver(_config(shards=SHARDS), parallel=True)
+        ),
+        "free": _observe(AdaptiveStreamDriver(_adaptive_config())),
+        "forced": _observe(forced),
+    }
+
+
+def _rows(observed, phase):
+    return [
+        {key: value for key, value in row.items() if key != "wall_seconds"}
+        for row in observed.rows
+        if row["phase"] == phase
+    ]
+
+
+def _decisions(observed):
+    return observed.driver.decision_log["decisions"]
+
+
+def _owned(names, prefixes):
+    return {name for name in names if name.startswith(prefixes)}
+
+
+class TestSharedHalf:
+    """What no plane may change."""
+
+    def test_compute_feature_rows_equal_on_every_path(self, paths):
+        """6 batches x 3 algorithms x 2 models x 2 structures, as dicts.
+
+        Kills: the adaptive plane pricing only the live structure (36
+        rows short).
+        """
+        expected = _rows(paths["static"], "compute")
+        assert len(expected) == 72
+        for name, observed in paths.items():
+            assert _rows(observed, "compute") == expected, name
+
+    def test_stream_counters_equal_on_every_path(self, paths):
+        for name, observed in paths.items():
+            assert observed.metrics["stream_batches_total"] == {
+                "dataset=Talk": float(BATCHES)
+            }, name
+            assert observed.metrics["stream_edges_inserted_total"] == {
+                "dataset=Talk": 2232.0
+            }, name
+
+    def test_static_and_sharded_records_differ_only_in_update_cycles(self, paths):
+        """The plan-lookup plane changes who ingests and nothing else."""
+        static = paths["static"].result.records
+        for name in ("sharded", "pooled"):
+            records = paths[name].result.records
+            assert len(records) == len(static) == BATCHES
+            for ours, theirs in zip(records, static):
+                for field in (
+                    "repetition", "batch_index", "edges_attempted",
+                    "edges_inserted", "num_nodes", "num_edges",
+                    "compute_cycles", "compute_iterations",
+                ):
+                    assert getattr(ours, field) == getattr(theirs, field), (
+                        name, ours.batch_index, field,
+                    )
+        assert not np.array_equal(
+            paths["sharded"].result.update_cycles,
+            paths["static"].result.update_cycles,
+        )
+
+    def test_compute_span_carries_the_recorded_cycles(self, paths):
+        """One ``compute`` span per batch, its cycles the recorded cells'.
+
+        Kills: ``compute_span.add_cycles`` fed every candidate cell on
+        the adaptive plane (the span would carry the 2 x 2 matrix, four
+        times the chosen combination's cycles).
+        """
+        for name, observed in paths.items():
+            assert observed.spans["compute"] == BATCHES, name
+            assert observed.compute_span_cycles == pytest.approx(
+                float(observed.result.compute_cycles.sum()), rel=1e-12
+            ), name
+
+
+class TestObservabilityPerPath:
+    def test_driver_owned_metric_families(self, paths):
+        stream = {
+            "stream_batches_total",
+            "stream_compute_latency_seconds",
+            "stream_edges_inserted_total",
+            "stream_update_latency_seconds",
+        }
+        shard = {
+            "shard_cross_edges_total", "shard_merge_seconds", "shard_sim_seconds",
+        }
+        autotune = {
+            "autotune_actual_latency_seconds",
+            "autotune_est_regret_seconds_total",
+            "autotune_migrated_edges_total",
+            "autotune_migration_latency_seconds",
+            "autotune_predicted_latency_seconds",
+            "autotune_switches_total",
+        }
+        expected = {
+            "static": stream,
+            "sharded": stream | shard,
+            "pooled": stream | shard,
+            "free": stream | autotune,
+            "forced": stream | autotune,
+        }
+        for name, observed in paths.items():
+            assert _owned(observed.metrics, DRIVER_FAMILIES) == expected[name], name
+
+    def test_update_latency_series_per_path(self, paths):
+        """Every plane observes insert and delete separately under the
+        ingesting structure's name; the adaptive plane adds the whole
+        update phase, migration included, under ``structure="adaptive"``."""
+        for name in ("static", "sharded", "pooled"):
+            family = paths[name].metrics["stream_update_latency_seconds"]
+            assert {key: series["count"] for key, series in family.items()} == {
+                f"structure={s}": 2 * BATCHES for s in STRUCTURES
+            }, name
+        for name in ("free", "forced"):
+            observed = paths[name]
+            family = observed.metrics["stream_update_latency_seconds"]
+            live = Counter(d["structure"] for d in _decisions(observed))
+            assert {key: series["count"] for key, series in family.items()} == {
+                "structure=adaptive": BATCHES,
+                **{f"structure={s}": 2 * n for s, n in live.items()},
+            }, name
+            assert family["structure=adaptive"]["sum"] == pytest.approx(
+                float(observed.result.update_latency("adaptive").sum()), rel=1e-12
+            )
+            compute = observed.metrics["stream_compute_latency_seconds"]
+            assert set(compute) == {
+                f"algorithm={a},model=adaptive,structure=adaptive"
+                for a in ALGORITHMS
+            }
+
+    def test_driver_owned_spans(self, paths):
+        for name in ("static", "sharded", "pooled"):
+            spans = paths[name].spans
+            assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == {
+                "compute.view": BATCHES, "compute": BATCHES,
+            }, name
+        for name in ("free", "forced"):
+            observed = paths[name]
+            migrations = sum(
+                1 for d in _decisions(observed) if d["migration_seconds"] > 0.0
+            )
+            assert {s: observed.spans[s] for s in DRIVER_SPANS} == {
+                "autotune.decide": BATCHES,
+                "compute.view": BATCHES,
+                "compute": BATCHES,
+                "autotune.migrate": migrations,
+            }, name
+            switches = observed.metrics["autotune_switches_total"]
+            assert sum(switches.values()) == migrations
+        assert paths["forced"].spans["autotune.migrate"] == 2
+
+    def test_progress_lines(self, paths):
+        for name, observed in paths.items():
+            result = observed.result
+            suffixes = [""] * BATCHES
+            if name in ("free", "forced"):
+                suffixes = [
+                    f" [{d['structure']}/{d['reason']}]"
+                    for d in _decisions(observed)
+                ]
+            assert observed.lines == [
+                f"Talk rep 0 batch {b + 1}/{BATCHES}{suffixes[b]}: "
+                f"|V|={result.num_nodes[0, b]} |E|={result.num_edges[0, b]}"
+                for b in range(BATCHES)
+            ], name
+
+
+class TestShardedPlane:
+    def test_update_cycles_are_max_over_shards_plus_merge(self, paths):
+        """An independent replay: each shard ingests its sub-batch, the
+        churn victims are the head of the *whole* batch routed by home
+        shard, and the batch pays the slowest shard plus the merge
+        charge, once for the inserts and once for the deletions.
+
+        Kills: churn victims sliced from the shard's sub-batch instead
+        of the whole batch and the plan read at the wrong batch (both
+        also trip the loop's count cross-checks; this replay still
+        catches them under ``python -O``), the delete merge charge
+        dropped, the deletions not charged at all.
+        """
+        dataset = _dataset()
+        cfg = _config(shards=SHARDS)
+        ctx = ExecutionContext(
+            machine=cfg.machine, threads=cfg.threads, cost_model=cfg.cost_model
+        )
+        shards = [
+            {
+                name: make_structure(
+                    name, dataset.max_nodes, directed=dataset.directed,
+                    cost_model=cfg.cost_model,
+                )
+                for name in STRUCTURES
+            }
+            for _ in range(SHARDS)
+        ]
+
+        def routed(edges, shard):
+            mask = shard_of(
+                edges.src, edges.dst, SHARDS, dataset.max_nodes, dataset.directed
+            ) == shard
+            return EdgeBatch(
+                src=edges.src[mask], dst=edges.dst[mask], weight=edges.weight[mask]
+            )
+
+        def merge(edges):
+            return shard_merge_cycles(
+                cross_shard_count(edges.src, edges.dst, SHARDS, dataset.max_nodes),
+                cfg.machine,
+            )
+
+        expected = np.zeros((1, BATCHES, len(STRUCTURES)))
+        batches = make_batches(dataset.edges, BATCH_SIZE, shuffle_seed=cfg.shuffle_seed)
+        for b, batch in enumerate(batches):
+            victims = batch.slice(0, max(1, int(len(batch) * CHURN)))
+            for si, name in enumerate(STRUCTURES):
+                inserts = max(
+                    shards[k][name].update(routed(batch, k), ctx).latency_cycles
+                    for k in range(SHARDS)
+                )
+                deletes = max(
+                    shards[k][name].delete(routed(victims, k), ctx).latency_cycles
+                    for k in range(SHARDS)
+                )
+                expected[0, b, si] = (inserts + merge(batch)) + (
+                    deletes + merge(victims)
+                )
+        for name in ("sharded", "pooled"):
+            assert np.array_equal(paths[name].result.update_cycles, expected), name
+
+    def test_update_feature_rows_carry_the_plan_latency(self, paths):
+        static = _rows(paths["static"], "update")
+        for name in ("sharded", "pooled"):
+            observed = paths[name]
+            rows = _rows(observed, "update")
+            assert len(rows) == len(static) == BATCHES * len(STRUCTURES)
+            for ours, theirs in zip(rows, static):
+                assert ours["t_seconds"] == observed.result.update_latency(
+                    ours["structure"]
+                )[0, ours["batch"]], name
+                assert {k: v for k, v in ours.items() if k != "t_seconds"} == {
+                    k: v for k, v in theirs.items() if k != "t_seconds"
+                }
+
+
+class TestAdaptivePlane:
+    def test_update_rows_are_the_live_structures_static_rows(self, paths):
+        """The update feature row never includes a migration; the record
+        does, by exactly the migration's cycles.
+
+        Kills: migration cycles dropped from the record, migration
+        cycles folded into the row the controller fits from, the update
+        row written for a structure other than the live one.
+        """
+        static = paths["static"]
+        static_rows = {
+            (row["batch"], row["structure"]): row for row in _rows(static, "update")
+        }
+        for name in ("free", "forced"):
+            observed = paths[name]
+            rows = _rows(observed, "update")
+            decisions = _decisions(observed)
+            assert len(rows) == len(decisions) == BATCHES
+            for row, decision in zip(rows, decisions):
+                b, live = decision["batch"], decision["structure"]
+                assert row == static_rows[(b, live)], (name, b)
+                extra = (
+                    observed.result.update_cycles[0, b, 0]
+                    - static.result.update_cycles[0, b, STRUCTURES.index(live)]
+                )
+                if decision["migration_seconds"] == 0.0:
+                    assert extra == 0.0, (name, b)
+                else:
+                    assert static.result.machine.cycles_to_seconds(
+                        extra
+                    ) == pytest.approx(decision["migration_seconds"], rel=1e-9)
+        migrating = [
+            d["batch"] for d in _decisions(paths["forced"])
+            if d["migration_seconds"] > 0.0
+        ]
+        assert migrating == [2, 4]
+
+    def test_recorded_cells_are_the_chosen_combination(self, paths):
+        static = paths["static"].result
+        for name in ("free", "forced"):
+            adaptive = paths[name].result
+            assert adaptive.structures == ("adaptive",)
+            assert adaptive.models == ("adaptive",)
+            for decision in _decisions(paths[name]):
+                b = decision["batch"]
+                si = STRUCTURES.index(decision["structure"])
+                for ai, algorithm in enumerate(ALGORITHMS):
+                    mi = MODELS.index(decision["models"][algorithm])
+                    assert (
+                        adaptive.compute_cycles[0, b, ai, 0, 0]
+                        == static.compute_cycles[0, b, ai, mi, si]
+                    )
+                    assert (
+                        adaptive.compute_iterations[0, b, ai, 0]
+                        == static.compute_iterations[0, b, ai, mi]
+                    )
+
+    def test_free_running_decisions(self, paths):
+        """The controller saw every candidate cell, in loop order.
+
+        Kills: ``observe_compute`` fed only the live structure (DAH's
+        compute fits stay empty through the two AS batches, so batch 2
+        falls back to the cold-start INC for every algorithm),
+        ``observe_update`` never called.
+        """
+        decisions = _decisions(paths["free"])
+        assert [(d["structure"], d["reason"]) for d in decisions] == [
+            ("AS", "start"), ("AS", "explore"), ("DAH", "explore"),
+            ("DAH", "explore"), ("DAH", "stay"), ("DAH", "hold"),
+        ]
+        # Batch 2 is DAH's first live batch: its model picks can only
+        # come from cells priced while AS was the live structure.
+        assert [
+            "".join(d["models"][a][0] for a in ALGORITHMS) for d in decisions
+        ] == ["III", "FII", "FIF", "FII", "FIF", "FIF"]
+        static = paths["static"].result
+        for decision in decisions:
+            chosen = sum(
+                static.compute_latency(
+                    a, decision["models"][a], decision["structure"]
+                )[0, decision["batch"]]
+                for a in ALGORITHMS
+            )
+            update = static.update_latency(decision["structure"])[
+                0, decision["batch"]
+            ]
+            assert decision["actual_seconds"] == pytest.approx(
+                update + chosen, rel=1e-12
+            )
+        assert paths["free"].driver.decision_log["summary"]["switches"] == 1
+
+    def test_decisions_do_not_depend_on_the_feature_log(self, paths):
+        """Kills: ops decomposition skipped when the controller needs it
+        (with ``FEATURES`` off nothing else asks for it)."""
+        quiet = AdaptiveStreamDriver(_adaptive_config())
+        observed = _observe(quiet, observability=False)
+        assert observed.rows == [] and observed.metrics == {}
+        assert _decisions(observed) == _decisions(paths["free"])
+        assert np.array_equal(
+            observed.result.update_cycles, paths["free"].result.update_cycles
+        )
+        assert np.array_equal(
+            observed.result.compute_cycles, paths["free"].result.compute_cycles
+        )
+
+
+class TestDeletionCrossCheck:
+    """The loop holds every plane's removed count to the reference
+    graph's, as it always held the inserted count (new with the one
+    loop: nothing checked a structure's deletions before)."""
+
+    @pytest.mark.skipif(not __debug__, reason="the cross-check is an assert")
+    @pytest.mark.parametrize("path", ["static", "sharded", "adaptive"])
+    def test_under_reported_removal_is_caught(self, monkeypatch, path):
+        from repro.graph.base import GraphDataStructure
+
+        honest = GraphDataStructure.delete
+
+        def forgetful(self, batch, ctx=None):
+            result = honest(self, batch, ctx)
+            if self.name == "DAH" and result.edges_inserted:
+                result.edges_inserted -= 1
+            return result
+
+        monkeypatch.setattr(GraphDataStructure, "delete", forgetful)
+        if path == "static":
+            driver = StreamDriver(_config())
+        elif path == "sharded":
+            driver = ShardedStreamDriver(_config(shards=SHARDS), parallel=False)
+        else:
+            driver = AdaptiveStreamDriver(_adaptive_config())
+            driver.forced_plan = {0: "DAH"}
+        with pytest.raises(AssertionError, match="DAH removed .* reference graph removed"):
+            driver.run(_dataset())

@@ -1,5 +1,10 @@
 """Tests for batching, the stream driver, and result series."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from repro.datasets import load_dataset
 from repro.errors import ConfigError, DatasetError, SimulationError
 from repro.graph import EdgeBatch
 from repro.streaming import StreamConfig, StreamDriver, make_batches
+from repro.streaming.driver import pick_source
 from tests.conftest import SMALL_MACHINE
 
 
@@ -58,6 +64,83 @@ class TestStreamConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             StreamConfig(**kwargs)
+
+
+    @pytest.mark.parametrize(
+        "field",
+        ["structures", "algorithms", "models",
+         "candidate_structures", "candidate_models"],
+    )
+    def test_repeated_name_is_refused(self, field):
+        """A repeated entry used to be accepted and not run twice: both
+        shared one structure / one INC state / one result key, and the
+        second run of the batch overwrote the first's numbers."""
+        entry = {"structures": "AS", "algorithms": "BFS", "models": "INC",
+                 "candidate_structures": "AS", "candidate_models": "INC"}[field]
+        kwargs = {field: (entry, entry)}
+        if field.startswith("candidate"):
+            kwargs.update(structures=("adaptive",), models=("adaptive",))
+        with pytest.raises(ConfigError, match=f"{entry!r} is listed more than once"):
+            StreamConfig(**kwargs)
+
+    def test_repeated_algorithm_recorded_the_second_runs_numbers(self):
+        """``("BFS", "BFS")`` recorded 1 362.48 cycles / 1 iteration for
+        this cell: the second ``inc_run`` of the batch, with nothing
+        left to do."""
+        dataset = load_dataset("RMAT", size_factor=0.02)
+        result = StreamDriver(
+            StreamConfig(batch_size=500, structures=("AS",), algorithms=("BFS",))
+        ).run(dataset)
+        inc = result.models.index("INC")
+        assert result.compute_cycles[0, 1, 0, inc, 0] == pytest.approx(5257.90, abs=0.01)
+        assert result.compute_iterations[0, 1, 0, inc] == 16
+
+
+class TestSource:
+    """``StreamConfig.source`` is outside input: a vertex id of the
+    dataset or a ``ConfigError``, never a crash or another vertex."""
+
+    CONFIG = dict(batch_size=500, structures=("AS",), algorithms=("BFS", "SSSP"))
+
+    def test_negative_source_is_refused_not_crashed_on(self):
+        """In a child process: ``source=-1`` made the compiled relaxation
+        kernel read ``starts[-1]`` (SIGSEGV), and the numpy engines
+        answer for vertex ``max_nodes - 1``."""
+        script = (
+            "from repro.datasets import load_dataset\n"
+            "from repro.errors import ConfigError\n"
+            "from repro.streaming import StreamConfig, StreamDriver\n"
+            f"config = StreamConfig(source=-1, **{self.CONFIG!r})\n"
+            "try:\n"
+            "    StreamDriver(config).run(load_dataset('Talk', size_factor=0.05))\n"
+            "except ConfigError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, (child.returncode, child.stderr)
+        assert child.stdout.startswith("refused: source -1 is not a vertex id")
+
+    def test_source_past_the_id_space_is_a_config_error(self):
+        dataset = load_dataset("Talk", size_factor=0.05)
+        config = StreamConfig(source=dataset.max_nodes, **self.CONFIG)
+        with pytest.raises(ConfigError, match="not a vertex id of Talk"):
+            StreamDriver(config).run(dataset)
+        assert pick_source(dataset, dataset.max_nodes - 1) == dataset.max_nodes - 1
+
+    def test_default_is_the_hottest_source(self):
+        dataset = load_dataset("Talk", size_factor=0.05)
+        assert pick_source(dataset) == int(np.bincount(dataset.edges.src).argmax())
+
+    def test_edgeless_stream_has_no_default_source(self):
+        dataset = load_dataset("Talk", size_factor=0.05)
+        empty = dataclasses.replace(dataset, edges=EdgeBatch.empty())
+        with pytest.raises(ConfigError, match="no edges"):
+            StreamDriver(StreamConfig(**self.CONFIG)).run(empty)
+        assert pick_source(empty, 3) == 3
 
 
 @pytest.fixture(scope="module")
