@@ -13,7 +13,7 @@ and then this script, over three execution paths::
     PYTHONPATH=src python scripts/validate_obs.py --no-sim /tmp/t.json /tmp/m.prom
 
     # multiprocess sweep (worker payloads merged into the parent)
-    SAGA_BENCH_SHM=1 PYTHONPATH=src python -m repro table3 --quick --jobs 2 ...
+    PYTHONPATH=src python -m repro table3 --quick --jobs 2 ...
     PYTHONPATH=src python scripts/validate_obs.py \
         --require sweep_cell_seconds /tmp/t.json /tmp/m.prom
 

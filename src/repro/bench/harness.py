@@ -39,7 +39,7 @@ DEFAULT_HISTORY = "BENCH_history.jsonl"
 
 #: Top-level bench-payload keys that describe the environment a number
 #: was measured in (copied verbatim into the history record).
-_ENV_KEYS = ("python", "ckernel_loaded", "cingest_loaded", "compute_threads")
+_ENV_KEYS = ("python", "ckernel_loaded", "cingest_loaded")
 
 
 # ----------------------------------------------------------------------

@@ -48,24 +48,17 @@ Gates:
 - ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build into a hard
   error instead of the silent numpy fallback (CI sets it so a broken
   toolchain cannot masquerade as a perf regression).
-- ``SAGA_BENCH_COMPUTE_THREADS=N`` runs the INC round body on a
-  persistent pthread pool.  Results are bit-identical at every thread
-  count: the round is partitioned into flow-dependency levels, each
-  level's recalculation is a pure parallel gather against the values
-  array as of the previous level, and write-back, triggering, and
-  dedup stay in the serial order.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-from typing import FrozenSet, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.obs.metrics import METRICS
-from repro.sim.cbuild import load_library
+from repro.sim.cbuild import NativeLibrary
 
 #: Disable compiled compute kernels: "1"/"all", or a comma list of
 #: kernel names (see :data:`KERNEL_NAMES`).
@@ -73,9 +66,6 @@ DISABLE_ENV = "SAGA_BENCH_NO_CCOMPUTE"
 
 #: When set, a failed build raises instead of falling back to numpy.
 REQUIRE_ENV = "SAGA_BENCH_REQUIRE_CCOMPUTE"
-
-#: Thread count for the fused INC round (default 1 = serial).
-THREADS_ENV = "SAGA_BENCH_COMPUTE_THREADS"
 
 #: Individually gateable kernel names.
 KERNEL_NAMES = frozenset(
@@ -130,7 +120,6 @@ _SOURCE = r"""
 #include <string.h>
 #include <math.h>
 #include <float.h>
-#include <pthread.h>
 
 /* Compute-phase inner loops.  Every function mirrors a numpy kernel
  * (or the sequential per-vertex loop it vectorizes) operation for
@@ -301,11 +290,11 @@ static void sort_ids(int64_t *ids, int64_t n)
         memcpy(ids, src, (size_t)n * sizeof(int64_t));
 }
 
-/* ---- INC-round vertex recalculation ------------------------------
- * The Table-I vertex functions, factored out so the serial loop and
- * the threaded gather run the exact same IEEE float64 operations in
- * the exact same order (the build forbids FMA contraction, so
- * inlining context cannot change a single bit). */
+/* ---- vertex recalculation ----------------------------------------
+ * The Table-I vertex functions, factored out so the INC round and the
+ * Jacobi sweep run the exact same IEEE float64 operations in the exact
+ * same order (the build forbids FMA contraction, so inlining context
+ * cannot change a single bit). */
 static double inc_recalc(
     int64_t v,
     const double *values,
@@ -366,343 +355,6 @@ static double inc_recalc(
     }
 }
 
-/* ---- persistent thread pool --------------------------------------
- * Workers live for the process; saga_set_threads spawns them lazily
- * and only ever grows the pool.  One gather job is in flight at a
- * time (calls arrive serialized from Python), dispatched by bumping a
- * generation counter under the mutex -- which also publishes the
- * values written back between levels to every worker. */
-
-#define SAGA_MAX_THREADS 64
-#define SAGA_MT_GRAIN 64 /* min positions per gather slice */
-
-static struct {
-    const int64_t *order; /* positions sorted by dependency level */
-    int64_t base;         /* current level's slice of order[] */
-    int64_t count;
-    int nslices;
-    const int64_t *frontier;
-    const int64_t *in_starts, *in_lens, *in_cols;
-    const double *in_wts;
-    const int64_t *out_deg;
-    const double *values;
-    double *nv;
-    int32_t op;
-    int64_t pinned;
-    double pr_base, damping;
-} g_job;
-
-static pthread_mutex_t g_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t g_go = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t g_done = PTHREAD_COND_INITIALIZER;
-static pthread_t g_workers[SAGA_MAX_THREADS];
-static int g_spawned = 0;     /* workers running slices 1..g_spawned */
-static int64_t g_threads = 1; /* requested gather concurrency */
-static uint64_t g_gen = 0;
-static int g_pending = 0;
-
-static void inc_run_slice(int idx)
-{
-    int64_t len = g_job.count;
-    int64_t lo = g_job.base + len * idx / g_job.nslices;
-    int64_t hi = g_job.base + len * (idx + 1) / g_job.nslices;
-    int64_t i;
-    for (i = lo; i < hi; i++) {
-        int64_t p = g_job.order[i];
-        g_job.nv[p] = inc_recalc(
-            g_job.frontier[p], g_job.values, g_job.in_starts,
-            g_job.in_lens, g_job.in_cols, g_job.in_wts, g_job.out_deg,
-            g_job.op, g_job.pinned, g_job.pr_base, g_job.damping);
-    }
-}
-
-static void *inc_worker(void *arg)
-{
-    int idx = (int)(intptr_t)arg;
-    uint64_t seen_gen = 0;
-    pthread_mutex_lock(&g_mu);
-    for (;;) {
-        while (g_gen == seen_gen)
-            pthread_cond_wait(&g_go, &g_mu);
-        seen_gen = g_gen;
-        pthread_mutex_unlock(&g_mu);
-        if (idx < g_job.nslices)
-            inc_run_slice(idx);
-        pthread_mutex_lock(&g_mu);
-        if (--g_pending == 0)
-            pthread_cond_signal(&g_done);
-    }
-    return NULL;
-}
-
-/* fork() only carries the calling thread into the child: the pool's
- * workers are gone there, so a threaded gather would wait on g_done
- * forever (multiprocessing sweep workers fork with the pool live).
- * Reset the child to the serial path; it can saga_set_threads again. */
-static void saga_pool_atfork_child(void)
-{
-    g_spawned = 0;
-    g_threads = 1;
-    g_gen = 0;
-    g_pending = 0;
-    pthread_mutex_init(&g_mu, NULL);
-    pthread_cond_init(&g_go, NULL);
-    pthread_cond_init(&g_done, NULL);
-}
-
-static int g_atfork = 0;
-
-void saga_set_threads(int64_t n)
-{
-    if (n < 1)
-        n = 1;
-    if (n > SAGA_MAX_THREADS)
-        n = SAGA_MAX_THREADS;
-    if (!g_atfork) {
-        if (pthread_atfork(NULL, NULL, saga_pool_atfork_child) != 0)
-            return; /* can't make forking safe: stay serial */
-        g_atfork = 1;
-    }
-    while (g_spawned < n - 1) {
-        if (pthread_create(&g_workers[g_spawned], NULL, inc_worker,
-                           (void *)(intptr_t)(g_spawned + 1)) != 0)
-            break; /* cap at what the system could spawn */
-        g_spawned++;
-    }
-    if (n > g_spawned + 1)
-        n = g_spawned + 1;
-    g_threads = n;
-}
-
-int64_t saga_get_threads(void)
-{
-    return g_threads;
-}
-
-static void inc_gather_level(int64_t base, int64_t count)
-{
-    int nslices = (int)(count / SAGA_MT_GRAIN);
-    if (nslices > (int)g_threads)
-        nslices = (int)g_threads;
-    if (nslices < 2) {
-        g_job.base = base;
-        g_job.count = count;
-        g_job.nslices = 1;
-        inc_run_slice(0);
-        return;
-    }
-    pthread_mutex_lock(&g_mu);
-    g_job.base = base;
-    g_job.count = count;
-    g_job.nslices = nslices;
-    g_pending = g_spawned;
-    g_gen++;
-    pthread_cond_broadcast(&g_go);
-    pthread_mutex_unlock(&g_mu);
-    inc_run_slice(0);
-    pthread_mutex_lock(&g_mu);
-    while (g_pending > 0)
-        pthread_cond_wait(&g_done, &g_mu);
-    pthread_mutex_unlock(&g_mu);
-}
-
-/* ---- round-local scratch (calls are serialized) ------------------ */
-
-static int64_t *g_posmap = NULL; /* vertex -> frontier position, -1 */
-static int64_t g_posmap_cap = 0;
-static int64_t *g_scratch = NULL; /* lvl | order | cnt, cap each */
-static double *g_fscratch = NULL; /* nv | oldv, cap each */
-static int64_t g_scratch_cap = 0;
-
-static int inc_ensure_scratch(int64_t k)
-{
-    if (g_scratch_cap < k) {
-        int64_t cap = g_scratch_cap ? g_scratch_cap : 1024;
-        int64_t *si;
-        double *sf;
-        while (cap < k)
-            cap *= 2;
-        si = (int64_t *)malloc((size_t)(3 * cap + 1) * sizeof(int64_t));
-        sf = (double *)malloc((size_t)(2 * cap) * sizeof(double));
-        if (!si || !sf) {
-            free(si);
-            free(sf);
-            return 0;
-        }
-        free(g_scratch);
-        free(g_fscratch);
-        g_scratch = si;
-        g_fscratch = sf;
-        g_scratch_cap = cap;
-    }
-    return 1;
-}
-
-static int inc_posmap_reserve(int64_t need)
-{
-    if (g_posmap_cap < need) {
-        int64_t cap = g_posmap_cap ? g_posmap_cap : 4096;
-        int64_t *grown;
-        while (cap < need)
-            cap *= 2;
-        grown = (int64_t *)realloc(g_posmap, (size_t)cap * sizeof(int64_t));
-        if (!grown)
-            return 0;
-        memset(grown + g_posmap_cap, 0xFF,
-               (size_t)(cap - g_posmap_cap) * sizeof(int64_t));
-        g_posmap = grown;
-        g_posmap_cap = cap;
-    }
-    return 1;
-}
-
-/* Threaded INC round body.  Positions are partitioned into dependency
- * levels: a flow dependency (position p reads a value that an earlier
- * position q writes) forces lvl[p] > lvl[q]; an anti-dependency
- * (p reads a value a LATER position writes) floors that writer at
- * lvl[p].  Within a level no position reads another's write, so the
- * recalculation is a pure gather against the values array as of the
- * previous level -- parallel slices compute nv[], then write-back
- * runs serially.  Because the frontier is unique, values[v] at any
- * position's serial turn equals its round-start value, so old/new
- * pairs -- and hence the trigger scan, run in original sequential
- * order afterwards -- match the serial loop bit for bit.  Returns 0
- * on allocation failure (caller falls back to the serial loop). */
-static int inc_round_mt(
-    int64_t k,
-    const int64_t *frontier,
-    const int64_t *in_starts,
-    const int64_t *in_lens,
-    const int64_t *in_cols,
-    const double *in_wts,
-    const int64_t *out_starts,
-    const int64_t *out_lens,
-    const int64_t *out_cols,
-    const int64_t *out_deg,
-    double *values,
-    int32_t op,
-    double epsilon,
-    int64_t pinned,
-    double pr_base,
-    double damping,
-    uint8_t *seen,
-    int64_t *triggered,
-    int64_t *next_out,
-    int64_t *counts_out)
-{
-    int64_t p, j, i, nt = 0, cas = 0, nn = 0, maxlvl = 0, maxv = -1;
-    int64_t *lvl, *order, *cnt;
-    double *nv, *oldv;
-    if (!inc_ensure_scratch(k))
-        return 0;
-    lvl = g_scratch;
-    order = g_scratch + g_scratch_cap;
-    cnt = g_scratch + 2 * g_scratch_cap;
-    nv = g_fscratch;
-    oldv = g_fscratch + g_scratch_cap;
-    for (p = 0; p < k; p++)
-        if (frontier[p] > maxv)
-            maxv = frontier[p];
-    if (!inc_posmap_reserve(maxv + 1))
-        return 0;
-    for (p = 0; p < k; p++)
-        g_posmap[frontier[p]] = p;
-    for (p = 0; p < k; p++)
-        lvl[p] = 0;
-    for (p = 0; p < k; p++) {
-        int64_t v = frontier[p];
-        int64_t L = lvl[p]; /* anti-dependency floor so far */
-        if (v != pinned) {
-            int64_t s = in_starts[v];
-            int64_t d = in_lens[v];
-            for (j = 0; j < d; j++) {
-                int64_t u = in_cols[s + j];
-                int64_t q = u < g_posmap_cap ? g_posmap[u] : -1;
-                if (q >= 0 && q < p && lvl[q] + 1 > L)
-                    L = lvl[q] + 1;
-            }
-            for (j = 0; j < d; j++) {
-                int64_t u = in_cols[s + j];
-                int64_t q = u < g_posmap_cap ? g_posmap[u] : -1;
-                if (q > p && lvl[q] < L)
-                    lvl[q] = L;
-            }
-        }
-        lvl[p] = L;
-        if (L > maxlvl)
-            maxlvl = L;
-    }
-    /* Counting sort: order[] holds positions grouped by ascending
-     * level, ascending position within a level. */
-    for (i = 0; i <= maxlvl; i++)
-        cnt[i] = 0;
-    for (p = 0; p < k; p++)
-        cnt[lvl[p]]++;
-    {
-        int64_t off = 0;
-        for (i = 0; i <= maxlvl; i++) {
-            int64_t c = cnt[i];
-            cnt[i] = off;
-            off += c;
-        }
-    }
-    for (p = 0; p < k; p++)
-        order[cnt[lvl[p]]++] = p; /* cnt[i] becomes level i's end */
-    g_job.order = order;
-    g_job.frontier = frontier;
-    g_job.in_starts = in_starts;
-    g_job.in_lens = in_lens;
-    g_job.in_cols = in_cols;
-    g_job.in_wts = in_wts;
-    g_job.out_deg = out_deg;
-    g_job.values = values;
-    g_job.nv = nv;
-    g_job.op = op;
-    g_job.pinned = pinned;
-    g_job.pr_base = pr_base;
-    g_job.damping = damping;
-    {
-        int64_t base = 0;
-        for (i = 0; i <= maxlvl; i++) {
-            int64_t end = cnt[i];
-            inc_gather_level(base, end - base);
-            for (j = base; j < end; j++) {
-                int64_t pp = order[j];
-                int64_t v = frontier[pp];
-                oldv[pp] = values[v];
-                values[v] = nv[pp];
-            }
-            base = end;
-        }
-    }
-    for (p = 0; p < k; p++) {
-        double old = oldv[p];
-        double nvp = nv[p];
-        if (fabs(old - nvp) > epsilon) {
-            int64_t v = frontier[p];
-            int64_t s = out_starts[v];
-            int64_t d = out_lens[v];
-            triggered[nt++] = v;
-            for (j = 0; j < d; j++) {
-                int64_t t = out_cols[s + j];
-                cas++;
-                if (!seen[t]) {
-                    seen[t] = 1;
-                    next_out[nn++] = t;
-                }
-            }
-        }
-    }
-    for (p = 0; p < nn; p++)
-        seen[next_out[p]] = 0;
-    for (p = 0; p < k; p++)
-        g_posmap[frontier[p]] = -1;
-    counts_out[0] = nt;
-    counts_out[1] = cas;
-    counts_out[2] = nn;
-    return 1;
-}
-
 /* One whole INC round (Algorithm 1), fused: sequential Gauss-Seidel
  * over the ascending unique frontier -- each vertex recalculates from
  * the in-CSR reading values[] as they stand (earlier positions already
@@ -742,12 +394,6 @@ static void inc_round(
     int64_t *counts_out)
 {
     int64_t p, j, nt = 0, cas = 0, nn = 0;
-    if (g_threads > 1 && k >= 2 * SAGA_MT_GRAIN &&
-        inc_round_mt(k, frontier, in_starts, in_lens, in_cols, in_wts,
-                     out_starts, out_lens, out_cols, out_deg, values, op,
-                     epsilon, pinned, pr_base, damping, seen, triggered,
-                     next_out, counts_out))
-        return;
     for (p = 0; p < k; p++) {
         int64_t v = frontier[p];
         double old = values[v];
@@ -1421,15 +1067,6 @@ class ComputeKernels:
             _I64,
             [_PTR] * 5 + [_F64] + [_PTR, _I64, _PTR, _I64, _PTR] + [_PTR, _I64],
         )
-        _sig(lib.saga_set_threads, None, [_I64])
-        _sig(lib.saga_get_threads, _I64, [])
-
-    def set_threads(self, n: int) -> None:
-        """Size the INC-round gather pool (clamped to what spawns)."""
-        self._lib.saga_set_threads(int(n))
-
-    def threads(self) -> int:
-        return int(self._lib.saga_get_threads())
 
     # ``arr.ctypes.data`` of a size-0 array is a valid (never
     # dereferenced) pointer, so empty frontiers need no special casing.
@@ -1678,102 +1315,20 @@ class ComputeKernels:
         return vlog, rtab, code == _RUN_BAD_BUCKET
 
 
-_kernels: Optional[ComputeKernels] = None
-_disabled: FrozenSet[str] = frozenset()
-_tried = False
+_LIBRARY = NativeLibrary(
+    _SOURCE,
+    "saga_compute",
+    ComputeKernels,
+    KERNEL_NAMES,
+    DISABLE_ENV,
+    REQUIRE_ENV,
+    extra_flags=("-lm",),
+)
 
-
-def _disabled_kernels() -> FrozenSet[str]:
-    raw = os.environ.get(DISABLE_ENV, "").strip()
-    if not raw:
-        return frozenset()
-    if raw in {"1", "all", "true"}:
-        return KERNEL_NAMES
-    names = frozenset(part.strip() for part in raw.split(",") if part.strip())
-    unknown = names - KERNEL_NAMES
-    if unknown:
-        raise ValueError(
-            f"{DISABLE_ENV} names unknown kernels {sorted(unknown)}; "
-            f"known: {sorted(KERNEL_NAMES)}"
-        )
-    return names
-
-
-def _probe() -> Optional[ComputeKernels]:
-    global _kernels, _disabled, _tried
-    if _tried:
-        return _kernels
-    _tried = True
-    _disabled = _disabled_kernels()
-    if _disabled == KERNEL_NAMES:
-        return None
-    try:
-        _kernels = ComputeKernels(
-            load_library(_SOURCE, "saga_compute", extra_flags=("-pthread", "-lm"))
-        )
-        _kernels.set_threads(_env_threads())
-    except Exception as exc:
-        if os.environ.get(REQUIRE_ENV):
-            raise RuntimeError(
-                f"{REQUIRE_ENV} is set but the compute kernels failed to "
-                f"build: {exc}"
-            ) from exc
-        _kernels = None
-    return _kernels
-
-
-def get(name: str) -> Optional[ComputeKernels]:
-    """The compiled kernels if ``name`` is available, else ``None``.
-
-    ``name`` must be one of :data:`KERNEL_NAMES`; call sites gate each
-    fused path on its own name so individual kernels can be disabled
-    for differential debugging.
-    """
-    kernels = _probe()
-    if kernels is None or name in _disabled:
-        return None
-    return kernels
-
-
-def _env_threads() -> int:
-    """Thread count requested through :data:`THREADS_ENV` (min 1)."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{THREADS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, n)
-
-
-def compute_threads() -> int:
-    """Threads the fused INC round runs on (1 when not compiled)."""
-    kernels = _probe()
-    return kernels.threads() if kernels is not None else 1
-
-
-def set_compute_threads(n: int) -> None:
-    """Resize the gather pool at runtime (no-op without the library)."""
-    kernels = _probe()
-    if kernels is not None:
-        kernels.set_threads(n)
-
-
-def loaded() -> bool:
-    """True when the compiled library is built and loadable.
-
-    Benchmark records embed this (``bench_e2e/worker.py``) so a silent
-    numpy fallback cannot masquerade as a perf change.
-    """
-    return _probe() is not None
-
-
-def reset() -> None:
-    """Forget the cached probe result and env parse (test hook)."""
-    global _kernels, _disabled, _tried
-    _kernels = None
-    _disabled = frozenset()
-    _tried = False
+#: ``get(name)``: the compiled kernels if ``name`` is available, else
+#: ``None``.  ``name`` must be one of :data:`KERNEL_NAMES`; call sites
+#: gate each fused path on its own name so individual kernels can be
+#: disabled for differential debugging.
+get = _LIBRARY.get
+loaded = _LIBRARY.loaded
+reset = _LIBRARY.reset

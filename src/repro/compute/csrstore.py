@@ -26,9 +26,8 @@ second copy kept beside it.
     fresh :class:`~repro.compute.kernels.ComputeView`.  The first
     apply's inserted columns are the whole edge list, so it packs them
     with one stable sort (:meth:`DynamicCSR.rebuild`); when a later
-    batch's churn exceeds a threshold of the live edge count
-    (``SAGA_BENCH_CSR_REBUILD_CHURN``, default 0.5; ``0`` = every
-    batch) the fold is followed by :meth:`DynamicCSR.compact`, which
+    batch's churn exceeds :data:`DEFAULT_CHURN_THRESHOLD` of the live
+    edge count the fold is followed by :meth:`DynamicCSR.compact`, which
     repacks the store's own rows.  Emits ``compute.view_update`` /
     ``compute.view_rebuild`` spans and the
     ``compute_view_build_seconds`` / ``compute_view_update_seconds`` /
@@ -45,7 +44,6 @@ compacted, nothing folded since).
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
@@ -56,24 +54,14 @@ from repro.errors import StructureError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 
-#: Churn threshold env var: rebuild when (inserts + deletes) exceed
-#: this fraction of the live edge count.  "0" rebuilds every batch.
-CHURN_ENV = "SAGA_BENCH_CSR_REBUILD_CHURN"
-
-#: Default churn threshold (fraction of live edges).
+#: Churn threshold: repack when a batch's inserts + deletes exceed this
+#: fraction of the live edge count (0 would repack every batch).
 DEFAULT_CHURN_THRESHOLD = 0.5
 
 #: Compact the heap when tombstoned space exceeds half the used extent
 #: (and the heap is big enough for compaction to matter).
 COMPACT_DEAD_FRACTION = 0.5
 COMPACT_MIN_USED = 4096
-
-
-def churn_threshold() -> float:
-    raw = os.environ.get(CHURN_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_CHURN_THRESHOLD
-    return float(raw)
 
 
 def check_packable(max_nodes: int) -> None:
@@ -294,7 +282,7 @@ class ViewMaintainer:
         self, max_nodes: int, churn: Optional[float] = None, directed: bool = True
     ) -> None:
         self.max_nodes = max_nodes
-        self.churn = churn_threshold() if churn is None else churn
+        self.churn = DEFAULT_CHURN_THRESHOLD if churn is None else churn
         self.out = DynamicCSR(max_nodes)
         self.inc = DynamicCSR(max_nodes) if directed else self.out
         self.version = 0

@@ -165,7 +165,6 @@ def _meta_section(meta: Dict[str, object], metrics) -> str:
             "ckernel_loaded",
             "ingest_ckernel_loaded",
             "sim_ckernel_loaded",
-            "compute_threads",
         ):
             try:
                 value = metrics.value(gauge)

@@ -34,12 +34,10 @@ Environment gates (mirroring :mod:`repro.compute.ckernels`):
 from __future__ import annotations
 
 import ctypes
-import os
-from typing import FrozenSet, Optional
 
 import numpy as np
 
-from repro.sim.cbuild import load_library
+from repro.sim.cbuild import NativeLibrary
 
 #: Disable env var: "1"/"all" for everything, or a comma list of
 #: structure names (see :data:`STRUCTURE_NAMES`).
@@ -1153,73 +1151,15 @@ class IngestKernels:
         return int(self._lib.saga_dah_ingest(*args))
 
 
-_kernels: Optional[IngestKernels] = None
-_disabled: FrozenSet[str] = frozenset()
-_tried = False
+_LIBRARY = NativeLibrary(
+    _SOURCE, "saga_ingest", IngestKernels, STRUCTURE_NAMES, DISABLE_ENV, REQUIRE_ENV
+)
 
-
-def _disabled_structures() -> FrozenSet[str]:
-    raw = os.environ.get(DISABLE_ENV, "").strip()
-    if not raw:
-        return frozenset()
-    if raw in {"1", "all", "true"}:
-        return STRUCTURE_NAMES
-    names = frozenset(part.strip() for part in raw.split(",") if part.strip())
-    unknown = names - STRUCTURE_NAMES
-    if unknown:
-        raise ValueError(
-            f"{DISABLE_ENV} names unknown structures {sorted(unknown)}; "
-            f"known: {sorted(STRUCTURE_NAMES)}"
-        )
-    return names
-
-
-def _probe() -> Optional[IngestKernels]:
-    global _kernels, _disabled, _tried
-    if _tried:
-        return _kernels
-    _tried = True
-    _disabled = _disabled_structures()
-    if _disabled == STRUCTURE_NAMES:
-        return None
-    try:
-        _kernels = IngestKernels(load_library(_SOURCE, "saga_ingest"))
-    except Exception as exc:
-        if os.environ.get(REQUIRE_ENV):
-            raise RuntimeError(
-                f"{REQUIRE_ENV} is set but the ingest kernels failed to "
-                f"build: {exc}"
-            ) from exc
-        _kernels = None
-    return _kernels
-
-
-def get(structure: str) -> Optional[IngestKernels]:
-    """The compiled kernels if ``structure``'s ingest is enabled.
-
-    ``structure`` must be one of :data:`STRUCTURE_NAMES`; each data
-    structure hands its stores the result for its own name, so
-    individual structures can be kept on the per-edge methods for
-    differential debugging.
-    """
-    kernels = _probe()
-    if kernels is None or structure in _disabled:
-        return None
-    return kernels
-
-
-def loaded() -> bool:
-    """True when the compiled library is built and loadable.
-
-    Benchmark records embed this (``bench_e2e/worker.py``) so a silent
-    Python fallback cannot masquerade as a perf change.
-    """
-    return _probe() is not None
-
-
-def reset() -> None:
-    """Forget the cached probe result and env parse (test hook)."""
-    global _kernels, _disabled, _tried
-    _kernels = None
-    _disabled = frozenset()
-    _tried = False
+#: ``get(structure)``: the compiled kernels if that structure's ingest is
+#: enabled.  ``structure`` must be one of :data:`STRUCTURE_NAMES`; each
+#: data structure hands its stores the result for its own name, so
+#: individual structures can be kept on the per-edge methods for
+#: differential debugging.
+get = _LIBRARY.get
+loaded = _LIBRARY.loaded
+reset = _LIBRARY.reset

@@ -33,18 +33,17 @@ fails, or ``SAGA_BENCH_NO_CKERNEL=1`` is set, :func:`get_kernel` and
 :func:`get_cache_replay` return ``None`` and the scheduler and the
 cache hierarchy silently use their Python loops.
 The compiled object is cached under a content-hashed filename (in
-``SAGA_BENCH_CKERNEL_DIR`` or the system temp dir), so the compiler
-runs at most once per source revision per machine.
+``SAGA_BENCH_CKERNEL_DIR`` or a per-user directory under the system
+temp dir), so the compiler runs at most once per source revision per
+machine.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-from typing import Optional
 
 from repro.obs.metrics import METRICS
-from repro.sim.cbuild import CACHE_DIR_ENV, load_library
+from repro.sim.cbuild import CACHE_DIR_ENV, NativeLibrary
 
 #: Environment variable that disables the compiled kernel entirely.
 DISABLE_ENV = "SAGA_BENCH_NO_CKERNEL"
@@ -250,13 +249,9 @@ void saga_cache_replay(
 }
 """
 
-_kernel: Optional[ctypes.CFUNCTYPE] = None
-_cache_replay: Optional[ctypes.CFUNCTYPE] = None
-_tried = False
 
-
-def _load():
-    lib = load_library(_SOURCE, "saga_event_loop")
+def _bind(lib: ctypes.CDLL):
+    """Declare both entry points: ``(event loop, cache replay)``."""
     fn = lib.saga_event_loop
     fn.restype = ctypes.c_int64
     fn.argtypes = [
@@ -289,22 +284,18 @@ def _load():
     return fn, replay
 
 
+_LIBRARY = NativeLibrary(
+    _SOURCE, "saga_event_loop", _bind, frozenset({"sim"}), DISABLE_ENV
+)
+
+
 def get_kernel():
     """The compiled event-loop entry point, or ``None`` if unavailable.
 
     Not ``None`` means the sim library loaded, both entry points.
     """
-    global _kernel, _cache_replay, _tried
-    if _tried:
-        return _kernel
-    _tried = True
-    if os.environ.get(DISABLE_ENV):
-        return None
-    try:
-        _kernel, _cache_replay = _load()
-    except Exception:
-        _kernel = _cache_replay = None
-    return _kernel
+    bound = _LIBRARY.get("sim")
+    return bound[0] if bound is not None else None
 
 
 def get_cache_replay():
@@ -313,7 +304,7 @@ def get_cache_replay():
     Asks :func:`get_kernel`, so whatever turns the library off -- the
     environment switch, a test's patch -- turns off both entry points.
     """
-    return _cache_replay if get_kernel() is not None else None
+    return _LIBRARY.get("sim")[1] if get_kernel() is not None else None
 
 
 def set_loaded_gauge() -> None:
@@ -324,8 +315,5 @@ def set_loaded_gauge() -> None:
     ).set(1.0 if get_kernel() is not None else 0.0)
 
 
-def reset():
-    """Forget the cached probe result (test hook)."""
-    global _kernel, _cache_replay, _tried
-    _kernel = _cache_replay = None
-    _tried = False
+#: Forget the cached probe result (test hook).
+reset = _LIBRARY.reset

@@ -455,9 +455,6 @@ class StreamDriver:
             from repro.sim import cingest, ckernel
 
             METRICS.gauge(
-                "compute_threads", "threads the fused INC round runs on"
-            ).set(float(ckernels.compute_threads()))
-            METRICS.gauge(
                 "ckernel_loaded",
                 "1 when the compiled compute kernels are active",
             ).set(1.0 if ckernels.loaded() else 0.0)

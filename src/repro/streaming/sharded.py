@@ -319,8 +319,8 @@ class ShardedStreamDriver(StreamDriver):
     ``parallel=True`` (default) fans the shard replays out over a
     process pool, reading the stream through its mmap directory when
     the dataset is mmap-backed, else through a temporary shared-memory
-    segment (else falling back in-process, e.g. ``SAGA_BENCH_SHM=0``
-    with an in-RAM stream).  ``parallel=False`` replays shards in this
+    segment (else falling back in-process: an in-RAM stream on a
+    platform without POSIX shm).  ``parallel=False`` replays shards in this
     process; the resulting numbers are bit-identical either way.
     """
 

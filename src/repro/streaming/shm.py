@@ -21,9 +21,9 @@ Lifecycle contract (CPython 3.11, where ``SharedMemory`` has no
 
 Transport is invisible to results and fingerprints: an attached batch
 is bit-identical to the generated one, so shm runs share RunStore
-entries with in-RAM runs.  The ``SAGA_BENCH_SHM`` environment variable
-("0"/"false"/"off") disables the transport and restores per-worker
-regeneration.
+entries with in-RAM runs.  On a platform without POSIX shared memory
+(:func:`shm_enabled` false) sweeps regenerate the stream per worker and
+sharded runs replay in-process.
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ _LAYOUT: Tuple[Tuple[str, str], ...] = (
 
 
 def shm_enabled() -> bool:
-    """Whether the shm transport is enabled (``SAGA_BENCH_SHM``)."""
-    return os.environ.get("SAGA_BENCH_SHM", "1").lower() not in (
-        "0", "false", "off",
-    )
+    """Whether this platform has POSIX shared memory to attach through."""
+    return _posixshmem is not None
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,8 @@ def _active_count(delta: int) -> int:
 
 
 #: Worker-side cache: segment name -> (buffer owner, EdgeBatch).  The
-#: owner (an ``mmap`` or ``SharedMemory``) must stay referenced as long
-#: as any numpy view of its buffer might -- entries therefore live for
-#: the process.
+#: owner (an ``mmap``) must stay referenced as long as any numpy view of
+#: its buffer might -- entries therefore live for the process.
 _ATTACHED: Dict[str, Tuple[object, EdgeBatch]] = {}
 
 
@@ -172,21 +169,14 @@ def _map_segment(name: str):
     tracker.  Mapping the POSIX segment directly -- the same two
     syscalls ``SharedMemory`` performs -- sidesteps the tracker
     entirely: the parent's create-time registration is the only one
-    that ever exists, and its unlink balances it.
+    that ever exists, and its unlink balances it.  Callers publish only
+    where :func:`shm_enabled`, so ``_posixshmem`` is there.
     """
-    if _posixshmem is None:  # pragma: no cover - non-POSIX fallback
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return shm, shm.buf
     fd = _posixshmem.shm_open("/" + name.lstrip("/"), os.O_RDWR, mode=0o600)
     try:
-        mapping = mmap.mmap(fd, 0)
+        return mmap.mmap(fd, 0)
     finally:
         os.close(fd)
-    return mapping, mapping
 
 
 def attach(handle: SharedStreamHandle) -> EdgeBatch:
@@ -200,8 +190,8 @@ def attach(handle: SharedStreamHandle) -> EdgeBatch:
     cached = _ATTACHED.get(handle.name)
     if cached is not None:
         return cached[1]
-    owner, buf = _map_segment(handle.name)
-    views = _views(buf, handle.edges)
+    owner = _map_segment(handle.name)
+    views = _views(owner, handle.edges)
     batch = EdgeBatch(src=views["src"], dst=views["dst"],
                       weight=views["weight"])
     _ATTACHED[handle.name] = (owner, batch)

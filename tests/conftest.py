@@ -10,8 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.compute import ckernels
-from repro.compute.csrstore import CHURN_ENV
+from repro.compute import ckernels, csrstore
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph
 from repro.sim import cbuild, cingest, ckernel
 from repro.sim.cost_model import DEFAULT_COST_MODEL
@@ -40,17 +39,13 @@ def ctx(machine) -> ExecutionContext:
 
 
 @contextlib.contextmanager
-def churn_threshold_env(setting):
-    """Run with ``SAGA_BENCH_CSR_REBUILD_CHURN`` set (``None``: unset)."""
-    previous = os.environ.pop(CHURN_ENV, None)
-    if setting is not None:
-        os.environ[CHURN_ENV] = setting
-    try:
+def churn_threshold(setting):
+    """Run with the view maintainer's churn threshold at ``setting``
+    (``None``: the constant as shipped)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if setting is not None:
+            patch.setattr(csrstore, "DEFAULT_CHURN_THRESHOLD", float(setting))
         yield
-    finally:
-        os.environ.pop(CHURN_ENV, None)
-        if previous is not None:
-            os.environ[CHURN_ENV] = previous
 
 
 @contextlib.contextmanager

@@ -448,46 +448,10 @@ class TestGates:
 
 
 class TestComputeThreadInvariance:
-    """Threads {1, 2, 4} must produce identical float64 bits."""
-
-    NODES = 1500
-    ALGOS = ("BFS", "SSSP", "CC", "PR")
-
-    def _stream_values(self, algo_name: str, threads: int) -> bytes:
-        from repro.algorithms import get_algorithm
-
-        ckernels.set_compute_threads(threads)
-        try:
-            algorithm = get_algorithm(algo_name)
-            reference = ReferenceGraph(self.NODES, directed=True)
-            state = algorithm.make_state(reference.max_nodes)
-            blobs = []
-            for seed in range(3):
-                batch = random_batch(self.NODES, 6000, seed=seed)
-                reference.update(batch)
-                affected = algorithm.affected_from_batch(batch, reference)
-                algorithm.inc_run(reference, state, affected, source=0)
-                blobs.append(state.values.tobytes())
-            return b"".join(blobs)
-        finally:
-            ckernels.set_compute_threads(1)
-
-    @pytest.mark.parametrize("algo", ALGOS)
-    def test_bit_identical_across_thread_counts(self, algo):
-        if ckernels.get("inc_round") is None:
-            pytest.skip("compiled compute kernels unavailable")
-        serial = self._stream_values(algo, 1)
-        for threads in (2, 4):
-            assert self._stream_values(algo, threads) == serial, (
-                f"{algo} diverged at {threads} threads"
-            )
+    """The compute library in a forked child (sweep workers fork)."""
 
     @staticmethod
-    def _child_compute(queue):
-        # Runs in a forked child while the parent's pool is live.  The
-        # child must NOT call set_compute_threads first: the point is
-        # that inherited pool state (g_threads > 1, zero workers) falls
-        # back to the serial path instead of deadlocking.
+    def _compute() -> bytes:
         from repro.algorithms import get_algorithm
 
         algorithm = get_algorithm("PR")
@@ -497,16 +461,16 @@ class TestComputeThreadInvariance:
         reference.update(batch)
         affected = algorithm.affected_from_batch(batch, reference)
         algorithm.inc_run(reference, state, affected, source=0)
-        queue.put(state.values.tobytes())
+        return state.values.tobytes()
+
+    @classmethod
+    def _child_compute(cls, queue):
+        queue.put(cls._compute())
 
     def test_forked_child_survives_live_pool(self):
-        """fork() drops the pool's workers; the child must go serial.
-
-        Regression test: multiprocessing sweep workers fork while the
-        parent's pthread pool is spawned.  Without the atfork reset the
-        child dispatches gather slices to workers that do not exist in
-        its address space and waits on them forever.
-        """
+        """A forked child with the compute library loaded computes the
+        parent's bits (the library keeps process-wide sort scratch; the
+        name dates from the thread pool it once carried across)."""
         if ckernels.get("inc_round") is None:
             pytest.skip("compiled compute kernels unavailable")
         import multiprocessing
@@ -514,29 +478,17 @@ class TestComputeThreadInvariance:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("platform has no fork start method")
         ctx = multiprocessing.get_context("fork")
-        ckernels.set_compute_threads(4)  # spawns the workers now
+        expected = self._compute()  # loads and runs the library here
+        queue = ctx.Queue()
+        child = ctx.Process(target=self._child_compute, args=(queue,))
+        child.start()
         try:
-            queue = ctx.Queue()
-            child = ctx.Process(target=self._child_compute, args=(queue,))
-            child.start()
-            child.join(timeout=120)
+            blob = queue.get(timeout=120)  # drained before the join
+            child.join(timeout=10)
+            assert not child.is_alive()
+        finally:
             if child.is_alive():
                 child.kill()
                 child.join()
-                pytest.fail("forked child deadlocked on the thread pool")
-            assert child.exitcode == 0
-            blob = queue.get(timeout=10)
-        finally:
-            ckernels.set_compute_threads(1)
-        expected = ctx.Queue()
-        self._child_compute(expected)
-        assert blob == expected.get(timeout=10)
-
-    def test_env_threads_parsing(self, monkeypatch):
-        monkeypatch.setenv(ckernels.THREADS_ENV, "3")
-        assert ckernels._env_threads() == 3
-        monkeypatch.setenv(ckernels.THREADS_ENV, "0")
-        assert ckernels._env_threads() == 1
-        monkeypatch.setenv(ckernels.THREADS_ENV, "nope")
-        with pytest.raises(ValueError, match="SAGA_BENCH_COMPUTE_THREADS"):
-            ckernels._env_threads()
+        assert child.exitcode == 0
+        assert blob == expected

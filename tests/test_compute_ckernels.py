@@ -36,6 +36,7 @@ from repro.compute.kernels import (
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import METRICS
+from repro.sim import cbuild, cingest, ckernel
 from tests.conftest import ccompute_env, ubsan_probe
 from tests.oracles import fs_oracle, jacobi_fixpoint, observed as _snapshot_run
 from tests.test_compute_kernels import _hub, _stream
@@ -285,15 +286,13 @@ _CAPACITIES = ("RUN_LOG_VERTICES", "RUN_LOG_ROUNDS", "RUN_LOG_PENDING")
 
 
 @contextlib.contextmanager
-def _engine(setting, threads=1, log_capacity=None):
-    """One engine configuration: kernel gate, gather threads, log sizes."""
+def _engine(setting, log_capacity=None):
+    """One engine configuration: kernel gate, log sizes."""
     saved = [getattr(ckernels, name) for name in _CAPACITIES]
     with ccompute_env(setting):
         if log_capacity is not None:
             for name in _CAPACITIES:
                 setattr(ckernels, name, log_capacity)
-        # Every probe resets the pool to the env's thread count.
-        ckernels.set_compute_threads(threads)
         try:
             yield
         finally:
@@ -317,8 +316,8 @@ def scenarios(draw):
 
     Small graphs come edge by edge from hypothesis (self-loops,
     duplicates and isolated ids included); the 320-vertex graphs are
-    drawn from a seed so that frontiers pass the 128 positions the
-    threaded gather needs.
+    drawn from a seed so that frontiers pass the 48 ids above which the
+    next-frontier sort is the radix sort.
     """
     num_nodes = draw(st.sampled_from([5, 24, 320]))
     directed = draw(st.booleans())
@@ -453,7 +452,7 @@ class TestRunLog:
     @given(scenario=scenarios())
     @settings(max_examples=20, **RUN_LOG_SETTINGS)
     def test_run_log_matches_wave_engine(self, scenario):
-        """Iteration by iteration, serial and threaded.
+        """Iteration by iteration.
 
         Fails when the kernel drops the next-frontier sort (pull arrays
         out of order), when the log slices are off by one (pull/push
@@ -462,10 +461,8 @@ class TestRunLog:
         """
         with _engine(WAVE_ENGINE):
             expected = _play(scenario)
-        for threads in (1, 4):
-            with _engine(None, threads=threads):
-                assert ckernels.compute_threads() == threads
-                _assert_same_runs(_play(scenario), expected)
+        with _engine(None):
+            _assert_same_runs(_play(scenario), expected)
 
     @given(scenario=scenarios())
     @settings(max_examples=15, **RUN_LOG_SETTINGS)
@@ -480,9 +477,8 @@ class TestRunLog:
         """
         with _engine(WAVE_ENGINE):
             expected = _play(scenario)
-        for threads in (1, 4):
-            with _engine(None, threads=threads, log_capacity=1):
-                _assert_same_runs(_play(scenario), expected)
+        with _engine(None, log_capacity=1):
+            _assert_same_runs(_play(scenario), expected)
 
     def test_stalls_are_counted_as_native_calls(self):
         """One call when the logs have room, one more per stall when they
@@ -956,8 +952,8 @@ lib.saga_inc_run(
 @needs_ckernels
 @pytest.mark.usefixtures("ubsan_libraries")
 class TestComputeLibraryUnderUBSan(TestRunLog):
-    """The run-log verifier above (inherited: INC and FS, threads 1 and
-    4, every stall point), run through the sanitized build."""
+    """The run-log verifier above (inherited: INC and FS, every stall
+    point), run through the sanitized build."""
 
     library_loaded = staticmethod(ckernels.loaded)
 
@@ -971,8 +967,25 @@ class TestComputeLibraryUnderUBSan(TestRunLog):
         assert "runtime error: signed integer overflow" in child.stderr
 
 
+#: The three compiled-library modules, each with one of its member names.
+LIBRARIES = [(ckernels, "inc_round"), (cingest, "AS"), (ckernel, "sim")]
+
+
+def _stand_in_build(patch, library, fails=False):
+    """Replace compile-and-bind with a stand-in (no compiler needed)."""
+
+    def load(source, stem, extra_flags=()):
+        if fails:
+            raise OSError("no compiler on this box")
+        return "lib"
+
+    patch.setattr(cbuild, "load_library", load)
+    patch.setattr(library, "bind", lambda lib: lib)
+
+
 class TestEnvGates:
-    """DISABLE_ENV / REQUIRE_ENV semantics (no compiler needed)."""
+    """DISABLE_ENV / REQUIRE_ENV semantics of the one loader the three
+    modules share (no compiler needed)."""
 
     @needs_ckernels
     def test_per_kernel_disable_list(self):
@@ -990,15 +1003,59 @@ class TestEnvGates:
                 assert ckernels.get(name) is None
 
     def test_unknown_kernel_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernels"):
+        with pytest.raises(
+            ValueError, match=f"{ckernels.DISABLE_ENV} names unknown .*typo"
+        ):
             with ccompute_env("inc_round,typo"):
                 ckernels.loaded()
 
-    def test_require_env_turns_build_failure_into_error(self, monkeypatch):
-        def broken(source, stem):
-            raise OSError("no compiler on this box")
+    @pytest.mark.parametrize(
+        "module, member", LIBRARIES, ids=["ccompute", "cingest", "ckernel"]
+    )
+    def test_one_truth_value_parse(self, module, member):
+        """``0`` is "unset" for every switch of every library.
 
-        monkeypatch.setattr(ckernels, "load_library", broken)
+        Fails when ``NO_*=0`` turns a library off or is read as a member
+        name, and when ``REQUIRE_*=0`` turns the hard failure on.
+        """
+        library = module._LIBRARY
+        assert type(library) is cbuild.NativeLibrary
+        assert (library.disable_env, library.require_env) == (
+            module.DISABLE_ENV,
+            getattr(module, "REQUIRE_ENV", None),
+        )
+
+        def probe(patch, variable, value):
+            patch.setenv(variable, value)
+            library.reset()
+            return library.get(member)
+
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                _stand_in_build(patch, library)
+                for value in ("", "0", "false", "off", "OFF"):
+                    assert probe(patch, library.disable_env, value) == "lib", value
+                for value in ("1", "all", "true"):
+                    assert probe(patch, library.disable_env, value) is None, value
+                    assert not library.loaded()
+                assert probe(patch, library.disable_env, member) is None
+                assert library.loaded() == (len(library.members) > 1)
+                with pytest.raises(
+                    ValueError, match=f"{library.disable_env} names unknown .*typo"
+                ):
+                    probe(patch, library.disable_env, f"{member},typo")
+                patch.delenv(library.disable_env)
+                if library.require_env is not None:
+                    _stand_in_build(patch, library, fails=True)
+                    for value in ("", "0", "false", "off"):
+                        assert probe(patch, library.require_env, value) is None, value
+                    with pytest.raises(RuntimeError, match=library.require_env):
+                        probe(patch, library.require_env, "1")
+        finally:
+            library.reset()
+
+    def test_require_env_turns_build_failure_into_error(self, monkeypatch):
+        _stand_in_build(monkeypatch, ckernels._LIBRARY, fails=True)
         monkeypatch.setenv(ckernels.REQUIRE_ENV, "1")
         monkeypatch.delenv(ckernels.DISABLE_ENV, raising=False)
         ckernels.reset()
@@ -1010,10 +1067,7 @@ class TestEnvGates:
             ckernels.reset()
 
     def test_build_failure_falls_back_without_require(self, monkeypatch):
-        def broken(source, stem):
-            raise OSError("no compiler on this box")
-
-        monkeypatch.setattr(ckernels, "load_library", broken)
+        _stand_in_build(monkeypatch, ckernels._LIBRARY, fails=True)
         monkeypatch.delenv(ckernels.REQUIRE_ENV, raising=False)
         monkeypatch.delenv(ckernels.DISABLE_ENV, raising=False)
         ckernels.reset()

@@ -2,8 +2,8 @@
 
 The :class:`~repro.compute.csrstore.ViewMaintainer` must be
 *observationally invisible*: streaming a dataset with the churn
-threshold forcing a rebuild every batch (``SAGA_BENCH_CSR_REBUILD_CHURN=0``,
-the PR 4 behavior), with the default threshold, and with a threshold so
+threshold forcing a rebuild every batch (``DEFAULT_CHURN_THRESHOLD`` patched
+to 0, the PR 4 behavior), with the default threshold, and with a threshold so
 high no rebuild ever triggers must all yield bit-identical stream
 results -- values, iteration counts, and therefore every priced
 latency.  On top of the end-to-end differential, the store itself is
@@ -11,15 +11,17 @@ checked row-for-row against ``csr_from_edges`` rebuilt from scratch
 after every batch of an oscillating insert/delete stream.
 """
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.compute.csrstore import (
-    DEFAULT_CHURN_THRESHOLD,
     DynamicCSR,
     ViewMaintainer,
     check_packable,
-    churn_threshold,
 )
 from repro.compute.kernels import (
     csr_from_edges,
@@ -31,7 +33,7 @@ from repro.datasets import load_dataset
 from repro.errors import StructureError
 from repro.graph import ReferenceGraph
 from repro.streaming import StreamConfig, StreamDriver
-from tests.conftest import SMALL_MACHINE, churn_threshold_env as _churn
+from tests.conftest import SMALL_MACHINE, churn_threshold as _churn
 
 STRUCTS = ("AS", "AC", "Stinger", "DAH", "BA")
 
@@ -348,10 +350,39 @@ class TestDynamicCSRMechanics:
         )
         assert store.live == 1
 
-    def test_churn_threshold_parsing(self):
-        with _churn(None):
-            assert churn_threshold() == DEFAULT_CHURN_THRESHOLD
-        with _churn("0.25"):
-            assert churn_threshold() == 0.25
-        with _churn("0"):
-            assert churn_threshold() == 0.0
+
+class TestLiveGraphEndToEnd:
+    """The deletion example and an mmap `repro scale` stream print the
+    same numbers whether every batch is folded and compacted (threshold
+    0) or the shipped threshold decides."""
+
+    EXAMPLE = Path(__file__).parent.parent / "examples" / "streaming_deletions.py"
+
+    def _outputs(self, setting, mmap_dir, capsys):
+        compactions = []
+        compact = DynamicCSR.compact
+
+        def counted(store):
+            compactions.append(store)
+            compact(store)
+
+        with _churn(setting), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DynamicCSR, "compact", counted)
+            runpy.run_path(str(self.EXAMPLE), run_name="__main__")
+            deletions = capsys.readouterr().out
+            scale = [
+                "scale", "--scale", "16", "--edges", "200000",
+                "--batch-size", "40000", "--mmap-dir", str(mmap_dir),
+            ]  # fmt: skip
+            assert cli.main(scale) == 0
+            # The first two lines carry the mmap path and wall times.
+            sustained = capsys.readouterr().out.splitlines()[-1]
+        return deletions, sustained, len(compactions)
+
+    def test_compacting_every_batch_changes_no_output(self, tmp_path, capsys):
+        default = self._outputs(None, tmp_path / "default", capsys)
+        every_batch = self._outputs("0", tmp_path / "compact", capsys)
+        assert "stayed exactly equal" in default[0]
+        assert default[1].startswith("sustained simulated ingest:")
+        assert every_batch[:2] == default[:2]
+        assert every_batch[2] > default[2]  # the patch did reach the maintainer

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compute.kernels import flat_slots
 from repro.errors import StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
-from tests.conftest import churn_threshold_env
+from tests.conftest import churn_threshold
 from tests.oracles import DictGraph
 
 
@@ -103,7 +103,7 @@ def test_collect_columns_match_per_edge_loops(stream, directed, mapped, churn):
     one edge.
     """
     n, steps = stream
-    with churn_threshold_env(churn), tempfile.TemporaryDirectory() as scratch:
+    with churn_threshold(churn), tempfile.TemporaryDirectory() as scratch:
         live = ReferenceGraph(n, directed=directed)
         oracle = DictGraph(n, directed=directed)
         for step, (delete, edges, read) in enumerate(steps):

@@ -451,12 +451,10 @@ class TestInstrumentedRun:
         # Transport-only families exist only where that transport runs:
         # the parent publishes shm segments for parallel workers but not
         # for serial in-process runs.  Environment gauges describe the
-        # process that ran (forked sweep workers reset the compute
-        # thread pool to serial).  Simulated metrics must agree.
+        # process that ran.  Simulated metrics must agree.
         transport_only = {
             "shm_segments_active",
             "stream_bytes_mapped",
-            "compute_threads",
             "ingest_ckernel_loaded",
         }
         assert (

@@ -41,7 +41,6 @@ def _fixture_inputs():
     metrics.enable()
     metrics.gauge("ckernel_loaded", "compiled kernels active").set(1.0)
     metrics.gauge("sim_ckernel_loaded", "sim library active").set(1.0)
-    metrics.gauge("compute_threads", "threads").set(4.0)
     metrics.histogram("sweep_cell_seconds", "cell wall", dataset="RMAT").observe(0.5)
     metrics.counter("sweep_cells_total", "cells", status="computed").inc(3)
     metrics.disable()

@@ -9,7 +9,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.obs import METRICS
 from repro.sim.counters import shard_merge_bytes, shard_merge_cycles
 from repro.sim.machine import SKYLAKE_GOLD_6142
-from repro.streaming import StreamConfig, StreamDriver, make_driver
+from repro.streaming import StreamConfig, StreamDriver, make_driver, shm
 from repro.streaming.sharded import (
     ShardedStreamDriver,
     cross_shard_count,
@@ -141,7 +141,7 @@ class TestBitIdentity:
             assert np.array_equal(arrays_a[key], arrays_b[key]), key
 
     def test_in_process_fallback_without_shm(self, monkeypatch):
-        monkeypatch.setenv("SAGA_BENCH_SHM", "0")
+        monkeypatch.setattr(shm, "shm_enabled", lambda: False)
         dataset = small_dataset()
         config = StreamConfig(shards=2, **CONFIG)
         sharded = make_driver(config).run(dataset)
