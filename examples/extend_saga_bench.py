@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.algorithms.base import Algorithm
 from repro.algorithms.registry import ALGORITHMS, perform_alg, register_algorithm
-from repro.compute.pricing import price_compute_run
-from repro.compute.stats import ComputeRun, IterationStats
+from repro.compute.pricing import CostTables, price_compute_run
+from repro.compute.stats import ComputeRun
 from repro.datasets import load_dataset
 from repro.graph import ExecutionContext, ReferenceGraph
 from repro.sim.machine import MachineConfig
@@ -49,9 +49,7 @@ class DegreeThreshold(Algorithm):
         )
         run = ComputeRun(algorithm=self.name, model="FS", values=values)
         run.linear_scans = 1
-        run.iterations.append(
-            IterationStats.make(pull=np.arange(view.num_nodes))
-        )
+        run.add_round(pull=np.arange(view.num_nodes))
         return run
 
 
@@ -90,7 +88,8 @@ def main() -> None:
             state=state,
             affected=ALGORITHMS["DEGK"].affected_from_batch(batch, graph),
         )
-        pricing = price_compute_run(run, ("DAH",), deg_in[:n], deg_out[:n], ctx)["DAH"]
+        tables = CostTables(deg_in[:n], deg_out[:n], ctx.cost_model)
+        pricing = price_compute_run(run, ("DAH",), tables, ctx)["DAH"]
         dense = int(state.values[:n].sum())
         print(f"batch {index}: {dense:5d} vertices with in-degree >= {K} "
               f"(INC compute {pricing.latency_seconds(edge_server) * 1e3:.3f} ms "

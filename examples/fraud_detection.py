@@ -17,7 +17,7 @@ Run:  python examples/fraud_detection.py
 import numpy as np
 
 from repro.algorithms import get_algorithm
-from repro.compute.pricing import price_compute_run
+from repro.compute.pricing import CostTables, price_compute_run
 from repro.datasets.rmat import rmat_edges
 from repro.graph import ExecutionContext, ReferenceGraph
 from repro.streaming import make_batches
@@ -54,6 +54,7 @@ def main() -> None:
             deg_out[u] += 1
             deg_in[v] += 1
         n = graph.num_nodes
+        tables = CostTables(deg_in[:n], deg_out[:n], ctx.cost_model)
         row = [f"{index:>5d} {graph.num_edges:>7d} "]
         for name, algorithm in algorithms.items():
             fs = algorithm.fs_run(graph, source=flagged_account)
@@ -62,10 +63,10 @@ def main() -> None:
                 graph, states[name], affected, source=flagged_account
             )
             fs_ms = price_compute_run(
-                fs, ("AS",), deg_in[:n], deg_out[:n], ctx
+                fs, ("AS",), tables, ctx
             )["AS"].latency_seconds(ctx.machine) * 1e3
             inc_ms = price_compute_run(
-                inc, ("AS",), deg_in[:n], deg_out[:n], ctx
+                inc, ("AS",), tables, ctx
             )["AS"].latency_seconds(ctx.machine) * 1e3
             row.append(f"{fs_ms:>9.3f} {inc_ms:>9.3f} {fs_ms / inc_ms:>7.1f}x ")
         print(" ".join(row))

@@ -48,14 +48,14 @@ def main() -> None:
         run = pagerank.inc_run(reference, state, affected)
 
         # Price the compute run on this structure's traversal costs.
-        from repro.compute.pricing import price_compute_run
+        from repro.compute.pricing import CostTables, price_compute_run
         import numpy as np
 
         n = reference.num_nodes
         deg_in = np.array([reference.in_degree(v) for v in range(n)])
         deg_out = np.array([reference.out_degree(v) for v in range(n)])
         compute = price_compute_run(
-            run, ("AS",), deg_in, deg_out, ctx,
+            run, ("AS",), CostTables(deg_in, deg_out, ctx.cost_model), ctx,
             neighbor_degree_query=pagerank.neighbor_degree_query,
         )["AS"]
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.compute import ckernels, kernels
 from repro.compute.kernels import DEFAULT_EPSILON
 from repro.compute.state import AlgorithmState
-from repro.compute.stats import ComputeRun, IterationStats
+from repro.compute.stats import ROUND_COLUMNS, ComputeRun
 from repro.errors import SimulationError
 from repro.graph.edge import EdgeBatch
 from repro.obs.tracer import TRACER
@@ -338,7 +338,6 @@ def synchronous_fixpoint(
     if n == 0:
         return run
     cv = kernels.resolve_view(view, compute_view)
-    everyone = np.arange(n, dtype=np.int64)
     ck = ckernels.get("jacobi_round") if kernel_op is not None else None
     with TRACER.span("compute.kernel", args={"algorithm": algorithm, "model": "FS"}):
         if ck is not None:
@@ -348,20 +347,20 @@ def synchronous_fixpoint(
             if rounds < 0:
                 run.converged = False
                 rounds = max_iterations
-            run.iterations.extend(
-                IterationStats.make(pull=everyone) for _ in range(rounds)
-            )
-            return run
-        src, dst, weight = kernels.packed_in_edges(cv)
-        for _ in range(max_iterations):
-            new_values = combine(values, src, dst, weight)
-            # inf - inf (an unreached vertex staying unreached) is NaN:
-            # not a change.  A transition between finite and infinite is
-            # +/-inf: a real change, kept as such.
-            delta = np.abs(np.nan_to_num(new_values - values, nan=0.0))
-            values[:] = new_values
-            run.iterations.append(IterationStats.make(pull=everyone))
-            if float(delta.max(initial=0.0)) <= epsilon:
-                return run
-    run.converged = False
+        else:
+            src, dst, weight = kernels.packed_in_edges(cv)
+            rounds, run.converged = 0, False
+            while rounds < max_iterations and not run.converged:
+                new_values = combine(values, src, dst, weight)
+                # inf - inf (an unreached vertex staying unreached) is NaN:
+                # not a change.  A transition between finite and infinite is
+                # +/-inf: a real change, kept as such.
+                delta = np.abs(np.nan_to_num(new_values - values, nan=0.0))
+                values[:] = new_values
+                rounds += 1
+                run.converged = float(delta.max(initial=0.0)) <= epsilon
+    # Every round pulls every vertex: one copy of them, ``rounds`` rows.
+    table = np.zeros((rounds, len(ROUND_COLUMNS)), dtype=np.int64)
+    table[:, ROUND_COLUMNS.index("pulled")] = n
+    run.set_log(np.arange(n, dtype=np.int64), table)
     return run

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.algorithms.base import Algorithm, in_sources
 from repro.compute import ckernels, kernels
-from repro.compute.stats import ComputeRun, IterationStats
+from repro.compute.stats import ComputeRun
 
 #: Switch to bottom-up when the frontier exceeds this fraction of |V|
 #: (GAP uses edge-based thresholds; a vertex fraction is the common
@@ -112,9 +112,7 @@ class BFS(Algorithm):
                             values[w] = depth
                             next_frontier.append(w)
                             pushes += 1
-                run.iterations.append(
-                    IterationStats.make(push=frontier, pushes=pushes, cas_ops=pushes)
-                )
+                run.add_round(push=frontier, pushes=pushes, cas_ops=pushes)
             else:
                 # Bottom-up: every unvisited vertex pulls over its
                 # in-edges looking for a parent in the frontier.
@@ -127,12 +125,10 @@ class BFS(Algorithm):
                             values[v] = depth
                             next_frontier.append(v)
                             break
-                run.iterations.append(
-                    IterationStats.make(
-                        pull=unvisited,
-                        pushes=len(next_frontier),
-                        cas_ops=len(next_frontier),
-                    )
+                run.add_round(
+                    pull=unvisited,
+                    pushes=len(next_frontier),
+                    cas_ops=len(next_frontier),
                 )
             frontier = next_frontier
         return run

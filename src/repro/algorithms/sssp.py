@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.algorithms.base import Algorithm, in_pairs
 from repro.compute import ckernels, kernels
-from repro.compute.stats import ComputeRun, IterationStats
+from repro.compute.stats import ComputeRun
 from repro.errors import ConfigError, SimulationError
 from repro.obs.tracer import TRACER
 
@@ -148,7 +148,7 @@ class SSSP(Algorithm):
             vlog, table, overflow = ck.delta_run(cv.out_csr, source, values, delta)
             if overflow:
                 raise _bucket_overflow(delta)
-            kernels._append_run_log(run, vlog, table, frontier_col=1)
+            kernels._append_run_log(run, vlog, table, frontier="pushed")
         return run
 
     @staticmethod
@@ -175,10 +175,8 @@ class SSSP(Algorithm):
             )
             events = kernels.relaxation_events(cand, tgt, x0, minimize=True)
             kernels._observe_frontier(run, frontier.size)
-            run.iterations.append(
-                IterationStats.make(
-                    push=frontier, pushes=int(events.size), cas_ops=int(events.size)
-                )
+            run.add_round(
+                push=frontier, pushes=int(events.size), cas_ops=int(events.size)
             )
             return tgt[events], _bucket_index(cand[events], delta)
 
@@ -237,7 +235,5 @@ class SSSP(Algorithm):
                     pushes += 1
             # One settled vertex per round: Dijkstra is inherently
             # serial, which the pricer renders as a serial makespan.
-            run.iterations.append(
-                IterationStats.make(push=[v], pushes=pushes, cas_ops=pushes)
-            )
+            run.add_round(push=[v], pushes=pushes, cas_ops=pushes)
         return run

@@ -33,7 +33,7 @@ import numpy as np
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.stats import stage_slices
 from repro.compute.kernels import ComputeView, expand_frontier, view_scope
-from repro.compute.pricing import price_compute_run
+from repro.compute.pricing import CostTables, price_compute_run
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, HEAVY_TAILED, SHORT_TAILED, load_dataset
 from repro.engine.fingerprint import canonical, describe_dataset, fingerprint
 from repro.engine.store import RunStore
@@ -380,8 +380,9 @@ class HardwareProfiler:
             # fold of the batch's new edges -- shared by every
             # algorithm's INC run, pricing and trace emission.
             compute_view = reference.compute_view()
-            deg_in = compute_view.in_csr.degrees
-            deg_out = compute_view.out_csr.degrees
+            cost_tables = CostTables(
+                compute_view.in_csr.degrees, compute_view.out_csr.degrees, self.cost
+            )
             compute_counter_list = []
             with view_scope(reference, compute_view):
                 for alg_name in self.algorithms:
@@ -393,14 +394,14 @@ class HardwareProfiler:
                         )
                         for cores, sctx in scaling_ctxs.items():
                             pricing = price_compute_run(
-                                run, (structure_name,), deg_in, deg_out, sctx,
+                                run, (structure_name,), cost_tables, sctx,
                                 neighbor_degree_query=algorithm.neighbor_degree_query,
                             )[structure_name]
                             cell.scaling_cycles["compute"][cores] += (
                                 pricing.latency_cycles
                             )
                         pricing = price_compute_run(
-                            run, (structure_name,), deg_in, deg_out, full_ctx,
+                            run, (structure_name,), cost_tables, full_ctx,
                             neighbor_degree_query=algorithm.neighbor_degree_query,
                         )[structure_name]
                         with TRACER.span("compute.trace"):
@@ -448,15 +449,15 @@ class HardwareProfiler:
         sections are interleaved into task order.
         """
         in_csr, out_csr = compute_view.in_csr, compute_view.out_csr
-        # Per iteration (pulled, pushed): the lengths of the task runs
-        # that alternate between the two kinds.
-        sizes = np.array(
-            [(len(it.pull_vertices), len(it.push_vertices)) for it in run.iterations],
-            dtype=np.int64,
-        ).reshape(-1, 2)
+        # Per round (pulled, pushed): the lengths of the task runs that
+        # alternate between the two kinds.
+        rounds = run.rounds
+        sizes = rounds[:, 1:3]
         pulled = np.repeat(np.tile([True, False], len(sizes)), sizes.ravel())
-        pull = np.concatenate([_NO_VERTICES] + [it.pull_vertices for it in run.iterations])
-        push = np.concatenate([_NO_VERTICES] + [it.push_vertices for it in run.iterations])
+        seg, within = ragged_arange(sizes.sum(axis=1))
+        tasks = run.vertex_log[rounds[seg, 0] + within]
+        pull = tasks[pulled]
+        push = tasks[~pulled]
 
         def section(mask, counts, addresses, write=False):
             per_task = np.zeros(len(pulled), dtype=np.int64)
@@ -486,9 +487,6 @@ class HardwareProfiler:
         )
         task_thread = np.arange(max(len(pulled), 1), dtype=np.int32) % threads
         return trace, task_thread
-
-
-_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 class _Section(NamedTuple):

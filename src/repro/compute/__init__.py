@@ -22,7 +22,7 @@ sequential per-vertex loops they replaced (kept as the oracle in
 """
 
 from repro.compute.kernels import ComputeView, run_incremental_frontier, view_scope
-from repro.compute.pricing import ComputePricing, price_compute_run
+from repro.compute.pricing import ComputePricing, CostTables, price_compute_run
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.compute.state import AlgorithmState
 
@@ -31,6 +31,7 @@ __all__ = [
     "ComputePricing",
     "ComputeRun",
     "ComputeView",
+    "CostTables",
     "IterationStats",
     "price_compute_run",
     "run_incremental_frontier",

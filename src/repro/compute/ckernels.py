@@ -22,13 +22,18 @@ bucket loop, and ``saga_jacobi_run`` sweeps the same vertex functions
 over all vertices from a second value buffer until nothing changes (CC,
 MC, PR under FS).  The first three record every round or pass in a
 caller-owned *run log* -- a vertex log ``[F0][T0][F1][T1]...`` plus a
-round table -- whose slices become the run's ``IterationStats``; a log
-(or the delta run's pending-bucket buffer) that fills stalls the kernel,
-Python grows it, and the kernel resumes at its cursor (the
+round table ``(offset, pulled, pushed, cas_ops, pushes)`` -- which is
+the run's record as it stands (:class:`repro.compute.stats.ComputeRun`);
+a log (or the delta run's pending-bucket buffer) that fills stalls the
+kernel, Python grows it, and the kernel resumes at its cursor (the
 :mod:`repro.sim.cingest` idiom).  A Jacobi round pulls every vertex, so
 its run needs no log: it returns the round count.
 ``saga_taint_closure`` takes the KickStarter forward closure on byte
-masks.  Float accumulation order is the sequential order of the
+masks.  ``saga_price_run`` reads a record back: one call prices every
+round of a run on every cost table (:mod:`repro.compute.pricing`), its
+per-round sum taken through ``np.add.reduce``'s own summation tree
+(``saga_pairwise_sum``) so that the priced cycles are the numpy loop's
+bit for bit.  Float accumulation order is the sequential order of the
 per-vertex loops by construction, NaN semantics follow numpy
 (``np.minimum`` propagates NaN; ``inf - inf`` is not a change), bucket
 indices are ``np.floor_divide``'s, and the build forbids FMA
@@ -40,14 +45,18 @@ Gates:
   compute kernel; a comma list (``inc_round,expand``) disables
   individual kernels, leaving the rest compiled.  ``inc_round`` names
   ``saga_inc_run`` and the closure, ``relax_round`` ``saga_relax_run``,
-  ``jacobi_round`` ``saga_jacobi_run`` and ``delta_pass``
-  ``saga_delta_run``; without them the numpy engines of
-  :mod:`repro.compute.kernels`, ``algorithms/base.py`` and
-  ``algorithms/sssp.py`` run, the reference the run kernels are tested
-  against.
-- ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build into a hard
-  error instead of the silent numpy fallback (CI sets it so a broken
-  toolchain cannot masquerade as a perf regression).
+  ``jacobi_round`` ``saga_jacobi_run``, ``delta_pass``
+  ``saga_delta_run`` and ``price_run`` ``saga_price_run``; without
+  them the numpy engines of :mod:`repro.compute.kernels`,
+  ``algorithms/base.py`` and ``algorithms/sssp.py`` and the numpy loop
+  of :mod:`repro.compute.pricing` run, the reference the kernels are
+  tested against.  ``price_run`` is also withheld, whatever the
+  variable says, when ``saga_pairwise_sum`` does not reproduce this
+  numpy's ``ndarray.sum()`` on a probe vector (checked at load).
+- ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build, or a withheld
+  ``price_run``, into a hard error instead of the silent numpy fallback
+  (CI sets it so a broken toolchain cannot masquerade as a perf
+  regression).
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ KERNEL_NAMES = frozenset(
         "relax_round",
         "jacobi_round",
         "delta_pass",
+        "price_run",
     }
 )
 
@@ -433,11 +443,13 @@ static void inc_round(
  *          r - 1 left it and appends what it produced, so the log is
  *          [F0][T0][F1][T1]... for INC (frontier, then the triggered
  *          vertices) and [F0][F1][F2]... for the FS relaxation.
- *   rtab   one row of four per round: (pulled, pushed, cas_ops,
- *          pushes).  The first two are the lengths of the round's two
- *          consecutive vlog segments -- INC pulls F and pushes T, the
- *          relaxation pulls nothing and pushes F -- so one decoder
- *          turns either log into IterationStats slices.
+ *   rtab   one row of five per round: (offset, pulled, pushed, cas_ops,
+ *          pushes).  The round's two consecutive vlog segments start
+ *          at offset and have the next two lengths -- INC pulls F and
+ *          pushes T, the relaxation pulls nothing and pushes F.  Log
+ *          and table are the columns of the run's record as they
+ *          stand (repro.compute.stats.ComputeRun), and what
+ *          saga_price_run reads.
  *   ctl    [0] rounds done, [1] vlog offset of the current frontier,
  *          [2] its length, [3] capacity needed (set on a stall); the
  *          delta-stepping run parks four more words behind them.
@@ -463,6 +475,17 @@ static int64_t next_frontier_bound(
     for (p = 0; p < k && total < n; p++)
         total += out_lens[frontier[p]];
     return total < n ? total : n;
+}
+
+static void log_round(int64_t *rtab, int64_t r, int64_t off, int64_t pulled,
+                      int64_t pushed, int64_t cas_ops, int64_t pushes)
+{
+    int64_t *row = rtab + 5 * r;
+    row[0] = off;
+    row[1] = pulled;
+    row[2] = pushed;
+    row[3] = cas_ops;
+    row[4] = pushes;
 }
 
 static int run_leave(int64_t *ctl, int64_t r, int64_t off, int64_t k,
@@ -506,7 +529,7 @@ int64_t saga_inc_run(
 {
     int64_t r = ctl[0], off = ctl[1], k = ctl[2];
     while (k > 0) {
-        int64_t counts[3], need, *row, *next;
+        int64_t counts[3], need, *next;
         if (r >= max_rounds)
             return run_leave(ctl, r, off, k, 0, SAGA_RUN_OVERRUN);
         if (r >= rcap)
@@ -521,11 +544,7 @@ int64_t saga_inc_run(
         next = vlog + off + k + counts[0];
         memmove(next, vlog + off + 2 * k, (size_t)counts[2] * sizeof(int64_t));
         sort_ids(next, counts[2]);
-        row = rtab + 4 * r;
-        row[0] = k;
-        row[1] = counts[0];
-        row[2] = counts[1];
-        row[3] = counts[2];
+        log_round(rtab, r, off, k, counts[0], counts[1], counts[2]);
         r++;
         off += k + counts[0];
         k = counts[2];
@@ -559,7 +578,7 @@ int64_t saga_relax_run(
     int64_t r = ctl[0], off = ctl[1], k = ctl[2];
     while (k > 0) {
         const int64_t *frontier = vlog + off;
-        int64_t *next_out = vlog + off + k, *row;
+        int64_t *next_out = vlog + off + k;
         int64_t p, j, nn = 0, need;
         if (r >= rcap)
             return run_leave(ctl, r, off, k, r + 1, SAGA_RUN_STALL_ROUNDS);
@@ -587,11 +606,7 @@ int64_t saga_relax_run(
         }
         for (p = 0; p < nn; p++)
             improved[next_out[p]] = 0;
-        row = rtab + 4 * r;
-        row[0] = 0;
-        row[1] = k;
-        row[2] = nn;
-        row[3] = nn;
+        log_round(rtab, r, off, 0, k, nn, nn);
         r++;
         off += k;
         k = nn;
@@ -979,7 +994,7 @@ int64_t saga_delta_run(
             int heavy = phase == DELTA_HEAVY;
             int64_t count = heavy ? off - first : k;
             const int64_t *from = heavy ? vlog + first : vlog + off;
-            int64_t *same = vlog + off + count, *row;
+            int64_t *same = vlog + off + count;
             int64_t p, bound = 0, nsame = 0, ne;
             for (p = 0; p < count; p++)
                 bound += lens[from[p]];
@@ -996,11 +1011,7 @@ int64_t saga_delta_run(
                             delta, heavy, bucket, same, &nsame, pend, &pcount);
             if (ne < 0)
                 DELTA_LEAVE(0, SAGA_RUN_BAD_BUCKET);
-            row = rtab + 4 * r;
-            row[0] = 0;
-            row[1] = count;
-            row[2] = ne;
-            row[3] = ne;
+            log_round(rtab, r, off, 0, count, ne, ne);
             r++;
             off += count;
             /* same[] now starts at vlog[off]: the next light frontier. */
@@ -1017,6 +1028,118 @@ leave:
     ctl[6] = first;
     ctl[7] = phase;
     return run_leave(ctl, r, off, k, need, (int)code);
+}
+
+/* ---- pricing ------------------------------------------------------
+ * np.add.reduce over a contiguous float64 vector, with numpy's own
+ * summation tree written out (DOUBLE_pairwise_sum): under 8 elements
+ * left to right; up to 128, eight running lanes combined pairwise and
+ * the n % 8 tail added left to right; beyond that, split at n / 2
+ * rounded down to a multiple of 8.  Same values, same tree: the same
+ * float64 as ndarray.sum(), which the loader checks before it offers
+ * saga_price_run (a numpy with another tree gets the numpy loop). */
+double saga_pairwise_sum(const double *a, int64_t n)
+{
+    int64_t i;
+    if (n < 8) {
+        double res = -0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int lane;
+        for (lane = 0; lane < 8; lane++)
+            r[lane] = a[lane];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (lane = 0; lane < 8; lane++)
+                r[lane] += a[i + lane];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i = n / 2;
+    i -= i % 8;
+    return saga_pairwise_sum(a, i) + saga_pairwise_sum(a + i, n - i);
+}
+
+/* One priced run: repro.compute.pricing's loop over the rounds of a
+ * run record (vlog, rtab as above), for ntables cost tables at once.
+ * tables[t] holds every vertex's pull cost, then from push_base on
+ * every vertex's push cost.  Per round and table: gather the tasks'
+ * costs, their maximum and their np.add.reduce sum, graham_makespan's
+ * formula in its Python operand order, and a left-to-right
+ * accumulation over the rounds.  A round that repeats the previous
+ * one's (offset, pulled, pushed) has the same tasks and reuses its
+ * (makespan, total); a round without tasks costs nothing.
+ *
+ *   gathered  scratch, room for the largest round's tasks
+ *   out       4 rows of ntables: latency, work (the results), and the
+ *             current round's makespan and total. */
+void saga_price_run(
+    const int64_t *vlog,
+    const int64_t *rtab,
+    int64_t rounds,
+    int64_t push_base,
+    const double *const *tables,
+    int64_t ntables,
+    double threads,
+    double scale,
+    double task_dispatch,
+    double dispatch_chunk,
+    double queue_push,
+    double *gathered,
+    double *out)
+{
+    double *latency = out, *work = out + ntables;
+    double *makespan = out + 2 * ntables, *total = out + 3 * ntables;
+    double idle = 1.0 - 1.0 / threads;
+    const int64_t *last = NULL;
+    int64_t r, t, i;
+    for (t = 0; t < ntables; t++)
+        latency[t] = work[t] = 0.0;
+    for (r = 0; r < rounds; r++) {
+        const int64_t *row = rtab + 5 * r;
+        int64_t pulled = row[1], tasks = row[1] + row[2];
+        double extra;
+        if (tasks == 0)
+            continue;
+        if (!last || row[0] != last[0] || pulled != last[1] || row[2] != last[2]) {
+            const int64_t *ids = vlog + row[0];
+            for (t = 0; t < ntables; t++) {
+                const double *pull_cost = tables[t];
+                const double *push_cost = tables[t] + push_base;
+                /* The maximum is order-free, so four running lanes keep
+                 * it off one dependency chain.  They step over NaN;
+                 * ndarray.max() returns it, and so does the re-derivation
+                 * below, which a NaN sum -- any NaN cost makes one --
+                 * asks for. */
+                double m[4] = {-INFINITY, -INFINITY, -INFINITY, -INFINITY};
+                double longest, sum;
+                for (i = 0; i < tasks; i++) {
+                    double c = (i < pulled ? pull_cost : push_cost)[ids[i]];
+                    gathered[i] = c;
+                    if (c > m[i & 3])
+                        m[i & 3] = c;
+                }
+                longest = take_max(take_max(m[0], m[1]), take_max(m[2], m[3]));
+                sum = saga_pairwise_sum(gathered, tasks);
+                if (sum != sum)
+                    for (longest = gathered[0], i = 1; i < tasks; i++)
+                        longest = take_max(longest, gathered[i]);
+                total[t] = sum + task_dispatch * (double)tasks / dispatch_chunk;
+                makespan[t] = (total[t] / threads + idle * longest) * scale;
+            }
+            last = row;
+        }
+        extra = (double)row[4] * queue_push;
+        for (t = 0; t < ntables; t++) {
+            latency[t] += makespan[t] + extra / threads;
+            work[t] += total[t] + extra;
+        }
+    }
 }
 """
 
@@ -1067,6 +1190,20 @@ class ComputeKernels:
             _I64,
             [_PTR] * 5 + [_F64] + [_PTR, _I64, _PTR, _I64, _PTR] + [_PTR, _I64],
         )
+        _sig(lib.saga_pairwise_sum, _F64, [_PTR, _I64])
+        _sig(
+            lib.saga_price_run,
+            None,
+            [_PTR, _PTR, _I64, _I64, _PTR, _I64] + [_F64] * 5 + [_PTR, _PTR],
+        )
+        #: Members this build must not serve, each with the reason (read
+        #: by :class:`repro.sim.cbuild.NativeLibrary`).
+        self.refused = {}
+        if not _sums_like_numpy(lib):
+            self.refused["price_run"] = (
+                "saga_pairwise_sum does not reproduce ndarray.sum() of "
+                f"numpy {np.__version__}"
+            )
 
     # ``arr.ctypes.data`` of a size-0 array is a valid (never
     # dereferenced) pointer, so empty frontiers need no special casing.
@@ -1130,14 +1267,14 @@ class ComputeKernels:
         the pending-bucket buffer ``(pend, pcap)`` when ``pending``.
         Each stall grows the buffer it names (at least doubling, used
         prefix kept) and re-enters at the cursor ``ctl`` holds.  Returns
-        the vertex log, the round table trimmed to the rounds run, and
-        the return code the run ended with.
+        the vertex log and the round table, trimmed to what the run
+        wrote, and the return code the run ended with.
         """
         entry = getattr(self._lib, "saga_" + kernel)
         p = self._p
         vlog = np.empty(max(frontier.size, RUN_LOG_VERTICES), dtype=np.int64)
         vlog[: frontier.size] = frontier
-        rtab = np.empty((RUN_LOG_ROUNDS, 4), dtype=np.int64)
+        rtab = np.empty((RUN_LOG_ROUNDS, 5), dtype=np.int64)
         # (bucket, vertex) pairs.
         pend = np.empty((RUN_LOG_PENDING if pending else 0, 2), dtype=np.int64)
         ctl = np.zeros(8, dtype=np.int64)
@@ -1152,7 +1289,7 @@ class ComputeKernels:
                 grown[:used] = vlog[:used]
                 vlog = grown
             elif code == _RUN_STALL_ROUNDS:
-                grown = np.empty((max(int(ctl[3]), 2 * len(rtab)), 4), dtype=np.int64)
+                grown = np.empty((max(int(ctl[3]), 2 * len(rtab)), 5), dtype=np.int64)
                 grown[: ctl[0]] = rtab[: ctl[0]]
                 rtab = grown
             elif code == _RUN_STALL_PENDING:
@@ -1160,7 +1297,7 @@ class ComputeKernels:
                 grown[: ctl[4]] = pend[: ctl[4]]
                 pend = grown
             else:
-                return vlog, rtab[: ctl[0]], code
+                return vlog[: ctl[1]], rtab[: ctl[0]], code
 
     def inc_run(
         self,
@@ -1177,7 +1314,7 @@ class ComputeKernels:
         """Every INC round of one run; see :meth:`_run` for the result.
 
         The vertex log is ``[F0][T0][F1][T1]...`` and table row r is
-        ``(len(Fr), len(Tr), cas_ops, pushes)``.
+        ``(offset of Fr, len(Fr), len(Tr), cas_ops, pushes)``.
         """
         out_csr = cv.out_csr
         in_csr = cv.in_csr
@@ -1216,7 +1353,7 @@ class ComputeKernels:
         """Every FS relaxation round of one run.
 
         The vertex log is ``[F0][F1]...`` (discovery order) and table
-        row r is ``(0, len(Fr), pushes, pushes)``.
+        row r is ``(offset of Fr, 0, len(Fr), pushes, pushes)``.
         """
         improved = np.zeros(num_nodes, dtype=np.uint8)
         p = self._p
@@ -1297,7 +1434,7 @@ class ComputeKernels:
         """Every delta-stepping pass of one SSSP run from ``source``.
 
         The vertex log is ``[P0][P1]...`` (each pass's frontier) and
-        table row r is ``(0, len(Pr), events, events)``.  The third
+        table row r is ``(offset of Pr, 0, len(Pr), events, events)``.  The third
         result is True when the run stopped at a path length whose
         bucket index does not fit in int64.
         """
@@ -1313,6 +1450,80 @@ class ComputeKernels:
         frontier = np.array([source], dtype=np.int64)
         vlog, rtab, code = self._run("delta_run", fixed, frontier, pending=True)
         return vlog, rtab, code == _RUN_BAD_BUCKET
+
+    def pairwise_sum(self, terms: np.ndarray) -> float:
+        """``terms.sum()`` of a contiguous float64 vector, through the
+        summation tree ``saga_price_run`` uses."""
+        return self._lib.saga_pairwise_sum(self._p(terms), terms.size)
+
+    def price_run(
+        self,
+        vertex_log: np.ndarray,
+        rounds: np.ndarray,
+        push_base: int,
+        table_pointers: np.ndarray,
+        threads: int,
+        scale: float,
+        task_dispatch: float,
+        dispatch_chunk: int,
+        queue_push: float,
+    ) -> Tuple[list, list]:
+        """Every round of one run record priced on every cost table.
+
+        ``vertex_log`` and ``rounds`` are a
+        :class:`~repro.compute.stats.ComputeRun`'s columns (the record
+        keeps every row inside the log) and ``table_pointers`` the
+        addresses of contiguous float64 tables of ``2 * push_base``
+        entries, as :class:`repro.compute.pricing.CostTables` holds
+        them; the caller has checked the log's vertices against
+        ``push_base``.  Returns per table the summed makespans and the
+        summed work.
+        """
+        p = self._p
+        out = np.empty((4, table_pointers.size), dtype=np.float64)
+        # Room for the largest round's tasks.
+        largest = int((rounds[:, 1] + rounds[:, 2]).max(initial=0))
+        gathered = np.empty(largest, dtype=np.float64)
+        _count_call("price_run")
+        self._lib.saga_price_run(
+            p(vertex_log),
+            p(rounds),
+            len(rounds),
+            push_base,
+            p(table_pointers),
+            table_pointers.size,
+            threads,
+            scale,
+            task_dispatch,
+            dispatch_chunk,
+            queue_push,
+            p(gathered),
+            p(out),
+        )
+        return out[0].tolist(), out[1].tolist()
+
+
+#: Lengths of the probe vector's tails :func:`_sums_like_numpy` compares:
+#: both sides of the tree's thresholds (8 lanes, blocks of 128, splits
+#: rounded to 8) and the whole vector.  One sum agrees by luck too often.
+_PROBE_LENGTHS = (
+    7, 8, 9, 11, 13, 15, 16, 17, 23, 64, 100, 127, 128, 129, 250, 257, 500, 777, 1000,
+)
+
+
+def _sums_like_numpy(lib: ctypes.CDLL) -> bool:
+    """Whether ``saga_pairwise_sum`` is this numpy's reduction tree.
+
+    Checked once per load on tails of a fixed 1 000-element non-integer
+    vector: a numpy that sums in another order must cost the compiled
+    pricer, not move a priced cycle.
+    """
+    probe = (np.arange(1.0, 1001.0) * 7919.0 % 1009.0) / 7.0
+    for n in _PROBE_LENGTHS:
+        tail = probe[probe.size - n :]
+        if lib.saga_pairwise_sum(tail.ctypes.data, n) != float(tail.sum()):
+            return False
+    return True
 
 
 _LIBRARY = NativeLibrary(

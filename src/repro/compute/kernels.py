@@ -10,8 +10,8 @@ neighbor values, reduce with segment operations.
 
 The specification is the sequential per-vertex loop (kept as the
 oracle in ``tests/oracles.py``), and the kernels are **bit-identical**
-to it: same float values, same per-round ``IterationStats`` arrays,
-same triggered counts, and therefore the same priced cycles.  Two
+to it: same float values, same per-round vertex arrays, same
+triggered counts, and therefore the same priced cycles.  Two
 things make that non-trivial:
 
 1. **Sequential in-round semantics.**  Algorithm 1 is Gauss-Seidel
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.compute import ckernels
-from repro.compute.stats import ComputeRun, IterationStats
+from repro.compute.stats import ROUND_COLUMNS, ComputeRun
 from repro.errors import SimulationError
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, METRICS
 from repro.obs.tracer import TRACER
@@ -588,25 +588,17 @@ def _observe_expansion(run: ComputeRun, edges: int) -> None:
 
 
 def _append_run_log(
-    run: ComputeRun, vlog: np.ndarray, table: np.ndarray, frontier_col: int
+    run: ComputeRun, vlog: np.ndarray, table: np.ndarray, frontier: str
 ) -> None:
-    """Turn a run kernel's log into ``run.iterations``, round by round.
+    """Hand a run kernel's log to ``run`` as it stands.
 
-    Row r of ``table`` is ``(pulled, pushed, cas_ops, pushes)`` and the
-    round's pull and push vertices are the next ``pulled`` then
-    ``pushed`` entries of ``vlog`` (see ``ckernels``); the arrays handed
-    to :class:`IterationStats` are slices of the log, not copies.
-    ``frontier_col`` names the column that is the round's frontier.
+    ``vlog`` and ``table`` are the record's own two columns (see
+    ``ckernels`` and :class:`~repro.compute.stats.ComputeRun`);
+    ``frontier`` names the table column that is the round's frontier
+    (``"pulled"`` for INC, ``"pushed"`` for the relaxations).
     """
-    rows = table.tolist()
-    _observe_frontiers(run, [row[frontier_col] for row in rows])
-    append = run.iterations.append
-    start = 0
-    for pulled, pushed, cas_ops, pushes in rows:
-        mid = start + pulled
-        end = mid + pushed
-        append(IterationStats(vlog[start:mid], vlog[mid:end], pushes, cas_ops))
-        start = end
+    _observe_frontiers(run, table[:, ROUND_COLUMNS.index(frontier)].tolist())
+    run.set_log(vlog, table)
 
 
 def _rounds_exceeded(algorithm_name: str, max_rounds: int) -> SimulationError:
@@ -650,7 +642,7 @@ def run_incremental_frontier(
     run log (``ckernels.ComputeKernels.inc_run``): the C loop IS
     sequential, so the wave machinery (whose entire purpose is
     reproducing sequential reads with vector ops) disappears rather
-    than being translated, and ``run.iterations`` are slices of the log.
+    than being translated, and the log is the run's record as it stands.
     """
     cv = resolve_view(view, compute_view)
     n = cv.num_nodes
@@ -672,7 +664,7 @@ def run_incremental_frontier(
             )
             if overran:
                 raise _rounds_exceeded(algorithm.name, max_rounds)
-            _append_run_log(run, vlog, table, frontier_col=0)
+            _append_run_log(run, vlog, table, frontier="pulled")
         return run
     rounds = 0
     with TRACER.span(
@@ -756,13 +748,11 @@ def run_incremental_frontier(
             triggered = frontier[changed]
             _, targets, _ = expand_frontier(cv.out_csr, triggered)
             next_frontier = np.unique(targets)
-            run.iterations.append(
-                IterationStats(
-                    pull_vertices=frontier,
-                    push_vertices=triggered,
-                    pushes=int(next_frontier.size),
-                    cas_ops=int(targets.size),
-                )
+            run.add_round(
+                pull=frontier,
+                push=triggered,
+                pushes=int(next_frontier.size),
+                cas_ops=int(targets.size),
             )
             frontier = next_frontier
     return run
@@ -981,7 +971,7 @@ def frontier_relaxation_kernel(
             vlog, table = ck.relax_run(
                 cv.out_csr, cv.num_nodes, frontier, values, relax_op, optimize == "max"
             )
-            _append_run_log(run, vlog, table, frontier_col=1)
+            _append_run_log(run, vlog, table, frontier="pushed")
             return run
         while frontier.size:
             _observe_frontier(run, frontier.size)
@@ -991,13 +981,10 @@ def frontier_relaxation_kernel(
             _observe_expansion(run, candidates.size)
             rows = first_improvements(candidates, targets, start_values, better)
             next_frontier = targets[rows]
-            run.iterations.append(
-                IterationStats(
-                    pull_vertices=_EMPTY_I64,
-                    push_vertices=frontier,
-                    pushes=int(next_frontier.size),
-                    cas_ops=int(next_frontier.size),
-                )
+            run.add_round(
+                push=frontier,
+                pushes=int(next_frontier.size),
+                cas_ops=int(next_frontier.size),
             )
             frontier = next_frontier
     return run

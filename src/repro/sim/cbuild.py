@@ -158,7 +158,11 @@ class NativeLibrary:
     """One optional compiled library and the two variables that steer it.
 
     ``bind(lib)`` declares the entry points of the loaded
-    :class:`ctypes.CDLL` and returns what callers get from :meth:`get`.
+    :class:`ctypes.CDLL` and returns what callers get from :meth:`get`;
+    members it names in a ``refused`` mapping (member -> reason: a
+    self-check the build did not pass) stay on their Python reference
+    like disabled ones, except that ``require_env`` raises with the
+    reason.
     ``members`` are the names :meth:`get` is asked for, each
     individually switchable to its Python reference: ``disable_env`` set
     to ``1``/``all``/``true`` names them all, anything else is a comma
@@ -209,15 +213,26 @@ class NativeLibrary:
         if self._disabled == self.members:
             return None
         try:
-            self._bound = self.bind(
-                load_library(self.source, self.stem, self.extra_flags)
-            )
+            bound = self.bind(load_library(self.source, self.stem, self.extra_flags))
         except Exception as exc:
             if _switch(self.require_env):
                 raise RuntimeError(
                     f"{self.require_env} is set but {self.stem} failed to "
                     f"build: {exc}"
                 ) from exc
+            return None
+        refused = {
+            member: why
+            for member, why in getattr(bound, "refused", {}).items()
+            if member not in self._disabled
+        }
+        if refused and _switch(self.require_env):
+            raise RuntimeError(
+                f"{self.require_env} is set but {self.stem} refuses "
+                + "; ".join(f"{member}: {why}" for member, why in refused.items())
+            )
+        self._disabled |= frozenset(refused)
+        self._bound = bound
         return self._bound
 
     def get(self, member: str):

@@ -92,7 +92,7 @@ class ScheduleResult:
         return float(self.total_work_cycles / self.makespan_cycles)
 
 
-def _work_scale(threads: int, physical_cores: int, cost: CostModel) -> float:
+def work_scale(threads: int, physical_cores: int, cost: CostModel) -> float:
     """Per-thread work dilation when SMT siblings share cores."""
     if physical_cores <= 0:
         raise SimulationError(f"physical_cores must be positive, got {physical_cores}")
@@ -196,7 +196,7 @@ class DynamicScheduler:
         n = len(tasks)
         if n == 0:
             return _empty_result(self.threads)
-        scale = _work_scale(self.threads, self.physical_cores, self.cost)
+        scale = work_scale(self.threads, self.physical_cores, self.cost)
         # Timeline capture (``--trace-out``) needs per-task start/end
         # times, which only the Python event loop records; the closed
         # forms and the compiled kernel are bypassed.  The resulting
@@ -520,7 +520,7 @@ class ChunkedScheduler:
         chunk = tasks.chunk
         if bool((chunk < 0).any()):
             raise SimulationError("ChunkedScheduler requires tasks with a chunk")
-        scale = _work_scale(threads, self.physical_cores, self.cost)
+        scale = work_scale(threads, self.physical_cores, self.cost)
         tid = chunk % threads
         work = tasks.unlocked_work + tasks.locked_work
         thread_busy = np.bincount(tid, weights=work * scale, minlength=threads)
@@ -541,6 +541,10 @@ class ChunkedScheduler:
         )
 
 
+#: Iterations a lock-free ``parallel for`` hands out per dispatch.
+PARALLEL_FOR_CHUNK = 64
+
+
 def graham_makespan(
     work: float,
     longest: float,
@@ -548,7 +552,7 @@ def graham_makespan(
     threads: int,
     physical_cores: int,
     cost: CostModel,
-    dispatch_chunk: int = 64,
+    dispatch_chunk: int = PARALLEL_FOR_CHUNK,
 ) -> Tuple[float, float]:
     """``(makespan, total work)`` of a lock-free ``parallel for``, from scalars.
 
@@ -561,7 +565,7 @@ def graham_makespan(
     """
     if threads < 1:
         raise SimulationError(f"threads must be >= 1, got {threads}")
-    scale = _work_scale(threads, physical_cores, cost)
+    scale = work_scale(threads, physical_cores, cost)
     total = work + cost.task_dispatch * tasks / dispatch_chunk
     makespan = (total / threads + (1.0 - 1.0 / threads) * longest) * scale
     return makespan, total
@@ -572,7 +576,7 @@ def parallel_for_makespan(
     threads: int,
     physical_cores: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    dispatch_chunk: int = 64,
+    dispatch_chunk: int = PARALLEL_FOR_CHUNK,
 ) -> ScheduleResult:
     """Makespan of a lock-free OpenMP ``parallel for`` over ``costs``.
 
@@ -582,7 +586,7 @@ def parallel_for_makespan(
     if threads < 1:
         raise SimulationError(f"threads must be >= 1, got {threads}")
     cores = physical_cores if physical_cores is not None else threads
-    scale = _work_scale(threads, cores, cost_model)
+    scale = work_scale(threads, cores, cost_model)
     costs = np.asarray(costs, dtype=np.float64)
     n = int(costs.size)
     if n == 0:

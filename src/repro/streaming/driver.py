@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.algorithms.registry import ALGORITHMS, COMPUTE_MODELS, get_algorithm
 from repro.compute import kernels
-from repro.compute.pricing import price_compute_run
+from repro.compute.pricing import CostTables, price_compute_run
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, Dataset
 from repro.errors import ConfigError
 from repro.graph import STRUCTURES, ReferenceGraph, make_structure
@@ -81,28 +81,25 @@ def _run_ops_decomposition(
     pull_degree = push_degree = 0
     pushes = cas_ops = 0
     rounds = scans = 0
-    # Jacobi FS rounds record the same vertex arrays round after round:
-    # the same object has the same degree mass.
-    last_pull = last_push = None
-    last_pull_degree = last_push_degree = 0
     for run in runs:
         scans += run.linear_scans
         rounds += run.frontier_rounds or run.iteration_count
-        for it in run.iterations:
-            if len(it.pull_vertices):
-                if it.pull_vertices is not last_pull:
-                    last_pull = it.pull_vertices
-                    last_pull_degree = int(deg_in[last_pull].sum())
-                pull_vertices += int(len(last_pull))
-                pull_degree += last_pull_degree
-            if len(it.push_vertices):
-                if it.push_vertices is not last_push:
-                    last_push = it.push_vertices
-                    last_push_degree = int(deg_out[last_push].sum())
-                push_vertices += int(len(last_push))
-                push_degree += last_push_degree
-            pushes += int(it.pushes)
-            cas_ops += int(it.cas_ops)
+        table = run.rounds
+        _, pulled, pushed, run_cas_ops, run_pushes = table.sum(axis=0).tolist()
+        pull_vertices += pulled
+        push_vertices += pushed
+        cas_ops += run_cas_ops
+        pushes += run_pushes
+        # Degree mass of every log prefix: a round's pulled (pushed)
+        # vertices are a slice of the log, their mass a difference --
+        # rounds that share log entries (Jacobi FS) share the gather.
+        log = run.vertex_log
+        mass_in = np.concatenate(([0], np.cumsum(deg_in[log])))
+        mass_out = np.concatenate(([0], np.cumsum(deg_out[log])))
+        start = table[:, 0]
+        mid = start + table[:, 1]
+        pull_degree += int((mass_in[mid] - mass_in[start]).sum())
+        push_degree += int((mass_out[mid + table[:, 2]] - mass_out[mid]).sum())
     scan_ops = scans * int(num_nodes)
     ops = (
         pull_vertices * (cost.vertex_task_base + cost.property_write)
@@ -125,7 +122,7 @@ def _run_ops_decomposition(
 
 
 def _price_runs(
-    runs, structures, deg_in, deg_out, ctx: ExecutionContext, neighbor_degree_query
+    runs, structures, tables: CostTables, ctx: ExecutionContext, neighbor_degree_query
 ) -> Dict[str, float]:
     """Compute-phase cycles of one algorithm x model on each structure.
 
@@ -135,7 +132,7 @@ def _price_runs(
     cycles = dict.fromkeys(structures, 0.0)
     for run in runs:
         pricings = price_compute_run(
-            run, structures, deg_in, deg_out, ctx,
+            run, structures, tables, ctx,
             neighbor_degree_query=neighbor_degree_query,
         )
         for structure, pricing in pricings.items():
@@ -523,6 +520,8 @@ class StreamDriver:
                 compute_view = reference.compute_view()
             deg_in = compute_view.in_csr.degrees
             deg_out = compute_view.out_csr.degrees
+            # Built as the batch's runs ask for them, read by all of them.
+            cost_tables = CostTables(deg_in, deg_out, ctx.cost_model)
             update_ops = record.edges_attempted + churn_attempted
             update_samples = plane.close_update(record, update_ops)
             # ---- Per-batch feature capture (cost-model substrate) ----
@@ -573,7 +572,7 @@ class StreamDriver:
                                 runs, deg_in, deg_out, n, ctx.cost_model
                             )
                         structure_cycles = _price_runs(
-                            runs, plane.structures, deg_in, deg_out, ctx,
+                            runs, plane.structures, cost_tables, ctx,
                             algorithm.neighbor_degree_query,
                         )
                         recorded_model = None

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.bfs import BFS
 from repro.algorithms.sssp import SSSP
-from repro.compute.pricing import price_compute_run
+from repro.compute.pricing import CostTables, price_compute_run
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph
 from tests.conftest import SMALL_MACHINE, random_batch
 
@@ -103,12 +103,12 @@ class TestDijkstraVariant:
         n = view.num_nodes
         deg_in = np.array([view.in_degree(v) for v in range(n)])
         deg_out = np.array([view.out_degree(v) for v in range(n)])
+        tables = CostTables(deg_in, deg_out, ctx.cost_model)
         delta = price_compute_run(
-            SSSP().fs_run(view, source=0), ("AS",), deg_in, deg_out, ctx
+            SSSP().fs_run(view, source=0), ("AS",), tables, ctx
         )["AS"]
         dijkstra = price_compute_run(
-            SSSP(use_dijkstra=True).fs_run(view, source=0),
-            ("AS",), deg_in, deg_out, ctx,
+            SSSP(use_dijkstra=True).fs_run(view, source=0), ("AS",), tables, ctx
         )["AS"]
         assert dijkstra.latency_cycles > delta.latency_cycles
 

@@ -37,6 +37,7 @@ from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import METRICS
 from repro.sim import cbuild, cingest, ckernel
+from tests import test_compute_pricing
 from tests.conftest import ccompute_env, ubsan_probe
 from tests.oracles import fs_oracle, jacobi_fixpoint, observed as _snapshot_run
 from tests.test_compute_kernels import _hub, _stream
@@ -951,9 +952,11 @@ lib.saga_inc_run(
 
 @needs_ckernels
 @pytest.mark.usefixtures("ubsan_libraries")
-class TestComputeLibraryUnderUBSan(TestRunLog):
-    """The run-log verifier above (inherited: INC and FS, every stall
-    point), run through the sanitized build."""
+class TestComputeLibraryUnderUBSan(TestRunLog, test_compute_pricing.TestExactness):
+    """The run-log verifier above (INC and FS, every stall point) and the
+    pricing verifier of ``tests/test_compute_pricing.py`` (``saga_price_run``
+    against the per-iteration pricer, ``saga_pairwise_sum`` against
+    ``ndarray.sum()``), both inherited, run through the sanitized build."""
 
     library_loaded = staticmethod(ckernels.loaded)
 

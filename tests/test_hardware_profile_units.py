@@ -14,7 +14,7 @@ from repro.analysis.hardware_profile import (
 )
 from repro.algorithms.registry import get_algorithm
 from repro.compute.kernels import ComputeView
-from repro.compute.stats import ComputeRun, IterationStats
+from repro.compute.stats import ComputeRun
 from repro.datasets.catalog import load_dataset
 from repro.errors import SimulationError
 from repro.graph import ExecutionContext, ReferenceGraph, make_structure
@@ -353,13 +353,11 @@ class TestComputeTraceMatchesPerVertexLoop:
         hub = int(np.bincount(dataset.edges.src).argmax())
         busy = np.argsort(np.bincount(dataset.edges.dst))[-4:].tolist()
         run = ComputeRun("CC", "INC", np.zeros(0))
-        run.iterations = [
-            IterationStats.make(pull=[hub, busy[0], busy[1]], push=[hub, busy[0]]),
-            IterationStats.make(push=[busy[2]]),
-            IterationStats.make(),
-            IterationStats.make(pull=[busy[3], hub]),
-            IterationStats.make(pull=[busy[1], 0], push=[hub]),
-        ]
+        run.add_round(pull=[hub, busy[0], busy[1]], push=[hub, busy[0]])
+        run.add_round(push=[busy[2]])
+        run.add_round()
+        run.add_round(pull=[busy[3], hub])
+        run.add_round(pull=[busy[1], 0], push=[hub])
         trace, task_thread = HardwareProfiler()._compute_trace(
             run, structure, ComputeView.of(reference), properties, "CC", visited, 8
         )

@@ -199,7 +199,8 @@ def test_predict_convenience(quick_fit):
 
 
 def test_compute_rows_equal_a_gather_per_iteration(monkeypatch):
-    """Reusing a repeated vertex array's degree mass changes no row."""
+    """Rounds that share log entries (Jacobi FS) and the prefix-mass
+    differences change no row."""
     from repro.streaming import driver
 
     ops_columns = ("pull_vertices", "push_vertices", "pull_degree", "push_degree")
@@ -210,8 +211,8 @@ def test_compute_rows_equal_a_gather_per_iteration(monkeypatch):
     def recording(runs, deg_in, deg_out, num_nodes, cost):
         counts = dict.fromkeys(ops_columns, 0)
         for run in runs:
-            pulls = [id(it.pull_vertices) for it in run.iterations]
-            repeated.append(len(set(pulls)) < len(pulls))
+            offsets = run.rounds[:, 0].tolist()
+            repeated.append(len(set(offsets)) < len(offsets))
             for it in run.iterations:
                 counts["pull_vertices"] += len(it.pull_vertices)
                 counts["push_vertices"] += len(it.push_vertices)
