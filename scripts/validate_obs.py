@@ -1,7 +1,7 @@
 """Validate observability outputs: Chrome trace JSON + Prometheus text.
 
 The CI smoke steps run the CLI with ``--trace-out`` / ``--metrics-out``
-and then this script, over three execution paths::
+and then this script, over four execution paths::
 
     # in-process
     PYTHONPATH=src python -m repro stream --dataset Talk --quick \
@@ -15,7 +15,14 @@ and then this script, over three execution paths::
     # multiprocess sweep (worker payloads merged into the parent)
     PYTHONPATH=src python -m repro table3 --quick --jobs 2 ...
     PYTHONPATH=src python scripts/validate_obs.py \
+        --require stream_update_latency_seconds \
         --require sweep_cell_seconds /tmp/t.json /tmp/m.prom
+
+    # one architecture-profile figure: no stream driver, every batch traced
+    PYTHONPATH=src python -m repro fig9 --quick --no-cache ...
+    PYTHONPATH=src python scripts/validate_obs.py --no-sim \
+        --require ingest_trace_accesses_total \
+        --require ingest_trace_stalls_total /tmp/t.json /tmp/m.prom
 
 Checks:
 
@@ -176,9 +183,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     validate_trace(args.trace, require_sim=not args.no_sim)
-    required = ("stream_update_latency_seconds",)
-    if args.require:
-        required = required + tuple(args.require)
+    required = tuple(args.require or ("stream_update_latency_seconds",))
     validate_prometheus(args.metrics, required=required)
     print("validate_obs: OK")
     return 0

@@ -216,6 +216,8 @@ class HardwareProfiler:
         self.core_counts = tuple(core_counts)
         self.algorithms = tuple(algorithms)
         self.batch_size = batch_size
+        if trace_cap < 1:
+            raise SimulationError(f"trace_cap must be >= 1, got {trace_cap}")
         self.trace_cap = trace_cap
         self.seed = seed
         self.prefetch = prefetch

@@ -87,7 +87,7 @@ class _ChunkedEmitter:
         """The one-call batch path; ``None`` for stores without a kernel."""
         return self._ingest_compiled if self._out.kernels is not None else None
 
-    def _ingest_compiled(self, batch) -> int:
+    def _ingest_compiled(self, batch, recorder) -> int:
         """The whole batch in one compiled call; chunk ids are rebuilt
         in ``finish``."""
         self._layout = (batch.src, batch.dst)
@@ -97,6 +97,7 @@ class _ChunkedEmitter:
             batch,
             self._directed,
             self._delete,
+            recorder,
         )
         return positive
 

@@ -71,7 +71,7 @@ class _SharedEmitter:
         """The one-call batch path; ``None`` for stores without a kernel."""
         return self._ingest_compiled if self._out.kernels is not None else None
 
-    def _ingest_compiled(self, batch) -> int:
+    def _ingest_compiled(self, batch, recorder) -> int:
         """The whole batch in one compiled call.
 
         Lock ids are not returned per operation; they depend only on
@@ -84,6 +84,7 @@ class _SharedEmitter:
             batch,
             self._directed,
             self._delete,
+            recorder,
         )
         return positive
 

@@ -19,12 +19,14 @@ Task emission is columnar: each structure provides a *task emitter*
 counts of every store operation (slots scanned, blocks chased, entries
 rehashed...) and prices them in bulk into a
 :class:`~repro.sim.tasks.TaskArray` with vectorized arithmetic.  An
-emitter's per-operation methods are the reference: what traced batches
-run, since the store methods emit the memory accesses, and what every
-batch runs when the stores were built without a compiled kernel.  Its
-``ingest_batch`` -- the whole batch as one compiled call -- is the fast
-path for untraced batches.  ``tests/test_task_kernels.py`` pins the
-emitted columns of both.
+emitter's per-operation methods are the reference, and what every batch
+runs when the stores were built without a compiled kernel: the store
+methods behind them return the counts and emit the memory accesses of
+one operation.  Its ``ingest_batch(batch, recorder)`` -- the whole batch
+as one compiled call, which also writes a traced batch's accesses into
+the recorder -- is what every batch runs otherwise.
+``tests/test_task_kernels.py`` pins the emitted columns of both,
+``tests/test_cingest.py`` the traces.
 """
 
 from __future__ import annotations
@@ -235,13 +237,14 @@ class GraphDataStructure(abc.ABC):
             raise StructureError(f"{self.name} does not support deletion")
         tracing = recorder.enabled
         directed = self.directed
-        # Untraced batches take the emitter's one compiled call when
-        # it offers one; traced batches, and stores without a kernel,
-        # run the per-edge loop, whose store methods emit the memory
-        # accesses.
-        bulk = None if tracing else getattr(emitter, "ingest_batch", None)
+        traced_before = len(recorder)
+        # Every batch takes the emitter's one compiled call when it
+        # offers one (the kernel writes a traced batch's accesses too);
+        # stores without a kernel run the per-edge loop, whose store
+        # methods emit them.
+        bulk = getattr(emitter, "ingest_batch", None)
         if bulk is not None:
-            positive = bulk(batch)
+            positive = bulk(batch, recorder)
         elif delete:
             src = batch.src.tolist()
             dst = batch.dst.tolist()
@@ -278,6 +281,13 @@ class GraphDataStructure(abc.ABC):
                     if tracing:
                         recorder.begin_task(emitter.rows)
                     op_in(v, u, w, recorder)
+        if tracing and METRICS.enabled:
+            METRICS.counter(
+                "ingest_trace_accesses_total",
+                "update-phase memory accesses emitted, by the path that wrote them",
+                structure=self.name,
+                path="kernel" if bulk is not None else "per_edge",
+            ).inc(len(recorder) - traced_before)
         if delete:
             self._num_edges -= positive
         else:
@@ -431,8 +441,8 @@ class GraphDataStructure(abc.ABC):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Reference emitter: the per-vertex :meth:`_trace_traversal` in a loop.
 
-        Structures whose stores can emit a whole vertex array at once
-        (AS, AC, DAH) override this; the result must equal this loop's.
+        The five structures' stores emit a whole vertex array at once
+        and override this; the result must equal this loop's.
         """
         recorder = TraceRecorder()
         ends = []
@@ -458,8 +468,8 @@ class GraphDataStructure(abc.ABC):
         overhead tasks such as chunk routing included).  A structure
         that supports deletion adds ``delete_out(src, dst, recorder)``
         / ``delete_in``; one whose stores have a compiled kernel offers
-        ``ingest_batch(batch)`` returning the positive count (absent or
-        ``None`` otherwise).
+        ``ingest_batch(batch, recorder)`` returning the positive count
+        (absent or ``None`` otherwise).
         """
 
     @abc.abstractmethod

@@ -86,7 +86,7 @@ class _BlockedEmitter:
         """The one-call batch path; ``None`` for stores without a kernel."""
         return self._ingest_compiled if self._out.kernels is not None else None
 
-    def _ingest_compiled(self, batch) -> int:
+    def _ingest_compiled(self, batch, recorder) -> int:
         """The whole batch in one compiled call; chunk ids are rebuilt
         in ``finish``.
 
@@ -100,6 +100,7 @@ class _BlockedEmitter:
             batch,
             self._directed,
             self._delete,
+            recorder,
             record_moved=False,
         )
         return positive
@@ -236,3 +237,7 @@ class BlockedAdjacency(GraphDataStructure):
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in
         store.trace_traversal(u, recorder)
+
+    def _trace_traversals(self, vertices, out: bool):
+        store = self._out if out else self._in
+        return store.trace_traversals(vertices)

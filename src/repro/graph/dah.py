@@ -86,7 +86,7 @@ class _DAHEmitter:
         """The one-call batch path; ``None`` for stores without a kernel."""
         return self._ingest_compiled if self._out.kernels is not None else None
 
-    def _ingest_compiled(self, batch) -> int:
+    def _ingest_compiled(self, batch, recorder) -> int:
         """The whole batch in one compiled call."""
         (
             positive,
@@ -104,6 +104,7 @@ class _DAHEmitter:
             batch,
             self._directed,
             self._delete,
+            recorder,
         )
         return positive
 

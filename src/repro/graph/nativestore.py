@@ -9,14 +9,15 @@ arrays.  Each operation on that state is written twice:
 * **per edge, in Python** -- ``insert``/``remove`` return the primitive
   counts of one search-then-act (slots scanned, blocks chased, table
   slots probed, entries rehashed ...) and emit the memory accesses it
-  makes into the recorder.  This is the reference, what every traced
-  batch runs, and what an untraced batch runs when the store was built
-  without a kernel (no compiler, a failed build, or the structure named
-  in ``SAGA_BENCH_NO_CINGEST``);
+  makes into the recorder.  This is the reference, and what every batch
+  runs when the store was built without a kernel (no compiler, a failed
+  build, or the structure named in ``SAGA_BENCH_NO_CINGEST``);
 * **per batch, in C** -- ``native_vec_ingest`` / ``native_stinger_ingest``
   / ``native_dah_ingest`` hand the whole batch to the kernel of
-  :mod:`repro.sim.cingest`, which mutates the same arrays and returns
-  the same counts as columns, row for row.
+  :mod:`repro.sim.cingest`, which mutates the same arrays, returns the
+  same counts as columns, row for row, and -- for a traced batch --
+  writes the same accesses into an access log.  This is what every
+  batch of a store with a kernel runs, traced or not.
 
 Simulated-memory accounting stays in Python on both paths: the kernel
 logs one event per allocation-changing operation (vector growth,
@@ -31,6 +32,15 @@ allocates: when an arena is too small it *stalls*, returning a resume
 cursor and a resource code, the ``_grow_*`` method of that resource
 enlarges the numpy array, and the kernel is re-entered.
 
+The kernel cannot know an address before the replay, so its access log
+names regions by *holder* (a header array, a vertex's vector, a block,
+a table, a neighbor set) and generation -- the region the holder had
+before the call, or the one event ``e`` gave it -- and
+:class:`_AccessLog` resolves the whole log with one gather once the
+replay has produced the event regions' bases: the same ``Region`` bases
+the per-edge methods read, so the two traces are equal by construction
+(DESIGN.md decision #24).  The log is one more stall-and-grow resource.
+
 The layout constants and outcome records of each family live beside its
 store; the structure modules import them from here, never the reverse.
 ``tests/oracle_stores.py`` holds an independent list/dict implementation
@@ -44,6 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.graph.vectorstore import (
     ENTRY_BYTES,
     HEADER_BYTES,
@@ -61,14 +72,20 @@ from repro.sim.trace import ragged_arange
 #: Initial per-store entry pool; doubled on demand (kernel stall).
 INITIAL_POOL = 1 << 14
 
+#: Initial rows of a traced batch's access log; grown on demand (kernel
+#: stall).
+INITIAL_LOG = 1 << 14
+
 
 class _PooledVectorState:
-    """Flat (neighbor, weight) pool + per-vertex spans, shared by the
-    vector-family stores (AS/AC vectors and BA segments have the same
-    mutation semantics; only growth *accounting* differs).
+    """Flat (neighbor, weight) pool + per-vertex spans: the vector-family
+    store (AS/AC vectors and BA segments have the same mutation
+    semantics and emit the same accesses; only growth *accounting*
+    differs, which is :meth:`_replay_grow`).
 
-    ``kernels`` is ``cingest.get(structure)``: ``None`` builds the same
-    store without a compiled batch path.
+    Duplicate detection is charged as the linear scan a contiguous C++
+    vector would perform.  ``kernels`` is ``cingest.get(structure)``:
+    ``None`` builds the same store without a compiled batch path.
     """
 
     def __init__(self, max_nodes: int, space: AddressSpace, label: str,
@@ -84,6 +101,10 @@ class _PooledVectorState:
         self._wgt = np.empty(INITIAL_POOL, dtype=np.float64)
         self._state = np.zeros(1, dtype=np.int64)  # [0] = pool cursor
         self._header = space.alloc(max_nodes * HEADER_BYTES, f"{label}.headers")
+        #: Base address of each vertex's vector; with ``_capacity`` it
+        #: is the vertex's whole region (see :meth:`_region`).
+        self._region_base = np.zeros(max_nodes, dtype=np.int64)
+        self._vec_label = f"{label}.vec"
 
     # -- pool plumbing -------------------------------------------------
 
@@ -132,11 +153,14 @@ class _PooledVectorState:
         self._replay_grow(src, new_capacity)
         return old_len
 
-    def _replay_grow(self, vertex: int, new_capacity: int) -> None:
+    def _replay_grow(self, vertex: int, new_capacity: int) -> int:
+        """Account one growth in the address space; returns the base of
+        the vertex's new region (also left in ``_region_base``)."""
         raise NotImplementedError
 
-    def _replay_growth(self, mirror_store, mirror, vertex, capacity) -> None:
-        """Replay a kernel growth log, in order, event by event.
+    def _replay_growth(self, mirror_store, mirror, vertex, capacity) -> np.ndarray:
+        """Replay a kernel growth log, in order, event by event; returns
+        the base of the region each event allocated.
 
         ``self`` is the out store; rows with ``mirror`` set belong to
         ``mirror_store`` (the in store, or ``self`` again when
@@ -144,39 +168,31 @@ class _PooledVectorState:
         across the two stores decides the layout.
         """
         stores = (self, mirror_store)
-        for m, v, c in zip(mirror.tolist(), vertex.tolist(), capacity.tolist()):
-            stores[m]._replay_grow(v, c)
+        return np.array(
+            [
+                stores[m]._replay_grow(v, c)
+                for m, v, c in zip(mirror.tolist(), vertex.tolist(), capacity.tolist())
+            ],
+            dtype=np.int64,
+        )
 
-    # -- queries -------------------------------------------------------
+    def _standing_regions(self, spare: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(base, limit)`` of this store's regions by holder -- the
+        header array, then each vertex's vector -- as copies, taken
+        before a traced kernel call replaces any of them.  ``limit`` is
+        the last in-bounds offset of an access (one header, one entry).
+        A call adds no holder here (a growth replaces a vertex's
+        region), so ``spare`` reserves nothing.
+        """
+        header = self._header
+        return (
+            np.concatenate(([header.base], self._region_base)),
+            np.concatenate(
+                ([header.size - HEADER_BYTES], (self._capacity - 1) * ENTRY_BYTES)
+            ),
+        )
 
-    def neighbors(self, u: int) -> List[Tuple[int, float]]:
-        off = int(self._off[u])
-        n = int(self._len[u])
-        return list(zip(self._nbr[off:off + n].tolist(),
-                        self._wgt[off:off + n].tolist()))
-
-    def degree(self, u: int) -> int:
-        return int(self._len[u])
-
-    @property
-    def header_region(self) -> Region:
-        return self._header
-
-
-class NativeVectorStore(_PooledVectorState):
-    """AS/AC store: one growable vector per vertex.
-
-    Duplicate detection is charged as the linear scan a contiguous C++
-    vector would perform; a full vector doubles into a freshly allocated
-    region and frees the old one.
-    """
-
-    def __init__(self, max_nodes, space, label, kernels) -> None:
-        super().__init__(max_nodes, space, label, kernels)
-        #: Base address of each vertex's vector; with ``_capacity`` it
-        #: is the vertex's whole region (see :meth:`_region`).
-        self._region_base = np.zeros(max_nodes, dtype=np.int64)
-        self._vec_label = f"{label}.vec"
+    # -- per-edge operations --------------------------------------------
 
     def _region(self, vertex: int) -> Optional[Region]:
         """The vertex's vector region (``None`` before its first growth)."""
@@ -186,34 +202,6 @@ class NativeVectorStore(_PooledVectorState):
         return Region(
             int(self._region_base[vertex]), capacity * ENTRY_BYTES, self._vec_label
         )
-
-    def _replay_grow(self, vertex: int, new_capacity: int) -> None:
-        old_base = int(self._region_base[vertex])
-        region = self.space.alloc(new_capacity * ENTRY_BYTES, self._vec_label)
-        self._region_base[vertex] = region.base
-        if new_capacity > INITIAL_CAPACITY:
-            # Doubling growth: the vacated vector is half the new one.
-            self.space.free(
-                Region(old_base, new_capacity // 2 * ENTRY_BYTES, self._vec_label)
-            )
-
-    def _replay_growth(self, mirror_store, mirror, vertex, capacity) -> None:
-        """The whole growth log as one allocation and one scatter."""
-        freed = np.where(capacity > INITIAL_CAPACITY, capacity // 2, 0)
-        bases = self.space.alloc_log(
-            capacity * ENTRY_BYTES,
-            freed * ENTRY_BYTES,
-            mirror,
-            (self._vec_label, mirror_store._vec_label),
-        )
-        # A vertex that grew more than once keeps its last region: numpy
-        # assigns repeated indices in order.
-        if mirror_store is self:
-            self._region_base[vertex] = bases
-        else:
-            own = mirror == 0
-            self._region_base[vertex[own]] = bases[own]
-            mirror_store._region_base[vertex[~own]] = bases[~own]
 
     def insert(self, src: int, dst: int, weight: float, recorder) -> InsertOutcome:
         """Search for ``src -> dst`` and insert it if absent."""
@@ -284,6 +272,21 @@ class NativeVectorStore(_PooledVectorState):
         self._len[src] = last
         return RemoveOutcome(scanned=scanned, removed=True, moved=moved)
 
+    # -- queries -------------------------------------------------------
+
+    def neighbors(self, u: int) -> List[Tuple[int, float]]:
+        off = int(self._off[u])
+        n = int(self._len[u])
+        return list(zip(self._nbr[off:off + n].tolist(),
+                        self._wgt[off:off + n].tolist()))
+
+    def degree(self, u: int) -> int:
+        return int(self._len[u])
+
+    @property
+    def header_region(self) -> Region:
+        return self._header
+
     def trace_traversal(self, u: int, recorder) -> None:
         """Emit the accesses of one full traversal of ``u``'s vector."""
         recorder.access(self._header.element(u, HEADER_BYTES))
@@ -304,28 +307,67 @@ class NativeVectorStore(_PooledVectorState):
         return counts, np.where(within == 0, headers[seg], entries)
 
 
+class NativeVectorStore(_PooledVectorState):
+    """AS/AC store: one growable vector per vertex.
+
+    A full vector doubles into a freshly allocated region and frees the
+    old one.
+    """
+
+    def _replay_grow(self, vertex: int, new_capacity: int) -> int:
+        old_base = int(self._region_base[vertex])
+        region = self.space.alloc(new_capacity * ENTRY_BYTES, self._vec_label)
+        self._region_base[vertex] = region.base
+        if new_capacity > INITIAL_CAPACITY:
+            # Doubling growth: the vacated vector is half the new one.
+            self.space.free(
+                Region(old_base, new_capacity // 2 * ENTRY_BYTES, self._vec_label)
+            )
+        return region.base
+
+    def _replay_growth(self, mirror_store, mirror, vertex, capacity) -> np.ndarray:
+        """The whole growth log as one allocation and one scatter."""
+        freed = np.where(capacity > INITIAL_CAPACITY, capacity // 2, 0)
+        bases = self.space.alloc_log(
+            capacity * ENTRY_BYTES,
+            freed * ENTRY_BYTES,
+            mirror,
+            (self._vec_label, mirror_store._vec_label),
+        )
+        # A vertex that grew more than once keeps its last region: numpy
+        # assigns repeated indices in order.
+        if mirror_store is self:
+            self._region_base[vertex] = bases
+        else:
+            own = mirror == 0
+            self._region_base[vertex[own]] = bases[own]
+            mirror_store._region_base[vertex[~own]] = bases[~own]
+        return bases
+
+
 class _SegmentPool:
-    """A free list of equal-capacity segments (one Hornet block pool)."""
+    """A free list of equal-capacity segments (one Hornet block pool),
+    each segment known by its base address."""
 
     def __init__(self, capacity: int, space: AddressSpace, label: str) -> None:
         self.capacity = capacity
         self.space = space
         self.label = label
-        self._free: List[Region] = []
+        self._free: List[int] = []
         self._alloc_bytes = capacity * ENTRY_BYTES
         self._alloc_label = f"{label}.seg{capacity}"
         self.allocations = 0
         self.reuses = 0
 
-    def acquire(self) -> Region:
+    def acquire(self) -> int:
         if self._free:
             self.reuses += 1
             return self._free.pop()
         self.allocations += 1
-        return self.space.alloc(self._alloc_bytes, self._alloc_label)
+        return self.space.alloc(self._alloc_bytes, self._alloc_label).base
 
-    def release(self, region: Region) -> None:
-        self._free.append(region)
+    def release(self, base: int) -> None:
+        self._free.append(base)
 
 
 class NativeBlockedStore(_PooledVectorState):
@@ -335,7 +377,7 @@ class NativeBlockedStore(_PooledVectorState):
 
     def __init__(self, max_nodes, space, label, kernels) -> None:
         super().__init__(max_nodes, space, label, kernels)
-        self._segment: List[Optional[Region]] = [None] * max_nodes
+        self._vec_label = f"{label}.seg"
         self._pools: Dict[int, _SegmentPool] = {}
 
     def _pool(self, capacity: int) -> _SegmentPool:
@@ -345,62 +387,24 @@ class NativeBlockedStore(_PooledVectorState):
             self._pools[capacity] = pool
         return pool
 
-    def _replay_grow(self, vertex: int, new_capacity: int) -> None:
-        old_segment = self._segment[vertex]
-        self._segment[vertex] = self._pool(new_capacity).acquire()
-        if old_segment is not None:
+    def _replay_grow(self, vertex: int, new_capacity: int) -> int:
+        old_base = int(self._region_base[vertex])
+        base = self._pool(new_capacity).acquire()
+        self._region_base[vertex] = base
+        if new_capacity > INITIAL_CAPACITY:
             # Doubling growth: the vacated segment is half the new one.
-            self._pool(new_capacity // 2).release(old_segment)
+            self._pool(new_capacity // 2).release(old_base)
+        return base
 
     def insert(self, src: int, dst: int, weight: float, recorder):
         """Search-then-insert; returns (scanned, inserted, relocated)."""
-        tracing = recorder.enabled
-        if tracing:
-            recorder.access(self._header.element(src, 16))
-        length = int(self._len[src])
-        existing = self._find(src, dst)
-        if existing is not None:
-            scanned = existing + 1
-            if tracing and self._segment[src] is not None:
-                recorder.access_range(
-                    self._segment[src].base, scanned, ENTRY_BYTES
-                )
-            return scanned, False, 0
-        scanned = length
-        if tracing and self._segment[src] is not None:
-            recorder.access_range(self._segment[src].base, scanned, ENTRY_BYTES)
-        relocated = 0
-        if length == int(self._capacity[src]):
-            relocated = self._grow(src)
-        off = int(self._off[src])
-        self._nbr[off + length] = dst
-        self._wgt[off + length] = weight
-        self._len[src] = length + 1
-        if tracing:
-            recorder.access(
-                self._segment[src].element(length, ENTRY_BYTES), write=True
-            )
-        return scanned, True, relocated
+        outcome = super().insert(src, dst, weight, recorder)
+        return outcome.scanned, outcome.inserted, outcome.grew_from
 
     def remove(self, src: int, dst: int, recorder):
         """Swap-remove; returns (scanned, removed)."""
-        length = int(self._len[src])
-        position = self._find(src, dst)
-        if position is None:
-            return length, False
-        off = int(self._off[src])
-        last = length - 1
-        if position != last:
-            self._nbr[off + position] = self._nbr[off + last]
-            self._wgt[off + position] = self._wgt[off + last]
-        self._len[src] = last
-        return position + 1, True
-
-    def trace_traversal(self, u: int, recorder) -> None:
-        recorder.access(self._header.element(u, 16))
-        segment = self._segment[u]
-        if segment is not None:
-            recorder.access_range(segment.base, int(self._len[u]), ENTRY_BYTES)
+        outcome = super().remove(src, dst, recorder)
+        return outcome.scanned, outcome.removed
 
     def pool_stats(self) -> Dict[int, Tuple[int, int]]:
         """{capacity: (allocations, reuses)} across all pools."""
@@ -439,8 +443,8 @@ class NativeStingerStore:
     Blocks live in a flat pool (block id == pool slot; ids are never
     reused, so the pool cursor doubles as the next block id), each
     vertex's block list is a span in a flat block-id pool, and the
-    per-block ``Region`` objects -- the simulated addresses the traced
-    per-edge path emits -- are kept in a Python list indexed by id.
+    simulated address of each block is a column indexed by id (every
+    block region is ``BLOCK_BYTES`` long under one label).
     An insert scans the list twice (search, then first block with free
     space); a remove backfills from the block's last entry and unlinks
     a tail block left empty.
@@ -467,7 +471,8 @@ class NativeStingerStore:
         self._bwgt = np.empty(self.INITIAL_BLOCKS * 16, dtype=np.float64)
         self._blen = np.zeros(self.INITIAL_BLOCKS, dtype=np.int64)
         self._state = np.zeros(2, dtype=np.int64)  # [bid cursor, next id]
-        self._regions: List[Region] = []
+        #: Base address of each block's region, sized like ``_blen``.
+        self._block_base = np.zeros(self.INITIAL_BLOCKS, dtype=np.int64)
         self._vertex_array = space.alloc(
             max_nodes * VERTEX_ENTRY_BYTES, f"{label}.vertices"
         )
@@ -502,20 +507,41 @@ class NativeStingerStore:
         bnbr = np.empty(blocks * 16, dtype=np.int64)
         bwgt = np.empty(blocks * 16, dtype=np.float64)
         blen = np.zeros(blocks, dtype=np.int64)
+        base = np.zeros(blocks, dtype=np.int64)
         bnbr[:used * 16] = self._bnbr[:used * 16]
         bwgt[:used * 16] = self._bwgt[:used * 16]
         blen[:used] = self._blen[:used]
+        base[:used] = self._block_base[:used]
         self._bnbr = bnbr
         self._bwgt = bwgt
         self._blen = blen
+        self._block_base = base
 
-    def _replay_event(self, kind: int, block_id: int) -> None:
-        if kind == 0:  # block allocated (ids are sequential)
-            self._regions.append(
-                self.space.alloc(BLOCK_BYTES, self._block_label)
-            )
-        else:  # tail block freed
-            self.space.free(self._regions[block_id])
+    def _replay_event(self, kind: int, block_id: int) -> int:
+        """Account one block event; returns the allocated base (0: a free)."""
+        if kind == 0:  # block allocated
+            base = self.space.alloc(BLOCK_BYTES, self._block_label).base
+            self._block_base[block_id] = base
+            return base
+        # tail block freed
+        self.space.free(
+            Region(int(self._block_base[block_id]), BLOCK_BYTES, self._block_label)
+        )
+        return 0
+
+    def _standing_regions(self, spare: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(base, limit)`` of this store's regions by holder: the
+        vertex array, every block, then ``spare`` holders for the blocks
+        a traced kernel call may add.  ``limit`` is the last in-bounds
+        offset of an access (one vertex entry, one block entry)."""
+        blocks = int(self._state[1])
+        vertices = self._vertex_array
+        base = np.zeros(1 + blocks + spare, dtype=np.int64)
+        base[0] = vertices.base
+        base[1:1 + blocks] = self._block_base[:blocks]
+        limit = np.full(len(base), BLOCK_BYTES - ENTRY_BYTES, dtype=np.int64)
+        limit[0] = vertices.size - VERTEX_ENTRY_BYTES
+        return base, limit
 
     # -- per-edge operations --------------------------------------------
 
@@ -663,7 +689,7 @@ class NativeStingerStore:
 
     def _entry_address(self, block_id: int, slot: int) -> int:
         return (
-            self._regions[block_id].base
+            int(self._block_base[block_id])
             + BLOCK_HEADER_BYTES
             + slot * ENTRY_BYTES
         )
@@ -672,10 +698,10 @@ class NativeStingerStore:
         boff = int(self._boff[u])
         for k in range(block_count):
             bid = int(self._bids[boff + k])
-            region = self._regions[bid]
-            recorder.access(region.base)  # header / next pointer
+            base = int(self._block_base[bid])
+            recorder.access(base)  # header / next pointer
             recorder.access_range(
-                region.base + BLOCK_HEADER_BYTES,
+                base + BLOCK_HEADER_BYTES,
                 int(self._blen[bid]),
                 ENTRY_BYTES,
             )
@@ -706,6 +732,32 @@ class NativeStingerStore:
         recorder.access(self._vertex_array.element(u, VERTEX_ENTRY_BYTES))
         self._trace_scan(u, int(self._bcnt[u]), recorder)
 
+    def trace_traversals(self, vertices: np.ndarray):
+        """:meth:`trace_traversal` of every vertex: ``(counts, addresses)``.
+
+        Per vertex its vertex-array entry, then per block of its list
+        the header and the block's entries.
+        """
+        entries = self._vertex_array.elements(vertices, VERTEX_ENTRY_BYTES)
+        owner, k = ragged_arange(self._bcnt[vertices])  # one row per block
+        bid = self._bids[self._boff[vertices][owner] + k]
+        per_block = 1 + self._blen[bid]
+        counts = 1 + np.bincount(
+            owner, weights=per_block, minlength=len(vertices)
+        ).astype(np.int64)
+        block, within = ragged_arange(per_block)
+        # Position 0 of a block's run is its header, at the block's base.
+        block_addresses = self._block_base[bid][block] + np.where(
+            within == 0, 0, BLOCK_HEADER_BYTES + (within - 1) * ENTRY_BYTES
+        )
+        addresses = np.empty(int(counts.sum()), dtype=np.int64)
+        first = np.cumsum(counts) - counts
+        in_blocks = np.ones(len(addresses), dtype=bool)
+        in_blocks[first] = False
+        addresses[first] = entries
+        addresses[in_blocks] = block_addresses
+        return counts, addresses
+
 
 def _count_growth_events(store, count: int) -> None:
     """Count one batch's replayed allocation events for ``store``'s structure."""
@@ -717,26 +769,138 @@ def _count_growth_events(store, count: int) -> None:
         ).inc(count)
 
 
-def native_stinger_ingest(out_store, in_store, batch, directed, delete):
-    """Fused batch ingest through the compiled Stinger kernel.
+class _AccessLog:
+    """The access log of one traced kernel call, and its resolution.
 
-    Returns ``(positive, chases, probes, space, hit, new_block, lock)``
-    with the columns as numpy arrays, one row per store operation in
-    the per-edge loop's order; block alloc/free events replay in call
-    order so the simulated address space lays out identically.
+    The kernel writes four parallel columns -- task row, region id,
+    byte offset in the region, write bit -- naming regions by holder
+    (see the head of ``cingest``'s C source): ``rid[holder]`` starts as
+    the holder's own index, its *standing* region, and becomes
+    ``holders + e`` when event ``e`` replaces the region.  The stores
+    say what those ids mean: ``standing`` is their ``(base, limit)``
+    columns by holder, taken before the call (the kernel and the replay
+    overwrite what they are read from), and :meth:`resolve` takes the
+    same for the event regions once the replay has allocated them.
     """
-    kernels = out_store.kernels
-    n = len(batch)
+
+    def __init__(self, store_label: str, standing, mirror_h0: int) -> None:
+        self._p = cingest.IngestKernels._p
+        self._label = store_label
+        self._base, self._limit = standing
+        holders = len(self._base)
+        self._columns = [
+            np.empty(INITIAL_LOG, dtype=dtype)
+            for dtype in (np.int64, np.int64, np.int64, np.uint8)
+        ]
+        self._rid = np.arange(holders, dtype=np.int64)
+        self._desc = np.zeros(8, dtype=np.int64)
+        self._desc[5:8] = self._p(self._rid), holders, mirror_h0
+        self.stalls = 0
+
+    def descriptor(self) -> int:
+        """Pointer to the descriptor the kernel unpacks."""
+        self._desc[:4] = [self._p(column) for column in self._columns]
+        self._desc[4] = len(self._columns[0])
+        return self._p(self._desc)
+
+    def grow(self, used: int, need: int) -> None:
+        """Make room for ``need`` more rows after the ``used`` written."""
+        self.stalls += 1
+        size = max(2 * len(self._columns[0]), used + need)
+        grown = [np.empty(size, dtype=column.dtype) for column in self._columns]
+        for new, old in zip(grown, self._columns):
+            new[:used] = old[:used]
+        self._columns = grown
+
+    def resolve(self, used: int, event_base, event_limit, recorder) -> None:
+        """Turn the first ``used`` rows into addresses, into ``recorder``.
+
+        One gather over [standing | event] regions; an access past its
+        region's end raises as ``Region.element`` does.
+        """
+        task, region, offset, write = (column[:used] for column in self._columns)
+        base = np.concatenate((self._base, event_base))
+        limit = np.concatenate((self._limit, event_limit))
+        over = offset > limit[region]
+        if over.any():
+            i = int(np.argmax(over))
+            raise SimulationError(
+                f"access at offset {int(offset[i])} overruns region "
+                f"{int(region[i])} of {self._label}, whose last element "
+                f"starts at {int(limit[region[i]])}"
+            )
+        # Copies: the columns are larger than what was written.
+        recorder.extend(task.copy(), base[region] + offset, write.astype(bool))
+        if METRICS.enabled:
+            METRICS.counter(
+                "ingest_trace_stalls_total",
+                "kernel re-entries after the access log of a traced batch filled up",
+                structure=self._label.partition(".")[0],
+            ).inc(self.stalls)
+
+
+def _batch_columns(batch, directed: bool, delete: bool):
+    """``(n, src, dst, wgt, rows)`` of one batch for a kernel call:
+    contiguous columns and the number of store operations (an
+    undirected self-loop has no mirror operation)."""
     src = np.ascontiguousarray(batch.src, dtype=np.int64)
     dst = np.ascontiguousarray(batch.dst, dtype=np.int64)
     if delete:
         wgt = np.empty(1, dtype=np.float64)
     else:
         wgt = np.ascontiguousarray(batch.weight, dtype=np.float64)
-    if directed:
-        rows = 2 * n
-    else:
-        rows = n + int(np.count_nonzero(src != dst))
+    n = len(batch)
+    rows = 2 * n if directed else n + int(np.count_nonzero(src != dst))
+    return n, src, dst, wgt, rows
+
+
+def _open_log(out_store, in_store, recorder, spare: int) -> Optional[_AccessLog]:
+    """The access log of a traced call over the two stores (``None``
+    untraced); the mirror store's holders follow the out store's, and
+    each store keeps ``spare`` holders for regions the call may add."""
+    if not recorder.enabled:
+        return None
+    standing = out_store._standing_regions(spare)
+    mirror_h0 = 0
+    if in_store is not out_store:
+        mirror_h0 = len(standing[0])
+        mirror = in_store._standing_regions(spare)
+        standing = tuple(np.concatenate(pair) for pair in zip(standing, mirror))
+    return _AccessLog(out_store.label, standing, mirror_h0)
+
+
+def _run_kernel(call, ctl, log: Optional[_AccessLog], grow_arena) -> None:
+    """Call the kernel until the batch is done, growing what it stalls on.
+
+    ``call(log_descriptor)`` makes one kernel call (it reads the arena
+    pointers afresh); ``grow_arena()`` enlarges the arena ``ctl`` names.
+    """
+    with TRACER.span("ingest.ckernel"):
+        while True:
+            rc = call(log.descriptor() if log is not None else None)
+            if rc == cingest.OK:
+                return
+            if rc == cingest.STALL:
+                grow_arena()
+            elif rc == cingest.LOG_FULL:
+                log.grow(int(ctl[8]), int(ctl[9]))
+            else:
+                raise SimulationError(
+                    "ingest kernel logged more accesses than it reserved"
+                )
+
+
+def native_stinger_ingest(out_store, in_store, batch, directed, delete, recorder):
+    """Fused batch ingest through the compiled Stinger kernel.
+
+    Returns ``(positive, chases, probes, space, hit, new_block, lock)``
+    with the columns as numpy arrays, one row per store operation in
+    the per-edge loop's order; block alloc/free events replay in call
+    order so the simulated address space lays out identically.  An
+    enabled ``recorder`` receives the accesses of the per-edge methods.
+    """
+    kernels = out_store.kernels
+    n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
     chases = np.zeros(rows, dtype=np.int64)
     probes = np.zeros(rows, dtype=np.int64)
     space = np.zeros(rows, dtype=np.int64)
@@ -744,35 +908,47 @@ def native_stinger_ingest(out_store, in_store, batch, directed, delete):
     newblk = np.zeros(rows, dtype=np.bool_)
     lock = np.zeros(rows, dtype=np.int64)
     events = np.zeros(3 * (rows + 1), dtype=np.int64)
-    ctl = np.zeros(8, dtype=np.int64)
+    ctl = np.zeros(10, dtype=np.int64)
+    # An operation adds at most one block.
+    log = _open_log(out_store, in_store, recorder, rows)
     p = kernels._p
-    with TRACER.span("ingest.ckernel"):
-        while True:
-            rc = kernels.stinger_ingest(
-                n, p(src), p(dst), p(wgt),
-                int(directed), int(delete), int(NO_LOCK),
-                *out_store._kernel_args(), *in_store._kernel_args(),
-                p(chases), p(probes), p(space), p(hit), p(newblk), p(lock),
-                p(events), p(ctl),
-            )
-            if rc == cingest.OK:
-                break
-            stalled = out_store if int(ctl[5]) == 0 else in_store
-            if int(ctl[6]) == 0:
-                stalled._grow_bid_pool(int(ctl[7]))
-            else:
-                stalled._grow_block_pool()
+
+    def call(log_descriptor):
+        return kernels.stinger_ingest(
+            n, p(src), p(dst), p(wgt),
+            int(directed), int(delete), int(NO_LOCK),
+            *out_store._kernel_args(), *in_store._kernel_args(),
+            p(chases), p(probes), p(space), p(hit), p(newblk), p(lock),
+            p(events), p(ctl), log_descriptor,
+        )
+
+    def grow_arena():
+        stalled = out_store if int(ctl[5]) == 0 else in_store
+        if int(ctl[6]) == 0:
+            stalled._grow_bid_pool(int(ctl[7]))
+        else:
+            stalled._grow_block_pool()
+
+    _run_kernel(call, ctl, log, grow_arena)
     count = int(ctl[4])
+    event_base = np.zeros(count, dtype=np.int64)
     with TRACER.span("ingest.replay"):
         for k in range(count):
             code, block_id = int(events[3 * k]), int(events[3 * k + 1])
             store = in_store if code >= 2 else out_store
-            store._replay_event(code & 1, block_id)
+            event_base[k] = store._replay_event(code & 1, block_id)
+        if log is not None:
+            log.resolve(
+                int(ctl[8]),
+                event_base,
+                np.full(count, BLOCK_BYTES - ENTRY_BYTES, dtype=np.int64),
+                recorder,
+            )
     _count_growth_events(out_store, count)
     return int(ctl[3]), chases, probes, space, hit, newblk, lock
 
 
-def native_vec_ingest(out_store, in_store, batch, directed, delete,
+def native_vec_ingest(out_store, in_store, batch, directed, delete, recorder,
                       record_moved=True):
     """Fused batch ingest through the compiled vector kernel.
 
@@ -781,45 +957,40 @@ def native_vec_ingest(out_store, in_store, batch, directed, delete,
     same scanned/hit/aux rows (``aux``: grew_from on insert, moved on
     delete, 0 when ``record_moved`` is false, for stores that do not
     price backfill moves), same simulated-memory layout (growth events
-    replayed in call order).  ``in_store`` is the out store itself for
-    undirected graphs.  Returns ``(positive, scanned, hit, aux)`` with
-    the columns as numpy arrays, ready for the emitters' vectorized
-    pricing.
+    replayed in call order), same accesses into an enabled
+    ``recorder``.  ``in_store`` is the out store itself for undirected
+    graphs.  Returns ``(positive, scanned, hit, aux)`` with the columns
+    as numpy arrays, ready for the emitters' vectorized pricing.
     """
     kernels = out_store.kernels
-    n = len(batch)
-    src = np.ascontiguousarray(batch.src, dtype=np.int64)
-    dst = np.ascontiguousarray(batch.dst, dtype=np.int64)
-    if delete:
-        wgt = np.empty(1, dtype=np.float64)
-    else:
-        wgt = np.ascontiguousarray(batch.weight, dtype=np.float64)
-    if directed:
-        rows = 2 * n
-    else:
-        rows = n + int(np.count_nonzero(src != dst))
+    n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
     scanned = np.zeros(rows, dtype=np.int64)
     hit = np.zeros(rows, dtype=np.bool_)
     aux = np.zeros(rows, dtype=np.int64)
     events = np.zeros(3 * (rows + 1), dtype=np.int64)
-    ctl = np.zeros(8, dtype=np.int64)
+    ctl = np.zeros(10, dtype=np.int64)
+    log = _open_log(out_store, in_store, recorder, 0)
     p = kernels._p
-    with TRACER.span("ingest.ckernel"):
-        while True:
-            rc = kernels.vec_ingest(
-                n, p(src), p(dst), p(wgt),
-                int(directed), int(delete), int(record_moved),
-                *out_store._kernel_args(), *in_store._kernel_args(),
-                p(scanned), p(hit), p(aux), p(events), p(ctl),
-            )
-            if rc == cingest.OK:
-                break
-            stalled = out_store if int(ctl[5]) == 0 else in_store
-            stalled._grow_pool(int(ctl[6]))
+
+    def call(log_descriptor):
+        return kernels.vec_ingest(
+            n, p(src), p(dst), p(wgt),
+            int(directed), int(delete), int(record_moved),
+            *out_store._kernel_args(), *in_store._kernel_args(),
+            p(scanned), p(hit), p(aux), p(events), p(ctl), log_descriptor,
+        )
+
+    def grow_arena():
+        stalled = out_store if int(ctl[5]) == 0 else in_store
+        stalled._grow_pool(int(ctl[6]))
+
+    _run_kernel(call, ctl, log, grow_arena)
     count = int(ctl[4])
     with TRACER.span("ingest.replay"):
-        log = events[:3 * count].reshape(count, 3)
-        out_store._replay_growth(in_store, log[:, 0], log[:, 1], log[:, 2])
+        grown = events[:3 * count].reshape(count, 3)
+        bases = out_store._replay_growth(in_store, grown[:, 0], grown[:, 1], grown[:, 2])
+        if log is not None:
+            log.resolve(int(ctl[8]), bases, (grown[:, 2] - 1) * ENTRY_BYTES, recorder)
     _count_growth_events(out_store, count)
     return int(ctl[3]), scanned, hit, aux
 
@@ -1020,15 +1191,16 @@ class NativeDAHStore:
         self._ssize = self._grown(self._ssize, target)
         self._set_base = self._grown(self._set_base, target)
 
-    def _replay_event(self, kind: int, a: int, b: int) -> None:
+    def _replay_event(self, kind: int, a: int, b: int) -> int:
+        """Account one table event; returns the allocated region's base."""
         if kind == 0:  # low table resized to b slots
             self.space.free(self._low_regions[a])
-            self._low_regions[a] = self.space.alloc(
+            region = self._low_regions[a] = self.space.alloc(
                 b * LOW_SLOT_BYTES, f"{self.label}.low{a}"
             )
         elif kind == 1:  # high table resized
             self.space.free(self._high_regions[a])
-            self._high_regions[a] = self.space.alloc(
+            region = self._high_regions[a] = self.space.alloc(
                 b * HIGH_SLOT_BYTES, f"{self.label}.high{a}"
             )
         else:
@@ -1041,6 +1213,26 @@ class NativeDAHStore:
             )
             self._set_regions[a] = region
             self._set_base[a] = region.base
+        return region.base
+
+    def _standing_regions(self, spare: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(base, limit)`` of this store's regions by holder: every
+        chunk's low table, every chunk's high table, every neighbor set,
+        then ``spare`` holders for the sets a traced kernel call may
+        add.  ``limit`` is the last in-bounds offset of an access (one
+        slot of the table)."""
+        sets = int(self._state[5])
+        tables = self._low_regions + self._high_regions
+        slot_bytes = np.repeat([LOW_SLOT_BYTES, HIGH_SLOT_BYTES], self.chunks)
+        base = np.zeros(len(tables) + sets + spare, dtype=np.int64)
+        limit = np.zeros(len(base), dtype=np.int64)
+        base[:len(tables)] = [region.base for region in tables]
+        limit[:len(tables)] = [region.size for region in tables] - slot_bytes
+        base[len(tables):len(tables) + sets] = self._set_base[:sets]
+        limit[len(tables):len(tables) + sets] = (
+            self._scap[:sets] - 1
+        ) * NEIGHBOR_SLOT_BYTES
+        return base, limit
 
     # -- per-edge operations: table primitives -------------------------
     # Python ints throughout -- the hash multiply must not wrap at 64
@@ -1651,26 +1843,25 @@ class NativeDAHStore:
         return addresses
 
 
-def native_dah_ingest(out_store, in_store, batch, directed, delete):
+#: Slot bytes of the table a DAH event (``code & 3``) allocates.
+_EVENT_SLOT_BYTES = np.array(
+    [LOW_SLOT_BYTES, HIGH_SLOT_BYTES, NEIGHBOR_SLOT_BYTES, NEIGHBOR_SLOT_BYTES],
+    dtype=np.int64,
+)
+
+
+def native_dah_ingest(out_store, in_store, batch, directed, delete, recorder):
     """Fused batch ingest through the compiled DAH kernel.
 
     Returns ``(positive, table_probes, hash_ops, inline_scanned,
     degree_queries, flushed, rehash_moves, hit, chunk)``, one row per
     store operation in the per-edge loop's order; table-region and
     neighbor-set allocations replay from the event log in call order.
+    An enabled ``recorder`` receives the accesses of the per-edge
+    methods.
     """
     kernels = out_store.kernels
-    n = len(batch)
-    src = np.ascontiguousarray(batch.src, dtype=np.int64)
-    dst = np.ascontiguousarray(batch.dst, dtype=np.int64)
-    if delete:
-        wgt = np.empty(1, dtype=np.float64)
-    else:
-        wgt = np.ascontiguousarray(batch.weight, dtype=np.float64)
-    if directed:
-        rows = 2 * n
-    else:
-        rows = n + int(np.count_nonzero(src != dst))
+    n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
     table_probes = np.zeros(rows, dtype=np.int64)
     hash_ops = np.zeros(rows, dtype=np.int64)
     inline_scanned = np.zeros(rows, dtype=np.int64)
@@ -1680,36 +1871,41 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete):
     hit = np.zeros(rows, dtype=np.bool_)
     chunk = np.zeros(rows, dtype=np.int64)
     events = np.zeros(3 * (2 * rows + 2), dtype=np.int64)
-    ctl = np.zeros(8, dtype=np.int64)
+    ctl = np.zeros(10, dtype=np.int64)
+    # An operation adds at most one neighbor set.
+    log = _open_log(out_store, in_store, recorder, rows)
     p = kernels._p
-    with TRACER.span("ingest.ckernel"):
-        while True:
-            out_desc = out_store._descriptor()
-            in_desc = in_store._descriptor()
-            rc = kernels.dah_ingest(
-                n, p(src), p(dst), p(wgt), int(directed), int(delete),
-                p(out_desc), p(in_desc),
-                p(table_probes), p(hash_ops), p(inline_scanned),
-                p(degree_queries), p(flushed), p(rehash_moves),
-                p(hit), p(chunk),
-                p(events), p(ctl),
-            )
-            if rc == cingest.OK:
-                break
-            stalled = out_store if int(ctl[5]) == 0 else in_store
-            code = int(ctl[6])
-            need = int(ctl[7])
-            if code == 0:
-                stalled._grow_low_arena(need)
-            elif code == 1:
-                stalled._grow_high_arena(need)
-            elif code == 2:
-                stalled._grow_inline_pool()
-            elif code == 3:
-                stalled._grow_set_arena(need)
-            else:
-                stalled._grow_set_meta()
+
+    def call(log_descriptor):
+        out_desc = out_store._descriptor()
+        in_desc = in_store._descriptor()
+        return kernels.dah_ingest(
+            n, p(src), p(dst), p(wgt), int(directed), int(delete),
+            p(out_desc), p(in_desc),
+            p(table_probes), p(hash_ops), p(inline_scanned),
+            p(degree_queries), p(flushed), p(rehash_moves),
+            p(hit), p(chunk),
+            p(events), p(ctl), log_descriptor,
+        )
+
+    def grow_arena():
+        stalled = out_store if int(ctl[5]) == 0 else in_store
+        code = int(ctl[6])
+        need = int(ctl[7])
+        if code == 0:
+            stalled._grow_low_arena(need)
+        elif code == 1:
+            stalled._grow_high_arena(need)
+        elif code == 2:
+            stalled._grow_inline_pool()
+        elif code == 3:
+            stalled._grow_set_arena(need)
+        else:
+            stalled._grow_set_meta()
+
+    _run_kernel(call, ctl, log, grow_arena)
     count = int(ctl[4])
+    event_base = np.zeros(count, dtype=np.int64)
     with TRACER.span("ingest.replay"):
         for k in range(count):
             code, a, b = (
@@ -1718,7 +1914,15 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete):
                 int(events[3 * k + 2]),
             )
             store = in_store if code >= 4 else out_store
-            store._replay_event(code & 3, a, b)
+            event_base[k] = store._replay_event(code & 3, a, b)
+        if log is not None:
+            resized = events[:3 * count].reshape(count, 3)
+            log.resolve(
+                int(ctl[8]),
+                event_base,
+                (resized[:, 2] - 1) * _EVENT_SLOT_BYTES[resized[:, 0] & 3],
+                recorder,
+            )
     _count_growth_events(out_store, count)
     return (
         int(ctl[3]), table_probes, hash_ops, inline_scanned,

@@ -70,7 +70,7 @@ class _StingerEmitter:
         """The one-call batch path; ``None`` for stores without a kernel."""
         return self._ingest_compiled if self._out.kernels is not None else None
 
-    def _ingest_compiled(self, batch) -> int:
+    def _ingest_compiled(self, batch, recorder) -> int:
         """The whole batch in one compiled call."""
         (
             positive,
@@ -86,6 +86,7 @@ class _StingerEmitter:
             batch,
             self._directed,
             self._delete,
+            recorder,
         )
         return positive
 
@@ -240,3 +241,7 @@ class Stinger(GraphDataStructure):
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in
         store.trace_traversal(u, recorder)
+
+    def _trace_traversals(self, vertices, out: bool):
+        store = self._out if out else self._in
+        return store.trace_traversals(vertices)

@@ -21,6 +21,14 @@ needs more pool than preallocated) it *stalls*: it returns mid-batch
 with a resume cursor, Python grows the numpy pool, and the kernel is
 re-entered at the stalled operation.
 
+A traced batch takes the same call.  Handed an access-log descriptor,
+a kernel also writes every memory access the per-edge methods would
+have emitted -- task row, region, byte offset, write bit -- into
+caller-owned columns, naming regions symbolically (the addresses exist
+only once the event log is replayed); the store resolves the log with
+one gather after the replay.  The log is one more stall-and-grow
+resource.  See the comment at the head of the C source.
+
 Environment gates (mirroring :mod:`repro.compute.ckernels`):
 
 - ``SAGA_BENCH_NO_CINGEST=1`` (or ``all``) disables every structure;
@@ -49,12 +57,141 @@ REQUIRE_ENV = "SAGA_BENCH_REQUIRE_CINGEST"
 #: Structures with a compiled ingest kernel.
 STRUCTURE_NAMES = frozenset({"AS", "AC", "BA", "Stinger", "DAH"})
 
-#: Kernel return codes.
+#: Kernel return codes: done; an arena is too small (``ctl[5..7]`` say
+#: which); the access log needs ``ctl[9]`` more rows; an operation
+#: logged more accesses than it had asked room for (a kernel defect).
 OK = 0
 STALL = 1
+LOG_FULL = 2
+LOG_OVERRUN = 3
 
 _SOURCE = r"""
 #include <stdint.h>
+
+/* ------------------------------------------------------------------ *
+ * The access log of a traced batch (all three kernels).
+ *
+ * With a log descriptor the kernel writes, per memory access the
+ * per-edge methods would emit, the task row, the region, the byte
+ * offset in it and the write bit into four caller-owned columns.  A
+ * null descriptor means untraced: nothing below runs.
+ *
+ * Simulated addresses are only known after the event log is replayed,
+ * so regions are named symbolically.  Every region an operation can
+ * touch has a *holder* (a store's header array, a vertex's vector, an
+ * edge block, a chunk's low or high table, a neighbor set), and
+ * rid[holder] is the id of the region the holder currently has: its
+ * own index until an event replaces the region, ev0 + e once event e
+ * has.  An access therefore names the region that was current when it
+ * was made, and the caller resolves the whole log with one gather
+ * over [standing regions | event regions].
+ *
+ * Descriptor: [0..3] the four columns, [4] their capacity, [5] rid,
+ * [6] ev0, [7] first holder of the mirror store.
+ *
+ * The log is one more stall-and-grow resource.  An operation asks for
+ * room (lg_room) before it logs, and for the worst case of everything
+ * it may still log before it mutates anything; without room it
+ * returns LOG_FULL with the need in ctl[9].  A stalled operation's
+ * partial log is rewound to its first access (save_stall), so the
+ * re-entered operation starts clean.  lg_put past the capacity -- an
+ * operation outrunning its own bound -- is dropped and reported as
+ * LOG_OVERRUN.
+ * ------------------------------------------------------------------ */
+
+#define RC_OK 0
+#define RC_STALL 1
+#define RC_LOG_FULL 2
+#define RC_LOG_OVERRUN 3
+
+typedef struct {
+    int64_t *task;      /* NULL = untraced */
+    int64_t *region;
+    int64_t *offset;
+    uint8_t *write;
+    int64_t  cap;
+    int64_t  n;         /* cursor */
+    int64_t *rid;
+    int64_t  ev0;
+    int64_t  need;
+    int64_t  overrun;
+} AccessLog;
+
+static void lg_open(AccessLog *lg, const int64_t *d, const int64_t *ctl)
+{
+    lg->task = 0; lg->cap = 0; lg->n = 0; lg->need = 0; lg->overrun = 0;
+    if (!d) return;
+    lg->task = (int64_t *)d[0]; lg->region = (int64_t *)d[1];
+    lg->offset = (int64_t *)d[2]; lg->write = (uint8_t *)d[3];
+    lg->cap = d[4];
+    lg->rid = (int64_t *)d[5];
+    lg->ev0 = d[6];
+    lg->n = ctl[8];
+}
+
+static int lg_room(AccessLog *lg, int64_t k)
+{
+    if (!lg->task || lg->n + k <= lg->cap) return 1;
+    lg->need = k;
+    return 0;
+}
+
+static void lg_put(AccessLog *lg, int64_t task, int64_t holder,
+                   int64_t offset, int write)
+{
+    if (!lg->task) return;
+    if (lg->n >= lg->cap) { lg->overrun = 1; return; }
+    lg->task[lg->n] = task;
+    lg->region[lg->n] = lg->rid[holder];
+    lg->offset[lg->n] = offset;
+    lg->write[lg->n] = (uint8_t)write;
+    lg->n++;
+}
+
+/* count reads at first, first + stride, ... */
+static void lg_run(AccessLog *lg, int64_t task, int64_t holder,
+                   int64_t first, int64_t count, int64_t stride)
+{
+    if (!lg->task) return;
+    for (int64_t k = 0; k < count; k++)
+        lg_put(lg, task, holder, first + k * stride, 0);
+}
+
+/* A linear probe path of `count` slots from slot0; the last one is a
+ * write when write_last. */
+static void lg_path(AccessLog *lg, int64_t task, int64_t holder,
+                    int64_t slot0, int64_t mask, int64_t count,
+                    int64_t slot_bytes, int write_last)
+{
+    if (!lg->task) return;
+    for (int64_t k = 0; k < count; k++)
+        lg_put(lg, task, holder, ((slot0 + k) & mask) * slot_bytes,
+               write_last && k == count - 1);
+}
+
+/* Append event (code, a, b); `holder` (-1: none) gets the region the
+ * event allocates. */
+static void log_event(int64_t *events, int64_t *ec, int64_t code,
+                      int64_t a, int64_t b, AccessLog *lg, int64_t holder)
+{
+    events[3 * *ec] = code;
+    events[3 * *ec + 1] = a;
+    events[3 * *ec + 2] = b;
+    if (lg->task && holder >= 0) lg->rid[holder] = lg->ev0 + *ec;
+    (*ec)++;
+}
+
+/* Leave through a stall: resume cursor, stalled store, and the log
+ * rewound to `mark`, the stalled operation's first access. */
+static int64_t save_stall(int64_t *ctl, int64_t rc, int64_t i, int64_t half,
+                          int64_t row, int64_t positive, int64_t ec,
+                          AccessLog *lg, int64_t mark)
+{
+    ctl[0] = i; ctl[1] = half; ctl[2] = row; ctl[3] = positive;
+    ctl[4] = ec; ctl[5] = half;
+    ctl[8] = mark; ctl[9] = lg->need;
+    return lg->overrun ? RC_LOG_OVERRUN : rc;
+}
 
 /* ------------------------------------------------------------------ *
  * Vector-family ingest (AS, AC, BA).
@@ -67,14 +204,25 @@ _SOURCE = r"""
  * which is replayed from the event log: one (mirror, vertex, newcap)
  * triple per growth.
  *
- * Control block ctl[8]: resume edge index, resume half (0 = out op
+ * Control block ctl[10]: resume edge index, resume half (0 = out op
  * next, 1 = mirror op next), output row cursor, positive count, event
- * count, stall store flag, stall pool need.  Returns 0 when the batch
- * is complete, 1 on a pool stall (re-enter after growing the numpy
- * pool of the store named by ctl[5]: 0 = out, 1 = mirror).
+ * count, stall store flag (0 = out, 1 = mirror), stall pool need, then
+ * [8] the access-log cursor and [9] the log need.  Returns RC_OK when
+ * the batch is complete, RC_STALL on a pool stall (re-enter after
+ * growing the numpy pool of the store named by ctl[5]), RC_LOG_FULL
+ * when the access log needs ctl[9] more rows.
+ *
+ * Traced, an operation logs what NativeVectorStore.insert / .remove
+ * emit: the vertex's header, the scanned entries of the region it had
+ * during the scan, and the slot write (insert: the new entry, in the
+ * grown region if it grew; remove: the backfilled hole) -- at most
+ * len + 2 accesses.  Holders: h0 = the header array, h0 + 1 + u =
+ * vertex u's vector.
  * ------------------------------------------------------------------ */
 
 #define VEC_MIN_CAPACITY 4
+#define VEC_ENTRY_BYTES 8
+#define VEC_HEADER_BYTES 16
 
 typedef struct {
     int64_t *off;
@@ -84,33 +232,50 @@ typedef struct {
     double  *wgt;
     int64_t *state;     /* [0] = pool cursor */
     int64_t  pool_cap;
+    int64_t  h0;        /* first holder of this store */
 } VecStore;
 
-/* One search-then-insert; returns 0 ok, -1 stall (need in *need). */
-static int vec_insert_op(
-    VecStore *s, int64_t u, int64_t v, double w, int64_t mirror,
-    int64_t *scanned, uint8_t *hit, int64_t *aux, int64_t row,
-    int64_t *events, int64_t *ec, int64_t *positive, int64_t *need)
+/* The search scan both operations start with: position of v in u's
+ * vector (-1 when absent), header and scanned entries logged. */
+static int64_t vec_scan(VecStore *s, int64_t u, int64_t v, int64_t row,
+                        AccessLog *lg)
 {
-    int64_t off = s->off[u];
     int64_t len = s->len[u];
     int64_t pos = -1;
-    const int64_t *nbr = s->nbr + off;
+    const int64_t *nbr = s->nbr + s->off[u];
     for (int64_t k = 0; k < len; k++) {
         if (nbr[k] == v) { pos = k; break; }
     }
+    lg_put(lg, row, s->h0, u * VEC_HEADER_BYTES, 0);
+    lg_run(lg, row, s->h0 + 1 + u, 0, pos >= 0 ? pos + 1 : len,
+           VEC_ENTRY_BYTES);
+    return pos;
+}
+
+/* One search-then-insert; returns RC_OK, RC_STALL (need in *need) or
+ * RC_LOG_FULL. */
+static int vec_insert_op(
+    VecStore *s, int64_t u, int64_t v, double w, int64_t mirror,
+    int64_t *scanned, uint8_t *hit, int64_t *aux, int64_t row,
+    int64_t *events, int64_t *ec, int64_t *positive, int64_t *need,
+    AccessLog *lg)
+{
+    int64_t off = s->off[u];
+    int64_t len = s->len[u];
+    if (!lg_room(lg, len + 2)) return RC_LOG_FULL;
+    int64_t pos = vec_scan(s, u, v, row, lg);
     if (pos >= 0) {
         scanned[row] = pos + 1;
         hit[row] = 0;
         aux[row] = 0;
-        return 0;
+        return RC_OK;
     }
     int64_t grew = 0;
     if (len == s->cap[u]) {
         int64_t newcap = s->cap[u] ? s->cap[u] * 2 : VEC_MIN_CAPACITY;
         if (s->state[0] + newcap > s->pool_cap) {
             *need = newcap;
-            return -1;
+            return RC_STALL;
         }
         int64_t noff = s->state[0];
         for (int64_t k = 0; k < len; k++) {
@@ -122,38 +287,34 @@ static int vec_insert_op(
         s->cap[u] = newcap;
         off = noff;
         grew = len;
-        events[3 * *ec] = mirror;
-        events[3 * *ec + 1] = u;
-        events[3 * *ec + 2] = newcap;
-        (*ec)++;
+        log_event(events, ec, mirror, u, newcap, lg, s->h0 + 1 + u);
     }
     s->nbr[off + len] = v;
     s->wgt[off + len] = w;
     s->len[u] = len + 1;
+    lg_put(lg, row, s->h0 + 1 + u, len * VEC_ENTRY_BYTES, 1);
     scanned[row] = len;
     hit[row] = 1;
     aux[row] = grew;
     if (!mirror) (*positive)++;
-    return 0;
+    return RC_OK;
 }
 
-static void vec_delete_op(
+/* One search-then-remove; allocates nothing, so only the log stalls it. */
+static int vec_delete_op(
     VecStore *s, int64_t u, int64_t v, int64_t mirror, int64_t record_moved,
     int64_t *scanned, uint8_t *hit, int64_t *aux, int64_t row,
-    int64_t *positive)
+    int64_t *positive, AccessLog *lg)
 {
     int64_t off = s->off[u];
     int64_t len = s->len[u];
-    int64_t pos = -1;
-    const int64_t *nbr = s->nbr + off;
-    for (int64_t k = 0; k < len; k++) {
-        if (nbr[k] == v) { pos = k; break; }
-    }
+    if (!lg_room(lg, len + 2)) return RC_LOG_FULL;
+    int64_t pos = vec_scan(s, u, v, row, lg);
     if (pos < 0) {
         scanned[row] = len;
         hit[row] = 0;
         aux[row] = 0;
-        return;
+        return RC_OK;
     }
     scanned[row] = pos + 1;
     int64_t moved = 0;
@@ -161,11 +322,13 @@ static void vec_delete_op(
         s->nbr[off + pos] = s->nbr[off + len - 1];
         s->wgt[off + pos] = s->wgt[off + len - 1];
         moved = 1;
+        lg_put(lg, row, s->h0 + 1 + u, pos * VEC_ENTRY_BYTES, 1);
     }
     s->len[u] = len - 1;
     hit[row] = 1;
     aux[row] = record_moved ? moved : 0;
     if (!mirror) (*positive)++;
+    return RC_OK;
 }
 
 int64_t saga_vec_ingest(
@@ -176,10 +339,14 @@ int64_t saga_vec_ingest(
     int64_t *i_off, int64_t *i_len, int64_t *i_cap,
     int64_t *i_nbr, double *i_wgt, int64_t *i_state, int64_t i_pool_cap,
     int64_t *scanned, uint8_t *hit, int64_t *aux,
-    int64_t *events, int64_t *ctl)
+    int64_t *events, int64_t *ctl, const int64_t *log_desc)
 {
-    VecStore out = {o_off, o_len, o_cap, o_nbr, o_wgt, o_state, o_pool_cap};
-    VecStore in  = {i_off, i_len, i_cap, i_nbr, i_wgt, i_state, i_pool_cap};
+    VecStore out = {o_off, o_len, o_cap, o_nbr, o_wgt, o_state, o_pool_cap,
+                    0};
+    VecStore in  = {i_off, i_len, i_cap, i_nbr, i_wgt, i_state, i_pool_cap,
+                    log_desc ? log_desc[7] : 0};
+    AccessLog lg;
+    lg_open(&lg, log_desc, ctl);
     int64_t i = ctl[0];
     int64_t half = ctl[1];
     int64_t row = ctl[2];
@@ -190,37 +357,28 @@ int64_t saga_vec_ingest(
         int64_t u = src[i];
         int64_t v = dst[i];
         double w = delete_mode ? 0.0 : wgt[i];
-        if (half == 0) {
-            if (delete_mode) {
-                vec_delete_op(&out, u, v, 0, record_moved,
-                              scanned, hit, aux, row, &positive);
-            } else if (vec_insert_op(&out, u, v, w, 0,
-                                     scanned, hit, aux, row,
-                                     events, &ec, &positive, &need)) {
-                ctl[0] = i; ctl[1] = 0; ctl[2] = row; ctl[3] = positive;
-                ctl[4] = ec; ctl[5] = 0; ctl[6] = need;
-                return 1;
-            }
-            row++;
-            half = 1;
-        }
-        if (u != v || directed) {
-            if (delete_mode) {
-                vec_delete_op(&in, v, u, 1, record_moved,
-                              scanned, hit, aux, row, &positive);
-            } else if (vec_insert_op(&in, v, u, w, 1,
-                                     scanned, hit, aux, row,
-                                     events, &ec, &positive, &need)) {
-                ctl[0] = i; ctl[1] = 1; ctl[2] = row; ctl[3] = positive;
-                ctl[4] = ec; ctl[5] = 1; ctl[6] = need;
-                return 1;
+        for (; half < 2; half++) {
+            if (half && u == v && !directed) break;
+            VecStore *s = half ? &in : &out;
+            int64_t a = half ? v : u, b = half ? u : v;
+            int64_t mark = lg.n;
+            int rc = delete_mode
+                ? vec_delete_op(s, a, b, half, record_moved,
+                                scanned, hit, aux, row, &positive, &lg)
+                : vec_insert_op(s, a, b, w, half, scanned, hit, aux, row,
+                                events, &ec, &positive, &need, &lg);
+            if (rc) {
+                ctl[6] = need;
+                return save_stall(ctl, rc, i, half, row, positive, ec,
+                                  &lg, mark);
             }
             row++;
         }
         half = 0;
     }
     ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
-    return 0;
+    ctl[8] = lg.n;
+    return lg.overrun ? RC_LOG_OVERRUN : RC_OK;
 }
 
 /* ------------------------------------------------------------------ *
@@ -234,11 +392,21 @@ int64_t saga_vec_ingest(
  * code = mirror*2 + (0 = block allocated, 1 = tail block freed).
  *
  * Stalls: ctl[5] = store, ctl[6] = resource (0 = block-id pool span of
- * ctl[7] slots, 1 = block pool), resume cursor as in the vec kernel.
+ * ctl[7] slots, 1 = block pool), resume cursor and access log as in
+ * the vec kernel.
+ *
+ * Traced, an operation logs what NativeStingerStore.insert / .remove
+ * emit: the vertex-array entry, per scanned block its header and its
+ * entries, and the slot write (insert: the new entry; remove: the
+ * backfilled hole) -- at most 2 + blocks + degree accesses.  Holders:
+ * h0 = the vertex array, h0 + 1 + id = block id.
  * ------------------------------------------------------------------ */
 
 #define ST_BLOCK_CAPACITY 16
 #define ST_MIN_LIST 4
+#define ST_VERTEX_BYTES 16
+#define ST_HEADER_BYTES 16
+#define ST_ENTRY_BYTES 8
 
 typedef struct {
     int64_t  lock_base;
@@ -253,45 +421,53 @@ typedef struct {
     int64_t *blen;
     int64_t  blk_cap;
     int64_t *state;   /* [0] = bid-pool cursor, [1] = next block id */
+    int64_t  h0;      /* first holder of this store */
 } StStore;
 
 /* Search scan shared by insert and remove: finds (block index, slot)
- * of v and the probe count up to it; -1 block index when absent. */
-static void st_find(const StStore *s, int64_t u, int64_t v,
-                    int64_t *found_bi, int64_t *found_slot,
+ * of v and the probe count up to it; -1 block index when absent.  The
+ * vertex entry and every block the scan reads are logged. */
+static void st_find(const StStore *s, int64_t u, int64_t v, int64_t row,
+                    AccessLog *lg, int64_t *found_bi, int64_t *found_slot,
                     int64_t *probes_before)
 {
     const int64_t *bids = s->bids + s->boff[u];
     int64_t bcnt = s->bcnt[u];
     int64_t acc = 0;
-    for (int64_t bi = 0; bi < bcnt; bi++) {
+    *found_bi = -1;
+    *found_slot = -1;
+    lg_put(lg, row, s->h0, u * ST_VERTEX_BYTES, 0);
+    for (int64_t bi = 0; bi < bcnt && *found_bi < 0; bi++) {
         int64_t bid = bids[bi];
         int64_t len = s->blen[bid];
         const int64_t *nbr = s->bnbr + bid * ST_BLOCK_CAPACITY;
+        lg_put(lg, row, s->h0 + 1 + bid, 0, 0);  /* header / next pointer */
+        lg_run(lg, row, s->h0 + 1 + bid, ST_HEADER_BYTES, len,
+               ST_ENTRY_BYTES);
         for (int64_t slot = 0; slot < len; slot++) {
             if (nbr[slot] == v) {
                 *found_bi = bi;
                 *found_slot = slot;
-                *probes_before = acc;
-                return;
+                break;
             }
         }
-        acc += len;
+        if (*found_bi < 0) acc += len;
     }
-    *found_bi = -1;
-    *found_slot = -1;
     *probes_before = acc;
 }
 
-/* One insert; returns 0 ok, -1 stall (resource/need already in ctl). */
+/* One insert; returns RC_OK, RC_STALL (resource/need already in ctl)
+ * or RC_LOG_FULL. */
 static int st_insert_op(
     StStore *s, int64_t u, int64_t v, double w, int64_t mirror,
     int64_t no_lock, int64_t *chases, int64_t *probes, int64_t *space,
     uint8_t *hit, uint8_t *newblk, int64_t *lock, int64_t row,
-    int64_t *events, int64_t *ec, int64_t *positive, int64_t *ctl)
+    int64_t *events, int64_t *ec, int64_t *positive, int64_t *ctl,
+    AccessLog *lg)
 {
     int64_t bi, slot, before;
-    st_find(s, u, v, &bi, &slot, &before);
+    if (!lg_room(lg, 2 + s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
+    st_find(s, u, v, row, lg, &bi, &slot, &before);
     if (bi >= 0) {
         chases[row] = bi + 1;
         probes[row] = before + slot + 1;
@@ -299,7 +475,7 @@ static int st_insert_op(
         hit[row] = 0;
         newblk[row] = 0;
         lock[row] = no_lock;
-        return 0;
+        return RC_OK;
     }
     int64_t bcnt = s->bcnt[u];
     /* Space scan: first block with a free slot, else a new block. */
@@ -315,11 +491,11 @@ static int st_insert_op(
             ? (s->bcap[u] ? s->bcap[u] * 2 : ST_MIN_LIST) : 0;
         if (list_need && s->state[0] + list_need > s->bids_cap) {
             ctl[6] = 0; ctl[7] = list_need;
-            return -1;
+            return RC_STALL;
         }
         if (s->state[1] >= s->blk_cap) {
             ctl[6] = 1; ctl[7] = 0;
-            return -1;
+            return RC_STALL;
         }
         if (list_need) {
             int64_t noff = s->state[0];
@@ -333,10 +509,8 @@ static int st_insert_op(
         s->blen[bid] = 0;
         s->bids[s->boff[u] + bcnt] = bid;
         s->bcnt[u] = bcnt + 1;
-        events[3 * *ec] = mirror * 2;      /* block allocated */
-        events[3 * *ec + 1] = bid;
-        events[3 * *ec + 2] = 0;
-        (*ec)++;
+        /* block allocated */
+        log_event(events, ec, mirror * 2, bid, 0, lg, s->h0 + 1 + bid);
         target = bcnt;
         fresh = 1;
     }
@@ -345,6 +519,8 @@ static int st_insert_op(
     s->bnbr[tb * ST_BLOCK_CAPACITY + tslot] = v;
     s->bwgt[tb * ST_BLOCK_CAPACITY + tslot] = w;
     s->blen[tb] = tslot + 1;
+    lg_put(lg, row, s->h0 + 1 + tb,
+           ST_HEADER_BYTES + tslot * ST_ENTRY_BYTES, 1);
     chases[row] = bcnt;
     probes[row] = s->deg[u];
     s->deg[u] += 1;
@@ -353,17 +529,19 @@ static int st_insert_op(
     newblk[row] = (uint8_t)fresh;
     lock[row] = s->lock_base + tb;
     if (!mirror) (*positive)++;
-    return 0;
+    return RC_OK;
 }
 
-static void st_delete_op(
+/* One remove; allocates nothing, so only the log stalls it. */
+static int st_delete_op(
     StStore *s, int64_t u, int64_t v, int64_t mirror, int64_t no_lock,
     int64_t *chases, int64_t *probes, int64_t *space, uint8_t *hit,
     uint8_t *newblk, int64_t *lock, int64_t row,
-    int64_t *events, int64_t *ec, int64_t *positive)
+    int64_t *events, int64_t *ec, int64_t *positive, AccessLog *lg)
 {
     int64_t bi, slot, before;
-    st_find(s, u, v, &bi, &slot, &before);
+    if (!lg_room(lg, 2 + s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
+    st_find(s, u, v, row, lg, &bi, &slot, &before);
     space[row] = 0;
     if (bi < 0) {
         chases[row] = s->bcnt[u];
@@ -371,7 +549,7 @@ static void st_delete_op(
         hit[row] = 0;
         newblk[row] = 0;
         lock[row] = no_lock;
-        return;
+        return RC_OK;
     }
     int64_t tb = s->bids[s->boff[u] + bi];
     int64_t last = s->blen[tb] - 1;
@@ -380,6 +558,8 @@ static void st_delete_op(
             s->bnbr[tb * ST_BLOCK_CAPACITY + last];
         s->bwgt[tb * ST_BLOCK_CAPACITY + slot] =
             s->bwgt[tb * ST_BLOCK_CAPACITY + last];
+        lg_put(lg, row, s->h0 + 1 + tb,
+               ST_HEADER_BYTES + slot * ST_ENTRY_BYTES, 1);
     }
     s->blen[tb] = last;
     s->deg[u] -= 1;
@@ -387,10 +567,8 @@ static void st_delete_op(
     if (last == 0 && bi == s->bcnt[u] - 1) {
         s->bcnt[u] -= 1;
         freed = 1;
-        events[3 * *ec] = mirror * 2 + 1;  /* tail block freed */
-        events[3 * *ec + 1] = tb;
-        events[3 * *ec + 2] = 0;
-        (*ec)++;
+        /* tail block freed */
+        log_event(events, ec, mirror * 2 + 1, tb, 0, lg, -1);
     }
     chases[row] = bi + 1;
     probes[row] = before + slot + 1;
@@ -398,6 +576,7 @@ static void st_delete_op(
     newblk[row] = (uint8_t)freed;
     lock[row] = s->lock_base + tb;
     if (!mirror) (*positive)++;
+    return RC_OK;
 }
 
 int64_t saga_stinger_ingest(
@@ -415,14 +594,16 @@ int64_t saga_stinger_ingest(
     int64_t *i_state,
     int64_t *chases, int64_t *probes, int64_t *space, uint8_t *hit,
     uint8_t *newblk, int64_t *lock,
-    int64_t *events, int64_t *ctl)
+    int64_t *events, int64_t *ctl, const int64_t *log_desc)
 {
     StStore out = {o_lock_base, o_boff, o_bcnt, o_bcap, o_deg,
                    o_bids, o_bids_cap, o_bnbr, o_bwgt, o_blen, o_blk_cap,
-                   o_state};
+                   o_state, 0};
     StStore in  = {i_lock_base, i_boff, i_bcnt, i_bcap, i_deg,
                    i_bids, i_bids_cap, i_bnbr, i_bwgt, i_blen, i_blk_cap,
-                   i_state};
+                   i_state, log_desc ? log_desc[7] : 0};
+    AccessLog lg;
+    lg_open(&lg, log_desc, ctl);
     int64_t i = ctl[0];
     int64_t half = ctl[1];
     int64_t row = ctl[2];
@@ -432,37 +613,28 @@ int64_t saga_stinger_ingest(
         int64_t u = src[i];
         int64_t v = dst[i];
         double w = delete_mode ? 0.0 : wgt[i];
-        if (half == 0) {
-            if (delete_mode) {
-                st_delete_op(&out, u, v, 0, no_lock, chases, probes, space,
-                             hit, newblk, lock, row, events, &ec, &positive);
-            } else if (st_insert_op(&out, u, v, w, 0, no_lock,
-                                    chases, probes, space, hit, newblk, lock,
-                                    row, events, &ec, &positive, ctl)) {
-                ctl[0] = i; ctl[1] = 0; ctl[2] = row; ctl[3] = positive;
-                ctl[4] = ec; ctl[5] = 0;
-                return 1;
-            }
-            row++;
-            half = 1;
-        }
-        if (u != v || directed) {
-            if (delete_mode) {
-                st_delete_op(&in, v, u, 1, no_lock, chases, probes, space,
-                             hit, newblk, lock, row, events, &ec, &positive);
-            } else if (st_insert_op(&in, v, u, w, 1, no_lock,
-                                    chases, probes, space, hit, newblk, lock,
-                                    row, events, &ec, &positive, ctl)) {
-                ctl[0] = i; ctl[1] = 1; ctl[2] = row; ctl[3] = positive;
-                ctl[4] = ec; ctl[5] = 1;
-                return 1;
-            }
+        for (; half < 2; half++) {
+            if (half && u == v && !directed) break;
+            StStore *s = half ? &in : &out;
+            int64_t a = half ? v : u, b = half ? u : v;
+            int64_t mark = lg.n;
+            int rc = delete_mode
+                ? st_delete_op(s, a, b, half, no_lock, chases, probes,
+                               space, hit, newblk, lock, row, events, &ec,
+                               &positive, &lg)
+                : st_insert_op(s, a, b, w, half, no_lock, chases, probes,
+                               space, hit, newblk, lock, row, events, &ec,
+                               &positive, ctl, &lg);
+            if (rc)
+                return save_stall(ctl, rc, i, half, row, positive, ec,
+                                  &lg, mark);
             row++;
         }
         half = 0;
     }
     ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
-    return 0;
+    ctl[8] = lg.n;
+    return lg.overrun ? RC_LOG_OVERRUN : RC_OK;
 }
 
 /* ------------------------------------------------------------------ *
@@ -482,12 +654,26 @@ int64_t saga_stinger_ingest(
  * Python grows the numpy arena named by ctl[6] (0 = low-key arena,
  * 1 = high-key arena, 2 = inline pool, 3 = set arena, 4 = set
  * metadata arrays), with the span need in ctl[7].
+ *
+ * Traced, an operation logs what NativeDAHStore.insert / .remove emit:
+ * the probe path of every table get and put (a put's last slot is the
+ * write; the low-table delete of a flush and the inline scans emit
+ * nothing).  Both tables probe linearly, so a path is its first slot
+ * and its length.  A get's path is logged before anything is mutated,
+ * so it asks for exactly its length; a put asks beforehand for the
+ * capacity (+1) of the table it will probe, a flush for its 17 get +
+ * put pairs on a fresh 32-slot set and the high-table put.  Holders:
+ * h0 + c = chunk c's low table, h0 + chunks + c = its high table,
+ * h0 + 2 * chunks + id = neighbor set id.
  * ------------------------------------------------------------------ */
 
 #define DAH_EMPTY (-1)
 #define DAH_TOMB  (-2)
 #define DAH_INLINE_CAP 17   /* threshold 16 + the slot that triggers the flush */
 #define DAH_SET_INIT 32
+#define DAH_LOW_SLOT_BYTES 136   /* key + 16 inline neighbors */
+#define DAH_HIGH_SLOT_BYTES 16   /* key + pointer to the neighbor set */
+#define DAH_SET_SLOT_BYTES 8
 
 typedef struct {
     int64_t  chunks;
@@ -509,7 +695,12 @@ typedef struct {
     int64_t  skeys_cap;
     int64_t *state;  /* [0]=lkeys cursor [1]=hkeys cursor [2]=inline next
                         [3]=inline free top [4]=set cursor [5]=set count */
+    int64_t  h0;     /* first holder of this store */
 } DahStore;
+
+#define DAH_LOW_HOLDER(s, c)  ((s)->h0 + (c))
+#define DAH_HIGH_HOLDER(s, c) ((s)->h0 + (s)->chunks + (c))
+#define DAH_SET_HOLDER(s, id) ((s)->h0 + 2 * (s)->chunks + (id))
 
 /* Pointers and capacities arrive packed in an int64 descriptor so the
  * ctypes signature stays flat; see NativeDAHStore._descriptor(). */
@@ -593,7 +784,7 @@ static void rh_raw_insert(int64_t *keys, int64_t *vals, int64_t cap,
 /* Low-table put (space pre-checked by the caller); emits LOW_RESIZE. */
 static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
                        int64_t mirror, int64_t *probes,
-                       int64_t *events, int64_t *ec)
+                       int64_t *events, int64_t *ec, AccessLog *lg)
 {
     int64_t moved = 0;
     if (dah_over_load(s->lsize[c], s->lcap[c])) {
@@ -611,10 +802,8 @@ static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         s->state[0] += ncap;
         s->loff[c] = noff;
         s->lcap[c] = ncap;
-        events[3 * *ec] = mirror * 4;        /* LOW_RESIZE */
-        events[3 * *ec + 1] = c;
-        events[3 * *ec + 2] = ncap;
-        (*ec)++;
+        log_event(events, ec, mirror * 4, c, ncap,  /* LOW_RESIZE */
+                  lg, DAH_LOW_HOLDER(s, c));
     }
     int64_t *keys = s->lkeys + s->loff[c];
     int64_t *vals = s->lval + s->loff[c];
@@ -706,7 +895,7 @@ static void oa_raw_insert_d(int64_t *keys, double *vals, int64_t cap,
  * probed first, so the key is absent (tombstone reuse still applies). */
 static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
                         int64_t mirror, int64_t *probes,
-                        int64_t *events, int64_t *ec)
+                        int64_t *events, int64_t *ec, AccessLog *lg)
 {
     int64_t moved = 0;
     if (dah_over_load(s->hsize[c], s->hcap[c])) {
@@ -724,10 +913,8 @@ static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         s->state[1] += ncap;
         s->hoff[c] = noff;
         s->hcap[c] = ncap;
-        events[3 * *ec] = mirror * 4 + 1;    /* HIGH_RESIZE */
-        events[3 * *ec + 1] = c;
-        events[3 * *ec + 2] = ncap;
-        (*ec)++;
+        log_event(events, ec, mirror * 4 + 1, c, ncap,  /* HIGH_RESIZE */
+                  lg, DAH_HIGH_HOLDER(s, c));
     }
     int64_t *keys = s->hkeys + s->hoff[c];
     int64_t *vals = s->hval + s->hoff[c];
@@ -756,7 +943,7 @@ static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
  * emits SET_RESIZE.  Space pre-checked by the caller. */
 static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
                        int64_t mirror, int64_t *probes,
-                       int64_t *events, int64_t *ec)
+                       int64_t *events, int64_t *ec, AccessLog *lg)
 {
     int64_t moved = 0;
     if (dah_over_load(s->ssize[sid], s->scap[sid])) {
@@ -774,10 +961,8 @@ static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
         s->state[4] += ncap;
         s->soff[sid] = noff;
         s->scap[sid] = ncap;
-        events[3 * *ec] = mirror * 4 + 3;    /* SET_RESIZE */
-        events[3 * *ec + 1] = sid;
-        events[3 * *ec + 2] = ncap;
-        (*ec)++;
+        log_event(events, ec, mirror * 4 + 3, sid, ncap,  /* SET_RESIZE */
+                  lg, DAH_SET_HOLDER(s, sid));
     }
     int64_t *keys = s->skeys + s->soff[sid];
     double *vals = s->swgt + s->soff[sid];
@@ -812,7 +997,7 @@ static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
 
 /* Fresh neighbor set (space pre-checked); emits SET_NEW. */
 static int64_t dah_new_set(DahStore *s, int64_t mirror,
-                           int64_t *events, int64_t *ec)
+                           int64_t *events, int64_t *ec, AccessLog *lg)
 {
     int64_t sid = s->state[5]++;
     int64_t off = s->state[4];
@@ -822,43 +1007,59 @@ static int64_t dah_new_set(DahStore *s, int64_t mirror,
     s->ssize[sid] = 0;
     for (int64_t i = 0; i < DAH_SET_INIT; i++)
         s->skeys[off + i] = DAH_EMPTY;
-    events[3 * *ec] = mirror * 4 + 2;        /* SET_NEW */
-    events[3 * *ec + 1] = sid;
-    events[3 * *ec + 2] = DAH_SET_INIT;
-    (*ec)++;
+    log_event(events, ec, mirror * 4 + 2, sid, DAH_SET_INIT,  /* SET_NEW */
+              lg, DAH_SET_HOLDER(s, sid));
     return sid;
 }
 
-/* One insert; returns 0 ok, -1 stall (resource/need already in ctl). */
+/* Log the path of a get that found `probes` slots from key's home. */
+#define DAH_LOG_GET(holder, key, cap, probes, slot_bytes, write_last)      \
+    do {                                                                   \
+        if (!lg_room(lg, (probes))) return RC_LOG_FULL;                    \
+        lg_path(lg, row, (holder), dah_hash((key), (cap) - 1), (cap) - 1,  \
+                (probes), (slot_bytes), (write_last));                     \
+    } while (0)
+
+/* One insert; returns RC_OK, RC_STALL (resource/need already in ctl)
+ * or RC_LOG_FULL. */
 static int dah_insert_op(
     DahStore *s, int64_t u, int64_t v, double w, int64_t mirror,
     int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
     int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit, int64_t *o_chunk,
     int64_t row, int64_t *events, int64_t *ec, int64_t *positive,
-    int64_t *ctl)
+    int64_t *ctl, AccessLog *lg)
 {
     int64_t c = u % s->chunks;
     int64_t probes;
     int64_t hslot = oa_get(s->hkeys + s->hoff[c], s->hcap[c], u, &probes);
     int64_t hash_ops = 1, table_probes = probes;
     int64_t inline_scanned = 0, degq = 1, flushed = 0, rehash = 0, hit = 0;
+    DAH_LOG_GET(DAH_HIGH_HOLDER(s, c), u, s->hcap[c], probes,
+                DAH_HIGH_SLOT_BYTES, 0);
     if (hslot >= 0) {
         int64_t sid = s->hval[s->hoff[c] + hslot];
         int64_t gslot = oa_get(s->skeys + s->soff[sid], s->scap[sid], v,
                                &probes);
         hash_ops = 2;
         table_probes += probes;
+        DAH_LOG_GET(DAH_SET_HOLDER(s, sid), v, s->scap[sid], probes,
+                    DAH_SET_SLOT_BYTES, 0);
         if (gslot < 0) {
             int64_t need = dah_over_load(s->ssize[sid], s->scap[sid])
                 ? 2 * s->scap[sid] : 0;
             if (need && s->state[4] + need > s->skeys_cap) {
                 ctl[6] = 3; ctl[7] = need;
-                return -1;
+                return RC_STALL;
             }
-            rehash = set_put(s, sid, v, w, mirror, &probes, events, ec);
+            if (!lg_room(lg, (need ? need : s->scap[sid]) + 1))
+                return RC_LOG_FULL;
+            rehash = set_put(s, sid, v, w, mirror, &probes, events, ec, lg);
             hash_ops = 3;
             table_probes += probes;
             hit = 1;
+            lg_path(lg, row, DAH_SET_HOLDER(s, sid),
+                    dah_hash(v, s->scap[sid] - 1), s->scap[sid] - 1,
+                    probes, DAH_SET_SLOT_BYTES, 1);
         }
     } else {
         degq = 2;
@@ -866,26 +1067,33 @@ static int dah_insert_op(
                                &probes);
         hash_ops = 2;
         table_probes += probes;
+        DAH_LOG_GET(DAH_LOW_HOLDER(s, c), u, s->lcap[c], probes,
+                    DAH_LOW_SLOT_BYTES, 0);
         if (lslot < 0) {
             int64_t need = dah_over_load(s->lsize[c], s->lcap[c])
                 ? 2 * s->lcap[c] : 0;
             if (need && s->state[0] + need > s->lkeys_cap) {
                 ctl[6] = 0; ctl[7] = need;
-                return -1;
+                return RC_STALL;
             }
             if (s->state[3] == 0 && s->state[2] >= s->inline_cap) {
                 ctl[6] = 2; ctl[7] = 0;
-                return -1;
+                return RC_STALL;
             }
+            if (!lg_room(lg, (need ? need : s->lcap[c]) + 1))
+                return RC_LOG_FULL;
             int64_t iid = s->state[3] > 0
                 ? s->inl_free[--s->state[3]] : s->state[2]++;
             s->inl_len[iid] = 1;
             s->inl_nbr[iid * DAH_INLINE_CAP] = v;
             s->inl_wgt[iid * DAH_INLINE_CAP] = w;
-            rehash = low_put(s, c, u, iid, mirror, &probes, events, ec);
+            rehash = low_put(s, c, u, iid, mirror, &probes, events, ec, lg);
             hash_ops = 3;
             table_probes += probes;
             hit = 1;
+            lg_path(lg, row, DAH_LOW_HOLDER(s, c),
+                    dah_hash(u, s->lcap[c] - 1), s->lcap[c] - 1,
+                    probes, DAH_LOW_SLOT_BYTES, 1);
         } else {
             int64_t iid = s->lval[s->loff[c] + lslot];
             int64_t len = s->inl_len[iid];
@@ -903,18 +1111,21 @@ static int dah_insert_op(
                      * append mutates the inline array. */
                     if (s->state[5] >= s->set_meta_cap) {
                         ctl[6] = 4; ctl[7] = 0;
-                        return -1;
+                        return RC_STALL;
                     }
                     if (s->state[4] + DAH_SET_INIT > s->skeys_cap) {
                         ctl[6] = 3; ctl[7] = DAH_SET_INIT;
-                        return -1;
+                        return RC_STALL;
                     }
                     int64_t hneed = dah_over_load(s->hsize[c], s->hcap[c])
                         ? 2 * s->hcap[c] : 0;
                     if (hneed && s->state[1] + hneed > s->hkeys_cap) {
                         ctl[6] = 1; ctl[7] = hneed;
-                        return -1;
+                        return RC_STALL;
                     }
+                    if (!lg_room(lg, DAH_INLINE_CAP * (2 * DAH_SET_INIT + 1)
+                                     + (hneed ? hneed : s->hcap[c]) + 1))
+                        return RC_LOG_FULL;
                 }
                 nbr[len] = v;
                 s->inl_wgt[iid * DAH_INLINE_CAP + len] = w;
@@ -926,28 +1137,41 @@ static int dah_insert_op(
                               s->lcap[c], u, &dprobes);
                     s->lsize[c] -= 1;
                     table_probes += dprobes;
-                    int64_t sid = dah_new_set(s, mirror, events, ec);
+                    int64_t sid = dah_new_set(s, mirror, events, ec, lg);
+                    int64_t set = DAH_SET_HOLDER(s, sid);
                     double *wgts = s->inl_wgt + iid * DAH_INLINE_CAP;
                     for (int64_t j = 0; j < len + 1; j++) {
                         int64_t gs = oa_get(s->skeys + s->soff[sid],
                                             s->scap[sid], nbr[j], &probes);
                         hash_ops += 1;
                         table_probes += probes;
+                        lg_path(lg, row, set,
+                                dah_hash(nbr[j], s->scap[sid] - 1),
+                                s->scap[sid] - 1, probes,
+                                DAH_SET_SLOT_BYTES, 0);
                         if (gs < 0) {
                             /* 17 entries into a fresh 32-slot table
                              * never crosses the load factor, so this
                              * put cannot stall. */
                             rehash += set_put(s, sid, nbr[j], wgts[j],
-                                              mirror, &probes, events, ec);
+                                              mirror, &probes, events, ec,
+                                              lg);
                             hash_ops += 1;
                             table_probes += probes;
+                            lg_path(lg, row, set,
+                                    dah_hash(nbr[j], s->scap[sid] - 1),
+                                    s->scap[sid] - 1, probes,
+                                    DAH_SET_SLOT_BYTES, 1);
                         }
                         flushed += 1;
                     }
                     rehash += high_put(s, c, u, sid, mirror, &probes,
-                                       events, ec);
+                                       events, ec, lg);
                     hash_ops += 1;
                     table_probes += probes;
+                    lg_path(lg, row, DAH_HIGH_HOLDER(s, c),
+                            dah_hash(u, s->hcap[c] - 1), s->hcap[c] - 1,
+                            probes, DAH_HIGH_SLOT_BYTES, 1);
                     s->inl_free[s->state[3]++] = iid;
                 }
             }
@@ -962,27 +1186,32 @@ static int dah_insert_op(
     o_hit[row] = (uint8_t)hit;
     o_chunk[row] = c;
     if (!mirror && hit) (*positive)++;
-    return 0;
+    return RC_OK;
 }
 
-/* One remove; never allocates, so it cannot stall. */
-static void dah_delete_op(
+/* One remove; allocates nothing, so only the log stalls it. */
+static int dah_delete_op(
     DahStore *s, int64_t u, int64_t v, int64_t mirror,
     int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
     int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit, int64_t *o_chunk,
-    int64_t row, int64_t *positive)
+    int64_t row, int64_t *positive, AccessLog *lg)
 {
     int64_t c = u % s->chunks;
     int64_t probes;
     int64_t hslot = oa_get(s->hkeys + s->hoff[c], s->hcap[c], u, &probes);
     int64_t hash_ops = 1, table_probes = probes;
     int64_t inline_scanned = 0, degq = 1, hit = 0;
+    DAH_LOG_GET(DAH_HIGH_HOLDER(s, c), u, s->hcap[c], probes,
+                DAH_HIGH_SLOT_BYTES, 0);
     if (hslot >= 0) {
         int64_t sid = s->hval[s->hoff[c] + hslot];
         int64_t *keys = s->skeys + s->soff[sid];
         int64_t gslot = oa_get(keys, s->scap[sid], v, &probes);
         hash_ops = 2;
         table_probes += probes;
+        /* The found slot is the one tombstoned below. */
+        DAH_LOG_GET(DAH_SET_HOLDER(s, sid), v, s->scap[sid], probes,
+                    DAH_SET_SLOT_BYTES, gslot >= 0);
         if (gslot >= 0) {
             keys[gslot] = DAH_TOMB;
             s->swgt[s->soff[sid] + gslot] = 0.0;
@@ -995,6 +1224,8 @@ static void dah_delete_op(
                                &probes);
         hash_ops = 2;
         table_probes += probes;
+        DAH_LOG_GET(DAH_LOW_HOLDER(s, c), u, s->lcap[c], probes,
+                    DAH_LOW_SLOT_BYTES, 0);
         if (lslot >= 0) {
             int64_t iid = s->lval[s->loff[c] + lslot];
             int64_t len = s->inl_len[iid];
@@ -1030,6 +1261,7 @@ static void dah_delete_op(
     o_hit[row] = (uint8_t)hit;
     o_chunk[row] = c;
     if (!mirror && hit) (*positive)++;
+    return RC_OK;
 }
 
 int64_t saga_dah_ingest(
@@ -1038,11 +1270,16 @@ int64_t saga_dah_ingest(
     const int64_t *out_desc, const int64_t *in_desc,
     int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
     int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit, int64_t *o_chunk,
-    int64_t *events, int64_t *ctl)
+    int64_t *events, int64_t *ctl, const int64_t *log_desc)
 {
     DahStore out, in;
     dah_unpack(out_desc, &out);
     dah_unpack(in_desc, &in);
+    out.h0 = 0;
+    in.h0 = log_desc ? log_desc[7] : 0;
+    AccessLog log;
+    AccessLog *lg = &log;
+    lg_open(lg, log_desc, ctl);
     int64_t i = ctl[0];
     int64_t half = ctl[1];
     int64_t row = ctl[2];
@@ -1052,41 +1289,29 @@ int64_t saga_dah_ingest(
         int64_t u = src[i];
         int64_t v = dst[i];
         double w = delete_mode ? 0.0 : wgt[i];
-        if (half == 0) {
-            if (delete_mode) {
-                dah_delete_op(&out, u, v, 0, o_probes, o_ops, o_inline,
-                              o_degq, o_flushed, o_rehash, o_hit, o_chunk,
-                              row, &positive);
-            } else if (dah_insert_op(&out, u, v, w, 0, o_probes, o_ops,
-                                     o_inline, o_degq, o_flushed, o_rehash,
-                                     o_hit, o_chunk, row, events, &ec,
-                                     &positive, ctl)) {
-                ctl[0] = i; ctl[1] = 0; ctl[2] = row; ctl[3] = positive;
-                ctl[4] = ec; ctl[5] = 0;
-                return 1;
-            }
-            row++;
-            half = 1;
-        }
-        if (u != v || directed) {
-            if (delete_mode) {
-                dah_delete_op(&in, v, u, 1, o_probes, o_ops, o_inline,
-                              o_degq, o_flushed, o_rehash, o_hit, o_chunk,
-                              row, &positive);
-            } else if (dah_insert_op(&in, v, u, w, 1, o_probes, o_ops,
-                                     o_inline, o_degq, o_flushed, o_rehash,
-                                     o_hit, o_chunk, row, events, &ec,
-                                     &positive, ctl)) {
-                ctl[0] = i; ctl[1] = 1; ctl[2] = row; ctl[3] = positive;
-                ctl[4] = ec; ctl[5] = 1;
-                return 1;
-            }
+        for (; half < 2; half++) {
+            if (half && u == v && !directed) break;
+            DahStore *s = half ? &in : &out;
+            int64_t a = half ? v : u, b = half ? u : v;
+            int64_t mark = lg->n;
+            int rc = delete_mode
+                ? dah_delete_op(s, a, b, half, o_probes, o_ops, o_inline,
+                                o_degq, o_flushed, o_rehash, o_hit, o_chunk,
+                                row, &positive, lg)
+                : dah_insert_op(s, a, b, w, half, o_probes, o_ops,
+                                o_inline, o_degq, o_flushed, o_rehash,
+                                o_hit, o_chunk, row, events, &ec,
+                                &positive, ctl, lg);
+            if (rc)
+                return save_stall(ctl, rc, i, half, row, positive, ec,
+                                  lg, mark);
             row++;
         }
         half = 0;
     }
     ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
-    return 0;
+    ctl[8] = lg->n;
+    return lg->overrun ? RC_LOG_OVERRUN : RC_OK;
 }
 """
 
@@ -1112,6 +1337,7 @@ class IngestKernels:
             ctypes.c_longlong,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p,  # access-log descriptor (NULL: untraced)
         ]
         store = [
             ctypes.c_longlong,  # lock_base
@@ -1128,13 +1354,13 @@ class IngestKernels:
             + [ctypes.c_longlong] * 3
             + store
             + store
-            + [ctypes.c_void_p] * 8
+            + [ctypes.c_void_p] * 9  # outputs, events, ctl, access log
         )
         lib.saga_dah_ingest.restype = ctypes.c_longlong
         lib.saga_dah_ingest.argtypes = (
             [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
             + [ctypes.c_longlong] * 2
-            + [ctypes.c_void_p] * 12  # descriptors, outputs, events, ctl
+            + [ctypes.c_void_p] * 13  # descriptors, outputs, events, ctl, access log
         )
 
     @staticmethod

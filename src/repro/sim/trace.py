@@ -18,6 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 
 @dataclass(frozen=True)
 class MemoryTrace:
@@ -49,6 +51,10 @@ class MemoryTrace:
         *mix* rather than exact interleaving, so a strided subsample
         keeps hit-ratio estimates stable while bounding replay cost.
         """
+        if max_accesses < 1:
+            raise SimulationError(
+                f"max_accesses must be >= 1, got {max_accesses}"
+            )
         n = len(self)
         if n <= max_accesses:
             return self
@@ -79,8 +85,10 @@ def ragged_arange(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class TraceRecorder:
     """Accumulates accesses during a phase; ``finalize`` yields arrays.
 
-    The recorder buffers into plain Python lists (append-dominated
-    workload) and converts to numpy once at the end.
+    The per-access calls buffer into plain Python lists (append-
+    dominated workload); :meth:`extend` takes accesses that already are
+    arrays -- a compiled batch ingest's resolved access log.  Either
+    way the accesses come out of ``finalize`` in the order they came in.
     """
 
     #: Hot paths may skip trace emission entirely when False.
@@ -90,6 +98,8 @@ class TraceRecorder:
         self._task_ids: list = []
         self._addresses: list = []
         self._writes: list = []
+        #: Accesses already frozen into arrays, oldest first.
+        self._chunks: list = []
         self._current_task = 0
 
     def begin_task(self, task_id: int) -> None:
@@ -108,15 +118,46 @@ class TraceRecorder:
         self._addresses.extend(range(base, base + count * stride, stride))
         self._writes.extend([write] * count)
 
+    def extend(self, task_ids: np.ndarray, addresses: np.ndarray,
+               is_write: np.ndarray) -> None:
+        """Record a run of accesses given as parallel arrays (each its
+        own task id; the current task is not consulted)."""
+        self._freeze()
+        self._chunks.append(
+            MemoryTrace(task_ids=task_ids, addresses=addresses, is_write=is_write)
+        )
+
+    def _freeze(self) -> None:
+        """Move the list buffers, if any, behind the frozen chunks."""
+        if self._addresses:
+            self._chunks.append(
+                MemoryTrace(
+                    task_ids=np.asarray(self._task_ids, dtype=np.int64),
+                    addresses=np.asarray(self._addresses, dtype=np.int64),
+                    is_write=np.asarray(self._writes, dtype=bool),
+                )
+            )
+            self._task_ids, self._addresses, self._writes = [], [], []
+
     def __len__(self) -> int:
-        return len(self._addresses)
+        return len(self._addresses) + sum(len(chunk) for chunk in self._chunks)
 
     def finalize(self) -> MemoryTrace:
         """Freeze the buffered accesses into a :class:`MemoryTrace`."""
+        self._freeze()
+        if len(self._chunks) == 1:
+            return self._chunks[0]
+        chunks = self._chunks or [
+            MemoryTrace(
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=bool),
+            )
+        ]
         return MemoryTrace(
-            task_ids=np.asarray(self._task_ids, dtype=np.int64),
-            addresses=np.asarray(self._addresses, dtype=np.int64),
-            is_write=np.asarray(self._writes, dtype=bool),
+            task_ids=np.concatenate([c.task_ids for c in chunks], dtype=np.int64),
+            addresses=np.concatenate([c.addresses for c in chunks], dtype=np.int64),
+            is_write=np.concatenate([c.is_write for c in chunks], dtype=bool),
         )
 
 

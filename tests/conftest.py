@@ -86,11 +86,17 @@ UBSAN_FLAGS = (
 )
 
 
+def _forget_libraries():
+    for module in (ckernel, ckernels, cingest):
+        module.reset()
+
+
 @pytest.fixture(scope="class")
 def ubsan_libraries(request, tmp_path_factory):
-    """Rebuild the sim and compute libraries with UBSan for the class's tests.
+    """Rebuild the sim, ingest and compute libraries with UBSan for the
+    class's tests.
 
-    Both are built from :data:`cbuild.CFLAGS`, so extending it (and
+    All are built from :data:`cbuild.CFLAGS`, so extending it (and
     pointing the build cache at an empty directory) is all it takes;
     the class says which one it is about through ``library_loaded``,
     and is skipped when that one does not build.  ``dlopen`` pulls in
@@ -105,26 +111,49 @@ def ubsan_libraries(request, tmp_path_factory):
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv(cbuild.CACHE_DIR_ENV, str(cache_dir))
             patch.setattr(cbuild, "CFLAGS", cbuild.CFLAGS + UBSAN_FLAGS)
-            ckernel.reset()
-            ckernels.reset()
+            _forget_libraries()
             if not loaded():
                 pytest.skip(f"cc cannot build and link {' '.join(UBSAN_FLAGS)}")
             yield cache_dir
     finally:
         # The next caller loads the regular builds again.
-        ckernel.reset()
-        ckernels.reset()
+        _forget_libraries()
 
 
-def ubsan_probe(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a child whose ``sys.argv[1:]`` are the UBSan flags
-    (it adds them to ``cbuild.CFLAGS`` itself, then makes a raw kernel
-    call the Python wrappers would have refused)."""
+def ubsan_probe(script: str, flags=UBSAN_FLAGS, **env) -> subprocess.CompletedProcess:
+    """Run ``script`` in a child whose ``sys.argv[1:]`` are the sanitizer
+    flags (it adds them to ``cbuild.CFLAGS`` itself, then makes a raw
+    kernel call the Python wrappers would have refused)."""
     return subprocess.run(
-        [sys.executable, "-c", script, *UBSAN_FLAGS],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        [sys.executable, "-c", script, *flags],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env},
         capture_output=True,
         text=True,
+    )
+
+
+#: AddressSanitizer beside UBSan.  An ASan object cannot be ``dlopen``ed
+#: into a plain interpreter -- its runtime has to be loaded first -- so
+#: these flags only ever go to a child started by :func:`asan_probe`.
+ASAN_FLAGS = ("-fsanitize=address",) + UBSAN_FLAGS
+
+
+def asan_probe(script: str, cache_dir) -> subprocess.CompletedProcess:
+    """:func:`ubsan_probe` with the ASan runtime preloaded and a build
+    cache of its own; skips where ``cc`` ships no ``libasan.so``."""
+    found = subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True, text=True
+    )
+    runtime = found.stdout.strip()
+    if found.returncode or not os.path.isabs(runtime):
+        pytest.skip("cc has no AddressSanitizer runtime to preload")
+    return ubsan_probe(
+        script,
+        ASAN_FLAGS,
+        LD_PRELOAD=runtime,
+        # CPython never frees its own arenas: leak reports are noise here.
+        ASAN_OPTIONS="detect_leaks=0",
+        **{cbuild.CACHE_DIR_ENV: str(cache_dir)},
     )
 
 

@@ -275,13 +275,23 @@ class _BlockedStore:
         """Swap-remove; returns (scanned, removed)."""
         vec = self._neighbors[src]
         index = self._index[src]
+        tracing = recorder.enabled
+        segment = self._segment[src]
+        if tracing:
+            recorder.access(self._header.element(src, 16))
         position = index.get(dst)
         if position is None:
+            if tracing and segment is not None:
+                recorder.access_range(segment.base, len(vec), ENTRY_BYTES)
             return len(vec), False
+        if tracing:
+            recorder.access_range(segment.base, position + 1, ENTRY_BYTES)
         last = len(vec) - 1
         if position != last:
             vec[position] = vec[last]
             index[vec[position][0]] = position
+            if tracing:
+                recorder.access(segment.element(position, ENTRY_BYTES), write=True)
         vec.pop()
         del index[dst]
         return position + 1, True

@@ -2,20 +2,22 @@
 
 Every store operation exists three times -- in the list/dict oracle
 stores of ``tests/oracle_stores.py``, in the arena stores' per-edge
-methods (what traced batches and kernel-less stores run), and in the C
-batch-ingest kernels (``repro.sim.cingest``) -- and the three must be
-indistinguishable: identical per-row counters (hence identical task
-prices and makespans), identical graph contents, identical simulated-
-memory layouts (checked through traced addresses and the address
-space's counters), for every structure, under inserts, deletes,
-duplicate churn, empty and hostile batches, with the arenas at their
-smallest so every stall/grow/resume routine is taken.  The threaded INC
-round must produce bit-identical float64 values at every thread count.
+methods (what kernel-less stores run), and in the C batch-ingest
+kernels (``repro.sim.cingest``, what every batch of a store with a
+kernel runs, traced or not) -- and the three must be indistinguishable:
+identical per-row counters (hence identical task prices and makespans),
+identical graph contents, identical traces (task ids, addresses, write
+bits: the kernel's access log against the recorder calls of the other
+two), identical simulated-memory layouts (the address space's
+counters), for every structure, under inserts, deletes, duplicate
+churn, empty and hostile batches, with the arenas and the access log at
+their smallest so every stall/grow/resume routine is taken.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 
 import numpy as np
 import pytest
@@ -24,12 +26,19 @@ from hypothesis import event, given, settings, strategies as st
 from repro.compute import ckernels
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_structure
 from repro.graph import nativestore
+from repro.errors import SimulationError
 from repro.graph.base import GraphDataStructure
 from repro.sim import cingest
-from repro.sim.memory import AddressSpace
+from repro.sim.memory import AddressSpace, Region
 from repro.sim.tasks import TaskArray
 from repro.sim.trace import TraceRecorder
-from tests.conftest import SMALL_MACHINE, cingest_env, random_batch
+from tests.conftest import (
+    SMALL_MACHINE,
+    asan_probe,
+    cingest_env,
+    random_batch,
+    ubsan_probe,
+)
 from tests.oracle_stores import (
     IMPLEMENTATIONS,
     KERNEL,
@@ -53,8 +62,7 @@ def _run_scenario(name: str, directed: bool, implementation: str,
 
     The script covers batch inserts, duplicate churn, deletions of
     present and absent edges, empty batches, and traced batches in the
-    middle and at the end (one instance alternates between the compiled
-    call and the per-edge methods; the traces pin the region layout).
+    middle and at the end (the traces pin the region layout).
     ``extra`` batches are inserted first.  Returns the structure plus a
     comparable summary and the traces.
     """
@@ -131,6 +139,27 @@ def _assert_native_matches_plain(name, directed, nodes=N, **kwargs):
         assert _space_counters(native) == _space_counters(plain), implementation
 
 
+@pytest.fixture
+def log_stalls(monkeypatch):
+    """Start every access log at one row; yields the ``(structure,
+    delete)`` of each batch in which the kernel stalled on the log."""
+    monkeypatch.setattr(nativestore, "INITIAL_LOG", 1)
+    stalled, current = set(), []
+    ingest, grow = GraphDataStructure._ingest, nativestore._AccessLog.grow
+
+    def ingesting(structure, batch, recorder, delete):
+        current[:] = [(structure.name, delete)]
+        return ingest(structure, batch, recorder, delete)
+
+    def growing(log, used, need):
+        stalled.add(current[0])
+        grow(log, used, need)
+
+    monkeypatch.setattr(GraphDataStructure, "_ingest", ingesting)
+    monkeypatch.setattr(nativestore._AccessLog, "grow", growing)
+    return stalled
+
+
 @pytest.mark.parametrize("name", ALL)
 @pytest.mark.parametrize("directed", [True, False])
 def test_native_matches_plain(name, directed):
@@ -143,13 +172,16 @@ def test_native_matches_plain(name, directed):
 @pytest.mark.parametrize("name", ["AS", "AC", "BA"])
 @pytest.mark.parametrize("directed", [True, False])
 def test_native_matches_plain_when_every_batch_stalls(
-    name, directed, pool, monkeypatch
+    name, directed, pool, monkeypatch, log_stalls
 ):
-    """A tiny entry pool stalls the vector kernel and resumes it mid-log."""
+    """A tiny entry pool stalls the vector kernel and resumes it mid-log;
+    a one-row access log stalls both of its operations, which resume to
+    the oracle's trace."""
     if cingest.get(name) is None:
         pytest.skip("compiled ingest kernels unavailable")
     monkeypatch.setattr(nativestore, "INITIAL_POOL", pool)
     _assert_native_matches_plain(name, directed)
+    assert log_stalls == {(name, False), (name, True)}
 
 
 #: The stall/grow/resume routine of every kernel resource code.
@@ -174,13 +206,15 @@ def _arena_size(store) -> int:
 
 @pytest.mark.parametrize("name", sorted(GROW_ROUTINES))
 @pytest.mark.parametrize("directed", [True, False])
-def test_every_arena_starts_at_its_minimum(name, directed, monkeypatch):
+def test_every_arena_starts_at_its_minimum(name, directed, monkeypatch, log_stalls):
     """Stinger's and DAH's seven grow routines, each taken by both paths.
 
     Every initial arena size is forced to 1, so the kernel stalls at
     every resource code and the per-edge methods outgrow every array;
     400 vertices in one chunk, with hubs on both sides, flush vertices
-    into neighbor sets and resize the low, high and set tables.
+    into neighbor sets and resize the low, high and set tables.  The
+    access log starts at one row beside them: the traced insert and the
+    traced delete stall on it and still resume to the oracle's trace.
     """
     if cingest.get(name) is None:
         pytest.skip("compiled ingest kernels unavailable")
@@ -221,6 +255,7 @@ def test_every_arena_starts_at_its_minimum(name, directed, monkeypatch):
                     f"{routine} of {name}.{side} never grew an arena "
                     f"({'kernel' if compiled else 'per-edge'} path): {dict(grew)}"
                 )
+    assert log_stalls == {(name, False), (name, True)}
 
 
 @pytest.mark.parametrize("name", ["AS", "AC"])
@@ -348,14 +383,22 @@ def _hostile_streams(draw):
     return max_nodes, stream
 
 
+def _trace_columns(trace):
+    return [trace.task_ids.tolist(), trace.addresses.tolist(), trace.is_write.tolist()]
+
+
 def _hostile_observation(implementation, name, directed, max_nodes, stream):
-    """Everything observable of one stream: per batch the summary and the
-    six emitted columns, then every neighbour list (``repr``: NaN != NaN)."""
+    """Everything observable of one stream, every batch traced: per batch
+    the summary, the six emitted columns and the trace, then every
+    neighbour list (``repr``: NaN != NaN)."""
     structure = structure_over(implementation, name, max_nodes, directed)
     observed = []
     for delete, edges in stream:
         operation = structure.delete if delete else structure.update
-        result = operation(EdgeBatch.from_edges(edges), _ctx(keep_tasks=True))
+        result = operation(
+            EdgeBatch.from_edges(edges),
+            _ctx(keep_tasks=True, recorder=TraceRecorder()),
+        )
         tasks = result.extra["tasks"]
         observed.append(
             (
@@ -363,6 +406,7 @@ def _hostile_observation(implementation, name, directed, max_nodes, stream):
                 result.duplicates,
                 result.latency_cycles,
                 [getattr(tasks, column).tolist() for column in TaskArray.__slots__],
+                _trace_columns(result.trace),
             )
         )
     observed.append(
@@ -405,6 +449,332 @@ def test_hostile_batches(name, directed, case):
             _hostile_observation(implementation, name, directed, max_nodes, stream)
             == oracle
         ), implementation
+
+
+# ----------------------------------------------------------------------
+# The kernel-written access log
+# ----------------------------------------------------------------------
+
+#: Vertex ids of the traced streams: one DAH chunk, so tables fill up.
+M = 128
+
+#: One batch in which a hub's vector grows 4 -> 64, and -- with one DAH
+#: chunk -- the low table (> 44 keys), the high table (> 11 flushed
+#: hubs) and a neighbor set (> 22 members) all resize.
+RESIZE_EVERYTHING = EdgeBatch.from_edges(
+    [(0, v) for v in range(1, 41)]
+    + [(u, v) for u in range(1, 14) for v in range(60, 84)]
+    + [(u, u + 1) for u in range(60, M - 1)]
+)
+
+#: A second batch that replaces regions standing since the first: the
+#: hub's vector grows 64 -> 128 and vertex 1's neighbor set 64 -> 128
+#: after scans and probes of the old ones.
+GROW_AGAIN = EdgeBatch.from_edges(
+    [(0, v) for v in range(41, 75)] + [(1, v) for v in range(84, 110)]
+)
+
+_traced_stream = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, M - 1)), max_size=40),
+    ),
+    max_size=4,
+)
+
+
+@contextlib.contextmanager
+def _everything_at_its_minimum():
+    """Every arena of every store, and the access log, start at one cell."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nativestore, "INITIAL_POOL", 1)
+        patch.setattr(nativestore, "INITIAL_LOG", 1)
+        for store_class in (nativestore.NativeStingerStore, nativestore.NativeDAHStore):
+            for constant in vars(store_class):
+                if constant.startswith("INITIAL_"):
+                    patch.setattr(store_class, constant, 1)
+        yield
+
+
+def _traced_run(implementation, name, directed, stream):
+    """Per batch the summary and the trace, then the layout counters."""
+    kwargs = {"chunks": 1} if name in ("AC", "BA", "DAH") else {}
+    structure = structure_over(implementation, name, M, directed, **kwargs)
+    observed = []
+    for delete, batch in stream:
+        operation = structure.delete if delete else structure.update
+        result = operation(batch, _ctx(recorder=TraceRecorder()))
+        observed.append(
+            (result.edges_inserted, result.latency_cycles, _trace_columns(result.trace))
+        )
+    return structure, observed + [_space_counters(structure)]
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("directed", [True, False])
+@settings(max_examples=12, deadline=None)
+@given(stream=_traced_stream)
+def test_traced_streams(name, directed, stream):
+    """Every batch traced, every arena and the log at their minimum: the
+    kernel's log equals the oracle's and the per-edge methods' trace,
+    access for access, through growths, resizes, stalls and rewinds."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    stream = [(False, RESIZE_EVERYTHING), (False, GROW_AGAIN)] + [
+        (delete, EdgeBatch.from_edges(edges)) for delete, edges in stream
+    ]
+    with _everything_at_its_minimum():
+        _, oracle = _traced_run(ORACLE, name, directed, stream)
+        for implementation in (PER_EDGE, KERNEL):
+            structure, observed = _traced_run(implementation, name, directed, stream[:1])
+            if name == "DAH":
+                out = structure._out
+                assert out._lcap[0] > out.LOW_INIT and out._hcap[0] > out.HIGH_INIT
+                assert out._scap[: int(out._state[5])].max() > out.SET_INIT
+            elif name != "Stinger":
+                assert structure._out._capacity[0] == 64
+            assert observed[0] == oracle[0], implementation
+            _, observed = _traced_run(implementation, name, directed, stream)
+            assert observed == oracle, implementation
+
+
+def _store_state(structure):
+    """Every array of both stores, cell for cell."""
+    return {
+        (store.label, attribute): value.tolist()
+        for store in (structure._out, structure._in)
+        if store is not None
+        for attribute, value in vars(store).items()
+        if isinstance(value, np.ndarray)
+    }
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("directed", [True, False])
+def test_tracing_changes_nothing_but_the_trace(name, directed, monkeypatch):
+    """A traced and an untraced run of one stream leave the same stores,
+    emitted columns and address-space counters."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    # Arena cells nobody wrote would otherwise differ run to run.
+    monkeypatch.setattr(np, "empty", np.zeros)
+
+    def run(traced):
+        structure = structure_over(KERNEL, name, M, directed)
+        columns = []
+        for delete, batch in [
+            (False, RESIZE_EVERYTHING),
+            (False, random_batch(M, 300, seed=1)),
+            (True, random_batch(M, 200, seed=2)),
+            (False, random_batch(M, 200, seed=3)),
+        ]:
+            operation = structure.delete if delete else structure.update
+            result = operation(
+                batch,
+                _ctx(keep_tasks=True, recorder=TraceRecorder() if traced else None),
+            )
+            tasks = result.extra["tasks"]
+            columns.append(
+                [getattr(tasks, column).tolist() for column in TaskArray.__slots__]
+            )
+            assert (result.trace is not None and len(result.trace) > 0) == traced
+        return _store_state(structure), columns, _space_counters(structure)
+
+    assert run(traced=True) == run(traced=False)
+
+
+#: Per structure, the store attribute holding the region every operation
+#: reads first (``_low_regions``: a list, one region per chunk).
+FIRST_REGION = {
+    "AS": "_header",
+    "AC": "_header",
+    "BA": "_header",
+    "Stinger": "_vertex_array",
+    "DAH": "_high_regions",
+}
+
+
+@pytest.mark.parametrize("implementation", [PER_EDGE, KERNEL])
+@pytest.mark.parametrize("name", ALL)
+def test_access_past_its_region_raises(name, implementation):
+    """A region shorter than what the store keeps in it: the per-edge
+    methods raise from ``Region.element``, the kernel path from the
+    same check on the resolved log."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    kwargs = {"chunks": 1} if name == "DAH" else {}
+    structure = structure_over(implementation, name, N, **kwargs)
+    structure.update(random_batch(N, 100, seed=4), _ctx())
+    store, attribute = structure._out, FIRST_REGION[name]
+    region = getattr(store, attribute)
+    if name == "DAH":
+        region[0] = Region(region[0].base, 16, region[0].label)
+    else:
+        setattr(store, attribute, Region(region.base, 16, region.label))
+    batch = EdgeBatch.from_edges([(u, 0) for u in range(1, N)])
+    # The untraced batch computes no address, so nothing can overrun.
+    structure.delete(batch, _ctx())
+    for operation in (structure.update, structure.delete):
+        with pytest.raises(SimulationError, match="overruns region"):
+            operation(batch, _ctx(recorder=TraceRecorder()))
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("directed", [True, False])
+def test_one_ingest_path_per_store(name, directed, monkeypatch):
+    """A store with a kernel never runs a per-edge method, traced or not;
+    a store without one runs nothing else."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    calls = collections.Counter()
+
+    def counted(owner, attribute, key):
+        original = getattr(owner, attribute)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, wrapper)
+
+    for store_class in (
+        nativestore._PooledVectorState,
+        nativestore.NativeStingerStore,
+        nativestore.NativeDAHStore,
+    ):
+        counted(store_class, "insert", "per-edge")
+        counted(store_class, "remove", "per-edge")
+    for entry in ("vec_ingest", "stinger_ingest", "dah_ingest"):
+        counted(cingest.IngestKernels, entry, "kernel")
+    batch = random_batch(N, 80, seed=5)
+    rows = 2 * len(batch)
+    for implementation, expected in (
+        (KERNEL, {"kernel": 4}),
+        (PER_EDGE, {"per-edge": 4 * rows}),
+    ):
+        calls.clear()
+        structure = structure_over(implementation, name, N, directed)
+        for traced in (False, True):
+            for operation in (structure.update, structure.delete):
+                operation(batch, _ctx(recorder=TraceRecorder() if traced else None))
+        assert calls == expected, implementation
+
+
+def test_blocked_delete_is_traced_like_a_vector_delete():
+    """BA's ``remove`` emits what the vector stores' does -- header, scan,
+    backfill write -- in the oracle, the per-edge method and the kernel
+    log (it used to emit nothing: a traced BA delete replayed an empty
+    trace)."""
+    insert, drop = random_batch(N, 200, seed=6), random_batch(N, 120, seed=10)
+
+    def traced_delete(implementation, name):
+        structure = structure_over(implementation, name, N, chunks=2)
+        structure.update(insert, _ctx())
+        return structure.delete(drop, _ctx(recorder=TraceRecorder())).trace
+
+    chunked = traced_delete(ORACLE, "AC")
+    assert chunked.write_count > 0
+    for implementation in IMPLEMENTATIONS:
+        if implementation == KERNEL and cingest.get("BA") is None:
+            continue
+        blocked = traced_delete(implementation, "BA")
+        assert np.array_equal(blocked.task_ids, chunked.task_ids), implementation
+        assert np.array_equal(blocked.is_write, chunked.is_write), implementation
+
+
+# ----------------------------------------------------------------------
+# The ingest library under sanitizers
+# ----------------------------------------------------------------------
+
+#: A raw call no wrapper would make: one edge, no source column.
+_UBSAN_PROBE = """
+import sys
+import numpy as np
+from repro.sim import cbuild, cingest
+cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
+lib = cingest.get("AS")._lib
+ctl = np.zeros(10, dtype=np.int64)
+store = [None] * 6 + [0]
+lib.saga_vec_ingest(
+    1, None, None, None, 1, 0, 1, *store, *store,
+    None, None, None, None, ctl.ctypes.data, None,
+)
+"""
+
+#: In a child under ASan: the traced streams (every arena and the log
+#: at one cell), then -- to show the build would have trapped -- a batch
+#: whose ``scanned`` column is half as long as it has rows (and long
+#: enough to come from ``malloc``, not from numpy's small-block cache).
+_ASAN_CHILD = """
+import os, sys
+import numpy as np
+import pytest
+import tests.test_cingest
+from repro.graph import EdgeBatch, make_structure, nativestore
+from repro.sim import cbuild
+os.environ.pop("LD_PRELOAD")  # this process has it; cc need not
+cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
+print("streams exit", pytest.main([
+    "-q", "-p", "no:cacheprovider", "-rs",
+    tests.test_cingest.__file__ + "::test_traced_streams",
+]), flush=True)
+zeros = np.zeros
+nativestore.np.zeros = lambda n, dtype=float: zeros(n // 2 if n == 800 else n, dtype=dtype)
+structure = make_structure("AS", 1000)
+structure.update(EdgeBatch.from_edges([(u, u + 1) for u in range(400)]))
+"""
+
+
+@pytest.mark.usefixtures("ubsan_libraries")
+class TestIngestLibraryUnderUBSan:
+    """The tests above that drive the kernels hardest -- the differential
+    scenario, every arena and the access log at their minimum, the traced
+    streams -- run again through a ``-fsanitize=undefined`` build, and
+    the last once more in a child under AddressSanitizer."""
+
+    library_loaded = staticmethod(cingest.loaded)
+
+    def test_the_sanitizer_is_live(self, ubsan_libraries):
+        """The build under test does trap: a raw call the Python side
+        would never make is reported by the UBSan runtime in a child."""
+        assert list(ubsan_libraries.glob("saga_ingest_*.so"))
+        child = ubsan_probe(_UBSAN_PROBE)
+        assert child.returncode != 0
+        assert "runtime error: load of null pointer" in child.stderr
+
+    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_differential_scenario(self, name, directed):
+        _assert_native_matches_plain(name, directed)
+
+    @pytest.mark.parametrize("name", ["AS", "AC", "BA"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_vector_pool_and_log_stalls(self, name, directed, monkeypatch, log_stalls):
+        test_native_matches_plain_when_every_batch_stalls(
+            name, directed, 1, monkeypatch, log_stalls
+        )
+
+    @pytest.mark.parametrize("name", sorted(GROW_ROUTINES))
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_every_arena_and_the_log_at_their_minimum(
+        self, name, directed, monkeypatch, log_stalls
+    ):
+        test_every_arena_starts_at_its_minimum(name, directed, monkeypatch, log_stalls)
+
+    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_traced_streams(self, name, directed):
+        test_traced_streams(name, directed)
+
+    def test_traced_streams_under_address_sanitizer(self, tmp_path):
+        """ASan sees what UBSan cannot: a log, event or arena write one
+        cell past its column.  The streams give it nothing; an undersized
+        output column, right after them in the same child, is reported."""
+        child = asan_probe(_ASAN_CHILD, tmp_path)
+        assert "streams exit 0" in child.stdout, child.stdout + child.stderr
+        assert "SKIPPED" not in child.stdout
+        assert child.returncode != 0
+        assert "heap-buffer-overflow" in child.stderr
 
 
 class TestGates:

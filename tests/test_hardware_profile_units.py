@@ -385,6 +385,13 @@ class TestComputeTraceMatchesPerVertexLoop:
         assert task_thread.tolist() == [0]
 
 
+@pytest.mark.parametrize("trace_cap", [0, -1])
+def test_trace_cap_below_one_rejected(trace_cap):
+    """``profile_cell`` would scale every counter by ``len(trace) / 1``."""
+    with pytest.raises(SimulationError, match="trace_cap"):
+        HardwareProfiler(trace_cap=trace_cap)
+
+
 class TestVisitedBitvectorSizing:
     def test_max_nodes_not_a_multiple_of_eight(self):
         """Wiki at 0.125 has 1 125 ids: the last partial byte is touched."""

@@ -435,6 +435,38 @@ class TestInstrumentedRun:
             > 0
         )
 
+    def test_traced_batch_says_which_path_wrote_its_trace(self, monkeypatch):
+        """``ingest_trace_accesses_total`` ticks once per traced batch with
+        the trace's length under the path that wrote it; a log that had
+        to grow shows in ``ingest_trace_stalls_total``."""
+        from repro.graph import ExecutionContext, make_structure, nativestore
+        from repro.sim import cingest
+        from repro.sim.trace import TraceRecorder
+        from tests.conftest import cingest_env, random_batch
+
+        if cingest.get("DAH") is None:
+            pytest.skip("compiled ingest kernels unavailable")
+        METRICS.enable()
+        batch = random_batch(64, 300, seed=2)
+        monkeypatch.setattr(nativestore, "INITIAL_LOG", 64)
+        for setting, path in ((None, "kernel"), ("all", "per_edge")):
+            with cingest_env(setting):
+                structure = make_structure("DAH", 64, directed=True)
+            structure.update(batch)  # untraced: no tick
+            assert METRICS.total("ingest_trace_accesses_total") == 0
+            trace = structure.delete(
+                batch, ExecutionContext(recorder=TraceRecorder())
+            ).trace
+            assert (
+                METRICS.value("ingest_trace_accesses_total", structure="DAH", path=path)
+                == METRICS.total("ingest_trace_accesses_total")
+                == len(trace)
+                > 64
+            )
+            stalls = METRICS.value("ingest_trace_stalls_total", structure="DAH")
+            assert (stalls > 0) == (path == "kernel")
+            METRICS.reset()
+
     def test_parallel_sweep_metrics_equal_serial(self, tmp_path):
         config = StreamConfig(repetitions=2, **self.CONFIG)
         METRICS.enable()

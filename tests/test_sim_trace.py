@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.trace import MemoryTrace, NullRecorder, TraceRecorder
 
 
@@ -48,6 +49,29 @@ class TestTraceRecorder:
         recorder.access(5)
         assert len(recorder) == 1
 
+    def test_arrays_and_calls_keep_their_order(self):
+        """``extend`` (a kernel's resolved access log) between per-access
+        calls: everything comes out in the order it went in."""
+        recorder = TraceRecorder()
+        recorder.begin_task(7)
+        recorder.access(10)
+        recorder.extend(
+            np.array([0, 1]), np.array([20, 30]), np.array([True, False])
+        )
+        recorder.access_range(40, 2, 8, write=True)
+        assert len(recorder) == 5
+        trace = recorder.finalize()
+        assert trace.task_ids.tolist() == [7, 0, 1, 7, 7]
+        assert trace.addresses.tolist() == [10, 20, 30, 40, 48]
+        assert trace.is_write.tolist() == [False, True, False, True, True]
+        assert trace.task_ids.dtype == trace.addresses.dtype == np.int64
+        assert trace.is_write.dtype == bool
+
+    def test_nothing_recorded(self):
+        trace = TraceRecorder().finalize()
+        assert len(trace) == 0
+        assert trace.addresses.dtype == np.int64 and trace.is_write.dtype == bool
+
 
 class TestNullRecorder:
     def test_interface_is_noop(self):
@@ -84,6 +108,12 @@ class TestSampling:
         first = trace.sample(100, seed=1)
         second = trace.sample(100, seed=1)
         assert np.array_equal(first.addresses, second.addresses)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        """0 used to divide by zero, -1 to return an empty trace."""
+        with pytest.raises(SimulationError, match="max_accesses"):
+            self._trace(10).sample(cap)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

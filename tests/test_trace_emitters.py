@@ -3,12 +3,15 @@
 ``trace_in_traversal`` / ``trace_out_traversal`` take a vertex array and
 return ``(counts, addresses)``.  The reference is the per-vertex
 ``_trace_traversal(u, recorder, out)`` every structure defines: the
-array result must be that method's accesses, vertex after vertex.  AS,
-AC and DAH have array implementations in their stores; Stinger and BA
-use the base-class loop.  The reference is taken twice: from the
-structure under test, and (``plain``) from a second structure over the
-list/dict oracle stores of ``tests/oracle_stores.py`` fed the same
-stream -- which also holds the kernel-ingested layout to the oracle's.
+array result must be that method's accesses, vertex after vertex.  All
+five structures have array implementations in their stores (the vector
+family shares one; Stinger's is the ragged block form: vertex entry,
+then header + entries per block), so the base-class loop over
+``_trace_traversal`` is the reference here and the production path of
+none.  The reference is taken twice: from the structure under test, and
+(``plain``) from a second structure over the list/dict oracle stores of
+``tests/oracle_stores.py`` fed the same stream -- which also holds the
+kernel-ingested layout to the oracle's.
 """
 
 
@@ -72,6 +75,13 @@ def _make(name, directed, plain, max_nodes=N, chunks=2):
     return structures
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_every_structure_emits_arrays(name):
+    """No registered structure is left on the per-vertex loop."""
+    emitter = STRUCTURES[name]._trace_traversals
+    assert emitter is not GraphDataStructure._trace_traversals
+
+
 _edges = st.lists(
     st.tuples(st.integers(0, N - 2), st.integers(0, N - 2)), max_size=120
 )
@@ -127,7 +137,7 @@ class TestArrayEmittersMatchPerVertex:
 class TestOverrunsStillRaise:
     """The vectorised checks raise where ``Region.element`` did."""
 
-    @pytest.mark.parametrize("name", ["AS", "AC"])
+    @pytest.mark.parametrize("name", ["AS", "AC", "BA", "Stinger"])
     def test_vertex_beyond_max_nodes(self, name):
         (structure,) = _make(name, True, plain=False)
         with pytest.raises(SimulationError):
