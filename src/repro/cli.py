@@ -36,12 +36,12 @@ from repro.engine import default_store, run_stream
 from repro.obs import (
     METRICS,
     TRACER,
+    SpanTracer,
     write_chrome_trace,
     write_jsonl,
     write_prometheus,
 )
 from repro.sim.machine import SCALED_SKYLAKE_GOLD_6142
-from repro.sim.profiling import PROFILER
 from repro.streaming import StreamConfig
 
 SOFTWARE_ARTIFACTS = ("table3", "fig6", "fig7", "fig8")
@@ -439,8 +439,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 def _write_run_report(args: argparse.Namespace, path: str) -> str:
     """Assemble the HTML report from whatever this run observed."""
-    from repro.bench.harness import DEFAULT_HISTORY, load_history
-    from repro.obs.baseline import detect_regressions
     from repro.obs.features import FEATURES
     from repro.obs.model import fit_from_features
     from repro.obs.report import write_report
@@ -455,9 +453,6 @@ def _write_run_report(args: argparse.Namespace, path: str) -> str:
     if model is not None and model_out:
         model.save(model_out)
         print(f"[cost model written to {model_out}]")
-    history_path = getattr(args, "history", None) or DEFAULT_HISTORY
-    history = load_history(history_path)
-    verdicts = detect_regressions(history) if history else None
     meta = {"command": args.command}
     for key in (
         "dataset",
@@ -480,10 +475,26 @@ def _write_run_report(args: argparse.Namespace, path: str) -> str:
         metrics=METRICS,
         features=rows,
         model=model,
-        verdicts=verdicts,
-        history=history or None,
         autotune=autotune.LAST_DECISION_LOG,
     )
+
+
+def _profile_report(tracer: SpanTracer = TRACER) -> str:
+    """The ``--profile`` printout: self time per phase, largest first."""
+    totals = tracer.phase_totals()
+    if not totals:
+        return "[profile] no instrumented phases ran"
+    grand = sum(seconds for seconds, _ in totals.values())
+    lines = ["[profile] per-phase wall time"]
+    for name, (seconds, count) in sorted(
+        totals.items(), key=lambda item: -item[1][0]
+    ):
+        share = 100.0 * seconds / grand if grand else 0.0
+        lines.append(
+            f"  {name:<14s} {seconds:>9.3f}s {share:>5.1f}%  ({count} calls)"
+        )
+    lines.append(f"  {'total':<14s} {grand:>9.3f}s")
+    return "\n".join(lines)
 
 
 def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
@@ -555,9 +566,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--report-out",
         default=None,
         metavar="FILE",
-        help="write a self-contained HTML run report (phase breakdown, "
-             "sweep cells, fitted cost model, bench-history verdicts); "
-             "enables tracing, metrics and per-batch feature capture",
+        help="write a self-contained HTML run report of this run alone "
+             "(phase breakdown, sweep cells, fitted cost model, auto-tuner "
+             "decisions); enables tracing, metrics and per-batch feature "
+             "capture",
     )
 
 
@@ -704,8 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_report = sub.add_parser(
         "report",
         help="run a small live stream and write a self-contained HTML "
-             "run report (phase breakdown, fitted cost model, bench "
-             "history verdicts); no external assets, no network",
+             "run report (phase breakdown, fitted cost model); no "
+             "external assets, no network",
     )
     run_report.set_defaults(func=_cmd_report)
     run_report.add_argument(
@@ -729,13 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="run sweep cells across N worker processes",
-    )
-    run_report.add_argument(
-        "--history",
-        default=None,
-        metavar="FILE",
-        help="bench history to check for regressions "
-             "(default BENCH_history.jsonl when present)",
     )
     run_report.add_argument(
         "--model-out",
@@ -793,7 +798,7 @@ def main(argv=None) -> int:
         return args.func(args)
     finally:
         if profiling:
-            print(PROFILER.report())
+            print(_profile_report())
         if trace_out:
             print(f"[trace written to {write_chrome_trace(TRACER, trace_out)}]")
         if events_out:

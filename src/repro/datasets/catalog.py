@@ -227,9 +227,9 @@ def make_rmat_dataset(
     """An ad-hoc R-MAT stream at arbitrary scale, ready for the driver.
 
     Unlike the calibrated Table II stand-ins, this is the raw generator
-    -- the entry point for paper-scale runs (``repro scale`` and
-    ``scripts/bench_scale.py``).  With ``mmap_dir`` the stream lives in
-    a memory-mapped directory (written chunk-at-a-time when
+    -- the entry point for paper-scale runs (``repro scale`` and the
+    ``scale-oocore`` benchmark workload).  With ``mmap_dir`` the stream
+    lives in a memory-mapped directory (written chunk-at-a-time when
     ``chunk_edges`` is set, and reused on a recipe match instead of
     regenerated); without it the stream is in RAM as before.
     """

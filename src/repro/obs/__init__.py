@@ -5,8 +5,8 @@ record into two process-global singletons:
 
 - :data:`TRACER` -- a nested, thread-safe span tracer carrying both
   wall time and simulated-cycle attribution
-  (:mod:`repro.obs.tracer`).  The legacy ``PROFILER`` phase timer in
-  :mod:`repro.sim.profiling` is now a thin shim over it.
+  (:mod:`repro.obs.tracer`).  ``--profile`` prints its self-time
+  totals.
 - :data:`METRICS` -- a registry of counters, gauges, and fixed-bucket
   histograms with an explicit cross-process ``merge``
   (:mod:`repro.obs.metrics`).
@@ -23,14 +23,12 @@ flags (on every subcommand) enable them and export on exit:
 
 On top of the raw streams sit the derived layers: :data:`FEATURES`
 (per-batch feature rows captured by the driver), the cost-model fitter
-(:mod:`repro.obs.model`), the bench-history regression detector
-(:mod:`repro.obs.baseline`), and the self-contained HTML run report
+(:mod:`repro.obs.model`), and the self-contained HTML run report
 (:mod:`repro.obs.report`, ``--report-out`` / ``repro report``).
 
 See ``docs/OBSERVABILITY.md`` for capture and reading instructions.
 """
 
-from repro.obs.baseline import Verdict, detect_regressions, self_test
 from repro.obs.export import (
     chrome_trace_events,
     prometheus_text,
@@ -67,14 +65,11 @@ __all__ = [
     "NULL_SPAN",
     "SpanTracer",
     "TRACER",
-    "Verdict",
     "chrome_trace_events",
-    "detect_regressions",
     "fit_cost_model",
     "fit_from_features",
     "prometheus_text",
     "render_report",
-    "self_test",
     "write_chrome_trace",
     "write_jsonl",
     "write_prometheus",

@@ -15,8 +15,11 @@ source is absent:
 - **cost-model fit vs observed** scatter + residual charts and the
   per-group coefficient table from a :class:`FittedCostModel` and the
   feature rows it was fitted on;
-- **regression verdicts** from :mod:`repro.obs.baseline`;
-- **bench history** sparklines from ``BENCH_history.jsonl`` records.
+- **auto-tuner** decisions and latency sparklines from an adaptive
+  run's decision log.
+
+A report describes its own run and nothing else: it reads no file and
+compares with no earlier run.
 
 Charts follow the repo's chart conventions: one series-identity color
 per role (validated categorical slots 1-2), text in text tokens only,
@@ -431,35 +434,6 @@ def _model_section(model, features: Optional[List[dict]]) -> str:
     return _section("Cost model", body)
 
 
-def _verdict_section(verdicts) -> str:
-    if verdicts is None:
-        return _section(
-            "Regression verdicts",
-            '<p class="note">No bench history checked in this run.</p>',
-        )
-    if not verdicts:
-        return _section(
-            "Regression verdicts",
-            '<p class="status-good">No regressions: every tracked timing is '
-            "within threshold of its trailing baseline.</p>",
-        )
-    rows = "".join(
-        f"<tr><td>{_esc(v.bench)}</td><td>{_esc(v.timing)}</td>"
-        f'<td class="num">{_fmt_seconds(v.current)}</td>'
-        f'<td class="num">{_fmt_seconds(v.baseline)}</td>'
-        f'<td class="num status-bad">&#9888; {v.ratio:.2f}&times;</td>'
-        f"<td>{_esc(v.sha[:12])}</td></tr>"
-        for v in verdicts
-    )
-    return _section(
-        "Regression verdicts",
-        '<table><thead><tr><th>bench</th><th>timing</th>'
-        '<th class="num">current</th><th class="num">baseline</th>'
-        '<th class="num">ratio</th><th>sha</th></tr></thead>'
-        f"<tbody>{rows}</tbody></table>",
-    )
-
-
 def _autotune_section(autotune: Optional[dict]) -> str:
     if not autotune or not autotune.get("decisions"):
         return _section(
@@ -540,47 +514,10 @@ def _sparkline(values: Sequence[float], width: int = 140, height: int = 28) -> s
     last_y = 4 + (height - 8) * (1 - (values[-1] - v_min) / span)
     return (
         f'<svg width="{width}" height="{height}" role="img" '
-        f'aria-label="history">'
+        f'aria-label="trend">'
         f'<polyline class="spark" points="{points}"/>'
         f'<circle class="spark-dot" cx="{last_x:.1f}" cy="{last_y:.1f}" r="3"/>'
         "</svg>"
-    )
-
-
-def _history_section(history: Optional[List[dict]]) -> str:
-    if not history:
-        return _section(
-            "Bench history",
-            '<p class="note">No BENCH_history.jsonl records supplied.</p>',
-        )
-    groups: Dict[Tuple[str, str], List[dict]] = {}
-    for record in history:
-        key = (str(record.get("bench", "")), str(record.get("fingerprint", "")))
-        groups.setdefault(key, []).append(record)
-    rows = []
-    for (bench, fingerprint), records in sorted(groups.items()):
-        latest = records[-1].get("timings", {})
-        # Headline timings: the group's largest latest values.
-        for timing in sorted(latest, key=lambda k: -latest[k])[:3]:
-            series = [
-                float(r["timings"][timing])
-                for r in records
-                if timing in r.get("timings", {})
-            ]
-            rows.append(
-                f"<tr><td>{_esc(bench)}</td><td>{_esc(timing)}</td>"
-                f'<td class="num">{len(series)}</td>'
-                f'<td class="num">{_fmt_seconds(series[-1])}</td>'
-                f"<td>{_sparkline(series)}</td></tr>"
-            )
-    return _section(
-        "Bench history",
-        "<p class=\"subtitle\">Min-of-N wall timings per (bench, workload "
-        "fingerprint) across recorded runs; the dot marks the latest.</p>"
-        '<table><thead><tr><th>bench</th><th>timing</th>'
-        '<th class="num">runs</th><th class="num">latest</th>'
-        "<th>trend</th></tr></thead>"
-        f"<tbody>{''.join(rows)}</tbody></table>",
     )
 
 
@@ -596,8 +533,6 @@ def render_report(
     metrics=None,
     features: Optional[List[dict]] = None,
     model=None,
-    verdicts=None,
-    history: Optional[List[dict]] = None,
     autotune: Optional[dict] = None,
 ) -> str:
     """The full report as one self-contained HTML string.
@@ -612,8 +547,6 @@ def render_report(
         _model_section(model, features),
         _autotune_section(autotune),
         _sweep_section(metrics),
-        _verdict_section(verdicts),
-        _history_section(history),
     ]
     body = "\n".join(part for part in sections if part)
     return (

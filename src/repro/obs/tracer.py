@@ -2,9 +2,8 @@
 
 The tracer is the single timing engine behind three consumers:
 
-- the ``--profile`` phase report (via the :class:`~repro.sim.profiling.PhaseTimer`
-  shim, which now reads *self-time* aggregates so nested or re-entered
-  phases no longer double-count);
+- the ``--profile`` phase report, which prints the *self-time*
+  aggregates, so nested or re-entered phases never double-count;
 - the Chrome ``trace_event`` export (``--trace-out``), which renders the
   wall-clock span tree plus the *simulated* per-thread task timelines
   recorded by the schedulers;
@@ -215,32 +214,6 @@ class SpanTracer:
                             span.cycles,
                             span.args,
                         )
-                    )
-                else:
-                    self.dropped_events += 1
-
-    def add_seconds(self, name: str, seconds: float, cycles: float = 0.0) -> None:
-        """Attribute ``seconds`` to ``name`` directly (a leaf span).
-
-        The compatibility path behind ``PhaseTimer.add``; records one
-        completed zero-depth interval ending now.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            entry = self._totals.get(name)
-            if entry is None:
-                self._totals[name] = [seconds, 1, cycles]
-            else:
-                entry[0] += seconds
-                entry[1] += 1
-                entry[2] += cycles
-            if self.keep_events:
-                if len(self._events) < self.max_events:
-                    now = time.perf_counter() - self._epoch
-                    self._events.append(
-                        (name, "phase", self._thread_id(), now - seconds,
-                         seconds, cycles, None)
                     )
                 else:
                     self.dropped_events += 1

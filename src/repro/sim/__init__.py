@@ -27,7 +27,6 @@ from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.counters import PhaseCounters, derive_counters
 from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
 from repro.sim.memory import AddressSpace, Region
-from repro.sim.profiling import PROFILER, PhaseTimer
 from repro.sim.scheduler import (
     ChunkedScheduler,
     DynamicScheduler,
@@ -47,8 +46,6 @@ __all__ = [
     "MachineConfig",
     "MemoryTrace",
     "PhaseCounters",
-    "PhaseTimer",
-    "PROFILER",
     "Region",
     "ScheduleResult",
     "SetAssociativeCache",

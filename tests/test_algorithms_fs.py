@@ -307,6 +307,7 @@ class TestPR:
     def test_fixpoint_equation_holds(self, graph_pair):
         reference, _ = graph_pair
         run = get_algorithm("PR").fs_run(reference)
+        assert run.converged
         values = run.values
         n = reference.num_nodes
         for v in range(n):

@@ -3,7 +3,7 @@
 Covers the disabled-path cost contract (shared no-op span, no
 collection), span nesting self-time attribution, the registry merge
 used by parallel sweeps, golden-shape validation of the Chrome-trace
-and Prometheus exporters, the ``PhaseTimer`` compatibility shim, the
+and Prometheus exporters, the ``--profile`` printout, the
 CLI ``--trace-out`` / ``--metrics-out`` wiring, and the acceptance
 guarantees: simulated-timeline capture does not change results, and a
 ``jobs=2`` sweep's merged metrics equal a serial run's.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.cli import main
+from repro.cli import _profile_report, main
 from repro.compute import ckernels
 from repro.engine import run_stream
 from repro.graph import EdgeBatch, ReferenceGraph
@@ -29,7 +29,6 @@ from repro.obs import (
     chrome_trace_events,
     prometheus_text,
 )
-from repro.sim.profiling import PhaseTimer
 from repro.streaming import StreamConfig, StreamDriver
 from repro.datasets import load_dataset
 
@@ -63,7 +62,6 @@ class TestDisabledPath:
         tracer = SpanTracer()
         with tracer.span("phase"):
             pass
-        tracer.add_seconds("phase", 1.0)
         tracer.record_schedule("track", [0.0], [1.0])
         assert tracer.phase_totals() == {}
         assert tracer.events() == []
@@ -276,41 +274,62 @@ class TestExporters:
         assert '\\"' in text and "\\n" in text
 
 
-class TestPhaseTimerShim:
+class TestProfileReport:
+    """``--profile``'s printout over the tracer's self-time totals."""
+
+    @staticmethod
+    def _span(tracer, name, start, end):
+        span = tracer.span(name)
+        tracer._push(span)
+        span.start = start
+        tracer._pop(span, end)
+
     def test_report_format_survives(self):
-        timer = PhaseTimer()
-        timer.enable()
-        timer.add("compute", 3.0)
-        timer.add("emission", 1.0)
-        report = timer.report()
-        lines = report.splitlines()
-        assert lines[0] == "[profile] per-phase wall time"
-        assert "compute" in lines[1] and "75.0%" in lines[1]
-        assert "(1 calls)" in lines[1]
-        assert lines[-1].split() == ["total", "4.000s"]
+        tracer = SpanTracer()
+        tracer.enable()
+        self._span(tracer, "compute", 0.0, 3.0)
+        self._span(tracer, "emission", 3.0, 4.0)
+        lines = _profile_report(tracer).splitlines()
+        assert lines == [
+            "[profile] per-phase wall time",
+            "  compute            3.000s  75.0%  (1 calls)",
+            "  emission           1.000s  25.0%  (1 calls)",
+            "  total              4.000s",
+        ]
 
     def test_empty_report(self):
-        assert "no instrumented phases" in PhaseTimer().report()
+        assert _profile_report(SpanTracer()) == "[profile] no instrumented phases ran"
 
     def test_nested_phases_self_time(self):
-        timer = PhaseTimer()
-        timer.enable()
-        tracer = timer.tracer
+        tracer = SpanTracer()
+        tracer.enable()
         outer = tracer.span("a")
         tracer._push(outer)
         outer.start = 0.0
-        inner = tracer.span("b")
-        tracer._push(inner)
-        inner.start = 1.0
-        tracer._pop(inner, 3.0)
+        self._span(tracer, "b", 1.0, 3.0)
         tracer._pop(outer, 4.0)
-        assert timer.totals()["a"] == (pytest.approx(2.0), 1)
-        assert timer.totals()["b"] == (pytest.approx(2.0), 1)
+        assert tracer.phase_totals()["a"] == (pytest.approx(2.0), 1)
+        assert tracer.phase_totals()["b"] == (pytest.approx(2.0), 1)
+        lines = _profile_report(tracer).splitlines()
+        assert sorted(line.split()[:2] for line in lines[1:3]) == [
+            ["a", "2.000s"], ["b", "2.000s"]
+        ]
+        assert lines[-1].split() == ["total", "4.000s"]
 
-    def test_global_profiler_bound_to_global_tracer(self):
-        from repro.sim.profiling import PROFILER
+    def test_default_reads_the_global_tracer(self):
+        TRACER.enable()
+        self._span(TRACER, "schedule", 0.0, 0.5)
+        assert "  schedule           0.500s 100.0%  (1 calls)" in _profile_report()
 
-        assert PROFILER.tracer is TRACER
+    def test_profile_flag_prints_the_report(self, capsys):
+        assert main(["stream", "--quick", "--no-cache", "--profile"]) == 0
+        report = capsys.readouterr().out.split("[profile] per-phase wall time\n")[1]
+        lines = report.splitlines()
+        assert lines[-1].split()[0] == "total"
+        phases = {line.split()[0] for line in lines[:-1]}
+        assert phases >= {"emission", "schedule", "compute"}
+        assert all(line.endswith(" calls)") for line in lines[:-1])
+        assert not TRACER.enabled
 
 
 class TestInstrumentedRun:

@@ -4,16 +4,13 @@ The hard guarantee is self-containment: a report must render with zero
 network access, so it may not contain a single ``http`` substring (no
 scripts, fonts, stylesheets, xmlns declarations).  Sections must be
 present whether their data source is populated or absent, and the
-``repro report`` CLI must produce such a file end to end.
+``repro report`` CLI must produce such a file end to end.  A report
+describes its own run only: nothing in the working directory reaches it.
 """
 
 import json
 
-import pytest
-
-from repro.bench.harness import make_record
 from repro.cli import main
-from repro.obs.baseline import detect_regressions, inject_slowdown
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.model import fit_cost_model
 from repro.obs.report import render_report, write_report
@@ -23,8 +20,6 @@ SECTIONS = (
     "Phase breakdown",
     "Cost model",
     "Sweep cells",
-    "Regression verdicts",
-    "Bench history",
 )
 
 
@@ -52,22 +47,23 @@ def _fixture_inputs():
         for ops in (1000, 2000, 4000)
     ]
     model = fit_cost_model(features)
-
-    base = [
-        make_record("kernels", {"batch": 500}, {"total_seconds": 1.0 + 0.01 * i},
-                    sha="abc", ts=1700000000.0 + i)
-        for i in range(4)
-    ]
-    history = base + [inject_slowdown(base[-1], factor=2.0)]
-    verdicts = detect_regressions(history)
-    assert verdicts  # the fixture really carries a regression
+    autotune = {
+        "dataset": "RMAT",
+        "summary": {"batches": 2, "switches": 1},
+        "decisions": [
+            {"rep": 0, "batch": batch, "structure": structure, "reason": reason,
+             "predicted_seconds": 1e-3, "actual_seconds": actual}
+            for batch, structure, reason, actual in (
+                (0, "AS", "start", 1.2e-3), (1, "DAH", "switch", 0.8e-3)
+            )
+        ],
+    }
     return dict(
         tracer=tracer,
         metrics=metrics,
         features=features,
         model=model,
-        verdicts=verdicts,
-        history=history,
+        autotune=autotune,
         meta={"command": "test"},
     )
 
@@ -84,8 +80,7 @@ def test_full_report_is_self_contained():
     assert 'class="bar-fill"' in html            # phase bars
     assert 'aria-label="fit vs observed"' in html  # model chart
     assert "RMAT" in html                        # sweep cell table
-    assert "&#9888;" in html                     # regression warning mark
-    assert 'class="spark"' in html               # history sparkline
+    assert 'class="spark"' in html               # auto-tuner sparkline
     # All text is escaped through one path; no stray raw angle brackets
     # from data values (the fixture has none, so count must balance).
     assert html.count("<section>") == html.count("</section>")
@@ -98,7 +93,6 @@ def test_empty_report_degrades_gracefully():
         assert f"<h2>{section}</h2>" in html
     assert "No span data" in html
     assert "No fitted cost model" in html
-    assert "No bench history" in html
 
 
 def test_escaping():
@@ -119,15 +113,6 @@ def test_cli_report_end_to_end(tmp_path):
     populated cost model, plus the optional model JSON artifact."""
     out = tmp_path / "report.html"
     model_out = tmp_path / "cost_model.json"
-    history = tmp_path / "history.jsonl"
-    records = [
-        make_record("kernels", {"batch": 500}, {"total_seconds": 1.0},
-                    sha="abc", ts=1700000000.0 + i)
-        for i in range(2)
-    ]
-    with open(history, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
     rc = main([
         "report",
         "--out", str(out),
@@ -135,7 +120,6 @@ def test_cli_report_end_to_end(tmp_path):
         "--size-factor", "0.05",
         "--batch-size", "250",
         "--algorithms", "BFS",
-        "--history", str(history),
         "--model-out", str(model_out),
     ])
     assert rc == 0
@@ -147,11 +131,38 @@ def test_cli_report_end_to_end(tmp_path):
     assert 'class="bar-fill"' in html
     assert "No fitted cost model" not in html
     assert "No span data" not in html
-    # History flowed through: two identical records, no regression.
-    assert "No regressions" in html
     # The fitted model persisted as versioned, reloadable JSON.
     from repro.obs.model import FittedCostModel
 
     loaded = FittedCostModel.load(model_out)
     assert loaded.groups
     assert ("update", "AS", "", "") in loaded.groups
+
+
+def test_report_depends_only_on_its_run(tmp_path, monkeypatch):
+    """A history file in the working directory -- here one whose last
+    record is a 2x slowdown, in the record layout the removed history
+    writer used -- must not reach a ``--report-out`` report."""
+    records = [
+        {
+            "schema": 1,
+            "bench": "kernels",
+            "sha": f"abc{i}",
+            "ts": 1700000000.0 + i,
+            "fingerprint": "0123456789abcdef",
+            "workload": {"batch": 500},
+            "timings": {"total_seconds": seconds},
+            "env": {},
+        }
+        for i, seconds in enumerate((1.0, 1.0, 1.0, 1.0, 2.0))
+    ]
+    (tmp_path / "BENCH_history.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records)
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["stream", "--quick", "--no-cache", "--report-out", "R"]) == 0
+    html = (tmp_path / "R").read_text()
+    assert "<h2>Phase breakdown</h2>" in html
+    assert "&#9888;" not in html
+    assert "Regression verdicts" not in html
+    assert "Bench history" not in html

@@ -1,5 +1,7 @@
 """Tests for partition-parallel simulation (streaming.sharded)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.sim.machine import SKYLAKE_GOLD_6142
 from repro.streaming import StreamConfig, StreamDriver, make_driver, shm
 from repro.streaming.sharded import (
     ShardedStreamDriver,
+    _mmap_directory,
     cross_shard_count,
     shard_of,
 )
@@ -150,14 +153,21 @@ class TestBitIdentity:
             assert np.array_equal(getattr(serial, attr), getattr(sharded, attr))
 
     def test_mmap_backed_dataset_shards_identically(self, tmp_path):
+        """The whole mmap stream reaches the workers through its
+        directory; a prefix of it is not a stream directory and goes
+        over shared memory."""
         dataset = make_rmat_dataset(
             scale=12, num_edges=4000, mmap_dir=tmp_path / "s", chunk_edges=2000
         )
+        prefix = dataclasses.replace(dataset, edges=dataset.edges.slice(0, 3000))
+        assert _mmap_directory(dataset.edges) is not None
+        assert _mmap_directory(prefix.edges) is None
         config = dict(CONFIG, structures=("AS",), algorithms=("PR",))
-        serial = StreamDriver(StreamConfig(**config)).run(dataset)
-        sharded = make_driver(StreamConfig(shards=3, **config)).run(dataset)
-        for attr in ALGO_ARRAYS:
-            assert np.array_equal(getattr(serial, attr), getattr(sharded, attr))
+        for stream in (dataset, prefix):
+            serial = StreamDriver(StreamConfig(**config)).run(stream)
+            sharded = make_driver(StreamConfig(shards=3, **config)).run(stream)
+            for attr in ALGO_ARRAYS:
+                assert np.array_equal(getattr(serial, attr), getattr(sharded, attr))
 
     def test_sharded_run_is_deterministic(self):
         dataset = small_dataset()
