@@ -1,7 +1,7 @@
 """Validate observability outputs: Chrome trace JSON + Prometheus text.
 
 The CI smoke steps run the CLI with ``--trace-out`` / ``--metrics-out``
-and then this script, over four execution paths::
+and then this script, over five execution paths::
 
     # in-process
     PYTHONPATH=src python -m repro stream --dataset Talk --quick \
@@ -18,11 +18,18 @@ and then this script, over four execution paths::
         --require stream_update_latency_seconds \
         --require sweep_cell_seconds /tmp/t.json /tmp/m.prom
 
-    # one architecture-profile figure: no stream driver, every batch traced
+    # one architecture-profile figure: every batch traced, no sim timeline
     PYTHONPATH=src python -m repro fig9 --quick --no-cache ...
     PYTHONPATH=src python scripts/validate_obs.py --no-sim \
         --require ingest_trace_accesses_total \
         --require ingest_trace_stalls_total /tmp/t.json /tmp/m.prom
+
+    # the same figure's cells over the sweep engine's pool (worker
+    # payloads merged into the parent)
+    PYTHONPATH=src python -m repro fig9 --quick --no-cache --jobs 2 ...
+    PYTHONPATH=src python scripts/validate_obs.py --no-sim \
+        --require sim_trace_accesses_total \
+        --require ingest_trace_accesses_total /tmp/t.json /tmp/m.prom
 
 Checks:
 

@@ -21,37 +21,37 @@ simulated machine:
 - **Fig. 10** caches: L2/LLC hit ratios and MPKI per phase, from the
   same replays.  The hierarchy persists from update to compute within
   a batch, reproducing the cross-phase reuse the paper observes.
+
+A cell is the streaming driver's one batch loop over a
+:class:`HardwarePlane` (DESIGN.md decision #26), and a sweep of cells
+runs through the sweep engine's :func:`~repro.engine.sweep.run_cells`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms.registry import get_algorithm
 from repro.analysis.stats import stage_slices
-from repro.compute.kernels import ComputeView, expand_frontier, view_scope
-from repro.compute.pricing import CostTables, price_compute_run
+from repro.compute.kernels import ComputeView, expand_frontier
+from repro.compute.pricing import price_compute_run
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, HEAVY_TAILED, SHORT_TAILED, load_dataset
 from repro.engine.fingerprint import canonical, describe_dataset, fingerprint
 from repro.engine.store import RunStore
+from repro.engine.sweep import run_cells
 from repro.errors import SimulationError
-from repro.graph import ReferenceGraph, make_structure
 from repro.graph.base import ExecutionContext
 from repro.graph.properties import VertexProperties
-from repro.sim import ckernel
 from repro.sim.cache import CacheHierarchy
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.counters import PhaseCounters, derive_counters
 from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.sim.scheduler import ScheduleResult
 from repro.sim.trace import MemoryTrace, TraceRecorder, ragged_arange
-from repro.streaming.batching import make_batches
-from repro.streaming.driver import pick_source
+from repro.streaming.driver import StreamConfig, StreamDriver, UpdatePlane
 
 #: Core counts swept in Fig. 9(a).
 DEFAULT_CORE_COUNTS = (4, 8, 12, 16, 20, 24, 28)
@@ -185,16 +185,120 @@ class HardwareProfile:
         return self.groups[group]
 
 
-def _synthetic_schedule(latency_cycles: float, work_cycles: float, threads: int) -> ScheduleResult:
-    """Wrap pricer output in the shape ``derive_counters`` consumes."""
-    return ScheduleResult(
-        makespan_cycles=latency_cycles,
-        total_work_cycles=work_cycles,
-        threads=threads,
-        task_count=0,
-        thread_busy_cycles=np.zeros(threads),
-        task_thread=np.empty(0, dtype=np.int32),
-    )
+class HardwarePlane(UpdatePlane):
+    """The Fig. 9/10 plane: one structure, every batch traced.
+
+    The structure ingests each batch with a trace recorder; its update
+    tasks are re-scheduled at every core count of the ladder.  ``price``
+    prices each INC run the loop executes on the ladder and the full
+    machine and emits its accesses (:func:`_compute_trace`).  Both
+    phases' accesses replay, in that order, through one cache hierarchy
+    that persists across the cell, and become one counter row per phase
+    per batch -- the compute row averaged over the algorithms.
+    """
+
+    def __init__(self, profiler: "HardwareProfiler", config, dataset, ctx) -> None:
+        super().__init__(config, dataset, ctx, config.models, config.structures)
+        self.profiler = profiler
+        self.ladder = {
+            cores: ExecutionContext(
+                machine=ctx.machine.with_cores(cores),
+                threads=2 * cores,
+                cost_model=ctx.cost_model,
+            )
+            for cores in profiler.core_counts
+        }
+
+    def begin_repetition(self, rep: int, total_batches: int) -> None:
+        (name,) = self.structures
+        max_nodes = self.dataset.max_nodes
+        self.structure = self.new_structure(name)
+        self.hierarchy = CacheHierarchy(self.ctx.machine, prefetch=self.profiler.prefetch)
+        self.properties = VertexProperties(max_nodes, self.structure.space)
+        for algorithm in self.config.algorithms:
+            self.properties.add(algorithm)
+        self.visited = self.structure.space.alloc(
+            max((max_nodes + 7) // 8, 64), "inc.visited"
+        )
+        self.cell = HardwareCell(
+            dataset=self.dataset.name,
+            structure=name,
+            batches=total_batches,
+            scaling_cycles={p: dict.fromkeys(self.ladder, 0.0) for p in _PHASES},
+            counters={p: [] for p in _PHASES},
+        )
+
+    def update(self, batch, record, reference) -> Dict[str, int]:
+        self._batch_index = record.batch_index
+        self._compute_rows: List[PhaseCounters] = []
+        ctx = replace(self.ctx, recorder=TraceRecorder(), keep_tasks=True)
+        update = self.structure.update(batch, ctx)
+        for cores, sctx in self.ladder.items():
+            scaled = self.structure.schedule_tasks(update.extra["tasks"], sctx)
+            self.cell.scaling_cycles["update"][cores] += scaled.makespan_cycles
+        schedule = update.schedule
+        self.cell.counters["update"].append(
+            self._replay(
+                "update", update.trace, schedule.task_thread,
+                schedule.makespan_cycles, schedule.total_work_cycles,
+            )
+        )
+        record.update_cycles[self.cell.structure] = update.latency_cycles
+        return {self.cell.structure: update.edges_inserted}
+
+    def price(self, algorithm, runs, compute_view, cost_tables) -> Dict[str, float]:
+        """Price the run on the ladder and the full machine, then trace
+        and replay it; the loop records the full machine's cycles."""
+        (run,) = runs  # INC, no churn
+        name = self.cell.structure
+
+        def pricing(ctx):
+            return price_compute_run(
+                run, self.structures, cost_tables, ctx,
+                neighbor_degree_query=algorithm.neighbor_degree_query,
+            )[name]
+
+        for cores, sctx in self.ladder.items():
+            self.cell.scaling_cycles["compute"][cores] += pricing(sctx).latency_cycles
+        full = pricing(self.ctx)
+        with TRACER.span("compute.trace"):
+            trace, task_thread = _compute_trace(
+                run, self.structure, compute_view, self.properties,
+                algorithm.name, self.visited, self.ctx.threads,
+            )
+        self._compute_rows.append(
+            self._replay(
+                "compute", trace, task_thread,
+                full.latency_cycles, full.total_work_cycles,
+            )
+        )
+        return {name: full.latency_cycles}
+
+    def after_batch(self, record) -> str:
+        self.cell.counters["compute"].append(_average_counters(self._compute_rows))
+        return ""
+
+    def _replay(self, phase, trace, task_thread, makespan_cycles, work_cycles):
+        """One phase's counters: its trace, sampled, through the hierarchy."""
+        _count_emitted(phase, trace)
+        sampled = trace.sample(self.profiler.trace_cap, seed=self._batch_index)
+        scale = max(1.0, len(trace) / max(len(sampled), 1))
+        stats = self.hierarchy.replay(sampled, task_thread)
+        return derive_counters(
+            makespan_cycles, work_cycles, stats, self.ctx.machine, scale
+        )
+
+
+class _CellDriver(StreamDriver):
+    """:class:`StreamDriver`'s batch loop over a :class:`HardwarePlane`."""
+
+    def __init__(self, config: StreamConfig, profiler: "HardwareProfiler") -> None:
+        super().__init__(config)
+        self.profiler = profiler
+
+    def _make_plane(self, dataset, ctx) -> HardwarePlane:
+        self.plane = HardwarePlane(self.profiler, self.config, dataset, ctx)
+        return self.plane
 
 
 class HardwareProfiler:
@@ -268,9 +372,10 @@ class HardwareProfiler:
     ) -> List[HardwareCell]:
         """Resolve (dataset, structure, size_factor) cells, in order.
 
-        Cached cells load from ``store``; the rest run serially or fan
-        out over a process pool, then everything is reassembled in the
-        order of ``specs``.
+        Cached cells load from ``store``; the rest run through
+        :func:`~repro.engine.sweep.run_cells` (serially, or over its
+        process pool with ``jobs`` > 1), then everything is reassembled
+        in the order of ``specs``.
         """
         cells: List[Optional[HardwareCell]] = [None] * len(specs)
         keys: List[Optional[str]] = [None] * len(specs)
@@ -286,22 +391,14 @@ class HardwareProfiler:
                     except SimulationError:
                         pass
             pending.append((index, (dataset, structure, size_factor)))
-        if pending:
-            payloads = [(self,) + spec for _, spec in pending]
-            if jobs and jobs > 1 and len(pending) > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    fresh = list(pool.map(_run_hardware_cell, payloads))
-            else:
-                fresh = [_run_hardware_cell(payload) for payload in payloads]
-            for (index, _), cell in zip(pending, fresh):
-                cells[index] = cell
-                if store is not None:
-                    store.save_arrays(keys[index], *cell.to_payload())
+        fresh = run_cells(
+            HardwareProfiler.profile_cell, [(self,) + spec for _, spec in pending], jobs
+        )
+        for (index, _), cell in zip(pending, fresh):
+            cells[index] = cell
+            if store is not None:
+                store.save_arrays(keys[index], *cell.to_payload())
         return [cell for cell in cells if cell is not None]
-
-    # ------------------------------------------------------------------
 
     def profile_cell(
         self,
@@ -309,186 +406,86 @@ class HardwareProfiler:
         structure_name: str,
         size_factor: float = 1.0,
     ) -> HardwareCell:
-        """Stream one dataset on one structure with full instrumentation."""
-        if METRICS.enabled:
-            ckernel.set_loaded_gauge()
-        machine = self.machine
-        dataset = load_dataset(dataset_name, seed=self.seed, size_factor=size_factor)
-        batches = make_batches(dataset.edges, self.batch_size, shuffle_seed=self.seed)
-        structure = make_structure(
-            structure_name,
-            dataset.max_nodes,
-            directed=dataset.directed,
-            cost_model=self.cost,
-        )
-        reference = ReferenceGraph(dataset.max_nodes, directed=dataset.directed)
-        hierarchy = CacheHierarchy(machine, prefetch=self.prefetch)
-        properties = VertexProperties(dataset.max_nodes, structure.space)
-        for algorithm in self.algorithms:
-            properties.add(algorithm)
-        visited_region = structure.space.alloc(
-            max((dataset.max_nodes + 7) // 8, 64), "inc.visited"
-        )
-        states = {
-            name: get_algorithm(name).make_state(dataset.max_nodes)
-            for name in self.algorithms
-        }
-        source = pick_source(dataset)
-        threads = machine.hardware_threads
-        full_ctx = ExecutionContext(machine=machine, cost_model=self.cost)
-        scaling_ctxs = {
-            cores: ExecutionContext(
-                machine=machine.with_cores(cores),
-                threads=2 * cores,
+        """Stream one dataset on one structure with full instrumentation:
+        the driver's batch loop, INC only, over a :class:`HardwarePlane`."""
+        driver = _CellDriver(
+            StreamConfig(
+                batch_size=self.batch_size,
+                structures=(structure_name,),
+                algorithms=self.algorithms,
+                models=("INC",),
+                machine=self.machine,
                 cost_model=self.cost,
-            )
-            for cores in self.core_counts
-        }
-
-        cell = HardwareCell(
-            dataset=dataset_name,
-            structure=structure_name,
-            batches=len(batches),
-            scaling_cycles={
-                p: {c: 0.0 for c in self.core_counts} for p in _PHASES
-            },
-            counters={p: [] for p in _PHASES},
+                shuffle_seed=self.seed,
+            ),
+            self,
         )
-        for batch_index, batch in enumerate(batches):
-            # ---- update phase --------------------------------------
-            recorder = TraceRecorder()
-            ctx = ExecutionContext(
-                machine=machine, cost_model=self.cost, recorder=recorder, keep_tasks=True
-            )
-            update = structure.update(batch, ctx)
-            tasks = update.extra["tasks"]
-            for cores, sctx in scaling_ctxs.items():
-                scaled = structure.schedule_tasks(tasks, sctx)
-                cell.scaling_cycles["update"][cores] += scaled.makespan_cycles
-            full_trace = update.trace
-            _count_emitted("update", full_trace)
-            sampled = full_trace.sample(self.trace_cap, seed=batch_index)
-            scale = max(1.0, len(full_trace) / max(len(sampled), 1))
-            stats = hierarchy.replay(sampled, update.schedule.task_thread)
-            cell.counters["update"].append(
-                derive_counters(update.schedule, stats, machine, scale)
-            )
+        driver.run(load_dataset(dataset_name, seed=self.seed, size_factor=size_factor))
+        return driver.plane.cell
 
-            # ---- reference bookkeeping -----------------------------
-            reference.update_collect(batch)
 
-            # ---- compute phase (INC, averaged over algorithms) -----
-            # One columnar view per batch -- the live graph's own, one
-            # fold of the batch's new edges -- shared by every
-            # algorithm's INC run, pricing and trace emission.
-            compute_view = reference.compute_view()
-            cost_tables = CostTables(
-                compute_view.in_csr.degrees, compute_view.out_csr.degrees, self.cost
-            )
-            compute_counter_list = []
-            with view_scope(reference, compute_view):
-                for alg_name in self.algorithms:
-                    with TRACER.span("compute"):
-                        algorithm = get_algorithm(alg_name)
-                        affected = algorithm.affected_from_batch(batch, reference)
-                        run = algorithm.inc_run(
-                            reference, states[alg_name], affected, source=source
-                        )
-                        for cores, sctx in scaling_ctxs.items():
-                            pricing = price_compute_run(
-                                run, (structure_name,), cost_tables, sctx,
-                                neighbor_degree_query=algorithm.neighbor_degree_query,
-                            )[structure_name]
-                            cell.scaling_cycles["compute"][cores] += (
-                                pricing.latency_cycles
-                            )
-                        pricing = price_compute_run(
-                            run, (structure_name,), cost_tables, full_ctx,
-                            neighbor_degree_query=algorithm.neighbor_degree_query,
-                        )[structure_name]
-                        with TRACER.span("compute.trace"):
-                            trace, task_thread = self._compute_trace(
-                                run, structure, compute_view, properties, alg_name,
-                                visited_region, threads,
-                            )
-                    _count_emitted("compute", trace)
-                    sampled = trace.sample(self.trace_cap, seed=batch_index)
-                    scale = max(1.0, len(trace) / max(len(sampled), 1))
-                    stats = hierarchy.replay(sampled, task_thread)
-                    schedule = _synthetic_schedule(
-                        pricing.latency_cycles, pricing.total_work_cycles, threads
-                    )
-                    compute_counter_list.append(
-                        derive_counters(schedule, stats, machine, scale)
-                    )
-            cell.counters["compute"].append(
-                _average_counters(compute_counter_list)
-            )
-        return cell
+def _compute_trace(
+    run,
+    structure,
+    compute_view: ComputeView,
+    properties: VertexProperties,
+    algorithm: str,
+    visited_region,
+    threads: int,
+):
+    """Emit the compute phase's memory accesses as a trace.
 
-    def _compute_trace(
-        self,
-        run,
-        structure,
-        compute_view: ComputeView,
-        properties: VertexProperties,
-        algorithm: str,
-        visited_region,
-        threads: int,
-    ):
-        """Emit the compute phase's memory accesses as a trace.
+    Every evaluated vertex reads its in-neighbors' values from the
+    structure plus their property entries and writes its own; every
+    triggered vertex scans its out-neighbors and touches the
+    visited bitvector.  One task per vertex (an iteration's pulled
+    vertices, then its pushed ones), round-robin threads.
 
-        Every evaluated vertex reads its in-neighbors' values from the
-        structure plus their property entries and writes its own; every
-        triggered vertex scans its out-neighbors and touches the
-        visited bitvector.  One task per vertex (an iteration's pulled
-        vertices, then its pushed ones), round-robin threads.
+    Each task is ``[traversal | neighbor accesses | own write]``.
+    The graph does not change during a run, so every section is
+    emitted once for all of the run's pulled (resp. pushed)
+    vertices, with zero accesses on the other kind's tasks, and the
+    sections are interleaved into task order.
+    """
+    in_csr, out_csr = compute_view.in_csr, compute_view.out_csr
+    # Per round (pulled, pushed): the lengths of the task runs that
+    # alternate between the two kinds.
+    rounds = run.rounds
+    sizes = rounds[:, 1:3]
+    pulled = np.repeat(np.tile([True, False], len(sizes)), sizes.ravel())
+    seg, within = ragged_arange(sizes.sum(axis=1))
+    tasks = run.vertex_log[rounds[seg, 0] + within]
+    pull = tasks[pulled]
+    push = tasks[~pulled]
 
-        Each task is ``[traversal | neighbor accesses | own write]``.
-        The graph does not change during a run, so every section is
-        emitted once for all of the run's pulled (resp. pushed)
-        vertices, with zero accesses on the other kind's tasks, and the
-        sections are interleaved into task order.
-        """
-        in_csr, out_csr = compute_view.in_csr, compute_view.out_csr
-        # Per round (pulled, pushed): the lengths of the task runs that
-        # alternate between the two kinds.
-        rounds = run.rounds
-        sizes = rounds[:, 1:3]
-        pulled = np.repeat(np.tile([True, False], len(sizes)), sizes.ravel())
-        seg, within = ragged_arange(sizes.sum(axis=1))
-        tasks = run.vertex_log[rounds[seg, 0] + within]
-        pull = tasks[pulled]
-        push = tasks[~pulled]
+    def section(mask, counts, addresses, write=False):
+        per_task = np.zeros(len(pulled), dtype=np.int64)
+        per_task[mask] = counts
+        return _Section(per_task, addresses, write)
 
-        def section(mask, counts, addresses, write=False):
-            per_task = np.zeros(len(pulled), dtype=np.int64)
-            per_task[mask] = counts
-            return _Section(per_task, addresses, write)
-
-        trace = _interleave(
-            (
-                # structure reads (both directions)
-                section(pulled, *structure.trace_in_traversal(pull)),
-                section(~pulled, *structure.trace_out_traversal(push)),
-                # property reads (pull) / visited writes (push)
-                section(
-                    pulled,
-                    in_csr.degrees[pull],
-                    properties.addresses_of(algorithm, expand_frontier(in_csr, pull)[1]),
-                ),
-                section(
-                    ~pulled,
-                    out_csr.degrees[push],
-                    visited_region.elements(expand_frontier(out_csr, push)[1] // 8, 1),
-                    write=True,
-                ),
-                # the pulled vertex's own property write
-                section(pulled, 1, properties.addresses_of(algorithm, pull), write=True),
-            )
+    trace = _interleave(
+        (
+            # structure reads (both directions)
+            section(pulled, *structure.trace_in_traversal(pull)),
+            section(~pulled, *structure.trace_out_traversal(push)),
+            # property reads (pull) / visited writes (push)
+            section(
+                pulled,
+                in_csr.degrees[pull],
+                properties.addresses_of(algorithm, expand_frontier(in_csr, pull)[1]),
+            ),
+            section(
+                ~pulled,
+                out_csr.degrees[push],
+                visited_region.elements(expand_frontier(out_csr, push)[1] // 8, 1),
+                write=True,
+            ),
+            # the pulled vertex's own property write
+            section(pulled, 1, properties.addresses_of(algorithm, pull), write=True),
         )
-        task_thread = np.arange(max(len(pulled), 1), dtype=np.int32) % threads
-        return trace, task_thread
+    )
+    task_thread = np.arange(max(len(pulled), 1), dtype=np.int32) % threads
+    return trace, task_thread
 
 
 class _Section(NamedTuple):
@@ -524,12 +521,6 @@ def _count_emitted(phase: str, trace: MemoryTrace) -> None:
             "memory accesses emitted into phase traces, before sampling",
             phase=phase,
         ).inc(len(trace))
-
-
-def _run_hardware_cell(payload) -> HardwareCell:
-    """Process-pool entry point: run one cell on a pickled profiler."""
-    profiler, dataset, structure, size_factor = payload
-    return profiler.profile_cell(dataset, structure, size_factor)
 
 
 def merge_cells(

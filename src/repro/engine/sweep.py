@@ -13,11 +13,15 @@ Every harness that needs a :class:`~repro.streaming.results.StreamResult`
    cells** — a repetition's shuffle seed is ``base + stride * rep``,
    so a cell reproduces exactly the batches the monolithic loop would
    have produced;
-3. cells execute serially or fan out over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs`` > 1),
-   and are merged back **in request/repetition order**, so the result
-   is bit-identical regardless of worker scheduling;
+3. cells execute serially or fan out over :func:`run_cells`' process
+   pool (``jobs`` > 1), and are merged back **in request/repetition
+   order**, so the result is bit-identical regardless of worker
+   scheduling;
 4. fresh results are written back to the store.
+
+The hardware sweep (``HardwareProfiler.profile_cells`` in
+:mod:`repro.analysis.hardware_profile`) runs its cells through the
+same :func:`run_cells`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.catalog import Dataset, load_dataset
 from repro.engine.fingerprint import stream_run_key
@@ -65,57 +69,89 @@ def _cell_config(config: StreamConfig, rep: int, keep_progress: bool) -> StreamC
     )
 
 
-def _obs_flags() -> Optional[dict]:
-    """The parent's observability configuration, for worker re-creation.
+def _observed_call(task: Tuple[Callable, tuple, Optional[dict]]):
+    """Pool-worker side of :func:`run_cells`: ``(fn(*arg), obs_payload)``.
 
-    None when observability is off; pool workers then skip the
-    reset/enable dance entirely and return no payload.
+    With ``obs`` set, the worker resets its fork-inherited global
+    tracer/registry/feature log -- they carry the parent's
+    already-collected data -- re-enables them per the parent's flags,
+    and ships its own collection back for the parent to merge.
     """
-    if not (TRACER.enabled or METRICS.enabled or FEATURES.enabled):
-        return None
-    return {
-        "trace": TRACER.enabled,
-        "keep_events": TRACER.keep_events,
-        "sim_timeline": TRACER.sim_timeline,
-        "metrics": METRICS.enabled,
-        "features": FEATURES.enabled,
+    fn, arg, obs = task
+    if obs is None:
+        return fn(*arg), None
+    TRACER.disable()
+    TRACER.reset()
+    METRICS.reset()
+    FEATURES.reset()
+    if obs["trace"]:
+        TRACER.enable(keep_events=obs["keep_events"], sim_timeline=obs["sim_timeline"])
+    METRICS.enabled = obs["metrics"]
+    FEATURES.enabled = obs["features"]
+    result = fn(*arg)
+    return result, {
+        "trace": TRACER.to_payload(),
+        "metrics": METRICS.to_payload(),
+        "features": FEATURES.to_payload(),
     }
 
 
+def run_cells(
+    fn: Callable,
+    args: Sequence[tuple],
+    jobs: Optional[int],
+    origins: Optional[Sequence[Optional[str]]] = None,
+) -> list:
+    """``fn(*arg)`` for every arg tuple, results in ``args`` order.
+
+    The engine's one process pool: with ``jobs`` > 1 and more than one
+    arg the calls fan out over ``jobs`` workers (``fn`` and the args
+    must pickle), and each worker's metrics, spans and feature rows are
+    merged into the parent's in ``args`` order, ``origins[i]`` prefixing
+    arg ``i``'s trace lane.  Otherwise the calls run in this process and
+    record into the live registries directly.
+    """
+    if jobs is not None and jobs < 0:
+        raise ConfigError(f"jobs must be >= 0, got {jobs}")
+    if not (jobs and jobs > 1 and len(args) > 1):
+        return [fn(*arg) for arg in args]
+    obs = None  # observability off: workers skip the reset and ship nothing
+    if TRACER.enabled or METRICS.enabled or FEATURES.enabled:
+        obs = {
+            "trace": TRACER.enabled,
+            "keep_events": TRACER.keep_events,
+            "sim_timeline": TRACER.sim_timeline,
+            "metrics": METRICS.enabled,
+            "features": FEATURES.enabled,
+        }
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        outcomes = list(pool.map(_observed_call, [(fn, arg, obs) for arg in args]))
+    for index, (_, payload) in enumerate(outcomes):
+        if payload is not None:
+            METRICS.merge_payload(payload["metrics"])
+            TRACER.absorb(payload["trace"], origin=origins[index] if origins else None)
+            FEATURES.absorb(payload["features"])
+    return [result for result, _ in outcomes]
+
+
 def _run_stream_cell(
-    payload: Tuple[str, int, float, StreamConfig, Optional[dict], Optional[tuple]]
-) -> Tuple[StreamResult, float, Optional[dict]]:
+    dataset_name: str,
+    seed: int,
+    size_factor: float,
+    config: StreamConfig,
+    source: Optional[tuple],
+) -> Tuple[StreamResult, float]:
     """Execute one (dataset × repetition) cell; must stay picklable.
 
-    Returns ``(result, wall_seconds, obs_payload)``.  When ``obs`` is
-    set (parallel workers under an observability-enabled parent), the
-    worker resets its fork-inherited global tracer/registry -- they
-    carry the parent's already-collected data -- re-enables them per the
-    parent's flags, and ships its own collection back as a payload for
-    the parent to merge.  Serial cells (``obs`` None) record directly
-    into the parent's live globals.
-
-    ``source`` selects the edge transport: ``None`` regenerates the
-    dataset from the catalog (serial path, or shm disabled);
-    ``("shm", handle, spec, max_nodes)`` attaches the parent's
-    published shared-memory stream zero-copy.  Either way the edges are
-    bit-identical, so the transport never shows up in results or
-    fingerprints.
+    Returns ``(result, wall_seconds)``.  ``source`` selects the edge
+    transport: ``None`` regenerates the dataset from the catalog (serial
+    path, or shm disabled); ``("shm", handle, spec, max_nodes)`` attaches
+    the parent's published shared-memory stream zero-copy.  Either way
+    the edges are bit-identical, so the transport never shows up in
+    results or fingerprints.
     """
-    dataset_name, seed, size_factor, config, obs, source = payload
-    if obs is not None:
-        TRACER.disable()
-        TRACER.reset()
-        METRICS.reset()
-        FEATURES.reset()
-        if obs["trace"]:
-            TRACER.enable(
-                keep_events=obs["keep_events"], sim_timeline=obs["sim_timeline"]
-            )
-        METRICS.enabled = bool(obs["metrics"])
-        FEATURES.enabled = bool(obs.get("features", False))
     started = time.perf_counter()
-    if source is not None and source[0] == "shm":
+    if source is not None:
         _, handle, spec, max_nodes = source
         dataset = Dataset(
             spec=spec, edges=shm.attach(handle), max_nodes=max_nodes, seed=seed
@@ -123,15 +159,7 @@ def _run_stream_cell(
     else:
         dataset = load_dataset(dataset_name, seed=seed, size_factor=size_factor)
     result = make_driver(config).run(dataset)
-    wall = time.perf_counter() - started
-    obs_payload = None
-    if obs is not None and (obs["trace"] or obs["metrics"] or obs.get("features")):
-        obs_payload = {
-            "trace": TRACER.to_payload(),
-            "metrics": METRICS.to_payload(),
-            "features": FEATURES.to_payload(),
-        }
-    return result, wall, obs_payload
+    return result, time.perf_counter() - started
 
 
 def run_many(
@@ -140,8 +168,6 @@ def run_many(
     jobs: Optional[int] = None,
 ) -> List[StreamResult]:
     """Resolve every request, in order, through cache then execution."""
-    if jobs is not None and jobs < 0:
-        raise ConfigError(f"jobs must be >= 0, got {jobs}")
     results: List[Optional[StreamResult]] = [None] * len(requests)
     keys: List[Optional[str]] = [None] * len(requests)
     cells: List[Tuple[int, int, Tuple[str, int, float, StreamConfig]]] = []
@@ -172,86 +198,62 @@ def run_many(
                     ),
                 )
             )
-    if cells:
-        published: Dict[Tuple[str, int, float], tuple] = {}
-        try:
-            if parallel and len(cells) > 1:
-                # Workers re-create the parent's obs configuration locally
-                # and return their collection as a payload; anything that
-                # runs in-process instead gets obs=None and records into
-                # the parent's live tracer/registry directly.
-                obs = _obs_flags()
-                use_shm = shm.shm_enabled()
-                payloads = []
-                for _, _, payload in cells:
-                    dataset_name, seed, size_factor, _config = payload
-                    source = None
-                    if use_shm:
-                        # One published segment per unique stream; every
-                        # repetition cell of it attaches instead of
-                        # regenerating.
-                        stream_key = (dataset_name, seed, size_factor)
-                        entry = published.get(stream_key)
-                        if entry is None:
-                            dataset = load_dataset(
-                                dataset_name, seed=seed, size_factor=size_factor
-                            )
-                            entry = (
-                                shm.SharedEdgeStream.publish(dataset.edges),
-                                dataset.spec,
-                                dataset.max_nodes,
-                            )
-                            published[stream_key] = entry
-                        stream, spec, max_nodes = entry
-                        source = ("shm", stream.handle, spec, max_nodes)
-                    payloads.append(payload + (obs, source))
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    cell_results = list(pool.map(_run_stream_cell, payloads))
-            else:
-                cell_results = [
-                    _run_stream_cell(payload + (None, None))
-                    for _, _, payload in cells
-                ]
-        finally:
-            # The parent owns every published segment: tear them down
-            # after the pool is gone, whatever the workers did.
-            for stream, _, _ in published.values():
-                stream.close()
-                stream.unlink()
-        by_request: Dict[int, List[StreamResult]] = {}
-        for (index, rep, payload), (result, wall, obs_payload) in zip(
-            cells, cell_results
-        ):
-            by_request.setdefault(index, []).append(result)
-            if obs_payload is not None:
-                METRICS.merge_payload(obs_payload["metrics"])
-                TRACER.absorb(
-                    obs_payload["trace"],
-                    origin=f"{payload[0]}-r{rep}" if rep else None,
-                )
-                if "features" in obs_payload:
-                    FEATURES.absorb(obs_payload["features"])
-            if METRICS.enabled:
-                METRICS.histogram(
-                    "sweep_cell_seconds",
-                    "wall time per (dataset x repetition) cell",
-                    dataset=payload[0],
-                ).observe(wall)
-                METRICS.counter(
-                    "sweep_cells_total",
-                    "sweep requests/cells by resolution",
-                    status="computed",
-                ).inc()
-            progress = requests[index].config.progress
-            if parallel and progress is not None:
-                progress(
-                    f"cell {payload[0]} rep {rep}: {wall:.2f}s wall"
-                )
-        for index, parts in by_request.items():
-            merged = StreamResult.merge(parts)
-            results[index] = merged
-            if store is not None:
-                store.save_stream_result(keys[index], merged)
+    # Pooled cells attach one published segment per unique stream
+    # instead of each regenerating it.
+    use_shm = parallel and len(cells) > 1 and shm.shm_enabled()
+    published: Dict[Tuple[str, int, float], tuple] = {}
+    try:
+        payloads = []
+        for _, _, payload in cells:
+            source = None
+            if use_shm:
+                stream_key = payload[:3]
+                if stream_key not in published:
+                    dataset = load_dataset(
+                        stream_key[0], seed=stream_key[1], size_factor=stream_key[2]
+                    )
+                    published[stream_key] = (
+                        shm.SharedEdgeStream.publish(dataset.edges),
+                        dataset.spec,
+                        dataset.max_nodes,
+                    )
+                stream, spec, max_nodes = published[stream_key]
+                source = ("shm", stream.handle, spec, max_nodes)
+            payloads.append(payload + (source,))
+        cell_results = run_cells(
+            _run_stream_cell,
+            payloads,
+            jobs,
+            origins=[f"{payload[0]}-r{rep}" if rep else None for _, rep, payload in cells],
+        )
+    finally:
+        # The parent owns every published segment: tear them down
+        # after the pool is gone, whatever the workers did.
+        for stream, _, _ in published.values():
+            stream.close()
+            stream.unlink()
+    by_request: Dict[int, List[StreamResult]] = {}
+    for (index, rep, payload), (result, wall) in zip(cells, cell_results):
+        by_request.setdefault(index, []).append(result)
+        if METRICS.enabled:
+            METRICS.histogram(
+                "sweep_cell_seconds",
+                "wall time per (dataset x repetition) cell",
+                dataset=payload[0],
+            ).observe(wall)
+            METRICS.counter(
+                "sweep_cells_total",
+                "sweep requests/cells by resolution",
+                status="computed",
+            ).inc()
+        progress = requests[index].config.progress
+        if parallel and progress is not None:
+            progress(f"cell {payload[0]} rep {rep}: {wall:.2f}s wall")
+    for index, parts in by_request.items():
+        merged = StreamResult.merge(parts)
+        results[index] = merged
+        if store is not None:
+            store.save_stream_result(keys[index], merged)
     missing = [i for i, result in enumerate(results) if result is None]
     if missing:
         raise ConfigError(f"requests {missing} produced no result")

@@ -3,8 +3,8 @@
 The paper measures architecture behavior with Intel Processor Counter
 Monitor: cache hit ratios, misses per kilo-instruction (MPKI), memory
 bandwidth, and QPI-link utilization.  This module derives the same
-quantities from the simulator's primary outputs (a schedule and a cache
-replay).
+quantities from the simulator's primary outputs (a phase's makespan
+and work cycles, and a cache replay).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.errors import SimulationError
 from repro.sim.cache import CacheStats
 from repro.sim.machine import MachineConfig
-from repro.sim.scheduler import ScheduleResult
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,14 @@ def shard_merge_cycles(cross_edges: int, machine: MachineConfig) -> float:
 
 
 def derive_counters(
-    schedule: ScheduleResult,
+    makespan_cycles: float,
+    total_work_cycles: float,
     cache: CacheStats,
     machine: MachineConfig,
     trace_scale: float = 1.0,
 ) -> PhaseCounters:
-    """Combine a schedule and a cache replay into PCM-style counters.
+    """Combine a phase's simulated time and work with a cache replay into
+    PCM-style counters.
 
     ``trace_scale`` compensates for trace sampling: if only ``1/s`` of
     the accesses were replayed, pass ``s`` so that miss *counts* (and
@@ -81,8 +82,8 @@ def derive_counters(
     """
     if trace_scale < 1.0:
         raise SimulationError(f"trace_scale must be >= 1, got {trace_scale}")
-    seconds = machine.cycles_to_seconds(schedule.makespan_cycles)
-    instructions = max(schedule.total_work_cycles, 1.0)
+    seconds = machine.cycles_to_seconds(makespan_cycles)
+    instructions = max(total_work_cycles, 1.0)
     kilo_instructions = instructions / 1e3
 
     l2_misses = cache.l2_misses * trace_scale

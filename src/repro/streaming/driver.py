@@ -16,11 +16,13 @@ Batch processing latency = update latency + compute latency
 (Equation 1).
 
 That loop is written once, :meth:`StreamDriver._run_repetition`.  What
-the static, sharded and adaptive drivers disagree on -- who ingests a
-batch, which cells are executed and priced, which are recorded -- is an
+the static, sharded and adaptive drivers and the Fig. 9/10 hardware
+profile disagree on -- who ingests a batch, which cells are executed
+and priced, which are recorded, what is traced -- is an
 :class:`UpdatePlane`: :class:`MatrixPlane` here,
-:class:`repro.streaming.sharded.ShardPlanPlane` and
-:class:`repro.streaming.autotune.LiveStructurePlane` beside their
+:class:`repro.streaming.sharded.ShardPlanPlane`,
+:class:`repro.streaming.autotune.LiveStructurePlane` and
+:class:`repro.analysis.hardware_profile.HardwarePlane` beside their
 drivers, each of which only chooses its plane.
 """
 
@@ -119,25 +121,6 @@ def _run_ops_decomposition(
         "frontier_rounds": rounds,
         "ops": float(ops),
     }
-
-
-def _price_runs(
-    runs, structures, tables: CostTables, ctx: ExecutionContext, neighbor_degree_query
-) -> Dict[str, float]:
-    """Compute-phase cycles of one algorithm x model on each structure.
-
-    The runs a batch schedules (INC, plus its deletion repair under
-    churn) belong to the same compute phase, so their latencies add.
-    """
-    cycles = dict.fromkeys(structures, 0.0)
-    for run in runs:
-        pricings = price_compute_run(
-            run, structures, tables, ctx,
-            neighbor_degree_query=neighbor_degree_query,
-        )
-        for structure, pricing in pricings.items():
-            cycles[structure] += pricing.latency_cycles
-    return cycles
 
 
 def _check_names(kind: str, names, known) -> None:
@@ -306,14 +289,17 @@ def _execute_compute(algorithm, model, reference, state, batch, removed, source)
 class UpdatePlane:
     """What one driver decides about a batch; the loop does the rest.
 
-    The static, sharded and adaptive drivers run the same batch loop
-    (:meth:`StreamDriver._run_repetition`) and disagree on three things
-    only (DESIGN.md decision #21): *who ingests* a batch
-    (``begin_repetition`` / ``update`` / ``delete``, which the three
-    planes define), *what is executed and priced* (``models`` x
-    ``structures``) and *what is recorded* (the three methods below,
-    whose defaults -- every priced cell under its own key -- serve the
-    static and sharded planes).
+    The static, sharded and adaptive drivers and the hardware profile
+    run the same batch loop (:meth:`StreamDriver._run_repetition`) and
+    disagree on four things only (DESIGN.md decisions #21, #26): *who
+    ingests* a batch (``begin_repetition`` / ``update`` / ``delete``,
+    which the four planes define), *what is executed and priced*
+    (``models`` x ``structures``, and ``price``, which the hardware
+    plane extends to trace and replay what it prices) and *what is
+    recorded* (``close_update`` / ``record_cell`` / ``after_batch``).
+    The defaults -- every structure priced on the run's machine, every
+    priced cell under its own key -- serve the static and sharded
+    planes.
     """
 
     #: Whether ``record_cell`` reads the ops decomposition even when
@@ -371,6 +357,24 @@ class UpdatePlane:
 
     def begin_repetition(self, rep: int, total_batches: int) -> None:
         """Fresh ingest state for one repetition."""
+
+    def price(self, algorithm, runs, compute_view, cost_tables) -> Dict[str, float]:
+        """Compute-phase cycles of one algorithm x model on each structure
+        the plane prices, from the runs it just executed on
+        ``compute_view``.
+
+        The runs a batch schedules (INC, plus its deletion repair under
+        churn) belong to the same compute phase, so their latencies add.
+        """
+        cycles = dict.fromkeys(self.structures, 0.0)
+        for run in runs:
+            pricings = price_compute_run(
+                run, self.structures, cost_tables, self.ctx,
+                neighbor_degree_query=algorithm.neighbor_degree_query,
+            )
+            for structure, pricing in pricings.items():
+                cycles[structure] += pricing.latency_cycles
+        return cycles
 
     def close_update(self, record: BatchRecord, update_ops: int):
         """The finished update phase as ``(structure, cycles)`` samples,
@@ -571,9 +575,8 @@ class StreamDriver:
                             ops_row = _run_ops_decomposition(
                                 runs, deg_in, deg_out, n, ctx.cost_model
                             )
-                        structure_cycles = _price_runs(
-                            runs, plane.structures, cost_tables, ctx,
-                            algorithm.neighbor_degree_query,
+                        structure_cycles = plane.price(
+                            algorithm, runs, compute_view, cost_tables
                         )
                         recorded_model = None
                         for structure_name, cycles in structure_cycles.items():

@@ -1,4 +1,4 @@
-"""The three drivers' batch loops, pinned against each other.
+"""The drivers' batch loops, pinned against each other.
 
 One stream (Talk at 0.05, batch 400, BFS/PR/SSSP under FS and INC,
 churn 0.25, candidate structures AS and DAH) through every path --
@@ -6,7 +6,8 @@ static, ``shards=2`` (in-process and pooled), adaptive (free-running
 and with a forced plan that migrates twice) -- with the feature log,
 the metrics registry and the span tracer on.  Everything the paths
 share must come out equal; everything they differ in is asserted
-against an independent restatement.
+against an independent restatement.  The hardware profile's cell
+(INC only, no churn) runs the same stream through the same loop.
 
 Each docstring names the seeded loop mutants its assertions were seen
 to kill.
@@ -497,3 +498,66 @@ class TestDeletionCrossCheck:
             driver.forced_plan = {0: "DAH"}
         with pytest.raises(AssertionError, match="DAH removed .* reference graph removed"):
             driver.run(_dataset())
+
+
+class TestHardwarePlane:
+    """``profile_cell`` (Figs. 9-10) is the same loop over a fourth plane."""
+
+    def test_profile_cell_is_one_pass_of_the_batch_loop(self, monkeypatch):
+        """One ``_run_repetition`` call walks every batch of the cell, with
+        the driver's spans and stream series around the traced plane.
+
+        Kills: a private batch loop in ``profile_cell`` (no call), the
+        compute emission outside the loop's ``compute`` span, and the
+        plane pricing the full machine differently from the loop (the
+        span's cycles would not be the counters' compute seconds).
+        """
+        from repro.analysis.hardware_profile import HardwarePlane, HardwareProfiler
+        from tests.conftest import SMALL_MACHINE
+
+        walks = []
+        loop = StreamDriver._run_repetition
+
+        def spy(driver, plane, rep, source, result):
+            walks.append((type(plane), rep))
+            return loop(driver, plane, rep, source, result)
+
+        monkeypatch.setattr(StreamDriver, "_run_repetition", spy)
+        profiler = HardwareProfiler(
+            machine=SMALL_MACHINE, core_counts=(2, 4), algorithms=ALGORITHMS,
+            batch_size=BATCH_SIZE, trace_cap=2_000,
+        )
+        for registry in (METRICS, TRACER):
+            registry.disable()
+            registry.reset()
+        METRICS.enable()
+        TRACER.enable(keep_events=True)
+        try:
+            cell = profiler.profile_cell("Talk", "DAH", 0.05)
+            metrics = METRICS.snapshot()
+            spans = Counter(event[0] for event in TRACER.events())
+            compute_cycles = TRACER.phase_cycles()["compute"]
+        finally:
+            for registry in (METRICS, TRACER):
+                registry.disable()
+                registry.reset()
+        assert walks == [(HardwarePlane, 0)]
+        assert cell.batches == BATCHES
+        assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == {
+            "compute.view": BATCHES, "compute": BATCHES,
+        }
+        assert spans["compute.trace"] == BATCHES * len(ALGORITHMS)
+        # No per-batch update latency series or sim timeline: the
+        # plane's product is the cell's counters.
+        assert _owned(metrics, DRIVER_FAMILIES) == {
+            "stream_batches_total",
+            "stream_compute_latency_seconds",
+            "stream_edges_inserted_total",
+        }
+        edges = _dataset().edges
+        unique = np.unique(np.stack([edges.src, edges.dst]), axis=1).shape[1]
+        assert metrics["stream_edges_inserted_total"] == {"dataset=Talk": float(unique)}
+        assert SMALL_MACHINE.cycles_to_seconds(compute_cycles) == pytest.approx(
+            len(ALGORITHMS) * sum(c.seconds for c in cell.counters["compute"]),
+            rel=1e-12,
+        )

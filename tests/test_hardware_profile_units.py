@@ -1,5 +1,6 @@
 """Unit tests for hardware-profile internals."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from repro.analysis.hardware_profile import (
     HardwareProfiler,
     PhaseSample,
     _average_counters,
-    _synthetic_schedule,
+    _compute_trace,
 )
 from repro.algorithms.registry import get_algorithm
 from repro.compute.kernels import ComputeView
@@ -69,14 +70,6 @@ class TestAverageCounters:
     def test_single_identity(self):
         one = counters()
         assert _average_counters([one]) == one
-
-
-class TestSyntheticSchedule:
-    def test_shape(self):
-        schedule = _synthetic_schedule(100.0, 500.0, threads=8)
-        assert schedule.makespan_cycles == 100.0
-        assert schedule.total_work_cycles == 500.0
-        assert schedule.threads == 8
 
 
 class TestGroupProfile:
@@ -149,8 +142,9 @@ class TestCellOverTheLiveGraphView:
         """``profile_cell`` reads its per-batch view and degrees from the
         live graph's slack CSR.  Same payload, array for array, as over
         what it read before: a packed ``ComputeView.of`` walk of the
-        dict-of-dicts graph fed the same batches."""
-        from repro.analysis import hardware_profile
+        dict-of-dicts graph fed the same batches.  The cell's reference
+        graph is the driver loop's."""
+        from repro.streaming import driver
         from tests.oracles import DictGraph
 
         live_packed = []  # per batch: was the live graph's own view packed?
@@ -176,11 +170,51 @@ class TestCellOverTheLiveGraphView:
             trace_cap=20_000,
         )
         payload = profiler.profile_cell("Talk", "DAH", 0.125).to_payload()
-        monkeypatch.setattr(hardware_profile, "ReferenceGraph", DictBacked)
+        monkeypatch.setattr(driver, "ReferenceGraph", DictBacked)
         oracle_payload = profiler.profile_cell("Talk", "DAH", 0.125).to_payload()
         assert payload[0]["batches"] == 5
         assert live_packed[0] and not all(live_packed)  # slack rows were read
         assert_payloads_equal(payload, oracle_payload)
+
+
+def payload_digest(payload):
+    """sha256 over a ``HardwareCell.to_payload()``'s arrays, by name."""
+    _meta, arrays = payload
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+#: (dataset, structure, size_factor, prefetch) -> batches, payload digest.
+#: Every counter and ladder cycle of the cell; computed when the cell
+#: still ran its own batch loop, before it became the driver's plane.
+PINNED_CELLS = {
+    ("Talk", "DAH", 0.125, False): (
+        5, "c84d733bb9192b3b5019ce0779c2ba50e36ec53b68cb952ffb8638cdc19e7c5a"
+    ),
+    ("Orkut", "AS", 0.03, True): (
+        2, "9d64d11983b2f3c61b3a07f9122a0093e6a32ab32766877a3b5555e0d5d1ba8c"
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_CELLS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_cell_payload_is_pinned(cell):
+    """The cell's simulated numbers do not move with its code path."""
+    dataset_name, structure_name, size_factor, prefetch = cell
+    profiler = HardwareProfiler(
+        machine=SMALL_MACHINE,
+        core_counts=(2, 4),
+        algorithms=("BFS", "CC", "PR"),
+        batch_size=1250,
+        trace_cap=20_000,
+        prefetch=prefetch,
+    )
+    payload = profiler.profile_cell(dataset_name, structure_name, size_factor).to_payload()
+    assert (payload[0]["batches"], payload_digest(payload)) == PINNED_CELLS[cell]
 
 
 class TestCellOnBothSimEngines:
@@ -298,7 +332,6 @@ class TestComputeTraceMatchesPerVertexLoop:
             for name in algorithms
         }
         source = int(np.bincount(dataset.edges.src).argmax())
-        profiler = HardwareProfiler()
         accesses = 0
         for batch in make_batches(dataset.edges, 300, shuffle_seed=3):
             structure.update(batch, ExecutionContext(machine=SMALL_MACHINE))
@@ -312,7 +345,7 @@ class TestComputeTraceMatchesPerVertexLoop:
                     algorithm.affected_from_batch(batch, reference),
                     source=source,
                 )
-                trace, task_thread = profiler._compute_trace(
+                trace, task_thread = _compute_trace(
                     run, structure, compute_view, properties, name, visited, 8
                 )
                 want, want_thread = _per_vertex_compute_trace(
@@ -358,7 +391,7 @@ class TestComputeTraceMatchesPerVertexLoop:
         run.add_round()
         run.add_round(pull=[busy[3], hub])
         run.add_round(pull=[busy[1], 0], push=[hub])
-        trace, task_thread = HardwareProfiler()._compute_trace(
+        trace, task_thread = _compute_trace(
             run, structure, ComputeView.of(reference), properties, "CC", visited, 8
         )
         want, want_thread = _per_vertex_compute_trace(
@@ -377,7 +410,7 @@ class TestComputeTraceMatchesPerVertexLoop:
         properties = VertexProperties(dataset.max_nodes, structure.space)
         properties.add("BFS")
         visited = structure.space.alloc(64, "inc.visited")
-        trace, task_thread = HardwareProfiler()._compute_trace(
+        trace, task_thread = _compute_trace(
             ComputeRun("BFS", "INC", np.zeros(0)), structure,
             ComputeView.of(reference), properties, "BFS", visited, 8,
         )

@@ -395,8 +395,11 @@ class TestInstrumentedRun:
         assert emitted["update"] > 0 and emitted["compute"] > 0
         # Three replays per batch, each of at most trace_cap accesses.
         assert replayed <= 3 * cell.batches * 2_000 < sum(emitted.values())
+        # The driver loop's one compute span per batch; one emission per
+        # algorithm inside it.
         totals = TRACER.phase_totals()
-        assert totals["compute.trace"][1] == totals["compute"][1] == 2 * cell.batches
+        assert totals["compute.view"][1] == totals["compute"][1] == cell.batches
+        assert totals["compute.trace"][1] == 2 * cell.batches
 
     @pytest.mark.parametrize("engine", ["native", "python"])
     def test_cache_replay_span_names_its_engine(self, engine):
@@ -532,6 +535,49 @@ class TestInstrumentedRun:
                     )
                 else:
                     assert value == other, (name, labels)
+
+    def test_parallel_hardware_sweep_metrics_equal_serial(self):
+        """Pooled hardware cells ship their simulated counters back.
+
+        Kills: ``profile_cells`` running its own pool without the sweep
+        engine's worker reset/enable and merge (the parallel snapshot
+        holds none of the three families), and a negative ``jobs``
+        silently run serially.
+        """
+        from repro.analysis.hardware_profile import HardwareProfiler
+        from repro.errors import ConfigError
+        from tests.conftest import SMALL_MACHINE
+
+        profiler = HardwareProfiler(
+            machine=SMALL_MACHINE, core_counts=(4,), algorithms=("BFS", "PR"),
+            batch_size=500, trace_cap=2_000,
+        )
+        specs = [("Talk", "DAH", 0.05), ("Wiki", "DAH", 0.05)]
+        families = (
+            "sim_trace_accesses_total",
+            "ingest_trace_accesses_total",
+            "sim_cache_accesses_total",
+        )
+        METRICS.enable()
+        snapshots, payloads = [], []
+        for jobs in (1, 2):
+            METRICS.reset()
+            cells = profiler.profile_cells(specs, jobs=jobs)
+            payloads.append([cell.to_payload() for cell in cells])
+            snapshot = METRICS.snapshot()
+            snapshots.append({name: snapshot.get(name) for name in families})
+        serial, parallel = snapshots
+        assert all(serial[name] for name in families)
+        assert set(serial["sim_trace_accesses_total"]) == {
+            "phase=update", "phase=compute",
+        }
+        assert parallel == serial
+        for ours, theirs in zip(*payloads):
+            assert ours[0] == theirs[0]
+            for name, column in ours[1].items():
+                assert np.array_equal(column, theirs[1][name]), name
+        with pytest.raises(ConfigError, match="jobs"):
+            profiler.profile_cells(specs, jobs=-1)
 
 
 class TestCli:
