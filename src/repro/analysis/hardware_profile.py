@@ -35,6 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.stats import stage_slices
+from repro.compute import ckernels
 from repro.compute.kernels import ComputeView, expand_frontier
 from repro.compute.pricing import price_compute_run
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, HEAVY_TAILED, SHORT_TAILED, load_dataset
@@ -498,7 +499,14 @@ class _Section(NamedTuple):
 
 def _interleave(sections: Sequence[_Section]) -> MemoryTrace:
     """Task-major trace of per-task sections: task 0's sections back to
-    back, then task 1's, ...  Every section covers the same tasks."""
+    back, then task 1's, ...  Every section covers the same tasks.
+
+    One native call (``saga_interleave``); the numpy body below is its
+    reference and the fallback without a compiled ``interleave``.
+    """
+    kernels = ckernels.get("interleave")
+    if kernels is not None:
+        return MemoryTrace(*kernels.interleave(sections))
     totals = np.sum([section.counts for section in sections], axis=0)
     lead = np.cumsum(totals) - totals  # where each task's next section starts
     addresses = np.empty(int(totals.sum()), dtype=np.int64)

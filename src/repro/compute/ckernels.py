@@ -37,7 +37,10 @@ bit for bit.  Float accumulation order is the sequential order of the
 per-vertex loops by construction, NaN semantics follow numpy
 (``np.minimum`` propagates NaN; ``inf - inf`` is not a change), bucket
 indices are ``np.floor_divide``'s, and the build forbids FMA
-contraction.  Every crossing ticks ``compute_kernel_calls_total{kernel}``.
+contraction.  ``saga_interleave`` lays a traced run's accesses out task
+by task for the Fig. 9/10 cell (the numpy body of
+:func:`repro.analysis.hardware_profile._interleave` is its reference).
+Every crossing ticks ``compute_kernel_calls_total{kernel}``.
 
 Gates:
 
@@ -46,11 +49,12 @@ Gates:
   individual kernels, leaving the rest compiled.  ``inc_round`` names
   ``saga_inc_run`` and the closure, ``relax_round`` ``saga_relax_run``,
   ``jacobi_round`` ``saga_jacobi_run``, ``delta_pass``
-  ``saga_delta_run`` and ``price_run`` ``saga_price_run``; without
-  them the numpy engines of :mod:`repro.compute.kernels`,
-  ``algorithms/base.py`` and ``algorithms/sssp.py`` and the numpy loop
-  of :mod:`repro.compute.pricing` run, the reference the kernels are
-  tested against.  ``price_run`` is also withheld, whatever the
+  ``saga_delta_run``, ``price_run`` ``saga_price_run`` and
+  ``interleave`` ``saga_interleave``; without them the numpy engines of
+  :mod:`repro.compute.kernels`, ``algorithms/base.py`` and
+  ``algorithms/sssp.py``, the numpy loop of :mod:`repro.compute.pricing`
+  and the numpy interleave run, the reference the kernels are tested
+  against.  ``price_run`` is also withheld, whatever the
   variable says, when ``saga_pairwise_sum`` does not reproduce this
   numpy's ``ndarray.sum()`` on a probe vector (checked at load).
 - ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build, or a withheld
@@ -87,6 +91,7 @@ KERNEL_NAMES = frozenset(
         "jacobi_round",
         "delta_pass",
         "price_run",
+        "interleave",
     }
 )
 
@@ -1141,6 +1146,41 @@ void saga_price_run(
         }
     }
 }
+
+/* ---- the compute trace ---------------------------------------------
+ * repro.analysis.hardware_profile._interleave: a run's per-task
+ * sections of accesses into one task-major trace -- task 0's sections
+ * in section order, then task 1's, ...  Section s lists counts[s][t]
+ * addresses per task t, the tasks' runs back to back, all reads or all
+ * writes (write[s]); cursor[] (nsections zeros) follows each section's
+ * next run.  The outputs are MemoryTrace's columns. */
+void saga_interleave(
+    int64_t ntasks,
+    int64_t nsections,
+    const int64_t *const *counts,
+    const int64_t *const *addresses,
+    const uint8_t *write,
+    int64_t *cursor,
+    int64_t *task_out,
+    int64_t *addr_out,
+    uint8_t *write_out)
+{
+    int64_t t, s, k, w = 0;
+    for (t = 0; t < ntasks; t++) {
+        for (s = 0; s < nsections; s++) {
+            int64_t c = counts[s][t];
+            const int64_t *from = addresses[s] + cursor[s];
+            uint8_t bit = write[s];
+            for (k = 0; k < c; k++) {
+                task_out[w + k] = t;
+                addr_out[w + k] = from[k];
+                write_out[w + k] = bit;
+            }
+            cursor[s] += c;
+            w += c;
+        }
+    }
+}
 """
 
 
@@ -1196,6 +1236,7 @@ class ComputeKernels:
             None,
             [_PTR, _PTR, _I64, _I64, _PTR, _I64] + [_F64] * 5 + [_PTR, _PTR],
         )
+        _sig(lib.saga_interleave, None, [_I64, _I64] + [_PTR] * 7)
         #: Members this build must not serve, each with the reason (read
         #: by :class:`repro.sim.cbuild.NativeLibrary`).
         self.refused = {}
@@ -1501,6 +1542,50 @@ class ComputeKernels:
             p(out),
         )
         return out[0].tolist(), out[1].tolist()
+
+    def interleave(
+        self, sections
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-task sections of accesses as one task-major trace.
+
+        Each section is ``(counts, addresses, write)``: ``counts[t]``
+        accesses of task ``t`` (one entry per task, the same tasks in
+        every section), their ``addresses`` task after task, and whether
+        they are writes.  Returns the ``MemoryTrace`` columns
+        ``(task_ids, addresses, is_write)``.
+        """
+        counts = [np.ascontiguousarray(s[0], dtype=np.int64) for s in sections]
+        addresses = [np.ascontiguousarray(s[1], dtype=np.int64) for s in sections]
+        tasks = counts[0].size
+        for count, flat in zip(counts, addresses):
+            if count.shape != (tasks,) or count.min(initial=0) < 0 or count.sum() != flat.size:
+                raise ValueError(
+                    "every section needs a non-negative count per task, "
+                    "summing to its number of addresses"
+                )
+        total = sum(flat.size for flat in addresses)
+        task_ids = np.empty(total, dtype=np.int64)
+        trace = np.empty(total, dtype=np.int64)
+        is_write = np.empty(total, dtype=np.bool_)
+        # Named, not temporaries: each must outlive the call.
+        count_columns = np.array([column.ctypes.data for column in counts], dtype=np.uintp)
+        address_columns = np.array([column.ctypes.data for column in addresses], dtype=np.uintp)
+        writes = np.array([s[2] for s in sections], dtype=np.uint8)
+        cursor = np.zeros(len(sections), dtype=np.int64)
+        p = self._p
+        _count_call("interleave")
+        self._lib.saga_interleave(
+            tasks,
+            len(sections),
+            p(count_columns),
+            p(address_columns),
+            p(writes),
+            p(cursor),
+            p(task_ids),
+            p(trace),
+            p(is_write),
+        )
+        return task_ids, trace, is_write
 
 
 #: Lengths of the probe vector's tails :func:`_sums_like_numpy` compares:

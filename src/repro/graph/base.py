@@ -441,8 +441,9 @@ class GraphDataStructure(abc.ABC):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Reference emitter: the per-vertex :meth:`_trace_traversal` in a loop.
 
-        The five structures' stores emit a whole vertex array at once
-        and override this; the result must equal this loop's.
+        The five structures override this with their stores' C
+        traversal emitter (:mod:`repro.sim.cingest`), whose result must
+        equal this loop's, and run this loop when a store has no kernel.
         """
         recorder = TraceRecorder()
         ends = []

@@ -24,13 +24,15 @@ logs one event per allocation-changing operation (vector growth,
 segment relocation, block alloc/free, table resize) and the store
 replays the log after the call, so the ``AddressSpace`` layout -- hence
 every traced address -- does not depend on which path ingested which
-batch.  The vector stores (AS, AC) replay the log as one array -- a bump
-allocator's layout is a cumsum of the aligned sizes
-(``AddressSpace.alloc_log``) -- while BA replays event by event because
-its segment-pool free lists depend on the order.  A kernel never
-allocates: when an arena is too small it *stalls*, returning a resume
-cursor and a resource code, the ``_grow_*`` method of that resource
-enlarges the numpy array, and the kernel is re-entered.
+batch.  The vector stores (AS, AC) and Stinger replay the log as one
+array -- a bump allocator's layout is a cumsum of the aligned sizes
+(``AddressSpace.alloc_log``; a freed Stinger block is an event that
+frees without allocating) -- while BA and DAH replay event by event
+because BA's segment-pool free lists and DAH's per-table regions depend
+on the order.  A kernel never allocates: when an arena is too small it
+*stalls*, returning a resume cursor and a resource code, the ``_grow_*``
+method of that resource enlarges the numpy array, and the kernel is
+re-entered.
 
 The kernel cannot know an address before the replay, so its access log
 names regions by *holder* (a header array, a vertex's vector, a block,
@@ -40,6 +42,14 @@ before the call, or the one event ``e`` gave it -- and
 replay has produced the event regions' bases: the same ``Region`` bases
 the per-edge methods read, so the two traces are equal by construction
 (DESIGN.md decision #24).  The log is one more stall-and-grow resource.
+
+The compute phase's structure reads have the same two forms: the
+per-vertex ``trace_traversal`` (the reference, and what a store without
+a kernel runs) and ``traversals``, which hands a whole vertex array to
+the family's C traversal emitter and returns its ``(counts,
+addresses)``; an access the emitter finds outside its region raises
+``Region.element``'s error, as the reference does (DESIGN.md decision
+#27).
 
 The layout constants and outcome records of each family live beside its
 store; the structure modules import them from here, never the reverse.
@@ -67,7 +77,6 @@ from repro.obs.tracer import TRACER
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace, Region
 from repro.sim.tasks import NO_LOCK
-from repro.sim.trace import ragged_arange
 
 #: Initial per-store entry pool; doubled on demand (kernel stall).
 INITIAL_POOL = 1 << 14
@@ -75,6 +84,35 @@ INITIAL_POOL = 1 << 14
 #: Initial rows of a traced batch's access log; grown on demand (kernel
 #: stall).
 INITIAL_LOG = 1 << 14
+
+
+def _emit_traversals(emitter, vertices, store_args, overrun):
+    """``(counts, addresses)`` of one traversal per vertex, from a C
+    traversal emitter of :mod:`repro.sim.cingest`.
+
+    ``emitter(n, vertices, *store_args, counts, addresses)`` is called
+    twice: without an address column to fill ``counts`` -- it returns the
+    position of a vertex whose traversal leaves a region, for
+    ``overrun(position)`` to raise from, or -1 -- and then into one of
+    ``counts.sum()`` entries.
+    """
+    p = cingest.IngestKernels._p
+    vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+    counts = np.empty(len(vertices), dtype=np.int64)
+    refused = emitter(len(vertices), p(vertices), *store_args, p(counts), None)
+    if refused >= 0:
+        overrun(refused)
+    addresses = np.empty(int(counts.sum()), dtype=np.int64)
+    emitter(len(vertices), p(vertices), *store_args, p(counts), p(addresses))
+    return counts, addresses
+
+
+def _element_overrun(region: Region, index: int, element_bytes: int):
+    """Raise for element ``index``, which an emitter found outside ``region``."""
+    region.element(index, element_bytes)  # past the end: raises
+    raise SimulationError(
+        f"element {index} x {element_bytes}B lies before region {region.label!r}"
+    )
 
 
 class _PooledVectorState:
@@ -294,17 +332,18 @@ class _PooledVectorState:
         if region is not None:
             recorder.access_range(region.base, int(self._len[u]), ENTRY_BYTES)
 
-    def trace_traversals(self, vertices: np.ndarray):
-        """:meth:`trace_traversal` of every vertex: ``(counts, addresses)``.
-
-        Per vertex the header, then the contiguous neighbor range (a
-        vertex without a region has no entries).
-        """
-        headers = self._header.elements(vertices, HEADER_BYTES)
-        counts = 1 + self._len[vertices]
-        seg, within = ragged_arange(counts)
-        entries = self._region_base[vertices][seg] + (within - 1) * ENTRY_BYTES
-        return counts, np.where(within == 0, headers[seg], entries)
+    def traversals(self, vertices: np.ndarray):
+        """:meth:`trace_traversal` of every vertex, in C: ``(counts, addresses)``."""
+        header = self._header
+        # The vertices whose header lies in the header array.
+        limit = min(self.max_nodes, header.size // HEADER_BYTES)
+        p = self.kernels._p
+        return _emit_traversals(
+            self.kernels.vec_traversals,
+            vertices,
+            (limit, header.base, p(self._len), p(self._region_base)),
+            lambda i: _element_overrun(header, int(vertices[i]), HEADER_BYTES),
+        )
 
 
 class NativeVectorStore(_PooledVectorState):
@@ -517,17 +556,29 @@ class NativeStingerStore:
         self._blen = blen
         self._block_base = base
 
-    def _replay_event(self, kind: int, block_id: int) -> int:
-        """Account one block event; returns the allocated base (0: a free)."""
-        if kind == 0:  # block allocated
-            base = self.space.alloc(BLOCK_BYTES, self._block_label).base
-            self._block_base[block_id] = base
-            return base
-        # tail block freed
-        self.space.free(
-            Region(int(self._block_base[block_id]), BLOCK_BYTES, self._block_label)
+    def _replay_blocks(self, mirror_store, code, block_id) -> np.ndarray:
+        """Replay a kernel block log as one allocation log and one
+        scatter; returns the base each event allocated (a free's is
+        unused).
+
+        ``code`` is ``mirror * 2 + (0: block allocated, 1: tail block
+        freed)``: rows with ``mirror`` set belong to ``mirror_store`` (the
+        in store, or ``self`` again when undirected), which shares this
+        store's ``AddressSpace``.
+        """
+        allocated = (code & 1) == 0
+        mirror = code >> 1
+        size = np.where(allocated, BLOCK_BYTES, 0)
+        bases = self.space.alloc_log(
+            size,
+            BLOCK_BYTES - size,
+            mirror,
+            (self._block_label, mirror_store._block_label),
         )
-        return 0
+        for m, store in enumerate((self, mirror_store)):
+            mine = allocated & (mirror == m)
+            store._block_base[block_id[mine]] = bases[mine]
+        return bases
 
     def _standing_regions(self, spare: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(base, limit)`` of this store's regions by holder: the
@@ -579,7 +630,7 @@ class NativeStingerStore:
         self._blen[bid] = 0
         self._bids[int(self._boff[u]) + bcnt] = bid
         self._bcnt[u] = bcnt + 1
-        self._replay_event(0, bid)
+        self._block_base[bid] = self.space.alloc(BLOCK_BYTES, self._block_label).base
         return bid
 
     def insert(self, src: int, dst: int, weight: float, recorder) -> _InsertOutcome:
@@ -676,7 +727,9 @@ class NativeStingerStore:
         freed = False
         if last == 0 and bi == int(self._bcnt[src]) - 1:
             self._bcnt[src] = bi
-            self._replay_event(1, tb)
+            self.space.free(
+                Region(int(self._block_base[tb]), BLOCK_BYTES, self._block_label)
+            )
             freed = True
         return _InsertOutcome(
             search_chases=bi + 1,
@@ -732,31 +785,20 @@ class NativeStingerStore:
         recorder.access(self._vertex_array.element(u, VERTEX_ENTRY_BYTES))
         self._trace_scan(u, int(self._bcnt[u]), recorder)
 
-    def trace_traversals(self, vertices: np.ndarray):
-        """:meth:`trace_traversal` of every vertex: ``(counts, addresses)``.
-
-        Per vertex its vertex-array entry, then per block of its list
-        the header and the block's entries.
-        """
-        entries = self._vertex_array.elements(vertices, VERTEX_ENTRY_BYTES)
-        owner, k = ragged_arange(self._bcnt[vertices])  # one row per block
-        bid = self._bids[self._boff[vertices][owner] + k]
-        per_block = 1 + self._blen[bid]
-        counts = 1 + np.bincount(
-            owner, weights=per_block, minlength=len(vertices)
-        ).astype(np.int64)
-        block, within = ragged_arange(per_block)
-        # Position 0 of a block's run is its header, at the block's base.
-        block_addresses = self._block_base[bid][block] + np.where(
-            within == 0, 0, BLOCK_HEADER_BYTES + (within - 1) * ENTRY_BYTES
+    def traversals(self, vertices: np.ndarray):
+        """:meth:`trace_traversal` of every vertex, in C: ``(counts, addresses)``."""
+        entries = self._vertex_array
+        limit = min(self.max_nodes, entries.size // VERTEX_ENTRY_BYTES)
+        p = self.kernels._p
+        return _emit_traversals(
+            self.kernels.stinger_traversals,
+            vertices,
+            (
+                limit, entries.base, p(self._boff), p(self._bcnt), p(self._bids),
+                p(self._blen), p(self._block_base),
+            ),
+            lambda i: _element_overrun(entries, int(vertices[i]), VERTEX_ENTRY_BYTES),
         )
-        addresses = np.empty(int(counts.sum()), dtype=np.int64)
-        first = np.cumsum(counts) - counts
-        in_blocks = np.ones(len(addresses), dtype=bool)
-        in_blocks[first] = False
-        addresses[first] = entries
-        addresses[in_blocks] = block_addresses
-        return counts, addresses
 
 
 def _count_growth_events(store, count: int) -> None:
@@ -896,8 +938,9 @@ def native_stinger_ingest(out_store, in_store, batch, directed, delete, recorder
     Returns ``(positive, chases, probes, space, hit, new_block, lock)``
     with the columns as numpy arrays, one row per store operation in
     the per-edge loop's order; block alloc/free events replay in call
-    order so the simulated address space lays out identically.  An
-    enabled ``recorder`` receives the accesses of the per-edge methods.
+    order, as one allocation log, so the simulated address space lays
+    out identically.  An enabled ``recorder`` receives the accesses of
+    the per-edge methods.
     """
     kernels = out_store.kernels
     n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
@@ -931,12 +974,9 @@ def native_stinger_ingest(out_store, in_store, batch, directed, delete, recorder
 
     _run_kernel(call, ctl, log, grow_arena)
     count = int(ctl[4])
-    event_base = np.zeros(count, dtype=np.int64)
     with TRACER.span("ingest.replay"):
-        for k in range(count):
-            code, block_id = int(events[3 * k]), int(events[3 * k + 1])
-            store = in_store if code >= 2 else out_store
-            event_base[k] = store._replay_event(code & 1, block_id)
+        blocks = events[:3 * count].reshape(count, 3)
+        event_base = out_store._replay_blocks(in_store, blocks[:, 0], blocks[:, 1])
         if log is not None:
             log.resolve(
                 int(ctl[8]),
@@ -1125,7 +1165,7 @@ class NativeDAHStore:
         ]
         self._set_regions: List[Region] = []
         #: ``_set_regions[sid].base`` as a column (sized like the set
-        #: meta arrays), for :meth:`trace_traversals`.
+        #: meta arrays), for :meth:`traversals`.
         self._set_base = np.zeros(meta, dtype=np.int64)
 
     # -- arena plumbing ------------------------------------------------
@@ -1745,102 +1785,26 @@ class NativeDAHStore:
         _, path = self._rh_get_path(int(self._loff[c]), int(self._lcap[c]), u)
         self._trace_path(self._low_regions[c], LOW_SLOT_BYTES, path, recorder)
 
-    # -- trace_traversal of a vertex array -----------------------------
-    # Both tables probe linearly, so a probe path is
-    # ``(slot0 + arange(length)) & mask``: only its length has to be
-    # found by walking the table.
+    def traversals(self, vertices: np.ndarray):
+        """:meth:`trace_traversal` of every vertex, in C: ``(counts, addresses)``."""
+        tables = self._low_regions + self._high_regions
+        base = np.array([region.base for region in tables], dtype=np.int64)
+        end = np.array([region.end for region in tables], dtype=np.int64)
+        refused = np.zeros(2, dtype=np.int64)  # (table, slot) of an overrun
+        desc = self._descriptor()
+        p = self.kernels._p
 
-    @staticmethod
-    def _hash_array(keys: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """:meth:`_hash` of a key array (uint64 wraps like ``_HASH_WRAP``)."""
-        hashed = keys.astype(np.uint64) * np.uint64(_HASH_MULT)
-        return (hashed >> np.uint64(17)).astype(np.int64) & mask
+        def overrun(_position):
+            table, slot = refused.tolist()
+            slot_bytes = LOW_SLOT_BYTES if table < self.chunks else HIGH_SLOT_BYTES
+            _element_overrun(tables[table], slot, slot_bytes)
 
-    def _probe_lengths(self, table, off, slot0, mask, keys, robin_hood: bool):
-        """``(lengths, found)`` of every key's ``get`` probe path.
-
-        Step ``k`` inspects slot ``(slot0 + k) & mask`` of all keys
-        still probing; the stop rules are those of ``_rh_get_path``
-        (``robin_hood``) and ``_oa_get_path``.
-        """
-        lengths = np.zeros(len(keys), dtype=np.int64)
-        found = np.zeros(len(keys), dtype=bool)
-        active = np.arange(len(keys))
-        k = 0
-        while active.size:
-            key, m = keys[active], mask[active]
-            slot = (slot0[active] + k) & m
-            occ = table[off[active] + slot]
-            hit = occ == key
-            stop = hit | (occ == self.EMPTY)
-            if robin_hood:
-                stop |= ((slot - self._hash_array(occ, m)) & m) < k
-            else:
-                stop |= k == m  # every slot of the table probed
-            k += 1
-            lengths[active[stop]] = k
-            found[active[stop]] = hit[stop]
-            active = active[~stop]
-        return lengths, found
-
-    def trace_traversals(self, vertices: np.ndarray):
-        """:meth:`trace_traversal` of every vertex: ``(counts, addresses)``.
-
-        Per vertex the high-table probe path, then the whole slot array
-        of its neighbor set on a hit or the low-table probe path on a
-        miss.
-        """
-        chunk = vertices % self.chunks
-        hoff, hmask = self._hoff[chunk], self._hcap[chunk] - 1
-        hslot = self._hash_array(vertices, hmask)
-        hlen, high = self._probe_lengths(
-            self._hkeys, hoff, hslot, hmask, vertices, robin_hood=False
+        return _emit_traversals(
+            self.kernels.dah_traversals,
+            vertices,
+            (p(desc), p(base), p(end), p(self._set_base), p(refused)),
+            overrun,
         )
-        # The path's last slot holds the set id of a high-degree vertex.
-        sid = np.where(high, self._hval[hoff + ((hslot + hlen - 1) & hmask)], 0)
-        lmask = self._lcap[chunk] - 1
-        lslot = self._hash_array(vertices, lmask)
-        low = np.flatnonzero(~high)
-        tail = np.where(high, self._scap[sid], 0)
-        tail[low] = self._probe_lengths(
-            self._lkeys, self._loff[chunk[low]], lslot[low], lmask[low],
-            vertices[low], robin_hood=True,
-        )[0]
-        counts = hlen + tail
-        seg, within = ragged_arange(counts)
-        chunk = chunk[seg]
-        behind = within - hlen[seg]  # position in the tail, once >= 0
-        in_set = (behind >= 0) & high[seg]
-        in_low = (behind >= 0) & ~high[seg]
-        high_addresses = self._table_addresses(
-            self._high_regions, HIGH_SLOT_BYTES, chunk,
-            (hslot[seg] + within) & hmask[seg], behind < 0,
-        )
-        low_addresses = self._table_addresses(
-            self._low_regions, LOW_SLOT_BYTES, chunk,
-            (lslot[seg] + behind) & lmask[seg], in_low,
-        )
-        set_addresses = self._set_base[sid[seg]] + behind * NEIGHBOR_SLOT_BYTES
-        return counts, np.where(
-            in_set, set_addresses, np.where(in_low, low_addresses, high_addresses)
-        )
-
-    @staticmethod
-    def _table_addresses(regions, slot_bytes, chunk, slot, used):
-        """Slot addresses in per-chunk table regions, overruns checked.
-
-        ``used`` marks the positions that belong to this table; the rest
-        are computed and thrown away by the caller, so only ``used``
-        ones can overrun.
-        """
-        base = np.array([region.base for region in regions], dtype=np.int64)
-        end = np.array([region.end for region in regions], dtype=np.int64)
-        addresses = base[chunk] + slot * slot_bytes
-        over = used & (addresses + slot_bytes > end[chunk])
-        if over.any():
-            i = int(np.argmax(over))
-            regions[int(chunk[i])].element(int(slot[i]), slot_bytes)
-        return addresses
 
 
 #: Slot bytes of the table a DAH event (``code & 3``) allocates.

@@ -244,4 +244,6 @@ class Stinger(GraphDataStructure):
 
     def _trace_traversals(self, vertices, out: bool):
         store = self._out if out else self._in
-        return store.trace_traversals(vertices)
+        if store.kernels is None:
+            return super()._trace_traversals(vertices, out)
+        return store.traversals(vertices)

@@ -20,6 +20,9 @@ mechanics live here once:
 - source and object are built under pid-private temp names and moved
   into place with ``os.replace`` (atomic), so concurrent builders never
   compile a half-written source or load a half-written object;
+- the object's sha256 is moved into place beside it first, and an
+  object that does not match it (truncated or damaged after the
+  build) is rebuilt rather than handed to ``dlopen``;
 - ``-ffp-contract=off`` forbids fused multiply-adds, keeping every IEEE
   float64 intermediate bit-identical to the Python/numpy twin.
 
@@ -119,11 +122,13 @@ def load_library(
     """
     digest = source_digest(source, tuple(extra_flags))
     so_path = os.path.join(cache_dir(), f"{stem}_{digest}.so")
-    if not os.path.exists(so_path):
+    sum_path = so_path + ".sha256"
+    if not _is_intact(so_path, sum_path):
         # The source is kept beside the object for whoever debugs it.
         c_path = so_path[:-3] + ".c"
         tmp_c = f"{so_path[:-3]}.tmp{os.getpid()}.c"
         tmp_so = f"{so_path}.tmp{os.getpid()}"
+        tmp_sum = f"{sum_path}.tmp{os.getpid()}"
         try:
             with open(tmp_c, "w") as handle:
                 handle.write(source)
@@ -134,13 +139,37 @@ def load_library(
                 check=True,
                 capture_output=True,
             )
+            with open(tmp_sum, "w") as handle:
+                handle.write(_file_digest(tmp_so))
             os.replace(tmp_c, c_path)
+            # The checksum first: an object never stands without its own.
+            os.replace(tmp_sum, sum_path)
             os.replace(tmp_so, so_path)
         finally:
-            for leftover in (tmp_c, tmp_so):
+            for leftover in (tmp_c, tmp_so, tmp_sum):
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(leftover)
     return ctypes.CDLL(so_path)
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _is_intact(so_path: str, sum_path: str) -> bool:
+    """Whether the cached object is the one its builder wrote.
+
+    ``dlopen`` maps an object without reading it through, so one cut
+    short (a full disk, a killed copy) kills the process with SIGBUS on
+    first touch, not with an error; it is checked against the checksum
+    written beside it, and rebuilt when either is missing or they differ.
+    """
+    try:
+        with open(sum_path) as handle:
+            return handle.read() == _file_digest(so_path)
+    except FileNotFoundError:
+        return False
 
 
 #: Spellings of "not set" and of "every member" a switch accepts.

@@ -29,12 +29,19 @@ only once the event log is replayed); the store resolves the log with
 one gather after the replay.  The log is one more stall-and-grow
 resource.  See the comment at the head of the C source.
 
+The library also emits the compute phase's structure reads: per family
+one *traversal emitter* walks the same arrays -- vector spans, block
+lists, DAH's probe paths by the ingest kernels' own ``oa_get`` /
+``rh_get`` -- for a whole vertex array, and fills the ``(counts,
+addresses)`` of ``trace_in_traversal`` / ``trace_out_traversal``.
+
 Environment gates (mirroring :mod:`repro.compute.ckernels`):
 
 - ``SAGA_BENCH_NO_CINGEST=1`` (or ``all``) disables every structure;
   a comma list (``SAGA_BENCH_NO_CINGEST=DAH,Stinger``) disables only
   those structures.  A disabled structure builds the same stores and
-  never calls the kernel: every batch runs the per-edge methods.
+  never calls the library: every batch runs the per-edge methods, and
+  every traversal the per-vertex ``_trace_traversal``.
 - ``SAGA_BENCH_REQUIRE_CINGEST=1`` turns a failed build into a hard
   error instead of a silent fallback.
 """
@@ -179,6 +186,28 @@ static void log_event(int64_t *events, int64_t *ec, int64_t code,
     events[3 * *ec + 2] = b;
     if (lg->task && holder >= 0) lg->rid[holder] = lg->ev0 + *ec;
     (*ec)++;
+}
+
+/* ------------------------------------------------------------------ *
+ * Traversal emitters (one per family, at the end of its section).
+ *
+ * GraphDataStructure.trace_in_traversal / trace_out_traversal of a
+ * whole vertex array: per vertex, the reads the store's per-vertex
+ * trace_traversal emits, their number into counts[] and the addresses
+ * back to back into addresses[].  A first call with addresses NULL
+ * fills counts[] only, so the caller sizes addresses[] exactly for the
+ * second.  Addresses are region bases plus byte offsets -- the integer
+ * arithmetic of Region.element -- and an access Region.element would
+ * refuse stops the emitter, which returns the position of its vertex
+ * (-1: none) for the caller to raise from.
+ * ------------------------------------------------------------------ */
+
+/* count addresses first, first + stride, ... at out[w] (out NULL: none) */
+static void emit_run(int64_t *out, int64_t w, int64_t first, int64_t count,
+                     int64_t stride)
+{
+    if (!out) return;
+    for (int64_t k = 0; k < count; k++) out[w + k] = first + k * stride;
 }
 
 /* Leave through a stall: resume cursor, stalled store, and the log
@@ -379,6 +408,25 @@ int64_t saga_vec_ingest(
     ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
     ctl[8] = lg.n;
     return lg.overrun ? RC_LOG_OVERRUN : RC_OK;
+}
+
+/* Traversal emitter: per vertex its header, then its len entries from
+ * its region's base.  A vertex outside [0, limit) has no header. */
+int64_t saga_vec_traversals(
+    int64_t n, const int64_t *vertices, int64_t limit, int64_t header_base,
+    const int64_t *len, const int64_t *region_base,
+    int64_t *counts, int64_t *addresses)
+{
+    int64_t w = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t u = vertices[i];
+        if (u < 0 || u >= limit) return i;
+        emit_run(addresses, w, header_base + u * VEC_HEADER_BYTES, 1, 0);
+        emit_run(addresses, w + 1, region_base[u], len[u], VEC_ENTRY_BYTES);
+        counts[i] = 1 + len[u];
+        w += counts[i];
+    }
+    return -1;
 }
 
 /* ------------------------------------------------------------------ *
@@ -635,6 +683,33 @@ int64_t saga_stinger_ingest(
     ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
     ctl[8] = lg.n;
     return lg.overrun ? RC_LOG_OVERRUN : RC_OK;
+}
+
+/* Traversal emitter: per vertex its vertex-array entry, then per block
+ * of its list the header (at the block's base) and the block's
+ * entries.  A vertex outside [0, limit) has no vertex-array entry. */
+int64_t saga_stinger_traversals(
+    int64_t n, const int64_t *vertices, int64_t limit, int64_t vertex_base,
+    const int64_t *boff, const int64_t *bcnt, const int64_t *bids,
+    const int64_t *blen, const int64_t *block_base,
+    int64_t *counts, int64_t *addresses)
+{
+    int64_t w = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t u = vertices[i];
+        int64_t first = w;
+        if (u < 0 || u >= limit) return i;
+        emit_run(addresses, w++, vertex_base + u * ST_VERTEX_BYTES, 1, 0);
+        for (int64_t k = 0; k < bcnt[u]; k++) {
+            int64_t bid = bids[boff[u] + k];
+            emit_run(addresses, w, block_base[bid], 1, 0);
+            emit_run(addresses, w + 1, block_base[bid] + ST_HEADER_BYTES,
+                     blen[bid], ST_ENTRY_BYTES);
+            w += 1 + blen[bid];
+        }
+        counts[i] = w - first;
+    }
+    return -1;
 }
 
 /* ------------------------------------------------------------------ *
@@ -1313,6 +1388,73 @@ int64_t saga_dah_ingest(
     ctl[8] = lg->n;
     return lg->overrun ? RC_LOG_OVERRUN : RC_OK;
 }
+
+/* The probe path of a get that inspected `probes` slots from slot0, as
+ * slot addresses in the table region [base, end); 0 when a slot lies
+ * past the region's end (that slot in *bad_slot). */
+static int emit_path(int64_t *out, int64_t w, int64_t base, int64_t end,
+                     int64_t slot0, int64_t mask, int64_t probes,
+                     int64_t slot_bytes, int64_t *bad_slot)
+{
+    for (int64_t k = 0; k < probes; k++) {
+        int64_t slot = (slot0 + k) & mask;
+        if (base + (slot + 1) * slot_bytes > end) {
+            *bad_slot = slot;
+            return 0;
+        }
+        if (out) out[w + k] = base + slot * slot_bytes;
+    }
+    return 1;
+}
+
+/* Traversal emitter: per vertex the high-table get's probe path, then
+ * on a hit every slot of the vertex's neighbor set, on a miss the
+ * low-table get's probe path -- the paths of oa_get and rh_get above.
+ * table_base / table_end hold the region of every chunk's low table,
+ * then of every high table (holders h0 + t as in the access log), and
+ * set_base the base of every neighbor set.  A path leaving its table's
+ * region stops the emitter with bad[0] = that table, bad[1] = the slot. */
+int64_t saga_dah_traversals(
+    int64_t n, const int64_t *vertices, const int64_t *desc,
+    const int64_t *table_base, const int64_t *table_end,
+    const int64_t *set_base, int64_t *bad,
+    int64_t *counts, int64_t *addresses)
+{
+    DahStore s;
+    dah_unpack(desc, &s);
+    int64_t w = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t u = vertices[i], first = w, probes;
+        int64_t c = u % s.chunks;
+        if (c < 0) c += s.chunks;  /* Python's modulo */
+        int64_t high = s.chunks + c;
+        int64_t hslot = oa_get(s.hkeys + s.hoff[c], s.hcap[c], u, &probes);
+        if (!emit_path(addresses, w, table_base[high], table_end[high],
+                       dah_hash(u, s.hcap[c] - 1), s.hcap[c] - 1, probes,
+                       DAH_HIGH_SLOT_BYTES, &bad[1])) {
+            bad[0] = high;
+            return i;
+        }
+        w += probes;
+        if (hslot >= 0) {
+            int64_t sid = s.hval[s.hoff[c] + hslot];
+            emit_run(addresses, w, set_base[sid], s.scap[sid],
+                     DAH_SET_SLOT_BYTES);
+            w += s.scap[sid];
+        } else {
+            rh_get(s.lkeys + s.loff[c], s.lcap[c], u, &probes);
+            if (!emit_path(addresses, w, table_base[c], table_end[c],
+                           dah_hash(u, s.lcap[c] - 1), s.lcap[c] - 1, probes,
+                           DAH_LOW_SLOT_BYTES, &bad[1])) {
+                bad[0] = c;
+                return i;
+            }
+            w += probes;
+        }
+        counts[i] = w - first;
+    }
+    return -1;
+}
 """
 
 
@@ -1362,6 +1504,18 @@ class IngestKernels:
             + [ctypes.c_longlong] * 2
             + [ctypes.c_void_p] * 13  # descriptors, outputs, events, ctl, access log
         )
+        # The traversal emitters: (n, vertices, <store>, counts, addresses).
+        emitters = {
+            "saga_vec_traversals": [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 2,
+            "saga_stinger_traversals": [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 5,
+            "saga_dah_traversals": [ctypes.c_void_p] * 5,
+        }
+        for name, store_args in emitters.items():
+            entry = getattr(lib, name)
+            entry.restype = ctypes.c_longlong
+            entry.argtypes = (
+                [ctypes.c_longlong, ctypes.c_void_p] + store_args + [ctypes.c_void_p] * 2
+            )
 
     @staticmethod
     def _p(array: np.ndarray) -> int:
@@ -1375,6 +1529,15 @@ class IngestKernels:
 
     def dah_ingest(self, *args) -> int:
         return int(self._lib.saga_dah_ingest(*args))
+
+    def vec_traversals(self, *args) -> int:
+        return int(self._lib.saga_vec_traversals(*args))
+
+    def stinger_traversals(self, *args) -> int:
+        return int(self._lib.saga_stinger_traversals(*args))
+
+    def dah_traversals(self, *args) -> int:
+        return int(self._lib.saga_dah_traversals(*args))
 
 
 _LIBRARY = NativeLibrary(

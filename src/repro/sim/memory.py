@@ -95,28 +95,31 @@ class AddressSpace:
         Event ``i`` allocates ``sizes[i]`` bytes under
         ``labels[label_index[i]]`` and then frees ``freed[i]`` bytes of
         the same label (0 for none) -- the grow-and-discard step of a
-        doubling vector.  Every base is line-aligned, so the layout is
-        an exclusive cumsum of the aligned sizes, and every counter ends
-        where the equivalent :meth:`alloc` / :meth:`free` sequence
-        leaves it.  A rejected log (non-positive size, live bytes going
-        negative at any event) changes nothing.
+        doubling vector; an event of size 0 only frees (a released
+        block), and its base is unused.  Every base is line-aligned, so
+        the layout is an exclusive cumsum of the aligned sizes, and
+        every counter ends where the equivalent :meth:`alloc` /
+        :meth:`free` sequence leaves it.  A rejected log (a negative
+        size, an event that neither allocates nor frees, live bytes
+        going negative at any event) changes nothing.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.size == 0:
             return np.empty(0, dtype=np.int64)
-        bad = sizes <= 0
+        freed = np.asarray(freed, dtype=np.int64)
+        bad = (sizes < 0) | ((sizes == 0) & (freed == 0))
         if bad.any():
             raise SimulationError(
                 "allocation size must be positive, "
                 f"got {int(sizes[np.argmax(bad)])}"
             )
-        net = sizes - np.asarray(freed, dtype=np.int64)
+        net = sizes - freed
         if self._live_bytes + int(np.cumsum(net).min()) < 0:
             raise SimulationError("double free detected in AddressSpace")
         aligned = (sizes + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES * CACHE_LINE_BYTES
         ends = self._next + np.cumsum(aligned)
         self._next = int(ends[-1])
-        self._region_count += sizes.size
+        self._region_count += int(np.count_nonzero(sizes))
         self._live_bytes += int(net.sum())
         self._allocated_bytes += int(sizes.sum())
         live = self._live_by_label

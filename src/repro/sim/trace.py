@@ -74,8 +74,8 @@ def ragged_arange(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     Segment ``i`` has ``counts[i]`` elements; element ``j`` of the flat
     layout belongs to segment ``seg[j]`` at position ``within[j]``.  The
-    array trace emitters build whole frontiers of per-vertex address
-    runs from this instead of looping over vertices.
+    Fig. 9/10 compute trace lays out a run's tasks with this, and the
+    numpy interleave places every task's sections with it.
     """
     seg = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts

@@ -39,6 +39,7 @@ from tests.conftest import (
     random_batch,
     ubsan_probe,
 )
+from tests import test_trace_emitters
 from tests.oracle_stores import (
     IMPLEMENTATIONS,
     KERNEL,
@@ -166,6 +167,18 @@ def test_native_matches_plain(name, directed):
     if cingest.get(name) is None:
         pytest.skip("compiled ingest kernels unavailable")
     _assert_native_matches_plain(name, directed)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_native_matches_plain_after_a_star(name):
+    """Vertex 0 points at 40 others first, on 100 vertices: the out and
+    in stores end with different live bytes (on 48 vertices, as above,
+    Stinger's happen to be equal), so an allocation replayed under the
+    other store's label shows in the counters."""
+    if cingest.get(name) is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    star = EdgeBatch.from_edges([(0, v) for v in range(1, 41)])
+    _assert_native_matches_plain(name, True, 100, extra=[star])
 
 
 @pytest.mark.parametrize("pool", [1, 2, 3])
@@ -710,6 +723,8 @@ import os, sys
 import numpy as np
 import pytest
 import tests.test_cingest
+import tests.test_hardware_profile_units
+import tests.test_trace_emitters
 from repro.graph import EdgeBatch, make_structure, nativestore
 from repro.sim import cbuild
 os.environ.pop("LD_PRELOAD")  # this process has it; cc need not
@@ -717,6 +732,12 @@ cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
 print("streams exit", pytest.main([
     "-q", "-p", "no:cacheprovider", "-rs",
     tests.test_cingest.__file__ + "::test_traced_streams",
+]), flush=True)
+print("emitters exit", pytest.main([
+    "-q", "-p", "no:cacheprovider", "-rs",
+    tests.test_trace_emitters.__file__ + "::TestArrayEmittersMatchPerVertex::test_hub_resizes_and_tombstones",
+    tests.test_trace_emitters.__file__ + "::TestOverrunsStillRaise",
+    tests.test_hardware_profile_units.__file__ + "::TestInterleave",
 ]), flush=True)
 zeros = np.zeros
 nativestore.np.zeros = lambda n, dtype=float: zeros(n // 2 if n == 800 else n, dtype=dtype)
@@ -729,8 +750,10 @@ structure.update(EdgeBatch.from_edges([(u, u + 1) for u in range(400)]))
 class TestIngestLibraryUnderUBSan:
     """The tests above that drive the kernels hardest -- the differential
     scenario, every arena and the access log at their minimum, the traced
-    streams -- run again through a ``-fsanitize=undefined`` build, and
-    the last once more in a child under AddressSanitizer."""
+    streams -- and the traversal emitters' verifier of
+    ``tests/test_trace_emitters.py`` run again through a
+    ``-fsanitize=undefined`` build, and the streams and the emitters once
+    more in a child under AddressSanitizer."""
 
     library_loaded = staticmethod(cingest.loaded)
 
@@ -766,12 +789,38 @@ class TestIngestLibraryUnderUBSan:
     def test_traced_streams(self, name, directed):
         test_traced_streams(name, directed)
 
+    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_traversal_emitters(self, name, directed):
+        """The C traversal emitters against the per-vertex reference: hub
+        resizes and tombstones, then a churned random stream."""
+        emitters = test_trace_emitters.TestArrayEmittersMatchPerVertex()
+        emitters.test_hub_resizes_and_tombstones(name, directed, plain=True)
+        structures = test_trace_emitters._make(name, directed, plain=True)
+        for seed in range(3):
+            batch = random_batch(test_trace_emitters.N - 1, 150, seed=seed)
+            edges = list(zip(batch.src.tolist(), batch.dst.tolist()))
+            test_trace_emitters._apply(structures, [(False, edges), (True, edges[::4])])
+            test_trace_emitters._assert_matches_reference(
+                structures, np.arange(test_trace_emitters.N)
+            )
+
+    def test_traversal_emitters_refuse_overruns(self):
+        overruns = test_trace_emitters.TestOverrunsStillRaise()
+        for name in ("AS", "AC", "BA", "Stinger"):
+            overruns.test_vertex_beyond_max_nodes(name)
+        for table in ("_low_regions", "_high_regions"):
+            overruns.test_region_shorter_than_its_table(table)
+
     def test_traced_streams_under_address_sanitizer(self, tmp_path):
-        """ASan sees what UBSan cannot: a log, event or arena write one
-        cell past its column.  The streams give it nothing; an undersized
-        output column, right after them in the same child, is reported."""
+        """ASan sees what UBSan cannot: a log, event, arena or emitter
+        write one cell past its column.  The streams, the traversal
+        emitters and the compute-trace interleave give it nothing; an
+        undersized output column, right after them in the same child, is
+        reported."""
         child = asan_probe(_ASAN_CHILD, tmp_path)
         assert "streams exit 0" in child.stdout, child.stdout + child.stderr
+        assert "emitters exit 0" in child.stdout, child.stdout + child.stderr
         assert "SKIPPED" not in child.stdout
         assert child.returncode != 0
         assert "heap-buffer-overflow" in child.stderr

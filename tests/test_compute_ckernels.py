@@ -37,7 +37,7 @@ from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import METRICS
 from repro.sim import cbuild, cingest, ckernel
-from tests import test_compute_pricing
+from tests import test_compute_pricing, test_hardware_profile_units
 from tests.conftest import ccompute_env, ubsan_probe
 from tests.oracles import fs_oracle, jacobi_fixpoint, observed as _snapshot_run
 from tests.test_compute_kernels import _hub, _stream
@@ -952,11 +952,17 @@ lib.saga_inc_run(
 
 @needs_ckernels
 @pytest.mark.usefixtures("ubsan_libraries")
-class TestComputeLibraryUnderUBSan(TestRunLog, test_compute_pricing.TestExactness):
-    """The run-log verifier above (INC and FS, every stall point) and the
+class TestComputeLibraryUnderUBSan(
+    TestRunLog,
+    test_compute_pricing.TestExactness,
+    test_hardware_profile_units.TestInterleave,
+):
+    """The run-log verifier above (INC and FS, every stall point), the
     pricing verifier of ``tests/test_compute_pricing.py`` (``saga_price_run``
     against the per-iteration pricer, ``saga_pairwise_sum`` against
-    ``ndarray.sum()``), both inherited, run through the sanitized build."""
+    ``ndarray.sum()``) and the ``saga_interleave`` verifier of
+    ``tests/test_hardware_profile_units.py``, all inherited, run through
+    the sanitized build."""
 
     library_loaded = staticmethod(ckernels.loaded)
 

@@ -5,21 +5,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.hardware_profile import (
     GroupProfile,
     HardwareProfiler,
     PhaseSample,
+    _Section,
     _average_counters,
     _compute_trace,
+    _interleave,
 )
 from repro.algorithms.registry import get_algorithm
+from repro.compute import ckernels
 from repro.compute.kernels import ComputeView
 from repro.compute.stats import ComputeRun
 from repro.datasets.catalog import load_dataset
 from repro.errors import SimulationError
 from repro.graph import ExecutionContext, ReferenceGraph, make_structure
 from repro.graph.properties import VertexProperties
+from repro.obs import METRICS
 from repro.sim import ckernel
 from repro.sim.counters import PhaseCounters
 from repro.sim.machine import MachineConfig
@@ -416,6 +421,92 @@ class TestComputeTraceMatchesPerVertexLoop:
         )
         assert len(trace) == 0
         assert task_thread.tolist() == [0]
+
+
+#: Per example: 0-5 tasks, 1-5 sections of (counts per task, write bit).
+_sections = st.integers(0, 5).flatmap(
+    lambda tasks: st.lists(
+        st.tuples(st.lists(st.integers(0, 4), min_size=tasks, max_size=tasks), st.booleans()),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+class TestInterleave:
+    """``saga_interleave`` against ``_interleave``'s numpy body."""
+
+    # ``TestComputeLibraryUnderUBSan`` runs this a second time;
+    # derandomized, so there is no example database for the two to confuse.
+    @settings(
+        max_examples=80,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
+    @given(layout=_sections)
+    def test_matches_the_numpy_reference(self, layout):
+        """Zero-count tasks, empty sections, one task and zero tasks come
+        up; every address is distinct, so a misplaced one shows.  Kills:
+        sections taken in another order, a section's write bit on
+        another section's accesses."""
+        kernels = ckernels.get("interleave")
+        if kernels is None:
+            pytest.skip("compiled compute kernels unavailable")
+        sections = [
+            _Section(
+                np.asarray(counts, dtype=np.int64),
+                1000 * s + np.arange(sum(counts), dtype=np.int64),
+                write,
+            )
+            for s, (counts, write) in enumerate(layout)
+        ]
+        with mock.patch.object(ckernels, "get", return_value=None):
+            want = _interleave(sections)
+        got = _interleave(sections)
+        for column in ("task_ids", "addresses", "is_write"):
+            assert getattr(got, column).dtype == getattr(want, column).dtype
+            assert getattr(got, column).tolist() == getattr(want, column).tolist()
+
+    def test_counts_that_do_not_cover_the_addresses_are_refused(self):
+        kernels = ckernels.get("interleave")
+        if kernels is None:
+            pytest.skip("compiled compute kernels unavailable")
+        one = np.ones(3, dtype=np.int64)
+        for bad in (
+            [(one, np.arange(3), False), (one[:2], np.arange(2), True)],
+            [(one, np.arange(4), False)],
+            [(np.array([2, -1, 2]), np.arange(3), False)],
+        ):
+            with pytest.raises(ValueError, match="every section"):
+                kernels.interleave(bad)
+
+
+def test_one_interleave_crossing_per_compute_trace():
+    """A cell crosses into ``saga_interleave`` once per compute trace it
+    emits: one per algorithm per batch, 15 on the 5-batch Talk cell."""
+    if ckernels.get("interleave") is None:
+        pytest.skip("compiled compute kernels unavailable")
+    profiler = HardwareProfiler(
+        machine=SMALL_MACHINE,
+        core_counts=(2, 4),
+        algorithms=("BFS", "CC", "PR"),
+        batch_size=1250,
+        trace_cap=20_000,
+    )
+    METRICS.reset()
+    METRICS.enable()
+    try:
+        cell = profiler.profile_cell("Talk", "DAH", 0.125)
+        crossings = METRICS.counter(
+            "compute_kernel_calls_total",
+            "native compute-kernel calls (ctypes crossings)",
+            kernel="interleave",
+        ).value
+    finally:
+        METRICS.disable()
+        METRICS.reset()
+    assert crossings == 3 * cell.batches == 15
 
 
 @pytest.mark.parametrize("trace_cap", [0, -1])

@@ -3,6 +3,7 @@
 import os
 import stat
 import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -50,7 +51,7 @@ def test_compiler_reads_a_private_source(tmp_path, monkeypatch):
     (source,) = [arg for arg in argv if arg.endswith(".c")]
     assert source != str(shared) and f"tmp{os.getpid()}" in source
     assert shared.read_text() == SOURCE
-    built = {shared.name, shared.with_suffix(".so").name}
+    built = {shared.name, shared.with_suffix(".so").name, shared.with_suffix(".so.sha256").name}
     assert {path.name for path in tmp_path.iterdir()} == built
     # A failed build leaves nothing behind, and the cached one is reused.
     with pytest.raises(subprocess.CalledProcessError):
@@ -58,3 +59,39 @@ def test_compiler_reads_a_private_source(tmp_path, monkeypatch):
     assert cbuild.load_library(SOURCE, "saga_probe").saga_answer() == 42
     assert {path.name for path in tmp_path.iterdir()} == built
     assert len(compiles) == 2
+
+
+#: In a child: load one library from the build cache it is pointed at.
+_LOAD = """
+import sys
+from repro.compute import ckernels
+from repro.sim import cingest
+assert {"ingest": cingest, "compute": ckernels}[sys.argv[1]].loaded()
+"""
+
+
+@pytest.mark.parametrize("library, stem", [("ingest", "saga_ingest"), ("compute", "saga_compute")])
+def test_truncated_cached_object_is_rebuilt(library, stem, tmp_path):
+    """A cached object cut short (a full disk, a killed copy) is mapped by
+    ``dlopen`` without being read through, and the first touch of the
+    missing pages kills the process with SIGBUS -- every process after,
+    since the object stays cached.  The loader checks the object against
+    the checksum written beside it and rebuilds it instead."""
+    if cbuild.compiler_identity() == "cc-unavailable":
+        pytest.skip("no C compiler")
+    env = {key: value for key, value in os.environ.items() if not key.startswith("SAGA_BENCH_")}
+    env.update(PYTHONPATH=os.pathsep.join(sys.path), **{cbuild.CACHE_DIR_ENV: str(tmp_path)})
+
+    def load():
+        return subprocess.run(
+            [sys.executable, "-c", _LOAD, library], env=env, capture_output=True, text=True
+        )
+
+    assert load().returncode == 0
+    (built,) = tmp_path.glob(f"{stem}_*.so")
+    size = built.stat().st_size
+    for keep in (1000, 8000):
+        os.truncate(built, keep)
+        child = load()
+        assert child.returncode == 0, (keep, child.returncode, child.stderr)
+        assert built.stat().st_size == size

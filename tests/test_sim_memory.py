@@ -109,10 +109,12 @@ def _counters(space: AddressSpace):
 
 
 def _replay_one_by_one(space: AddressSpace, log):
-    """The reference: one ``alloc`` (and maybe one ``free``) per event."""
+    """The reference: one ``alloc`` (none for a free-only event of size
+    0) and maybe one ``free`` per event; the bases allocated."""
     bases = []
     for size, label, freed in log:
-        bases.append(space.alloc(size, LABELS[label]).base)
+        if size:
+            bases.append(space.alloc(size, LABELS[label]).base)
         if freed:
             space.free(Region(0, freed, LABELS[label]))
     return bases
@@ -123,12 +125,19 @@ def _replay_as_arrays(space: AddressSpace, log):
     return space.alloc_log(size, freed, label, LABELS)
 
 
+_label = st.integers(min_value=0, max_value=1)
+
+
 @given(
     log=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=5000),
-            st.integers(min_value=0, max_value=1),
-            st.one_of(st.just(0), st.integers(min_value=0, max_value=6000)),
+        st.one_of(
+            st.tuples(
+                st.integers(min_value=1, max_value=5000),
+                _label,
+                st.one_of(st.just(0), st.integers(min_value=0, max_value=6000)),
+            ),
+            # A free-only event (a released Stinger block).
+            st.tuples(st.just(0), _label, st.integers(min_value=1, max_value=3000)),
         ),
         max_size=60,
     )
@@ -146,7 +155,7 @@ def test_alloc_log_matches_alloc_free_loop(log):
         return
     bases = _replay_as_arrays(bulk_space, log)
     assert bases.dtype == np.int64
-    assert bases.tolist() == expected
+    assert [base for base, (size, _, _) in zip(bases.tolist(), log) if size] == expected
     assert _counters(bulk_space) == _counters(loop_space)
 
 
@@ -164,6 +173,13 @@ class TestAllocLogEdges:
         with pytest.raises(SimulationError, match=f"must be positive, got {size}"):
             _replay_as_arrays(space, [(64, 0, 0), (size, 1, 0), (64, 0, 0)])
         assert _counters(space) == before
+
+    def test_free_only_event_frees_without_allocating(self):
+        space = _used_space()
+        region_count, next_base = space.region_count, space._next
+        _replay_as_arrays(space, [(64, 0, 0), (0, 0, 64)])
+        assert (space.region_count, space.live_bytes_for(LABELS[0])) == (region_count + 1, 0)
+        assert space._next == next_base + 64
 
     def test_double_free_in_the_middle_of_the_log(self):
         """Live bytes dip below zero mid-log and recover by the end."""

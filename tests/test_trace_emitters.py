@@ -3,15 +3,16 @@
 ``trace_in_traversal`` / ``trace_out_traversal`` take a vertex array and
 return ``(counts, addresses)``.  The reference is the per-vertex
 ``_trace_traversal(u, recorder, out)`` every structure defines: the
-array result must be that method's accesses, vertex after vertex.  All
-five structures have array implementations in their stores (the vector
-family shares one; Stinger's is the ragged block form: vertex entry,
-then header + entries per block), so the base-class loop over
-``_trace_traversal`` is the reference here and the production path of
-none.  The reference is taken twice: from the structure under test, and
-(``plain``) from a second structure over the list/dict oracle stores of
-``tests/oracle_stores.py`` fed the same stream -- which also holds the
-kernel-ingested layout to the oracle's.
+array result must be that method's accesses, vertex after vertex.  Every
+store with a compiled kernel emits the array in C, one traversal
+emitter per family in :mod:`repro.sim.cingest` (the vector family's:
+header, then the entry span; Stinger's: vertex entry, then header +
+entries per block; DAH's: the high-table probe path, then the neighbor
+set or the low-table path), and a store without one runs the base-class
+loop over ``_trace_traversal``.  The reference is taken twice: from the
+structure under test, and (``plain``) from a second structure over the
+list/dict oracle stores of ``tests/oracle_stores.py`` fed the same
+stream -- which also holds the kernel-ingested layout to the oracle's.
 """
 
 
@@ -22,9 +23,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
 from repro.graph.base import GraphDataStructure
+from repro.sim import cingest
 from repro.sim.memory import Region
 from repro.sim.trace import TraceRecorder
-from tests.conftest import SMALL_MACHINE
+from tests.conftest import SMALL_MACHINE, cingest_env
 from tests.oracle_stores import oracle_structure
 
 ALL = sorted(STRUCTURES)
@@ -76,10 +78,26 @@ def _make(name, directed, plain, max_nodes=N, chunks=2):
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_every_structure_emits_arrays(name):
-    """No registered structure is left on the per-vertex loop."""
+def test_every_structure_emits_arrays(name, monkeypatch):
+    """No registered structure with a compiled kernel runs the
+    per-vertex loop; one without runs it."""
     emitter = STRUCTURES[name]._trace_traversals
     assert emitter is not GraphDataStructure._trace_traversals
+    loops = []
+    reference = GraphDataStructure._trace_traversals
+
+    def loop(structure, vertices, out):
+        loops.append(name)
+        return reference(structure, vertices, out)
+
+    monkeypatch.setattr(GraphDataStructure, "_trace_traversals", loop)
+    (structure,) = _make(name, True, plain=False)
+    structure.trace_out_traversal(np.arange(N))
+    assert loops == ([] if cingest.get(name) is not None else [name])
+    with cingest_env("all"):
+        (structure,) = _make(name, True, plain=False)
+    structure.trace_in_traversal(np.arange(N))
+    assert loops[-1:] == [name]
 
 
 _edges = st.lists(
@@ -160,6 +178,17 @@ class TestOverrunsStillRaise:
             _reference(structure, vertices, True)
         with pytest.raises(SimulationError, match="overruns region"):
             structure.trace_out_traversal(vertices)
+
+
+@pytest.mark.parametrize("name", ["AS", "BA", "Stinger"])
+def test_c_emitter_refuses_a_negative_vertex(name):
+    """A negative id has no header below the array (the per-vertex
+    reference would read the numpy array from its end)."""
+    (structure,) = _make(name, True, plain=False)
+    if structure._out.kernels is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    with pytest.raises(SimulationError, match="element -1 .* lies before region"):
+        structure.trace_out_traversal(np.array([0, -1]))
 
 
 def test_per_vertex_only_structure_gets_array_entry_points():
