@@ -6,10 +6,11 @@ This package reproduces the whole system from scratch:
 
 - :mod:`repro.graph` -- the four streaming-graph data structures
   (shared adjacency list, chunked adjacency list, Stinger, degree-aware
-  hashing) behind one API, plus CSR snapshots and property arrays.
+  hashing) behind one API, plus property arrays and a reference model.
 - :mod:`repro.compute` -- the two compute models: recomputation from
   scratch (FS) and incremental computation (INC, Algorithm 1 of the
-  paper: processing amortization + selective triggering).
+  paper: processing amortization + selective triggering), over the CSR
+  views the compute phase reads.
 - :mod:`repro.algorithms` -- BFS, CC, MC, PR, SSSP, SSWP, each in both
   compute models.
 - :mod:`repro.datasets` -- RMAT and calibrated power-law generators

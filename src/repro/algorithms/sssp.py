@@ -46,12 +46,7 @@ def _bucket_index(lengths: np.ndarray, delta: float) -> np.ndarray:
 class SSSP(Algorithm):
     """Shortest paths; value is the path length.
 
-    The FS baseline is delta-stepping (parallel, as in GAP).  A serial
-    binary-heap Dijkstra is available via ``SSSP(use_dijkstra=True)``
-    as the classic single-threaded comparator: it performs the fewest
-    edge relaxations but exposes no parallelism (each settled vertex is
-    its own "iteration"), so its simulated latency shows why parallel
-    streaming systems do not use it.
+    The FS baseline is delta-stepping (parallel, as in GAP).
     """
 
     name = "SSSP"
@@ -66,13 +61,12 @@ class SSSP(Algorithm):
     def supports_batch(self, source_values, weights, target_values):
         return target_values == source_values + weights
 
-    def __init__(self, delta: Optional[float] = None, use_dijkstra: bool = False) -> None:
+    def __init__(self, delta: Optional[float] = None) -> None:
         if delta is not None and not 0 < delta < np.inf:
             raise ConfigError(
                 f"SSSP delta must be a positive finite bucket width, got {delta!r}"
             )
         self.delta = delta
-        self.use_dijkstra = use_dijkstra
 
     def init_value(self, ids: np.ndarray) -> np.ndarray:
         return np.full(len(ids), np.inf)
@@ -110,14 +104,12 @@ class SSSP(Algorithm):
         source = self.checked_source(source, view)
         cv = kernels.resolve_view(view, compute_view)
         # One NaN poisons the delta pick and a negative cycle never
-        # settles: neither loop below can be trusted to return.
+        # settles: neither bucket loop can be trusted to return.
         if not (kernels.packed_out_weights(cv) >= 0).all():
             raise SimulationError(
                 "SSSP: the view's out-edge weights column holds a negative or "
                 "NaN weight; shortest paths need weights >= 0"
             )
-        if self.use_dijkstra:
-            return self._fs_dijkstra(view, source)
         return self._fs_delta_kernel(cv, source)
 
     def _fs_delta_kernel(self, cv, source: int) -> ComputeRun:
@@ -207,33 +199,3 @@ class SSSP(Algorithm):
             ev_t, js = pass_events(np.concatenate(settled_parts), heavy=True)
             for j in np.unique(js):
                 buckets.setdefault(int(j), []).append(ev_t[js == j])
-
-    def _fs_dijkstra(self, view, source: int) -> ComputeRun:
-        """Serial binary-heap Dijkstra (the textbook comparator)."""
-        import heapq
-
-        n = max(view.num_nodes, 1)
-        values = np.full(n, np.inf)
-        run = ComputeRun(algorithm=self.name, model="FS", values=values, source=source)
-        run.linear_scans = 1
-        if source >= view.num_nodes:
-            return run
-        values[source] = 0.0
-        heap = [(0.0, source)]
-        settled = np.zeros(n, dtype=bool)
-        while heap:
-            distance, v = heapq.heappop(heap)
-            if settled[v]:
-                continue
-            settled[v] = True
-            pushes = 0
-            for w, weight in view.out_neigh(v):
-                candidate = distance + weight
-                if candidate < values[w]:
-                    values[w] = candidate
-                    heapq.heappush(heap, (candidate, w))
-                    pushes += 1
-            # One settled vertex per round: Dijkstra is inherently
-            # serial, which the pricer renders as a serial makespan.
-            run.add_round(push=[v], pushes=pushes, cas_ops=pushes)
-        return run

@@ -46,17 +46,19 @@ Gates:
 
 - ``SAGA_BENCH_NO_CCOMPUTE=1`` (or ``all``) disables every compiled
   compute kernel; a comma list (``inc_round,expand``) disables
-  individual kernels, leaving the rest compiled.  ``inc_round`` names
-  ``saga_inc_run`` and the closure, ``relax_round`` ``saga_relax_run``,
-  ``jacobi_round`` ``saga_jacobi_run``, ``delta_pass``
-  ``saga_delta_run``, ``price_run`` ``saga_price_run`` and
-  ``interleave`` ``saga_interleave``; without them the numpy engines of
-  :mod:`repro.compute.kernels`, ``algorithms/base.py`` and
-  ``algorithms/sssp.py``, the numpy loop of :mod:`repro.compute.pricing`
-  and the numpy interleave run, the reference the kernels are tested
-  against.  ``price_run`` is also withheld, whatever the
-  variable says, when ``saga_pairwise_sum`` does not reproduce this
-  numpy's ``ndarray.sum()`` on a probe vector (checked at load).
+  individual kernels, leaving the rest compiled.  The names
+  (:data:`KERNEL_NAMES`): ``expand`` names ``saga_expand``,
+  ``inc_round`` ``saga_inc_run`` and the closure, ``relax_round``
+  ``saga_relax_run``, ``jacobi_round`` ``saga_jacobi_run``,
+  ``delta_pass`` ``saga_delta_run``, ``price_run`` ``saga_price_run``
+  and ``interleave`` ``saga_interleave``; without them the numpy
+  expansion and engines of :mod:`repro.compute.kernels`,
+  ``algorithms/base.py`` and ``algorithms/sssp.py``, the numpy loop of
+  :mod:`repro.compute.pricing` and the numpy interleave run, the
+  reference the kernels are tested against.  ``price_run`` is also
+  withheld, whatever the variable says, when ``saga_pairwise_sum`` does
+  not reproduce this numpy's ``ndarray.sum()`` on a probe vector
+  (checked at load).
 - ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build, or a withheld
   ``price_run``, into a hard error instead of the silent numpy fallback
   (CI sets it so a broken toolchain cannot masquerade as a perf
@@ -84,8 +86,6 @@ REQUIRE_ENV = "SAGA_BENCH_REQUIRE_CCOMPUTE"
 KERNEL_NAMES = frozenset(
     {
         "expand",
-        "segment_reduce",
-        "segment_sum",
         "inc_round",
         "relax_round",
         "jacobi_round",
@@ -184,46 +184,6 @@ void saga_expand(
             r++;
         }
     }
-}
-
-/* segment_min / segment_max over back-to-back segments; empty segments
- * yield the identity, matching _segment_reduce. */
-void saga_segment_reduce(
-    int64_t nseg,
-    const int64_t *counts,
-    const double *terms,
-    int32_t maximize,
-    double identity,
-    double *out)
-{
-    int64_t s, j, i = 0;
-    for (s = 0; s < nseg; s++) {
-        double acc = identity;
-        int64_t c = counts[s];
-        if (maximize) {
-            for (j = 0; j < c; j++)
-                acc = take_max(acc, terms[i + j]);
-        } else {
-            for (j = 0; j < c; j++)
-                acc = take_min(acc, terms[i + j]);
-        }
-        out[s] = acc;
-        i += c;
-    }
-}
-
-/* segment_sum_ordered: out[seg[i]] += terms[i] in array order -- the
- * exact accumulation order of np.bincount (and a Python += loop).
- * out must arrive zeroed. */
-void saga_segment_sum(
-    int64_t m,
-    const int64_t *seg,
-    const double *terms,
-    double *out)
-{
-    int64_t i;
-    for (i = 0; i < m; i++)
-        out[seg[i]] += terms[i];
 }
 
 /* ---- next-frontier sort --------------------------------------------
@@ -1205,8 +1165,6 @@ class ComputeKernels:
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
         _sig(lib.saga_expand, None, [_I64] + [_PTR] * 8)
-        _sig(lib.saga_segment_reduce, None, [_I64, _PTR, _PTR, _I32, _F64, _PTR])
-        _sig(lib.saga_segment_sum, None, [_I64, _PTR, _PTR, _PTR])
         _sig(
             lib.saga_inc_run,
             _I64,
@@ -1272,31 +1230,6 @@ class ComputeKernels:
             self._p(wt),
         )
         return seg, nbr, wt
-
-    def segment_reduce(
-        self, terms: np.ndarray, counts: np.ndarray, identity: float, maximize: bool
-    ) -> np.ndarray:
-        out = np.empty(counts.size, dtype=np.float64)
-        _count_call("segment_reduce")
-        self._lib.saga_segment_reduce(
-            counts.size,
-            self._p(counts),
-            self._p(terms),
-            1 if maximize else 0,
-            identity,
-            self._p(out),
-        )
-        return out
-
-    def segment_sum(
-        self, terms: np.ndarray, seg: np.ndarray, num_segments: int
-    ) -> np.ndarray:
-        out = np.zeros(num_segments, dtype=np.float64)
-        _count_call("segment_sum")
-        self._lib.saga_segment_sum(
-            terms.size, self._p(seg), self._p(terms), self._p(out)
-        )
-        return out
 
     def _run(
         self, kernel: str, fixed: tuple, frontier: np.ndarray, pending: bool = False

@@ -371,20 +371,11 @@ def segment_min(terms: np.ndarray, counts: np.ndarray, identity: float) -> np.nd
     (only the starts of non-empty segments are passed, which makes the
     spans between consecutive starts cover exactly one segment each).
     """
-    ck = ckernels.get("segment_reduce")
-    if ck is not None and identity == np.inf:
-        # The C loop seeds every segment with the identity; that is
-        # only a no-op for the direction's true identity, so other
-        # identities keep the reduceat path.
-        return ck.segment_reduce(terms, counts, identity, maximize=False)
     return _segment_reduce(np.minimum, terms, counts, identity)
 
 
 def segment_max(terms: np.ndarray, counts: np.ndarray, identity: float) -> np.ndarray:
     """Per-segment maximum with ``identity`` for empty segments."""
-    ck = ckernels.get("segment_reduce")
-    if ck is not None and identity == -np.inf:
-        return ck.segment_reduce(terms, counts, identity, maximize=True)
     return _segment_reduce(np.maximum, terms, counts, identity)
 
 
@@ -409,9 +400,6 @@ def segment_sum_ordered(
     """
     if terms.size == 0:
         return np.zeros(num_segments, dtype=np.float64)
-    ck = ckernels.get("segment_sum")
-    if ck is not None:
-        return ck.segment_sum(terms, seg, num_segments)
     return np.bincount(seg, weights=terms, minlength=num_segments)
 
 

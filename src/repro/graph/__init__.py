@@ -13,9 +13,10 @@ Four streaming structures behind one API (paper Section III):
  DAH      low/high-degree hash tables     chunked, lockless    no
 ======== =============================== ==================== =================
 
-Plus :class:`~repro.graph.csr.CSRGraph` (static snapshots) and
-:class:`~repro.graph.reference.ReferenceGraph` (uninstrumented ground
-truth).
+Plus :class:`~repro.graph.reference.ReferenceGraph` (uninstrumented
+ground truth).  The CSR form the compute phase reads lives in
+:mod:`repro.compute`: packed ``CSRArrays`` and the incrementally
+maintained ``DynamicCSR``.
 """
 
 from typing import Optional
@@ -25,7 +26,6 @@ from repro.graph.adjacency_chunked import AdjacencyListChunked
 from repro.graph.adjacency_shared import AdjacencyListShared
 from repro.graph.base import ExecutionContext, GraphDataStructure, UpdateResult
 from repro.graph.blocked import BlockedAdjacency
-from repro.graph.csr import CSRGraph, snapshot_in, snapshot_out
 from repro.graph.dah import DegreeAwareHash
 from repro.graph.edge import Edge, EdgeBatch
 from repro.graph.properties import VertexProperties
@@ -84,7 +84,6 @@ __all__ = [
     "AdjacencyListChunked",
     "AdjacencyListShared",
     "BlockedAdjacency",
-    "CSRGraph",
     "DegreeAwareHash",
     "Edge",
     "EdgeBatch",
@@ -96,6 +95,4 @@ __all__ = [
     "UpdateResult",
     "VertexProperties",
     "make_structure",
-    "snapshot_in",
-    "snapshot_out",
 ]

@@ -218,17 +218,6 @@ class SpanTracer:
                 else:
                     self.dropped_events += 1
 
-    def instant(self, name: str, cat: str = "event", args: Optional[dict] = None) -> None:
-        """Record a zero-duration instant event (if events are kept)."""
-        if not (self.enabled and self.keep_events):
-            return
-        with self._lock:
-            if len(self._events) < self.max_events:
-                now = time.perf_counter() - self._epoch
-                self._events.append((name, cat, self._thread_id(), now, 0.0, 0.0, args))
-            else:
-                self.dropped_events += 1
-
     def _thread_id(self) -> int:
         """Small, stable integer id for the calling thread."""
         tid = self._local.tid
@@ -240,27 +229,6 @@ class SpanTracer:
 
     # -- simulated timeline ---------------------------------------------
 
-    def record_schedule(
-        self,
-        track: str,
-        starts_us,
-        ends_us,
-        names=None,
-    ) -> None:
-        """Record one scheduled phase as slices on a simulated track.
-
-        ``track`` names the simulated process/thread group (e.g.
-        ``"sim Talk/DAH"``); ``starts_us`` / ``ends_us`` are parallel
-        sequences of per-task simulated timestamps in microseconds,
-        already offset so consecutive batches abut; ``names`` optionally
-        labels each slice (defaults to ``task<N>``).  Each slice lands
-        on the simulated thread encoded by the caller via
-        :meth:`record_schedule_threads`; use that variant when the
-        schedule assigns tasks to threads.
-        """
-        n = len(starts_us)
-        self.record_schedule_threads(track, [0] * n, starts_us, ends_us, names)
-
     def record_schedule_threads(
         self,
         track: str,
@@ -269,7 +237,15 @@ class SpanTracer:
         ends_us,
         names=None,
     ) -> None:
-        """Record per-task slices with explicit simulated thread ids."""
+        """Record one scheduled phase as slices on a simulated track.
+
+        ``track`` names the simulated process/thread group (e.g.
+        ``"sim Talk/DAH"``); ``threads`` holds each task's simulated
+        thread id; ``starts_us`` / ``ends_us`` are parallel sequences of
+        per-task simulated timestamps in microseconds, already offset so
+        consecutive batches abut; ``names`` optionally labels each slice
+        (defaults to ``task``).
+        """
         if not (self.enabled and self.sim_timeline):
             return
         n = len(starts_us)
@@ -305,7 +281,7 @@ class SpanTracer:
             return {name: entry[2] for name, entry in self._totals.items()}
 
     def events(self) -> List[tuple]:
-        """Finished span/instant events, in completion order."""
+        """Finished span events, in completion order."""
         with self._lock:
             return list(self._events)
 

@@ -26,13 +26,12 @@ paper (Section III-A):
 
 Tasks arrive as a columnar :class:`~repro.sim.tasks.TaskArray` and the
 schedulers run as array kernels: a ``np.bincount`` reduction for the
-chunked style; for the dynamic style, vectorized closed forms for
-lock-free streams and a compiled discrete-event loop
-(:mod:`repro.sim.ckernel`) for everything else.  One Python event loop
+chunked style; for the dynamic style, a compiled discrete-event loop
+(:mod:`repro.sim.ckernel`).  One Python event loop
 (:meth:`DynamicScheduler._run_event_loop`) is the readable reference
-those are tested against, the fallback when no compiler is available,
-and the recorder of per-task timelines for ``--trace-out``.  Every
-routine produces **bit-identical** :class:`ScheduleResult` fields
+the compiled loop is tested against, the fallback when no compiler is
+available, and the recorder of per-task timelines for ``--trace-out``.
+Both produce **bit-identical** :class:`ScheduleResult` fields
 (``tests/test_task_kernels.py``, ``tests/test_sim_ckernel.py``).
 
 All three report a :class:`ScheduleResult` with the makespan, total
@@ -49,7 +48,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim import ckernel
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -198,108 +196,14 @@ class DynamicScheduler:
             return _empty_result(self.threads)
         scale = work_scale(self.threads, self.physical_cores, self.cost)
         # Timeline capture (``--trace-out``) needs per-task start/end
-        # times, which only the Python event loop records; the closed
-        # forms and the compiled kernel are bypassed.  The resulting
-        # ScheduleResult fields are bit-identical either way.
-        if TRACER.sim_timeline:
-            return self._run_event_loop(tasks, scale)
-        if not tasks.has_locks:
-            result = self._run_lockfree(tasks, scale)
-            if result is not None:
-                return result
-            if METRICS.enabled:
-                METRICS.counter(
-                    "sim_scheduler_fastpath_retries_total",
-                    "lock-free closed-form bailed; stream replayed "
-                    "through the event loop",
-                ).inc()
-        if self.threads <= ckernel.MAX_KERNEL_THREADS:
+        # times, which only the Python event loop records; the compiled
+        # kernel is bypassed.  The resulting ScheduleResult fields are
+        # bit-identical either way.
+        if not TRACER.sim_timeline and self.threads <= ckernel.MAX_KERNEL_THREADS:
             kernel = ckernel.get_kernel()
             if kernel is not None:
                 return self._run_event_loop_compiled(kernel, tasks, scale)
         return self._run_event_loop(tasks, scale)
-
-    def _run_lockfree(
-        self, tasks: TaskArray, scale: float
-    ) -> Optional[ScheduleResult]:
-        """Fully vectorized greedy dispatch for lock-free task streams.
-
-        Exactness of the closed forms requires strictly positive,
-        strictly increasing completion times (otherwise the event
-        loop's heap tie-breaking deviates from round-robin); when that
-        does not hold this returns ``None`` and the caller runs the
-        event loop.
-        """
-        n = len(tasks)
-        threads = self.threads
-        dispatch = (self.cost.task_dispatch / self.dispatch_chunk) * scale
-        unlocked = tasks.unlocked_work
-        locked = tasks.locked_work
-        # Grouping mirrors the event loop: ((free + d) + u*s) + l*s.
-        ends = (dispatch + unlocked * scale) + locked * scale
-        total_work = _sequential_sum(unlocked + locked)
-
-        if n <= threads:
-            # Every task starts at time zero on its own thread -- but
-            # only when completion times are positive, else the heap
-            # re-pops the zero-time thread it just pushed back.
-            if not bool((ends > 0.0).all()):
-                return None
-            thread_busy = np.zeros(threads)
-            thread_busy[:n] = ends
-            makespan = float(ends.max())
-            if n < threads:
-                makespan = max(makespan, 0.0)
-            return ScheduleResult(
-                makespan_cycles=makespan,
-                total_work_cycles=total_work,
-                threads=threads,
-                task_count=n,
-                thread_busy_cycles=thread_busy,
-                task_thread=np.arange(n, dtype=np.int32),
-            )
-
-        u0 = float(unlocked[0])
-        l0 = float(locked[0])
-        if not (
-            bool((unlocked == u0).all())
-            and bool((locked == l0).all())
-            and u0 >= 0.0
-            and l0 >= 0.0
-            and dispatch >= 0.0
-        ):
-            return None
-        # Uniform-cost stream: dispatch is provably round-robin, and
-        # every thread walks the same completion-time ladder
-        # E_r = ((E_{r-1} + d) + u*s) + l*s.
-        u0s = u0 * scale
-        l0s = l0 * scale
-        rounds = -(-n // threads)
-        ends_per_round = np.empty(rounds)
-        end = 0.0
-        for r in range(rounds):
-            end = ((end + dispatch) + u0s) + l0s
-            ends_per_round[r] = end
-        if ends_per_round[0] <= 0.0 or not bool(
-            (np.diff(ends_per_round) > 0.0).all()
-        ):
-            return None  # ties possible: the heap would not round-robin
-        # The event loop accumulates busy time as (end - previous end)
-        # per round; replicate that rounding exactly via cumsum of the
-        # per-round differences.
-        diffs = np.empty(rounds)
-        diffs[0] = ends_per_round[0] - 0.0
-        diffs[1:] = ends_per_round[1:] - ends_per_round[:-1]
-        busy_ladder = np.cumsum(diffs)
-        rounds_per_thread = (n - 1 - np.arange(threads)) // threads + 1
-        return ScheduleResult(
-            makespan_cycles=float(ends_per_round[-1]),
-            total_work_cycles=total_work,
-            threads=threads,
-            task_count=n,
-            thread_busy_cycles=busy_ladder[rounds_per_thread - 1],
-            task_thread=(np.arange(n) % threads).astype(np.int32),
-        )
 
     def _event_loop_columns(self, tasks: TaskArray, scale: float):
         """Per-task increments for every outcome of the lock branch.
@@ -356,13 +260,12 @@ class DynamicScheduler:
     def _run_event_loop(self, tasks: TaskArray, scale: float) -> ScheduleResult:
         """The discrete-event greedy list scheduler, in Python.
 
-        The reference the closed forms and the compiled loop are tested
-        against, the fallback without a compiler (or above
-        ``ckernel.MAX_KERNEL_THREADS``), and -- because it sees every
-        task's start and end -- the timeline recorder: under
-        ``TRACER.sim_timeline`` the ``(starts, ends)`` cycle arrays land
-        in ``result.extra["timeline"]`` and the driver converts them to
-        simulated microseconds.
+        The reference the compiled loop is tested against, the fallback
+        without a compiler (or above ``ckernel.MAX_KERNEL_THREADS``),
+        and -- because it sees every task's start and end -- the
+        timeline recorder: under ``TRACER.sim_timeline`` the
+        ``(starts, ends)`` cycle arrays land in ``result.extra["timeline"]``
+        and the driver converts them to simulated microseconds.
         """
         threads = self.threads
         (

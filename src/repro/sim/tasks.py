@@ -155,11 +155,6 @@ class TaskArray:
         """Per-task ``unlocked_work + locked_work`` (float64 column)."""
         return self.unlocked_work + self.locked_work
 
-    @property
-    def has_locks(self) -> bool:
-        """True when any task must acquire a lock."""
-        return bool(len(self)) and bool((self.lock >= 0).any())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         locked = int((self.lock >= 0).sum())
         return f"<TaskArray n={len(self)} locked={locked}>"

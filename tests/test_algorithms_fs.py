@@ -112,16 +112,17 @@ class TestSSSPRefusedInput:
         assert run.values.tolist() == [0.0, 1.0, 2.0]
 
     @ENGINES
-    @pytest.mark.parametrize("use_dijkstra", [False, True])
-    def test_nan_weight(self, engine, use_dijkstra):
+    @pytest.mark.parametrize("explicit_delta", [False, True])
+    def test_nan_weight(self, engine, explicit_delta):
         """One NaN weight used to poison the delta pick: ``[0, inf, inf]``
-        although ``0 -> 2`` has weight 4."""
+        although ``0 -> 2`` has weight 4.  A given delta skips the pick,
+        and the weight is refused all the same."""
         from repro.algorithms.sssp import SSSP
 
         view = _weighted([(0, 1, float("nan")), (0, 2, 4.0)])
         with ccompute_env(engine):
             with pytest.raises(SimulationError, match="weights"):
-                SSSP(use_dijkstra=use_dijkstra).fs_run(view, source=0)
+                SSSP(delta=1.0 if explicit_delta else None).fs_run(view, source=0)
 
     @ENGINES
     def test_infinite_weight_stays_legal(self, engine):

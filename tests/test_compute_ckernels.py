@@ -80,10 +80,12 @@ def _slack_csr(num_nodes, src, dst, wt, delete_first=0):
     return store
 
 
-@needs_ckernels
 class TestDirectKernels:
-    """The array kernels, through their public dispatch sites."""
+    """The array kernels, through their public dispatch sites: the
+    frontier expansion compiled and in numpy, and the segment reductions
+    of the numpy wave engine against explicit expected arrays."""
 
+    @needs_ckernels
     def test_expand_packed_and_slack(self):
         num_nodes = 40
         src, dst, wt = _random_edges(num_nodes, 200, seed=5)
@@ -104,6 +106,7 @@ class TestDirectKernels:
             assert np.array_equal(c_nbr, n_nbr)
             assert c_wt.tobytes() == n_wt.tobytes()
 
+    @needs_ckernels
     def test_expand_empty_frontier_and_single_vertex(self):
         csr = csr_from_edges(
             np.array([0], dtype=np.int64),
@@ -119,6 +122,7 @@ class TestDirectKernels:
             for a, b in zip(compiled, fallback):
                 assert np.array_equal(a, b)
 
+    @needs_ckernels
     def test_expand_all_deleted_edges(self):
         """Frontier rows whose every edge was deleted expand to nothing."""
         num_nodes = 10
@@ -136,34 +140,39 @@ class TestDirectKernels:
             assert np.array_equal(a, b)
 
     def test_segment_reduce_with_nan_and_empty_segments(self):
-        rng = np.random.default_rng(9)
-        counts = rng.integers(0, 5, size=50).astype(np.int64)
-        terms = rng.normal(size=int(counts.sum()))
-        terms[::7] = np.nan  # np.minimum/np.maximum propagate NaN
-        for fn, identity in ((segment_min, np.inf), (segment_max, -np.inf)):
-            compiled, fallback = _both_paths(lambda fn=fn, i=identity: fn(terms, counts, i))
-            assert compiled.tobytes() == fallback.tobytes()
+        """NaN wins wherever it sits in a segment (``np.minimum`` /
+        ``np.maximum``); an empty segment yields the identity."""
+        nan = np.nan
+        counts = np.array([2, 0, 2, 3, 1, 0], dtype=np.int64)
+        terms = np.array([3.0, nan, nan, 1.0, 5.0, -1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(
+            segment_min(terms, counts, np.inf),
+            [nan, np.inf, nan, -1.0, 4.0, np.inf],
+        )
+        np.testing.assert_array_equal(
+            segment_max(terms, counts, -np.inf),
+            [nan, -np.inf, nan, 5.0, 4.0, -np.inf],
+        )
+        assert segment_min(terms[:0], counts[:0], np.inf).size == 0
 
     def test_segment_reduce_non_identity_seed_stays_numpy(self):
-        """Only the true identity routes to C (it always seeds with it)."""
-        counts = np.array([0, 2], dtype=np.int64)
-        terms = np.array([3.0, 1.0])
-        compiled, fallback = _both_paths(lambda: segment_min(terms, counts, 5.0))
-        assert compiled.tolist() == fallback.tolist() == [5.0, 1.0]
+        """Any ``identity`` fills the empty segments only: it never
+        seeds a non-empty one, so a term past it is still the answer."""
+        counts = np.array([0, 2, 1], dtype=np.int64)
+        terms = np.array([3.0, 1.0, 7.0])
+        assert segment_min(terms, counts, 5.0).tolist() == [5.0, 1.0, 7.0]
+        assert segment_max(terms, counts, 5.0).tolist() == [5.0, 3.0, 7.0]
 
     def test_segment_sum_matches_bincount_order(self):
-        rng = np.random.default_rng(11)
-        counts = rng.integers(0, 6, size=40).astype(np.int64)
-        seg = np.repeat(np.arange(40, dtype=np.int64), counts)
-        terms = rng.normal(size=seg.size) * 1e-3 + 0.1
-        compiled, fallback = _both_paths(
-            lambda: segment_sum_ordered(terms, seg, 40)
-        )
-        assert compiled.tobytes() == fallback.tobytes()
-        assert (
-            compiled.tobytes()
-            == np.bincount(seg, weights=terms, minlength=40).tobytes()
-        )
+        """Rows add into their segment in array order, a Python ``+=``
+        loop's rounding: segment 0 loses its 1.0 to ``1e16`` before
+        ``-1e16`` cancels it (a pairwise or exact sum would keep it)."""
+        seg = np.array([0, 1, 0, 2, 0, 2], dtype=np.int64)
+        terms = np.array([1e16, 0.5, 1.0, 0.1, -1e16, 0.2])
+        out = segment_sum_ordered(terms, seg, 4)
+        assert out.tolist() == [0.0, 0.5, 0.1 + 0.2, 0.0]
+        assert out.tobytes() == np.bincount(seg, weights=terms, minlength=4).tobytes()
+        assert segment_sum_ordered(terms[:0], seg[:0], 3).tolist() == [0.0] * 3
 
 
 def _replay_algorithms(num_nodes=64, seed=17):
@@ -1003,7 +1012,7 @@ class TestEnvGates:
             assert ckernels.get("inc_round") is None
             assert ckernels.get("expand") is None
             assert ckernels.get("relax_round") is not None
-            assert ckernels.get("segment_sum") is not None
+            assert ckernels.get("delta_pass") is not None
 
     def test_all_disables_everything(self):
         with ccompute_env("all"):

@@ -62,7 +62,7 @@ class TestDisabledPath:
         tracer = SpanTracer()
         with tracer.span("phase"):
             pass
-        tracer.record_schedule("track", [0.0], [1.0])
+        tracer.record_schedule_threads("track", [0], [0.0], [1.0])
         assert tracer.phase_totals() == {}
         assert tracer.events() == []
         assert tracer.sim_tracks() == {}

@@ -95,3 +95,76 @@ def test_truncated_cached_object_is_rebuilt(library, stem, tmp_path):
         child = load()
         assert child.returncode == 0, (keep, child.returncode, child.stderr)
         assert built.stat().st_size == size
+
+
+#: A compiler that dies mid-build: it answers ``--version``, writes the
+#: first bytes of an ELF object to its ``-o`` path, and exits 1.
+_HALF_BUILD_CC = """#!/bin/sh
+if [ "$1" = "--version" ]; then echo "half-build cc 1.0"; exit 0; fi
+while [ $# -gt 0 ]; do
+    if [ "$1" = "-o" ]; then out=$2; fi
+    shift
+done
+printf '\\177ELF\\002\\001\\001\\000\\000\\000\\000\\000' > "$out"
+exit 1
+"""
+
+
+@pytest.mark.parametrize("name, member", [("cingest", "AS"), ("ckernels", "inc_round")])
+def test_compiler_failing_mid_build_falls_back_and_leaves_nothing(
+    name, member, tmp_path, monkeypatch
+):
+    """A compiler that dies after writing part of the object: nothing is
+    left in the build cache to be loaded later, the library falls back
+    (or, with ``REQUIRE_*`` set, fails naming the variable and the
+    library), and the next probe with a working compiler builds."""
+    if cbuild.compiler_identity() == "cc-unavailable":
+        pytest.skip("no C compiler")
+    from repro.compute import ckernels
+    from repro.sim import cingest
+
+    module = {"cingest": cingest, "ckernels": ckernels}[name]
+    library = module._LIBRARY
+    cache = tmp_path / "cache"
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    fake = bin_dir / "cc"
+    fake.write_text(_HALF_BUILD_CC)
+    fake.chmod(0o755)
+    monkeypatch.setenv(cbuild.CACHE_DIR_ENV, str(cache))
+    monkeypatch.delenv(module.DISABLE_ENV, raising=False)
+    monkeypatch.delenv(module.REQUIRE_ENV, raising=False)
+    real_path = os.environ["PATH"]
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{real_path}")
+    monkeypatch.setattr(cbuild, "_COMPILER_IDENTITY", None)
+
+    def leftovers():
+        return sorted(
+            path.name
+            for pattern in ("*.so", "*.sha256", "*.tmp*")
+            for path in cache.glob(pattern)
+        )
+
+    try:
+        library.reset()
+        assert library.get(member) is None
+        assert cbuild.compiler_identity() == "half-build cc 1.0"
+        assert leftovers() == []
+
+        monkeypatch.setenv(module.REQUIRE_ENV, "1")
+        library.reset()
+        with pytest.raises(RuntimeError) as failure:
+            library.get(member)
+        assert module.REQUIRE_ENV in str(failure.value)
+        assert library.stem in str(failure.value)
+        assert leftovers() == []
+
+        monkeypatch.setenv("PATH", real_path)
+        monkeypatch.setattr(cbuild, "_COMPILER_IDENTITY", None)
+        library.reset()
+        assert library.get(member) is not None
+        (built,) = cache.glob(f"{library.stem}_*.so")
+        assert leftovers() == [built.name, built.name + ".sha256"]
+    finally:
+        # Later tests probe again, from the cache the environment names.
+        library.reset()

@@ -13,10 +13,11 @@ plus the list/dict oracle stores of ``tests/oracle_stores.py`` -- must
 reproduce them; the remaining structure tests compare schedules and
 cache statistics of the modes with ``==`` on the raw floats.
 
-**Scheduling.**  The dynamic scheduler's default dispatch (lock-free
-closed forms, compiled event loop) against the one Python event loop
+**Scheduling.**  The dynamic scheduler's default dispatch, the compiled
+event loop, against the one Python event loop
 (``DynamicScheduler._run_event_loop``), which is also the timeline
-recorder; the chunked scheduler's bincount against a plain loop.
+recorder, on the same tasks, locked and lock-free; the chunked
+scheduler's bincount against a plain loop.
 """
 
 import hashlib
@@ -270,8 +271,21 @@ def sim_timeline():
 
 def run_both(scheduler: DynamicScheduler, tasks: TaskArray):
     """Default dispatch against the Python event loop, with and without
-    the timeline; returns the default-dispatch result."""
-    fast = scheduler.run(tasks)
+    the timeline; returns the default-dispatch result.
+
+    With the sim library built, default dispatch must be the compiled
+    loop whenever it can take the thread count, so the comparison is
+    compiled against Python and not Python against itself.
+    """
+    compiled = (
+        ckernel.get_kernel() is not None
+        and scheduler.threads <= ckernel.MAX_KERNEL_THREADS
+    )
+    with mock.patch.object(
+        scheduler, "_run_event_loop", wraps=scheduler._run_event_loop
+    ) as python_loop:
+        fast = scheduler.run(tasks)
+    assert python_loop.called == (len(tasks) > 0 and not compiled)
     assert fast.extra == {}
     with sim_timeline():
         recorded = scheduler.run(tasks)
@@ -281,8 +295,8 @@ def run_both(scheduler: DynamicScheduler, tasks: TaskArray):
         assert len(starts) == len(ends) == len(tasks)
         assert bool((starts <= ends).all())
         assert float(ends.max()) == recorded.makespan_cycles
-    # No compiled kernel: locked and irregular streams fall back to the
-    # same loop, now without the recording.
+    # No compiled kernel: every stream falls back to the same loop, now
+    # without the recording.
     with mock.patch.object(ckernel, "get_kernel", return_value=None):
         fallback = scheduler.run(tasks)
     assert fallback.extra == {}
@@ -298,18 +312,23 @@ class TestDynamicKernels:
         )
 
     def test_fast_path_fewer_tasks_than_threads(self):
-        # Path A: n <= threads, distinct positive completion times.
+        # n <= threads, distinct positive completion times: every task
+        # starts at time zero on a thread of its own.
         tasks = TaskArray.build(5, unlocked_work=[3.0, 8.0, 1.0, 9.0, 2.0])
-        self.run_both(tasks, threads=8)
+        result = self.run_both(tasks, threads=8)
+        assert result.task_thread.tolist() == [0, 1, 2, 3, 4]
 
     def test_fast_path_uniform_ladder(self):
-        # Path B: uniform costs, n > threads, round-robin ladder.
+        # Uniform costs, n > threads: dispatch is round-robin, and every
+        # thread walks the same ladder of completion times.
         tasks = TaskArray.build(23, unlocked_work=4.0, locked_work=0.0)
-        self.run_both(tasks, threads=4)
+        result = self.run_both(tasks, threads=4)
+        assert result.task_thread.tolist() == [i % 4 for i in range(23)]
 
     def test_zero_cost_tasks_fall_back_to_event_loop(self):
         # Zero completion times make the event loop's heap stack every
-        # task on thread 0; the closed forms must decline and fall back.
+        # task on thread 0; the compiled loop must break the ties the
+        # same way.
         free = CostModel(
             task_dispatch=0.0,
             lock_acquire=0.0,
@@ -321,6 +340,7 @@ class TestDynamicKernels:
         assert result.task_thread.tolist() == [0] * 6
 
     def test_irregular_lockfree_falls_back(self):
+        # Lock-free, but no two tasks cost the same.
         tasks = TaskArray.build(17, unlocked_work=np.linspace(1.0, 9.0, 17))
         self.run_both(tasks, threads=4)
 
@@ -453,7 +473,8 @@ def task_arrays(draw):
 @given(tasks=task_arrays(), threads=st.integers(min_value=1, max_value=12))
 @settings(max_examples=60, deadline=None)
 def test_property_dynamic_bit_identity(tasks, threads):
-    """Any task batch: closed forms and compiled loop == Python loop."""
+    """Any task batch, locked and then lock-free: compiled loop == Python
+    loop."""
     run_both(DynamicScheduler(threads, physical_cores=6, cost_model=COST), tasks)
     lockfree = TaskArray.build(
         len(tasks), unlocked_work=tasks.unlocked_work, locked_work=tasks.locked_work
@@ -476,7 +497,6 @@ def test_property_chunked_bit_identity(tasks, threads):
 class TestTaskArrayContainer:
     def test_empty_is_falsy(self):
         assert not TaskArray.empty()
-        assert not TaskArray.empty().has_locks
 
     def test_concatenate_filters_empty(self):
         a = TaskArray.build(2, unlocked_work=1.0)
