@@ -40,16 +40,6 @@ from repro.graph.base import ExecutionContext
 from repro.sim.cost_model import CostModel
 from repro.sim.scheduler import PARALLEL_FOR_CHUNK, graham_makespan, work_scale
 
-#: Structures whose degree lookups go through hash-table meta-queries.
-_DAH_NAME = "DAH"
-
-
-def _degree_query_cost(structure: str, cost: CostModel) -> float:
-    if structure == _DAH_NAME:
-        return cost.degree_query + cost.hash_probe
-    return cost.probe_element
-
-
 @dataclass
 class ComputePricing:
     """Simulated compute-phase latency of one run on one structure."""
@@ -127,12 +117,9 @@ class CostTables:
         for structure in structures:
             if structure not in STRUCTURES:
                 raise StructureError(f"unknown structure {structure!r}")
-            vector_cost = STRUCTURES[structure].vector_traversal_cost
-            dq = (
-                _degree_query_cost(structure, self.cost)
-                if neighbor_degree_query
-                else None
-            )
+            cls = STRUCTURES[structure]
+            vector_cost = cls.vector_traversal_cost
+            dq = cls.degree_query_cost(self.cost) if neighbor_degree_query else None
             key = (vector_cost, dq)
             if key not in slots:
                 if key not in self._tables:

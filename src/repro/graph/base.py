@@ -1,54 +1,73 @@
-"""The SAGA-Bench data-structure API.
+"""The SAGA-Bench data-structure API, written once for every structure.
 
 The paper defines a small API that every data structure implements so
 that compute models and algorithms are structure-agnostic (Section
 III-D): ``update()``, ``out_neigh()``, ``in_neigh()`` and
 ``performAlg()`` (the latter lives in :mod:`repro.algorithms.registry`).
+The structures differ on two axes only (Section III-A): the storage
+layout, and the multithreading style -- shared (per-vertex or per-block
+locks, :class:`GraphDataStructure`) or chunked and lockless
+(:class:`ChunkedStructure`).  Everything else is written here, once:
 
-Every structure here is *functional* -- it really stores the graph and
-answers neighbor queries -- and *instrumented* -- each operation charges
-cycle costs from the shared :class:`~repro.sim.cost_model.CostModel`
-and (optionally) emits the memory addresses it touches.  The simulated
-phase latency is the scheduler makespan over the charged tasks.
+- a pair of stores, one per direction.  Directed graphs keep a second
+  copy of the structure for in-neighbors (paper footnote 3); an
+  undirected structure's in-store *is* its out-store, so each edge is
+  ingested in both orientations into it and in-queries read it;
+- the one ingest path.  A store with a compiled kernel takes the whole
+  batch in one call (its family's ``native_*_ingest``, which also writes
+  a traced batch's accesses into the recorder).  A store without one
+  runs its per-edge ``insert`` / ``remove`` -- the reference, which
+  returns the primitive counts of one operation and emits its memory
+  accesses -- in the kernel's row order, gathered into the kernel's
+  count columns.  Either way the structure's pricing turns the columns
+  into one :class:`~repro.sim.tasks.TaskArray` with vectorized
+  arithmetic, and the simulated phase latency is the scheduler makespan
+  over it;
+- the neighbor queries, and the compute-phase traces: the store's C
+  traversal emitter (``traversals``) or, without a kernel, its
+  per-vertex ``trace_traversal`` in a loop.
 
+A structure module declares only what is its own: its store factory,
+its ``native_*_ingest`` function, the names of its count columns, one
+pricing function from the columns to a ``TaskArray``, its scheduler,
+its vectorized compute-phase traversal cost and (DAH) its degree-query
+cost.  ``tests/test_task_kernels.py`` pins the emitted columns of both
+ingest paths, ``tests/test_cingest.py`` the traces.
+
+Every structure is *functional* -- it really stores the graph and
+answers neighbor queries -- and *instrumented*: each operation charges
+cycle costs from the shared :class:`~repro.sim.cost_model.CostModel`.
 Edges are ingested uniquely: as in the paper, every insert first
 searches for the edge and only inserts on a negative search.
-
-Task emission is columnar: each structure provides a *task emitter*
-(:meth:`GraphDataStructure._make_emitter`) that records the primitive
-counts of every store operation (slots scanned, blocks chased, entries
-rehashed...) and prices them in bulk into a
-:class:`~repro.sim.tasks.TaskArray` with vectorized arithmetic.  An
-emitter's per-operation methods are the reference, and what every batch
-runs when the stores were built without a compiled kernel: the store
-methods behind them return the counts and emit the memory accesses of
-one operation.  Its ``ingest_batch(batch, recorder)`` -- the whole batch
-as one compiled call, which also writes a traced batch's accesses into
-the recorder -- is what every batch runs otherwise.
-``tests/test_task_kernels.py`` pins the emitted columns of both,
-``tests/test_cingest.py`` the traces.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StructureError
 from repro.graph.edge import EdgeBatch
+from repro.graph.vectorstore import row_layout
+from repro.sim import cingest
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim.memory import AddressSpace
-from repro.sim.scheduler import ScheduleResult, TaskArray
+from repro.sim.scheduler import (
+    ChunkedScheduler,
+    DynamicScheduler,
+    ScheduleResult,
+    TaskArray,
+)
 from repro.sim.trace import MemoryTrace, NullRecorder, TraceRecorder
 
-#: Lock-namespace offset separating out-store locks from in-store locks.
-IN_STORE_LOCK_BASE = 1 << 40
+#: Default chunk count; matches the paper's 64 hardware threads.
+DEFAULT_CHUNKS = 64
 
 
 def contiguous_traversal_cost(degrees, cost):
@@ -113,12 +132,14 @@ class UpdateResult:
 
 
 class GraphDataStructure(abc.ABC):
-    """Base class for the four streaming-graph data structures.
+    """A streaming-graph data structure over a pair of stores.
 
-    Subclasses implement the per-batch task emitter over their out-
-    and in-stores (:meth:`_make_emitter`), neighbor retrieval, analytic
-    traversal costs, and the scheduling style used to turn per-edge
-    tasks into a batch-update makespan.
+    Shared-style multithreading (the scheduler's default): many threads
+    update one store under locks.  A subclass declares its store factory
+    (:meth:`_new_store`), its compiled batch ingest
+    (``_native_ingest``), the names of the count columns both return
+    (``columns``), its pricing (:meth:`_price`), and its vectorized
+    traversal cost.
 
     Parameters
     ----------
@@ -132,24 +153,42 @@ class GraphDataStructure(abc.ABC):
         edge in both orientations into the single store.
     """
 
-    #: Short name used in tables ("AS", "AC", "Stinger", "DAH").
+    #: Short name used in tables ("AS", "AC", "Stinger", "DAH", "BA").
     name: str = "?"
+
+    #: Turns a batch's tasks into a makespan (the multithreading style).
+    scheduler = DynamicScheduler
+
+    #: The count columns of one store operation, in the order the
+    #: compiled kernel returns them and the fields of the stores'
+    #: outcome records list them; one must be ``"hit"`` (the store
+    #: changed).
+    columns: Tuple[str, ...] = ()
+
+    #: The whole batch through the stores' compiled kernel, a
+    #: ``native_*_ingest(out_store, in_store, batch, directed, delete,
+    #: recorder)`` returning ``(positive, *columns)``; called only for
+    #: stores whose ``kernels`` is set.
+    _native_ingest = None
 
     def __init__(
         self,
         max_nodes: int,
         directed: bool = True,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
+        cost_model: Optional[CostModel] = None,
         address_space: Optional[AddressSpace] = None,
     ) -> None:
         if max_nodes < 1:
             raise StructureError(f"max_nodes must be >= 1, got {max_nodes}")
         self.max_nodes = max_nodes
         self.directed = directed
-        self.cost = cost_model
+        self.cost = cost_model or DEFAULT_COST_MODEL
         self.space = address_space if address_space is not None else AddressSpace()
         self._num_edges = 0
         self._max_seen_node = -1
+        kernels = cingest.get(self.name)
+        self._out = self._new_store("out", kernels)
+        self._in = self._new_store("in", kernels) if directed else self._out
 
     # ------------------------------------------------------------------
     # Mutation
@@ -221,72 +260,30 @@ class GraphDataStructure(abc.ABC):
     def _ingest(
         self, batch: EdgeBatch, recorder, delete: bool
     ) -> Tuple[TaskArray, int, int]:
-        """Apply ``batch`` to the stores and emit its tasks.
+        """Apply ``batch`` to the stores and price its tasks.
 
         Returns ``(tasks, positive, negative)`` where *positive* counts
         edges actually inserted (or removed) and *negative* counts
-        duplicates (or misses).  Operations are counted per edge and
-        priced in bulk by the emitter's ``finish``.  The whole batch is
-        range-checked up front, so an out-of-range vertex raises before
-        any edge is applied.
+        duplicates (or misses).  The whole batch is range-checked up
+        front, so an out-of-range vertex raises before any edge is
+        applied.
         """
         n = len(batch)
         self._check_batch(batch)
-        emitter = self._make_emitter(delete)
-        if delete and not hasattr(emitter, "delete_out"):
-            raise StructureError(f"{self.name} does not support deletion")
-        tracing = recorder.enabled
-        directed = self.directed
         traced_before = len(recorder)
-        # Every batch takes the emitter's one compiled call when it
-        # offers one (the kernel writes a traced batch's accesses too);
-        # stores without a kernel run the per-edge loop, whose store
-        # methods emit them.
-        bulk = getattr(emitter, "ingest_batch", None)
-        if bulk is not None:
-            positive = bulk(batch, recorder)
-        elif delete:
-            src = batch.src.tolist()
-            dst = batch.dst.tolist()
-            positive = 0
-            op_out = emitter.delete_out
-            op_in = emitter.delete_in if directed else emitter.delete_out
-            for i in range(n):
-                u = src[i]
-                v = dst[i]
-                if tracing:
-                    recorder.begin_task(emitter.rows)
-                if op_out(u, v, recorder):
-                    positive += 1
-                if u != v or directed:
-                    if tracing:
-                        recorder.begin_task(emitter.rows)
-                    op_in(v, u, recorder)
+        kernel = self._out.kernels is not None
+        if kernel:
+            positive, *columns = self._native_ingest(
+                self._out, self._in, batch, self.directed, delete, recorder
+            )
         else:
-            src = batch.src.tolist()
-            dst = batch.dst.tolist()
-            weight = batch.weight.tolist()
-            positive = 0
-            op_out = emitter.insert_out
-            op_in = emitter.insert_in if directed else emitter.insert_out
-            for i in range(n):
-                u = src[i]
-                v = dst[i]
-                w = weight[i]
-                if tracing:
-                    recorder.begin_task(emitter.rows)
-                if op_out(u, v, w, recorder):
-                    positive += 1
-                if u != v or directed:
-                    if tracing:
-                        recorder.begin_task(emitter.rows)
-                    op_in(v, u, w, recorder)
-        if tracing and METRICS.enabled:
+            positive, columns = self._ingest_per_edge(batch, recorder, delete)
+        if recorder.enabled and METRICS.enabled:
             METRICS.counter(
                 "ingest_trace_accesses_total",
                 "update-phase memory accesses emitted, by the path that wrote them",
                 structure=self.name,
-                path="kernel" if bulk is not None else "per_edge",
+                path="kernel" if kernel else "per_edge",
             ).inc(len(recorder) - traced_before)
         if delete:
             self._num_edges -= positive
@@ -296,7 +293,39 @@ class GraphDataStructure(abc.ABC):
                 self._max_seen_node = max(
                     self._max_seen_node, int(batch.src.max()), int(batch.dst.max())
                 )
-        return emitter.finish(n), positive, n - positive
+        return self._price(batch, columns, delete), positive, n - positive
+
+    def _ingest_per_edge(self, batch: EdgeBatch, recorder, delete: bool):
+        """The reference for ``_native_ingest``: ``(positive, columns)``.
+
+        One store operation per row, in the kernel's row order -- each
+        edge's out-store operation, then its mirror in the in-store
+        (skipped for an undirected self-loop).  A traced batch's accesses
+        are tagged with the row that made them.
+        """
+        tracing = recorder.enabled
+        hit = self.columns.index("hit")
+        rows = []
+
+        def apply(store, src, dst, weight) -> bool:
+            if tracing:
+                recorder.begin_task(len(rows))
+            if delete:
+                outcome = store.remove(src, dst, recorder)
+            else:
+                outcome = store.insert(src, dst, weight, recorder)
+            # An outcome record's fields are the kernel's columns, in order.
+            rows.append(tuple(vars(outcome).values()))
+            return bool(rows[-1][hit])
+
+        positive = 0
+        edges = zip(batch.src.tolist(), batch.dst.tolist(), batch.weight.tolist())
+        for u, v, w in edges:
+            positive += apply(self._out, u, v, w)
+            if u != v or self.directed:
+                apply(self._in, v, u, w)
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(self.columns))
+        return positive, list(table.T.copy())
 
     def schedule_tasks(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         """Re-schedule kept tasks under a different context.
@@ -311,6 +340,14 @@ class GraphDataStructure(abc.ABC):
         if METRICS.enabled:
             self._record_schedule_metrics(schedule)
         return schedule
+
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
+        scheduler = self.scheduler(
+            threads=ctx.threads,
+            physical_cores=ctx.machine.physical_cores,
+            cost_model=ctx.cost_model,
+        )
+        return scheduler.run(tasks)
 
     def _record_schedule_metrics(self, schedule: ScheduleResult) -> None:
         """Fold one schedule's aggregates into the metrics registry."""
@@ -350,24 +387,20 @@ class GraphDataStructure(abc.ABC):
         """Number of unique logical edges ingested so far."""
         return self._num_edges
 
-    @abc.abstractmethod
     def out_neigh(self, u: int) -> Sequence[Tuple[int, float]]:
         """The ``(neighbor, weight)`` pairs of ``u``'s out-edges."""
+        return self._out.neighbors(u)
 
     def in_neigh(self, u: int) -> Sequence[Tuple[int, float]]:
-        """The ``(neighbor, weight)`` pairs of ``u``'s in-edges.
-
-        For undirected graphs this is the same as :meth:`out_neigh`.
-        """
-        if not self.directed:
-            return self.out_neigh(u)
-        return self._in_neigh_directed(u)
+        """The ``(neighbor, weight)`` pairs of ``u``'s in-edges (the
+        out-edges for undirected graphs)."""
+        return self._in.neighbors(u)
 
     def out_degree(self, u: int) -> int:
-        return len(self.out_neigh(u))
+        return self._out.degree(u)
 
     def in_degree(self, u: int) -> int:
-        return len(self.in_neigh(u))
+        return self._in.degree(u)
 
     def vertices(self) -> Iterable[int]:
         """All vertex ids from 0 to the largest seen."""
@@ -379,8 +412,7 @@ class GraphDataStructure(abc.ABC):
         Neighbor order within each vertex matches :meth:`out_neigh` /
         :meth:`in_neigh` iteration order, so vectorized compute kernels
         reproduce the per-vertex loops bit-for-bit (see
-        :mod:`repro.compute.kernels`).  Structures with columnar
-        internals may override this with a zero-copy export.
+        :mod:`repro.compute.kernels`).
         """
         # Imported lazily: repro.compute.pricing imports repro.graph.
         from repro.compute.kernels import csr_from_pair_rows
@@ -393,33 +425,28 @@ class GraphDataStructure(abc.ABC):
         return csr_from_pair_rows(rows, n)
 
     # ------------------------------------------------------------------
-    # Analytic compute-phase costs
+    # Compute-phase costs and traces
     # ------------------------------------------------------------------
 
+    @staticmethod
     @abc.abstractmethod
-    def out_traversal_cost(self, u: int) -> float:
-        """Cycles to traverse ``u``'s out-neighbors once.
+    def vector_traversal_cost(degrees, cost: CostModel):
+        """Cycles to traverse each vertex's neighbors once, given its degree.
 
-        The compute executor charges this per processed vertex; the
+        The compute pricing charges this per processed vertex; the
         constants come from the shared cost model but the *shape*
         (contiguous scan vs pointer chasing vs hashed retrieval) is the
         structure's own (paper Section V-B, "Impact of data structures
         ... on compute latency").
         """
 
-    def in_traversal_cost(self, u: int) -> float:
-        """Cycles to traverse ``u``'s in-neighbors once."""
-        if not self.directed:
-            return self.out_traversal_cost(u)
-        return self._in_traversal_cost_directed(u)
+    @staticmethod
+    def degree_query_cost(cost: CostModel) -> float:
+        """Cycles for one degree lookup during compute: a header field.
 
-    def degree_query_cost(self) -> float:
-        """Cycles for one degree lookup during compute.
-
-        Adjacency-based structures read a header field; DAH overrides
-        this with its table meta-query cost (Section III-A4).
+        DAH overrides this with its table meta-query (Section III-A4).
         """
-        return self.cost.probe_element
+        return cost.probe_element
 
     def trace_out_traversal(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The memory reads of one out-neighbor traversal per vertex.
@@ -428,66 +455,24 @@ class GraphDataStructure(abc.ABC):
         ``vertices[i]``, and the flat read addresses of all traversals
         back to back in emission order.
         """
-        return self._trace_traversals(np.asarray(vertices, dtype=np.int64), out=True)
+        return _trace_traversals(self._out, vertices)
 
     def trace_in_traversal(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`trace_out_traversal` for in-neighbor traversals."""
-        return self._trace_traversals(
-            np.asarray(vertices, dtype=np.int64), out=not self.directed
-        )
-
-    def _trace_traversals(
-        self, vertices: np.ndarray, out: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference emitter: the per-vertex :meth:`_trace_traversal` in a loop.
-
-        The five structures override this with their stores' C
-        traversal emitter (:mod:`repro.sim.cingest`), whose result must
-        equal this loop's, and run this loop when a store has no kernel.
-        """
-        recorder = TraceRecorder()
-        ends = []
-        for u in vertices.tolist():
-            self._trace_traversal(u, recorder, out)
-            ends.append(len(recorder))
-        counts = np.diff(np.asarray(ends, dtype=np.int64), prepend=0)
-        return counts, recorder.finalize().addresses
+        return _trace_traversals(self._in, vertices)
 
     # ------------------------------------------------------------------
     # Subclass responsibilities
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def _make_emitter(self, delete: bool):
-        """The task emitter for one insert (or delete) batch.
-
-        An emitter applies operations to the stores and counts what
-        they did: ``insert_out(src, dst, weight, recorder)`` and
-        ``insert_in(...)`` return whether the edge was new, ``rows`` is
-        the number of tasks recorded so far, and ``finish(batch_size)``
-        prices all of them into one :class:`TaskArray` (per-batch
-        overhead tasks such as chunk routing included).  A structure
-        that supports deletion adds ``delete_out(src, dst, recorder)``
-        / ``delete_in``; one whose stores have a compiled kernel offers
-        ``ingest_batch(batch, recorder)`` returning the positive count
-        (absent or ``None`` otherwise).
-        """
+    def _new_store(self, direction: str, kernels):
+        """A fresh store for one direction (``"out"`` or ``"in"``) over
+        ``kernels`` (``cingest.get(name)``; ``None``: per-edge only)."""
 
     @abc.abstractmethod
-    def _in_neigh_directed(self, u: int) -> Sequence[Tuple[int, float]]:
-        ...
-
-    @abc.abstractmethod
-    def _in_traversal_cost_directed(self, u: int) -> float:
-        ...
-
-    @abc.abstractmethod
-    def _trace_traversal(self, u: int, recorder, out: bool) -> None:
-        ...
-
-    @abc.abstractmethod
-    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
-        """Turn the batch's tasks into a makespan (structure style)."""
+    def _price(self, batch: EdgeBatch, columns, delete: bool) -> TaskArray:
+        """The batch's tasks, from its count columns (see ``columns``)."""
 
     # ------------------------------------------------------------------
 
@@ -510,15 +495,70 @@ class GraphDataStructure(abc.ABC):
             i = int(np.argmax(bad))
             self._check_vertex(int(src[i]) if bad_src[i] else int(dst[i]))
 
-    def degrees_snapshot(self) -> Tuple[List[int], List[int]]:
-        """(in-degrees, out-degrees) for all current vertices."""
-        n = self.num_nodes
-        outs = [self.out_degree(v) for v in range(n)]
-        ins = outs if not self.directed else [self.in_degree(v) for v in range(n)]
-        return list(ins), outs
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{type(self).__name__} name={self.name} nodes={self.num_nodes} "
             f"edges={self.num_edges} directed={self.directed}>"
         )
+
+
+class ChunkedStructure(GraphDataStructure):
+    """Chunked-style multithreading (AC, BA, DAH; Section III-A2).
+
+    The structure is partitioned into chunks, each owning the neighbors
+    of the source vertices ``u % chunks``.  A chunk is single-threaded,
+    so its updates need no locks; parallelism comes from running chunks
+    on different threads.  The price is routing: every chunk scans the
+    whole incoming batch to pick out its own edges, a fixed per-batch
+    overhead.
+    """
+
+    scheduler = ChunkedScheduler
+
+    def __init__(
+        self,
+        max_nodes: int,
+        directed: bool = True,
+        cost_model: Optional[CostModel] = None,
+        address_space: Optional[AddressSpace] = None,
+        chunks: int = DEFAULT_CHUNKS,
+    ) -> None:
+        if chunks < 1:
+            raise StructureError(f"chunks must be >= 1, got {chunks}")
+        self.chunks = chunks
+        super().__init__(max_nodes, directed, cost_model, address_space)
+
+    def _chunk_tasks(self, batch: EdgeBatch, work: np.ndarray) -> TaskArray:
+        """Lockless per-operation ``work`` pinned to the owning chunks,
+        then one routing task per chunk: it scans the whole batch once
+        per store direction (out+in, or both orientations)."""
+        row_src, _ = row_layout(batch.src, batch.dst, self.directed)
+        edges = TaskArray.build(
+            len(work), unlocked_work=work, chunk=row_src % self.chunks
+        )
+        routing = TaskArray.build(
+            self.chunks,
+            unlocked_work=self.cost.route_edge * len(batch) * 2,
+            chunk=np.arange(self.chunks, dtype=np.int64),
+            overhead=True,
+        )
+        return TaskArray.concatenate([edges, routing])
+
+
+def _trace_traversals(store, vertices) -> Tuple[np.ndarray, np.ndarray]:
+    """One traversal of each vertex's neighbors in ``store``: ``(counts, addresses)``.
+
+    A store with a kernel emits the whole array in C; one without runs
+    its per-vertex ``trace_traversal`` -- the reference the C emitters
+    are tested against -- in a loop.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if store.kernels is not None:
+        return store.traversals(vertices)
+    recorder = TraceRecorder()
+    ends = []
+    for u in vertices.tolist():
+        store.trace_traversal(u, recorder)
+        ends.append(len(recorder))
+    counts = np.diff(np.asarray(ends, dtype=np.int64), prepend=0)
+    return counts, recorder.finalize().addresses

@@ -435,16 +435,6 @@ class NativeBlockedStore(_PooledVectorState):
             self._pool(new_capacity // 2).release(old_base)
         return base
 
-    def insert(self, src: int, dst: int, weight: float, recorder):
-        """Search-then-insert; returns (scanned, inserted, relocated)."""
-        outcome = super().insert(src, dst, weight, recorder)
-        return outcome.scanned, outcome.inserted, outcome.grew_from
-
-    def remove(self, src: int, dst: int, recorder):
-        """Swap-remove; returns (scanned, removed)."""
-        outcome = super().remove(src, dst, recorder)
-        return outcome.scanned, outcome.removed
-
     def pool_stats(self) -> Dict[int, Tuple[int, int]]:
         """{capacity: (allocations, reuses)} across all pools."""
         return {
@@ -473,7 +463,7 @@ class _InsertOutcome:
     space_chases: int
     inserted: bool
     new_block: bool
-    lock: Optional[int]
+    lock: int  # the block's lock id; NO_LOCK when no block changed
 
 
 class NativeStingerStore:
@@ -654,7 +644,7 @@ class NativeStingerStore:
                 space_chases=0,
                 inserted=False,
                 new_block=False,
-                lock=None,
+                lock=NO_LOCK,
             )
         bcnt = int(self._bcnt[src])
         search_probes = int(self._deg[src])
@@ -711,7 +701,7 @@ class NativeStingerStore:
                 space_chases=0,
                 inserted=False,
                 new_block=False,
-                lock=None,
+                lock=NO_LOCK,
             )
         if tracing:
             self._trace_scan(src, bi + 1, recorder)
@@ -988,19 +978,17 @@ def native_stinger_ingest(out_store, in_store, batch, directed, delete, recorder
     return int(ctl[3]), chases, probes, space, hit, newblk, lock
 
 
-def native_vec_ingest(out_store, in_store, batch, directed, delete, recorder,
-                      record_moved=True):
+def native_vec_ingest(out_store, in_store, batch, directed, delete, recorder):
     """Fused batch ingest through the compiled vector kernel.
 
     Operation for operation equivalent to the per-edge loop over
     ``insert``/``remove`` -- same store mutations in the same order,
     same scanned/hit/aux rows (``aux``: grew_from on insert, moved on
-    delete, 0 when ``record_moved`` is false, for stores that do not
-    price backfill moves), same simulated-memory layout (growth events
+    delete), same simulated-memory layout (growth events
     replayed in call order), same accesses into an enabled
     ``recorder``.  ``in_store`` is the out store itself for undirected
     graphs.  Returns ``(positive, scanned, hit, aux)`` with the columns
-    as numpy arrays, ready for the emitters' vectorized pricing.
+    as numpy arrays, ready for the structures' vectorized pricing.
     """
     kernels = out_store.kernels
     n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
@@ -1015,7 +1003,7 @@ def native_vec_ingest(out_store, in_store, batch, directed, delete, recorder,
     def call(log_descriptor):
         return kernels.vec_ingest(
             n, p(src), p(dst), p(wgt),
-            int(directed), int(delete), int(record_moved),
+            int(directed), int(delete),
             *out_store._kernel_args(), *in_store._kernel_args(),
             p(scanned), p(hit), p(aux), p(events), p(ctl), log_descriptor,
         )
@@ -1818,7 +1806,7 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete, recorder):
     """Fused batch ingest through the compiled DAH kernel.
 
     Returns ``(positive, table_probes, hash_ops, inline_scanned,
-    degree_queries, flushed, rehash_moves, hit, chunk)``, one row per
+    degree_queries, flushed, rehash_moves, hit)``, one row per
     store operation in the per-edge loop's order; table-region and
     neighbor-set allocations replay from the event log in call order.
     An enabled ``recorder`` receives the accesses of the per-edge
@@ -1833,7 +1821,6 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete, recorder):
     flushed = np.zeros(rows, dtype=np.int64)
     rehash_moves = np.zeros(rows, dtype=np.int64)
     hit = np.zeros(rows, dtype=np.bool_)
-    chunk = np.zeros(rows, dtype=np.int64)
     events = np.zeros(3 * (2 * rows + 2), dtype=np.int64)
     ctl = np.zeros(10, dtype=np.int64)
     # An operation adds at most one neighbor set.
@@ -1848,8 +1835,7 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete, recorder):
             p(out_desc), p(in_desc),
             p(table_probes), p(hash_ops), p(inline_scanned),
             p(degree_queries), p(flushed), p(rehash_moves),
-            p(hit), p(chunk),
-            p(events), p(ctl), log_descriptor,
+            p(hit), p(events), p(ctl), log_descriptor,
         )
 
     def grow_arena():
@@ -1890,5 +1876,5 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete, recorder):
     _count_growth_events(out_store, count)
     return (
         int(ctl[3]), table_probes, hash_ops, inline_scanned,
-        degree_queries, flushed, rehash_moves, hit, chunk,
+        degree_queries, flushed, rehash_moves, hit,
     )

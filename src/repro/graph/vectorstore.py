@@ -4,9 +4,9 @@ All three store, per vertex, a contiguous growable run of
 ``(neighbor, weight)`` entries; they differ in multithreading style
 (per-vertex locks vs lockless chunks) and in how growth is accounted.
 This module holds what their stores (:mod:`repro.graph.nativestore`)
-and task emitters agree on: the simulated entry/header layout, the
-primitive counts one store operation reports, and the row order of a
-batch ingested in one compiled call.
+and structures agree on: the simulated entry/header layout, the
+primitive counts one store operation reports and their pricing, and the
+row order of a batch.
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ HEADER_BYTES = 16
 
 #: Initial capacity of a vertex's neighbor vector.
 INITIAL_CAPACITY = 4
+
+
+#: The count columns of one store operation, in the kernel's order: the
+#: fields of :class:`InsertOutcome` (aux: grew_from) and
+#: :class:`RemoveOutcome` (aux: moved).
+COLUMNS = ("scanned", "hit", "aux")
 
 
 @dataclass
@@ -43,14 +49,31 @@ class RemoveOutcome:
     moved: int  # entries moved to close the hole (swap-remove: 0 or 1)
 
 
+def vector_scan_work(cost, delete, scanned, hit, aux) -> np.ndarray:
+    """Per-operation cycles of vector-store scans (AS, AC; BA's inserts).
+
+    Term by term: the probe charge per scanned slot, then the slot
+    charge on changed rows, then the grow (insert) or backfill (delete)
+    charge.
+    """
+    work = cost.probe_element * np.asarray(scanned, dtype=np.float64)
+    hit = np.asarray(hit, dtype=bool)
+    aux = np.asarray(aux, dtype=np.int64)
+    if delete:
+        work[hit] += cost.insert_slot * (1 + aux[hit])  # clear + backfill
+    else:
+        work[hit] += cost.insert_slot
+        work[hit] += cost.vector_grow_per_element * aux[hit].astype(np.float64)
+    return work
+
+
 def row_layout(src, dst, directed):
-    """Per-row source vertex and mirror flag for one fused batch.
+    """Per-row source vertex and mirror flag for one batch.
 
     Rows appear in ingest order -- each edge's out-store operation,
-    then its mirror operation (skipped for undirected self-loops) --
-    matching the per-edge loop, so per-row columns that depend only on
-    the batch content (lock and chunk ids) can be rebuilt vectorized
-    instead of appended inside the hot loop.
+    then its mirror operation (skipped for undirected self-loops) -- on
+    both ingest paths, so per-row columns that depend only on the batch
+    content (lock and chunk ids) are built vectorized from it.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)

@@ -6,9 +6,9 @@ module compiles the batch loop over those operations: each structure
 family gets one C kernel that runs the *entire* batch -- duplicate
 scans, slot writes, segment relocations, block chases, hash probes --
 over the same arrays, returning the per-operation counts (scanned/hit/
-aux...) as columns, which the emitters then price with the same
-vectorized arithmetic.  Results are bit-identical to the per-operation
-emitter methods.
+aux...) as columns, the same columns the per-edge methods' outcome
+records hold, which the structure then prices with vectorized
+arithmetic.  Results are bit-identical to the per-edge methods.
 
 The kernels mutate raw arrays, but simulated-memory accounting
 (``AddressSpace`` regions, segment pools, table regions) stays in
@@ -40,8 +40,9 @@ Environment gates (mirroring :mod:`repro.compute.ckernels`):
 - ``SAGA_BENCH_NO_CINGEST=1`` (or ``all``) disables every structure;
   a comma list (``SAGA_BENCH_NO_CINGEST=DAH,Stinger``) disables only
   those structures.  A disabled structure builds the same stores and
-  never calls the library: every batch runs the per-edge methods, and
-  every traversal the per-vertex ``_trace_traversal``.
+  never calls the library: every batch runs the stores' per-edge
+  methods, and every traversal the store's per-vertex
+  ``trace_traversal``.
 - ``SAGA_BENCH_REQUIRE_CINGEST=1`` turns a failed build into a hard
   error instead of a silent fallback.
 """
@@ -331,7 +332,7 @@ static int vec_insert_op(
 
 /* One search-then-remove; allocates nothing, so only the log stalls it. */
 static int vec_delete_op(
-    VecStore *s, int64_t u, int64_t v, int64_t mirror, int64_t record_moved,
+    VecStore *s, int64_t u, int64_t v, int64_t mirror,
     int64_t *scanned, uint8_t *hit, int64_t *aux, int64_t row,
     int64_t *positive, AccessLog *lg)
 {
@@ -355,14 +356,14 @@ static int vec_delete_op(
     }
     s->len[u] = len - 1;
     hit[row] = 1;
-    aux[row] = record_moved ? moved : 0;
+    aux[row] = moved;
     if (!mirror) (*positive)++;
     return RC_OK;
 }
 
 int64_t saga_vec_ingest(
     int64_t n, const int64_t *src, const int64_t *dst, const double *wgt,
-    int64_t directed, int64_t delete_mode, int64_t record_moved,
+    int64_t directed, int64_t delete_mode,
     int64_t *o_off, int64_t *o_len, int64_t *o_cap,
     int64_t *o_nbr, double *o_wgt, int64_t *o_state, int64_t o_pool_cap,
     int64_t *i_off, int64_t *i_len, int64_t *i_cap,
@@ -392,8 +393,8 @@ int64_t saga_vec_ingest(
             int64_t a = half ? v : u, b = half ? u : v;
             int64_t mark = lg.n;
             int rc = delete_mode
-                ? vec_delete_op(s, a, b, half, record_moved,
-                                scanned, hit, aux, row, &positive, &lg)
+                ? vec_delete_op(s, a, b, half, scanned, hit, aux, row,
+                                &positive, &lg)
                 : vec_insert_op(s, a, b, w, half, scanned, hit, aux, row,
                                 events, &ec, &positive, &need, &lg);
             if (rc) {
@@ -1100,7 +1101,7 @@ static int64_t dah_new_set(DahStore *s, int64_t mirror,
 static int dah_insert_op(
     DahStore *s, int64_t u, int64_t v, double w, int64_t mirror,
     int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
-    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit, int64_t *o_chunk,
+    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit,
     int64_t row, int64_t *events, int64_t *ec, int64_t *positive,
     int64_t *ctl, AccessLog *lg)
 {
@@ -1259,7 +1260,6 @@ static int dah_insert_op(
     o_flushed[row] = flushed;
     o_rehash[row] = rehash;
     o_hit[row] = (uint8_t)hit;
-    o_chunk[row] = c;
     if (!mirror && hit) (*positive)++;
     return RC_OK;
 }
@@ -1268,7 +1268,7 @@ static int dah_insert_op(
 static int dah_delete_op(
     DahStore *s, int64_t u, int64_t v, int64_t mirror,
     int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
-    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit, int64_t *o_chunk,
+    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit,
     int64_t row, int64_t *positive, AccessLog *lg)
 {
     int64_t c = u % s->chunks;
@@ -1334,7 +1334,6 @@ static int dah_delete_op(
     o_flushed[row] = 0;
     o_rehash[row] = 0;
     o_hit[row] = (uint8_t)hit;
-    o_chunk[row] = c;
     if (!mirror && hit) (*positive)++;
     return RC_OK;
 }
@@ -1344,7 +1343,7 @@ int64_t saga_dah_ingest(
     int64_t directed, int64_t delete_mode,
     const int64_t *out_desc, const int64_t *in_desc,
     int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
-    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit, int64_t *o_chunk,
+    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit,
     int64_t *events, int64_t *ctl, const int64_t *log_desc)
 {
     DahStore out, in;
@@ -1371,11 +1370,11 @@ int64_t saga_dah_ingest(
             int64_t mark = lg->n;
             int rc = delete_mode
                 ? dah_delete_op(s, a, b, half, o_probes, o_ops, o_inline,
-                                o_degq, o_flushed, o_rehash, o_hit, o_chunk,
-                                row, &positive, lg)
+                                o_degq, o_flushed, o_rehash, o_hit, row,
+                                &positive, lg)
                 : dah_insert_op(s, a, b, w, half, o_probes, o_ops,
                                 o_inline, o_degq, o_flushed, o_rehash,
-                                o_hit, o_chunk, row, events, &ec,
+                                o_hit, row, events, &ec,
                                 &positive, ctl, lg);
             if (rc)
                 return save_stall(ctl, rc, i, half, row, positive, ec,
@@ -1470,7 +1469,6 @@ class IngestKernels:
             ctypes.c_void_p,  # wgt
             ctypes.c_longlong,  # directed
             ctypes.c_longlong,  # delete_mode
-            ctypes.c_longlong,  # record_moved
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_longlong,
@@ -1502,7 +1500,7 @@ class IngestKernels:
         lib.saga_dah_ingest.argtypes = (
             [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
             + [ctypes.c_longlong] * 2
-            + [ctypes.c_void_p] * 13  # descriptors, outputs, events, ctl, access log
+            + [ctypes.c_void_p] * 12  # descriptors, outputs, events, ctl, access log
         )
         # The traversal emitters: (n, vertices, <store>, counts, addresses).
         emitters = {

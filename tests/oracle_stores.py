@@ -5,9 +5,11 @@ list of ``(neighbor, weight)`` tuples per vertex with a dict for
 membership (AS/AC vectors, BA segments), lists of ``_EdgeBlock`` objects
 (Stinger), ``tests/oracle_hashtables.py``'s tables holding Python lists
 and ``_NeighborSet`` objects (DAH).  Each implements the store interface
-the structures' task emitters drive -- ``insert``/``remove`` returning
-the primitive counts of the operation and emitting its memory accesses
-into the recorder, ``neighbors``/``degree``, ``trace_traversal`` -- and
+the structures' per-edge ingest drives -- ``insert``/``remove``
+returning the primitive counts of the operation as an outcome record
+whose fields are the kernel's columns, in order, and emitting its
+memory accesses into the recorder, ``neighbors``/``degree``,
+``trace_traversal`` -- and
 allocates its simulated memory in the order the product stores do, so
 traced addresses and ``AddressSpace`` counters are comparable too.
 
@@ -15,8 +17,8 @@ Nothing here imports ``repro.graph.nativestore``, its layout constants
 or its outcome records: the product path keeps one store family (numpy
 arenas; per-edge methods and one C kernel per family), and this module
 is the third party both are compared against.  :func:`oracle_structure`
-puts a pair of these stores behind a real structure, whose emitter then
-runs its per-operation methods over them.
+puts a pair of these stores behind a real structure, whose ingest then
+runs their per-operation methods.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.graph import make_structure
 from repro.sim.memory import AddressSpace, Region
+from repro.sim.tasks import NO_LOCK
 from tests.conftest import cingest_env
 from tests.oracle_hashtables import OpenAddressTable, RobinHoodTable
 
@@ -233,8 +236,8 @@ class _BlockedStore:
             self._pools[capacity] = pool
         return pool
 
-    def insert(self, src: int, dst: int, weight: float, recorder):
-        """Search-then-insert; returns (scanned, inserted, relocated)."""
+    def insert(self, src: int, dst: int, weight: float, recorder) -> InsertOutcome:
+        """Search-then-insert; ``grew_from`` counts the entries relocated."""
         vec = self._neighbors[src]
         index = self._index[src]
         tracing = recorder.enabled
@@ -245,7 +248,7 @@ class _BlockedStore:
             scanned = existing + 1
             if tracing and self._segment[src] is not None:
                 recorder.access_range(self._segment[src].base, scanned, ENTRY_BYTES)
-            return scanned, False, 0
+            return InsertOutcome(scanned=scanned, inserted=False, grew_from=0)
         scanned = len(vec)
         if tracing and self._segment[src] is not None:
             recorder.access_range(self._segment[src].base, scanned, ENTRY_BYTES)
@@ -258,7 +261,7 @@ class _BlockedStore:
             recorder.access(
                 self._segment[src].element(len(vec) - 1, ENTRY_BYTES), write=True
             )
-        return scanned, True, relocated
+        return InsertOutcome(scanned=scanned, inserted=True, grew_from=relocated)
 
     def _relocate(self, src: int) -> int:
         """Move ``src`` to a doubled segment; returns entries copied."""
@@ -271,8 +274,8 @@ class _BlockedStore:
             self._pool(old_capacity).release(old_segment)
         return len(self._neighbors[src])
 
-    def remove(self, src: int, dst: int, recorder):
-        """Swap-remove; returns (scanned, removed)."""
+    def remove(self, src: int, dst: int, recorder) -> RemoveOutcome:
+        """Swap-remove of ``src -> dst``."""
         vec = self._neighbors[src]
         index = self._index[src]
         tracing = recorder.enabled
@@ -283,18 +286,19 @@ class _BlockedStore:
         if position is None:
             if tracing and segment is not None:
                 recorder.access_range(segment.base, len(vec), ENTRY_BYTES)
-            return len(vec), False
+            return RemoveOutcome(scanned=len(vec), removed=False, moved=0)
         if tracing:
             recorder.access_range(segment.base, position + 1, ENTRY_BYTES)
         last = len(vec) - 1
-        if position != last:
+        moved = int(position != last)
+        if moved:
             vec[position] = vec[last]
             index[vec[position][0]] = position
             if tracing:
                 recorder.access(segment.element(position, ENTRY_BYTES), write=True)
         vec.pop()
         del index[dst]
-        return position + 1, True
+        return RemoveOutcome(scanned=position + 1, removed=True, moved=moved)
 
     def neighbors(self, u: int) -> List[Tuple[int, float]]:
         return self._neighbors[u]
@@ -361,7 +365,7 @@ class _InsertOutcome:
     space_chases: int
     inserted: bool
     new_block: bool
-    lock: Optional[int]
+    lock: int  # NO_LOCK when no block changed
 
 
 class _StingerStore:
@@ -412,7 +416,7 @@ class _StingerStore:
                 space_chases=0,
                 inserted=False,
                 new_block=False,
-                lock=None,
+                lock=NO_LOCK,
             )
         # Negative search scans the entire list ...
         search_chases = len(blocks)
@@ -473,7 +477,7 @@ class _StingerStore:
                 space_chases=0,
                 inserted=False,
                 new_block=False,
-                lock=None,
+                lock=NO_LOCK,
             )
         block_idx, slot = existing
         probes = slot + 1
@@ -808,13 +812,11 @@ ORACLE, PER_EDGE, KERNEL = IMPLEMENTATIONS = ("oracle", "per-edge", "kernel")
 def oracle_structure(name: str, max_nodes: int, directed: bool = True, **kwargs):
     """``make_structure`` with a pair of the stores above behind it.
 
-    The structure keeps its emitter, pricing and scheduler; only the
-    stores (and the address space they allocate from, started afresh so
-    the layout is the one a structure built on these stores has) are
-    replaced.  No kernel: every batch runs the emitter's per-operation
-    methods.  These stores have no array trace emitter: the compute-
-    phase trace of such a structure is the base-class loop,
-    ``GraphDataStructure._trace_traversals(structure, vertices, out)``.
+    The structure keeps its pricing and scheduler; only the stores (and
+    the address space they allocate from, started afresh so the layout
+    is the one a structure built on these stores has) are replaced.  No
+    kernel: every batch runs the stores' per-operation methods, and
+    every compute-phase trace their per-vertex ``trace_traversal``.
     """
     structure = make_structure(name, max_nodes, directed=directed, **kwargs)
     space = structure.space = AddressSpace()
@@ -837,7 +839,7 @@ def oracle_structure(name: str, max_nodes: int, directed: bool = True, **kwargs)
         return built
 
     structure._out = store("out")
-    structure._in = store("in") if directed else None
+    structure._in = store("in") if directed else structure._out
     return structure
 
 

@@ -284,11 +284,7 @@ def test_vertex_growing_repeatedly_in_one_batch(name, directed):
     def run(implementation):
         structure = structure_over(implementation, name, N, directed)
         structure.update(hub, _ctx())
-        if implementation == ORACLE:
-            trace = GraphDataStructure._trace_traversals(structure, probe, out=True)
-        else:
-            trace = structure.trace_out_traversal(probe)
-        return structure, trace
+        return structure, structure.trace_out_traversal(probe)
 
     plain, (plain_counts, plain_addresses) = run(ORACLE)
     for implementation in (PER_EDGE, KERNEL):
@@ -709,7 +705,7 @@ lib = cingest.get("AS")._lib
 ctl = np.zeros(10, dtype=np.int64)
 store = [None] * 6 + [0]
 lib.saga_vec_ingest(
-    1, None, None, None, 1, 0, 1, *store, *store,
+    1, None, None, None, 1, 0, *store, *store,
     None, None, None, None, ctl.ctypes.data, None,
 )
 """

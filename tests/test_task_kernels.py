@@ -1,8 +1,8 @@
 """Task emission and scheduling: each fast path against its reference.
 
-**Emission.**  A structure's emitter has per-operation methods over the
-stores (the reference: what kernel-less stores run) and
-``ingest_batch``, one compiled call per batch, traced or not.  The emitted
+**Emission.**  A structure ingests through its stores' per-operation
+methods (the reference: what kernel-less stores run) or one compiled
+call per batch, traced or not.  The emitted
 columns are **pinned exactly**: ``test_emitted_columns_are_pinned``
 holds a sha256 of the six ``TaskArray`` columns for every structure x
 orientation x {inserts, insert then delete} stream, recorded from the
@@ -44,8 +44,8 @@ ALL = sorted(STRUCTURES)
 
 
 #: Ingestion modes as ``(store implementation, traced)``: one compiled
-#: call per batch, the per-operation emitter methods over arena stores
-#: without a kernel, the compiled call again with a recorder attached
+#: call per batch, the per-operation methods of arena stores without a
+#: kernel, the compiled call again with a recorder attached
 #: (``PER_OP`` from when a recorder selected the per-operation methods:
 #: the kernel writes the access log now), and the per-operation methods
 #: over the oracle stores (traced: every branch).

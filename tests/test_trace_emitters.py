@@ -2,14 +2,14 @@
 
 ``trace_in_traversal`` / ``trace_out_traversal`` take a vertex array and
 return ``(counts, addresses)``.  The reference is the per-vertex
-``_trace_traversal(u, recorder, out)`` every structure defines: the
-array result must be that method's accesses, vertex after vertex.  Every
-store with a compiled kernel emits the array in C, one traversal
-emitter per family in :mod:`repro.sim.cingest` (the vector family's:
-header, then the entry span; Stinger's: vertex entry, then header +
-entries per block; DAH's: the high-table probe path, then the neighbor
-set or the low-table path), and a store without one runs the base-class
-loop over ``_trace_traversal``.  The reference is taken twice: from the
+``trace_traversal(u, recorder)`` every store defines: the array result
+must be that method's accesses, vertex after vertex.  Every store with
+a compiled kernel emits the array in C, one traversal emitter per
+family in :mod:`repro.sim.cingest` (the vector family's: header, then
+the entry span; Stinger's: vertex entry, then header + entries per
+block; DAH's: the high-table probe path, then the neighbor set or the
+low-table path), and a store without one runs the base-class loop over
+``trace_traversal``.  The reference is taken twice: from the
 structure under test, and (``plain``) from a second structure over the
 list/dict oracle stores of ``tests/oracle_stores.py`` fed the same
 stream -- which also holds the kernel-ingested layout to the oracle's.
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
-from repro.graph.base import GraphDataStructure
 from repro.sim import cingest
 from repro.sim.memory import Region
 from repro.sim.trace import TraceRecorder
@@ -35,12 +34,12 @@ ALL = sorted(STRUCTURES)
 N = 40
 
 
-def _reference(structure, vertices, out):
+def _reference(store, vertices):
     """Concatenated per-vertex emission: the old entry points' loop."""
     counts, addresses = [], []
     for u in vertices:
         recorder = TraceRecorder()
-        structure._trace_traversal(int(u), recorder, out)
+        store.trace_traversal(int(u), recorder)
         trace = recorder.finalize()
         assert not trace.is_write.any()
         counts.append(len(trace))
@@ -53,12 +52,12 @@ def _assert_matches_reference(structures, vertices):
     over the last one (the same structure, or its oracle-store twin)."""
     vertices = np.asarray(vertices, dtype=np.int64)
     structure, reference = structures[0], structures[-1]
-    for emit, out in (
-        (structure.trace_out_traversal, True),
-        (structure.trace_in_traversal, not structure.directed),
+    for emit, store in (
+        (structure.trace_out_traversal, reference._out),
+        (structure.trace_in_traversal, reference._in),
     ):
         counts, addresses = emit(vertices)
-        want_counts, want_addresses = _reference(reference, vertices, out)
+        want_counts, want_addresses = _reference(store, vertices)
         assert counts.tolist() == want_counts
         assert addresses.tolist() == want_addresses
         assert counts.dtype == addresses.dtype == np.int64
@@ -81,23 +80,23 @@ def _make(name, directed, plain, max_nodes=N, chunks=2):
 def test_every_structure_emits_arrays(name, monkeypatch):
     """No registered structure with a compiled kernel runs the
     per-vertex loop; one without runs it."""
-    emitter = STRUCTURES[name]._trace_traversals
-    assert emitter is not GraphDataStructure._trace_traversals
-    loops = []
-    reference = GraphDataStructure._trace_traversals
-
-    def loop(structure, vertices, out):
-        loops.append(name)
-        return reference(structure, vertices, out)
-
-    monkeypatch.setattr(GraphDataStructure, "_trace_traversals", loop)
+    visits = []
     (structure,) = _make(name, True, plain=False)
+    store_class = type(structure._out)
+    reference = store_class.trace_traversal
+
+    def per_vertex(store, u, recorder):
+        visits.append(u)
+        return reference(store, u, recorder)
+
+    monkeypatch.setattr(store_class, "trace_traversal", per_vertex)
     structure.trace_out_traversal(np.arange(N))
-    assert loops == ([] if cingest.get(name) is not None else [name])
+    assert visits == ([] if cingest.get(name) is not None else list(range(N)))
     with cingest_env("all"):
         (structure,) = _make(name, True, plain=False)
+    visits.clear()
     structure.trace_in_traversal(np.arange(N))
-    assert loops[-1:] == [name]
+    assert visits == list(range(N))
 
 
 _edges = st.lists(
@@ -159,7 +158,7 @@ class TestOverrunsStillRaise:
     def test_vertex_beyond_max_nodes(self, name):
         (structure,) = _make(name, True, plain=False)
         with pytest.raises(SimulationError):
-            structure._trace_traversal(N, TraceRecorder(), True)
+            structure._out.trace_traversal(N, TraceRecorder())
         for emit in (structure.trace_out_traversal, structure.trace_in_traversal):
             with pytest.raises(SimulationError, match=f"element {N} "):
                 emit(np.array([1, N, 2]))
@@ -175,7 +174,7 @@ class TestOverrunsStillRaise:
         getattr(structure._out, table)[0] = Region(region.base, 8, region.label)
         vertices = np.arange(N)
         with pytest.raises(SimulationError, match="overruns region"):
-            _reference(structure, vertices, True)
+            _reference(structure._out, vertices)
         with pytest.raises(SimulationError, match="overruns region"):
             structure.trace_out_traversal(vertices)
 
@@ -191,41 +190,32 @@ def test_c_emitter_refuses_a_negative_vertex(name):
         structure.trace_out_traversal(np.array([0, -1]))
 
 
+class _PerVertexStore:
+    """A store with a per-vertex ``trace_traversal`` and no kernel."""
+
+    kernels = None
+
+    def __init__(self, out):
+        self.out = out
+
+    def trace_traversal(self, u, recorder):
+        # u accesses for an out-traversal, one for an in-traversal.
+        out = self.out
+        recorder.access_range(1000 * u if out else u, u if out else 1, 8)
+
+
 def test_per_vertex_only_structure_gets_array_entry_points():
-    """Defining the abstract ``_trace_traversal`` is enough."""
-
-    class Bare(GraphDataStructure):
-        name = "Bare"
-
-        def out_neigh(self, u):
-            return []
-
-        def out_traversal_cost(self, u):
-            return 0.0
-
-        def _make_emitter(self, delete):
-            raise NotImplementedError
-
-        def _in_neigh_directed(self, u):
-            return []
-
-        def _in_traversal_cost_directed(self, u):
-            return 0.0
-
-        def _trace_traversal(self, u, recorder, out):
-            # u accesses for an out-traversal, one for an in-traversal.
-            recorder.access_range(1000 * u if out else u, u if out else 1, 8)
-
-        def _schedule(self, tasks, ctx):
-            raise NotImplementedError
-
-    bare = Bare(8)
+    """A store's per-vertex ``trace_traversal`` is enough."""
+    bare = make_structure("AS", 8)
+    bare._out, bare._in = _PerVertexStore(True), _PerVertexStore(False)
     counts, addresses = bare.trace_out_traversal(np.array([2, 0, 3]))
     assert counts.tolist() == [2, 0, 3]
     assert addresses.tolist() == [2000, 2008, 3000, 3008, 3016]
     counts, addresses = bare.trace_in_traversal([5, 7])
     assert (counts.tolist(), addresses.tolist()) == ([1, 1], [5, 7])
-    counts, addresses = Bare(8, directed=False).trace_in_traversal([2])
+    undirected = make_structure("AS", 8, directed=False)
+    undirected._out = undirected._in = _PerVertexStore(True)
+    counts, addresses = undirected.trace_in_traversal([2])
     assert addresses.tolist() == [2000, 2008]
     counts, addresses = bare.trace_out_traversal(np.empty(0, dtype=np.int64))
     assert len(counts) == len(addresses) == 0
