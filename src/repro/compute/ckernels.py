@@ -40,15 +40,29 @@ indices are ``np.floor_divide``'s, and the build forbids FMA
 contraction.  ``saga_interleave`` lays a traced run's accesses out task
 by task for the Fig. 9/10 cell (the numpy body of
 :func:`repro.analysis.hardware_profile._interleave` is its reference).
+
+The live graph's data plane is here too: ``saga_csr_insert_plan`` /
+``saga_csr_insert_apply``, ``saga_csr_delete``, ``saga_csr_rebuild`` and
+``saga_csr_compact`` are the mutators of
+:class:`repro.compute.csrstore.DynamicCSR`, ``saga_update_collect`` and
+``saga_delete_collect`` the collects of
+:class:`repro.graph.reference.ReferenceGraph`.  Each leaves exactly the
+state its numpy body leaves.  They allocate nothing: an insert's plan
+returns the heap slots its row relocations need, Python grows the heap
+by the store's own policy, then the apply writes; the collects get
+their outputs sized for the worst case and hand back prefixes.  Rows
+are counted through a bitmap rather than sorted, and a collect sorts
+only the batch (a radix sort of ``(key, row)`` pairs) before one
+galloping merge with the live column.
 Every crossing ticks ``compute_kernel_calls_total{kernel}``.
 
 This source is one part of the native library (:mod:`repro.sim.cbuild`).
 When it is not loaded (no C compiler, a failed build,
 ``SAGA_BENCH_NO_NATIVE=1``) the numpy expansion and engines of
 :mod:`repro.compute.kernels`, ``algorithms/base.py`` and
-``algorithms/sssp.py``, the numpy loop of :mod:`repro.compute.pricing`
-and the numpy interleave run -- the reference the kernels are tested
-against.  Nor is it loaded when ``saga_pairwise_sum`` does not
+``algorithms/sssp.py``, the numpy loop of :mod:`repro.compute.pricing`,
+the numpy interleave and the numpy bodies of the data plane run -- the
+reference the kernels are tested against.  Nor is it loaded when ``saga_pairwise_sum`` does not
 reproduce this numpy's ``ndarray.sum()`` on a probe vector (checked at
 load): every priced cycle must stay numpy's, so the whole simulator
 then runs on Python.
@@ -1110,6 +1124,420 @@ void saga_interleave(
         }
     }
 }
+
+/* ---- the live graph's data plane -----------------------------------
+ * The four mutators of repro.compute.csrstore.DynamicCSR and the two
+ * collects of repro.graph.reference.ReferenceGraph.  Each leaves
+ * exactly the state its numpy body leaves (that body is the reference
+ * and the path without this library).  Nothing here allocates: Python
+ * sizes every output and scratch buffer, and grows the column heap by
+ * DynamicCSR._grow_heap's policy between an insert's plan and apply.
+ * Rows are marked in a zeroed bitmap over max_nodes, so the work is
+ * batch-sized plus one word per 64 rows. */
+
+static inline int bit_test_set(uint64_t *bits, int64_t i)
+{
+    uint64_t *word = bits + (i >> 6), bit = (uint64_t)1 << (i & 63);
+    int was = (*word & bit) != 0;
+    *word |= bit;
+    return was;
+}
+
+/* A relocated row's capacity: np.maximum(np.maximum(2 * cap, need), 4). */
+static inline int64_t grown_cap(int64_t cap, int64_t need)
+{
+    int64_t grown = 2 * cap > need ? 2 * cap : need;
+    return grown > 4 ? grown : 4;
+}
+
+/* DynamicCSR.insert, first half: the rows keys[0..m) name, each once
+ * and ascending (rows[]), with the entries each takes (adds[]); returns
+ * the heap slots the relocations of the rows that overflow need (0:
+ * every row has room).  While the keys are counted lens[r] holds row
+ * r's slot in the first-touch table (len_at[], add_at[]); it holds the
+ * row's length again before this returns. */
+int64_t saga_csr_insert_plan(
+    int64_t m,
+    const int64_t *keys,
+    int64_t *lens,
+    const int64_t *caps,
+    uint64_t *seen,
+    int64_t *len_at,
+    int64_t *add_at,
+    int64_t *rows,
+    int64_t *adds,
+    int64_t *touched)
+{
+    int64_t i, w, t = 0, k = 0, extra = 0, lo = INT64_MAX, hi = -1;
+    for (i = 0; i < m; i++) {
+        int64_t r = keys[i];
+        if (!bit_test_set(seen, r)) {
+            len_at[t] = lens[r];
+            add_at[t] = 0;
+            lens[r] = t++;
+            if (r < lo)
+                lo = r;
+            if (r > hi)
+                hi = r;
+        }
+        add_at[lens[r]]++;
+    }
+    for (w = t ? lo >> 6 : 0; t && w <= hi >> 6; w++) {
+        uint64_t bits = seen[w];
+        while (bits) {
+            int64_t r = (w << 6) + __builtin_ctzll(bits);
+            int64_t slot = lens[r], need = len_at[slot] + add_at[slot];
+            bits &= bits - 1;
+            lens[r] = len_at[slot];
+            rows[k] = r;
+            adds[k++] = add_at[slot];
+            if (need > caps[r])
+                extra += grown_cap(caps[r], need);
+        }
+    }
+    *touched = k;
+    return extra;
+}
+
+/* DynamicCSR.insert, second half, once the heap has room: the rows
+ * that overflow move, ascending, to the heap's end (used) with grown
+ * capacity, their old extents left as tombstones; then every entry is
+ * appended behind its row's tail in batch order.  Returns the slots
+ * tombstoned. */
+int64_t saga_csr_insert_apply(
+    int64_t m,
+    const int64_t *keys,
+    const int64_t *vals,
+    const double *wts_in,
+    int64_t touched,
+    const int64_t *rows,
+    const int64_t *adds,
+    int64_t used,
+    int64_t *starts,
+    int64_t *lens,
+    int64_t *caps,
+    int64_t *cols,
+    double *wts)
+{
+    int64_t i, k, dead = 0;
+    for (k = 0; k < touched; k++) {
+        int64_t r = rows[k], need = lens[r] + adds[k];
+        if (need > caps[r]) {
+            memcpy(cols + used, cols + starts[r], (size_t)lens[r] * sizeof(int64_t));
+            memcpy(wts + used, wts + starts[r], (size_t)lens[r] * sizeof(double));
+            dead += caps[r];
+            starts[r] = used;
+            caps[r] = grown_cap(caps[r], need);
+            used += caps[r];
+        }
+    }
+    for (i = 0; i < m; i++) {
+        int64_t r = keys[i], at = starts[r] + lens[r]++;
+        cols[at] = vals[i];
+        wts[at] = wts_in[i];
+    }
+    return dead;
+}
+
+static inline uint64_t pair_hash(int64_t a, int64_t b)
+{
+    uint64_t h = (uint64_t)a * 0x9E3779B97F4A7C15ULL ^ (uint64_t)b;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    return h ^ (h >> 31);
+}
+
+/* DynamicCSR.delete: every slot of a named row whose (row, col) pair
+ * is among the m (keys, vals) pairs goes; the survivors close up in
+ * order and the freed slots become the row's slack.  table is 2 * cap
+ * scratch for an open-addressing set of the pairs (cap a power of two
+ * of at least 2m), rows m scratch.  Returns the slots removed. */
+int64_t saga_csr_delete(
+    int64_t m,
+    const int64_t *keys,
+    const int64_t *vals,
+    const int64_t *starts,
+    int64_t *lens,
+    int64_t *cols,
+    double *wts,
+    uint64_t *seen,
+    int64_t *rows,
+    int64_t *table,
+    int64_t cap)
+{
+    uint64_t mask = (uint64_t)cap - 1, h;
+    int64_t i, k, t = 0, removed = 0;
+    memset(table, 0xff, (size_t)cap * 2 * sizeof(int64_t)); /* row -1: empty */
+    for (i = 0; i < m; i++) {
+        int64_t r = keys[i], v = vals[i];
+        for (h = pair_hash(r, v) & mask; table[2 * h] != -1; h = (h + 1) & mask)
+            if (table[2 * h] == r && table[2 * h + 1] == v)
+                break;
+        table[2 * h] = r;
+        table[2 * h + 1] = v;
+        if (!bit_test_set(seen, r))
+            rows[t++] = r;
+    }
+    for (k = 0; k < t; k++) {
+        int64_t r = rows[k], from = starts[r], end = from + lens[r], to = from, s;
+        for (s = from; s < end; s++) {
+            int64_t c = cols[s];
+            for (h = pair_hash(r, c) & mask; table[2 * h] != -1; h = (h + 1) & mask)
+                if (table[2 * h] == r && table[2 * h + 1] == c)
+                    break;
+            if (table[2 * h] != -1)
+                continue;
+            cols[to] = c;
+            wts[to++] = wts[s];
+        }
+        removed += end - to;
+        lens[r] = to - from;
+    }
+    return removed;
+}
+
+/* DynamicCSR.rebuild: a counting sort of the edge list by key into
+ * fresh arrays, stable, so each row keeps the list's order; tight. */
+void saga_csr_rebuild(
+    int64_t m,
+    int64_t n,
+    const int64_t *keys,
+    const int64_t *vals,
+    const double *wts_in,
+    int64_t *starts,
+    int64_t *lens,
+    int64_t *caps,
+    int64_t *cols,
+    double *wts)
+{
+    int64_t i, r, acc = 0;
+    memset(lens, 0, (size_t)n * sizeof(int64_t));
+    for (i = 0; i < m; i++)
+        lens[keys[i]]++;
+    for (r = 0; r < n; r++) {
+        starts[r] = caps[r] = acc; /* caps[] is the fill cursor first */
+        acc += lens[r];
+    }
+    for (i = 0; i < m; i++) {
+        int64_t at = caps[keys[i]]++;
+        cols[at] = vals[i];
+        wts[at] = wts_in[i];
+    }
+    memcpy(caps, lens, (size_t)n * sizeof(int64_t));
+}
+
+/* DynamicCSR.compact: the live rows repacked tight into fresh arrays. */
+void saga_csr_compact(
+    int64_t n,
+    const int64_t *starts,
+    const int64_t *lens,
+    const int64_t *cols,
+    const double *wts,
+    int64_t *new_starts,
+    int64_t *new_caps,
+    int64_t *new_cols,
+    double *new_wts)
+{
+    int64_t r, acc = 0;
+    for (r = 0; r < n; r++) {
+        int64_t len = lens[r];
+        memcpy(new_cols + acc, cols + starts[r], (size_t)len * sizeof(int64_t));
+        memcpy(new_wts + acc, wts + starts[r], (size_t)len * sizeof(double));
+        new_starts[r] = acc;
+        new_caps[r] = len;
+        acc += len;
+    }
+}
+
+/* The collects' common first step: each row's packed edge key
+ * (src * n + dst; (min, max) when undirected), sorted with the row's
+ * position by a stable LSD radix over 8-bit digits (np.unique's
+ * return_index: of equal keys the first row comes first).  scratch is
+ * 4m: two key and two position buffers.  Returns the sorted keys; the
+ * positions follow them m entries later. */
+static int64_t *sort_packed_rows(
+    int64_t m,
+    const int64_t *src,
+    const int64_t *dst,
+    int64_t n,
+    int32_t directed,
+    int64_t *scratch)
+{
+    int64_t count[8][256];
+    int64_t *key = scratch, *pos = scratch + m;
+    int64_t *key2 = scratch + 2 * m, *pos2 = scratch + 3 * m, *swap;
+    int64_t i, maxkey = 0;
+    int d, digits = 1;
+    if (m == 0)
+        return scratch;
+    for (i = 0; i < m; i++) {
+        int64_t u = src[i], v = dst[i];
+        if (!directed && v < u) {
+            u = dst[i];
+            v = src[i];
+        }
+        key[i] = u * n + v;
+        pos[i] = i;
+        if (key[i] > maxkey)
+            maxkey = key[i];
+    }
+    while (digits < 8 && (maxkey >> (8 * digits)) != 0)
+        digits++;
+    memset(count, 0, (size_t)digits * sizeof(count[0]));
+    for (i = 0; i < m; i++)
+        for (d = 0; d < digits; d++)
+            count[d][(key[i] >> (8 * d)) & 255]++;
+    for (d = 0; d < digits; d++) {
+        int64_t *c = count[d], off = 0;
+        int shift = 8 * d;
+        if (c[(key[0] >> shift) & 255] == m)
+            continue; /* every key shares this digit */
+        for (i = 0; i < 256; i++) {
+            int64_t here = c[i];
+            c[i] = off;
+            off += here;
+        }
+        for (i = 0; i < m; i++) {
+            int64_t at = c[(key[i] >> shift) & 255]++;
+            key2[at] = key[i];
+            pos2[at] = pos[i];
+        }
+        swap = key;
+        key = key2;
+        key2 = swap;
+        swap = pos;
+        pos = pos2;
+        pos2 = swap;
+    }
+    if (key != scratch) {
+        memcpy(scratch, key, (size_t)m * sizeof(int64_t));
+        memcpy(scratch + m, pos, (size_t)m * sizeof(int64_t));
+    }
+    return scratch;
+}
+
+/* First index in a[lo..n) holding a value >= key (a ascending), found
+ * by galloping from lo: the batch's keys arrive ascending. */
+static int64_t gallop(const int64_t *a, int64_t lo, int64_t n, int64_t key)
+{
+    int64_t hi = lo, step = 1;
+    while (hi < n && a[hi] < key) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    if (hi > n)
+        hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The rows mark[] flags, in batch order, with their weights. */
+static int64_t copy_marked(
+    int64_t m,
+    const uint8_t *mark,
+    const int64_t *src,
+    const int64_t *dst,
+    const double *wt,
+    int64_t *out_src,
+    int64_t *out_dst,
+    double *out_wt)
+{
+    int64_t i, c = 0;
+    for (i = 0; i < m; i++) {
+        if (mark[i]) {
+            out_src[c] = src[i];
+            out_dst[c] = dst[i];
+            out_wt[c++] = wt[i];
+        }
+    }
+    return c;
+}
+
+/* The collects' merge: the first row of each distinct batch key is
+ * collected when the key is absent from the live column (keys[0..live),
+ * ascending, weights aligned) on insert, present on delete.  The next
+ * live column goes to next_keys/next_wts: on insert with each new key
+ * merged in with its first row's weight, on delete without the removed
+ * keys, whose stored weights are gathered into wt[] (m scratch) at
+ * their first rows.  The collected rows, in batch order, go to out_*;
+ * returns how many. */
+static int64_t collect(
+    int removing,
+    int64_t m,
+    const int64_t *src,
+    const int64_t *dst,
+    double *wt,
+    int64_t n,
+    int32_t directed,
+    int64_t live,
+    const int64_t *keys,
+    const double *weights,
+    int64_t *scratch,
+    uint8_t *mark,
+    int64_t *next_keys,
+    double *next_wts,
+    int64_t *out_src,
+    int64_t *out_dst,
+    double *out_wt)
+{
+    const int64_t *sorted = sort_packed_rows(m, src, dst, n, directed, scratch);
+    const int64_t *pos = sorted + m;
+    int64_t s, at = 0, done = 0, out = 0;
+    memset(mark, 0, (size_t)m);
+    for (s = 0; s < m; s++) {
+        int64_t key = sorted[s];
+        if (s && key == sorted[s - 1])
+            continue;
+        at = gallop(keys, at, live, key);
+        if ((at < live && keys[at] == key) != removing)
+            continue;
+        memcpy(next_keys + out, keys + done, (size_t)(at - done) * sizeof(int64_t));
+        memcpy(next_wts + out, weights + done, (size_t)(at - done) * sizeof(double));
+        out += at - done;
+        done = at;
+        if (removing) {
+            wt[pos[s]] = weights[done++];
+        } else {
+            next_keys[out] = key;
+            next_wts[out++] = wt[pos[s]];
+        }
+        mark[pos[s]] = 1;
+    }
+    memcpy(next_keys + out, keys + done, (size_t)(live - done) * sizeof(int64_t));
+    memcpy(next_wts + out, weights + done, (size_t)(live - done) * sizeof(double));
+    return copy_marked(m, mark, src, dst, wt, out_src, out_dst, out_wt);
+}
+
+/* ReferenceGraph.update_collect: the new rows, and the live column
+ * with their keys merged in (room for live + m). */
+int64_t saga_update_collect(
+    int64_t m, const int64_t *src, const int64_t *dst, double *wt, int64_t n,
+    int32_t directed, int64_t live, const int64_t *keys, const double *weights,
+    int64_t *scratch, uint8_t *mark, int64_t *next_keys, double *next_wts,
+    int64_t *out_src, int64_t *out_dst, double *out_wt)
+{
+    return collect(0, m, src, dst, wt, n, directed, live, keys, weights, scratch,
+                   mark, next_keys, next_wts, out_src, out_dst, out_wt);
+}
+
+/* ReferenceGraph.delete_collect: the removing rows with their stored
+ * weights (stored: m scratch), and the live column without their keys
+ * (room for live). */
+int64_t saga_delete_collect(
+    int64_t m, const int64_t *src, const int64_t *dst, double *stored, int64_t n,
+    int32_t directed, int64_t live, const int64_t *keys, const double *weights,
+    int64_t *scratch, uint8_t *mark, int64_t *next_keys, double *next_wts,
+    int64_t *out_src, int64_t *out_dst, double *out_wt)
+{
+    return collect(1, m, src, dst, stored, n, directed, live, keys, weights, scratch,
+                   mark, next_keys, next_wts, out_src, out_dst, out_wt);
+}
 """
 
 
@@ -1164,6 +1592,17 @@ class ComputeKernels:
             [_PTR, _PTR, _I64, _I64, _PTR, _I64] + [_F64] * 5 + [_PTR, _PTR],
         )
         _sig(lib.saga_interleave, None, [_I64, _I64] + [_PTR] * 7)
+        _sig(lib.saga_csr_insert_plan, _I64, [_I64] + [_PTR] * 9)
+        _sig(
+            lib.saga_csr_insert_apply,
+            _I64,
+            [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2 + [_I64] + [_PTR] * 5,
+        )
+        _sig(lib.saga_csr_delete, _I64, [_I64] + [_PTR] * 9 + [_I64])
+        _sig(lib.saga_csr_rebuild, None, [_I64, _I64] + [_PTR] * 8)
+        _sig(lib.saga_csr_compact, None, [_I64] + [_PTR] * 8)
+        for collect in (lib.saga_update_collect, lib.saga_delete_collect):
+            _sig(collect, _I64, [_I64] + [_PTR] * 3 + [_I64, _I32, _I64] + [_PTR] * 9)
 
     # ``arr.ctypes.data`` of a size-0 array is a valid (never
     # dereferenced) pointer, so empty frontiers need no special casing.
@@ -1480,6 +1919,151 @@ class ComputeKernels:
             p(is_write),
         )
         return task_ids, trace, is_write
+
+    # -- the live graph's data plane ------------------------------------
+
+    @staticmethod
+    def _deltas(store, keys, *columns):
+        """A store's delta columns as contiguous arrays of one length,
+        the keys checked to be rows: the kernels index by them."""
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        dtypes = (np.int64, np.float64)[: len(columns)]
+        columns = [np.ascontiguousarray(c, dtype=t) for c, t in zip(columns, dtypes)]
+        if any(c.shape != keys.shape for c in columns) or keys.ndim != 1:
+            raise ValueError("delta columns must be 1-D and of one length")
+        if keys.size and (keys.min() < 0 or keys.max() >= store.max_nodes):
+            raise ValueError(f"row keys must lie in [0, {store.max_nodes})")
+        return keys, *columns
+
+    @staticmethod
+    def _row_bitmap(store) -> np.ndarray:
+        return np.zeros((store.max_nodes + 63) // 64, dtype=np.uint64)
+
+    def csr_insert(self, store, keys, vals, wts) -> None:
+        """``DynamicCSR.insert`` of a non-empty delta: the plan names the
+        heap slots the relocations need, the heap grows by the store's
+        own policy, then the apply writes."""
+        keys, vals, wts = self._deltas(store, keys, vals, wts)
+        m = keys.size
+        # First-touch lengths and adds, then the rows ascending and theirs.
+        scratch = np.empty((4, m), dtype=np.int64)
+        seen = self._row_bitmap(store)
+        touched = np.zeros(1, dtype=np.int64)
+        p = self._p
+        _count_call("csr_insert_plan")
+        extra = self._lib.saga_csr_insert_plan(
+            m, p(keys), p(store.lens), p(store.caps), p(seen),
+            p(scratch[0]), p(scratch[1]), p(scratch[2]), p(scratch[3]), p(touched),
+        )  # fmt: skip
+        if extra:
+            store._grow_heap(extra)
+        _count_call("csr_insert_apply")
+        store.dead += self._lib.saga_csr_insert_apply(
+            m, p(keys), p(vals), p(wts), int(touched[0]), p(scratch[2]), p(scratch[3]),
+            store.used, p(store.starts), p(store.lens), p(store.caps), p(store.cols),
+            p(store.wts),
+        )  # fmt: skip
+        store.used += extra
+        store.live += m
+        store.tight = False
+
+    def csr_delete(self, store, keys, vals) -> int:
+        """``DynamicCSR.delete``: returns the slots removed."""
+        keys, vals = self._deltas(store, keys, vals)
+        m = keys.size
+        cap = 1 << max(2 * m - 1, 1).bit_length()  # a power of two >= 2m
+        table = np.empty(2 * cap, dtype=np.int64)
+        rows = np.empty(m, dtype=np.int64)
+        seen = self._row_bitmap(store)
+        p = self._p
+        _count_call("csr_delete")
+        removed = self._lib.saga_csr_delete(
+            m, p(keys), p(vals), p(store.starts), p(store.lens), p(store.cols),
+            p(store.wts), p(seen), p(rows), p(table), cap,
+        )  # fmt: skip
+        if removed:
+            store.live -= removed
+            store.tight = False
+        return removed
+
+    def csr_rebuild(self, store, keys, vals, wts) -> None:
+        """``DynamicCSR.rebuild``: fresh arrays, tight."""
+        keys, vals, wts = self._deltas(store, keys, vals, wts)
+        n, m = store.max_nodes, keys.size
+        starts, lens, caps = (np.empty(n, dtype=np.int64) for _ in range(3))
+        cols = np.empty(m, dtype=np.int64)
+        heap_wts = np.empty(m, dtype=np.float64)
+        p = self._p
+        _count_call("csr_rebuild")
+        self._lib.saga_csr_rebuild(
+            m, n, p(keys), p(vals), p(wts), p(starts), p(lens), p(caps), p(cols), p(heap_wts)
+        )
+        store.starts, store.lens, store.caps = starts, lens, caps
+        store.cols, store.wts = cols, heap_wts
+        store.used = store.live = m
+        store.dead = 0
+        store.tight = True
+
+    def csr_compact(self, store) -> None:
+        """``DynamicCSR.compact``: fresh arrays but ``lens``, tight."""
+        n = store.max_nodes
+        live = int(store.lens.sum())
+        starts, caps = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        cols = np.empty(live, dtype=np.int64)
+        heap_wts = np.empty(live, dtype=np.float64)
+        p = self._p
+        _count_call("csr_compact")
+        self._lib.saga_csr_compact(
+            n, p(store.starts), p(store.lens), p(store.cols), p(store.wts),
+            p(starts), p(caps), p(cols), p(heap_wts),
+        )  # fmt: skip
+        store.starts, store.caps, store.cols, store.wts = starts, caps, cols, heap_wts
+        store.used = store.live
+        store.dead = 0
+        store.tight = True
+
+    def _collect(self, kernel: str, graph, src, dst, weight, sign: int):
+        """``saga_<kernel>`` over a batch's range-checked endpoints, with
+        ``weight`` the batch's column (insert, ``sign`` 1) or scratch for
+        the stored weights (delete, ``sign`` -1).  Returns the collected
+        rows as columns and the next live column (keys, weights):
+        prefixes of what was allocated for the worst case."""
+        src = np.ascontiguousarray(src, dtype=np.int64)
+        dst = np.ascontiguousarray(dst, dtype=np.int64)
+        weight = np.ascontiguousarray(weight, dtype=np.float64)
+        if not src.ndim == 1 or not src.shape == dst.shape == weight.shape:
+            raise ValueError("batch columns must be 1-D and of one length")
+        m, live = src.size, graph._keys.size
+        room = live + m if sign > 0 else live
+        scratch = np.empty(4 * m, dtype=np.int64)
+        mark = np.empty(m, dtype=np.uint8)
+        next_keys = np.empty(room, dtype=np.int64)
+        next_wts = np.empty(room, dtype=np.float64)
+        out = (
+            np.empty(m, dtype=np.int64),
+            np.empty(m, dtype=np.int64),
+            np.empty(m, dtype=np.float64),
+        )
+        p = self._p
+        _count_call(kernel)
+        count = getattr(self._lib, "saga_" + kernel)(
+            m, p(src), p(dst), p(weight), graph.max_nodes, 1 if graph.directed else 0,
+            live, p(graph._keys), p(graph._weights), p(scratch), p(mark),
+            p(next_keys), p(next_wts), *(p(column) for column in out),
+        )  # fmt: skip
+        after = live + sign * count
+        return tuple(column[:count] for column in out), next_keys[:after], next_wts[:after]
+
+    def update_collect(self, graph, src, dst, weight):
+        """``ReferenceGraph.update_collect`` past its range check:
+        ``((src, dst, weight) of the new rows, next keys, next weights)``."""
+        return self._collect("update_collect", graph, src, dst, weight, 1)
+
+    def delete_collect(self, graph, src, dst):
+        """``ReferenceGraph.delete_collect`` past its range check: the
+        removing rows with their stored weights, then the next column."""
+        stored = np.empty(len(src), dtype=np.float64)
+        return self._collect("delete_collect", graph, src, dst, stored, -1)
 
 
 #: Lengths of the probe vector's tails :func:`_sums_like_numpy` compares:

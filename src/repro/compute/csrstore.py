@@ -18,7 +18,12 @@ second copy kept beside it.
     moves to the row's end) -- the order ``csr_from_edges`` produces
     and a dict-of-dicts adjacency iterates, so every kernel is
     bit-identical to the ``tests/oracles.py`` graph.  ``lens[:n]`` is
-    the degree array the pricing reads.
+    the degree array the pricing reads.  Each mutator is one call into
+    the native library (:mod:`repro.compute.ckernels`) when it is
+    loaded -- an insert two, a plan and an apply, with the heap grown
+    here by :meth:`DynamicCSR._grow_heap` in between -- and its numpy
+    body otherwise; the body is the reference the kernel must match
+    field for field.
 
 :class:`ViewMaintainer`
     Owns the out/in pair (one store, aliased, for undirected graphs)
@@ -49,6 +54,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.compute import ckernels
 from repro.compute.kernels import ComputeView, CSRArrays, flat_slots
 from repro.errors import StructureError
 from repro.obs.metrics import METRICS
@@ -84,7 +90,8 @@ class DynamicCSR:
 
     ``keys`` are the grouping vertex (src for the out-direction, dst
     for in); ``vals`` the other endpoint.  All public methods take
-    whole delta arrays and run a constant number of numpy ops.
+    whole delta arrays: one native call, or a constant number of numpy
+    ops.
     """
 
     __slots__ = (
@@ -125,6 +132,9 @@ class DynamicCSR:
         exported arrays are left untouched (the new heap is fresh), so
         a previous batch's view stays a consistent snapshot.
         """
+        kernels = ckernels.get()
+        if kernels is not None:
+            return kernels.csr_rebuild(self, keys, vals, wts)
         order = np.argsort(keys, kind="stable")
         counts = np.bincount(keys, minlength=self.max_nodes).astype(np.int64)
         self.starts = np.cumsum(counts) - counts
@@ -154,6 +164,9 @@ class DynamicCSR:
         m = len(keys)
         if m == 0:
             return
+        kernels = ckernels.get()
+        if kernels is not None:
+            return kernels.csr_insert(self, keys, vals, wts)
         order = np.argsort(keys, kind="stable")
         k_sorted = keys[order]
         rows, first, add = np.unique(k_sorted, return_index=True, return_counts=True)
@@ -195,6 +208,9 @@ class DynamicCSR:
         """
         if len(keys) == 0 or self.live == 0:
             return 0
+        kernels = ckernels.get()
+        if kernels is not None:
+            return kernels.csr_delete(self, keys, vals)
         rows = np.unique(keys)
         counts = self.lens[rows]
         total = int(counts.sum())
@@ -231,6 +247,9 @@ class DynamicCSR:
 
     def compact(self) -> None:
         """Repack the heap tight, dropping tombstones and slack."""
+        kernels = ckernels.get()
+        if kernels is not None:
+            return kernels.csr_compact(self)
         flat = flat_slots(self.starts, self.lens)
         counts = self.lens
         self.cols = self.cols[flat]

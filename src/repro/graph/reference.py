@@ -12,11 +12,15 @@ semantics as the instrumented structures.  It serves two roles:
 
 Two things are held, each once.  **Membership** is a sorted column of
 packed ``src * max_nodes + dst`` keys (``(min, max)`` for undirected
-pairs) with the stored weights aligned: a batch is deduplicated with
-``np.unique``, tested with ``searchsorted`` and merged in linearly, no
-Python per edge.  **Adjacency** is the slack CSR pair of
-:mod:`repro.compute.csrstore`: a mutator only queues the rows it kept,
-and the first read after it -- normally the driver's one
+pairs) with the stored weights aligned: a batch is deduplicated,
+tested against the column and merged in (or cut out) linearly, no
+Python per edge -- one native call per collect
+(``saga_update_collect`` / ``saga_delete_collect`` of
+:mod:`repro.compute.ckernels`) when the library is loaded, else the
+numpy body (``np.unique``, ``searchsorted``, ``np.insert`` /
+``np.delete``) that is its reference.  **Adjacency** is the slack CSR
+pair of :mod:`repro.compute.csrstore`: a mutator only queues the rows
+it kept, and the first read after it -- normally the driver's one
 :meth:`ReferenceGraph.compute_view` per batch -- folds them in with one
 :meth:`~repro.compute.csrstore.ViewMaintainer.apply`.  Rows keep
 chronological order, which is the order a dict-of-dicts iterates.
@@ -60,6 +64,14 @@ def with_reverse_interleaved(
 _NOTHING = EdgeBatch.empty()
 
 
+def _native():
+    """The compiled collects, or ``None`` (imported late: the compute
+    package imports this one)."""
+    from repro.compute import ckernels
+
+    return ckernels.get()
+
+
 class ReferenceGraph:
     """Ground-truth adjacency with unique edge ingestion."""
 
@@ -97,16 +109,23 @@ class ReferenceGraph:
         """
         src, dst = self._checked_endpoints(batch)
         weight = np.asarray(batch.weight, dtype=np.float64)
-        keys, first = np.unique(self._packed(src, dst), return_index=True)
-        at, present = self._locate(keys)
-        keys, first, at = keys[~present], first[~present], at[~present]
-        kept = np.sort(first)
-        inserted = EdgeBatch(src=src[kept], dst=dst[kept], weight=weight[kept])
-        if len(kept):
+        kernels = _native()
+        if kernels is not None:
+            columns, next_keys, next_weights = kernels.update_collect(self, src, dst, weight)
+            inserted = EdgeBatch(*columns)
+        else:
+            keys, first = np.unique(self._packed(src, dst), return_index=True)
+            at, present = self._locate(keys)
+            keys, first, at = keys[~present], first[~present], at[~present]
+            kept = np.sort(first)
+            inserted = EdgeBatch(src=src[kept], dst=dst[kept], weight=weight[kept])
+            if len(kept):
+                next_keys = np.insert(self._keys, at, keys)
+                next_weights = np.insert(self._weights, at, weight[first])
+        if len(inserted):
             if len(self._inserted) or len(self._removed):
                 self._fold()
-            self._keys = np.insert(self._keys, at, keys)
-            self._weights = np.insert(self._weights, at, weight[first])
+            self._keys, self._weights = next_keys, next_weights
             self._max_seen = max(self._max_seen, int(src.max()), int(dst.max()))
             self._inserted = inserted
             self._view = None
@@ -119,19 +138,26 @@ class ReferenceGraph:
         stored ones, not the batch's.
         """
         src, dst = self._checked_endpoints(batch)
-        keys, first = np.unique(self._packed(src, dst), return_index=True)
-        at, present = self._locate(keys)
-        at, first = at[present], first[present]
-        order = np.argsort(first)
-        kept = first[order]
-        removed = EdgeBatch(
-            src=src[kept], dst=dst[kept], weight=self._weights[at[order]]
-        )
-        if len(kept):
+        kernels = _native()
+        if kernels is not None:
+            columns, next_keys, next_weights = kernels.delete_collect(self, src, dst)
+            removed = EdgeBatch(*columns)
+        else:
+            keys, first = np.unique(self._packed(src, dst), return_index=True)
+            at, present = self._locate(keys)
+            at, first = at[present], first[present]
+            order = np.argsort(first)
+            kept = first[order]
+            removed = EdgeBatch(
+                src=src[kept], dst=dst[kept], weight=self._weights[at[order]]
+            )
+            if len(kept):
+                next_keys = np.delete(self._keys, at)
+                next_weights = np.delete(self._weights, at)
+        if len(removed):
             if len(self._removed):
                 self._fold()
-            self._keys = np.delete(self._keys, at)
-            self._weights = np.delete(self._weights, at)
+            self._keys, self._weights = next_keys, next_weights
             self._removed = removed
             self._view = None
         return removed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import subprocess
 import sys
@@ -64,6 +65,23 @@ def native_env(setting):
         if previous is not None:
             os.environ[cbuild.DISABLE_ENV] = previous
         cbuild.NATIVE.reset()
+
+
+#: The ``SAGA_BENCH_NO_NATIVE`` settings of :func:`on_both_sides`.
+BOTH_SIDES = (None, "1")
+
+
+def on_both_sides(test):
+    """Run ``test`` once over the native library and once with every
+    phase on its Python reference, under its one id."""
+
+    @functools.wraps(test)
+    def both(*args, **kwargs):
+        for setting in BOTH_SIDES:
+            with native_env(setting):
+                test(*args, **kwargs)
+
+    return both
 
 
 #: UndefinedBehaviorSanitizer, trapping: any undefined behaviour a test

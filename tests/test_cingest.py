@@ -710,13 +710,16 @@ lib.saga_vec_ingest(
 """
 
 #: In a child under ASan: the traced streams (every arena and the log
-#: at one cell), then -- to show the build would have trapped -- a batch
+#: at one cell), the emitters, an mmap ``repro scale`` stream (the live
+#: graph's collect and CSR fold), then -- to show the build would have
+#: trapped -- a batch
 #: whose ``scanned`` column is half as long as it has rows (and long
 #: enough to come from ``malloc``, not from numpy's small-block cache).
 _ASAN_CHILD = """
-import os, sys
+import os, sys, tempfile
 import numpy as np
 import pytest
+from repro import cli
 import tests.test_cingest
 import tests.test_hardware_profile_units
 import tests.test_trace_emitters
@@ -734,6 +737,11 @@ print("emitters exit", pytest.main([
     tests.test_trace_emitters.__file__ + "::TestOverrunsStillRaise",
     tests.test_hardware_profile_units.__file__ + "::TestInterleave",
 ]), flush=True)
+with tempfile.TemporaryDirectory() as mmap_dir:
+    print("scale exit", cli.main([
+        "scale", "--scale", "16", "--edges", "200000", "--batch-size", "40000",
+        "--mmap-dir", mmap_dir,
+    ]), flush=True)
 zeros = np.zeros
 nativestore.np.zeros = lambda n, dtype=float: zeros(n // 2 if n == 800 else n, dtype=dtype)
 structure = make_structure("AS", 1000)
@@ -747,8 +755,9 @@ class TestIngestLibraryUnderUBSan:
     scenario, every arena and the access log at their minimum, the traced
     streams -- and the traversal emitters' verifier of
     ``tests/test_trace_emitters.py`` run again through a
-    ``-fsanitize=undefined`` build, and the streams and the emitters once
-    more in a child under AddressSanitizer."""
+    ``-fsanitize=undefined`` build, and the streams, the emitters and an
+    mmap ``repro scale`` stream once more in a child under
+    AddressSanitizer."""
 
     def test_the_sanitizer_is_live(self, ubsan_libraries):
         """The build under test does trap: a raw call the Python side
@@ -806,14 +815,15 @@ class TestIngestLibraryUnderUBSan:
             overruns.test_region_shorter_than_its_table(table)
 
     def test_traced_streams_under_address_sanitizer(self, tmp_path):
-        """ASan sees what UBSan cannot: a log, event, arena or emitter
-        write one cell past its column.  The streams, the traversal
-        emitters and the compute-trace interleave give it nothing; an
-        undersized output column, right after them in the same child, is
-        reported."""
+        """ASan sees what UBSan cannot: a log, event, arena, emitter or
+        data-plane write one cell past its column.  The streams, the
+        traversal emitters, the compute-trace interleave and the scale
+        stream give it nothing; an undersized output column, right after
+        them in the same child, is reported."""
         child = asan_probe(_ASAN_CHILD, tmp_path)
         assert "streams exit 0" in child.stdout, child.stdout + child.stderr
         assert "emitters exit 0" in child.stdout, child.stdout + child.stderr
+        assert "scale exit 0" in child.stdout, child.stdout + child.stderr
         assert "SKIPPED" not in child.stdout
         assert child.returncode != 0
         assert "heap-buffer-overflow" in child.stderr

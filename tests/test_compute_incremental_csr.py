@@ -8,16 +8,25 @@ high no rebuild ever triggers must all yield bit-identical stream
 results -- values, iteration counts, and therefore every priced
 latency.  On top of the end-to-end differential, the store itself is
 checked row-for-row against ``csr_from_edges`` rebuilt from scratch
-after every batch of an oscillating insert/delete stream.
+after every batch of an oscillating insert/delete stream, once over the
+native library and once on the numpy bodies (``on_both_sides``; the
+stream and end-to-end differentials take the side the environment
+gives them).  Last, each compiled mutator is checked call for call
+against its numpy body (``TestKernelsMatchNumpyBodies``), again under
+UBSan.
 """
 
+import contextlib
 import runpy
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import cli
+from repro.compute import ckernels
 from repro.compute.csrstore import (
     DynamicCSR,
     ViewMaintainer,
@@ -31,9 +40,10 @@ from repro.compute.kernels import (
 )
 from repro.datasets import load_dataset
 from repro.errors import StructureError
-from repro.graph import ReferenceGraph
+from repro.graph import EdgeBatch, ReferenceGraph
 from repro.streaming import StreamConfig, StreamDriver
-from tests.conftest import SMALL_MACHINE, churn_threshold as _churn
+from tests.conftest import SMALL_MACHINE, churn_threshold as _churn, on_both_sides
+from tests.test_compute_ckernels import RUN_LOG_SETTINGS
 
 STRUCTS = ("AS", "AC", "Stinger", "DAH", "BA")
 
@@ -133,6 +143,7 @@ class TestOscillatingStream:
     """Store-level equality with from-scratch rebuilds, every batch."""
 
     @pytest.mark.parametrize("churn_setting", ["0", None, "1e9"])
+    @on_both_sides
     def test_store_matches_rebuild(self, churn_setting):
         num_nodes = 48
         batches = _oscillating_batches(num_nodes=num_nodes)
@@ -172,6 +183,7 @@ class TestOscillatingStream:
                     == out_ref.weights.tobytes()
                 )
 
+    @on_both_sides
     def test_rebuild_counters_respect_threshold(self):
         num_nodes = 48
         batches = _oscillating_batches(num_nodes=num_nodes)
@@ -194,6 +206,7 @@ class TestOscillatingStream:
         assert never.builds == 1  # the seed build only
         assert never.updates == len(batches) - 1
 
+    @on_both_sides
     def test_view_packed_flag_tracks_path(self):
         num_nodes = 8
         src = np.arange(4, dtype=np.int64)
@@ -229,6 +242,7 @@ class TestUndirectedHoldsOneAdjacency:
     """``directed=False`` aliases ``inc`` to ``out`` and folds once."""
 
     @pytest.mark.parametrize("churn_setting", ["0", None, "1e9"])
+    @on_both_sides
     def test_aliased_store_matches_the_two_store_result(self, churn_setting):
         """Orkut-style undirected stream with self-loops: every view of
         the one-store maintainer equals the two-store maintainer's, both
@@ -291,6 +305,7 @@ class TestPackedKeyOverflow:
 
 
 class TestDynamicCSRMechanics:
+    @on_both_sides
     def test_capacity_doubling_and_compaction(self):
         """Repeated same-row appends force relocations, then a compact."""
         num_nodes = 4
@@ -319,6 +334,7 @@ class TestDynamicCSRMechanics:
         assert store.dead == 0 and store.used == store.live
         assert store.check_against(reference, num_nodes)
 
+    @on_both_sides
     def test_delete_preserves_survivor_order(self):
         num_nodes = 3
         store = DynamicCSR(num_nodes)
@@ -335,6 +351,7 @@ class TestDynamicCSRMechanics:
         assert flat.tolist() == [2, 1, 2]
         assert store.live == 3
 
+    @on_both_sides
     def test_delete_missing_pair_is_noop(self):
         store = DynamicCSR(4)
         store.rebuild(
@@ -386,3 +403,185 @@ class TestLiveGraphEndToEnd:
         assert default[1].startswith("sustained simulated ingest:")
         assert every_batch[:2] == default[:2]
         assert every_batch[2] > default[2]  # the patch did reach the maintainer
+
+
+@contextlib.contextmanager
+def _numpy_bodies():
+    """The data-plane mutators on their numpy bodies inside the block;
+    the native library stays loaded for everything else."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ckernels, "get", lambda: None)
+        yield
+
+
+def _store_state(store):
+    """What a ``DynamicCSR`` mutator must leave as its numpy body does:
+    the row arrays, the heap counters and length, and every live slot."""
+    live = flat_slots(store.starts, store.lens)
+    return (
+        store.starts.dtype, store.lens.dtype, store.caps.dtype, store.cols.dtype,
+        store.wts.dtype, store.starts.tobytes(), store.lens.tobytes(),
+        store.caps.tobytes(), store.used, store.dead, store.live, store.tight,
+        len(store.cols), store.cols[live].tobytes(), store.wts[live].tobytes(),
+    )  # fmt: skip
+
+
+def _graph_state(graph):
+    """The membership column, its weights and the largest id seen."""
+    return (
+        graph._keys.dtype, graph._keys.tobytes(), graph._weights.dtype,
+        graph._weights.tobytes(), graph._max_seen,
+    )  # fmt: skip
+
+
+def _collected(edges):
+    return tuple(
+        (column.dtype, column.tobytes()) for column in (edges.src, edges.dst, edges.weight)
+    )
+
+
+def _mapped(directory, *columns):
+    """Each column as a read-only ``np.memmap`` of the same values."""
+    out = []
+    for i, column in enumerate(columns):
+        if column.size == 0:
+            out.append(column)
+            continue
+        path = f"{directory}/{i}"
+        np.asarray(column).tofile(path)
+        out.append(np.memmap(path, dtype=column.dtype, mode="r", shape=column.shape))
+    return out
+
+
+@st.composite
+def _store_ops(draw):
+    """A ``DynamicCSR`` call sequence over 1-12 rows, starting empty.
+
+    Few rows make repeated pairs (the store keeps both), deletes of
+    absent pairs and rows at ``max_nodes - 1`` common; a *hub* call
+    appends up to 90 entries to one row, several doublings past its
+    capacity in one call, and again in the next.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=n - 1)
+    weight = st.floats(min_value=0.5, max_value=9.0, allow_nan=False)
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["insert", "insert", "hub", "delete", "delete",
+                                     "compact", "rebuild"]))  # fmt: skip
+        if kind == "compact":
+            ops.append(("compact",))
+            continue
+        if kind == "hub":
+            hub, count = draw(index), draw(st.integers(min_value=1, max_value=90))
+            rows = [(hub, (hub + i) % n, 0.25 * i) for i in range(count)]
+            kind = "insert"
+        else:
+            rows = draw(st.lists(st.tuples(index, index, weight), max_size=25))
+        keys = np.array([r[0] for r in rows], dtype=np.int64)
+        vals = np.array([r[1] for r in rows], dtype=np.int64)
+        wts = np.array([r[2] for r in rows], dtype=np.float64)
+        ops.append((kind, keys, vals) if kind == "delete" else (kind, keys, vals, wts))
+    return n, ops
+
+
+@st.composite
+def _graph_streams(draw):
+    """Insert/delete batches over 2-40 vertices.
+
+    Duplicates within a batch (one orientation or both, another
+    weight), self-loops, ids at ``max_nodes - 1``, empty batches and
+    deletes of absent edges are all common; a *hub* batch gives one
+    vertex every vertex as a neighbour; ``read`` folds the adjacency
+    after the step.
+    """
+    n = draw(st.integers(min_value=2, max_value=40))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    weight = st.floats(min_value=0.5, max_value=9.0, allow_nan=False)
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))
+        if draw(st.booleans()):
+            edges += [(v, u, w + 1.0) for u, v, w in edges[::2]]
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            hub = draw(vertex)
+            edges += [(hub, v, 1.5) for v in range(n)]
+        steps.append((draw(st.booleans()), edges, draw(st.booleans())))
+    return n, steps
+
+
+@pytest.mark.skipif(not ckernels.loaded(), reason="native library not loaded")
+class TestKernelsMatchNumpyBodies:
+    """Each data-plane kernel leaves, call for call, exactly the state
+    its numpy body leaves: a twin store or graph runs every call on the
+    numpy body and the two are compared after each one."""
+
+    @settings(max_examples=150, **RUN_LOG_SETTINGS)
+    @given(stream=_store_ops(), mapped=st.booleans())
+    def test_store_mutators(self, stream, mapped):
+        """Insert, delete, rebuild and compact, memmap columns or not.
+
+        Fails on each of these seeded kernel mutations: off-by-one
+        capacity (a row relocates at ``need >= cap``, or grows to
+        ``2 * cap`` without ``need``); unstable in-row order (a row's
+        new entries appended last-first); an order-breaking delete (the
+        row's last slot moved into the hole).
+        """
+        n, ops = stream
+        fast, slow = DynamicCSR(n), DynamicCSR(n)
+        with tempfile.TemporaryDirectory() as scratch:
+            for step, (name, *columns) in enumerate(ops):
+                if mapped:
+                    directory = Path(scratch) / str(step)
+                    directory.mkdir()
+                    columns = _mapped(directory, *columns)
+                got = getattr(fast, name)(*columns)
+                with _numpy_bodies():
+                    expected = getattr(slow, name)(*columns)
+                assert got == expected, (step, name)
+                assert _store_state(fast) == _store_state(slow), (step, name)
+
+    @settings(max_examples=120, **RUN_LOG_SETTINGS)
+    @given(
+        stream=_graph_streams(),
+        directed=st.booleans(),
+        mapped=st.booleans(),
+        churn=st.sampled_from([None, "0", "1e9"]),
+    )
+    def test_collects_and_folds(self, stream, directed, mapped, churn):
+        """Both collects, then (when the step reads) the fold of both
+        stores, at all three churn settings, memmap batches or not.
+
+        Fails on each of these seeded kernel mutations: the last
+        occurrence of an in-batch duplicate kept instead of the first;
+        the stored weight not returned on delete (the next slot's); an
+        off-by-one capacity or unstable in-row order in the fold.
+        """
+        n, steps = stream
+        with _churn(churn), tempfile.TemporaryDirectory() as scratch:
+            fast = ReferenceGraph(n, directed=directed)
+            slow = ReferenceGraph(n, directed=directed)
+            for step, (delete, edges, read) in enumerate(steps):
+                batch = EdgeBatch.from_edges(edges)
+                if mapped and len(batch):
+                    batch.to_mmap(f"{scratch}/{step}")
+                    batch = EdgeBatch.from_mmap(f"{scratch}/{step}")
+                mutate = "delete_collect" if delete else "update_collect"
+                got = getattr(fast, mutate)(batch)
+                with _numpy_bodies():
+                    expected = getattr(slow, mutate)(batch)
+                assert _collected(got) == _collected(expected), step
+                assert _graph_state(fast) == _graph_state(slow), step
+                if read:
+                    fast.compute_view()
+                    with _numpy_bodies():
+                        slow.compute_view()
+                    for direction in ("out", "inc"):
+                        stores = (getattr(g._adjacency, direction) for g in (fast, slow))
+                        assert _store_state(next(stores)) == _store_state(next(stores)), step
+
+
+@pytest.mark.usefixtures("ubsan_libraries")
+class TestDataPlaneUnderUBSan(TestKernelsMatchNumpyBodies):
+    """The data-plane differential above, inherited, through the
+    ``-fsanitize=undefined`` build of the library."""

@@ -8,8 +8,9 @@ order, same dtypes, stored weights on delete) and the graph afterwards
 (row order from ``out_neigh``/``in_neigh``, degrees, counters, CSR
 export of both directions).
 
-Each test's docstring names the seeded mutation of ``reference.py`` it
-was checked to fail on.
+Each test runs on both sides of ``SAGA_BENCH_NO_NATIVE``: the compiled
+collects and CSR fold, then their numpy bodies.  Each test's docstring
+names the seeded mutation of ``reference.py`` it was checked to fail on.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compute.kernels import flat_slots
 from repro.errors import StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
-from tests.conftest import churn_threshold
+from tests.conftest import churn_threshold, on_both_sides
 from tests.oracles import DictGraph
 
 
@@ -93,6 +94,7 @@ def _streams(draw):
     mapped=st.booleans(),
     churn=st.sampled_from([None, "0", "1e9"]),
 )
+@on_both_sides
 def test_collect_columns_match_per_edge_loops(stream, directed, mapped, churn):
     """Insert/delete streams: same columns out, same graph afterwards.
 
@@ -123,6 +125,7 @@ def test_collect_columns_match_per_edge_loops(stream, directed, mapped, churn):
         assert _state(live) == _state(oracle)
 
 
+@on_both_sides
 def test_first_occurrence_wins_and_deletes_return_stored_weights():
     """The four collect rules on one hand-written undirected stream.
 
@@ -158,6 +161,7 @@ def test_first_occurrence_wins_and_deletes_return_stored_weights():
 
 @pytest.mark.parametrize("bad", [(9, 1), (1, 9), (-1, 2), (2, -1)])
 @pytest.mark.parametrize("directed", [True, False])
+@on_both_sides
 def test_out_of_range_batch_leaves_the_graph_untouched(bad, directed):
     """The structures reject such a batch whole; so must the reference:
     keys, CSR rows and counters as before (the PR 14 defect: an in-loop
@@ -177,6 +181,7 @@ def test_out_of_range_batch_leaves_the_graph_untouched(bad, directed):
     assert _state(graph) == before and np.array_equal(graph._keys, keys)
 
 
+@on_both_sides
 def test_one_fold_per_batch_and_view_reuse():
     """Mutators only queue; the first read folds once; reads reuse the view.
 
