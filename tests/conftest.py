@@ -67,17 +67,13 @@ def native_env(setting):
         cbuild.NATIVE.reset()
 
 
-#: The ``SAGA_BENCH_NO_NATIVE`` settings of :func:`on_both_sides`.
-BOTH_SIDES = (None, "1")
-
-
 def on_both_sides(test):
     """Run ``test`` once over the native library and once with every
     phase on its Python reference, under its one id."""
 
     @functools.wraps(test)
     def both(*args, **kwargs):
-        for setting in BOTH_SIDES:
+        for setting in (None, "1"):
             with native_env(setting):
                 test(*args, **kwargs)
 
