@@ -44,7 +44,7 @@ import numpy as np
 from repro.datasets import load_dataset
 from repro.obs.features import FEATURES
 from repro.obs.model import fit_from_features
-from repro.streaming import StreamConfig, StreamDriver, TunerConfig
+from repro.streaming import StreamConfig, StreamDriver
 from repro.streaming.autotune import (
     AdaptiveStreamDriver,
     adaptive_total_seconds,
@@ -70,7 +70,7 @@ WARMUP_SCHEDULE = (500, 2000, 8000)
 WARMUP_SEED_OFFSET = 1
 
 
-def stream_config(schedule, shuffle_seed, adaptive, tuner=None):
+def stream_config(schedule, shuffle_seed, adaptive):
     common = dict(
         batch_size=schedule[0],
         batch_schedule=tuple(schedule),
@@ -85,7 +85,6 @@ def stream_config(schedule, shuffle_seed, adaptive, tuner=None):
             models=("adaptive",),
             candidate_structures=STRUCTURES,
             candidate_models=MODELS,
-            autotune=tuner,
             **common,
         )
     return StreamConfig(structures=STRUCTURES, models=MODELS, **common)
@@ -183,10 +182,7 @@ def main(argv=None):
     combos = static_combo_totals(static)
     oracle = oracle_total_seconds(static)
 
-    tuner = TunerConfig()
-    driver = AdaptiveStreamDriver(
-        stream_config(SCHEDULE, args.seed, adaptive=True, tuner=tuner)
-    )
+    driver = AdaptiveStreamDriver(stream_config(SCHEDULE, args.seed, adaptive=True))
     driver.warm_model = warm_model
     started = time.perf_counter()
     adaptive = driver.run(dataset)

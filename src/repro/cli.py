@@ -174,28 +174,31 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _tuner_from_args(args: argparse.Namespace):
-    """A TunerConfig honoring ``--model-in``."""
-    from repro.streaming import TunerConfig
+def _adaptive_driver(args: argparse.Namespace, config: StreamConfig):
+    """The adaptive driver, warm-started from ``--model-in`` if given."""
+    from repro.obs.model import FittedCostModel
+    from repro.streaming import AdaptiveStreamDriver
 
-    return TunerConfig(model_path=getattr(args, "model_in", None) or None)
+    driver = AdaptiveStreamDriver(config)
+    if args.model_in:
+        driver.warm_model = FittedCostModel.load(args.model_in)
+    return driver
 
 
 def _run_adaptive_stream(args: argparse.Namespace, size_factor: float):
     """One uncached adaptive run (the online tuner is stateful)."""
     from repro.datasets import load_dataset
-    from repro.streaming import make_driver
 
     config = StreamConfig(
         batch_size=args.batch_size,
         structures=("adaptive",),
         models=("adaptive",),
         algorithms=(args.algorithm,),
-        autotune=_tuner_from_args(args),
+        shards=args.shards,
         progress=print if getattr(args, "verbose", False) else None,
     )
     dataset = load_dataset(args.dataset, seed=args.seed, size_factor=size_factor)
-    driver = make_driver(config)
+    driver = _adaptive_driver(args, config)
     return driver.run(dataset), driver
 
 
@@ -273,7 +276,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             models=("adaptive",),
             algorithms=(args.algorithm,),
             repetitions=1,
-            autotune=_tuner_from_args(args),
+            shards=args.shards,
         )
         label = f"adaptive/{args.algorithm}"
         combo = (args.algorithm, "adaptive", "adaptive")
@@ -289,7 +292,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         label = f"{args.structure}/{args.algorithm} INC, shards={args.shards}"
         combo = (args.algorithm, "INC", args.structure)
     started = time.time()
-    driver = make_driver(config)
+    driver = _adaptive_driver(args, config) if args.adaptive else make_driver(config)
     result = driver.run(dataset)
     simulated = time.time() - started
     throughput = result.sustainable_throughput(*combo)
@@ -348,7 +351,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     the per-batch oracle.
     """
     from repro.datasets import load_dataset
-    from repro.streaming import StreamConfig as SC, StreamDriver, make_driver
+    from repro.streaming import StreamConfig as SC, StreamDriver
     from repro.streaming.autotune import (
         adaptive_total_seconds,
         oracle_total_seconds,
@@ -374,9 +377,8 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         algorithms=algorithms,
         churn_fraction=args.churn_fraction,
         batch_schedule=schedule,
-        autotune=_tuner_from_args(args),
     )
-    driver = make_driver(config)
+    driver = _adaptive_driver(args, config)
     result = driver.run(dataset)
     adaptive_seconds = adaptive_total_seconds(result)
     decisions = driver.decision_log["decisions"]
@@ -397,18 +399,10 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
           f"({summary['switches']} switches, migration "
           f"{summary['migration_seconds'] * 1e3:.3f} ms, est regret "
           f"{summary['est_regret_seconds'] * 1e3:.3f} ms)")
-    if args.model_out and driver.controller is not None:
-        from repro.obs.features import FEATURES
-        from repro.obs.model import fit_from_features
-
-        if FEATURES.enabled and FEATURES.rows():
-            fit_from_features(
-                source={"command": "autotune", "dataset": args.dataset}
-            ).save(args.model_out)
-            print(f"[cost model written to {args.model_out}]")
-        else:
-            print("[--model-out needs --report-out (feature capture); "
-                  "no model written]")
+    if args.model_out and not args.report_out:
+        # The report writer fits and saves the model (main()'s teardown).
+        print("[--model-out needs --report-out (feature capture); "
+              "no model written]")
     if not args.compare:
         return 0
     static_config = SC(

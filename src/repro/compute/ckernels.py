@@ -1036,7 +1036,7 @@ void saga_price_run(
     double threads,
     double scale,
     double task_dispatch,
-    double dispatch_chunk,
+    double chunk,
     double queue_push,
     double *gathered,
     double *out)
@@ -1077,7 +1077,7 @@ void saga_price_run(
                 if (sum != sum)
                     for (longest = gathered[0], i = 1; i < tasks; i++)
                         longest = take_max(longest, gathered[i]);
-                total[t] = sum + task_dispatch * (double)tasks / dispatch_chunk;
+                total[t] = sum + task_dispatch * (double)tasks / chunk;
                 makespan[t] = (total[t] / threads + idle * longest) * scale;
             }
             last = row;
@@ -1839,7 +1839,7 @@ class ComputeKernels:
         threads: int,
         scale: float,
         task_dispatch: float,
-        dispatch_chunk: int,
+        chunk: int,
         queue_push: float,
     ) -> Tuple[list, list]:
         """Every round of one run record priced on every cost table.
@@ -1869,7 +1869,7 @@ class ComputeKernels:
             threads,
             scale,
             task_dispatch,
-            dispatch_chunk,
+            chunk,
             queue_push,
             p(gathered),
             p(out),

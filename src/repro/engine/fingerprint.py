@@ -35,7 +35,8 @@ from repro.streaming.results import RESULT_SCHEMA_VERSION
 #: path.  Results are bit-identical to v1 by design, but the guarantee
 #: is now enforced by a different code path, so cached v1 entries are
 #: deliberately retired rather than trusted across the rewrite.
-KEY_SCHEMA_VERSION = 2
+#: v3: ``source`` and ``autotune`` left StreamConfig and the key.
+KEY_SCHEMA_VERSION = 3
 
 
 def canonical(value: Any) -> Any:
@@ -80,7 +81,9 @@ def describe_stream_config(config: StreamConfig) -> dict:
     """Content description of a :class:`StreamConfig`.
 
     The ``progress`` callback is presentation, not content: it cannot
-    change any simulated number, so it is excluded from the key.
+    change any simulated number, so it is excluded from the key.  The
+    root (the hottest source) and the tuner's constants are fixed:
+    changing either bumps :data:`KEY_SCHEMA_VERSION`, not a field.
 
     Transport (in-RAM vs mmap vs shared memory) never appears here:
     the edge content is identical either way, so all three share cache
@@ -98,7 +101,6 @@ def describe_stream_config(config: StreamConfig) -> dict:
         "threads": config.threads,
         "cost_model": canonical(config.cost_model),
         "shuffle_seed": config.shuffle_seed,
-        "source": config.source,
         "churn_fraction": config.churn_fraction,
     }
     if config.shards != 1:
@@ -113,8 +115,6 @@ def describe_stream_config(config: StreamConfig) -> dict:
         description["candidate_structures"] = list(config.candidate_structures)
     if config.candidate_models is not None:
         description["candidate_models"] = list(config.candidate_models)
-    if config.autotune is not None:
-        description["autotune"] = canonical(config.autotune)
     return description
 
 

@@ -49,7 +49,6 @@ def make_structure(
     max_nodes: int,
     directed: bool = True,
     cost_model=None,
-    address_space=None,
     **kwargs,
 ) -> GraphDataStructure:
     """Instantiate a data structure by its paper name.
@@ -71,13 +70,7 @@ def make_structure(
             f"unknown data structure {name!r}; expected one of {sorted(STRUCTURES)}"
         )
     cls = STRUCTURES[key]
-    return cls(
-        max_nodes,
-        directed=directed,
-        cost_model=cost_model,
-        address_space=address_space,
-        **kwargs,
-    )
+    return cls(max_nodes, directed=directed, cost_model=cost_model, **kwargs)
 
 
 __all__ = [

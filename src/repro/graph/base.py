@@ -176,14 +176,13 @@ class GraphDataStructure(abc.ABC):
         max_nodes: int,
         directed: bool = True,
         cost_model: Optional[CostModel] = None,
-        address_space: Optional[AddressSpace] = None,
     ) -> None:
         if max_nodes < 1:
             raise StructureError(f"max_nodes must be >= 1, got {max_nodes}")
         self.max_nodes = max_nodes
         self.directed = directed
         self.cost = cost_model or DEFAULT_COST_MODEL
-        self.space = address_space if address_space is not None else AddressSpace()
+        self.space = AddressSpace()
         self._num_edges = 0
         self._max_seen_node = -1
         kernels = cingest.get()
@@ -520,13 +519,12 @@ class ChunkedStructure(GraphDataStructure):
         max_nodes: int,
         directed: bool = True,
         cost_model: Optional[CostModel] = None,
-        address_space: Optional[AddressSpace] = None,
         chunks: int = DEFAULT_CHUNKS,
     ) -> None:
         if chunks < 1:
             raise StructureError(f"chunks must be >= 1, got {chunks}")
         self.chunks = chunks
-        super().__init__(max_nodes, directed, cost_model, address_space)
+        super().__init__(max_nodes, directed, cost_model)
 
     def _chunk_tasks(self, batch: EdgeBatch, work: np.ndarray) -> TaskArray:
         """Lockless per-operation ``work`` pinned to the owning chunks,

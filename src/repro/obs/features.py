@@ -36,9 +36,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-#: Default cap on stored rows; past it new rows are counted but
-#: dropped, so an un-capped full-scale sweep cannot exhaust memory.
-DEFAULT_MAX_ROWS = 1_000_000
+#: Cap on stored rows; past it new rows are counted but dropped, so a
+#: full-scale sweep cannot exhaust memory.
+MAX_ROWS = 1_000_000
 
 
 class FeatureLog:
@@ -49,9 +49,8 @@ class FeatureLog:
     the metrics registry.
     """
 
-    def __init__(self, max_rows: int = DEFAULT_MAX_ROWS) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self.max_rows = max_rows
         self._lock = threading.Lock()
         self._rows: List[dict] = []
         self.dropped_rows = 0
@@ -75,7 +74,7 @@ class FeatureLog:
     def record(self, **row) -> None:
         """Append one feature row (values must be JSON-safe scalars)."""
         with self._lock:
-            if len(self._rows) >= self.max_rows:
+            if len(self._rows) >= MAX_ROWS:
                 self.dropped_rows += 1
                 return
             self._rows.append(row)
@@ -108,7 +107,7 @@ class FeatureLog:
         """
         with self._lock:
             for row in payload.get("rows", []):
-                if len(self._rows) >= self.max_rows:
+                if len(self._rows) >= MAX_ROWS:
                     self.dropped_rows += 1
                     continue
                 self._rows.append(row)

@@ -267,16 +267,14 @@ def _row_key(row: dict) -> GroupKey:
 def fit_cost_model(
     rows: Iterable[dict],
     source: Optional[Dict[str, object]] = None,
-    min_samples: int = 2,
 ) -> FittedCostModel:
     """Fit one affine model per group from feature rows.
 
     ``rows`` is what :meth:`repro.obs.features.FeatureLog.rows`
     returns; any iterable of dicts with ``phase``/``structure``
     (optionally ``algorithm``/``model``), ``t_seconds``, ``ops`` and
-    ``batch_edges`` fields works.  Groups with fewer than
-    ``min_samples`` rows are skipped (one point cannot separate setup
-    from per-op cost).
+    ``batch_edges`` fields works.  Groups with fewer than two rows are
+    skipped (one point cannot separate setup from per-op cost).
     """
     grouped: Dict[GroupKey, List[dict]] = {}
     for row in rows:
@@ -287,7 +285,7 @@ def fit_cost_model(
     fitted = FittedCostModel(source=dict(source or {}))
     for key in sorted(grouped):
         group_rows = grouped[key]
-        if len(group_rows) < min_samples:
+        if len(group_rows) < 2:
             continue
         ops = np.array([float(r.get("ops", 0.0)) for r in group_rows])
         t = np.array([float(r.get("t_seconds", 0.0)) for r in group_rows])

@@ -177,16 +177,12 @@ class DynamicScheduler:
         threads: int,
         physical_cores: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        dispatch_chunk: int = 1,
     ) -> None:
         if threads < 1:
             raise SimulationError(f"threads must be >= 1, got {threads}")
-        if dispatch_chunk < 1:
-            raise SimulationError(f"dispatch_chunk must be >= 1, got {dispatch_chunk}")
         self.threads = threads
         self.physical_cores = physical_cores if physical_cores is not None else threads
         self.cost = cost_model
-        self.dispatch_chunk = dispatch_chunk
 
     def run(self, tasks: TaskArray) -> ScheduleResult:
         """Schedule ``tasks`` and return the resulting makespan."""
@@ -223,7 +219,7 @@ class DynamicScheduler:
         )
         locked = tasks.locked_work
         return (
-            (cost.task_dispatch / self.dispatch_chunk) * scale,
+            cost.task_dispatch * scale,
             tasks.unlocked_work * scale,
             locked * scale,
             (locked + acquire_base) * scale,
@@ -455,7 +451,6 @@ def graham_makespan(
     threads: int,
     physical_cores: int,
     cost: CostModel,
-    dispatch_chunk: int = PARALLEL_FOR_CHUNK,
 ) -> Tuple[float, float]:
     """``(makespan, total work)`` of a lock-free ``parallel for``, from scalars.
 
@@ -463,13 +458,13 @@ def graham_makespan(
     ``tasks`` per-iteration costs.  The greedy list-scheduling bound
     ``makespan = total/T + (1 - 1/T) * max_task`` (Graham) is a tight
     model for dynamic scheduling of independent iterations; ``total``
-    adds the per-dispatch overhead amortized over ``dispatch_chunk``
-    iterations.
+    adds the per-dispatch overhead amortized over
+    :data:`PARALLEL_FOR_CHUNK` iterations.
     """
     if threads < 1:
         raise SimulationError(f"threads must be >= 1, got {threads}")
     scale = work_scale(threads, physical_cores, cost)
-    total = work + cost.task_dispatch * tasks / dispatch_chunk
+    total = work + cost.task_dispatch * tasks / PARALLEL_FOR_CHUNK
     makespan = (total / threads + (1.0 - 1.0 / threads) * longest) * scale
     return makespan, total
 
@@ -479,7 +474,6 @@ def parallel_for_makespan(
     threads: int,
     physical_cores: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    dispatch_chunk: int = PARALLEL_FOR_CHUNK,
 ) -> ScheduleResult:
     """Makespan of a lock-free OpenMP ``parallel for`` over ``costs``.
 
@@ -501,7 +495,6 @@ def parallel_for_makespan(
         threads,
         cores,
         cost_model,
-        dispatch_chunk,
     )
     task_thread = np.arange(n, dtype=np.int32) % threads
     busy = np.bincount(task_thread, weights=costs, minlength=threads)

@@ -21,11 +21,7 @@ from repro.streaming.driver import (
     StreamDriver,
     make_driver,
 )
-from repro.streaming.autotune import (
-    AdaptiveController,
-    AdaptiveStreamDriver,
-    TunerConfig,
-)
+from repro.streaming.autotune import AdaptiveController, AdaptiveStreamDriver
 from repro.streaming.results import (
     RESULT_SCHEMA_VERSION,
     BatchRecord,
@@ -47,5 +43,4 @@ __all__ = [
     "StreamConfig",
     "StreamDriver",
     "StreamResult",
-    "TunerConfig",
 ]

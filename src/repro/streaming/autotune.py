@@ -55,55 +55,28 @@ from repro.streaming.driver import (
 LAST_DECISION_LOG: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class TunerConfig:
-    """The auto-tuner's knobs (see docs/AUTOTUNE.md)."""
+# The tuner's constants (docs/AUTOTUNE.md), fixed like the paper's
+# run parameters so adaptive runs stay comparable.
 
-    #: Cold start: batches spent on each candidate structure before the
-    #: predictive policy takes over (round-robin exploration).
-    explore_rounds: int = 2
-    #: Batches of predicted savings a switch is amortized over (capped
-    #: at the remaining stream length).
-    horizon_batches: int = 25
-    #: Safety margin: predicted savings must exceed the estimated
-    #: migration cost by this fraction before a switch fires.
-    switch_margin: float = 0.25
-    #: Batches to hold the current structure after a switch.
-    cooldown_batches: int = 2
-    #: Smoothing of the per-(algorithm, model) ops forecast.
-    ewma_alpha: float = 0.5
-    #: Per-observation decay of the online least-squares statistics
-    #: (recent batches dominate, old regimes fade).
-    decay: float = 0.9
-    #: Pseudo-sample weight of the warm-start model when blending it
-    #: with the online fit.
-    prior_weight: float = 8.0
-    #: Path of a persisted FittedCostModel to warm-start from.
-    model_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.explore_rounds < 1:
-            raise ConfigError(
-                f"explore_rounds must be >= 1, got {self.explore_rounds}"
-            )
-        if self.horizon_batches < 1:
-            raise ConfigError(
-                f"horizon_batches must be >= 1, got {self.horizon_batches}"
-            )
-        if self.switch_margin < 0.0:
-            raise ConfigError(
-                f"switch_margin must be >= 0, got {self.switch_margin}"
-            )
-        if self.cooldown_batches < 0:
-            raise ConfigError(
-                f"cooldown_batches must be >= 0, got {self.cooldown_batches}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if not 0.0 < self.decay <= 1.0:
-            raise ConfigError(f"decay must be in (0, 1], got {self.decay}")
+#: Cold start: batches spent on each candidate structure before the
+#: predictive policy takes over (round-robin exploration).
+EXPLORE_ROUNDS = 2
+#: Batches of predicted savings a switch is amortized over (capped at
+#: the remaining stream length).
+HORIZON_BATCHES = 25
+#: Safety margin: predicted savings must exceed the estimated migration
+#: cost by this fraction before a switch fires.
+SWITCH_MARGIN = 0.25
+#: Batches to hold the current structure after a switch.
+COOLDOWN_BATCHES = 2
+#: Smoothing of the per-(algorithm, model) ops forecast.
+EWMA_ALPHA = 0.5
+#: Per-observation decay of the online least-squares statistics
+#: (recent batches dominate, old regimes fade).
+DECAY = 0.9
+#: Pseudo-sample weight of the warm-start model when blending it with
+#: the online fit.
+PRIOR_WEIGHT = 8.0
 
 
 class OnlineGroupFit:
@@ -112,23 +85,16 @@ class OnlineGroupFit:
     Exponentially-decayed least-squares sufficient statistics, blended
     with an optional warm-start :class:`~repro.obs.model.GroupFit`
     prior: the prior dominates until enough live observations arrive,
-    then the online fit takes over (weight ``n / (n + prior_weight)``).
+    then the online fit takes over (weight ``n / (n + PRIOR_WEIGHT)``).
     """
 
-    def __init__(
-        self,
-        decay: float = 0.9,
-        prior: Optional[GroupFit] = None,
-        prior_weight: float = 8.0,
-    ) -> None:
-        self.decay = decay
+    def __init__(self, prior: Optional[GroupFit] = None) -> None:
         self.prior = prior
-        self.prior_weight = prior_weight
         self.count = 0
         self._n = self._sx = self._sy = self._sxx = self._sxy = 0.0
 
     def observe(self, ops: float, seconds: float) -> None:
-        g = self.decay
+        g = DECAY
         ops = float(ops)
         seconds = float(seconds)
         self._n = g * self._n + 1.0
@@ -161,7 +127,7 @@ class OnlineGroupFit:
             return prior
         if prior is None:
             return local
-        weight = self.count / (self.count + self.prior_weight)
+        weight = self.count / (self.count + PRIOR_WEIGHT)
         return weight * local + (1.0 - weight) * prior
 
 
@@ -191,7 +157,6 @@ class AdaptiveController:
         structures: Tuple[str, ...],
         models: Tuple[str, ...],
         algorithms: Tuple[str, ...],
-        tuner: Optional[TunerConfig] = None,
         warm_model: Optional[FittedCostModel] = None,
         churn_fraction: float = 0.0,
     ) -> None:
@@ -202,7 +167,6 @@ class AdaptiveController:
         self.structures = tuple(structures)
         self.models = tuple(models)
         self.algorithms = tuple(algorithms)
-        self.tuner = tuner if tuner is not None else TunerConfig()
         self.warm_model = warm_model
         self.churn_fraction = churn_fraction
         self.fits: Dict[GroupKey, OnlineGroupFit] = {}
@@ -222,7 +186,7 @@ class AdaptiveController:
         if any(self._prior("update", s) is None for s in self.structures):
             self._explore_plan = [
                 s for s in self.structures
-                for _ in range(self.tuner.explore_rounds)
+                for _ in range(EXPLORE_ROUNDS)
             ]
 
     # -- model access ---------------------------------------------------
@@ -242,11 +206,7 @@ class AdaptiveController:
         key = group_key(phase, structure, algorithm, model)
         fit = self.fits.get(key)
         if fit is None:
-            fit = OnlineGroupFit(
-                decay=self.tuner.decay,
-                prior=self._prior(phase, structure, algorithm, model),
-                prior_weight=self.tuner.prior_weight,
-            )
+            fit = OnlineGroupFit(self._prior(phase, structure, algorithm, model))
             self.fits[key] = fit
         return fit
 
@@ -262,11 +222,11 @@ class AdaptiveController:
     ) -> None:
         """One priced compute sample; also refreshes the ops forecast."""
         self._fit("compute", structure, algorithm, model).observe(ops, seconds)
-        alpha = self.tuner.ewma_alpha
         key = (algorithm, model)
         previous = self.ops_forecast.get(key)
         self.ops_forecast[key] = (
-            ops if previous is None else alpha * ops + (1.0 - alpha) * previous
+            ops if previous is None
+            else EWMA_ALPHA * ops + (1.0 - EWMA_ALPHA) * previous
         )
 
     def note_migration(self, structure: str, edges: int, seconds: float) -> None:
@@ -368,21 +328,19 @@ class AdaptiveController:
             target, reason = live, "stay"
         else:
             gain = predictions[live][0] - predictions[best][0]
-            horizon = min(
-                self.tuner.horizon_batches, max(1, total_batches - batch_index)
-            )
+            horizon = min(HORIZON_BATCHES, max(1, total_batches - batch_index))
             estimate = self.predict_update(best, float(live_edges))
             migration_estimate = estimate if estimate is not None else 0.0
             in_cooldown = (
                 self._last_switch is not None
-                and batch_index - self._last_switch < self.tuner.cooldown_batches
+                and batch_index - self._last_switch < COOLDOWN_BATCHES
             )
             if in_cooldown:
                 target, reason = live, "cooldown"
             elif (
                 math.isfinite(gain)
                 and gain * horizon
-                > migration_estimate * (1.0 + self.tuner.switch_margin)
+                > migration_estimate * (1.0 + SWITCH_MARGIN)
             ):
                 target, reason = best, "switch"
             else:
@@ -669,14 +627,9 @@ class AdaptiveStreamDriver(StreamDriver):
             cfg.candidate_structures or ALL_STRUCTURES
         )
         self.candidate_models = tuple(cfg.candidate_models or COMPUTE_MODELS)
-        self.tuner: TunerConfig = (
-            cfg.autotune if cfg.autotune is not None else TunerConfig()
-        )
-        #: Warm-start model; assigned directly by callers that already
-        #: hold one, or loaded from ``tuner.model_path``.
+        #: Warm-start model, assigned by the caller before :meth:`run`
+        #: (``repro ... --model-in`` loads one from disk).
         self.warm_model: Optional[FittedCostModel] = None
-        if self.tuner.model_path:
-            self.warm_model = FittedCostModel.load(self.tuner.model_path)
         #: Test hook, copied onto the controller at run start.
         self.forced_plan: Dict[int, str] = {}
         self.controller: Optional[AdaptiveController] = None
@@ -687,7 +640,6 @@ class AdaptiveStreamDriver(StreamDriver):
             structures=self.candidate_structures,
             models=self.candidate_models,
             algorithms=self.config.algorithms,
-            tuner=self.tuner,
             warm_model=self.warm_model,
             churn_fraction=self.config.churn_fraction,
         )

@@ -151,7 +151,6 @@ class StreamConfig:
     threads: Optional[int] = None
     cost_model: CostModel = DEFAULT_COST_MODEL
     shuffle_seed: int = 0
-    source: Optional[int] = None
     progress: Optional[Callable[[str], None]] = None
     #: Churn: after each insert batch, delete this fraction of the
     #: batch's edges again (a mixed insert/delete stream).  The update
@@ -176,9 +175,6 @@ class StreamConfig:
     #: compute models).
     candidate_structures: Optional[Tuple[str, ...]] = None
     candidate_models: Optional[Tuple[str, ...]] = None
-    #: Tuner knobs (a repro.streaming.autotune.TunerConfig); ``None``
-    #: uses the environment-derived defaults.
-    autotune: Optional[object] = None
 
     @property
     def is_adaptive(self) -> bool:
@@ -233,26 +229,18 @@ class StreamConfig:
         _check_names("algorithm", self.algorithms, ALGORITHMS)
 
 
-def pick_source(dataset: Dataset, configured: Optional[int] = None) -> int:
+def pick_source(dataset: Dataset) -> int:
     """The single-source root of a run over ``dataset``.
 
-    Defaults to the stream's hottest source: a hub is (almost surely)
-    present from the first batch on and reaches a large fraction of the
-    graph, which matches how single-source roots are chosen in graph
-    benchmarks.  A configured root must be a vertex id of the dataset.
+    The stream's hottest source: a hub is (almost surely) present from
+    the first batch on and reaches a large fraction of the graph, which
+    matches how single-source roots are chosen in graph benchmarks.
     """
-    if configured is None:
-        if len(dataset.edges) == 0:
-            raise ConfigError(
-                f"{dataset.name} has no edges to pick a source vertex from"
-            )
-        return int(np.bincount(dataset.edges.src).argmax())
-    if not 0 <= configured < dataset.max_nodes:
+    if len(dataset.edges) == 0:
         raise ConfigError(
-            f"source {configured} is not a vertex id of {dataset.name} "
-            f"(0 <= source < {dataset.max_nodes})"
+            f"{dataset.name} has no edges to pick a source vertex from"
         )
-    return configured
+    return int(np.bincount(dataset.edges.src).argmax())
 
 
 def churn_victims(batch, fraction: float):
@@ -437,7 +425,7 @@ class StreamDriver:
     def run(self, dataset: Dataset) -> StreamResult:
         """Stream ``dataset`` and record every simulated latency."""
         cfg = self.config
-        source = pick_source(dataset, cfg.source)
+        source = pick_source(dataset)
         ctx = ExecutionContext(
             machine=cfg.machine, threads=cfg.threads, cost_model=cfg.cost_model
         )

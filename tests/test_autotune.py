@@ -1,11 +1,11 @@
 """Tests for the online auto-tuner (repro.streaming.autotune).
 
-Covers the tuner configuration (env overrides, validation), the
-online least-squares fits (affine recovery, warm-prior blending), the
-controller policy (cold-start exploration, hysteresis, cooldown,
-forced plans), the adaptive driver's differential contract against
-static runs, the schedule-aware batching it rides on, and the CLI
-surface.
+Covers the online least-squares fits (affine recovery, warm-prior
+blending), the controller policy at the tuner's constants (cold-start
+exploration, hysteresis, cooldown, forced plans), the adaptive
+driver's differential contract against static runs, the
+schedule-aware batching it rides on, and the CLI surface (warm start
+through ``--model-in``, ``--model-out``, the shards refusal).
 """
 
 import math
@@ -17,13 +17,12 @@ from repro.cli import main
 from repro.datasets import load_dataset
 from repro.errors import ConfigError, DatasetError
 from repro.graph import EdgeBatch
-from repro.obs.model import GroupFit
+from repro.obs.model import FittedCostModel, GroupFit
 from repro.streaming import (
     AdaptiveController,
     AdaptiveStreamDriver,
     StreamConfig,
     StreamDriver,
-    TunerConfig,
     batch_count,
     make_batches,
 )
@@ -37,36 +36,12 @@ from repro.streaming.autotune import (
 STRUCTURES = ("AS", "AC", "Stinger", "DAH", "BA")
 
 
-class TestTunerConfig:
-    def test_defaults(self):
-        tuner = TunerConfig()
-        assert tuner.explore_rounds == 2
-        assert tuner.horizon_batches == 25
-        assert tuner.model_path is None
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("explore_rounds", 0),
-            ("horizon_batches", 0),
-            ("switch_margin", -0.1),
-            ("cooldown_batches", -1),
-            ("ewma_alpha", 0.0),
-            ("ewma_alpha", 1.5),
-            ("decay", 0.0),
-        ],
-    )
-    def test_validation(self, field, value):
-        with pytest.raises(ConfigError):
-            TunerConfig(**{field: value})
-
-
 class TestOnlineGroupFit:
     def test_unknown_without_observations(self):
         assert OnlineGroupFit().predict(100.0) is None
 
     def test_recovers_affine_law(self):
-        fit = OnlineGroupFit(decay=1.0)
+        fit = OnlineGroupFit()
         for ops in (100.0, 300.0, 700.0, 1500.0):
             fit.observe(ops, 2.0 + 0.01 * ops)
         assert fit.predict(1000.0) == pytest.approx(12.0, rel=1e-6)
@@ -79,7 +54,7 @@ class TestOnlineGroupFit:
     def test_prior_dominates_until_data_arrives(self):
         prior = GroupFit(phase="update", structure="AS")
         prior.setup, prior.per_op, prior.samples = 0.0, 1.0, 10
-        fit = OnlineGroupFit(prior=prior, prior_weight=8.0)
+        fit = OnlineGroupFit(prior)
         assert fit.predict(10.0) == pytest.approx(10.0)
         # Live observations pull the blend toward the observed law.
         for ops in (10.0, 20.0, 40.0):
@@ -88,7 +63,7 @@ class TestOnlineGroupFit:
         assert 10.0 < blended < 20.0
 
     def test_decay_forgets_old_regimes(self):
-        fit = OnlineGroupFit(decay=0.5)
+        fit = OnlineGroupFit()
         for ops in (100.0, 200.0):
             fit.observe(ops, 1.0 * ops)
         for ops in (100.0, 200.0, 150.0, 250.0):
@@ -96,13 +71,11 @@ class TestOnlineGroupFit:
         assert fit.predict(100.0) > 500.0
 
 
-def _controller(warm=None, **tuner_kwargs):
-    tuner = TunerConfig(**tuner_kwargs)
+def _controller(warm=None):
     return AdaptiveController(
         structures=("AS", "DAH"),
         models=("FS", "INC"),
         algorithms=("BFS",),
-        tuner=tuner,
         warm_model=warm,
     )
 
@@ -119,25 +92,30 @@ def _teach(controller, cheap="AS", dear="DAH", factor=10.0):
 
 class TestControllerPolicy:
     def test_cold_start_builds_explore_plan(self):
-        controller = _controller(explore_rounds=2)
+        controller = _controller()
         assert controller._explore_plan == ["AS", "AS", "DAH", "DAH"]
 
     def test_exploration_sequence(self):
-        controller = _controller(explore_rounds=1)
+        controller = _controller()
         first = controller.decide(0, 10, 100, live=None, live_edges=0)
         assert first.reason == "start" and first.structure == "AS"
-        second = controller.decide(1, 10, 100, live="AS", live_edges=100)
-        assert second.reason == "explore" and second.structure == "DAH"
+        later = [
+            controller.decide(i, 10, 100, live=live, live_edges=100)
+            for i, live in ((1, "AS"), (2, "AS"), (3, "DAH"))
+        ]
+        assert [(d.reason, d.structure) for d in later] == [
+            ("explore", "AS"), ("explore", "DAH"), ("explore", "DAH")
+        ]
 
     def test_stays_on_best(self):
-        controller = _controller(explore_rounds=1)
+        controller = _controller()
         controller._batches_seen = 99  # past exploration
         _teach(controller)
         decision = controller.decide(5, 100, 200, live="AS", live_edges=1000)
         assert decision.reason == "stay" and decision.structure == "AS"
 
     def test_switches_when_savings_beat_migration(self):
-        controller = _controller(explore_rounds=1, horizon_batches=50)
+        controller = _controller()
         controller._batches_seen = 99
         _teach(controller)
         decision = controller.decide(5, 100, 200, live="DAH", live_edges=1000)
@@ -146,36 +124,34 @@ class TestControllerPolicy:
         assert controller.switches == 1
 
     def test_holds_when_migration_too_dear(self):
-        # Horizon of 1 batch: tiny per-batch gain cannot amortize a
-        # migration of a large live structure.
-        controller = _controller(
-            explore_rounds=1, horizon_batches=1, switch_margin=0.25
-        )
+        # Last batch of the stream, so a horizon of 1 batch: a tiny
+        # per-batch gain cannot amortize migrating a large structure.
+        controller = _controller()
         controller._batches_seen = 99
         _teach(controller, factor=1.05)
         decision = controller.decide(
-            5, 100, 200, live="DAH", live_edges=10_000_000
+            99, 100, 200, live="DAH", live_edges=10_000_000
         )
         assert decision.reason == "hold" and decision.structure == "DAH"
 
     def test_cooldown_blocks_thrashing(self):
-        controller = _controller(explore_rounds=1, cooldown_batches=3)
+        controller = _controller()
         controller._batches_seen = 99
         _teach(controller)
         controller._last_switch = 4
         decision = controller.decide(5, 100, 200, live="DAH", live_edges=100)
         assert decision.reason == "cooldown" and decision.structure == "DAH"
-        later = controller.decide(8, 100, 200, live="DAH", live_edges=100)
+        later = controller.decide(6, 100, 200, live="DAH", live_edges=100)
         assert later.reason == "switch"
 
     def test_forced_plan_wins(self):
-        controller = _controller(explore_rounds=1)
+        controller = _controller()
         controller.forced_plan[0] = "DAH"
         decision = controller.decide(0, 10, 100, live=None, live_edges=0)
         assert decision.reason == "forced" and decision.structure == "DAH"
 
     def test_warm_model_skips_exploration(self):
-        from repro.obs.model import FittedCostModel, group_key
+        from repro.obs.model import group_key
 
         warm = FittedCostModel()
         for structure in ("AS", "DAH"):
@@ -186,7 +162,7 @@ class TestControllerPolicy:
         assert controller._explore_plan == []
 
     def test_per_algorithm_model_freedom(self):
-        controller = _controller(explore_rounds=1)
+        controller = _controller()
         controller._batches_seen = 99
         for ops in (100.0, 200.0, 400.0):
             controller.observe_update("AS", ops, 1e-6 * ops)
@@ -199,7 +175,7 @@ class TestControllerPolicy:
         assert decision.models == {"BFS": "FS"}
 
     def test_regret_accounting(self):
-        controller = _controller(explore_rounds=1)
+        controller = _controller()
         _teach(controller)
         decision = controller.decide(0, 10, 200, live=None, live_edges=0)
         entry = controller.complete_batch(
@@ -419,3 +395,63 @@ class TestAdaptiveCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "adaptive" in out.lower()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--dataset", "Talk", "--size-factor", "0.08"],
+            ["scale", "--scale", "10", "--edges", "2000", "--batch-size", "500"],
+        ],
+        ids=["stream", "scale"],
+    )
+    def test_adaptive_refuses_shards(self, argv):
+        with pytest.raises(ConfigError, match="adaptive mode requires shards == 1"):
+            main(argv + ["--adaptive", "--shards", "2"])
+
+    def test_model_out_is_written_once(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        code = main(
+            [
+                "autotune",
+                "--dataset", "Talk",
+                "--size-factor", "0.05",
+                "--batch-size", "400",
+                "--algorithms", "BFS",
+                "--report-out", str(tmp_path / "report.html"),
+                "--model-out", str(model),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count(f"[cost model written to {model}]") == 1
+        assert FittedCostModel.load(str(model)).groups
+
+    def test_warm_start_round_trip(self, tmp_path, capsys):
+        """A model fitted by ``repro report`` prices every candidate's
+        update phase, so ``--model-in`` skips the cold-start exploration."""
+        model = tmp_path / "model.json"
+        report = [
+            "report",
+            "--out", str(tmp_path / "report.html"),
+            "--size-factor", "0.05",
+            "--algorithms", "BFS",
+            "--model-out", str(model),
+        ]
+        assert main(report) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "autotune",
+                "--size-factor", "0.05",
+                "--algorithms", "BFS",
+                "--model-in", str(model),
+            ]
+        )
+        assert code == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.split() and line.split()[0].isdigit()
+        ]
+        assert rows[0][0] == "0" and rows[0][3] == "start"
+        assert all(row[3] != "explore" for row in rows)

@@ -34,8 +34,8 @@ def _stream(seed, n, lock_pool, lock_fraction, fine_fraction):
     )
 
 
-def _both_paths(tasks, threads, dispatch_chunk=1):
-    scheduler = DynamicScheduler(threads, dispatch_chunk=dispatch_chunk)
+def _both_paths(tasks, threads):
+    scheduler = DynamicScheduler(threads)
     compiled = scheduler.run(tasks)
     with mock.patch.object(ckernel, "get_kernel", return_value=None):
         python = scheduler.run(tasks)
@@ -78,12 +78,6 @@ class CompiledKernelDifferentialTest(unittest.TestCase):
                         fine_fraction=0.0)
         compiled, python = _both_paths(tasks, 8)
         self.assertEqual(compiled.contended_acquires, 0)
-        _assert_identical(self, compiled, python)
-
-    def test_dispatch_chunking(self):
-        tasks = _stream(seed=4, n=1000, lock_pool=20, lock_fraction=0.9,
-                        fine_fraction=0.3)
-        compiled, python = _both_paths(tasks, 6, dispatch_chunk=8)
         _assert_identical(self, compiled, python)
 
     def test_thread_count_above_kernel_limit_uses_python_loop(self):
