@@ -42,18 +42,16 @@ by task for the Fig. 9/10 cell (the numpy body of
 :func:`repro.analysis.hardware_profile._interleave` is its reference).
 
 The live graph's data plane is here too: ``saga_csr_insert_plan`` /
-``saga_csr_insert_apply``, ``saga_csr_delete``, ``saga_csr_rebuild`` and
-``saga_csr_compact`` are the mutators of
-:class:`repro.compute.csrstore.DynamicCSR`, ``saga_update_collect`` and
-``saga_delete_collect`` the collects of
-:class:`repro.graph.reference.ReferenceGraph`.  Each leaves exactly the
-state its numpy body leaves.  They allocate nothing: an insert's plan
-returns the heap slots its row relocations need, Python grows the heap
-by the store's own policy, then the apply writes; the collects get
-their outputs sized for the worst case and hand back prefixes.  Rows
-are counted through a bitmap rather than sorted, and a collect sorts
-only the batch (a radix sort of ``(key, row)`` pairs) before one
-galloping merge with the live column.
+``saga_csr_insert_apply``, ``saga_csr_delete``, ``saga_csr_rebuild``,
+``saga_csr_compact`` and ``saga_csr_lookup`` are the mutators and the
+membership lookup of :class:`repro.compute.csrstore.DynamicCSR`, the
+one record of :class:`repro.graph.reference.ReferenceGraph`'s edges.
+Each leaves exactly the state and output its numpy body leaves.  They
+allocate nothing: an insert's plan returns the heap slots its row
+relocations need, Python grows the heap by the store's own policy,
+then the apply writes.  Rows are counted through a bitmap rather than
+sorted; the delete and the lookup put the batch's pairs in one
+open-addressing set and scan only the rows it names.
 Every crossing ticks ``compute_kernel_calls_total{kernel}``.
 
 This source is one part of the native library (:mod:`repro.sim.cbuild`).
@@ -1126,9 +1124,9 @@ void saga_interleave(
 }
 
 /* ---- the live graph's data plane -----------------------------------
- * The four mutators of repro.compute.csrstore.DynamicCSR and the two
- * collects of repro.graph.reference.ReferenceGraph.  Each leaves
- * exactly the state its numpy body leaves (that body is the reference
+ * The four mutators and the lookup of repro.compute.csrstore.DynamicCSR,
+ * the live graph's one record of its edges.  Each leaves exactly the
+ * state and output its numpy body leaves (that body is the reference
  * and the path without this library).  Nothing here allocates: Python
  * sizes every output and scratch buffer, and grows the column heap by
  * DynamicCSR._grow_heap's policy between an insert's plan and apply.
@@ -1239,20 +1237,99 @@ int64_t saga_csr_insert_apply(
     return dead;
 }
 
-static inline uint64_t pair_hash(int64_t a, int64_t b)
+static inline uint64_t pair_hash(int64_t key)
 {
-    uint64_t h = (uint64_t)a * 0x9E3779B97F4A7C15ULL ^ (uint64_t)b;
+    uint64_t h = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 32;
     h *= 0xBF58476D1CE4E5B9ULL;
     return h ^ (h >> 31);
 }
 
+/* The entry of packed pair key (row * n + col) in an open-addressing
+ * set of mask + 1 entries, each a key and the first batch row naming
+ * it (table[2h], table[2h + 1]; key -1: empty): where the key is, or
+ * the empty entry where it would go. */
+static inline uint64_t pair_slot(const int64_t *table, uint64_t mask, int64_t key)
+{
+    uint64_t h = pair_hash(key) & mask;
+    while (table[2 * h] != -1 && table[2 * h] != key)
+        h = (h + 1) & mask;
+    return h;
+}
+
+/* The pair set of the m (keys, vals) pairs over n vertices, shared by
+ * the delete and the lookup: table is 2 * cap scratch (cap a power of
+ * two of at least 2m); seen and named are zeroed bitmaps over the
+ * vertices, which get a bit per row and per val, so a row scan probes
+ * the table only for the cols some pair names.  The distinct rows go
+ * to rows[] (m scratch) ascending, the order their heap extents mostly
+ * lie in; the scans also prefetch each row 8 rows ahead.  With
+ * first_of given (m scratch), first_of[i] is the first row naming pair
+ * i's pair.  Returns the row count. */
+static int64_t pair_set(
+    int64_t m,
+    int64_t n,
+    const int64_t *keys,
+    const int64_t *vals,
+    uint64_t *seen,
+    uint64_t *named,
+    int64_t *rows,
+    int64_t *table,
+    int64_t cap,
+    int64_t *first_of)
+{
+    uint64_t mask = (uint64_t)cap - 1, h;
+    int64_t i, w, t = 0, lo = INT64_MAX, hi = -1;
+    memset(table, 0xff, (size_t)cap * 2 * sizeof(int64_t));
+    for (i = 0; i < m; i++) {
+        int64_t r = keys[i], key = r * n + vals[i];
+        if (i + 8 < m) { /* a random entry each: start the load 8 pairs early */
+            uint64_t ahead = pair_hash(keys[i + 8] * n + vals[i + 8]) & mask;
+            __builtin_prefetch(table + 2 * ahead);
+        }
+        h = pair_slot(table, mask, key);
+        if (table[2 * h] == -1) {
+            table[2 * h] = key;
+            table[2 * h + 1] = i;
+        }
+        if (first_of)
+            first_of[i] = table[2 * h + 1];
+        bit_test_set(named, vals[i]);
+        if (!bit_test_set(seen, r)) {
+            if (r < lo)
+                lo = r;
+            if (r > hi)
+                hi = r;
+        }
+    }
+    for (w = m ? lo >> 6 : 0; m && w <= hi >> 6; w++) {
+        uint64_t bits = seen[w];
+        for (; bits; bits &= bits - 1)
+            rows[t++] = (w << 6) + __builtin_ctzll(bits);
+    }
+    return t;
+}
+
+/* The entry of pair (r, c) in a filled pair set, or -1 if it is not
+ * there. */
+static inline int64_t pair_find(
+    const int64_t *table, uint64_t mask, int64_t n, const uint64_t *named, int64_t r,
+    int64_t c)
+{
+    uint64_t h;
+    if (!(named[c >> 6] >> (c & 63) & 1))
+        return -1;
+    h = pair_slot(table, mask, r * n + c);
+    return table[2 * h] == -1 ? -1 : (int64_t)h;
+}
+
 /* DynamicCSR.delete: every slot of a named row whose (row, col) pair
  * is among the m (keys, vals) pairs goes; the survivors close up in
- * order and the freed slots become the row's slack.  table is 2 * cap
- * scratch for an open-addressing set of the pairs (cap a power of two
- * of at least 2m), rows m scratch.  Returns the slots removed. */
+ * order and the freed slots become the row's slack.  Returns the slots
+ * removed. */
 int64_t saga_csr_delete(
     int64_t m,
+    int64_t n,
     const int64_t *keys,
     const int64_t *vals,
     const int64_t *starts,
@@ -1260,31 +1337,21 @@ int64_t saga_csr_delete(
     int64_t *cols,
     double *wts,
     uint64_t *seen,
+    uint64_t *named,
     int64_t *rows,
     int64_t *table,
     int64_t cap)
 {
-    uint64_t mask = (uint64_t)cap - 1, h;
-    int64_t i, k, t = 0, removed = 0;
-    memset(table, 0xff, (size_t)cap * 2 * sizeof(int64_t)); /* row -1: empty */
-    for (i = 0; i < m; i++) {
-        int64_t r = keys[i], v = vals[i];
-        for (h = pair_hash(r, v) & mask; table[2 * h] != -1; h = (h + 1) & mask)
-            if (table[2 * h] == r && table[2 * h + 1] == v)
-                break;
-        table[2 * h] = r;
-        table[2 * h + 1] = v;
-        if (!bit_test_set(seen, r))
-            rows[t++] = r;
-    }
+    uint64_t mask = (uint64_t)cap - 1;
+    int64_t k, removed = 0;
+    int64_t t = pair_set(m, n, keys, vals, seen, named, rows, table, cap, NULL);
     for (k = 0; k < t; k++) {
         int64_t r = rows[k], from = starts[r], end = from + lens[r], to = from, s;
+        if (k + 8 < t)
+            __builtin_prefetch(cols + starts[rows[k + 8]]);
         for (s = from; s < end; s++) {
             int64_t c = cols[s];
-            for (h = pair_hash(r, c) & mask; table[2 * h] != -1; h = (h + 1) & mask)
-                if (table[2 * h] == r && table[2 * h + 1] == c)
-                    break;
-            if (table[2 * h] != -1)
+            if (pair_find(table, mask, n, named, r, c) >= 0)
                 continue;
             cols[to] = c;
             wts[to++] = wts[s];
@@ -1293,6 +1360,54 @@ int64_t saga_csr_delete(
         lens[r] = to - from;
     }
     return removed;
+}
+
+/* DynamicCSR.lookup: for each of the m (keys, vals) pairs, whether its
+ * row i is the first to name it (first[i]), whether it is live (live[i])
+ * and then its stored weight (weight[i], 0 otherwise; the row's first
+ * entry of the pair).  Each distinct named row is scanned once, up to
+ * its length.  Scratch as for the delete, plus first_of (m). */
+void saga_csr_lookup(
+    int64_t m,
+    int64_t n,
+    const int64_t *keys,
+    const int64_t *vals,
+    const int64_t *starts,
+    const int64_t *lens,
+    const int64_t *cols,
+    const double *wts,
+    uint64_t *seen,
+    uint64_t *named,
+    int64_t *rows,
+    int64_t *table,
+    int64_t cap,
+    int64_t *first_of,
+    uint8_t *first,
+    uint8_t *live,
+    double *weight)
+{
+    uint64_t mask = (uint64_t)cap - 1;
+    int64_t i, k, t = pair_set(m, n, keys, vals, seen, named, rows, table, cap, first_of);
+    memset(live, 0, (size_t)m);
+    memset(weight, 0, (size_t)m * sizeof(double));
+    for (k = 0; k < t; k++) {
+        int64_t r = rows[k], s, end = starts[r] + lens[r];
+        if (k + 8 < t)
+            __builtin_prefetch(cols + starts[rows[k + 8]]);
+        for (s = starts[r]; s < end; s++) {
+            int64_t h = pair_find(table, mask, n, named, r, cols[s]);
+            if (h >= 0 && !live[table[2 * h + 1]]) {
+                live[table[2 * h + 1]] = 1;
+                weight[table[2 * h + 1]] = wts[s];
+            }
+        }
+    }
+    for (i = 0; i < m; i++) {
+        int64_t j = first_of[i];
+        first[i] = j == i;
+        live[i] = live[j];
+        weight[i] = weight[j];
+    }
 }
 
 /* DynamicCSR.rebuild: a counting sort of the edge list by key into
@@ -1346,197 +1461,6 @@ void saga_csr_compact(
         new_caps[r] = len;
         acc += len;
     }
-}
-
-/* The collects' common first step: each row's packed edge key
- * (src * n + dst; (min, max) when undirected), sorted with the row's
- * position by a stable LSD radix over 8-bit digits (np.unique's
- * return_index: of equal keys the first row comes first).  scratch is
- * 4m: two key and two position buffers.  Returns the sorted keys; the
- * positions follow them m entries later. */
-static int64_t *sort_packed_rows(
-    int64_t m,
-    const int64_t *src,
-    const int64_t *dst,
-    int64_t n,
-    int32_t directed,
-    int64_t *scratch)
-{
-    int64_t count[8][256];
-    int64_t *key = scratch, *pos = scratch + m;
-    int64_t *key2 = scratch + 2 * m, *pos2 = scratch + 3 * m, *swap;
-    int64_t i, maxkey = 0;
-    int d, digits = 1;
-    if (m == 0)
-        return scratch;
-    for (i = 0; i < m; i++) {
-        int64_t u = src[i], v = dst[i];
-        if (!directed && v < u) {
-            u = dst[i];
-            v = src[i];
-        }
-        key[i] = u * n + v;
-        pos[i] = i;
-        if (key[i] > maxkey)
-            maxkey = key[i];
-    }
-    while (digits < 8 && (maxkey >> (8 * digits)) != 0)
-        digits++;
-    memset(count, 0, (size_t)digits * sizeof(count[0]));
-    for (i = 0; i < m; i++)
-        for (d = 0; d < digits; d++)
-            count[d][(key[i] >> (8 * d)) & 255]++;
-    for (d = 0; d < digits; d++) {
-        int64_t *c = count[d], off = 0;
-        int shift = 8 * d;
-        if (c[(key[0] >> shift) & 255] == m)
-            continue; /* every key shares this digit */
-        for (i = 0; i < 256; i++) {
-            int64_t here = c[i];
-            c[i] = off;
-            off += here;
-        }
-        for (i = 0; i < m; i++) {
-            int64_t at = c[(key[i] >> shift) & 255]++;
-            key2[at] = key[i];
-            pos2[at] = pos[i];
-        }
-        swap = key;
-        key = key2;
-        key2 = swap;
-        swap = pos;
-        pos = pos2;
-        pos2 = swap;
-    }
-    if (key != scratch) {
-        memcpy(scratch, key, (size_t)m * sizeof(int64_t));
-        memcpy(scratch + m, pos, (size_t)m * sizeof(int64_t));
-    }
-    return scratch;
-}
-
-/* First index in a[lo..n) holding a value >= key (a ascending), found
- * by galloping from lo: the batch's keys arrive ascending. */
-static int64_t gallop(const int64_t *a, int64_t lo, int64_t n, int64_t key)
-{
-    int64_t hi = lo, step = 1;
-    while (hi < n && a[hi] < key) {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    if (hi > n)
-        hi = n;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (a[mid] < key)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-/* The rows mark[] flags, in batch order, with their weights. */
-static int64_t copy_marked(
-    int64_t m,
-    const uint8_t *mark,
-    const int64_t *src,
-    const int64_t *dst,
-    const double *wt,
-    int64_t *out_src,
-    int64_t *out_dst,
-    double *out_wt)
-{
-    int64_t i, c = 0;
-    for (i = 0; i < m; i++) {
-        if (mark[i]) {
-            out_src[c] = src[i];
-            out_dst[c] = dst[i];
-            out_wt[c++] = wt[i];
-        }
-    }
-    return c;
-}
-
-/* The collects' merge: the first row of each distinct batch key is
- * collected when the key is absent from the live column (keys[0..live),
- * ascending, weights aligned) on insert, present on delete.  The next
- * live column goes to next_keys/next_wts: on insert with each new key
- * merged in with its first row's weight, on delete without the removed
- * keys, whose stored weights are gathered into wt[] (m scratch) at
- * their first rows.  The collected rows, in batch order, go to out_*;
- * returns how many. */
-static int64_t collect(
-    int removing,
-    int64_t m,
-    const int64_t *src,
-    const int64_t *dst,
-    double *wt,
-    int64_t n,
-    int32_t directed,
-    int64_t live,
-    const int64_t *keys,
-    const double *weights,
-    int64_t *scratch,
-    uint8_t *mark,
-    int64_t *next_keys,
-    double *next_wts,
-    int64_t *out_src,
-    int64_t *out_dst,
-    double *out_wt)
-{
-    const int64_t *sorted = sort_packed_rows(m, src, dst, n, directed, scratch);
-    const int64_t *pos = sorted + m;
-    int64_t s, at = 0, done = 0, out = 0;
-    memset(mark, 0, (size_t)m);
-    for (s = 0; s < m; s++) {
-        int64_t key = sorted[s];
-        if (s && key == sorted[s - 1])
-            continue;
-        at = gallop(keys, at, live, key);
-        if ((at < live && keys[at] == key) != removing)
-            continue;
-        memcpy(next_keys + out, keys + done, (size_t)(at - done) * sizeof(int64_t));
-        memcpy(next_wts + out, weights + done, (size_t)(at - done) * sizeof(double));
-        out += at - done;
-        done = at;
-        if (removing) {
-            wt[pos[s]] = weights[done++];
-        } else {
-            next_keys[out] = key;
-            next_wts[out++] = wt[pos[s]];
-        }
-        mark[pos[s]] = 1;
-    }
-    memcpy(next_keys + out, keys + done, (size_t)(live - done) * sizeof(int64_t));
-    memcpy(next_wts + out, weights + done, (size_t)(live - done) * sizeof(double));
-    return copy_marked(m, mark, src, dst, wt, out_src, out_dst, out_wt);
-}
-
-/* ReferenceGraph.update_collect: the new rows, and the live column
- * with their keys merged in (room for live + m). */
-int64_t saga_update_collect(
-    int64_t m, const int64_t *src, const int64_t *dst, double *wt, int64_t n,
-    int32_t directed, int64_t live, const int64_t *keys, const double *weights,
-    int64_t *scratch, uint8_t *mark, int64_t *next_keys, double *next_wts,
-    int64_t *out_src, int64_t *out_dst, double *out_wt)
-{
-    return collect(0, m, src, dst, wt, n, directed, live, keys, weights, scratch,
-                   mark, next_keys, next_wts, out_src, out_dst, out_wt);
-}
-
-/* ReferenceGraph.delete_collect: the removing rows with their stored
- * weights (stored: m scratch), and the live column without their keys
- * (room for live). */
-int64_t saga_delete_collect(
-    int64_t m, const int64_t *src, const int64_t *dst, double *stored, int64_t n,
-    int32_t directed, int64_t live, const int64_t *keys, const double *weights,
-    int64_t *scratch, uint8_t *mark, int64_t *next_keys, double *next_wts,
-    int64_t *out_src, int64_t *out_dst, double *out_wt)
-{
-    return collect(1, m, src, dst, stored, n, directed, live, keys, weights, scratch,
-                   mark, next_keys, next_wts, out_src, out_dst, out_wt);
 }
 """
 
@@ -1598,11 +1522,10 @@ class ComputeKernels:
             _I64,
             [_I64] + [_PTR] * 3 + [_I64] + [_PTR] * 2 + [_I64] + [_PTR] * 5,
         )
-        _sig(lib.saga_csr_delete, _I64, [_I64] + [_PTR] * 9 + [_I64])
+        _sig(lib.saga_csr_delete, _I64, [_I64, _I64] + [_PTR] * 10 + [_I64])
         _sig(lib.saga_csr_rebuild, None, [_I64, _I64] + [_PTR] * 8)
         _sig(lib.saga_csr_compact, None, [_I64] + [_PTR] * 8)
-        for collect in (lib.saga_update_collect, lib.saga_delete_collect):
-            _sig(collect, _I64, [_I64] + [_PTR] * 3 + [_I64, _I32, _I64] + [_PTR] * 9)
+        _sig(lib.saga_csr_lookup, None, [_I64, _I64] + [_PTR] * 10 + [_I64] + [_PTR] * 4)
 
     # ``arr.ctypes.data`` of a size-0 array is a valid (never
     # dereferenced) pointer, so empty frontiers need no special casing.
@@ -1925,14 +1848,16 @@ class ComputeKernels:
     @staticmethod
     def _deltas(store, keys, *columns):
         """A store's delta columns as contiguous arrays of one length,
-        the keys checked to be rows: the kernels index by them."""
+        the keys and vals checked to be vertex ids: the kernels index
+        by them."""
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         dtypes = (np.int64, np.float64)[: len(columns)]
         columns = [np.ascontiguousarray(c, dtype=t) for c, t in zip(columns, dtypes)]
         if any(c.shape != keys.shape for c in columns) or keys.ndim != 1:
             raise ValueError("delta columns must be 1-D and of one length")
-        if keys.size and (keys.min() < 0 or keys.max() >= store.max_nodes):
-            raise ValueError(f"row keys must lie in [0, {store.max_nodes})")
+        for ids in (keys, columns[0]):
+            if ids.size and (ids.min() < 0 or ids.max() >= store.max_nodes):
+                raise ValueError(f"vertex ids must lie in [0, {store.max_nodes})")
         return keys, *columns
 
     @staticmethod
@@ -1967,24 +1892,48 @@ class ComputeKernels:
         store.live += m
         store.tight = False
 
+    @staticmethod
+    def _pair_set(m: int):
+        """Scratch of the kernels' pair set over ``m`` pairs: the table
+        (two slots per entry) and its entry count, a power of two >= 2m."""
+        cap = 1 << max(2 * m - 1, 1).bit_length()
+        return np.empty(2 * cap, dtype=np.int64), cap
+
     def csr_delete(self, store, keys, vals) -> int:
         """``DynamicCSR.delete``: returns the slots removed."""
         keys, vals = self._deltas(store, keys, vals)
         m = keys.size
-        cap = 1 << max(2 * m - 1, 1).bit_length()  # a power of two >= 2m
-        table = np.empty(2 * cap, dtype=np.int64)
+        table, cap = self._pair_set(m)
         rows = np.empty(m, dtype=np.int64)
-        seen = self._row_bitmap(store)
+        seen, named = self._row_bitmap(store), self._row_bitmap(store)
         p = self._p
         _count_call("csr_delete")
         removed = self._lib.saga_csr_delete(
-            m, p(keys), p(vals), p(store.starts), p(store.lens), p(store.cols),
-            p(store.wts), p(seen), p(rows), p(table), cap,
+            m, store.max_nodes, p(keys), p(vals), p(store.starts), p(store.lens),
+            p(store.cols), p(store.wts), p(seen), p(named), p(rows), p(table), cap,
         )  # fmt: skip
         if removed:
             store.live -= removed
             store.tight = False
         return removed
+
+    def csr_lookup(self, store, keys, vals):
+        """``DynamicCSR.lookup``: ``(first, live, weight)`` per pair."""
+        keys, vals = self._deltas(store, keys, vals)
+        m = keys.size
+        table, cap = self._pair_set(m)
+        rows, first_of = np.empty((2, m), dtype=np.int64)
+        seen, named = self._row_bitmap(store), self._row_bitmap(store)
+        first, live = np.empty((2, m), dtype=np.bool_)
+        weight = np.empty(m, dtype=np.float64)
+        p = self._p
+        _count_call("csr_lookup")
+        self._lib.saga_csr_lookup(
+            m, store.max_nodes, p(keys), p(vals), p(store.starts), p(store.lens),
+            p(store.cols), p(store.wts), p(seen), p(named), p(rows), p(table), cap,
+            p(first_of), p(first), p(live), p(weight),
+        )  # fmt: skip
+        return first, live, weight
 
     def csr_rebuild(self, store, keys, vals, wts) -> None:
         """``DynamicCSR.rebuild``: fresh arrays, tight."""
@@ -2021,49 +1970,6 @@ class ComputeKernels:
         store.used = store.live
         store.dead = 0
         store.tight = True
-
-    def _collect(self, kernel: str, graph, src, dst, weight, sign: int):
-        """``saga_<kernel>`` over a batch's range-checked endpoints, with
-        ``weight`` the batch's column (insert, ``sign`` 1) or scratch for
-        the stored weights (delete, ``sign`` -1).  Returns the collected
-        rows as columns and the next live column (keys, weights):
-        prefixes of what was allocated for the worst case."""
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        weight = np.ascontiguousarray(weight, dtype=np.float64)
-        if not src.ndim == 1 or not src.shape == dst.shape == weight.shape:
-            raise ValueError("batch columns must be 1-D and of one length")
-        m, live = src.size, graph._keys.size
-        room = live + m if sign > 0 else live
-        scratch = np.empty(4 * m, dtype=np.int64)
-        mark = np.empty(m, dtype=np.uint8)
-        next_keys = np.empty(room, dtype=np.int64)
-        next_wts = np.empty(room, dtype=np.float64)
-        out = (
-            np.empty(m, dtype=np.int64),
-            np.empty(m, dtype=np.int64),
-            np.empty(m, dtype=np.float64),
-        )
-        p = self._p
-        _count_call(kernel)
-        count = getattr(self._lib, "saga_" + kernel)(
-            m, p(src), p(dst), p(weight), graph.max_nodes, 1 if graph.directed else 0,
-            live, p(graph._keys), p(graph._weights), p(scratch), p(mark),
-            p(next_keys), p(next_wts), *(p(column) for column in out),
-        )  # fmt: skip
-        after = live + sign * count
-        return tuple(column[:count] for column in out), next_keys[:after], next_wts[:after]
-
-    def update_collect(self, graph, src, dst, weight):
-        """``ReferenceGraph.update_collect`` past its range check:
-        ``((src, dst, weight) of the new rows, next keys, next weights)``."""
-        return self._collect("update_collect", graph, src, dst, weight, 1)
-
-    def delete_collect(self, graph, src, dst):
-        """``ReferenceGraph.delete_collect`` past its range check: the
-        removing rows with their stored weights, then the next column."""
-        stored = np.empty(len(src), dtype=np.float64)
-        return self._collect("delete_collect", graph, src, dst, stored, -1)
 
 
 #: Lengths of the probe vector's tails :func:`_sums_like_numpy` compares:

@@ -1,9 +1,9 @@
-"""The live graph's adjacency: a slack CSR pair under edge deltas.
+"""The live graph's edges: a slack CSR pair under edge deltas.
 
-These stores *are* the adjacency of
-:class:`~repro.graph.reference.ReferenceGraph` -- held once, read by its
-per-vertex API and exported zero-copy to the compute kernels -- not a
-second copy kept beside it.
+These stores are the one record of
+:class:`~repro.graph.reference.ReferenceGraph`'s edges -- its adjacency
+and its membership test, read by its per-vertex API and exported
+zero-copy to the compute kernels; nothing else holds an edge.
 
 :class:`DynamicCSR`
     A "slack CSR": per-row ``starts``/``lens``/``caps`` plus a shared
@@ -18,20 +18,22 @@ second copy kept beside it.
     moves to the row's end) -- the order ``csr_from_edges`` produces
     and a dict-of-dicts adjacency iterates, so every kernel is
     bit-identical to the ``tests/oracles.py`` graph.  ``lens[:n]`` is
-    the degree array the pricing reads.  Each mutator is one call into
-    the native library (:mod:`repro.compute.ckernels`) when it is
-    loaded -- an insert two, a plan and an apply, with the heap grown
-    here by :meth:`DynamicCSR._grow_heap` in between -- and its numpy
-    body otherwise; the body is the reference the kernel must match
-    field for field.
+    the degree array the pricing reads.  :meth:`DynamicCSR.lookup`
+    answers membership for a batch of pairs by scanning only the rows
+    they name.  Each mutator and the lookup is one call into the native
+    library (:mod:`repro.compute.ckernels`) when it is loaded -- an
+    insert two, a plan and an apply, with the heap grown here by
+    :meth:`DynamicCSR._grow_heap` in between -- and its numpy body
+    otherwise; the body is the reference the kernel must match field
+    for field.
 
 :class:`ViewMaintainer`
     Owns the out/in pair (one store, aliased, for undirected graphs)
-    and folds each batch's kept ``(inserted, removed)`` columns into a
+    and folds each collect's kept ``(inserted, removed)`` columns into a
     fresh :class:`~repro.compute.kernels.ComputeView`.  The first
     apply's inserted columns are the whole edge list, so it packs them
     with one stable sort (:meth:`DynamicCSR.rebuild`); when a later
-    batch's churn exceeds :data:`DEFAULT_CHURN_THRESHOLD` of the live
+    apply's delta exceeds :data:`DEFAULT_CHURN_THRESHOLD` of the live
     edge count the fold is followed by :meth:`DynamicCSR.compact`, which
     repacks the store's own rows.  Emits ``compute.view_update`` /
     ``compute.view_rebuild`` spans and the
@@ -73,8 +75,9 @@ COMPACT_MIN_USED = 4096
 def check_packable(max_nodes: int) -> None:
     """Reject a ``max_nodes`` whose packed edge keys overflow ``int64``.
 
-    Edge membership packs ``(u, v)`` as ``u * max_nodes + v``; the
-    largest key is ``max_nodes ** 2 - 1``, and numpy wraps silently.
+    The delete and the lookup, numpy bodies and kernels alike, pack
+    ``(u, v)`` as ``u * max_nodes + v``; the largest key is
+    ``max_nodes ** 2 - 1``, and numpy wraps silently.
     """
     if max_nodes < 1:
         raise StructureError(f"max_nodes must be >= 1, got {max_nodes}")
@@ -237,6 +240,38 @@ class DynamicCSR:
         self.tight = False
         return removed
 
+    def lookup(self, keys: np.ndarray, vals: np.ndarray):
+        """Where each ``(key, val)`` pair stands: ``(first, live, weight)``.
+
+        ``first[i]``: row ``i`` is the first of the batch to name its
+        pair; ``live[i]``: the pair is in the store, ``weight[i]`` then
+        its stored weight (0.0 otherwise; of a pair stored twice, the
+        older entry's).  Each distinct named row is scanned once.
+        Changes nothing.
+        """
+        kernels = ckernels.get()
+        if kernels is not None:
+            return kernels.csr_lookup(self, keys, vals)
+        keys = np.asarray(keys, dtype=np.int64)
+        pairs = keys * self.max_nodes + np.asarray(vals, dtype=np.int64)
+        distinct, at, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+        first = np.zeros(len(keys), dtype=bool)
+        first[at] = True
+        rows = np.unique(keys)
+        counts = self.lens[rows]
+        flat = flat_slots(self.starts[rows], counts)
+        # The live pairs of the named rows, sorted, row order kept.
+        slot_pairs = np.repeat(rows, counts) * self.max_nodes + self.cols[flat]
+        order = np.argsort(slot_pairs, kind="stable")
+        found = np.zeros(len(distinct), dtype=bool)
+        stored = np.zeros(len(distinct), dtype=np.float64)
+        if len(order):
+            where = np.searchsorted(slot_pairs, distinct, sorter=order)
+            near = order[np.minimum(where, len(order) - 1)]
+            found = slot_pairs[near] == distinct
+            stored[found] = self.wts[flat[near[found]]]
+        return first, found[inverse], stored[inverse]
+
     # -- maintenance ----------------------------------------------------
 
     def needs_compaction(self) -> bool:
@@ -323,13 +358,12 @@ class ViewMaintainer:
         rem_dst: np.ndarray,
         num_nodes: int,
     ) -> ComputeView:
-        """Fold one batch's deltas in and export the ComputeView.
+        """Fold one mutation's deltas in and export the ComputeView.
 
-        ``ins_*``/``rem_*`` are the batch's actually-inserted and
+        ``ins_*``/``rem_*`` are the actually-inserted and
         actually-removed incidence arrays (both orientations already
-        interleaved for undirected graphs), applied in driver order:
-        inserts first, then churn deletions.  Above the churn
-        threshold the folded stores are repacked tight.
+        interleaved for undirected graphs), applied inserts first.
+        Above the churn threshold the folded stores are repacked tight.
         """
         delta = len(ins_src) + len(rem_src)
         live = self.out.live

@@ -14,9 +14,10 @@ Four streaming structures behind one API (paper Section III):
 ======== =============================== ==================== =================
 
 Plus :class:`~repro.graph.reference.ReferenceGraph` (uninstrumented
-ground truth).  The CSR form the compute phase reads lives in
-:mod:`repro.compute`: packed ``CSRArrays`` and the incrementally
-maintained ``DynamicCSR``.
+ground truth), which holds each edge once: in the incrementally
+maintained slack CSR pair of :mod:`repro.compute.csrstore`
+(``DynamicCSR``), the form the compute phase reads, whose rows also
+answer its membership tests.
 """
 
 from typing import Optional

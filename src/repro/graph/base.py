@@ -388,17 +388,21 @@ class GraphDataStructure(abc.ABC):
 
     def out_neigh(self, u: int) -> Sequence[Tuple[int, float]]:
         """The ``(neighbor, weight)`` pairs of ``u``'s out-edges."""
+        self._check_vertex(u)
         return self._out.neighbors(u)
 
     def in_neigh(self, u: int) -> Sequence[Tuple[int, float]]:
         """The ``(neighbor, weight)`` pairs of ``u``'s in-edges (the
         out-edges for undirected graphs)."""
+        self._check_vertex(u)
         return self._in.neighbors(u)
 
     def out_degree(self, u: int) -> int:
+        self._check_vertex(u)
         return self._out.degree(u)
 
     def in_degree(self, u: int) -> int:
+        self._check_vertex(u)
         return self._in.degree(u)
 
     def vertices(self) -> Iterable[int]:

@@ -10,20 +10,18 @@ semantics as the instrumented structures.  It serves two roles:
   analytically, since vertex values are independent of which structure
   stores the topology).
 
-Two things are held, each once.  **Membership** is a sorted column of
-packed ``src * max_nodes + dst`` keys (``(min, max)`` for undirected
-pairs) with the stored weights aligned: a batch is deduplicated,
-tested against the column and merged in (or cut out) linearly, no
-Python per edge -- one native call per collect
-(``saga_update_collect`` / ``saga_delete_collect`` of
-:mod:`repro.compute.ckernels`) when the library is loaded, else the
-numpy body (``np.unique``, ``searchsorted``, ``np.insert`` /
-``np.delete``) that is its reference.  **Adjacency** is the slack CSR
-pair of :mod:`repro.compute.csrstore`: a mutator only queues the rows
-it kept, and the first read after it -- normally the driver's one
-:meth:`ReferenceGraph.compute_view` per batch -- folds them in with one
-:meth:`~repro.compute.csrstore.ViewMaintainer.apply`.  Rows keep
-chronological order, which is the order a dict-of-dicts iterates.
+The live edges are held once, as the slack CSR pair of
+:mod:`repro.compute.csrstore` (one store for an undirected graph),
+whose rows keep chronological order -- the order a dict-of-dicts
+iterates.  Membership is read from those rows: a collect looks its
+batch up with one :meth:`~repro.compute.csrstore.DynamicCSR.lookup`,
+which hashes the batch's pairs (``(min, max)`` for undirected edges)
+and scans only the out-rows they name, then folds the rows it kept at
+once with one :meth:`~repro.compute.csrstore.ViewMaintainer.apply`,
+whose view :meth:`ReferenceGraph.compute_view` returns until the next
+mutation.  The lookup, like each store mutator, is one native call
+when the library is loaded, else the numpy body that is its reference.
+The edge count is a counter.
 """
 
 from __future__ import annotations
@@ -64,14 +62,6 @@ def with_reverse_interleaved(
 _NOTHING = EdgeBatch.empty()
 
 
-def _native():
-    """The compiled collects, or ``None`` (imported late: the compute
-    package imports this one)."""
-    from repro.compute import ckernels
-
-    return ckernels.get()
-
-
 class ReferenceGraph:
     """Ground-truth adjacency with unique edge ingestion."""
 
@@ -83,13 +73,9 @@ class ReferenceGraph:
         self._adjacency = ViewMaintainer(max_nodes, directed=directed)
         self.max_nodes = max_nodes
         self.directed = directed
-        self._keys = _NOTHING.src  # sorted packed keys of the live edges
-        self._weights = _NOTHING.weight  # stored weight of each key
         self._max_seen = -1
-        # Kept rows not yet folded into the adjacency: at most one
-        # insert batch, then at most one delete batch.
-        self._inserted = self._removed = _NOTHING
-        self._view = None  # ComputeView of the adjacency, while current
+        self._edges = 0
+        self._view = None  # ComputeView of the last apply
 
     # -- mutators -------------------------------------------------------
 
@@ -109,26 +95,13 @@ class ReferenceGraph:
         """
         src, dst = self._checked_endpoints(batch)
         weight = np.asarray(batch.weight, dtype=np.float64)
-        kernels = _native()
-        if kernels is not None:
-            columns, next_keys, next_weights = kernels.update_collect(self, src, dst, weight)
-            inserted = EdgeBatch(*columns)
-        else:
-            keys, first = np.unique(self._packed(src, dst), return_index=True)
-            at, present = self._locate(keys)
-            keys, first, at = keys[~present], first[~present], at[~present]
-            kept = np.sort(first)
-            inserted = EdgeBatch(src=src[kept], dst=dst[kept], weight=weight[kept])
-            if len(kept):
-                next_keys = np.insert(self._keys, at, keys)
-                next_weights = np.insert(self._weights, at, weight[first])
-        if len(inserted):
-            if len(self._inserted) or len(self._removed):
-                self._fold()
-            self._keys, self._weights = next_keys, next_weights
+        first, live, _ = self._lookup(src, dst)
+        kept = np.flatnonzero(first & ~live)
+        inserted = EdgeBatch(src=src[kept], dst=dst[kept], weight=weight[kept])
+        if len(kept):
             self._max_seen = max(self._max_seen, int(src.max()), int(dst.max()))
-            self._inserted = inserted
-            self._view = None
+            self._edges += len(kept)
+            self._apply(inserted=inserted)
         return inserted
 
     def delete_collect(self, batch: EdgeBatch) -> EdgeBatch:
@@ -138,28 +111,12 @@ class ReferenceGraph:
         stored ones, not the batch's.
         """
         src, dst = self._checked_endpoints(batch)
-        kernels = _native()
-        if kernels is not None:
-            columns, next_keys, next_weights = kernels.delete_collect(self, src, dst)
-            removed = EdgeBatch(*columns)
-        else:
-            keys, first = np.unique(self._packed(src, dst), return_index=True)
-            at, present = self._locate(keys)
-            at, first = at[present], first[present]
-            order = np.argsort(first)
-            kept = first[order]
-            removed = EdgeBatch(
-                src=src[kept], dst=dst[kept], weight=self._weights[at[order]]
-            )
-            if len(kept):
-                next_keys = np.delete(self._keys, at)
-                next_weights = np.delete(self._weights, at)
-        if len(removed):
-            if len(self._removed):
-                self._fold()
-            self._keys, self._weights = next_keys, next_weights
-            self._removed = removed
-            self._view = None
+        first, live, stored = self._lookup(src, dst)
+        kept = np.flatnonzero(first & live)
+        removed = EdgeBatch(src=src[kept], dst=dst[kept], weight=stored[kept])
+        if len(kept):
+            self._edges -= len(kept)
+            self._apply(removed=removed)
         return removed
 
     def _checked_endpoints(self, batch: EdgeBatch):
@@ -172,41 +129,33 @@ class ReferenceGraph:
             raise StructureError(f"edge ({int(src[i])}, {int(dst[i])}) out of range")
         return src, dst
 
-    def _packed(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """One int64 key per edge; orientation-free when undirected."""
-        if self.directed:
-            return src * self.max_nodes + dst
-        return np.minimum(src, dst) * self.max_nodes + np.maximum(src, dst)
+    def _lookup(self, src: np.ndarray, dst: np.ndarray):
+        """``DynamicCSR.lookup`` of the batch's edges in the out rows;
+        an undirected edge is looked up as ``(min, max)``."""
+        if not self.directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        return self._adjacency.out.lookup(src, dst)
 
-    def _locate(self, keys: np.ndarray):
-        """Slot of each sorted key in the live column, and whether it is there."""
-        at = np.searchsorted(self._keys, keys)
-        present = np.zeros(len(keys), dtype=bool)
-        inside = at < len(self._keys)
-        present[inside] = self._keys[at[inside]] == keys[inside]
-        return at, present
-
-    # -- adjacency ------------------------------------------------------
-
-    def _fold(self):
-        """Apply the queued rows to the CSR pair; returns the new view."""
-        inserted, removed = self._inserted, self._removed
-        self._inserted = self._removed = _NOTHING
+    def _apply(
+        self, inserted: EdgeBatch = _NOTHING, removed: EdgeBatch = _NOTHING
+    ) -> None:
+        """Fold one collect's rows into the CSR pair."""
         ins = (inserted.src, inserted.dst, inserted.weight)
         rem = (removed.src, removed.dst, removed.weight)
         if not self.directed:
             ins, rem = with_reverse_interleaved(*ins), with_reverse_interleaved(*rem)
         self._view = self._adjacency.apply(*ins, rem[0], rem[1], self.num_nodes)
-        return self._view
+
+    # -- reads ----------------------------------------------------------
 
     def compute_view(self):
         """The columnar view of the live graph (zero-copy, both directions).
 
-        Folds what the mutators queued since the last read -- one
-        ``ViewMaintainer.apply`` per batch in the streaming loop -- and
-        is valid until the next mutation.
+        The view of the last mutation, valid until the next one.
         """
-        return self._view if self._view is not None else self._fold()
+        if self._view is None:
+            self._apply()
+        return self._view
 
     def csr_arrays(self, direction: str = "out"):
         """Slack CSR of one direction (zero-copy, chronological rows)."""
@@ -215,7 +164,8 @@ class ReferenceGraph:
 
     def _row(self, direction: str, u: int):
         """Vertex ``u``'s neighbor and weight slices, oldest edge first."""
-        self.compute_view()
+        if not 0 <= u < self.max_nodes:
+            raise StructureError(f"vertex {u} out of range [0, {self.max_nodes})")
         store = self._adjacency.out if direction == "out" else self._adjacency.inc
         start = store.starts[u]
         stop = start + store.lens[u]
@@ -227,7 +177,7 @@ class ReferenceGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._keys)
+        return self._edges
 
     def out_neigh(self, u: int) -> Sequence[Tuple[int, float]]:
         cols, weights = self._row("out", u)
@@ -246,8 +196,7 @@ class ReferenceGraph:
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.max_nodes and 0 <= v < self.max_nodes):
             return False
-        key = self._packed(np.array([u], dtype=np.int64), np.array([v], dtype=np.int64))
-        return bool(self._locate(key)[1][0])
+        return bool((self._row("out", u)[0] == v).any())
 
     def vertices(self) -> range:
         return range(self.num_nodes)

@@ -498,9 +498,9 @@ class StreamDriver:
             n = reference.num_nodes
             record.num_nodes = n
             record.num_edges = reference.num_edges
-            # The zero-copy columnar view: one fold of the batch's kept
-            # rows, shared by every algorithm x model run through the
-            # view scope, its ``degrees`` the arrays the pricing reads.
+            # The zero-copy columnar view the collects left, shared by
+            # every algorithm x model run through the view scope, its
+            # ``degrees`` the arrays the pricing reads.
             with TRACER.span("compute.view"):
                 compute_view = reference.compute_view()
             deg_in = compute_view.in_csr.degrees

@@ -140,6 +140,52 @@ class TestDirectKernels:
         for a, b in zip(compiled, fallback):
             assert np.array_equal(a, b)
 
+    @needs_ckernels
+    def test_lookup_known_answers(self):
+        """``DynamicCSR.lookup`` on a slack store whose row 0 keeps a
+        deleted pair in its slack: first rows, live pairs and stored
+        weights, the same compiled and in numpy.
+
+        Fails on: the last occurrence owning a pair (row 3 first); a
+        row scanned past its length (``(0, 2)`` live).
+        """
+
+        def run():
+            store = DynamicCSR(4)
+            store.rebuild(
+                np.array([0, 0, 1]), np.array([1, 2, 3]), np.array([0.5, 1.5, 2.5])
+            )
+            store.delete(np.array([0]), np.array([2]))
+            first, live, weight = store.lookup(
+                np.array([0, 1, 0, 0, 3]), np.array([2, 3, 1, 2, 0])
+            )
+            return first.tolist(), live.tolist(), weight.tolist()
+
+        compiled, fallback = _both_paths(run)
+        assert compiled == fallback == (
+            [True, True, True, False, True],
+            [False, True, True, False, False],
+            [0.0, 2.5, 0.5, 0.0, 0.0],
+        )
+
+    @needs_ckernels
+    def test_one_lookup_and_one_fold_per_collect(self):
+        """A collect crosses into C once for its lookup and folds the
+        rows it keeps with one ``ViewMaintainer.apply``: a churned
+        batch's insert and delete are two of each."""
+        batch = EdgeBatch.from_edges([(0, 1, 1.0), (1, 2, 2.0), (0, 1, 3.0)])
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            graph = ReferenceGraph(4)
+            graph.update_collect(batch)
+            graph.delete_collect(batch.slice(0, 1))
+            lookups = METRICS.value("compute_kernel_calls_total", kernel="csr_lookup")
+        finally:
+            METRICS.disable()
+            METRICS.reset()
+        assert (int(lookups), graph._adjacency.version, graph.num_edges) == (2, 2, 1)
+
     def test_segment_reduce_with_nan_and_empty_segments(self):
         """NaN wins wherever it sits in a segment (``np.minimum`` /
         ``np.maximum``); an empty segment yields the identity."""

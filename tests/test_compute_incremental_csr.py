@@ -11,9 +11,9 @@ checked row-for-row against ``csr_from_edges`` rebuilt from scratch
 after every batch of an oscillating insert/delete stream, once over the
 native library and once on the numpy bodies (``on_both_sides``; the
 stream and end-to-end differentials take the side the environment
-gives them).  Last, each compiled mutator is checked call for call
-against its numpy body (``TestKernelsMatchNumpyBodies``), again under
-UBSan.
+gives them).  Last, each compiled mutator and the lookup is checked
+call for call against its numpy body (``TestKernelsMatchNumpyBodies``),
+again under UBSan.
 """
 
 import contextlib
@@ -43,6 +43,7 @@ from repro.errors import StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.streaming import StreamConfig, StreamDriver
 from tests.conftest import SMALL_MACHINE, churn_threshold as _churn, on_both_sides
+from tests.oracles import DictGraph
 from tests.test_compute_ckernels import RUN_LOG_SETTINGS
 
 STRUCTS = ("AS", "AC", "Stinger", "DAH", "BA")
@@ -427,17 +428,21 @@ def _store_state(store):
 
 
 def _graph_state(graph):
-    """The membership column, its weights and the largest id seen."""
+    """The edge count, the largest id seen, the apply count and both
+    stores (one, twice, when undirected): all the graph holds."""
+    adjacency = graph._adjacency
     return (
-        graph._keys.dtype, graph._keys.tobytes(), graph._weights.dtype,
-        graph._weights.tobytes(), graph._max_seen,
+        graph.num_edges, graph._max_seen, adjacency.version,
+        _store_state(adjacency.out), _store_state(adjacency.inc),
     )  # fmt: skip
 
 
+def _columns(*columns):
+    return tuple((column.dtype, column.tobytes()) for column in columns)
+
+
 def _collected(edges):
-    return tuple(
-        (column.dtype, column.tobytes()) for column in (edges.src, edges.dst, edges.weight)
-    )
+    return _columns(edges.src, edges.dst, edges.weight)
 
 
 def _mapped(directory, *columns):
@@ -457,8 +462,9 @@ def _mapped(directory, *columns):
 def _store_ops(draw):
     """A ``DynamicCSR`` call sequence over 1-12 rows, starting empty.
 
-    Few rows make repeated pairs (the store keeps both), deletes of
-    absent pairs and rows at ``max_nodes - 1`` common; a *hub* call
+    Few rows make repeated pairs (the store keeps both), deletes and
+    lookups of absent pairs, lookups of pairs left in a row's slack by
+    a delete, and rows at ``max_nodes - 1`` common; a *hub* call
     appends up to 90 entries to one row, several doublings past its
     capacity in one call, and again in the next.
     """
@@ -468,7 +474,7 @@ def _store_ops(draw):
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
         kind = draw(st.sampled_from(["insert", "insert", "hub", "delete", "delete",
-                                     "compact", "rebuild"]))  # fmt: skip
+                                     "lookup", "lookup", "compact", "rebuild"]))  # fmt: skip
         if kind == "compact":
             ops.append(("compact",))
             continue
@@ -481,7 +487,10 @@ def _store_ops(draw):
         keys = np.array([r[0] for r in rows], dtype=np.int64)
         vals = np.array([r[1] for r in rows], dtype=np.int64)
         wts = np.array([r[2] for r in rows], dtype=np.float64)
-        ops.append((kind, keys, vals) if kind == "delete" else (kind, keys, vals, wts))
+        if kind in ("delete", "lookup"):
+            ops.append((kind, keys, vals))
+        else:
+            ops.append((kind, keys, vals, wts))
     return n, ops
 
 
@@ -489,11 +498,11 @@ def _store_ops(draw):
 def _graph_streams(draw):
     """Insert/delete batches over 2-40 vertices.
 
-    Duplicates within a batch (one orientation or both, another
+    Duplicates within a batch (same or flipped orientation, another
     weight), self-loops, ids at ``max_nodes - 1``, empty batches and
     deletes of absent edges are all common; a *hub* batch gives one
-    vertex every vertex as a neighbour; ``read`` folds the adjacency
-    after the step.
+    vertex every vertex as a neighbour; a delete may be followed by the
+    reinsert of its batch, whose pairs its rows' slack still holds.
     """
     n = draw(st.integers(min_value=2, max_value=40))
     vertex = st.integers(min_value=0, max_value=n - 1)
@@ -503,29 +512,35 @@ def _graph_streams(draw):
         edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))
         if draw(st.booleans()):
             edges += [(v, u, w + 1.0) for u, v, w in edges[::2]]
+            edges += [(u, v, w + 2.0) for u, v, w in edges[1::3]]
         if draw(st.integers(min_value=0, max_value=3)) == 0:
             hub = draw(vertex)
             edges += [(hub, v, 1.5) for v in range(n)]
-        steps.append((draw(st.booleans()), edges, draw(st.booleans())))
+        delete = draw(st.booleans())
+        steps.append((delete, edges))
+        if delete and draw(st.booleans()):
+            steps.append((False, edges))
     return n, steps
 
 
 @pytest.mark.skipif(not ckernels.loaded(), reason="native library not loaded")
 class TestKernelsMatchNumpyBodies:
     """Each data-plane kernel leaves, call for call, exactly the state
-    its numpy body leaves: a twin store or graph runs every call on the
-    numpy body and the two are compared after each one."""
+    and output its numpy body leaves: a twin store or graph runs every
+    call on the numpy body and the two are compared after each one."""
 
     @settings(max_examples=150, **RUN_LOG_SETTINGS)
     @given(stream=_store_ops(), mapped=st.booleans())
     def test_store_mutators(self, stream, mapped):
-        """Insert, delete, rebuild and compact, memmap columns or not.
+        """Insert, delete, lookup, rebuild and compact, memmap columns
+        or not.
 
         Fails on each of these seeded kernel mutations: off-by-one
         capacity (a row relocates at ``need >= cap``, or grows to
         ``2 * cap`` without ``need``); unstable in-row order (a row's
         new entries appended last-first); an order-breaking delete (the
-        row's last slot moved into the hole).
+        row's last slot moved into the hole); a lookup that scans a row
+        past ``lens[r]``.
         """
         n, ops = stream
         fast, slow = DynamicCSR(n), DynamicCSR(n)
@@ -538,6 +553,8 @@ class TestKernelsMatchNumpyBodies:
                 got = getattr(fast, name)(*columns)
                 with _numpy_bodies():
                     expected = getattr(slow, name)(*columns)
+                if name == "lookup":
+                    got, expected = _columns(*got), _columns(*expected)
                 assert got == expected, (step, name)
                 assert _store_state(fast) == _store_state(slow), (step, name)
 
@@ -549,36 +566,39 @@ class TestKernelsMatchNumpyBodies:
         churn=st.sampled_from([None, "0", "1e9"]),
     )
     def test_collects_and_folds(self, stream, directed, mapped, churn):
-        """Both collects, then (when the step reads) the fold of both
-        stores, at all three churn settings, memmap batches or not.
+        """Each batch's lookup, then its collect and the fold of its
+        rows into both stores, at all three churn settings, memmap
+        batches or not; the collected columns also against the
+        dict-of-dicts oracle.
 
-        Fails on each of these seeded kernel mutations: the last
-        occurrence of an in-batch duplicate kept instead of the first;
-        the stored weight not returned on delete (the next slot's); an
-        off-by-one capacity or unstable in-row order in the fold.
+        Fails on each of these seeded mutations: the last in-batch
+        occurrence of a pair made its first (the lookup's owner
+        overwritten); a reversed undirected duplicate counted twice
+        (no ``(min, max)`` before the lookup); a row scanned past
+        ``lens[r]``; the batch's weight returned on delete in place of
+        the stored one.
         """
         n, steps = stream
         with _churn(churn), tempfile.TemporaryDirectory() as scratch:
             fast = ReferenceGraph(n, directed=directed)
             slow = ReferenceGraph(n, directed=directed)
-            for step, (delete, edges, read) in enumerate(steps):
+            oracle = DictGraph(n, directed=directed)
+            for step, (delete, edges) in enumerate(steps):
                 batch = EdgeBatch.from_edges(edges)
                 if mapped and len(batch):
                     batch.to_mmap(f"{scratch}/{step}")
                     batch = EdgeBatch.from_mmap(f"{scratch}/{step}")
+                got = fast._lookup(batch.src, batch.dst)
+                with _numpy_bodies():
+                    expected = slow._lookup(batch.src, batch.dst)
+                assert _columns(*got) == _columns(*expected), step
                 mutate = "delete_collect" if delete else "update_collect"
                 got = getattr(fast, mutate)(batch)
                 with _numpy_bodies():
                     expected = getattr(slow, mutate)(batch)
                 assert _collected(got) == _collected(expected), step
+                assert _collected(got) == _collected(getattr(oracle, mutate)(batch)), step
                 assert _graph_state(fast) == _graph_state(slow), step
-                if read:
-                    fast.compute_view()
-                    with _numpy_bodies():
-                        slow.compute_view()
-                    for direction in ("out", "inc"):
-                        stores = (getattr(g._adjacency, direction) for g in (fast, slow))
-                        assert _store_state(next(stores)) == _store_state(next(stores)), step
 
 
 @pytest.mark.usefixtures("ubsan_libraries")

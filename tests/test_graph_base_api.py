@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import StructureError
-from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
+from repro.graph import (
+    EdgeBatch,
+    ExecutionContext,
+    ReferenceGraph,
+    STRUCTURES,
+    make_structure,
+)
 from repro.graph.base import UpdateResult
 from repro.sim.cost_model import DEFAULT_COST_MODEL
 from repro.sim.machine import SKYLAKE_GOLD_6142
@@ -70,3 +76,27 @@ class TestBaseAPI:
         assert result.latency_seconds(SMALL_MACHINE) == pytest.approx(
             result.latency_cycles / SMALL_MACHINE.frequency_hz
         )
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("name", ["AS", "AC", "Stinger", "DAH", "ReferenceGraph"])
+def test_per_vertex_queries_refuse_out_of_range_ids(name, bad):
+    """``out_neigh``/``in_neigh``/``out_degree``/``in_degree`` of an id
+    outside ``[0, max_nodes)`` raise ``StructureError``; ``has_edge``
+    answers ``False``.
+
+    Fails on: a negative id wrapping to the last row (AS, AC, Stinger,
+    ReferenceGraph), a bare ``IndexError`` past the end, DAH's ``[]``
+    and ``0``.
+    """
+    batch = EdgeBatch.from_edges([(0, 1), (3, 2), (2, 3)])
+    if name == "ReferenceGraph":
+        graph = ReferenceGraph(4)
+        graph.update(batch)
+        assert not graph.has_edge(bad, 2) and not graph.has_edge(3, bad)
+    else:
+        graph = make_structure(name, 4)
+        graph.update(batch, ExecutionContext(machine=SMALL_MACHINE))
+    for query in (graph.out_neigh, graph.in_neigh, graph.out_degree, graph.in_degree):
+        with pytest.raises(StructureError, match=f"vertex {bad} out of range"):
+            query(bad)

@@ -1,15 +1,15 @@
 """The columnar live graph against the dict-of-dicts oracle.
 
-``ReferenceGraph`` keeps membership as a sorted packed-key column and
-adjacency as a slack CSR pair; ``tests/oracles.py::DictGraph`` is the
-class it replaced, per-edge loops over Python dicts.  Everything a
+``ReferenceGraph`` holds its edges once, as a slack CSR pair whose
+rows it also reads membership from; ``tests/oracles.py::DictGraph`` is
+the class it replaced, per-edge loops over Python dicts.  Everything a
 caller can observe must agree: the collect columns (same rows, same
 order, same dtypes, stored weights on delete) and the graph afterwards
 (row order from ``out_neigh``/``in_neigh``, degrees, counters, CSR
 export of both directions).
 
 Each test runs on both sides of ``SAGA_BENCH_NO_NATIVE``: the compiled
-collects and CSR fold, then their numpy bodies.  Each test's docstring
+lookup and CSR mutators, then their numpy bodies.  Each test's docstring
 names the seeded mutation of ``reference.py`` it was checked to fail on.
 """
 
@@ -101,8 +101,7 @@ def test_collect_columns_match_per_edge_loops(stream, directed, mapped, churn):
     Fails on each of: dropping the ``(min, max)`` canonicalisation of
     undirected keys; keeping the last instead of the first in-batch
     occurrence; returning the batch's weight instead of the stored one
-    on delete; skipping the key merge for a batch whose rows all name
-    one edge.
+    on delete; skipping the apply when a batch keeps a single row.
     """
     n, steps = stream
     with churn_threshold(churn), tempfile.TemporaryDirectory() as scratch:
@@ -132,8 +131,8 @@ def test_first_occurrence_wins_and_deletes_return_stored_weights():
     Fails on each of: no ``(min, max)`` canonicalisation (``(2, 1)``
     would insert beside ``(1, 2)``); last occurrence kept (weight 7.0
     stored, row 3 returned); batch weight returned on delete (9.0
-    instead of 0.5); merge skipped for an all-duplicates batch (the
-    second batch's one edge never becomes a member).
+    instead of 0.5); apply skipped when one row is kept (the second
+    batch's one edge never becomes a member).
     """
     graph = ReferenceGraph(6, directed=False)
     kept = graph.update_collect(
@@ -164,43 +163,47 @@ def test_first_occurrence_wins_and_deletes_return_stored_weights():
 @on_both_sides
 def test_out_of_range_batch_leaves_the_graph_untouched(bad, directed):
     """The structures reject such a batch whole; so must the reference:
-    keys, CSR rows and counters as before (the PR 14 defect: an in-loop
-    check applied the edges before the bad one).
+    CSR rows, counters and view as before (an in-loop check once
+    applied the edges before the bad one).
 
-    Fails on: moving the range check after the key merge.
+    Fails on: moving the range check after the lookup.
     """
     graph = ReferenceGraph(8, directed=directed)
     graph.update(EdgeBatch.from_edges([(0, 1), (4, 5)]))
-    before = _state(graph)
-    keys = graph._keys.copy()
+    before, view = _state(graph), graph.compute_view()
     with pytest.raises(StructureError, match=r"edge \(-?\d, -?\d\) out of range"):
         graph.update_collect(EdgeBatch.from_edges([(0, 2), (1, 2), bad, (2, 3)]))
-    assert _state(graph) == before and np.array_equal(graph._keys, keys)
+    assert _state(graph) == before and graph.compute_view() is view
     with pytest.raises(StructureError, match="out of range"):
         graph.delete_collect(EdgeBatch.from_edges([(0, 1), bad, (4, 5)]))
-    assert _state(graph) == before and np.array_equal(graph._keys, keys)
+    assert _state(graph) == before and graph.compute_view() is view
 
 
 @on_both_sides
-def test_one_fold_per_batch_and_view_reuse():
-    """Mutators only queue; the first read folds once; reads reuse the view.
+def test_one_apply_per_mutating_collect_and_view_reuse():
+    """A collect that changes the graph folds its rows at once (one
+    ``ViewMaintainer.apply``); one that changes nothing applies nothing;
+    reads reuse the last view.
 
-    Fails on: folding inside ``update_collect`` (two applies for an
-    insert + delete batch).
+    Fails on: queueing the rows for a later fold (version 0 after the
+    insert); applying for a collect that kept no row.
     """
     graph = ReferenceGraph(8)
     adjacency = graph._adjacency
     graph.update_collect(EdgeBatch.from_edges([(0, 1), (1, 2), (2, 3)]))
-    graph.delete_collect(EdgeBatch.from_edges([(1, 2)]))
-    assert adjacency.version == 0
+    assert adjacency.version == 1 and graph.out_neigh(1) == [(2, 1.0)]
     view = graph.compute_view()
-    assert adjacency.version == 1 and view.num_nodes == 4
+    assert view.version == 1 and view.num_nodes == 4
+    graph.delete_collect(EdgeBatch.from_edges([(1, 2)]))
+    assert adjacency.version == 2 and graph.compute_view() is not view
+    view = graph.compute_view()
     assert graph.out_neigh(1) == [] and graph.out_degree(0) == 1
-    assert graph.compute_view() is view and adjacency.version == 1
+    assert graph.compute_view() is view and view.num_nodes == 4
     graph.update_collect(EdgeBatch.from_edges([(0, 1)]))  # nothing new
-    assert graph.compute_view() is view
+    graph.delete_collect(EdgeBatch.from_edges([(5, 6)]))  # nothing live
+    assert graph.compute_view() is view and adjacency.version == 2
     graph.update_collect(EdgeBatch.from_edges([(1, 2)]))
-    assert graph.compute_view() is not view and adjacency.version == 2
+    assert graph.compute_view() is not view and adjacency.version == 3
 
 
 @pytest.mark.parametrize("make", [ReferenceGraph, DictGraph])
