@@ -116,10 +116,10 @@ class Algorithm(abc.ABC):
         """Recomputation from scratch on the current graph.
 
         Built-in implementations also accept ``compute_view`` (a
-        prebuilt columnar view for the kernels); the driver shares one
-        per batch through :func:`repro.compute.kernels.view_scope`
-        instead of passing it, so third-party overrides need not add
-        the parameter.
+        prebuilt columnar view for the kernels); the driver passes none,
+        since the live graph hands every run the same maintained view
+        (:meth:`repro.compute.kernels.ComputeView.of`), so third-party
+        overrides need not add the parameter.
         """
 
     def inc_run(

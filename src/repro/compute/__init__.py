@@ -21,7 +21,7 @@ sequential per-vertex loops they replaced (kept as the oracle in
 ``tests/oracles.py``).
 """
 
-from repro.compute.kernels import ComputeView, run_incremental_frontier, view_scope
+from repro.compute.kernels import ComputeView, run_incremental_frontier
 from repro.compute.pricing import ComputePricing, CostTables, price_compute_run
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.compute.state import AlgorithmState
@@ -35,5 +35,4 @@ __all__ = [
     "IterationStats",
     "price_compute_run",
     "run_incremental_frontier",
-    "view_scope",
 ]

@@ -41,9 +41,9 @@ zero-copy to the compute kernels; nothing else holds an edge.
     ``compute_view_rebuilds_total`` observability series.
 
 The exported view aliases the store's live arrays (zero-copy) and is
-valid until the next :meth:`ViewMaintainer.apply`; within a batch the
-driver's ``view_scope`` reuse across algorithm x model runs sees one
-consistent snapshot.  Each apply bumps :attr:`ViewMaintainer.version`
+valid until the next :meth:`ViewMaintainer.apply`; within a batch
+every algorithm x model run of the driver sees one consistent
+snapshot.  Each apply bumps :attr:`ViewMaintainer.version`
 and stamps it on the view, so staleness is detectable.  ``packed`` is
 true exactly when every store's heap is tight (just rebuilt or
 compacted, nothing folded since).

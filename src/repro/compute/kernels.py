@@ -37,8 +37,7 @@ the native library of, the compiled run kernels in
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -130,8 +129,8 @@ def csr_from_edges(
 class ComputeView:
     """Both adjacency directions of one graph snapshot, columnar.
 
-    The batch-granular artifact the kernels run against: built once per
-    batch by the streaming driver (from its incidence buffer) or on
+    The batch-granular artifact the kernels run against: maintained by
+    the live graph (``ReferenceGraph.compute_view()``) or built on
     demand from any view exposing ``csr_arrays`` /
     ``out_neigh``/``in_neigh``.
     """
@@ -168,21 +167,6 @@ class ComputeView:
     @property
     def out_degree(self) -> np.ndarray:
         return self.out_csr.degrees
-
-    @classmethod
-    def from_edges(
-        cls, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, num_nodes: int
-    ) -> "ComputeView":
-        """Build from insertion-ordered incidence arrays (driver path).
-
-        For undirected graphs the arrays must already contain both
-        orientations (the driver's reverse-interleaved buffer does).
-        """
-        return cls(
-            num_nodes,
-            out_csr=csr_from_edges(src, dst, weight, num_nodes, by_src=True),
-            in_csr=csr_from_edges(src, dst, weight, num_nodes, by_src=False),
-        )
 
     @classmethod
     def of(cls, view) -> "ComputeView":
@@ -290,41 +274,10 @@ def packed_out_weights(cv: ComputeView) -> np.ndarray:
     return weights
 
 
-# -- driver-scoped view sharing ---------------------------------------
-#
-# The driver builds one ComputeView per batch and shares it across
-# every algorithm x model run of that batch without threading it
-# through third-party ``fs_run`` signatures: it registers the view for
-# the duration of the compute phase and the engines look it up.
-
-_SCOPED_VIEWS: Dict[int, "ComputeView"] = {}
-
-
-@contextmanager
-def view_scope(view, compute_view: Optional["ComputeView"]):
-    """Register ``compute_view`` as the columnar twin of ``view``."""
-    if compute_view is None:
-        yield
-        return
-    key = id(view)
-    previous = _SCOPED_VIEWS.get(key)
-    _SCOPED_VIEWS[key] = compute_view
-    try:
-        yield
-    finally:
-        if previous is None:
-            _SCOPED_VIEWS.pop(key, None)
-        else:
-            _SCOPED_VIEWS[key] = previous
-
-
 def resolve_view(view, compute_view: Optional["ComputeView"] = None) -> "ComputeView":
-    """The ComputeView to use for ``view``: given > scoped > built."""
+    """The ComputeView to use for ``view``: the given one, else its own."""
     if compute_view is not None:
         return compute_view
-    scoped = _SCOPED_VIEWS.get(id(view))
-    if scoped is not None:
-        return scoped
     return ComputeView.of(view)
 
 

@@ -85,9 +85,8 @@ def describe_stream_config(config: StreamConfig) -> dict:
     root (the hottest source) and the tuner's constants are fixed:
     changing either bumps :data:`KEY_SCHEMA_VERSION`, not a field.
 
-    Transport (in-RAM vs mmap vs shared memory) never appears here:
-    the edge content is identical either way, so all three share cache
-    entries.  ``shards`` does change update latencies, so it is keyed
+    Transport (in-RAM vs mmap) never appears here: the edge content
+    is identical either way, so both share cache entries.  ``shards`` does change update latencies, so it is keyed
     -- but only when not 1, keeping every pre-sharding fingerprint
     (and its cached results) stable.
     """

@@ -29,17 +29,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.catalog import Dataset, load_dataset
+from repro.datasets.mmapio import open_edge_mmap, stream_directory
 from repro.engine.fingerprint import stream_run_key
 from repro.engine.store import RunStore
 from repro.errors import ConfigError, ReproError
 from repro.obs.features import FEATURES
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.streaming import shm
 from repro.streaming.driver import REP_SEED_STRIDE, StreamConfig, make_driver
 from repro.streaming.results import StreamResult
 
@@ -159,17 +160,17 @@ def _run_stream_cell(
     """Execute one (dataset × repetition) cell; must stay picklable.
 
     Returns ``(result, wall_seconds)``.  ``source`` selects the edge
-    transport: ``None`` regenerates the dataset from the catalog (serial
-    path, or shm disabled); ``("shm", handle, spec, max_nodes)`` attaches
-    the parent's published shared-memory stream zero-copy.  Either way
-    the edges are bit-identical, so the transport never shows up in
-    results or fingerprints.
+    transport: ``None`` generates the dataset from the catalog (the
+    serial path); ``(directory, spec, max_nodes)`` opens the stream the
+    parent wrote for its pool workers (a pooled cell).  Either way the
+    edges are bit-identical, so the transport never shows up in results
+    or fingerprints.
     """
     started = time.perf_counter()
     if source is not None:
-        _, handle, spec, max_nodes = source
+        directory, spec, max_nodes = source
         dataset = Dataset(
-            spec=spec, edges=shm.attach(handle), max_nodes=max_nodes, seed=seed
+            spec=spec, edges=open_edge_mmap(directory), max_nodes=max_nodes, seed=seed
         )
     else:
         dataset = load_dataset(dataset_name, seed=seed, size_factor=size_factor)
@@ -213,28 +214,25 @@ def run_many(
                     ),
                 )
             )
-    # Pooled cells attach one published segment per unique stream
-    # instead of each regenerating it.
-    use_shm = parallel and len(cells) > 1 and shm.shm_enabled()
-    published: Dict[Tuple[str, int, float], tuple] = {}
-    try:
+    # Pooled cells open one stream directory per unique stream instead
+    # of each generating it; the parent removes the spilled ones after
+    # the pool is gone, whatever the workers did.
+    pooled = parallel and len(cells) > 1
+    sources: Dict[Tuple[str, int, float], tuple] = {}
+    with ExitStack() as spills:
         payloads = []
         for _, _, payload in cells:
-            source = None
-            if use_shm:
-                stream_key = payload[:3]
-                if stream_key not in published:
-                    dataset = load_dataset(
-                        stream_key[0], seed=stream_key[1], size_factor=stream_key[2]
-                    )
-                    published[stream_key] = (
-                        shm.SharedEdgeStream.publish(dataset.edges),
-                        dataset.spec,
-                        dataset.max_nodes,
-                    )
-                stream, spec, max_nodes = published[stream_key]
-                source = ("shm", stream.handle, spec, max_nodes)
-            payloads.append(payload + (source,))
+            stream_key = payload[:3]
+            if pooled and stream_key not in sources:
+                dataset = load_dataset(
+                    stream_key[0], seed=stream_key[1], size_factor=stream_key[2]
+                )
+                sources[stream_key] = (
+                    spills.enter_context(stream_directory(dataset.edges)),
+                    dataset.spec,
+                    dataset.max_nodes,
+                )
+            payloads.append(payload + (sources.get(stream_key),))
         cell_results = run_cells(
             _run_stream_cell,
             payloads,
@@ -242,12 +240,6 @@ def run_many(
             [f"{payload[0]}-r{rep}" for _, rep, payload in cells],
             origins=[f"{payload[0]}-r{rep}" if rep else None for _, rep, payload in cells],
         )
-    finally:
-        # The parent owns every published segment: tear them down
-        # after the pool is gone, whatever the workers did.
-        for stream, _, _ in published.values():
-            stream.close()
-            stream.unlink()
     by_request: Dict[int, List[StreamResult]] = {}
     for (index, rep, payload), (result, wall) in zip(cells, cell_results):
         by_request.setdefault(index, []).append(result)

@@ -7,7 +7,8 @@ into P1/P2/P3 stages with 95% confidence intervals.
 
 The data plane underneath is lazy and transport-agnostic:
 :class:`~repro.streaming.batching.BatchView` gathers batches on demand
-from in-RAM, memory-mapped, or shared-memory edge arrays, and
+from in-RAM or memory-mapped edge arrays (a pool worker always reads
+an mmap stream directory), and
 :func:`~repro.streaming.driver.make_driver` selects the serial or
 partition-parallel (:mod:`~repro.streaming.sharded`) simulation.
 """

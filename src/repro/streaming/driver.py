@@ -35,7 +35,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.registry import ALGORITHMS, COMPUTE_MODELS, get_algorithm
-from repro.compute import kernels
 from repro.compute.pricing import CostTables, price_compute_run
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, Dataset
 from repro.errors import ConfigError
@@ -498,9 +497,9 @@ class StreamDriver:
             n = reference.num_nodes
             record.num_nodes = n
             record.num_edges = reference.num_edges
-            # The zero-copy columnar view the collects left, shared by
-            # every algorithm x model run through the view scope, its
-            # ``degrees`` the arrays the pricing reads.
+            # The zero-copy columnar view the collects left, the one
+            # every algorithm x model run reaches through the reference,
+            # its ``degrees`` the arrays the pricing reads.
             with TRACER.span("compute.view"):
                 compute_view = reference.compute_view()
             deg_in = compute_view.in_csr.degrees
@@ -537,9 +536,7 @@ class StreamDriver:
 
             # ---- Compute phase: each algorithm under each model the
             # plane executes, priced on each structure it prices ----
-            with TRACER.span("compute") as compute_span, kernels.view_scope(
-                reference, compute_view
-            ):
+            with TRACER.span("compute") as compute_span:
                 for alg_name in cfg.algorithms:
                     algorithm = get_algorithm(alg_name)
                     for model in plane.models:

@@ -28,8 +28,9 @@ The sharded driver splits the run in two phases:
    reference graph and no compute phase to run).  A
    pure function of ``(stream, config, shard)``, so running shards in
    a process pool or in-process yields bit-identical arrays; workers
-   read the stream through the mmap directory or a shared-memory
-   segment -- never a pickled copy.
+   open the stream from an mmap stream directory
+   (:func:`repro.datasets.mmapio.stream_directory`) -- never a pickled
+   copy.
 2. **Replay** (:class:`StreamDriver`'s one batch loop over a
    :class:`ShardPlanPlane`): the parent runs reference graph, degrees
    and the full compute phase exactly as the serial driver -- so
@@ -47,14 +48,15 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.datasets.mmapio import open_edge_mmap, stream_directory
 from repro.engine.sweep import run_cells
-from repro.errors import SimulationError
 from repro.graph import make_structure
 from repro.graph.base import ExecutionContext
 from repro.graph.edge import EdgeBatch
@@ -63,7 +65,6 @@ from repro.obs.tracer import TRACER
 from repro.sim.cost_model import CostModel
 from repro.sim.counters import shard_merge_cycles
 from repro.sim.machine import MachineConfig
-from repro.streaming import shm
 from repro.streaming.batching import batch_count, make_batches
 from repro.streaming.driver import (
     REP_SEED_STRIDE,
@@ -116,7 +117,7 @@ class _ShardTask:
 
     shard: int
     shards: int
-    source: tuple  # ("edges", EdgeBatch) | ("mmap", dir) | ("shm", handle)
+    source: Union[EdgeBatch, Path]  # in process: the batch; pooled: its directory
     max_nodes: int
     directed: bool
     batch_size: int
@@ -141,19 +142,6 @@ class ShardPlan:
     sim_seconds: float
 
 
-def _resolve_edges(source: tuple) -> EdgeBatch:
-    kind = source[0]
-    if kind == "edges":
-        return source[1]
-    if kind == "mmap":
-        from repro.datasets.mmapio import open_edge_mmap
-
-        return open_edge_mmap(source[1])
-    if kind == "shm":
-        return shm.attach(source[1])
-    raise SimulationError(f"unknown shard edge source {kind!r}")
-
-
 def _simulate_shard(task: _ShardTask) -> dict:
     """Replay the whole stream for one shard; returns schedule arrays.
 
@@ -167,7 +155,10 @@ def _simulate_shard(task: _ShardTask) -> dict:
     METRICS.enabled = False
     TRACER.enabled = False
     try:
-        return _simulate_shard_inner(task, _resolve_edges(task.source))
+        edges = task.source
+        if isinstance(edges, Path):
+            edges = open_edge_mmap(edges)
+        return _simulate_shard_inner(task, edges)
     finally:
         METRICS.enabled = metrics_was
         TRACER.enabled, TRACER.keep_events, TRACER.sim_timeline = tracer_state
@@ -231,24 +222,6 @@ def _simulate_shard_inner(task: _ShardTask, edges: EdgeBatch) -> dict:
                     makespans[rep, batch_index, si] = outcome.latency_cycles
                     counts[rep, batch_index, si] = outcome.edges_inserted
     return columns
-
-
-def _mmap_directory(edges: EdgeBatch) -> Optional[str]:
-    """The stream directory behind a fully mmap-backed batch, if any."""
-    from repro.datasets.mmapio import META_FILE, read_meta
-
-    columns = (edges.src, edges.dst, edges.weight)
-    if not all(isinstance(col, np.memmap) for col in columns):
-        return None
-    try:
-        directory = Path(columns[0].filename).parent
-        if not (directory / META_FILE).exists():
-            return None
-        if read_meta(directory)["edges"] != len(edges):
-            return None  # a slice, not the whole stream
-    except Exception:
-        return None
-    return str(directory)
 
 
 class ShardPlanPlane(UpdatePlane):
@@ -315,20 +288,13 @@ class ShardedStreamDriver(StreamDriver):
     """Drives one dataset with partition-parallel update simulation.
 
     :class:`StreamDriver`'s batch loop over a :class:`ShardPlanPlane`.
-    ``parallel=True`` (default) fans the shard replays out over the
-    sweep engine's process pool (:func:`repro.engine.sweep.run_cells`),
-    reading the stream through its mmap directory when
-    the dataset is mmap-backed, else through a temporary shared-memory
-    segment (else falling back in-process: an in-RAM stream on a
-    platform without POSIX shm).  ``parallel=False`` replays shards in this
-    process; the resulting numbers are bit-identical either way.
+    With more than one CPU the shard replays fan out over the sweep
+    engine's process pool (:func:`repro.engine.sweep.run_cells`), each
+    worker opening the stream from its mmap directory -- spilled to a
+    temporary one unless the dataset already is a whole stream
+    directory.  With one CPU they replay in this process; the
+    resulting numbers are bit-identical either way.
     """
-
-    def __init__(
-        self, config: Optional[StreamConfig] = None, parallel: bool = True
-    ) -> None:
-        super().__init__(config)
-        self.parallel = parallel
 
     def _make_plane(self, dataset, ctx) -> ShardPlanPlane:
         """Phase 1, then the plane phase 2 reads it through."""
@@ -336,7 +302,7 @@ class ShardedStreamDriver(StreamDriver):
             self.config, dataset, ctx, self._simulate_shards(dataset)
         )
 
-    def _shard_tasks(self, dataset, source: tuple) -> list:
+    def _shard_tasks(self, dataset, source: Union[EdgeBatch, Path]) -> list:
         cfg = self.config
         return [
             _ShardTask(
@@ -360,20 +326,11 @@ class ShardedStreamDriver(StreamDriver):
     def _simulate_shards(self, dataset) -> ShardPlan:
         cfg = self.config
         started = time.perf_counter()
-        stream = None
-        # A pool only where workers can read the stream without a copy.
-        source: tuple = ("edges", dataset.edges)
-        jobs = min(cfg.shards, os.cpu_count() or 1) if self.parallel else 1
-        try:
-            if jobs > 1:
-                directory = _mmap_directory(dataset.edges)
-                if directory is not None:
-                    source = ("mmap", directory)
-                elif shm.shm_enabled():
-                    stream = shm.SharedEdgeStream.publish(dataset.edges)
-                    source = ("shm", stream.handle)
-                else:
-                    jobs = 1
+        jobs = min(cfg.shards, os.cpu_count() or 1)
+        transport = (
+            stream_directory(dataset.edges) if jobs > 1 else nullcontext(dataset.edges)
+        )
+        with transport as source:
             tasks = self._shard_tasks(dataset, source)
             outs = run_cells(
                 _simulate_shard,
@@ -381,10 +338,6 @@ class ShardedStreamDriver(StreamDriver):
                 jobs,
                 [f"shard {task.shard}" for task in tasks],
             )
-        finally:
-            if stream is not None:
-                stream.close()
-                stream.unlink()
         plan = ShardPlan(
             shards=cfg.shards,
             sim_seconds=time.perf_counter() - started,

@@ -482,13 +482,22 @@ def _assert_same_runs(got, expected):
             assert mine[3] == theirs[3], where
 
 
+def _view_from_edges(src, dst, weight, num_nodes):
+    """A ComputeView of an edge list, rows in list order."""
+    return ComputeView(
+        num_nodes,
+        out_csr=csr_from_edges(src, dst, weight, num_nodes, by_src=True),
+        in_csr=csr_from_edges(src, dst, weight, num_nodes, by_src=False),
+    )
+
+
 def _star(num_nodes, leaves):
     """0 -> 1 -> leaves: CC's label 0 reaches vertex 1 in round one and
     every leaf in round two, so round one's next frontier is ``leaves``
     in the out-row's (unsorted) order."""
     src = np.array([0] + [1] * len(leaves), dtype=np.int64)
     dst = np.array([1] + list(leaves), dtype=np.int64)
-    return ComputeView.from_edges(src, dst, np.ones(src.size), num_nodes)
+    return _view_from_edges(src, dst, np.ones(src.size), num_nodes)
 
 
 def _uphill_chain(num_nodes):
@@ -737,7 +746,7 @@ class TestRunLog:
         heavy pass that relax nothing); a source id the view does not
         have settles nobody, on either engine."""
         nothing = np.empty(0, dtype=np.int64)
-        cv = ComputeView.from_edges(nothing, nothing, np.empty(0), 3)
+        cv = _view_from_edges(nothing, nothing, np.empty(0), 3)
         view = SimpleNamespace(num_nodes=3)
         algorithm = get_algorithm("SSSP")
 
@@ -766,7 +775,7 @@ class TestRunLog:
         weights += [np.nextafter(w, 0.0) for w in weights[:20]]
         weights += [1.0, 0.3, 0.7, 2.5, 1e-300, 1.23456e14, 2.0**51 * delta]
         leaves = np.arange(1, len(weights) + 1, dtype=np.int64)
-        cv = ComputeView.from_edges(
+        cv = _view_from_edges(
             np.zeros(leaves.size, dtype=np.int64), leaves, np.array(weights), leaves.size + 1
         )
         view = SimpleNamespace(num_nodes=leaves.size + 1)
@@ -794,7 +803,7 @@ class TestRunLog:
             (limit, False),
             (1e300, False),
         ):
-            cv = ComputeView.from_edges(
+            cv = _view_from_edges(
                 np.zeros(2, dtype=np.int64),
                 np.array([1, 2], dtype=np.int64),
                 np.array([1.0, weight]),
@@ -943,7 +952,7 @@ class TestRunLog:
         slack = ComputeView(
             num_nodes, out_store.export(num_nodes), in_store.export(num_nodes), packed=False
         )
-        packed = ComputeView.from_edges(*packed_in_edges(slack), num_nodes)
+        packed = _view_from_edges(*packed_in_edges(slack), num_nodes)
         assert np.array_equal(packed.out_degree, slack.out_degree)
         view = SimpleNamespace(num_nodes=num_nodes)
         for name in ("CC", "MC", "PR"):

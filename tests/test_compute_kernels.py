@@ -22,7 +22,6 @@ from repro.compute.kernels import (
     packed_in_edges,
     relaxation_events,
     unique_ids,
-    view_scope,
 )
 from repro.engine import RunStore, stream_run_key
 from repro.engine.sweep import run_stream
@@ -193,7 +192,8 @@ class TestKernelPrimitives:
         assert unique_ids(np.empty(0, dtype=np.int64), 0).size == 0
 
     def test_affected_sets_are_the_same_vertices_with_a_view_in_scope(self):
-        """One return type: the ascending id array, scoped view or not."""
+        """One return type: the ascending id array of the oracle's
+        vertices, read through the live graph's own view."""
         first, second = _stream(num_nodes=32, batches=2, per_batch=80, seed=4)
         reference = ReferenceGraph(32, directed=True)
         reference.update(first)
@@ -201,10 +201,7 @@ class TestKernelPrimitives:
         for name in ("CC", "PR"):
             algorithm = get_algorithm(name)
             bare = algorithm.affected_from_batch(second, reference)
-            with view_scope(reference, ComputeView.of(reference)):
-                scoped = algorithm.affected_from_batch(second, reference)
             assert isinstance(bare, np.ndarray) and bare.dtype == np.int64
-            assert bare.tolist() == scoped.tolist()
             assert bare.tolist() == sorted(
                 oracles.affected_oracle(algorithm, second, reference)
             )

@@ -13,6 +13,7 @@ Each docstring names the seeded loop mutants its assertions were seen
 to kill.
 """
 
+import os
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.streaming.sharded import (
     cross_shard_count,
     shard_of,
 )
-from tests.conftest import native_env
+from tests.conftest import native_env, one_cpu
 
 STRUCTURES = ("AS", "DAH")
 ALGORITHMS = ("BFS", "PR", "SSSP")
@@ -110,14 +111,12 @@ def _observe(driver, observability=True):
 def paths():
     forced = AdaptiveStreamDriver(_adaptive_config())
     forced.forced_plan = dict(FORCED_PLAN)
+    with one_cpu():
+        in_process = _observe(ShardedStreamDriver(_config(shards=SHARDS)))
     return {
         "static": _observe(StreamDriver(_config())),
-        "sharded": _observe(
-            ShardedStreamDriver(_config(shards=SHARDS), parallel=False)
-        ),
-        "pooled": _observe(
-            ShardedStreamDriver(_config(shards=SHARDS), parallel=True)
-        ),
+        "sharded": in_process,
+        "pooled": _observe(ShardedStreamDriver(_config(shards=SHARDS))),
         "free": _observe(AdaptiveStreamDriver(_adaptive_config())),
         "forced": _observe(forced),
     }
@@ -161,10 +160,10 @@ class TestSharedHalf:
         forced.forced_plan = dict(FORCED_PLAN)
         drivers = {
             "static": StreamDriver(_config()),
-            "sharded": ShardedStreamDriver(_config(shards=SHARDS), parallel=False),
+            "sharded": ShardedStreamDriver(_config(shards=SHARDS)),
             "forced": forced,
         }
-        with native_env("1"):
+        with native_env("1"), one_cpu():
             for name, driver in drivers.items():
                 meta, arrays = _observe(driver, observability=False).result.to_payload()
                 native_meta, native_arrays = paths[name].result.to_payload()
@@ -513,7 +512,8 @@ class TestDeletionCrossCheck:
         if path == "static":
             driver = StreamDriver(_config())
         elif path == "sharded":
-            driver = ShardedStreamDriver(_config(shards=SHARDS), parallel=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            driver = ShardedStreamDriver(_config(shards=SHARDS))
         else:
             driver = AdaptiveStreamDriver(_adaptive_config())
             driver.forced_plan = {0: "DAH"}

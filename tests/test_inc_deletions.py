@@ -12,10 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.compute import ckernels
-from repro.compute.kernels import ComputeView, invalidate_frontier
+from repro.compute.kernels import invalidate_frontier
 from repro.graph import EdgeBatch, ReferenceGraph
 from tests.conftest import random_batch
-from tests.test_compute_ckernels import WAVE_ENGINE, _engine, needs_ckernels
+from tests.test_compute_ckernels import (
+    WAVE_ENGINE,
+    _engine,
+    _view_from_edges,
+    needs_ckernels,
+)
 
 MONOTONE = ("BFS", "CC", "MC", "SSSP", "SSWP")
 SOURCE = 0
@@ -227,7 +232,7 @@ def _closure(edges, num_nodes, flagged, pinned):
     """
     src = np.array([u for u, _ in edges], dtype=np.int64)
     dst = np.array([v for _, v in edges], dtype=np.int64)
-    cv = ComputeView.from_edges(src, dst, np.ones(len(edges)), num_nodes)
+    cv = _view_from_edges(src, dst, np.ones(len(edges)), num_nodes)
     values = np.arange(num_nodes, dtype=np.float64)
     roots = np.asarray(flagged, dtype=np.int64)
     ids = invalidate_frontier(

@@ -1,6 +1,7 @@
 """Tests for the memory-mapped edge-stream storage (datasets.mmapio)."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.datasets.mmapio import (
     open_edge_mmap,
     read_meta,
     set_source,
+    stream_directory,
     write_edge_mmap,
 )
 from repro.datasets.rmat import rmat_edge_chunks
@@ -171,6 +173,68 @@ class TestValidation:
         (tmp_path / "s" / META_FILE).write_text(json.dumps(meta))
         with pytest.raises(DatasetError, match="edge count"):
             open_edge_mmap(tmp_path / "s")
+
+
+@pytest.fixture
+def spills(tmp_path, monkeypatch):
+    """A private temp dir for spilled streams."""
+    directory = tmp_path / "tmp"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
+
+
+def _same(a: EdgeBatch, b: EdgeBatch) -> bool:
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        and getattr(a, name).dtype == getattr(b, name).dtype
+        for name in ("src", "dst", "weight")
+    )
+
+
+class TestStreamDirectory:
+    def test_whole_stream_yields_its_own_directory(self, tmp_path, spills):
+        write_edge_mmap(tmp_path / "s", random_batch(50, 300, seed=3))
+        before = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "s").iterdir()}
+        with stream_directory(open_edge_mmap(tmp_path / "s")) as directory:
+            assert directory == tmp_path / "s"
+        after = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "s").iterdir()}
+        assert after == before
+        assert not list(spills.iterdir())
+
+    def test_prefix_and_in_ram_streams_are_spilled(self, tmp_path, spills):
+        write_edge_mmap(tmp_path / "s", random_batch(50, 300, seed=3))
+        mapped = open_edge_mmap(tmp_path / "s")
+        for edges in (mapped.slice(0, 200), random_batch(40, 100, seed=4)):
+            with stream_directory(edges) as directory:
+                assert directory.parent == spills
+                assert directory.name.startswith("saga_stream-")
+                assert directory.stat().st_mode & 0o777 == 0o700
+                assert _same(open_edge_mmap(directory), edges)
+            assert not directory.exists()
+
+    def test_rearranged_columns_are_spilled(self, tmp_path, spills):
+        """Reversed, strided or swapped memmaps of a stream directory
+        are another stream: spilled, and read back as that stream."""
+        write_edge_mmap(tmp_path / "s", random_batch(50, 300, seed=3))
+        e = open_edge_mmap(tmp_path / "s")
+        for edges in (
+            EdgeBatch(src=e.dst, dst=e.src, weight=e.weight),
+            EdgeBatch(src=e.src[::-1], dst=e.dst[::-1], weight=e.weight[::-1]),
+            EdgeBatch(src=e.src[::2], dst=e.dst[::2], weight=e.weight[::2]),
+            e.slice(1, 300),
+        ):
+            with stream_directory(edges) as directory:
+                assert directory.parent == spills
+                assert _same(open_edge_mmap(directory), edges)
+
+    def test_spill_is_removed_when_the_body_raises(self, spills):
+        with pytest.raises(RuntimeError):
+            with stream_directory(random_batch(10, 20, seed=5)) as directory:
+                assert (directory / META_FILE).exists()
+                raise RuntimeError("a worker died")
+        assert not directory.exists()
+        assert not list(spills.iterdir())
 
 
 class TestRmatMmap:

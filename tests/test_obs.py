@@ -498,11 +498,10 @@ class TestInstrumentedRun:
         for key in serial_arrays:
             assert np.array_equal(serial_arrays[key], parallel_arrays[key])
         # Transport-only families exist only where that transport runs:
-        # the parent publishes shm segments for parallel workers but not
-        # for serial in-process runs.  Environment gauges describe the
-        # process that ran.  Simulated metrics must agree.
+        # parallel workers map the stream directory the parent spilled,
+        # a serial in-RAM run maps nothing.  Environment gauges describe
+        # the process that ran.  Simulated metrics must agree.
         transport_only = {
-            "shm_segments_active",
             "stream_bytes_mapped",
             "native_loaded",
         }

@@ -1,24 +1,26 @@
 """Tests for partition-parallel simulation (streaming.sharded)."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from repro.datasets import load_dataset, make_rmat_dataset
+from repro.datasets.mmapio import stream_directory
 from repro.engine.fingerprint import stream_run_key
 from repro.errors import ConfigError, SimulationError
+from repro.graph.edge import EdgeBatch
 from repro.obs import METRICS
 from repro.sim.counters import shard_merge_bytes, shard_merge_cycles
 from repro.sim.machine import SKYLAKE_GOLD_6142
-from repro.streaming import StreamConfig, StreamDriver, make_driver, shm
+from repro.streaming import StreamConfig, StreamDriver, make_driver
 from repro.streaming.sharded import (
     ShardedStreamDriver,
-    _mmap_directory,
     cross_shard_count,
     shard_of,
 )
-from tests.conftest import SMALL_MACHINE
+from tests.conftest import SMALL_MACHINE, one_cpu
 
 CONFIG = dict(
     batch_size=500,
@@ -136,38 +138,57 @@ class TestBitIdentity:
     def test_pooled_equals_in_process(self):
         dataset = small_dataset()
         config = StreamConfig(shards=3, **CONFIG)
-        pooled = ShardedStreamDriver(config, parallel=True).run(dataset)
-        in_process = ShardedStreamDriver(config, parallel=False).run(dataset)
+        pooled = ShardedStreamDriver(config).run(dataset)
+        with one_cpu():
+            in_process = ShardedStreamDriver(config).run(dataset)
         _, arrays_a = pooled.to_payload()
         _, arrays_b = in_process.to_payload()
         for key in arrays_a:
             assert np.array_equal(arrays_a[key], arrays_b[key]), key
 
-    def test_in_process_fallback_without_shm(self, monkeypatch):
-        monkeypatch.setattr(shm, "shm_enabled", lambda: False)
-        dataset = small_dataset()
-        config = StreamConfig(shards=2, **CONFIG)
-        sharded = make_driver(config).run(dataset)
-        serial = StreamDriver(StreamConfig(**CONFIG)).run(dataset)
-        for attr in ALGO_ARRAYS:
-            assert np.array_equal(getattr(serial, attr), getattr(sharded, attr))
-
     def test_mmap_backed_dataset_shards_identically(self, tmp_path):
-        """The whole mmap stream reaches the workers through its
-        directory; a prefix of it is not a stream directory and goes
-        over shared memory."""
+        """The whole mmap stream reaches the workers through its own
+        directory; a prefix of it is not that directory's stream and is
+        spilled to a temporary one."""
         dataset = make_rmat_dataset(
             scale=12, num_edges=4000, mmap_dir=tmp_path / "s", chunk_edges=2000
         )
         prefix = dataclasses.replace(dataset, edges=dataset.edges.slice(0, 3000))
-        assert _mmap_directory(dataset.edges) is not None
-        assert _mmap_directory(prefix.edges) is None
+        with stream_directory(dataset.edges) as whole:
+            assert whole == tmp_path / "s"
+        with stream_directory(prefix.edges) as spilled:
+            assert spilled.name.startswith("saga_stream-")
         config = dict(CONFIG, structures=("AS",), algorithms=("PR",))
         for stream in (dataset, prefix):
             serial = StreamDriver(StreamConfig(**config)).run(stream)
             sharded = make_driver(StreamConfig(shards=3, **config)).run(stream)
             for attr in ALGO_ARRAYS:
                 assert np.array_equal(getattr(serial, attr), getattr(sharded, attr))
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="one CPU: shards replay in process"
+    )
+    def test_swapped_columns_of_a_stream_directory_shard_as_themselves(
+        self, tmp_path
+    ):
+        """A stream whose ``src`` and ``dst`` are a stream directory's
+        ``dst`` and ``src`` memmaps is the reversed stream, not that
+        directory's: the pool replays what the parent would."""
+        dataset = make_rmat_dataset(scale=12, num_edges=4000, mmap_dir=tmp_path / "s")
+        edges = dataset.edges
+        reversed_stream = dataclasses.replace(
+            dataset, edges=EdgeBatch(src=edges.dst, dst=edges.src, weight=edges.weight)
+        )
+        config = StreamConfig(
+            shards=2, batch_size=1000, structures=("AS",), algorithms=("PR",),
+            models=("INC",),
+        )
+        pooled = ShardedStreamDriver(config).run(reversed_stream)
+        with one_cpu():
+            in_process = ShardedStreamDriver(config).run(reversed_stream)
+            forward = ShardedStreamDriver(config).run(dataset)
+        assert np.array_equal(pooled.update_cycles, in_process.update_cycles)
+        assert not np.array_equal(pooled.update_cycles, forward.update_cycles)
 
     def test_sharded_run_is_deterministic(self):
         dataset = small_dataset()

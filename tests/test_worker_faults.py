@@ -5,8 +5,8 @@ shard replays.  In each test the first cell to start kills its own
 worker with SIGKILL, and the parent must: raise an error naming the
 cells that did not finish, chained from the pool's
 ``BrokenProcessPool``; exit the CLI non-zero with that message; leave
-no ``/dev/shm`` segment behind; and run the next request in the same
-process to the end.
+no spilled ``saga_stream-*`` stream directory behind; and run the next
+request in the same process to the end.
 """
 
 import multiprocessing
@@ -15,6 +15,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -24,8 +25,9 @@ from repro.analysis.hardware_profile import HardwareProfiler
 from repro.datasets import load_dataset, make_rmat_dataset
 from repro.engine import sweep
 from repro.errors import ReproError
-from repro.streaming import StreamConfig, sharded, shm
-from tests.conftest import SMALL_MACHINE
+from repro.sim import cbuild
+from repro.streaming import StreamConfig, sharded
+from tests.conftest import SMALL_MACHINE, one_cpu
 
 #: Names the file the first cell to start creates before it kills its
 #: worker, so that exactly one worker dies per run.
@@ -80,18 +82,21 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _segments():
-    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-
 @pytest.fixture
 def armed(tmp_path, monkeypatch):
-    """The kill marker's path; afterwards, no new shared-memory segment."""
+    """The kill marker's path, with this process and the CLI child
+    spilling streams under a private temp dir; afterwards, no spilled
+    stream directory is left in it."""
     marker = tmp_path / "killed"
     monkeypatch.setenv(MARKER_ENV, str(marker))
-    before = _segments()
+    # The child finds the native library where this process built it.
+    monkeypatch.setenv(cbuild.CACHE_DIR_ENV, cbuild.cache_dir())
+    spills = tmp_path / "tmp"
+    spills.mkdir()
+    monkeypatch.setenv("TMPDIR", str(spills))
+    monkeypatch.setattr(tempfile, "tempdir", str(spills))
     yield marker
-    assert _segments() <= before
+    assert not list(spills.glob("saga_stream-*"))
 
 
 def _assert_names_lost_cells(failure, cells):
@@ -115,9 +120,7 @@ def _assert_cli_dies(argv, cells, tmp_path):
 
 
 def test_a_dead_sweep_worker_names_its_cells(armed, monkeypatch, tmp_path):
-    """``run_many``: two repetitions over one published shm stream."""
-    if not shm.shm_enabled():
-        pytest.skip("no POSIX shared memory: cells regenerate the stream")
+    """``run_many``: two repetitions over one spilled stream directory."""
     config = StreamConfig(
         batch_size=500, structures=("AS",), algorithms=("PR",), models=("INC",),
         repetitions=2, machine=SMALL_MACHINE,
@@ -160,11 +163,11 @@ def test_a_dead_profile_worker_names_its_cells(armed, monkeypatch, tmp_path):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: shards replay in process")
-@pytest.mark.parametrize("transport", ["mmap", "shm"])
+@pytest.mark.parametrize("transport", ["stream-directory", "spilled"])
 def test_a_dead_shard_worker_names_its_shard(transport, armed, monkeypatch, tmp_path):
-    """A sharded replay reading the stream through its mmap directory,
-    and one reading it through a published shm segment."""
-    if transport == "mmap":
+    """A sharded replay reading the stream from its own mmap directory,
+    and one reading an in-RAM stream spilled to a temporary one."""
+    if transport == "stream-directory":
         dataset = make_rmat_dataset(
             scale=12, num_edges=4000, mmap_dir=tmp_path / "s", chunk_edges=2000
         )
@@ -173,8 +176,6 @@ def test_a_dead_shard_worker_names_its_shard(transport, armed, monkeypatch, tmp_
             "--chunk-edges", "2500", "--mmap-dir", str(tmp_path / "cli"), "--shards", "2",
         ]
     else:
-        if not shm.shm_enabled():
-            pytest.skip("no POSIX shared memory: shards replay in process")
         dataset = load_dataset("Talk", size_factor=0.05)
         argv = ["stream", "--no-cache", "--size-factor", "0.05", "--shards", "2"]
     config = StreamConfig(
@@ -187,6 +188,7 @@ def test_a_dead_shard_worker_names_its_shard(transport, armed, monkeypatch, tmp_
     _assert_names_lost_cells(failure, r"shard [01]")
     monkeypatch.setattr(sharded, "_simulate_shard", _SIMULATE_SHARD)
     pooled = sharded.ShardedStreamDriver(config).run(dataset)
-    alone = sharded.ShardedStreamDriver(config, parallel=False).run(dataset)
+    with one_cpu():
+        alone = sharded.ShardedStreamDriver(config).run(dataset)
     assert np.array_equal(pooled.update_cycles, alone.update_cycles)
     _assert_cli_dies(argv, r"shard [01]", tmp_path)
