@@ -133,7 +133,7 @@ class Algorithm(abc.ABC):
         """Incremental run (Algorithm 1) updating ``state`` in place.
 
         ``compute_view`` optionally supplies a prebuilt columnar view;
-        otherwise the driver-scoped view or a fresh export is used.
+        otherwise a fresh export of ``view`` is used.
         """
         state.ensure_initialized(view.num_nodes)
         if self.needs_source:

@@ -15,11 +15,7 @@ from repro.analysis.stats import StageStat, stage_slices, stage_stats
 from repro.analysis.degrees import degree_table
 from repro.analysis.software_profile import SoftwareProfile, run_software_profile
 from repro.analysis.hardware_profile import HardwareProfile, run_hardware_profile
-from repro.analysis.conformance import (
-    conformance_report,
-    render_conformance,
-    run_conformance,
-)
+from repro.analysis.conformance import conformance_report, render_conformance
 from repro.analysis.memory_report import MemoryReport, run_memory_report
 from repro.analysis.tlp import TLPReport, run_tlp_report
 from repro.analysis.sensitivity import SensitivityResult, run_batch_size_sensitivity
@@ -29,7 +25,6 @@ __all__ = [
     "TLPReport",
     "conformance_report",
     "render_conformance",
-    "run_conformance",
     "run_tlp_report",
     "MemoryReport",
     "SensitivityResult",

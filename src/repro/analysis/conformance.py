@@ -238,31 +238,6 @@ def conformance_report(
     return results
 
 
-def run_conformance(
-    software_kwargs: Optional[dict] = None,
-    hardware_kwargs: Optional[dict] = None,
-    store=None,
-    jobs=None,
-) -> List[ClaimResult]:
-    """Recompute both sweeps through the experiment engine and check.
-
-    ``store``/``jobs`` reach both
-    :func:`~repro.analysis.software_profile.run_software_profile` and
-    :func:`~repro.analysis.hardware_profile.run_hardware_profile`, so a
-    warm RunStore regenerates the whole report without simulating.
-    """
-    from repro.analysis.hardware_profile import run_hardware_profile
-    from repro.analysis.software_profile import run_software_profile
-
-    software = run_software_profile(
-        **(software_kwargs or {}), store=store, jobs=jobs
-    )
-    hardware = run_hardware_profile(
-        **(hardware_kwargs or {}), store=store, jobs=jobs
-    )
-    return conformance_report(software=software, hardware=hardware)
-
-
 def render_conformance(results: List[ClaimResult]) -> str:
     """Plain-text conformance table."""
     passed = sum(1 for r in results if r.passed)

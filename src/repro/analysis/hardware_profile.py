@@ -24,12 +24,16 @@ simulated machine:
 
 A cell is the streaming driver's one batch loop over a
 :class:`HardwarePlane` (DESIGN.md decision #26), and a sweep of cells
-runs through the sweep engine's :func:`~repro.engine.sweep.run_cells`.
+resolves through the sweep engine's :func:`~repro.engine.sweep.resolve`,
+the cache lookup and stream-directory pool the stream sweeps use
+(decision #36).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,10 +42,12 @@ from repro.analysis.stats import stage_slices
 from repro.compute import ckernels
 from repro.compute.kernels import ComputeView, expand_frontier
 from repro.compute.pricing import price_compute_run
-from repro.datasets.catalog import DEFAULT_BATCH_SIZE, HEAVY_TAILED, SHORT_TAILED, load_dataset
+from repro.datasets.catalog import (
+    DEFAULT_BATCH_SIZE, HEAVY_TAILED, SHORT_TAILED, Dataset, load_dataset,
+)
 from repro.engine.fingerprint import canonical, describe_dataset, fingerprint
 from repro.engine.store import RunStore
-from repro.engine.sweep import run_cells
+from repro.engine.sweep import Cell, resolve
 from repro.errors import SimulationError
 from repro.graph.base import ExecutionContext
 from repro.graph.properties import VertexProperties
@@ -214,7 +220,7 @@ class HardwarePlane(UpdatePlane):
         (name,) = self.structures
         max_nodes = self.dataset.max_nodes
         self.structure = self.new_structure(name)
-        self.hierarchy = CacheHierarchy(self.ctx.machine, prefetch=self.profiler.prefetch)
+        self.hierarchy = CacheHierarchy(self.ctx.machine)
         self.properties = VertexProperties(max_nodes, self.structure.space)
         for algorithm in self.config.algorithms:
             self.properties.add(algorithm)
@@ -314,7 +320,6 @@ class HardwareProfiler:
         batch_size: int = DEFAULT_BATCH_SIZE,
         trace_cap: int = DEFAULT_TRACE_CAP,
         seed: int = 0,
-        prefetch: bool = False,
     ) -> None:
         self.machine = machine
         self.cost = cost_model
@@ -325,7 +330,6 @@ class HardwareProfiler:
             raise SimulationError(f"trace_cap must be >= 1, got {trace_cap}")
         self.trace_cap = trace_cap
         self.seed = seed
-        self.prefetch = prefetch
 
     def cell_key(
         self, dataset_name: str, structure_name: str, size_factor: float
@@ -343,27 +347,9 @@ class HardwareProfiler:
                 "algorithms": list(self.algorithms),
                 "batch_size": self.batch_size,
                 "trace_cap": self.trace_cap,
-                "prefetch": self.prefetch,
                 "counter_fields": fields,
             }
         )
-
-    def profile_group(
-        self,
-        group: str,
-        datasets: Sequence[str],
-        structure_name: str,
-        size_factor: float = 1.0,
-        store: Optional[RunStore] = None,
-        jobs: Optional[int] = None,
-    ) -> GroupProfile:
-        """Profile every dataset of one group on its best structure."""
-        cells = self.profile_cells(
-            [(name, structure_name, size_factor) for name in datasets],
-            store=store,
-            jobs=jobs,
-        )
-        return merge_cells(group, structure_name, cells, self.core_counts)
 
     def profile_cells(
         self,
@@ -373,36 +359,25 @@ class HardwareProfiler:
     ) -> List[HardwareCell]:
         """Resolve (dataset, structure, size_factor) cells, in order.
 
-        Cached cells load from ``store``; the rest run through
-        :func:`~repro.engine.sweep.run_cells` (serially, or over its
-        process pool with ``jobs`` > 1), then everything is reassembled
-        in the order of ``specs``.
+        One :func:`~repro.engine.sweep.resolve` request per spec: a
+        cached cell that decodes loads from ``store``; the rest run as
+        :meth:`profile_dataset` cells, serially or over the sweep pool
+        with ``jobs`` > 1, and are written back.
         """
-        cells: List[Optional[HardwareCell]] = [None] * len(specs)
-        keys: List[Optional[str]] = [None] * len(specs)
-        pending: List[Tuple[int, Tuple[str, str, float]]] = []
-        for index, (dataset, structure, size_factor) in enumerate(specs):
-            if store is not None:
-                keys[index] = self.cell_key(dataset, structure, size_factor)
-                payload = store.load_arrays(keys[index])
-                if payload is not None:
-                    try:
-                        cells[index] = HardwareCell.from_payload(*payload)
-                        continue
-                    except SimulationError:
-                        pass
-            pending.append((index, (dataset, structure, size_factor)))
-        fresh = run_cells(
-            HardwareProfiler.profile_cell,
-            [(self,) + spec for _, spec in pending],
-            jobs,
-            [f"{spec[0]}/{spec[1]}" for _, spec in pending],
+        def cells(spec: Tuple[str, str, float]) -> List[Cell]:
+            dataset, structure, size_factor = spec
+            return [
+                Cell(
+                    (dataset, self.seed, size_factor),
+                    partial(self.profile_dataset, structure),
+                    f"{dataset}/{structure}",
+                )
+            ]
+
+        return resolve(
+            specs, lambda spec: self.cell_key(*spec), cells,
+            HardwareCell.from_payload, itemgetter(0), store, jobs,
         )
-        for (index, _), cell in zip(pending, fresh):
-            cells[index] = cell
-            if store is not None:
-                store.save_arrays(keys[index], *cell.to_payload())
-        return [cell for cell in cells if cell is not None]
 
     def profile_cell(
         self,
@@ -410,6 +385,14 @@ class HardwareProfiler:
         structure_name: str,
         size_factor: float = 1.0,
     ) -> HardwareCell:
+        """One cell, uncached and in process: the catalog's dataset
+        through :meth:`profile_dataset`."""
+        return self.profile_dataset(
+            structure_name,
+            load_dataset(dataset_name, seed=self.seed, size_factor=size_factor),
+        )
+
+    def profile_dataset(self, structure_name: str, dataset: Dataset) -> HardwareCell:
         """Stream one dataset on one structure with full instrumentation:
         the driver's batch loop, INC only, over a :class:`HardwarePlane`."""
         driver = _CellDriver(
@@ -424,7 +407,7 @@ class HardwareProfiler:
             ),
             self,
         )
-        driver.run(load_dataset(dataset_name, seed=self.seed, size_factor=size_factor))
+        driver.run(dataset)
         return driver.plane.cell
 
 
@@ -588,7 +571,6 @@ def run_hardware_profile(
     size_factor: float = 1.0,
     seed: int = 0,
     trace_cap: int = DEFAULT_TRACE_CAP,
-    prefetch: bool = False,
     store: Optional[RunStore] = None,
     jobs: Optional[int] = None,
 ) -> HardwareProfile:
@@ -606,7 +588,6 @@ def run_hardware_profile(
         batch_size=batch_size,
         trace_cap=trace_cap,
         seed=seed,
-        prefetch=prefetch,
     )
     plan = [("STail", tuple(short_tailed), "AS"), ("HTail", tuple(heavy_tailed), "DAH")]
     specs = [

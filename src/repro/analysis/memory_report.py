@@ -68,7 +68,6 @@ def run_memory_report(
         structure = make_structure(
             name, dataset.max_nodes, directed=dataset.directed
         )
-        baseline = structure.space.live_bytes  # fixed arrays (headers etc.)
         samples: List[FootprintSample] = []
         for index, batch in enumerate(batches):
             structure.update(batch, ctx)
@@ -80,7 +79,6 @@ def run_memory_report(
                 )
             )
         series[name] = samples
-        del baseline
     return MemoryReport(dataset=dataset_name, series=series)
 
 

@@ -5,7 +5,8 @@
 - :mod:`repro.engine.store` -- the content-addressed ``.npz``
   :class:`RunStore` cache;
 - :mod:`repro.engine.sweep` -- cached, optionally process-parallel
-  streaming sweeps with deterministic merge order.
+  sweeps over dataset streams (the stream sweeps and the Fig. 9/10
+  cells) with deterministic merge order.
 """
 
 from repro.engine.fingerprint import (

@@ -16,17 +16,18 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.metrics import METRICS
-from repro.streaming.results import StreamResult
 
 #: Environment variable naming a default cache directory; honored by
 #: the CLI and the benchmark harness when no explicit path is given.
 CACHE_DIR_ENV = "SAGA_BENCH_CACHE_DIR"
+
+T = TypeVar("T")
 
 
 class RunStore:
@@ -73,62 +74,44 @@ class RunStore:
             ).inc()
         return final
 
-    def load_arrays(
-        self, key: str
-    ) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
-        """The payload stored under ``key``, or None on a miss.
+    def load(
+        self, key: str, decode: Callable[[dict, Dict[str, np.ndarray]], T]
+    ) -> Optional[T]:
+        """``decode(meta, arrays)`` of the entry under ``key``, or None.
 
-        Unreadable entries (truncated file, foreign format) count as
-        misses rather than raising: the cache must never be able to
-        make a run fail that would succeed without it.
+        An absent entry, an unreadable one (truncated file, foreign
+        format) and one ``decode`` refuses (raises anything: another
+        schema, a missing field) all count as misses rather than
+        raising: the cache must never be able to make a run fail that
+        would succeed without it.  Only a decoded entry is a hit.
         """
         path = self.path(key)
-        if not path.exists():
-            self._count_miss()
-            return None
         try:
             with np.load(path, allow_pickle=False) as data:
                 meta = json.loads(str(data["__meta__"]))
                 arrays = {
                     name: data[name] for name in data.files if name != "__meta__"
                 }
+            value = decode(meta, arrays)
         except Exception:
-            self._count_miss()
+            self.misses += 1
+            if METRICS.enabled:
+                METRICS.counter(
+                    "engine_cache_misses_total", "RunStore lookups that simulated"
+                ).inc()
             return None
         self.hits += 1
         if METRICS.enabled:
             METRICS.counter(
                 "engine_cache_hits_total", "RunStore lookups served from disk"
             ).inc()
-        return meta, arrays
+        return value
 
-    def _count_miss(self) -> None:
-        self.misses += 1
-        if METRICS.enabled:
-            METRICS.counter(
-                "engine_cache_misses_total", "RunStore lookups that simulated"
-            ).inc()
-
-    # -- stream results -------------------------------------------------
-
-    def save_stream_result(self, key: str, result: StreamResult) -> Path:
-        meta, arrays = result.to_payload()
-        return self.save_arrays(key, meta, arrays)
-
-    def load_stream_result(self, key: str) -> Optional[StreamResult]:
-        payload = self.load_arrays(key)
-        if payload is None:
-            return None
-        meta, arrays = payload
-        try:
-            return StreamResult.from_payload(meta, arrays)
-        except Exception:
-            # Entry from an incompatible schema: treat as a miss.
-            self.hits -= 1
-            if METRICS.enabled:
-                METRICS.counter("engine_cache_hits_total").inc(-1)
-            self._count_miss()
-            return None
+    def load_arrays(
+        self, key: str
+    ) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
+        """The raw ``(meta, arrays)`` payload stored under ``key``, or None."""
+        return self.load(key, lambda meta, arrays: (meta, arrays))
 
 
 def default_store(cache_dir=None, no_cache: bool = False) -> Optional[RunStore]:

@@ -1,27 +1,27 @@
-"""The shared experiment engine: cached, parallel streaming sweeps.
+"""The shared experiment engine: cached, parallel sweeps over streams.
 
-Every harness that needs a :class:`~repro.streaming.results.StreamResult`
-(the software profile, the batch-size sensitivity study, the CLI's
-``stream`` subcommand, the benchmark fixtures) goes through
-:func:`run_stream` / :func:`run_many` instead of driving a private
-:class:`~repro.streaming.driver.StreamDriver` loop:
+Both of the paper's characterizations are sweeps of independent cells
+over dataset streams: Section V (Table III, Figs. 6-8) runs
+(dataset x repetition) cells of the streaming driver, Section VI
+(Figs. 9-10) one instrumented (dataset x structure) cell per dataset.
+Both resolve through :func:`resolve`, the one cache-then-pool path:
 
-1. each request is fingerprinted and looked up in the
-   :class:`~repro.engine.store.RunStore` (when one is supplied) —
-   a hit returns the cached result without simulating anything;
-2. misses are expanded into independent **(dataset × repetition)
-   cells** — a repetition's shuffle seed is ``base + stride * rep``,
-   so a cell reproduces exactly the batches the monolithic loop would
-   have produced;
+1. each request is fingerprinted and looked up with
+   :meth:`~repro.engine.store.RunStore.load` -- an entry that decodes
+   is returned without simulating anything;
+2. misses expand into :class:`Cell` s, each a picklable function of one
+   stream.  A stream request's repetition ``rep`` is a cell with
+   shuffle seed ``base + stride * rep``, so it reproduces exactly the
+   batches the monolithic loop would have produced;
 3. cells execute serially or fan out over :func:`run_cells`' process
-   pool (``jobs`` > 1), and are merged back **in request/repetition
-   order**, so the result is bit-identical regardless of worker
-   scheduling;
+   pool (``jobs`` > 1), whose workers read every stream from an mmap
+   stream directory; results merge back **in request/cell order**, so
+   they are bit-identical regardless of worker scheduling;
 4. fresh results are written back to the store.
 
-The hardware sweep (``HardwareProfiler.profile_cells`` in
-:mod:`repro.analysis.hardware_profile`) runs its cells through the
-same :func:`run_cells`.
+The stream harnesses call :func:`run_many` / :func:`run_stream`;
+``HardwareProfiler.profile_cells`` in
+:mod:`repro.analysis.hardware_profile` calls :func:`resolve`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.datasets.catalog import Dataset, load_dataset
 from repro.datasets.mmapio import open_edge_mmap, stream_directory
@@ -59,16 +62,6 @@ class StreamRequest:
         return stream_run_key(
             self.dataset, self.config, seed=self.seed, size_factor=self.size_factor
         )
-
-
-def _cell_config(config: StreamConfig, rep: int, keep_progress: bool) -> StreamConfig:
-    """The single-repetition config equivalent to repetition ``rep``."""
-    return replace(
-        config,
-        repetitions=1,
-        shuffle_seed=config.shuffle_seed + REP_SEED_STRIDE * rep,
-        progress=config.progress if keep_progress else None,
-    )
 
 
 def _observed_call(task: Tuple[Callable, tuple, Optional[dict]]):
@@ -150,32 +143,121 @@ def run_cells(
     return [result for result, _ in outcomes]
 
 
-def _run_stream_cell(
-    dataset_name: str,
-    seed: int,
-    size_factor: float,
-    config: StreamConfig,
-    source: Optional[tuple],
-) -> Tuple[StreamResult, float]:
-    """Execute one (dataset × repetition) cell; must stay picklable.
+class Cell(NamedTuple):
+    """One unit of a sweep: ``run``, a picklable function of the opened
+    dataset, over the stream ``(dataset, seed, size_factor)``; ``name``
+    names it when a worker dies, and ``progress``, if set, is told its
+    wall time."""
 
-    Returns ``(result, wall_seconds)``.  ``source`` selects the edge
-    transport: ``None`` generates the dataset from the catalog (the
-    serial path); ``(directory, spec, max_nodes)`` opens the stream the
-    parent wrote for its pool workers (a pooled cell).  Either way the
-    edges are bit-identical, so the transport never shows up in results
-    or fingerprints.
+    stream: Tuple[str, int, float]
+    run: Callable[[Dataset], object]
+    name: str
+    progress: Optional[Callable[[str], None]] = None
+
+
+T = TypeVar("T")
+
+
+def _run_cell(
+    stream: Tuple[str, int, float], source: Optional[tuple], run: Callable
+) -> Tuple[object, float]:
+    """``(run(dataset), wall_seconds)`` for one cell; must stay picklable.
+
+    ``source`` selects the edge transport: ``None`` generates the
+    dataset from the catalog (the serial path); ``(directory, spec,
+    max_nodes)`` opens the stream the parent wrote for its pool workers
+    (a pooled cell).  Either way the edges are bit-identical, so the
+    transport never shows up in results or fingerprints.
     """
     started = time.perf_counter()
-    if source is not None:
+    if source is None:
+        dataset = load_dataset(*stream)
+    else:
         directory, spec, max_nodes = source
         dataset = Dataset(
-            spec=spec, edges=open_edge_mmap(directory), max_nodes=max_nodes, seed=seed
+            spec=spec,
+            edges=open_edge_mmap(directory),
+            max_nodes=max_nodes,
+            seed=stream[1],
         )
-    else:
-        dataset = load_dataset(dataset_name, seed=seed, size_factor=size_factor)
-    result = make_driver(config).run(dataset)
-    return result, time.perf_counter() - started
+    return run(dataset), time.perf_counter() - started
+
+
+def _count_cell(status: str) -> None:
+    METRICS.counter(
+        "sweep_cells_total", "sweep requests/cells by resolution", status=status
+    ).inc()
+
+
+def resolve(
+    requests: Sequence,
+    key: Callable[..., str],
+    cells: Callable[..., Sequence[Cell]],
+    decode: Callable[[dict, dict], T],
+    merge: Callable[[list], T],
+    store: Optional[RunStore] = None,
+    jobs: Optional[int] = None,
+) -> List[T]:
+    """Resolve every request, in order: from the store, else its cells.
+
+    The entry under ``key(request)`` that decodes (``decode(meta,
+    arrays)``) is the request's result.  The ``cells(request)`` of every
+    other request run together through :func:`run_cells`; pooled, the
+    parent writes one stream directory per unique stream and removes it
+    after the pool is gone, whatever the workers did.  A request's first
+    cell records into the main trace lanes, its later ones into lanes
+    named after them.  Its cell results ``merge``, in order, into its
+    result, which is written back to ``store``.
+    """
+    results: List[Optional[T]] = [None] * len(requests)
+    planned: List[Tuple[int, Cell, Optional[str]]] = []  # (request, cell, lane)
+    for index, request in enumerate(requests):
+        if store is not None:
+            results[index] = store.load(key(request), decode)
+            if results[index] is not None:
+                if METRICS.enabled:
+                    _count_cell("cached")
+                continue
+        for position, cell in enumerate(cells(request)):
+            planned.append((index, cell, cell.name if position else None))
+    pooled = bool(jobs and jobs > 1 and len(planned) > 1)
+    sources: Dict[Tuple[str, int, float], tuple] = {}
+    with ExitStack() as spills:
+        for _, cell, _ in planned:
+            if pooled and cell.stream not in sources:
+                dataset = load_dataset(*cell.stream)
+                sources[cell.stream] = (
+                    spills.enter_context(stream_directory(dataset.edges)),
+                    dataset.spec,
+                    dataset.max_nodes,
+                )
+        outcomes = run_cells(
+            _run_cell,
+            [(c.stream, sources.get(c.stream), c.run) for _, c, _ in planned],
+            jobs,
+            [cell.name for _, cell, _ in planned],
+            origins=[lane for _, _, lane in planned],
+        )
+    parts: Dict[int, list] = {}
+    for (index, cell, _), (result, wall) in zip(planned, outcomes):
+        parts.setdefault(index, []).append(result)
+        if METRICS.enabled:
+            METRICS.histogram(
+                "sweep_cell_seconds", "wall time per sweep cell", dataset=cell.stream[0]
+            ).observe(wall)
+            _count_cell("computed")
+        if cell.progress is not None:
+            cell.progress(f"cell {cell.name}: {wall:.2f}s wall")
+    for index, part in parts.items():
+        results[index] = merge(part)
+        if store is not None:
+            store.save_arrays(key(requests[index]), *results[index].to_payload())
+    return results  # type: ignore[return-value]
+
+
+def _run_stream_cell(config: StreamConfig, dataset: Dataset) -> StreamResult:
+    """One (dataset x repetition) cell: the driver over the opened stream."""
+    return make_driver(config).run(dataset)
 
 
 def run_many(
@@ -183,89 +265,35 @@ def run_many(
     store: Optional[RunStore] = None,
     jobs: Optional[int] = None,
 ) -> List[StreamResult]:
-    """Resolve every request, in order, through cache then execution."""
-    results: List[Optional[StreamResult]] = [None] * len(requests)
-    keys: List[Optional[str]] = [None] * len(requests)
-    cells: List[Tuple[int, int, Tuple[str, int, float, StreamConfig]]] = []
+    """Resolve every request, in order, through cache then execution.
+
+    Repetition ``rep`` of a request is one cell, the single-repetition
+    config with that repetition's shuffle seed.  Parallel cells report
+    their wall time instead of per-batch progress.
+    """
     parallel = bool(jobs and jobs > 1)
-    for index, request in enumerate(requests):
-        if store is not None:
-            keys[index] = request.key
-            cached = store.load_stream_result(keys[index])
-            if cached is not None:
-                results[index] = cached
-                if METRICS.enabled:
-                    METRICS.counter(
-                        "sweep_cells_total",
-                        "sweep requests/cells by resolution",
-                        status="cached",
-                    ).inc()
-                continue
-        for rep in range(request.config.repetitions):
-            cells.append(
-                (
-                    index,
-                    rep,
-                    (
-                        request.dataset,
-                        request.seed,
-                        request.size_factor,
-                        _cell_config(request.config, rep, keep_progress=not parallel),
-                    ),
-                )
+
+    def cells(request: StreamRequest) -> List[Cell]:
+        config = request.config
+        return [
+            Cell(
+                (request.dataset, request.seed, request.size_factor),
+                partial(_run_stream_cell, replace(
+                    config,
+                    repetitions=1,
+                    shuffle_seed=config.shuffle_seed + REP_SEED_STRIDE * rep,
+                    progress=None if parallel else config.progress,
+                )),
+                f"{request.dataset}-r{rep}",
+                config.progress if parallel else None,
             )
-    # Pooled cells open one stream directory per unique stream instead
-    # of each generating it; the parent removes the spilled ones after
-    # the pool is gone, whatever the workers did.
-    pooled = parallel and len(cells) > 1
-    sources: Dict[Tuple[str, int, float], tuple] = {}
-    with ExitStack() as spills:
-        payloads = []
-        for _, _, payload in cells:
-            stream_key = payload[:3]
-            if pooled and stream_key not in sources:
-                dataset = load_dataset(
-                    stream_key[0], seed=stream_key[1], size_factor=stream_key[2]
-                )
-                sources[stream_key] = (
-                    spills.enter_context(stream_directory(dataset.edges)),
-                    dataset.spec,
-                    dataset.max_nodes,
-                )
-            payloads.append(payload + (sources.get(stream_key),))
-        cell_results = run_cells(
-            _run_stream_cell,
-            payloads,
-            jobs,
-            [f"{payload[0]}-r{rep}" for _, rep, payload in cells],
-            origins=[f"{payload[0]}-r{rep}" if rep else None for _, rep, payload in cells],
-        )
-    by_request: Dict[int, List[StreamResult]] = {}
-    for (index, rep, payload), (result, wall) in zip(cells, cell_results):
-        by_request.setdefault(index, []).append(result)
-        if METRICS.enabled:
-            METRICS.histogram(
-                "sweep_cell_seconds",
-                "wall time per (dataset x repetition) cell",
-                dataset=payload[0],
-            ).observe(wall)
-            METRICS.counter(
-                "sweep_cells_total",
-                "sweep requests/cells by resolution",
-                status="computed",
-            ).inc()
-        progress = requests[index].config.progress
-        if parallel and progress is not None:
-            progress(f"cell {payload[0]} rep {rep}: {wall:.2f}s wall")
-    for index, parts in by_request.items():
-        merged = StreamResult.merge(parts)
-        results[index] = merged
-        if store is not None:
-            store.save_stream_result(keys[index], merged)
-    missing = [i for i, result in enumerate(results) if result is None]
-    if missing:
-        raise ConfigError(f"requests {missing} produced no result")
-    return results  # type: ignore[return-value]
+            for rep in range(config.repetitions)
+        ]
+
+    return resolve(
+        requests, lambda request: request.key, cells,
+        StreamResult.from_payload, StreamResult.merge, store, jobs,
+    )
 
 
 def run_stream(

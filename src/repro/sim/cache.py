@@ -28,7 +28,7 @@ and requires every :class:`CacheStats` field equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -154,17 +154,8 @@ class CacheHierarchy:
     paper identifies (Section VI-C).
     """
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        threads: Optional[int] = None,
-        prefetch: bool = False,
-    ) -> None:
-        #: Next-line L2 prefetcher (Skylake's L2 streamer, simplified):
-        #: an L2 miss also fills the successor line into the L2.
-        self.prefetch = prefetch
+    def __init__(self, machine: MachineConfig) -> None:
         self.machine = machine
-        self.threads = threads if threads is not None else machine.hardware_threads
         cores, line = machine.physical_cores, machine.line_bytes
         levels = (
             (cores, machine.l1d_bytes, machine.l1_ways),
@@ -196,7 +187,6 @@ class CacheHierarchy:
         cache state changes.
         """
         task_thread = np.ascontiguousarray(task_thread, dtype=np.int64)
-        # Below INT64_MAX so that the prefetcher's line + 1 cannot overflow.
         _check_range("addresses", trace.addresses, _INT64_MAX)
         _check_range("task_ids", trace.task_ids, len(task_thread))
         _check_range("task_thread", task_thread, _INT64_MAX)
@@ -260,13 +250,6 @@ class CacheHierarchy:
                 stats.l2_hits += 1
                 continue
             stats.l2_misses += 1
-            if self.prefetch:
-                # Streamer: pull the next line into L2 off the books
-                # (the fill does not count as a demand access).
-                l2 = l2s[core]
-                hits, misses = l2.hits, l2.misses
-                l2.access(line_addr + 1)
-                l2.hits, l2.misses = hits, misses
             socket = core // cores_per_socket
             if llcs[socket].access(line_addr):
                 stats.llc_hits += 1
@@ -298,7 +281,6 @@ class CacheHierarchy:
             machine.page_bytes // machine.line_bytes,
             l1.shape[0],
             llc.shape[0],
-            int(self.prefetch),
             *geometry,
             counters.ctypes.data,
         )

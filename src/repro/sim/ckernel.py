@@ -188,7 +188,6 @@ void saga_cache_replay(
     int64_t lines_per_page,
     int64_t cores,
     int64_t sockets,
-    int64_t prefetch,
     int64_t *l1, int64_t l1_sets, int64_t l1_ways,
     int64_t *l2, int64_t l2_sets, int64_t l2_ways,
     int64_t *llc, int64_t llc_sets, int64_t llc_ways,
@@ -211,9 +210,6 @@ void saga_cache_replay(
             continue;
         }
         l2_misses++;
-        /* Streamer: the next line is filled into the L2 off the books. */
-        if (prefetch)
-            lru_access(l2, l2_sets, l2_ways, core, line + 1);
         socket = core / cores_per_socket;
         if (lru_access(llc, llc_sets, llc_ways, socket, line)) {
             llc_hits++;
@@ -261,8 +257,8 @@ def _bind(lib: ctypes.CDLL):
     replay.argtypes = (
         [ctypes.c_int64]  # n
         + [ctypes.c_void_p] * 3  # addresses, task_ids, task_thread
-        # line_bytes, lines_per_page, cores, sockets, prefetch
-        + [ctypes.c_int64] * 5
+        # line_bytes, lines_per_page, cores, sockets
+        + [ctypes.c_int64] * 4
         # l1, l2, llc: tags, sets, ways
         + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] * 3
         + [ctypes.c_void_p]  # counters

@@ -7,9 +7,7 @@ quantity, indexed ``[repetition, batch, ...]``, so that the
 the analysis harness performs are vectorized slices instead of
 per-record Python loops.  :class:`BatchRecord` survives as the write
 side: the driver stages one record per ingested batch and commits it
-with :meth:`StreamResult.add_record`; a compatibility ``records`` view
-materializes the old list-of-records shape for callers that still want
-it.
+with :meth:`StreamResult.add_record`.
 
 Results serialize to ``.npz`` (:meth:`StreamResult.to_npz` /
 :meth:`StreamResult.from_npz`) with a stable schema, which is what the
@@ -26,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,46 +133,6 @@ class StreamResult:
             self.compute_iterations[r, b, self._aindex[alg], self._mindex[model]] = (
                 count
             )
-
-    # -- compatibility view ---------------------------------------------
-
-    @property
-    def records(self) -> List[BatchRecord]:
-        """The per-batch records, materialized from the columnar arrays.
-
-        Kept for callers written against the original list-of-records
-        API; ordered by (repetition, batch).  Mutating the returned
-        records does not write back.
-        """
-        out: List[BatchRecord] = []
-        for r in range(self.repetitions):
-            for b in range(self.batches_per_rep):
-                out.append(
-                    BatchRecord(
-                        repetition=r,
-                        batch_index=b,
-                        edges_attempted=int(self.edges_attempted[r, b]),
-                        edges_inserted=int(self.edges_inserted[r, b]),
-                        num_nodes=int(self.num_nodes[r, b]),
-                        num_edges=int(self.num_edges[r, b]),
-                        update_cycles={
-                            s: float(self.update_cycles[r, b, i])
-                            for s, i in self._sindex.items()
-                        },
-                        compute_cycles={
-                            (a, m, s): float(self.compute_cycles[r, b, ai, mi, si])
-                            for a, ai in self._aindex.items()
-                            for m, mi in self._mindex.items()
-                            for s, si in self._sindex.items()
-                        },
-                        compute_iterations={
-                            (a, m): int(self.compute_iterations[r, b, ai, mi])
-                            for a, ai in self._aindex.items()
-                            for m, mi in self._mindex.items()
-                        },
-                    )
-                )
-        return out
 
     # -- latency series (vectorized) ------------------------------------
 

@@ -14,6 +14,7 @@ import pytest
 
 import sys
 
+from repro.analysis.hardware_profile import HardwareProfiler
 from repro.datasets import load_dataset
 from repro.engine import (
     RunStore,
@@ -85,6 +86,16 @@ def assert_identical(a: StreamResult, b: StreamResult) -> None:
                 assert np.array_equal(a.update_fraction(*combo), b.update_fraction(*combo))
 
 
+def assert_same_payload(payload, other) -> None:
+    """Two ``to_payload()`` results: equal meta, bit-identical arrays."""
+    (meta, arrays), (other_meta, other_arrays) = payload, other
+    assert meta == other_meta
+    assert sorted(arrays) == sorted(other_arrays)
+    for name, column in arrays.items():
+        assert column.dtype == other_arrays[name].dtype, name
+        assert np.array_equal(column, other_arrays[name]), name
+
+
 class TestFingerprint:
     def test_identical_configs_share_a_key(self):
         assert stream_run_key(DATASET, small_config()) == stream_run_key(
@@ -154,7 +165,7 @@ class TestFingerprint:
         old_key = stream_run_key(DATASET, small_config())
         assert old_key != current_key
         store.save_arrays(old_key, {"schema": 1}, {"x": np.zeros(1)})
-        assert store.load_stream_result(current_key) is None
+        assert store.load(current_key, StreamResult.from_payload) is None
         assert store.misses == 1
 
     def test_unknown_dataset_rejected(self):
@@ -293,11 +304,10 @@ class TestNpzRoundTrip:
         path = cold.to_npz(tmp_path / "result.npz")
         assert_identical(StreamResult.from_npz(path), cold)
 
-    def test_records_view_survives_round_trip(self, warm_store, tmp_path):
+    def test_payload_survives_round_trip(self, warm_store, tmp_path):
         _, cold = warm_store
         loaded = StreamResult.from_npz(cold.to_npz(tmp_path / "result.npz"))
-        for before, after in zip(cold.records, loaded.records):
-            assert before == after
+        assert_same_payload(loaded.to_payload(), cold.to_payload())
 
     def test_schema_mismatch_rejected(self, warm_store):
         _, cold = warm_store
@@ -313,5 +323,99 @@ class TestNpzRoundTrip:
         meta["schema"] = meta["schema"] + 1
         key = "ee" * 32
         store.save_arrays(key, meta, arrays)
-        assert store.load_stream_result(key) is None
-        assert store.misses == 1
+        assert store.load(key, StreamResult.from_payload) is None
+        assert (store.hits, store.misses) == (0, 1)
+
+
+#: The Fig 9/10 cell the hardware cache tests resolve.
+CELL = (DATASET, "DAH", SIZE_FACTOR)
+
+
+def small_profiler(**overrides) -> HardwareProfiler:
+    kwargs = dict(
+        machine=SMALL_MACHINE,
+        core_counts=(2,),
+        algorithms=("BFS",),
+        batch_size=900,
+        trace_cap=2_000,
+        seed=SEED,
+    )
+    kwargs.update(overrides)
+    return HardwareProfiler(**kwargs)
+
+
+@pytest.fixture(scope="module")
+def warm_cell_store(tmp_path_factory):
+    """A store populated by one cold ``profile_cells``, plus the cell."""
+    store = RunStore(tmp_path_factory.mktemp("cellstore"))
+    (cell,) = small_profiler().profile_cells([CELL], store=store)
+    return store, cell
+
+
+def _drop_last_counter_field(meta, arrays):
+    """An entry written when ``PhaseCounters`` had one field fewer."""
+    meta["counter_fields"] = meta["counter_fields"][:-1]
+    for phase in ("update", "compute"):
+        arrays[f"counters_{phase}"] = arrays[f"counters_{phase}"][:, :-1]
+
+
+#: Entries a cell lookup must count as one miss, then re-simulate.
+DAMAGED_CELLS = {
+    "corrupt": None,
+    "old-schema": _drop_last_counter_field,
+    "no-core-counts": lambda meta, arrays: meta.pop("core_counts"),
+}
+
+
+class TestHardwareCellCache:
+    """The stream cache tests above, with a Fig 9/10 cell as the input."""
+
+    def test_cold_run_matches_direct_profile(self, warm_cell_store):
+        _, cold = warm_cell_store
+        direct = small_profiler().profile_cell(*CELL)
+        assert_same_payload(cold.to_payload(), direct.to_payload())
+
+    def test_warm_run_is_bit_identical_without_simulating(
+        self, warm_cell_store, monkeypatch
+    ):
+        store, cold = warm_cell_store
+
+        def forbidden(self, dataset):
+            raise AssertionError("a warm cell must not run the driver")
+
+        monkeypatch.setattr(StreamDriver, "run", forbidden)
+        hits, misses = store.hits, store.misses
+        (warm,) = small_profiler().profile_cells([CELL], store=store, jobs=2)
+        assert (store.hits, store.misses) == (hits + 1, misses)
+        assert_same_payload(warm.to_payload(), cold.to_payload())
+
+    def test_changed_cost_model_misses_the_cache(self, warm_cell_store):
+        store, _ = warm_cell_store
+        perturbed = small_profiler(
+            cost_model=replace(
+                DEFAULT_COST_MODEL, probe_element=DEFAULT_COST_MODEL.probe_element + 1
+            )
+        )
+        assert store.contains(small_profiler().cell_key(*CELL))
+        assert not store.contains(perturbed.cell_key(*CELL))
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_CELLS))
+    def test_damaged_entry_is_one_miss_and_resimulates(
+        self, warm_cell_store, tmp_path, damage
+    ):
+        """A corrupt file, an entry with another ``PhaseCounters``
+        layout and one without ``core_counts`` each count one miss and
+        no hit, re-simulate the same cell and overwrite the entry."""
+        _, cold = warm_cell_store
+        store = RunStore(tmp_path)
+        key = small_profiler().cell_key(*CELL)
+        if DAMAGED_CELLS[damage] is None:
+            store.path(key).write_bytes(b"not an npz file")
+        else:
+            meta, arrays = cold.to_payload()
+            DAMAGED_CELLS[damage](meta, arrays)
+            store.save_arrays(key, meta, arrays)
+        (fresh,) = small_profiler().profile_cells([CELL], store=store)
+        assert (store.hits, store.misses) == (0, 1)
+        assert_same_payload(fresh.to_payload(), cold.to_payload())
+        assert store.load_arrays(key) is not None

@@ -15,6 +15,7 @@ from repro.analysis.hardware_profile import (
     _average_counters,
     _compute_trace,
     _interleave,
+    merge_cells,
 )
 from repro.algorithms.registry import get_algorithm
 from repro.compute import ckernels
@@ -135,7 +136,9 @@ class TestProfilerSmall:
             trace_cap=5_000,
             seed=2,
         )
-        profile = profiler.profile_group("T", ["Talk"], "DAH", size_factor=0.08)
+        profile = merge_cells(
+            "T", "DAH", profiler.profile_cells([("Talk", "DAH", 0.08)]), (2, 4)
+        )
         assert profile.batches_per_dataset["Talk"] >= 1
         assert len(profile.samples["update"]) == len(profile.samples["compute"])
         perf = profile.scaling_performance("update")
@@ -193,15 +196,16 @@ def payload_digest(payload):
     return digest.hexdigest()
 
 
-#: (dataset, structure, size_factor, prefetch) -> batches, payload digest.
-#: Every counter and ladder cycle of the cell; computed when the cell
-#: still ran its own batch loop, before it became the driver's plane.
+#: (dataset, structure, size_factor) -> batches, payload digest.  Every
+#: counter and ladder cycle of the cell; the DAH cell computed when the
+#: cell still ran its own batch loop, before it became the driver's
+#: plane, the AS cell when the cache model lost its prefetcher.
 PINNED_CELLS = {
-    ("Talk", "DAH", 0.125, False): (
+    ("Talk", "DAH", 0.125): (
         5, "c84d733bb9192b3b5019ce0779c2ba50e36ec53b68cb952ffb8638cdc19e7c5a"
     ),
-    ("Orkut", "AS", 0.03, True): (
-        2, "9d64d11983b2f3c61b3a07f9122a0093e6a32ab32766877a3b5555e0d5d1ba8c"
+    ("Orkut", "AS", 0.03): (
+        2, "02cac0bd00d002ee4c7c4d6079bbb65d87d7df68c2a9e4f0b377741351129601"
     ),
 }
 
@@ -211,20 +215,16 @@ def test_cell_payload_is_pinned(cell):
     """The cell's simulated numbers do not move with its code path: the
     native library and every Python reference (``SAGA_BENCH_NO_NATIVE``)
     both give the pinned digest."""
-    dataset_name, structure_name, size_factor, prefetch = cell
     profiler = HardwareProfiler(
         machine=SMALL_MACHINE,
         core_counts=(2, 4),
         algorithms=("BFS", "CC", "PR"),
         batch_size=1250,
         trace_cap=20_000,
-        prefetch=prefetch,
     )
     for setting in (None, "1"):
         with native_env(setting):
-            payload = profiler.profile_cell(
-                dataset_name, structure_name, size_factor
-            ).to_payload()
+            payload = profiler.profile_cell(*cell).to_payload()
         assert (payload[0]["batches"], payload_digest(payload)) == PINNED_CELLS[cell], setting
 
 
@@ -233,27 +233,24 @@ class TestCellOnBothSimEngines:
         ckernel.get_kernel() is None, reason="no C compiler: sim library unavailable"
     )
     @pytest.mark.parametrize(
-        "dataset_name, structure_name, size_factor, prefetch",
-        [("Talk", "DAH", 0.125, False), ("Orkut", "AS", 0.03, True)],
+        "dataset_name, structure_name, size_factor",
+        [("Talk", "DAH", 0.125), ("Orkut", "AS", 0.03)],
     )
     def test_payload_equal_with_and_without_the_sim_library(
-        self, dataset_name, structure_name, size_factor, prefetch
+        self, dataset_name, structure_name, size_factor
     ):
         """The whole cell -- update and compute replays through one
         persistent hierarchy per cell, core ladder, counters -- array
         for array the same from ``saga_cache_replay`` and from the
         ``SetAssociativeCache`` loop.  Kills, in the kernel: no LRU
         refresh on a hit; evict the MRU way; ``socket = core %
-        sockets``; home socket from the byte address; and, on the
-        prefetching cell, prefetch fill tallied and prefetch fill
-        skipped when the line is resident."""
+        sockets``; home socket from the byte address."""
         profiler = HardwareProfiler(
             machine=SMALL_MACHINE,
             core_counts=(2, 4),
             algorithms=("BFS", "CC", "PR"),
             batch_size=1250,
             trace_cap=20_000,
-            prefetch=prefetch,
         )
         payload = profiler.profile_cell(
             dataset_name, structure_name, size_factor
@@ -264,36 +261,6 @@ class TestCellOnBothSimEngines:
             ).to_payload()
         assert payload[0]["batches"] >= 2
         assert_payloads_equal(payload, python_payload)
-
-
-class TestPrefetchOption:
-    def test_prefetch_profile_runs_and_changes_l2(self):
-        machine = MachineConfig(
-            sockets=2,
-            cores_per_socket=2,
-            l1d_bytes=2 * 1024,
-            l2_bytes=16 * 1024,
-            llc_bytes_per_socket=128 * 1024,
-            llc_ways=16,
-        )
-        kwargs = dict(
-            machine=machine,
-            core_counts=(2,),
-            algorithms=("BFS",),
-            batch_size=400,
-            trace_cap=5_000,
-            seed=2,
-        )
-        plain = HardwareProfiler(**kwargs).profile_group(
-            "T", ["Talk"], "AS", size_factor=0.1
-        )
-        fetched = HardwareProfiler(prefetch=True, **kwargs).profile_group(
-            "T", ["Talk"], "AS", size_factor=0.1
-        )
-        base = plain.stage_counter("update", 2, "l2_hit_ratio")
-        boosted = fetched.stage_counter("update", 2, "l2_hit_ratio")
-        # The streamer can only help (sequential scans abound).
-        assert boosted >= base
 
 
 def _per_vertex_compute_trace(

@@ -180,50 +180,6 @@ def test_property_hit_counts_bounded(addresses):
     assert cache.misses >= distinct  # at least one cold miss per line
 
 
-class TestPrefetcher:
-    MACHINE = MachineConfig(
-        sockets=1,
-        cores_per_socket=1,
-        l1d_bytes=512,
-        l1_ways=8,
-        l2_bytes=4096,
-        llc_bytes_per_socket=16 * 1024,
-        llc_ways=16,
-    )
-
-    def _sequential_trace(self, lines=40):
-        # Strided reads: one access per line, sequential addresses.
-        return make_trace([i * 64 for i in range(lines)])
-
-    def test_prefetch_helps_sequential_stream(self):
-        plain = CacheHierarchy(self.MACHINE, prefetch=False)
-        fetched = CacheHierarchy(self.MACHINE, prefetch=True)
-        thread = np.zeros(1, dtype=np.int32)
-        trace = self._sequential_trace()
-        base = plain.replay(trace, thread)
-        boosted = fetched.replay(trace, thread)
-        assert boosted.l2_hits > base.l2_hits
-        assert boosted.l2_hit_ratio > base.l2_hit_ratio
-
-    def test_prefetch_fill_not_counted_as_access(self):
-        fetched = CacheHierarchy(self.MACHINE, prefetch=True)
-        thread = np.zeros(1, dtype=np.int32)
-        stats = fetched.replay(self._sequential_trace(), thread)
-        # Demand accounting stays balanced despite the hidden fills.
-        assert stats.l2_hits + stats.l2_misses == stats.l1_misses
-
-    def test_prefetch_neutral_on_random_far_stream(self):
-        rng = np.random.default_rng(1)
-        # Lines far apart: the next-line fill is never used.
-        trace = make_trace(rng.permutation(500)[:100] * 64 * 997)
-        plain = CacheHierarchy(self.MACHINE, prefetch=False)
-        fetched = CacheHierarchy(self.MACHINE, prefetch=True)
-        thread = np.zeros(1, dtype=np.int32)
-        base = plain.replay(trace, thread)
-        boosted = fetched.replay(trace, thread)
-        assert boosted.l2_hits == base.l2_hits
-
-
 # ----------------------------------------------------------------------
 # Reference vs native replay
 # ----------------------------------------------------------------------
@@ -233,10 +189,10 @@ needs_sim_library = pytest.mark.skipif(
 )
 
 
-def reference_hierarchy(machine, prefetch=False):
+def reference_hierarchy(machine):
     """A hierarchy on the ``SetAssociativeCache`` loop, library or not."""
     with mock.patch.object(ckernel, "get_kernel", return_value=None):
-        return CacheHierarchy(machine, prefetch=prefetch)
+        return CacheHierarchy(machine)
 
 
 @pytest.fixture(params=["native", "python"])
@@ -281,11 +237,11 @@ GEOMETRIES = (
 LINES = 96
 
 
-def _replay_both(machine, prefetch, addresses, task_ids, task_thread, cuts):
+def _replay_both(machine, addresses, task_ids, task_thread, cuts):
     """Replay one trace, cut at ``cuts`` into consecutive calls, through a
     persistent hierarchy per engine: ``[(native stats, reference stats)]``."""
-    native = CacheHierarchy(machine, prefetch=prefetch)
-    reference = reference_hierarchy(machine, prefetch=prefetch)
+    native = CacheHierarchy(machine)
+    reference = reference_hierarchy(machine)
     assert native._native is not None and reference._native is None
     addresses = np.asarray(addresses, dtype=np.int64)
     task_ids = np.asarray(task_ids, dtype=np.int64)
@@ -326,7 +282,7 @@ def _replays(draw):
         )
     )
     cuts = draw(st.lists(st.integers(0, len(accesses)), max_size=3))
-    return machine, draw(st.booleans()), accesses, task_thread, cuts
+    return machine, accesses, task_thread, cuts
 
 
 @needs_sim_library
@@ -343,15 +299,14 @@ class TestNativeReplayMatchesReference:
     def test_hypothesis_traces(self, case):
         """All nine fields equal per call, on hypothesis traces x
         geometries cut into 1-4 calls.  Kills: no LRU refresh on a hit;
-        evict the MRU way instead of the LRU; prefetch fill tallied;
-        ``socket = core % sockets``; the LLC indexed by core instead of
-        socket; home socket from the byte address instead of the line;
+        evict the MRU way instead of the LRU; ``socket = core %
+        sockets``; the LLC indexed by core instead of socket; home
+        socket from the byte address instead of the line;
         line size fixed at 64; thread ids clamped instead of wrapped;
         state cleared between calls."""
-        machine, prefetch, accesses, task_thread, cuts = case
+        machine, accesses, task_thread, cuts = case
         for got, want in _replay_both(
             machine,
-            prefetch,
             [address for address, _ in accesses],
             [task for _, task in accesses],
             task_thread,
@@ -359,21 +314,19 @@ class TestNativeReplayMatchesReference:
         ):
             assert got == want
 
-    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("machine", GEOMETRIES)
-    def test_long_random_traces(self, machine, prefetch):
-        """4 000 accesses in four calls per geometry: long enough that
-        every set of every level has been full for most of the trace.
-        Kills every mutant of ``test_hypothesis_traces``, and: prefetch
-        fill skipped when the line is resident (the resident line must
-        still move to the MRU way)."""
+    def test_long_random_traces(self, machine, split):
+        """4 000 accesses per geometry, in one call or (``split``) in
+        four: long enough that every set of every level has been full
+        for most of the trace.  Kills every mutant of
+        ``test_hypothesis_traces`` (state cleared between calls: only
+        when split)."""
         rng = np.random.default_rng(11)
         tasks = 40
         pairs = _replay_both(
             machine,
-            prefetch,
-            # Half the accesses walk forward a line at a time, which is
-            # what makes a next-line fill find its line resident.
+            # Half the accesses walk forward a line at a time, half jump.
             np.where(
                 rng.random(4000) < 0.5,
                 np.arange(4000) % LINES,
@@ -381,7 +334,7 @@ class TestNativeReplayMatchesReference:
             ) * machine.line_bytes + rng.integers(0, machine.line_bytes, size=4000),
             rng.integers(0, tasks, size=4000),
             rng.integers(0, 3 * machine.physical_cores, size=tasks),
-            cuts=(1000, 2000, 3000),
+            cuts=(1000, 2000, 3000) if split else (),
         )
         for got, want in pairs:
             assert got == want
@@ -392,20 +345,20 @@ class TestNativeReplayMatchesReference:
         if machine.sockets > 1:
             assert total.local_memory_accesses and total.remote_memory_accesses
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_empty_trace(self, prefetch):
-        """No accesses, no tasks: zero stats from both.  Kills: the
-        range check's ``len()`` guard dropped (``min()`` of an empty
-        column raises)."""
+    @pytest.mark.parametrize("with_tasks", [False, True])
+    def test_empty_trace(self, with_tasks):
+        """No accesses, with or without tasks: zero stats from both.
+        Kills: the range check's ``len()`` guard dropped (``min()`` of
+        an empty column raises)."""
         machine = GEOMETRIES[2]
-        (got, want), = _replay_both(machine, prefetch, [], [], [], cuts=())
+        task_thread = [0, 3] if with_tasks else []
+        (got, want), = _replay_both(machine, [], [], task_thread, cuts=())
         assert got == want == CacheStats()
 
     def test_counters_equal_on_both_paths(self):
         """The ``sim_cache_*`` families read the same after the same
-        replays on either engine.  Kills: prefetch fill tallied;
-        prefetch fill skipped when the line is resident; state cleared
-        between calls."""
+        replays on either engine.  Kills: state cleared between
+        calls."""
         machine = GEOMETRIES[3]
         traces = [
             make_trace(np.random.default_rng(seed).integers(0, LINES, size=400) * 64)
@@ -416,7 +369,7 @@ class TestNativeReplayMatchesReference:
             METRICS.reset()
             METRICS.enable()
             try:
-                hierarchy = build(machine, prefetch=True)
+                hierarchy = build(machine)
                 for trace in traces:
                     hierarchy.replay(trace, np.zeros(1, dtype=np.int32))
                 snapshots.append(METRICS.snapshot())
@@ -501,7 +454,7 @@ counters = np.zeros(8, dtype=np.int64)
 # lines_per_page = 0: the home-socket division is undefined.
 ckernel.get_cache_replay()(
     1, one.ctypes.data, one.ctypes.data, one.ctypes.data,
-    64, 0, 1, 1, 0, *geometry, counters.ctypes.data,
+    64, 0, 1, 1, *geometry, counters.ctypes.data,
 )
 """
 

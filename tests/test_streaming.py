@@ -127,7 +127,7 @@ class TestDriver:
         result, dataset = small_result
         assert result.repetitions == 2
         assert result.batches_per_rep == dataset.batch_count(800)
-        assert len(result.records) == 2 * result.batches_per_rep
+        assert result.num_edges.shape == (2, result.batches_per_rep)
 
     def test_series_shapes(self, small_result):
         result, _ = small_result
@@ -160,8 +160,7 @@ class TestDriver:
 
     def test_graph_grows_over_batches(self, small_result):
         result, _ = small_result
-        rep0 = [r for r in result.records if r.repetition == 0]
-        edges = [r.num_edges for r in rep0]
+        edges = result.num_edges[0].tolist()
         assert edges == sorted(edges)
         assert edges[-1] > edges[0]
 
@@ -173,8 +172,7 @@ class TestDriver:
 
     def test_inserted_counts_match_final_graph(self, small_result):
         result, _ = small_result
-        rep0 = [r for r in result.records if r.repetition == 0]
-        assert sum(r.edges_inserted for r in rep0) == rep0[-1].num_edges
+        assert result.edges_inserted[0].sum() == result.num_edges[0, -1]
 
     def test_progress_callback(self):
         dataset = load_dataset("Talk", seed=2, size_factor=0.05)
@@ -211,9 +209,7 @@ class TestChurn:
             StreamConfig(churn_fraction=0.3, **base_cfg)
         ).run(dataset)
         # Deletions shrink the final graph.
-        final_plain = [r for r in plain.records if r.repetition == 0][-1]
-        final_churn = [r for r in churned.records if r.repetition == 0][-1]
-        assert final_churn.num_edges < final_plain.num_edges
+        assert churned.num_edges[0, -1] < plain.num_edges[0, -1]
         # The update phase paid for the deletions too.
         assert (
             churned.update_latency("AS").sum() > plain.update_latency("AS").sum()

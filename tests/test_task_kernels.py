@@ -71,7 +71,7 @@ def run_stream(name, mode, threads, delete_last=False, directed=True, cache=Fals
     """Ingest the reference stream and collect every comparable number."""
     implementation, traced = mode
     structure = structure_over(implementation, name, 48, directed)
-    hierarchy = CacheHierarchy(SMALL_MACHINE, threads=threads)
+    hierarchy = CacheHierarchy(SMALL_MACHINE)
     observed = []
     digest = hashlib.sha256()
     batches = stream_batches()

@@ -1,7 +1,7 @@
 """A worker killed mid-cell, in the one process pool.
 
-``repro.engine.sweep.run_cells`` runs sweep cells, Fig 9/10 cells and
-shard replays.  In each test the first cell to start kills its own
+``repro.engine.sweep.run_cells`` runs sweep cells and Fig 9/10 cells
+(both through ``run_streams``' one worker function) and shard replays.  In each test the first cell to start kills its own
 worker with SIGKILL, and the parent must: raise an error naming the
 cells that did not finish, chained from the pool's
 ``BrokenProcessPool``; exit the CLI non-zero with that message; leave
@@ -33,8 +33,7 @@ from tests.conftest import SMALL_MACHINE, one_cpu
 #: worker, so that exactly one worker dies per run.
 MARKER_ENV = "REPRO_TEST_KILL_MARKER"
 
-_RUN_STREAM_CELL = sweep._run_stream_cell
-_PROFILE_CELL = HardwareProfiler.profile_cell
+_RUN_CELL = sweep._run_cell
 _SIMULATE_SHARD = sharded._simulate_shard
 
 
@@ -50,14 +49,9 @@ def _kill_first_worker():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def dying_stream_cell(*args):
+def dying_cell(*args):
     _kill_first_worker()
-    return _RUN_STREAM_CELL(*args)
-
-
-def dying_profile_cell(profiler, *spec):
-    _kill_first_worker()
-    return _PROFILE_CELL(profiler, *spec)
+    return _RUN_CELL(*args)
 
 
 def dying_shard(task):
@@ -67,8 +61,7 @@ def dying_shard(task):
 
 def arm():
     """Make the first pooled cell of this process die (the CLI child)."""
-    sweep._run_stream_cell = dying_stream_cell
-    HardwareProfiler.profile_cell = dying_profile_cell
+    sweep._run_cell = dying_cell
     sharded._simulate_shard = dying_shard
 
 
@@ -126,12 +119,12 @@ def test_a_dead_sweep_worker_names_its_cells(armed, monkeypatch, tmp_path):
         repetitions=2, machine=SMALL_MACHINE,
     )
     request = sweep.StreamRequest("Talk", config, size_factor=0.05)
-    monkeypatch.setattr(sweep, "_run_stream_cell", dying_stream_cell)
+    monkeypatch.setattr(sweep, "_run_cell", dying_cell)
     with pytest.raises(ReproError) as failure:
         sweep.run_many([request], jobs=2)
     _assert_names_lost_cells(failure, r"Talk-r[01]")
     assert armed.exists()
-    monkeypatch.setattr(sweep, "_run_stream_cell", _RUN_STREAM_CELL)
+    monkeypatch.setattr(sweep, "_run_cell", _RUN_CELL)
     (pooled,) = sweep.run_many([request], jobs=2)
     (alone,) = sweep.run_many([request])
     assert pooled.to_payload()[0] == alone.to_payload()[0]
@@ -141,17 +134,19 @@ def test_a_dead_sweep_worker_names_its_cells(armed, monkeypatch, tmp_path):
 
 
 def test_a_dead_profile_worker_names_its_cells(armed, monkeypatch, tmp_path):
-    """``profile_cells``: two Fig 9/10 cells."""
+    """``profile_cells``: two Fig 9/10 cells over one spilled stream
+    directory."""
     profiler = HardwareProfiler(
         machine=SMALL_MACHINE, core_counts=(2,), algorithms=("BFS",),
         batch_size=1250, trace_cap=2_000,
     )
     specs = [("Talk", "DAH", 0.05), ("Talk", "AS", 0.05)]
-    monkeypatch.setattr(HardwareProfiler, "profile_cell", dying_profile_cell)
+    monkeypatch.setattr(sweep, "_run_cell", dying_cell)
     with pytest.raises(ReproError) as failure:
         profiler.profile_cells(specs, jobs=2)
     _assert_names_lost_cells(failure, r"Talk/(DAH|AS)")
-    monkeypatch.setattr(HardwareProfiler, "profile_cell", _PROFILE_CELL)
+    assert armed.exists()
+    monkeypatch.setattr(sweep, "_run_cell", _RUN_CELL)
     assert [cell.batches for cell in profiler.profile_cells(specs, jobs=2)] == [
         profiler.profile_cell(*spec).batches for spec in specs
     ]
