@@ -32,6 +32,7 @@ from typing import Callable, Dict, Optional
 from repro.analysis import degree_table, run_hardware_profile, run_software_profile
 from repro.analysis import report
 from repro.datasets import dataset_names
+from repro.datasets.rmat import DEFAULT_RMAT_CHUNK
 from repro.engine import default_store, run_stream
 from repro.obs import (
     METRICS,
@@ -657,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument(
         "--chunk-edges",
         type=int,
-        default=1_000_000,
+        default=DEFAULT_RMAT_CHUNK,
         help="generation chunk size (edges held in RAM at once)",
     )
     _add_adaptive_args(scale)

@@ -9,10 +9,11 @@ distribution, which is the variable all of the paper's data-structure
 conclusions hinge on.  Real SNAP files can be loaded with
 :mod:`repro.datasets.snap` instead.
 
-For paper-scale streams, :mod:`repro.datasets.mmapio` stores edges as
-memory-mapped columns written chunk-at-a-time by the chunked RMAT
-generator and SNAP parser; :func:`make_rmat_dataset` is the front door
-for ad-hoc scale runs.
+Every ad-hoc stream -- :func:`make_rmat_dataset` (the front door for
+scale runs) and :func:`load_snap_edges` -- is a sequence of chunks that
+:func:`repro.datasets.mmapio.materialize` holds in RAM or writes, one
+chunk at a time, into a memory-mapped stream directory; the transport
+never changes the stream's bytes.
 """
 
 from repro.datasets.catalog import (
@@ -28,7 +29,7 @@ from repro.datasets.mmapio import (
     open_edge_mmap,
     write_edge_mmap,
 )
-from repro.datasets.rmat import rmat_edge_chunks, rmat_edges, rmat_edges_mmap
+from repro.datasets.rmat import rmat_edge_chunks, rmat_edges
 from repro.datasets.snap import load_snap_edges
 from repro.datasets.synthetic import calibrate_alpha, power_law_edges
 
@@ -46,6 +47,5 @@ __all__ = [
     "power_law_edges",
     "rmat_edge_chunks",
     "rmat_edges",
-    "rmat_edges_mmap",
     "write_edge_mmap",
 ]

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.datasets.rmat import rmat_edge_chunks, rmat_edges, rmat_edges_mmap
+from repro.datasets.mmapio import materialize
+from repro.datasets.rmat import (
+    DEFAULT_RMAT_CHUNK,
+    rmat_edge_chunks,
+    rmat_edges,
+    rmat_recipe,
+)
 from repro.datasets.synthetic import calibrate_alpha, power_law_edges
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
@@ -222,19 +228,18 @@ def make_rmat_dataset(
     num_edges: int,
     seed: int = 0,
     mmap_dir: Optional[Union[str, Path]] = None,
-    chunk_edges: Optional[int] = None,
+    chunk_edges: int = DEFAULT_RMAT_CHUNK,
 ) -> Dataset:
     """An ad-hoc R-MAT stream at arbitrary scale, ready for the driver.
 
     Unlike the calibrated Table II stand-ins, this is the raw generator
     -- the entry point for paper-scale runs (``repro scale`` and the
-    ``scale-oocore`` benchmark workload).  With ``mmap_dir`` the stream
-    lives in a memory-mapped directory (written chunk-at-a-time when
-    ``chunk_edges`` is set, and reused on a recipe match instead of
-    regenerated); without it the stream is in RAM as before.
+    ``scale-oocore`` benchmark workload).  The stream is the
+    :func:`~repro.datasets.rmat.rmat_edge_chunks` sequence, in RAM or,
+    with ``mmap_dir``, in a memory-mapped directory written one chunk
+    at a time and reused on a recipe match (:func:`materialize`); both
+    transports hold the same bytes.
     """
-    import numpy as np
-
     spec = DatasetSpec(
         name=f"RMAT-s{scale}",
         directed=True,
@@ -244,22 +249,9 @@ def make_rmat_dataset(
         rmat_scale=scale,
         description=f"Ad-hoc R-MAT scale-{scale} stream ({num_edges} edges)",
     )
-    if mmap_dir is not None:
-        edges = rmat_edges_mmap(
-            mmap_dir, scale, num_edges, seed=seed, chunk_edges=chunk_edges
-        )
-    elif chunk_edges is not None:
-        # Same edge sequence as the chunked mmap stream, held in RAM.
-        parts = list(
-            rmat_edge_chunks(
-                scale, num_edges, seed=seed, chunk_edges=chunk_edges
-            )
-        )
-        edges = EdgeBatch(
-            src=np.concatenate([p.src for p in parts]),
-            dst=np.concatenate([p.dst for p in parts]),
-            weight=np.concatenate([p.weight for p in parts]),
-        )
-    else:
-        edges = rmat_edges(scale=scale, num_edges=num_edges, seed=seed)
+    edges = materialize(
+        rmat_edge_chunks(scale, num_edges, seed=seed, chunk_edges=chunk_edges),
+        rmat_recipe(scale, num_edges, seed=seed, chunk_edges=chunk_edges),
+        mmap_dir,
+    )
     return Dataset(spec=spec, edges=edges, max_nodes=1 << scale, seed=seed)

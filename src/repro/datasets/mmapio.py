@@ -22,7 +22,10 @@ permutation indices cover.
 The ``source`` record in ``meta.json`` is the generator recipe (e.g.
 the RMAT parameters) -- the *content identity* of the stream.  It is
 what lets mmap-backed and in-RAM runs share RunStore fingerprints:
-transport is not part of the key, the recipe is.
+transport is not part of the key, the recipe is.  Every ad-hoc stream
+(R-MAT chunks, a SNAP parse) goes through :func:`materialize`, the one
+place that checks a recipe and chooses RAM or a directory, so the
+transport cannot change a stream's bytes.
 
 A stream directory is also how a pool worker receives a stream:
 :func:`stream_directory` hands out the directory a stream already
@@ -38,7 +41,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -104,10 +107,6 @@ class EdgeStreamWriter:
             np.ascontiguousarray(column, dtype=dtype).tofile(self._handles[name])
         self._edges += len(src)
 
-    def append_batch(self, batch: EdgeBatch) -> None:
-        """Append an :class:`EdgeBatch` chunk."""
-        self.append(batch.src, batch.dst, batch.weight)
-
     def close(self, source: Optional[dict] = None) -> Path:
         """Flush, write ``meta.json``, and return the stream directory.
 
@@ -161,7 +160,7 @@ def write_edge_mmap(
         chunks = batch_or_chunks
     with EdgeStreamWriter(directory) as writer:
         for chunk in chunks:
-            writer.append_batch(chunk)
+            writer.append(chunk.src, chunk.dst, chunk.weight)
         return writer.close(source=source)
 
 
@@ -200,10 +199,10 @@ def mmap_source(directory: Union[str, Path]) -> Optional[dict]:
 def set_source(directory: Union[str, Path], source: Optional[dict]) -> None:
     """Replace the recorded recipe of a finished stream directory.
 
-    Used by writers that post-process columns after the append pass
-    (e.g. the SNAP relabel rewrite): the recipe is attached only once
-    the content actually matches it, so an interrupted post-pass can
-    never be mistaken for a finished stream on reuse.
+    Used by :func:`materialize` after a post-pass over the appended
+    columns (the SNAP relabel and weights): the recipe is attached only
+    once the content actually matches it, so an interrupted post-pass
+    can never be mistaken for a finished stream on reuse.
     """
     directory = Path(directory)
     meta = read_meta(directory)
@@ -260,6 +259,50 @@ def open_edge_mmap(
     return EdgeBatch(
         src=arrays["src"], dst=arrays["dst"], weight=arrays["weight"]
     )
+
+
+def materialize(
+    chunks: Iterable[EdgeBatch],
+    source: dict,
+    directory: Optional[Union[str, Path]] = None,
+    finish: Optional[Callable[[EdgeBatch], None]] = None,
+) -> EdgeBatch:
+    """The stream ``chunks`` make, in RAM or in a stream directory.
+
+    Without ``directory`` the chunks are concatenated.  With one, a
+    directory whose recorded recipe equals ``source`` is opened as it
+    is and ``chunks`` is never drawn; any other (absent, unreadable,
+    unfinished, another recipe) is rewritten from ``chunks``, one chunk
+    in RAM at a time.  ``finish`` post-processes a fresh stream's
+    columns in place -- RAM arrays, or writable memmaps that are then
+    flushed -- and the recipe is attached only after it returns, so an
+    interrupted post-pass is a miss on the next call.
+    """
+    if directory is None:
+        parts = [EdgeBatch.empty(), *chunks]
+        edges = EdgeBatch(
+            *(np.concatenate([getattr(p, name) for p in parts])
+              for name, _ in COLUMNS)
+        )
+        if finish is not None:
+            finish(edges)
+        return edges
+    directory = Path(directory)
+    try:
+        if mmap_source(directory) == source:
+            return open_edge_mmap(directory)
+    except DatasetError:
+        pass  # absent or unreadable stream: rewrite it below
+    write_edge_mmap(directory, chunks, source=None if finish else source)
+    if finish is not None:
+        edges = open_edge_mmap(directory, mode="r+")
+        finish(edges)
+        for name, _ in COLUMNS:
+            column = getattr(edges, name)
+            if isinstance(column, np.memmap):
+                column.flush()
+        set_source(directory, source)
+    return open_edge_mmap(directory)
 
 
 def _own_directory(edges: EdgeBatch) -> Optional[Path]:

@@ -16,8 +16,7 @@ bit).
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +25,11 @@ from repro.graph.edge import EdgeBatch
 
 #: The paper's R-MAT parameters.
 PAPER_RMAT_PARAMS = (0.55, 0.15, 0.15, 0.25)
+
+#: Edges per chunk of an ad-hoc stream (``make_rmat_dataset``, the
+#: default of ``repro scale --chunk-edges``): the most one generation
+#: step holds in RAM, and part of the stream's identity.
+DEFAULT_RMAT_CHUNK = 1_000_000
 
 
 def rmat_edges(
@@ -83,7 +87,7 @@ def rmat_edge_chunks(
     seed: int = 0,
     max_weight: int = 8,
     allow_self_loops: bool = False,
-    chunk_edges: int = 1_000_000,
+    chunk_edges: int = DEFAULT_RMAT_CHUNK,
 ) -> Iterator[EdgeBatch]:
     """Generate an R-MAT stream one bounded chunk at a time.
 
@@ -131,7 +135,7 @@ def rmat_recipe(
     seed: int = 0,
     max_weight: int = 8,
     allow_self_loops: bool = False,
-    chunk_edges: Optional[int] = None,
+    chunk_edges: int = DEFAULT_RMAT_CHUNK,
 ) -> dict:
     """The content-identity recipe of an R-MAT stream (for mmap meta)."""
     return {
@@ -144,71 +148,3 @@ def rmat_recipe(
         "allow_self_loops": allow_self_loops,
         "chunk_edges": chunk_edges,
     }
-
-
-def rmat_edges_mmap(
-    directory: Union[str, Path],
-    scale: int,
-    num_edges: int,
-    a: float = 0.55,
-    b: float = 0.15,
-    c: float = 0.15,
-    d: float = 0.25,
-    seed: int = 0,
-    max_weight: int = 8,
-    allow_self_loops: bool = False,
-    chunk_edges: Optional[int] = None,
-) -> EdgeBatch:
-    """Generate an R-MAT stream into ``directory`` and mmap it back.
-
-    With ``chunk_edges=None`` the stream is exactly the legacy
-    ``rmat_edges`` output (single rng draw); with a chunk size the
-    stream is the :func:`rmat_edge_chunks` sequence and never exceeds
-    one chunk of RAM while being written.  The generator recipe is
-    recorded in the stream's ``meta.json``, so an existing directory
-    with a matching recipe is reused without regeneration.
-    """
-    from repro.datasets import mmapio
-
-    directory = Path(directory)
-    recipe = rmat_recipe(
-        scale, num_edges, a, b, c, d, seed, max_weight, allow_self_loops,
-        chunk_edges,
-    )
-    if (directory / mmapio.META_FILE).exists():
-        try:
-            if mmapio.mmap_source(directory) == recipe:
-                return mmapio.open_edge_mmap(directory)
-        except DatasetError:
-            pass  # unreadable/stale stream: regenerate below
-    if chunk_edges is None:
-        chunks = iter(
-            [
-                rmat_edges(
-                    scale=scale,
-                    num_edges=num_edges,
-                    a=a,
-                    b=b,
-                    c=c,
-                    d=d,
-                    seed=seed,
-                    max_weight=max_weight,
-                    allow_self_loops=allow_self_loops,
-                )
-            ]
-        )
-    else:
-        chunks = rmat_edge_chunks(
-            scale=scale,
-            num_edges=num_edges,
-            a=a,
-            b=b,
-            c=c,
-            d=d,
-            seed=seed,
-            max_weight=max_weight,
-            allow_self_loops=allow_self_loops,
-            chunk_edges=chunk_edges,
-        )
-    mmapio.write_edge_mmap(directory, chunks, source=recipe)
-    return mmapio.open_edge_mmap(directory)

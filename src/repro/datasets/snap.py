@@ -6,26 +6,31 @@ pairs, ``#``-prefixed comment lines.  Users who have the real files can
 stream them through the benchmark instead of the synthetic stand-ins.
 
 The parser works in bounded chunks that land directly in preallocated
-numpy buffers -- no intermediate Python lists -- and can spill the
-parsed stream to a memory-mapped directory (``mmap_dir``) so a
-paper-scale file never materializes in RAM.  Relabeling in the mmap
-path is two-pass: chunk-wise vertex-id collection, then a chunk-wise
-in-place rewrite of the mapped columns.
+numpy buffers -- no intermediate Python lists -- and hands them to
+:func:`repro.datasets.mmapio.materialize`, which holds the stream in
+RAM or in a memory-mapped directory (``mmap_dir``, so a paper-scale
+file never materializes in RAM).  One post-pass then runs over the
+returned columns in either transport: a chunk-wise relabel against
+the vertex-id table gathered during the parse, and the weights from
+one ``default_rng(weight_seed)`` stream drawn chunk by chunk.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.datasets.mmapio import materialize
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
 
-#: Chunk size (edges) used when spilling to mmap without an explicit
-#: ``chunk_edges``; also the growth unit of the in-RAM parse buffers.
+#: Edges per parse chunk, and per piece of the relabel and weight
+#: post-pass: the most a parse into a stream directory holds in RAM.
+#: Not part of a stream's identity -- any chunking gives the same bytes.
 DEFAULT_SNAP_CHUNK = 1 << 20
 
 
@@ -36,7 +41,8 @@ def _iter_snap_chunks(
 
     Each yielded pair is freshly allocated (safe to keep); the parse
     itself fills one reused preallocated buffer per column, so peak
-    memory is one chunk no matter the file size.
+    memory is one chunk no matter the file size.  A file without an
+    edge raises once the parse is done.
     """
     opener = gzip.open if path.suffix == ".gz" else open
     src_buf = np.empty(chunk_edges, dtype=np.int64)
@@ -67,6 +73,17 @@ def _iter_snap_chunks(
                 break
     if fill:
         yield src_buf[:fill].copy(), dst_buf[:fill].copy()
+    if not total:
+        raise DatasetError(f"no edges found in {path}")
+
+
+def _sha256(path: Path) -> str:
+    """Hex sha256 of the file's bytes, in one streaming read."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def snap_recipe(
@@ -75,27 +92,22 @@ def snap_recipe(
     weight_seed: int,
     relabel: bool,
     limit: Optional[int],
-    chunk_edges: Optional[int],
 ) -> dict:
-    """Content-identity recipe of a parsed SNAP stream (for mmap meta)."""
-    stat = path.stat()
+    """Content-identity recipe of a parsed SNAP stream (for mmap meta).
+
+    The file is named by its bytes (``sha256``), not only its path and
+    size: an edit that keeps the size is another stream.
+    """
     return {
         "kind": "snap",
         "path": str(path),
-        "bytes": stat.st_size,
+        "bytes": path.stat().st_size,
+        "sha256": _sha256(path),
         "max_weight": max_weight,
         "weight_seed": weight_seed,
         "relabel": relabel,
         "limit": limit,
-        "chunk_edges": chunk_edges,
     }
-
-
-def _chunk_weights(
-    weight_seed: int, chunk_index: int, count: int, max_weight: int
-) -> np.ndarray:
-    rng = np.random.default_rng([weight_seed, chunk_index])
-    return rng.integers(1, max_weight + 1, size=count).astype(np.float64)
 
 
 def load_snap_edges(
@@ -104,7 +116,6 @@ def load_snap_edges(
     weight_seed: int = 0,
     relabel: bool = True,
     limit: Optional[int] = None,
-    chunk_edges: Optional[int] = None,
     mmap_dir: Optional[Union[str, Path]] = None,
 ) -> EdgeBatch:
     """Parse a SNAP edge list (optionally gzipped) into an EdgeBatch.
@@ -117,112 +128,36 @@ def load_snap_edges(
 
     With ``mmap_dir`` the parsed stream is written to a memory-mapped
     directory and the returned batch is a zero-copy view of it; a
-    directory already holding a stream with the same recipe (file,
-    size, and parse options) is reused without re-parsing.  With
-    ``chunk_edges`` the parse holds at most one chunk of edges in RAM;
-    note chunking changes which rng draw each edge's weight comes from
-    (per-chunk streams ``[weight_seed, chunk]`` instead of one stream),
-    so ``chunk_edges`` is part of the stream's identity.
+    directory already holding a stream with the same recipe (file
+    bytes and parse options) is reused without re-parsing.  Either
+    way the stream has the same bytes.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"SNAP file not found: {path}")
-    if chunk_edges is not None and chunk_edges < 1:
-        raise DatasetError(f"chunk_edges must be >= 1, got {chunk_edges}")
-    if mmap_dir is not None:
-        return _load_snap_mmap(
-            path, max_weight, weight_seed, relabel, limit, chunk_edges,
-            Path(mmap_dir),
-        )
-
-    parse_chunk = chunk_edges if chunk_edges is not None else DEFAULT_SNAP_CHUNK
-    src_parts, dst_parts = [], []
-    for s, d in _iter_snap_chunks(path, parse_chunk, limit):
-        src_parts.append(s)
-        dst_parts.append(d)
-    if not src_parts:
-        raise DatasetError(f"no edges found in {path}")
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    del src_parts, dst_parts
-    if relabel:
-        ids, inverse = np.unique(np.concatenate([src, dst]), return_inverse=True)
-        src = inverse[: len(src)].astype(np.int64)
-        dst = inverse[len(src):].astype(np.int64)
-    if chunk_edges is None:
-        rng = np.random.default_rng(weight_seed)
-        weight = rng.integers(1, max_weight + 1, size=len(src)).astype(np.float64)
-    else:
-        parts = []
-        for index, start in enumerate(range(0, len(src), chunk_edges)):
-            count = min(chunk_edges, len(src) - start)
-            parts.append(_chunk_weights(weight_seed, index, count, max_weight))
-        weight = np.concatenate(parts)
-    return EdgeBatch(src=src, dst=dst, weight=weight)
-
-
-def _load_snap_mmap(
-    path: Path,
-    max_weight: int,
-    weight_seed: int,
-    relabel: bool,
-    limit: Optional[int],
-    chunk_edges: Optional[int],
-    mmap_dir: Path,
-) -> EdgeBatch:
-    """Parse ``path`` into (or reuse from) a mmap stream directory."""
-    from repro.datasets import mmapio
-
-    recipe = snap_recipe(path, max_weight, weight_seed, relabel, limit,
-                         chunk_edges)
-    if (mmap_dir / mmapio.META_FILE).exists():
-        try:
-            if mmapio.mmap_source(mmap_dir) == recipe:
-                return mmapio.open_edge_mmap(mmap_dir)
-        except DatasetError:
-            pass  # unreadable/stale stream: re-parse below
-
-    parse_chunk = chunk_edges if chunk_edges is not None else DEFAULT_SNAP_CHUNK
+    chunk = DEFAULT_SNAP_CHUNK
     ids = np.empty(0, dtype=np.int64)
-    with mmapio.EdgeStreamWriter(mmap_dir) as writer:
-        for index, (src, dst) in enumerate(
-            _iter_snap_chunks(path, parse_chunk, limit)
-        ):
-            if chunk_edges is None:
-                # Weights come after the parse in one legacy-identical
-                # draw; append a placeholder column for now.
-                weight = np.zeros(len(src), dtype=np.float64)
-            else:
-                weight = _chunk_weights(weight_seed, index, len(src), max_weight)
-            writer.append(src, dst, weight)
+
+    def parse():
+        nonlocal ids
+        for src, dst in _iter_snap_chunks(path, chunk, limit):
             if relabel:
                 ids = np.union1d(ids, np.union1d(src, dst))
-        if writer.edges == 0:
-            writer.abort()
-            raise DatasetError(f"no edges found in {path}")
-        total = writer.edges
-        # Meta goes out without the recipe; it is attached only after
-        # the post-pass below completes, making reuse crash-safe.
-        writer.close(source=None)
+            yield EdgeBatch(src=src, dst=dst, weight=np.zeros(len(src)))
 
-    batch = mmapio.open_edge_mmap(mmap_dir, mode="r+")
-    if relabel:
-        # np.unique's inverse is the searchsorted rank in the sorted id
-        # table, so a chunk-wise rewrite reproduces the in-RAM relabel
-        # bit for bit.
-        for start in range(0, total, parse_chunk):
-            stop = min(start + parse_chunk, total)
-            batch.src[start:stop] = np.searchsorted(ids, batch.src[start:stop])
-            batch.dst[start:stop] = np.searchsorted(ids, batch.dst[start:stop])
-    if chunk_edges is None:
+    def finish(edges: EdgeBatch) -> None:
+        # An id's rank in the sorted id table is its compacted label,
+        # and one rng's draws do not depend on how they are split, so
+        # every piece size gives the same bytes.
         rng = np.random.default_rng(weight_seed)
-        for start in range(0, total, parse_chunk):
-            stop = min(start + parse_chunk, total)
-            batch.weight[start:stop] = rng.integers(
+        for start in range(0, len(edges), chunk):
+            stop = min(start + chunk, len(edges))
+            if relabel:
+                edges.src[start:stop] = np.searchsorted(ids, edges.src[start:stop])
+                edges.dst[start:stop] = np.searchsorted(ids, edges.dst[start:stop])
+            edges.weight[start:stop] = rng.integers(
                 1, max_weight + 1, size=stop - start
-            ).astype(np.float64)
-    for column in (batch.src, batch.dst, batch.weight):
-        if isinstance(column, np.memmap):
-            column.flush()
-    mmapio.set_source(mmap_dir, recipe)
-    return mmapio.open_edge_mmap(mmap_dir)
+            )
+
+    recipe = snap_recipe(path, max_weight, weight_seed, relabel, limit)
+    return materialize(parse(), recipe, mmap_dir, finish)

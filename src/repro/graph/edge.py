@@ -60,25 +60,6 @@ class EdgeBatch:
         )
 
     @classmethod
-    def from_mmap(cls, directory, mode: str = "r") -> "EdgeBatch":
-        """Open a memory-mapped edge-stream directory zero-copy.
-
-        The arrays are ``np.memmap`` views over the on-disk columns
-        written by :mod:`repro.datasets.mmapio`; nothing is read until
-        a batch slice touches its pages.
-        """
-        # Local import: mmapio imports EdgeBatch at module level.
-        from repro.datasets.mmapio import open_edge_mmap
-
-        return open_edge_mmap(directory, mode=mode)
-
-    def to_mmap(self, directory, source=None):
-        """Persist this batch as a memory-mapped edge-stream directory."""
-        from repro.datasets.mmapio import write_edge_mmap
-
-        return write_edge_mmap(directory, self, source=source)
-
-    @classmethod
     def empty(cls) -> "EdgeBatch":
         return cls(
             src=np.empty(0, dtype=np.int64),

@@ -43,10 +43,8 @@ from repro.sim.cbuild import NATIVE
 
 __all__ = ["get_kernel", "get_cache_replay"]
 
-#: The kernel keeps its heap in fixed stack arrays of this size.
-MAX_KERNEL_THREADS = 64
-
 _SOURCE = r"""
+#include <stddef.h>
 #include <stdint.h>
 
 /* Discrete-event scheduler loop over columnar task streams.
@@ -58,9 +56,13 @@ _SOURCE = r"""
  * (negative = lock-free task); `lock_free` must be zero-initialised,
  * matching the Python loop's dict.get(lock, 0.0) default.
  *
+ * The free-thread heap lives in the caller's `end_heap`/`tid_heap`
+ * (`threads` entries each), so any thread count runs here.
+ *
  * Outputs: per-task thread assignment, per-thread busy cycles, the
  * contended task indices and their wait times (prefix of length equal
- * to the returned count), and the makespan.
+ * to the returned count), the makespan, and -- when `starts`/`ends`
+ * are not NULL -- every task's start and end (the timeline).
  */
 int64_t saga_event_loop(
     int64_t n,
@@ -76,13 +78,13 @@ int64_t saga_event_loop(
     int32_t *assignment,
     int64_t *contended_idx,
     double *waits,
+    double *end_heap,
+    int64_t *tid_heap,
+    double *starts,
+    double *ends,
     double *makespan_out)
 {
-    double end_heap[64];
-    int64_t tid_heap[64];
     int64_t t, i, contended = 0;
-    if (threads > 64)
-        return -1;
     for (t = 0; t < threads; t++) {
         end_heap[t] = 0.0;
         tid_heap[t] = t;
@@ -108,6 +110,10 @@ int64_t saga_event_loop(
             end = unlocked_end + locked_scaled[i];
         }
         assignment[i] = (int32_t)tid;
+        if (starts != NULL) {
+            starts[i] = t_free;
+            ends[i] = end;
+        }
         busy[tid] += end - t_free;
         /* heapreplace((end, tid)): sift the new root down. */
         {
@@ -250,6 +256,10 @@ def _bind(lib: ctypes.CDLL):
         ctypes.c_void_p,  # assignment
         ctypes.c_void_p,  # contended_idx
         ctypes.c_void_p,  # waits
+        ctypes.c_void_p,  # end_heap
+        ctypes.c_void_p,  # tid_heap
+        ctypes.c_void_p,  # starts (NULL: no timeline)
+        ctypes.c_void_p,  # ends (NULL: no timeline)
         ctypes.c_void_p,  # makespan_out
     ]
     replay = lib.saga_cache_replay

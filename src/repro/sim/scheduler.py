@@ -191,14 +191,9 @@ class DynamicScheduler:
         if n == 0:
             return _empty_result(self.threads)
         scale = work_scale(self.threads, self.physical_cores, self.cost)
-        # Timeline capture (``--trace-out``) needs per-task start/end
-        # times, which only the Python event loop records; the compiled
-        # kernel is bypassed.  The resulting ScheduleResult fields are
-        # bit-identical either way.
-        if not TRACER.sim_timeline and self.threads <= ckernel.MAX_KERNEL_THREADS:
-            kernel = ckernel.get_kernel()
-            if kernel is not None:
-                return self._run_event_loop_compiled(kernel, tasks, scale)
+        kernel = ckernel.get_kernel()
+        if kernel is not None:
+            return self._run_event_loop_compiled(kernel, tasks, scale)
         return self._run_event_loop(tasks, scale)
 
     def _event_loop_columns(self, tasks: TaskArray, scale: float):
@@ -256,12 +251,11 @@ class DynamicScheduler:
     def _run_event_loop(self, tasks: TaskArray, scale: float) -> ScheduleResult:
         """The discrete-event greedy list scheduler, in Python.
 
-        The reference the compiled loop is tested against, the fallback
-        without a compiler (or above ``ckernel.MAX_KERNEL_THREADS``),
-        and -- because it sees every task's start and end -- the
-        timeline recorder: under ``TRACER.sim_timeline`` the
-        ``(starts, ends)`` cycle arrays land in ``result.extra["timeline"]``
-        and the driver converts them to simulated microseconds.
+        The reference the compiled loop is tested against and the
+        fallback without a compiler.  Both loops record the timeline:
+        under ``TRACER.sim_timeline`` the ``(starts, ends)`` cycle
+        arrays land in ``result.extra["timeline"]`` and the driver
+        converts them to simulated microseconds.
         """
         threads = self.threads
         (
@@ -331,7 +325,9 @@ class DynamicScheduler:
         ids are densified so the kernel's lock table is a flat
         zero-initialised array (matching the Python dict's
         ``get(lock, 0.0)`` default); negative ids (lock-free tasks)
-        pass through unchanged.
+        pass through unchanged.  The free-thread heap is two arrays
+        allocated here, and the per-task ``(starts, ends)`` are written
+        only under ``TRACER.sim_timeline`` (NULL pointers otherwise).
         """
         n = len(tasks)
         threads = self.threads
@@ -347,6 +343,11 @@ class DynamicScheduler:
         assignment = np.empty(n, dtype=np.int32)
         contended_idx = np.empty(n, dtype=np.int64)
         waits = np.empty(n)
+        end_heap = np.empty(threads)
+        tid_heap = np.empty(threads, dtype=np.int64)
+        starts = ends = None
+        if TRACER.sim_timeline:
+            starts, ends = np.empty(n), np.empty(n)
         makespan_out = np.zeros(1)
         contended = int(
             kernel(
@@ -363,13 +364,13 @@ class DynamicScheduler:
                 assignment.ctypes.data,
                 contended_idx.ctypes.data,
                 waits.ctypes.data,
+                end_heap.ctypes.data,
+                tid_heap.ctypes.data,
+                None if starts is None else starts.ctypes.data,
+                None if ends is None else ends.ctypes.data,
                 makespan_out.ctypes.data,
             )
         )
-        if contended < 0:
-            raise SimulationError(
-                f"event-loop kernel rejected thread count {threads}"
-            )
         return self._event_loop_result(
             tasks,
             acquire_base,
@@ -379,6 +380,7 @@ class DynamicScheduler:
             makespan_cycles=float(makespan_out[0]),
             thread_busy_cycles=busy,
             task_thread=assignment,
+            extra={} if starts is None else {"timeline": (starts, ends)},
         )
 
 

@@ -39,6 +39,7 @@ from repro.compute.kernels import (
     packed_out_weights,
 )
 from repro.datasets import load_dataset
+from repro.datasets.mmapio import open_edge_mmap, write_edge_mmap
 from repro.errors import StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.streaming import StreamConfig, StreamDriver
@@ -586,8 +587,8 @@ class TestKernelsMatchNumpyBodies:
             for step, (delete, edges) in enumerate(steps):
                 batch = EdgeBatch.from_edges(edges)
                 if mapped and len(batch):
-                    batch.to_mmap(f"{scratch}/{step}")
-                    batch = EdgeBatch.from_mmap(f"{scratch}/{step}")
+                    write_edge_mmap(f"{scratch}/{step}", batch)
+                    batch = open_edge_mmap(f"{scratch}/{step}")
                 got = fast._lookup(batch.src, batch.dst)
                 with _numpy_bodies():
                     expected = slow._lookup(batch.src, batch.dst)

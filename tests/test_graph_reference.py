@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compute.kernels import flat_slots
+from repro.datasets.mmapio import open_edge_mmap, write_edge_mmap
 from repro.errors import StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
 from tests.conftest import churn_threshold, on_both_sides
@@ -110,8 +111,8 @@ def test_collect_columns_match_per_edge_loops(stream, directed, mapped, churn):
         for step, (delete, edges, read) in enumerate(steps):
             batch = EdgeBatch.from_edges(edges)
             if mapped and len(batch):
-                batch.to_mmap(f"{scratch}/{step}")
-                batch = EdgeBatch.from_mmap(f"{scratch}/{step}")
+                write_edge_mmap(f"{scratch}/{step}", batch)
+                batch = open_edge_mmap(f"{scratch}/{step}")
                 assert isinstance(batch.src, np.memmap)
             if delete:
                 got, expected = live.delete_collect(batch), oracle.delete_collect(batch)

@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.datasets import load_snap_edges, rmat_edges, rmat_edges_mmap
+from repro.datasets import load_snap_edges, make_rmat_dataset
 from repro.datasets.mmapio import (
     META_FILE,
     EdgeStreamWriter,
@@ -28,14 +28,14 @@ from tests.conftest import random_batch
 class TestRoundTrip:
     def test_mmap_batch_equals_in_ram(self, tmp_path):
         batch = random_batch(100, 500, seed=1)
-        batch.to_mmap(tmp_path / "s")
-        mapped = EdgeBatch.from_mmap(tmp_path / "s")
+        write_edge_mmap(tmp_path / "s", batch)
+        mapped = open_edge_mmap(tmp_path / "s")
         assert np.array_equal(mapped.src, batch.src)
         assert np.array_equal(mapped.dst, batch.dst)
         assert np.array_equal(mapped.weight, batch.weight)
 
     def test_mapped_arrays_are_memmaps(self, tmp_path):
-        random_batch(50, 200, seed=2).to_mmap(tmp_path / "s")
+        write_edge_mmap(tmp_path / "s", random_batch(50, 200, seed=2))
         mapped = open_edge_mmap(tmp_path / "s")
         assert isinstance(mapped.src, np.memmap)
         assert isinstance(mapped.weight, np.memmap)
@@ -58,16 +58,16 @@ class TestRoundTrip:
 
     def test_batches_over_mmap_equal_batches_over_ram(self, tmp_path):
         batch = random_batch(100, 400, seed=4)
-        batch.to_mmap(tmp_path / "s")
-        mapped = EdgeBatch.from_mmap(tmp_path / "s")
+        write_edge_mmap(tmp_path / "s", batch)
+        mapped = open_edge_mmap(tmp_path / "s")
         assert make_batches(mapped, 64, shuffle_seed=7) == make_batches(
             batch, 64, shuffle_seed=7
         )
 
     def test_shuffle_deterministic_per_seed_over_mmap(self, tmp_path):
         batch = random_batch(100, 400, seed=8)
-        batch.to_mmap(tmp_path / "s")
-        mapped = EdgeBatch.from_mmap(tmp_path / "s")
+        write_edge_mmap(tmp_path / "s", batch)
+        mapped = open_edge_mmap(tmp_path / "s")
         first = make_batches(mapped, 64, shuffle_seed=3)
         second = make_batches(mapped, 64, shuffle_seed=3)
         assert first == second
@@ -86,7 +86,7 @@ class TestRoundTrip:
 
     def test_bytes_mapped_metric(self, tmp_path):
         batch = random_batch(10, 100, seed=7)
-        batch.to_mmap(tmp_path / "s")
+        write_edge_mmap(tmp_path / "s", batch)
         METRICS.reset()
         METRICS.enable()
         try:
@@ -103,7 +103,7 @@ class TestWriterLifecycle:
         writer = EdgeStreamWriter(tmp_path / "s")
         writer.close()
         with pytest.raises(DatasetError):
-            writer.append_batch(random_batch(10, 5, seed=0))
+            writer.append(np.zeros(2), np.zeros(2), np.zeros(2))
 
     def test_mismatched_columns_rejected(self, tmp_path):
         writer = EdgeStreamWriter(tmp_path / "s")
@@ -113,7 +113,7 @@ class TestWriterLifecycle:
 
     def test_abort_leaves_unfinished_directory(self, tmp_path):
         writer = EdgeStreamWriter(tmp_path / "s")
-        writer.append_batch(random_batch(10, 5, seed=0))
+        writer.append(np.zeros(2), np.zeros(2), np.zeros(2))
         writer.abort()
         with pytest.raises(DatasetError, match="unfinished|not an edge stream"):
             open_edge_mmap(tmp_path / "s")
@@ -121,7 +121,7 @@ class TestWriterLifecycle:
     def test_context_manager_aborts_on_error(self, tmp_path):
         with pytest.raises(RuntimeError):
             with EdgeStreamWriter(tmp_path / "s") as writer:
-                writer.append_batch(random_batch(10, 5, seed=0))
+                writer.append(np.zeros(2), np.zeros(2), np.zeros(2))
                 raise RuntimeError("interrupted")
         assert not (tmp_path / "s" / META_FILE).exists()
 
@@ -238,28 +238,22 @@ class TestStreamDirectory:
 
 
 class TestRmatMmap:
-    def test_unchunked_equals_legacy(self, tmp_path):
-        legacy = rmat_edges(scale=10, num_edges=2000, seed=5)
-        mapped = rmat_edges_mmap(tmp_path / "s", scale=10, num_edges=2000, seed=5)
-        assert np.array_equal(mapped.src, legacy.src)
-        assert np.array_equal(mapped.dst, legacy.dst)
-        assert np.array_equal(mapped.weight, legacy.weight)
-
     def test_chunked_equals_chunk_sequence(self, tmp_path):
         chunks = list(rmat_edge_chunks(10, 2500, seed=3, chunk_edges=1000))
         assert [len(c) for c in chunks] == [1000, 1000, 500]
-        mapped = rmat_edges_mmap(
-            tmp_path / "s", scale=10, num_edges=2500, seed=3, chunk_edges=1000
-        )
-        assert np.array_equal(
-            mapped.src, np.concatenate([c.src for c in chunks])
-        )
-        assert np.array_equal(
-            mapped.weight, np.concatenate([c.weight for c in chunks])
-        )
+        for mmap_dir in (None, tmp_path / "s"):
+            edges = make_rmat_dataset(
+                10, 2500, seed=3, mmap_dir=mmap_dir, chunk_edges=1000
+            ).edges
+            assert np.array_equal(
+                edges.src, np.concatenate([c.src for c in chunks])
+            )
+            assert np.array_equal(
+                edges.weight, np.concatenate([c.weight for c in chunks])
+            )
 
     def test_matching_recipe_reused(self, tmp_path, monkeypatch):
-        rmat_edges_mmap(tmp_path / "s", scale=10, num_edges=1000, seed=1)
+        make_rmat_dataset(10, 1000, seed=1, mmap_dir=tmp_path / "s")
         # A second call with the same recipe must not regenerate.
         import repro.datasets.rmat as rmat_module
 
@@ -267,14 +261,14 @@ class TestRmatMmap:
             raise AssertionError("stream regenerated despite matching recipe")
 
         monkeypatch.setattr(rmat_module, "rmat_edges", fail)
-        mapped = rmat_edges_mmap(tmp_path / "s", scale=10, num_edges=1000, seed=1)
-        assert len(mapped) == 1000
+        mapped = make_rmat_dataset(10, 1000, seed=1, mmap_dir=tmp_path / "s")
+        assert len(mapped.edges) == 1000
 
     def test_recipe_mismatch_regenerates(self, tmp_path):
-        rmat_edges_mmap(tmp_path / "s", scale=10, num_edges=1000, seed=1)
-        mapped = rmat_edges_mmap(tmp_path / "s", scale=10, num_edges=1000, seed=2)
-        expected = rmat_edges(scale=10, num_edges=1000, seed=2)
-        assert np.array_equal(mapped.src, expected.src)
+        make_rmat_dataset(10, 1000, seed=1, mmap_dir=tmp_path / "s")
+        mapped = make_rmat_dataset(10, 1000, seed=2, mmap_dir=tmp_path / "s")
+        expected = make_rmat_dataset(10, 1000, seed=2)
+        assert _same(mapped.edges, expected.edges)
 
 
 class TestSnapMmap:
@@ -296,21 +290,38 @@ class TestSnapMmap:
         assert np.array_equal(mapped.dst, legacy.dst)
         assert np.array_equal(mapped.weight, legacy.weight)
 
-    def test_chunked_parse_equals_unchunked_pairs(self, tmp_path):
+    def test_chunked_parse_equals_unchunked_pairs(self, tmp_path, monkeypatch):
         path = self.write_snap(tmp_path, self.edges_lines(300))
         whole = load_snap_edges(path, weight_seed=4)
-        chunked = load_snap_edges(path, weight_seed=4, chunk_edges=64)
-        # Chunking never changes the parsed edges, only which rng draw
-        # each weight comes from (chunk_edges is part of the identity).
-        assert np.array_equal(whole.src, chunked.src)
-        assert np.array_equal(whole.dst, chunked.dst)
+        monkeypatch.setattr("repro.datasets.snap.DEFAULT_SNAP_CHUNK", 64)
+        chunked = load_snap_edges(path, weight_seed=4)
+        # The parse chunk is not part of the identity: edges and the
+        # weights drawn in pieces of it are the one-chunk stream's.
+        assert _same(whole, chunked)
 
-    def test_chunked_mmap_matches_chunked_ram(self, tmp_path):
+    def test_chunked_mmap_matches_chunked_ram(self, tmp_path, monkeypatch):
         path = self.write_snap(tmp_path, self.edges_lines(300))
-        ram = load_snap_edges(path, chunk_edges=64)
-        mapped = load_snap_edges(path, chunk_edges=64, mmap_dir=tmp_path / "s")
-        assert np.array_equal(mapped.src, ram.src)
-        assert np.array_equal(mapped.weight, ram.weight)
+        monkeypatch.setattr("repro.datasets.snap.DEFAULT_SNAP_CHUNK", 64)
+        ram = load_snap_edges(path)
+        mapped = load_snap_edges(path, mmap_dir=tmp_path / "s")
+        assert _same(mapped, ram)
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    @pytest.mark.parametrize("limit", [None, 150])
+    @pytest.mark.parametrize("relabel", [True, False])
+    def test_directory_equals_ram(self, tmp_path, monkeypatch, relabel, limit,
+                                  chunk):
+        """The transport never changes a SNAP stream's bytes: relabel on
+        and off, truncated or not, one parse chunk or several."""
+        path = self.write_snap(tmp_path, self.edges_lines(300))
+        if chunk is not None:
+            monkeypatch.setattr("repro.datasets.snap.DEFAULT_SNAP_CHUNK", chunk)
+        options = dict(weight_seed=5, relabel=relabel, limit=limit)
+        ram = load_snap_edges(path, **options)
+        mapped = load_snap_edges(path, mmap_dir=tmp_path / "s", **options)
+        assert isinstance(mapped.src, np.memmap)
+        assert len(ram) == (limit or 300)
+        assert _same(mapped, ram)
 
     def test_malformed_line_raises(self, tmp_path):
         path = self.write_snap(tmp_path, ["1 2", "not an edge", "3 4"])
@@ -321,7 +332,7 @@ class TestSnapMmap:
         path = self.write_snap(tmp_path, self.edges_lines(100))
         first = load_snap_edges(path, mmap_dir=tmp_path / "s")
         # Garble the text file: a matching recipe would mask the change,
-        # except the recipe includes the file size, so this re-parses
+        # except the recipe names the file's bytes, so this re-parses
         # and surfaces the malformed line.
         path.write_text("broken\n")
         with pytest.raises(DatasetError):
@@ -330,6 +341,16 @@ class TestSnapMmap:
         self.write_snap(tmp_path, self.edges_lines(100))
         again = load_snap_edges(path, mmap_dir=tmp_path / "s")
         assert np.array_equal(first.src, again.src)
+
+    def test_same_size_edit_is_reparsed(self, tmp_path):
+        """An edit that keeps the file's size is another stream: the
+        directory must not serve the old parse."""
+        path = self.write_snap(tmp_path, ["1 2", "2 3", "3 1"])
+        load_snap_edges(path, relabel=False, mmap_dir=tmp_path / "s")
+        self.write_snap(tmp_path, ["1 2", "2 3", "3 2"])
+        mapped = load_snap_edges(path, relabel=False, mmap_dir=tmp_path / "s")
+        assert mapped.dst.tolist() == [2, 3, 2]
+        assert _same(mapped, load_snap_edges(path, relabel=False))
 
     def test_interrupted_post_pass_not_reused(self, tmp_path):
         path = self.write_snap(tmp_path, self.edges_lines(100))

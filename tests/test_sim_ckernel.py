@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.obs.tracer import TRACER
 from repro.sim import cbuild, ckernel
 from repro.sim.scheduler import DynamicScheduler
 from repro.sim.tasks import NO_LOCK, TaskArray
@@ -80,13 +81,37 @@ class CompiledKernelDifferentialTest(unittest.TestCase):
         self.assertEqual(compiled.contended_acquires, 0)
         _assert_identical(self, compiled, python)
 
-    def test_thread_count_above_kernel_limit_uses_python_loop(self):
-        # threads > MAX_KERNEL_THREADS must bypass the kernel, not fail.
+    def test_thread_count_above_64(self):
+        # The heap is the caller's arrays, sized to the thread count:
+        # 65 threads run compiled like any other count.
         tasks = _stream(seed=5, n=200, lock_pool=10, lock_fraction=1.0,
                         fine_fraction=0.0)
-        threads = ckernel.MAX_KERNEL_THREADS + 1
-        compiled, python = _both_paths(tasks, threads)
+        compiled, python = _both_paths(tasks, 65)
         _assert_identical(self, compiled, python)
+
+    def test_timeline_is_recorded_by_the_compiled_loop(self):
+        # Under the timeline the compiled loop still runs, and its
+        # per-task starts and ends equal the Python loop's bit for bit.
+        tasks = _stream(seed=7, n=1500, lock_pool=40, lock_fraction=0.7,
+                        fine_fraction=0.3)
+        saved = TRACER.sim_timeline
+        TRACER.sim_timeline = True
+        try:
+            for threads in (4, 65):
+                with mock.patch.object(
+                    DynamicScheduler, "_run_event_loop",
+                    side_effect=AssertionError("the Python loop ran"),
+                ):
+                    compiled = DynamicScheduler(threads).run(tasks)
+                with mock.patch.object(ckernel, "get_kernel", return_value=None):
+                    python = DynamicScheduler(threads).run(tasks)
+                _assert_identical(self, compiled, python)
+                for mine, theirs in zip(
+                    compiled.extra["timeline"], python.extra["timeline"]
+                ):
+                    self.assertEqual(mine.tobytes(), theirs.tobytes())
+        finally:
+            TRACER.sim_timeline = saved
 
 
 class KernelGatingTest(unittest.TestCase):

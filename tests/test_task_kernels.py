@@ -260,7 +260,8 @@ def assert_same_schedule(fast, reference):
 
 @contextmanager
 def sim_timeline():
-    """Timeline capture on: every dynamic schedule takes the Python loop."""
+    """Timeline capture on: every schedule records each task's start
+    and end."""
     saved = TRACER.sim_timeline
     TRACER.sim_timeline = True
     try:
@@ -274,33 +275,37 @@ def run_both(scheduler: DynamicScheduler, tasks: TaskArray):
     the timeline; returns the default-dispatch result.
 
     With the sim library built, default dispatch must be the compiled
-    loop whenever it can take the thread count, so the comparison is
-    compiled against Python and not Python against itself.
+    loop at every thread count and under the timeline too, so the
+    comparison is compiled against Python and not Python against
+    itself; the two loops' timelines must agree bit for bit.
     """
-    compiled = (
-        ckernel.get_kernel() is not None
-        and scheduler.threads <= ckernel.MAX_KERNEL_THREADS
-    )
+    compiled = ckernel.get_kernel() is not None
     with mock.patch.object(
         scheduler, "_run_event_loop", wraps=scheduler._run_event_loop
     ) as python_loop:
         fast = scheduler.run(tasks)
+        with sim_timeline():
+            recorded = scheduler.run(tasks)
     assert python_loop.called == (len(tasks) > 0 and not compiled)
     assert fast.extra == {}
-    with sim_timeline():
-        recorded = scheduler.run(tasks)
     assert_same_schedule(fast, recorded)
+    # No compiled kernel: every stream runs the Python loop, which
+    # records the same timeline only when asked to.
+    with mock.patch.object(ckernel, "get_kernel", return_value=None):
+        fallback = scheduler.run(tasks)
+        with sim_timeline():
+            reference = scheduler.run(tasks)
+    assert fallback.extra == {}
+    assert_same_schedule(fast, fallback)
+    assert_same_schedule(fast, reference)
     if len(tasks):
         starts, ends = recorded.extra["timeline"]
+        for mine, theirs in zip((starts, ends), reference.extra["timeline"]):
+            assert mine.dtype == theirs.dtype == np.float64
+            assert mine.tobytes() == theirs.tobytes()
         assert len(starts) == len(ends) == len(tasks)
         assert bool((starts <= ends).all())
         assert float(ends.max()) == recorded.makespan_cycles
-    # No compiled kernel: every stream falls back to the same loop, now
-    # without the recording.
-    with mock.patch.object(ckernel, "get_kernel", return_value=None):
-        fallback = scheduler.run(tasks)
-    assert fallback.extra == {}
-    assert_same_schedule(fast, fallback)
     return fast
 
 
@@ -368,10 +373,10 @@ class TestDynamicKernels:
         )
         self.run_both(tasks, threads=16, physical_cores=8)
 
-    @pytest.mark.parametrize("threads", [1, 6, ckernel.MAX_KERNEL_THREADS + 1])
+    @pytest.mark.parametrize("threads", [1, 6, 65])
     def test_thread_counts(self, threads):
-        # 65 threads exceed the compiled loop's heap: the Python loop is
-        # the default dispatch there.
+        # The compiled loop's heap is the caller's arrays, sized to the
+        # thread count, so 65 threads run there too.
         rng = np.random.default_rng(threads)
         n = 150
         tasks = TaskArray.build(
