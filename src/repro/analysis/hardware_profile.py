@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.analysis.stats import stage_slices
 from repro.compute import ckernels
 from repro.compute.kernels import ComputeView, expand_frontier
 from repro.compute.pricing import price_compute_run
+from repro.compute.stats import check_round_table
 from repro.datasets.catalog import (
     DEFAULT_BATCH_SIZE, HEAVY_TAILED, SHORT_TAILED, Dataset, load_dataset,
 )
@@ -50,14 +51,14 @@ from repro.engine.store import RunStore
 from repro.engine.sweep import Cell, resolve
 from repro.errors import SimulationError
 from repro.graph.base import ExecutionContext
-from repro.graph.properties import VertexProperties
+from repro.graph.properties import VALUE_BYTES, VertexProperties
 from repro.sim.cache import CacheHierarchy
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.counters import PhaseCounters, derive_counters
 from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.sim.trace import MemoryTrace, TraceRecorder, ragged_arange
+from repro.sim.trace import MemoryTrace, TraceColumns, TraceRecorder, ragged_arange
 from repro.streaming.driver import StreamConfig, StreamDriver, UpdatePlane
 
 #: Core counts swept in Fig. 9(a).
@@ -65,6 +66,15 @@ DEFAULT_CORE_COUNTS = (4, 8, 12, 16, 20, 24, 28)
 
 #: Cap on replayed accesses per phase per batch (systematic sampling).
 DEFAULT_TRACE_CAP = 60_000
+
+#: Initial room, in accesses, of a plane's compute-trace columns.  They
+#: grow at least geometrically to the cell's longest trace and serve
+#: every trace of the cell; the tests shrink this to 1 so that growth is
+#: taken.  At 2**19 each int64 column is 4 MiB, the size from which
+#: numpy asks the kernel for transparent huge pages: the first touch of
+#: the columns then faults once per 2 MiB rather than once per page, and
+#: room no trace reaches is never touched.
+COMPUTE_TRACE_CAPACITY = 1 << 19
 
 _PHASES = ("update", "compute")
 
@@ -198,7 +208,8 @@ class HardwarePlane(UpdatePlane):
     The structure ingests each batch with a trace recorder; its update
     tasks are re-scheduled at every core count of the ladder.  ``price``
     prices each INC run the loop executes on the ladder and the full
-    machine and emits its accesses (:func:`_compute_trace`).  Both
+    machine and emits its accesses (:func:`_compute_trace`) into columns
+    the plane owns for the cell, reused from trace to trace.  Both
     phases' accesses replay, in that order, through one cache hierarchy
     that persists across the cell, and become one counter row per phase
     per batch -- the compute row averaged over the algorithms.
@@ -227,6 +238,7 @@ class HardwarePlane(UpdatePlane):
         self.visited = self.structure.space.alloc(
             max((max_nodes + 7) // 8, 64), "inc.visited"
         )
+        self.trace_columns = TraceColumns(COMPUTE_TRACE_CAPACITY)
         self.cell = HardwareCell(
             dataset=self.dataset.name,
             structure=name,
@@ -272,6 +284,7 @@ class HardwarePlane(UpdatePlane):
             trace, task_thread = _compute_trace(
                 run, self.structure, compute_view, self.properties,
                 algorithm.name, self.visited, self.ctx.threads,
+                self.trace_columns,
             )
         self._compute_rows.append(
             self._replay(
@@ -419,92 +432,111 @@ def _compute_trace(
     algorithm: str,
     visited_region,
     threads: int,
+    columns: TraceColumns,
 ):
-    """Emit the compute phase's memory accesses as a trace.
+    """Emit the compute phase's memory accesses as a trace, into ``columns``.
 
     Every evaluated vertex reads its in-neighbors' values from the
     structure plus their property entries and writes its own; every
     triggered vertex scans its out-neighbors and touches the
-    visited bitvector.  One task per vertex (an iteration's pulled
-    vertices, then its pushed ones), round-robin threads.
+    visited bitvector.  One task per vertex (a round's pulled
+    vertices, then its pushed ones), round-robin threads.  A task is
+    ``[traversal | neighbor accesses | own write]``.
 
-    Each task is ``[traversal | neighbor accesses | own write]``.
-    The graph does not change during a run, so every section is
-    emitted once for all of the run's pulled (resp. pushed)
-    vertices, with zero accesses on the other kind's tasks, and the
-    sections are interleaved into task order.
+    The graph does not change during a run, so the structure's
+    traversals are emitted once for all of the run's pulled (resp.
+    pushed) vertices.  One native call (``saga_compute_trace``) then
+    walks the round table and lays each task out, its neighbor
+    accesses read straight from the compute view's CSRs;
+    :func:`_interleave` is its numpy reference and the fallback without
+    the native library.  A round outside the vertex log, or a vertex
+    or neighbor outside its region, is refused before anything is
+    written.
+
+    The trace is a view of ``columns``: it is valid until the next
+    emission into them.
     """
+    rounds, log = run.rounds, run.vertex_log
+    check_round_table(rounds, len(log))
+    seg, within = ragged_arange(rounds[:, 1])
+    pull = log[rounds[seg, 0] + within]
+    seg, within = ragged_arange(rounds[:, 2])
+    push = log[rounds[seg, 0] + rounds[seg, 1] + within]
+    prop = properties.region(algorithm)
+    for tasks in (pull, push):
+        outside = (tasks < 0) | (tasks >= properties.max_nodes)
+        if outside.any():
+            prop.refuse(int(tasks[np.argmax(outside)]), VALUE_BYTES)
+    in_reads = structure.trace_in_traversal(pull)
+    out_reads = structure.trace_out_traversal(push)
+    kernels = ckernels.get()
+    if kernels is None:
+        trace = _interleave(
+            rounds, pull, push, in_reads, out_reads, compute_view, prop,
+            visited_region, columns,
+        )
+    else:
+        columns.reserve(
+            len(in_reads[1]) + len(out_reads[1]) + len(pull)
+            + int(compute_view.in_csr.degrees[pull].sum())
+            + int(compute_view.out_csr.degrees[push].sum())
+        )
+        trace = columns.view(
+            kernels.compute_trace(
+                run, compute_view, in_reads, out_reads, prop, VALUE_BYTES,
+                visited_region, columns,
+            )
+        )
+    task_thread = np.arange(max(len(pull) + len(push), 1), dtype=np.int32) % threads
+    return trace, task_thread
+
+
+def _interleave(
+    rounds, pull, push, in_reads, out_reads, compute_view, prop, visited, columns
+) -> MemoryTrace:
+    """``saga_compute_trace``'s numpy reference: five per-task sections
+    of accesses -- both traversals, the property reads (pull), the
+    visited writes (push) and the own write (pull) -- each with zero
+    accesses on the other kind's tasks, laid out task-major into
+    ``columns``: task 0's sections back to back, then task 1's, ..."""
     in_csr, out_csr = compute_view.in_csr, compute_view.out_csr
     # Per round (pulled, pushed): the lengths of the task runs that
     # alternate between the two kinds.
-    rounds = run.rounds
-    sizes = rounds[:, 1:3]
-    pulled = np.repeat(np.tile([True, False], len(sizes)), sizes.ravel())
-    seg, within = ragged_arange(sizes.sum(axis=1))
-    tasks = run.vertex_log[rounds[seg, 0] + within]
-    pull = tasks[pulled]
-    push = tasks[~pulled]
+    pulled = np.repeat(np.tile([True, False], len(rounds)), rounds[:, 1:3].ravel())
 
     def section(mask, counts, addresses, write=False):
         per_task = np.zeros(len(pulled), dtype=np.int64)
         per_task[mask] = counts
-        return _Section(per_task, addresses, write)
+        return per_task, addresses, write
 
-    trace = _interleave(
-        (
-            # structure reads (both directions)
-            section(pulled, *structure.trace_in_traversal(pull)),
-            section(~pulled, *structure.trace_out_traversal(push)),
-            # property reads (pull) / visited writes (push)
-            section(
-                pulled,
-                in_csr.degrees[pull],
-                properties.addresses_of(algorithm, expand_frontier(in_csr, pull)[1]),
-            ),
-            section(
-                ~pulled,
-                out_csr.degrees[push],
-                visited_region.elements(expand_frontier(out_csr, push)[1] // 8, 1),
-                write=True,
-            ),
-            # the pulled vertex's own property write
-            section(pulled, 1, properties.addresses_of(algorithm, pull), write=True),
-        )
+    sections = (
+        section(pulled, *in_reads),
+        section(~pulled, *out_reads),
+        section(
+            pulled,
+            in_csr.degrees[pull],
+            prop.elements(expand_frontier(in_csr, pull)[1], VALUE_BYTES),
+        ),
+        section(
+            ~pulled,
+            out_csr.degrees[push],
+            visited.elements(expand_frontier(out_csr, push)[1] // 8, 1),
+            write=True,
+        ),
+        section(pulled, 1, prop.elements(pull, VALUE_BYTES), write=True),
     )
-    task_thread = np.arange(max(len(pulled), 1), dtype=np.int32) % threads
-    return trace, task_thread
-
-
-class _Section(NamedTuple):
-    """One section of every task's accesses, in task order."""
-
-    counts: np.ndarray  # accesses per task
-    addresses: np.ndarray  # flat, all tasks back to back
-    write: bool
-
-
-def _interleave(sections: Sequence[_Section]) -> MemoryTrace:
-    """Task-major trace of per-task sections: task 0's sections back to
-    back, then task 1's, ...  Every section covers the same tasks.
-
-    One native call (``saga_interleave``); the numpy body below is its
-    reference and the fallback without the native library.
-    """
-    kernels = ckernels.get()
-    if kernels is not None:
-        return MemoryTrace(*kernels.interleave(sections))
-    totals = np.sum([section.counts for section in sections], axis=0)
+    totals = np.sum([counts for counts, _, _ in sections], axis=0)
     lead = np.cumsum(totals) - totals  # where each task's next section starts
-    addresses = np.empty(int(totals.sum()), dtype=np.int64)
-    is_write = np.empty(len(addresses), dtype=bool)
-    for section in sections:
-        seg, within = ragged_arange(section.counts)
+    columns.reserve(int(totals.sum()))
+    trace = columns.view(int(totals.sum()))
+    for counts, addresses, write in sections:
+        seg, within = ragged_arange(counts)
         slots = lead[seg] + within
-        addresses[slots] = section.addresses
-        is_write[slots] = section.write
-        lead = lead + section.counts
-    task_ids = np.repeat(np.arange(len(totals), dtype=np.int64), totals)
-    return MemoryTrace(task_ids=task_ids, addresses=addresses, is_write=is_write)
+        trace.addresses[slots] = addresses
+        trace.is_write[slots] = write
+        lead = lead + counts
+    trace.task_ids[:] = np.repeat(np.arange(len(totals), dtype=np.int64), totals)
+    return trace
 
 
 def _count_emitted(phase: str, trace: MemoryTrace) -> None:

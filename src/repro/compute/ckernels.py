@@ -37,8 +37,12 @@ bit for bit.  Float accumulation order is the sequential order of the
 per-vertex loops by construction, NaN semantics follow numpy
 (``np.minimum`` propagates NaN; ``inf - inf`` is not a change), bucket
 indices are ``np.floor_divide``'s, and the build forbids FMA
-contraction.  ``saga_interleave`` lays a traced run's accesses out task
-by task for the Fig. 9/10 cell (the numpy body of
+contraction.  ``saga_compute_trace`` is the Fig. 9/10 cell's compute
+trace: it walks a traced run's round table and vertex log and writes
+every task's accesses -- its store traversal, its neighbors' property
+reads or visited-byte writes straight from the compute view's CSRs,
+its own write -- into the trace columns the cell owns, after checking
+everything it will read or write (the numpy body of
 :func:`repro.analysis.hardware_profile._interleave` is its reference).
 
 The live graph's data plane is here too: ``saga_csr_insert_plan`` /
@@ -59,8 +63,8 @@ When it is not loaded (no C compiler, a failed build,
 ``SAGA_BENCH_NO_NATIVE=1``) the numpy expansion and engines of
 :mod:`repro.compute.kernels`, ``algorithms/base.py`` and
 ``algorithms/sssp.py``, the numpy loop of :mod:`repro.compute.pricing`,
-the numpy interleave and the numpy bodies of the data plane run -- the
-reference the kernels are tested against.  Nor is it loaded when ``saga_pairwise_sum`` does not
+the numpy compute-trace sections and the numpy bodies of the data plane
+run -- the reference the kernels are tested against.  Nor is it loaded when ``saga_pairwise_sum`` does not
 reproduce this numpy's ``ndarray.sum()`` on a probe vector (checked at
 load): every priced cycle must stay numpy's, so the whole simulator
 then runs on Python.
@@ -73,6 +77,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.compute.stats import ROUND_COLUMNS, check_round_table
+from repro.errors import SimulationError
 from repro.obs.metrics import METRICS
 from repro.sim.cbuild import NATIVE
 
@@ -104,6 +110,12 @@ _RUN_STALL_ROUNDS = 2
 _RUN_OVERRUN = 3
 _RUN_STALL_PENDING = 4
 _RUN_BAD_BUCKET = 5
+
+#: ``saga_compute_trace`` refusals (``SAGA_TRACE_*`` in the C source).
+_TRACE_BAD_PROPERTY = -1
+_TRACE_BAD_VISITED = -2
+_TRACE_NO_ROW = -3
+_TRACE_BAD_READS = -4
 
 _I64 = ctypes.c_int64
 _I32 = ctypes.c_int32
@@ -1089,38 +1101,184 @@ void saga_price_run(
 }
 
 /* ---- the compute trace ---------------------------------------------
- * repro.analysis.hardware_profile._interleave: a run's per-task
- * sections of accesses into one task-major trace -- task 0's sections
- * in section order, then task 1's, ...  Section s lists counts[s][t]
- * addresses per task t, the tasks' runs back to back, all reads or all
- * writes (write[s]); cursor[] (nsections zeros) follows each section's
- * next run.  The outputs are MemoryTrace's columns. */
-void saga_interleave(
-    int64_t ntasks,
-    int64_t nsections,
-    const int64_t *const *counts,
-    const int64_t *const *addresses,
-    const uint8_t *write,
-    int64_t *cursor,
+ * repro.analysis.hardware_profile._compute_trace: a traced run's
+ * accesses, task by task, into MemoryTrace's columns (task id, address,
+ * write bit).  The run's round table (offset, pulled, pushed, ...) and
+ * vertex log name the tasks: per round its pulled vertices, then its
+ * pushed ones.  A pulled task v is its in-traversal's reads, a read of
+ * prop[u] per in-neighbor u, then the write of prop[v]; a pushed task
+ * is its out-traversal's reads, then a write of the visited byte of
+ * every out-neighbor w.  in_reads / out_reads are the store traversals
+ * of the pulled (pushed) tasks in task order: in_counts[i] addresses
+ * per task, back to back; a property value is prop_width bytes.  The
+ * round table lies inside the log (checked by the caller).
+ *
+ * Everything the emission reads or writes is checked first, so a
+ * refused run leaves the columns untouched: returns the number of
+ * accesses written, or a SAGA_TRACE_* code with the culprit in *bad. */
+
+/* The position of the first of ids[0..n) outside [0, limit), or -1;
+ * the common case, none, in one branch-free pass. */
+static int64_t first_outside(const int64_t *ids, int64_t n, uint64_t limit)
+{
+    int64_t j;
+    int over = 0;
+    for (j = 0; j < n; j++)
+        over |= (uint64_t)ids[j] >= limit;
+    if (!over)
+        return -1;
+    for (j = 0; (uint64_t)ids[j] < limit; j++)
+        ;
+    return j;
+}
+
+#define SAGA_TRACE_BAD_PROPERTY (-1)
+#define SAGA_TRACE_BAD_VISITED (-2)
+#define SAGA_TRACE_NO_ROW (-3)
+#define SAGA_TRACE_BAD_READS (-4)
+#define SAGA_TRACE_OVER_CAPACITY (-5)
+
+int64_t saga_compute_trace(
+    int64_t nrounds,
+    const int64_t *rounds,
+    const int64_t *log,
+    int64_t nrows,
+    const int64_t *in_starts,
+    const int64_t *in_lens,
+    const int64_t *in_cols,
+    const int64_t *out_starts,
+    const int64_t *out_lens,
+    const int64_t *out_cols,
+    int64_t npull,
+    const int64_t *in_counts,
+    int64_t in_total,
+    const int64_t *in_reads,
+    int64_t npush,
+    const int64_t *out_counts,
+    int64_t out_total,
+    const int64_t *out_reads,
+    int64_t prop_base,
+    int64_t prop_width,
+    int64_t nprop,
+    int64_t vis_base,
+    int64_t vis_bytes,
+    int64_t capacity,
     int64_t *task_out,
     int64_t *addr_out,
-    uint8_t *write_out)
+    uint8_t *write_out,
+    int64_t *bad)
 {
-    int64_t t, s, k, w = 0;
-    for (t = 0; t < ntasks; t++) {
-        for (s = 0; s < nsections; s++) {
-            int64_t c = counts[s][t];
-            const int64_t *from = addresses[s] + cursor[s];
-            uint8_t bit = write[s];
-            for (k = 0; k < c; k++) {
-                task_out[w + k] = t;
-                addr_out[w + k] = from[k];
-                write_out[w + k] = bit;
+    int64_t r, i, j, total = 0, pi = 0, si = 0, ic = 0, oc = 0;
+    int64_t n = 0, task = 0;
+    for (r = 0; r < nrounds; r++) {
+        const int64_t *row = rounds + 5 * r;
+        int64_t off = row[0], pulled = row[1], pushed = row[2];
+        if (pulled > npull - pi || pushed > npush - si) {
+            *bad = r;
+            return SAGA_TRACE_BAD_READS;
+        }
+        for (i = 0; i < pulled + pushed; i++) {
+            int64_t v = log[off + i], c, d, at;
+            const int64_t *cols;
+            if (v < 0 || v >= nprop) {
+                *bad = v;
+                return SAGA_TRACE_BAD_PROPERTY;
             }
-            cursor[s] += c;
-            w += c;
+            if (v >= nrows) {
+                *bad = v;
+                return SAGA_TRACE_NO_ROW;
+            }
+            if (i < pulled) {
+                c = in_counts[pi++];
+                if (c < 0 || c > in_total - ic) {
+                    *bad = r;
+                    return SAGA_TRACE_BAD_READS;
+                }
+                ic += c;
+                cols = in_cols + in_starts[v];
+                d = in_lens[v];
+                if ((at = first_outside(cols, d, (uint64_t)nprop)) >= 0) {
+                    *bad = cols[at];
+                    return SAGA_TRACE_BAD_PROPERTY;
+                }
+                d += 1;  /* the task's own write */
+            } else {
+                c = out_counts[si++];
+                if (c < 0 || c > out_total - oc) {
+                    *bad = r;
+                    return SAGA_TRACE_BAD_READS;
+                }
+                oc += c;
+                cols = out_cols + out_starts[v];
+                d = out_lens[v];
+                /* w >> 3 < vis_bytes, for w >= 0 */
+                if ((at = first_outside(cols, d, (uint64_t)vis_bytes << 3)) >= 0) {
+                    *bad = cols[at];
+                    return SAGA_TRACE_BAD_VISITED;
+                }
+            }
+            if (c + d > capacity - total) {
+                *bad = total + c + d;
+                return SAGA_TRACE_OVER_CAPACITY;
+            }
+            total += c + d;
         }
     }
+    pi = si = ic = oc = 0;
+    for (r = 0; r < nrounds; r++) {
+        const int64_t *row = rounds + 5 * r;
+        const int64_t *tasks = log + row[0];
+        int64_t pulled = row[1], pushed = row[2];
+        for (i = 0; i < pulled + pushed; i++, task++) {
+            int64_t v = tasks[i], c, d;
+            const int64_t *reads, *cols;
+            int64_t *restrict t_at, *restrict a_at;
+            uint8_t *restrict w_at;
+            if (i < pulled) {
+                c = in_counts[pi++];
+                reads = in_reads + ic;
+                ic += c;
+                d = in_lens[v];
+                cols = in_cols + in_starts[v];
+            } else {
+                c = out_counts[si++];
+                reads = out_reads + oc;
+                oc += c;
+                d = out_lens[v];
+                cols = out_cols + out_starts[v];
+            }
+            t_at = task_out + n;
+            a_at = addr_out + n;
+            w_at = write_out + n;
+            for (j = 0; j < c; j++) {
+                t_at[j] = task;
+                a_at[j] = reads[j];
+                w_at[j] = 0;
+            }
+            t_at += c;
+            a_at += c;
+            w_at += c;
+            if (i < pulled) {
+                for (j = 0; j < d; j++) {
+                    t_at[j] = task;
+                    a_at[j] = prop_base + prop_width * cols[j];
+                    w_at[j] = 0;
+                }
+                t_at[d] = task;
+                a_at[d] = prop_base + prop_width * v;
+                w_at[d] = 1;
+                n += c + d + 1;
+            } else {
+                for (j = 0; j < d; j++) {
+                    t_at[j] = task;
+                    a_at[j] = vis_base + (cols[j] >> 3);
+                    w_at[j] = 1;
+                }
+                n += c + d;
+            }
+        }
+    }
+    return n;
 }
 
 /* ---- the live graph's data plane -----------------------------------
@@ -1515,7 +1673,12 @@ class ComputeKernels:
             None,
             [_PTR, _PTR, _I64, _I64, _PTR, _I64] + [_F64] * 5 + [_PTR, _PTR],
         )
-        _sig(lib.saga_interleave, None, [_I64, _I64] + [_PTR] * 7)
+        _sig(
+            lib.saga_compute_trace,
+            _I64,
+            [_I64, _PTR, _PTR, _I64] + [_PTR] * 6
+            + [_I64, _PTR, _I64, _PTR] * 2 + [_I64] * 6 + [_PTR] * 4,
+        )
         _sig(lib.saga_csr_insert_plan, _I64, [_I64] + [_PTR] * 9)
         _sig(
             lib.saga_csr_insert_apply,
@@ -1799,49 +1962,59 @@ class ComputeKernels:
         )
         return out[0].tolist(), out[1].tolist()
 
-    def interleave(
-        self, sections
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-task sections of accesses as one task-major trace.
+    def compute_trace(
+        self, run, compute_view, in_reads, out_reads, prop, value_bytes, visited, columns
+    ) -> int:
+        """A traced run's accesses, task-major, into ``columns``.
 
-        Each section is ``(counts, addresses, write)``: ``counts[t]``
-        accesses of task ``t`` (one entry per task, the same tasks in
-        every section), their ``addresses`` task after task, and whether
-        they are writes.  Returns the ``MemoryTrace`` columns
-        ``(task_ids, addresses, is_write)``.
+        ``in_reads`` / ``out_reads`` are the ``(counts, addresses)`` of
+        the store traversals of the run's pulled (pushed) tasks in task
+        order; ``prop`` (values of ``value_bytes``) and ``visited`` are
+        the regions the neighbor accesses address; ``columns`` has room for
+        the whole trace (:class:`repro.sim.trace.TraceColumns`).
+        Returns the number of accesses written.  A run whose vertex,
+        in-neighbor or out-neighbor lies outside its region raises that
+        region's :meth:`~repro.sim.memory.Region.refuse` error; one whose
+        round table leaves its vertex log, or that the traversals, the
+        compute view or the columns do not cover, raises
+        :class:`SimulationError` -- all before anything is written.
         """
-        counts = [np.ascontiguousarray(s[0], dtype=np.int64) for s in sections]
-        addresses = [np.ascontiguousarray(s[1], dtype=np.int64) for s in sections]
-        tasks = counts[0].size
-        for count, flat in zip(counts, addresses):
-            if count.shape != (tasks,) or count.min(initial=0) < 0 or count.sum() != flat.size:
-                raise ValueError(
-                    "every section needs a non-negative count per task, "
-                    "summing to its number of addresses"
-                )
-        total = sum(flat.size for flat in addresses)
-        task_ids = np.empty(total, dtype=np.int64)
-        trace = np.empty(total, dtype=np.int64)
-        is_write = np.empty(total, dtype=np.bool_)
-        # Named, not temporaries: each must outlive the call.
-        count_columns = np.array([column.ctypes.data for column in counts], dtype=np.uintp)
-        address_columns = np.array([column.ctypes.data for column in addresses], dtype=np.uintp)
-        writes = np.array([s[2] for s in sections], dtype=np.uint8)
-        cursor = np.zeros(len(sections), dtype=np.int64)
-        p = self._p
-        _count_call("interleave")
-        self._lib.saga_interleave(
-            tasks,
-            len(sections),
-            p(count_columns),
-            p(address_columns),
-            p(writes),
-            p(cursor),
-            p(task_ids),
-            p(trace),
-            p(is_write),
+        rounds = np.ascontiguousarray(run.rounds, dtype=np.int64)
+        log = np.ascontiguousarray(run.vertex_log, dtype=np.int64)
+        if rounds.ndim != 2 or rounds.shape[1] != len(ROUND_COLUMNS):
+            raise SimulationError(f"a round table has {ROUND_COLUMNS} columns, got {rounds.shape}")
+        check_round_table(rounds, len(log))
+        in_counts, in_addrs, out_counts, out_addrs = (
+            np.ascontiguousarray(column, dtype=np.int64)
+            for column in (*in_reads, *out_reads)
         )
-        return task_ids, trace, is_write
+        in_csr, out_csr = compute_view.in_csr, compute_view.out_csr
+        bad = np.zeros(1, dtype=np.int64)
+        p = self._p
+        _count_call("compute_trace")
+        written = self._lib.saga_compute_trace(
+            len(rounds), p(rounds), p(log),
+            min(len(in_csr.degrees), len(out_csr.degrees)),
+            p(in_csr.indptr), p(in_csr.degrees), p(in_csr.indices),
+            p(out_csr.indptr), p(out_csr.degrees), p(out_csr.indices),
+            len(in_counts), p(in_counts), len(in_addrs), p(in_addrs),
+            len(out_counts), p(out_counts), len(out_addrs), p(out_addrs),
+            prop.base, value_bytes, prop.size // value_bytes, visited.base, visited.size,
+            columns.capacity, p(columns.task_ids), p(columns.addresses),
+            p(columns.is_write), p(bad),
+        )
+        culprit = int(bad[0])
+        if written == _TRACE_BAD_PROPERTY:
+            prop.refuse(culprit, value_bytes)
+        if written == _TRACE_BAD_VISITED:
+            visited.refuse(culprit >> 3, 1)
+        if written < 0:
+            reason = {
+                _TRACE_NO_ROW: f"vertex {culprit} has no row in the compute view",
+                _TRACE_BAD_READS: f"round {culprit}'s tasks overrun their traversal reads",
+            }.get(written, f"{culprit} accesses overrun {columns.capacity} columns")
+            raise SimulationError(f"compute trace refused: {reason}")
+        return written
 
     # -- the live graph's data plane ------------------------------------
 

@@ -57,6 +57,17 @@ class IterationStats:
         return int(len(self.pull_vertices))
 
 
+def check_round_table(rounds: np.ndarray, log_length: int) -> None:
+    """Refuse a round table with a row outside its ``log_length``-entry
+    vertex log: native code reads the log by the table's rows."""
+    if len(rounds):
+        spans = rounds[:, :3]
+        if spans.min() < 0 or spans.sum(axis=1).max() > log_length:
+            raise SimulationError(
+                f"round table points outside its {log_length}-entry vertex log"
+            )
+
+
 def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
     """``buffer`` with room for ``needed`` rows (at least doubled), the
     ``used`` prefix kept."""
@@ -127,12 +138,7 @@ class ComputeRun:
                 f"a run log is a vertex vector and a table of {ROUND_COLUMNS} "
                 f"rows, got shapes {log.shape} and {table.shape}"
             )
-        if len(table):
-            spans = table[:, :3]
-            if spans.min() < 0 or spans.sum(axis=1).max() > len(log):
-                raise SimulationError(
-                    f"round table points outside its {len(log)}-entry vertex log"
-                )
+        check_round_table(table, len(log))
         self._log, self._logged = log, len(log)
         self._table, self._count = table, len(table)
 

@@ -107,14 +107,6 @@ def _emit_traversals(emitter, vertices, store_args, overrun):
     return counts, addresses
 
 
-def _element_overrun(region: Region, index: int, element_bytes: int):
-    """Raise for element ``index``, which an emitter found outside ``region``."""
-    region.element(index, element_bytes)  # past the end: raises
-    raise SimulationError(
-        f"element {index} x {element_bytes}B lies before region {region.label!r}"
-    )
-
-
 class _PooledVectorState:
     """Flat (neighbor, weight) pool + per-vertex spans: the vector-family
     store (AS/AC vectors and BA segments have the same mutation
@@ -342,7 +334,7 @@ class _PooledVectorState:
             self.kernels.vec_traversals,
             vertices,
             (limit, header.base, p(self._len), p(self._region_base)),
-            lambda i: _element_overrun(header, int(vertices[i]), HEADER_BYTES),
+            lambda i: header.refuse(int(vertices[i]), HEADER_BYTES),
         )
 
 
@@ -787,7 +779,7 @@ class NativeStingerStore:
                 limit, entries.base, p(self._boff), p(self._bcnt), p(self._bids),
                 p(self._blen), p(self._block_base),
             ),
-            lambda i: _element_overrun(entries, int(vertices[i]), VERTEX_ENTRY_BYTES),
+            lambda i: entries.refuse(int(vertices[i]), VERTEX_ENTRY_BYTES),
         )
 
 
@@ -1785,7 +1777,7 @@ class NativeDAHStore:
         def overrun(_position):
             table, slot = refused.tolist()
             slot_bytes = LOW_SLOT_BYTES if table < self.chunks else HIGH_SLOT_BYTES
-            _element_overrun(tables[table], slot, slot_bytes)
+            tables[table].refuse(slot, slot_bytes)
 
         return _emit_traversals(
             self.kernels.dah_traversals,

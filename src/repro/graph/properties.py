@@ -49,6 +49,10 @@ class VertexProperties:
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
 
+    def region(self, name: str) -> Region:
+        """The simulated region backing ``name``'s values."""
+        return self._regions[name]
+
     def address_of(self, name: str, vertex: int) -> int:
         """Simulated byte address of ``name[vertex]`` (for tracing)."""
         return self._regions[name].element(vertex, VALUE_BYTES)

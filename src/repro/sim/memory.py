@@ -10,7 +10,7 @@ home socket for the QPI traffic model.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, NoReturn
 
 import numpy as np
 
@@ -49,6 +49,15 @@ class Region:
                 f"{self.label!r} of {self.size}B"
             )
         return addr
+
+    def refuse(self, index: int, element_bytes: int) -> NoReturn:
+        """Raise for element ``index``, which an emitter found outside
+        the region: :meth:`element`'s error past the end, the same kind
+        before the base."""
+        self.element(index, element_bytes)
+        raise SimulationError(
+            f"element {index} x {element_bytes}B lies before region {self.label!r}"
+        )
 
     def elements(self, indices: np.ndarray, element_bytes: int) -> np.ndarray:
         """:meth:`element` over an index array, with the same overrun check."""

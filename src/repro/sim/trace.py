@@ -69,13 +69,46 @@ class MemoryTrace:
         )
 
 
+class TraceColumns:
+    """Room for a trace's three columns, reused from emission to emission.
+
+    :meth:`reserve` makes room for the next trace (growing at least
+    geometrically; what the columns held is not kept) and :meth:`view`
+    is a :class:`MemoryTrace` over its first entries.  A view aliases
+    the columns: it is valid until the next emission into them.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._allocate(capacity)
+
+    def _allocate(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.task_ids = np.empty(capacity, dtype=np.int64)
+        self.addresses = np.empty(capacity, dtype=np.int64)
+        self.is_write = np.empty(capacity, dtype=bool)
+
+    def reserve(self, accesses: int) -> None:
+        """Room for ``accesses`` entries."""
+        if accesses > self.capacity:
+            self._allocate(max(accesses, 2 * self.capacity))
+
+    def view(self, accesses: int) -> MemoryTrace:
+        """The first ``accesses`` entries as a trace (not a copy)."""
+        return MemoryTrace(
+            task_ids=self.task_ids[:accesses],
+            addresses=self.addresses[:accesses],
+            is_write=self.is_write[:accesses],
+        )
+
+
 def ragged_arange(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(seg, within)`` of segments laid back to back.
 
     Segment ``i`` has ``counts[i]`` elements; element ``j`` of the flat
     layout belongs to segment ``seg[j]`` at position ``within[j]``.  The
-    Fig. 9/10 compute trace lays out a run's tasks with this, and the
-    numpy interleave places every task's sections with it.
+    Fig. 9/10 compute trace gathers a run's pulled and pushed tasks from
+    its vertex log with this, and its numpy reference places every
+    task's sections with it.
     """
     seg = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts

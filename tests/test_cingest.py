@@ -710,9 +710,10 @@ lib.saga_vec_ingest(
 """
 
 #: In a child under ASan: the traced streams (every arena and the log
-#: at one cell), the emitters, an mmap ``repro scale`` stream (the live
-#: graph's collect and CSR fold), then -- to show the build would have
-#: trapped -- a batch
+#: at one cell), the emitters (the compute-trace emitter also into
+#: columns of exactly its trace's length), an mmap ``repro scale``
+#: stream (the live graph's collect and CSR fold), then -- to show the
+#: build would have trapped -- a batch
 #: whose ``scanned`` column is half as long as it has rows (and long
 #: enough to come from ``malloc``, not from numpy's small-block cache).
 _ASAN_CHILD = """
@@ -735,7 +736,7 @@ print("emitters exit", pytest.main([
     "-q", "-p", "no:cacheprovider", "-rs",
     tests.test_trace_emitters.__file__ + "::TestArrayEmittersMatchPerVertex::test_hub_resizes_and_tombstones",
     tests.test_trace_emitters.__file__ + "::TestOverrunsStillRaise",
-    tests.test_hardware_profile_units.__file__ + "::TestInterleave",
+    tests.test_hardware_profile_units.__file__ + "::TestComputeTraceEmitter",
 ]), flush=True)
 with tempfile.TemporaryDirectory() as mmap_dir:
     print("scale exit", cli.main([
@@ -817,9 +818,10 @@ class TestIngestLibraryUnderUBSan:
     def test_traced_streams_under_address_sanitizer(self, tmp_path):
         """ASan sees what UBSan cannot: a log, event, arena, emitter or
         data-plane write one cell past its column.  The streams, the
-        traversal emitters, the compute-trace interleave and the scale
-        stream give it nothing; an undersized output column, right after
-        them in the same child, is reported."""
+        traversal emitters, the compute-trace emitter (into columns of
+        exactly its trace's length, and refusing ones a cell shorter) and
+        the scale stream give it nothing; an undersized output column,
+        right after them in the same child, is reported."""
         child = asan_probe(_ASAN_CHILD, tmp_path)
         assert "streams exit 0" in child.stdout, child.stdout + child.stderr
         assert "emitters exit 0" in child.stdout, child.stdout + child.stderr

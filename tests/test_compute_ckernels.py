@@ -1020,14 +1020,14 @@ lib.saga_inc_run(
 class TestComputeLibraryUnderUBSan(
     TestRunLog,
     test_compute_pricing.TestExactness,
-    test_hardware_profile_units.TestInterleave,
+    test_hardware_profile_units.TestComputeTraceEmitter,
 ):
     """The run-log verifier above (INC and FS, every stall point), the
     pricing verifier of ``tests/test_compute_pricing.py`` (``saga_price_run``
     against the per-iteration pricer, ``saga_pairwise_sum`` against
-    ``ndarray.sum()``) and the ``saga_interleave`` verifier of
-    ``tests/test_hardware_profile_units.py``, all inherited, run through
-    the sanitized build."""
+    ``ndarray.sum()``) and the ``saga_compute_trace`` verifier and
+    hostile inputs of ``tests/test_hardware_profile_units.py``, all
+    inherited, run through the sanitized build."""
 
     def test_the_sanitizer_is_live(self, ubsan_libraries):
         """The build under test does trap: a raw call with a cursor

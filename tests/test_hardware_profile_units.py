@@ -1,20 +1,21 @@
 """Unit tests for hardware-profile internals."""
 
 import hashlib
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.analysis import hardware_profile
 from repro.analysis.hardware_profile import (
+    COMPUTE_TRACE_CAPACITY,
     GroupProfile,
     HardwareProfiler,
     PhaseSample,
-    _Section,
     _average_counters,
     _compute_trace,
-    _interleave,
     merge_cells,
 )
 from repro.algorithms.registry import get_algorithm
@@ -23,15 +24,15 @@ from repro.compute.kernels import ComputeView
 from repro.compute.stats import ComputeRun
 from repro.datasets.catalog import load_dataset
 from repro.errors import SimulationError
-from repro.graph import ExecutionContext, ReferenceGraph, make_structure
+from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_structure
 from repro.graph.properties import VertexProperties
 from repro.obs import METRICS
 from repro.sim import ckernel
 from repro.sim.counters import PhaseCounters
 from repro.sim.machine import MachineConfig
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceColumns, TraceRecorder
 from repro.streaming.batching import make_batches
-from tests.conftest import SMALL_MACHINE, native_env
+from tests.conftest import SMALL_MACHINE, native_env, on_both_sides, random_batch
 
 
 def counters(**overrides):
@@ -214,7 +215,8 @@ PINNED_CELLS = {
 def test_cell_payload_is_pinned(cell):
     """The cell's simulated numbers do not move with its code path: the
     native library and every Python reference (``SAGA_BENCH_NO_NATIVE``)
-    both give the pinned digest."""
+    both give the pinned digest -- also when the plane's trace columns
+    start at one access, so that they grow under the cell's traces."""
     profiler = HardwareProfiler(
         machine=SMALL_MACHINE,
         core_counts=(2, 4),
@@ -222,10 +224,15 @@ def test_cell_payload_is_pinned(cell):
         batch_size=1250,
         trace_cap=20_000,
     )
-    for setting in (None, "1"):
-        with native_env(setting):
-            payload = profiler.profile_cell(*cell).to_payload()
-        assert (payload[0]["batches"], payload_digest(payload)) == PINNED_CELLS[cell], setting
+    for capacity in (1, COMPUTE_TRACE_CAPACITY):
+        for setting in (None, "1"):
+            with native_env(setting), mock.patch.object(
+                hardware_profile, "COMPUTE_TRACE_CAPACITY", capacity
+            ):
+                payload = profiler.profile_cell(*cell).to_payload()
+            assert (
+                payload[0]["batches"], payload_digest(payload)
+            ) == PINNED_CELLS[cell], (capacity, setting)
 
 
 class TestCellOnBothSimEngines:
@@ -289,11 +296,25 @@ def _per_vertex_compute_trace(
     return recorder.finalize(), task_thread
 
 
+def _assert_traces_equal(trace, task_thread, want, want_thread):
+    for column in ("task_ids", "addresses", "is_write"):
+        got_column, want_column = getattr(trace, column), getattr(want, column)
+        assert got_column.dtype == want_column.dtype, column
+        assert np.array_equal(got_column, want_column), column
+    assert task_thread.dtype == want_thread.dtype
+    assert np.array_equal(task_thread, want_thread)
+
+
 class TestComputeTraceMatchesPerVertexLoop:
+    """``_compute_trace`` against the per-vertex loop, over the native
+    library and over every Python reference (each test runs on both
+    sides), every trace of a test emitted into one set of columns."""
+
     @pytest.mark.parametrize(
         "dataset_name, structure_name",
         [("Talk", "DAH"), ("RMAT", "AS"), ("Orkut", "AS")],
     )
+    @on_both_sides
     def test_array_equal(self, dataset_name, structure_name):
         dataset = load_dataset(dataset_name, seed=3, size_factor=0.04)
         structure = make_structure(
@@ -309,6 +330,7 @@ class TestComputeTraceMatchesPerVertexLoop:
             name: get_algorithm(name).make_state(dataset.max_nodes)
             for name in algorithms
         }
+        columns = TraceColumns(1)
         source = int(np.bincount(dataset.edges.src).argmax())
         accesses = 0
         for batch in make_batches(dataset.edges, 300, shuffle_seed=3):
@@ -324,22 +346,22 @@ class TestComputeTraceMatchesPerVertexLoop:
                     source=source,
                 )
                 trace, task_thread = _compute_trace(
-                    run, structure, compute_view, properties, name, visited, 8
+                    run, structure, compute_view, properties, name, visited, 8,
+                    columns,
                 )
-                want, want_thread = _per_vertex_compute_trace(
-                    run, structure, reference, properties, name, visited, 8
+                _assert_traces_equal(
+                    trace, task_thread,
+                    *_per_vertex_compute_trace(
+                        run, structure, reference, properties, name, visited, 8
+                    ),
                 )
-                assert np.array_equal(trace.task_ids, want.task_ids)
-                assert np.array_equal(trace.addresses, want.addresses)
-                assert np.array_equal(trace.is_write, want.is_write)
-                assert np.array_equal(task_thread, want_thread)
-                assert task_thread.dtype == want_thread.dtype
                 accesses += len(trace)
         assert accesses > 10_000
 
     @pytest.mark.parametrize(
         "dataset_name, structure_name", [("Talk", "DAH"), ("Orkut", "AS")]
     )
+    @on_both_sides
     def test_run_with_empty_sets_and_a_vertex_pulled_twice(
         self, dataset_name, structure_name
     ):
@@ -349,7 +371,9 @@ class TestComputeTraceMatchesPerVertexLoop:
         Kills: all pulled tasks placed before all pushed ones instead
         of alternating per iteration; push sections spread over the
         pulled tasks; an iteration that pulls nothing left out of the
-        task layout (which only this run has)."""
+        task layout (which only this run has).  Then the run's first
+        two rounds, into the same columns: a stale tail, or a length
+        taken from the columns' capacity, fails."""
         dataset = load_dataset(dataset_name, seed=3, size_factor=0.04)
         structure = make_structure(
             structure_name, dataset.max_nodes, directed=dataset.directed
@@ -363,24 +387,33 @@ class TestComputeTraceMatchesPerVertexLoop:
             reference.update(batch)
         hub = int(np.bincount(dataset.edges.src).argmax())
         busy = np.argsort(np.bincount(dataset.edges.dst))[-4:].tolist()
-        run = ComputeRun("CC", "INC", np.zeros(0))
-        run.add_round(pull=[hub, busy[0], busy[1]], push=[hub, busy[0]])
-        run.add_round(push=[busy[2]])
-        run.add_round()
-        run.add_round(pull=[busy[3], hub])
-        run.add_round(pull=[busy[1], 0], push=[hub])
-        trace, task_thread = _compute_trace(
-            run, structure, ComputeView.of(reference), properties, "CC", visited, 8
-        )
-        want, want_thread = _per_vertex_compute_trace(
-            run, structure, reference, properties, "CC", visited, 8
-        )
-        assert len(want_thread) == 11 and len(want) > 50
-        assert np.array_equal(trace.task_ids, want.task_ids)
-        assert np.array_equal(trace.addresses, want.addresses)
-        assert np.array_equal(trace.is_write, want.is_write)
-        assert np.array_equal(task_thread, want_thread)
+        rounds = [
+            dict(pull=[hub, busy[0], busy[1]], push=[hub, busy[0]]),
+            dict(push=[busy[2]]),
+            dict(),
+            dict(pull=[busy[3], hub]),
+            dict(pull=[busy[1], 0], push=[hub]),
+        ]
+        columns = TraceColumns(1)
+        lengths = []
+        for kept in (5, 2):
+            run = ComputeRun("CC", "INC", np.zeros(0))
+            for kinds in rounds[:kept]:
+                run.add_round(**kinds)
+            trace, task_thread = _compute_trace(
+                run, structure, ComputeView.of(reference), properties, "CC",
+                visited, 8, columns,
+            )
+            want, want_thread = _per_vertex_compute_trace(
+                run, structure, reference, properties, "CC", visited, 8
+            )
+            _assert_traces_equal(trace, task_thread, want, want_thread)
+            lengths.append((len(want_thread), len(want)))
+        assert lengths[0][0] == 11 and lengths[1][0] == 6
+        assert lengths[0][1] > lengths[1][1] > 50
+        assert columns.capacity >= lengths[0][1]
 
+    @on_both_sides
     def test_run_without_iterations(self):
         dataset = load_dataset("Talk", seed=0, size_factor=0.04)
         structure = make_structure("DAH", dataset.max_nodes)
@@ -391,73 +424,173 @@ class TestComputeTraceMatchesPerVertexLoop:
         trace, task_thread = _compute_trace(
             ComputeRun("BFS", "INC", np.zeros(0)), structure,
             ComputeView.of(reference), properties, "BFS", visited, 8,
+            TraceColumns(1),
         )
         assert len(trace) == 0
         assert task_thread.tolist() == [0]
 
 
-#: Per example: 0-5 tasks, 1-5 sections of (counts per task, write bit).
-_sections = st.integers(0, 5).flatmap(
-    lambda tasks: st.lists(
-        st.tuples(st.lists(st.integers(0, 4), min_size=tasks, max_size=tasks), st.booleans()),
-        min_size=1,
-        max_size=5,
+#: Vertices of the emitter differential's graphs: seven have no edges,
+#: and some of the others no in- or out-neighbors.
+_N = 48
+
+#: Every store family: vectors (AS, AC, BA), Stinger and DAH.
+_FAMILIES = ("AS", "AC", "BA", "Stinger", "DAH")
+
+
+def _emitter_graph(name):
+    """``name`` and the live graph over one random batch on ``_N - 8``
+    vertices and an edge into the last: ``(structure, compute view,
+    properties, visited)``."""
+    batch = random_batch(_N - 8, 120, seed=5)
+    batch = EdgeBatch.from_edges(
+        list(zip(batch.src.tolist(), batch.dst.tolist())) + [(0, _N - 1)]
     )
-)
+    structure = make_structure(name, _N)
+    structure.update(batch, ExecutionContext(machine=SMALL_MACHINE))
+    reference = ReferenceGraph(_N)
+    reference.update(batch)
+    properties = VertexProperties(_N, structure.space)
+    properties.add("PR")
+    visited = structure.space.alloc((_N + 7) // 8, "inc.visited")
+    return structure, ComputeView.of(reference), properties, visited
 
 
-class TestInterleave:
-    """``saga_interleave`` against ``_interleave``'s numpy body."""
+class _Quiet:
+    """A structure whose traversals of the ``quiet`` vertices read
+    nothing, so that a task with no access at all comes up: a quiet
+    vertex without out-neighbors, pushed."""
+
+    def __init__(self, structure, quiet):
+        self.structure = structure
+        self.quiet = np.asarray(sorted(quiet), dtype=np.int64)
+
+    def _silence(self, vertices, reads):
+        counts, addresses = reads
+        loud = ~np.isin(vertices, self.quiet)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        return np.where(loud, counts, 0), addresses[loud[owner]]
+
+    def trace_in_traversal(self, vertices):
+        return self._silence(vertices, self.structure.trace_in_traversal(vertices))
+
+    def trace_out_traversal(self, vertices):
+        return self._silence(vertices, self.structure.trace_out_traversal(vertices))
+
+
+def _run(rounds):
+    run = ComputeRun("PR", "INC", np.zeros(0))
+    for pull, push in rounds:
+        run.add_round(pull=pull, push=push)
+    return run
+
+
+#: Per example: 0-4 rounds of 0-5 pulled and 0-5 pushed vertices.
+_vertices = st.lists(st.integers(0, _N - 1), max_size=5)
+_rounds = st.lists(st.tuples(_vertices, _vertices), max_size=4)
+
+
+class TestComputeTraceEmitter:
+    """``saga_compute_trace`` against ``_interleave``'s numpy body, on
+    every store family, and the inputs both refuse."""
 
     # ``TestComputeLibraryUnderUBSan`` runs this a second time;
     # derandomized, so there is no example database for the two to confuse.
     @settings(
-        max_examples=80,
+        max_examples=60,
         deadline=None,
         derandomize=True,
         suppress_health_check=[HealthCheck.differing_executors],
     )
-    @given(layout=_sections)
-    def test_matches_the_numpy_reference(self, layout):
-        """Zero-count tasks, empty sections, one task and zero tasks come
-        up; every address is distinct, so a misplaced one shows.  Kills:
-        sections taken in another order, a section's write bit on
-        another section's accesses."""
-        kernels = ckernels.get()
-        if kernels is None:
+    @given(rounds=_rounds, quiet=st.sets(st.integers(0, _N - 1), max_size=6))
+    @example(rounds=[([7, 3], [7]), ([], []), ([7, 44], [3, 45])], quiet={45})
+    @example(rounds=[], quiet=set())
+    def test_matches_the_numpy_reference(self, rounds, quiet):
+        """Zero rounds, empty rounds, a vertex pulled and pushed in two
+        rounds, zero-degree vertices (40-46) and tasks with no
+        access at all come up; equal columns, dtypes and thread maps,
+        five emissions into one set of columns.  Kills: pull and push
+        swapped inside a round; the own write emitted before the
+        neighbor reads; ``w`` in place of ``w >> 3``; a zero-access
+        task not advancing the task id."""
+        if ckernels.get() is None:
             pytest.skip("compiled compute kernels unavailable")
-        sections = [
-            _Section(
-                np.asarray(counts, dtype=np.int64),
-                1000 * s + np.arange(sum(counts), dtype=np.int64),
-                write,
-            )
-            for s, (counts, write) in enumerate(layout)
-        ]
-        with mock.patch.object(ckernels, "get", return_value=None):
-            want = _interleave(sections)
-        got = _interleave(sections)
-        for column in ("task_ids", "addresses", "is_write"):
-            assert getattr(got, column).dtype == getattr(want, column).dtype
-            assert getattr(got, column).tolist() == getattr(want, column).tolist()
+        run = _run(rounds)
+        columns = TraceColumns(1)
+        for name in _FAMILIES:
+            structure, view, properties, visited = _emitter_graph(name)
+            args = (run, _Quiet(structure, quiet), view, properties, "PR", visited, 4)
+            with mock.patch.object(ckernels, "get", return_value=None):
+                want, want_thread = _compute_trace(*args, TraceColumns(1))
+            _assert_traces_equal(*_compute_trace(*args, columns), want, want_thread)
 
-    def test_counts_that_do_not_cover_the_addresses_are_refused(self):
-        kernels = ckernels.get()
-        if kernels is None:
-            pytest.skip("compiled compute kernels unavailable")
-        one = np.ones(3, dtype=np.int64)
-        for bad in (
-            [(one, np.arange(3), False), (one[:2], np.arange(2), True)],
-            [(one, np.arange(4), False)],
-            [(np.array([2, -1, 2]), np.arange(3), False)],
+    @on_both_sides
+    def test_hostile_runs_are_refused_before_any_write(self):
+        """A vertex past the property region, an out-neighbor whose
+        visited byte lies past the bitvector, and a round past the vertex
+        log each raise ``SimulationError``, the first two
+        ``Region.element``'s, on both paths; the columns keep what they
+        held."""
+        structure, view, properties, _ = _emitter_graph("AS")
+        visited = structure.space.alloc(2, "inc.visited")  # vertices 0-15
+        hub = int(np.argmax(view.out_csr.degrees))
+        assert view.out_csr.indices[
+            view.out_csr.indptr[hub]: view.out_csr.indptr[hub] + view.out_csr.degrees[hub]
+        ].max() >= 16
+        log = np.array([1, 2, 3], dtype=np.int64)
+        for run, match in (
+            (_run([([1, _N + 3], [2])]), "overruns region 'prop.PR'"),
+            (_run([([1], [2, hub])]), "overruns region 'inc.visited'"),
+            (
+                SimpleNamespace(vertex_log=log, rounds=np.array([[1, 2, 1, 0, 0]])),
+                "outside its 3-entry vertex log",
+            ),
         ):
-            with pytest.raises(ValueError, match="every section"):
-                kernels.interleave(bad)
+            columns = TraceColumns(1 << 10)
+            columns.addresses[:] = -7
+            with pytest.raises(SimulationError, match=match):
+                _compute_trace(run, structure, view, properties, "PR", visited, 4, columns)
+            assert (columns.addresses == -7).all()
+
+    def test_columns_one_short_are_refused(self):
+        """The kernel writes no further than the columns it is given:
+        into columns of exactly the trace's length it writes the trace,
+        into one access fewer nothing.  Under AddressSanitizer each
+        column is its own heap block of that length."""
+        kernels = ckernels.get()
+        if kernels is None:
+            pytest.skip("compiled compute kernels unavailable")
+        structure, view, properties, visited = _emitter_graph("DAH")
+        tasks = np.tile(np.arange(_N), 3)
+        run = _run([(range(_N), range(_N))] * 3)
+        want, _ = _compute_trace(
+            run, structure, view, properties, "PR", visited, 4, TraceColumns(1)
+        )
+        assert len(want) > 1024  # each column a malloc block of its own
+        reads = (
+            structure.trace_in_traversal(tasks), structure.trace_out_traversal(tasks)
+        )
+        for capacity in (len(want), len(want) - 1):
+            columns = TraceColumns(capacity)
+            columns.addresses[:] = -7
+
+            def emit():
+                return kernels.compute_trace(
+                    run, view, *reads, properties.region("PR"), 8, visited, columns
+                )
+
+            if capacity == len(want):
+                assert emit() == len(want)
+                assert np.array_equal(columns.addresses, want.addresses)
+            else:
+                with pytest.raises(SimulationError, match="overrun"):
+                    emit()
+                assert (columns.addresses == -7).all()
 
 
-def test_one_interleave_crossing_per_compute_trace():
-    """A cell crosses into ``saga_interleave`` once per compute trace it
-    emits: one per algorithm per batch, 15 on the 5-batch Talk cell."""
+def test_one_compute_trace_crossing_per_trace():
+    """A cell crosses into ``saga_compute_trace`` once per compute trace
+    it emits: one per algorithm per batch, 15 on the 5-batch Talk cell."""
     if ckernels.get() is None:
         pytest.skip("compiled compute kernels unavailable")
     profiler = HardwareProfiler(
@@ -474,7 +607,7 @@ def test_one_interleave_crossing_per_compute_trace():
         crossings = METRICS.counter(
             "compute_kernel_calls_total",
             "native compute-kernel calls (ctypes crossings)",
-            kernel="interleave",
+            kernel="compute_trace",
         ).value
     finally:
         METRICS.disable()
