@@ -3,8 +3,9 @@
 The paper's v1 keeps only the latest graph snapshot; its stated future
 extension is the multi-snapshot model of Chronos/LLAMA, implemented
 here in :mod:`repro.graph.snapshots`.  All snapshots share one copy of
-the edge data (multi-versioned adjacency), and any FS algorithm runs
-on any historical snapshot unchanged.
+the edge data (the log of edges each batch added); a snapshot is the
+reference graph of its stream prefix, rebuilt on demand, so any
+algorithm runs on any historical snapshot unchanged.
 
 Scenario: a recommendation service wants to know how an account's
 influence (PageRank) and its community (connected component size)

@@ -115,11 +115,10 @@ class Algorithm(abc.ABC):
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         """Recomputation from scratch on the current graph.
 
-        Built-in implementations also accept ``compute_view`` (a
-        prebuilt columnar view for the kernels); the driver passes none,
-        since the live graph hands every run the same maintained view
-        (:meth:`repro.compute.kernels.ComputeView.of`), so third-party
-        overrides need not add the parameter.
+        ``view`` is any graph or a
+        :class:`~repro.compute.kernels.ComputeView`; the built-ins read
+        it through one :meth:`~repro.compute.kernels.ComputeView.of`,
+        which hands a live graph's maintained view over without work.
         """
 
     def inc_run(
@@ -128,24 +127,14 @@ class Algorithm(abc.ABC):
         state: AlgorithmState,
         affected: Iterable[int],
         source: Optional[int] = None,
-        compute_view=None,
     ) -> ComputeRun:
-        """Incremental run (Algorithm 1) updating ``state`` in place.
-
-        ``compute_view`` optionally supplies a prebuilt columnar view;
-        otherwise a fresh export of ``view`` is used.
-        """
+        """Incremental run (Algorithm 1) updating ``state`` in place."""
         state.ensure_initialized(view.num_nodes)
         if self.needs_source:
             source = self.checked_source(source, state)
             state.values[source] = self.source_value()
         run = kernels.run_incremental_frontier(
-            view,
-            state.values,
-            affected,
-            self,
-            source=source,
-            compute_view=compute_view,
+            view, state.values, affected, self, source=source
         )
         run.source = source
         return run
@@ -209,7 +198,6 @@ class Algorithm(abc.ABC):
         state: AlgorithmState,
         deleted_edges,
         source: Optional[int] = None,
-        compute_view=None,
     ) -> ComputeRun:
         """Incremental recomputation after a deletion batch (sound).
 
@@ -242,18 +230,16 @@ class Algorithm(abc.ABC):
             )
         endpoints = kernels.as_frontier(np.concatenate([src, dst]), view.num_nodes)
         if self.monotonic is None:
-            return self.inc_run(
-                view, state, endpoints, source=source, compute_view=compute_view
-            )
+            return self.inc_run(view, state, endpoints, source=source)
         pinned = ()
         if self.needs_source:
             source = self.checked_source(source, state)
             state.values[source] = self.source_value()
             pinned = (source,)
-        cv = kernels.resolve_view(view, compute_view)
+        cv = kernels.ComputeView.of(view)
         with TRACER.span("compute.closure", args={"algorithm": self.name}):
             tainted = kernels.invalidate_frontier(
-                view,
+                cv,
                 state.values,
                 src,
                 dst,
@@ -261,14 +247,13 @@ class Algorithm(abc.ABC):
                 self.supports_batch,
                 state.init_fn,
                 pinned=pinned,
-                compute_view=cv,
             )
         # Both id arrays lie below num_nodes, so their union needs no
         # sort: mark and read back.
         affected = kernels.unique_ids(
             np.concatenate((tainted, endpoints)), view.num_nodes
         )
-        return self.inc_run(view, state, affected, source=source, compute_view=cv)
+        return self.inc_run(view, state, affected, source=source)
 
     # -- affected set ----------------------------------------------------
 
@@ -305,13 +290,12 @@ def in_sources(view, v: int):
 
 
 def synchronous_fixpoint(
-    view,
+    cv: kernels.ComputeView,
     values: np.ndarray,
     combine: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     algorithm: str,
     epsilon: float = 0.0,
     max_iterations: int = 1000,
-    compute_view=None,
     kernel_op: Optional[int] = None,
     kernel_constants: Tuple[float, float] = (0.0, 0.0),
 ) -> ComputeRun:
@@ -321,8 +305,8 @@ def synchronous_fixpoint(
     given the current one and the in-edge arrays: every edge grouped by
     destination, each group in the view's ``in_neigh`` order (for
     undirected views both orientations appear), read from the in-CSR of
-    the view's :class:`~repro.compute.kernels.ComputeView`.  Iterates
-    until the largest change is at most ``epsilon``.
+    the graph's :class:`~repro.compute.kernels.ComputeView` ``cv``.
+    Iterates until the largest change is at most ``epsilon``.
 
     ``kernel_op`` is the compiled twin of ``combine`` (a
     ``ckernels.OP_*`` vertex function, ``kernel_constants`` its
@@ -332,12 +316,11 @@ def synchronous_fixpoint(
     reports how many rounds it took -- every round pulls every vertex,
     so that count is the run's whole record.
     """
-    n = view.num_nodes
+    n = cv.num_nodes
     run = ComputeRun(algorithm=algorithm, model="FS", values=values)
     run.linear_scans = 1  # the from-scratch reset
     if n == 0:
         return run
-    cv = kernels.resolve_view(view, compute_view)
     ck = ckernels.get() if kernel_op is not None else None
     with TRACER.span("compute.kernel", args={"algorithm": algorithm, "model": "FS"}):
         if ck is not None:

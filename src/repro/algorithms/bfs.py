@@ -51,21 +51,18 @@ class BFS(Algorithm):
         counts = np.bincount(seg, minlength=len(frontier))
         return kernels.segment_min(values[nbr] + 1.0, counts, np.inf)
 
-    def fs_run(
-        self, view, source: Optional[int] = None, compute_view=None
-    ) -> ComputeRun:
+    def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         source = self.checked_source(source, view)
         values = np.full(max(view.num_nodes, 1), np.inf)
         if source < view.num_nodes:
             values[source] = 0.0
         return kernels.frontier_relaxation_kernel(
-            view,
+            kernels.ComputeView.of(view),
             values,
             source,
             relax=lambda base, wt: base + 1.0,
             better=lambda candidate, current: candidate < current,
             algorithm=self.name,
             optimize="min",
-            compute_view=compute_view,
             relax_op=ckernels.RELAX_ADD1,
         )

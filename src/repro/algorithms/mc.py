@@ -58,16 +58,13 @@ class MaxComputation(Algorithm):
             values[frontier], kernels.segment_max(values[nbr], counts, -np.inf)
         )
 
-    def fs_run(
-        self, view, source: Optional[int] = None, compute_view=None
-    ) -> ComputeRun:
+    def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         values = np.arange(max(view.num_nodes, 1), dtype=np.float64)
         return synchronous_fixpoint(
-            view,
+            kernels.ComputeView.of(view),
             values,
             _combine_max,
             algorithm=self.name,
             epsilon=0.0,
-            compute_view=compute_view,
             kernel_op=self.ckernel_op,
         )

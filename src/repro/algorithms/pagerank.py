@@ -75,15 +75,12 @@ class PageRank(Algorithm):
         state: AlgorithmState,
         affected: Iterable[int],
         source: Optional[int] = None,
-        compute_view=None,
     ) -> ComputeRun:
         # New vertices start at 1/|V| of the *current* graph
         # (Algorithm 1 line 4).
         n = max(view.num_nodes, 1)
         state.init_fn = lambda ids: np.full(len(ids), 1.0 / n)
-        return super().inc_run(
-            view, state, affected, source=source, compute_view=compute_view
-        )
+        return super().inc_run(view, state, affected, source=source)
 
     def affected_from_batch(self, batch: EdgeBatch, view) -> np.ndarray:
         """PR's affected set additionally covers rank renormalization.
@@ -93,19 +90,17 @@ class PageRank(Algorithm):
         every existing out-neighbor of u, so the out-rows of the
         batch's sources join the endpoints.
         """
-        cv = kernels.resolve_view(view)
+        cv = kernels.ComputeView.of(view)
         src = np.asarray(batch.src, dtype=np.int64)
         dst = np.asarray(batch.dst, dtype=np.int64)
         sources = kernels.unique_ids(src, cv.num_nodes)
         _, fanout, _ = kernels.expand_frontier(cv.out_csr, sources)
         return kernels.unique_ids(np.concatenate([src, dst, fanout]), cv.num_nodes)
 
-    def fs_run(
-        self, view, source: Optional[int] = None, compute_view=None
-    ) -> ComputeRun:
+    def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         n = max(view.num_nodes, 1)
         values = np.full(n, 1.0 / n)
-        cv = kernels.resolve_view(view, compute_view)
+        cv = kernels.ComputeView.of(view)
         # Small integers convert to float64 exactly: the scalar
         # function's divisors.  (A vertex without out-edges is nobody's
         # in-neighbor, so its zero is never read.)
@@ -121,13 +116,12 @@ class PageRank(Algorithm):
             return base + DAMPING * sums
 
         return synchronous_fixpoint(
-            view,
+            cv,
             values,
             combine,
             algorithm=self.name,
             epsilon=PR_EPSILON,
             max_iterations=200,
-            compute_view=cv,
             kernel_op=self.ckernel_op,
             kernel_constants=self.ckernel_constants(n),
         )

@@ -98,11 +98,9 @@ class SSSP(Algorithm):
         total = float(np.cumsum(weights)[-1]) if count else 0.0
         return max(total / count, 1e-9) if count else 1.0
 
-    def fs_run(
-        self, view, source: Optional[int] = None, compute_view=None
-    ) -> ComputeRun:
+    def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         source = self.checked_source(source, view)
-        cv = kernels.resolve_view(view, compute_view)
+        cv = kernels.ComputeView.of(view)
         # One NaN poisons the delta pick and a negative cycle never
         # settles: neither bucket loop can be trusted to return.
         if not (kernels.packed_out_weights(cv) >= 0).all():

@@ -60,21 +60,18 @@ class SSWP(Algorithm):
         # never go below the start (weights are positive).
         return np.maximum(kernels.segment_max(widths, counts, -np.inf), 0.0)
 
-    def fs_run(
-        self, view, source: Optional[int] = None, compute_view=None
-    ) -> ComputeRun:
+    def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         source = self.checked_source(source, view)
         values = np.zeros(max(view.num_nodes, 1))
         if source < view.num_nodes:
             values[source] = np.inf
         return kernels.frontier_relaxation_kernel(
-            view,
+            kernels.ComputeView.of(view),
             values,
             source,
             relax=np.minimum,
             better=lambda candidate, current: candidate > current,
             algorithm=self.name,
             optimize="max",
-            compute_view=compute_view,
             relax_op=ckernels.RELAX_MINW,
         )

@@ -39,7 +39,6 @@ from repro.obs import (
     TRACER,
     SpanTracer,
     write_chrome_trace,
-    write_jsonl,
     write_prometheus,
 )
 from repro.sim.machine import SCALED_SKYLAKE_GOLD_6142
@@ -545,12 +544,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
              "timeline of every scheduled batch",
     )
     parser.add_argument(
-        "--events-out",
-        default=None,
-        metavar="FILE",
-        help="write the span events as a JSONL log (one object per line)",
-    )
-    parser.add_argument(
         "--metrics-out",
         default=None,
         metavar="FILE",
@@ -773,14 +766,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     profiling = getattr(args, "profile", False)
     trace_out = getattr(args, "trace_out", None)
-    events_out = getattr(args, "events_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     report_out = getattr(args, "report_out", None)
-    tracing = bool(profiling or trace_out or events_out or report_out)
+    tracing = bool(profiling or trace_out or report_out)
     if tracing:
         TRACER.reset()
         TRACER.enable(
-            keep_events=bool(trace_out or events_out),
+            keep_events=bool(trace_out),
             sim_timeline=bool(trace_out),
         )
     if metrics_out or report_out:
@@ -796,8 +788,6 @@ def main(argv=None) -> int:
             print(_profile_report())
         if trace_out:
             print(f"[trace written to {write_chrome_trace(TRACER, trace_out)}]")
-        if events_out:
-            print(f"[events written to {write_jsonl(TRACER, events_out)}]")
         if metrics_out:
             summary = _sweep_summary()
             if summary:

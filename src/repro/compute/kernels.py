@@ -81,28 +81,6 @@ class CSRArrays(NamedTuple):
     degrees: np.ndarray
 
 
-def csr_from_rows(rows, num_nodes: int) -> CSRArrays:
-    """Build :class:`CSRArrays` from per-vertex ``(neighbor, weight)`` rows.
-
-    ``rows`` yields one neighbor sequence per vertex id in order; the
-    generic fallback used by views without a columnar fast path.
-    """
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    indices: List[int] = []
-    weights: List[float] = []
-    for u, pairs in enumerate(rows):
-        for v, w in pairs:
-            indices.append(v)
-            weights.append(w)
-        indptr[u + 1] = len(indices)
-    return CSRArrays(
-        indptr=indptr,
-        indices=np.asarray(indices, dtype=np.int64),
-        weights=np.asarray(weights, dtype=np.float64),
-        degrees=np.diff(indptr),
-    )
-
-
 def csr_from_edges(
     src: np.ndarray, dst: np.ndarray, weight: np.ndarray, num_nodes: int, by_src: bool
 ) -> CSRArrays:
@@ -129,10 +107,10 @@ def csr_from_edges(
 class ComputeView:
     """Both adjacency directions of one graph snapshot, columnar.
 
-    The batch-granular artifact the kernels run against: maintained by
-    the live graph (``ReferenceGraph.compute_view()``) or built on
-    demand from any view exposing ``csr_arrays`` /
-    ``out_neigh``/``in_neigh``.
+    The batch-granular artifact the kernels run against, reached from
+    any graph through :meth:`of`: maintained by the live graph
+    (``ReferenceGraph.compute_view()``) or built on demand from any view
+    exposing ``out_neigh``/``in_neigh``.
     """
 
     __slots__ = (
@@ -170,43 +148,36 @@ class ComputeView:
 
     @classmethod
     def of(cls, view) -> "ComputeView":
-        """Columnar export of any graph view.
+        """The one route from a graph to the view every run reads.
 
-        A live graph hands out its own maintained view
-        (``compute_view()``).  Otherwise prefers the view's packed
-        ``csr_arrays(direction)``; falls back to per-vertex
-        ``out_neigh``/``in_neigh`` iteration for foreign views, so
-        anything with the paper's neighbor API works.
+        A ``ComputeView`` is returned as is, and a live graph (the
+        reference graph, a snapshot) hands out its maintained view
+        (``compute_view()``) without doing any work.  Any other view
+        with the paper's neighbour API -- the instrumented structures,
+        a third-party graph -- is exported once, row by row, from its
+        ``out_neigh``/``in_neigh`` in iteration order.
         """
+        if isinstance(view, ComputeView):
+            return view
         maintained = getattr(view, "compute_view", None)
         if maintained is not None:
             return maintained()
         n = view.num_nodes
-        exporter = getattr(view, "csr_arrays", None)
-        if exporter is not None:
-            out_csr = _as_csr(exporter("out"), n)
-            in_csr = _as_csr(exporter("in"), n)
-        else:
-            out_csr = csr_from_rows((view.out_neigh(u) for u in range(n)), n)
-            in_csr = csr_from_rows((view.in_neigh(u) for u in range(n)), n)
-        return cls(n, out_csr=out_csr, in_csr=in_csr)
-
-
-def _as_csr(arrays, num_nodes: int) -> CSRArrays:
-    if isinstance(arrays, CSRArrays):
-        return arrays
-    indptr, indices, weights = arrays
-    return CSRArrays(indptr, indices, weights, np.diff(indptr))
+        return cls(
+            n,
+            out_csr=csr_from_pair_rows([view.out_neigh(u) for u in range(n)], n),
+            in_csr=csr_from_pair_rows([view.in_neigh(u) for u in range(n)], n),
+        )
 
 
 def csr_from_pair_rows(rows, num_nodes: int) -> CSRArrays:
     """:class:`CSRArrays` from materialized per-vertex pair rows.
 
-    Like :func:`csr_from_rows` but requires ``rows`` to be an indexable
-    sequence of ``len()``-able ``(neighbor, weight)`` collections, which
-    lets the columns come from one bulk ``np.array`` conversion instead
-    of a per-pair Python loop.  Neighbor ids survive the float64 round
-    trip exactly (they are far below 2**53).
+    ``rows`` is an indexable sequence of ``len()``-able ``(neighbor,
+    weight)`` collections, one per vertex id, so the columns come from
+    one bulk ``np.array`` conversion instead of a per-pair Python loop.
+    Neighbor ids survive the float64 round trip exactly (they are far
+    below 2**53).
     """
     counts = np.fromiter(
         (len(rows[u]) for u in range(num_nodes)), dtype=np.int64, count=num_nodes
@@ -272,13 +243,6 @@ def packed_out_weights(cv: ComputeView) -> np.ndarray:
             weights = csr.weights[flat_slots(csr.indptr[:n], csr.degrees[:n])]
         cv._packed_out_w = weights
     return weights
-
-
-def resolve_view(view, compute_view: Optional["ComputeView"] = None) -> "ComputeView":
-    """The ComputeView to use for ``view``: the given one, else its own."""
-    if compute_view is not None:
-        return compute_view
-    return ComputeView.of(view)
 
 
 # ----------------------------------------------------------------------
@@ -550,7 +514,6 @@ def run_incremental_frontier(
     affected,
     algorithm,
     source: Optional[int] = None,
-    compute_view: Optional[ComputeView] = None,
     max_rounds: int = MAX_ROUNDS,
 ) -> ComputeRun:
     """Algorithm 1, one frontier at a time (bit-identical to the loop).
@@ -562,6 +525,9 @@ def run_incremental_frontier(
     more than ``epsilon`` pushes its out-neighbors onto the next
     frontier, until no vertex is triggered).
 
+    ``view`` is the graph (or its :class:`ComputeView`): the run reads
+    ``ComputeView.of(view)``, and a vertex function that walks the graph
+    itself (a third-party scalar ``recalculate``) gets ``view``.
     ``algorithm`` supplies ``recalculate_batch`` (the Table I vertex
     function over a wave), ``epsilon``, and source pinning.  Per round:
     expand the ascending frontier over the in-CSR, schedule it into
@@ -580,7 +546,7 @@ def run_incremental_frontier(
     reproducing sequential reads with vector ops) disappears rather
     than being translated, and the log is the run's record as it stands.
     """
-    cv = resolve_view(view, compute_view)
+    cv = ComputeView.of(view)
     n = cv.num_nodes
     run = ComputeRun(algorithm=algorithm.name, model="INC", values=values)
     run.linear_scans = 2
@@ -695,7 +661,7 @@ def run_incremental_frontier(
 
 
 def invalidate_frontier(
-    view,
+    cv: ComputeView,
     values: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
@@ -703,7 +669,6 @@ def invalidate_frontier(
     supports_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     init_fn,
     pinned=(),
-    compute_view: Optional[ComputeView] = None,
 ) -> np.ndarray:
     """KickStarter-style invalidation for deletion batches.
 
@@ -724,7 +689,6 @@ def invalidate_frontier(
     ``init_fn``, and let a normal incremental run re-derive it from the
     still-valid boundary.  Returns the tainted vertex ids ascending.
     """
-    cv = resolve_view(view, compute_view)
     n = cv.num_nodes
     pinned_mask = np.zeros(n, dtype=bool)
     for p in pinned:
@@ -874,14 +838,13 @@ def relaxation_events(
 
 
 def frontier_relaxation_kernel(
-    view,
+    cv: ComputeView,
     values: np.ndarray,
     source: int,
     relax: Callable[[np.ndarray, np.ndarray], np.ndarray],
     better: Callable[[np.ndarray, np.ndarray], np.ndarray],
     optimize: str,
     algorithm: str,
-    compute_view: Optional[ComputeView] = None,
     relax_op: Optional[int] = None,
 ) -> ComputeRun:
     """Round-based push-style relaxation from ``source`` (BFS, SSWP).
@@ -895,7 +858,6 @@ def frontier_relaxation_kernel(
     relaxation, update, and first-improvement discovery fused, in the
     exact order a per-edge loop runs -- recorded in a run log.
     """
-    cv = resolve_view(view, compute_view)
     run = ComputeRun(algorithm=algorithm, model="FS", values=values, source=source)
     run.linear_scans = 1
     if source >= cv.num_nodes:

@@ -200,27 +200,7 @@ class GraphDataStructure(abc.ABC):
         parallel makespan of the per-edge insertion tasks under this
         structure's multithreading style.
         """
-        if ctx is None:
-            ctx = ExecutionContext()
-        recorder = ctx.effective_recorder
-        with TRACER.span("emission"):
-            tasks, inserted, duplicates = self._ingest(batch, recorder, delete=False)
-        with TRACER.span("schedule") as span:
-            schedule = self._schedule(tasks, ctx)
-            span.add_cycles(schedule.makespan_cycles)
-        if METRICS.enabled:
-            self._record_schedule_metrics(schedule)
-        trace = recorder.finalize() if ctx.recorder is not None else None
-        result = UpdateResult(
-            schedule=schedule,
-            edges_attempted=len(batch),
-            edges_inserted=inserted,
-            duplicates=duplicates,
-            trace=trace,
-        )
-        if ctx.keep_tasks:
-            result.extra["tasks"] = tasks
-        return result
+        return self._phase(batch, ctx, delete=False)
 
     def delete(self, batch: EdgeBatch, ctx: Optional[ExecutionContext] = None) -> UpdateResult:
         """Remove ``batch``'s edges: a deletion-only update phase.
@@ -228,16 +208,23 @@ class GraphDataStructure(abc.ABC):
         Deletions follow the same search-then-act discipline as
         insertions and the same multithreading style; an edge that is
         not present costs its (negative) search and is reported in
-        ``duplicates``.  Incremental *compute* stays sound across
-        deletions: ``Algorithm.inc_delete_run`` invalidates what the
-        removed edges supported before re-deriving it (the monotone
-        algorithms), and PR converges without invalidation.
+        ``duplicates``, and ``edges_inserted`` counts the edges removed.
+        Incremental *compute* stays sound across deletions:
+        ``Algorithm.inc_delete_run`` invalidates what the removed edges
+        supported before re-deriving it (the monotone algorithms), and
+        PR converges without invalidation.
         """
+        return self._phase(batch, ctx, delete=True)
+
+    def _phase(
+        self, batch: EdgeBatch, ctx: Optional[ExecutionContext], delete: bool
+    ) -> UpdateResult:
+        """One update phase: emit the batch's tasks, then schedule them."""
         if ctx is None:
             ctx = ExecutionContext()
         recorder = ctx.effective_recorder
         with TRACER.span("emission"):
-            tasks, removed, missing = self._ingest(batch, recorder, delete=True)
+            tasks, positive, negative = self._ingest(batch, recorder, delete=delete)
         with TRACER.span("schedule") as span:
             schedule = self._schedule(tasks, ctx)
             span.add_cycles(schedule.makespan_cycles)
@@ -247,11 +234,10 @@ class GraphDataStructure(abc.ABC):
         result = UpdateResult(
             schedule=schedule,
             edges_attempted=len(batch),
-            edges_inserted=removed,  # edges *affected* by this phase
-            duplicates=missing,
+            edges_inserted=positive,
+            duplicates=negative,
             trace=trace,
         )
-        result.extra["operation"] = "delete"
         if ctx.keep_tasks:
             result.extra["tasks"] = tasks
         return result
@@ -408,24 +394,6 @@ class GraphDataStructure(abc.ABC):
     def vertices(self) -> Iterable[int]:
         """All vertex ids from 0 to the largest seen."""
         return range(self.num_nodes)
-
-    def csr_arrays(self, direction: str = "out"):
-        """Columnar CSR snapshot of one adjacency direction.
-
-        Neighbor order within each vertex matches :meth:`out_neigh` /
-        :meth:`in_neigh` iteration order, so vectorized compute kernels
-        reproduce the per-vertex loops bit-for-bit (see
-        :mod:`repro.compute.kernels`).
-        """
-        # Imported lazily: repro.compute.pricing imports repro.graph.
-        from repro.compute.kernels import csr_from_pair_rows
-
-        n = self.num_nodes
-        neigh = self.out_neigh if direction == "out" else self.in_neigh
-        # Materialize each vertex's row once (Stinger/BA build theirs
-        # per call), then convert all pairs in one bulk np.array.
-        rows = [neigh(u) for u in range(n)]
-        return csr_from_pair_rows(rows, n)
 
     # ------------------------------------------------------------------
     # Compute-phase costs and traces

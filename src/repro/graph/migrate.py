@@ -52,7 +52,7 @@ def export_live_edges(reference: ReferenceGraph) -> EdgeBatch:
     one row only and are emitted once); directed graphs emit every
     stored entry.
     """
-    csr = reference.csr_arrays("out")
+    csr = reference.compute_view().out_csr
     slots = flat_slots(csr.indptr, csr.degrees)
     src = np.repeat(np.arange(reference.num_nodes, dtype=np.int64), csr.degrees)
     dst, weight = csr.indices[slots], csr.weights[slots]

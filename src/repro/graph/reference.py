@@ -157,11 +157,6 @@ class ReferenceGraph:
             self._apply()
         return self._view
 
-    def csr_arrays(self, direction: str = "out"):
-        """Slack CSR of one direction (zero-copy, chronological rows)."""
-        view = self.compute_view()
-        return view.out_csr if direction == "out" else view.in_csr
-
     def _row(self, direction: str, u: int):
         """Vertex ``u``'s neighbor and weight slices, oldest edge first."""
         if not 0 <= u < self.max_nodes:

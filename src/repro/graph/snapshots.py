@@ -2,18 +2,19 @@
 
 SAGA-Bench v1 maintains only the *latest* snapshot of the evolving
 graph (footnote 1 of the paper); systems like Chronos and LLAMA instead
-keep every batch boundary queryable.  This module implements that
-multi-snapshot model with LLAMA-style multi-versioned adjacency: each
-vertex's neighbor list is a single append-only array whose entries are
-tagged with the batch that added them, so
+keep every batch boundary queryable.  Here a snapshot is the graph of
+its stream prefix.  The store keeps one live
+:class:`~repro.graph.reference.ReferenceGraph`, which dedups, range-checks
+and mirrors each batch, plus the edges each commit actually added, so
 
-- storage is shared across snapshots (no copies), and
-- a snapshot view is just a per-vertex cutoff, found by binary search
-  (entries are appended in batch order).
+- storage is shared across snapshots: the kept-edge log holds every
+  edge once, in the order the live graph gained it;
+- snapshot ``t`` is a fresh reference graph fed the kept edges of
+  batches ``0..t`` in one collect: the same rows in the same order as a
+  reference graph fed those batches one at a time.
 
-Snapshot views satisfy the same read protocol as the live structures
-(``out_neigh`` / ``in_neigh`` / degrees / ``num_nodes``), so every FS
-algorithm runs on historical snapshots unchanged -- see
+A snapshot is a :class:`ReferenceGraph`, so every algorithm reaches it
+through the same maintained compute view as the live graph -- see
 ``examples/temporal_analysis.py``.
 
 The multi-snapshot model is insert-only (as in Chronos): deletions
@@ -22,168 +23,66 @@ would require tombstone versions and are out of scope here.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.errors import StructureError
 from repro.graph.edge import EdgeBatch
-
-
-class _VersionedAdjacency:
-    """One direction of multi-versioned neighbor lists."""
-
-    def __init__(self, max_nodes: int) -> None:
-        # Per vertex: parallel arrays (neighbor, weight, batch) in
-        # append order; batches are non-decreasing within a vertex.
-        self._neighbors: List[List[int]] = [[] for _ in range(max_nodes)]
-        self._weights: List[List[float]] = [[] for _ in range(max_nodes)]
-        self._batches: List[List[int]] = [[] for _ in range(max_nodes)]
-        self._seen: List[Dict[int, int]] = [{} for _ in range(max_nodes)]
-
-    def append(self, src: int, dst: int, weight: float, batch: int) -> bool:
-        """Add ``src -> dst`` at ``batch``; False if already present."""
-        if dst in self._seen[src]:
-            return False
-        self._seen[src][dst] = len(self._neighbors[src])
-        self._neighbors[src].append(dst)
-        self._weights[src].append(weight)
-        self._batches[src].append(batch)
-        return True
-
-    def cutoff(self, u: int, batch: int) -> int:
-        """Entries of ``u`` visible at snapshot ``batch`` (inclusive)."""
-        return bisect_right(self._batches[u], batch)
-
-    def neighbors_at(self, u: int, batch: int) -> List[Tuple[int, float]]:
-        end = self.cutoff(u, batch)
-        return list(zip(self._neighbors[u][:end], self._weights[u][:end]))
-
-    def degree_at(self, u: int, batch: int) -> int:
-        return self.cutoff(u, batch)
-
-
-class SnapshotView:
-    """A read-only view of the graph as of one committed snapshot."""
-
-    def __init__(self, store: "SnapshotStore", snapshot: int) -> None:
-        self._store = store
-        self.snapshot = snapshot
-
-    @property
-    def num_nodes(self) -> int:
-        return self._store.num_nodes_at(self.snapshot)
-
-    @property
-    def num_edges(self) -> int:
-        return self._store.num_edges_at(self.snapshot)
-
-    def out_neigh(self, u: int) -> Sequence[Tuple[int, float]]:
-        return self._store._out.neighbors_at(u, self.snapshot)
-
-    def in_neigh(self, u: int) -> Sequence[Tuple[int, float]]:
-        return self._store._in.neighbors_at(u, self.snapshot)
-
-    def out_degree(self, u: int) -> int:
-        return self._store._out.degree_at(u, self.snapshot)
-
-    def in_degree(self, u: int) -> int:
-        return self._store._in.degree_at(u, self.snapshot)
-
-    def vertices(self) -> range:
-        return range(self.num_nodes)
-
-    def csr_arrays(self, direction: str = "out"):
-        """Columnar CSR of this snapshot's visible prefix per vertex.
-
-        Entries are appended in batch order, so slicing each vertex's
-        arrays at the snapshot cutoff preserves the exact neighbor
-        order ``neighbors_at`` iterates.
-        """
-        # Imported lazily: repro.compute.pricing imports repro.graph.
-        from repro.compute.kernels import csr_from_rows
-
-        adj = self._store._out if direction == "out" else self._store._in
-        n = self.num_nodes
-        snapshot = self.snapshot
-        return csr_from_rows(
-            (
-                zip(
-                    adj._neighbors[u][: adj.cutoff(u, snapshot)],
-                    adj._weights[u][: adj.cutoff(u, snapshot)],
-                )
-                for u in range(n)
-            ),
-            n,
-        )
+from repro.graph.reference import ReferenceGraph
 
 
 class SnapshotStore:
     """Append-only multi-snapshot graph store.
 
     ``commit(batch)`` ingests one edge batch and returns the new
-    snapshot id; ``snapshot(t)`` returns a view of the graph as of
-    batch ``t``.  All snapshots share one copy of the edge data.
+    snapshot id; ``snapshot(t)`` returns the graph as of batch ``t``.
+    All snapshots share one copy of the edge data.
     """
 
     def __init__(self, max_nodes: int, directed: bool = True) -> None:
-        if max_nodes < 1:
-            raise StructureError(f"max_nodes must be >= 1, got {max_nodes}")
-        self.max_nodes = max_nodes
-        self.directed = directed
-        self._out = _VersionedAdjacency(max_nodes)
-        self._in = _VersionedAdjacency(max_nodes) if directed else self._out
-        self._edge_counts: List[int] = []
-        self._node_counts: List[int] = []
-        self._max_seen = -1
-        self._total_edges = 0
+        # Rejects max_nodes < 1.
+        self._live = ReferenceGraph(max_nodes, directed=directed)
+        self._kept: List[EdgeBatch] = []
+        self._counts: List[Tuple[int, int]] = []  # (nodes, edges) per commit
 
     @property
     def num_snapshots(self) -> int:
-        return len(self._edge_counts)
+        return len(self._kept)
 
     def commit(self, batch: EdgeBatch) -> int:
-        """Ingest ``batch`` and seal it as the next snapshot."""
-        snapshot = self.num_snapshots
-        for i in range(len(batch)):
-            u = int(batch.src[i])
-            v = int(batch.dst[i])
-            w = float(batch.weight[i])
-            if not (0 <= u < self.max_nodes and 0 <= v < self.max_nodes):
-                raise StructureError(f"edge ({u}, {v}) out of range")
-            if self._out.append(u, v, w, snapshot):
-                self._total_edges += 1
-                if self.directed:
-                    self._in.append(v, u, w, snapshot)
-                elif u != v:
-                    self._out.append(v, u, w, snapshot)
-            self._max_seen = max(self._max_seen, u, v)
-        self._edge_counts.append(self._total_edges)
-        self._node_counts.append(self._max_seen + 1)
-        return snapshot
+        """Ingest ``batch`` and seal it as the next snapshot.
 
-    def snapshot(self, t: int) -> SnapshotView:
-        """The graph as of committed batch ``t`` (0-based)."""
+        A batch with an out-of-range vertex is rejected whole: nothing
+        of it reaches this or any later snapshot.
+        """
+        self._kept.append(self._live.update_collect(batch))
+        self._counts.append((self._live.num_nodes, self._live.num_edges))
+        return self.num_snapshots - 1
+
+    def snapshot(self, t: int) -> ReferenceGraph:
+        """The graph as of committed batch ``t`` (0-based), rebuilt."""
         if not 0 <= t < self.num_snapshots:
             raise StructureError(
                 f"snapshot {t} out of range [0, {self.num_snapshots})"
             )
-        return SnapshotView(self, t)
+        prefix = self._kept[: t + 1]
+        graph = ReferenceGraph(self._live.max_nodes, directed=self._live.directed)
+        graph.update_collect(
+            EdgeBatch(
+                src=np.concatenate([kept.src for kept in prefix]),
+                dst=np.concatenate([kept.dst for kept in prefix]),
+                weight=np.concatenate([kept.weight for kept in prefix]),
+            )
+        )
+        return graph
 
-    def latest(self) -> SnapshotView:
+    def latest(self) -> ReferenceGraph:
         """The most recent snapshot."""
         if not self.num_snapshots:
             raise StructureError("no snapshots committed yet")
         return self.snapshot(self.num_snapshots - 1)
 
-    def num_edges_at(self, t: int) -> int:
-        return self._edge_counts[t]
-
-    def num_nodes_at(self, t: int) -> int:
-        return self._node_counts[t]
-
     def history(self) -> List[Tuple[int, int, int]]:
         """(snapshot, nodes, edges) for every committed batch."""
-        return [
-            (t, self._node_counts[t], self._edge_counts[t])
-            for t in range(self.num_snapshots)
-        ]
+        return [(t, nodes, edges) for t, (nodes, edges) in enumerate(self._counts)]

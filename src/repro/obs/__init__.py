@@ -18,8 +18,7 @@ flags (on every subcommand) enable them and export on exit:
 - Chrome ``trace_event`` JSON, loadable in Perfetto (wall-clock span
   tree plus per-thread simulated task timelines from the DES
   schedulers);
-- Prometheus text format;
-- JSONL event log (``--events-out``).
+- Prometheus text format.
 
 On top of the raw streams sit the derived layers: :data:`FEATURES`
 (per-batch feature rows captured by the driver), the cost-model fitter
@@ -33,7 +32,6 @@ from repro.obs.export import (
     chrome_trace_events,
     prometheus_text,
     write_chrome_trace,
-    write_jsonl,
     write_prometheus,
 )
 from repro.obs.features import FEATURES, FeatureLog
@@ -71,6 +69,5 @@ __all__ = [
     "prometheus_text",
     "render_report",
     "write_chrome_trace",
-    "write_jsonl",
     "write_prometheus",
 ]

@@ -1,6 +1,6 @@
-"""Exporters: Chrome ``trace_event`` JSON, Prometheus text, JSONL log.
+"""Exporters: Chrome ``trace_event`` JSON and Prometheus text.
 
-Three machine-readable views of one run:
+Two machine-readable views of one run:
 
 - :func:`write_chrome_trace` -- a Perfetto/``chrome://tracing``-loadable
   JSON object.  Wall-clock spans render as complete (``"ph": "X"``)
@@ -11,8 +11,6 @@ Three machine-readable views of one run:
 - :func:`write_prometheus` -- the registry in Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` / sample lines, histogram
   ``_bucket``/``_sum``/``_count`` expansion), stable ordering.
-- :func:`write_jsonl` -- one JSON object per event, for ad-hoc
-  ``jq``-style analysis.
 
 All output is deterministic for a deterministic run: events sort by
 timestamp (ties broken by lane), JSON keys are emitted in fixed order,
@@ -127,27 +125,6 @@ def write_chrome_trace(tracer: SpanTracer, path) -> Path:
     with open(path, "w") as handle:
         json.dump(payload, handle, separators=(",", ":"))
         handle.write("\n")
-    return path
-
-
-def write_jsonl(tracer: SpanTracer, path) -> Path:
-    """Write one JSON object per span event; returns the path."""
-    path = Path(path)
-    with open(path, "w") as handle:
-        for name, cat, tid, start, dur, cycles, args in tracer.events():
-            record = {
-                "name": name,
-                "cat": cat,
-                "tid": tid,
-                "start_s": round(start, 9),
-                "dur_s": round(dur, 9),
-            }
-            if cycles:
-                record["sim_cycles"] = cycles
-            if args:
-                record["args"] = args
-            handle.write(json.dumps(record, separators=(",", ":")))
-            handle.write("\n")
     return path
 
 

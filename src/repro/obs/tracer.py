@@ -1,13 +1,12 @@
 """Span tracing: nested, thread-safe, wall-time + simulated-cycle spans.
 
-The tracer is the single timing engine behind three consumers:
+The tracer is the single timing engine behind two consumers:
 
 - the ``--profile`` phase report, which prints the *self-time*
   aggregates, so nested or re-entered phases never double-count;
 - the Chrome ``trace_event`` export (``--trace-out``), which renders the
   wall-clock span tree plus the *simulated* per-thread task timelines
-  recorded by the schedulers;
-- the JSONL event log.
+  recorded by the schedulers.
 
 Two cost regimes:
 

@@ -49,9 +49,9 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -62,9 +62,7 @@ from repro.graph.base import ExecutionContext
 from repro.graph.edge import EdgeBatch
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.sim.cost_model import CostModel
 from repro.sim.counters import shard_merge_cycles
-from repro.sim.machine import MachineConfig
 from repro.streaming.batching import batch_count, make_batches
 from repro.streaming.driver import (
     REP_SEED_STRIDE,
@@ -116,18 +114,10 @@ class _ShardTask:
     """Everything one shard needs to replay the stream; picklable."""
 
     shard: int
-    shards: int
     source: Union[EdgeBatch, Path]  # in process: the batch; pooled: its directory
     max_nodes: int
     directed: bool
-    batch_size: int
-    structures: Tuple[str, ...]
-    machine: MachineConfig
-    threads: Optional[int]
-    cost_model: CostModel
-    shuffle_seed: int
-    repetitions: int
-    churn_fraction: float
+    config: StreamConfig  # without its progress callback
 
 
 @dataclass
@@ -167,7 +157,7 @@ def _simulate_shard(task: _ShardTask) -> dict:
 def _home_share(edges: EdgeBatch, task: _ShardTask) -> EdgeBatch:
     """The rows of ``edges`` whose home shard is ``task.shard``."""
     mask = task.shard == shard_of(
-        edges.src, edges.dst, task.shards, task.max_nodes, task.directed
+        edges.src, edges.dst, task.config.shards, task.max_nodes, task.directed
     )
     return EdgeBatch(
         src=edges.src[mask], dst=edges.dst[mask], weight=edges.weight[mask]
@@ -175,13 +165,14 @@ def _home_share(edges: EdgeBatch, task: _ShardTask) -> EdgeBatch:
 
 
 def _simulate_shard_inner(task: _ShardTask, edges: EdgeBatch) -> dict:
+    cfg = task.config
     ctx = ExecutionContext(
-        machine=task.machine, threads=task.threads, cost_model=task.cost_model
+        machine=cfg.machine, threads=cfg.threads, cost_model=cfg.cost_model
     )
     shape = (
-        task.repetitions,
-        batch_count(len(edges), task.batch_size),
-        len(task.structures),
+        cfg.repetitions,
+        batch_count(len(edges), cfg.batch_size),
+        len(cfg.structures),
     )
     columns = {
         "update_makespan": np.zeros(shape),
@@ -189,35 +180,35 @@ def _simulate_shard_inner(task: _ShardTask, edges: EdgeBatch) -> dict:
         "delete_makespan": np.zeros(shape),
         "removed": np.zeros(shape, dtype=np.int64),
     }
-    for rep in range(task.repetitions):
+    for rep in range(cfg.repetitions):
         batches = make_batches(
             edges,
-            task.batch_size,
-            shuffle_seed=task.shuffle_seed + REP_SEED_STRIDE * rep,
+            cfg.batch_size,
+            shuffle_seed=cfg.shuffle_seed + REP_SEED_STRIDE * rep,
         )
         structures = {
             name: make_structure(
                 name,
                 task.max_nodes,
                 directed=task.directed,
-                cost_model=task.cost_model,
+                cost_model=cfg.cost_model,
             )
-            for name in task.structures
+            for name in cfg.structures
         }
         for batch_index, batch in enumerate(batches):
             phases = [
                 ("update", batch, columns["update_makespan"], columns["inserted"])
             ]
-            if task.churn_fraction > 0.0 and len(batch):
+            if cfg.churn_fraction > 0.0 and len(batch):
                 # The victims are the head of the whole batch, as in the
                 # serial loop; this shard deletes the ones it owns.
-                victims = churn_victims(batch, task.churn_fraction)
+                victims = churn_victims(batch, cfg.churn_fraction)
                 phases.append(
                     ("delete", victims, columns["delete_makespan"], columns["removed"])
                 )
             for operation, affected, makespans, counts in phases:
                 share = _home_share(affected, task)
-                for si, name in enumerate(task.structures):
+                for si, name in enumerate(cfg.structures):
                     outcome = getattr(structures[name], operation)(share, ctx)
                     makespans[rep, batch_index, si] = outcome.latency_cycles
                     counts[rep, batch_index, si] = outcome.edges_inserted
@@ -303,24 +294,10 @@ class ShardedStreamDriver(StreamDriver):
         )
 
     def _shard_tasks(self, dataset, source: Union[EdgeBatch, Path]) -> list:
-        cfg = self.config
+        config = replace(self.config, progress=None)  # a callback does not pickle
         return [
-            _ShardTask(
-                shard=shard,
-                shards=cfg.shards,
-                source=source,
-                max_nodes=dataset.max_nodes,
-                directed=dataset.directed,
-                batch_size=cfg.batch_size,
-                structures=tuple(cfg.structures),
-                machine=cfg.machine,
-                threads=cfg.threads,
-                cost_model=cfg.cost_model,
-                shuffle_seed=cfg.shuffle_seed,
-                repetitions=cfg.repetitions,
-                churn_fraction=cfg.churn_fraction,
-            )
-            for shard in range(cfg.shards)
+            _ShardTask(shard, source, dataset.max_nodes, dataset.directed, config)
+            for shard in range(config.shards)
         ]
 
     def _simulate_shards(self, dataset) -> ShardPlan:

@@ -151,15 +151,6 @@ class DictGraph:
     def in_items(self, u: int) -> Dict[int, float]:
         return self._in[u]
 
-    def csr_arrays(self, direction: str = "out"):
-        """Columnar CSR snapshot (dict iteration order preserved)."""
-        # Imported lazily: repro.compute.pricing imports repro.graph.
-        from repro.compute.kernels import csr_from_rows
-
-        n = self.num_nodes
-        store = self._out if direction == "out" else self._in
-        return csr_from_rows((store[u].items() for u in range(n)), n)
-
 
 # ----------------------------------------------------------------------
 # Compute oracles

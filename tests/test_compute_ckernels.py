@@ -623,12 +623,7 @@ class TestRunLog:
         def run():
             state = algorithm.make_state(num_nodes)
             return _record(
-                algorithm.inc_run(
-                    SimpleNamespace(num_nodes=num_nodes),
-                    state,
-                    np.array([0, 1]),
-                    compute_view=cv,
-                )
+                algorithm.inc_run(cv, state, np.array([0, 1]))
             )
 
         with _engine(WAVE_ENGINE):
@@ -747,11 +742,10 @@ class TestRunLog:
         have settles nobody, on either engine."""
         nothing = np.empty(0, dtype=np.int64)
         cv = _view_from_edges(nothing, nothing, np.empty(0), 3)
-        view = SimpleNamespace(num_nodes=3)
         algorithm = get_algorithm("SSSP")
 
         def run(source):
-            return _record(algorithm.fs_run(view, source=source, compute_view=cv))
+            return _record(algorithm.fs_run(cv, source=source))
 
         for source, passes in ((0, [[0], [0]]), (3, [])):
             compiled, fallback = _both_paths(lambda: run(source))
@@ -778,10 +772,9 @@ class TestRunLog:
         cv = _view_from_edges(
             np.zeros(leaves.size, dtype=np.int64), leaves, np.array(weights), leaves.size + 1
         )
-        view = SimpleNamespace(num_nodes=leaves.size + 1)
         algorithm = SSSP(delta=delta)
         compiled, fallback = _both_paths(
-            lambda: _record(algorithm.fs_run(view, source=0, compute_view=cv))
+            lambda: _record(algorithm.fs_run(cv, source=0))
         )
         _assert_same_runs([compiled], [fallback])
         # Every pass after the source's settles the leaves of one bucket,
@@ -812,11 +805,7 @@ class TestRunLog:
 
             def run():
                 try:
-                    return _record(
-                        SSSP(delta=1.0).fs_run(
-                            SimpleNamespace(num_nodes=3), source=0, compute_view=cv
-                        )
-                    )
+                    return _record(SSSP(delta=1.0).fs_run(cv, source=0))
                 except SimulationError as exc:
                     return str(exc)
 
@@ -844,7 +833,7 @@ class TestRunLog:
 
         def attempt(limit):
             run = synchronous_fixpoint(
-                reference,
+                reference.compute_view(),
                 np.arange(11, dtype=np.float64),
                 _combine_max,
                 algorithm="MC",
@@ -887,7 +876,7 @@ class TestRunLog:
         def attempt():
             return _record(
                 base.synchronous_fixpoint(
-                    reference,
+                    reference.compute_view(),
                     np.array(start),
                     combine,
                     algorithm=name,
@@ -954,16 +943,14 @@ class TestRunLog:
         )
         packed = _view_from_edges(*packed_in_edges(slack), num_nodes)
         assert np.array_equal(packed.out_degree, slack.out_degree)
-        view = SimpleNamespace(num_nodes=num_nodes)
         for name in ("CC", "MC", "PR"):
             algorithm = get_algorithm(name)
             with _engine(None):
                 on_slack, on_packed = (
-                    _record(algorithm.fs_run(view, compute_view=cv))
-                    for cv in (slack, packed)
+                    _record(algorithm.fs_run(cv)) for cv in (slack, packed)
                 )
             with _engine(WAVE_ENGINE):
-                fallback = _record(algorithm.fs_run(view, compute_view=slack))
+                fallback = _record(algorithm.fs_run(slack))
             _assert_same_runs([on_slack, on_packed], [fallback, fallback])
             assert len(on_slack.iterations) > 2
 

@@ -17,16 +17,19 @@ import pytest
 
 from repro.algorithms import get_algorithm
 from repro.algorithms.base import Algorithm
+from repro.compute import kernels
 from repro.compute.kernels import (
     ComputeView,
     packed_in_edges,
     relaxation_events,
     unique_ids,
 )
+from repro.datasets import load_dataset
 from repro.engine import RunStore, stream_run_key
 from repro.engine.sweep import run_stream
 from repro.graph import EdgeBatch, ReferenceGraph, make_structure
 from repro.graph.snapshots import SnapshotStore
+from repro.streaming import StreamConfig, StreamDriver
 from tests import oracles
 from tests.conftest import native_env
 
@@ -125,7 +128,7 @@ class TestBitIdentityMatrix:
 
     @pytest.mark.parametrize("name", STRUCTS)
     def test_structures(self, name):
-        """The instrumented structures' own ``csr_arrays`` export."""
+        """The instrumented structures, exported row by row by ``ComputeView.of``."""
         batches = _stream()
         structure = make_structure(name, 64, directed=True)
         mirror = ReferenceGraph(64, directed=True)
@@ -142,7 +145,7 @@ class TestBitIdentityMatrix:
         _replay_stream(structure, ingest, delete, batches, _hub(batches))
 
     def test_snapshot_views(self):
-        """Historical SnapshotView runs take the engines unchanged."""
+        """Historical snapshots (prefix replays) take the engines unchanged."""
         batches = _stream(seed=23)
         source = _hub(batches)
         store = SnapshotStore(64, directed=True)
@@ -226,6 +229,45 @@ class TestKernelPrimitives:
                 packed_in_edges(cv), oracles.extract_in_edges(structure)
             ):
                 assert got.tolist() == want.tolist()
+
+
+class TestOneRouteIntoAView:
+    """``ComputeView.of`` is every run's way to its graph: free on a live
+    graph, one row-by-row export on anything else."""
+
+    def test_driver_never_exports_rows(self, monkeypatch):
+        """A churned stream over all six algorithms and both models reads
+        every run's graph through the reference's maintained view."""
+
+        def refuse(rows, num_nodes):
+            raise AssertionError("a driver run took the per-vertex route")
+
+        monkeypatch.setattr(kernels, "csr_from_pair_rows", refuse)
+        config = StreamConfig(
+            batch_size=400,
+            structures=("AS",),
+            algorithms=ALGOS,
+            models=("FS", "INC"),
+            churn_fraction=0.25,
+        )
+        result = StreamDriver(config).run(load_dataset("Talk", size_factor=0.05))
+        assert result.batches_per_rep >= 2
+
+    def test_fs_run_on_a_structure_exports_once(self, monkeypatch):
+        """PR resolves the view once and hands it to the fixpoint: one
+        builder call per direction."""
+        built = []
+        real = kernels.csr_from_pair_rows
+
+        def counting(rows, num_nodes):
+            built.append(num_nodes)
+            return real(rows, num_nodes)
+
+        monkeypatch.setattr(kernels, "csr_from_pair_rows", counting)
+        structure = make_structure("AS", 32, directed=True)
+        structure.update(_stream(num_nodes=32, batches=1, seed=3)[0])
+        get_algorithm("PR").fs_run(structure)
+        assert built == [structure.num_nodes] * 2
 
 
 class _Relay(Algorithm):

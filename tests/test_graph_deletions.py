@@ -35,8 +35,9 @@ class TestDeleteAgainstReference:
         structure.update(batch, ctx)
         reference.update(batch)
         result = structure.delete(to_delete, ctx)
-        reference.delete_collect(to_delete)
-        assert result.extra["operation"] == "delete"
+        removed = reference.delete_collect(to_delete)
+        assert result.edges_inserted == len(removed)
+        assert result.duplicates == len(to_delete) - len(removed)
         assert_same_graph(structure, reference)
 
     def test_delete_everything(self, name, directed):

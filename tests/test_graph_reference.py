@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compute.kernels import flat_slots
+from repro.compute.kernels import ComputeView, flat_slots
 from repro.datasets.mmapio import open_edge_mmap, write_edge_mmap
 from repro.errors import StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
@@ -53,8 +53,8 @@ def _state(graph):
         [graph.in_degree(v) for v in every],
         [[graph.has_edge(u, v) for v in every] for u in every],
         list(graph.vertices()),
-        _packed_rows(graph.csr_arrays("out")),
-        _packed_rows(graph.csr_arrays("in")),
+        _packed_rows(ComputeView.of(graph).out_csr),
+        _packed_rows(ComputeView.of(graph).in_csr),
     )
 
 

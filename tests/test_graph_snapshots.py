@@ -120,26 +120,71 @@ class TestAlgorithmsOnSnapshots:
         assert (late[:n] < early[:n]).any()
 
 
+def test_rejected_batch_leaves_no_edge():
+    """A batch with an out-of-range vertex is refused whole: the edges
+    before the bad one reach neither the live graph nor a later snapshot."""
+    store = SnapshotStore(4)
+    store.commit(EdgeBatch.from_edges([(0, 1)]))
+    with pytest.raises(StructureError):
+        store.commit(EdgeBatch.from_edges([(1, 2), (0, 99)]))
+    store.commit(EdgeBatch.from_edges([(2, 3)]))
+    assert store.history() == [(0, 2, 1), (1, 4, 2)]
+    assert store.snapshot(1).out_neigh(1) == []
+
+
+ALGORITHMS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
+
+
 @given(
+    directed=st.booleans(),
     batches=st.lists(
-        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=25),
+        st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 9), st.sampled_from([0.5, 1.0, 3.0])
+            ),
+            min_size=1,
+            max_size=25,
+        ),
         min_size=1,
         max_size=5,
-    )
+    ),
 )
 @settings(max_examples=40, deadline=None)
-def test_property_every_snapshot_is_a_prefix(batches):
-    store = SnapshotStore(10)
-    reference = ReferenceGraph(10, directed=True)
+def test_property_every_snapshot_is_a_prefix(directed, batches):
+    """Snapshot t has the rows, in order and with weights, of a reference
+    graph fed batches 0..t one at a time; the last one runs every
+    algorithm to the same bits.  Each batch also carries duplicates with
+    another weight, reversed pairs and a self-loop."""
+    store = SnapshotStore(10, directed=directed)
+    reference = ReferenceGraph(10, directed=directed)
     prefixes = []
     for edges in batches:
-        batch = EdgeBatch.from_edges([(u, v, 1.0) for u, v in edges])
+        u0 = edges[0][0]
+        edges = (
+            edges
+            + [(v, u, w * 2.0) for u, v, w in edges[::2]]
+            + [(u, v, w + 1.0) for u, v, w in edges[::3]]
+            + [(u0, u0, 1.0)]
+        )
+        batch = EdgeBatch.from_edges(edges)
         store.commit(batch)
         reference.update(batch)
-        prefixes.append(
-            {v: set(dict(reference.out_neigh(v))) for v in range(10)}
-        )
+        prefixes.append(_rows(reference))
     for t, expected in enumerate(prefixes):
-        view = store.snapshot(t)
-        for v in range(10):
-            assert set(dict(view.out_neigh(v))) == expected[v]
+        assert _rows(store.snapshot(t)) == expected
+    last = store.latest()
+    for name in ALGORITHMS:
+        algorithm = get_algorithm(name)
+        got = algorithm.fs_run(last, source=0).values
+        want = algorithm.fs_run(reference, source=0).values
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _rows(graph):
+    """Everything a run reads of ``graph``, rows in iteration order."""
+    return (
+        graph.num_nodes,
+        graph.num_edges,
+        [graph.out_neigh(v) for v in range(10)],
+        [graph.in_neigh(v) for v in range(10)],
+    )

@@ -30,7 +30,7 @@ def invalidate(reference, values, removed, algorithm, pinned=()):
     """The product invalidation over a removed-edge list; tainted ids."""
     removed = EdgeBatch.from_edges(list(removed))
     tainted = invalidate_frontier(
-        reference, values, removed.src, removed.dst, removed.weight,
+        reference.compute_view(), values, removed.src, removed.dst, removed.weight,
         algorithm.supports_batch, algorithm.init_value, pinned=pinned,
     )
     return set(tainted.tolist())
@@ -236,7 +236,7 @@ def _closure(edges, num_nodes, flagged, pinned):
     values = np.arange(num_nodes, dtype=np.float64)
     roots = np.asarray(flagged, dtype=np.int64)
     ids = invalidate_frontier(
-        None,
+        cv,
         values,
         np.zeros(roots.size, dtype=np.int64),
         roots,
@@ -244,7 +244,6 @@ def _closure(edges, num_nodes, flagged, pinned):
         lambda src_values, weights, dst_values: np.ones(weights.size, dtype=bool),
         lambda ids: np.full(ids.size, -1.0),
         pinned=pinned,
-        compute_view=cv,
     )
     return ids.tolist(), values.tolist()
 
