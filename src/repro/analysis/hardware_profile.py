@@ -250,10 +250,10 @@ class HardwarePlane(UpdatePlane):
     def update(self, batch, record, reference) -> Dict[str, int]:
         self._batch_index = record.batch_index
         self._compute_rows: List[PhaseCounters] = []
-        ctx = replace(self.ctx, recorder=TraceRecorder(), keep_tasks=True)
+        ctx = replace(self.ctx, recorder=TraceRecorder())
         update = self.structure.update(batch, ctx)
         for cores, sctx in self.ladder.items():
-            scaled = self.structure.schedule_tasks(update.extra["tasks"], sctx)
+            scaled = self.structure.schedule_tasks(update.tasks, sctx)
             self.cell.scaling_cycles["update"][cores] += scaled.makespan_cycles
         schedule = update.schedule
         self.cell.counters["update"].append(

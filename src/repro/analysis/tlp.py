@@ -73,20 +73,17 @@ def run_tlp_report(
         structure_name, dataset.max_nodes, directed=dataset.directed,
         cost_model=ctx.cost_model,
     )
-    from dataclasses import replace as dc_replace
-
-    keep_ctx = dc_replace(ctx, keep_tasks=True)
-    threads = keep_ctx.threads
+    threads = ctx.threads
     samples: List[TLPSample] = []
     for index, batch in enumerate(
         make_batches(dataset.edges, batch_size, shuffle_seed=seed)
     ):
-        result = structure.update(batch, keep_ctx)
+        result = structure.update(batch, ctx)
         schedule = result.schedule
         busy = schedule.thread_busy_cycles
         busy_total = float(busy.sum())
         # Per-thread *insert* work, overhead tasks excluded.
-        tasks = result.extra["tasks"]
+        tasks = result.tasks
         keep = ~tasks.overhead
         thread = np.where(
             tasks.chunk >= 0,

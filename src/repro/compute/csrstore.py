@@ -52,7 +52,6 @@ compacted, nothing folded since).
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -332,11 +331,8 @@ class ViewMaintainer:
     them once by source serves both directions.
     """
 
-    def __init__(
-        self, max_nodes: int, churn: Optional[float] = None, directed: bool = True
-    ) -> None:
+    def __init__(self, max_nodes: int, directed: bool = True) -> None:
         self.max_nodes = max_nodes
-        self.churn = DEFAULT_CHURN_THRESHOLD if churn is None else churn
         self.out = DynamicCSR(max_nodes)
         self.inc = DynamicCSR(max_nodes) if directed else self.out
         self.version = 0
@@ -367,7 +363,7 @@ class ViewMaintainer:
         """
         delta = len(ins_src) + len(rem_src)
         live = self.out.live
-        repack = live == 0 or delta > self.churn * live
+        repack = live == 0 or delta > DEFAULT_CHURN_THRESHOLD * live
         self.version += 1
         folds = [(self.out, ins_src, ins_dst, rem_src, rem_dst)]
         if self.inc is not self.out:

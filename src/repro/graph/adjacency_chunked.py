@@ -13,7 +13,7 @@ it sail past AS's lock convoy on heavy-tailed ones (Section V-B).
 from __future__ import annotations
 
 from repro.graph.base import ChunkedStructure, contiguous_traversal_cost
-from repro.graph.nativestore import NativeVectorStore, native_vec_ingest
+from repro.graph.nativestore import NativeVectorStore
 from repro.graph.vectorstore import COLUMNS, vector_scan_work
 
 
@@ -22,7 +22,6 @@ class AdjacencyListChunked(ChunkedStructure):
 
     name = "AC"
     columns = COLUMNS
-    _native_ingest = staticmethod(native_vec_ingest)
     vector_traversal_cost = staticmethod(contiguous_traversal_cost)
 
     def _new_store(self, direction, kernels):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.base import GraphDataStructure, contiguous_traversal_cost
-from repro.graph.nativestore import NativeVectorStore, native_vec_ingest
+from repro.graph.nativestore import NativeVectorStore
 from repro.graph.vectorstore import COLUMNS, row_layout, vector_scan_work
 from repro.sim.tasks import TaskArray
 
@@ -27,7 +27,6 @@ class AdjacencyListShared(GraphDataStructure):
 
     name = "AS"
     columns = COLUMNS
-    _native_ingest = staticmethod(native_vec_ingest)
     vector_traversal_cost = staticmethod(contiguous_traversal_cost)
 
     def _new_store(self, direction, kernels):

@@ -14,22 +14,22 @@ locks, :class:`GraphDataStructure`) or chunked and lockless
   undirected structure's in-store *is* its out-store, so each edge is
   ingested in both orientations into it and in-queries read it;
 - the one ingest path.  A store with a compiled kernel takes the whole
-  batch in one call (its family's ``native_*_ingest``, which also writes
-  a traced batch's accesses into the recorder).  A store without one
-  runs its per-edge ``insert`` / ``remove`` -- the reference, which
-  returns the primitive counts of one operation and emits its memory
-  accesses -- in the kernel's row order, gathered into the kernel's
-  count columns.  Either way the structure's pricing turns the columns
-  into one :class:`~repro.sim.tasks.TaskArray` with vectorized
-  arithmetic, and the simulated phase latency is the scheduler makespan
-  over it;
+  batch in one call (:func:`~repro.graph.nativestore.native_ingest`,
+  which also writes a traced batch's accesses into the recorder).  A
+  store without one runs its per-edge ``insert`` / ``remove`` -- the
+  reference, which returns the primitive counts of one operation and
+  emits its memory accesses -- in the kernel's row order.  Either way
+  the counts are one int64 ``(columns, rows)`` block, and the
+  structure's pricing turns it into one
+  :class:`~repro.sim.tasks.TaskArray` with vectorized arithmetic; the
+  simulated phase latency is the scheduler makespan over it;
 - the neighbor queries, and the compute-phase traces: the store's C
   traversal emitter (``traversals``) or, without a kernel, its
   per-vertex ``trace_traversal`` in a loop.
 
 A structure module declares only what is its own: its store factory,
-its ``native_*_ingest`` function, the names of its count columns, one
-pricing function from the columns to a ``TaskArray``, its scheduler,
+the names of its count columns, one pricing function from the columns
+to a ``TaskArray``, its scheduler,
 its vectorized compute-phase traversal cost and (DAH) its degree-query
 cost.  ``tests/test_task_kernels.py`` pins the emitted columns of both
 ingest paths, ``tests/test_cingest.py`` the traces.
@@ -44,13 +44,14 @@ searches for the edge and only inserts on a negative search.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StructureError
 from repro.graph.edge import EdgeBatch
+from repro.graph.nativestore import native_ingest
 from repro.graph.vectorstore import row_layout
 from repro.sim import cingest
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -94,9 +95,6 @@ class ExecutionContext:
     threads: Optional[int] = None
     cost_model: CostModel = DEFAULT_COST_MODEL
     recorder: Optional[TraceRecorder] = None
-    #: Keep the batch's tasks in ``UpdateResult.extra["tasks"]`` so
-    #: callers can re-schedule them (e.g. the core-scaling sweep).
-    keep_tasks: bool = False
 
     def __post_init__(self) -> None:
         if self.threads is None:
@@ -114,14 +112,15 @@ class ExecutionContext:
 
 @dataclass
 class UpdateResult:
-    """Outcome of ingesting one batch into a data structure."""
+    """Outcome of ingesting one batch into a data structure; ``tasks``
+    can be re-scheduled at other machine shapes (:meth:`schedule_tasks`)."""
 
     schedule: ScheduleResult
     edges_attempted: int
     edges_inserted: int
     duplicates: int
+    tasks: TaskArray
     trace: Optional[MemoryTrace] = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def latency_cycles(self) -> float:
@@ -136,10 +135,8 @@ class GraphDataStructure(abc.ABC):
 
     Shared-style multithreading (the scheduler's default): many threads
     update one store under locks.  A subclass declares its store factory
-    (:meth:`_new_store`), its compiled batch ingest
-    (``_native_ingest``), the names of the count columns both return
-    (``columns``), its pricing (:meth:`_price`), and its vectorized
-    traversal cost.
+    (:meth:`_new_store`), the names of its count columns (``columns``),
+    its pricing (:meth:`_price`), and its vectorized traversal cost.
 
     Parameters
     ----------
@@ -160,16 +157,10 @@ class GraphDataStructure(abc.ABC):
     scheduler = DynamicScheduler
 
     #: The count columns of one store operation, in the order the
-    #: compiled kernel returns them and the fields of the stores'
+    #: compiled kernel writes them and the fields of the stores'
     #: outcome records list them; one must be ``"hit"`` (the store
     #: changed).
     columns: Tuple[str, ...] = ()
-
-    #: The whole batch through the stores' compiled kernel, a
-    #: ``native_*_ingest(out_store, in_store, batch, directed, delete,
-    #: recorder)`` returning ``(positive, *columns)``; called only for
-    #: stores whose ``kernels`` is set.
-    _native_ingest = None
 
     def __init__(
         self,
@@ -231,16 +222,14 @@ class GraphDataStructure(abc.ABC):
         if METRICS.enabled:
             self._record_schedule_metrics(schedule)
         trace = recorder.finalize() if ctx.recorder is not None else None
-        result = UpdateResult(
+        return UpdateResult(
             schedule=schedule,
             edges_attempted=len(batch),
             edges_inserted=positive,
             duplicates=negative,
+            tasks=tasks,
             trace=trace,
         )
-        if ctx.keep_tasks:
-            result.extra["tasks"] = tasks
-        return result
 
     def _ingest(
         self, batch: EdgeBatch, recorder, delete: bool
@@ -258,8 +247,8 @@ class GraphDataStructure(abc.ABC):
         traced_before = len(recorder)
         kernel = self._out.kernels is not None
         if kernel:
-            positive, *columns = self._native_ingest(
-                self._out, self._in, batch, self.directed, delete, recorder
+            positive, columns = native_ingest(
+                self._out, self._in, batch, self.directed, delete, recorder, self.columns
             )
         else:
             positive, columns = self._ingest_per_edge(batch, recorder, delete)
@@ -281,12 +270,13 @@ class GraphDataStructure(abc.ABC):
         return self._price(batch, columns, delete), positive, n - positive
 
     def _ingest_per_edge(self, batch: EdgeBatch, recorder, delete: bool):
-        """The reference for ``_native_ingest``: ``(positive, columns)``.
+        """The reference for ``native_ingest``: ``(positive, block)``.
 
         One store operation per row, in the kernel's row order -- each
         edge's out-store operation, then its mirror in the in-store
-        (skipped for an undirected self-loop).  A traced batch's accesses
-        are tagged with the row that made them.
+        (skipped for an undirected self-loop) -- gathered into the
+        kernel's int64 ``(columns, rows)`` block.  A traced batch's
+        accesses are tagged with the row that made them.
         """
         tracing = recorder.enabled
         hit = self.columns.index("hit")
@@ -310,10 +300,10 @@ class GraphDataStructure(abc.ABC):
             if u != v or self.directed:
                 apply(self._in, v, u, w)
         table = np.array(rows, dtype=np.int64).reshape(len(rows), len(self.columns))
-        return positive, list(table.T.copy())
+        return positive, table.T.copy()
 
     def schedule_tasks(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
-        """Re-schedule kept tasks under a different context.
+        """Re-schedule a batch's ``UpdateResult.tasks`` under a different context.
 
         Tasks depend only on graph content, not on thread count, so one
         ingest can be re-priced at many machine shapes (the Fig. 9(a)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.base import ChunkedStructure, contiguous_traversal_cost
-from repro.graph.nativestore import NativeBlockedStore, native_vec_ingest
+from repro.graph.nativestore import NativeBlockedStore
 from repro.graph.vectorstore import COLUMNS, INITIAL_CAPACITY, vector_scan_work
 
 #: Capacity of a vertex's first segment (the smallest block pool).
@@ -39,7 +39,6 @@ class BlockedAdjacency(ChunkedStructure):
 
     name = "BA"
     columns = COLUMNS
-    _native_ingest = staticmethod(native_vec_ingest)
     vector_traversal_cost = staticmethod(contiguous_traversal_cost)
 
     def _new_store(self, direction, kernels):

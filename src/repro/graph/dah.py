@@ -24,11 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.base import ChunkedStructure
-from repro.graph.nativestore import (
-    LOW_DEGREE_THRESHOLD,
-    NativeDAHStore,
-    native_dah_ingest,
-)
+from repro.graph.nativestore import LOW_DEGREE_THRESHOLD, NativeDAHStore
 
 
 class DegreeAwareHash(ChunkedStructure):
@@ -40,7 +36,6 @@ class DegreeAwareHash(ChunkedStructure):
         "table_probes", "hash_ops", "inline_scanned", "degree_queries",
         "flushed", "rehash_moves", "hit",
     )
-    _native_ingest = staticmethod(native_dah_ingest)
 
     def _new_store(self, direction, kernels):
         return NativeDAHStore(

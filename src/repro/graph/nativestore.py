@@ -12,12 +12,16 @@ arrays.  Each operation on that state is written twice:
   makes into the recorder.  This is the reference, and what every batch
   runs when the store was built without a kernel (the native library
   not loaded);
-* **per batch, in C** -- ``native_vec_ingest`` / ``native_stinger_ingest``
-  / ``native_dah_ingest`` hand the whole batch to the kernel of
-  :mod:`repro.sim.cingest`, which mutates the same arrays, returns the
-  same counts as columns, row for row, and -- for a traced batch --
-  writes the same accesses into an access log.  This is what every
-  batch of a store with a kernel runs, traced or not.
+* **per batch, in C** -- :func:`native_ingest` hands the whole batch to
+  the one batch loop of :mod:`repro.sim.cingest`, which mutates the
+  same arrays, returns the same counts as one column block, row for
+  row, and -- for a traced batch -- writes the same accesses into an
+  access log.  This is what every batch of a store with a kernel runs,
+  traced or not.  A family declares only what differs: its store's
+  ``descriptor()`` (the int64 array of pointers and sizes the kernel
+  unpacks), ``grow(resource, need)`` for a stall, ``replay_events``
+  for the event log, and how many events and new regions one
+  operation can add (``EVENTS_PER_OP``, ``SPARE_HOLDERS_PER_OP``).
 
 Simulated-memory accounting stays in Python on both paths: the kernel
 logs one event per allocation-changing operation (vector growth,
@@ -30,8 +34,8 @@ array -- a bump allocator's layout is a cumsum of the aligned sizes
 frees without allocating) -- while BA and DAH replay event by event
 because BA's segment-pool free lists and DAH's per-table regions depend
 on the order.  A kernel never allocates: when an arena is too small it
-*stalls*, returning a resume cursor and a resource code, the ``_grow_*``
-method of that resource enlarges the numpy array, and the kernel is
+*stalls*, returning a resume cursor and a resource code, the store's
+``grow`` enlarges the numpy array of that resource, and the kernel is
 re-entered.
 
 The kernel cannot know an address before the replay, so its access log
@@ -118,6 +122,12 @@ class _PooledVectorState:
     ``None`` builds the same store without a compiled batch path.
     """
 
+    #: The kernel's family code, and per operation at most one event
+    #: (a growth) and no new holder (a growth replaces a region).
+    FAMILY = 0
+    EVENTS_PER_OP = 1
+    SPARE_HOLDERS_PER_OP = 0
+
     def __init__(self, max_nodes: int, space: AddressSpace, label: str,
                  kernels: Optional[cingest.IngestKernels]) -> None:
         self.max_nodes = max_nodes
@@ -138,15 +148,17 @@ class _PooledVectorState:
 
     # -- pool plumbing -------------------------------------------------
 
-    def _kernel_args(self) -> tuple:
+    def descriptor(self) -> np.ndarray:
+        """The arrays the kernel reads and writes (C ``vec_unpack``)."""
         p = self.kernels._p
-        return (
+        return np.array([
             p(self._off), p(self._len), p(self._capacity),
             p(self._nbr), p(self._wgt), p(self._state), len(self._nbr),
-        )
+        ], dtype=np.int64)
 
-    def _grow_pool(self, need: int) -> None:
-        """Double the entry pool until ``need`` more slots fit."""
+    def grow(self, resource: int, need: int) -> None:
+        """Double the entry pool (the one resource) until ``need`` more
+        slots fit."""
         target = int(self._state[0]) + int(need)
         size = len(self._nbr)
         while size < target:
@@ -172,7 +184,7 @@ class _PooledVectorState:
         capacity = int(self._capacity[src])
         new_capacity = capacity * 2 if capacity else INITIAL_CAPACITY
         if int(self._state[0]) + new_capacity > len(self._nbr):
-            self._grow_pool(new_capacity)
+            self.grow(0, new_capacity)
         off = int(self._off[src])
         noff = int(self._state[0])
         self._nbr[noff:noff + old_len] = self._nbr[off:off + old_len]
@@ -205,6 +217,13 @@ class _PooledVectorState:
             ],
             dtype=np.int64,
         )
+
+    def replay_events(self, mirror_store, events):
+        """Replay a kernel's growth events ``(mirror, vertex, capacity)``:
+        ``(base, limit)`` of the region each allocated."""
+        mirror, vertex, capacity = events.T
+        bases = self._replay_growth(mirror_store, mirror, vertex, capacity)
+        return bases, (capacity - 1) * ENTRY_BYTES
 
     def _standing_regions(self, spare: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(base, limit)`` of this store's regions by holder -- the
@@ -475,6 +494,12 @@ class NativeStingerStore:
     INITIAL_BIDS = 1 << 12
     INITIAL_BLOCKS = 256
 
+    #: The kernel's family code, and per operation at most one event
+    #: (a block allocated or freed) and one new holder (the block).
+    FAMILY = 1
+    EVENTS_PER_OP = 1
+    SPARE_HOLDERS_PER_OP = 1
+
     def __init__(self, max_nodes: int, space: AddressSpace, label: str,
                  lock_base: int,
                  kernels: Optional[cingest.IngestKernels]) -> None:
@@ -501,15 +526,24 @@ class NativeStingerStore:
 
     # -- pool plumbing -------------------------------------------------
 
-    def _kernel_args(self) -> tuple:
+    def descriptor(self) -> np.ndarray:
+        """The arrays the kernel reads and writes (C ``st_unpack``)."""
         p = self.kernels._p
-        return (
-            self.lock_base,
+        return np.array([
+            self.lock_base, NO_LOCK,
             p(self._boff), p(self._bcnt), p(self._bcap), p(self._deg),
             p(self._bids), len(self._bids),
             p(self._bnbr), p(self._bwgt), p(self._blen), len(self._blen),
             p(self._state),
-        )
+        ], dtype=np.int64)
+
+    def grow(self, resource: int, need: int) -> None:
+        """Enlarge what a kernel stalled on: 0 the block-id pool by
+        ``need`` slots, 1 the block pool."""
+        if resource == 0:
+            self._grow_bid_pool(need)
+        else:
+            self._grow_block_pool()
 
     def _grow_bid_pool(self, need: int) -> None:
         target = int(self._state[0]) + int(need)
@@ -538,16 +572,17 @@ class NativeStingerStore:
         self._blen = blen
         self._block_base = base
 
-    def _replay_blocks(self, mirror_store, code, block_id) -> np.ndarray:
-        """Replay a kernel block log as one allocation log and one
-        scatter; returns the base each event allocated (a free's is
-        unused).
+    def replay_events(self, mirror_store, events):
+        """Replay a kernel's block events ``(code, block id, 0)`` as one
+        allocation log and one scatter: ``(base, limit)`` of each event's
+        block (a free's is unused).
 
         ``code`` is ``mirror * 2 + (0: block allocated, 1: tail block
         freed)``: rows with ``mirror`` set belong to ``mirror_store`` (the
         in store, or ``self`` again when undirected), which shares this
         store's ``AddressSpace``.
         """
+        code, block_id = events[:, 0], events[:, 1]
         allocated = (code & 1) == 0
         mirror = code >> 1
         size = np.where(allocated, BLOCK_BYTES, 0)
@@ -560,7 +595,7 @@ class NativeStingerStore:
         for m, store in enumerate((self, mirror_store)):
             mine = allocated & (mirror == m)
             store._block_base[block_id[mine]] = bases[mine]
-        return bases
+        return bases, np.full(len(bases), BLOCK_BYTES - ENTRY_BYTES, dtype=np.int64)
 
     def _standing_regions(self, spare: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(base, limit)`` of this store's regions by holder: the
@@ -893,128 +928,6 @@ def _open_log(out_store, in_store, recorder, spare: int) -> Optional[_AccessLog]
     return _AccessLog(out_store.label, standing, mirror_h0)
 
 
-def _run_kernel(call, ctl, log: Optional[_AccessLog], grow_arena) -> None:
-    """Call the kernel until the batch is done, growing what it stalls on.
-
-    ``call(log_descriptor)`` makes one kernel call (it reads the arena
-    pointers afresh); ``grow_arena()`` enlarges the arena ``ctl`` names.
-    """
-    with TRACER.span("ingest.ckernel"):
-        while True:
-            rc = call(log.descriptor() if log is not None else None)
-            if rc == cingest.OK:
-                return
-            if rc == cingest.STALL:
-                grow_arena()
-            elif rc == cingest.LOG_FULL:
-                log.grow(int(ctl[8]), int(ctl[9]))
-            else:
-                raise SimulationError(
-                    "ingest kernel logged more accesses than it reserved"
-                )
-
-
-def native_stinger_ingest(out_store, in_store, batch, directed, delete, recorder):
-    """Fused batch ingest through the compiled Stinger kernel.
-
-    Returns ``(positive, chases, probes, space, hit, new_block, lock)``
-    with the columns as numpy arrays, one row per store operation in
-    the per-edge loop's order; block alloc/free events replay in call
-    order, as one allocation log, so the simulated address space lays
-    out identically.  An enabled ``recorder`` receives the accesses of
-    the per-edge methods.
-    """
-    kernels = out_store.kernels
-    n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
-    chases = np.zeros(rows, dtype=np.int64)
-    probes = np.zeros(rows, dtype=np.int64)
-    space = np.zeros(rows, dtype=np.int64)
-    hit = np.zeros(rows, dtype=np.bool_)
-    newblk = np.zeros(rows, dtype=np.bool_)
-    lock = np.zeros(rows, dtype=np.int64)
-    events = np.zeros(3 * (rows + 1), dtype=np.int64)
-    ctl = np.zeros(10, dtype=np.int64)
-    # An operation adds at most one block.
-    log = _open_log(out_store, in_store, recorder, rows)
-    p = kernels._p
-
-    def call(log_descriptor):
-        return kernels.stinger_ingest(
-            n, p(src), p(dst), p(wgt),
-            int(directed), int(delete), int(NO_LOCK),
-            *out_store._kernel_args(), *in_store._kernel_args(),
-            p(chases), p(probes), p(space), p(hit), p(newblk), p(lock),
-            p(events), p(ctl), log_descriptor,
-        )
-
-    def grow_arena():
-        stalled = out_store if int(ctl[5]) == 0 else in_store
-        if int(ctl[6]) == 0:
-            stalled._grow_bid_pool(int(ctl[7]))
-        else:
-            stalled._grow_block_pool()
-
-    _run_kernel(call, ctl, log, grow_arena)
-    count = int(ctl[4])
-    with TRACER.span("ingest.replay"):
-        blocks = events[:3 * count].reshape(count, 3)
-        event_base = out_store._replay_blocks(in_store, blocks[:, 0], blocks[:, 1])
-        if log is not None:
-            log.resolve(
-                int(ctl[8]),
-                event_base,
-                np.full(count, BLOCK_BYTES - ENTRY_BYTES, dtype=np.int64),
-                recorder,
-            )
-    _count_growth_events(out_store, count)
-    return int(ctl[3]), chases, probes, space, hit, newblk, lock
-
-
-def native_vec_ingest(out_store, in_store, batch, directed, delete, recorder):
-    """Fused batch ingest through the compiled vector kernel.
-
-    Operation for operation equivalent to the per-edge loop over
-    ``insert``/``remove`` -- same store mutations in the same order,
-    same scanned/hit/aux rows (``aux``: grew_from on insert, moved on
-    delete), same simulated-memory layout (growth events
-    replayed in call order), same accesses into an enabled
-    ``recorder``.  ``in_store`` is the out store itself for undirected
-    graphs.  Returns ``(positive, scanned, hit, aux)`` with the columns
-    as numpy arrays, ready for the structures' vectorized pricing.
-    """
-    kernels = out_store.kernels
-    n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
-    scanned = np.zeros(rows, dtype=np.int64)
-    hit = np.zeros(rows, dtype=np.bool_)
-    aux = np.zeros(rows, dtype=np.int64)
-    events = np.zeros(3 * (rows + 1), dtype=np.int64)
-    ctl = np.zeros(10, dtype=np.int64)
-    log = _open_log(out_store, in_store, recorder, 0)
-    p = kernels._p
-
-    def call(log_descriptor):
-        return kernels.vec_ingest(
-            n, p(src), p(dst), p(wgt),
-            int(directed), int(delete),
-            *out_store._kernel_args(), *in_store._kernel_args(),
-            p(scanned), p(hit), p(aux), p(events), p(ctl), log_descriptor,
-        )
-
-    def grow_arena():
-        stalled = out_store if int(ctl[5]) == 0 else in_store
-        stalled._grow_pool(int(ctl[6]))
-
-    _run_kernel(call, ctl, log, grow_arena)
-    count = int(ctl[4])
-    with TRACER.span("ingest.replay"):
-        grown = events[:3 * count].reshape(count, 3)
-        bases = out_store._replay_growth(in_store, grown[:, 0], grown[:, 1], grown[:, 2])
-        if log is not None:
-            log.resolve(int(ctl[8]), bases, (grown[:, 2] - 1) * ENTRY_BYTES, recorder)
-    _count_growth_events(out_store, count)
-    return int(ctl[3]), scanned, hit, aux
-
-
 #: A DAH vertex moves to the high-degree table beyond this many neighbors.
 LOW_DEGREE_THRESHOLD = 16
 
@@ -1096,6 +1009,13 @@ class NativeDAHStore:
     INITIAL_SETS = 256
     INITIAL_SET_ARENA = 1 << 12
 
+    #: The kernel's family code, and per operation at most two events
+    #: (a flush's new set and its high-table resize) and one new holder
+    #: (the set).
+    FAMILY = 2
+    EVENTS_PER_OP = 2
+    SPARE_HOLDERS_PER_OP = 1
+
     def __init__(self, max_nodes: int, chunks: int, space: AddressSpace,
                  label: str,
                  kernels: Optional[cingest.IngestKernels]) -> None:
@@ -1150,7 +1070,8 @@ class NativeDAHStore:
 
     # -- arena plumbing ------------------------------------------------
 
-    def _descriptor(self) -> np.ndarray:
+    def descriptor(self) -> np.ndarray:
+        """The arrays the kernel reads and writes (C ``dah_unpack``)."""
         p = self.kernels._p
         d = np.empty(26, dtype=np.int64)
         d[0] = self.chunks
@@ -1210,6 +1131,32 @@ class NativeDAHStore:
         self._scap = self._grown(self._scap, target)
         self._ssize = self._grown(self._ssize, target)
         self._set_base = self._grown(self._set_base, target)
+
+    def grow(self, resource: int, need: int) -> None:
+        """Enlarge what a kernel stalled on: 0 the low-key arena, 1 the
+        high-key arena, 3 the set arena, each by ``need`` slots; 2 the
+        inline pool, 4 the set metadata arrays."""
+        if resource == 0:
+            self._grow_low_arena(need)
+        elif resource == 1:
+            self._grow_high_arena(need)
+        elif resource == 2:
+            self._grow_inline_pool()
+        elif resource == 3:
+            self._grow_set_arena(need)
+        else:
+            self._grow_set_meta()
+
+    def replay_events(self, mirror_store, events):
+        """Replay a kernel's table events ``(code, table or set, slots)``
+        in order, event by event: ``(base, limit)`` of each one's region.
+        ``code & 3`` is the kind (:meth:`_replay_event`); ``code >= 4``
+        belongs to ``mirror_store``."""
+        base = np.array([
+            (mirror_store if code >= 4 else self)._replay_event(code & 3, a, b)
+            for code, a, b in events.tolist()
+        ], dtype=np.int64)
+        return base, (events[:, 2] - 1) * _EVENT_SLOT_BYTES[events[:, 0] & 3]
 
     def _replay_event(self, kind: int, a: int, b: int) -> int:
         """Account one table event; returns the allocated region's base."""
@@ -1771,7 +1718,7 @@ class NativeDAHStore:
         base = np.array([region.base for region in tables], dtype=np.int64)
         end = np.array([region.end for region in tables], dtype=np.int64)
         refused = np.zeros(2, dtype=np.int64)  # (table, slot) of an overrun
-        desc = self._descriptor()
+        desc = self.descriptor()
         p = self.kernels._p
 
         def overrun(_position):
@@ -1794,79 +1741,51 @@ _EVENT_SLOT_BYTES = np.array(
 )
 
 
-def native_dah_ingest(out_store, in_store, batch, directed, delete, recorder):
-    """Fused batch ingest through the compiled DAH kernel.
+def native_ingest(out_store, in_store, batch, directed, delete, recorder, columns):
+    """The whole batch through the compiled batch loop.
 
-    Returns ``(positive, table_probes, hash_ops, inline_scanned,
-    degree_queries, flushed, rehash_moves, hit)``, one row per
-    store operation in the per-edge loop's order; table-region and
-    neighbor-set allocations replay from the event log in call order.
-    An enabled ``recorder`` receives the accesses of the per-edge
-    methods.
+    Operation for operation what the per-edge loop over ``insert`` /
+    ``remove`` does -- the same store mutations in the same order, the
+    same simulated-memory layout (the kernel's events replayed in call
+    order), the same accesses into an enabled ``recorder``.
+    ``in_store`` is the out store itself for undirected graphs.
+    Returns ``(positive, block)``: ``block`` is the int64 ``(len(columns),
+    rows)`` array of the ``columns`` counts, one row per store operation.
     """
     kernels = out_store.kernels
-    n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
-    table_probes = np.zeros(rows, dtype=np.int64)
-    hash_ops = np.zeros(rows, dtype=np.int64)
-    inline_scanned = np.zeros(rows, dtype=np.int64)
-    degree_queries = np.zeros(rows, dtype=np.int64)
-    flushed = np.zeros(rows, dtype=np.int64)
-    rehash_moves = np.zeros(rows, dtype=np.int64)
-    hit = np.zeros(rows, dtype=np.bool_)
-    events = np.zeros(3 * (2 * rows + 2), dtype=np.int64)
-    ctl = np.zeros(10, dtype=np.int64)
-    # An operation adds at most one neighbor set.
-    log = _open_log(out_store, in_store, recorder, rows)
     p = kernels._p
-
-    def call(log_descriptor):
-        out_desc = out_store._descriptor()
-        in_desc = in_store._descriptor()
-        return kernels.dah_ingest(
-            n, p(src), p(dst), p(wgt), int(directed), int(delete),
-            p(out_desc), p(in_desc),
-            p(table_probes), p(hash_ops), p(inline_scanned),
-            p(degree_queries), p(flushed), p(rehash_moves),
-            p(hit), p(events), p(ctl), log_descriptor,
-        )
-
-    def grow_arena():
-        stalled = out_store if int(ctl[5]) == 0 else in_store
-        code = int(ctl[6])
-        need = int(ctl[7])
-        if code == 0:
-            stalled._grow_low_arena(need)
-        elif code == 1:
-            stalled._grow_high_arena(need)
-        elif code == 2:
-            stalled._grow_inline_pool()
-        elif code == 3:
-            stalled._grow_set_arena(need)
-        else:
-            stalled._grow_set_meta()
-
-    _run_kernel(call, ctl, log, grow_arena)
+    n, src, dst, wgt, rows = _batch_columns(batch, directed, delete)
+    block = np.zeros((len(columns), rows), dtype=np.int64)
+    events = np.zeros(3 * out_store.EVENTS_PER_OP * (rows + 1), dtype=np.int64)
+    ctl = np.zeros(10, dtype=np.int64)
+    spare = out_store.SPARE_HOLDERS_PER_OP * rows
+    log = _open_log(out_store, in_store, recorder, spare)
+    with TRACER.span("ingest.ckernel"):
+        while True:
+            # Fresh descriptors: a grow replaces the arrays they point at.
+            out_desc, in_desc = out_store.descriptor(), in_store.descriptor()
+            rc = kernels.ingest(
+                out_store.FAMILY, n, p(src), p(dst), p(wgt), int(directed), int(delete),
+                p(out_desc), p(in_desc), p(block), p(events), p(ctl),
+                log.descriptor() if log is not None else None,
+            )
+            if rc == cingest.OK:
+                break
+            if rc == cingest.STALL:
+                stalled = in_store if ctl[5] else out_store
+                stalled.grow(int(ctl[6]), int(ctl[7]))
+            elif rc == cingest.LOG_FULL:
+                log.grow(int(ctl[8]), int(ctl[9]))
+            else:
+                raise SimulationError(
+                    "ingest kernel logged more accesses than it reserved"
+                )
     count = int(ctl[4])
-    event_base = np.zeros(count, dtype=np.int64)
     with TRACER.span("ingest.replay"):
-        for k in range(count):
-            code, a, b = (
-                int(events[3 * k]),
-                int(events[3 * k + 1]),
-                int(events[3 * k + 2]),
-            )
-            store = in_store if code >= 4 else out_store
-            event_base[k] = store._replay_event(code & 3, a, b)
+        event_base, event_limit = out_store.replay_events(
+            in_store, events[:3 * count].reshape(count, 3)
+        )
         if log is not None:
-            resized = events[:3 * count].reshape(count, 3)
-            log.resolve(
-                int(ctl[8]),
-                event_base,
-                (resized[:, 2] - 1) * _EVENT_SLOT_BYTES[resized[:, 0] & 3],
-                recorder,
-            )
+            log.resolve(int(ctl[8]), event_base, event_limit, recorder)
     _count_growth_events(out_store, count)
-    return (
-        int(ctl[3]), table_probes, hash_ops, inline_scanned,
-        degree_queries, flushed, rehash_moves, hit,
-    )
+    return int(ctl[3]), block

@@ -57,9 +57,5 @@ class VertexProperties:
         """Simulated byte address of ``name[vertex]`` (for tracing)."""
         return self._regions[name].element(vertex, VALUE_BYTES)
 
-    def addresses_of(self, name: str, vertices: np.ndarray) -> np.ndarray:
-        """:meth:`address_of` over a vertex array."""
-        return self._regions[name].elements(vertices, VALUE_BYTES)
-
     def names(self):
         return self._arrays.keys()

@@ -18,11 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.base import GraphDataStructure
-from repro.graph.nativestore import (
-    BLOCK_CAPACITY,
-    NativeStingerStore,
-    native_stinger_ingest,
-)
+from repro.graph.nativestore import BLOCK_CAPACITY, NativeStingerStore
 from repro.sim.tasks import TaskArray
 
 
@@ -34,7 +30,6 @@ class Stinger(GraphDataStructure):
     columns = (
         "search_chases", "search_probes", "space_chases", "hit", "new_block", "lock",
     )
-    _native_ingest = staticmethod(native_stinger_ingest)
 
     #: Lock-id namespaces for the two stores' edge blocks.
     _OUT_LOCK_BASE = 2 << 40

@@ -2,13 +2,19 @@
 
 The stores of :mod:`repro.graph.nativestore` keep their whole state in
 flat numpy arrays and define every operation per edge in Python.  This
-module compiles the batch loop over those operations: each structure
-family gets one C kernel that runs the *entire* batch -- duplicate
-scans, slot writes, segment relocations, block chases, hash probes --
-over the same arrays, returning the per-operation counts (scanned/hit/
-aux...) as columns, the same columns the per-edge methods' outcome
-records hold, which the structure then prices with vectorized
-arithmetic.  Results are bit-identical to the per-edge methods.
+module compiles the batch loop over those operations: one exported
+``saga_ingest`` runs the *entire* batch -- each edge's out operation,
+then its mirror -- and calls the store family's insert or delete
+operation (duplicate scans, slot writes, segment relocations, block
+chases, hash probes) over the same arrays.  The families differ only
+in those operations and in the int64 descriptor each store passes; the
+loop, its resume protocol (the ``ctl[10]`` block described at the head
+of the loop's section in the C source), the access log and the event
+log are written once.  The per-operation counts come back as one int64
+block of shape ``(columns, rows)`` -- the fields of the per-edge
+methods' outcome records -- which the structure then prices with
+vectorized arithmetic.  Results are bit-identical to the per-edge
+methods.
 
 The kernels mutate raw arrays, but simulated-memory accounting
 (``AddressSpace`` regions, segment pools, table regions) stays in
@@ -31,7 +37,7 @@ resource.  See the comment at the head of the C source.
 
 The library also emits the compute phase's structure reads: per family
 one *traversal emitter* walks the same arrays -- vector spans, block
-lists, DAH's probe paths by the ingest kernels' own ``oa_get`` /
+lists, DAH's probe paths by the ingest operations' own ``oa_get`` /
 ``rh_get`` -- for a whole vertex array, and fills the ``(counts,
 addresses)`` of ``trace_in_traversal`` / ``trace_out_traversal``.
 
@@ -50,9 +56,10 @@ import numpy as np
 
 from repro.sim.cbuild import NATIVE
 
-#: Kernel return codes: done; an arena is too small (``ctl[5..7]`` say
-#: which); the access log needs ``ctl[9]`` more rows; an operation
-#: logged more accesses than it had asked room for (a kernel defect).
+#: Kernel return codes: done; an arena is too small (``ctl[5..7]``: the
+#: store, the resource, the need); the access log needs ``ctl[9]`` more
+#: rows; an operation logged more accesses than it had asked room for
+#: (a kernel defect).
 OK = 0
 STALL = 1
 LOG_FULL = 2
@@ -62,7 +69,7 @@ _SOURCE = r"""
 #include <stdint.h>
 
 /* ------------------------------------------------------------------ *
- * The access log of a traced batch (all three kernels).
+ * The access log of a traced batch.
  *
  * With a log descriptor the kernel writes, per memory access the
  * per-edge methods would emit, the task row, the region, the byte
@@ -162,16 +169,74 @@ static void lg_path(AccessLog *lg, int64_t task, int64_t holder,
                write_last && k == count - 1);
 }
 
+/* ------------------------------------------------------------------ *
+ * The batch loop (saga_ingest, after the three families' sections).
+ *
+ * Per edge of the batch, the out op on the out store (u -> v), then
+ * the mirror op on the in store (v -> u; the out store itself when
+ * undirected), skipped for an undirected self-loop; row r of the
+ * output is the r-th operation.  The family's *_insert_op /
+ * *_delete_op writes its counts into column k of its row,
+ * cols[k * rows + row]: one int64 block, the structure's columns.
+ * Each store arrives as one int64 descriptor of pointers and
+ * capacities, unpacked by its family's *_unpack.
+ *
+ * Control block ctl[10]: [0] resume edge index, [1] resume half (0 =
+ * out op next, 1 = mirror op next), [2] output row cursor, [3]
+ * positive count (out ops that changed the store), [4] event count,
+ * [5] stalled store (0 = out, 1 = in), [6] stalled resource, [7] its
+ * need, [8] access-log cursor, [9] log need.  Returns RC_OK when the
+ * batch is done; RC_STALL when an operation needs more backing storage
+ * than the store's arena has -- re-enter after growing resource ctl[6]
+ * of store ctl[5] by ctl[7] -- and RC_LOG_FULL when the access log
+ * needs ctl[9] more rows.  Every operation checks for room before it
+ * mutates anything, so the re-entered operation runs cleanly.
+ *
+ * Allocation-changing operations append an event (code, a, b) each;
+ * Python replays them in order into the simulated address space.
+ * ------------------------------------------------------------------ */
+
+typedef struct {
+    int64_t *cols;      /* column k of row r at cols[k * rows + r] */
+    int64_t  rows;
+    int64_t  row;
+    int64_t  mirror;    /* 0: out op, 1: mirror op */
+    int64_t *events;
+    int64_t  ec;        /* event count */
+    int64_t  resource;  /* a stall's resource and need */
+    int64_t  need;
+    AccessLog lg;
+} Batch;
+
+#define COL(k) bt->cols[(k) * bt->rows + bt->row]
+
+static int stall(Batch *bt, int64_t resource, int64_t need)
+{
+    bt->resource = resource;
+    bt->need = need;
+    return RC_STALL;
+}
+
 /* Append event (code, a, b); `holder` (-1: none) gets the region the
  * event allocates. */
-static void log_event(int64_t *events, int64_t *ec, int64_t code,
-                      int64_t a, int64_t b, AccessLog *lg, int64_t holder)
+static void log_event(Batch *bt, int64_t code, int64_t a, int64_t b,
+                      int64_t holder)
 {
-    events[3 * *ec] = code;
-    events[3 * *ec + 1] = a;
-    events[3 * *ec + 2] = b;
-    if (lg->task && holder >= 0) lg->rid[holder] = lg->ev0 + *ec;
-    (*ec)++;
+    int64_t *e = bt->events + 3 * bt->ec;
+    e[0] = code; e[1] = a; e[2] = b;
+    if (bt->lg.task && holder >= 0) bt->lg.rid[holder] = bt->lg.ev0 + bt->ec;
+    bt->ec++;
+}
+
+/* Leave through a stall: resume cursor, stalled store and resource,
+ * and the log rewound to `mark`, the stalled operation's first access. */
+static int64_t save_stall(int64_t *ctl, int64_t rc, int64_t i, int64_t half,
+                          int64_t positive, Batch *bt, int64_t mark)
+{
+    ctl[0] = i; ctl[1] = half; ctl[2] = bt->row; ctl[3] = positive;
+    ctl[4] = bt->ec; ctl[5] = half; ctl[6] = bt->resource; ctl[7] = bt->need;
+    ctl[8] = mark; ctl[9] = bt->lg.need;
+    return bt->lg.overrun ? RC_LOG_OVERRUN : rc;
 }
 
 /* ------------------------------------------------------------------ *
@@ -196,18 +261,6 @@ static void emit_run(int64_t *out, int64_t w, int64_t first, int64_t count,
     for (int64_t k = 0; k < count; k++) out[w + k] = first + k * stride;
 }
 
-/* Leave through a stall: resume cursor, stalled store, and the log
- * rewound to `mark`, the stalled operation's first access. */
-static int64_t save_stall(int64_t *ctl, int64_t rc, int64_t i, int64_t half,
-                          int64_t row, int64_t positive, int64_t ec,
-                          AccessLog *lg, int64_t mark)
-{
-    ctl[0] = i; ctl[1] = half; ctl[2] = row; ctl[3] = positive;
-    ctl[4] = ec; ctl[5] = half;
-    ctl[8] = mark; ctl[9] = lg->need;
-    return lg->overrun ? RC_LOG_OVERRUN : rc;
-}
-
 /* ------------------------------------------------------------------ *
  * Vector-family ingest (AS, AC, BA).
  *
@@ -217,15 +270,8 @@ static int64_t save_stall(int64_t *ctl, int64_t rc, int64_t i, int64_t half,
  * pool cursor (state[0]) and copies -- mirroring the alloc-then-free
  * (AS/AC) or pool-acquire-then-release (BA) of the Python stores,
  * which is replayed from the event log: one (mirror, vertex, newcap)
- * triple per growth.
- *
- * Control block ctl[10]: resume edge index, resume half (0 = out op
- * next, 1 = mirror op next), output row cursor, positive count, event
- * count, stall store flag (0 = out, 1 = mirror), stall pool need, then
- * [8] the access-log cursor and [9] the log need.  Returns RC_OK when
- * the batch is complete, RC_STALL on a pool stall (re-enter after
- * growing the numpy pool of the store named by ctl[5]), RC_LOG_FULL
- * when the access log needs ctl[9] more rows.
+ * triple per growth.  Its one stall resource: 0 = the pool, need =
+ * the slots of the doubled span.  Columns: scanned, hit, aux.
  *
  * Traced, an operation logs what NativeVectorStore.insert / .remove
  * emit: the vertex's header, the scanned entries of the region it had
@@ -250,6 +296,15 @@ typedef struct {
     int64_t  h0;        /* first holder of this store */
 } VecStore;
 
+/* See _PooledVectorState.descriptor(). */
+static void vec_unpack(const int64_t *d, VecStore *s)
+{
+    s->off = (int64_t *)d[0]; s->len = (int64_t *)d[1];
+    s->cap = (int64_t *)d[2]; s->nbr = (int64_t *)d[3];
+    s->wgt = (double *)d[4]; s->state = (int64_t *)d[5];
+    s->pool_cap = d[6];
+}
+
 /* The search scan both operations start with: position of v in u's
  * vector (-1 when absent), header and scanned entries logged. */
 static int64_t vec_scan(VecStore *s, int64_t u, int64_t v, int64_t row,
@@ -267,31 +322,25 @@ static int64_t vec_scan(VecStore *s, int64_t u, int64_t v, int64_t row,
     return pos;
 }
 
-/* One search-then-insert; returns RC_OK, RC_STALL (need in *need) or
- * RC_LOG_FULL. */
-static int vec_insert_op(
-    VecStore *s, int64_t u, int64_t v, double w, int64_t mirror,
-    int64_t *scanned, uint8_t *hit, int64_t *aux, int64_t row,
-    int64_t *events, int64_t *ec, int64_t *positive, int64_t *need,
-    AccessLog *lg)
+/* One search-then-insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
+static __attribute__((noinline)) int
+vec_insert_op(VecStore *s, int64_t u, int64_t v, double w, Batch *bt)
 {
+    AccessLog *lg = &bt->lg;
     int64_t off = s->off[u];
     int64_t len = s->len[u];
     if (!lg_room(lg, len + 2)) return RC_LOG_FULL;
-    int64_t pos = vec_scan(s, u, v, row, lg);
+    int64_t pos = vec_scan(s, u, v, bt->row, lg);
     if (pos >= 0) {
-        scanned[row] = pos + 1;
-        hit[row] = 0;
-        aux[row] = 0;
+        COL(0) = pos + 1;
+        COL(1) = 0;
+        COL(2) = 0;
         return RC_OK;
     }
     int64_t grew = 0;
     if (len == s->cap[u]) {
         int64_t newcap = s->cap[u] ? s->cap[u] * 2 : VEC_MIN_CAPACITY;
-        if (s->state[0] + newcap > s->pool_cap) {
-            *need = newcap;
-            return RC_STALL;
-        }
+        if (s->state[0] + newcap > s->pool_cap) return stall(bt, 0, newcap);
         int64_t noff = s->state[0];
         for (int64_t k = 0; k < len; k++) {
             s->nbr[noff + k] = s->nbr[off + k];
@@ -302,98 +351,45 @@ static int vec_insert_op(
         s->cap[u] = newcap;
         off = noff;
         grew = len;
-        log_event(events, ec, mirror, u, newcap, lg, s->h0 + 1 + u);
+        log_event(bt, bt->mirror, u, newcap, s->h0 + 1 + u);
     }
     s->nbr[off + len] = v;
     s->wgt[off + len] = w;
     s->len[u] = len + 1;
-    lg_put(lg, row, s->h0 + 1 + u, len * VEC_ENTRY_BYTES, 1);
-    scanned[row] = len;
-    hit[row] = 1;
-    aux[row] = grew;
-    if (!mirror) (*positive)++;
+    lg_put(lg, bt->row, s->h0 + 1 + u, len * VEC_ENTRY_BYTES, 1);
+    COL(0) = len;
+    COL(1) = 1;
+    COL(2) = grew;
     return RC_OK;
 }
 
 /* One search-then-remove; allocates nothing, so only the log stalls it. */
-static int vec_delete_op(
-    VecStore *s, int64_t u, int64_t v, int64_t mirror,
-    int64_t *scanned, uint8_t *hit, int64_t *aux, int64_t row,
-    int64_t *positive, AccessLog *lg)
+static __attribute__((noinline)) int
+vec_delete_op(VecStore *s, int64_t u, int64_t v, Batch *bt)
 {
+    AccessLog *lg = &bt->lg;
     int64_t off = s->off[u];
     int64_t len = s->len[u];
     if (!lg_room(lg, len + 2)) return RC_LOG_FULL;
-    int64_t pos = vec_scan(s, u, v, row, lg);
+    int64_t pos = vec_scan(s, u, v, bt->row, lg);
     if (pos < 0) {
-        scanned[row] = len;
-        hit[row] = 0;
-        aux[row] = 0;
+        COL(0) = len;
+        COL(1) = 0;
+        COL(2) = 0;
         return RC_OK;
     }
-    scanned[row] = pos + 1;
+    COL(0) = pos + 1;
     int64_t moved = 0;
     if (pos != len - 1) {
         s->nbr[off + pos] = s->nbr[off + len - 1];
         s->wgt[off + pos] = s->wgt[off + len - 1];
         moved = 1;
-        lg_put(lg, row, s->h0 + 1 + u, pos * VEC_ENTRY_BYTES, 1);
+        lg_put(lg, bt->row, s->h0 + 1 + u, pos * VEC_ENTRY_BYTES, 1);
     }
     s->len[u] = len - 1;
-    hit[row] = 1;
-    aux[row] = moved;
-    if (!mirror) (*positive)++;
+    COL(1) = 1;
+    COL(2) = moved;
     return RC_OK;
-}
-
-int64_t saga_vec_ingest(
-    int64_t n, const int64_t *src, const int64_t *dst, const double *wgt,
-    int64_t directed, int64_t delete_mode,
-    int64_t *o_off, int64_t *o_len, int64_t *o_cap,
-    int64_t *o_nbr, double *o_wgt, int64_t *o_state, int64_t o_pool_cap,
-    int64_t *i_off, int64_t *i_len, int64_t *i_cap,
-    int64_t *i_nbr, double *i_wgt, int64_t *i_state, int64_t i_pool_cap,
-    int64_t *scanned, uint8_t *hit, int64_t *aux,
-    int64_t *events, int64_t *ctl, const int64_t *log_desc)
-{
-    VecStore out = {o_off, o_len, o_cap, o_nbr, o_wgt, o_state, o_pool_cap,
-                    0};
-    VecStore in  = {i_off, i_len, i_cap, i_nbr, i_wgt, i_state, i_pool_cap,
-                    log_desc ? log_desc[7] : 0};
-    AccessLog lg;
-    lg_open(&lg, log_desc, ctl);
-    int64_t i = ctl[0];
-    int64_t half = ctl[1];
-    int64_t row = ctl[2];
-    int64_t positive = ctl[3];
-    int64_t ec = ctl[4];
-    int64_t need = 0;
-    for (; i < n; i++) {
-        int64_t u = src[i];
-        int64_t v = dst[i];
-        double w = delete_mode ? 0.0 : wgt[i];
-        for (; half < 2; half++) {
-            if (half && u == v && !directed) break;
-            VecStore *s = half ? &in : &out;
-            int64_t a = half ? v : u, b = half ? u : v;
-            int64_t mark = lg.n;
-            int rc = delete_mode
-                ? vec_delete_op(s, a, b, half, scanned, hit, aux, row,
-                                &positive, &lg)
-                : vec_insert_op(s, a, b, w, half, scanned, hit, aux, row,
-                                events, &ec, &positive, &need, &lg);
-            if (rc) {
-                ctl[6] = need;
-                return save_stall(ctl, rc, i, half, row, positive, ec,
-                                  &lg, mark);
-            }
-            row++;
-        }
-        half = 0;
-    }
-    ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
-    ctl[8] = lg.n;
-    return lg.overrun ? RC_LOG_OVERRUN : RC_OK;
 }
 
 /* Traversal emitter: per vertex its header, then its len entries from
@@ -424,10 +420,9 @@ int64_t saga_vec_traversals(
  * vertex's block list as a (offset, count, capacity) span, and a
  * per-vertex degree array.  Region accounting replays from events:
  * code = mirror*2 + (0 = block allocated, 1 = tail block freed).
- *
- * Stalls: ctl[5] = store, ctl[6] = resource (0 = block-id pool span of
- * ctl[7] slots, 1 = block pool), resume cursor and access log as in
- * the vec kernel.
+ * Stall resources: 0 = the block-id pool (need: the slots of a list's
+ * doubled span), 1 = the block pool.  Columns: search chases, search
+ * probes, space chases, hit, new block, lock.
  *
  * Traced, an operation logs what NativeStingerStore.insert / .remove
  * emit: the vertex-array entry, per scanned block its header and its
@@ -444,6 +439,7 @@ int64_t saga_vec_traversals(
 
 typedef struct {
     int64_t  lock_base;
+    int64_t  no_lock;
     int64_t *boff;
     int64_t *bcnt;
     int64_t *bcap;
@@ -457,6 +453,18 @@ typedef struct {
     int64_t *state;   /* [0] = bid-pool cursor, [1] = next block id */
     int64_t  h0;      /* first holder of this store */
 } StStore;
+
+/* See NativeStingerStore.descriptor(). */
+static void st_unpack(const int64_t *d, StStore *s)
+{
+    s->lock_base = d[0]; s->no_lock = d[1];
+    s->boff = (int64_t *)d[2]; s->bcnt = (int64_t *)d[3];
+    s->bcap = (int64_t *)d[4]; s->deg = (int64_t *)d[5];
+    s->bids = (int64_t *)d[6]; s->bids_cap = d[7];
+    s->bnbr = (int64_t *)d[8]; s->bwgt = (double *)d[9];
+    s->blen = (int64_t *)d[10]; s->blk_cap = d[11];
+    s->state = (int64_t *)d[12];
+}
 
 /* Search scan shared by insert and remove: finds (block index, slot)
  * of v and the probe count up to it; -1 block index when absent.  The
@@ -490,25 +498,21 @@ static void st_find(const StStore *s, int64_t u, int64_t v, int64_t row,
     *probes_before = acc;
 }
 
-/* One insert; returns RC_OK, RC_STALL (resource/need already in ctl)
- * or RC_LOG_FULL. */
-static int st_insert_op(
-    StStore *s, int64_t u, int64_t v, double w, int64_t mirror,
-    int64_t no_lock, int64_t *chases, int64_t *probes, int64_t *space,
-    uint8_t *hit, uint8_t *newblk, int64_t *lock, int64_t row,
-    int64_t *events, int64_t *ec, int64_t *positive, int64_t *ctl,
-    AccessLog *lg)
+/* One insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
+static __attribute__((noinline)) int
+st_insert_op(StStore *s, int64_t u, int64_t v, double w, Batch *bt)
 {
+    AccessLog *lg = &bt->lg;
     int64_t bi, slot, before;
     if (!lg_room(lg, 2 + s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
-    st_find(s, u, v, row, lg, &bi, &slot, &before);
+    st_find(s, u, v, bt->row, lg, &bi, &slot, &before);
     if (bi >= 0) {
-        chases[row] = bi + 1;
-        probes[row] = before + slot + 1;
-        space[row] = 0;
-        hit[row] = 0;
-        newblk[row] = 0;
-        lock[row] = no_lock;
+        COL(0) = bi + 1;
+        COL(1) = before + slot + 1;
+        COL(2) = 0;
+        COL(3) = 0;
+        COL(4) = 0;
+        COL(5) = s->no_lock;
         return RC_OK;
     }
     int64_t bcnt = s->bcnt[u];
@@ -523,14 +527,9 @@ static int st_insert_op(
         /* Pre-check both allocations before mutating anything. */
         int64_t list_need = (bcnt == s->bcap[u])
             ? (s->bcap[u] ? s->bcap[u] * 2 : ST_MIN_LIST) : 0;
-        if (list_need && s->state[0] + list_need > s->bids_cap) {
-            ctl[6] = 0; ctl[7] = list_need;
-            return RC_STALL;
-        }
-        if (s->state[1] >= s->blk_cap) {
-            ctl[6] = 1; ctl[7] = 0;
-            return RC_STALL;
-        }
+        if (list_need && s->state[0] + list_need > s->bids_cap)
+            return stall(bt, 0, list_need);
+        if (s->state[1] >= s->blk_cap) return stall(bt, 1, 0);
         if (list_need) {
             int64_t noff = s->state[0];
             for (int64_t k = 0; k < bcnt; k++)
@@ -544,7 +543,7 @@ static int st_insert_op(
         s->bids[s->boff[u] + bcnt] = bid;
         s->bcnt[u] = bcnt + 1;
         /* block allocated */
-        log_event(events, ec, mirror * 2, bid, 0, lg, s->h0 + 1 + bid);
+        log_event(bt, bt->mirror * 2, bid, 0, s->h0 + 1 + bid);
         target = bcnt;
         fresh = 1;
     }
@@ -553,36 +552,33 @@ static int st_insert_op(
     s->bnbr[tb * ST_BLOCK_CAPACITY + tslot] = v;
     s->bwgt[tb * ST_BLOCK_CAPACITY + tslot] = w;
     s->blen[tb] = tslot + 1;
-    lg_put(lg, row, s->h0 + 1 + tb,
+    lg_put(lg, bt->row, s->h0 + 1 + tb,
            ST_HEADER_BYTES + tslot * ST_ENTRY_BYTES, 1);
-    chases[row] = bcnt;
-    probes[row] = s->deg[u];
+    COL(0) = bcnt;
+    COL(1) = s->deg[u];
     s->deg[u] += 1;
-    space[row] = fresh ? bcnt : target + 1;
-    hit[row] = 1;
-    newblk[row] = (uint8_t)fresh;
-    lock[row] = s->lock_base + tb;
-    if (!mirror) (*positive)++;
+    COL(2) = fresh ? bcnt : target + 1;
+    COL(3) = 1;
+    COL(4) = fresh;
+    COL(5) = s->lock_base + tb;
     return RC_OK;
 }
 
 /* One remove; allocates nothing, so only the log stalls it. */
-static int st_delete_op(
-    StStore *s, int64_t u, int64_t v, int64_t mirror, int64_t no_lock,
-    int64_t *chases, int64_t *probes, int64_t *space, uint8_t *hit,
-    uint8_t *newblk, int64_t *lock, int64_t row,
-    int64_t *events, int64_t *ec, int64_t *positive, AccessLog *lg)
+static __attribute__((noinline)) int
+st_delete_op(StStore *s, int64_t u, int64_t v, Batch *bt)
 {
+    AccessLog *lg = &bt->lg;
     int64_t bi, slot, before;
     if (!lg_room(lg, 2 + s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
-    st_find(s, u, v, row, lg, &bi, &slot, &before);
-    space[row] = 0;
+    st_find(s, u, v, bt->row, lg, &bi, &slot, &before);
+    COL(2) = 0;
     if (bi < 0) {
-        chases[row] = s->bcnt[u];
-        probes[row] = s->deg[u];
-        hit[row] = 0;
-        newblk[row] = 0;
-        lock[row] = no_lock;
+        COL(0) = s->bcnt[u];
+        COL(1) = s->deg[u];
+        COL(3) = 0;
+        COL(4) = 0;
+        COL(5) = s->no_lock;
         return RC_OK;
     }
     int64_t tb = s->bids[s->boff[u] + bi];
@@ -592,7 +588,7 @@ static int st_delete_op(
             s->bnbr[tb * ST_BLOCK_CAPACITY + last];
         s->bwgt[tb * ST_BLOCK_CAPACITY + slot] =
             s->bwgt[tb * ST_BLOCK_CAPACITY + last];
-        lg_put(lg, row, s->h0 + 1 + tb,
+        lg_put(lg, bt->row, s->h0 + 1 + tb,
                ST_HEADER_BYTES + slot * ST_ENTRY_BYTES, 1);
     }
     s->blen[tb] = last;
@@ -602,73 +598,14 @@ static int st_delete_op(
         s->bcnt[u] -= 1;
         freed = 1;
         /* tail block freed */
-        log_event(events, ec, mirror * 2 + 1, tb, 0, lg, -1);
+        log_event(bt, bt->mirror * 2 + 1, tb, 0, -1);
     }
-    chases[row] = bi + 1;
-    probes[row] = before + slot + 1;
-    hit[row] = 1;
-    newblk[row] = (uint8_t)freed;
-    lock[row] = s->lock_base + tb;
-    if (!mirror) (*positive)++;
+    COL(0) = bi + 1;
+    COL(1) = before + slot + 1;
+    COL(3) = 1;
+    COL(4) = freed;
+    COL(5) = s->lock_base + tb;
     return RC_OK;
-}
-
-int64_t saga_stinger_ingest(
-    int64_t n, const int64_t *src, const int64_t *dst, const double *wgt,
-    int64_t directed, int64_t delete_mode, int64_t no_lock,
-    int64_t o_lock_base,
-    int64_t *o_boff, int64_t *o_bcnt, int64_t *o_bcap, int64_t *o_deg,
-    int64_t *o_bids, int64_t o_bids_cap,
-    int64_t *o_bnbr, double *o_bwgt, int64_t *o_blen, int64_t o_blk_cap,
-    int64_t *o_state,
-    int64_t i_lock_base,
-    int64_t *i_boff, int64_t *i_bcnt, int64_t *i_bcap, int64_t *i_deg,
-    int64_t *i_bids, int64_t i_bids_cap,
-    int64_t *i_bnbr, double *i_bwgt, int64_t *i_blen, int64_t i_blk_cap,
-    int64_t *i_state,
-    int64_t *chases, int64_t *probes, int64_t *space, uint8_t *hit,
-    uint8_t *newblk, int64_t *lock,
-    int64_t *events, int64_t *ctl, const int64_t *log_desc)
-{
-    StStore out = {o_lock_base, o_boff, o_bcnt, o_bcap, o_deg,
-                   o_bids, o_bids_cap, o_bnbr, o_bwgt, o_blen, o_blk_cap,
-                   o_state, 0};
-    StStore in  = {i_lock_base, i_boff, i_bcnt, i_bcap, i_deg,
-                   i_bids, i_bids_cap, i_bnbr, i_bwgt, i_blen, i_blk_cap,
-                   i_state, log_desc ? log_desc[7] : 0};
-    AccessLog lg;
-    lg_open(&lg, log_desc, ctl);
-    int64_t i = ctl[0];
-    int64_t half = ctl[1];
-    int64_t row = ctl[2];
-    int64_t positive = ctl[3];
-    int64_t ec = ctl[4];
-    for (; i < n; i++) {
-        int64_t u = src[i];
-        int64_t v = dst[i];
-        double w = delete_mode ? 0.0 : wgt[i];
-        for (; half < 2; half++) {
-            if (half && u == v && !directed) break;
-            StStore *s = half ? &in : &out;
-            int64_t a = half ? v : u, b = half ? u : v;
-            int64_t mark = lg.n;
-            int rc = delete_mode
-                ? st_delete_op(s, a, b, half, no_lock, chases, probes,
-                               space, hit, newblk, lock, row, events, &ec,
-                               &positive, &lg)
-                : st_insert_op(s, a, b, w, half, no_lock, chases, probes,
-                               space, hit, newblk, lock, row, events, &ec,
-                               &positive, ctl, &lg);
-            if (rc)
-                return save_stall(ctl, rc, i, half, row, positive, ec,
-                                  &lg, mark);
-            row++;
-        }
-        half = 0;
-    }
-    ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
-    ctl[8] = lg.n;
-    return lg.overrun ? RC_LOG_OVERRUN : RC_OK;
 }
 
 /* Traversal emitter: per vertex its vertex-array entry, then per block
@@ -711,10 +648,11 @@ int64_t saga_stinger_traversals(
  * +4 when on the mirror store).
  *
  * Every operation pre-checks the worst-case arena space it could need
- * BEFORE mutating anything, so a stalled op re-runs cleanly after
- * Python grows the numpy arena named by ctl[6] (0 = low-key arena,
- * 1 = high-key arena, 2 = inline pool, 3 = set arena, 4 = set
- * metadata arrays), with the span need in ctl[7].
+ * before mutating anything.  Stall resources: 0 = low-key arena, 1 =
+ * high-key arena, 2 = inline pool, 3 = set arena, 4 = set metadata
+ * arrays; need = the span the doubled table or fresh set takes.
+ * Columns: table probes, hash ops, inline scanned, degree queries,
+ * flushed, rehash moves, hit.
  *
  * Traced, an operation logs what NativeDAHStore.insert / .remove emit:
  * the probe path of every table get and put (a put's last slot is the
@@ -763,8 +701,7 @@ typedef struct {
 #define DAH_HIGH_HOLDER(s, c) ((s)->h0 + (s)->chunks + (c))
 #define DAH_SET_HOLDER(s, id) ((s)->h0 + 2 * (s)->chunks + (id))
 
-/* Pointers and capacities arrive packed in an int64 descriptor so the
- * ctypes signature stays flat; see NativeDAHStore._descriptor(). */
+/* See NativeDAHStore.descriptor(). */
 static void dah_unpack(const int64_t *d, DahStore *s)
 {
     s->chunks = d[0];
@@ -844,8 +781,7 @@ static void rh_raw_insert(int64_t *keys, int64_t *vals, int64_t cap,
 
 /* Low-table put (space pre-checked by the caller); emits LOW_RESIZE. */
 static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
-                       int64_t mirror, int64_t *probes,
-                       int64_t *events, int64_t *ec, AccessLog *lg)
+                       int64_t *probes, Batch *bt)
 {
     int64_t moved = 0;
     if (dah_over_load(s->lsize[c], s->lcap[c])) {
@@ -863,8 +799,8 @@ static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         s->state[0] += ncap;
         s->loff[c] = noff;
         s->lcap[c] = ncap;
-        log_event(events, ec, mirror * 4, c, ncap,  /* LOW_RESIZE */
-                  lg, DAH_LOW_HOLDER(s, c));
+        log_event(bt, bt->mirror * 4, c, ncap,  /* LOW_RESIZE */
+                  DAH_LOW_HOLDER(s, c));
     }
     int64_t *keys = s->lkeys + s->loff[c];
     int64_t *vals = s->lval + s->loff[c];
@@ -955,8 +891,7 @@ static void oa_raw_insert_d(int64_t *keys, double *vals, int64_t cap,
  * space pre-checked by the caller; emits HIGH_RESIZE.  The caller
  * probed first, so the key is absent (tombstone reuse still applies). */
 static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
-                        int64_t mirror, int64_t *probes,
-                        int64_t *events, int64_t *ec, AccessLog *lg)
+                        int64_t *probes, Batch *bt)
 {
     int64_t moved = 0;
     if (dah_over_load(s->hsize[c], s->hcap[c])) {
@@ -974,8 +909,8 @@ static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         s->state[1] += ncap;
         s->hoff[c] = noff;
         s->hcap[c] = ncap;
-        log_event(events, ec, mirror * 4 + 1, c, ncap,  /* HIGH_RESIZE */
-                  lg, DAH_HIGH_HOLDER(s, c));
+        log_event(bt, bt->mirror * 4 + 1, c, ncap,  /* HIGH_RESIZE */
+                  DAH_HIGH_HOLDER(s, c));
     }
     int64_t *keys = s->hkeys + s->hoff[c];
     int64_t *vals = s->hval + s->hoff[c];
@@ -1003,8 +938,7 @@ static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
 /* Neighbor-set put (key absent unless duplicate-checked by caller);
  * emits SET_RESIZE.  Space pre-checked by the caller. */
 static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
-                       int64_t mirror, int64_t *probes,
-                       int64_t *events, int64_t *ec, AccessLog *lg)
+                       int64_t *probes, Batch *bt)
 {
     int64_t moved = 0;
     if (dah_over_load(s->ssize[sid], s->scap[sid])) {
@@ -1022,8 +956,8 @@ static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
         s->state[4] += ncap;
         s->soff[sid] = noff;
         s->scap[sid] = ncap;
-        log_event(events, ec, mirror * 4 + 3, sid, ncap,  /* SET_RESIZE */
-                  lg, DAH_SET_HOLDER(s, sid));
+        log_event(bt, bt->mirror * 4 + 3, sid, ncap,  /* SET_RESIZE */
+                  DAH_SET_HOLDER(s, sid));
     }
     int64_t *keys = s->skeys + s->soff[sid];
     double *vals = s->swgt + s->soff[sid];
@@ -1057,8 +991,7 @@ static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
 }
 
 /* Fresh neighbor set (space pre-checked); emits SET_NEW. */
-static int64_t dah_new_set(DahStore *s, int64_t mirror,
-                           int64_t *events, int64_t *ec, AccessLog *lg)
+static int64_t dah_new_set(DahStore *s, Batch *bt)
 {
     int64_t sid = s->state[5]++;
     int64_t off = s->state[4];
@@ -1068,8 +1001,8 @@ static int64_t dah_new_set(DahStore *s, int64_t mirror,
     s->ssize[sid] = 0;
     for (int64_t i = 0; i < DAH_SET_INIT; i++)
         s->skeys[off + i] = DAH_EMPTY;
-    log_event(events, ec, mirror * 4 + 2, sid, DAH_SET_INIT,  /* SET_NEW */
-              lg, DAH_SET_HOLDER(s, sid));
+    log_event(bt, bt->mirror * 4 + 2, sid, DAH_SET_INIT,  /* SET_NEW */
+              DAH_SET_HOLDER(s, sid));
     return sid;
 }
 
@@ -1081,15 +1014,12 @@ static int64_t dah_new_set(DahStore *s, int64_t mirror,
                 (probes), (slot_bytes), (write_last));                     \
     } while (0)
 
-/* One insert; returns RC_OK, RC_STALL (resource/need already in ctl)
- * or RC_LOG_FULL. */
-static int dah_insert_op(
-    DahStore *s, int64_t u, int64_t v, double w, int64_t mirror,
-    int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
-    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit,
-    int64_t row, int64_t *events, int64_t *ec, int64_t *positive,
-    int64_t *ctl, AccessLog *lg)
+/* One insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
+static __attribute__((noinline)) int
+dah_insert_op(DahStore *s, int64_t u, int64_t v, double w, Batch *bt)
 {
+    AccessLog *lg = &bt->lg;
+    int64_t row = bt->row;
     int64_t c = u % s->chunks;
     int64_t probes;
     int64_t hslot = oa_get(s->hkeys + s->hoff[c], s->hcap[c], u, &probes);
@@ -1108,13 +1038,11 @@ static int dah_insert_op(
         if (gslot < 0) {
             int64_t need = dah_over_load(s->ssize[sid], s->scap[sid])
                 ? 2 * s->scap[sid] : 0;
-            if (need && s->state[4] + need > s->skeys_cap) {
-                ctl[6] = 3; ctl[7] = need;
-                return RC_STALL;
-            }
+            if (need && s->state[4] + need > s->skeys_cap)
+                return stall(bt, 3, need);
             if (!lg_room(lg, (need ? need : s->scap[sid]) + 1))
                 return RC_LOG_FULL;
-            rehash = set_put(s, sid, v, w, mirror, &probes, events, ec, lg);
+            rehash = set_put(s, sid, v, w, &probes, bt);
             hash_ops = 3;
             table_probes += probes;
             hit = 1;
@@ -1133,14 +1061,10 @@ static int dah_insert_op(
         if (lslot < 0) {
             int64_t need = dah_over_load(s->lsize[c], s->lcap[c])
                 ? 2 * s->lcap[c] : 0;
-            if (need && s->state[0] + need > s->lkeys_cap) {
-                ctl[6] = 0; ctl[7] = need;
-                return RC_STALL;
-            }
-            if (s->state[3] == 0 && s->state[2] >= s->inline_cap) {
-                ctl[6] = 2; ctl[7] = 0;
-                return RC_STALL;
-            }
+            if (need && s->state[0] + need > s->lkeys_cap)
+                return stall(bt, 0, need);
+            if (s->state[3] == 0 && s->state[2] >= s->inline_cap)
+                return stall(bt, 2, 0);
             if (!lg_room(lg, (need ? need : s->lcap[c]) + 1))
                 return RC_LOG_FULL;
             int64_t iid = s->state[3] > 0
@@ -1148,7 +1072,7 @@ static int dah_insert_op(
             s->inl_len[iid] = 1;
             s->inl_nbr[iid * DAH_INLINE_CAP] = v;
             s->inl_wgt[iid * DAH_INLINE_CAP] = w;
-            rehash = low_put(s, c, u, iid, mirror, &probes, events, ec, lg);
+            rehash = low_put(s, c, u, iid, &probes, bt);
             hash_ops = 3;
             table_probes += probes;
             hit = 1;
@@ -1170,20 +1094,14 @@ static int dah_insert_op(
                 if (flush) {
                     /* Pre-check every flush allocation before the
                      * append mutates the inline array. */
-                    if (s->state[5] >= s->set_meta_cap) {
-                        ctl[6] = 4; ctl[7] = 0;
-                        return RC_STALL;
-                    }
-                    if (s->state[4] + DAH_SET_INIT > s->skeys_cap) {
-                        ctl[6] = 3; ctl[7] = DAH_SET_INIT;
-                        return RC_STALL;
-                    }
+                    if (s->state[5] >= s->set_meta_cap)
+                        return stall(bt, 4, 0);
+                    if (s->state[4] + DAH_SET_INIT > s->skeys_cap)
+                        return stall(bt, 3, DAH_SET_INIT);
                     int64_t hneed = dah_over_load(s->hsize[c], s->hcap[c])
                         ? 2 * s->hcap[c] : 0;
-                    if (hneed && s->state[1] + hneed > s->hkeys_cap) {
-                        ctl[6] = 1; ctl[7] = hneed;
-                        return RC_STALL;
-                    }
+                    if (hneed && s->state[1] + hneed > s->hkeys_cap)
+                        return stall(bt, 1, hneed);
                     if (!lg_room(lg, DAH_INLINE_CAP * (2 * DAH_SET_INIT + 1)
                                      + (hneed ? hneed : s->hcap[c]) + 1))
                         return RC_LOG_FULL;
@@ -1198,7 +1116,7 @@ static int dah_insert_op(
                               s->lcap[c], u, &dprobes);
                     s->lsize[c] -= 1;
                     table_probes += dprobes;
-                    int64_t sid = dah_new_set(s, mirror, events, ec, lg);
+                    int64_t sid = dah_new_set(s, bt);
                     int64_t set = DAH_SET_HOLDER(s, sid);
                     double *wgts = s->inl_wgt + iid * DAH_INLINE_CAP;
                     for (int64_t j = 0; j < len + 1; j++) {
@@ -1215,8 +1133,7 @@ static int dah_insert_op(
                              * never crosses the load factor, so this
                              * put cannot stall. */
                             rehash += set_put(s, sid, nbr[j], wgts[j],
-                                              mirror, &probes, events, ec,
-                                              lg);
+                                              &probes, bt);
                             hash_ops += 1;
                             table_probes += probes;
                             lg_path(lg, row, set,
@@ -1226,8 +1143,7 @@ static int dah_insert_op(
                         }
                         flushed += 1;
                     }
-                    rehash += high_put(s, c, u, sid, mirror, &probes,
-                                       events, ec, lg);
+                    rehash += high_put(s, c, u, sid, &probes, bt);
                     hash_ops += 1;
                     table_probes += probes;
                     lg_path(lg, row, DAH_HIGH_HOLDER(s, c),
@@ -1238,24 +1154,22 @@ static int dah_insert_op(
             }
         }
     }
-    o_probes[row] = table_probes;
-    o_ops[row] = hash_ops;
-    o_inline[row] = inline_scanned;
-    o_degq[row] = degq;
-    o_flushed[row] = flushed;
-    o_rehash[row] = rehash;
-    o_hit[row] = (uint8_t)hit;
-    if (!mirror && hit) (*positive)++;
+    COL(0) = table_probes;
+    COL(1) = hash_ops;
+    COL(2) = inline_scanned;
+    COL(3) = degq;
+    COL(4) = flushed;
+    COL(5) = rehash;
+    COL(6) = hit;
     return RC_OK;
 }
 
 /* One remove; allocates nothing, so only the log stalls it. */
-static int dah_delete_op(
-    DahStore *s, int64_t u, int64_t v, int64_t mirror,
-    int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
-    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit,
-    int64_t row, int64_t *positive, AccessLog *lg)
+static __attribute__((noinline)) int
+dah_delete_op(DahStore *s, int64_t u, int64_t v, Batch *bt)
 {
+    AccessLog *lg = &bt->lg;
+    int64_t row = bt->row;
     int64_t c = u % s->chunks;
     int64_t probes;
     int64_t hslot = oa_get(s->hkeys + s->hoff[c], s->hcap[c], u, &probes);
@@ -1312,65 +1226,93 @@ static int dah_delete_op(
             }
         }
     }
-    o_probes[row] = table_probes;
-    o_ops[row] = hash_ops;
-    o_inline[row] = inline_scanned;
-    o_degq[row] = degq;
-    o_flushed[row] = 0;
-    o_rehash[row] = 0;
-    o_hit[row] = (uint8_t)hit;
-    if (!mirror && hit) (*positive)++;
+    COL(0) = table_probes;
+    COL(1) = hash_ops;
+    COL(2) = inline_scanned;
+    COL(3) = degq;
+    COL(4) = 0;
+    COL(5) = 0;
+    COL(6) = hit;
     return RC_OK;
 }
 
-int64_t saga_dah_ingest(
-    int64_t n, const int64_t *src, const int64_t *dst, const double *wgt,
-    int64_t directed, int64_t delete_mode,
-    const int64_t *out_desc, const int64_t *in_desc,
-    int64_t *o_probes, int64_t *o_ops, int64_t *o_inline, int64_t *o_degq,
-    int64_t *o_flushed, int64_t *o_rehash, uint8_t *o_hit,
+/* ------------------------------------------------------------------ *
+ * The batch loop: see the comment above the Batch struct.
+ * ------------------------------------------------------------------ */
+
+/* The family operations are noinline: inlined here, all three made
+ * this loop one large function, and the update phase ran 2-5% slower
+ * end to end (bench_e2e scale-oocore and churn-htail on a 2-vCPU Xeon),
+ * the vector scan up to 1.7x slower on a hub. */
+enum { FAMILY_VEC, FAMILY_STINGER, FAMILY_DAH };
+
+/* Per family, the column of the hit flag (the store changed). */
+static const int64_t HIT_COLUMN[] = {1, 3, 6};
+
+typedef union { VecStore vec; StStore st; DahStore dah; } Store;
+
+static void unpack(int64_t family, const int64_t *d, int64_t h0, Store *s)
+{
+    switch (family) {
+    case FAMILY_VEC: vec_unpack(d, &s->vec); s->vec.h0 = h0; break;
+    case FAMILY_STINGER: st_unpack(d, &s->st); s->st.h0 = h0; break;
+    default: dah_unpack(d, &s->dah); s->dah.h0 = h0;
+    }
+}
+
+int64_t saga_ingest(
+    int64_t family, int64_t n, const int64_t *src, const int64_t *dst,
+    const double *wgt, int64_t directed, int64_t delete_mode,
+    const int64_t *out_desc, const int64_t *in_desc, int64_t *cols,
     int64_t *events, int64_t *ctl, const int64_t *log_desc)
 {
-    DahStore out, in;
-    dah_unpack(out_desc, &out);
-    dah_unpack(in_desc, &in);
-    out.h0 = 0;
-    in.h0 = log_desc ? log_desc[7] : 0;
-    AccessLog log;
-    AccessLog *lg = &log;
-    lg_open(lg, log_desc, ctl);
+    Store out, in;
+    unpack(family, out_desc, 0, &out);
+    unpack(family, in_desc, log_desc ? log_desc[7] : 0, &in);
+    Batch bt = {.cols = cols, .rows = 2 * n, .row = ctl[2], .events = events,
+                .ec = ctl[4]};
+    if (!directed) {  /* an undirected self-loop has no mirror row */
+        bt.rows = n;
+        for (int64_t i = 0; i < n; i++) bt.rows += src[i] != dst[i];
+    }
+    lg_open(&bt.lg, log_desc, ctl);
+    const int64_t *hit = cols + HIT_COLUMN[family] * bt.rows;
     int64_t i = ctl[0];
     int64_t half = ctl[1];
-    int64_t row = ctl[2];
     int64_t positive = ctl[3];
-    int64_t ec = ctl[4];
     for (; i < n; i++) {
         int64_t u = src[i];
         int64_t v = dst[i];
         double w = delete_mode ? 0.0 : wgt[i];
         for (; half < 2; half++) {
             if (half && u == v && !directed) break;
-            DahStore *s = half ? &in : &out;
+            Store *s = half ? &in : &out;
             int64_t a = half ? v : u, b = half ? u : v;
-            int64_t mark = lg->n;
-            int rc = delete_mode
-                ? dah_delete_op(s, a, b, half, o_probes, o_ops, o_inline,
-                                o_degq, o_flushed, o_rehash, o_hit, row,
-                                &positive, lg)
-                : dah_insert_op(s, a, b, w, half, o_probes, o_ops,
-                                o_inline, o_degq, o_flushed, o_rehash,
-                                o_hit, row, events, &ec,
-                                &positive, ctl, lg);
-            if (rc)
-                return save_stall(ctl, rc, i, half, row, positive, ec,
-                                  lg, mark);
-            row++;
+            int64_t mark = bt.lg.n;
+            int rc;
+            bt.mirror = half;
+            switch (family) {
+            case FAMILY_VEC:
+                rc = delete_mode ? vec_delete_op(&s->vec, a, b, &bt)
+                                 : vec_insert_op(&s->vec, a, b, w, &bt);
+                break;
+            case FAMILY_STINGER:
+                rc = delete_mode ? st_delete_op(&s->st, a, b, &bt)
+                                 : st_insert_op(&s->st, a, b, w, &bt);
+                break;
+            default:
+                rc = delete_mode ? dah_delete_op(&s->dah, a, b, &bt)
+                                 : dah_insert_op(&s->dah, a, b, w, &bt);
+            }
+            if (rc) return save_stall(ctl, rc, i, half, positive, &bt, mark);
+            positive += !half && hit[bt.row];
+            bt.row++;
         }
         half = 0;
     }
-    ctl[0] = n; ctl[1] = 0; ctl[2] = row; ctl[3] = positive; ctl[4] = ec;
-    ctl[8] = lg->n;
-    return lg->overrun ? RC_LOG_OVERRUN : RC_OK;
+    ctl[0] = n; ctl[1] = 0; ctl[2] = bt.row; ctl[3] = positive;
+    ctl[4] = bt.ec; ctl[8] = bt.lg.n;
+    return bt.lg.overrun ? RC_LOG_OVERRUN : RC_OK;
 }
 
 /* The probe path of a get that inspected `probes` slots from slot0, as
@@ -1447,45 +1389,12 @@ class IngestKernels:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
-        lib.saga_vec_ingest.restype = ctypes.c_longlong
-        lib.saga_vec_ingest.argtypes = [ctypes.c_longlong] * 1 + [
-            ctypes.c_void_p,  # src
-            ctypes.c_void_p,  # dst
-            ctypes.c_void_p,  # wgt
-            ctypes.c_longlong,  # directed
-            ctypes.c_longlong,  # delete_mode
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p,  # access-log descriptor (NULL: untraced)
-        ]
-        store = [
-            ctypes.c_longlong,  # lock_base
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # boff/bcnt/bcap
-            ctypes.c_void_p,  # deg
-            ctypes.c_void_p, ctypes.c_longlong,  # bids, bids_cap
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # bnbr/bwgt/blen
-            ctypes.c_longlong,  # blk_cap
-            ctypes.c_void_p,  # state
-        ]
-        lib.saga_stinger_ingest.restype = ctypes.c_longlong
-        lib.saga_stinger_ingest.argtypes = (
-            [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-            + [ctypes.c_longlong] * 3
-            + store
-            + store
-            + [ctypes.c_void_p] * 9  # outputs, events, ctl, access log
-        )
-        lib.saga_dah_ingest.restype = ctypes.c_longlong
-        lib.saga_dah_ingest.argtypes = (
-            [ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-            + [ctypes.c_longlong] * 2
-            + [ctypes.c_void_p] * 12  # descriptors, outputs, events, ctl, access log
+        lib.saga_ingest.restype = ctypes.c_longlong
+        # (family, n, src, dst, wgt, directed, delete_mode, out and in
+        # store descriptors, columns, events, ctl, access log or NULL)
+        lib.saga_ingest.argtypes = (
+            [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 3
+            + [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 6
         )
         # The traversal emitters: (n, vertices, <store>, counts, addresses).
         emitters = {
@@ -1504,14 +1413,8 @@ class IngestKernels:
     def _p(array: np.ndarray) -> int:
         return array.ctypes.data
 
-    def vec_ingest(self, *args) -> int:
-        return int(self._lib.saga_vec_ingest(*args))
-
-    def stinger_ingest(self, *args) -> int:
-        return int(self._lib.saga_stinger_ingest(*args))
-
-    def dah_ingest(self, *args) -> int:
-        return int(self._lib.saga_dah_ingest(*args))
+    def ingest(self, *args) -> int:
+        return int(self._lib.saga_ingest(*args))
 
     def vec_traversals(self, *args) -> int:
         return int(self._lib.saga_vec_traversals(*args))

@@ -186,17 +186,37 @@ def test_native_matches_plain_after_a_star(name):
 def test_native_matches_plain_when_every_batch_stalls(
     name, directed, pool, monkeypatch, log_stalls
 ):
-    """A tiny entry pool stalls the vector kernel and resumes it mid-log;
-    a one-row access log stalls both of its operations, which resume to
-    the oracle's trace."""
+    """A tiny entry pool stalls the vector kernel, whose ``grow`` enlarges
+    it on both stores, and resumes it mid-log; a one-row access log
+    stalls both of its operations, which resume to the oracle's trace."""
     if cingest.get() is None:
         pytest.skip("compiled ingest kernels unavailable")
     monkeypatch.setattr(nativestore, "INITIAL_POOL", pool)
+    took = _count_kernel_grows(monkeypatch, nativestore._PooledVectorState)
     _assert_native_matches_plain(name, directed)
+    sides = ("out", "in") if directed else ("out",)
+    assert set(took) == {(f"{name}.{side}", 0) for side in sides}
     assert log_stalls == {(name, False), (name, True)}
 
 
-#: The stall/grow/resume routine of every kernel resource code.
+def _count_kernel_grows(monkeypatch, store_class):
+    """Count ``(label, resource)`` of every ``grow`` that enlarged an
+    arena of a store with a kernel: what the kernel path stalled on."""
+    took = collections.Counter()
+    grow = store_class.grow
+
+    def counting(store, resource, need):
+        before = _arena_size(store)
+        grow(store, resource, need)
+        if store.kernels is not None and _arena_size(store) > before:
+            took[store.label, resource] += 1
+
+    monkeypatch.setattr(store_class, "grow", counting)
+    return took
+
+
+#: The stall/grow/resume routine of every kernel resource code, in the
+#: order of the codes ``grow(resource, need)`` takes.
 GROW_ROUTINES = {
     "Stinger": ("_grow_bid_pool", "_grow_block_pool"),
     "DAH": (
@@ -219,7 +239,8 @@ def _arena_size(store) -> int:
 @pytest.mark.parametrize("name", sorted(GROW_ROUTINES))
 @pytest.mark.parametrize("directed", [True, False])
 def test_every_arena_starts_at_its_minimum(name, directed, monkeypatch, log_stalls):
-    """Stinger's and DAH's seven grow routines, each taken by both paths.
+    """Stinger's and DAH's seven grow routines, each taken by both paths
+    (the kernel path through ``grow(resource, need)``).
 
     Every initial arena size is forced to 1, so the kernel stalls at
     every resource code and the per-edge methods outgrow every array;
@@ -252,6 +273,7 @@ def test_every_arena_starts_at_its_minimum(name, directed, monkeypatch, log_stal
 
     for routine in GROW_ROUTINES[name]:
         monkeypatch.setattr(store_class, routine, counting(routine))
+    took = _count_kernel_grows(monkeypatch, store_class)
     nodes = 400
     hubs = EdgeBatch.from_edges(
         [(u, v) for u in range(30) for v in range(40, 70)]
@@ -260,13 +282,19 @@ def test_every_arena_starts_at_its_minimum(name, directed, monkeypatch, log_stal
         name, directed, nodes, extra=[hubs, random_batch(nodes, 1500, seed=3)],
         **({"chunks": 1} if name == "DAH" else {}),
     )
+    sides = ("out", "in") if directed else ("out",)
     for compiled in (False, True):
-        for side in ("out", "in") if directed else ("out",):
+        for side in sides:
             for routine in GROW_ROUTINES[name]:
                 assert grew[compiled, f"{name}.{side}", routine], (
                     f"{routine} of {name}.{side} never grew an arena "
                     f"({'kernel' if compiled else 'per-edge'} path): {dict(grew)}"
                 )
+    assert set(took) == {
+        (f"{name}.{side}", resource)
+        for side in sides
+        for resource in range(len(GROW_ROUTINES[name]))
+    }
     assert log_stalls == {(name, False), (name, True)}
 
 
@@ -405,9 +433,9 @@ def _hostile_observation(implementation, name, directed, max_nodes, stream):
         operation = structure.delete if delete else structure.update
         result = operation(
             EdgeBatch.from_edges(edges),
-            _ctx(keep_tasks=True, recorder=TraceRecorder()),
+            _ctx(recorder=TraceRecorder()),
         )
-        tasks = result.extra["tasks"]
+        tasks = result.tasks
         observed.append(
             (
                 result.edges_inserted,
@@ -579,9 +607,9 @@ def test_tracing_changes_nothing_but_the_trace(name, directed, monkeypatch):
             operation = structure.delete if delete else structure.update
             result = operation(
                 batch,
-                _ctx(keep_tasks=True, recorder=TraceRecorder() if traced else None),
+                _ctx(recorder=TraceRecorder() if traced else None),
             )
-            tasks = result.extra["tasks"]
+            tasks = result.tasks
             columns.append(
                 [getattr(tasks, column).tolist() for column in TaskArray.__slots__]
             )
@@ -652,8 +680,7 @@ def test_one_ingest_path_per_store(name, directed, monkeypatch):
     ):
         counted(store_class, "insert", "per-edge")
         counted(store_class, "remove", "per-edge")
-    for entry in ("vec_ingest", "stinger_ingest", "dah_ingest"):
-        counted(cingest.IngestKernels, entry, "kernel")
+    counted(cingest.IngestKernels, "ingest", "kernel")
     batch = random_batch(N, 80, seed=5)
     rows = 2 * len(batch)
     for implementation, expected in (
@@ -666,6 +693,47 @@ def test_one_ingest_path_per_store(name, directed, monkeypatch):
             for operation in (structure.update, structure.delete):
                 operation(batch, _ctx(recorder=TraceRecorder() if traced else None))
         assert calls == expected, implementation
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("directed", [True, False])
+def test_both_paths_return_one_column_block(name, directed, monkeypatch):
+    """``_ingest`` hands ``_price`` one C-contiguous int64 block of shape
+    ``(len(columns), rows)``, equal cell for cell on the kernel and the
+    per-edge path: inserts and deletes, traced and untraced, with
+    undirected self-loops (no mirror row)."""
+    if cingest.get() is None:
+        pytest.skip("compiled ingest kernels unavailable")
+    kernel = structure_over(KERNEL, name, N, directed)
+    per_edge = structure_over(PER_EDGE, name, N, directed)
+    handed = []
+    price = type(kernel)._price
+
+    def capture(structure, batch, columns, delete):
+        handed.append(columns)
+        return price(structure, batch, columns, delete)
+
+    monkeypatch.setattr(type(kernel), "_price", capture)
+    loops = [(u, u) for u in range(0, N, 7)]
+    batches = []
+    for seed in range(4):
+        edges = random_batch(N, 100, seed=20 + seed)
+        batches.append(EdgeBatch.from_edges(loops + list(zip(edges.src, edges.dst))))
+    for structure in (kernel, per_edge):
+        for traced, delete, batch in zip(
+            (False, True, False, True), (False, False, True, True), batches
+        ):
+            operation = structure.delete if delete else structure.update
+            operation(batch, _ctx(recorder=TraceRecorder() if traced else None))
+    kernel_blocks, per_edge_blocks = handed[:4], handed[4:]
+    for batch, ours, reference in zip(batches, kernel_blocks, per_edge_blocks):
+        loops_in_batch = int((batch.src == batch.dst).sum())
+        rows = 2 * len(batch) - (0 if directed else loops_in_batch)
+        for block in (ours, reference):
+            assert isinstance(block, np.ndarray) and block.dtype == np.int64
+            assert block.flags.c_contiguous
+            assert block.shape == (len(kernel.columns), rows)
+        assert np.array_equal(ours, reference)
 
 
 def test_blocked_delete_is_traced_like_a_vector_delete():
@@ -702,20 +770,17 @@ from repro.sim import cbuild, cingest
 cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
 lib = cingest.get()._lib
 ctl = np.zeros(10, dtype=np.int64)
-store = [None] * 6 + [0]
-lib.saga_vec_ingest(
-    1, None, None, None, 1, 0, *store, *store,
-    None, None, None, None, ctl.ctypes.data, None,
-)
+store = np.zeros(32, dtype=np.int64).ctypes.data
+lib.saga_ingest(0, 1, None, None, None, 1, 0, store, store, None, None, ctl.ctypes.data, None)
 """
 
 #: In a child under ASan: the traced streams (every arena and the log
 #: at one cell), the emitters (the compute-trace emitter also into
 #: columns of exactly its trace's length), an mmap ``repro scale``
 #: stream (the live graph's collect and CSR fold), then -- to show the
-#: build would have trapped -- a batch
-#: whose ``scanned`` column is half as long as it has rows (and long
-#: enough to come from ``malloc``, not from numpy's small-block cache).
+#: build would have trapped -- a batch whose column block is 200 rows
+#: short, so its last column runs off the block's end (long enough to
+#: come from ``malloc``, not from numpy's small-block cache).
 _ASAN_CHILD = """
 import os, sys, tempfile
 import numpy as np
@@ -744,7 +809,7 @@ with tempfile.TemporaryDirectory() as mmap_dir:
         "--mmap-dir", mmap_dir,
     ]), flush=True)
 zeros = np.zeros
-nativestore.np.zeros = lambda n, dtype=float: zeros(n // 2 if n == 800 else n, dtype=dtype)
+nativestore.np.zeros = lambda n, dtype=float: zeros((3, 600) if n == (3, 800) else n, dtype=dtype)
 structure = make_structure("AS", 1000)
 structure.update(EdgeBatch.from_edges([(u, u + 1) for u in range(400)]))
 """

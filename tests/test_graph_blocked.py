@@ -45,12 +45,12 @@ class TestSegments:
 
     def test_relocation_cost_charged(self):
         structure = BlockedAdjacency(max_nodes=8, chunks=1)
-        ctx = ExecutionContext(machine=SMALL_MACHINE, threads=1, keep_tasks=True)
+        ctx = ExecutionContext(machine=SMALL_MACHINE, threads=1)
         structure.update(
             EdgeBatch.from_edges([(0, v + 1) for v in range(MIN_SEGMENT)]), ctx
         )
         result = structure.update(EdgeBatch.from_edges([(0, 6)]), ctx)
-        insert_work = result.extra["tasks"].total_work[0]
+        insert_work = result.tasks.total_work[0]
         # The relocating insert pays for copying MIN_SEGMENT entries.
         cost = structure.cost
         assert insert_work >= cost.vector_grow_per_element * MIN_SEGMENT
@@ -72,9 +72,9 @@ class TestPositioning:
 
     def test_lockless_chunked_tasks(self):
         structure = BlockedAdjacency(max_nodes=8, chunks=4)
-        ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
+        ctx = ExecutionContext(machine=SMALL_MACHINE)
         result = structure.update(EdgeBatch.from_edges([(0, 1), (2, 3)]), ctx)
-        tasks = result.extra["tasks"]
+        tasks = result.tasks
         assert (tasks.lock == NO_LOCK).all()
         assert (tasks.chunk != NO_CHUNK).all()
 

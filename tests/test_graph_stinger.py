@@ -54,27 +54,27 @@ class TestTwoScanCosts:
 
     def test_duplicate_needs_no_lock(self):
         structure = Stinger(max_nodes=4)
-        ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
+        ctx = ExecutionContext(machine=SMALL_MACHINE)
         structure.update(EdgeBatch.from_edges([(0, 1)]), ctx)
         result = structure.update(EdgeBatch.from_edges([(0, 1)]), ctx)
-        tasks = result.extra["tasks"]
+        tasks = result.tasks
         assert tasks.lock[0] == NO_LOCK
         assert tasks.locked_work[0] == 0.0
 
     def test_inserts_into_different_blocks_use_different_locks(self):
         # Two vertices' tail blocks are distinct lock domains.
         structure = Stinger(max_nodes=8)
-        ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
+        ctx = ExecutionContext(machine=SMALL_MACHINE)
         result = structure.update(EdgeBatch.from_edges([(0, 1), (2, 3)]), ctx)
-        locks = result.extra["tasks"].lock
+        locks = result.tasks.lock
         out_locks = locks[locks != NO_LOCK].tolist()
         assert len(set(out_locks)) == len(out_locks)
 
     def test_intra_node_inserts_share_tail_lock(self):
         structure = Stinger(max_nodes=8)
-        ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
+        ctx = ExecutionContext(machine=SMALL_MACHINE)
         result = structure.update(EdgeBatch.from_edges([(0, 1), (0, 2)]), ctx)
-        locks = result.extra["tasks"].lock
+        locks = result.tasks.lock
         # Both inserts landed in vertex 0's single tail block (plus the
         # in-store tasks for vertices 1 and 2).
         locks = locks[locks != NO_LOCK].tolist()

@@ -117,12 +117,12 @@ class TestInstrumentation:
         result = structure.update(batch, ExecutionContext(machine=SMALL_MACHINE))
         assert result.trace is None
 
-    def test_keep_tasks_and_reschedule(self, name):
+    def test_result_tasks_reschedule(self, name):
         batch = random_batch(30, 100, seed=2)
         structure = make_structure(name, 30)
-        ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
+        ctx = ExecutionContext(machine=SMALL_MACHINE)
         result = structure.update(batch, ctx)
-        tasks = result.extra["tasks"]
+        tasks = result.tasks
         assert tasks
         again = structure.schedule_tasks(tasks, ctx)
         assert again.makespan_cycles == pytest.approx(result.latency_cycles)
@@ -130,9 +130,9 @@ class TestInstrumentation:
     def test_more_threads_not_slower(self, name):
         batch = random_batch(30, 200, seed=3)
         structure = make_structure(name, 30)
-        ctx1 = ExecutionContext(machine=SMALL_MACHINE, threads=1, keep_tasks=True)
+        ctx1 = ExecutionContext(machine=SMALL_MACHINE, threads=1)
         result = structure.update(batch, ctx1)
-        tasks = result.extra["tasks"]
+        tasks = result.tasks
         ctx8 = ExecutionContext(machine=SMALL_MACHINE, threads=8)
         faster = structure.schedule_tasks(tasks, ctx8)
         assert faster.makespan_cycles <= result.latency_cycles + 1e-6

@@ -80,14 +80,13 @@ def run_stream(name, mode, threads, delete_last=False, directed=True, cache=Fals
             machine=SMALL_MACHINE,
             threads=threads,
             recorder=TraceRecorder() if traced else None,
-            keep_tasks=True,
         )
         last = index == len(batches) - 1
         if delete_last and last:
             result = structure.delete(batch, ctx)
         else:
             result = structure.update(batch, ctx)
-        tasks = result.extra["tasks"]
+        tasks = result.tasks
         assert isinstance(tasks, TaskArray)
         for column in TaskArray.__slots__:
             digest.update(np.ascontiguousarray(getattr(tasks, column)).tobytes())
@@ -211,11 +210,10 @@ class TestStructureDifferentialInstrumented:
             ctx = ExecutionContext(
                 machine=SMALL_MACHINE,
                 threads=4,
-                keep_tasks=True,
                 recorder=TraceRecorder() if traced else None,
             )
             result = make_structure(name, 8).update(EdgeBatch.empty(), ctx)
-            tasks = result.extra["tasks"]
+            tasks = result.tasks
             # Nothing but the chunked structures' routing overhead,
             # which costs nothing for an empty batch.
             assert bool(tasks.overhead.all())
@@ -229,11 +227,10 @@ class TestStructureDifferentialInstrumented:
             ctx = ExecutionContext(
                 machine=SMALL_MACHINE,
                 threads=4,
-                keep_tasks=True,
                 recorder=TraceRecorder() if traced else None,
             )
             result = make_structure(name, 16).update(batch, ctx)
-            tasks = result.extra["tasks"]
+            tasks = result.tasks
             assert isinstance(tasks, TaskArray)
             assert len(tasks) == result.schedule.task_count
 
