@@ -40,10 +40,6 @@ class ComboStat:
     structure: str
     stat: StageStat
 
-    @property
-    def label(self) -> str:
-        return f"{self.model}+{self.structure}"
-
 
 @dataclass(frozen=True)
 class BestCombination:

@@ -9,7 +9,7 @@ confidence intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -79,17 +79,3 @@ def stage_stats(series: np.ndarray, stages: int = 3) -> List[StageStat]:
             ci = 0.0
         result.append(StageStat(mean=mean, ci=ci, count=int(pooled.size)))
     return result
-
-
-def mean_ci(values: np.ndarray) -> Tuple[float, float]:
-    """Plain mean and 95% CI half-width of a flat sample."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise SimulationError("cannot average an empty sample")
-    mean = float(values.mean())
-    ci = (
-        Z_95 * float(values.std(ddof=1)) / np.sqrt(values.size)
-        if values.size > 1
-        else 0.0
-    )
-    return mean, ci

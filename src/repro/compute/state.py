@@ -8,7 +8,7 @@ dataset) stream and hands it to every INC run.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -57,10 +57,3 @@ class AlgorithmState:
         fresh = num_nodes - self.initialized_up_to
         self.initialized_up_to = num_nodes
         return fresh
-
-    def reinitialize(self, num_nodes: Optional[int] = None) -> None:
-        """Reset all values (the FS model's per-batch reset)."""
-        n = self.max_nodes if num_nodes is None else num_nodes
-        ids = np.arange(n)
-        self.values[ids] = self.init_fn(ids)
-        self.initialized_up_to = n

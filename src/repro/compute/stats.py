@@ -52,10 +52,6 @@ class IterationStats:
     pushes: int = 0
     cas_ops: int = 0
 
-    @property
-    def evaluations(self) -> int:
-        return int(len(self.pull_vertices))
-
 
 def check_round_table(rounds: np.ndarray, log_length: int) -> None:
     """Refuse a round table with a row outside its ``log_length``-entry
@@ -174,14 +170,6 @@ class ComputeRun:
                 IterationStats(log[offset:mid], log[mid : mid + pushed], pushes, cas_ops)
             )
         return tuple(decoded)
-
-    @property
-    def total_evaluations(self) -> int:
-        return int(self.rounds[:, 1].sum())
-
-    @property
-    def total_pushes(self) -> int:
-        return int(self.rounds[:, 4].sum())
 
     @property
     def iteration_count(self) -> int:

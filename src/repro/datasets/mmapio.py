@@ -90,11 +90,6 @@ class EdgeStreamWriter:
         self._edges = 0
         self._closed = False
 
-    @property
-    def edges(self) -> int:
-        """Edges appended so far."""
-        return self._edges
-
     def append(
         self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
     ) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Optional, TypeVar
 
 import numpy as np
 
@@ -39,17 +39,11 @@ class RunStore:
         self.hits = 0
         self.misses = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RunStore({str(self.root)!r}, hits={self.hits}, misses={self.misses})"
-
     def path(self, key: str) -> Path:
         """Path of the entry for ``key`` (whether or not it exists)."""
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ConfigError(f"malformed cache key {key!r}")
         return self.root / f"{key}.npz"
-
-    def contains(self, key: str) -> bool:
-        return self.path(key).exists()
 
     # -- generic array payloads ----------------------------------------
 
@@ -106,12 +100,6 @@ class RunStore:
                 "engine_cache_hits_total", "RunStore lookups served from disk"
             ).inc()
         return value
-
-    def load_arrays(
-        self, key: str
-    ) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
-        """The raw ``(meta, arrays)`` payload stored under ``key``, or None."""
-        return self.load(key, lambda meta, arrays: (meta, arrays))
 
 
 def default_store(cache_dir=None, no_cache: bool = False) -> Optional[RunStore]:

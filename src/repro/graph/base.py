@@ -456,12 +456,6 @@ class GraphDataStructure(abc.ABC):
             i = int(np.argmax(bad))
             self._check_vertex(int(src[i]) if bad_src[i] else int(dst[i]))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{type(self).__name__} name={self.name} nodes={self.num_nodes} "
-            f"edges={self.num_edges} directed={self.directed}>"
-        )
-
 
 class ChunkedStructure(GraphDataStructure):
     """Chunked-style multithreading (AC, BA, DAH; Section III-A2).

@@ -74,27 +74,12 @@ class EdgeBatch:
         for i in range(len(self.src)):
             yield Edge(int(self.src[i]), int(self.dst[i]), float(self.weight[i]))
 
-    @property
-    def max_vertex(self) -> int:
-        """Largest vertex id referenced by the batch (-1 if empty)."""
-        if len(self) == 0:
-            return -1
-        return int(max(self.src.max(), self.dst.max()))
-
     def slice(self, start: int, stop: int) -> "EdgeBatch":
         """The sub-batch ``[start:stop)``."""
         return EdgeBatch(
             src=self.src[start:stop],
             dst=self.dst[start:stop],
             weight=self.weight[start:stop],
-        )
-
-    def concat(self, other: "EdgeBatch") -> "EdgeBatch":
-        """This batch followed by ``other``."""
-        return EdgeBatch(
-            src=np.concatenate([self.src, other.src]),
-            dst=np.concatenate([self.dst, other.dst]),
-            weight=np.concatenate([self.weight, other.weight]),
         )
 
     def shuffled(self, seed: int) -> "EdgeBatch":

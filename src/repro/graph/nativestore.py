@@ -332,10 +332,6 @@ class _PooledVectorState:
     def degree(self, u: int) -> int:
         return int(self._len[u])
 
-    @property
-    def header_region(self) -> Region:
-        return self._header
-
     def trace_traversal(self, u: int, recorder) -> None:
         """Emit the accesses of one full traversal of ``u``'s vector."""
         recorder.access(self._header.element(u, HEADER_BYTES))

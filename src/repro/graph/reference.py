@@ -188,10 +188,5 @@ class ReferenceGraph:
     def in_degree(self, u: int) -> int:
         return len(self._row("in", u)[0])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.max_nodes and 0 <= v < self.max_nodes):
-            return False
-        return bool((self._row("out", u)[0] == v).any())
-
     def vertices(self) -> range:
         return range(self.num_nodes)

@@ -88,10 +88,6 @@ class FeatureLog:
                 return list(self._rows)
             return [row for row in self._rows if row.get("phase") == phase]
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
-
     # -- cross-process transport ----------------------------------------
 
     def to_payload(self) -> Dict[str, object]:

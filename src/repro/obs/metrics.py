@@ -288,10 +288,6 @@ class MetricsRegistry:
                     hist.sum += total
                     hist.count += count
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (sum counters/histograms)."""
-        self.merge_payload(other.to_payload())
-
 
 #: The process-global registry every instrumented layer records into.
 METRICS = MetricsRegistry()

@@ -17,11 +17,10 @@ kept per group, and the whole model serializes to versioned JSON so a
 fit can be committed, diffed, and reloaded by later tooling (the run
 report, the ROADMAP auto-tuner).
 
-Because each group also stores its mean *ops per streamed edge*, the
-model can extrapolate a group's latency to a hypothetical batch size
-and therefore predict the paper's Table 3 -- the best (structure,
-model) combination per algorithm -- for any batch-size regime without
-re-simulating (:meth:`FittedCostModel.best_combination`).
+Because each group also stores its mean *ops per streamed edge*, a
+group can extrapolate its latency to a hypothetical batch size
+(:meth:`GroupFit.predict_batch`), which is how the online auto-tuner
+warm-starts from a persisted model.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -133,90 +132,7 @@ class FittedCostModel:
     #: Free-form provenance (dataset, batch size, git SHA, ...).
     source: Dict[str, object] = field(default_factory=dict)
 
-    # -- lookup / prediction --------------------------------------------
-
-    def group(
-        self, phase: str, structure: str, algorithm: str = "", model: str = ""
-    ) -> GroupFit:
-        key = group_key(phase, structure, algorithm, model)
-        try:
-            return self.groups[key]
-        except KeyError:
-            available = ", ".join(
-                "/".join(part for part in k if part) for k in sorted(self.groups)
-            ) or "none (empty model)"
-            raise ConfigError(
-                f"cost model has no group {key!r}; "
-                f"available groups: {available}"
-            ) from None
-
-    def predict(
-        self,
-        phase: str,
-        structure: str,
-        algorithm: str = "",
-        model: str = "",
-        ops: float = 0.0,
-    ) -> float:
-        """Predicted seconds of one phase execution costing ``ops``.
-
-        The auto-tuner's entry point: group lookup (with the friendly
-        missing-group error) plus the group's affine prediction.
-        """
-        return self.group(phase, structure, algorithm, model).predict(ops)
-
-    def structures(self) -> List[str]:
-        return sorted({k[1] for k in self.groups})
-
-    def algorithms(self) -> List[str]:
-        return sorted({k[2] for k in self.groups if k[2]})
-
-    def compute_models(self) -> List[str]:
-        return sorted({k[3] for k in self.groups if k[3]})
-
-    def batch_latency(
-        self, algorithm: str, model: str, structure: str, batch_edges: float
-    ) -> float:
-        """Equation 1 at a hypothetical batch size: update + compute."""
-        update = self.group("update", structure).predict_batch(batch_edges)
-        compute = self.group("compute", structure, algorithm, model).predict_batch(
-            batch_edges
-        )
-        return update + compute
-
-    def best_combination(
-        self, algorithm: str, batch_edges: float
-    ) -> Tuple[str, str, float]:
-        """Predicted Table 3 cell: the (structure, model) minimizing the
-        batch latency of ``algorithm`` at this batch-size regime."""
-        best: Optional[Tuple[str, str, float]] = None
-        for structure in self.structures():
-            for model in self.compute_models():
-                key = group_key("compute", structure, algorithm, model)
-                if key not in self.groups:
-                    continue
-                latency = self.batch_latency(algorithm, model, structure, batch_edges)
-                if best is None or latency < best[2]:
-                    best = (structure, model, latency)
-        if best is None:
-            raise ConfigError(
-                f"cost model has no compute groups for algorithm {algorithm!r}"
-            )
-        return best
-
-    def table3(self, batch_edges: float) -> Dict[str, Tuple[str, str, float]]:
-        """Predicted best (structure, model, seconds) per algorithm."""
-        return {
-            algorithm: self.best_combination(algorithm, batch_edges)
-            for algorithm in self.algorithms()
-        }
-
     # -- diagnostics ----------------------------------------------------
-
-    def worst_group(self) -> Optional[GroupFit]:
-        if not self.groups:
-            return None
-        return max(self.groups.values(), key=lambda g: g.median_rel_err)
 
     def diagnostics(self) -> List[dict]:
         """Per-group diagnostics, stably ordered for reports/tests."""

@@ -59,9 +59,6 @@ class _NullSpan:
     def add_cycles(self, cycles: float) -> None:
         pass
 
-    def set_args(self, **kwargs) -> None:
-        pass
-
 
 #: The singleton handed out by a disabled tracer.
 NULL_SPAN = _NullSpan()
@@ -88,12 +85,6 @@ class SpanHandle:
     def add_cycles(self, cycles: float) -> None:
         """Attribute simulated cycles to this span."""
         self.cycles += cycles
-
-    def set_args(self, **kwargs) -> None:
-        """Attach key/value arguments (rendered in the trace viewer)."""
-        if self.args is None:
-            self.args = {}
-        self.args.update(kwargs)
 
     def __enter__(self) -> "SpanHandle":
         self._tracer._push(self)
@@ -136,7 +127,7 @@ class SpanTracer:
         self._local = _ThreadState()
         self._epoch = time.perf_counter()
         self._next_tid = 0
-        # {name: [self_seconds, entries, cycles]}
+        # {name: [self_seconds, entries]}
         self._totals: Dict[str, List[float]] = {}
         # Finished span events: (name, cat, tid, start_s, dur_s, cycles, args)
         self._events: List[tuple] = []
@@ -196,11 +187,10 @@ class SpanTracer:
         with self._lock:
             entry = self._totals.get(span.name)
             if entry is None:
-                self._totals[span.name] = [self_seconds, 1, span.cycles]
+                self._totals[span.name] = [self_seconds, 1]
             else:
                 entry[0] += self_seconds
                 entry[1] += 1
-                entry[2] += span.cycles
             if self.keep_events:
                 if len(self._events) < self.max_events:
                     self._events.append(
@@ -274,11 +264,6 @@ class SpanTracer:
                 for name, entry in self._totals.items()
             }
 
-    def phase_cycles(self) -> Dict[str, float]:
-        """{phase: simulated cycles attributed via ``add_cycles``}."""
-        with self._lock:
-            return {name: entry[2] for name, entry in self._totals.items()}
-
     def events(self) -> List[tuple]:
         """Finished span events, in completion order."""
         with self._lock:
@@ -323,7 +308,6 @@ class SpanTracer:
                 else:
                     mine[0] += entry[0]
                     mine[1] += entry[1]
-                    mine[2] += entry[2]
             for event in payload.get("events", []):
                 if len(self._events) >= self.max_events:
                     self.dropped_events += 1

@@ -94,15 +94,6 @@ class SetAssociativeCache:
         cache_set[tag] = None
         return False
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters, keeping cache contents."""
-        self.hits = 0
-        self.misses = 0
-
 
 @dataclass
 class CacheStats:
@@ -129,20 +120,6 @@ class CacheStats:
         """LLC hits over LLC accesses (i.e. over L2 misses)."""
         total = self.llc_hits + self.llc_misses
         return self.llc_hits / total if total else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Element-wise sum of two stats records."""
-        return CacheStats(
-            accesses=self.accesses + other.accesses,
-            l1_hits=self.l1_hits + other.l1_hits,
-            l1_misses=self.l1_misses + other.l1_misses,
-            l2_hits=self.l2_hits + other.l2_hits,
-            l2_misses=self.l2_misses + other.l2_misses,
-            llc_hits=self.llc_hits + other.llc_hits,
-            llc_misses=self.llc_misses + other.llc_misses,
-            local_memory_accesses=self.local_memory_accesses + other.local_memory_accesses,
-            remote_memory_accesses=self.remote_memory_accesses + other.remote_memory_accesses,
-        )
 
 
 class CacheHierarchy:

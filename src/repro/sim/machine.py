@@ -81,11 +81,6 @@ class MachineConfig:
         return self.physical_cores * self.smt
 
     @property
-    def total_llc_bytes(self) -> int:
-        """Aggregate LLC capacity across sockets."""
-        return self.sockets * self.llc_bytes_per_socket
-
-    @property
     def total_dram_bandwidth(self) -> float:
         """Aggregate peak DRAM bandwidth across sockets (bytes/s)."""
         return self.sockets * self.dram_bandwidth_per_socket
@@ -93,23 +88,6 @@ class MachineConfig:
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a simulated cycle count to seconds at this clock."""
         return cycles / self.frequency_hz
-
-    def socket_of_page(self, address: int) -> int:
-        """Home socket of an address under round-robin page interleaving.
-
-        The simulated OS interleaves 4KB pages across sockets, which is
-        the default first-touch-free policy we assume for the traffic
-        model feeding the QPI counters.
-        """
-        return (address // self.page_bytes) % self.sockets
-
-    def socket_of_core(self, core: int) -> int:
-        """Socket that hosts ``core`` (cores are numbered socket-major)."""
-        if not 0 <= core < self.physical_cores:
-            raise ConfigError(
-                f"core {core} out of range for {self.physical_cores} cores"
-            )
-        return core // self.cores_per_socket
 
     def with_cores(self, physical_cores: int) -> "MachineConfig":
         """A copy of this machine restricted to ``physical_cores`` cores.

@@ -33,9 +33,6 @@ class Region:
         self.size = size
         self.label = label
 
-    def __repr__(self) -> str:
-        return f"Region(base={self.base}, size={self.size}, label={self.label!r})"
-
     @property
     def end(self) -> int:
         return self.base + self.size

@@ -120,14 +120,10 @@ class TaskArray:
         )
 
     @classmethod
-    def empty(cls) -> "TaskArray":
-        return cls.build(0)
-
-    @classmethod
     def concatenate(cls, parts: Iterable["TaskArray"]) -> "TaskArray":
         parts = [p for p in parts if len(p)]
         if not parts:
-            return cls.empty()
+            return cls.build(0)
         if len(parts) == 1:
             return parts[0]
         return cls(
@@ -142,19 +138,9 @@ class TaskArray:
     def __len__(self) -> int:
         return len(self.unlocked_work)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __getitem__(self, index: slice) -> "TaskArray":
-        return TaskArray(*(getattr(self, name)[index] for name in self.__slots__))
-
     # -- derived columns ----------------------------------------------
 
     @property
     def total_work(self) -> np.ndarray:
         """Per-task ``unlocked_work + locked_work`` (float64 column)."""
         return self.unlocked_work + self.locked_work
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        locked = int((self.lock >= 0).sum())
-        return f"<TaskArray n={len(self)} locked={locked}>"

@@ -37,10 +37,6 @@ class MemoryTrace:
         return len(self.addresses)
 
     @property
-    def read_count(self) -> int:
-        return int(len(self) - self.write_count)
-
-    @property
     def write_count(self) -> int:
         return int(self.is_write.sum())
 

@@ -109,17 +109,6 @@ class BatchView:
     def __len__(self) -> int:
         return self._count
 
-    def size_of(self, index: int) -> int:
-        """Length of batch ``index`` without gathering its edges."""
-        if index < 0:
-            index += self._count
-        if not 0 <= index < self._count:
-            raise IndexError(f"batch index {index} out of range")
-        if self._offsets is not None:
-            return int(self._offsets[index + 1] - self._offsets[index])
-        start = index * self.batch_size
-        return min(start + self.batch_size, len(self.edges)) - start
-
     def __getitem__(self, index: int) -> EdgeBatch:
         if index < 0:
             index += self._count
@@ -143,32 +132,6 @@ class BatchView:
     def __iter__(self) -> Iterator[EdgeBatch]:
         for index in range(self._count):
             yield self[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, tuple)):
-            if len(other) != self._count:
-                return False
-            return all(
-                len(mine) == len(theirs)
-                and np.array_equal(mine.src, theirs.src)
-                and np.array_equal(mine.dst, theirs.dst)
-                and np.array_equal(mine.weight, theirs.weight)
-                for mine, theirs in zip(self, other)
-            )
-        if isinstance(other, BatchView):
-            return self == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        kind = "shuffled" if self.order is not None else "ordered"
-        width = (
-            f"schedule{self.schedule}" if self.schedule is not None
-            else str(self.batch_size)
-        )
-        return (
-            f"BatchView({self._count} x {width} {kind} batches "
-            f"over {len(self.edges)} edges)"
-        )
 
 
 def make_batches(

@@ -9,10 +9,10 @@ per-record Python loops.  :class:`BatchRecord` survives as the write
 side: the driver stages one record per ingested batch and commits it
 with :meth:`StreamResult.add_record`.
 
-Results serialize to ``.npz`` (:meth:`StreamResult.to_npz` /
-:meth:`StreamResult.from_npz`) with a stable schema, which is what the
-experiment engine's :class:`repro.engine.store.RunStore` caches on
-disk.
+Results serialize to a ``meta + arrays`` payload
+(:meth:`StreamResult.to_payload` / :meth:`StreamResult.from_payload`)
+with a stable schema, which is what the experiment engine's
+:class:`repro.engine.store.RunStore` caches on disk as ``.npz``.
 
 The paper's performance metric (Equation 1) is::
 
@@ -295,14 +295,6 @@ class StreamResult:
                 handle, __meta__=np.asarray(json.dumps(meta, sort_keys=True)), **arrays
             )
         return path
-
-    @classmethod
-    def from_npz(cls, path) -> "StreamResult":
-        """Load a result previously written by :meth:`to_npz`."""
-        with np.load(Path(path), allow_pickle=False) as data:
-            meta = json.loads(str(data["__meta__"]))
-            arrays = {name: data[name] for name in data.files if name != "__meta__"}
-        return cls.from_payload(meta, arrays)
 
     # -- validation -------------------------------------------------------
 

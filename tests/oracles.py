@@ -138,9 +138,6 @@ class DictGraph:
     def in_degree(self, u: int) -> int:
         return len(self._in[u])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._out[u]
-
     def vertices(self) -> range:
         return range(self.num_nodes)
 

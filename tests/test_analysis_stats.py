@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import StageStat, mean_ci, stage_slices, stage_stats
+from repro.analysis.stats import StageStat, stage_slices, stage_stats
 from repro.errors import SimulationError
 
 
@@ -72,14 +72,3 @@ class TestOverlap:
         stat = StageStat(mean=2.0, ci=0.5, count=4)
         assert stat.low == 1.5
         assert stat.high == 2.5
-
-
-class TestMeanCI:
-    def test_values(self):
-        mean, ci = mean_ci(np.array([2.0, 4.0]))
-        assert mean == 3.0
-        assert ci > 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            mean_ci(np.array([]))

@@ -254,9 +254,7 @@ class TestBatchSchedule:
             edges, batch_size=10, shuffle=False, schedule=(30, 20)
         )
         assert len(batches) == 4
-        sizes = [batches.size_of(i) for i in range(len(batches))]
-        assert sizes == [30, 20, 30, 20]
-        assert [len(batches[i]) for i in range(len(batches))] == sizes
+        assert [len(batches[i]) for i in range(len(batches))] == [30, 20, 30, 20]
 
     def test_schedule_tail_batch(self):
         edges = EdgeBatch.from_edges([(i, i + 1) for i in range(75)])

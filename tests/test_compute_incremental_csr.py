@@ -142,7 +142,11 @@ def _arrays(edges):
 
 
 class TestOscillatingStream:
-    """Store-level equality with from-scratch rebuilds, every batch."""
+    """Store-level equality with from-scratch rebuilds, every batch.
+
+    ``csr_from_edges`` is the numpy reference of ``saga_csr_rebuild``
+    (``DynamicCSR.rebuild``, every batch at threshold ``0``) and of the
+    incremental ``saga_csr_insert_plan`` / ``saga_csr_delete`` folds."""
 
     @pytest.mark.parametrize("churn_setting", ["0", None, "1e9"])
     @on_both_sides

@@ -335,7 +335,7 @@ class TestEngineFingerprint:
             fresh = run_stream(
                 "RMAT", config, seed=1, size_factor=0.003, store=store
             )
-        assert store.contains(key)
+        assert store.path(key).exists()
         assert store.misses == 1
         with native_env("1"):
             assert stream_run_key("RMAT", config, seed=1, size_factor=0.003) == key

@@ -20,13 +20,13 @@ class TestIterationStats:
         assert list(it.pull_vertices) == [1, 2]
         assert list(it.push_vertices) == [3]
         assert (it.pushes, it.cas_ops) == (1, 2)
-        assert it.evaluations == 2
+        assert len(it.pull_vertices) == 2
 
     def test_empty_defaults(self):
         run = _run()
         run.add_round()
         (it,) = run.iterations
-        assert it.evaluations == 0
+        assert len(it.pull_vertices) == 0
         assert it.pushes == 0
         assert len(it.push_vertices) == 0
 
@@ -36,8 +36,8 @@ class TestComputeRun:
         run = _run()
         run.add_round(pull=[0, 1], pushes=2)
         run.add_round(pull=[2], pushes=1)
-        assert run.total_evaluations == 3
-        assert run.total_pushes == 3
+        assert run.rounds[:, 1].sum() == 3  # evaluations
+        assert run.rounds[:, 4].sum() == 3  # pushes
         assert run.iteration_count == 2
 
     def test_defaults(self):
@@ -45,7 +45,7 @@ class TestComputeRun:
         assert run.converged
         assert run.linear_scans == 0
         assert run.source is None
-        assert run.total_evaluations == 0
+        assert len(run.rounds) == 0
         assert run.iterations == ()
 
     def test_columns_are_the_record(self):
@@ -76,7 +76,7 @@ class TestComputeRun:
         first, second, third = run.iterations
         assert first.pull_vertices.tolist() == second.pull_vertices.tolist() == [0, 1, 2]
         assert (third.pull_vertices.tolist(), third.push_vertices.tolist()) == ([1], [2])
-        assert (run.total_evaluations, run.total_pushes) == (7, 10)
+        assert (run.rounds[:, 1].sum(), run.rounds[:, 4].sum()) == (7, 10)
         run.add_round(pull=[9])  # a handed-over record still grows
         assert run.iterations[3].pull_vertices.tolist() == [9]
         for rows in ([[2, 1, 1, 0, 0]], [[-1, 1, 0, 0, 0]], [[0, -1, 0, 0, 0]], [[0, 1, 0, 0]]):

@@ -177,14 +177,19 @@ class TestFingerprint:
             fingerprint({"callback": print})
 
 
+def _raw(meta, arrays):
+    """The identity decode: an entry's ``(meta, arrays)`` as stored."""
+    return meta, arrays
+
+
 class TestRunStore:
     def test_round_trip_and_counters(self, tmp_path):
         store = RunStore(tmp_path / "cache")
         key = "ab" * 32
         arrays = {"values": np.arange(6, dtype=np.float64).reshape(2, 3)}
-        assert store.load_arrays(key) is None
+        assert store.load(key, _raw) is None
         store.save_arrays(key, {"note": "x"}, arrays)
-        loaded = store.load_arrays(key)
+        loaded = store.load(key, _raw)
         assert loaded is not None
         meta, out = loaded
         assert meta == {"note": "x"}
@@ -207,7 +212,7 @@ class TestRunStore:
         store = RunStore(tmp_path)
         key = "cd" * 32
         store.path(key).write_bytes(b"not an npz file")
-        assert store.load_arrays(key) is None
+        assert store.load(key, _raw) is None
         assert (store.hits, store.misses) == (0, 1)
 
     def test_default_store_resolution(self, tmp_path, monkeypatch):
@@ -260,7 +265,7 @@ class TestSweep:
         request = StreamRequest(
             DATASET, perturbed, seed=SEED, size_factor=SIZE_FACTOR
         )
-        assert not store.contains(request.key)
+        assert not store.path(request.key).exists()
 
     def test_parallel_execution_is_deterministic(self, warm_store):
         _, cold = warm_store
@@ -298,15 +303,21 @@ class TestSweep:
             run_many([], jobs=-1)
 
 
+def _from_npz(path):
+    """Decode a file :meth:`StreamResult.to_npz` wrote, as the store does
+    (so ``path`` is named by a hex key)."""
+    return RunStore(path.parent).load(path.stem, StreamResult.from_payload)
+
+
 class TestNpzRoundTrip:
     def test_round_trip_is_exact(self, warm_store, tmp_path):
         _, cold = warm_store
-        path = cold.to_npz(tmp_path / "result.npz")
-        assert_identical(StreamResult.from_npz(path), cold)
+        path = cold.to_npz(tmp_path / "ab.npz")
+        assert_identical(_from_npz(path), cold)
 
     def test_payload_survives_round_trip(self, warm_store, tmp_path):
         _, cold = warm_store
-        loaded = StreamResult.from_npz(cold.to_npz(tmp_path / "result.npz"))
+        loaded = _from_npz(cold.to_npz(tmp_path / "ab.npz"))
         assert_same_payload(loaded.to_payload(), cold.to_payload())
 
     def test_schema_mismatch_rejected(self, warm_store):
@@ -396,8 +407,8 @@ class TestHardwareCellCache:
                 DEFAULT_COST_MODEL, probe_element=DEFAULT_COST_MODEL.probe_element + 1
             )
         )
-        assert store.contains(small_profiler().cell_key(*CELL))
-        assert not store.contains(perturbed.cell_key(*CELL))
+        assert store.path(small_profiler().cell_key(*CELL)).exists()
+        assert not store.path(perturbed.cell_key(*CELL)).exists()
 
     @pytest.mark.parametrize("damage", sorted(DAMAGED_CELLS))
     def test_damaged_entry_is_one_miss_and_resimulates(
@@ -418,4 +429,4 @@ class TestHardwareCellCache:
         (fresh,) = small_profiler().profile_cells([CELL], store=store)
         assert (store.hits, store.misses) == (0, 1)
         assert_same_payload(fresh.to_payload(), cold.to_payload())
-        assert store.load_arrays(key) is not None
+        assert store.load(key, _raw) is not None

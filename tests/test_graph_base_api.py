@@ -63,10 +63,6 @@ class TestBaseAPI:
                 expected = cost.degree_query + cost.hash_probe
             assert cls.degree_query_cost(cost) == expected, name
 
-    def test_repr_mentions_name(self):
-        structure = make_structure("Stinger", 4)
-        assert "Stinger" in repr(structure)
-
     def test_update_result_latency_seconds(self):
         structure = make_structure("AC", 8)
         result = structure.update(
@@ -82,8 +78,7 @@ class TestBaseAPI:
 @pytest.mark.parametrize("name", ["AS", "AC", "Stinger", "DAH", "ReferenceGraph"])
 def test_per_vertex_queries_refuse_out_of_range_ids(name, bad):
     """``out_neigh``/``in_neigh``/``out_degree``/``in_degree`` of an id
-    outside ``[0, max_nodes)`` raise ``StructureError``; ``has_edge``
-    answers ``False``.
+    outside ``[0, max_nodes)`` raise ``StructureError``.
 
     Fails on: a negative id wrapping to the last row (AS, AC, Stinger,
     ReferenceGraph), a bare ``IndexError`` past the end, DAH's ``[]``
@@ -93,7 +88,6 @@ def test_per_vertex_queries_refuse_out_of_range_ids(name, bad):
     if name == "ReferenceGraph":
         graph = ReferenceGraph(4)
         graph.update(batch)
-        assert not graph.has_edge(bad, 2) and not graph.has_edge(3, bad)
     else:
         graph = make_structure(name, 4)
         graph.update(batch, ExecutionContext(machine=SMALL_MACHINE))

@@ -44,25 +44,13 @@ class TestEdgeBatch:
     def test_empty(self):
         batch = EdgeBatch.empty()
         assert len(batch) == 0
-        assert batch.max_vertex == -1
         assert batch.max_in_out_degree() == (0, 0)
-
-    def test_max_vertex(self):
-        batch = EdgeBatch.from_edges([(0, 7), (5, 2)])
-        assert batch.max_vertex == 7
 
     def test_slice(self):
         batch = EdgeBatch.from_edges([(0, 1), (1, 2), (2, 3)])
         part = batch.slice(1, 3)
         assert len(part) == 2
         assert part.src[0] == 1
-
-    def test_concat(self):
-        a = EdgeBatch.from_edges([(0, 1)])
-        b = EdgeBatch.from_edges([(1, 2)])
-        combined = a.concat(b)
-        assert len(combined) == 2
-        assert list(combined.src) == [0, 1]
 
     def test_shuffled_is_permutation(self):
         batch = EdgeBatch.from_edges([(i, i + 1) for i in range(50)])

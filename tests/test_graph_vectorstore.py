@@ -66,7 +66,7 @@ class TestTrace:
         s.insert(0, 2, 1.0, recorder)
         trace = recorder.finalize()
         assert trace.write_count == 2  # the two inserted slots
-        assert trace.read_count >= 2  # headers + scan
+        assert len(trace) - trace.write_count >= 2  # headers + scan
 
     def test_traversal_trace_covers_vector(self):
         s = store()

@@ -25,7 +25,7 @@ from repro.compute.stats import ComputeRun
 from repro.datasets.catalog import load_dataset
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_structure
-from repro.graph.properties import VertexProperties
+from repro.graph.properties import VALUE_BYTES, VertexProperties
 from repro.obs import METRICS
 from repro.sim import ckernel
 from repro.sim.counters import PhaseCounters
@@ -283,8 +283,8 @@ def _per_vertex_compute_trace(
             task += 1
             structure._in.trace_traversal(v, recorder)
             for u, _ in reference.in_neigh(v):
-                recorder.access(properties.address_of(algorithm, int(u)))
-            recorder.access(properties.address_of(algorithm, v), write=True)
+                recorder.access(properties.region(algorithm).element(int(u), VALUE_BYTES))
+            recorder.access(properties.region(algorithm).element(v, VALUE_BYTES), write=True)
         for v in iteration.push_vertices:
             v = int(v)
             recorder.begin_task(task)

@@ -233,13 +233,6 @@ class TestAlgorithmState:
         with pytest.raises(StructureError):
             state.ensure_initialized(5)
 
-    def test_reinitialize(self):
-        state = AlgorithmState(4, lambda ids: np.full(len(ids), 7.0))
-        state.ensure_initialized(4)
-        state.values[:] = 0.0
-        state.reinitialize()
-        assert (state.values == 7.0).all()
-
     def test_rejects_bad_size(self):
         with pytest.raises(StructureError):
             AlgorithmState(0, lambda ids: ids)

@@ -18,8 +18,8 @@ from repro.obs.features import FEATURES
 from repro.obs.model import (
     MODEL_SCHEMA_VERSION,
     FittedCostModel,
-    GroupFit,
     fit_cost_model,
+    group_key,
 )
 from repro.streaming import StreamConfig
 
@@ -73,8 +73,7 @@ def test_fit_covers_every_group(quick_fit):
 
 def test_every_group_fits_within_15_percent(quick_fit):
     model, _, _, _ = quick_fit
-    worst = model.worst_group()
-    assert worst is not None
+    worst = max(model.groups.values(), key=lambda g: g.median_rel_err)
     for fit in model.groups.values():
         assert fit.median_rel_err <= MEDIAN_REL_ERR_BAR, (
             f"{fit.key}: median rel err {fit.median_rel_err:.3f} "
@@ -97,7 +96,18 @@ def test_predicted_table3_matches_observed(quick_fit):
                 )
                 if observed_best is None or latency < observed_best[2]:
                     observed_best = (structure, cm, latency)
-        structure, cm, predicted = model.best_combination(algorithm, BATCH_SIZE)
+        # The fitted Table 3 cell: update + compute extrapolated to
+        # the batch size, minimised over (structure, model).
+        predicted, structure, cm = min(
+            (
+                model.groups[group_key("update", s)].predict_batch(BATCH_SIZE)
+                + fit.predict_batch(BATCH_SIZE),
+                s,
+                m,
+            )
+            for (phase, s, alg, m), fit in model.groups.items()
+            if phase == "compute" and alg == algorithm
+        )
         assert (structure, cm) == observed_best[:2], (
             f"{algorithm}: model predicts {(structure, cm)}, "
             f"simulation measured {observed_best[:2]}"
@@ -122,14 +132,6 @@ def test_schema_mismatch_refused():
         FittedCostModel.from_json({"schema": MODEL_SCHEMA_VERSION + 1, "groups": []})
 
 
-def test_missing_group_raises(quick_fit):
-    model, _, _, _ = quick_fit
-    with pytest.raises(ConfigError):
-        model.group("compute", "no-such-structure", "BFS", "FS")
-    with pytest.raises(ConfigError):
-        model.best_combination("NoSuchAlgorithm", BATCH_SIZE)
-
-
 def test_degenerate_groups():
     # One sample: skipped entirely (cannot separate setup from slope).
     single = fit_cost_model(
@@ -144,7 +146,7 @@ def test_degenerate_groups():
         for t in (1.0, 3.0)
     ]
     flat = fit_cost_model(rows)
-    fit = flat.group("update", "AS")
+    fit = flat.groups[group_key("update", "AS")]
     assert fit.per_op == 0.0
     assert fit.setup == pytest.approx(2.0)
     assert fit.ops_per_edge == pytest.approx(2.0)
@@ -158,7 +160,7 @@ def test_exact_linear_data_recovered():
         for ops in (1000, 2000, 5000, 10000)
     ]
     model = fit_cost_model(rows)
-    fit = model.group("compute", "AC", "PR", "INC")
+    fit = model.groups[group_key("compute", "AC", "PR", "INC")]
     assert fit.setup == pytest.approx(0.5, rel=1e-6)
     assert fit.per_op == pytest.approx(2e-6, rel=1e-6)
     assert fit.median_rel_err < 1e-9
@@ -167,35 +169,11 @@ def test_exact_linear_data_recovered():
     assert fit.predict_batch(1000) == pytest.approx(0.5 + 2e-6 * 4000)
 
 
-def test_missing_group_error_lists_available(quick_fit):
-    model, _, _, _ = quick_fit
-    with pytest.raises(ConfigError, match="available groups"):
-        model.group("compute", "no-such-structure", "BFS", "FS")
-    try:
-        model.group("compute", "no-such-structure", "BFS", "FS")
-    except ConfigError as err:
-        # The message names real groups the caller could have asked for.
-        assert "update/AS" in str(err)
-    empty = FittedCostModel()
-    with pytest.raises(ConfigError, match="none \\(empty model\\)"):
-        empty.group("update", "AS")
-
-
 def test_schema_mismatch_message_says_how_to_refit():
     with pytest.raises(ConfigError, match="re-fit the model"):
         FittedCostModel.from_json(
             {"schema": MODEL_SCHEMA_VERSION + 1, "groups": []}
         )
-
-
-def test_predict_convenience(quick_fit):
-    model, _, _, _ = quick_fit
-    fit = model.group("update", "AS")
-    assert model.predict("update", "AS", ops=5000.0) == pytest.approx(
-        fit.predict(5000.0)
-    )
-    with pytest.raises(ConfigError, match="available groups"):
-        model.predict("update", "no-such-structure", ops=10.0)
 
 
 def test_compute_rows_equal_a_gather_per_iteration(monkeypatch):

@@ -135,6 +135,20 @@ class TestBitIdentity:
                 getattr(serial, attr), getattr(sharded, attr)
             ), attr
 
+    def test_churned_sharded_results_equal_serial(self):
+        """Under churn the sharded plane prices the deletions too
+        (``ShardPlanPlane.delete``); what the algorithms see is the
+        serial run's."""
+        dataset = small_dataset()
+        config = dict(CONFIG, churn_fraction=0.25)
+        serial = StreamDriver(StreamConfig(**config)).run(dataset)
+        sharded = make_driver(StreamConfig(shards=3, **config)).run(dataset)
+        for attr in ALGO_ARRAYS:
+            assert np.array_equal(
+                getattr(serial, attr), getattr(sharded, attr)
+            ), attr
+        assert np.all(sharded.update_cycles > 0)
+
     def test_pooled_equals_in_process(self):
         dataset = small_dataset()
         config = StreamConfig(shards=3, **CONFIG)

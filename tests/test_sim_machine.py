@@ -1,9 +1,12 @@
 """Unit tests for the machine description."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.sim.cache import CacheHierarchy
 from repro.sim.machine import CACHE_LINE_BYTES, MachineConfig, SKYLAKE_GOLD_6142
+from repro.sim.trace import MemoryTrace
 
 
 class TestDefaults:
@@ -21,9 +24,6 @@ class TestDefaults:
 
     def test_paper_qpi_bandwidth(self):
         assert SKYLAKE_GOLD_6142.qpi_bandwidth_per_direction == pytest.approx(68.1e9)
-
-    def test_total_llc(self):
-        assert SKYLAKE_GOLD_6142.total_llc_bytes == 2 * 22 * 1024 * 1024
 
     def test_total_dram_bandwidth(self):
         assert SKYLAKE_GOLD_6142.total_dram_bandwidth == pytest.approx(256e9)
@@ -80,22 +80,30 @@ class TestGeometry:
         machine = MachineConfig(frequency_hz=2e9)
         assert machine.cycles_to_seconds(2e9) == pytest.approx(1.0)
 
+    @staticmethod
+    def _memory_home(machine, thread, page):
+        """Where the replay sends one LLC miss: "local" or "remote"."""
+        trace = MemoryTrace(
+            task_ids=np.zeros(1, dtype=np.int64),
+            addresses=np.array([page * machine.page_bytes], dtype=np.int64),
+            is_write=np.zeros(1, dtype=bool),
+        )
+        stats = CacheHierarchy(machine).replay(trace, np.array([thread]))
+        assert stats.llc_misses == 1
+        return "local" if stats.local_memory_accesses else "remote"
+
     def test_socket_of_page_interleaves(self):
+        """Pages are interleaved round-robin over the sockets."""
         machine = MachineConfig()
-        assert machine.socket_of_page(0) == 0
-        assert machine.socket_of_page(machine.page_bytes) == 1
-        assert machine.socket_of_page(2 * machine.page_bytes) == 0
+        homes = [self._memory_home(machine, 0, page) for page in range(3)]
+        assert homes == ["local", "remote", "local"]
 
     def test_socket_of_core_socket_major(self):
+        """Cores are numbered socket-major: 0-15 on socket 0, 16-31 on 1."""
         machine = MachineConfig(sockets=2, cores_per_socket=16)
-        assert machine.socket_of_core(0) == 0
-        assert machine.socket_of_core(15) == 0
-        assert machine.socket_of_core(16) == 1
-        assert machine.socket_of_core(31) == 1
-
-    def test_socket_of_core_out_of_range(self):
-        with pytest.raises(ConfigError):
-            MachineConfig().socket_of_core(32)
+        assert [self._memory_home(machine, core, 0) for core in (0, 15, 16, 31)] == [
+            "local", "local", "remote", "remote"
+        ]
 
     def test_with_cores_splits_evenly(self):
         machine = SKYLAKE_GOLD_6142.with_cores(8)

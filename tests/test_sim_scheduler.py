@@ -30,7 +30,7 @@ FREE = CostModel(
 
 class TestDynamicScheduler:
     def test_empty(self):
-        result = DynamicScheduler(4, cost_model=FREE).run(TaskArray.empty())
+        result = DynamicScheduler(4, cost_model=FREE).run(TaskArray.build(0))
         assert result.makespan_cycles == 0.0
         assert result.task_count == 0
 
@@ -146,7 +146,7 @@ class TestChunkedScheduler:
         assert result.utilization < 0.2
 
     def test_empty(self):
-        result = ChunkedScheduler(4, cost_model=FREE).run(TaskArray.empty())
+        result = ChunkedScheduler(4, cost_model=FREE).run(TaskArray.build(0))
         assert result.makespan_cycles == 0.0
         assert result.task_thread.dtype == np.int32
         assert result.task_thread.shape == (0,)

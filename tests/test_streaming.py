@@ -28,7 +28,7 @@ class TestBatching:
         assert seen == sorted((i, i + 1) for i in range(25))
 
     def test_empty_stream(self):
-        assert make_batches(EdgeBatch.empty(), batch_size=10) == []
+        assert len(make_batches(EdgeBatch.empty(), batch_size=10)) == 0
 
     def test_rejects_bad_batch_size(self):
         with pytest.raises(DatasetError):

@@ -386,7 +386,7 @@ class TestDynamicKernels:
         self.run_both(TaskArray.build(n, unlocked_work=tasks.unlocked_work), threads)
 
     def test_empty_array(self):
-        result = self.run_both(TaskArray.empty(), threads=4)
+        result = self.run_both(TaskArray.build(0), threads=4)
         assert result.makespan_cycles == 0.0
         assert result.task_thread.dtype == np.int32
         assert len(result.task_thread) == 0
@@ -498,20 +498,14 @@ def test_property_chunked_bit_identity(tasks, threads):
 
 class TestTaskArrayContainer:
     def test_empty_is_falsy(self):
-        assert not TaskArray.empty()
+        assert not TaskArray.build(0)
 
     def test_concatenate_filters_empty(self):
         a = TaskArray.build(2, unlocked_work=1.0)
-        merged = TaskArray.concatenate([TaskArray.empty(), a, TaskArray.empty()])
+        merged = TaskArray.concatenate([TaskArray.build(0), a, TaskArray.build(0)])
         assert merged is a
         both = TaskArray.concatenate([a, TaskArray.build(1, unlocked_work=5.0)])
         assert both.unlocked_work.tolist() == [1.0, 1.0, 5.0]
-
-    def test_slice_returns_array(self):
-        array = TaskArray.build(4, unlocked_work=[1.0, 2.0, 3.0, 4.0])
-        head = array[:2]
-        assert isinstance(head, TaskArray)
-        assert head.unlocked_work.tolist() == [1.0, 2.0]
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,14 @@ return ``(counts, addresses)``.  The reference is the per-vertex
 ``trace_traversal(u, recorder)`` every store defines: the array result
 must be that method's accesses, vertex after vertex.  Every store with
 a compiled kernel emits the array in C, one traversal emitter per
-family in :mod:`repro.sim.cingest` (the vector family's: header, then
-the entry span; Stinger's: vertex entry, then header + entries per
-block; DAH's: the high-table probe path, then the neighbor set or the
-low-table path), and a store without one runs the base-class loop over
-``trace_traversal``.  The reference is taken twice: from the
+family in :mod:`repro.sim.cingest` (the vector family's
+``saga_vec_traversals``: header, then the entry span; Stinger's
+``saga_stinger_traversals``: vertex entry, then header + entries per
+block; DAH's ``saga_dah_traversals``: the high-table probe path, then
+the neighbor set or the low-table path), and a store without one runs
+the base-class loop over ``trace_traversal``.  Figs 9/10 trace only AS
+and DAH; Stinger's emitter is reached through ``profile_cell`` on any
+of the five structures, and here.  The reference is taken twice: from the
 structure under test, and (``plain``) from a second structure over the
 list/dict oracle stores of ``tests/oracle_stores.py`` fed the same
 stream -- which also holds the kernel-ingested layout to the oracle's.
