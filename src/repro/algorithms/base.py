@@ -121,20 +121,23 @@ class Algorithm(abc.ABC):
         which hands a live graph's maintained view over without work.
         """
 
+    @TRACER.layer("algorithms.inc")
     def inc_run(
         self,
         view,
         state: AlgorithmState,
         affected: Iterable[int],
         source: Optional[int] = None,
+        cv: Optional[kernels.ComputeView] = None,
     ) -> ComputeRun:
-        """Incremental run (Algorithm 1) updating ``state`` in place."""
+        """Incremental run (Algorithm 1) updating ``state`` in place
+        (``cv``: ``view``'s ComputeView, if the caller resolved it)."""
         state.ensure_initialized(view.num_nodes)
         if self.needs_source:
             source = self.checked_source(source, state)
             state.values[source] = self.source_value()
         run = kernels.run_incremental_frontier(
-            view, state.values, affected, self, source=source
+            view, state.values, affected, self, source=source, cv=cv
         )
         run.source = source
         return run
@@ -192,6 +195,7 @@ class Algorithm(abc.ABC):
             count=len(weights),
         )
 
+    @TRACER.layer("algorithms.inc_delete")
     def inc_delete_run(
         self,
         view,
@@ -253,10 +257,11 @@ class Algorithm(abc.ABC):
         affected = kernels.unique_ids(
             np.concatenate((tainted, endpoints)), view.num_nodes
         )
-        return self.inc_run(view, state, affected, source=source)
+        return self.inc_run(view, state, affected, source=source, cv=cv)
 
     # -- affected set ----------------------------------------------------
 
+    @TRACER.layer("algorithms.affected")
     def affected_from_batch(self, batch: EdgeBatch, view) -> np.ndarray:
         """Vertices directly affected by ingesting ``batch``, ascending.
 

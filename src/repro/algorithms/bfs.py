@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, in_sources
+from repro.algorithms.base import TRACER, Algorithm, in_sources
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 
@@ -51,6 +51,7 @@ class BFS(Algorithm):
         counts = np.bincount(seg, minlength=len(frontier))
         return kernels.segment_min(values[nbr] + 1.0, counts, np.inf)
 
+    @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         source = self.checked_source(source, view)
         values = np.full(max(view.num_nodes, 1), np.inf)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, in_sources, synchronous_fixpoint
+from repro.algorithms.base import TRACER, Algorithm, in_sources, synchronous_fixpoint
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 
@@ -59,6 +59,7 @@ class ConnectedComponents(Algorithm):
             values[frontier], kernels.segment_min(values[nbr], counts, np.inf)
         )
 
+    @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         values = np.arange(max(view.num_nodes, 1), dtype=np.float64)
         return synchronous_fixpoint(

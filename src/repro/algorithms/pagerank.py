@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, in_sources, synchronous_fixpoint
+from repro.algorithms.base import TRACER, Algorithm, in_sources, synchronous_fixpoint
 from repro.compute import ckernels, kernels
 from repro.compute.state import AlgorithmState
 from repro.compute.stats import ComputeRun
@@ -75,13 +75,15 @@ class PageRank(Algorithm):
         state: AlgorithmState,
         affected: Iterable[int],
         source: Optional[int] = None,
+        cv: Optional[kernels.ComputeView] = None,
     ) -> ComputeRun:
         # New vertices start at 1/|V| of the *current* graph
         # (Algorithm 1 line 4).
         n = max(view.num_nodes, 1)
         state.init_fn = lambda ids: np.full(len(ids), 1.0 / n)
-        return super().inc_run(view, state, affected, source=source)
+        return super().inc_run(view, state, affected, source=source, cv=cv)
 
+    @TRACER.layer("algorithms.affected")
     def affected_from_batch(self, batch: EdgeBatch, view) -> np.ndarray:
         """PR's affected set additionally covers rank renormalization.
 
@@ -97,6 +99,7 @@ class PageRank(Algorithm):
         _, fanout, _ = kernels.expand_frontier(cv.out_csr, sources)
         return kernels.unique_ids(np.concatenate([src, dst, fanout]), cv.num_nodes)
 
+    @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         n = max(view.num_nodes, 1)
         values = np.full(n, 1.0 / n)

@@ -98,6 +98,7 @@ class SSSP(Algorithm):
         total = float(np.cumsum(weights)[-1]) if count else 0.0
         return max(total / count, 1e-9) if count else 1.0
 
+    @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         source = self.checked_source(source, view)
         cv = kernels.ComputeView.of(view)

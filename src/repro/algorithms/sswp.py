@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, in_pairs
+from repro.algorithms.base import TRACER, Algorithm, in_pairs
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 
@@ -60,6 +60,7 @@ class SSWP(Algorithm):
         # never go below the start (weights are positive).
         return np.maximum(kernels.segment_max(widths, counts, -np.inf), 0.0)
 
+    @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
         source = self.checked_source(source, view)
         values = np.zeros(max(view.num_nodes, 1))

@@ -105,6 +105,7 @@ class HardwareCell:
     #: {phase: [PhaseCounters, ...]} in batch order.
     counters: Dict[str, List[PhaseCounters]]
 
+    @TRACER.layer("results.encode")
     def to_payload(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """Split into JSON metadata and columnar arrays for the store."""
         fields = list(PhaseCounters.__dataclass_fields__)

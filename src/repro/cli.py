@@ -16,9 +16,9 @@ points the content-addressed RunStore at a directory (a second
 identical invocation then regenerates every artifact from cache,
 bit-identically, without simulating), ``--no-cache`` disables the
 cache even when ``SAGA_BENCH_CACHE_DIR`` is set, ``--jobs N`` fans
-sweep cells over N worker processes, and ``--profile`` prints a
-per-phase wall-time breakdown (emission / schedule / cache-replay /
-compute) after the run.
+sweep cells over N worker processes, and ``--profile`` prints the
+layer table (``graph.update``, ``scheduler.run``, ``cache.replay``, ...)
+whose self times sum to the ``driver`` span around the command.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from repro.obs import (
     write_chrome_trace,
     write_prometheus,
 )
+from repro.obs.report import sweep_cells
+from repro.obs.tracer import ROOT
 from repro.sim.machine import SCALED_SKYLAKE_GOLD_6142
 from repro.streaming import StreamConfig
 
@@ -474,20 +476,21 @@ def _write_run_report(args: argparse.Namespace, path: str) -> str:
 
 
 def _profile_report(tracer: SpanTracer = TRACER) -> str:
-    """The ``--profile`` printout: self time per phase, largest first."""
-    totals = tracer.phase_totals()
-    if not totals:
-        return "[profile] no instrumented phases ran"
-    grand = sum(seconds for seconds, _ in totals.values())
-    lines = ["[profile] per-phase wall time"]
-    for name, (seconds, count) in sorted(
-        totals.items(), key=lambda item: -item[1][0]
-    ):
-        share = 100.0 * seconds / grand if grand else 0.0
+    """The ``--profile`` printout: the tracer's layer table as text."""
+    rows = tracer.table()
+    if not rows:
+        return "[profile] no spans ran"
+    whole = sum(own for _, _, own, _ in rows) or 1.0
+    lines = [
+        f"[profile] wall time by layer; self times sum to {ROOT}'s total",
+        f"  {'layer':<24s} {'total_s':>11s} {'self_s':>11s} {'share':>6s} {'calls':>7s}",
+    ]
+    for name, total, own, calls in rows:
         lines.append(
-            f"  {name:<14s} {seconds:>9.3f}s {share:>5.1f}%  ({count} calls)"
+            f"  {name:<24s} {total:>11.6f} {own:>11.6f} "
+            f"{100.0 * own / whole:>5.1f}% {calls:>7d}"
         )
-    lines.append(f"  {'total':<14s} {grand:>9.3f}s")
+    lines.append(f"  span_coverage_ratio {tracer.span_coverage_ratio():.3f}")
     return "\n".join(lines)
 
 
@@ -531,9 +534,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-phase wall-time breakdown (emission / schedule / "
-             "cache-replay / compute) after the run; cells executed in "
-             "--jobs worker processes report back and are merged in",
+        help="print the layer table (graph.update, scheduler.run, ...) whose "
+             "self times sum to the driver span after the run; cells executed "
+             "in --jobs worker processes report back and are merged in",
     )
     parser.add_argument(
         "--trace-out",
@@ -555,7 +558,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help="write a self-contained HTML run report of this run alone "
-             "(phase breakdown, sweep cells, fitted cost model, auto-tuner "
+             "(wall time by layer, sweep cells, fitted cost model, auto-tuner "
              "decisions); enables tracing, metrics and per-batch feature "
              "capture",
     )
@@ -704,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_report = sub.add_parser(
         "report",
         help="run a small live stream and write a self-contained HTML "
-             "run report (phase breakdown, fitted cost model); no "
+             "run report (wall time by layer, fitted cost model); no "
              "external assets, no network",
     )
     run_report.set_defaults(func=_cmd_report)
@@ -741,14 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sweep_summary() -> Optional[str]:
     """One-line cell accounting from the metrics registry, or None."""
-    computed = int(METRICS.value("sweep_cells_total", status="computed"))
-    cached = int(METRICS.value("sweep_cells_total", status="cached"))
+    computed, cached, per_dataset = sweep_cells(METRICS)
     if not (computed or cached):
         return None
-    wall = 0.0
-    for name, _, _, series in METRICS.families():
-        if name == "sweep_cell_seconds":
-            wall = sum(metric.sum for _, metric in series)
+    wall = sum(seconds for _, _, seconds in per_dataset)
     line = (
         f"[sweep] {computed} cells computed in {wall:.2f}s wall, "
         f"{cached} requests served from cache"
@@ -768,7 +767,7 @@ def main(argv=None) -> int:
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     report_out = getattr(args, "report_out", None)
-    tracing = bool(profiling or trace_out or report_out)
+    tracing = bool(profiling or trace_out or metrics_out or report_out)
     if tracing:
         TRACER.reset()
         TRACER.enable(
@@ -782,13 +781,16 @@ def main(argv=None) -> int:
         FEATURES.reset()
         FEATURES.enable()
     try:
-        return args.func(args)
+        with TRACER.span(ROOT):
+            return args.func(args)
     finally:
         if profiling:
             print(_profile_report())
         if trace_out:
             print(f"[trace written to {write_chrome_trace(TRACER, trace_out)}]")
         if metrics_out:
+            coverage = TRACER.span_coverage_ratio()
+            METRICS.gauge("span_coverage_ratio", "wall time share in a named span").set(coverage)
             summary = _sweep_summary()
             if summary:
                 print(summary)

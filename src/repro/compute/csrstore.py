@@ -35,8 +35,7 @@ zero-copy to the compute kernels; nothing else holds an edge.
     with one stable sort (:meth:`DynamicCSR.rebuild`); when a later
     apply's delta exceeds :data:`DEFAULT_CHURN_THRESHOLD` of the live
     edge count the fold is followed by :meth:`DynamicCSR.compact`, which
-    repacks the store's own rows.  Emits ``compute.view_update`` /
-    ``compute.view_rebuild`` spans and the
+    repacks the store's own rows.  Emits ``csrstore.apply`` spans and the
     ``compute_view_build_seconds`` / ``compute_view_update_seconds`` /
     ``compute_view_rebuilds_total`` observability series.
 
@@ -126,6 +125,7 @@ class DynamicCSR:
 
     # -- full rebuild ---------------------------------------------------
 
+    @TRACER.layer("csrstore.rebuild")
     def rebuild(self, keys: np.ndarray, vals: np.ndarray, wts: np.ndarray) -> None:
         """Tight repack from a full edge list (chronological order).
 
@@ -279,6 +279,7 @@ class DynamicCSR:
             and self.dead > self.used * COMPACT_DEAD_FRACTION
         )
 
+    @TRACER.layer("csrstore.compact")
     def compact(self) -> None:
         """Repack the heap tight, dropping tombstones and slack."""
         kernels = ckernels.get()
@@ -345,6 +346,7 @@ class ViewMaintainer:
         if METRICS.enabled:
             METRICS.histogram(metric, help_text).observe(seconds)
 
+    @TRACER.layer("csrstore.apply")
     def apply(
         self,
         ins_src: np.ndarray,
@@ -369,26 +371,22 @@ class ViewMaintainer:
         if self.inc is not self.out:
             folds.append((self.inc, ins_dst, ins_src, rem_dst, rem_src))
         started = time.perf_counter()
-        with TRACER.span(
-            "compute.view_rebuild" if repack else "compute.view_update",
-            args={"delta": delta, "live": live},
-        ):
-            for store, ins_keys, ins_vals, rem_keys, rem_vals in folds:
-                if live == 0:
-                    store.rebuild(ins_keys, ins_vals, ins_wt)
-                else:
-                    store.insert(ins_keys, ins_vals, ins_wt)
-                store.delete(rem_keys, rem_vals)
-                if repack and not store.tight:
-                    store.compact()
-                elif store.needs_compaction():
-                    store.compact()
-                    self.compactions += 1
-                    if METRICS.enabled:
-                        METRICS.counter(
-                            "compute_view_compactions_total",
-                            "tombstone compactions of the CSR heap",
-                        ).inc()
+        for store, ins_keys, ins_vals, rem_keys, rem_vals in folds:
+            if live == 0:
+                store.rebuild(ins_keys, ins_vals, ins_wt)
+            else:
+                store.insert(ins_keys, ins_vals, ins_wt)
+            store.delete(rem_keys, rem_vals)
+            if repack and not store.tight:
+                store.compact()
+            elif store.needs_compaction():
+                store.compact()
+                self.compactions += 1
+                if METRICS.enabled:
+                    METRICS.counter(
+                        "compute_view_compactions_total",
+                        "tombstone compactions of the CSR heap",
+                    ).inc()
         if repack:
             self.builds += 1
             if live:

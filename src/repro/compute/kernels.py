@@ -515,6 +515,7 @@ def run_incremental_frontier(
     algorithm,
     source: Optional[int] = None,
     max_rounds: int = MAX_ROUNDS,
+    cv: Optional[ComputeView] = None,
 ) -> ComputeRun:
     """Algorithm 1, one frontier at a time (bit-identical to the loop).
 
@@ -526,8 +527,9 @@ def run_incremental_frontier(
     frontier, until no vertex is triggered).
 
     ``view`` is the graph (or its :class:`ComputeView`): the run reads
-    ``ComputeView.of(view)``, and a vertex function that walks the graph
-    itself (a third-party scalar ``recalculate``) gets ``view``.
+    ``cv`` (``ComputeView.of(view)`` unless the caller resolved it), and
+    a vertex function that walks the graph itself (a third-party scalar
+    ``recalculate``) gets ``view``.
     ``algorithm`` supplies ``recalculate_batch`` (the Table I vertex
     function over a wave), ``epsilon``, and source pinning.  Per round:
     expand the ascending frontier over the in-CSR, schedule it into
@@ -546,7 +548,7 @@ def run_incremental_frontier(
     reproducing sequential reads with vector ops) disappears rather
     than being translated, and the log is the run's record as it stands.
     """
-    cv = ComputeView.of(view)
+    cv = ComputeView.of(view) if cv is None else cv
     n = cv.num_nodes
     run = ComputeRun(algorithm=algorithm.name, model="INC", values=values)
     run.linear_scans = 2

@@ -37,6 +37,7 @@ from repro.compute.stats import ComputeRun
 from repro.errors import SimulationError, StructureError
 from repro.graph import STRUCTURES
 from repro.graph.base import ExecutionContext
+from repro.obs.tracer import TRACER
 from repro.sim.cost_model import CostModel
 from repro.sim.scheduler import PARALLEL_FOR_CHUNK, graham_makespan, work_scale
 
@@ -189,6 +190,7 @@ def _price_rounds(
     return latency, work
 
 
+@TRACER.layer("pricing.price")
 def price_compute_run(
     run: ComputeRun,
     structures: Sequence[str],

@@ -33,6 +33,7 @@ from repro.datasets.rmat import (
 from repro.datasets.synthetic import calibrate_alpha, power_law_edges
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
+from repro.obs.tracer import TRACER
 
 #: Batch size of the scaled-down streams (paper: 500K).  Chosen so a
 #: batch touches a comparable *fraction* of the graph as the paper's
@@ -202,6 +203,7 @@ def dataset_names() -> Tuple[str, ...]:
     return tuple(DATASETS)
 
 
+@TRACER.layer("datasets.build")
 def load_dataset(name: str, seed: int = 0, size_factor: float = 1.0) -> Dataset:
     """Generate dataset ``name``'s edge stream.
 
@@ -223,6 +225,7 @@ def load_dataset(name: str, seed: int = 0, size_factor: float = 1.0) -> Dataset:
     )
 
 
+@TRACER.layer("datasets.build")
 def make_rmat_dataset(
     scale: int,
     num_edges: int,

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.metrics import METRICS
+from repro.obs.tracer import TRACER
 
 #: Environment variable naming a default cache directory; honored by
 #: the CLI and the benchmark harness when no explicit path is given.
@@ -47,6 +48,7 @@ class RunStore:
 
     # -- generic array payloads ----------------------------------------
 
+    @TRACER.layer("results.encode")
     def save_arrays(
         self, key: str, meta: dict, arrays: Dict[str, np.ndarray]
     ) -> Path:

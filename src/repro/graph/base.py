@@ -184,6 +184,7 @@ class GraphDataStructure(abc.ABC):
     # Mutation
     # ------------------------------------------------------------------
 
+    @TRACER.layer("graph.update")
     def update(self, batch: EdgeBatch, ctx: Optional[ExecutionContext] = None) -> UpdateResult:
         """Ingest ``batch``: the paper's *update phase* for one batch.
 
@@ -193,6 +194,7 @@ class GraphDataStructure(abc.ABC):
         """
         return self._phase(batch, ctx, delete=False)
 
+    @TRACER.layer("graph.delete")
     def delete(self, batch: EdgeBatch, ctx: Optional[ExecutionContext] = None) -> UpdateResult:
         """Remove ``batch``'s edges: a deletion-only update phase.
 
@@ -214,11 +216,8 @@ class GraphDataStructure(abc.ABC):
         if ctx is None:
             ctx = ExecutionContext()
         recorder = ctx.effective_recorder
-        with TRACER.span("emission"):
-            tasks, positive, negative = self._ingest(batch, recorder, delete=delete)
-        with TRACER.span("schedule") as span:
-            schedule = self._schedule(tasks, ctx)
-            span.add_cycles(schedule.makespan_cycles)
+        tasks, positive, negative = self._ingest(batch, recorder, delete=delete)
+        schedule = self._schedule(tasks, ctx)
         if METRICS.enabled:
             self._record_schedule_metrics(schedule)
         trace = recorder.finalize() if ctx.recorder is not None else None
@@ -302,6 +301,7 @@ class GraphDataStructure(abc.ABC):
         table = np.array(rows, dtype=np.int64).reshape(len(rows), len(self.columns))
         return positive, table.T.copy()
 
+    @TRACER.layer("scheduler.ladder")
     def schedule_tasks(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         """Re-schedule a batch's ``UpdateResult.tasks`` under a different context.
 
@@ -309,9 +309,7 @@ class GraphDataStructure(abc.ABC):
         ingest can be re-priced at many machine shapes (the Fig. 9(a)
         core-scaling sweep).
         """
-        with TRACER.span("schedule") as span:
-            schedule = self._schedule(tasks, ctx)
-            span.add_cycles(schedule.makespan_cycles)
+        schedule = self._schedule(tasks, ctx)
         if METRICS.enabled:
             self._record_schedule_metrics(schedule)
         return schedule
@@ -409,6 +407,7 @@ class GraphDataStructure(abc.ABC):
         """
         return cost.probe_element
 
+    @TRACER.layer("graph.trace_traversal")
     def trace_out_traversal(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The memory reads of one out-neighbor traversal per vertex.
 
@@ -418,6 +417,7 @@ class GraphDataStructure(abc.ABC):
         """
         return _trace_traversals(self._out, vertices)
 
+    @TRACER.layer("graph.trace_traversal")
     def trace_in_traversal(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`trace_out_traversal` for in-neighbor traversals."""
         return _trace_traversals(self._in, vertices)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.errors import StructureError
 from repro.sim.memory import AddressSpace, Region
 
@@ -30,15 +28,13 @@ class VertexProperties:
         self.space = space
         self._regions: Dict[str, Region] = {}
 
-    def add(self, name: str, initial: float = 0.0) -> np.ndarray:
-        """Create (or reset) the property ``name``; returns a fresh array
-        of its values (the caller keeps it; only the region stays here)."""
-        array = np.full(self.max_nodes, initial, dtype=np.float64)
+    def add(self, name: str) -> None:
+        """Give the property ``name`` its simulated region (once); the
+        values themselves live with the run that computes them."""
         if name not in self._regions:
             self._regions[name] = self.space.alloc(
                 self.max_nodes * VALUE_BYTES, f"prop.{name}"
             )
-        return array
 
     def region(self, name: str) -> Region:
         """The simulated region backing ``name``'s values."""

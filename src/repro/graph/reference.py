@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import StructureError
 from repro.graph.edge import EdgeBatch
+from repro.obs.tracer import TRACER
 
 
 def with_reverse_interleaved(
@@ -83,6 +84,7 @@ class ReferenceGraph:
         """Ingest a batch; returns the number of new unique edges."""
         return len(self.update_collect(batch))
 
+    @TRACER.layer("reference.update")
     def update_collect(self, batch: EdgeBatch) -> EdgeBatch:
         """Ingest a batch; returns the newly inserted edges as columns.
 
@@ -104,6 +106,7 @@ class ReferenceGraph:
             self._apply(inserted=inserted)
         return inserted
 
+    @TRACER.layer("reference.delete")
     def delete_collect(self, batch: EdgeBatch) -> EdgeBatch:
         """Remove a batch's edges; returns the ones actually removed.
 

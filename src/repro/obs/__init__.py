@@ -5,8 +5,8 @@ record into two process-global singletons:
 
 - :data:`TRACER` -- a nested, thread-safe span tracer carrying both
   wall time and simulated-cycle attribution
-  (:mod:`repro.obs.tracer`).  ``--profile`` prints its self-time
-  totals.
+  (:mod:`repro.obs.tracer`).  ``--profile`` prints its layer
+  table.
 - :data:`METRICS` -- a registry of counters, gauges, and fixed-bucket
   histograms with an explicit cross-process ``merge``
   (:mod:`repro.obs.metrics`).

@@ -10,7 +10,8 @@ The report is assembled from whatever observability surfaces the run
 produced -- each section degrades to an explanatory note when its data
 source is absent:
 
-- **phase breakdown** from the span tracer's self-time totals;
+- **wall time by layer** from the span tracer's layer table, the one
+  ``--profile`` prints;
 - **sweep cells** from the metrics registry's sweep counters;
 - **cost-model fit vs observed** scatter + residual charts and the
   per-group coefficient table from a :class:`FittedCostModel` and the
@@ -178,33 +179,49 @@ def _meta_section(meta: Dict[str, object], metrics) -> str:
     )
 
 
-def _phase_section(tracer) -> str:
-    totals = tracer.phase_totals() if tracer is not None else {}
-    if not totals:
+def _layer_section(tracer) -> str:
+    rows = tracer.table() if tracer is not None else []
+    if not rows:
         return _section(
-            "Phase breakdown",
+            "Wall time by layer",
             '<p class="note">No span data: run with tracing enabled '
             "(--profile / --trace-out) to populate this section.</p>",
         )
-    ordered = sorted(totals.items(), key=lambda kv: kv[1][0], reverse=True)
-    top = max(seconds for seconds, _ in totals.values()) or 1.0
-    rows = []
-    for name, (seconds, entries) in ordered:
-        width = max(100.0 * seconds / top, 0.5)
-        rows.append(
+    top = max(own for _, _, own, _ in rows) or 1.0
+    bars = []
+    for name, total, own, calls in rows:
+        width = max(100.0 * own / top, 0.5)
+        bars.append(
             '<div class="bar-row">'
             f'<span class="bar-label">{_esc(name)}</span>'
             '<span class="bar-track">'
             f'<div class="bar-fill" style="width:{width:.1f}%"></div></span>'
-            f'<span class="bar-value">{_fmt_seconds(seconds)} '
-            f"&middot; {entries}&times;</span>"
+            f'<span class="bar-value">{_fmt_seconds(own)} self of '
+            f"{_fmt_seconds(total)} &middot; {calls}&times;</span>"
             "</div>"
         )
     return _section(
-        "Phase breakdown",
-        "<p class=\"subtitle\">Wall-clock self time per span phase "
-        "(entries aggregated across threads and workers).</p>"
-        + "".join(rows),
+        "Wall time by layer",
+        "<p class=\"subtitle\">Self time per span: its wall time less its "
+        "child spans'; the self times sum to the driver span's total "
+        f"(span_coverage_ratio {tracer.span_coverage_ratio():.3f}).</p>"
+        + "".join(bars),
+    )
+
+
+def sweep_cells(metrics) -> Tuple[int, int, List[Tuple[str, int, float]]]:
+    """``(computed, cached, [(dataset, cells, wall seconds), ...])``."""
+    per_dataset: List[Tuple[str, int, float]] = []
+    for name, _kind, _help, series in metrics.families():
+        if name == "sweep_cell_seconds":
+            per_dataset = sorted(
+                (dict(labelset).get("dataset", ""), metric.count, metric.sum)
+                for labelset, metric in series
+            )
+    return (
+        int(metrics.value("sweep_cells_total", status="computed")),
+        int(metrics.value("sweep_cells_total", status="cached")),
+        per_dataset,
     )
 
 
@@ -214,22 +231,7 @@ def _sweep_section(metrics) -> str:
             "Sweep cells",
             '<p class="note">No metrics registry captured for this run.</p>',
         )
-    per_dataset: List[Tuple[str, int, float]] = []
-    computed = cached = 0
-    for name, kind, _help, series in metrics.families():
-        if name == "sweep_cell_seconds":
-            for labelset, metric in series:
-                labels = dict(labelset)
-                per_dataset.append(
-                    (labels.get("dataset", ""), metric.count, metric.sum)
-                )
-        elif name == "sweep_cells_total":
-            for labelset, metric in series:
-                labels = dict(labelset)
-                if labels.get("status") == "computed":
-                    computed += int(metric.value)
-                elif labels.get("status") == "cached":
-                    cached += int(metric.value)
+    computed, cached, per_dataset = sweep_cells(metrics)
     if not per_dataset and not (computed or cached):
         return _section(
             "Sweep cells",
@@ -247,7 +249,7 @@ def _sweep_section(metrics) -> str:
             f'<td class="num">{_fmt_seconds(total)}</td>'
             f'<td class="num">{_fmt_seconds(total / count if count else 0.0)}</td>'
             "</tr>"
-            for dataset, count, total in sorted(per_dataset)
+            for dataset, count, total in per_dataset
         )
         body += (
             '<table><thead><tr><th>dataset</th><th class="num">cells</th>'
@@ -537,7 +539,7 @@ def render_report(
     """
     sections = [
         _meta_section(meta or {}, metrics),
-        _phase_section(tracer),
+        _layer_section(tracer),
         _model_section(model, features),
         _autotune_section(autotune),
         _sweep_section(metrics),

@@ -2,8 +2,10 @@
 
 The tracer is the single timing engine behind two consumers:
 
-- the ``--profile`` phase report, which prints the *self-time*
-  aggregates, so nested or re-entered phases never double-count;
+- the layer table (:meth:`SpanTracer.table`) that ``--profile``, the
+  HTML report and ``--metrics-out`` show: per span name (a layer of the
+  run, named as in ``bench_e2e``'s traced runs) its total, *self* time
+  and calls, whose self times sum to the :data:`ROOT` span's total;
 - the Chrome ``trace_event`` export (``--trace-out``), which renders the
   wall-clock span tree plus the *simulated* per-thread task timelines
   recorded by the schedulers.
@@ -14,9 +16,9 @@ Two cost regimes:
   no-op context manager, so the hot layers pay one attribute check and
   allocate nothing.
 - **Enabled**: each span pushes onto a per-thread stack, aggregates its
-  self-time (total minus time spent in child spans) into per-name
-  totals on exit, and -- when ``keep_events`` is on -- appends one
-  completed-event record for the exporters.
+  duration and self-time (duration minus time spent in child spans)
+  into per-name totals on exit, and -- when ``keep_events`` is on --
+  appends one completed-event record for the exporters.
 
 Spans carry both wall seconds and an optional *simulated-cycle*
 attribution (:meth:`SpanHandle.add_cycles`), so a phase's report can
@@ -28,6 +30,7 @@ the innermost simulator layers without dragging them in circularly.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -35,6 +38,10 @@ from typing import Dict, List, Optional, Tuple
 #: Default cap on stored events; past it new events are counted but
 #: dropped, so an un-capped full-scale sweep cannot exhaust memory.
 DEFAULT_MAX_EVENTS = 500_000
+
+#: The root span: ``repro``'s ``main`` opens it around the whole run.  Its
+#: self time is what no other span claims.
+ROOT = "driver"
 
 #: Default cap on stored simulated-timeline slices (one slice = one
 #: task on one simulated thread).
@@ -106,7 +113,7 @@ class _ThreadState(threading.local):
 
 
 class SpanTracer:
-    """Nested span tracer with per-phase self-time aggregation.
+    """Nested span tracer with per-name total and self-time aggregation.
 
     Thread-safe: span stacks are thread-local; the finished-event list
     and the aggregate tables take a lock only on span exit (spans are
@@ -127,8 +134,8 @@ class SpanTracer:
         self._local = _ThreadState()
         self._epoch = time.perf_counter()
         self._next_tid = 0
-        # {name: [self_seconds, entries]}
-        self._totals: Dict[str, List[float]] = {}
+        # {name: [total_seconds, self_seconds, calls]}
+        self._totals: Dict[str, list] = {}
         # Finished span events: (name, cat, tid, start_s, dur_s, cycles, args)
         self._events: List[tuple] = []
         self.dropped_events = 0
@@ -172,6 +179,24 @@ class SpanTracer:
             return NULL_SPAN
         return SpanHandle(self, name, cat, args)
 
+    def layer(self, name: str, cycles=None):
+        """Decorator: each call of the function is one span ``name``, given
+        ``cycles(result)`` simulated cycles if ``cycles`` is set."""
+
+        def decorate(fn):
+            @functools.wraps(fn)
+            def traced(*args, **kwargs):
+                if not self.enabled:
+                    return fn(*args, **kwargs)
+                with SpanHandle(self, name, "phase", None) as span:
+                    result = fn(*args, **kwargs)
+                    span.add_cycles(cycles(result) if cycles else 0.0)
+                return result
+
+            return traced
+
+        return decorate
+
     def _push(self, span: SpanHandle) -> None:
         self._local.stack.append(span)
 
@@ -183,14 +208,13 @@ class SpanTracer:
         duration = end - span.start
         if stack:
             stack[-1].child_seconds += duration
-        self_seconds = duration - span.child_seconds
+        # A span re-entered inside itself is in its outer span's total.
+        outermost = all(open_span.name != span.name for open_span in stack)
         with self._lock:
-            entry = self._totals.get(span.name)
-            if entry is None:
-                self._totals[span.name] = [self_seconds, 1]
-            else:
-                entry[0] += self_seconds
-                entry[1] += 1
+            entry = self._totals.setdefault(span.name, [0.0, 0.0, 0])
+            entry[0] += duration if outermost else 0.0
+            entry[1] += duration - span.child_seconds
+            entry[2] += 1
             if self.keep_events:
                 if len(self._events) < self.max_events:
                     self._events.append(
@@ -256,13 +280,19 @@ class SpanTracer:
 
     # -- read side ------------------------------------------------------
 
-    def phase_totals(self) -> Dict[str, Tuple[float, int]]:
-        """{phase: (self seconds, entries)} -- the ``--profile`` view."""
+    def table(self) -> List[Tuple[str, float, float, int]]:
+        """``(name, total_s, self_s, calls)`` rows, :data:`ROOT` first, then
+        by self time.  Spans absorbed from ``--jobs`` workers ran beside the
+        root, not inside it, and add to the self times' sum."""
         with self._lock:
-            return {
-                name: (entry[0], int(entry[1]))
-                for name, entry in self._totals.items()
-            }
+            rows = [(name, *entry) for name, entry in self._totals.items()]
+        return sorted(rows, key=lambda row: (row[0] != ROOT, -row[2], row[0]))
+
+    def span_coverage_ratio(self) -> float:
+        """The share of the root's wall time a named span claims (0 if no root)."""
+        with self._lock:
+            total, own, _ = self._totals.get(ROOT, (0.0, 0.0, 0))
+        return 1.0 - own / total if total > 0.0 else 0.0
 
     def events(self) -> List[tuple]:
         """Finished span events, in completion order."""
@@ -302,12 +332,9 @@ class SpanTracer:
         prefix = f"{origin}:" if origin else ""
         with self._lock:
             for name, entry in payload.get("totals", {}).items():
-                mine = self._totals.get(name)
-                if mine is None:
-                    self._totals[name] = list(entry)
-                else:
-                    mine[0] += entry[0]
-                    mine[1] += entry[1]
+                mine = self._totals.setdefault(name, [0.0, 0.0, 0])
+                for field, value in enumerate(entry):
+                    mine[field] += value
             for event in payload.get("events", []):
                 if len(self._events) >= self.max_events:
                     self.dropped_events += 1

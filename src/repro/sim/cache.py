@@ -163,21 +163,21 @@ class CacheHierarchy:
         negative thread id raises :class:`SimulationError` before any
         cache state changes.
         """
-        task_thread = np.ascontiguousarray(task_thread, dtype=np.int64)
-        _check_range("addresses", trace.addresses, _INT64_MAX)
-        _check_range("task_ids", trace.task_ids, len(task_thread))
-        _check_range("task_thread", task_thread, _INT64_MAX)
         engine, replay = (
             ("python", self._replay)
             if self._native is None
             else ("native", self._replay_native)
         )
         with TRACER.span(
-            "cache-replay", args={"engine": engine, "accesses": len(trace)}
+            "cache.replay", args={"engine": engine, "accesses": len(trace)}
         ):
+            task_thread = np.ascontiguousarray(task_thread, dtype=np.int64)
+            _check_range("addresses", trace.addresses, _INT64_MAX)
+            _check_range("task_ids", trace.task_ids, len(task_thread))
+            _check_range("task_thread", task_thread, _INT64_MAX)
             stats = replay(trace, task_thread)
-        if METRICS.enabled:
-            self._record_metrics(stats)
+            if METRICS.enabled:
+                self._record_metrics(stats)
         return stats
 
     def _record_metrics(self, stats: CacheStats) -> None:

@@ -107,8 +107,9 @@ class MachineConfig:
 #: The paper's characterization platform (Section IV-A).
 SKYLAKE_GOLD_6142 = MachineConfig()
 
-#: The same platform with cache capacities scaled down ~500x, matching
-#: the ~1000x scale-down of the datasets.  Standard simulation
+#: The same platform with scaled-down caches for the ~1000x scale-down
+#: of the datasets: L1d and L2 16x smaller, the LLC 11x smaller with 16
+#: ways instead of 11.  Standard simulation
 #: methodology: hit ratios and MPKI are working-set-to-capacity
 #: effects, so a faithfully scaled hierarchy on a scaled workload
 #: reproduces the full-size machine's behavior on the full workload.

@@ -184,6 +184,7 @@ class DynamicScheduler:
         self.physical_cores = physical_cores if physical_cores is not None else threads
         self.cost = cost_model
 
+    @TRACER.layer("scheduler.run", cycles=lambda result: result.makespan_cycles)
     def run(self, tasks: TaskArray) -> ScheduleResult:
         """Schedule ``tasks`` and return the resulting makespan."""
         _check_tasks(tasks)
@@ -411,6 +412,7 @@ class ChunkedScheduler:
         self.physical_cores = physical_cores if physical_cores is not None else threads
         self.cost = cost_model
 
+    @TRACER.layer("scheduler.run", cycles=lambda result: result.makespan_cycles)
     def run(self, tasks: TaskArray) -> ScheduleResult:
         """Schedule chunk-pinned ``tasks``: one weighted bincount per batch."""
         _check_tasks(tasks)

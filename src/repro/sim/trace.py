@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.obs.tracer import TRACER
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,7 @@ class MemoryTrace:
     def write_count(self) -> int:
         return int(self.is_write.sum())
 
+    @TRACER.layer("trace.sample")
     def sample(self, max_accesses: int, seed: int = 0) -> "MemoryTrace":
         """An order-preserving systematic sample of at most ``max_accesses``.
 

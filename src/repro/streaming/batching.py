@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
+from repro.obs.tracer import TRACER
 
 
 def _validate_schedule(schedule: Sequence[int]) -> Tuple[int, ...]:
@@ -109,6 +110,7 @@ class BatchView:
     def __len__(self) -> int:
         return self._count
 
+    @TRACER.layer("batching.gather")
     def __getitem__(self, index: int) -> EdgeBatch:
         if index < 0:
             index += self._count
@@ -134,6 +136,7 @@ class BatchView:
             yield self[index]
 
 
+@TRACER.layer("batching.make")
 def make_batches(
     edges: EdgeBatch,
     batch_size: int,

@@ -500,8 +500,7 @@ class StreamDriver:
             # The zero-copy columnar view the collects left, the one
             # every algorithm x model run reaches through the reference,
             # its ``degrees`` the arrays the pricing reads.
-            with TRACER.span("compute.view"):
-                compute_view = reference.compute_view()
+            compute_view = reference.compute_view()
             deg_in = compute_view.in_csr.degrees
             deg_out = compute_view.out_csr.degrees
             # Built as the batch's runs ask for them, read by all of them.

@@ -29,6 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.obs.tracer import TRACER
 from repro.sim.machine import MachineConfig
 
 ComboKey = Tuple[str, str, str]  # (algorithm, model, structure)
@@ -286,6 +287,7 @@ class StreamResult:
             compute_iterations=np.asarray(arrays["compute_iterations"]),
         )
 
+    @TRACER.layer("results.encode")
     def to_npz(self, path) -> Path:
         """Serialize to one ``.npz`` file; returns the path written."""
         meta, arrays = self.to_payload()

@@ -269,6 +269,28 @@ class TestOneRouteIntoAView:
         get_algorithm("PR").fs_run(structure)
         assert built == [structure.num_nodes] * 2
 
+    def test_deletion_repair_on_a_structure_exports_once(self, monkeypatch):
+        """CC's deletion repair resolves the view once and re-derives
+        from it: one builder call per direction, not two."""
+        built = []
+        real = kernels.csr_from_pair_rows
+
+        def counting(rows, num_nodes):
+            built.append(num_nodes)
+            return real(rows, num_nodes)
+
+        structure = make_structure("AS", 32, directed=True)
+        batch = _stream(num_nodes=32, batches=1, seed=3)[0]
+        structure.update(batch)
+        cc = get_algorithm("CC")
+        state = cc.make_state(32)
+        cc.inc_run(structure, state, np.arange(structure.num_nodes))
+        victims = batch.slice(0, 8)
+        structure.delete(victims)
+        monkeypatch.setattr(kernels, "csr_from_pair_rows", counting)
+        cc.inc_delete_run(structure, state, victims)
+        assert built == [structure.num_nodes] * 2
+
 
 class _Relay(Algorithm):
     """Scalar-only toy: hop count from vertex 0 (9 = not reached yet)."""

@@ -46,7 +46,15 @@ FORCED_PLAN = {0: "AS", 1: "AS", 2: "DAH", 3: "DAH", 4: "AS", 5: "AS"}
 
 #: The series the driver loop (not the structures or kernels) owns.
 DRIVER_FAMILIES = ("stream_", "autotune_", "shard_")
-DRIVER_SPANS = ("autotune.decide", "compute.view", "compute", "autotune.migrate")
+DRIVER_SPANS = (
+    "batching.make", "batching.gather", "reference.update", "reference.delete",
+    "autotune.decide", "compute", "autotune.migrate",
+)
+#: The driver loop's spans every path opens, per repetition of the stream.
+LOOP_SPANS = {
+    "batching.make": 1, "batching.gather": BATCHES, "reference.update": BATCHES,
+    "reference.delete": BATCHES, "compute": BATCHES,
+}
 
 Observed = namedtuple(
     "Observed", "result rows metrics spans compute_span_cycles lines driver"
@@ -279,18 +287,15 @@ class TestObservabilityPerPath:
     def test_driver_owned_spans(self, paths):
         for name in ("static", "sharded", "pooled"):
             spans = paths[name].spans
-            assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == {
-                "compute.view": BATCHES, "compute": BATCHES,
-            }, name
+            assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == LOOP_SPANS, name
         for name in ("free", "forced"):
             observed = paths[name]
             migrations = sum(
                 1 for d in _decisions(observed) if d["migration_seconds"] > 0.0
             )
             assert {s: observed.spans[s] for s in DRIVER_SPANS} == {
+                **LOOP_SPANS,
                 "autotune.decide": BATCHES,
-                "compute.view": BATCHES,
-                "compute": BATCHES,
                 "autotune.migrate": migrations,
             }, name
             switches = observed.metrics["autotune_switches_total"]
@@ -570,8 +575,9 @@ class TestHardwarePlane:
                 registry.reset()
         assert walks == [(HardwarePlane, 0)]
         assert cell.batches == BATCHES
+        # No churn on the hardware plane: nothing is deleted.
         assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == {
-            "compute.view": BATCHES, "compute": BATCHES,
+            key: calls for key, calls in LOOP_SPANS.items() if key != "reference.delete"
         }
         assert spans["compute.trace"] == BATCHES * len(ALGORITHMS)
         # No per-batch update latency series or sim timeline: the

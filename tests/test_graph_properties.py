@@ -10,10 +10,13 @@ from repro.sim.memory import AddressSpace
 
 class TestVertexProperties:
     def test_add_and_get(self):
-        props = VertexProperties(10, AddressSpace())
-        ranks = props.add("rank", initial=0.5)
-        assert ranks.shape == (10,) and ranks[3] == 0.5
+        space = AddressSpace()
+        props = VertexProperties(10, space)
+        before = space.live_bytes
+        assert props.add("rank") is None
         assert props.region("rank").size == 10 * VALUE_BYTES
+        # The simulated region is all that is allocated.
+        assert space.live_bytes - before == 10 * VALUE_BYTES
 
     def test_addresses_are_contiguous(self):
         props = VertexProperties(8, AddressSpace())
@@ -21,13 +24,14 @@ class TestVertexProperties:
         base, fifth = props.region("depth").elements(np.array([0, 5]), VALUE_BYTES)
         assert fifth == base + 5 * VALUE_BYTES
 
-    def test_re_add_resets_but_keeps_region(self):
-        props = VertexProperties(4, AddressSpace())
-        props.add("x", initial=1.0)
-        region = props.region("x")
-        array = props.add("x", initial=2.0)
-        assert array[0] == 2.0
+    def test_re_add_keeps_region(self):
+        space = AddressSpace()
+        props = VertexProperties(4, space)
+        props.add("x")
+        region, allocated = props.region("x"), space.live_bytes
+        props.add("x")
         assert props.region("x") is region
+        assert space.live_bytes == allocated
 
     def test_distinct_properties_distinct_regions(self):
         props = VertexProperties(4, AddressSpace())

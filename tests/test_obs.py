@@ -3,7 +3,8 @@
 Covers the disabled-path cost contract (shared no-op span, no
 collection), span nesting self-time attribution, the registry merge
 used by parallel sweeps, golden-shape validation of the Chrome-trace
-and Prometheus exporters, the ``--profile`` printout, the
+and Prometheus exporters, the layer table and its ``--profile``
+printout, the
 CLI ``--trace-out`` / ``--metrics-out`` wiring, and the acceptance
 guarantees: simulated-timeline capture does not change results, and a
 ``jobs=2`` sweep's merged metrics equal a serial run's.
@@ -29,8 +30,14 @@ from repro.obs import (
     chrome_trace_events,
     prometheus_text,
 )
+from repro.obs.tracer import ROOT
 from repro.streaming import StreamConfig, StreamDriver
 from repro.datasets import load_dataset
+
+
+def _rows(tracer):
+    """The layer table as ``{name: (total_s, self_s, calls)}``."""
+    return {name: (total, own, calls) for name, total, own, calls in tracer.table()}
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +69,8 @@ class TestDisabledPath:
         with tracer.span("phase"):
             pass
         tracer.record_schedule_threads("track", [0], [0.0], [1.0])
-        assert tracer.phase_totals() == {}
+        assert tracer.table() == []
+        assert tracer.span_coverage_ratio() == 0.0
         assert tracer.events() == []
         assert tracer.sim_tracks() == {}
 
@@ -92,9 +100,9 @@ class TestSpanNesting:
         inner.start = 1.0
         tracer._pop(inner, 5.0)
         tracer._pop(outer, 10.0)
-        totals = tracer.phase_totals()
-        assert totals["inner"] == (4.0, 1)
-        assert totals["outer"] == (pytest.approx(6.0), 1)
+        rows = _rows(tracer)
+        assert rows["inner"] == (4.0, 4.0, 1)
+        assert rows["outer"] == (10.0, pytest.approx(6.0), 1)
 
     def test_reentered_phase_does_not_double_count(self):
         tracer = SpanTracer()
@@ -107,18 +115,20 @@ class TestSpanNesting:
         nested.start = 2.0
         tracer._pop(nested, 6.0)
         tracer._pop(outer, 10.0)
-        seconds, count = tracer.phase_totals()["phase"]
-        assert seconds == pytest.approx(10.0)
-        assert count == 2
+        total, own, calls = _rows(tracer)["phase"]
+        # The nested span's duration is already in the outer one's.
+        assert total == pytest.approx(10.0)
+        assert own == pytest.approx(10.0)
+        assert calls == 2
 
     def test_cycles_attribution(self):
         tracer = SpanTracer()
         tracer.enable(keep_events=True)
-        with tracer.span("schedule") as span:
+        with tracer.span("scheduler.run") as span:
             span.add_cycles(100.0)
             span.add_cycles(50.0)
         ((name, _, _, _, _, cycles, _),) = tracer.events()
-        assert (name, cycles) == ("schedule", 150.0)
+        assert (name, cycles) == ("scheduler.run", 150.0)
 
     def test_events_recorded_when_kept(self):
         tracer = SpanTracer()
@@ -208,11 +218,11 @@ class TestExporters:
         tracer = SpanTracer()
         tracer.enable(keep_events=True, sim_timeline=True)
         tracer._epoch = 0.0  # synthetic timestamps below are absolute
-        span = tracer.span("emission")
+        span = tracer.span("graph.update")
         tracer._push(span)
         span.start = 0.0
         tracer._pop(span, 0.25)
-        span = tracer.span("schedule")
+        span = tracer.span("scheduler.run")
         tracer._push(span)
         span.start = 0.25
         span.add_cycles(1000.0)
@@ -232,7 +242,7 @@ class TestExporters:
         assert events[: len(meta)] == meta
         ts = [e["ts"] for e in timed]
         assert ts == sorted(ts)
-        schedule = next(e for e in timed if e["name"] == "schedule")
+        schedule = next(e for e in timed if e["name"] == "scheduler.run")
         assert schedule["args"]["sim_cycles"] == 1000.0
         sim = [e for e in timed if e["pid"] >= 1000]
         assert {e["tid"] for e in sim} == {0, 1}
@@ -275,7 +285,7 @@ class TestExporters:
 
 
 class TestProfileReport:
-    """``--profile``'s printout over the tracer's self-time totals."""
+    """The layer table, and ``--profile``'s printout of it."""
 
     @staticmethod
     def _span(tracer, name, start, end):
@@ -284,21 +294,29 @@ class TestProfileReport:
         span.start = start
         tracer._pop(span, end)
 
+    def _rooted(self, tracer):
+        """driver [0, 4] around compute [0, 3]; 1 s unattributed."""
+        root = tracer.span(ROOT)
+        tracer._push(root)
+        root.start = 0.0
+        self._span(tracer, "compute", 0.0, 3.0)
+        tracer._pop(root, 4.0)
+
     def test_report_format_survives(self):
         tracer = SpanTracer()
         tracer.enable()
-        self._span(tracer, "compute", 0.0, 3.0)
-        self._span(tracer, "emission", 3.0, 4.0)
+        self._rooted(tracer)
         lines = _profile_report(tracer).splitlines()
         assert lines == [
-            "[profile] per-phase wall time",
-            "  compute            3.000s  75.0%  (1 calls)",
-            "  emission           1.000s  25.0%  (1 calls)",
-            "  total              4.000s",
+            "[profile] wall time by layer; self times sum to driver's total",
+            "  layer                        total_s      self_s  share   calls",
+            "  driver                      4.000000    1.000000  25.0%       1",
+            "  compute                     3.000000    3.000000  75.0%       1",
+            "  span_coverage_ratio 0.750",
         ]
 
     def test_empty_report(self):
-        assert _profile_report(SpanTracer()) == "[profile] no instrumented phases ran"
+        assert _profile_report(SpanTracer()) == "[profile] no spans ran"
 
     def test_nested_phases_self_time(self):
         tracer = SpanTracer()
@@ -308,28 +326,91 @@ class TestProfileReport:
         outer.start = 0.0
         self._span(tracer, "b", 1.0, 3.0)
         tracer._pop(outer, 4.0)
-        assert tracer.phase_totals()["a"] == (pytest.approx(2.0), 1)
-        assert tracer.phase_totals()["b"] == (pytest.approx(2.0), 1)
+        assert _rows(tracer) == {
+            "a": (4.0, pytest.approx(2.0), 1), "b": (2.0, 2.0, 1)
+        }
         lines = _profile_report(tracer).splitlines()
-        assert sorted(line.split()[:2] for line in lines[1:3]) == [
-            ["a", "2.000s"], ["b", "2.000s"]
+        assert sorted(line.split()[:3] for line in lines[2:4]) == [
+            ["a", "4.000000", "2.000000"], ["b", "2.000000", "2.000000"]
         ]
-        assert lines[-1].split() == ["total", "4.000s"]
+        # Without a root span nothing is attributed to one.
+        assert lines[-1] == "  span_coverage_ratio 0.000"
 
     def test_default_reads_the_global_tracer(self):
         TRACER.enable()
-        self._span(TRACER, "schedule", 0.0, 0.5)
-        assert "  schedule           0.500s 100.0%  (1 calls)" in _profile_report()
+        self._span(TRACER, "scheduler.run", 0.0, 0.5)
+        assert (
+            "  scheduler.run               0.500000    0.500000 100.0%       1"
+            in _profile_report()
+        )
+
+    def test_absorbed_worker_rows_add_up(self):
+        """A ``--jobs`` worker's rows merge into the table field by field."""
+        worker = SpanTracer()
+        worker.enable()
+        self._rooted(worker)
+        parent = SpanTracer()
+        parent.absorb(worker.to_payload())
+        parent.absorb(worker.to_payload())
+        assert _rows(parent) == {ROOT: (8.0, 2.0, 2), "compute": (6.0, 6.0, 2)}
+        assert parent.span_coverage_ratio() == 0.75
 
     def test_profile_flag_prints_the_report(self, capsys):
         assert main(["stream", "--quick", "--no-cache", "--profile"]) == 0
-        report = capsys.readouterr().out.split("[profile] per-phase wall time\n")[1]
-        lines = report.splitlines()
-        assert lines[-1].split()[0] == "total"
-        phases = {line.split()[0] for line in lines[:-1]}
-        assert phases >= {"emission", "schedule", "compute"}
-        assert all(line.endswith(" calls)") for line in lines[:-1])
+        out = capsys.readouterr().out
+        report = out.split("[profile] wall time by layer")[1]
+        lines = report.splitlines()[2:]
+        assert lines[-1].startswith("  span_coverage_ratio ")
+        rows = {line.split()[0]: line.split() for line in lines[:-1]}
+        assert list(rows)[0] == ROOT
+        assert set(rows) >= {
+            "datasets.build", "batching.make", "graph.update", "scheduler.run",
+            "reference.update", "algorithms.fs", "algorithms.inc", "pricing.price",
+        }
+        # Conserved: the printed self times sum to the root's total.
+        assert sum(float(row[2]) for row in rows.values()) == pytest.approx(
+            float(rows[ROOT][1]), abs=1e-6 * len(rows)
+        )
         assert not TRACER.enabled
+
+    def test_check_profile_script_and_coverage_gauge(self, tmp_path, capsys):
+        """CI's conservation check passes the printed table and fails a
+        table whose self times no longer sum to the root; the metrics
+        file exports the printed coverage."""
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        prom = tmp_path / "m.prom"
+        assert main([
+            "stream", "--quick", "--no-cache", "--profile", "--metrics-out", str(prom),
+        ]) == 0
+        out = capsys.readouterr().out
+        (coverage,) = [
+            line.split()[1] for line in out.splitlines()
+            if line.startswith("  span_coverage_ratio ")
+        ]
+        (exported,) = [
+            line.split()[1] for line in prom.read_text().splitlines()
+            if line.startswith("span_coverage_ratio ")
+        ]
+        assert 0.0 < float(exported) < 1.0
+        assert f"{float(exported):.3f}" == coverage
+        script = Path(__file__).parent.parent / "scripts" / "check_profile.py"
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text(out)
+        root_line = next(line for line in out.splitlines() if line.startswith("  driver "))
+        fields = root_line.split()
+        bad.write_text(out.replace(root_line, root_line.replace(fields[2], "9.999999")))
+        result = subprocess.run(
+            [_sys.executable, str(script), str(good)], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert f"span_coverage_ratio {coverage}" in result.stdout
+        result = subprocess.run(
+            [_sys.executable, str(script), str(bad)], capture_output=True, text=True
+        )
+        assert result.returncode == 1 and "self times sum to" in result.stderr
 
 
 class TestInstrumentedRun:
@@ -397,13 +478,13 @@ class TestInstrumentedRun:
         assert replayed <= 3 * cell.batches * 2_000 < sum(emitted.values())
         # The driver loop's one compute span per batch; one emission per
         # algorithm inside it.
-        totals = TRACER.phase_totals()
-        assert totals["compute.view"][1] == totals["compute"][1] == cell.batches
-        assert totals["compute.trace"][1] == 2 * cell.batches
+        calls = {name: rows[2] for name, rows in _rows(TRACER).items()}
+        assert calls["reference.update"] == calls["compute"] == cell.batches
+        assert calls["compute.trace"] == 2 * cell.batches
 
     @pytest.mark.parametrize("engine", ["native", "python"])
     def test_cache_replay_span_names_its_engine(self, engine):
-        """One ``cache-replay`` span per phase replay -- one update and
+        """One ``cache.replay`` span per phase replay -- one update and
         one per algorithm per batch -- each saying which implementation
         ran and how many accesses it was handed; the gauge agrees."""
         from repro.analysis.hardware_profile import HardwareProfiler
@@ -420,7 +501,7 @@ class TestInstrumentedRun:
         )
         with native_env("1" if engine == "python" else None):
             cell = profiler.profile_cell("Talk", "DAH", 0.05)
-        spans = [e for e in TRACER.events() if e[0] == "cache-replay"]
+        spans = [e for e in TRACER.events() if e[0] == "cache.replay"]
         assert len(spans) == 3 * cell.batches
         assert {span[6]["engine"] for span in spans} == {engine}
         assert (
@@ -444,8 +525,9 @@ class TestInstrumentedRun:
         structure = make_structure("AS", 64, directed=True)
         regions_before = structure.space.region_count
         structure.update(random_batch(64, 300, seed=2))
-        totals = TRACER.phase_totals()
-        assert totals["ingest.replay"][1] == totals["ingest.ckernel"][1] == 1
+        rows = _rows(TRACER)
+        assert rows["ingest.replay"][2] == rows["ingest.ckernel"][2] == 1
+        assert rows["graph.update"][2] == rows["scheduler.run"][2] == 1
         assert (
             METRICS.value("ingest_growth_events_total", structure="AS")
             == structure.space.region_count - regions_before
@@ -720,11 +802,13 @@ class TestCli:
             for name in names:
                 algorithm = get_algorithm(name)
                 algorithm.fs_run(reference, source=29)
-                assert TRACER.phase_totals()["compute.kernel"][1] % 2 == 1, name
+                assert _rows(TRACER)["compute.kernel"][2] % 2 == 1, name
                 algorithm.inc_run(
                     reference, algorithm.make_state(30), np.arange(30), source=29
                 )
-        assert TRACER.phase_totals()["compute.kernel"][1] == 2 * len(names)
+        assert _rows(TRACER)["compute.kernel"][2] == 2 * len(names)
+        assert _rows(TRACER)["algorithms.fs"][2] == len(names)
+        assert _rows(TRACER)["algorithms.inc"][2] == len(names)
 
     def test_frontier_histograms_use_count_buckets(self):
         """compute_frontier_size / compute_expanded_edges observe counts."""

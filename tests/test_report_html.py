@@ -17,7 +17,7 @@ from repro.obs.report import render_report, write_report
 from repro.obs.tracer import SpanTracer
 
 SECTIONS = (
-    "Phase breakdown",
+    "Wall time by layer",
     "Cost model",
     "Sweep cells",
 )
@@ -75,7 +75,7 @@ def test_full_report_is_self_contained():
         assert f"<h2>{section}</h2>" in html
     # Populated sections actually render their data, not the fallback.
     assert "<td>native_loaded</td>" in html
-    assert 'class="bar-fill"' in html            # phase bars
+    assert 'class="bar-fill"' in html            # layer bars
     assert 'aria-label="fit vs observed"' in html  # model chart
     assert "RMAT" in html                        # sweep cell table
     assert 'class="spark"' in html               # auto-tuner sparkline
@@ -127,6 +127,8 @@ def test_cli_report_end_to_end(tmp_path):
         assert f"<h2>{section}</h2>" in html
     # The live run populated spans, features, and the fitted model.
     assert 'class="bar-fill"' in html
+    assert '<span class="bar-label">driver</span>' in html
+    assert "span_coverage_ratio" in html
     assert "No fitted cost model" not in html
     assert "No span data" not in html
     # The fitted model persisted as versioned, reloadable JSON.
@@ -160,7 +162,7 @@ def test_report_depends_only_on_its_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["stream", "--quick", "--no-cache", "--report-out", "R"]) == 0
     html = (tmp_path / "R").read_text()
-    assert "<h2>Phase breakdown</h2>" in html
+    assert "<h2>Wall time by layer</h2>" in html
     assert "&#9888;" not in html
     assert "Regression verdicts" not in html
     assert "Bench history" not in html
