@@ -16,8 +16,9 @@ best (structure, model) flips -- and grades it three ways:
   must match exactly -- live migration must never perturb algorithm
   results.
 
-The tuner warm-starts from a cost model fitted on a *different*
-shuffle of the same generator (no peeking at the graded stream).
+The tuner warm-starts by replaying the update samples of a full-matrix
+run on a *different* shuffle of the same generator (no peeking at the
+graded stream).
 Gates: adaptive must beat the median static combination and land
 within ``--oracle-slack`` (default 15%) of the oracle; either miss or
 any bit-identity break exits nonzero.  Writes ``BENCH_autotune.json``.
@@ -42,14 +43,13 @@ import time
 import numpy as np
 
 from repro.datasets import load_dataset
-from repro.obs.features import FEATURES
-from repro.obs.model import fit_from_features
 from repro.streaming import StreamConfig, StreamDriver
 from repro.streaming.autotune import (
     AdaptiveStreamDriver,
     adaptive_total_seconds,
     oracle_total_seconds,
     static_combo_totals,
+    update_samples,
 )
 
 DATASET = "RMAT"
@@ -64,8 +64,8 @@ MODELS = ("FS", "INC")
 #: ahead), cycled over the stream so the regime flips more than once.
 SCHEDULE = (200,) * 40 + (6000,) * 8
 
-#: The warm-up stream cycles three sizes so every (phase, structure)
-#: group sees enough ops spread for a well-conditioned affine fit.
+#: The warm-up stream cycles three sizes so every structure's update
+#: samples spread enough in ops for a well-conditioned affine fit.
 WARMUP_SCHEDULE = (500, 2000, 8000)
 WARMUP_SEED_OFFSET = 1
 
@@ -90,25 +90,13 @@ def stream_config(schedule, shuffle_seed, adaptive):
     return StreamConfig(structures=STRUCTURES, models=MODELS, **common)
 
 
-def fit_warm_model(dataset_name, seed, size_factor):
-    """Full-matrix run on a different shuffle; fit from its features."""
-    warmup = load_dataset(
-        dataset_name, seed=seed, size_factor=size_factor
-    )
+def warm_samples(dataset_name, seed, size_factor):
+    """Full-matrix run on a different shuffle; its update samples."""
+    warmup = load_dataset(dataset_name, seed=seed, size_factor=size_factor)
     config = stream_config(
         WARMUP_SCHEDULE, seed + WARMUP_SEED_OFFSET, adaptive=False
     )
-    FEATURES.reset()
-    FEATURES.enable()
-    try:
-        StreamDriver(config).run(warmup)
-        model = fit_from_features(
-            source={"bench": "autotune-warmup", "dataset": dataset_name}
-        )
-    finally:
-        FEATURES.disable()
-        FEATURES.reset()
-    return model
+    return update_samples(StreamDriver(config).run(warmup), CHURN_FRACTION)
 
 
 def verify_bit_identity(adaptive, static, decisions):
@@ -163,11 +151,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
-    warm_model = fit_warm_model(args.dataset, args.seed, args.size_factor)
+    samples = warm_samples(args.dataset, args.seed, args.size_factor)
     warmup_seconds = time.perf_counter() - started
     print(
-        f"warm model: {len(warm_model.groups)} groups fitted from the "
-        f"warm-up shuffle in {warmup_seconds:.1f}s wall"
+        f"warm start: {len(samples)} update samples from the warm-up "
+        f"shuffle in {warmup_seconds:.1f}s wall"
     )
 
     dataset = load_dataset(
@@ -183,7 +171,7 @@ def main(argv=None):
     oracle = oracle_total_seconds(static)
 
     driver = AdaptiveStreamDriver(stream_config(SCHEDULE, args.seed, adaptive=True))
-    driver.warm_model = warm_model
+    driver.warm_samples = samples
     started = time.perf_counter()
     adaptive = driver.run(dataset)
     adaptive_seconds = time.perf_counter() - started

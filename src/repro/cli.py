@@ -178,12 +178,11 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 def _adaptive_driver(args: argparse.Namespace, config: StreamConfig):
     """The adaptive driver, warm-started from ``--model-in`` if given."""
-    from repro.obs.model import FittedCostModel
-    from repro.streaming import AdaptiveStreamDriver
+    from repro.streaming.autotune import AdaptiveStreamDriver, load_samples
 
     driver = AdaptiveStreamDriver(config)
     if args.model_in:
-        driver.warm_model = FittedCostModel.load(args.model_in)
+        driver.warm_samples = load_samples(args.model_in)
     return driver
 
 
@@ -311,13 +310,16 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    """Live small-scale run whose only artifact is the HTML report.
+    """Live small-scale run whose artifact is the HTML report.
 
-    Always simulates (no cache): the report's cost-model section needs
-    the per-batch feature rows, and a cache hit would skip the
-    simulation that produces them.  The report itself is written by
-    ``main()``'s teardown, like every other ``--report-out`` run.
+    Always simulates (no cache): the report's layer table needs a live
+    run, and a cache hit would skip the simulation it times.  The report
+    itself is written by ``main()``'s teardown, like every other
+    ``--report-out`` run; ``--model-out`` writes the run's update
+    samples, the file ``--model-in`` warm-starts the auto-tuner from.
     """
+    from repro.streaming.autotune import save_samples, update_samples
+
     algorithms = tuple(
         name.strip() for name in args.algorithms.split(",") if name.strip()
     )
@@ -340,14 +342,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"{len(config.structures)} structures, "
         f"{len(algorithms)} algorithms, FS+INC"
     )
+    if args.model_out:
+        save_samples(args.model_out, update_samples(result, config.churn_fraction))
+        print(f"[update samples written to {args.model_out}]")
     return 0
 
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
     """Run a (regime-shifting) stream under the online auto-tuner.
 
-    Uncached by design: the tuner refines its cost model online, so a
-    cache replay would skip exactly the adaptation being demonstrated.
+    Uncached by design: the tuner learns online, so a cache replay
+    would skip exactly the adaptation being demonstrated.
     ``--compare`` also runs the full static matrix on the same stream
     and grades the adaptive total against every static combination and
     the per-batch oracle.
@@ -357,6 +362,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     from repro.streaming.autotune import (
         adaptive_total_seconds,
         oracle_total_seconds,
+        save_samples,
         static_combo_totals,
     )
     from repro.streaming.driver import ALL_STRUCTURES
@@ -401,10 +407,9 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
           f"({summary['switches']} switches, migration "
           f"{summary['migration_seconds'] * 1e3:.3f} ms, est regret "
           f"{summary['est_regret_seconds'] * 1e3:.3f} ms)")
-    if args.model_out and not args.report_out:
-        # The report writer fits and saves the model (main()'s teardown).
-        print("[--model-out needs --report-out (feature capture); "
-              "no model written]")
+    if args.model_out:
+        save_samples(args.model_out, driver.controller.samples)
+        print(f"[update samples written to {args.model_out}]")
     if not args.compare:
         return 0
     static_config = SC(
@@ -435,20 +440,9 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 def _write_run_report(args: argparse.Namespace, path: str) -> str:
     """Assemble the HTML report from whatever this run observed."""
-    from repro.obs.features import FEATURES
-    from repro.obs.model import fit_from_features
     from repro.obs.report import write_report
-
     from repro.streaming import autotune
 
-    rows = FEATURES.rows()
-    model = fit_from_features() if rows else None
-    if model is not None and not model.groups:
-        model = None
-    model_out = getattr(args, "model_out", None)
-    if model is not None and model_out:
-        model.save(model_out)
-        print(f"[cost model written to {model_out}]")
     meta = {"command": args.command}
     for key in (
         "dataset",
@@ -469,8 +463,6 @@ def _write_run_report(args: argparse.Namespace, path: str) -> str:
         meta=meta,
         tracer=TRACER,
         metrics=METRICS,
-        features=rows,
-        model=model,
         autotune=autotune.LAST_DECISION_LOG,
     )
 
@@ -507,8 +499,8 @@ def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
         "--model-in",
         default=None,
         metavar="FILE",
-        help="warm-start the auto-tuner from a persisted cost model "
-             "(written by repro report --model-out)",
+        help="warm-start the auto-tuner by replaying saved update samples "
+             "(written by repro report or repro autotune --model-out)",
     )
 
 
@@ -558,9 +550,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help="write a self-contained HTML run report of this run alone "
-             "(wall time by layer, sweep cells, fitted cost model, auto-tuner "
-             "decisions); enables tracing, metrics and per-batch feature "
-             "capture",
+             "(wall time by layer, sweep cells, auto-tuner decisions); "
+             "enables tracing and metrics",
     )
 
 
@@ -687,14 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--model-in",
         default=None,
         metavar="FILE",
-        help="warm-start the auto-tuner from a persisted cost model",
+        help="warm-start the auto-tuner by replaying saved update samples",
     )
     autotune.add_argument(
         "--model-out",
         default=None,
         metavar="FILE",
-        help="persist the cost model refined by this run (needs "
-             "--report-out, which enables feature capture)",
+        help="save every update sample the tuner fitted from, warm start "
+             "included (the file --model-in replays)",
     )
     autotune.add_argument(
         "--compare",
@@ -706,9 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_report = sub.add_parser(
         "report",
-        help="run a small live stream and write a self-contained HTML "
-             "run report (wall time by layer, fitted cost model); no "
-             "external assets, no network",
+        help="run a small live, uncached stream and write a "
+             "self-contained HTML run report (wall time by layer, sweep "
+             "cells); no external assets, no network",
     )
     run_report.set_defaults(func=_cmd_report)
     run_report.add_argument(
@@ -737,7 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--model-out",
         default=None,
         metavar="FILE",
-        help="also persist the fitted cost model as versioned JSON",
+        help="also save the run's update samples as versioned JSON (the "
+             "file --model-in replays)",
     )
     return parser
 
@@ -760,8 +752,6 @@ def _sweep_summary() -> Optional[str]:
 
 
 def main(argv=None) -> int:
-    from repro.obs.features import FEATURES
-
     args = build_parser().parse_args(argv)
     profiling = getattr(args, "profile", False)
     trace_out = getattr(args, "trace_out", None)
@@ -777,9 +767,6 @@ def main(argv=None) -> int:
     if metrics_out or report_out:
         METRICS.reset()
         METRICS.enable()
-    if report_out:
-        FEATURES.reset()
-        FEATURES.enable()
     try:
         with TRACER.span(ROOT):
             return args.func(args)
@@ -797,7 +784,6 @@ def main(argv=None) -> int:
             print(f"[metrics written to {write_prometheus(METRICS, metrics_out)}]")
         if report_out:
             print(f"[report written to {_write_run_report(args, report_out)}]")
-            FEATURES.disable()
         if metrics_out or report_out:
             METRICS.disable()
         if tracing:

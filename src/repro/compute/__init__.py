@@ -13,6 +13,10 @@ Two models run an algorithm over the freshly updated graph:
 
 :mod:`repro.compute.pricing` converts the operation counts of a run
 into per-data-structure compute latencies on the simulated machine.
+It reads the structure registry of :mod:`repro.graph`, whose live
+graph is built on :mod:`repro.compute.csrstore`, so it is imported as
+a submodule and not re-exported here: the package imports nothing that
+imports :mod:`repro.graph`.
 
 :mod:`repro.compute.kernels` holds the vectorized compute path: one
 columnar :class:`~repro.compute.kernels.ComputeView` per batch plus
@@ -22,17 +26,13 @@ sequential per-vertex loops they replaced (kept as the oracle in
 """
 
 from repro.compute.kernels import ComputeView, run_incremental_frontier
-from repro.compute.pricing import ComputePricing, CostTables, price_compute_run
 from repro.compute.stats import ComputeRun, IterationStats
 from repro.compute.state import AlgorithmState
 
 __all__ = [
     "AlgorithmState",
-    "ComputePricing",
     "ComputeRun",
     "ComputeView",
-    "CostTables",
     "IterationStats",
-    "price_compute_run",
     "run_incremental_frontier",
 ]

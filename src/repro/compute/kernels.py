@@ -451,8 +451,7 @@ def _observe_frontiers(run: ComputeRun, sizes) -> None:
     """Per-round frontier accounting: run totals + optional histogram.
 
     ``sizes`` holds one frontier size per round.  The run totals
-    (``frontier_rounds`` / ``frontier_vertices``) are the per-batch
-    features the cost-model fitter consumes; they are two integer adds,
+    (``frontier_rounds`` / ``frontier_vertices``) are two integer adds,
     so they stay on even when observability is off.
     """
     run.frontier_rounds += len(sizes)

@@ -96,8 +96,8 @@ class ComputeRun:
     source: Optional[int] = None
     #: Frontier accounting filled by the frontier engines (0 for the
     #: synchronous fixpoints): rounds executed and total frontier
-    #: vertices across them -- the per-batch features the cost-model
-    #: fitter joins with the ``compute_frontier_size`` histogram.
+    #: vertices across them, the run-level sums of the
+    #: ``compute_frontier_size`` histogram.
     frontier_rounds: int = 0
     frontier_vertices: int = 0
     # Both columns sit in buffers with room to spare; the used prefixes

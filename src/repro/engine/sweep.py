@@ -41,7 +41,6 @@ from repro.datasets.mmapio import open_edge_mmap, stream_directory
 from repro.engine.fingerprint import stream_run_key
 from repro.engine.store import RunStore
 from repro.errors import ConfigError, ReproError
-from repro.obs.features import FEATURES
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.streaming.driver import REP_SEED_STRIDE, StreamConfig, make_driver
@@ -68,7 +67,7 @@ def _observed_call(task: Tuple[Callable, tuple, Optional[dict]]):
     """Pool-worker side of :func:`run_cells`: ``(fn(*arg), obs_payload)``.
 
     With ``obs`` set, the worker resets its fork-inherited global
-    tracer/registry/feature log -- they carry the parent's
+    tracer and registry -- they carry the parent's
     already-collected data -- re-enables them per the parent's flags,
     and ships its own collection back for the parent to merge.
     """
@@ -78,16 +77,13 @@ def _observed_call(task: Tuple[Callable, tuple, Optional[dict]]):
     TRACER.disable()
     TRACER.reset()
     METRICS.reset()
-    FEATURES.reset()
     if obs["trace"]:
         TRACER.enable(keep_events=obs["keep_events"], sim_timeline=obs["sim_timeline"])
     METRICS.enabled = obs["metrics"]
-    FEATURES.enabled = obs["features"]
     result = fn(*arg)
     return result, {
         "trace": TRACER.to_payload(),
         "metrics": METRICS.to_payload(),
-        "features": FEATURES.to_payload(),
     }
 
 
@@ -102,7 +98,7 @@ def run_cells(
 
     The package's one process pool: with ``jobs`` > 1 and more than one
     arg the calls fan out over ``jobs`` workers (``fn`` and the args
-    must pickle), and each worker's metrics, spans and feature rows are
+    must pickle), and each worker's metrics and spans are
     merged into the parent's in ``args`` order, ``origins[i]`` prefixing
     arg ``i``'s trace lane.  Otherwise the calls run in this process and
     record into the live registries directly.  A worker that dies (a
@@ -114,13 +110,12 @@ def run_cells(
     if not (jobs and jobs > 1 and len(args) > 1):
         return [fn(*arg) for arg in args]
     obs = None  # observability off: workers skip the reset and ship nothing
-    if TRACER.enabled or METRICS.enabled or FEATURES.enabled:
+    if TRACER.enabled or METRICS.enabled:
         obs = {
             "trace": TRACER.enabled,
             "keep_events": TRACER.keep_events,
             "sim_timeline": TRACER.sim_timeline,
             "metrics": METRICS.enabled,
-            "features": FEATURES.enabled,
         }
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_observed_call, (fn, arg, obs)) for arg in args]
@@ -139,7 +134,6 @@ def run_cells(
         if payload is not None:
             METRICS.merge_payload(payload["metrics"])
             TRACER.absorb(payload["trace"], origin=origins[index] if origins else None)
-            FEATURES.absorb(payload["features"])
     return [result for result, _ in outcomes]
 
 

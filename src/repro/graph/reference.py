@@ -30,6 +30,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.compute.csrstore import ViewMaintainer
 from repro.errors import StructureError
 from repro.graph.edge import EdgeBatch
 from repro.obs.tracer import TRACER
@@ -67,9 +68,6 @@ class ReferenceGraph:
     """Ground-truth adjacency with unique edge ingestion."""
 
     def __init__(self, max_nodes: int, directed: bool = True) -> None:
-        # Imported lazily: repro.compute.pricing imports repro.graph.
-        from repro.compute.csrstore import ViewMaintainer
-
         # Rejects max_nodes < 1 and max_nodes whose packed keys overflow.
         self._adjacency = ViewMaintainer(max_nodes, directed=directed)
         self.max_nodes = max_nodes

@@ -20,9 +20,7 @@ flags (on every subcommand) enable them and export on exit:
   schedulers);
 - Prometheus text format.
 
-On top of the raw streams sit the derived layers: :data:`FEATURES`
-(per-batch feature rows captured by the driver), the cost-model fitter
-(:mod:`repro.obs.model`), and the self-contained HTML run report
+On top of the raw streams sits the self-contained HTML run report
 (:mod:`repro.obs.report`, ``--report-out`` / ``repro report``).
 
 See ``docs/OBSERVABILITY.md`` for capture and reading instructions.
@@ -34,7 +32,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_prometheus,
 )
-from repro.obs.features import FEATURES, FeatureLog
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
@@ -44,7 +41,6 @@ from repro.obs.metrics import (
     METRICS,
     MetricsRegistry,
 )
-from repro.obs.model import FittedCostModel, GroupFit, fit_cost_model, fit_from_features
 from repro.obs.report import render_report, write_report
 from repro.obs.tracer import NULL_SPAN, SpanTracer, TRACER
 
@@ -52,11 +48,7 @@ __all__ = [
     "Counter",
     "DEFAULT_COUNT_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
-    "FEATURES",
-    "FeatureLog",
-    "FittedCostModel",
     "Gauge",
-    "GroupFit",
     "Histogram",
     "METRICS",
     "MetricsRegistry",
@@ -64,8 +56,6 @@ __all__ = [
     "SpanTracer",
     "TRACER",
     "chrome_trace_events",
-    "fit_cost_model",
-    "fit_from_features",
     "prometheus_text",
     "render_report",
     "write_chrome_trace",

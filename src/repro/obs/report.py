@@ -13,9 +13,6 @@ source is absent:
 - **wall time by layer** from the span tracer's layer table, the one
   ``--profile`` prints;
 - **sweep cells** from the metrics registry's sweep counters;
-- **cost-model fit vs observed** scatter + residual charts and the
-  per-group coefficient table from a :class:`FittedCostModel` and the
-  feature rows it was fitted on;
 - **auto-tuner** decisions and latency sparklines from an adaptive
   run's decision log.
 
@@ -42,13 +39,9 @@ _CSS = """
   --page: #f9f9f7;
   --text-primary: #0b0b0b;
   --text-secondary: #52514e;
-  --muted: #898781;
   --grid: #e1e0d9;
-  --baseline: #c3c2b7;
   --series-1: #2a78d6;
   --series-2: #eb6834;
-  --critical: #d03b3b;
-  --good: #0ca30c;
   --border: rgba(11, 11, 11, 0.10);
 }
 @media (prefers-color-scheme: dark) {
@@ -58,13 +51,9 @@ _CSS = """
     --page: #0d0d0d;
     --text-primary: #ffffff;
     --text-secondary: #c3c2b7;
-    --muted: #898781;
     --grid: #2c2c2a;
-    --baseline: #383835;
     --series-1: #3987e5;
     --series-2: #d95926;
-    --critical: #d03b3b;
-    --good: #0ca30c;
     --border: rgba(255, 255, 255, 0.10);
   }
 }
@@ -112,22 +101,13 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
   color: var(--text-primary);
   font-variant-numeric: tabular-nums;
 }
-.status-bad { color: var(--critical); font-weight: 600; }
-.status-good { color: var(--good); }
 .legend { display: flex; gap: 1.25rem; margin: 0.4rem 0; color: var(--text-secondary); }
 .legend .swatch {
   display: inline-block; width: 10px; height: 10px;
   border-radius: 2px; margin-right: 0.35rem;
 }
-.charts { display: flex; flex-wrap: wrap; gap: 1.5rem; }
 figure { margin: 0; }
 figcaption { color: var(--text-secondary); margin-top: 0.25rem; }
-svg text { fill: var(--muted); font-size: 10px; }
-svg .axis { stroke: var(--baseline); stroke-width: 1; }
-svg .grid { stroke: var(--grid); stroke-width: 1; }
-svg .obs { fill: var(--series-1); }
-svg .fitline { stroke: var(--series-2); stroke-width: 2; fill: none; }
-svg .resid { fill: var(--series-1); }
 svg .spark { stroke: var(--series-1); stroke-width: 2; fill: none; }
 svg .spark-dot { fill: var(--series-2); }
 """
@@ -143,14 +123,6 @@ def _fmt_seconds(value: float) -> str:
     if value >= 1e-3:
         return f"{value * 1e3:.2f} ms"
     return f"{value * 1e6:.1f} us"
-
-
-def _fmt_sci(value: float) -> str:
-    if value == 0:
-        return "0"
-    if 1e-3 <= abs(value) < 1e5:
-        return f"{value:.4g}"
-    return f"{value:.2e}"
 
 
 # ----------------------------------------------------------------------
@@ -259,177 +231,6 @@ def _sweep_section(metrics) -> str:
     return _section("Sweep cells", body)
 
 
-def _fit_chart(fit, rows: List[dict], width: int = 330, height: int = 230) -> str:
-    """Observed-vs-fitted scatter with a residual strip underneath."""
-    pts = [
-        (float(r.get("ops", 0.0)), float(r.get("t_seconds", 0.0)))
-        for r in rows
-    ]
-    if not pts:
-        return ""
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x_max = max(xs) or 1.0
-    y_max = max(max(ys), fit.predict(x_max)) or 1.0
-    pad_l, pad_r, pad_t = 46, 8, 8
-    scatter_h, resid_h, gap = 140, 44, 22
-    plot_w = width - pad_l - pad_r
-
-    def sx(x: float) -> float:
-        return pad_l + plot_w * x / x_max
-
-    def sy(y: float) -> float:
-        return pad_t + scatter_h * (1.0 - y / y_max)
-
-    parts = [
-        f'<svg width="{width}" height="{height}" role="img" '
-        f'aria-label="fit vs observed">'
-    ]
-    # Scatter panel: axis, observed dots, fitted line.
-    parts.append(
-        f'<line class="axis" x1="{pad_l}" y1="{pad_t + scatter_h}" '
-        f'x2="{width - pad_r}" y2="{pad_t + scatter_h}"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="{pad_l}" y1="{pad_t}" '
-        f'x2="{pad_l}" y2="{pad_t + scatter_h}"/>'
-    )
-    parts.append(
-        f'<text x="{pad_l - 6}" y="{pad_t + 8}" text-anchor="end">'
-        f"{_fmt_seconds(y_max)}</text>"
-    )
-    parts.append(
-        f'<text x="{width - pad_r}" y="{pad_t + scatter_h + 12}" '
-        f'text-anchor="end">{_fmt_sci(x_max)} ops</text>'
-    )
-    for x, y in pts:
-        parts.append(
-            f'<circle class="obs" cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="2.5"/>'
-        )
-    y0, y1 = fit.predict(0.0), fit.predict(x_max)
-    parts.append(
-        f'<polyline class="fitline" points="{sx(0.0):.1f},{sy(y0):.1f} '
-        f'{sx(x_max):.1f},{sy(y1):.1f}"/>'
-    )
-    # Residual strip: |relative error| per point.
-    r_top = pad_t + scatter_h + gap
-    rels = [
-        (x, abs(fit.predict(x) - y) / y if y > 0 else 0.0) for x, y in pts
-    ]
-    r_max = max(max(rel for _, rel in rels), 0.15) or 1.0
-    parts.append(
-        f'<line class="grid" x1="{pad_l}" '
-        f'y1="{r_top + resid_h * (1 - 0.15 / r_max):.1f}" '
-        f'x2="{width - pad_r}" '
-        f'y2="{r_top + resid_h * (1 - 0.15 / r_max):.1f}"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="{pad_l}" y1="{r_top + resid_h}" '
-        f'x2="{width - pad_r}" y2="{r_top + resid_h}"/>'
-    )
-    parts.append(
-        f'<text x="{pad_l - 6}" y="{r_top + 8}" text-anchor="end">'
-        f"{r_max * 100:.0f}%</text>"
-    )
-    parts.append(
-        f'<text x="{pad_l - 6}" y="{r_top + resid_h}" text-anchor="end">'
-        "resid</text>"
-    )
-    for x, rel in rels:
-        bar_h = resid_h * rel / r_max
-        parts.append(
-            f'<rect class="resid" x="{sx(x) - 1:.1f}" '
-            f'y="{r_top + resid_h - bar_h:.1f}" width="2" '
-            f'height="{max(bar_h, 0.5):.1f}"/>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _group_rows(rows: List[dict], fit) -> List[dict]:
-    return [
-        r
-        for r in rows
-        if r.get("phase") == fit.phase
-        and r.get("structure") == fit.structure
-        and str(r.get("algorithm", "")) == fit.algorithm
-        and str(r.get("model", "")) == fit.model
-    ]
-
-
-def _model_section(model, features: Optional[List[dict]]) -> str:
-    if model is None or not getattr(model, "groups", None):
-        return _section(
-            "Cost model",
-            '<p class="note">No fitted cost model: run with feature capture '
-            "enabled (repro report does this automatically).</p>",
-        )
-    # Coefficient + diagnostics table, worst fits flagged.
-    head = (
-        "<tr><th>phase</th><th>structure</th><th>algorithm</th><th>model</th>"
-        '<th class="num">setup</th><th class="num">per-op</th>'
-        '<th class="num">ops/edge</th><th class="num">samples</th>'
-        '<th class="num">median rel err</th><th class="num">R&sup2;</th></tr>'
-    )
-    body_rows = []
-    for fit in (model.groups[key] for key in sorted(model.groups)):
-        err_class = "status-bad" if fit.median_rel_err > 0.15 else "status-good"
-        err_mark = "&#9888; " if fit.median_rel_err > 0.15 else ""
-        body_rows.append(
-            f"<tr><td>{_esc(fit.phase)}</td><td>{_esc(fit.structure)}</td>"
-            f"<td>{_esc(fit.algorithm) or '&mdash;'}</td>"
-            f"<td>{_esc(fit.model) or '&mdash;'}</td>"
-            f'<td class="num">{_fmt_seconds(fit.setup)}</td>'
-            f'<td class="num">{_fmt_sci(fit.per_op)} s</td>'
-            f'<td class="num">{_fmt_sci(fit.ops_per_edge)}</td>'
-            f'<td class="num">{fit.samples}</td>'
-            f'<td class="num {err_class}">{err_mark}'
-            f"{fit.median_rel_err * 100:.1f}%</td>"
-            f'<td class="num">{fit.r2:.3f}</td></tr>'
-        )
-    body = (
-        "<p class=\"subtitle\">Closed-form fit T = setup + per-op &times; ops "
-        "per (phase, structure, algorithm, model); groups above the 15% "
-        "median-relative-error bar are flagged.</p>"
-        f"<table><thead>{head}</thead><tbody>{''.join(body_rows)}</tbody></table>"
-    )
-    # Fit-vs-observed charts for the most interesting groups.
-    if features:
-        worst = sorted(
-            model.groups.values(), key=lambda g: g.median_rel_err, reverse=True
-        )[:4]
-        charts = []
-        for fit in worst:
-            rows = _group_rows(features, fit)
-            svg = _fit_chart(fit, rows)
-            if not svg:
-                continue
-            label = " / ".join(
-                part
-                for part in (fit.phase, fit.structure, fit.algorithm, fit.model)
-                if part
-            )
-            charts.append(
-                f"<figure>{svg}<figcaption>{_esc(label)} &mdash; "
-                f"median rel err {fit.median_rel_err * 100:.1f}%"
-                "</figcaption></figure>"
-            )
-        if charts:
-            body += (
-                '<div class="legend">'
-                '<span><span class="swatch" '
-                'style="background:var(--series-1)"></span>observed</span>'
-                '<span><span class="swatch" '
-                'style="background:var(--series-2)"></span>fitted</span>'
-                "</div>"
-                "<p class=\"subtitle\">Least-well-fitted groups, observed vs "
-                "fitted with per-batch |relative error| below (gridline = "
-                "the 15% bar).</p>"
-                f'<div class="charts">{"".join(charts)}</div>'
-            )
-    return _section("Cost model", body)
-
-
 def _autotune_section(autotune: Optional[dict]) -> str:
     if not autotune or not autotune.get("decisions"):
         return _section(
@@ -527,8 +328,6 @@ def render_report(
     meta: Optional[Dict[str, object]] = None,
     tracer=None,
     metrics=None,
-    features: Optional[List[dict]] = None,
-    model=None,
     autotune: Optional[dict] = None,
 ) -> str:
     """The full report as one self-contained HTML string.
@@ -540,7 +339,6 @@ def render_report(
     sections = [
         _meta_section(meta or {}, metrics),
         _layer_section(tracer),
-        _model_section(model, features),
         _autotune_section(autotune),
         _sweep_section(metrics),
     ]

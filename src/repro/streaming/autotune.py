@@ -1,19 +1,22 @@
-"""Online auto-tuner: model-guided (structure, model) selection.
+"""Online auto-tuner: (structure, model) selection from priced cells.
 
 The paper's central finding (Table 3, Figs. 6-8) is that the best
 (data structure, compute model) pair flips with algorithm and batch
-size.  The fitted cost models of :mod:`repro.obs.model` predict those
-crossovers; this module makes the driver *act* on them:
+size.  This module makes the driver *act* on it:
 
-- :class:`AdaptiveController` keeps one :class:`OnlineGroupFit` per
-  (phase, structure, algorithm, model) group -- exponentially-decayed
-  least squares over the same (ops, seconds) pairs the feature log
-  records, warm-started from a persisted :class:`FittedCostModel` when
-  one is supplied and cold-started with a short round-robin exploration
-  phase otherwise.  Before each batch it predicts every candidate's
-  Equation-1 latency and switches structure only when the predicted
-  savings over a look-ahead horizon exceed the priced migration cost by
-  a safety margin (hysteresis).
+- :class:`AdaptiveController` forecasts every candidate's Equation-1
+  latency before each batch.  The compute half is an EWMA
+  (``EWMA_ALPHA``) of each (structure, algorithm, model) cell's priced
+  seconds: compute pricing is analytic, so every candidate cell is
+  priced every batch whichever structure is live.  The update half is
+  one :class:`OnlineUpdateFit` per structure, exponentially-decayed
+  least squares ``T = setup + per_op * ops`` over that structure's
+  update samples (live batches, and migrations as bulk updates).  A warm
+  start replays a saved list of those samples (:func:`load_samples`);
+  without one the controller cold-starts with a short round-robin
+  exploration.  It switches structure only when the forecast savings
+  over a look-ahead horizon exceed the forecast migration cost by a
+  safety margin (hysteresis).
 - :class:`AdaptiveStreamDriver` runs :class:`StreamDriver`'s batch loop
   over a :class:`LiveStructurePlane`: a single live structure, migrated
   through :func:`repro.graph.migrate.migrate_structure` when the
@@ -21,8 +24,8 @@ crossovers; this module makes the driver *act* on them:
   Every candidate compute model still *executes* each batch (INC must, to
   keep its incremental state bit-identical to a static INC run; FS runs
   are pure), and every candidate structure's compute latency is priced
-  analytically -- so the controller observes the full matrix each batch
-  while only the chosen combination is recorded as the batch's latency.
+  -- so the controller observes the full matrix each batch while only
+  the chosen combination is recorded as the batch's latency.
 
 Algorithm results are therefore bit-identical to the static runs by
 construction: values live on the reference graph, never inside the
@@ -31,21 +34,24 @@ migrating structure.
 
 from __future__ import annotations
 
+import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.algorithms.registry import COMPUTE_MODELS
 from repro.errors import ConfigError
 from repro.graph.migrate import migrate_structure
 from repro.obs.metrics import METRICS
-from repro.obs.model import FittedCostModel, GroupFit, GroupKey, group_key
 from repro.obs.tracer import TRACER
 from repro.streaming.driver import (
     ALL_STRUCTURES,
     StreamConfig,
     StreamDriver,
     UpdatePlane,
+    churn_count,
 )
 
 #: The decision log of the most recent adaptive run in this process:
@@ -69,27 +75,66 @@ HORIZON_BATCHES = 25
 SWITCH_MARGIN = 0.25
 #: Batches to hold the current structure after a switch.
 COOLDOWN_BATCHES = 2
-#: Smoothing of the per-(algorithm, model) ops forecast.
+#: Smoothing of each (structure, algorithm, model) cell's compute
+#: forecast: the weight of the newest priced seconds.
 EWMA_ALPHA = 0.5
 #: Per-observation decay of the online least-squares statistics
 #: (recent batches dominate, old regimes fade).
 DECAY = 0.9
-#: Pseudo-sample weight of the warm-start model when blending it with
-#: the online fit.
-PRIOR_WEIGHT = 8.0
+
+#: Layout version of the update-sample file (``--model-out`` /
+#: ``--model-in``); :func:`load_samples` refuses any other.
+SAMPLES_SCHEMA = 2
+
+#: One update sample: (structure, ops, seconds).
+Sample = Tuple[str, float, float]
 
 
-class OnlineGroupFit:
-    """One group's ``T = setup + per_op * ops`` refined online.
+def update_ops(batch_edges: int, churn_fraction: float) -> float:
+    """Update-phase ops of a batch: its inserts plus its churn deletions."""
+    return float(batch_edges + churn_count(batch_edges, churn_fraction))
 
-    Exponentially-decayed least-squares sufficient statistics, blended
-    with an optional warm-start :class:`~repro.obs.model.GroupFit`
-    prior: the prior dominates until enough live observations arrive,
-    then the online fit takes over (weight ``n / (n + PRIOR_WEIGHT)``).
-    """
 
-    def __init__(self, prior: Optional[GroupFit] = None) -> None:
-        self.prior = prior
+def update_samples(result, churn_fraction: float) -> List[Sample]:
+    """Every update sample of a static run, in stream order: one per
+    batch per structure, its update latency at the batch's ops."""
+    latency = [result.update_latency(s) for s in result.structures]
+    samples = []
+    for rep in range(result.repetitions):
+        for batch in range(result.batches_per_rep):
+            ops = update_ops(int(result.edges_attempted[rep, batch]), churn_fraction)
+            for structure, seconds in zip(result.structures, latency):
+                samples.append((structure, ops, float(seconds[rep, batch])))
+    return samples
+
+
+def save_samples(path, samples: Iterable[Sample]) -> None:
+    """Write update samples as the versioned JSON ``--model-in`` reads."""
+    payload = {"schema": SAMPLES_SCHEMA, "samples": [list(s) for s in samples]}
+    Path(path).write_text(json.dumps(payload) + "\n")
+
+
+def load_samples(path) -> List[Sample]:
+    """The update samples :func:`save_samples` wrote to ``path``."""
+    payload = json.loads(Path(path).read_text())
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != SAMPLES_SCHEMA:
+        raise ConfigError(
+            f"{path}: update-sample schema {schema!r} unsupported (this "
+            f"build reads schema {SAMPLES_SCHEMA}); write it again with "
+            f"`repro report --model-out` or `repro autotune --model-out`"
+        )
+    return [
+        (str(structure), float(ops), float(seconds))
+        for structure, ops, seconds in payload["samples"]
+    ]
+
+
+class OnlineUpdateFit:
+    """One structure's update law ``T = setup + per_op * ops``, refined
+    online from exponentially-decayed least-squares statistics."""
+
+    def __init__(self) -> None:
         self.count = 0
         self._n = self._sx = self._sy = self._sxx = self._sxy = 0.0
 
@@ -104,7 +149,8 @@ class OnlineGroupFit:
         self._sxy = g * self._sxy + ops * seconds
         self.count += 1
 
-    def _local_predict(self, ops: float) -> Optional[float]:
+    def predict(self, ops: float) -> Optional[float]:
+        """Predicted seconds; ``None`` before the first sample."""
         if self.count == 0 or self._n <= 0.0:
             return None
         denom = self._n * self._sxx - self._sx * self._sx
@@ -118,17 +164,6 @@ class OnlineGroupFit:
         if self._sx > 0.0:
             return self._sy / self._sx * ops
         return self._sy / self._n
-
-    def predict(self, ops: float) -> Optional[float]:
-        """Blended prediction in seconds; ``None`` when truly unknown."""
-        local = self._local_predict(ops)
-        prior = self.prior.predict(ops) if self.prior is not None else None
-        if local is None:
-            return prior
-        if prior is None:
-            return local
-        weight = self.count / (self.count + PRIOR_WEIGHT)
-        return weight * local + (1.0 - weight) * prior
 
 
 @dataclass
@@ -150,14 +185,14 @@ class Decision:
 
 
 class AdaptiveController:
-    """Model-guided (structure, model) selection with hysteresis."""
+    """Forecast-guided (structure, model) selection with hysteresis."""
 
     def __init__(
         self,
         structures: Tuple[str, ...],
         models: Tuple[str, ...],
         algorithms: Tuple[str, ...],
-        warm_model: Optional[FittedCostModel] = None,
+        warm_samples: Iterable[Sample] = (),
         churn_fraction: float = 0.0,
     ) -> None:
         if not structures:
@@ -167,10 +202,12 @@ class AdaptiveController:
         self.structures = tuple(structures)
         self.models = tuple(models)
         self.algorithms = tuple(algorithms)
-        self.warm_model = warm_model
         self.churn_fraction = churn_fraction
-        self.fits: Dict[GroupKey, OnlineGroupFit] = {}
-        self.ops_forecast: Dict[Tuple[str, str], float] = {}
+        self.fits: Dict[str, OnlineUpdateFit] = defaultdict(OnlineUpdateFit)
+        #: Every update sample the fits saw, warm start first, in order:
+        #: what ``--model-out`` writes.
+        self.samples: List[Sample] = []
+        self.compute_forecast: Dict[Tuple[str, str, str], float] = {}
         #: Test hook: force {batch_index: structure} decisions.
         self.forced_plan: Dict[int, str] = {}
         self.log: List[dict] = []
@@ -178,100 +215,61 @@ class AdaptiveController:
         self._rep = 0
         self._batches_seen = 0
         self._last_switch: Optional[int] = None
+        for sample in warm_samples:
+            self.observe_update(*sample)
         # Cold start: round-robin exploration of every candidate whose
-        # update cost the warm model cannot price.  Compute costs need
-        # no exploration -- every candidate's compute latency is priced
+        # update law no sample has taught yet.  Compute costs need no
+        # exploration -- every candidate's compute latency is priced
         # (observed) every batch regardless of which structure is live.
         self._explore_plan: List[str] = []
-        if any(self._prior("update", s) is None for s in self.structures):
+        if any(self.fits[s].count == 0 for s in self.structures):
             self._explore_plan = [
                 s for s in self.structures
                 for _ in range(EXPLORE_ROUNDS)
             ]
 
-    # -- model access ---------------------------------------------------
-
-    def _prior(
-        self, phase: str, structure: str, algorithm: str = "", model: str = ""
-    ) -> Optional[GroupFit]:
-        if self.warm_model is None:
-            return None
-        return self.warm_model.groups.get(
-            group_key(phase, structure, algorithm, model)
-        )
-
-    def _fit(
-        self, phase: str, structure: str, algorithm: str = "", model: str = ""
-    ) -> OnlineGroupFit:
-        key = group_key(phase, structure, algorithm, model)
-        fit = self.fits.get(key)
-        if fit is None:
-            fit = OnlineGroupFit(self._prior(phase, structure, algorithm, model))
-            self.fits[key] = fit
-        return fit
-
     # -- observations ---------------------------------------------------
 
     def observe_update(self, structure: str, ops: float, seconds: float) -> None:
-        """One live-structure update-phase (ops, seconds) sample."""
-        self._fit("update", structure).observe(ops, seconds)
+        """One update-phase (ops, seconds) sample of ``structure``."""
+        self.samples.append((structure, float(ops), float(seconds)))
+        self.fits[structure].observe(ops, seconds)
 
     def observe_compute(
-        self, structure: str, algorithm: str, model: str, ops: float,
-        seconds: float,
+        self, structure: str, algorithm: str, model: str, seconds: float
     ) -> None:
-        """One priced compute sample; also refreshes the ops forecast."""
-        self._fit("compute", structure, algorithm, model).observe(ops, seconds)
-        key = (algorithm, model)
-        previous = self.ops_forecast.get(key)
-        self.ops_forecast[key] = (
-            ops if previous is None
-            else EWMA_ALPHA * ops + (1.0 - EWMA_ALPHA) * previous
+        """One priced compute cell; refreshes its forecast."""
+        key = (structure, algorithm, model)
+        previous = self.compute_forecast.get(key)
+        self.compute_forecast[key] = (
+            seconds if previous is None
+            else EWMA_ALPHA * seconds + (1.0 - EWMA_ALPHA) * previous
         )
 
     def note_migration(self, structure: str, edges: int, seconds: float) -> None:
         """A migration is one more bulk-update sample for ``structure``."""
         if edges > 0:
-            self._fit("update", structure).observe(float(edges), seconds)
+            self.observe_update(structure, float(edges), seconds)
 
     # -- prediction -----------------------------------------------------
 
-    def update_ops_of(self, batch_edges: int) -> float:
-        """Update-phase ops of a batch: inserts plus churn deletions."""
-        churn = 0
-        if self.churn_fraction > 0.0 and batch_edges:
-            churn = max(1, int(batch_edges * self.churn_fraction))
-        return float(batch_edges + churn)
-
     def predict_update(self, structure: str, ops: float) -> Optional[float]:
-        return self._fit("update", structure).predict(ops)
-
-    def predict_compute(
-        self, structure: str, algorithm: str, model: str, batch_edges: int
-    ) -> Optional[float]:
-        fit = self._fit("compute", structure, algorithm, model)
-        ops = self.ops_forecast.get((algorithm, model))
-        if ops is not None:
-            return fit.predict(ops)
-        prior = self._prior("compute", structure, algorithm, model)
-        if prior is not None:
-            return prior.predict_batch(batch_edges)
-        return None
+        return self.fits[structure].predict(ops)
 
     def _predict_batch(
         self, structure: str, batch_edges: int
     ) -> Tuple[float, Dict[str, str]]:
         """(predicted Equation-1 seconds, per-algorithm model choice)."""
-        update = self.predict_update(structure, self.update_ops_of(batch_edges))
+        update = self.predict_update(
+            structure, update_ops(batch_edges, self.churn_fraction)
+        )
         total = update if update is not None else math.inf
         choices: Dict[str, str] = {}
         for algorithm in self.algorithms:
             best_model = None
             best_seconds = math.inf
             for model in self.models:
-                seconds = self.predict_compute(
-                    structure, algorithm, model, batch_edges
-                )
+                seconds = self.compute_forecast.get((structure, algorithm, model))
                 if seconds is not None and seconds < best_seconds:
                     best_model, best_seconds = model, seconds
             if best_model is None:
@@ -491,8 +489,6 @@ class LiveStructurePlane(UpdatePlane):
     ``"adaptive"``.
     """
 
-    needs_ops = True
-
     def __init__(self, driver: "AdaptiveStreamDriver", dataset, ctx) -> None:
         super().__init__(
             driver.config, dataset, ctx,
@@ -552,34 +548,30 @@ class LiveStructurePlane(UpdatePlane):
         self.observe(self._live_name, outcome.schedule, operation)
         return {self._live_name: outcome.edges_inserted}
 
-    def close_update(self, record, update_ops: int):
-        """The record carries the migration; the sample the controller
-        and the feature log fit from does not."""
-        record.update_cycles["adaptive"] = (
-            self._migration_cycles + self._structure_cycles
-        )
-        self._update = (
-            float(update_ops), self.ctx.seconds(self._structure_cycles)
-        )
-        self.controller.observe_update(self._live_name, *self._update)
-        return ((self._live_name, self._structure_cycles),)
-
-    def record_cell(self, algorithm, model, structure, cycles, ops_row):
+    def record_cell(self, algorithm, model, structure, cycles):
         seconds = self.ctx.seconds(cycles)
         self._compute_actual[(structure, algorithm, model)] = seconds
-        self.controller.observe_compute(
-            structure, algorithm, model, ops_row["ops"], seconds
-        )
+        self.controller.observe_compute(structure, algorithm, model, seconds)
         chosen = self._decision.models.get(algorithm, self.models[0])
         if structure == self._live_name and model == chosen:
             return ("adaptive", "adaptive")
         return None
 
     def after_batch(self, record) -> str:
+        # The record carries the migration; the sample the controller
+        # fits from does not.
+        record.update_cycles["adaptive"] = (
+            self._migration_cycles + self._structure_cycles
+        )
+        update = (
+            update_ops(record.edges_attempted, self.config.churn_fraction),
+            self.ctx.seconds(self._structure_cycles),
+        )
+        self.controller.observe_update(self._live_name, *update)
         decision = self._decision
         outcome = self.controller.complete_batch(
             decision,
-            *self._update,
+            *update,
             self.ctx.seconds(self._migration_cycles),
             self._compute_actual,
         )
@@ -627,9 +619,9 @@ class AdaptiveStreamDriver(StreamDriver):
             cfg.candidate_structures or ALL_STRUCTURES
         )
         self.candidate_models = tuple(cfg.candidate_models or COMPUTE_MODELS)
-        #: Warm-start model, assigned by the caller before :meth:`run`
-        #: (``repro ... --model-in`` loads one from disk).
-        self.warm_model: Optional[FittedCostModel] = None
+        #: Warm-start update samples, assigned by the caller before
+        #: :meth:`run` (``repro ... --model-in`` loads them from disk).
+        self.warm_samples: List[Sample] = []
         #: Test hook, copied onto the controller at run start.
         self.forced_plan: Dict[int, str] = {}
         self.controller: Optional[AdaptiveController] = None
@@ -640,7 +632,7 @@ class AdaptiveStreamDriver(StreamDriver):
             structures=self.candidate_structures,
             models=self.candidate_models,
             algorithms=self.config.algorithms,
-            warm_model=self.warm_model,
+            warm_samples=self.warm_samples,
             churn_fraction=self.config.churn_fraction,
         )
         self.controller.forced_plan.update(self.forced_plan)

@@ -28,8 +28,7 @@ drivers, each of which only chooses its plane.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -40,7 +39,6 @@ from repro.datasets.catalog import DEFAULT_BATCH_SIZE, Dataset
 from repro.errors import ConfigError
 from repro.graph import STRUCTURES, ReferenceGraph, make_structure
 from repro.graph.base import ExecutionContext
-from repro.obs.features import FEATURES
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim.cbuild import NATIVE
@@ -59,69 +57,6 @@ ALL_ALGORITHMS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
 #: sweep engine relies on this to run single repetitions as independent
 #: cells that reproduce the exact batches of a multi-repetition run.
 REP_SEED_STRIDE = 7919
-
-def _run_ops_decomposition(
-    runs, deg_in, deg_out, num_nodes: int, cost: CostModel
-) -> Dict[str, float]:
-    """Abstract operation counts of one algorithm x model execution.
-
-    The per-batch feature vector the cost-model fitter consumes (see
-    :mod:`repro.obs.model`): vertex-function evaluations and the
-    in-degree mass they pull, push scans and the out-degree mass they
-    touch, queue pushes, CAS attempts, and whole-array scan accesses.
-    These mirror the terms of
-    :func:`repro.compute.pricing.price_compute_run`, which is linear in
-    exactly these counts, so the composite ``ops`` is the abscissa of
-    the closed-form model ``T = setup + per_op * ops``.  Following the
-    instruction-mix style of refined compute models, ``ops`` weights
-    each component by its documented cost-model constant (the
-    structure-independent part of the pricing terms); the
-    structure-specific traversal scale is what each group's fitted
-    ``per_op`` absorbs.
-    """
-    pull_vertices = push_vertices = 0
-    pull_degree = push_degree = 0
-    pushes = cas_ops = 0
-    rounds = scans = 0
-    for run in runs:
-        scans += run.linear_scans
-        rounds += run.frontier_rounds or run.iteration_count
-        table = run.rounds
-        _, pulled, pushed, run_cas_ops, run_pushes = table.sum(axis=0).tolist()
-        pull_vertices += pulled
-        push_vertices += pushed
-        cas_ops += run_cas_ops
-        pushes += run_pushes
-        # Degree mass of every log prefix: a round's pulled (pushed)
-        # vertices are a slice of the log, their mass a difference --
-        # rounds that share log entries (Jacobi FS) share the gather.
-        log = run.vertex_log
-        mass_in = np.concatenate(([0], np.cumsum(deg_in[log])))
-        mass_out = np.concatenate(([0], np.cumsum(deg_out[log])))
-        start = table[:, 0]
-        mid = start + table[:, 1]
-        pull_degree += int((mass_in[mid] - mass_in[start]).sum())
-        push_degree += int((mass_out[mid + table[:, 2]] - mass_out[mid]).sum())
-    scan_ops = scans * int(num_nodes)
-    ops = (
-        pull_vertices * (cost.vertex_task_base + cost.property_write)
-        + pull_degree * (cost.neighbor_visit + cost.probe_element)
-        + push_degree * (cost.cas + cost.probe_element)
-        + pushes * cost.queue_push
-        + scan_ops * cost.probe_element
-    )
-    return {
-        "pull_vertices": pull_vertices,
-        "push_vertices": push_vertices,
-        "pull_degree": pull_degree,
-        "push_degree": push_degree,
-        "pushes": pushes,
-        "cas_ops": cas_ops,
-        "scan_ops": scan_ops,
-        "frontier_rounds": rounds,
-        "ops": float(ops),
-    }
-
 
 def _check_names(kind: str, names, known) -> None:
     """Every entry a known ``kind``, none of them twice.
@@ -242,9 +177,17 @@ def pick_source(dataset: Dataset) -> int:
     return int(np.bincount(dataset.edges.src).argmax())
 
 
+def churn_count(batch_edges: int, fraction: float) -> int:
+    """How many of a batch's ``batch_edges`` edges a churn stream
+    deletes again: none without churn or edges, else at least one."""
+    if fraction <= 0.0 or not batch_edges:
+        return 0
+    return max(1, int(batch_edges * fraction))
+
+
 def churn_victims(batch, fraction: float):
-    """The head of ``batch`` a churn stream deletes again (never empty)."""
-    return batch.slice(0, max(1, int(len(batch) * fraction)))
+    """The head of ``batch`` a churn stream deletes again."""
+    return batch.slice(0, churn_count(len(batch), fraction))
 
 
 def _verify_counts(reported: Dict[str, int], expected: int, verb: str) -> None:
@@ -284,15 +227,11 @@ class UpdatePlane:
     which the four planes define), *what is executed and priced*
     (``models`` x ``structures``, and ``price``, which the hardware
     plane extends to trace and replay what it prices) and *what is
-    recorded* (``close_update`` / ``record_cell`` / ``after_batch``).
+    recorded* (``record_cell`` / ``after_batch``).
     The defaults -- every structure priced on the run's machine, every
     priced cell under its own key -- serve the static and sharded
     planes.
     """
-
-    #: Whether ``record_cell`` reads the ops decomposition even when
-    #: the feature log is off.
-    needs_ops = False
 
     def __init__(self, config, dataset: Dataset, ctx, models, structures) -> None:
         self.config = config
@@ -364,12 +303,7 @@ class UpdatePlane:
                 cycles[structure] += pricing.latency_cycles
         return cycles
 
-    def close_update(self, record: BatchRecord, update_ops: int):
-        """The finished update phase as ``(structure, cycles)`` samples,
-        one feature-log update row each."""
-        return record.update_cycles.items()
-
-    def record_cell(self, algorithm, model, structure, cycles, ops_row):
+    def record_cell(self, algorithm, model, structure, cycles):
         """The ``(model, structure)`` key a priced cell is recorded
         under, or ``None`` when the batch's record does not carry it."""
         return (model, structure)
@@ -486,10 +420,8 @@ class StreamDriver:
             if __debug__:
                 _verify_counts(inserted, record.edges_inserted, "inserted")
             removed = ()  # an EdgeBatch once churn removes something
-            churn_attempted = 0
             if cfg.churn_fraction > 0.0 and len(batch):
                 victims = churn_victims(batch, cfg.churn_fraction)
-                churn_attempted = len(victims)
                 deleted = plane.delete(victims, record)
                 removed = reference.delete_collect(victims)
                 if __debug__:
@@ -501,37 +433,12 @@ class StreamDriver:
             # every algorithm x model run reaches through the reference,
             # its ``degrees`` the arrays the pricing reads.
             compute_view = reference.compute_view()
-            deg_in = compute_view.in_csr.degrees
-            deg_out = compute_view.out_csr.degrees
             # Built as the batch's runs ask for them, read by all of them.
-            cost_tables = CostTables(deg_in, deg_out, ctx.cost_model)
-            update_ops = record.edges_attempted + churn_attempted
-            update_samples = plane.close_update(record, update_ops)
-            # ---- Per-batch feature capture (cost-model substrate) ----
-            features_on = FEATURES.enabled
-            base_row: Dict[str, object] = {}
-            if features_on:
-                base_row = {
-                    "dataset": dataset.name,
-                    "rep": rep,
-                    "batch": batch_index,
-                    "batch_edges": record.edges_attempted,
-                    "edges_inserted": record.edges_inserted,
-                    "edges_deleted": len(removed),
-                    "churn_fraction": cfg.churn_fraction,
-                    "num_nodes": n,
-                    "num_edges": record.num_edges,
-                    "mean_out_degree": float(deg_out.mean()) if n else 0.0,
-                    "max_out_degree": int(deg_out.max()) if n else 0,
-                }
-                for structure_name, cycles in update_samples:
-                    FEATURES.record(
-                        phase="update",
-                        structure=structure_name,
-                        t_seconds=ctx.seconds(cycles),
-                        ops=update_ops,
-                        **base_row,
-                    )
+            cost_tables = CostTables(
+                compute_view.in_csr.degrees,
+                compute_view.out_csr.degrees,
+                ctx.cost_model,
+            )
 
             # ---- Compute phase: each algorithm under each model the
             # plane executes, priced on each structure it prices ----
@@ -539,37 +446,17 @@ class StreamDriver:
                 for alg_name in cfg.algorithms:
                     algorithm = get_algorithm(alg_name)
                     for model in plane.models:
-                        wall_start = time.perf_counter() if features_on else 0.0
                         runs = _execute_compute(
                             algorithm, model, reference,
                             states.get(alg_name), batch, removed, source,
                         )
-                        ops_row = None
-                        wall_seconds = 0.0
-                        if features_on:
-                            wall_seconds = time.perf_counter() - wall_start
-                        if features_on or plane.needs_ops:
-                            ops_row = _run_ops_decomposition(
-                                runs, deg_in, deg_out, n, ctx.cost_model
-                            )
                         structure_cycles = plane.price(
                             algorithm, runs, compute_view, cost_tables
                         )
                         recorded_model = None
                         for structure_name, cycles in structure_cycles.items():
-                            if features_on:
-                                FEATURES.record(
-                                    phase="compute",
-                                    structure=structure_name,
-                                    algorithm=alg_name,
-                                    model=model,
-                                    t_seconds=ctx.seconds(cycles),
-                                    wall_seconds=wall_seconds,
-                                    **ops_row,
-                                    **base_row,
-                                )
                             key = record_cell(
-                                alg_name, model, structure_name, cycles, ops_row
+                                alg_name, model, structure_name, cycles
                             )
                             if key is None:
                                 continue

@@ -1,13 +1,15 @@
 """Tests for the online auto-tuner (repro.streaming.autotune).
 
-Covers the online least-squares fits (affine recovery, warm-prior
-blending), the controller policy at the tuner's constants (cold-start
-exploration, hysteresis, cooldown, forced plans), the adaptive
-driver's differential contract against static runs, the
+Covers the online least-squares update law (affine recovery, decay),
+the controller policy at the tuner's constants (cold-start
+exploration, hysteresis, cooldown, forced plans), the update-sample
+file (a replay reproduces the fits, other schemas are refused), the
+adaptive driver's differential contract against static runs, the
 schedule-aware batching it rides on, and the CLI surface (warm start
 through ``--model-in``, ``--model-out``, the shards refusal).
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +19,6 @@ from repro.cli import main
 from repro.datasets import load_dataset
 from repro.errors import ConfigError, DatasetError
 from repro.graph import EdgeBatch
-from repro.obs.model import FittedCostModel, GroupFit
 from repro.streaming import (
     AdaptiveController,
     AdaptiveStreamDriver,
@@ -27,43 +28,35 @@ from repro.streaming import (
     make_batches,
 )
 from repro.streaming.autotune import (
-    OnlineGroupFit,
+    SAMPLES_SCHEMA,
+    OnlineUpdateFit,
     adaptive_total_seconds,
+    load_samples,
     oracle_total_seconds,
+    save_samples,
     static_combo_totals,
 )
 
 STRUCTURES = ("AS", "AC", "Stinger", "DAH", "BA")
 
 
-class TestOnlineGroupFit:
+class TestOnlineUpdateFit:
     def test_unknown_without_observations(self):
-        assert OnlineGroupFit().predict(100.0) is None
+        assert OnlineUpdateFit().predict(100.0) is None
 
     def test_recovers_affine_law(self):
-        fit = OnlineGroupFit()
+        fit = OnlineUpdateFit()
         for ops in (100.0, 300.0, 700.0, 1500.0):
             fit.observe(ops, 2.0 + 0.01 * ops)
         assert fit.predict(1000.0) == pytest.approx(12.0, rel=1e-6)
 
     def test_single_sample_proportional(self):
-        fit = OnlineGroupFit()
+        fit = OnlineUpdateFit()
         fit.observe(500.0, 5.0)
         assert fit.predict(1000.0) == pytest.approx(10.0)
 
-    def test_prior_dominates_until_data_arrives(self):
-        prior = GroupFit(phase="update", structure="AS")
-        prior.setup, prior.per_op, prior.samples = 0.0, 1.0, 10
-        fit = OnlineGroupFit(prior)
-        assert fit.predict(10.0) == pytest.approx(10.0)
-        # Live observations pull the blend toward the observed law.
-        for ops in (10.0, 20.0, 40.0):
-            fit.observe(ops, 2.0 * ops)
-        blended = fit.predict(10.0)
-        assert 10.0 < blended < 20.0
-
     def test_decay_forgets_old_regimes(self):
-        fit = OnlineGroupFit()
+        fit = OnlineUpdateFit()
         for ops in (100.0, 200.0):
             fit.observe(ops, 1.0 * ops)
         for ops in (100.0, 200.0, 150.0, 250.0):
@@ -71,12 +64,12 @@ class TestOnlineGroupFit:
         assert fit.predict(100.0) > 500.0
 
 
-def _controller(warm=None):
+def _controller(warm=()):
     return AdaptiveController(
         structures=("AS", "DAH"),
         models=("FS", "INC"),
         algorithms=("BFS",),
-        warm_model=warm,
+        warm_samples=warm,
     )
 
 
@@ -86,8 +79,8 @@ def _teach(controller, cheap="AS", dear="DAH", factor=10.0):
         controller.observe_update(cheap, ops, 1e-6 * ops)
         controller.observe_update(dear, ops, factor * 1e-6 * ops)
         for model in ("FS", "INC"):
-            controller.observe_compute(cheap, "BFS", model, ops, 1e-6 * ops)
-            controller.observe_compute(dear, "BFS", model, ops, factor * 1e-6 * ops)
+            controller.observe_compute(cheap, "BFS", model, 1e-6 * ops)
+            controller.observe_compute(dear, "BFS", model, factor * 1e-6 * ops)
 
 
 class TestControllerPolicy:
@@ -151,15 +144,17 @@ class TestControllerPolicy:
         assert decision.reason == "forced" and decision.structure == "DAH"
 
     def test_warm_model_skips_exploration(self):
-        from repro.obs.model import group_key
-
-        warm = FittedCostModel()
-        for structure in ("AS", "DAH"):
-            fit = GroupFit(phase="update", structure=structure)
-            fit.setup, fit.per_op, fit.samples = 0.0, 1e-6, 10
-            warm.groups[group_key("update", structure)] = fit
-        controller = _controller(warm=warm)
+        controller = _controller(warm=[("AS", 100.0, 1e-4), ("DAH", 100.0, 2e-4)])
         assert controller._explore_plan == []
+        # One structure without a sample still needs the exploration.
+        assert _controller(warm=[("AS", 100.0, 1e-4)])._explore_plan
+
+    def test_compute_forecast_is_an_ewma_of_priced_seconds(self):
+        controller = _controller()
+        for seconds in (4.0, 2.0, 1.0):
+            controller.observe_compute("AS", "BFS", "INC", seconds)
+        # 4 -> 0.5 * 2 + 0.5 * 4 = 3 -> 0.5 * 1 + 0.5 * 3 = 2.
+        assert controller.compute_forecast[("AS", "BFS", "INC")] == 2.0
 
     def test_per_algorithm_model_freedom(self):
         controller = _controller()
@@ -167,10 +162,10 @@ class TestControllerPolicy:
         for ops in (100.0, 200.0, 400.0):
             controller.observe_update("AS", ops, 1e-6 * ops)
             controller.observe_update("DAH", ops, 1e-5 * ops)
-            controller.observe_compute("AS", "BFS", "FS", ops, 1e-7 * ops)
-            controller.observe_compute("AS", "BFS", "INC", ops, 1e-5 * ops)
-            controller.observe_compute("DAH", "BFS", "FS", ops, 1e-7 * ops)
-            controller.observe_compute("DAH", "BFS", "INC", ops, 1e-5 * ops)
+            controller.observe_compute("AS", "BFS", "FS", 1e-7 * ops)
+            controller.observe_compute("AS", "BFS", "INC", 1e-5 * ops)
+            controller.observe_compute("DAH", "BFS", "FS", 1e-7 * ops)
+            controller.observe_compute("DAH", "BFS", "INC", 1e-5 * ops)
         decision = controller.decide(5, 100, 200, live="AS", live_edges=100)
         assert decision.models == {"BFS": "FS"}
 
@@ -195,6 +190,29 @@ class TestControllerPolicy:
         summary = controller.summary()
         assert summary["batches"] == 1
         assert summary["actual_seconds"] == pytest.approx(6e-4)
+
+
+class TestUpdateSampleFile:
+    def test_replay_reproduces_the_fits_bit_for_bit(self, tmp_path):
+        controller = _controller()
+        for ops in (100.0, 250.0, 700.0):
+            controller.observe_update("AS", ops, ops / 3e6)
+            controller.observe_update("DAH", ops, ops / 7e5)
+        controller.note_migration("AS", 1234, 0.1 / 3)
+        path = tmp_path / "samples.json"
+        save_samples(path, controller.samples)
+        replayed = _controller(warm=load_samples(path))
+        assert replayed.samples == controller.samples
+        assert replayed.fits.keys() == controller.fits.keys()
+        for structure, fit in controller.fits.items():
+            assert vars(replayed.fits[structure]) == vars(fit), structure
+
+    def test_another_schema_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema": 1, "groups": []}))
+        with pytest.raises(ConfigError, match="schema 1 unsupported"):
+            load_samples(path)
+        assert SAMPLES_SCHEMA != 1
 
 
 class TestAdaptiveConfigValidation:
@@ -421,12 +439,13 @@ class TestAdaptiveCLI:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert out.count(f"[cost model written to {model}]") == 1
-        assert FittedCostModel.load(str(model)).groups
+        assert out.count(f"[update samples written to {model}]") == 1
+        assert load_samples(model)
 
     def test_warm_start_round_trip(self, tmp_path, capsys):
-        """A model fitted by ``repro report`` prices every candidate's
-        update phase, so ``--model-in`` skips the cold-start exploration."""
+        """The update samples ``repro report`` saves teach every
+        candidate's update law, so ``--model-in`` skips the cold-start
+        exploration."""
         model = tmp_path / "model.json"
         report = [
             "report",

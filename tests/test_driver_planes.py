@@ -3,8 +3,9 @@
 One stream (Talk at 0.05, batch 400, BFS/PR/SSSP under FS and INC,
 churn 0.25, candidate structures AS and DAH) through every path --
 static, ``shards=2`` (in-process and pooled), adaptive (free-running
-and with a forced plan that migrates twice) -- with the feature log,
-the metrics registry and the span tracer on.  Everything the paths
+and with a forced plan that migrates twice) -- with the metrics
+registry and the span tracer on, and a spy on the auto-tuner's
+``observe_compute``.  Everything the paths
 share must come out equal; everything they differ in is asserted
 against an independent restatement.  The hardware profile's cell
 (INC only, no churn) runs the same stream through the same loop.
@@ -23,10 +24,13 @@ from repro.datasets import load_dataset
 from repro.graph import EdgeBatch, make_structure
 from repro.graph.base import ExecutionContext
 from repro.obs import METRICS, TRACER
-from repro.obs.features import FEATURES
 from repro.sim.counters import shard_merge_cycles
 from repro.streaming import StreamConfig, StreamDriver, make_batches
-from repro.streaming.autotune import AdaptiveStreamDriver
+from repro.streaming.autotune import (
+    AdaptiveController,
+    AdaptiveStreamDriver,
+    update_samples,
+)
 from repro.streaming.sharded import (
     ShardedStreamDriver,
     cross_shard_count,
@@ -57,7 +61,7 @@ LOOP_SPANS = {
 }
 
 Observed = namedtuple(
-    "Observed", "result rows metrics spans compute_span_cycles lines driver"
+    "Observed", "result priced metrics spans compute_span_cycles lines driver"
 )
 
 
@@ -92,22 +96,31 @@ def _span_cycles(name):
 
 
 def _observe(driver, observability=True):
-    """Run ``driver`` on the stream with every registry on (or off)."""
+    """Run ``driver`` on the stream with every registry on (or off),
+    recording each cell handed to the controller's ``observe_compute``."""
     lines = []
+    priced = []
     driver.config.progress = lines.append
-    registries = (FEATURES, METRICS, TRACER)
+    observe_compute = AdaptiveController.observe_compute
+
+    def spy(controller, *cell):
+        priced.append(cell)
+        observe_compute(controller, *cell)
+
+    registries = (METRICS, TRACER)
     for registry in registries:
         registry.disable()
         registry.reset()
     if observability:
-        FEATURES.enable()
         METRICS.enable()
         TRACER.enable(keep_events=True)
     try:
-        result = driver.run(_dataset())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AdaptiveController, "observe_compute", spy)
+            result = driver.run(_dataset())
         return Observed(
             result=result,
-            rows=FEATURES.rows(),
+            priced=priced,
             metrics=METRICS.snapshot(),
             spans=Counter(event[0] for event in TRACER.events()),
             compute_span_cycles=_span_cycles("compute"),
@@ -135,12 +148,9 @@ def paths():
     }
 
 
-def _rows(observed, phase):
-    return [
-        {key: value for key, value in row.items() if key != "wall_seconds"}
-        for row in observed.rows
-        if row["phase"] == phase
-    ]
+def _update_ops(attempted):
+    """A batch's inserts plus the churn deletions its head gives."""
+    return float(attempted + max(1, int(attempted * CHURN)))
 
 
 def _decisions(observed):
@@ -154,16 +164,27 @@ def _owned(names, prefixes):
 class TestSharedHalf:
     """What no plane may change."""
 
-    def test_compute_feature_rows_equal_on_every_path(self, paths):
-        """6 batches x 3 algorithms x 2 models x 2 structures, as dicts.
+    def test_every_candidate_cell_is_priced_on_every_path(self, paths):
+        """6 batches x 3 algorithms x 2 models x 2 structures: the static
+        and sharded records hold every cell, and the adaptive controller
+        is handed every cell, in loop order, at the static run's seconds.
 
         Kills: the adaptive plane pricing only the live structure (36
-        rows short).
+        cells short).
         """
-        expected = _rows(paths["static"], "compute")
-        assert len(expected) == 72
-        for name, observed in paths.items():
-            assert _rows(observed, "compute") == expected, name
+        static = paths["static"].result
+        assert np.count_nonzero(static.compute_cycles) == 72
+        for name in ("sharded", "pooled"):
+            assert np.array_equal(paths[name].result.compute_cycles, static.compute_cycles)
+        expected = [
+            (s, a, m, static.compute_latency(a, m, s)[0, b])
+            for b in range(BATCHES)
+            for a in ALGORITHMS
+            for m in MODELS
+            for s in STRUCTURES
+        ]
+        for name in ("free", "forced"):
+            assert paths[name].priced == expected, name
 
     def test_every_plane_is_the_same_without_the_native_library(self, paths):
         """Static, sharded and adaptive (forced plan) with every phase on
@@ -380,42 +401,49 @@ class TestShardedPlane:
         for name in ("sharded", "pooled"):
             assert np.array_equal(paths[name].result.update_cycles, expected), name
 
-    def test_update_feature_rows_carry_the_plan_latency(self, paths):
-        static = _rows(paths["static"], "update")
+    def test_update_samples_carry_the_plan_latency(self, paths):
+        """A sharded result's update samples: the static ops, the plan's
+        latency."""
+        attempted = paths["static"].result.edges_attempted[0]
         for name in ("sharded", "pooled"):
-            observed = paths[name]
-            rows = _rows(observed, "update")
-            assert len(rows) == len(static) == BATCHES * len(STRUCTURES)
-            for ours, theirs in zip(rows, static):
-                assert ours["t_seconds"] == observed.result.update_latency(
-                    ours["structure"]
-                )[0, ours["batch"]], name
-                assert {k: v for k, v in ours.items() if k != "t_seconds"} == {
-                    k: v for k, v in theirs.items() if k != "t_seconds"
-                }
+            result = paths[name].result
+            assert update_samples(result, CHURN) == [
+                (s, _update_ops(attempted[b]), result.update_latency(s)[0, b])
+                for b in range(BATCHES)
+                for s in STRUCTURES
+            ], name
 
 
 class TestAdaptivePlane:
     def test_update_rows_are_the_live_structures_static_rows(self, paths):
-        """The update feature row never includes a migration; the record
-        does, by exactly the migration's cycles.
+        """The controller's update sample of a batch is the live
+        structure's static latency and never includes a migration, which
+        is a sample of its own; the record includes it, by exactly the
+        migration's cycles.
 
         Kills: migration cycles dropped from the record, migration
-        cycles folded into the row the controller fits from, the update
-        row written for a structure other than the live one.
+        cycles folded into the sample the controller fits from, the
+        sample taken for a structure other than the live one.
         """
         static = paths["static"]
-        static_rows = {
-            (row["batch"], row["structure"]): row for row in _rows(static, "update")
-        }
+        attempted = static.result.edges_attempted[0]
         for name in ("free", "forced"):
             observed = paths[name]
-            rows = _rows(observed, "update")
+            samples = iter(observed.driver.controller.samples)
             decisions = _decisions(observed)
-            assert len(rows) == len(decisions) == BATCHES
-            for row, decision in zip(rows, decisions):
+            assert len(decisions) == BATCHES
+            for decision in decisions:
                 b, live = decision["batch"], decision["structure"]
-                assert row == static_rows[(b, live)], (name, b)
+                if decision["migration_seconds"] > 0.0:
+                    structure, _, seconds = next(samples)
+                    assert (structure, seconds) == (
+                        live, decision["migration_seconds"]
+                    ), (name, b)
+                assert next(samples) == (
+                    live,
+                    _update_ops(attempted[b]),
+                    static.result.update_latency(live)[0, b],
+                ), (name, b)
                 extra = (
                     observed.result.update_cycles[0, b, 0]
                     - static.result.update_cycles[0, b, STRUCTURES.index(live)]
@@ -426,6 +454,7 @@ class TestAdaptivePlane:
                     assert static.result.machine.cycles_to_seconds(
                         extra
                     ) == pytest.approx(decision["migration_seconds"], rel=1e-9)
+            assert next(samples, None) is None, name
         migrating = [
             d["batch"] for d in _decisions(paths["forced"])
             if d["migration_seconds"] > 0.0
@@ -456,14 +485,14 @@ class TestAdaptivePlane:
         """The controller saw every candidate cell, in loop order.
 
         Kills: ``observe_compute`` fed only the live structure (DAH's
-        compute fits stay empty through the two AS batches, so batch 2
-        falls back to the cold-start INC for every algorithm),
+        compute forecasts stay empty through the two AS batches, so
+        batch 2 falls back to the cold-start INC for every algorithm),
         ``observe_update`` never called.
         """
         decisions = _decisions(paths["free"])
         assert [(d["structure"], d["reason"]) for d in decisions] == [
             ("AS", "start"), ("AS", "explore"), ("DAH", "explore"),
-            ("DAH", "explore"), ("DAH", "stay"), ("DAH", "hold"),
+            ("DAH", "explore"), ("DAH", "stay"), ("DAH", "stay"),
         ]
         # Batch 2 is DAH's first live batch: its model picks can only
         # come from cells priced while AS was the live structure.
@@ -486,12 +515,14 @@ class TestAdaptivePlane:
             )
         assert paths["free"].driver.decision_log["summary"]["switches"] == 1
 
-    def test_decisions_do_not_depend_on_the_feature_log(self, paths):
-        """Kills: ops decomposition skipped when the controller needs it
-        (with ``FEATURES`` off nothing else asks for it)."""
+    def test_decisions_do_not_depend_on_observability(self, paths):
+        """Kills: a controller observation made only while the metrics
+        registry or the tracer is on."""
         quiet = AdaptiveStreamDriver(_adaptive_config())
         observed = _observe(quiet, observability=False)
-        assert observed.rows == [] and observed.metrics == {}
+        assert observed.metrics == {}
+        assert observed.priced == paths["free"].priced
+        assert quiet.controller.samples == paths["free"].driver.controller.samples
         assert _decisions(observed) == _decisions(paths["free"])
         assert np.array_equal(
             observed.result.update_cycles, paths["free"].result.update_cycles

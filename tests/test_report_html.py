@@ -12,13 +12,13 @@ import json
 
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.model import fit_cost_model
 from repro.obs.report import render_report, write_report
 from repro.obs.tracer import SpanTracer
+from repro.streaming.autotune import load_samples
 
 SECTIONS = (
     "Wall time by layer",
-    "Cost model",
+    "Auto-tuner",
     "Sweep cells",
 )
 
@@ -39,13 +39,6 @@ def _fixture_inputs():
     metrics.counter("sweep_cells_total", "cells", status="computed").inc(3)
     metrics.disable()
 
-    features = [
-        {"phase": "compute", "structure": "AC", "algorithm": "PR",
-         "model": "INC", "t_seconds": 0.1 + 1e-6 * ops, "ops": float(ops),
-         "batch_edges": 500.0}
-        for ops in (1000, 2000, 4000)
-    ]
-    model = fit_cost_model(features)
     autotune = {
         "dataset": "RMAT",
         "summary": {"batches": 2, "switches": 1},
@@ -60,8 +53,6 @@ def _fixture_inputs():
     return dict(
         tracer=tracer,
         metrics=metrics,
-        features=features,
-        model=model,
         autotune=autotune,
         meta={"command": "test"},
     )
@@ -76,7 +67,6 @@ def test_full_report_is_self_contained():
     # Populated sections actually render their data, not the fallback.
     assert "<td>native_loaded</td>" in html
     assert 'class="bar-fill"' in html            # layer bars
-    assert 'aria-label="fit vs observed"' in html  # model chart
     assert "RMAT" in html                        # sweep cell table
     assert 'class="spark"' in html               # auto-tuner sparkline
     # All text is escaped through one path; no stray raw angle brackets
@@ -90,7 +80,7 @@ def test_empty_report_degrades_gracefully():
     for section in SECTIONS:
         assert f"<h2>{section}</h2>" in html
     assert "No span data" in html
-    assert "No fitted cost model" in html
+    assert "Not an adaptive run" in html
 
 
 def test_escaping():
@@ -108,9 +98,9 @@ def test_write_report(tmp_path):
 
 def test_cli_report_end_to_end(tmp_path):
     """``repro report`` on a tiny live run: self-contained HTML with a
-    populated cost model, plus the optional model JSON artifact."""
+    populated layer table, plus the optional update-sample file."""
     out = tmp_path / "report.html"
-    model_out = tmp_path / "cost_model.json"
+    model_out = tmp_path / "samples.json"
     rc = main([
         "report",
         "--out", str(out),
@@ -125,18 +115,16 @@ def test_cli_report_end_to_end(tmp_path):
     assert "http" not in html
     for section in SECTIONS:
         assert f"<h2>{section}</h2>" in html
-    # The live run populated spans, features, and the fitted model.
+    # The live run populated the layer table.
     assert 'class="bar-fill"' in html
     assert '<span class="bar-label">driver</span>' in html
     assert "span_coverage_ratio" in html
-    assert "No fitted cost model" not in html
     assert "No span data" not in html
-    # The fitted model persisted as versioned, reloadable JSON.
-    from repro.obs.model import FittedCostModel
-
-    loaded = FittedCostModel.load(model_out)
-    assert loaded.groups
-    assert ("update", "AS", "", "") in loaded.groups
+    # One update sample per structure per batch, as versioned JSON.
+    samples = load_samples(model_out)
+    assert {structure for structure, _, _ in samples} == {"AS", "AC", "Stinger", "DAH"}
+    assert len(samples) % 4 == 0
+    assert all(ops > 0 and seconds > 0 for _, ops, seconds in samples)
 
 
 def test_report_depends_only_on_its_run(tmp_path, monkeypatch):
