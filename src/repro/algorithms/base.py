@@ -71,35 +71,22 @@ class Algorithm(abc.ABC):
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         """The pull-style vertex function of Table I.
 
-        The readable specification of the algorithm and the extension
-        point: defining this (plus :meth:`init_value` and
+        The readable specification of the algorithm, the extension point
+        and what the INC engine runs without the native library (or
+        without :attr:`ckernel_op`): one call per frontier vertex, in
+        ascending order, ``values`` holding the new values of the
+        round's earlier vertices.  ``view`` is the graph's
+        :class:`~repro.compute.kernels.ComputeView`, read through the
+        paper's neighbour API (``in_neigh``, ``out_neigh``, the degrees,
+        ``num_nodes``).  Defining this (plus :meth:`init_value` and
         :meth:`fs_run`) is enough to run in both compute models.
         """
 
-    def recalculate_batch(self, frontier, cv, values, rows, view):
-        """The vertex function over one dependency wave of the INC engine.
-
-        Returns the new values of the ``frontier`` vertices (ascending
-        ids) as a float64 array.  ``cv`` is the graph's
-        :class:`~repro.compute.kernels.ComputeView`, ``rows`` the
-        pre-expanded in-adjacency ``(seg, nbr, wt)`` of the frontier,
-        ``view`` the graph itself.  The default evaluates the scalar
-        :meth:`recalculate` per vertex, every call reading ``values``
-        before the engine writes the wave back -- exactly the wave
-        engine's read rule, so an algorithm that defines only the
-        scalar function runs INC unchanged.  The built-ins override it
-        with vector operations over ``rows`` that must stay
-        bit-identical to the scalar function.
-        """
-        return np.array(
-            [self.recalculate(v, view, values) for v in frontier.tolist()],
-            dtype=np.float64,
-        )
-
     #: Compiled vertex-function opcode (a ``ckernels.OP_*`` constant).
     #: When set and the compute kernels built, the INC engine runs the
-    #: whole Gauss-Seidel run as a single C call instead of the wave
-    #: machinery.  ``None`` keeps third-party algorithms on numpy.
+    #: whole Gauss-Seidel run as a single C call of the loop that
+    #: :meth:`recalculate` runs in Python, and must give its bits.
+    #: ``None`` keeps an algorithm on :meth:`recalculate`.
     ckernel_op: Optional[int] = None
 
     def ckernel_constants(self, num_nodes: int) -> Tuple[float, float]:
@@ -128,16 +115,19 @@ class Algorithm(abc.ABC):
         state: AlgorithmState,
         affected: Iterable[int],
         source: Optional[int] = None,
-        cv: Optional[kernels.ComputeView] = None,
     ) -> ComputeRun:
-        """Incremental run (Algorithm 1) updating ``state`` in place
-        (``cv``: ``view``'s ComputeView, if the caller resolved it)."""
+        """Incremental run (Algorithm 1) updating ``state`` in place.
+
+        ``view`` is any graph or its
+        :class:`~repro.compute.kernels.ComputeView`, read through one
+        :meth:`~repro.compute.kernels.ComputeView.of`.
+        """
         state.ensure_initialized(view.num_nodes)
         if self.needs_source:
             source = self.checked_source(source, state)
             state.values[source] = self.source_value()
         run = kernels.run_incremental_frontier(
-            view, state.values, affected, self, source=source, cv=cv
+            kernels.ComputeView.of(view), state.values, affected, self, source=source
         )
         run.source = source
         return run
@@ -257,7 +247,7 @@ class Algorithm(abc.ABC):
         affected = kernels.unique_ids(
             np.concatenate((tainted, endpoints)), view.num_nodes
         )
-        return self.inc_run(view, state, affected, source=source, cv=cv)
+        return self.inc_run(cv, state, affected, source=source)
 
     # -- affected set ----------------------------------------------------
 
@@ -272,21 +262,6 @@ class Algorithm(abc.ABC):
         return kernels.as_frontier(
             np.concatenate([batch.src, batch.dst]), view.num_nodes
         )
-
-
-# ----------------------------------------------------------------------
-# Per-vertex neighbor iteration (the scalar vertex functions)
-# ----------------------------------------------------------------------
-
-
-def in_pairs(view, v: int):
-    """``(neighbor, weight)`` pairs of v's in-edges."""
-    return view.in_neigh(v)
-
-
-def in_sources(view, v: int):
-    """Just the source vertices of v's in-edges (weights unused)."""
-    return [u for u, _ in view.in_neigh(v)]
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import TRACER, Algorithm, in_sources
+from repro.algorithms.base import TRACER, Algorithm
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 
@@ -40,16 +40,11 @@ class BFS(Algorithm):
 
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         best = np.inf
-        for u in in_sources(view, v):
+        for u, _ in view.in_neigh(v):
             depth = values[u] + 1.0
             if depth < best:
                 best = depth
         return best
-
-    def recalculate_batch(self, frontier, cv, values, rows, view):
-        seg, nbr, _ = rows
-        counts = np.bincount(seg, minlength=len(frontier))
-        return kernels.segment_min(values[nbr] + 1.0, counts, np.inf)
 
     @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:

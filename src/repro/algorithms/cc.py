@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import TRACER, Algorithm, in_sources, synchronous_fixpoint
+from repro.algorithms.base import TRACER, Algorithm, synchronous_fixpoint
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 
@@ -47,17 +47,10 @@ class ConnectedComponents(Algorithm):
 
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         best = values[v]
-        for u in in_sources(view, v):
+        for u, _ in view.in_neigh(v):
             if values[u] < best:
                 best = values[u]
         return best
-
-    def recalculate_batch(self, frontier, cv, values, rows, view):
-        seg, nbr, _ = rows
-        counts = np.bincount(seg, minlength=len(frontier))
-        return np.minimum(
-            values[frontier], kernels.segment_min(values[nbr], counts, np.inf)
-        )
 
     @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:

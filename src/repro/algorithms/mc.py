@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import TRACER, Algorithm, in_sources, synchronous_fixpoint
+from repro.algorithms.base import TRACER, Algorithm, synchronous_fixpoint
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 
@@ -46,17 +46,10 @@ class MaxComputation(Algorithm):
 
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         best = values[v]
-        for u in in_sources(view, v):
+        for u, _ in view.in_neigh(v):
             if values[u] > best:
                 best = values[u]
         return best
-
-    def recalculate_batch(self, frontier, cv, values, rows, view):
-        seg, nbr, _ = rows
-        counts = np.bincount(seg, minlength=len(frontier))
-        return np.maximum(
-            values[frontier], kernels.segment_max(values[nbr], counts, -np.inf)
-        )
 
     @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.algorithms.base import TRACER, Algorithm, in_sources, synchronous_fixpoint
+from repro.algorithms.base import TRACER, Algorithm, synchronous_fixpoint
 from repro.compute import ckernels, kernels
 from repro.compute.state import AlgorithmState
 from repro.compute.stats import ComputeRun
@@ -45,7 +45,7 @@ class PageRank(Algorithm):
 
     def ckernel_constants(self, num_nodes: int):
         # The compiled vertex function computes base + damping * total
-        # with the same float operations as recalculate_batch.
+        # with the same float operations as recalculate.
         return ((1.0 - DAMPING) / max(num_nodes, 1), DAMPING)
 
     def init_value(self, ids: np.ndarray) -> np.ndarray:
@@ -56,18 +56,9 @@ class PageRank(Algorithm):
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         total = 0.0
         out_degree = view.out_degree
-        for u in in_sources(view, v):
+        for u, _ in view.in_neigh(v):
             total += values[u] / out_degree(u)
         return (1.0 - DAMPING) / max(view.num_nodes, 1) + DAMPING * total
-
-    def recalculate_batch(self, frontier, cv, values, rows, view):
-        seg, nbr, _ = rows
-        # bincount accumulates in row (= in-neighbor) order: the same
-        # float bits as the scalar function's sequential sum.
-        totals = kernels.segment_sum_ordered(
-            values[nbr] / cv.out_degree[nbr], seg, len(frontier)
-        )
-        return (1.0 - DAMPING) / max(cv.num_nodes, 1) + DAMPING * totals
 
     def inc_run(
         self,
@@ -75,13 +66,12 @@ class PageRank(Algorithm):
         state: AlgorithmState,
         affected: Iterable[int],
         source: Optional[int] = None,
-        cv: Optional[kernels.ComputeView] = None,
     ) -> ComputeRun:
         # New vertices start at 1/|V| of the *current* graph
         # (Algorithm 1 line 4).
         n = max(view.num_nodes, 1)
         state.init_fn = lambda ids: np.full(len(ids), 1.0 / n)
-        return super().inc_run(view, state, affected, source=source, cv=cv)
+        return super().inc_run(view, state, affected, source=source)
 
     @TRACER.layer("algorithms.affected")
     def affected_from_batch(self, batch: EdgeBatch, view) -> np.ndarray:
@@ -107,7 +97,7 @@ class PageRank(Algorithm):
         # Small integers convert to float64 exactly: the scalar
         # function's divisors.  (A vertex without out-edges is nobody's
         # in-neighbor, so its zero is never read.)
-        out_degree = cv.out_degree.astype(np.float64)
+        out_degree = cv.out_csr.degrees.astype(np.float64)
         base = (1.0 - DAMPING) / n
 
         def combine(current, src, dst, weight):

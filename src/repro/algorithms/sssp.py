@@ -12,11 +12,11 @@ bucket.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, in_pairs
+from repro.algorithms.base import Algorithm
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 from repro.errors import ConfigError, SimulationError
@@ -33,14 +33,17 @@ def _bucket_overflow(delta: float) -> SimulationError:
     )
 
 
-def _bucket_index(lengths: np.ndarray, delta: float) -> np.ndarray:
-    """The delta-stepping bucket of each path length."""
-    # A quotient past float64 is inf or NaN, and refused just below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        index = np.floor_divide(lengths, delta)
-    if not (np.abs(index) < _BUCKET_LIMIT).all():  # NaN fails too
+def _bucket_of(length: float, delta: float) -> int:
+    """The delta-stepping bucket of a path length.
+
+    Python's float floor division is ``np.floor_divide``'s algorithm
+    (numpy took CPython's), so the bucket is the kernel's, and a
+    quotient past float64 comes back inf or NaN instead of warning.
+    """
+    index = float(length) // float(delta)
+    if not abs(index) < _BUCKET_LIMIT:  # NaN fails too
         raise _bucket_overflow(delta)
-    return index.astype(np.int64)
+    return int(index)
 
 
 class SSSP(Algorithm):
@@ -76,16 +79,11 @@ class SSSP(Algorithm):
 
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         best = np.inf
-        for u, w in in_pairs(view, v):
+        for u, w in view.in_neigh(v):
             candidate = values[u] + w
             if candidate < best:
                 best = candidate
         return best
-
-    def recalculate_batch(self, frontier, cv, values, rows, view):
-        seg, nbr, wts = rows
-        counts = np.bincount(seg, minlength=len(frontier))
-        return kernels.segment_min(values[nbr] + wts, counts, np.inf)
 
     def _pick_delta(self, cv) -> float:
         if self.delta is not None:
@@ -118,8 +116,8 @@ class SSSP(Algorithm):
         bucket; heavy edges once per settled bucket.  When the compute
         kernels built, the whole bucket loop is one C call recorded in
         a run log (``ckernels.ComputeKernels.delta_run``);
-        :meth:`_delta_loop` is its reference and the no-compiler
-        fallback.
+        :meth:`_delta_loop` is its reference and the path without the
+        native library.
         """
         n = max(cv.num_nodes, 1)
         values = np.full(n, np.inf)
@@ -144,57 +142,56 @@ class SSSP(Algorithm):
 
     @staticmethod
     def _delta_loop(cv, run: ComputeRun, source: int, delta: float) -> None:
-        """The bucket loop, pass-at-a-time in numpy.
+        """The bucket loop, one edge at a time (the kernel's reference).
 
-        Each light/heavy pass is one :func:`kernels.relax_pass` (prefix
-        waves reproduce the sequential bases) plus one
-        :func:`kernels.relaxation_events` scan that recovers exactly the
-        successful compare-and-updates a sequential per-edge loop would
-        have performed -- so pushes, bucket membership, and float bits
-        all match it.
+        A bucket is taken lowest first; its members whose value still
+        lies in it are the light frontier, ascending.  Each light pass
+        relaxes the frontier's edges of weight <= delta in order, and a
+        winning relaxation files its target under its new bucket -- the
+        same bucket feeds the next light pass.  When the bucket runs dry,
+        one heavy pass relaxes the other edges of everything it settled,
+        in settling order.
         """
         values = run.values
+        buckets: Dict[int, Set[int]] = {0: {source}}
 
-        def relax(base: np.ndarray, wts: np.ndarray) -> np.ndarray:
-            return base + wts
+        def run_pass(frontier: List[int], bucket: int, heavy: bool) -> Set[int]:
+            """Relax the frontier's light or heavy edges in order, file each
+            improved target under its new bucket, and return the targets
+            of a light pass that stay in ``bucket``."""
+            same: Set[int] = set()
+            events = 0
+            for v in frontier:
+                base = values[v]
+                for w, weight in cv.out_neigh(v):
+                    if (weight > delta) != heavy:
+                        continue
+                    candidate = base + weight
+                    if candidate < values[w]:
+                        values[w] = candidate
+                        events += 1
+                        j = _bucket_of(candidate, delta)
+                        if j == bucket and not heavy:
+                            same.add(w)
+                        else:
+                            buckets.setdefault(j, set()).add(w)
+            run.add_round(push=frontier, pushes=events, cas_ops=events)
+            return same
 
-        def pass_events(frontier: np.ndarray, heavy: bool):
-            """(target, bucket) of each winning relaxation, in order."""
-            mask = (lambda w: w > delta) if heavy else (lambda w: w <= delta)
-            cand, tgt, x0 = kernels.relax_pass(
-                cv, values, frontier, relax, "min", edge_mask=mask
-            )
-            events = kernels.relaxation_events(cand, tgt, x0, minimize=True)
-            kernels._observe_frontier(run, frontier.size)
-            run.add_round(
-                push=frontier, pushes=int(events.size), cas_ops=int(events.size)
-            )
-            return tgt[events], _bucket_index(cand[events], delta)
-
-        # Buckets hold unmerged member fragments; dedup happens at pop
-        # time (same members as deduplicating on insert).
-        buckets: Dict[int, List[np.ndarray]] = {
-            0: [np.array([source], dtype=np.int64)]
-        }
         while buckets:
             i = min(buckets)
-            members = np.unique(np.concatenate(buckets.pop(i)))
-            settled_parts: List[np.ndarray] = []
+            members = buckets.pop(i)
+            settled: List[int] = []
             # Light-edge phase: iterate within the bucket.
             while True:
-                frontier = members[_bucket_index(values[members], delta) == i]
-                if frontier.size == 0:
+                frontier = sorted(
+                    v for v in members if _bucket_of(values[v], delta) == i
+                )
+                if not frontier:
                     break
-                settled_parts.append(frontier)
-                ev_t, js = pass_events(frontier, heavy=False)
-                same = js == i
-                members = np.unique(ev_t[same])
-                other = np.nonzero(~same)[0]
-                for j in np.unique(js[other]):
-                    buckets.setdefault(int(j), []).append(ev_t[other[js[other] == j]])
-            if not settled_parts:
-                continue
-            # Heavy-edge phase: one relaxation pass over the bucket.
-            ev_t, js = pass_events(np.concatenate(settled_parts), heavy=True)
-            for j in np.unique(js):
-                buckets.setdefault(int(j), []).append(ev_t[js == j])
+                settled.extend(frontier)
+                members = run_pass(frontier, i, heavy=False)
+            if settled:
+                # Heavy-edge phase: one relaxation pass over the bucket.
+                run_pass(settled, i, heavy=True)
+        kernels._observe_frontiers(run, "pushed")

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import TRACER, Algorithm, in_pairs
+from repro.algorithms.base import TRACER, Algorithm
 from repro.compute import ckernels, kernels
 from repro.compute.stats import ComputeRun
 
@@ -45,20 +45,11 @@ class SSWP(Algorithm):
 
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         best = 0.0
-        for u, w in in_pairs(view, v):
+        for u, w in view.in_neigh(v):
             width = min(values[u], w)
             if width > best:
                 best = width
         return best
-
-    def recalculate_batch(self, frontier, cv, values, rows, view):
-        seg, nbr, wts = rows
-        counts = np.bincount(seg, minlength=len(frontier))
-        widths = np.minimum(values[nbr], wts)
-        # The scalar function starts its max at 0.0 (unreached), so the
-        # -inf identity of empty segments folds back to 0.0 and widths
-        # never go below the start (weights are positive).
-        return np.maximum(kernels.segment_max(widths, counts, -np.inf), 0.0)
 
     @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
@@ -70,7 +61,7 @@ class SSWP(Algorithm):
             kernels.ComputeView.of(view),
             values,
             source,
-            relax=np.minimum,
+            relax=min,
             better=lambda candidate, current: candidate > current,
             algorithm=self.name,
             optimize="max",

@@ -18,11 +18,11 @@ graph is built on :mod:`repro.compute.csrstore`, so it is imported as
 a submodule and not re-exported here: the package imports nothing that
 imports :mod:`repro.graph`.
 
-:mod:`repro.compute.kernels` holds the vectorized compute path: one
-columnar :class:`~repro.compute.kernels.ComputeView` per batch plus
-frontier-at-a-time kernels for both models, bit-identical to the
-sequential per-vertex loops they replaced (kept as the oracle in
-``tests/oracles.py``).
+:mod:`repro.compute.kernels` holds the compute engines: one columnar
+:class:`~repro.compute.kernels.ComputeView` per batch, and per model
+the compiled run kernel's dispatch beside the same sequential loop in
+Python, both bit-identical to the per-vertex oracle loops of
+``tests/oracles.py``.
 """
 
 from repro.compute.kernels import ComputeView, run_incremental_frontier

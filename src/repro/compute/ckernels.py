@@ -1,19 +1,15 @@
 """Compiled compute kernels: the hottest inner loops in C via ctypes.
 
-PR 4 vectorized the compute phase, but profiling the quick RMAT
-workload shows numpy *dispatch* still dominates: the INC engine issues
-~30 small array ops per round (and the dependency-wave machinery on
-top), matching the csl-experiments finding that per-op overhead
-exceeds pure compute ~2.9x.  This module compiles the inner loops with
-the system C compiler (the :mod:`repro.sim.cbuild` pattern from PR 2:
-content-hashed build cache, atomic install, ``-ffp-contract=off``) and
-exposes them behind the same bit-identity contract as the numpy twins.
+The compute phase is a few tight loops, and Python pays per vertex
+and per edge for each of them.  This module compiles those loops with
+the system C compiler (the :mod:`repro.sim.cbuild` pattern: content-
+hashed build cache, atomic install, ``-ffp-contract=off``) and exposes
+them behind the same bit-identity contract as their Python twins.
 
-The deeper win is *fusion*: the algorithms are specified as sequential
-Gauss-Seidel loops, which numpy can only reproduce through
-dependency-level wave scheduling -- but a C loop that processes the
-ascending frontier one position at a time reproduces the sequential
-semantics *directly*.  The fused unit is a whole compute **run**, four
+The algorithms are specified as sequential Gauss-Seidel loops, and a
+C loop that processes the ascending frontier one position at a time
+is that loop -- the Python reference in :mod:`repro.compute.kernels`
+runs the same one.  The fused unit is a whole compute **run**, four
 of them: ``saga_inc_run`` loops the INC round body (recalculate +
 trigger + dedup, then an inline sort of the next frontier) until no
 vertex fires, ``saga_relax_run`` does the same for the FS relaxation
@@ -60,11 +56,12 @@ Every crossing ticks ``compute_kernel_calls_total{kernel}``.
 
 This source is one part of the native library (:mod:`repro.sim.cbuild`).
 When it is not loaded (no C compiler, a failed build,
-``SAGA_BENCH_NO_NATIVE=1``) the numpy expansion and engines of
-:mod:`repro.compute.kernels`, ``algorithms/base.py`` and
-``algorithms/sssp.py``, the numpy loop of :mod:`repro.compute.pricing`,
-the numpy compute-trace sections and the numpy bodies of the data plane
-run -- the reference the kernels are tested against.  Nor is it loaded when ``saga_pairwise_sum`` does not
+``SAGA_BENCH_NO_NATIVE=1``) the numpy expansion, the sequential
+Python loops of :mod:`repro.compute.kernels` and ``algorithms/sssp.py``,
+the numpy Jacobi loop of ``algorithms/base.py``, the numpy loop of
+:mod:`repro.compute.pricing`, the numpy compute-trace sections and the
+numpy bodies of the data plane run -- the reference the kernels are
+tested against.  Nor is it loaded when ``saga_pairwise_sum`` does not
 reproduce this numpy's ``ndarray.sum()`` on a probe vector (checked at
 load): every priced cycle must stay numpy's, so the whole simulator
 then runs on Python.
@@ -329,9 +326,9 @@ static double inc_recalc(
  * updated, later ones not), writes its new value, and on a change
  * greater than epsilon scans its out-row (cas_ops), deduplicating the
  * next frontier through the caller's zeroed seen[] bytes.  This IS the
- * sequential Algorithm-1 loop (tests/oracles.py keeps it in Python), so
- * bit-identity holds by construction; the numpy engine needs
- * dependency-level waves to reproduce it.
+ * sequential Algorithm-1 loop (repro.compute.kernels runs it in Python,
+ * tests/oracles.py keeps it as the oracle), so bit-identity holds by
+ * construction.
  *
  * op selects the Table-I vertex function.  pinned (-1 = none) keeps
  * the source at its current value (old == new, never triggers).

@@ -1,38 +1,22 @@
-"""Vectorized compute-phase kernels: columnar CSR views + frontier ops.
+"""Compute-phase engines: columnar CSR views + frontier loops.
 
-PR 2 made the *update* phase columnar; this module does the same for
-the *compute* phase.  Algorithm 1 and the push-style FS relaxations
-run frontier-at-a-time over a :class:`ComputeView` -- indptr /
-indices / weights CSR arrays exported by every graph structure or
-maintained per batch by the streaming driver -- in the GraphBolt /
-KickStarter shape: expand the frontier with ``np.repeat``, gather
-neighbor values, reduce with segment operations.
+Algorithm 1 and the push-style FS relaxations run over a
+:class:`ComputeView` -- indptr / indices / weights CSR arrays exported
+by every graph structure or maintained per batch by the streaming
+driver -- which also answers the paper's neighbour API (``out_neigh``,
+``in_neigh``, the degrees, ``vertices()``) row by row.
 
-The specification is the sequential per-vertex loop (kept as the
-oracle in ``tests/oracles.py``), and the kernels are **bit-identical**
-to it: same float values, same per-round vertex arrays, same
-triggered counts, and therefore the same priced cycles.  Two
-things make that non-trivial:
-
-1. **Sequential in-round semantics.**  Algorithm 1 is Gauss-Seidel
-   within a round: a vertex late in the iteration order observes the
-   *updated* values of vertices processed earlier in the same round.
-   The INC engine reproduces this with *dependency-level waves*
-   (:func:`dependency_levels`): a wave evaluates its vertices from the
-   values as they stand, then writes all of them back, and a vertex
-   sits in a strictly later wave than every earlier-positioned
-   in-neighbor whose new value it must see.  The push-style passes
-   use contiguous *prefix waves* (:func:`prefix_waves`) instead.
-2. **Sequential float accumulation.**  ``np.add.reduce`` and
-   ``np.add.reduceat`` use pairwise summation, which is *not* the
-   bit pattern of a sequential Python ``+=`` loop.  ``np.bincount``
-   and ``np.cumsum`` are sequential, so ordered segment sums (PR) use
-   ``bincount`` and whole-array sums (SSSP's delta pick) ``cumsum``.
-   Min/max reductions are order-free bitwise and use ``reduceat``.
-
-The numpy engines here are the reference for, and the fallback without
-the native library of, the compiled run kernels in
-:mod:`repro.compute.ckernels`.
+Each engine has two forms.  The compiled run kernels of
+:mod:`repro.compute.ckernels` run a whole run as one C call when the
+native library is loaded and the algorithm names a compiled op.  The
+other form is here: the same sequential loop in Python, one vertex (or
+edge) at a time in the order the C loop takes them, through the
+algorithm's scalar Table-I functions.  It is the reference the kernels
+are tested against and the path without the native library or for a
+third-party algorithm without ``ckernel_op``.  Both are bit-identical
+to the per-vertex loops of ``tests/oracles.py``: same float values,
+same per-round vertex arrays, same triggered counts, and therefore the
+same priced cycles.
 """
 
 from __future__ import annotations
@@ -142,9 +126,24 @@ class ComputeView:
         self._packed_in = None
         self._packed_out_w = None
 
-    @property
-    def out_degree(self) -> np.ndarray:
-        return self.out_csr.degrees
+    # -- the paper's neighbour API (the scalar vertex functions read it) --
+
+    def out_neigh(self, u: int) -> List[Tuple[int, float]]:
+        """``u``'s out-edges as ``(neighbor, weight)`` pairs, in row order."""
+        return _row_pairs(self.out_csr, u)
+
+    def in_neigh(self, u: int) -> List[Tuple[int, float]]:
+        """``u``'s in-edges as ``(neighbor, weight)`` pairs, in row order."""
+        return _row_pairs(self.in_csr, u)
+
+    def out_degree(self, u: int) -> int:
+        return int(self.out_csr.degrees[u])
+
+    def in_degree(self, u: int) -> int:
+        return int(self.in_csr.degrees[u])
+
+    def vertices(self) -> range:
+        return range(self.num_nodes)
 
     @classmethod
     def of(cls, view) -> "ComputeView":
@@ -168,6 +167,12 @@ class ComputeView:
             out_csr=csr_from_pair_rows([view.out_neigh(u) for u in range(n)], n),
             in_csr=csr_from_pair_rows([view.in_neigh(u) for u in range(n)], n),
         )
+
+
+def _row_pairs(csr: CSRArrays, u: int) -> List[Tuple[int, float]]:
+    start = int(csr.indptr[u])
+    stop = start + int(csr.degrees[u])
+    return list(zip(csr.indices[start:stop].tolist(), csr.weights[start:stop].tolist()))
 
 
 def csr_from_pair_rows(rows, num_nodes: int) -> CSRArrays:
@@ -275,154 +280,8 @@ def expand_frontier(
     return seg, csr.indices[flat], csr.weights[flat]
 
 
-def segment_min(terms: np.ndarray, counts: np.ndarray, identity: float) -> np.ndarray:
-    """Per-segment minimum with ``identity`` for empty segments.
-
-    ``terms`` holds the segments back to back; ``counts[i]`` is segment
-    i's length.  Min is order-free bitwise, so ``reduceat`` is safe
-    (only the starts of non-empty segments are passed, which makes the
-    spans between consecutive starts cover exactly one segment each).
-    """
-    return _segment_reduce(np.minimum, terms, counts, identity)
-
-
-def segment_max(terms: np.ndarray, counts: np.ndarray, identity: float) -> np.ndarray:
-    """Per-segment maximum with ``identity`` for empty segments."""
-    return _segment_reduce(np.maximum, terms, counts, identity)
-
-
-def _segment_reduce(op, terms, counts, identity):
-    out = np.full(len(counts), identity, dtype=np.float64)
-    if terms.size == 0 or len(counts) == 0:
-        return out
-    nonempty = counts > 0
-    starts = np.cumsum(counts) - counts
-    out[nonempty] = op.reduceat(terms, starts[nonempty])
-    return out
-
-
-def segment_sum_ordered(
-    terms: np.ndarray, seg: np.ndarray, num_segments: int
-) -> np.ndarray:
-    """Per-segment sum accumulating in row order (sequential bit pattern).
-
-    ``np.bincount`` adds elements into each bin in array order, so the
-    result carries the same float bits as a Python ``+=`` loop over the
-    rows -- unlike ``np.add.reduceat``, which sums pairwise.
-    """
-    if terms.size == 0:
-        return np.zeros(num_segments, dtype=np.float64)
-    return np.bincount(seg, weights=terms, minlength=num_segments)
-
-
-def prefix_waves(
-    size: int, dep_src: np.ndarray, dep_dst: np.ndarray
-) -> List[Tuple[int, int]]:
-    """Cut positions ``0..size`` into sequentially-safe contiguous waves.
-
-    A dependency ``(p, q)`` with ``p < q`` means position q must run in
-    a strictly later wave than position p (q reads a value p writes).
-    Waves are *prefix ranges*: contiguity guarantees both directions of
-    the sequential contract -- a dependent position runs after its
-    writer, and a position's inputs are read before any later position
-    overwrites them.  A greedy "ready set" partition would violate the
-    second property.
-
-    Each wave starts at the previous cut s and ends before the first
-    position q > s whose latest writer ``maxdep[q]`` lies at or after
-    s.  ``maxdep[q] < q`` always, so every wave is non-empty.
-    """
-    if size <= 1 or len(dep_src) == 0:
-        return [(0, size)] if size else []
-    maxdep = np.full(size, -1, dtype=np.int64)
-    np.maximum.at(maxdep, dep_dst, dep_src)
-    waves: List[Tuple[int, int]] = []
-    start = 0
-    while start < size:
-        tail = maxdep[start + 1 :]
-        violating = tail >= start
-        end = start + 1 + int(np.argmax(violating)) if violating.any() else size
-        waves.append((start, end))
-        start = end
-    return waves
-
-
-def dependency_levels(
-    size: int,
-    fwd_src: np.ndarray,
-    fwd_dst: np.ndarray,
-    anti_src: np.ndarray,
-    anti_dst: np.ndarray,
-) -> np.ndarray:
-    """Exact sequential-equivalence levels for one Gauss-Seidel round.
-
-    Position q of an (ascending, unique) frontier must observe the new
-    value of every in-frontier in-neighbor at an earlier position
-    (forward dependency: ``lvl[q] > lvl[p]``) and the *old* value of
-    every in-frontier in-neighbor at a later position (anti dependency:
-    the later writer runs no earlier, ``lvl[writer] >= lvl[reader]``;
-    equality is safe because a wave gathers all inputs before it
-    writes).  The least fixpoint of those constraints is the longest
-    dependency-chain depth -- far fewer waves than contiguous prefix
-    cuts, which split on *positions* rather than chains.
-
-    Monotone iteration to the fixpoint: each sweep extends every chain
-    by at least one step, so the sweep count is the final depth + 1.
-    """
-    lvl = np.zeros(size, dtype=np.int64)
-    if fwd_src.size == 0:
-        return lvl
-    if anti_src.size:
-        src = np.concatenate([fwd_src, anti_src])
-        dst = np.concatenate([fwd_dst, anti_dst])
-        bump = np.zeros(src.size, dtype=np.int64)
-        bump[: fwd_src.size] = 1
-    else:
-        src, dst, bump = fwd_src, fwd_dst, 1
-    before = np.int64(-1)
-    while True:
-        np.maximum.at(lvl, dst, lvl[src] + bump)
-        # Levels only grow, so an unchanged sum means a fixpoint.
-        total = lvl.sum()
-        if total == before:
-            return lvl
-        before = total
-
-
-def writer_reader_deps(
-    frontier: np.ndarray, writer_pos: np.ndarray, writer_tgt: np.ndarray, size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Forward dependencies of push-style rounds (FS relaxation).
-
-    Row r at frontier position ``writer_pos[r]`` may write vertex
-    ``writer_tgt[r]``; frontier position q reads the base value of
-    ``frontier[q]`` at its turn.  Returns ``(dep_src, dep_dst)`` pairs
-    ``(p, q)`` where p is the *latest* writer position below q that
-    targets ``frontier[q]`` -- sufficient for :func:`prefix_waves`.
-    Handles duplicate frontier entries (SSSP's settled list may revisit
-    a vertex), which is why this is a sorted join rather than a single
-    position scatter.
-    """
-    if writer_pos.size == 0 or size <= 1:
-        return _EMPTY_I64, _EMPTY_I64
-    order = np.lexsort((writer_pos, writer_tgt))
-    tgt_sorted = writer_tgt[order]
-    pos_sorted = writer_pos[order]
-    # Composite key (target, writer position): positions are < size, so
-    # target * size + position sorts by target then position.
-    keys = tgt_sorted * size + pos_sorted
-    positions = np.arange(size, dtype=np.int64)
-    queries = frontier * size + positions
-    idx = np.searchsorted(keys, queries)
-    group_start = np.searchsorted(tgt_sorted, frontier)
-    has_dep = idx > group_start
-    dep_dst = positions[has_dep]
-    dep_src = pos_sorted[idx[has_dep] - 1]
-    return dep_src, dep_dst
-
-
 # ----------------------------------------------------------------------
-# INC: frontier-at-a-time Algorithm 1
+# INC: Algorithm 1
 # ----------------------------------------------------------------------
 
 
@@ -447,15 +306,12 @@ def as_frontier(affected, num_nodes: int) -> np.ndarray:
     return unique_ids(arr[arr < num_nodes], num_nodes)
 
 
-def _observe_frontiers(run: ComputeRun, sizes) -> None:
-    """Per-round frontier accounting: run totals + optional histogram.
+def _observe_frontiers(run: ComputeRun, frontier: str) -> None:
+    """One ``compute_frontier_size`` observation per round of ``run``.
 
-    ``sizes`` holds one frontier size per round.  The run totals
-    (``frontier_rounds`` / ``frontier_vertices``) are two integer adds,
-    so they stay on even when observability is off.
+    ``frontier`` names the round-table column that is the round's
+    frontier (``"pulled"`` for INC, ``"pushed"`` for the relaxations).
     """
-    run.frontier_rounds += len(sizes)
-    run.frontier_vertices += int(sum(sizes))
     if METRICS.enabled:
         histogram = METRICS.histogram(
             "compute_frontier_size",
@@ -464,26 +320,8 @@ def _observe_frontiers(run: ComputeRun, sizes) -> None:
             algorithm=run.algorithm,
             model=run.model,
         )
-        for size in sizes:
+        for size in run.rounds[:, ROUND_COLUMNS.index(frontier)].tolist():
             histogram.observe(float(size))
-
-
-def _observe_frontier(run: ComputeRun, size: int) -> None:
-    """One round's :func:`_observe_frontiers` (the round-at-a-time engines)."""
-    _observe_frontiers(run, (size,))
-
-
-def _observe_expansion(run: ComputeRun, edges: int) -> None:
-    """Record one round's expanded-edge count (numpy paths only --
-    the fused C rounds never materialize the expansion)."""
-    if METRICS.enabled:
-        METRICS.histogram(
-            "compute_expanded_edges",
-            "edges expanded per compute-kernel round",
-            buckets=DEFAULT_COUNT_BUCKETS,
-            algorithm=run.algorithm,
-            model=run.model,
-        ).observe(float(edges))
 
 
 def _append_run_log(
@@ -493,11 +331,10 @@ def _append_run_log(
 
     ``vlog`` and ``table`` are the record's own two columns (see
     ``ckernels`` and :class:`~repro.compute.stats.ComputeRun`);
-    ``frontier`` names the table column that is the round's frontier
-    (``"pulled"`` for INC, ``"pushed"`` for the relaxations).
+    ``frontier`` is :func:`_observe_frontiers`' column.
     """
-    _observe_frontiers(run, table[:, ROUND_COLUMNS.index(frontier)].tolist())
     run.set_log(vlog, table)
+    _observe_frontiers(run, frontier)
 
 
 def _rounds_exceeded(algorithm_name: str, max_rounds: int) -> SimulationError:
@@ -508,15 +345,14 @@ def _rounds_exceeded(algorithm_name: str, max_rounds: int) -> SimulationError:
 
 
 def run_incremental_frontier(
-    view,
+    cv: ComputeView,
     values: np.ndarray,
     affected,
     algorithm,
     source: Optional[int] = None,
     max_rounds: int = MAX_ROUNDS,
-    cv: Optional[ComputeView] = None,
 ) -> ComputeRun:
-    """Algorithm 1, one frontier at a time (bit-identical to the loop).
+    """Algorithm 1 over the graph's :class:`ComputeView` ``cv``.
 
     The paper's two incremental techniques: *processing amortization*
     (the run starts from the caller's ``values``, the previous batch's
@@ -525,29 +361,20 @@ def run_incremental_frontier(
     more than ``epsilon`` pushes its out-neighbors onto the next
     frontier, until no vertex is triggered).
 
-    ``view`` is the graph (or its :class:`ComputeView`): the run reads
-    ``cv`` (``ComputeView.of(view)`` unless the caller resolved it), and
-    a vertex function that walks the graph itself (a third-party scalar
-    ``recalculate``) gets ``view``.
-    ``algorithm`` supplies ``recalculate_batch`` (the Table I vertex
-    function over a wave), ``epsilon``, and source pinning.  Per round:
-    expand the ascending frontier over the in-CSR, schedule it into
-    dependency-level waves so Gauss-Seidel reads see exactly the values
-    the sequential loop would, recalculate wave-at-a-time, then derive
-    ``triggered``/``cas_ops``/``pushes`` from vectorized masks over the
-    out-expansion (the CAS-guarded visited bitvector of Algorithm 1
-    becomes ``np.unique``).
+    ``algorithm`` supplies the scalar vertex function ``recalculate(v,
+    cv, values)`` (Table I), ``epsilon`` and source pinning.  Each round
+    evaluates the ascending frontier one vertex at a time, Gauss-Seidel:
+    a vertex reads the values of earlier vertices of its round as just
+    written, and a pinned source keeps its value (it never triggers).
+    The triggered vertices' out-rows are then expanded, and
+    ``np.unique`` of the targets (the CAS-guarded visited bitvector of
+    Algorithm 1) is the next frontier.
 
     When the algorithm declares a compiled vertex function
-    (``ckernel_op``) and the compute kernels built, the whole run --
-    every round's expansion, Gauss-Seidel recalculation, trigger test
-    and next-frontier dedup -- is one C call that records itself in a
-    run log (``ckernels.ComputeKernels.inc_run``): the C loop IS
-    sequential, so the wave machinery (whose entire purpose is
-    reproducing sequential reads with vector ops) disappears rather
-    than being translated, and the log is the run's record as it stands.
+    (``ckernel_op``) and the compute kernels built, the whole run is
+    one C call of this same loop that records itself in a run log
+    (``ckernels.ComputeKernels.inc_run``).
     """
-    cv = ComputeView.of(view) if cv is None else cv
     n = cv.num_nodes
     run = ComputeRun(algorithm=algorithm.name, model="INC", values=values)
     run.linear_scans = 2
@@ -556,100 +383,37 @@ def run_incremental_frontier(
     frontier = as_frontier(affected, n)
     ck = ckernels.get()
     ck_op = getattr(algorithm, "ckernel_op", None)
-    if ck is not None and ck_op is not None:
-        pin = int(pinned) if pinned is not None and pinned < n else -1
-        pr_base, damping = algorithm.ckernel_constants(n)
-        with TRACER.span(
-            "compute.kernel", args={"algorithm": algorithm.name, "model": "INC"}
-        ):
+    with TRACER.span(
+        "compute.kernel", args={"algorithm": algorithm.name, "model": "INC"}
+    ):
+        if ck is not None and ck_op is not None:
+            pin = int(pinned) if pinned is not None and pinned < n else -1
+            pr_base, damping = algorithm.ckernel_constants(n)
             vlog, table, overran = ck.inc_run(
                 cv, frontier, values, ck_op, epsilon, pin, pr_base, damping, max_rounds
             )
             if overran:
                 raise _rounds_exceeded(algorithm.name, max_rounds)
             _append_run_log(run, vlog, table, frontier="pulled")
-        return run
-    rounds = 0
-    with TRACER.span(
-        "compute.kernel", args={"algorithm": algorithm.name, "model": "INC"}
-    ):
+            return run
+        recalculate = algorithm.recalculate
+        rounds = 0
         while frontier.size:
             rounds += 1
             if rounds > max_rounds:
                 raise _rounds_exceeded(algorithm.name, max_rounds)
-            _observe_frontier(run, frontier.size)
-            k = frontier.size
-            seg, nbr, nwt = expand_frontier(cv.in_csr, frontier)
-            _observe_expansion(run, nbr.size)
-            # Forward deps: reading an in-neighbor that sits earlier in
-            # this (ascending, unique) frontier sees its new value.
-            position = np.full(n, -1, dtype=np.int64)
-            position[frontier] = np.arange(k, dtype=np.int64)
-            pin_pos = int(position[pinned]) if pinned is not None and pinned < n else -1
-            writer = position[nbr]
-            in_front = writer >= 0
-            forward = in_front & (writer < seg)
-            # inf - inf (unreached stays unreached) is NaN: not a
-            # change, exactly as the scalar engine treats it.
-            with np.errstate(invalid="ignore"):
-                if not forward.any():
-                    # No position reads an earlier position's write:
-                    # the whole round is one wave.
-                    old = values[frontier].copy()
-                    new = algorithm.recalculate_batch(
-                        frontier, cv, values, (seg, nbr, nwt), view
-                    )
-                    if pin_pos >= 0:
-                        # The source keeps its pinned value: old ==
-                        # new, so it never triggers (matching the
-                        # scalar closure).
-                        new[pin_pos] = values[pinned]
-                    values[frontier] = new
-                    changed = np.abs(old - new) > epsilon
-                else:
-                    anti = in_front & (writer > seg)
-                    lvl = dependency_levels(
-                        k, writer[forward], seg[forward], seg[anti], writer[anti]
-                    )
-                    order = np.argsort(lvl, kind="stable")
-                    levels, pos_counts = np.unique(lvl, return_counts=True)
-                    pos_ends = np.cumsum(pos_counts)
-                    row_lvl = lvl[seg]
-                    row_order = np.argsort(row_lvl, kind="stable")
-                    row_ends = np.searchsorted(
-                        row_lvl[row_order], levels, side="right"
-                    )
-                    changed = np.zeros(k, dtype=bool)
-                    pa = ra = 0
-                    for w in range(levels.size):
-                        pb, rb = int(pos_ends[w]), int(row_ends[w])
-                        # Stable sorts keep both slices ascending, so
-                        # the wave's vertices stay in frontier order
-                        # and each vertex's rows keep their edge order.
-                        wave_pos = order[pa:pb]
-                        rows = row_order[ra:rb]
-                        ids = frontier[wave_pos]
-                        old = values[ids].copy()
-                        new = algorithm.recalculate_batch(
-                            ids,
-                            cv,
-                            values,
-                            (
-                                np.searchsorted(wave_pos, seg[rows]),
-                                nbr[rows],
-                                nwt[rows],
-                            ),
-                            view,
-                        )
-                        if pin_pos >= 0 and lvl[pin_pos] == levels[w]:
-                            new[
-                                int(np.searchsorted(wave_pos, pin_pos))
-                            ] = values[pinned]
-                        values[ids] = new
-                        changed[wave_pos] = np.abs(old - new) > epsilon
-                        pa, ra = pb, rb
-            triggered = frontier[changed]
-            _, targets, _ = expand_frontier(cv.out_csr, triggered)
+            triggered = []
+            for v in frontier.tolist():
+                if v == pinned:
+                    continue
+                # Plain floats: inf - inf is a quiet NaN (an unreached
+                # vertex staying unreached is not a change).
+                old = float(values[v])
+                new = float(recalculate(v, cv, values))
+                values[v] = new
+                if abs(old - new) > epsilon:
+                    triggered.append(v)
+            _, targets, _ = expand_frontier(cv.out_csr, np.array(triggered, np.int64))
             next_frontier = np.unique(targets)
             run.add_round(
                 pull=frontier,
@@ -658,6 +422,7 @@ def run_incremental_frontier(
                 cas_ops=int(targets.size),
             )
             frontier = next_frontier
+        _observe_frontiers(run, "pulled")
     return run
 
 
@@ -726,164 +491,62 @@ def invalidate_frontier(
 # ----------------------------------------------------------------------
 
 
-def relax_pass(
-    cv: ComputeView,
-    values: np.ndarray,
-    frontier: np.ndarray,
-    relax: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    optimize: str,
-    edge_mask: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One sequential-order relaxation pass over ``frontier``.
-
-    Expands the frontier's out-edges (optionally filtered by
-    ``edge_mask`` over the weights -- delta-stepping's light/heavy
-    split), schedules prefix waves so each relaxer's *base* value
-    reflects exactly the in-round updates the sequential loop would
-    have applied, and scatter-min/maxes the candidates into ``values``.
-
-    Returns ``(candidates, targets, start_values)`` per row in
-    sequential relaxation order; the final values are already applied
-    (min/max scatter equals the sequential conditional update), and the
-    row arrays let callers reconstruct order-dependent bookkeeping
-    (first improvements, relaxation events) exactly.
-    """
-    seg, tgt, wts = expand_frontier(cv.out_csr, frontier)
-    if edge_mask is not None and seg.size:
-        keep = edge_mask(wts)
-        seg, tgt, wts = seg[keep], tgt[keep], wts[keep]
-    start_values = values[tgt]  # gathered before any in-pass write
-    candidates = np.empty(seg.size, dtype=np.float64)
-    dep_src, dep_dst = writer_reader_deps(frontier, seg, tgt, len(frontier))
-    scatter = np.minimum if optimize == "min" else np.maximum
-    for a, b in prefix_waves(len(frontier), dep_src, dep_dst):
-        lo = int(np.searchsorted(seg, a, side="left"))
-        hi = int(np.searchsorted(seg, b, side="left"))
-        if lo == hi:
-            continue
-        base = values[frontier[seg[lo:hi]]]
-        cand = relax(base, wts[lo:hi])
-        candidates[lo:hi] = cand
-        scatter.at(values, tgt[lo:hi], cand)
-    return candidates, tgt, start_values
-
-
-def first_improvements(
-    candidates: np.ndarray,
-    targets: np.ndarray,
-    start_values: np.ndarray,
-    better: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Rows where a target first improves, in sequential order.
-
-    In a monotone pass a target's value stays at its start value until
-    the first candidate strictly better than it, so the sequential
-    "append on first improvement" frontier is exactly: per target, the
-    earliest row whose candidate beats the start value; rows sorted
-    ascending reproduce the append order.
-    """
-    improving = np.nonzero(better(candidates, start_values))[0]
-    if improving.size == 0:
-        return _EMPTY_I64
-    order = np.argsort(targets[improving], kind="stable")
-    tgt_sorted = targets[improving][order]
-    rows_sorted = improving[order]
-    first = np.ones(tgt_sorted.size, dtype=bool)
-    first[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
-    return np.sort(rows_sorted[first])
-
-
-def relaxation_events(
-    candidates: np.ndarray,
-    targets: np.ndarray,
-    start_values: np.ndarray,
-    minimize: bool = True,
-) -> np.ndarray:
-    """Rows that would win a sequential compare-and-update, in order.
-
-    A sequential loop counts a push whenever ``candidate`` beats the
-    target's *current* value, which during a pass equals the best of
-    its start value and all earlier candidates.  Computed exactly with
-    a target-grouped exclusive running min/max: group rows by target
-    (stable, preserving sequential order), seed each group with the
-    start value, and scan with Hillis-Steele doubling (min/max are
-    idempotent, so the shifted-inclusive scan is exact).
-    """
-    m = candidates.size
-    if m == 0:
-        return _EMPTY_I64
-    order = np.argsort(targets, kind="stable")
-    cand = candidates[order]
-    tgt = targets[order]
-    seed = start_values[order]
-    new_group = np.ones(m, dtype=bool)
-    new_group[1:] = tgt[1:] != tgt[:-1]
-    group = np.cumsum(new_group) - 1
-    combine = np.minimum if minimize else np.maximum
-    identity = np.inf if minimize else -np.inf
-    # Exclusive scan: each row sees the best of the group's earlier
-    # candidates (identity at group starts), then fold in the seed.
-    shifted = np.empty(m, dtype=np.float64)
-    shifted[0] = identity
-    shifted[1:] = np.where(new_group[1:], identity, cand[:-1])
-    step = 1
-    while step < m:
-        same = group[step:] == group[:-step]
-        shifted[step:] = combine(
-            shifted[step:], np.where(same, shifted[:-step], identity)
-        )
-        step *= 2
-    running = combine(seed, shifted)
-    wins = cand < running if minimize else cand > running
-    return np.sort(order[np.nonzero(wins)[0]])
-
-
 def frontier_relaxation_kernel(
     cv: ComputeView,
     values: np.ndarray,
     source: int,
-    relax: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    better: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    relax: Callable[[float, float], float],
+    better: Callable[[float, float], bool],
     optimize: str,
     algorithm: str,
     relax_op: Optional[int] = None,
 ) -> ComputeRun:
     """Round-based push-style relaxation from ``source`` (BFS, SSWP).
 
-    Each round scans the out-edges of the active frontier; a neighbor
-    whose tentative value improves joins the next frontier.  ``relax``
-    and ``better`` take numpy arrays; ``optimize`` names the scatter
-    direction ("min" or "max").  ``relax_op`` is the compiled twin of
-    ``relax`` (a ``ckernels.RELAX_*`` code); when given and the compute
-    kernels built, the whole run is one C call of sequential passes --
-    relaxation, update, and first-improvement discovery fused, in the
-    exact order a per-edge loop runs -- recorded in a run log.
+    Each round scans the out-edges of the active frontier in order; a
+    neighbor whose tentative value improves (``better(relax(base,
+    weight), current)``, scalars) takes it, and joins the next frontier
+    on its first improvement of the round.  ``relax_op`` is the
+    compiled twin of ``relax`` (a ``ckernels.RELAX_*`` code, ``optimize``
+    its direction, "min" or "max"); when given and the compute kernels
+    built, the whole run is one C call of this loop, recorded in a run
+    log.
     """
     run = ComputeRun(algorithm=algorithm, model="FS", values=values, source=source)
     run.linear_scans = 1
     if source >= cv.num_nodes:
         return run
-    frontier = np.array([source], dtype=np.int64)
     ck = ckernels.get() if relax_op is not None else None
     with TRACER.span("compute.kernel", args={"algorithm": algorithm, "model": "FS"}):
         if ck is not None:
             vlog, table = ck.relax_run(
-                cv.out_csr, cv.num_nodes, frontier, values, relax_op, optimize == "max"
+                cv.out_csr,
+                cv.num_nodes,
+                np.array([source], dtype=np.int64),
+                values,
+                relax_op,
+                optimize == "max",
             )
             _append_run_log(run, vlog, table, frontier="pushed")
             return run
-        while frontier.size:
-            _observe_frontier(run, frontier.size)
-            candidates, targets, start_values = relax_pass(
-                cv, values, frontier, relax, optimize
-            )
-            _observe_expansion(run, candidates.size)
-            rows = first_improvements(candidates, targets, start_values, better)
-            next_frontier = targets[rows]
+        frontier = [source]
+        while frontier:
+            next_frontier = []
+            improved = set()
+            for v in frontier:
+                base = values[v]
+                for w, weight in cv.out_neigh(v):
+                    candidate = relax(base, weight)
+                    if better(candidate, values[w]):
+                        values[w] = candidate
+                        if w not in improved:
+                            improved.add(w)
+                            next_frontier.append(w)
             run.add_round(
                 push=frontier,
-                pushes=int(next_frontier.size),
-                cas_ops=int(next_frontier.size),
+                pushes=len(next_frontier),
+                cas_ops=len(next_frontier),
             )
             frontier = next_frontier
+        _observe_frontiers(run, "pushed")
     return run

@@ -94,12 +94,6 @@ class ComputeRun:
     linear_scans: int = 0
     converged: bool = True
     source: Optional[int] = None
-    #: Frontier accounting filled by the frontier engines (0 for the
-    #: synchronous fixpoints): rounds executed and total frontier
-    #: vertices across them, the run-level sums of the
-    #: ``compute_frontier_size`` histogram.
-    frontier_rounds: int = 0
-    frontier_vertices: int = 0
     # Both columns sit in buffers with room to spare; the used prefixes
     # are what ``vertex_log`` and ``rounds`` return.
     _log: np.ndarray = field(

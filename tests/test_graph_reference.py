@@ -6,7 +6,8 @@ the class it replaced, per-edge loops over Python dicts.  Everything a
 caller can observe must agree: the collect columns (same rows, same
 order, same dtypes, stored weights on delete) and the graph afterwards
 (row order from ``out_neigh``/``in_neigh``, degrees, counters, CSR
-export of both directions).
+export of both directions, and the neighbour API of the compute view,
+packed or slack).
 
 Each test runs on both sides of ``SAGA_BENCH_NO_NATIVE``: the compiled
 lookup and CSR mutators, then their numpy bodies.  Each test's docstring
@@ -41,6 +42,18 @@ def _packed_rows(csr):
     return csr.degrees.tolist(), csr.indices[slots].tolist(), csr.weights[slots].tolist()
 
 
+def _view_rows(view: ComputeView):
+    """The compute view's neighbour API, vertex by vertex."""
+    live = range(view.num_nodes)
+    return (
+        [view.out_neigh(v) for v in live],
+        [view.in_neigh(v) for v in live],
+        [view.out_degree(v) for v in live],
+        [view.in_degree(v) for v in live],
+        list(view.vertices()),
+    )
+
+
 def _state(graph):
     """Everything the read API shows, in the order it shows it."""
     every = range(graph.max_nodes)
@@ -54,6 +67,7 @@ def _state(graph):
         list(graph.vertices()),
         _packed_rows(ComputeView.of(graph).out_csr),
         _packed_rows(ComputeView.of(graph).in_csr),
+        _view_rows(ComputeView.of(graph)),
     )
 
 

@@ -16,7 +16,7 @@ from repro.compute.kernels import invalidate_frontier
 from repro.graph import EdgeBatch, ReferenceGraph
 from tests.conftest import random_batch
 from tests.test_compute_ckernels import (
-    WAVE_ENGINE,
+    LOOP_ENGINE,
     _engine,
     _view_from_edges,
     needs_ckernels,
@@ -273,7 +273,7 @@ class TestTaintClosure:
         closure through 3 -> 0), stops after the roots' own out-rows
         (the cycle is cut short), or re-queues a tainted vertex (the
         self-loop overruns the work buffer)."""
-        with _engine(WAVE_ENGINE):
+        with _engine(LOOP_ENGINE):
             numpy_ids, numpy_values = _closure(self.EDGES, 7, flagged, pinned=(0,))
         with _engine(None):
             assert ckernels.get() is not None
@@ -292,7 +292,7 @@ class TestTaintClosure:
     @settings(max_examples=60, deadline=None)
     def test_property_matches_numpy_loop(self, edges, flagged, pinned):
         """Random multigraphs, roots and pinned sets (same mutations)."""
-        with _engine(WAVE_ENGINE):
+        with _engine(LOOP_ENGINE):
             expected = _closure(edges, 16, flagged, pinned)
         with _engine(None):
             assert _closure(edges, 16, flagged, pinned) == expected

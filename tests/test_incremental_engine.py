@@ -2,9 +2,9 @@
 
 The engine is :func:`repro.compute.kernels.run_incremental_frontier`;
 the tests drive it the way a third-party extension does, through toy
-algorithms that define only the scalar Table-I ``recalculate`` (the
-base class derives the batch form), and check it against the
-sequential oracle where the in-round order matters.
+algorithms that define only the scalar Table-I ``recalculate`` (no
+compiled op, so the engine's Python loop runs it), and check it
+against the sequential oracle where the in-round order matters.
 """
 
 import numpy as np
@@ -20,10 +20,10 @@ from tests.conftest import native_env
 
 
 def chain(n=5):
-    """0 -> 1 -> 2 -> ... -> n-1."""
+    """0 -> 1 -> 2 -> ... -> n-1, as the engine's view."""
     reference = ReferenceGraph(n, directed=True)
     reference.update(EdgeBatch.from_edges([(i, i + 1) for i in range(n - 1)]))
-    return reference
+    return reference.compute_view()
 
 
 def toy(recalculate, **attributes):
@@ -57,18 +57,18 @@ def hops(v, view, values):
 
 class TestEngine:
     def test_propagates_along_chain(self):
-        reference = chain(5)
+        view = chain(5)
         values = np.array([0.0, 10.0, 10.0, 10.0, 10.0])
-        run = run_incremental_frontier(reference, values, [1], toy(hops))
+        run = run_incremental_frontier(view, values, [1], toy(hops))
         assert values.tolist() == [0, 1, 2, 3, 4]
         # One round per hop down the chain.
         assert run.iteration_count == 4
 
     def test_epsilon_suppresses_small_changes(self):
-        reference = chain(3)
+        view = chain(3)
         values = np.array([0.0, 1.0, 2.0])
         drift = toy(lambda v, view, values: values[v] - 1e-9, epsilon=1e-7)
-        run = run_incremental_frontier(reference, values, [0, 1, 2], drift)
+        run = run_incremental_frontier(view, values, [0, 1, 2], drift)
         assert run.iteration_count == 1
         assert len(run.iterations[0].push_vertices) == 0
 
@@ -76,11 +76,12 @@ class TestEngine:
         # Two triggered vertices share an out-neighbor: queued once.
         reference = ReferenceGraph(4, directed=True)
         reference.update(EdgeBatch.from_edges([(0, 2), (1, 2), (2, 3)]))
+        view = reference.compute_view()
         values = np.array([5.0, 5.0, 0.0, 0.0])
         # Always changes -> always triggers.
         restless = toy(lambda v, view, values: values[v] + 1.0)
         run = run_incremental_frontier(
-            reference, values, [0, 1], restless, max_rounds=3
+            view, values, [0, 1], restless, max_rounds=3
         )
         first = run.iterations[0]
         assert first.pushes == 1  # vertex 2 queued once
@@ -90,28 +91,29 @@ class TestEngine:
         # A cycle keeps re-triggering a divergent vertex function.
         reference = ReferenceGraph(3, directed=True)
         reference.update(EdgeBatch.from_edges([(0, 1), (1, 2), (2, 0)]))
+        view = reference.compute_view()
         values = np.zeros(3)
         restless = toy(lambda v, view, values: values[v] + 1.0)
         with pytest.raises(SimulationError) as error:
-            run_incremental_frontier(reference, values, [0], restless, max_rounds=5)
+            run_incremental_frontier(view, values, [0], restless, max_rounds=5)
         assert str(error.value) == (
             "incremental t exceeded 5 rounds; "
             "the vertex function is probably not convergent"
         )
 
     def test_linear_scans_recorded(self):
-        reference = chain(3)
+        view = chain(3)
         values = np.zeros(3)
         still = toy(lambda v, view, values: values[v])
-        run = run_incremental_frontier(reference, values, [], still)
+        run = run_incremental_frontier(view, values, [], still)
         assert run.linear_scans == 2
         assert run.iteration_count == 0  # empty affected set: no round
 
     def test_affected_outside_graph_ignored(self):
-        reference = chain(3)
+        view = chain(3)
         values = np.zeros(3)
         still = toy(lambda v, view, values: values[v])
-        run = run_incremental_frontier(reference, values, [99], still)
+        run = run_incremental_frontier(view, values, [99], still)
         assert run.iteration_count == 0
 
 
@@ -175,8 +177,9 @@ CYCLIC = [
 
 
 class TestScalarOnlyAlgorithmsAgainstTheOracle:
-    """The derived ``recalculate_batch`` / ``supports_batch`` where
-    Gauss-Seidel order matters: cyclic graphs, whole-graph frontiers."""
+    """The engine's loop over a scalar ``recalculate`` and the derived
+    ``supports_batch`` where Gauss-Seidel order matters: cyclic graphs,
+    whole-graph frontiers."""
 
     @pytest.mark.parametrize("setting", [None, "1"])
     @pytest.mark.parametrize("make", [_Hops, _Damped])

@@ -19,6 +19,7 @@ import pytest
 from repro.algorithms import get_algorithm
 from repro.cli import _profile_report, main
 from repro.compute import ckernels
+from repro.compute.stats import ROUND_COLUMNS
 from repro.engine import run_stream
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import (
@@ -765,14 +766,20 @@ class TestCli:
                 (dict(labels), h) for labels, h in families["compute_frontier_size"]
             )
         }
-        for run in runs:
-            if not run.frontier_rounds:
-                continue  # the Jacobi fixpoint has no frontier
+
+        def frontier_sizes(run):
+            """The round table's frontier column (INC pulls, FS pushes)."""
+            column = "pulled" if run.model == "INC" else "pushed"
+            return run.rounds[:, ROUND_COLUMNS.index(column)]
+
+        # The Jacobi fixpoint pushes nothing: it has no frontier.
+        frontier_runs = [run for run in runs if frontier_sizes(run).any()]
+        for run in frontier_runs:
             histogram = observed[(run.algorithm, run.model)]
-            assert run.frontier_rounds > 1
-            assert histogram.count == run.frontier_rounds, run.algorithm
-            assert histogram.sum == run.frontier_vertices, run.algorithm
-        assert {(r.algorithm, r.model) for r in runs if r.frontier_rounds} == {
+            assert len(run.iterations) > 1
+            assert histogram.count == len(run.iterations), run.algorithm
+            assert histogram.sum == frontier_sizes(run).sum(), run.algorithm
+        assert {(r.algorithm, r.model) for r in frontier_runs} == {
             ("MC", "INC"), ("BFS", "INC"), ("BFS", "FS"), ("SSSP", "INC"), ("SSSP", "FS")
         }
         # One light and one heavy pass per vertex of the chain.
@@ -811,7 +818,7 @@ class TestCli:
         assert _rows(TRACER)["algorithms.inc"][2] == len(names)
 
     def test_frontier_histograms_use_count_buckets(self):
-        """compute_frontier_size / compute_expanded_edges observe counts."""
+        """compute_frontier_size observes counts."""
         from repro.obs import DEFAULT_COUNT_BUCKETS
 
         METRICS.enable()
@@ -821,7 +828,7 @@ class TestCli:
         run_stream("RMAT", config, seed=0, size_factor=0.1, store=None)
         families = {
             name: series for name, _, _, series in METRICS.families()
-            if name in ("compute_frontier_size", "compute_expanded_edges")
+            if name == "compute_frontier_size"
         }
         assert "compute_frontier_size" in families
         for name, series in families.items():
