@@ -75,7 +75,6 @@ def stream_config(schedule, shuffle_seed, adaptive):
         batch_size=schedule[0],
         batch_schedule=tuple(schedule),
         algorithms=ALGORITHMS,
-        repetitions=1,
         churn_fraction=CHURN_FRACTION,
         shuffle_seed=shuffle_seed,
     )
@@ -109,23 +108,23 @@ def verify_bit_identity(adaptive, static, decisions):
         raise SystemExit("FAIL: adaptive batch sizes diverge from static")
     checked = 0
     for entry in decisions:
-        rep, batch = int(entry["rep"]), int(entry["batch"])
+        batch = int(entry["batch"])
         s_idx = static.structures.index(entry["structure"])
         for a_idx, algorithm in enumerate(static.algorithms):
             m_idx = static.models.index(entry["models"][algorithm])
-            mine = adaptive.compute_cycles[rep, batch, a_idx, 0, 0]
-            theirs = static.compute_cycles[rep, batch, a_idx, m_idx, s_idx]
+            mine = adaptive.compute_cycles[0, batch, a_idx, 0, 0]
+            theirs = static.compute_cycles[0, batch, a_idx, m_idx, s_idx]
             if mine != theirs:
                 raise SystemExit(
-                    f"FAIL: compute cycles diverge at rep {rep} batch "
+                    "FAIL: compute cycles diverge at batch "
                     f"{batch} {algorithm} on {entry['structure']}/"
                     f"{entry['models'][algorithm]}: {mine} != {theirs}"
                 )
-            it_mine = adaptive.compute_iterations[rep, batch, a_idx, 0]
-            it_theirs = static.compute_iterations[rep, batch, a_idx, m_idx]
+            it_mine = adaptive.compute_iterations[0, batch, a_idx, 0]
+            it_theirs = static.compute_iterations[0, batch, a_idx, m_idx]
             if it_mine != it_theirs:
                 raise SystemExit(
-                    f"FAIL: iteration counts diverge at rep {rep} batch "
+                    "FAIL: iteration counts diverge at batch "
                     f"{batch} {algorithm}: {it_mine} != {it_theirs}"
                 )
             checked += 1

@@ -42,7 +42,7 @@ class BFS(Algorithm):
         best = np.inf
         for u, _ in view.in_neigh(v):
             depth = values[u] + 1.0
-            if depth < best:
+            if depth < best or depth != depth:  # a NaN term wins
                 best = depth
         return best
 

@@ -48,8 +48,9 @@ class ConnectedComponents(Algorithm):
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
         best = values[v]
         for u, _ in view.in_neigh(v):
-            if values[u] < best:
-                best = values[u]
+            label = values[u]
+            if label < best or label != label:  # a NaN term wins
+                best = label
         return best
 
     @TRACER.layer("algorithms.fs")

@@ -81,7 +81,7 @@ class SSSP(Algorithm):
         best = np.inf
         for u, w in view.in_neigh(v):
             candidate = values[u] + w
-            if candidate < best:
+            if candidate < best or candidate != candidate:  # a NaN term wins
                 best = candidate
         return best
 

@@ -44,12 +44,13 @@ class SSWP(Algorithm):
         return np.inf
 
     def recalculate(self, v: int, view, values: np.ndarray) -> float:
-        best = 0.0
+        best = -np.inf
         for u, w in view.in_neigh(v):
-            width = min(values[u], w)
-            if width > best:
+            vu = values[u]
+            width = vu if vu < w else w
+            if width > best or width != width:  # a NaN term wins
                 best = width
-        return best
+        return best if best > 0.0 or best != best else 0.0
 
     @TRACER.layer("algorithms.fs")
     def fs_run(self, view, source: Optional[int] = None) -> ComputeRun:
@@ -61,7 +62,7 @@ class SSWP(Algorithm):
             kernels.ComputeView.of(view),
             values,
             source,
-            relax=min,
+            relax=lambda base, wt: base if base < wt else wt,
             better=lambda candidate, current: candidate > current,
             algorithm=self.name,
             optimize="max",

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -227,8 +226,6 @@ class HardwarePlane(UpdatePlane):
             )
             for cores in profiler.core_counts
         }
-
-    def begin_repetition(self, rep: int, total_batches: int) -> None:
         (name,) = self.structures
         max_nodes = self.dataset.max_nodes
         self.structure = self.new_structure(name)
@@ -243,7 +240,7 @@ class HardwarePlane(UpdatePlane):
         self.cell = HardwareCell(
             dataset=self.dataset.name,
             structure=name,
-            batches=total_batches,
+            batches=self.total_batches,
             scaling_cycles={p: dict.fromkeys(self.ladder, 0.0) for p in _PHASES},
             counters={p: [] for p in _PHASES},
         )
@@ -378,19 +375,17 @@ class HardwareProfiler:
         :meth:`profile_dataset` cells, serially or over the sweep pool
         with ``jobs`` > 1, and are written back.
         """
-        def cells(spec: Tuple[str, str, float]) -> List[Cell]:
+        def cell(spec: Tuple[str, str, float]) -> Cell:
             dataset, structure, size_factor = spec
-            return [
-                Cell(
-                    (dataset, self.seed, size_factor),
-                    partial(self.profile_dataset, structure),
-                    f"{dataset}/{structure}",
-                )
-            ]
+            return Cell(
+                (dataset, self.seed, size_factor),
+                partial(self.profile_dataset, structure),
+                f"{dataset}/{structure}",
+            )
 
         return resolve(
-            specs, lambda spec: self.cell_key(*spec), cells,
-            HardwareCell.from_payload, itemgetter(0), store, jobs,
+            specs, lambda spec: self.cell_key(*spec), cell,
+            HardwareCell.from_payload, store, jobs,
         )
 
     def profile_cell(

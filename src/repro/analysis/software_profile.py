@@ -202,8 +202,8 @@ def run_software_profile(
     """Stream every dataset and return the reduced profile.
 
     Runs through the experiment engine: per-dataset results are served
-    from ``store`` when cached, and (dataset × repetition) cells fan
-    out over ``jobs`` worker processes otherwise.
+    from ``store`` when cached, and one cell per dataset fans out over
+    ``jobs`` worker processes otherwise.
     """
     config = config if config is not None else StreamConfig()
     names = list(datasets if datasets is not None else dataset_names())

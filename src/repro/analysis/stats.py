@@ -3,7 +3,9 @@
 The paper divides each experiment's batches into three equal stages and
 reports P1 (early), P2 (middle), P3 (final) averages, pooling the
 corresponding third of every repetition's batch values, with 95%
-confidence intervals.
+confidence intervals.  Here a repetition is one run (one
+``shuffle_seed``): a ``StreamResult`` series is ``(1, batches)``, and
+a caller pools several shuffles by stacking their series as rows.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ def stage_slices(num_batches: int, stages: int = 3) -> List[slice]:
 
 
 def stage_stats(series: np.ndarray, stages: int = 3) -> List[StageStat]:
-    """P1..Pn statistics of a ``(repetitions, batches)`` latency series.
+    """P1..Pn statistics of a ``(runs, batches)`` latency series.
 
     Each stage pools the corresponding third of the batches across all
-    repetitions (the paper's ``1/3 x batchCount x 3`` averaging).
+    rows, one row per shuffle of the stream (the paper's
+    ``1/3 x batchCount x 3`` averaging over three repetitions).
     Stages that received no batches (streams shorter than ``stages``)
     reuse the last non-empty stage so downstream tables stay total.
     """

@@ -276,7 +276,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             structures=("adaptive",),
             models=("adaptive",),
             algorithms=(args.algorithm,),
-            repetitions=1,
             shards=args.shards,
         )
         label = f"adaptive/{args.algorithm}"
@@ -287,7 +286,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             structures=(args.structure,),
             algorithms=(args.algorithm,),
             models=("INC",),
-            repetitions=1,
             shards=args.shards,
         )
         label = f"{args.structure}/{args.algorithm} INC, shards={args.shards}"
@@ -397,8 +395,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
           f"{'pred(ms)':>9s} {'actual(ms)':>11s}")
     attempted = result.edges_attempted[0]
     for entry in decisions:
-        if entry["rep"] != 0:
-            break
         print(f"{entry['batch']:>5d} {attempted[entry['batch']]:>7d} "
               f"{entry['structure']:>9s} {entry['reason']:>8s} "
               f"{entry['predicted_seconds'] * 1e3:>9.3f} "

@@ -207,9 +207,10 @@ def dataset_names() -> Tuple[str, ...]:
 def load_dataset(name: str, seed: int = 0, size_factor: float = 1.0) -> Dataset:
     """Generate dataset ``name``'s edge stream.
 
-    The stream is *not* shuffled here; the driver shuffles per
-    repetition (Section IV-B), so different repetitions see different
-    edge orders of the same graph.
+    The stream is *not* shuffled here; the driver shuffles it once per
+    run with ``StreamConfig.shuffle_seed``, so runs with different
+    seeds see different edge orders of the same graph (the paper's
+    repetitions, Section IV-B).
     """
     spec = DATASETS.get(name)
     if spec is None:

@@ -36,7 +36,9 @@ from repro.streaming.results import RESULT_SCHEMA_VERSION
 #: is now enforced by a different code path, so cached v1 entries are
 #: deliberately retired rather than trusted across the rewrite.
 #: v3: ``source`` and ``autotune`` left StreamConfig and the key.
-KEY_SCHEMA_VERSION = 3
+#: v4: ``repetitions`` left StreamConfig; every other field but
+#: ``progress`` is keyed, also at its default.
+KEY_SCHEMA_VERSION = 4
 
 
 def canonical(value: Any) -> Any:
@@ -78,7 +80,8 @@ def fingerprint(payload: Mapping[str, Any]) -> str:
 
 
 def describe_stream_config(config: StreamConfig) -> dict:
-    """Content description of a :class:`StreamConfig`.
+    """Content description of a :class:`StreamConfig`: every field but
+    ``progress``.
 
     The ``progress`` callback is presentation, not content: it cannot
     change any simulated number, so it is excluded from the key.  The
@@ -86,35 +89,13 @@ def describe_stream_config(config: StreamConfig) -> dict:
     changing either bumps :data:`KEY_SCHEMA_VERSION`, not a field.
 
     Transport (in-RAM vs mmap) never appears here: the edge content
-    is identical either way, so both share cache entries.  ``shards`` does change update latencies, so it is keyed
-    -- but only when not 1, keeping every pre-sharding fingerprint
-    (and its cached results) stable.
+    is identical either way, so both share cache entries.
     """
-    description = {
-        "batch_size": config.batch_size,
-        "structures": list(config.structures),
-        "algorithms": list(config.algorithms),
-        "models": list(config.models),
-        "repetitions": config.repetitions,
-        "machine": canonical(config.machine),
-        "threads": config.threads,
-        "cost_model": canonical(config.cost_model),
-        "shuffle_seed": config.shuffle_seed,
-        "churn_fraction": config.churn_fraction,
+    return {
+        field.name: canonical(getattr(config, field.name))
+        for field in dataclasses.fields(config)
+        if field.name != "progress"
     }
-    if config.shards != 1:
-        description["shards"] = config.shards
-    # Adaptive-mode fields follow the shards rule: keyed only when set,
-    # so every pre-autotuner fingerprint stays stable.  (The CLI runs
-    # adaptive streams uncached -- the online tuner is stateful -- but
-    # the key must still be well-defined for any caller that caches.)
-    if config.batch_schedule is not None:
-        description["batch_schedule"] = list(config.batch_schedule)
-    if config.candidate_structures is not None:
-        description["candidate_structures"] = list(config.candidate_structures)
-    if config.candidate_models is not None:
-        description["candidate_models"] = list(config.candidate_models)
-    return description
 
 
 def describe_dataset(name: str, seed: int, size_factor: float) -> dict:

@@ -1,21 +1,21 @@
 """The shared experiment engine: cached, parallel sweeps over streams.
 
 Both of the paper's characterizations are sweeps of independent cells
-over dataset streams: Section V (Table III, Figs. 6-8) runs
-(dataset x repetition) cells of the streaming driver, Section VI
-(Figs. 9-10) one instrumented (dataset x structure) cell per dataset.
-Both resolve through :func:`resolve`, the one cache-then-pool path:
+over dataset streams: Section V (Table III, Figs. 6-8) runs one
+streaming-driver cell per dataset, Section VI (Figs. 9-10) one
+instrumented (dataset x structure) cell per dataset.  Both resolve
+through :func:`resolve`, the one cache-then-pool path:
 
 1. each request is fingerprinted and looked up with
    :meth:`~repro.engine.store.RunStore.load` -- an entry that decodes
    is returned without simulating anything;
-2. misses expand into :class:`Cell` s, each a picklable function of one
-   stream.  A stream request's repetition ``rep`` is a cell with
-   shuffle seed ``base + stride * rep``, so it reproduces exactly the
-   batches the monolithic loop would have produced;
+2. each miss is one :class:`Cell`, a picklable function of one stream.
+   Several shuffles of one stream are several requests that differ in
+   ``shuffle_seed``; they share the stream, and pooled, its spilled
+   directory;
 3. cells execute serially or fan out over :func:`run_cells`' process
    pool (``jobs`` > 1), whose workers read every stream from an mmap
-   stream directory; results merge back **in request/cell order**, so
+   stream directory; results come back **in request order**, so
    they are bit-identical regardless of worker scheduling;
 4. fresh results are written back to the store.
 
@@ -43,7 +43,7 @@ from repro.engine.store import RunStore
 from repro.errors import ConfigError, ReproError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.streaming.driver import REP_SEED_STRIDE, StreamConfig, make_driver
+from repro.streaming.driver import StreamConfig, make_driver
 from repro.streaming.results import StreamResult
 
 
@@ -92,16 +92,14 @@ def run_cells(
     args: Sequence[tuple],
     jobs: Optional[int],
     names: Sequence[str],
-    origins: Optional[Sequence[Optional[str]]] = None,
 ) -> list:
     """``fn(*arg)`` for every arg tuple, results in ``args`` order.
 
     The package's one process pool: with ``jobs`` > 1 and more than one
     arg the calls fan out over ``jobs`` workers (``fn`` and the args
-    must pickle), and each worker's metrics and spans are
-    merged into the parent's in ``args`` order, ``origins[i]`` prefixing
-    arg ``i``'s trace lane.  Otherwise the calls run in this process and
-    record into the live registries directly.  A worker that dies (a
+    must pickle), and each worker's metrics and spans are merged into
+    the parent's in ``args`` order.  Otherwise the calls run in this
+    process and record into the live registries directly.  A worker that dies (a
     SIGKILL, the OOM killer) breaks the pool; the error then names,
     by ``names[i]``, every cell that did not finish.
     """
@@ -130,10 +128,10 @@ def run_cells(
             + ", ".join(name for name, _ in lost)
         ) from lost[0][1]
     outcomes = [future.result() for future in futures]
-    for index, (_, payload) in enumerate(outcomes):
+    for _, payload in outcomes:
         if payload is not None:
             METRICS.merge_payload(payload["metrics"])
-            TRACER.absorb(payload["trace"], origin=origins[index] if origins else None)
+            TRACER.absorb(payload["trace"])
     return [result for result, _ in outcomes]
 
 
@@ -186,25 +184,22 @@ def _count_cell(status: str) -> None:
 def resolve(
     requests: Sequence,
     key: Callable[..., str],
-    cells: Callable[..., Sequence[Cell]],
+    cell: Callable[..., Cell],
     decode: Callable[[dict, dict], T],
-    merge: Callable[[list], T],
     store: Optional[RunStore] = None,
     jobs: Optional[int] = None,
 ) -> List[T]:
-    """Resolve every request, in order: from the store, else its cells.
+    """Resolve every request, in order: from the store, else its cell.
 
     The entry under ``key(request)`` that decodes (``decode(meta,
-    arrays)``) is the request's result.  The ``cells(request)`` of every
+    arrays)``) is the request's result.  The ``cell(request)`` of every
     other request run together through :func:`run_cells`; pooled, the
     parent writes one stream directory per unique stream and removes it
-    after the pool is gone, whatever the workers did.  A request's first
-    cell records into the main trace lanes, its later ones into lanes
-    named after them.  Its cell results ``merge``, in order, into its
-    result, which is written back to ``store``.
+    after the pool is gone, whatever the workers did.  A cell's result
+    is its request's, and is written back to ``store``.
     """
     results: List[Optional[T]] = [None] * len(requests)
-    planned: List[Tuple[int, Cell, Optional[str]]] = []  # (request, cell, lane)
+    planned: List[Tuple[int, Cell]] = []  # (request, its cell)
     for index, request in enumerate(requests):
         if store is not None:
             results[index] = store.load(key(request), decode)
@@ -212,45 +207,40 @@ def resolve(
                 if METRICS.enabled:
                     _count_cell("cached")
                 continue
-        for position, cell in enumerate(cells(request)):
-            planned.append((index, cell, cell.name if position else None))
+        planned.append((index, cell(request)))
     pooled = bool(jobs and jobs > 1 and len(planned) > 1)
     sources: Dict[Tuple[str, int, float], tuple] = {}
     with ExitStack() as spills:
-        for _, cell, _ in planned:
-            if pooled and cell.stream not in sources:
-                dataset = load_dataset(*cell.stream)
-                sources[cell.stream] = (
+        for _, c in planned:
+            if pooled and c.stream not in sources:
+                dataset = load_dataset(*c.stream)
+                sources[c.stream] = (
                     spills.enter_context(stream_directory(dataset.edges)),
                     dataset.spec,
                     dataset.max_nodes,
                 )
         outcomes = run_cells(
             _run_cell,
-            [(c.stream, sources.get(c.stream), c.run) for _, c, _ in planned],
+            [(c.stream, sources.get(c.stream), c.run) for _, c in planned],
             jobs,
-            [cell.name for _, cell, _ in planned],
-            origins=[lane for _, _, lane in planned],
+            [c.name for _, c in planned],
         )
-    parts: Dict[int, list] = {}
-    for (index, cell, _), (result, wall) in zip(planned, outcomes):
-        parts.setdefault(index, []).append(result)
+    for (index, c), (result, wall) in zip(planned, outcomes):
+        results[index] = result
         if METRICS.enabled:
             METRICS.histogram(
-                "sweep_cell_seconds", "wall time per sweep cell", dataset=cell.stream[0]
+                "sweep_cell_seconds", "wall time per sweep cell", dataset=c.stream[0]
             ).observe(wall)
             _count_cell("computed")
-        if cell.progress is not None:
-            cell.progress(f"cell {cell.name}: {wall:.2f}s wall")
-    for index, part in parts.items():
-        results[index] = merge(part)
+        if c.progress is not None:
+            c.progress(f"cell {c.name}: {wall:.2f}s wall")
         if store is not None:
-            store.save_arrays(key(requests[index]), *results[index].to_payload())
+            store.save_arrays(key(requests[index]), *result.to_payload())
     return results  # type: ignore[return-value]
 
 
 def _run_stream_cell(config: StreamConfig, dataset: Dataset) -> StreamResult:
-    """One (dataset x repetition) cell: the driver over the opened stream."""
+    """One stream cell: the driver over the opened stream."""
     return make_driver(config).run(dataset)
 
 
@@ -261,32 +251,25 @@ def run_many(
 ) -> List[StreamResult]:
     """Resolve every request, in order, through cache then execution.
 
-    Repetition ``rep`` of a request is one cell, the single-repetition
-    config with that repetition's shuffle seed.  Parallel cells report
-    their wall time instead of per-batch progress.
+    Each request is one cell, named ``{dataset}-s{shuffle_seed}``.
+    Parallel cells report their wall time instead of per-batch progress.
     """
     parallel = bool(jobs and jobs > 1)
 
-    def cells(request: StreamRequest) -> List[Cell]:
+    def cell(request: StreamRequest) -> Cell:
         config = request.config
-        return [
-            Cell(
-                (request.dataset, request.seed, request.size_factor),
-                partial(_run_stream_cell, replace(
-                    config,
-                    repetitions=1,
-                    shuffle_seed=config.shuffle_seed + REP_SEED_STRIDE * rep,
-                    progress=None if parallel else config.progress,
-                )),
-                f"{request.dataset}-r{rep}",
-                config.progress if parallel else None,
-            )
-            for rep in range(config.repetitions)
-        ]
+        return Cell(
+            (request.dataset, request.seed, request.size_factor),
+            partial(_run_stream_cell, replace(
+                config, progress=None if parallel else config.progress,
+            )),
+            f"{request.dataset}-s{config.shuffle_seed}",
+            config.progress if parallel else None,
+        )
 
     return resolve(
-        requests, lambda request: request.key, cells,
-        StreamResult.from_payload, StreamResult.merge, store, jobs,
+        requests, lambda request: request.key, cell,
+        StreamResult.from_payload, store, jobs,
     )
 
 

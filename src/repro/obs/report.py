@@ -271,8 +271,7 @@ def _autotune_section(autotune: Optional[dict]) -> str:
         or float(d.get("migration_seconds", 0.0)) > 0.0
     ]
     rows = "".join(
-        f"<tr><td class=\"num\">{int(d.get('rep', 0))}</td>"
-        f"<td class=\"num\">{int(d.get('batch', 0))}</td>"
+        f"<tr><td class=\"num\">{int(d.get('batch', 0))}</td>"
         f"<td>{_esc(d.get('structure', ''))}</td>"
         f"<td>{_esc(d.get('reason', ''))}</td>"
         f"<td class=\"num\">"
@@ -287,8 +286,8 @@ def _autotune_section(autotune: Optional[dict]) -> str:
         body += (
             "<p class=\"subtitle\">Decisions that placed or moved the live "
             "structure (steady-state holds omitted).</p>"
-            '<table><thead><tr><th class="num">rep</th>'
-            '<th class="num">batch</th><th>structure</th><th>reason</th>'
+            '<table><thead><tr><th class="num">batch</th>'
+            '<th>structure</th><th>reason</th>'
             '<th class="num">predicted</th><th class="num">actual</th>'
             '<th class="num">migration</th></tr></thead>'
             f"<tbody>{rows}</tbody></table>"

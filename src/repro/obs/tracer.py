@@ -322,14 +322,8 @@ class SpanTracer:
                 "dropped_sim_events": self.dropped_sim_events,
             }
 
-    def absorb(self, payload: dict, origin: Optional[str] = None) -> None:
-        """Merge a worker's :meth:`to_payload` snapshot into this tracer.
-
-        ``origin`` (e.g. ``"worker-1234"``) prefixes the absorbed span
-        events' categories and sim track labels so the exporters can
-        place them on their own process lanes.
-        """
-        prefix = f"{origin}:" if origin else ""
+    def absorb(self, payload: dict) -> None:
+        """Merge a worker's :meth:`to_payload` snapshot into this tracer."""
         with self._lock:
             for name, entry in payload.get("totals", {}).items():
                 mine = self._totals.setdefault(name, [0.0, 0.0, 0])
@@ -339,14 +333,9 @@ class SpanTracer:
                 if len(self._events) >= self.max_events:
                     self.dropped_events += 1
                     continue
-                name, cat, tid, start, dur, cycles, args = event
-                self._events.append(
-                    (name, prefix + cat if prefix else cat, tid, start, dur,
-                     cycles, args)
-                )
+                self._events.append(tuple(event))
             for track, rows in payload.get("sim_tracks", {}).items():
-                label = prefix + track if prefix else track
-                slices = self._sim_tracks.setdefault(label, [])
+                slices = self._sim_tracks.setdefault(track, [])
                 for row in rows:
                     if self._sim_count >= self.max_sim_events:
                         self.dropped_sim_events += 1

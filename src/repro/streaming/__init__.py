@@ -17,7 +17,6 @@ from repro.streaming.batching import BatchView, batch_count, make_batches
 from repro.streaming.driver import (
     ALL_ALGORITHMS,
     ALL_STRUCTURES,
-    REP_SEED_STRIDE,
     StreamConfig,
     StreamDriver,
     make_driver,
@@ -39,7 +38,6 @@ __all__ = [
     "BatchView",
     "make_batches",
     "make_driver",
-    "REP_SEED_STRIDE",
     "RESULT_SCHEMA_VERSION",
     "StreamConfig",
     "StreamDriver",

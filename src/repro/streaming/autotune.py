@@ -100,11 +100,10 @@ def update_samples(result, churn_fraction: float) -> List[Sample]:
     batch per structure, its update latency at the batch's ops."""
     latency = [result.update_latency(s) for s in result.structures]
     samples = []
-    for rep in range(result.repetitions):
-        for batch in range(result.batches_per_rep):
-            ops = update_ops(int(result.edges_attempted[rep, batch]), churn_fraction)
-            for structure, seconds in zip(result.structures, latency):
-                samples.append((structure, ops, float(seconds[rep, batch])))
+    for batch in range(result.batches_per_rep):
+        ops = update_ops(int(result.edges_attempted[0, batch]), churn_fraction)
+        for structure, seconds in zip(result.structures, latency):
+            samples.append((structure, ops, float(seconds[0, batch])))
     return samples
 
 
@@ -212,7 +211,6 @@ class AdaptiveController:
         self.forced_plan: Dict[int, str] = {}
         self.log: List[dict] = []
         self.switches = 0
-        self._rep = 0
         self._batches_seen = 0
         self._last_switch: Optional[int] = None
         for sample in warm_samples:
@@ -283,11 +281,6 @@ class AdaptiveController:
         return total, choices
 
     # -- the per-batch decision -----------------------------------------
-
-    def begin_repetition(self, rep: int) -> None:
-        """Reset per-repetition state (the learned fits persist)."""
-        self._rep = rep
-        self._last_switch = None
 
     def decide(
         self,
@@ -405,7 +398,6 @@ class AdaptiveController:
             else 0.0
         )
         entry = {
-            "rep": self._rep,
             "batch": decision.batch_index,
             "structure": live,
             "models": dict(decision.models),
@@ -472,10 +464,10 @@ def oracle_total_seconds(result) -> float:
     adaptive driver is graded against (it pays migrations; the oracle
     does not).
     """
-    update = result.update_cycles  # (R, B, S)
-    compute = result.compute_cycles  # (R, B, A, M, S)
-    best_models = compute.min(axis=3)  # (R, B, A, S)
-    per_structure = update + best_models.sum(axis=2)  # (R, B, S)
+    update = result.update_cycles  # (1, B, S)
+    compute = result.compute_cycles  # (1, B, A, M, S)
+    best_models = compute.min(axis=3)  # (1, B, A, S)
+    per_structure = update + best_models.sum(axis=2)  # (1, B, S)
     return float(result.machine.cycles_to_seconds(per_structure.min(axis=2).sum()))
 
 
@@ -495,10 +487,6 @@ class LiveStructurePlane(UpdatePlane):
             driver.candidate_models, driver.candidate_structures,
         )
         self.controller = driver.controller
-
-    def begin_repetition(self, rep: int, total_batches: int) -> None:
-        self.controller.begin_repetition(rep)
-        self._total_batches = total_batches
         self._live_name: Optional[str] = None
         self._live = None
 
@@ -507,7 +495,7 @@ class LiveStructurePlane(UpdatePlane):
         with TRACER.span("autotune.decide"):
             decision = controller.decide(
                 record.batch_index,
-                self._total_batches,
+                self.total_batches,
                 len(batch),
                 self._live_name,
                 reference.num_edges,

@@ -2,9 +2,9 @@
 
 The paper randomly shuffles each input file to break any ordering --
 streaming edges do not arrive in a predefined order -- then reads it in
-fixed-size batches.  Repetitions reshuffle with different seeds, which
-is where the run-to-run variation behind the confidence intervals
-comes from.
+fixed-size batches.  A run shuffles once, with its ``shuffle_seed``;
+the paper's repetitions are runs with different seeds, which is where
+the run-to-run variation behind the confidence intervals comes from.
 
 :func:`make_batches` returns a lazy :class:`BatchView` rather than a
 list of copies: the shuffle is a permutation *index* and each batch is

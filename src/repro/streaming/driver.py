@@ -1,8 +1,8 @@
 """The streaming driver: the paper's measurement loop (Section IV-B).
 
-For each repetition the driver shuffles the dataset's edge stream,
-slices it into batches, and for every batch executes the two phases of
-Fig. 1:
+A run shuffles the dataset's edge stream once, with its
+``shuffle_seed``, slices it into batches, and for every batch executes
+the two phases of Fig. 1:
 
 1. **Update phase** -- the batch is ingested into every configured data
    structure; the simulated makespan of the insertion tasks is that
@@ -15,7 +15,11 @@ Fig. 1:
 Batch processing latency = update latency + compute latency
 (Equation 1).
 
-That loop is written once, :meth:`StreamDriver._run_repetition`.  What
+The paper's three repetitions (Section IV-B) are three runs with
+three shuffle seeds; :func:`repro.analysis.stats.stage_stats` pools
+their series stacked as rows.
+
+That loop is written once, :meth:`StreamDriver._run_batches`.  What
 the static, sharded and adaptive drivers and the Fig. 9/10 hardware
 profile disagree on -- who ingests a batch, which cells are executed
 and priced, which are recorded, what is traced -- is an
@@ -53,10 +57,6 @@ from repro.streaming.results import BatchRecord, StreamResult
 ALL_STRUCTURES = ("AS", "AC", "Stinger", "DAH")
 ALL_ALGORITHMS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
 
-#: Stride between the shuffle seeds of consecutive repetitions.  The
-#: sweep engine relies on this to run single repetitions as independent
-#: cells that reproduce the exact batches of a multi-repetition run.
-REP_SEED_STRIDE = 7919
 
 def _check_names(kind: str, names, known) -> None:
     """Every entry a known ``kind``, none of them twice.
@@ -80,7 +80,6 @@ class StreamConfig:
     structures: Tuple[str, ...] = ALL_STRUCTURES
     algorithms: Tuple[str, ...] = ALL_ALGORITHMS
     models: Tuple[str, ...] = COMPUTE_MODELS
-    repetitions: int = 1
     machine: MachineConfig = SKYLAKE_GOLD_6142
     threads: Optional[int] = None
     cost_model: CostModel = DEFAULT_COST_MODEL
@@ -122,8 +121,6 @@ class StreamConfig:
             raise ConfigError(
                 f"churn_fraction must be in [0, 1), got {self.churn_fraction}"
             )
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
         if self.batch_schedule is not None:
@@ -221,16 +218,16 @@ class UpdatePlane:
     """What one driver decides about a batch; the loop does the rest.
 
     The static, sharded and adaptive drivers and the hardware profile
-    run the same batch loop (:meth:`StreamDriver._run_repetition`) and
+    run the same batch loop (:meth:`StreamDriver._run_batches`) and
     disagree on four things only (DESIGN.md decisions #21, #26): *who
-    ingests* a batch (``begin_repetition`` / ``update`` / ``delete``,
-    which the four planes define), *what is executed and priced*
+    ingests* a batch (the run state each of the four planes builds in
+    its constructor, and ``update`` / ``delete``), *what is executed and priced*
     (``models`` x ``structures``, and ``price``, which the hardware
     plane extends to trace and replay what it prices) and *what is
     recorded* (``record_cell`` / ``after_batch``).
     The defaults -- every structure priced on the run's machine, every
     priced cell under its own key -- serve the static and sharded
-    planes.
+    planes.  A driver builds one plane per run.
     """
 
     def __init__(self, config, dataset: Dataset, ctx, models, structures) -> None:
@@ -239,6 +236,9 @@ class UpdatePlane:
         self.ctx = ctx
         self.models: Tuple[str, ...] = models
         self.structures: Tuple[str, ...] = structures
+        self.total_batches = batch_count(
+            len(dataset.edges), config.batch_size, config.batch_schedule
+        )
         self.sim_clocks: Dict[str, float] = {}
 
     def observe(self, structure_name: str, schedule: ScheduleResult, label: str) -> None:
@@ -282,9 +282,6 @@ class UpdatePlane:
             cost_model=self.config.cost_model,
         )
 
-    def begin_repetition(self, rep: int, total_batches: int) -> None:
-        """Fresh ingest state for one repetition."""
-
     def price(self, algorithm, runs, compute_view, cost_tables) -> Dict[str, float]:
         """Compute-phase cycles of one algorithm x model on each structure
         the plane prices, from the runs it just executed on
@@ -318,8 +315,6 @@ class MatrixPlane(UpdatePlane):
 
     def __init__(self, config: StreamConfig, dataset: Dataset, ctx) -> None:
         super().__init__(config, dataset, ctx, config.models, config.structures)
-
-    def begin_repetition(self, rep: int, total_batches: int) -> None:
         self._live = {name: self.new_structure(name) for name in self.structures}
 
     def update(self, batch, record: BatchRecord, reference) -> Dict[str, int]:
@@ -362,37 +357,32 @@ class StreamDriver:
         ctx = ExecutionContext(
             machine=cfg.machine, threads=cfg.threads, cost_model=cfg.cost_model
         )
-        result = StreamResult(
-            dataset=dataset.name,
-            machine=cfg.machine,
-            structures=cfg.structures,
-            algorithms=cfg.algorithms,
-            models=cfg.models,
-            repetitions=cfg.repetitions,
-            batches_per_rep=batch_count(
-                len(dataset.edges), cfg.batch_size, cfg.batch_schedule
-            ),
-        )
         if METRICS.enabled:
             METRICS.gauge(
                 "native_loaded",
                 "1 when the native library (sim, ingest and compute kernels) is loaded",
             ).set(1.0 if NATIVE.loaded() else 0.0)
         plane = self._make_plane(dataset, ctx)
-        for rep in range(cfg.repetitions):
-            self._run_repetition(plane, rep, source, result)
+        result = StreamResult(
+            dataset=dataset.name,
+            machine=cfg.machine,
+            structures=cfg.structures,
+            algorithms=cfg.algorithms,
+            models=cfg.models,
+            batches_per_rep=plane.total_batches,
+        )
+        self._run_batches(plane, source, result)
         return result
 
-    def _run_repetition(self, plane, rep: int, source: int, result) -> None:
+    def _run_batches(self, plane, source: int, result) -> None:
         """The one batch loop: Fig. 1's two phases for every batch."""
         cfg, dataset, ctx = self.config, plane.dataset, plane.ctx
         batches = make_batches(
             dataset.edges,
             cfg.batch_size,
-            shuffle_seed=cfg.shuffle_seed + REP_SEED_STRIDE * rep,
+            shuffle_seed=cfg.shuffle_seed,
             schedule=cfg.batch_schedule,
         )
-        plane.begin_repetition(rep, len(batches))
         reference = ReferenceGraph(dataset.max_nodes, directed=dataset.directed)
         states = {
             name: get_algorithm(name).make_state(dataset.max_nodes)
@@ -403,7 +393,6 @@ class StreamDriver:
         record_cell = plane.record_cell
         for batch_index, batch in enumerate(batches):
             record = BatchRecord(
-                repetition=rep,
                 batch_index=batch_index,
                 edges_attempted=len(batch),
                 edges_inserted=0,
@@ -491,7 +480,7 @@ class StreamDriver:
             result.add_record(record)
             if cfg.progress is not None:
                 cfg.progress(
-                    f"{dataset.name} rep {rep} batch {batch_index + 1}/"
+                    f"{dataset.name} batch {batch_index + 1}/"
                     f"{len(batches)}{progress_suffix}: "
                     f"|V|={n} |E|={reference.num_edges}"
                 )

@@ -2,12 +2,14 @@
 
 A :class:`StreamResult` stores every simulated latency of one dataset's
 characterization sweep **columnar**: one numpy array per measured
-quantity, indexed ``[repetition, batch, ...]``, so that the
+quantity, indexed ``[0, batch, ...]``, so that the
 ``update_latency`` / ``compute_latency`` / ``batch_latency`` reductions
 the analysis harness performs are vectorized slices instead of
-per-record Python loops.  :class:`BatchRecord` survives as the write
-side: the driver stages one record per ingested batch and commits it
-with :meth:`StreamResult.add_record`.
+per-record Python loops.  A run is one shuffle of one stream; the
+leading axis, of length 1, stays so that the stored layout does not
+change.  :class:`BatchRecord` survives as the write side: the driver
+stages one record per ingested batch and commits it with
+:meth:`StreamResult.add_record`.
 
 Results serialize to a ``meta + arrays`` payload
 (:meth:`StreamResult.to_payload` / :meth:`StreamResult.from_payload`)
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +38,8 @@ ComboKey = Tuple[str, str, str]  # (algorithm, model, structure)
 
 #: Version of the columnar result schema; part of every cache key, so
 #: bumping it invalidates all previously stored results.
-RESULT_SCHEMA_VERSION = 2
+#: v3: the ``repetitions`` meta key left (every result holds one run).
+RESULT_SCHEMA_VERSION = 3
 
 #: Per-batch scalar count columns, in serialization order.
 _COUNT_FIELDS = ("edges_attempted", "edges_inserted", "num_nodes", "num_edges")
@@ -51,7 +54,6 @@ class BatchRecord:
     :meth:`StreamResult.add_record`.
     """
 
-    repetition: int
     batch_index: int
     edges_attempted: int
     edges_inserted: int
@@ -66,13 +68,13 @@ class BatchRecord:
 class StreamResult:
     """All measurements of one dataset's streaming characterization.
 
-    Array layout (``R`` repetitions, ``B`` batches per repetition,
-    ``S`` structures, ``A`` algorithms, ``M`` compute models):
+    Array layout (``B`` batches, ``S`` structures, ``A`` algorithms,
+    ``M`` compute models; the leading axis is the one run):
 
-    - count columns: ``(R, B)`` int64;
-    - ``update_cycles``: ``(R, B, S)`` float64;
-    - ``compute_cycles``: ``(R, B, A, M, S)`` float64;
-    - ``compute_iterations``: ``(R, B, A, M)`` int64.
+    - count columns: ``(1, B)`` int64;
+    - ``update_cycles``: ``(1, B, S)`` float64;
+    - ``compute_cycles``: ``(1, B, A, M, S)`` float64;
+    - ``compute_iterations``: ``(1, B, A, M)`` int64.
     """
 
     dataset: str
@@ -80,7 +82,6 @@ class StreamResult:
     structures: Tuple[str, ...]
     algorithms: Tuple[str, ...]
     models: Tuple[str, ...]
-    repetitions: int
     batches_per_rep: int
     edges_attempted: Optional[np.ndarray] = None
     edges_inserted: Optional[np.ndarray] = None
@@ -94,7 +95,7 @@ class StreamResult:
         self.structures = tuple(self.structures)
         self.algorithms = tuple(self.algorithms)
         self.models = tuple(self.models)
-        shape = (self.repetitions, self.batches_per_rep)
+        shape = (1, self.batches_per_rep)
         for name in _COUNT_FIELDS:
             if getattr(self, name) is None:
                 setattr(self, name, np.zeros(shape, dtype=np.int64))
@@ -116,22 +117,21 @@ class StreamResult:
 
     def add_record(self, record: BatchRecord) -> None:
         """Commit one staged :class:`BatchRecord` into the arrays."""
-        r, b = record.repetition, record.batch_index
-        if not (0 <= r < self.repetitions and 0 <= b < self.batches_per_rep):
+        b = record.batch_index
+        if not 0 <= b < self.batches_per_rep:
             raise SimulationError(
-                f"record ({r}, {b}) outside the result's "
-                f"({self.repetitions}, {self.batches_per_rep}) grid"
+                f"batch {b} outside the result's {self.batches_per_rep} batches"
             )
         for name in _COUNT_FIELDS:
-            getattr(self, name)[r, b] = getattr(record, name)
+            getattr(self, name)[0, b] = getattr(record, name)
         for structure, cycles in record.update_cycles.items():
-            self.update_cycles[r, b, self._sindex[structure]] = cycles
+            self.update_cycles[0, b, self._sindex[structure]] = cycles
         for (alg, model, structure), cycles in record.compute_cycles.items():
             self.compute_cycles[
-                r, b, self._aindex[alg], self._mindex[model], self._sindex[structure]
+                0, b, self._aindex[alg], self._mindex[model], self._sindex[structure]
             ] = cycles
         for (alg, model), count in record.compute_iterations.items():
-            self.compute_iterations[r, b, self._aindex[alg], self._mindex[model]] = (
+            self.compute_iterations[0, b, self._aindex[alg], self._mindex[model]] = (
                 count
             )
 
@@ -195,52 +195,6 @@ class StreamResult:
             return 0.0
         return float(self.edges_attempted.sum()) / total
 
-    # -- merging --------------------------------------------------------
-
-    @classmethod
-    def merge(cls, parts: Sequence["StreamResult"]) -> "StreamResult":
-        """Stack per-repetition results along the repetition axis.
-
-        Parts must share dataset, machine, matrix, and batch count;
-        repetition indices follow the order of ``parts``, which is how
-        the sweep engine reassembles a deterministic multi-repetition
-        result from independently executed cells.
-        """
-        if not parts:
-            raise SimulationError("cannot merge zero results")
-        first = parts[0]
-        if len(parts) == 1:
-            return first
-        for other in parts[1:]:
-            if (
-                other.dataset != first.dataset
-                or other.machine != first.machine
-                or other.structures != first.structures
-                or other.algorithms != first.algorithms
-                or other.models != first.models
-                or other.batches_per_rep != first.batches_per_rep
-            ):
-                raise SimulationError(
-                    f"cannot merge results of mismatched runs "
-                    f"({other.dataset!r} vs {first.dataset!r})"
-                )
-        return cls(
-            dataset=first.dataset,
-            machine=first.machine,
-            structures=first.structures,
-            algorithms=first.algorithms,
-            models=first.models,
-            repetitions=sum(p.repetitions for p in parts),
-            batches_per_rep=first.batches_per_rep,
-            edges_attempted=np.concatenate([p.edges_attempted for p in parts]),
-            edges_inserted=np.concatenate([p.edges_inserted for p in parts]),
-            num_nodes=np.concatenate([p.num_nodes for p in parts]),
-            num_edges=np.concatenate([p.num_edges for p in parts]),
-            update_cycles=np.concatenate([p.update_cycles for p in parts]),
-            compute_cycles=np.concatenate([p.compute_cycles for p in parts]),
-            compute_iterations=np.concatenate([p.compute_iterations for p in parts]),
-        )
-
     # -- serialization ---------------------------------------------------
 
     def to_payload(self) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -254,7 +208,6 @@ class StreamResult:
             "structures": list(self.structures),
             "algorithms": list(self.algorithms),
             "models": list(self.models),
-            "repetitions": self.repetitions,
             "batches_per_rep": self.batches_per_rep,
         }
         arrays = {
@@ -279,7 +232,6 @@ class StreamResult:
             structures=tuple(meta["structures"]),
             algorithms=tuple(meta["algorithms"]),
             models=tuple(meta["models"]),
-            repetitions=int(meta["repetitions"]),
             batches_per_rep=int(meta["batches_per_rep"]),
             **{name: np.asarray(arrays[name]) for name in _COUNT_FIELDS},
             update_cycles=np.asarray(arrays["update_cycles"]),

@@ -23,7 +23,7 @@ The sharded driver splits the run in two phases:
 
 1. **Shard simulation** (:func:`_simulate_shard`): each shard replays
    the whole stream against its own structures, producing per
-   ``(repetition, batch, structure)`` makespan and count arrays (its
+   ``(batch, structure)`` makespan and count arrays (its
    own update/churn replay, not the driver's loop: a shard has no
    reference graph and no compute phase to run).  A
    pure function of ``(stream, config, shard)``, so running shards in
@@ -65,7 +65,6 @@ from repro.obs.tracer import TRACER
 from repro.sim.counters import shard_merge_cycles
 from repro.streaming.batching import batch_count, make_batches
 from repro.streaming.driver import (
-    REP_SEED_STRIDE,
     StreamConfig,
     StreamDriver,
     UpdatePlane,
@@ -122,7 +121,7 @@ class _ShardTask:
 
 @dataclass
 class ShardPlan:
-    """Merged per-shard schedules, indexed ``[rep, batch, shard, structure]``."""
+    """Merged per-shard schedules, indexed ``[batch, shard, structure]``."""
 
     shards: int
     update_makespan: np.ndarray
@@ -169,49 +168,40 @@ def _simulate_shard_inner(task: _ShardTask, edges: EdgeBatch) -> dict:
     ctx = ExecutionContext(
         machine=cfg.machine, threads=cfg.threads, cost_model=cfg.cost_model
     )
-    shape = (
-        cfg.repetitions,
-        batch_count(len(edges), cfg.batch_size),
-        len(cfg.structures),
-    )
+    shape = (batch_count(len(edges), cfg.batch_size), len(cfg.structures))
     columns = {
         "update_makespan": np.zeros(shape),
         "inserted": np.zeros(shape, dtype=np.int64),
         "delete_makespan": np.zeros(shape),
         "removed": np.zeros(shape, dtype=np.int64),
     }
-    for rep in range(cfg.repetitions):
-        batches = make_batches(
-            edges,
-            cfg.batch_size,
-            shuffle_seed=cfg.shuffle_seed + REP_SEED_STRIDE * rep,
+    batches = make_batches(edges, cfg.batch_size, shuffle_seed=cfg.shuffle_seed)
+    structures = {
+        name: make_structure(
+            name,
+            task.max_nodes,
+            directed=task.directed,
+            cost_model=cfg.cost_model,
         )
-        structures = {
-            name: make_structure(
-                name,
-                task.max_nodes,
-                directed=task.directed,
-                cost_model=cfg.cost_model,
+        for name in cfg.structures
+    }
+    for batch_index, batch in enumerate(batches):
+        phases = [
+            ("update", batch, columns["update_makespan"], columns["inserted"])
+        ]
+        if cfg.churn_fraction > 0.0 and len(batch):
+            # The victims are the head of the whole batch, as in the
+            # serial loop; this shard deletes the ones it owns.
+            victims = churn_victims(batch, cfg.churn_fraction)
+            phases.append(
+                ("delete", victims, columns["delete_makespan"], columns["removed"])
             )
-            for name in cfg.structures
-        }
-        for batch_index, batch in enumerate(batches):
-            phases = [
-                ("update", batch, columns["update_makespan"], columns["inserted"])
-            ]
-            if cfg.churn_fraction > 0.0 and len(batch):
-                # The victims are the head of the whole batch, as in the
-                # serial loop; this shard deletes the ones it owns.
-                victims = churn_victims(batch, cfg.churn_fraction)
-                phases.append(
-                    ("delete", victims, columns["delete_makespan"], columns["removed"])
-                )
-            for operation, affected, makespans, counts in phases:
-                share = _home_share(affected, task)
-                for si, name in enumerate(cfg.structures):
-                    outcome = getattr(structures[name], operation)(share, ctx)
-                    makespans[rep, batch_index, si] = outcome.latency_cycles
-                    counts[rep, batch_index, si] = outcome.edges_inserted
+        for operation, affected, makespans, counts in phases:
+            share = _home_share(affected, task)
+            for si, name in enumerate(cfg.structures):
+                outcome = getattr(structures[name], operation)(share, ctx)
+                makespans[batch_index, si] = outcome.latency_cycles
+                counts[batch_index, si] = outcome.edges_inserted
     return columns
 
 
@@ -237,7 +227,7 @@ class ShardPlanPlane(UpdatePlane):
         merge = shard_merge_cycles(cross, self.ctx.machine)
         totals: Dict[str, int] = {}
         for si, name in enumerate(self.structures):
-            per_shard = (record.repetition, record.batch_index, slice(None), si)
+            per_shard = (record.batch_index, slice(None), si)
             cycles = float(makespans[per_shard].max()) + merge
             record.update_cycles[name] = record.update_cycles.get(name, 0.0) + cycles
             totals[name] = int(counts[per_shard].sum())
@@ -319,7 +309,7 @@ class ShardedStreamDriver(StreamDriver):
             shards=cfg.shards,
             sim_seconds=time.perf_counter() - started,
             **{
-                column: np.stack([out[column] for out in outs], axis=2)
+                column: np.stack([out[column] for out in outs], axis=1)
                 for column in outs[0]
             },
         )

@@ -309,7 +309,6 @@ class TestAdaptiveDifferential:
         common = dict(
             batch_size=BATCH_SIZE,
             algorithms=("BFS", "PR"),
-            repetitions=1,
             churn_fraction=0.1,
         )
         static = StreamDriver(
@@ -331,17 +330,17 @@ class TestAdaptiveDifferential:
             adaptive.edges_inserted, static.edges_inserted
         )
         for entry in driver.decision_log["decisions"]:
-            rep, batch = entry["rep"], entry["batch"]
+            batch = entry["batch"]
             s_idx = static.structures.index(entry["structure"])
             for a_idx, algorithm in enumerate(static.algorithms):
                 m_idx = static.models.index(entry["models"][algorithm])
                 assert (
-                    adaptive.compute_cycles[rep, batch, a_idx, 0, 0]
-                    == static.compute_cycles[rep, batch, a_idx, m_idx, s_idx]
+                    adaptive.compute_cycles[0, batch, a_idx, 0, 0]
+                    == static.compute_cycles[0, batch, a_idx, m_idx, s_idx]
                 )
                 assert (
-                    adaptive.compute_iterations[rep, batch, a_idx, 0]
-                    == static.compute_iterations[rep, batch, a_idx, m_idx]
+                    adaptive.compute_iterations[0, batch, a_idx, 0]
+                    == static.compute_iterations[0, batch, a_idx, m_idx]
                 )
 
     def test_decision_log_covers_every_batch(self, runs):

@@ -1050,6 +1050,53 @@ class TestIncRoundCorners:
         assert np.frombuffer(compiled[0]).tolist() == [np.inf, 2.0]
         assert compiled[1] == [([0, 1], [1]), ([0], [])]
 
+
+def _nan_weight_run(name, model):
+    """``name`` under ``model`` from source 0 over a graph whose edge
+    ``0 -> 2`` weighs NaN; the run's value bits."""
+    batch = EdgeBatch.from_edges(
+        [(0, 1, 1.0), (0, 2, np.nan), (2, 1, 1.0), (1, 3, 1.0), (2, 3, 5.0)]
+    )
+    reference = ReferenceGraph(4, directed=True)
+    reference.update_collect(batch)
+    algorithm = get_algorithm(name)
+    if model == "FS":
+        run = algorithm.fs_run(reference, source=0)
+    else:
+        run = algorithm.inc_run(
+            reference,
+            algorithm.make_state(4),
+            algorithm.affected_from_batch(batch, reference),
+            source=0,
+        )
+    return np.asarray(run.values[:4]).tobytes()
+
+
+@needs_ckernels
+@pytest.mark.parametrize(
+    "name, model, expected",
+    [
+        ("SSSP", "INC", [0.0, 1.0, np.nan, np.nan]),
+        ("SSWP", "INC", [np.inf, 1.0, np.nan, 5.0]),
+        ("SSWP", "FS", [np.inf, 1.0, 0.0, 1.0]),
+        ("BFS", "FS", [0.0, 1.0, 1.0, 2.0]),
+    ],
+)
+def test_nan_weight_answers_alike_natively_and_in_python(name, model, expected):
+    """A NaN term wins a vertex's min or max, as ``np.minimum`` and the
+    compiled ``take_min`` / ``take_max`` have it, and SSWP's ``min(vu,
+    w)`` is ``vu if vu < w else w`` (NaN when ``w`` is).  So the NaN
+    reaches vertex 2 and, under SSSP, vertex 3 through it; SSWP's FS
+    relaxation never improves a width by a NaN candidate.
+
+    Fails when a Python vertex function skips a NaN term (SSSP INC then
+    answers ``[0, 1, inf, 2]``) or SSWP's FS relaxation takes Python's
+    ``min`` (``[inf, 1, inf, 5]``).
+    """
+    compiled, fallback = _both_paths(lambda: _nan_weight_run(name, model))
+    assert compiled == fallback
+    np.testing.assert_array_equal(np.frombuffer(compiled), expected)
+
 # ----------------------------------------------------------------------
 # The compute library under UndefinedBehaviorSanitizer
 # ----------------------------------------------------------------------

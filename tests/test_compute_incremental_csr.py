@@ -80,7 +80,7 @@ class TestStreamDifferential:
 
     # DAH is excluded from the delete-heavy run: its open-address table
     # overflows under 50% churn regardless of how the compute view is
-    # maintained (the maintainer is per-repetition, not per-structure,
+    # maintained (the maintainer is per-run, not per-structure,
     # so the differential is unaffected).
     @pytest.mark.parametrize(
         "churn_fraction, structures",

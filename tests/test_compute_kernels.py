@@ -386,7 +386,6 @@ class TestEngineFingerprint:
             batch_size=120,
             structures=("AS",),
             algorithms=("BFS", "PR"),
-            repetitions=1,
         )
         key = stream_run_key("RMAT", config, seed=1, size_factor=0.003)
         store = RunStore(tmp_path / "cache")

@@ -54,7 +54,7 @@ DRIVER_SPANS = (
     "batching.make", "batching.gather", "reference.update", "reference.delete",
     "autotune.decide", "compute", "autotune.migrate",
 )
-#: The driver loop's spans every path opens, per repetition of the stream.
+#: The driver loop's spans every path opens, per run of the stream.
 LOOP_SPANS = {
     "batching.make": 1, "batching.gather": BATCHES, "reference.update": BATCHES,
     "reference.delete": BATCHES, "compute": BATCHES,
@@ -218,12 +218,10 @@ class TestSharedHalf:
     def test_static_and_sharded_records_differ_only_in_update_cycles(self, paths):
         """The plan-lookup plane changes who ingests and nothing else."""
         static = paths["static"].result
-        assert static.repetitions * static.batches_per_rep == BATCHES
+        assert static.batches_per_rep == BATCHES
         for name in ("sharded", "pooled"):
             ours = paths[name].result
-            assert (ours.repetitions, ours.batches_per_rep) == (
-                static.repetitions, static.batches_per_rep,
-            )
+            assert ours.batches_per_rep == static.batches_per_rep
             for field in (
                 "edges_attempted", "edges_inserted", "num_nodes", "num_edges",
                 "compute_cycles", "compute_iterations",
@@ -333,7 +331,7 @@ class TestObservabilityPerPath:
                     for d in _decisions(observed)
                 ]
             assert observed.lines == [
-                f"Talk rep 0 batch {b + 1}/{BATCHES}{suffixes[b]}: "
+                f"Talk batch {b + 1}/{BATCHES}{suffixes[b]}: "
                 f"|V|={result.num_nodes[0, b]} |E|={result.num_edges[0, b]}"
                 for b in range(BATCHES)
             ], name
@@ -567,7 +565,7 @@ class TestHardwarePlane:
     """``profile_cell`` (Figs. 9-10) is the same loop over a fourth plane."""
 
     def test_profile_cell_is_one_pass_of_the_batch_loop(self, monkeypatch):
-        """One ``_run_repetition`` call walks every batch of the cell, with
+        """One ``_run_batches`` call walks every batch of the cell, with
         the driver's spans and stream series around the traced plane.
 
         Kills: a private batch loop in ``profile_cell`` (no call), the
@@ -579,13 +577,13 @@ class TestHardwarePlane:
         from tests.conftest import SMALL_MACHINE
 
         walks = []
-        loop = StreamDriver._run_repetition
+        loop = StreamDriver._run_batches
 
-        def spy(driver, plane, rep, source, result):
-            walks.append((type(plane), rep))
-            return loop(driver, plane, rep, source, result)
+        def spy(driver, plane, source, result):
+            walks.append(type(plane))
+            return loop(driver, plane, source, result)
 
-        monkeypatch.setattr(StreamDriver, "_run_repetition", spy)
+        monkeypatch.setattr(StreamDriver, "_run_batches", spy)
         profiler = HardwareProfiler(
             machine=SMALL_MACHINE, core_counts=(2, 4), algorithms=ALGORITHMS,
             batch_size=BATCH_SIZE, trace_cap=2_000,
@@ -604,7 +602,7 @@ class TestHardwarePlane:
             for registry in (METRICS, TRACER):
                 registry.disable()
                 registry.reset()
-        assert walks == [(HardwarePlane, 0)]
+        assert walks == [HardwarePlane]
         assert cell.batches == BATCHES
         # No churn on the hardware plane: nothing is deleted.
         assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == {

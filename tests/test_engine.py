@@ -40,6 +40,10 @@ SEED = 3
 SIZE_FACTOR = 0.1
 
 
+#: The overrides that put :func:`small_config` in adaptive mode.
+ADAPTIVE = {"structures": ("adaptive",), "models": ("adaptive",)}
+
+
 def small_config(**overrides) -> StreamConfig:
     kwargs = dict(
         batch_size=900,
@@ -62,7 +66,6 @@ def assert_identical(a: StreamResult, b: StreamResult) -> None:
         b.algorithms,
         b.models,
     )
-    assert a.repetitions == b.repetitions
     assert a.batches_per_rep == b.batches_per_rep
     for name in (
         "edges_attempted",
@@ -113,11 +116,14 @@ class TestFingerprint:
         [
             {"batch_size": 901},
             {"shuffle_seed": 6},
-            {"repetitions": 2},
             {"structures": ("AS",)},
             {"algorithms": ("BFS", "CC")},
             {"models": ("FS",)},
             {"churn_fraction": 0.1},
+            {"shards": 2},
+            {"threads": 4},
+            {"batch_schedule": (300, 600)},
+            {**ADAPTIVE, "candidate_structures": ("AS", "DAH")},
             {"machine": replace(SMALL_MACHINE, frequency_hz=2.7e9)},
             {
                 "cost_model": replace(
@@ -128,7 +134,10 @@ class TestFingerprint:
         ],
     )
     def test_config_changes_change_the_key(self, overrides):
-        base = stream_run_key(DATASET, small_config())
+        # A candidate pool only exists in adaptive mode, so it is keyed
+        # against the adaptive config without one.
+        adaptive = "candidate_structures" in overrides
+        base = stream_run_key(DATASET, small_config(**(ADAPTIVE if adaptive else {})))
         assert stream_run_key(DATASET, small_config(**overrides)) != base
 
     def test_dataset_spec_changes_change_the_key(self):
@@ -268,19 +277,22 @@ class TestSweep:
         assert not store.path(request.key).exists()
 
     def test_parallel_execution_is_deterministic(self, warm_store):
+        """Two shuffles of one stream are two requests; pooled, each is
+        its own serial run, the first the warm store's cold run."""
         _, cold = warm_store
-        config = small_config(repetitions=2)
-        parallel = run_stream(
-            DATASET, config, seed=SEED, size_factor=SIZE_FACTOR, jobs=2
+        configs = [small_config(), small_config(shuffle_seed=6)]
+        parallel = run_many(
+            [
+                StreamRequest(DATASET, c, seed=SEED, size_factor=SIZE_FACTOR)
+                for c in configs
+            ],
+            jobs=2,
         )
         dataset = load_dataset(DATASET, seed=SEED, size_factor=SIZE_FACTOR)
-        direct = StreamDriver(config).run(dataset)
-        assert_identical(parallel, direct)
-        assert_identical(
-            StreamResult.merge([parallel]), parallel
-        )
-        # Repetition 0 of the multi-rep run is the single-rep run.
-        assert np.array_equal(parallel.update_cycles[0], cold.update_cycles[0])
+        for result, config in zip(parallel, configs):
+            assert_identical(result, StreamDriver(config).run(dataset))
+        assert_identical(parallel[0], cold)
+        assert not np.array_equal(parallel[0].update_cycles, parallel[1].update_cycles)
 
     def test_run_many_preserves_request_order(self, tmp_path):
         store = RunStore(tmp_path)

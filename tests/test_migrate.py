@@ -130,7 +130,6 @@ def _static_run(churn):
         structures=STRUCTURES,
         algorithms=ALGORITHMS,
         models=("FS", "INC"),
-        repetitions=1,
         churn_fraction=churn,
     )
     dataset = load_dataset(DATASET, size_factor=SIZE_FACTOR)
@@ -145,7 +144,6 @@ def _adaptive_run(plan, churn):
         candidate_structures=STRUCTURES,
         candidate_models=("FS", "INC"),
         algorithms=ALGORITHMS,
-        repetitions=1,
         churn_fraction=churn,
     )
     dataset = load_dataset(DATASET, size_factor=SIZE_FACTOR)
@@ -182,17 +180,17 @@ class TestMigrationEquivalence:
         assert migrated and migrated[0]["structure"] == target
         assert migrated[0]["migration_seconds"] > 0.0
         for entry in decisions:
-            rep, batch = entry["rep"], entry["batch"]
+            batch = entry["batch"]
             s_idx = static.structures.index(entry["structure"])
             for a_idx, algorithm in enumerate(static.algorithms):
                 m_idx = static.models.index(entry["models"][algorithm])
                 assert (
-                    adaptive.compute_cycles[rep, batch, a_idx, 0, 0]
-                    == static.compute_cycles[rep, batch, a_idx, m_idx, s_idx]
+                    adaptive.compute_cycles[0, batch, a_idx, 0, 0]
+                    == static.compute_cycles[0, batch, a_idx, m_idx, s_idx]
                 ), f"batch {batch} {algorithm} diverged after migration"
                 assert (
-                    adaptive.compute_iterations[rep, batch, a_idx, 0]
-                    == static.compute_iterations[rep, batch, a_idx, m_idx]
+                    adaptive.compute_iterations[0, batch, a_idx, 0]
+                    == static.compute_iterations[0, batch, a_idx, m_idx]
                 )
 
     def test_migration_cycles_charged_to_batch(self, static_results):

@@ -20,7 +20,7 @@ from repro.algorithms import get_algorithm
 from repro.cli import _profile_report, main
 from repro.compute import ckernels
 from repro.compute.stats import ROUND_COLUMNS
-from repro.engine import run_stream
+from repro.engine import StreamRequest, run_many, run_stream
 from repro.graph import EdgeBatch, ReferenceGraph
 from repro.obs import (
     METRICS,
@@ -568,18 +568,27 @@ class TestInstrumentedRun:
             METRICS.reset()
 
     def test_parallel_sweep_metrics_equal_serial(self, tmp_path):
-        config = StreamConfig(repetitions=2, **self.CONFIG)
+        # Two shuffles of one stream: two requests, two pooled cells (the
+        # shuffle seeds the two repetitions of one request once had).
+        requests = [
+            StreamRequest(
+                "Talk", StreamConfig(shuffle_seed=seed, **self.CONFIG),
+                size_factor=0.1,
+            )
+            for seed in (0, 7919)
+        ]
         METRICS.enable()
-        serial = run_stream("Talk", config, size_factor=0.1)
+        serial = run_many(requests)
         serial_snapshot = METRICS.snapshot()
         METRICS.reset()
-        parallel = run_stream("Talk", config, size_factor=0.1, jobs=2)
+        parallel = run_many(requests, jobs=2)
         parallel_snapshot = METRICS.snapshot()
-        serial_meta, serial_arrays = serial.to_payload()
-        parallel_meta, parallel_arrays = parallel.to_payload()
-        assert serial_meta == parallel_meta
-        for key in serial_arrays:
-            assert np.array_equal(serial_arrays[key], parallel_arrays[key])
+        for one, other in zip(serial, parallel):
+            serial_meta, serial_arrays = one.to_payload()
+            parallel_meta, parallel_arrays = other.to_payload()
+            assert serial_meta == parallel_meta
+            for key in serial_arrays:
+                assert np.array_equal(serial_arrays[key], parallel_arrays[key])
         # Transport-only families exist only where that transport runs:
         # parallel workers map the stream directory the parent spilled,
         # a serial in-RAM run maps nothing.  Environment gauges describe

@@ -43,7 +43,7 @@ def _fixture_inputs():
         "dataset": "RMAT",
         "summary": {"batches": 2, "switches": 1},
         "decisions": [
-            {"rep": 0, "batch": batch, "structure": structure, "reason": reason,
+            {"batch": batch, "structure": structure, "reason": reason,
              "predicted_seconds": 1e-3, "actual_seconds": actual}
             for batch, structure, reason, actual in (
                 (0, "AS", "start", 1.2e-3), (1, "DAH", "switch", 0.8e-3)

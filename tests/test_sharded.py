@@ -27,7 +27,6 @@ CONFIG = dict(
     structures=("AS", "DAH"),
     algorithms=("PR", "CC"),
     models=("INC",),
-    repetitions=2,
     machine=SMALL_MACHINE,
 )
 

@@ -52,7 +52,7 @@ class TestStreamConfig:
         "kwargs",
         [
             {"batch_size": 0},
-            {"repetitions": 0},
+            {"models": ("adaptive",)},  # adaptive is all-or-nothing
             {"structures": ("AS", "XX")},
             {"algorithms": ("BFS", "XX")},
             {"models": ("FS", "XX")},
@@ -109,30 +109,33 @@ class TestSource:
             StreamDriver(StreamConfig(**self.CONFIG)).run(empty)
 
 
-@pytest.fixture(scope="module")
-def small_result():
-    dataset = load_dataset("Talk", seed=2, size_factor=0.12)
-    config = StreamConfig(
+def _small_config(**overrides):
+    return StreamConfig(
         batch_size=800,
         machine=SMALL_MACHINE,
         structures=("AS", "DAH"),
         algorithms=("BFS", "CC"),
-        repetitions=2,
+        **overrides,
     )
-    return StreamDriver(config).run(dataset), dataset
+
+
+@pytest.fixture(scope="module")
+def small_result():
+    dataset = load_dataset("Talk", seed=2, size_factor=0.12)
+    return StreamDriver(_small_config()).run(dataset), dataset
 
 
 class TestDriver:
     def test_batches_and_reps(self, small_result):
+        """One run: the leading axis of every series has length 1."""
         result, dataset = small_result
-        assert result.repetitions == 2
         assert result.batches_per_rep == dataset.batch_count(800)
-        assert result.num_edges.shape == (2, result.batches_per_rep)
+        assert result.num_edges.shape == (1, result.batches_per_rep)
 
     def test_series_shapes(self, small_result):
         result, _ = small_result
         series = result.update_latency("AS")
-        assert series.shape == (2, result.batches_per_rep)
+        assert series.shape == (1, result.batches_per_rep)
         assert (series > 0).all()
 
     def test_equation_1(self, small_result):
@@ -165,10 +168,12 @@ class TestDriver:
         assert edges[-1] > edges[0]
 
     def test_repetitions_differ_by_shuffle(self, small_result):
-        result, _ = small_result
-        rep0 = result.update_latency("AS")[0]
-        rep1 = result.update_latency("AS")[1]
-        assert not np.allclose(rep0, rep1)
+        """The paper's repetitions are runs with other shuffle seeds."""
+        result, dataset = small_result
+        other = StreamDriver(_small_config(shuffle_seed=1)).run(dataset)
+        assert not np.allclose(
+            result.update_latency("AS"), other.update_latency("AS")
+        )
 
     def test_inserted_counts_match_final_graph(self, small_result):
         result, _ = small_result

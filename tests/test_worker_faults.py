@@ -113,23 +113,30 @@ def _assert_cli_dies(argv, cells, tmp_path):
 
 
 def test_a_dead_sweep_worker_names_its_cells(armed, monkeypatch, tmp_path):
-    """``run_many``: two repetitions over one spilled stream directory."""
-    config = StreamConfig(
-        batch_size=500, structures=("AS",), algorithms=("PR",), models=("INC",),
-        repetitions=2, machine=SMALL_MACHINE,
-    )
-    request = sweep.StreamRequest("Talk", config, size_factor=0.05)
+    """``run_many``: two shuffles of one stream, two requests over one
+    spilled stream directory."""
+    requests = [
+        sweep.StreamRequest(
+            "Talk",
+            StreamConfig(
+                batch_size=500, structures=("AS",), algorithms=("PR",),
+                models=("INC",), machine=SMALL_MACHINE, shuffle_seed=seed,
+            ),
+            size_factor=0.05,
+        )
+        for seed in (0, 1)
+    ]
     monkeypatch.setattr(sweep, "_run_cell", dying_cell)
     with pytest.raises(ReproError) as failure:
-        sweep.run_many([request], jobs=2)
-    _assert_names_lost_cells(failure, r"Talk-r[01]")
+        sweep.run_many(requests, jobs=2)
+    _assert_names_lost_cells(failure, r"Talk-s[01]")
     assert armed.exists()
     monkeypatch.setattr(sweep, "_run_cell", _RUN_CELL)
-    (pooled,) = sweep.run_many([request], jobs=2)
-    (alone,) = sweep.run_many([request])
-    assert pooled.to_payload()[0] == alone.to_payload()[0]
+    pooled = sweep.run_many(requests, jobs=2)
+    alone = sweep.run_many(requests)
+    assert [r.to_payload()[0] for r in pooled] == [r.to_payload()[0] for r in alone]
     _assert_cli_dies(
-        ["table3", "--quick", "--jobs", "2", "--no-cache"], r"\w+-r\d", tmp_path
+        ["table3", "--quick", "--jobs", "2", "--no-cache"], r"\w+-s\d+", tmp_path
     )
 
 
