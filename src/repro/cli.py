@@ -5,7 +5,7 @@ Usage::
     python -m repro table1|table2|table3|table4|fig6|fig7|fig8|fig9|fig10
     python -m repro all --quick
     python -m repro stream --dataset Talk --structure DAH --algorithm PR
-    python -m repro scale --edges 5000000 --mmap-dir /tmp/rmat --shards 4
+    python -m repro scale --edges 5000000 --mmap-dir /tmp/rmat
     python -m repro table3 --cache-dir ~/.cache/saga --jobs 4
 
 ``--quick`` runs the sweeps at reduced scale (minutes instead of tens
@@ -195,7 +195,6 @@ def _run_adaptive_stream(args: argparse.Namespace, size_factor: float):
         structures=("adaptive",),
         models=("adaptive",),
         algorithms=(args.algorithm,),
-        shards=args.shards,
         progress=print if getattr(args, "verbose", False) else None,
     )
     dataset = load_dataset(args.dataset, seed=args.seed, size_factor=size_factor)
@@ -230,7 +229,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         structures=(args.structure,),
         algorithms=(args.algorithm,),
         models=("FS", "INC"),
-        shards=args.shards,
         progress=print if args.verbose else None,
     )
     result = run_stream(
@@ -276,7 +274,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             structures=("adaptive",),
             models=("adaptive",),
             algorithms=(args.algorithm,),
-            shards=args.shards,
         )
         label = f"adaptive/{args.algorithm}"
         combo = (args.algorithm, "adaptive", "adaptive")
@@ -286,9 +283,8 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             structures=(args.structure,),
             algorithms=(args.algorithm,),
             models=("INC",),
-            shards=args.shards,
         )
-        label = f"{args.structure}/{args.algorithm} INC, shards={args.shards}"
+        label = f"{args.structure}/{args.algorithm} INC"
         combo = (args.algorithm, "INC", args.structure)
     started = time.time()
     driver = _adaptive_driver(args, config) if args.adaptive else make_driver(config)
@@ -447,7 +443,6 @@ def _write_run_report(args: argparse.Namespace, path: str) -> str:
         "algorithms",
         "batch_size",
         "size_factor",
-        "shards",
         "jobs",
     ):
         value = getattr(args, key, None)
@@ -596,13 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduced-scale stream (size factor 0.1 unless --size-factor "
              "is given explicitly)",
     )
-    stream.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="simulate the update phase over N vertex partitions "
-             "(partition-parallel; algorithm results stay bit-identical)",
-    )
     stream.add_argument("--verbose", action="store_true")
     _add_adaptive_args(stream)
     _add_engine_args(stream)
@@ -624,12 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("BFS", "CC", "MC", "PR", "SSSP", "SSWP"),
                        default="PR")
     scale.add_argument("--seed", type=int, default=0)
-    scale.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="simulate the update phase over N vertex partitions",
-    )
     scale.add_argument(
         "--mmap-dir",
         default=None,

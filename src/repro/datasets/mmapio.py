@@ -28,15 +28,14 @@ place that checks a recipe and chooses RAM or a directory, so the
 transport cannot change a stream's bytes.
 
 A stream directory is also how a pool worker receives a stream:
-:func:`stream_directory` hands out the directory a stream already
-lives in, or spills the stream into a temporary one for the duration
-of the pool, and each worker opens it with :func:`open_edge_mmap`.
+:func:`stream_directory` spills the stream into a temporary one for
+the duration of the pool, and each worker opens it with
+:func:`open_edge_mmap`.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import shutil
 import tempfile
 from contextlib import contextmanager
@@ -300,51 +299,14 @@ def materialize(
     return open_edge_mmap(directory)
 
 
-def _own_directory(edges: EdgeBatch) -> Optional[Path]:
-    """The stream directory whose own columns ``edges`` are, if any.
-
-    Each column must be the full-length, offset-0 memmap of that
-    directory's file of the same name, as :func:`open_edge_mmap` made
-    it: a prefix, a reversed or strided view, or columns swapped
-    between files are not the directory's stream.
-    """
-    directory = None
-    for name, dtype in COLUMNS:
-        column = getattr(edges, name)
-        if not (
-            isinstance(column, np.memmap)
-            and isinstance(column.base, mmap.mmap)
-            and column.offset == 0
-            and column.dtype == np.dtype(dtype)
-            and column.flags.c_contiguous
-        ):
-            return None
-        path = Path(column.filename)
-        directory = directory or path.parent
-        if path != _column_path(directory, name):
-            return None
-    try:
-        if read_meta(directory)["edges"] != len(edges):
-            return None
-    except DatasetError:
-        return None
-    return directory
-
-
 @contextmanager
 def stream_directory(edges: EdgeBatch) -> Iterator[Path]:
     """A stream directory holding ``edges``, for pool workers to open.
 
-    Yields the directory ``edges`` already are the columns of, writing
-    nothing.  Any other stream (in RAM, a prefix, a rearranged view)
-    is written once into a private ``saga_stream-*`` temporary
-    directory, which is removed on exit -- also when the body raised
-    or a worker died.
+    The stream is written once into a private ``saga_stream-*``
+    temporary directory, which is removed on exit -- also when the
+    body raised or a worker died.
     """
-    own = _own_directory(edges)
-    if own is not None:
-        yield own
-        return
     spill = Path(tempfile.mkdtemp(prefix="saga_stream-"))
     try:
         write_edge_mmap(spill, edges)

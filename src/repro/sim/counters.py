@@ -34,33 +34,6 @@ class PhaseCounters:
     qpi_utilization: float
 
 
-def shard_merge_bytes(cross_edges: int, machine: MachineConfig) -> float:
-    """Bytes exchanged to merge one batch across vertex shards.
-
-    Every edge whose endpoints live on different shards forces the
-    owning shard to push one cache line of updated vertex/adjacency
-    state to the remote partition during the merge step -- the same
-    line-granularity remote-traffic convention the QPI counters in
-    :func:`derive_counters` use (``remote accesses x line_bytes``).
-    """
-    if cross_edges < 0:
-        raise SimulationError(f"cross_edges must be >= 0, got {cross_edges}")
-    return float(cross_edges) * machine.line_bytes
-
-
-def shard_merge_cycles(cross_edges: int, machine: MachineConfig) -> float:
-    """Simulated cycles the cross-shard merge of one batch costs.
-
-    The merge traffic crosses the remote-socket link, so it is priced
-    at ``qpi_bandwidth_per_direction`` -- partition-parallel updates
-    pay the interconnect exactly where a real multi-socket run would.
-    """
-    seconds = shard_merge_bytes(cross_edges, machine) / (
-        machine.qpi_bandwidth_per_direction
-    )
-    return seconds * machine.frequency_hz
-
-
 def derive_counters(
     makespan_cycles: float,
     total_work_cycles: float,

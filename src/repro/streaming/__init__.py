@@ -9,8 +9,8 @@ The data plane underneath is lazy and transport-agnostic:
 :class:`~repro.streaming.batching.BatchView` gathers batches on demand
 from in-RAM or memory-mapped edge arrays (a pool worker always reads
 an mmap stream directory), and
-:func:`~repro.streaming.driver.make_driver` selects the serial or
-partition-parallel (:mod:`~repro.streaming.sharded`) simulation.
+:func:`~repro.streaming.driver.make_driver` selects the static or the
+auto-tuned (:mod:`~repro.streaming.autotune`) driver.
 """
 
 from repro.streaming.batching import BatchView, batch_count, make_batches

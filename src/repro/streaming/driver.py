@@ -20,11 +20,10 @@ three shuffle seeds; :func:`repro.analysis.stats.stage_stats` pools
 their series stacked as rows.
 
 That loop is written once, :meth:`StreamDriver._run_batches`.  What
-the static, sharded and adaptive drivers and the Fig. 9/10 hardware
-profile disagree on -- who ingests a batch, which cells are executed
-and priced, which are recorded, what is traced -- is an
+the static and adaptive drivers and the Fig. 9/10 hardware profile
+disagree on -- who ingests a batch, which cells are executed and
+priced, which are recorded, what is traced -- is an
 :class:`UpdatePlane`: :class:`MatrixPlane` here,
-:class:`repro.streaming.sharded.ShardPlanPlane`,
 :class:`repro.streaming.autotune.LiveStructurePlane` and
 :class:`repro.analysis.hardware_profile.HardwarePlane` beside their
 drivers, each of which only chooses its plane.
@@ -92,13 +91,6 @@ class StreamConfig:
     #: ``Algorithm.inc_delete_run``: invalidation then re-derivation
     #: for the monotone algorithms, PR re-converges without it).
     churn_fraction: float = 0.0
-    #: Partition-parallel update simulation: split each batch across
-    #: this many vertex-partitioned shards, each ingesting its share
-    #: into its own structure instance; the batch's update latency is
-    #: the slowest shard plus a cross-shard merge charge (see
-    #: repro.streaming.sharded).  1 = the serial model; algorithm
-    #: results are bit-identical either way.
-    shards: int = 1
     #: Cycled per-batch sizes overriding ``batch_size`` (regime-shifting
     #: streams: batch ``i`` holds ``batch_schedule[i % len]`` edges).
     batch_schedule: Optional[Tuple[int, ...]] = None
@@ -121,8 +113,6 @@ class StreamConfig:
             raise ConfigError(
                 f"churn_fraction must be in [0, 1), got {self.churn_fraction}"
             )
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
         if self.batch_schedule is not None:
             if not self.batch_schedule:
                 raise ConfigError("batch_schedule must not be empty")
@@ -131,8 +121,6 @@ class StreamConfig:
                     raise ConfigError(
                         f"batch_schedule sizes must be >= 1, got {size}"
                     )
-            if self.shards != 1:
-                raise ConfigError("batch_schedule requires shards == 1")
         adaptive = "adaptive" in self.structures or "adaptive" in self.models
         if adaptive:
             if self.structures != ("adaptive",) or self.models != ("adaptive",):
@@ -141,8 +129,6 @@ class StreamConfig:
                     "structures=('adaptive',) together with "
                     "models=('adaptive',)"
                 )
-            if self.shards != 1:
-                raise ConfigError("adaptive mode requires shards == 1")
             _check_names(
                 "candidate structure", self.candidate_structures or (), STRUCTURES
             )
@@ -217,17 +203,17 @@ def _execute_compute(algorithm, model, reference, state, batch, removed, source)
 class UpdatePlane:
     """What one driver decides about a batch; the loop does the rest.
 
-    The static, sharded and adaptive drivers and the hardware profile
-    run the same batch loop (:meth:`StreamDriver._run_batches`) and
-    disagree on four things only (DESIGN.md decisions #21, #26): *who
-    ingests* a batch (the run state each of the four planes builds in
+    The static and adaptive drivers and the hardware profile run the
+    same batch loop (:meth:`StreamDriver._run_batches`) and disagree on
+    four things only (DESIGN.md decisions #21, #26): *who ingests* a
+    batch (the run state each of the three planes builds in
     its constructor, and ``update`` / ``delete``), *what is executed and priced*
     (``models`` x ``structures``, and ``price``, which the hardware
     plane extends to trace and replay what it prices) and *what is
     recorded* (``record_cell`` / ``after_batch``).
     The defaults -- every structure priced on the run's machine, every
-    priced cell under its own key -- serve the static and sharded
-    planes.  A driver builds one plane per run.
+    priced cell under its own key -- serve the static plane.  A driver
+    builds one plane per run.
     """
 
     def __init__(self, config, dataset: Dataset, ctx, models, structures) -> None:
@@ -487,12 +473,12 @@ class StreamDriver:
 
 
 def make_driver(config: Optional[StreamConfig] = None) -> StreamDriver:
-    """The driver matching ``config``: sharded when ``shards > 1``,
-    adaptive when ``structures=("adaptive",)``.
+    """The driver matching ``config``: adaptive when
+    ``structures=("adaptive",)``, static otherwise.
 
     Call sites (the sweep engine, the CLI, benches) construct through
-    this factory so the partition-parallel and auto-tuned paths are
-    picked up anywhere a config asks for them.
+    this factory so the auto-tuned path is picked up anywhere a config
+    asks for it.
     """
     config = config if config is not None else StreamConfig()
     if config.is_adaptive:
@@ -500,9 +486,4 @@ def make_driver(config: Optional[StreamConfig] = None) -> StreamDriver:
         from repro.streaming.autotune import AdaptiveStreamDriver
 
         return AdaptiveStreamDriver(config)
-    if config.shards > 1:
-        # Local import: sharded builds on this module.
-        from repro.streaming.sharded import ShardedStreamDriver
-
-        return ShardedStreamDriver(config)
     return StreamDriver(config)

@@ -50,15 +50,6 @@ def churn_threshold(setting):
 
 
 @contextlib.contextmanager
-def one_cpu():
-    """Run as on a one-CPU host, where a sharded run replays its shards
-    in this process instead of over the pool."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "cpu_count", lambda: 1)
-        yield
-
-
-@contextlib.contextmanager
 def native_env(setting):
     """Re-probe the native library under one ``SAGA_BENCH_NO_NATIVE``
     setting -- ``None`` (unset: it loads) or ``"1"`` (every phase on its

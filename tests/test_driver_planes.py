@@ -2,54 +2,39 @@
 
 One stream (Talk at 0.05, batch 400, BFS/PR/SSSP under FS and INC,
 churn 0.25, candidate structures AS and DAH) through every path --
-static, ``shards=2`` (in-process and pooled), adaptive (free-running
-and with a forced plan that migrates twice) -- with the metrics
-registry and the span tracer on, and a spy on the auto-tuner's
-``observe_compute``.  Everything the paths
-share must come out equal; everything they differ in is asserted
-against an independent restatement.  The hardware profile's cell
+static and adaptive (free-running and with a forced plan that migrates
+twice) -- with the metrics registry and the span tracer on, and a spy
+on the auto-tuner's ``observe_compute``.  Everything the paths share
+must come out equal; everything they differ in is asserted against an
+independent restatement.  The hardware profile's cell
 (INC only, no churn) runs the same stream through the same loop.
 
 Each docstring names the seeded loop mutants its assertions were seen
 to kill.
 """
 
-import os
 from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
 
 from repro.datasets import load_dataset
-from repro.graph import EdgeBatch, make_structure
-from repro.graph.base import ExecutionContext
 from repro.obs import METRICS, TRACER
-from repro.sim.counters import shard_merge_cycles
-from repro.streaming import StreamConfig, StreamDriver, make_batches
-from repro.streaming.autotune import (
-    AdaptiveController,
-    AdaptiveStreamDriver,
-    update_samples,
-)
-from repro.streaming.sharded import (
-    ShardedStreamDriver,
-    cross_shard_count,
-    shard_of,
-)
-from tests.conftest import native_env, one_cpu
+from repro.streaming import StreamConfig, StreamDriver
+from repro.streaming.autotune import AdaptiveController, AdaptiveStreamDriver
+from tests.conftest import native_env
 
 STRUCTURES = ("AS", "DAH")
 ALGORITHMS = ("BFS", "PR", "SSSP")
 MODELS = ("FS", "INC")
 BATCH_SIZE = 400
 CHURN = 0.25
-SHARDS = 2
 BATCHES = 6
 #: Migrates at batches 2 and 4.
 FORCED_PLAN = {0: "AS", 1: "AS", 2: "DAH", 3: "DAH", 4: "AS", 5: "AS"}
 
 #: The series the driver loop (not the structures or kernels) owns.
-DRIVER_FAMILIES = ("stream_", "autotune_", "shard_")
+DRIVER_FAMILIES = ("stream_", "autotune_")
 DRIVER_SPANS = (
     "batching.make", "batching.gather", "reference.update", "reference.delete",
     "autotune.decide", "compute", "autotune.migrate",
@@ -137,12 +122,8 @@ def _observe(driver, observability=True):
 def paths():
     forced = AdaptiveStreamDriver(_adaptive_config())
     forced.forced_plan = dict(FORCED_PLAN)
-    with one_cpu():
-        in_process = _observe(ShardedStreamDriver(_config(shards=SHARDS)))
     return {
         "static": _observe(StreamDriver(_config())),
-        "sharded": in_process,
-        "pooled": _observe(ShardedStreamDriver(_config(shards=SHARDS))),
         "free": _observe(AdaptiveStreamDriver(_adaptive_config())),
         "forced": _observe(forced),
     }
@@ -166,16 +147,14 @@ class TestSharedHalf:
 
     def test_every_candidate_cell_is_priced_on_every_path(self, paths):
         """6 batches x 3 algorithms x 2 models x 2 structures: the static
-        and sharded records hold every cell, and the adaptive controller
-        is handed every cell, in loop order, at the static run's seconds.
+        record holds every cell, and the adaptive controller is handed
+        every cell, in loop order, at the static run's seconds.
 
         Kills: the adaptive plane pricing only the live structure (36
         cells short).
         """
         static = paths["static"].result
         assert np.count_nonzero(static.compute_cycles) == 72
-        for name in ("sharded", "pooled"):
-            assert np.array_equal(paths[name].result.compute_cycles, static.compute_cycles)
         expected = [
             (s, a, m, static.compute_latency(a, m, s)[0, b])
             for b in range(BATCHES)
@@ -187,17 +166,16 @@ class TestSharedHalf:
             assert paths[name].priced == expected, name
 
     def test_every_plane_is_the_same_without_the_native_library(self, paths):
-        """Static, sharded and adaptive (forced plan) with every phase on
-        its Python reference (``SAGA_BENCH_NO_NATIVE=1``) record what the
+        """Static and adaptive (forced plan) with every phase on its
+        Python reference (``SAGA_BENCH_NO_NATIVE=1``) record what the
         native runs recorded, array for array."""
         forced = AdaptiveStreamDriver(_adaptive_config())
         forced.forced_plan = dict(FORCED_PLAN)
         drivers = {
             "static": StreamDriver(_config()),
-            "sharded": ShardedStreamDriver(_config(shards=SHARDS)),
             "forced": forced,
         }
-        with native_env("1"), one_cpu():
+        with native_env("1"):
             for name, driver in drivers.items():
                 meta, arrays = _observe(driver, observability=False).result.to_payload()
                 native_meta, native_arrays = paths[name].result.to_payload()
@@ -214,25 +192,6 @@ class TestSharedHalf:
             assert observed.metrics["stream_edges_inserted_total"] == {
                 "dataset=Talk": 2232.0
             }, name
-
-    def test_static_and_sharded_records_differ_only_in_update_cycles(self, paths):
-        """The plan-lookup plane changes who ingests and nothing else."""
-        static = paths["static"].result
-        assert static.batches_per_rep == BATCHES
-        for name in ("sharded", "pooled"):
-            ours = paths[name].result
-            assert ours.batches_per_rep == static.batches_per_rep
-            for field in (
-                "edges_attempted", "edges_inserted", "num_nodes", "num_edges",
-                "compute_cycles", "compute_iterations",
-            ):
-                assert np.array_equal(getattr(ours, field), getattr(static, field)), (
-                    name, field,
-                )
-        assert not np.array_equal(
-            paths["sharded"].result.update_cycles,
-            paths["static"].result.update_cycles,
-        )
 
     def test_compute_span_carries_the_recorded_cycles(self, paths):
         """One ``compute`` span per batch, its cycles the recorded cells'.
@@ -256,9 +215,6 @@ class TestObservabilityPerPath:
             "stream_edges_inserted_total",
             "stream_update_latency_seconds",
         }
-        shard = {
-            "shard_cross_edges_total", "shard_merge_seconds", "shard_sim_seconds",
-        }
         autotune = {
             "autotune_actual_latency_seconds",
             "autotune_est_regret_seconds_total",
@@ -269,8 +225,6 @@ class TestObservabilityPerPath:
         }
         expected = {
             "static": stream,
-            "sharded": stream | shard,
-            "pooled": stream | shard,
             "free": stream | autotune,
             "forced": stream | autotune,
         }
@@ -281,11 +235,10 @@ class TestObservabilityPerPath:
         """Every plane observes insert and delete separately under the
         ingesting structure's name; the adaptive plane adds the whole
         update phase, migration included, under ``structure="adaptive"``."""
-        for name in ("static", "sharded", "pooled"):
-            family = paths[name].metrics["stream_update_latency_seconds"]
-            assert {key: series["count"] for key, series in family.items()} == {
-                f"structure={s}": 2 * BATCHES for s in STRUCTURES
-            }, name
+        family = paths["static"].metrics["stream_update_latency_seconds"]
+        assert {key: series["count"] for key, series in family.items()} == {
+            f"structure={s}": 2 * BATCHES for s in STRUCTURES
+        }
         for name in ("free", "forced"):
             observed = paths[name]
             family = observed.metrics["stream_update_latency_seconds"]
@@ -304,9 +257,8 @@ class TestObservabilityPerPath:
             }
 
     def test_driver_owned_spans(self, paths):
-        for name in ("static", "sharded", "pooled"):
-            spans = paths[name].spans
-            assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == LOOP_SPANS, name
+        spans = paths["static"].spans
+        assert {s: spans[s] for s in DRIVER_SPANS if spans[s]} == LOOP_SPANS
         for name in ("free", "forced"):
             observed = paths[name]
             migrations = sum(
@@ -334,81 +286,6 @@ class TestObservabilityPerPath:
                 f"Talk batch {b + 1}/{BATCHES}{suffixes[b]}: "
                 f"|V|={result.num_nodes[0, b]} |E|={result.num_edges[0, b]}"
                 for b in range(BATCHES)
-            ], name
-
-
-class TestShardedPlane:
-    def test_update_cycles_are_max_over_shards_plus_merge(self, paths):
-        """An independent replay: each shard ingests its sub-batch, the
-        churn victims are the head of the *whole* batch routed by home
-        shard, and the batch pays the slowest shard plus the merge
-        charge, once for the inserts and once for the deletions.
-
-        Kills: churn victims sliced from the shard's sub-batch instead
-        of the whole batch and the plan read at the wrong batch (both
-        also trip the loop's count cross-checks; this replay still
-        catches them under ``python -O``), the delete merge charge
-        dropped, the deletions not charged at all.
-        """
-        dataset = _dataset()
-        cfg = _config(shards=SHARDS)
-        ctx = ExecutionContext(
-            machine=cfg.machine, threads=cfg.threads, cost_model=cfg.cost_model
-        )
-        shards = [
-            {
-                name: make_structure(
-                    name, dataset.max_nodes, directed=dataset.directed,
-                    cost_model=cfg.cost_model,
-                )
-                for name in STRUCTURES
-            }
-            for _ in range(SHARDS)
-        ]
-
-        def routed(edges, shard):
-            mask = shard_of(
-                edges.src, edges.dst, SHARDS, dataset.max_nodes, dataset.directed
-            ) == shard
-            return EdgeBatch(
-                src=edges.src[mask], dst=edges.dst[mask], weight=edges.weight[mask]
-            )
-
-        def merge(edges):
-            return shard_merge_cycles(
-                cross_shard_count(edges.src, edges.dst, SHARDS, dataset.max_nodes),
-                cfg.machine,
-            )
-
-        expected = np.zeros((1, BATCHES, len(STRUCTURES)))
-        batches = make_batches(dataset.edges, BATCH_SIZE, shuffle_seed=cfg.shuffle_seed)
-        for b, batch in enumerate(batches):
-            victims = batch.slice(0, max(1, int(len(batch) * CHURN)))
-            for si, name in enumerate(STRUCTURES):
-                inserts = max(
-                    shards[k][name].update(routed(batch, k), ctx).latency_cycles
-                    for k in range(SHARDS)
-                )
-                deletes = max(
-                    shards[k][name].delete(routed(victims, k), ctx).latency_cycles
-                    for k in range(SHARDS)
-                )
-                expected[0, b, si] = (inserts + merge(batch)) + (
-                    deletes + merge(victims)
-                )
-        for name in ("sharded", "pooled"):
-            assert np.array_equal(paths[name].result.update_cycles, expected), name
-
-    def test_update_samples_carry_the_plan_latency(self, paths):
-        """A sharded result's update samples: the static ops, the plan's
-        latency."""
-        attempted = paths["static"].result.edges_attempted[0]
-        for name in ("sharded", "pooled"):
-            result = paths[name].result
-            assert update_samples(result, CHURN) == [
-                (s, _update_ops(attempted[b]), result.update_latency(s)[0, b])
-                for b in range(BATCHES)
-                for s in STRUCTURES
             ], name
 
 
@@ -536,7 +413,7 @@ class TestDeletionCrossCheck:
     loop: nothing checked a structure's deletions before)."""
 
     @pytest.mark.skipif(not __debug__, reason="the cross-check is an assert")
-    @pytest.mark.parametrize("path", ["static", "sharded", "adaptive"])
+    @pytest.mark.parametrize("path", ["static", "adaptive"])
     def test_under_reported_removal_is_caught(self, monkeypatch, path):
         from repro.graph.base import GraphDataStructure
 
@@ -551,9 +428,6 @@ class TestDeletionCrossCheck:
         monkeypatch.setattr(GraphDataStructure, "delete", forgetful)
         if path == "static":
             driver = StreamDriver(_config())
-        elif path == "sharded":
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-            driver = ShardedStreamDriver(_config(shards=SHARDS))
         else:
             driver = AdaptiveStreamDriver(_adaptive_config())
             driver.forced_plan = {0: "DAH"}

@@ -1,12 +1,12 @@
 """A worker killed mid-cell, in the one process pool.
 
-``repro.engine.sweep.run_cells`` runs sweep cells and Fig 9/10 cells
-(both through ``run_streams``' one worker function) and shard replays.  In each test the first cell to start kills its own
-worker with SIGKILL, and the parent must: raise an error naming the
-cells that did not finish, chained from the pool's
-``BrokenProcessPool``; exit the CLI non-zero with that message; leave
-no spilled ``saga_stream-*`` stream directory behind; and run the next
-request in the same process to the end.
+``repro.engine.sweep.run_cells`` runs sweep cells and Fig 9/10 cells,
+both through ``run_streams``' one worker function.  In each test the
+first cell to start kills its own worker with SIGKILL, and the parent
+must: raise an error naming the cells that did not finish, chained
+from the pool's ``BrokenProcessPool``; exit the CLI non-zero with that
+message; leave no spilled ``saga_stream-*`` stream directory behind;
+and run the next request in the same process to the end.
 """
 
 import multiprocessing
@@ -18,23 +18,20 @@ import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 
 from repro.analysis.hardware_profile import HardwareProfiler
-from repro.datasets import load_dataset, make_rmat_dataset
 from repro.engine import sweep
 from repro.errors import ReproError
 from repro.sim import cbuild
-from repro.streaming import StreamConfig, sharded
-from tests.conftest import SMALL_MACHINE, one_cpu
+from repro.streaming import StreamConfig
+from tests.conftest import SMALL_MACHINE
 
 #: Names the file the first cell to start creates before it kills its
 #: worker, so that exactly one worker dies per run.
 MARKER_ENV = "REPRO_TEST_KILL_MARKER"
 
 _RUN_CELL = sweep._run_cell
-_SIMULATE_SHARD = sharded._simulate_shard
 
 
 def _kill_first_worker():
@@ -54,15 +51,9 @@ def dying_cell(*args):
     return _RUN_CELL(*args)
 
 
-def dying_shard(task):
-    _kill_first_worker()
-    return _SIMULATE_SHARD(task)
-
-
 def arm():
     """Make the first pooled cell of this process die (the CLI child)."""
     sweep._run_cell = dying_cell
-    sharded._simulate_shard = dying_shard
 
 
 #: The CLI in a child process with every pool armed.
@@ -163,34 +154,3 @@ def test_a_dead_profile_worker_names_its_cells(armed, monkeypatch, tmp_path):
         tmp_path,
     )
 
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: shards replay in process")
-@pytest.mark.parametrize("transport", ["stream-directory", "spilled"])
-def test_a_dead_shard_worker_names_its_shard(transport, armed, monkeypatch, tmp_path):
-    """A sharded replay reading the stream from its own mmap directory,
-    and one reading an in-RAM stream spilled to a temporary one."""
-    if transport == "stream-directory":
-        dataset = make_rmat_dataset(
-            scale=12, num_edges=4000, mmap_dir=tmp_path / "s", chunk_edges=2000
-        )
-        argv = [
-            "scale", "--scale", "12", "--edges", "6000", "--batch-size", "2000",
-            "--chunk-edges", "2500", "--mmap-dir", str(tmp_path / "cli"), "--shards", "2",
-        ]
-    else:
-        dataset = load_dataset("Talk", size_factor=0.05)
-        argv = ["stream", "--no-cache", "--size-factor", "0.05", "--shards", "2"]
-    config = StreamConfig(
-        shards=2, batch_size=1000, structures=("AS",), algorithms=("PR",),
-        models=("INC",), machine=SMALL_MACHINE,
-    )
-    monkeypatch.setattr(sharded, "_simulate_shard", dying_shard)
-    with pytest.raises(ReproError) as failure:
-        sharded.ShardedStreamDriver(config).run(dataset)
-    _assert_names_lost_cells(failure, r"shard [01]")
-    monkeypatch.setattr(sharded, "_simulate_shard", _SIMULATE_SHARD)
-    pooled = sharded.ShardedStreamDriver(config).run(dataset)
-    with one_cpu():
-        alone = sharded.ShardedStreamDriver(config).run(dataset)
-    assert np.array_equal(pooled.update_cycles, alone.update_cycles)
-    _assert_cli_dies(argv, r"shard [01]", tmp_path)
