@@ -20,6 +20,7 @@ and metric families sort by name and label set.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, List
 
@@ -130,6 +131,10 @@ def write_chrome_trace(tracer: SpanTracer, path) -> Path:
 
 def _format_value(value: float) -> str:
     """Prometheus sample value: integers stay integral."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))

@@ -32,6 +32,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["stream", "scale"])
+    def test_shards_option_is_gone(self, command, capsys):
+        """The vertex-sharded update plane left with its option."""
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args([command, "--shards", "2"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_table1(self, capsys):
