@@ -26,34 +26,54 @@ This package reproduces the whole system from scratch:
 - :mod:`repro.engine` -- the shared experiment engine behind those
   harnesses: content-addressed result caching (RunStore) and cached,
   process-parallel sweep execution.
+
+A package's re-exported names resolve on first access
+(:func:`lazy_exports`), so ``import repro`` imports no subpackage and a
+run imports only the modules it reaches.
 """
 
-from repro.engine import RunStore, run_stream
-from repro.graph import (
-    AdjacencyListChunked,
-    AdjacencyListShared,
-    DegreeAwareHash,
-    GraphDataStructure,
-    Stinger,
-    make_structure,
-)
-from repro.sim import SKYLAKE_GOLD_6142, MachineConfig
-from repro.streaming import StreamConfig, StreamDriver
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdjacencyListChunked",
-    "AdjacencyListShared",
-    "DegreeAwareHash",
-    "GraphDataStructure",
-    "Stinger",
-    "make_structure",
-    "RunStore",
-    "run_stream",
-    "StreamDriver",
-    "StreamConfig",
-    "MachineConfig",
-    "SKYLAKE_GOLD_6142",
-    "__version__",
-]
+
+def lazy_exports(package: str, exports: dict):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each public name to the submodule (relative to
+    ``package``) that defines it.  The submodule is imported on the
+    name's first access and the name is then bound in the package, so
+    importing a package costs only the submodules its importer reaches.
+    """
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{exports[name]}"), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "AdjacencyListChunked": "graph",
+    "AdjacencyListShared": "graph",
+    "DegreeAwareHash": "graph",
+    "GraphDataStructure": "graph",
+    "Stinger": "graph",
+    "make_structure": "graph",
+    "RunStore": "engine.store",
+    "run_stream": "engine.sweep",
+    "StreamDriver": "streaming.driver",
+    "StreamConfig": "streaming.driver",
+    "MachineConfig": "sim.machine",
+    "SKYLAKE_GOLD_6142": "sim.machine",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = [*_EXPORTS, "__version__"]

@@ -11,30 +11,12 @@
   benchmark harnesses.
 """
 
-from repro.analysis.stats import StageStat, stage_slices, stage_stats
-from repro.analysis.degrees import degree_table
-from repro.analysis.software_profile import SoftwareProfile, run_software_profile
-from repro.analysis.hardware_profile import HardwareProfile, run_hardware_profile
-from repro.analysis.conformance import conformance_report, render_conformance
-from repro.analysis.memory_report import MemoryReport, run_memory_report
-from repro.analysis.tlp import TLPReport, run_tlp_report
-from repro.analysis.sensitivity import SensitivityResult, run_batch_size_sensitivity
+from repro import lazy_exports
 
-__all__ = [
-    "HardwareProfile",
-    "TLPReport",
-    "conformance_report",
-    "render_conformance",
-    "run_tlp_report",
-    "MemoryReport",
-    "SensitivityResult",
-    "SoftwareProfile",
-    "StageStat",
-    "degree_table",
-    "run_batch_size_sensitivity",
-    "run_hardware_profile",
-    "run_memory_report",
-    "run_software_profile",
-    "stage_slices",
-    "stage_stats",
-]
+_EXPORTS = {
+    "degree_table": "degrees",
+    "run_hardware_profile": "hardware_profile",
+    "run_software_profile": "software_profile",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -16,36 +16,17 @@ chunk at a time, into a memory-mapped stream directory; the transport
 never changes the stream's bytes.
 """
 
-from repro.datasets.catalog import (
-    DATASETS,
-    Dataset,
-    DatasetSpec,
-    dataset_names,
-    load_dataset,
-    make_rmat_dataset,
-)
-from repro.datasets.mmapio import (
-    EdgeStreamWriter,
-    open_edge_mmap,
-    write_edge_mmap,
-)
-from repro.datasets.rmat import rmat_edge_chunks, rmat_edges
-from repro.datasets.snap import load_snap_edges
-from repro.datasets.synthetic import calibrate_alpha, power_law_edges
+from repro import lazy_exports
 
-__all__ = [
-    "DATASETS",
-    "Dataset",
-    "DatasetSpec",
-    "EdgeStreamWriter",
-    "calibrate_alpha",
-    "dataset_names",
-    "load_dataset",
-    "load_snap_edges",
-    "make_rmat_dataset",
-    "open_edge_mmap",
-    "power_law_edges",
-    "rmat_edge_chunks",
-    "rmat_edges",
-    "write_edge_mmap",
-]
+_EXPORTS = {
+    "DATASETS": "catalog",
+    "dataset_names": "catalog",
+    "load_dataset": "catalog",
+    "make_rmat_dataset": "catalog",
+    "load_snap_edges": "snap",
+    "rmat_edges": "rmat",
+    "calibrate_alpha": "synthetic",
+    "power_law_edges": "synthetic",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

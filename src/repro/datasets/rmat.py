@@ -10,12 +10,20 @@ matrix per bit of the vertex id, recursively:
     |   c   |   d   |     c: (1, 0)   d: (1, 1)
     +-------+-------+
 
-The implementation is fully vectorized: one random draw per (edge,
-bit).
+The implementation is fully vectorized: one uniform draw per (edge,
+bit), made into one reused buffer.  The draw ``u`` picks the quadrant
+whose cumulative-probability interval holds it, with the thresholds
+``t0 = a``, ``t1 = a + b``, ``t2 = a + b + c``: the quadrant index is
+the number of thresholds strictly below ``u`` (``np.searchsorted``'s
+left side, ties included).  Its two bits follow by comparison alone --
+the source bit is ``u > t1`` and the destination bit is the parity
+``(u > t0) ^ (u > t1) ^ (u > t2)`` -- and are shifted into the id
+columns in place.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -57,19 +65,32 @@ def rmat_edges(
         raise DatasetError(f"scale must be in [1, 30], got {scale}")
     if num_edges < 1:
         raise DatasetError(f"num_edges must be >= 1, got {num_edges}")
+    if max_weight < 1:
+        raise DatasetError(f"max_weight must be >= 1, got {max_weight}")
     total = a + b + c + d
-    if total <= 0 or min(a, b, c, d) < 0:
-        raise DatasetError(f"RMAT parameters must be non-negative, got {(a, b, c, d)}")
+    if not all(map(math.isfinite, (a, b, c, d))) or total <= 0 or min(a, b, c, d) < 0:
+        raise DatasetError(
+            f"RMAT parameters must be finite and non-negative, got {(a, b, c, d)}"
+        )
     a, b, c, d = a / total, b / total, c / total, d / total
     rng = np.random.default_rng(seed)
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    thresholds = np.cumsum([a, b, c])
+    t0, t1, t2 = np.cumsum([a, b, c]).tolist()
+    draw = np.empty(num_edges)
+    bit = np.empty(num_edges, dtype=bool)
+    above = np.empty(num_edges, dtype=bool)
     for _ in range(scale):
-        draw = rng.random(num_edges)
-        quadrant = np.searchsorted(thresholds, draw)
-        src = (src << 1) | (quadrant >> 1)
-        dst = (dst << 1) | (quadrant & 1)
+        rng.random(out=draw)
+        np.greater(draw, t1, out=bit)
+        src <<= 1
+        src |= bit
+        np.greater(draw, t0, out=above)
+        bit ^= above
+        np.greater(draw, t2, out=above)
+        bit ^= above
+        dst <<= 1
+        dst |= bit
     if not allow_self_loops:
         loops = src == dst
         dst[loops] = (dst[loops] + 1) % (1 << scale)

@@ -9,26 +9,15 @@
   cells) with deterministic merge order.
 """
 
-from repro.engine.fingerprint import (
-    KEY_SCHEMA_VERSION,
-    describe_dataset,
-    describe_stream_config,
-    fingerprint,
-    stream_run_key,
-)
-from repro.engine.store import CACHE_DIR_ENV, RunStore, default_store
-from repro.engine.sweep import StreamRequest, run_many, run_stream
+from repro import lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "KEY_SCHEMA_VERSION",
-    "RunStore",
-    "StreamRequest",
-    "default_store",
-    "describe_dataset",
-    "describe_stream_config",
-    "fingerprint",
-    "run_many",
-    "run_stream",
-    "stream_run_key",
-]
+_EXPORTS = {
+    "RunStore": "store",
+    "default_store": "store",
+    "StreamRequest": "sweep",
+    "run_many": "sweep",
+    "run_stream": "sweep",
+    "stream_run_key": "fingerprint",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -27,8 +27,6 @@ The stream harnesses call :func:`run_many` / :func:`run_stream`;
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
@@ -107,6 +105,9 @@ def run_cells(
         raise ConfigError(f"jobs must be >= 0, got {jobs}")
     if not (jobs and jobs > 1 and len(args) > 1):
         return [fn(*arg) for arg in args]
+    # Only a pool needs ``multiprocessing``; a serial run skips its import.
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     obs = None  # observability off: workers skip the reset and ship nothing
     if TRACER.enabled or METRICS.enabled:
         obs = {

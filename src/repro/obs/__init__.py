@@ -26,38 +26,19 @@ On top of the raw streams sits the self-contained HTML run report
 See ``docs/OBSERVABILITY.md`` for capture and reading instructions.
 """
 
-from repro.obs.export import (
-    chrome_trace_events,
-    prometheus_text,
-    write_chrome_trace,
-    write_prometheus,
-)
-from repro.obs.metrics import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    METRICS,
-    MetricsRegistry,
-)
-from repro.obs.report import render_report, write_report
-from repro.obs.tracer import NULL_SPAN, SpanTracer, TRACER
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "DEFAULT_COUNT_BUCKETS",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "METRICS",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "SpanTracer",
-    "TRACER",
-    "chrome_trace_events",
-    "prometheus_text",
-    "render_report",
-    "write_chrome_trace",
-    "write_prometheus",
-]
+_EXPORTS = {
+    "DEFAULT_COUNT_BUCKETS": "metrics",
+    "METRICS": "metrics",
+    "MetricsRegistry": "metrics",
+    "NULL_SPAN": "tracer",
+    "SpanTracer": "tracer",
+    "TRACER": "tracer",
+    "chrome_trace_events": "export",
+    "prometheus_text": "export",
+    "write_chrome_trace": "export",
+    "write_prometheus": "export",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -13,33 +13,17 @@ an mmap stream directory), and
 auto-tuned (:mod:`~repro.streaming.autotune`) driver.
 """
 
-from repro.streaming.batching import BatchView, batch_count, make_batches
-from repro.streaming.driver import (
-    ALL_ALGORITHMS,
-    ALL_STRUCTURES,
-    StreamConfig,
-    StreamDriver,
-    make_driver,
-)
-from repro.streaming.autotune import AdaptiveController, AdaptiveStreamDriver
-from repro.streaming.results import (
-    RESULT_SCHEMA_VERSION,
-    BatchRecord,
-    StreamResult,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AdaptiveController",
-    "AdaptiveStreamDriver",
-    "ALL_ALGORITHMS",
-    "ALL_STRUCTURES",
-    "batch_count",
-    "BatchRecord",
-    "BatchView",
-    "make_batches",
-    "make_driver",
-    "RESULT_SCHEMA_VERSION",
-    "StreamConfig",
-    "StreamDriver",
-    "StreamResult",
-]
+_EXPORTS = {
+    "batch_count": "batching",
+    "make_batches": "batching",
+    "StreamConfig": "driver",
+    "StreamDriver": "driver",
+    "make_driver": "driver",
+    "StreamResult": "results",
+    "AdaptiveController": "autotune",
+    "AdaptiveStreamDriver": "autotune",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

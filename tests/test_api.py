@@ -1,5 +1,11 @@
 """Tests for the public package API and the performAlg dispatch."""
 
+import importlib
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,13 +16,66 @@ from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph
 
 
+#: The packages whose public names resolve on first access.
+LAZY_PACKAGES = [
+    "repro",
+    "repro.analysis",
+    "repro.datasets",
+    "repro.engine",
+    "repro.obs",
+    "repro.streaming",
+]
+
+#: Modules a streaming run or a Fig 9/10 cell never enters.
+UNREACHED = [
+    "repro.streaming.autotune",
+    "repro.obs.export",
+    "repro.obs.report",
+    "repro.analysis.conformance",
+    "repro.analysis.software_profile",
+    "repro.datasets.snap",
+    "concurrent.futures.process",
+    "multiprocessing",
+]
+
+
+def _loaded_after(statement):
+    """The ``repro.*`` and pool modules a fresh interpreter holds after ``statement``."""
+    script = (
+        f"import json, sys; {statement}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+        "('repro.', 'concurrent.futures.process', 'multiprocessing')))))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout)
+
+
 class TestPackageSurface:
     def test_version(self):
         assert repro.__version__
 
     def test_exports(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None or name == "__version__"
+        for package in LAZY_PACKAGES:
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                assert getattr(module, name, None) is not None, (package, name)
+                assert name in dir(module), (package, name)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            importlib.import_module("repro.streaming").no_such_name
+
+    def test_bare_import_loads_no_subpackage(self):
+        assert _loaded_after("import repro") == []
+
+    def test_a_run_imports_only_what_it_reaches(self):
+        loaded = _loaded_after("import repro.streaming.driver, repro.analysis.hardware_profile")
+        assert "repro.streaming.driver" in loaded
+        assert sorted(set(UNREACHED) & set(loaded)) == []
 
     def test_structures_importable_from_top(self):
         assert repro.make_structure("AS", 4).name == "AS"

@@ -1,5 +1,7 @@
 """Unit tests for dataset generation and loading."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.datasets import (
     dataset_names,
     load_dataset,
     load_snap_edges,
+    make_rmat_dataset,
     power_law_edges,
     rmat_edges,
 )
@@ -57,10 +60,87 @@ class TestRMAT:
         with pytest.raises(DatasetError):
             rmat_edges(scale=4, num_edges=10, a=-0.5, b=0.5, c=0.5, d=0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("param", ["a", "b", "c", "d"])
+    def test_rejects_non_finite_params(self, param, bad):
+        with pytest.raises(DatasetError, match="finite"):
+            rmat_edges(scale=4, num_edges=10, **{param: bad})
+
+    @pytest.mark.parametrize("max_weight", [0, -3])
+    def test_rejects_max_weight_below_one(self, max_weight):
+        with pytest.raises(DatasetError, match="max_weight"):
+            rmat_edges(scale=4, num_edges=10, max_weight=max_weight)
+
     def test_weights_in_range(self):
         batch = rmat_edges(scale=6, num_edges=500, seed=2, max_weight=8)
         assert batch.weight.min() >= 1
         assert batch.weight.max() <= 8
+
+
+def _column_digests(edges):
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(getattr(edges, name)).tobytes()).hexdigest()
+        for name in ("src", "dst", "weight")
+    }
+
+
+class _ScriptedDraws(np.random.Generator):
+    """A generator whose ``random`` hands out one scripted array."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = draws
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if out is None:
+            return self.draws.copy()
+        out[...] = self.draws
+        return out
+
+
+class TestRMATBytes:
+    """The generator's output values, not only their shape, are pinned."""
+
+    def test_one_call_is_pinned(self):
+        assert _column_digests(rmat_edges(18, 100_000, seed=[0, 0])) == {
+            "src": "b3dfac601624f76351136e2e65f2c89aa2be6e2d41616aab40beb3b418d566fe",
+            "dst": "53c6613b82e6065fd877bbf12ec8ac887f7215319f31d318a1cd91f4a996036d",
+            "weight": "24d3fb6fe3c0eeb5bf3db86b133e5be55db480ec5e83afe1144b77ad3f71b4cd",
+        }
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["ram", "mmap"])
+    def test_chunked_stream_with_a_partial_last_chunk_is_pinned(self, tmp_path, mmap):
+        dataset = make_rmat_dataset(
+            scale=12, num_edges=25_000, seed=3, chunk_edges=10_000,
+            mmap_dir=tmp_path / "stream" if mmap else None,
+        )
+        assert len(dataset.edges) == 25_000
+        assert _column_digests(dataset.edges) == {
+            "src": "185103b156516d5f8dea771b5c7e20eaf0aa96a277f7f8817ea3e2a28be05db5",
+            "dst": "afaf063490250d01ea86160b0ff33d12e446b9d36ccb125ab85a14800d76a730",
+            "weight": "e228f541de8e98d63654a677cfeac5850de63f8f54c7cacc0eac46e48155f2f1",
+        }
+
+    @pytest.mark.parametrize(
+        "params",
+        [(0.55, 0.15, 0.15, 0.25), (0.5, 0.0, 0.25, 0.25), (0.25, 0.25, 0.0, 0.5)],
+        ids=["paper", "b-zero", "c-zero"],
+    )
+    def test_quadrant_of_a_tie_is_searchsorteds(self, params):
+        a, b, c, d = params
+        total = a + b + c + d
+        thresholds = np.cumsum([a / total, b / total, c / total])
+        draws = np.array(
+            [0.0, np.nextafter(1.0, 0.0)]
+            + [np.nextafter(t, side) for t in thresholds for side in (0.0, 1.0)]
+            + list(thresholds)
+        )
+        quadrant = np.searchsorted(thresholds, draws)
+        batch = rmat_edges(
+            1, len(draws), a, b, c, d, seed=_ScriptedDraws(draws), allow_self_loops=True
+        )
+        assert batch.src.tolist() == (quadrant >> 1).tolist()
+        assert batch.dst.tolist() == (quadrant & 1).tolist()
 
 
 class TestPowerLaw:

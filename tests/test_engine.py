@@ -13,29 +13,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import sys
 import tempfile
 
 from repro.analysis.hardware_profile import HardwareProfiler
 from repro.datasets import load_dataset, mmapio
+import repro.engine.fingerprint as fingerprint_mod
 from repro.engine import (
     RunStore,
     StreamRequest,
     default_store,
-    fingerprint,
     run_many,
     run_stream,
     stream_run_key,
 )
+from repro.engine.fingerprint import fingerprint
 from repro.engine.store import CACHE_DIR_ENV
 from repro.errors import ConfigError, SimulationError
 from repro.sim.cost_model import DEFAULT_COST_MODEL
 from repro.streaming import StreamConfig, StreamDriver, StreamResult
 from tests.conftest import SMALL_MACHINE
-
-# The package re-exports the fingerprint *function*, which shadows the
-# submodule on attribute access; go through sys.modules for the module.
-fingerprint_mod = sys.modules["repro.engine.fingerprint"]
 
 DATASET = "Talk"
 SEED = 3
