@@ -29,19 +29,10 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
-from repro.analysis import degree_table, run_hardware_profile, run_software_profile
-from repro.analysis import report
 from repro.datasets import dataset_names
 from repro.datasets.rmat import DEFAULT_RMAT_CHUNK
 from repro.engine import default_store, run_stream
-from repro.obs import (
-    METRICS,
-    TRACER,
-    SpanTracer,
-    write_chrome_trace,
-    write_prometheus,
-)
-from repro.obs.report import sweep_cells
+from repro.obs import METRICS, TRACER, SpanTracer
 from repro.obs.tracer import ROOT
 from repro.sim.machine import SCALED_SKYLAKE_GOLD_6142
 from repro.streaming import StreamConfig
@@ -64,6 +55,8 @@ class _Session:
     @property
     def software(self):
         if self._software is None:
+            from repro.analysis.software_profile import run_software_profile
+
             if self.quick:
                 self._software = run_software_profile(
                     datasets=["LJ", "Talk"],
@@ -81,6 +74,8 @@ class _Session:
     @property
     def hardware(self):
         if self._hardware is None:
+            from repro.analysis.hardware_profile import run_hardware_profile
+
             if self.quick:
                 self._hardware = run_hardware_profile(
                     machine=SCALED_SKYLAKE_GOLD_6142,
@@ -113,6 +108,9 @@ def _session_from_args(args: argparse.Namespace) -> _Session:
 
 
 def _renderers(session: _Session) -> Dict[str, Callable[[], str]]:
+    from repro.analysis import report
+    from repro.analysis.degrees import degree_table
+
     return {
         "table1": report.render_table1,
         "table2": report.render_table2,
@@ -714,6 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sweep_summary() -> Optional[str]:
     """One-line cell accounting from the metrics registry, or None."""
+    from repro.obs.report import sweep_cells
+
     computed, cached, per_dataset = sweep_cells(METRICS)
     if not (computed or cached):
         return None
@@ -751,6 +751,8 @@ def main(argv=None) -> int:
     finally:
         if profiling:
             print(_profile_report())
+        if trace_out or metrics_out:
+            from repro.obs.export import write_chrome_trace, write_prometheus
         if trace_out:
             print(f"[trace written to {write_chrome_trace(TRACER, trace_out)}]")
         if metrics_out:

@@ -21,8 +21,8 @@ imports :mod:`repro.graph`.
 :mod:`repro.compute.kernels` holds the compute engines: one columnar
 :class:`~repro.compute.kernels.ComputeView` per batch, and per model
 the compiled run kernel's dispatch beside the same sequential loop in
-Python, both bit-identical to the per-vertex oracle loops of
-``tests/oracles.py``.
+Python, bit-identical to each other; :mod:`repro.verify` checks their
+values.
 """
 
 from repro.compute.kernels import ComputeView, run_incremental_frontier

@@ -326,9 +326,8 @@ static double inc_recalc(
  * updated, later ones not), writes its new value, and on a change
  * greater than epsilon scans its out-row (cas_ops), deduplicating the
  * next frontier through the caller's zeroed seen[] bytes.  This IS the
- * sequential Algorithm-1 loop (repro.compute.kernels runs it in Python,
- * tests/oracles.py keeps it as the oracle), so bit-identity holds by
- * construction.
+ * sequential Algorithm-1 loop (repro.compute.kernels runs it in Python),
+ * so bit-identity holds by construction.
  *
  * op selects the Table-I vertex function.  pinned (-1 = none) keeps
  * the source at its current value (old == new, never triggers).

@@ -13,10 +13,10 @@ other form is here: the same sequential loop in Python, one vertex (or
 edge) at a time in the order the C loop takes them, through the
 algorithm's scalar Table-I functions.  It is the reference the kernels
 are tested against and the path without the native library or for a
-third-party algorithm without ``ckernel_op``.  Both are bit-identical
-to the per-vertex loops of ``tests/oracles.py``: same float values,
-same per-round vertex arrays, same triggered counts, and therefore the
-same priced cycles.
+third-party algorithm without ``ckernel_op``.  The two are
+bit-identical -- same float values, same per-round vertex arrays, same
+triggered counts, and therefore the same priced cycles -- and
+:mod:`repro.verify` checks the values they agree on.
 """
 
 from __future__ import annotations

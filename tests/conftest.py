@@ -7,10 +7,13 @@ import functools
 import os
 import subprocess
 import sys
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 import pytest
 
+from repro import verify
+from repro.algorithms.pagerank import DAMPING, PR_EPSILON
 from repro.compute import csrstore
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph
 from repro.sim import cbuild
@@ -65,6 +68,48 @@ def native_env(setting):
         if previous is not None:
             os.environ[cbuild.DISABLE_ENV] = previous
         cbuild.NATIVE.reset()
+
+
+class Observed(NamedTuple):
+    """Everything a compute run must reproduce, comparable with ``==``."""
+
+    label: str
+    values: bytes
+    linear_scans: int
+    converged: bool
+    #: One ``(pull ids, push ids, pushes, cas_ops)`` per round.
+    rounds: List[Tuple[list, list, int, int]]
+
+
+def observed(run) -> Observed:
+    """A ``ComputeRun``'s value bits and whole run log."""
+    return Observed(
+        f"{run.algorithm}/{run.model}",
+        run.values.tobytes(),
+        run.linear_scans,
+        run.converged,
+        [
+            (it.pull_vertices.tolist(), it.push_vertices.tolist(), it.pushes, it.cas_ops)
+            for it in run.iterations
+        ],
+    )
+
+
+def verified(run, edges, num_nodes, source=None):
+    """``run`` once :mod:`repro.verify` accepted its values against the
+    live ``edges`` columns (``DictGraph.edges()`` of a mirror fed the
+    same stream): every BFS, SSSP, SSWP, CC and MC run, and PR's FS runs.
+
+    An INC PR run is not checked: vertices it does not reach keep the
+    ``(1 - d) / |V|`` term of a smaller graph, so it is no PageRank
+    fixpoint, and only the engine differential pins it.
+    """
+    if run.algorithm == "PR":
+        if run.model == "FS":
+            verify.check_pagerank(run.values, edges, num_nodes, DAMPING, PR_EPSILON)
+    else:
+        verify.check(run.algorithm, run.values, edges, num_nodes, source)
+    return run
 
 
 def on_both_sides(test):

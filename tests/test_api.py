@@ -38,6 +38,18 @@ UNREACHED = [
     "multiprocessing",
 ]
 
+#: What ``repro.cli`` imports inside the subcommands that use it.
+ARTEFACT_MODULES = [
+    "repro.analysis.hardware_profile",
+    "repro.analysis.software_profile",
+    "repro.analysis.report",
+    "repro.obs.export",
+    "repro.obs.report",
+]
+
+#: The packages the output verifiers must not import.
+IMPLEMENTATIONS = ("repro.algorithms", "repro.compute", "repro.graph", "repro.sim")
+
 
 def _loaded_after(statement):
     """The ``repro.*`` and pool modules a fresh interpreter holds after ``statement``."""
@@ -76,6 +88,19 @@ class TestPackageSurface:
         loaded = _loaded_after("import repro.streaming.driver, repro.analysis.hardware_profile")
         assert "repro.streaming.driver" in loaded
         assert sorted(set(UNREACHED) & set(loaded)) == []
+
+    def test_the_cli_loads_artefact_modules_on_first_use(self):
+        """The harnesses, renderers and exporters load in the subcommand
+        that needs them, not with the parser."""
+        loaded = _loaded_after("import repro.cli")
+        assert "repro.cli" in loaded
+        assert sorted(set(ARTEFACT_MODULES) & set(loaded)) == []
+
+    def test_the_verifiers_import_no_implementation(self):
+        """``repro.verify`` shares no code with what it checks."""
+        loaded = _loaded_after("import repro.verify")
+        assert "repro.verify" in loaded
+        assert [m for m in loaded if m.startswith(IMPLEMENTATIONS)] == []
 
     def test_structures_importable_from_top(self):
         assert repro.make_structure("AS", 4).name == "AS"

@@ -1,15 +1,15 @@
-"""The compute engines against the sequential oracle.
+"""The compute engines against each other and against the verifiers.
 
-The frontier kernels (``repro.compute.kernels``, with or without the
-compiled run kernels of ``repro.compute.ckernels``) must reproduce the
-per-vertex loops of ``tests/oracles.py`` *exactly*: same float bits in
-the value arrays, same per-iteration operation counts, same convergence
-flags -- over every algorithm, both compute models, insert as well as
-delete batches, directed and undirected graphs.  Anything less would
-silently change the priced latencies the whole benchmark reports.  The
-oracle shares no code with the engines: it reads the graph through
-``in_neigh``/``out_neigh`` and the algorithm through its scalar Table-I
-functions.
+Every algorithm runs on the compiled kernels (``repro.compute.ckernels``)
+and on the sequential loops they run in Python, which must agree
+*exactly*: same float bits in the value arrays, same per-iteration
+operation counts, same convergence flags -- over every algorithm, both
+compute models, insert as well as delete batches, directed and
+undirected graphs.  Anything less would silently change the priced
+latencies the whole benchmark reports.  What the two agree on is then
+checked by ``repro.verify``, which shares no code with either: it reads
+the live edges of a ``tests.oracles.DictGraph`` mirror, not the graph
+under test.
 """
 
 import operator
@@ -31,8 +31,8 @@ from repro.engine.sweep import run_stream
 from repro.graph import EdgeBatch, ReferenceGraph, make_structure
 from repro.graph.snapshots import SnapshotStore
 from repro.streaming import StreamConfig, StreamDriver
-from tests import oracles
-from tests.conftest import native_env
+from tests.conftest import native_env, observed, verified
+from tests.oracles import DictGraph
 
 ALGOS = ("BFS", "CC", "MC", "PR", "SSSP", "SSWP")
 STRUCTS = ("AS", "AC", "Stinger", "DAH", "BA")
@@ -57,93 +57,82 @@ def _hub(batches):
     return int(np.bincount(sources).argmax())
 
 
-class _Replay:
-    """One algorithm's product state and oracle state, run side by side.
+def play(graph, steps, source):
+    """All six algorithms over an insert/delete stream on ``graph``, on
+    the engine in force; the observed records of every run, each
+    verified against a ``DictGraph`` mirror.
 
-    Every ``check_*`` runs the product entry point and the oracle on the
-    same graph and requires value bytes, ``converged``, ``linear_scans``
-    and every iteration's pull ids, push ids, ``pushes`` and ``cas_ops``
-    to be equal.
+    ``steps`` holds ``(batch, victims)`` pairs.  After a batch is
+    inserted every algorithm runs FS and INC; after its victims (``None``:
+    no deletion) are deleted, the repair run and FS.  ``graph`` is a
+    ``ReferenceGraph`` or a structure.
     """
+    mirror = DictGraph(graph.max_nodes, directed=graph.directed)
+    algorithms = [get_algorithm(name) for name in ALGOS]
+    states = [algorithm.make_state(graph.max_nodes) for algorithm in algorithms]
+    records = []
 
-    def __init__(self, name, max_nodes, source):
-        self.algorithm = get_algorithm(name)
-        self.source = source if self.algorithm.needs_source else None
-        self.state = self.algorithm.make_state(max_nodes)
-        self.oracle_state = oracles.OracleState(max_nodes, self.algorithm)
+    def record(run):
+        records.append(observed(verified(run, edges, mirror.num_nodes, source)))
 
-    def check_fs(self, view):
-        run = self.algorithm.fs_run(view, source=self.source)
-        want = oracles.fs_oracle(self.algorithm, view, source=self.source)
-        assert oracles.observed(run) == oracles.observed(want), self.algorithm.name
-
-    def check_inc(self, view, batch):
-        affected = self.algorithm.affected_from_batch(batch, view)
-        want_affected = oracles.affected_oracle(self.algorithm, batch, view)
-        assert affected.tolist() == sorted(want_affected), self.algorithm.name
-        run = self.algorithm.inc_run(view, self.state, affected, source=self.source)
-        want = oracles.inc_oracle(
-            self.algorithm, view, self.oracle_state, want_affected, source=self.source
-        )
-        assert oracles.observed(run) == oracles.observed(want), self.algorithm.name
-
-    def check_inc_delete(self, view, removed):
-        run = self.algorithm.inc_delete_run(
-            view, self.state, removed, source=self.source
-        )
-        want = oracles.inc_delete_oracle(
-            self.algorithm, view, self.oracle_state, list(removed), source=self.source
-        )
-        assert oracles.observed(run) == oracles.observed(want), self.algorithm.name
+    for batch, victims in steps:
+        graph.update(batch)
+        mirror.update(batch)
+        edges = mirror.edges()
+        for algorithm, state in zip(algorithms, states):
+            if graph.num_nodes:
+                record(algorithm.fs_run(graph, source=source))
+            affected = algorithm.affected_from_batch(batch, graph)
+            record(algorithm.inc_run(graph, state, affected, source=source))
+        if victims is None:
+            continue
+        # The driver's order: the repair run sees the deletions, the
+        # insertion run never does (Algorithm 1 alone is insertion-only).
+        removed = mirror.delete_collect(victims)
+        edges = mirror.edges()
+        if isinstance(graph, ReferenceGraph):
+            graph.delete_collect(victims)
+        else:
+            graph.delete(victims)
+        for algorithm, state in zip(algorithms, states):
+            record(algorithm.inc_delete_run(graph, state, removed, source=source))
+            if graph.num_nodes:
+                record(algorithm.fs_run(graph, source=source))
+    return records
 
 
-def _replay_stream(view, ingest, delete, batches, source):
-    """Inserts (FS + INC per batch), then one delete batch (repair + FS)."""
-    replays = [_Replay(name, view.max_nodes, source) for name in ALGOS]
-    for batch in batches:
-        ingest(batch)
-        for replay in replays:
-            replay.check_fs(view)
-            replay.check_inc(view, batch)
-    removed = delete()
-    assert len(removed)
-    for replay in replays:
-        replay.check_inc_delete(view, removed)
-        replay.check_fs(view)
+def _engines_agree(run):
+    """``run()``'s records on the compiled kernels equal the loop's."""
+    records = []
+    for engine in ENGINES:
+        with native_env(engine):
+            records.append(run())
+    compiled, loop = records
+    assert compiled == loop
 
 
 class TestBitIdentityMatrix:
+    """Three batches, FS and INC after each, then one deletion's repair
+    and FS: both engines, every run verified."""
+
     @pytest.mark.parametrize("directed", [True, False])
     def test_reference_graph(self, directed):
         batches = _stream(seed=11)
-        for setting in ENGINES:
-            with native_env(setting):
-                reference = ReferenceGraph(64, directed=directed)
-                _replay_stream(
-                    reference,
-                    reference.update_collect,
-                    lambda: reference.delete_collect(batches[0].slice(0, 40)),
-                    batches,
-                    _hub(batches),
-                )
+        steps = [(batch, None) for batch in batches]
+        steps[-1] = (batches[-1], batches[0].slice(0, 40))
+        _engines_agree(
+            lambda: play(ReferenceGraph(64, directed=directed), steps, _hub(batches))
+        )
 
     @pytest.mark.parametrize("name", STRUCTS)
     def test_structures(self, name):
         """The instrumented structures, exported row by row by ``ComputeView.of``."""
         batches = _stream()
-        structure = make_structure(name, 64, directed=True)
-        mirror = ReferenceGraph(64, directed=True)
-
-        def ingest(batch):
-            structure.update(batch)
-            mirror.update_collect(batch)
-
-        def delete():
-            victims = batches[1].slice(0, 30)
-            structure.delete(victims)
-            return mirror.delete_collect(victims)
-
-        _replay_stream(structure, ingest, delete, batches, _hub(batches))
+        steps = [(batch, None) for batch in batches]
+        steps[-1] = (batches[-1], batches[1].slice(0, 30))
+        _engines_agree(
+            lambda: play(make_structure(name, 64, directed=True), steps, _hub(batches))
+        )
 
     def test_snapshot_views(self):
         """Historical snapshots (prefix replays) take the engines unchanged."""
@@ -152,12 +141,28 @@ class TestBitIdentityMatrix:
         store = SnapshotStore(64, directed=True)
         for batch in batches:
             store.commit(batch)
-        replays = [_Replay(name, 64, source) for name in ALGOS]
-        for t in range(store.num_snapshots):
-            view = store.snapshot(t)
-            for replay in replays:
-                replay.check_fs(view)
-                replay.check_inc(view, batches[t])
+
+        def run():
+            mirror = DictGraph(64)
+            algorithms = [get_algorithm(name) for name in ALGOS]
+            states = [algorithm.make_state(64) for algorithm in algorithms]
+            records = []
+            for t, batch in enumerate(batches):
+                mirror.update(batch)
+                edges = mirror.edges()
+                view = store.snapshot(t)
+                for algorithm, state in zip(algorithms, states):
+                    affected = algorithm.affected_from_batch(batch, view)
+                    for got in (
+                        algorithm.fs_run(view, source=source),
+                        algorithm.inc_run(view, state, affected, source=source),
+                    ):
+                        records.append(
+                            observed(verified(got, edges, mirror.num_nodes, source))
+                        )
+            return records
+
+        _engines_agree(run)
 
 
 class TestKernelPrimitives:
@@ -232,19 +237,20 @@ class TestKernelPrimitives:
         assert unique_ids(np.empty(0, dtype=np.int64), 0).size == 0
 
     def test_affected_sets_are_the_same_vertices_with_a_view_in_scope(self):
-        """One return type: the ascending id array of the oracle's
-        vertices, read through the live graph's own view."""
+        """One return type: the ascending id array of the batch's
+        endpoints -- for PR also every out-neighbour of a source, whose
+        ``rank / out_degree`` term changed -- read through the live
+        graph's own view."""
         first, second = _stream(num_nodes=32, batches=2, per_batch=80, seed=4)
         reference = ReferenceGraph(32, directed=True)
         reference.update(first)
         reference.update(second)
-        for name in ("CC", "PR"):
-            algorithm = get_algorithm(name)
-            bare = algorithm.affected_from_batch(second, reference)
+        endpoints = set(second.src.tolist()) | set(second.dst.tolist())
+        fanout = {w for u in second.src.tolist() for w, _ in reference.out_neigh(u)}
+        for name, want in (("CC", endpoints), ("PR", endpoints | fanout)):
+            bare = get_algorithm(name).affected_from_batch(second, reference)
             assert isinstance(bare, np.ndarray) and bare.dtype == np.int64
-            assert bare.tolist() == sorted(
-                oracles.affected_oracle(algorithm, second, reference)
-            )
+            assert bare.tolist() == sorted(want)
 
     def test_csr_export_matches_neighbor_iteration(self):
         batches = _stream(num_nodes=32, batches=1, per_batch=80, seed=3)
@@ -262,10 +268,14 @@ class TestKernelPrimitives:
                 assert cv.in_csr.indices[lo:hi].tolist() == [v for v, _ in pairs]
             # The synchronous FS engine's in-edge columns are the
             # per-vertex walk, destination by destination.
-            for got, want in zip(
-                packed_in_edges(cv), oracles.extract_in_edges(structure)
-            ):
-                assert got.tolist() == want.tolist()
+            walk = [
+                (u, v, w)
+                for v in range(structure.num_nodes)
+                for u, w in structure.in_neigh(v)
+            ]
+            assert [col.tolist() for col in packed_in_edges(cv)] == [
+                list(col) for col in zip(*walk)
+            ]
 
 
 class TestOneRouteIntoAView:

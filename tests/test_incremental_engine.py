@@ -3,20 +3,24 @@
 The engine is :func:`repro.compute.kernels.run_incremental_frontier`;
 the tests drive it the way a third-party extension does, through toy
 algorithms that define only the scalar Table-I ``recalculate`` (no
-compiled op, so the engine's Python loop runs it), and check it
-against the sequential oracle where the in-round order matters.
+compiled op, so the engine's Python loop runs it).  Where the in-round
+order matters, a toy BFS must run exactly as the built-in one and pass
+the BFS verifier, and a toy without a built-in twin must settle within
+a stated residual.
 """
 
 import numpy as np
 import pytest
 
+from repro import verify
+from repro.algorithms import get_algorithm
 from repro.algorithms.base import Algorithm
 from repro.compute.kernels import run_incremental_frontier
 from repro.compute.state import AlgorithmState
 from repro.errors import SimulationError, StructureError
 from repro.graph import EdgeBatch, ReferenceGraph
-from tests import oracles
-from tests.conftest import native_env
+from tests.conftest import native_env, observed
+from tests.oracles import DictGraph
 
 
 def chain(n=5):
@@ -176,43 +180,72 @@ CYCLIC = [
 ]
 
 
-class TestScalarOnlyAlgorithmsAgainstTheOracle:
+def _cyclic_stream(algorithms, directed):
+    """Run ``algorithms`` side by side over :data:`CYCLIC` on one graph:
+    two insert batches with every vertex affected (so positions depend
+    on each other), then a deletion that cuts two cycles (stale values
+    must not survive).  Yields each step's runs and the live edges."""
+    reference = ReferenceGraph(8, directed=directed)
+    mirror = DictGraph(8, directed=directed)
+    states = [algorithm.make_state(8) for algorithm in algorithms]
+    source = 0 if algorithms[0].needs_source else None
+    for batch in (EdgeBatch.from_edges(CYCLIC[:6]), EdgeBatch.from_edges(CYCLIC[6:])):
+        reference.update_collect(batch)
+        mirror.update(batch)
+        affected = np.arange(reference.num_nodes)
+        runs = [
+            algorithm.inc_run(reference, state, affected, source=source)
+            for algorithm, state in zip(algorithms, states)
+        ]
+        assert runs[0].iteration_count > 1  # not one lucky sweep
+        yield runs, reference, mirror.edges()
+    victims = EdgeBatch.from_edges([(0, 3), (5, 0)])
+    removed = reference.delete_collect(victims)
+    assert len(mirror.delete_collect(victims)) == len(removed) == 2
+    yield [
+        algorithm.inc_delete_run(reference, state, removed, source=source)
+        for algorithm, state in zip(algorithms, states)
+    ], reference, mirror.edges()
+
+
+@pytest.mark.parametrize("setting", [None, "1"])
+@pytest.mark.parametrize("directed", [True, False])
+class TestScalarOnlyAlgorithms:
     """The engine's loop over a scalar ``recalculate`` and the derived
     ``supports_batch`` where Gauss-Seidel order matters: cyclic graphs,
-    whole-graph frontiers."""
+    whole-graph frontiers.  That a round reads its earlier vertices as
+    just written is
+    ``tests/test_compute_ckernels.py::TestIncRoundCorners::test_round_reads_earlier_vertices_as_just_written``,
+    through this same loop under ``SAGA_BENCH_NO_NATIVE``."""
 
-    @pytest.mark.parametrize("setting", [None, "1"])
-    @pytest.mark.parametrize("make", [_Hops, _Damped])
-    @pytest.mark.parametrize("directed", [True, False])
-    def test_inc_and_deletion_repair(self, make, directed, setting):
-        algorithm = make()
-        source = 0 if algorithm.needs_source else None
-        reference = ReferenceGraph(8, directed=directed)
-        state = algorithm.make_state(8)
-        oracle_state = oracles.OracleState(8, algorithm)
-        first = EdgeBatch.from_edges(CYCLIC[:6])
-        second = EdgeBatch.from_edges(CYCLIC[6:])
+    def test_hops_runs_as_the_builtin_bfs(self, directed, setting):
+        """INC and deletion repair give the built-in BFS's value bits and
+        run log -- its compiled kernel natively -- and pass the BFS
+        verifier."""
         with native_env(setting):
-            for batch in (first, second):
-                reference.update_collect(batch)
-                # Every vertex at once, so positions depend on each other.
-                affected = np.arange(reference.num_nodes)
-                run = algorithm.inc_run(reference, state, affected, source=source)
-                want = oracles.inc_oracle(
-                    algorithm, reference, oracle_state, affected, source=source
+            for (hops, bfs), reference, edges in _cyclic_stream(
+                [_Hops(), get_algorithm("BFS")], directed
+            ):
+                assert observed(hops)[1:] == observed(bfs)[1:]
+                verify.check("BFS", hops.values, edges, reference.num_nodes, source=0)
+
+    def test_damped_average_settles_within_epsilon(self, directed, setting):
+        """No vertex is more than ``epsilon`` from its own function.
+
+        A change above ``epsilon`` re-queues the vertices that read it,
+        so whatever a vertex's in-neighbours moved after its last
+        evaluation moved in steps of at most ``epsilon``, which the
+        average then halves.  (These runs leave at most 0.47 of it.)
+        """
+        damped = _Damped()
+        with native_env(setting):
+            for (run,), reference, _ in _cyclic_stream([damped], directed):
+                values = run.values
+                residual = max(
+                    abs(damped.recalculate(v, reference, values) - values[v])
+                    for v in range(reference.num_nodes)
                 )
-                assert oracles.observed(run) == oracles.observed(want)
-                assert run.iteration_count > 1  # not one lucky sweep
-            # Cut two cycles: stale values must not survive.
-            removed = reference.delete_collect(
-                EdgeBatch.from_edges([(0, 3), (5, 0)])
-            )
-            assert len(removed) == 2
-            run = algorithm.inc_delete_run(reference, state, removed, source=source)
-            want = oracles.inc_delete_oracle(
-                algorithm, reference, oracle_state, list(removed), source=source
-            )
-            assert oracles.observed(run) == oracles.observed(want)
+                assert residual <= damped.epsilon
 
 
 class TestAlgorithmState:
