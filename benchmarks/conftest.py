@@ -8,7 +8,7 @@ reduction step and write the rendered artifact to
 ``benchmarks/output/``.
 
 Set ``SAGA_BENCH_QUICK=1`` to run the sweeps at reduced scale while
-developing.  Both sweeps go through the experiment engine: point
+developing (the sweeps of ``python -m repro ... --quick``).  Both sweeps go through the experiment engine: point
 ``SAGA_BENCH_CACHE_DIR`` at a directory to serve repeated benchmark
 sessions from the RunStore cache, and set ``SAGA_BENCH_JOBS=N`` to fan
 sweep cells over N worker processes.
@@ -21,10 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_hardware_profile, run_software_profile
+from repro.analysis import paper_hardware_profile, paper_software_profile
 from repro.engine import default_store
-from repro.sim.machine import SCALED_SKYLAKE_GOLD_6142
-from repro.streaming import StreamConfig
 
 QUICK = bool(int(os.environ.get("SAGA_BENCH_QUICK", "0")))
 
@@ -71,37 +69,10 @@ def record_output(output_dir):
 @pytest.fixture(scope="session")
 def software_profile(run_store, engine_jobs):
     """The full Section V sweep: all datasets, 4 structures x 2 models."""
-    if QUICK:
-        return run_software_profile(
-            datasets=["LJ", "Talk"],
-            config=StreamConfig(batch_size=1000),
-            size_factor=0.2,
-            store=run_store,
-            jobs=engine_jobs,
-        )
-    return run_software_profile(store=run_store, jobs=engine_jobs)
+    return paper_software_profile(QUICK, run_store, engine_jobs)
 
 
 @pytest.fixture(scope="session")
 def hardware_profile(run_store, engine_jobs):
     """The full Section VI sweep on the scaled cache hierarchy."""
-    if QUICK:
-        return run_hardware_profile(
-            machine=SCALED_SKYLAKE_GOLD_6142,
-            core_counts=(4, 8, 16),
-            short_tailed=("LJ",),
-            heavy_tailed=("Talk",),
-            algorithms=("BFS", "CC", "PR"),
-            size_factor=0.5,
-            batch_size=1250,
-            trace_cap=20_000,
-            store=run_store,
-            jobs=engine_jobs,
-        )
-    return run_hardware_profile(
-        machine=SCALED_SKYLAKE_GOLD_6142,
-        core_counts=(4, 8, 12, 16, 20, 24, 28),
-        trace_cap=40_000,
-        store=run_store,
-        jobs=engine_jobs,
-    )
+    return paper_hardware_profile(QUICK, run_store, engine_jobs)

@@ -55,7 +55,7 @@ def stream_through(edges, name: str) -> float:
 def main() -> None:
     for label, feed in (("organic feed", organic_feed), ("viral feed", viral_feed)):
         edges = feed(seed=11)
-        batch = edges.shuffled(1).slice(0, BATCH)
+        batch = make_batches(edges, BATCH, shuffle_seed=1)[0]
         max_in, max_out = batch.max_in_out_degree()
         print(f"\n== {label}: per-batch max in/out degree = {max_in}/{max_out}")
         latencies = {name: stream_through(edges, name) for name in STRUCTURES}

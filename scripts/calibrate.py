@@ -8,8 +8,7 @@ library; a developer tool.
 import sys
 import time
 
-import numpy as np
-
+from repro.analysis.stats import stage_slices
 from repro.datasets import load_dataset
 from repro.streaming import StreamConfig, StreamDriver
 
@@ -27,7 +26,8 @@ def main(datasets=("LJ", "Talk", "Wiki")):
         ds = load_dataset(name, seed=1)
         res = StreamDriver(StreamConfig()).run(ds)
         nb = res.batches_per_rep
-        p3 = slice(nb - max(nb // 3, 1), nb)
+        stages = stage_slices(nb)
+        p3 = stages[2]
         base_u = res.update_latency("AS")[0, p3].mean()
         print(f"== {name} ({nb} batches, {time.time()-start:.1f}s) "
               f"update AS P3 = {base_u*1e3:.3f} ms")
@@ -48,8 +48,7 @@ def main(datasets=("LJ", "Talk", "Wiki")):
         # Fig 7: FS/INC at AS
         for alg in ("BFS", "CC", "PR", "SSSP", "SSWP"):
             r = []
-            for st in range(3):
-                sl = [slice(0, nb // 3), slice(nb // 3, 2 * nb // 3), p3][st]
+            for sl in stages:
                 fs = res.compute_latency(alg, "FS", "AS")[0, sl].mean()
                 inc = res.compute_latency(alg, "INC", "AS")[0, sl].mean()
                 r.append(fs / inc)

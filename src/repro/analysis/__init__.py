@@ -15,6 +15,8 @@ from repro import lazy_exports
 
 _EXPORTS = {
     "degree_table": "degrees",
+    "paper_hardware_profile": "hardware_profile",
+    "paper_software_profile": "software_profile",
     "run_hardware_profile": "hardware_profile",
     "run_software_profile": "software_profile",
 }

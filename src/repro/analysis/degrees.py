@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, dataset_names, load_dataset
+from repro.streaming.batching import make_batches
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,8 @@ def degree_table(
     rows: Dict[str, DegreeRow] = {}
     for name in names if names is not None else dataset_names():
         dataset = load_dataset(name, seed=seed, size_factor=size_factor)
-        shuffled = dataset.edges.shuffled(seed)
-        full_in, full_out = shuffled.max_in_out_degree()
-        batch = shuffled.slice(0, min(batch_size, len(shuffled)))
+        full_in, full_out = dataset.edges.max_in_out_degree()
+        batch = make_batches(dataset.edges, batch_size, shuffle_seed=seed)[0]
         batch_in, batch_out = batch.max_in_out_degree()
         paper = dataset.spec.paper
         rows[name] = DegreeRow(

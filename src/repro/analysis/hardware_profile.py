@@ -54,7 +54,9 @@ from repro.graph.properties import VALUE_BYTES, VertexProperties
 from repro.sim.cache import CacheHierarchy
 from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.counters import PhaseCounters, derive_counters
-from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
+from repro.sim.machine import (
+    SCALED_SKYLAKE_GOLD_6142, SKYLAKE_GOLD_6142, MachineConfig,
+)
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
 from repro.sim.trace import MemoryTrace, TraceColumns, TraceRecorder, ragged_arange
@@ -635,3 +637,27 @@ def run_hardware_profile(
         )
         offset += len(datasets)
     return HardwareProfile(groups=groups)
+
+
+def paper_hardware_profile(
+    quick: bool, store: Optional[RunStore] = None, jobs: Optional[int] = None
+) -> HardwareProfile:
+    """The Section VI sweep the CLI and the benchmark harness render, on
+    the scaled cache hierarchy: every dataset and core count, or LJ and
+    Talk at half size on three algorithms and core counts (``quick``)."""
+    if quick:
+        return run_hardware_profile(
+            machine=SCALED_SKYLAKE_GOLD_6142,
+            core_counts=(4, 8, 16),
+            short_tailed=("LJ",),
+            heavy_tailed=("Talk",),
+            algorithms=("BFS", "CC", "PR"),
+            size_factor=0.5,
+            batch_size=1250,
+            trace_cap=20_000,
+            store=store,
+            jobs=jobs,
+        )
+    return run_hardware_profile(
+        machine=SCALED_SKYLAKE_GOLD_6142, trace_cap=40_000, store=store, jobs=jobs
+    )

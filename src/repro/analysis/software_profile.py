@@ -214,3 +214,19 @@ def run_software_profile(
     swept = run_many(requests, store=store, jobs=jobs)
     results: Dict[str, StreamResult] = dict(zip(names, swept))
     return SoftwareProfile(results=results)
+
+
+def paper_software_profile(
+    quick: bool, store: Optional[RunStore] = None, jobs: Optional[int] = None
+) -> SoftwareProfile:
+    """The Section V sweep the CLI and the benchmark harness render:
+    every dataset at full size, or LJ and Talk at a quarter (``quick``)."""
+    if quick:
+        return run_software_profile(
+            datasets=["LJ", "Talk"],
+            config=StreamConfig(batch_size=1000),
+            size_factor=0.25,
+            store=store,
+            jobs=jobs,
+        )
+    return run_software_profile(store=store, jobs=jobs)

@@ -6,6 +6,7 @@ Usage::
     python -m repro all --quick
     python -m repro stream --dataset Talk --structure DAH --algorithm PR
     python -m repro scale --edges 5000000 --mmap-dir /tmp/rmat
+    python -m repro autotune --compare --model-out samples.json
     python -m repro table3 --cache-dir ~/.cache/saga --jobs 4
 
 ``--quick`` runs the sweeps at reduced scale (minutes instead of tens
@@ -34,7 +35,6 @@ from repro.datasets.rmat import DEFAULT_RMAT_CHUNK
 from repro.engine import default_store, run_stream
 from repro.obs import METRICS, TRACER, SpanTracer
 from repro.obs.tracer import ROOT
-from repro.sim.machine import SCALED_SKYLAKE_GOLD_6142
 from repro.streaming import StreamConfig
 
 SOFTWARE_ARTIFACTS = ("table3", "fig6", "fig7", "fig8")
@@ -55,47 +55,17 @@ class _Session:
     @property
     def software(self):
         if self._software is None:
-            from repro.analysis.software_profile import run_software_profile
+            from repro.analysis.software_profile import paper_software_profile
 
-            if self.quick:
-                self._software = run_software_profile(
-                    datasets=["LJ", "Talk"],
-                    config=StreamConfig(batch_size=1000),
-                    size_factor=0.25,
-                    store=self.store,
-                    jobs=self.jobs,
-                )
-            else:
-                self._software = run_software_profile(
-                    store=self.store, jobs=self.jobs
-                )
+            self._software = paper_software_profile(self.quick, self.store, self.jobs)
         return self._software
 
     @property
     def hardware(self):
         if self._hardware is None:
-            from repro.analysis.hardware_profile import run_hardware_profile
+            from repro.analysis.hardware_profile import paper_hardware_profile
 
-            if self.quick:
-                self._hardware = run_hardware_profile(
-                    machine=SCALED_SKYLAKE_GOLD_6142,
-                    core_counts=(4, 8, 16),
-                    short_tailed=("LJ",),
-                    heavy_tailed=("Talk",),
-                    algorithms=("BFS", "CC", "PR"),
-                    size_factor=0.5,
-                    batch_size=1250,
-                    trace_cap=20_000,
-                    store=self.store,
-                    jobs=self.jobs,
-                )
-            else:
-                self._hardware = run_hardware_profile(
-                    machine=SCALED_SKYLAKE_GOLD_6142,
-                    trace_cap=40_000,
-                    store=self.store,
-                    jobs=self.jobs,
-                )
+            self._hardware = paper_hardware_profile(self.quick, self.store, self.jobs)
         return self._hardware
 
 
@@ -174,54 +144,10 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _adaptive_driver(args: argparse.Namespace, config: StreamConfig):
-    """The adaptive driver, warm-started from ``--model-in`` if given."""
-    from repro.streaming.autotune import AdaptiveStreamDriver, load_samples
-
-    driver = AdaptiveStreamDriver(config)
-    if args.model_in:
-        driver.warm_samples = load_samples(args.model_in)
-    return driver
-
-
-def _run_adaptive_stream(args: argparse.Namespace, size_factor: float):
-    """One uncached adaptive run (the online tuner is stateful)."""
-    from repro.datasets import load_dataset
-
-    config = StreamConfig(
-        batch_size=args.batch_size,
-        structures=("adaptive",),
-        models=("adaptive",),
-        algorithms=(args.algorithm,),
-        progress=print if getattr(args, "verbose", False) else None,
-    )
-    dataset = load_dataset(args.dataset, seed=args.seed, size_factor=size_factor)
-    driver = _adaptive_driver(args, config)
-    return driver.run(dataset), driver
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     size_factor = args.size_factor
     if args.quick and size_factor == 1.0:
         size_factor = 0.1
-    if args.adaptive:
-        result, driver = _run_adaptive_stream(args, size_factor)
-        update = result.update_latency("adaptive")[0]
-        compute = result.compute_latency(args.algorithm, "adaptive", "adaptive")[0]
-        decisions = driver.decision_log["decisions"]
-        print(f"{args.dataset} adaptive, {args.algorithm}: "
-              f"{result.batches_per_rep} batches")
-        print(f"{'batch':>5s} {'structure':>9s} {'reason':>8s} "
-              f"{'update(ms)':>11s} {'compute(ms)':>11s}")
-        for index in range(result.batches_per_rep):
-            entry = decisions[index]
-            print(f"{index:>5d} {entry['structure']:>9s} "
-                  f"{entry['reason']:>8s} {update[index] * 1e3:>11.3f} "
-                  f"{compute[index] * 1e3:>11.3f}")
-        summary = driver.decision_log["summary"]
-        print(f"[autotune] {summary['switches']} switches, "
-              f"est regret {summary['est_regret_seconds'] * 1e3:.3f} ms")
-        return 0
     config = StreamConfig(
         batch_size=args.batch_size,
         structures=(args.structure,),
@@ -251,7 +177,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     from repro.datasets import make_rmat_dataset
-    from repro.streaming import make_driver
+    from repro.streaming import StreamDriver
 
     started = time.time()
     dataset = make_rmat_dataset(
@@ -266,77 +192,21 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     print(f"{dataset.spec.name}: {len(dataset.edges):,} edges "
           f"({transport}) generated in {generated:.1f}s")
 
-    if args.adaptive:
-        config = StreamConfig(
-            batch_size=args.batch_size,
-            structures=("adaptive",),
-            models=("adaptive",),
-            algorithms=(args.algorithm,),
-        )
-        label = f"adaptive/{args.algorithm}"
-        combo = (args.algorithm, "adaptive", "adaptive")
-    else:
-        config = StreamConfig(
-            batch_size=args.batch_size,
-            structures=(args.structure,),
-            algorithms=(args.algorithm,),
-            models=("INC",),
-        )
-        label = f"{args.structure}/{args.algorithm} INC"
-        combo = (args.algorithm, "INC", args.structure)
+    config = StreamConfig(
+        batch_size=args.batch_size,
+        structures=(args.structure,),
+        algorithms=(args.algorithm,),
+        models=("INC",),
+    )
     started = time.time()
-    driver = _adaptive_driver(args, config) if args.adaptive else make_driver(config)
-    result = driver.run(dataset)
+    result = StreamDriver(config).run(dataset)
     simulated = time.time() - started
-    throughput = result.sustainable_throughput(*combo)
+    throughput = result.sustainable_throughput(args.algorithm, "INC", args.structure)
     rate = len(dataset.edges) / simulated if simulated > 0 else 0.0
-    print(f"{label}: "
+    print(f"{args.structure}/{args.algorithm} INC: "
           f"{result.batches_per_rep} batches of {args.batch_size:,} "
           f"simulated in {simulated:.1f}s wall ({rate:,.0f} edges/s)")
     print(f"sustained simulated ingest: {throughput:,.0f} edges/s")
-    if args.adaptive:
-        summary = driver.decision_log["summary"]
-        print(f"[autotune] {summary['switches']} switches over "
-              f"{summary['batches']} batches")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    """Live small-scale run whose artifact is the HTML report.
-
-    Always simulates (no cache): the report's layer table needs a live
-    run, and a cache hit would skip the simulation it times.  The report
-    itself is written by ``main()``'s teardown, like every other
-    ``--report-out`` run; ``--model-out`` writes the run's update
-    samples, the file ``--model-in`` warm-starts the auto-tuner from.
-    """
-    from repro.streaming.autotune import save_samples, update_samples
-
-    algorithms = tuple(
-        name.strip() for name in args.algorithms.split(",") if name.strip()
-    )
-    config = StreamConfig(
-        batch_size=args.batch_size,
-        algorithms=algorithms,
-        models=("FS", "INC"),
-    )
-    result = run_stream(
-        args.dataset,
-        config,
-        seed=args.seed,
-        size_factor=args.size_factor,
-        store=None,
-        jobs=args.jobs,
-    )
-    print(
-        f"{args.dataset} x{args.size_factor}: {result.batches_per_rep} "
-        f"batches of {args.batch_size} across "
-        f"{len(config.structures)} structures, "
-        f"{len(algorithms)} algorithms, FS+INC"
-    )
-    if args.model_out:
-        save_samples(args.model_out, update_samples(result, config.churn_fraction))
-        print(f"[update samples written to {args.model_out}]")
     return 0
 
 
@@ -350,9 +220,11 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     the per-batch oracle.
     """
     from repro.datasets import load_dataset
-    from repro.streaming import StreamConfig as SC, StreamDriver
+    from repro.streaming import StreamDriver
     from repro.streaming.autotune import (
+        AdaptiveStreamDriver,
         adaptive_total_seconds,
+        load_samples,
         oracle_total_seconds,
         save_samples,
         static_combo_totals,
@@ -370,7 +242,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     dataset = load_dataset(
         args.dataset, seed=args.seed, size_factor=args.size_factor
     )
-    config = SC(
+    config = StreamConfig(
         batch_size=args.batch_size,
         structures=("adaptive",),
         models=("adaptive",),
@@ -378,7 +250,9 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         churn_fraction=args.churn_fraction,
         batch_schedule=schedule,
     )
-    driver = _adaptive_driver(args, config)
+    driver = AdaptiveStreamDriver(config)
+    if args.model_in:
+        driver.warm_samples = load_samples(args.model_in)
     result = driver.run(dataset)
     adaptive_seconds = adaptive_total_seconds(result)
     decisions = driver.decision_log["decisions"]
@@ -402,7 +276,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         print(f"[update samples written to {args.model_out}]")
     if not args.compare:
         return 0
-    static_config = SC(
+    static_config = StreamConfig(
         batch_size=args.batch_size,
         structures=ALL_STRUCTURES,
         algorithms=algorithms,
@@ -473,24 +347,6 @@ def _profile_report(tracer: SpanTracer = TRACER) -> str:
         )
     lines.append(f"  span_coverage_ratio {tracer.span_coverage_ratio():.3f}")
     return "\n".join(lines)
-
-
-def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
-    """The auto-tuner flags shared by stream/scale/autotune."""
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="let the online auto-tuner pick (structure, model) per "
-             "batch, migrating the live structure when the predicted "
-             "savings beat the migration cost (--structure is ignored)",
-    )
-    parser.add_argument(
-        "--model-in",
-        default=None,
-        metavar="FILE",
-        help="warm-start the auto-tuner by replaying saved update samples "
-             "(written by repro report or repro autotune --model-out)",
-    )
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -590,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
              "is given explicitly)",
     )
     stream.add_argument("--verbose", action="store_true")
-    _add_adaptive_args(stream)
     _add_engine_args(stream)
 
     scale = sub.add_parser(
@@ -624,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_RMAT_CHUNK,
         help="generation chunk size (edges held in RAM at once)",
     )
-    _add_adaptive_args(scale)
 
     autotune = sub.add_parser(
         "autotune",
@@ -632,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and print its per-batch decisions; --compare grades it "
              "against every static combination and the per-batch oracle",
     )
-    autotune.set_defaults(func=_cmd_autotune, adaptive=True)
+    autotune.set_defaults(func=_cmd_autotune)
     autotune.add_argument("--dataset", choices=dataset_names(), default="RMAT")
     autotune.add_argument("--batch-size", type=int, default=1000)
     autotune.add_argument(
@@ -654,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--model-in",
         default=None,
         metavar="FILE",
-        help="warm-start the auto-tuner by replaying saved update samples",
+        help="warm-start the auto-tuner by replaying the update samples "
+             "an earlier autotune --model-out saved",
     )
     autotune.add_argument(
         "--model-out",
@@ -671,42 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_args(autotune)
 
-    run_report = sub.add_parser(
-        "report",
-        help="run a small live, uncached stream and write a "
-             "self-contained HTML run report (wall time by layer, sweep "
-             "cells); no external assets, no network",
-    )
-    run_report.set_defaults(func=_cmd_report)
-    run_report.add_argument(
-        "--out",
-        dest="report_out",
-        default="report.html",
-        metavar="FILE",
-        help="report path (default report.html)",
-    )
-    run_report.add_argument("--dataset", choices=dataset_names(), default="RMAT")
-    run_report.add_argument("--batch-size", type=int, default=500)
-    run_report.add_argument("--size-factor", type=float, default=0.25)
-    run_report.add_argument("--seed", type=int, default=0)
-    run_report.add_argument(
-        "--algorithms",
-        default="BFS,PR",
-        help="comma-separated compute algorithms to run (default BFS,PR)",
-    )
-    run_report.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="run sweep cells across N worker processes",
-    )
-    run_report.add_argument(
-        "--model-out",
-        default=None,
-        metavar="FILE",
-        help="also save the run's update samples as versioned JSON (the "
-             "file --model-in replays)",
-    )
     return parser
 
 

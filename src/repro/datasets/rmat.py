@@ -23,7 +23,6 @@ columns in place.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -31,8 +30,11 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
 
-#: The paper's R-MAT parameters.
+#: The paper's R-MAT parameters (a, b, c, d).
 PAPER_RMAT_PARAMS = (0.55, 0.15, 0.15, 0.25)
+
+#: Edge weights are uniform integers in ``[1, MAX_WEIGHT]``.
+MAX_WEIGHT = 8
 
 #: Edges per chunk of an ad-hoc stream (``make_rmat_dataset``, the
 #: default of ``repro scale --chunk-edges``): the most one generation
@@ -40,43 +42,25 @@ PAPER_RMAT_PARAMS = (0.55, 0.15, 0.15, 0.25)
 DEFAULT_RMAT_CHUNK = 1_000_000
 
 
-def rmat_edges(
-    scale: int,
-    num_edges: int,
-    a: float = 0.55,
-    b: float = 0.15,
-    c: float = 0.15,
-    d: float = 0.25,
-    seed: int = 0,
-    max_weight: int = 8,
-    allow_self_loops: bool = False,
-) -> EdgeBatch:
+def rmat_edges(scale: int, num_edges: int, seed: int = 0) -> EdgeBatch:
     """Generate ``num_edges`` R-MAT edges over ``2**scale`` vertices.
 
-    Weights are uniform integers in ``[1, max_weight]``.  Self-loops
-    are re-targeted to the next vertex unless ``allow_self_loops``.
-
-    The quadrant probabilities are normalized by their sum: the paper's
-    stated parameters (0.55, 0.15, 0.15, 0.25) add up to 1.10 -- an
-    apparent typo -- so we follow the stated ratios rather than reject
-    them.
+    The quadrant probabilities are :data:`PAPER_RMAT_PARAMS` normalized
+    by their sum: the paper's stated parameters add up to 1.10 -- an
+    apparent typo -- so we follow the stated ratios.  Weights are
+    uniform integers in ``[1, MAX_WEIGHT]``; a self-loop is re-targeted
+    to the next vertex.
     """
     if scale < 1 or scale > 30:
         raise DatasetError(f"scale must be in [1, 30], got {scale}")
     if num_edges < 1:
         raise DatasetError(f"num_edges must be >= 1, got {num_edges}")
-    if max_weight < 1:
-        raise DatasetError(f"max_weight must be >= 1, got {max_weight}")
+    a, b, c, d = PAPER_RMAT_PARAMS
     total = a + b + c + d
-    if not all(map(math.isfinite, (a, b, c, d))) or total <= 0 or min(a, b, c, d) < 0:
-        raise DatasetError(
-            f"RMAT parameters must be finite and non-negative, got {(a, b, c, d)}"
-        )
-    a, b, c, d = a / total, b / total, c / total, d / total
     rng = np.random.default_rng(seed)
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    t0, t1, t2 = np.cumsum([a, b, c]).tolist()
+    t0, t1, t2 = np.cumsum([a / total, b / total, c / total]).tolist()
     draw = np.empty(num_edges)
     bit = np.empty(num_edges, dtype=bool)
     above = np.empty(num_edges, dtype=bool)
@@ -91,23 +75,16 @@ def rmat_edges(
         bit ^= above
         dst <<= 1
         dst |= bit
-    if not allow_self_loops:
-        loops = src == dst
-        dst[loops] = (dst[loops] + 1) % (1 << scale)
-    weight = rng.integers(1, max_weight + 1, size=num_edges).astype(np.float64)
+    loops = src == dst
+    dst[loops] = (dst[loops] + 1) % (1 << scale)
+    weight = rng.integers(1, MAX_WEIGHT + 1, size=num_edges).astype(np.float64)
     return EdgeBatch(src=src, dst=dst, weight=weight)
 
 
 def rmat_edge_chunks(
     scale: int,
     num_edges: int,
-    a: float = 0.55,
-    b: float = 0.15,
-    c: float = 0.15,
-    d: float = 0.25,
     seed: int = 0,
-    max_weight: int = 8,
-    allow_self_loops: bool = False,
     chunk_edges: int = DEFAULT_RMAT_CHUNK,
 ) -> Iterator[EdgeBatch]:
     """Generate an R-MAT stream one bounded chunk at a time.
@@ -131,17 +108,7 @@ def rmat_edge_chunks(
     index = 0
     while produced < num_edges:
         count = min(chunk_edges, num_edges - produced)
-        yield rmat_edges(
-            scale=scale,
-            num_edges=count,
-            a=a,
-            b=b,
-            c=c,
-            d=d,
-            seed=[seed, index],
-            max_weight=max_weight,
-            allow_self_loops=allow_self_loops,
-        )
+        yield rmat_edges(scale=scale, num_edges=count, seed=[seed, index])
         produced += count
         index += 1
 
@@ -149,13 +116,7 @@ def rmat_edge_chunks(
 def rmat_recipe(
     scale: int,
     num_edges: int,
-    a: float = 0.55,
-    b: float = 0.15,
-    c: float = 0.15,
-    d: float = 0.25,
     seed: int = 0,
-    max_weight: int = 8,
-    allow_self_loops: bool = False,
     chunk_edges: int = DEFAULT_RMAT_CHUNK,
 ) -> dict:
     """The content-identity recipe of an R-MAT stream (for mmap meta)."""
@@ -163,9 +124,9 @@ def rmat_recipe(
         "kind": "rmat",
         "scale": scale,
         "num_edges": num_edges,
-        "params": [a, b, c, d],
+        "params": list(PAPER_RMAT_PARAMS),
         "seed": seed,
-        "max_weight": max_weight,
-        "allow_self_loops": allow_self_loops,
+        "max_weight": MAX_WEIGHT,
+        "allow_self_loops": False,
         "chunk_edges": chunk_edges,
     }

@@ -82,14 +82,6 @@ class EdgeBatch:
             weight=self.weight[start:stop],
         )
 
-    def shuffled(self, seed: int) -> "EdgeBatch":
-        """A random permutation of this batch (paper Section IV-B)."""
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(self))
-        return EdgeBatch(
-            src=self.src[order], dst=self.dst[order], weight=self.weight[order]
-        )
-
     def max_in_out_degree(self) -> Tuple[int, int]:
         """(max in-degree, max out-degree) of this batch alone.
 

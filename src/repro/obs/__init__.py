@@ -21,7 +21,7 @@ flags (on every subcommand) enable them and export on exit:
 - Prometheus text format.
 
 On top of the raw streams sits the self-contained HTML run report
-(:mod:`repro.obs.report`, ``--report-out`` / ``repro report``).
+(:mod:`repro.obs.report`, ``--report-out``).
 
 See ``docs/OBSERVABILITY.md`` for capture and reading instructions.
 """

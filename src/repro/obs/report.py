@@ -236,8 +236,8 @@ def _autotune_section(autotune: Optional[dict]) -> str:
         return _section(
             "Auto-tuner",
             '<p class="note">Not an adaptive run: use '
-            "structures=('adaptive',) (repro autotune, or --adaptive on "
-            "stream/scale) to populate this section.</p>",
+            "structures=('adaptive',) (repro autotune) to populate this "
+            "section.</p>",
         )
     summary = autotune.get("summary", {})
     decisions = autotune["decisions"]

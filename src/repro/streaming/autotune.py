@@ -121,7 +121,7 @@ def load_samples(path) -> List[Sample]:
         raise ConfigError(
             f"{path}: update-sample schema {schema!r} unsupported (this "
             f"build reads schema {SAMPLES_SCHEMA}); write it again with "
-            f"`repro report --model-out` or `repro autotune --model-out`"
+            f"`repro autotune --model-out`"
         )
     return [
         (str(structure), float(ops), float(seconds))
@@ -608,7 +608,7 @@ class AdaptiveStreamDriver(StreamDriver):
         )
         self.candidate_models = tuple(cfg.candidate_models or COMPUTE_MODELS)
         #: Warm-start update samples, assigned by the caller before
-        #: :meth:`run` (``repro ... --model-in`` loads them from disk).
+        #: :meth:`run` (``repro autotune --model-in`` loads them from disk).
         self.warm_samples: List[Sample] = []
         #: Test hook, copied onto the controller at run start.
         self.forced_plan: Dict[int, str] = {}

@@ -67,8 +67,7 @@ class BatchView:
     """A lazy sequence of the batches of one (shuffled) stream.
 
     Batch ``i`` is ``edges[order][i*b : (i+1)*b]``, produced on access
-    as a single fancy-index gather (``src[order[i*b:(i+1)*b]]``) --
-    bit-identical to the eager shuffle-then-slice it replaced.  With
+    as a single fancy-index gather (``src[order[i*b:(i+1)*b]]``).  With
     ``order=None`` (unshuffled) batches are zero-copy slices of the
     backing arrays, memory-mapped or not.
 
@@ -77,9 +76,7 @@ class BatchView:
     ``schedule[i % len(schedule)]`` edges, the final batch truncated):
     the regime-shifting streams the adaptive driver is benchmarked on.
 
-    Supports ``len``, indexing (negative too), iteration, and equality
-    with lists/tuples of batches so existing call sites and tests that
-    treated the result as a list keep working.
+    Supports ``len``, indexing (negative too) and iteration.
     """
 
     def __init__(
@@ -147,9 +144,8 @@ def make_batches(
     """Shuffle ``edges`` and slice the stream into batches, lazily.
 
     The final batch may be smaller than ``batch_size``; empty streams
-    produce an empty view.  Batch contents are bit-identical to the
-    eager ``edges.shuffled(seed)`` + ``slice`` pipeline this replaces:
-    the same ``default_rng(seed).permutation`` order, applied per batch.
+    produce an empty view.  The shuffle is the stream's one order:
+    ``default_rng(shuffle_seed).permutation``, gathered per batch.
     ``schedule`` cycles per-batch sizes instead of the fixed
     ``batch_size`` (the shuffle order is unaffected -- only where the
     batch boundaries fall).

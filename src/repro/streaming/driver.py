@@ -476,9 +476,9 @@ def make_driver(config: Optional[StreamConfig] = None) -> StreamDriver:
     """The driver matching ``config``: adaptive when
     ``structures=("adaptive",)``, static otherwise.
 
-    Call sites (the sweep engine, the CLI, benches) construct through
-    this factory so the auto-tuned path is picked up anywhere a config
-    asks for it.
+    Call sites (the sweep engine, the benchmark) construct through this
+    factory so the auto-tuned path is picked up anywhere a config asks
+    for it.
     """
     config = config if config is not None else StreamConfig()
     if config.is_adaptive:

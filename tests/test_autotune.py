@@ -395,38 +395,6 @@ class TestAdaptiveCLI:
         assert "oracle" in out
         assert "vs median static" in out
 
-    def test_stream_adaptive_flag(self, capsys):
-        code = main(
-            [
-                "stream",
-                "--adaptive",
-                "--dataset", "Talk",
-                "--size-factor", "0.08",
-                "--batch-size", "400",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "adaptive" in out.lower()
-
-    def test_scale_adaptive_flag(self, capsys):
-        code = main(
-            [
-                "scale",
-                "--adaptive",
-                "--scale", "10",
-                "--edges", "2000",
-                "--batch-size", "500",
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert any(
-            line.startswith("adaptive/PR: 4 batches of 500 simulated in ")
-            for line in lines
-        )
-        assert lines[-1].startswith("[autotune] ")
-
     def test_model_out_is_written_once(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         code = main(
@@ -446,18 +414,17 @@ class TestAdaptiveCLI:
         assert load_samples(model)
 
     def test_warm_start_round_trip(self, tmp_path, capsys):
-        """The update samples ``repro report`` saves teach every
+        """The update samples ``autotune --model-out`` saves teach every
         candidate's update law, so ``--model-in`` skips the cold-start
         exploration."""
         model = tmp_path / "model.json"
-        report = [
-            "report",
-            "--out", str(tmp_path / "report.html"),
+        cold = [
+            "autotune",
             "--size-factor", "0.05",
             "--algorithms", "BFS",
             "--model-out", str(model),
         ]
-        assert main(report) == 0
+        assert main(cold) == 0
         capsys.readouterr()
         code = main(
             [

@@ -40,6 +40,24 @@ class TestParser:
         assert raised.value.code == 2
         assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--adaptive"],
+            ["scale", "--adaptive"],
+            ["stream", "--model-in", "F"],
+            ["scale", "--model-in", "F"],
+            ["report"],
+        ],
+        ids=" ".join,
+    )
+    def test_autotune_is_the_one_adaptive_entry(self, argv):
+        """The auto-tuner runs from ``autotune`` alone and a report is
+        written by ``--report-out`` alone."""
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+
 
 class TestExecution:
     def test_table1(self, capsys):

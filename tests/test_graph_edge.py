@@ -52,23 +52,6 @@ class TestEdgeBatch:
         assert len(part) == 2
         assert part.src[0] == 1
 
-    def test_shuffled_is_permutation(self):
-        batch = EdgeBatch.from_edges([(i, i + 1) for i in range(50)])
-        shuffled = batch.shuffled(seed=3)
-        assert sorted(shuffled.src) == sorted(batch.src)
-        assert not np.array_equal(shuffled.src, batch.src)
-
-    def test_shuffled_deterministic(self):
-        batch = EdgeBatch.from_edges([(i, i + 1) for i in range(50)])
-        assert np.array_equal(batch.shuffled(5).src, batch.shuffled(5).src)
-
-    def test_shuffle_keeps_edges_paired(self):
-        batch = EdgeBatch.from_edges([(i, i + 100, float(i)) for i in range(50)])
-        shuffled = batch.shuffled(seed=1)
-        for i in range(len(shuffled)):
-            assert shuffled.dst[i] == shuffled.src[i] + 100
-            assert shuffled.weight[i] == float(shuffled.src[i])
-
     def test_max_in_out_degree_counts_unique(self):
         # Parallel duplicates of (0, 1) count once.
         batch = EdgeBatch.from_edges([(0, 1), (0, 1), (0, 2), (3, 1)])

@@ -3,8 +3,8 @@
 The hard guarantee is self-containment: a report must render with zero
 network access, so it may not contain a single ``http`` substring (no
 scripts, fonts, stylesheets, xmlns declarations).  Sections must be
-present whether their data source is populated or absent, and the
-``repro report`` CLI must produce such a file end to end.  A report
+present whether their data source is populated or absent, and a
+``--report-out`` run must produce such a file end to end.  A report
 describes its own run only: nothing in the working directory reaches it.
 """
 
@@ -14,7 +14,6 @@ from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_report, write_report
 from repro.obs.tracer import SpanTracer
-from repro.streaming.autotune import load_samples
 
 SECTIONS = (
     "Wall time by layer",
@@ -97,18 +96,17 @@ def test_write_report(tmp_path):
 
 
 def test_cli_report_end_to_end(tmp_path):
-    """``repro report`` on a tiny live run: self-contained HTML with a
-    populated layer table, plus the optional update-sample file."""
+    """``stream --report-out`` on a tiny live run: self-contained HTML
+    with a populated layer table."""
     out = tmp_path / "report.html"
-    model_out = tmp_path / "samples.json"
     rc = main([
-        "report",
-        "--out", str(out),
+        "stream",
         "--dataset", "RMAT",
         "--size-factor", "0.05",
         "--batch-size", "250",
-        "--algorithms", "BFS",
-        "--model-out", str(model_out),
+        "--algorithm", "BFS",
+        "--no-cache",
+        "--report-out", str(out),
     ])
     assert rc == 0
     html = out.read_text()
@@ -120,11 +118,6 @@ def test_cli_report_end_to_end(tmp_path):
     assert '<span class="bar-label">driver</span>' in html
     assert "span_coverage_ratio" in html
     assert "No span data" not in html
-    # One update sample per structure per batch, as versioned JSON.
-    samples = load_samples(model_out)
-    assert {structure for structure, _, _ in samples} == {"AS", "AC", "Stinger", "DAH"}
-    assert len(samples) % 4 == 0
-    assert all(ops > 0 and seconds > 0 for _, ops, seconds in samples)
 
 
 def test_report_depends_only_on_its_run(tmp_path, monkeypatch):

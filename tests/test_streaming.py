@@ -20,12 +20,14 @@ class TestBatching:
         assert [len(b) for b in batches] == [10, 10, 5]
 
     def test_shuffle_preserves_multiset(self):
-        edges = EdgeBatch.from_edges([(i, i + 1) for i in range(25)])
+        edges = EdgeBatch.from_edges([(i, i + 1, float(i)) for i in range(25)])
         batches = make_batches(edges, batch_size=10, shuffle_seed=3)
         seen = sorted(
-            (int(s), int(d)) for b in batches for s, d in zip(b.src, b.dst)
+            (int(s), int(d), float(w))
+            for b in batches
+            for s, d, w in zip(b.src, b.dst, b.weight)
         )
-        assert seen == sorted((i, i + 1) for i in range(25))
+        assert seen == [(i, i + 1, float(i)) for i in range(25)]
 
     def test_empty_stream(self):
         assert len(make_batches(EdgeBatch.empty(), batch_size=10)) == 0
