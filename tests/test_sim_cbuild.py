@@ -198,3 +198,33 @@ def test_a_part_that_fails_to_bind_leaves_every_part_on_python(monkeypatch):
     finally:
         monkeypatch.undo()
         cbuild.NATIVE.reset()
+
+
+#: Warnings that flag a narrowing or shadowing slip; the test build adds
+#: them with ``-Werror``.  The runtime build keeps :data:`cbuild.CFLAGS`:
+#: the library loads all or nothing, so a warning that some other
+#: compiler adds must not drop every phase to Python.
+STRICT_WARNINGS = ("-Wall", "-Wextra", "-Wconversion", "-Wshadow", "-Werror")
+
+
+def test_native_source_is_warning_clean(tmp_path):
+    """The concatenated library source compiles without a single warning
+    under the strict set, so an implicit narrowing (an id width, a
+    weight width) fails here rather than truncating silently."""
+    import importlib
+
+    if cbuild.compiler_identity() == "cc-unavailable":
+        pytest.skip("no C compiler")
+    source = "".join(
+        importlib.import_module(name)._SOURCE for name in cbuild.NATIVE.parts
+    )
+    c_path = tmp_path / "saga_native.c"
+    c_path.write_text(source)
+    build = subprocess.run(
+        ["cc", *cbuild.CFLAGS, *STRICT_WARNINGS, "-o", str(tmp_path / "saga_native.so"),
+         str(c_path), *cbuild.NATIVE.extra_flags],
+        capture_output=True,
+        text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    assert build.stderr == ""
