@@ -29,6 +29,7 @@ from repro.compute.stats import ROUND_COLUMNS, ComputeRun
 from repro.errors import SimulationError
 from repro.graph.edge import EdgeBatch
 from repro.obs.tracer import TRACER
+from repro.widths import VERTEX
 
 
 class Algorithm(abc.ABC):
@@ -325,5 +326,5 @@ def synchronous_fixpoint(
     # Every round pulls every vertex: one copy of them, ``rounds`` rows.
     table = np.zeros((rounds, len(ROUND_COLUMNS)), dtype=np.int64)
     table[:, ROUND_COLUMNS.index("pulled")] = n
-    run.set_log(np.arange(n, dtype=np.int64), table)
+    run.set_log(np.arange(n, dtype=VERTEX), table)
     return run

@@ -83,8 +83,7 @@ class PageRank(Algorithm):
         batch's sources join the endpoints.
         """
         cv = kernels.ComputeView.of(view)
-        src = np.asarray(batch.src, dtype=np.int64)
-        dst = np.asarray(batch.dst, dtype=np.int64)
+        src, dst = batch.src, batch.dst
         sources = kernels.unique_ids(src, cv.num_nodes)
         _, fanout, _ = kernels.expand_frontier(cv.out_csr, sources)
         return kernels.unique_ids(np.concatenate([src, dst, fanout]), cv.num_nodes)

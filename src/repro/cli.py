@@ -12,11 +12,11 @@ Usage::
 ``--quick`` runs the sweeps at reduced scale (minutes instead of tens
 of minutes); ``--output DIR`` also writes each artifact to a file.
 
-Every subcommand shares the experiment-engine flags: ``--cache-dir``
-points the content-addressed RunStore at a directory (a second
-identical invocation then regenerates every artifact from cache,
-bit-identically, without simulating), ``--no-cache`` disables the
-cache even when ``SAGA_BENCH_CACHE_DIR`` is set, ``--jobs N`` fans
+Every subcommand but ``scale`` shares the experiment-engine flags:
+``--cache-dir`` points the content-addressed RunStore at a directory (a
+second identical invocation then regenerates every artifact from
+cache, bit-identically, without simulating), ``--no-cache`` disables
+the cache even when ``SAGA_BENCH_CACHE_DIR`` is set, ``--jobs N`` fans
 sweep cells over N worker processes, and ``--profile`` prints the
 layer table (``graph.update``, ``scheduler.run``, ``cache.replay``, ...)
 whose self times sum to the ``driver`` span around the command.
@@ -176,6 +176,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
+    import resource
+
     from repro.datasets import make_rmat_dataset
     from repro.streaming import StreamDriver
 
@@ -203,9 +205,14 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     simulated = time.time() - started
     throughput = result.sustainable_throughput(args.algorithm, "INC", args.structure)
     rate = len(dataset.edges) / simulated if simulated > 0 else 0.0
+    # The process's peak so far (Linux reports KiB).  It varies from run
+    # to run, so it stays off the last line, which is the deterministic
+    # result.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{args.structure}/{args.algorithm} INC: "
           f"{result.batches_per_rep} batches of {args.batch_size:,} "
-          f"simulated in {simulated:.1f}s wall ({rate:,.0f} edges/s)")
+          f"simulated in {simulated:.1f}s wall ({rate:,.0f} edges/s, "
+          f"peak RSS {peak_mb:,.0f} MB)")
     print(f"sustained simulated ingest: {throughput:,.0f} edges/s")
     return 0
 

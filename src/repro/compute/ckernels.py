@@ -78,6 +78,7 @@ from repro.compute.stats import ROUND_COLUMNS, check_round_table
 from repro.errors import SimulationError
 from repro.obs.metrics import METRICS
 from repro.sim.cbuild import NATIVE
+from repro.widths import VERTEX, WEIGHT
 
 #: INC vertex functions (``saga_inc_run``'s ``op``).
 OP_BFS = 0
@@ -136,6 +137,12 @@ _SOURCE = r"""
  * CSR rows arrive as (starts, lens) rather than a packed indptr: the
  * incremental CSR store keeps per-row slack, so rows need not be
  * contiguous.  A packed CSR is the special case starts = indptr[:n].
+ *
+ * Widths (repro.widths): a vertex id in an array -- a CSR's cols, a
+ * frontier or run log, a delta column -- is int32_t, a weight float;
+ * row offsets and lengths, counts and packed pair keys are int64_t.
+ * An id is widened to int64_t before it is multiplied, and a weight
+ * to double (exactly) before any arithmetic.
  */
 
 /* np.minimum: NaN wins; otherwise the smaller. */
@@ -156,11 +163,11 @@ void saga_expand(
     const int64_t *frontier,
     const int64_t *starts,
     const int64_t *lens,
-    const int64_t *cols,
-    const double *wts,
+    const int32_t *cols,
+    const float *wts,
     int64_t *seg_out,
-    int64_t *nbr_out,
-    double *wt_out)
+    int32_t *nbr_out,
+    float *wt_out)
 {
     int64_t p, j, r = 0;
     for (p = 0; p < k; p++) {
@@ -185,25 +192,26 @@ void saga_expand(
 
 #define SAGA_SORT_INSERTION_MAX 48
 
-static int64_t *g_sort_tmp = NULL;
+static int32_t *g_sort_tmp = NULL;
 static int64_t g_sort_cap = 0;
 
-static void insertion_sort_ids(int64_t *ids, int64_t n)
+static void insertion_sort_ids(int32_t *ids, int64_t n)
 {
     int64_t i, j;
     for (i = 1; i < n; i++) {
-        int64_t x = ids[i];
+        int32_t x = ids[i];
         for (j = i; j > 0 && ids[j - 1] > x; j--)
             ids[j] = ids[j - 1];
         ids[j] = x;
     }
 }
 
-static void sort_ids(int64_t *ids, int64_t n)
+static void sort_ids(int32_t *ids, int64_t n)
 {
-    int64_t count[8][256];
-    int64_t *src = ids, *dst;
-    int64_t i, maxid = 0;
+    int64_t count[4][256];
+    int32_t *src = ids, *dst;
+    int64_t i;
+    int32_t maxid = 0;
     int d, digits = 1;
     if (n <= SAGA_SORT_INSERTION_MAX) {
         insertion_sort_ids(ids, n);
@@ -211,10 +219,10 @@ static void sort_ids(int64_t *ids, int64_t n)
     }
     if (g_sort_cap < n) {
         int64_t cap = g_sort_cap ? g_sort_cap : 1024;
-        int64_t *grown;
+        int32_t *grown;
         while (cap < n)
             cap *= 2;
-        grown = (int64_t *)realloc(g_sort_tmp, (size_t)cap * sizeof(int64_t));
+        grown = (int32_t *)realloc(g_sort_tmp, (size_t)cap * sizeof(int32_t));
         if (!grown) {
             insertion_sort_ids(ids, n); /* slow, but never wrong */
             return;
@@ -225,17 +233,18 @@ static void sort_ids(int64_t *ids, int64_t n)
     for (i = 0; i < n; i++)
         if (ids[i] > maxid)
             maxid = ids[i];
-    while (digits < 8 && (maxid >> (8 * digits)) != 0)
+    while (digits < 4 && (maxid >> (8 * digits)) != 0)
         digits++;
     memset(count, 0, (size_t)digits * sizeof(count[0]));
     for (i = 0; i < n; i++) {
-        int64_t x = ids[i];
+        int32_t x = ids[i];
         for (d = 0; d < digits; d++)
             count[d][(x >> (8 * d)) & 255]++;
     }
     dst = g_sort_tmp;
     for (d = 0; d < digits; d++) {
-        int64_t *c = count[d], *swap;
+        int64_t *c = count[d];
+        int32_t *swap;
         int64_t off = 0;
         int shift = 8 * d;
         for (i = 0; i < 256; i++) {
@@ -244,7 +253,7 @@ static void sort_ids(int64_t *ids, int64_t n)
             off += here;
         }
         for (i = 0; i < n; i++) {
-            int64_t x = src[i];
+            int32_t x = src[i];
             dst[c[(x >> shift) & 255]++] = x;
         }
         swap = src;
@@ -252,7 +261,7 @@ static void sort_ids(int64_t *ids, int64_t n)
         dst = swap;
     }
     if (src != ids)
-        memcpy(ids, src, (size_t)n * sizeof(int64_t));
+        memcpy(ids, src, (size_t)n * sizeof(int32_t));
 }
 
 /* ---- vertex recalculation ----------------------------------------
@@ -265,8 +274,8 @@ static double inc_recalc(
     const double *values,
     const int64_t *in_starts,
     const int64_t *in_lens,
-    const int64_t *in_cols,
-    const double *in_wts,
+    const int32_t *in_cols,
+    const float *in_wts,
     const int64_t *out_deg,
     int32_t op,
     int64_t pinned,
@@ -313,7 +322,7 @@ static double inc_recalc(
     default: /* PR: base + d * sum(values[u] / outdeg[u]) */
         acc = 0.0;
         for (j = 0; j < d; j++) {
-            int64_t u = in_cols[s + j];
+            int32_t u = in_cols[s + j];
             acc += values[u] / (double)out_deg[u];
         }
         return pr_base + damping * acc;
@@ -337,14 +346,14 @@ static double inc_recalc(
  */
 static void inc_round(
     int64_t k,
-    const int64_t *frontier,
+    const int32_t *frontier,
     const int64_t *in_starts,
     const int64_t *in_lens,
-    const int64_t *in_cols,
-    const double *in_wts,
+    const int32_t *in_cols,
+    const float *in_wts,
     const int64_t *out_starts,
     const int64_t *out_lens,
-    const int64_t *out_cols,
+    const int32_t *out_cols,
     const int64_t *out_deg,
     double *values,
     int32_t op,
@@ -353,13 +362,13 @@ static void inc_round(
     double pr_base,
     double damping,
     uint8_t *seen,
-    int64_t *triggered,
-    int64_t *next_out,
+    int32_t *triggered,
+    int32_t *next_out,
     int64_t *counts_out)
 {
     int64_t p, j, nt = 0, cas = 0, nn = 0;
     for (p = 0; p < k; p++) {
-        int64_t v = frontier[p];
+        int32_t v = frontier[p];
         double old = values[v];
         double nv = inc_recalc(v, values, in_starts, in_lens, in_cols,
                                in_wts, out_deg, op, pinned, pr_base,
@@ -372,7 +381,7 @@ static void inc_round(
             int64_t d = out_lens[v];
             triggered[nt++] = v;
             for (j = 0; j < d; j++) {
-                int64_t t = out_cols[s + j];
+                int32_t t = out_cols[s + j];
                 cas++;
                 if (!seen[t]) {
                     seen[t] = 1;
@@ -423,7 +432,7 @@ static void inc_round(
 
 /* Most vertices one round over frontier[] can discover. */
 static int64_t next_frontier_bound(
-    int64_t k, const int64_t *frontier, const int64_t *out_lens, int64_t n)
+    int64_t k, const int32_t *frontier, const int64_t *out_lens, int64_t n)
 {
     int64_t p, total = 0;
     for (p = 0; p < k && total < n; p++)
@@ -462,11 +471,11 @@ int64_t saga_inc_run(
     int64_t n,
     const int64_t *in_starts,
     const int64_t *in_lens,
-    const int64_t *in_cols,
-    const double *in_wts,
+    const int32_t *in_cols,
+    const float *in_wts,
     const int64_t *out_starts,
     const int64_t *out_lens,
-    const int64_t *out_cols,
+    const int32_t *out_cols,
     double *values,
     int32_t op,
     double epsilon,
@@ -475,7 +484,7 @@ int64_t saga_inc_run(
     double damping,
     uint8_t *seen,
     int64_t max_rounds,
-    int64_t *vlog,
+    int32_t *vlog,
     int64_t vcap,
     int64_t *rtab,
     int64_t rcap,
@@ -483,7 +492,8 @@ int64_t saga_inc_run(
 {
     int64_t r = ctl[0], off = ctl[1], k = ctl[2];
     while (k > 0) {
-        int64_t counts[3], need, *next;
+        int64_t counts[3], need;
+        int32_t *next;
         if (r >= max_rounds)
             return run_leave(ctl, r, off, k, 0, SAGA_RUN_OVERRUN);
         if (r >= rcap)
@@ -496,7 +506,7 @@ int64_t saga_inc_run(
                   epsilon, pinned, pr_base, damping, seen, vlog + off + k,
                   vlog + off + 2 * k, counts);
         next = vlog + off + k + counts[0];
-        memmove(next, vlog + off + 2 * k, (size_t)counts[2] * sizeof(int64_t));
+        memmove(next, vlog + off + 2 * k, (size_t)counts[2] * sizeof(int32_t));
         sort_ids(next, counts[2]);
         log_round(rtab, r, off, k, counts[0], counts[1], counts[2]);
         r++;
@@ -517,13 +527,13 @@ int64_t saga_relax_run(
     int64_t n,
     const int64_t *starts,
     const int64_t *lens,
-    const int64_t *cols,
-    const double *wts,
+    const int32_t *cols,
+    const float *wts,
     double *values,
     int32_t op,
     int32_t maximize,
     uint8_t *improved,
-    int64_t *vlog,
+    int32_t *vlog,
     int64_t vcap,
     int64_t *rtab,
     int64_t rcap,
@@ -531,8 +541,8 @@ int64_t saga_relax_run(
 {
     int64_t r = ctl[0], off = ctl[1], k = ctl[2];
     while (k > 0) {
-        const int64_t *frontier = vlog + off;
-        int64_t *next_out = vlog + off + k;
+        const int32_t *frontier = vlog + off;
+        int32_t *next_out = vlog + off + k;
         int64_t p, j, nn = 0, need;
         if (r >= rcap)
             return run_leave(ctl, r, off, k, r + 1, SAGA_RUN_STALL_ROUNDS);
@@ -545,7 +555,7 @@ int64_t saga_relax_run(
             int64_t s = starts[v];
             int64_t d = lens[v];
             for (j = 0; j < d; j++) {
-                int64_t t = cols[s + j];
+                int32_t t = cols[s + j];
                 double w = wts[s + j];
                 double cand = op == 0 ? base + 1.0 : ((base < w) ? base : w);
                 double cur = values[t];
@@ -577,22 +587,22 @@ void saga_taint_closure(
     int64_t n,
     const int64_t *starts,
     const int64_t *lens,
-    const int64_t *cols,
+    const int32_t *cols,
     uint8_t *tainted,
     const uint8_t *pinned,
-    int64_t *work)
+    int32_t *work)
 {
     int64_t head, tail = 0, v, j;
     for (v = 0; v < n; v++)
         if (tainted[v])
-            work[tail++] = v;
+            work[tail++] = (int32_t)v;
     for (head = 0; head < tail; head++) {
         int64_t s, d;
         v = work[head];
         s = starts[v];
         d = lens[v];
         for (j = 0; j < d; j++) {
-            int64_t t = cols[s + j];
+            int32_t t = cols[s + j];
             if (!tainted[t] && !pinned[t]) {
                 tainted[t] = 1;
                 work[tail++] = t;
@@ -632,7 +642,7 @@ void saga_taint_closure(
  * more than epsilon. */
 
 static inline double row_min(
-    double acc, const double *values, const int64_t *row, int64_t d)
+    double acc, const double *values, const int32_t *row, int64_t d)
 {
     int64_t j;
     for (j = 0; j < d; j++) {
@@ -643,7 +653,7 @@ static inline double row_min(
 }
 
 static inline double row_max(
-    double acc, const double *values, const int64_t *row, int64_t d)
+    double acc, const double *values, const int32_t *row, int64_t d)
 {
     int64_t j;
     for (j = 0; j < d; j++) {
@@ -653,7 +663,7 @@ static inline double row_max(
     return acc;
 }
 
-static inline double row_sum(const double *values, const int64_t *row, int64_t d)
+static inline double row_sum(const double *values, const int32_t *row, int64_t d)
 {
     double acc = 0.0;
     int64_t j;
@@ -664,7 +674,7 @@ static inline double row_sum(const double *values, const int64_t *row, int64_t d
 
 /* The vertices by ascending in-degree (a stable counting sort; degrees
  * of 63 and up share the last bin). */
-static void order_by_degree(int64_t n, const int64_t *lens, int64_t *order)
+static void order_by_degree(int64_t n, const int64_t *lens, int32_t *order)
 {
     int64_t start[65] = {0};
     int64_t v, d;
@@ -673,19 +683,19 @@ static void order_by_degree(int64_t n, const int64_t *lens, int64_t *order)
     for (d = 0; d < 64; d++)
         start[d + 1] += start[d];
     for (v = 0; v < n; v++)
-        order[start[lens[v] < 63 ? lens[v] : 63]++] = v;
+        order[start[lens[v] < 63 ? lens[v] : 63]++] = (int32_t)v;
 }
 
 int64_t saga_jacobi_run(
     int64_t n,
     const int64_t *in_starts,
     const int64_t *in_lens,
-    const int64_t *in_cols,
-    const double *in_wts,
+    const int32_t *in_cols,
+    const float *in_wts,
     const int64_t *out_deg,
     double *values,
     double *scratch,
-    int64_t *order,
+    int32_t *order,
     int32_t op,
     double epsilon,
     double pr_base,
@@ -817,13 +827,14 @@ static int bucket_of(double x, double delta, int64_t *bucket)
  * sorted, duplicates dropped, vertices whose value is in another
  * bucket by now dropped.  Returns its length, -1 on a bad bucket. */
 static int64_t bucket_frontier(
-    int64_t *ids, int64_t count, const double *values, double delta,
+    int32_t *ids, int64_t count, const double *values, double delta,
     int64_t bucket)
 {
-    int64_t p, k = 0, last = -1;
+    int64_t p, k = 0, b;
+    int32_t last = -1;
     sort_ids(ids, count);
     for (p = 0; p < count; p++) {
-        int64_t t = ids[p], b;
+        int32_t t = ids[p];
         if (t == last)
             continue;
         last = t;
@@ -841,29 +852,30 @@ static int64_t bucket_frontier(
  * Returns the event count, or -1 on a bucket that does not fit. */
 static int64_t delta_pass(
     int64_t k,
-    const int64_t *frontier,
+    const int32_t *frontier,
     const int64_t *starts,
     const int64_t *lens,
-    const int64_t *cols,
-    const double *wts,
+    const int32_t *cols,
+    const float *wts,
     double *values,
     double delta,
     int heavy,
     int64_t bucket,
-    int64_t *same,
+    int32_t *same,
     int64_t *nsame,
     int64_t *pend,
     int64_t *pcount)
 {
     int64_t p, j, ne = 0;
     for (p = 0; p < k; p++) {
-        int64_t v = frontier[p];
+        int32_t v = frontier[p];
         double base = values[v];
         int64_t s = starts[v];
         int64_t d = lens[v];
         for (j = 0; j < d; j++) {
             double w = wts[s + j];
-            int64_t t, b;
+            int32_t t;
+            int64_t b;
             double cand;
             if (heavy ? (w <= delta) : (w > delta))
                 continue;
@@ -890,11 +902,11 @@ static int64_t delta_pass(
 int64_t saga_delta_run(
     const int64_t *starts,
     const int64_t *lens,
-    const int64_t *cols,
-    const double *wts,
+    const int32_t *cols,
+    const float *wts,
     double *values,
     double delta,
-    int64_t *vlog,
+    int32_t *vlog,
     int64_t vcap,
     int64_t *rtab,
     int64_t rcap,
@@ -925,7 +937,7 @@ int64_t saga_delta_run(
             members = 0;
             for (i = 0; i < pcount; i++) {
                 if (pend[2 * i] == bucket) {
-                    vlog[off + members++] = pend[2 * i + 1];
+                    vlog[off + members++] = (int32_t)pend[2 * i + 1];
                 } else {
                     pend[2 * rest] = pend[2 * i];
                     pend[2 * rest + 1] = pend[2 * i + 1];
@@ -947,8 +959,8 @@ int64_t saga_delta_run(
         {
             int heavy = phase == DELTA_HEAVY;
             int64_t count = heavy ? off - first : k;
-            const int64_t *from = heavy ? vlog + first : vlog + off;
-            int64_t *same = vlog + off + count;
+            const int32_t *from = heavy ? vlog + first : vlog + off;
+            int32_t *same = vlog + off + count;
             int64_t p, bound = 0, nsame = 0, ne;
             for (p = 0; p < count; p++)
                 bound += lens[from[p]];
@@ -960,7 +972,7 @@ int64_t saga_delta_run(
             if (pcount + bound > pcap)
                 DELTA_LEAVE(pcount + bound, SAGA_RUN_STALL_PENDING);
             if (heavy)
-                memcpy(vlog + off, from, (size_t)count * sizeof(int64_t));
+                memcpy(vlog + off, from, (size_t)count * sizeof(int32_t));
             ne = delta_pass(count, vlog + off, starts, lens, cols, wts, values,
                             delta, heavy, bucket, same, &nsame, pend, &pcount);
             if (ne < 0)
@@ -1033,7 +1045,7 @@ double saga_pairwise_sum(const double *a, int64_t n)
  *   out       4 rows of ntables: latency, work (the results), and the
  *             current round's makespan and total. */
 void saga_price_run(
-    const int64_t *vlog,
+    const int32_t *vlog,
     const int64_t *rtab,
     int64_t rounds,
     int64_t push_base,
@@ -1061,7 +1073,7 @@ void saga_price_run(
         if (tasks == 0)
             continue;
         if (!last || row[0] != last[0] || pulled != last[1] || row[2] != last[2]) {
-            const int64_t *ids = vlog + row[0];
+            const int32_t *ids = vlog + row[0];
             for (t = 0; t < ntables; t++) {
                 const double *pull_cost = tables[t];
                 const double *push_cost = tables[t] + push_base;
@@ -1115,7 +1127,7 @@ void saga_price_run(
 
 /* The position of the first of ids[0..n) outside [0, limit), or -1;
  * the common case, none, in one branch-free pass. */
-static int64_t first_outside(const int64_t *ids, int64_t n, uint64_t limit)
+static int64_t first_outside(const int32_t *ids, int64_t n, uint64_t limit)
 {
     int64_t j;
     int over = 0;
@@ -1137,14 +1149,14 @@ static int64_t first_outside(const int64_t *ids, int64_t n, uint64_t limit)
 int64_t saga_compute_trace(
     int64_t nrounds,
     const int64_t *rounds,
-    const int64_t *log,
+    const int32_t *log,
     int64_t nrows,
     const int64_t *in_starts,
     const int64_t *in_lens,
-    const int64_t *in_cols,
+    const int32_t *in_cols,
     const int64_t *out_starts,
     const int64_t *out_lens,
-    const int64_t *out_cols,
+    const int32_t *out_cols,
     int64_t npull,
     const int64_t *in_counts,
     int64_t in_total,
@@ -1175,7 +1187,7 @@ int64_t saga_compute_trace(
         }
         for (i = 0; i < pulled + pushed; i++) {
             int64_t v = log[off + i], c, d, at;
-            const int64_t *cols;
+            const int32_t *cols;
             if (v < 0 || v >= nprop) {
                 *bad = v;
                 return SAGA_TRACE_BAD_PROPERTY;
@@ -1223,11 +1235,12 @@ int64_t saga_compute_trace(
     pi = si = ic = oc = 0;
     for (r = 0; r < nrounds; r++) {
         const int64_t *row = rounds + 5 * r;
-        const int64_t *tasks = log + row[0];
+        const int32_t *tasks = log + row[0];
         int64_t pulled = row[1], pushed = row[2];
         for (i = 0; i < pulled + pushed; i++, task++) {
             int64_t v = tasks[i], c, d;
-            const int64_t *reads, *cols;
+            const int64_t *reads;
+            const int32_t *cols;
             int64_t *restrict t_at, *restrict a_at;
             uint8_t *restrict w_at;
             if (i < pulled) {
@@ -1257,7 +1270,7 @@ int64_t saga_compute_trace(
             if (i < pulled) {
                 for (j = 0; j < d; j++) {
                     t_at[j] = task;
-                    a_at[j] = prop_base + prop_width * cols[j];
+                    a_at[j] = prop_base + prop_width * (int64_t)cols[j];
                     w_at[j] = 0;
                 }
                 t_at[d] = task;
@@ -1267,7 +1280,7 @@ int64_t saga_compute_trace(
             } else {
                 for (j = 0; j < d; j++) {
                     t_at[j] = task;
-                    a_at[j] = vis_base + (cols[j] >> 3);
+                    a_at[j] = vis_base + ((int64_t)cols[j] >> 3);
                     w_at[j] = 1;
                 }
                 n += c + d;
@@ -1285,7 +1298,8 @@ int64_t saga_compute_trace(
  * sizes every output and scratch buffer, and grows the column heap by
  * DynamicCSR._grow_heap's policy between an insert's plan and apply.
  * Rows are marked in a zeroed bitmap over max_nodes, so the work is
- * batch-sized plus one word per 64 rows. */
+ * batch-sized plus one word per 64 rows.  A pair's key row * n + col is
+ * packed in int64_t, from the widened row id. */
 
 static inline int bit_test_set(uint64_t *bits, int64_t i)
 {
@@ -1310,7 +1324,7 @@ static inline int64_t grown_cap(int64_t cap, int64_t need)
  * row's length again before this returns. */
 int64_t saga_csr_insert_plan(
     int64_t m,
-    const int64_t *keys,
+    const int32_t *keys,
     int64_t *lens,
     const int64_t *caps,
     uint64_t *seen,
@@ -1358,9 +1372,9 @@ int64_t saga_csr_insert_plan(
  * tombstoned. */
 int64_t saga_csr_insert_apply(
     int64_t m,
-    const int64_t *keys,
-    const int64_t *vals,
-    const double *wts_in,
+    const int32_t *keys,
+    const int32_t *vals,
+    const float *wts_in,
     int64_t touched,
     const int64_t *rows,
     const int64_t *adds,
@@ -1368,15 +1382,15 @@ int64_t saga_csr_insert_apply(
     int64_t *starts,
     int64_t *lens,
     int64_t *caps,
-    int64_t *cols,
-    double *wts)
+    int32_t *cols,
+    float *wts)
 {
     int64_t i, k, dead = 0;
     for (k = 0; k < touched; k++) {
         int64_t r = rows[k], need = lens[r] + adds[k];
         if (need > caps[r]) {
-            memcpy(cols + used, cols + starts[r], (size_t)lens[r] * sizeof(int64_t));
-            memcpy(wts + used, wts + starts[r], (size_t)lens[r] * sizeof(double));
+            memcpy(cols + used, cols + starts[r], (size_t)lens[r] * sizeof(int32_t));
+            memcpy(wts + used, wts + starts[r], (size_t)lens[r] * sizeof(float));
             dead += caps[r];
             starts[r] = used;
             caps[r] = grown_cap(caps[r], need);
@@ -1423,8 +1437,8 @@ static inline uint64_t pair_slot(const int64_t *table, uint64_t mask, int64_t ke
 static int64_t pair_set(
     int64_t m,
     int64_t n,
-    const int64_t *keys,
-    const int64_t *vals,
+    const int32_t *keys,
+    const int32_t *vals,
     uint64_t *seen,
     uint64_t *named,
     int64_t *rows,
@@ -1438,7 +1452,7 @@ static int64_t pair_set(
     for (i = 0; i < m; i++) {
         int64_t r = keys[i], key = r * n + vals[i];
         if (i + 8 < m) { /* a random entry each: start the load 8 pairs early */
-            uint64_t ahead = pair_hash(keys[i + 8] * n + vals[i + 8]) & mask;
+            uint64_t ahead = pair_hash((int64_t)keys[i + 8] * n + vals[i + 8]) & mask;
             __builtin_prefetch(table + 2 * ahead);
         }
         h = pair_slot(table, mask, key);
@@ -1484,12 +1498,12 @@ static inline int64_t pair_find(
 int64_t saga_csr_delete(
     int64_t m,
     int64_t n,
-    const int64_t *keys,
-    const int64_t *vals,
+    const int32_t *keys,
+    const int32_t *vals,
     const int64_t *starts,
     int64_t *lens,
-    int64_t *cols,
-    double *wts,
+    int32_t *cols,
+    float *wts,
     uint64_t *seen,
     uint64_t *named,
     int64_t *rows,
@@ -1504,7 +1518,7 @@ int64_t saga_csr_delete(
         if (k + 8 < t)
             __builtin_prefetch(cols + starts[rows[k + 8]]);
         for (s = from; s < end; s++) {
-            int64_t c = cols[s];
+            int32_t c = cols[s];
             if (pair_find(table, mask, n, named, r, c) >= 0)
                 continue;
             cols[to] = c;
@@ -1524,12 +1538,12 @@ int64_t saga_csr_delete(
 void saga_csr_lookup(
     int64_t m,
     int64_t n,
-    const int64_t *keys,
-    const int64_t *vals,
+    const int32_t *keys,
+    const int32_t *vals,
     const int64_t *starts,
     const int64_t *lens,
-    const int64_t *cols,
-    const double *wts,
+    const int32_t *cols,
+    const float *wts,
     uint64_t *seen,
     uint64_t *named,
     int64_t *rows,
@@ -1538,12 +1552,12 @@ void saga_csr_lookup(
     int64_t *first_of,
     uint8_t *first,
     uint8_t *live,
-    double *weight)
+    float *weight)
 {
     uint64_t mask = (uint64_t)cap - 1;
     int64_t i, k, t = pair_set(m, n, keys, vals, seen, named, rows, table, cap, first_of);
     memset(live, 0, (size_t)m);
-    memset(weight, 0, (size_t)m * sizeof(double));
+    memset(weight, 0, (size_t)m * sizeof(float));
     for (k = 0; k < t; k++) {
         int64_t r = rows[k], s, end = starts[r] + lens[r];
         if (k + 8 < t)
@@ -1569,14 +1583,14 @@ void saga_csr_lookup(
 void saga_csr_rebuild(
     int64_t m,
     int64_t n,
-    const int64_t *keys,
-    const int64_t *vals,
-    const double *wts_in,
+    const int32_t *keys,
+    const int32_t *vals,
+    const float *wts_in,
     int64_t *starts,
     int64_t *lens,
     int64_t *caps,
-    int64_t *cols,
-    double *wts)
+    int32_t *cols,
+    float *wts)
 {
     int64_t i, r, acc = 0;
     memset(lens, 0, (size_t)n * sizeof(int64_t));
@@ -1599,18 +1613,18 @@ void saga_csr_compact(
     int64_t n,
     const int64_t *starts,
     const int64_t *lens,
-    const int64_t *cols,
-    const double *wts,
+    const int32_t *cols,
+    const float *wts,
     int64_t *new_starts,
     int64_t *new_caps,
-    int64_t *new_cols,
-    double *new_wts)
+    int32_t *new_cols,
+    float *new_wts)
 {
     int64_t r, acc = 0;
     for (r = 0; r < n; r++) {
         int64_t len = lens[r];
-        memcpy(new_cols + acc, cols + starts[r], (size_t)len * sizeof(int64_t));
-        memcpy(new_wts + acc, wts + starts[r], (size_t)len * sizeof(double));
+        memcpy(new_cols + acc, cols + starts[r], (size_t)len * sizeof(int32_t));
+        memcpy(new_wts + acc, wts + starts[r], (size_t)len * sizeof(float));
         new_starts[r] = acc;
         new_caps[r] = len;
         acc += len;
@@ -1697,8 +1711,8 @@ class ComputeKernels:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """C twin of :func:`repro.compute.kernels.expand_frontier`."""
         seg = np.empty(total, dtype=np.int64)
-        nbr = np.empty(total, dtype=np.int64)
-        wt = np.empty(total, dtype=np.float64)
+        nbr = np.empty(total, dtype=VERTEX)
+        wt = np.empty(total, dtype=WEIGHT)
         _count_call("expand")
         self._lib.saga_expand(
             frontier.size,
@@ -1728,7 +1742,7 @@ class ComputeKernels:
         """
         entry = getattr(self._lib, "saga_" + kernel)
         p = self._p
-        vlog = np.empty(max(frontier.size, RUN_LOG_VERTICES), dtype=np.int64)
+        vlog = np.empty(max(frontier.size, RUN_LOG_VERTICES), dtype=VERTEX)
         vlog[: frontier.size] = frontier
         rtab = np.empty((RUN_LOG_ROUNDS, 5), dtype=np.int64)
         # (bucket, vertex) pairs.
@@ -1740,7 +1754,7 @@ class ComputeKernels:
             tail = (p(pend), len(pend)) if pending else ()
             code = entry(*fixed, p(vlog), vlog.size, p(rtab), len(rtab), p(ctl), *tail)
             if code == _RUN_STALL_VERTICES:
-                grown = np.empty(max(int(ctl[3]), 2 * vlog.size), dtype=np.int64)
+                grown = np.empty(max(int(ctl[3]), 2 * vlog.size), dtype=VERTEX)
                 used = int(ctl[1] + ctl[2])
                 grown[:used] = vlog[:used]
                 vlog = grown
@@ -1829,7 +1843,7 @@ class ComputeKernels:
 
     def taint_closure(self, csr, tainted: np.ndarray, pinned: np.ndarray) -> None:
         """Close the ``tainted`` byte mask forward over ``csr`` in place."""
-        work = np.empty(tainted.size, dtype=np.int64)
+        work = np.empty(tainted.size, dtype=VERTEX)
         _count_call("taint_closure")
         self._lib.saga_taint_closure(
             tainted.size,
@@ -1864,7 +1878,7 @@ class ComputeKernels:
             )
         in_csr = cv.in_csr
         scratch = np.empty((2 if op == OP_PR else 1) * n, dtype=np.float64)
-        order = np.empty(n, dtype=np.int64)
+        order = np.empty(n, dtype=VERTEX)
         p = self._p
         _count_call("jacobi_run")
         return self._lib.saga_jacobi_run(
@@ -1903,7 +1917,7 @@ class ComputeKernels:
             p(values),
             delta,
         )
-        frontier = np.array([source], dtype=np.int64)
+        frontier = np.array([source], dtype=VERTEX)
         vlog, rtab, code = self._run("delta_run", fixed, frontier, pending=True)
         return vlog, rtab, code == _RUN_BAD_BUCKET
 
@@ -1936,6 +1950,7 @@ class ComputeKernels:
         summed work.
         """
         p = self._p
+        vertex_log = np.ascontiguousarray(vertex_log, dtype=VERTEX)
         out = np.empty((4, table_pointers.size), dtype=np.float64)
         # Room for the largest round's tasks.
         largest = int((rounds[:, 1] + rounds[:, 2]).max(initial=0))
@@ -1976,7 +1991,7 @@ class ComputeKernels:
         :class:`SimulationError` -- all before anything is written.
         """
         rounds = np.ascontiguousarray(run.rounds, dtype=np.int64)
-        log = np.ascontiguousarray(run.vertex_log, dtype=np.int64)
+        log = np.ascontiguousarray(run.vertex_log, dtype=VERTEX)
         if rounds.ndim != 2 or rounds.shape[1] != len(ROUND_COLUMNS):
             raise SimulationError(f"a round table has {ROUND_COLUMNS} columns, got {rounds.shape}")
         check_round_table(rounds, len(log))
@@ -2018,16 +2033,17 @@ class ComputeKernels:
     def _deltas(store, keys, *columns):
         """A store's delta columns as contiguous arrays of one length,
         the keys and vals checked to be vertex ids: the kernels index
-        by them."""
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        dtypes = (np.int64, np.float64)[: len(columns)]
-        columns = [np.ascontiguousarray(c, dtype=t) for c, t in zip(columns, dtypes)]
+        by them.  Columns already of the store's widths (ids int32,
+        weights float32) are passed as they are; the ids are checked
+        before they are narrowed."""
+        keys, *columns = (np.asarray(c) for c in (keys, *columns))
         if any(c.shape != keys.shape for c in columns) or keys.ndim != 1:
             raise ValueError("delta columns must be 1-D and of one length")
         for ids in (keys, columns[0]):
             if ids.size and (ids.min() < 0 or ids.max() >= store.max_nodes):
                 raise ValueError(f"vertex ids must lie in [0, {store.max_nodes})")
-        return keys, *columns
+        dtypes = (VERTEX, VERTEX, WEIGHT)
+        return tuple(np.ascontiguousarray(c, dtype=t) for c, t in zip((keys, *columns), dtypes))
 
     @staticmethod
     def _row_bitmap(store) -> np.ndarray:
@@ -2094,7 +2110,7 @@ class ComputeKernels:
         rows, first_of = np.empty((2, m), dtype=np.int64)
         seen, named = self._row_bitmap(store), self._row_bitmap(store)
         first, live = np.empty((2, m), dtype=np.bool_)
-        weight = np.empty(m, dtype=np.float64)
+        weight = np.empty(m, dtype=WEIGHT)
         p = self._p
         _count_call("csr_lookup")
         self._lib.saga_csr_lookup(
@@ -2109,8 +2125,8 @@ class ComputeKernels:
         keys, vals, wts = self._deltas(store, keys, vals, wts)
         n, m = store.max_nodes, keys.size
         starts, lens, caps = (np.empty(n, dtype=np.int64) for _ in range(3))
-        cols = np.empty(m, dtype=np.int64)
-        heap_wts = np.empty(m, dtype=np.float64)
+        cols = np.empty(m, dtype=VERTEX)
+        heap_wts = np.empty(m, dtype=WEIGHT)
         p = self._p
         _count_call("csr_rebuild")
         self._lib.saga_csr_rebuild(
@@ -2127,8 +2143,8 @@ class ComputeKernels:
         n = store.max_nodes
         live = int(store.lens.sum())
         starts, caps = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        cols = np.empty(live, dtype=np.int64)
-        heap_wts = np.empty(live, dtype=np.float64)
+        cols = np.empty(live, dtype=VERTEX)
+        heap_wts = np.empty(live, dtype=WEIGHT)
         p = self._p
         _count_call("csr_compact")
         self._lib.saga_csr_compact(

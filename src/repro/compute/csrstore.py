@@ -6,8 +6,9 @@ and its membership test, read by its per-vertex API and exported
 zero-copy to the compute kernels; nothing else holds an edge.
 
 :class:`DynamicCSR`
-    A "slack CSR": per-row ``starts``/``lens``/``caps`` plus a shared
-    column heap (``cols``/``wts``).  Rows keep capacity slack, so an
+    A "slack CSR": per-row ``starts``/``lens``/``caps`` (int64) plus a
+    shared column heap (``cols`` int32 / ``wts`` float32, the widths of
+    :mod:`repro.widths`: 16 bytes per directed edge for the pair).  Rows keep capacity slack, so an
     append is usually an in-place write; a row that overflows relocates
     to the heap's end with doubled capacity (amortized O(1) per edge),
     leaving its old extent behind as a *tombstone* -- dead heap space
@@ -59,6 +60,7 @@ from repro.compute.kernels import ComputeView, CSRArrays, flat_slots
 from repro.errors import StructureError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
+from repro.widths import VERTEX, WEIGHT, check_vertex_space
 
 #: Churn threshold: repack when a batch's inserts + deletes exceed this
 #: fraction of the live edge count (0 would repack every batch).
@@ -74,7 +76,8 @@ def check_packable(max_nodes: int) -> None:
     """Reject a ``max_nodes`` whose packed edge keys overflow ``int64``.
 
     The delete and the lookup, numpy bodies and kernels alike, pack
-    ``(u, v)`` as ``u * max_nodes + v``; the largest key is
+    ``(u, v)`` as ``u * max_nodes + v`` in int64 (ids are int32, so each
+    is widened first: :func:`pair_keys`); the largest key is
     ``max_nodes ** 2 - 1``, and numpy wraps silently.
     """
     if max_nodes < 1:
@@ -84,6 +87,15 @@ def check_packable(max_nodes: int) -> None:
             f"max_nodes {max_nodes} too large: packed edge keys "
             "(src * max_nodes + dst) would overflow int64"
         )
+
+
+def pair_keys(keys: np.ndarray, vals: np.ndarray, max_nodes: int) -> np.ndarray:
+    """The packed int64 keys ``keys * max_nodes + vals`` of id columns.
+
+    Widened before the multiply: an int32 column times a Python int
+    stays int32 under numpy's promotion rules and wraps.
+    """
+    return keys.astype(np.int64) * max_nodes + vals.astype(np.int64)
 
 
 class DynamicCSR:
@@ -110,12 +122,13 @@ class DynamicCSR:
 
     def __init__(self, max_nodes: int) -> None:
         check_packable(max_nodes)
+        check_vertex_space(max_nodes)
         self.max_nodes = max_nodes
         self.starts = np.zeros(max_nodes, dtype=np.int64)
         self.lens = np.zeros(max_nodes, dtype=np.int64)
         self.caps = np.zeros(max_nodes, dtype=np.int64)
-        self.cols = np.empty(0, dtype=np.int64)
-        self.wts = np.empty(0, dtype=np.float64)
+        self.cols = np.empty(0, dtype=VERTEX)
+        self.wts = np.empty(0, dtype=WEIGHT)
         self.used = 0  # heap extent handed out (live + dead + slack)
         self.dead = 0  # tombstoned slots from row relocations
         self.live = 0  # live edges
@@ -142,8 +155,8 @@ class DynamicCSR:
         self.starts = np.cumsum(counts) - counts
         self.lens = counts
         self.caps = counts.copy()
-        self.cols = vals[order]
-        self.wts = wts[order]
+        self.cols = vals[order].astype(VERTEX, copy=False)
+        self.wts = wts[order].astype(WEIGHT, copy=False)
         self.used = self.live = int(len(keys))
         self.dead = 0
         self.tight = True
@@ -155,7 +168,7 @@ class DynamicCSR:
         if needed <= len(self.cols):
             return
         capacity = max(len(self.cols) * 2, needed, 1024)
-        for name, dtype in (("cols", np.int64), ("wts", np.float64)):
+        for name, dtype in (("cols", VERTEX), ("wts", WEIGHT)):
             old = getattr(self, name)
             grown = np.empty(capacity, dtype=dtype)
             grown[: self.used] = old[: self.used]
@@ -223,8 +236,8 @@ class DynamicCSR:
         # Packed (row, col) membership against the deletion set; the
         # reference graph guarantees (src, dst) uniqueness, so each
         # requested pair matches at most one slot.
-        slot_key = rows[seg] * self.max_nodes + self.cols[flat]
-        del_key = keys * self.max_nodes + vals
+        slot_key = pair_keys(rows[seg], self.cols[flat], self.max_nodes)
+        del_key = pair_keys(keys, vals, self.max_nodes)
         keep = ~np.isin(slot_key, del_key)
         removed = total - int(keep.sum())
         if removed == 0:
@@ -251,8 +264,8 @@ class DynamicCSR:
         kernels = ckernels.get()
         if kernels is not None:
             return kernels.csr_lookup(self, keys, vals)
-        keys = np.asarray(keys, dtype=np.int64)
-        pairs = keys * self.max_nodes + np.asarray(vals, dtype=np.int64)
+        keys = np.asarray(keys)
+        pairs = pair_keys(keys, np.asarray(vals), self.max_nodes)
         distinct, at, inverse = np.unique(pairs, return_index=True, return_inverse=True)
         first = np.zeros(len(keys), dtype=bool)
         first[at] = True
@@ -260,10 +273,10 @@ class DynamicCSR:
         counts = self.lens[rows]
         flat = flat_slots(self.starts[rows], counts)
         # The live pairs of the named rows, sorted, row order kept.
-        slot_pairs = np.repeat(rows, counts) * self.max_nodes + self.cols[flat]
+        slot_pairs = pair_keys(np.repeat(rows, counts), self.cols[flat], self.max_nodes)
         order = np.argsort(slot_pairs, kind="stable")
         found = np.zeros(len(distinct), dtype=bool)
-        stored = np.zeros(len(distinct), dtype=np.float64)
+        stored = np.zeros(len(distinct), dtype=WEIGHT)
         if len(order):
             where = np.searchsorted(slot_pairs, distinct, sorter=order)
             near = order[np.minimum(where, len(order) - 1)]

@@ -30,6 +30,7 @@ from repro.compute.stats import ROUND_COLUMNS, ComputeRun
 from repro.errors import SimulationError
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, METRICS
 from repro.obs.tracer import TRACER
+from repro.widths import VERTEX, WEIGHT
 
 #: The paper's triggering threshold (Algorithm 1 line 1).
 DEFAULT_EPSILON = 1e-7
@@ -37,8 +38,9 @@ DEFAULT_EPSILON = 1e-7
 #: Safety valve: no algorithm here needs anywhere near this many rounds.
 MAX_ROUNDS = 10_000
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
+_EMPTY_SEG = np.empty(0, dtype=np.int64)
+_EMPTY_IDS = np.empty(0, dtype=VERTEX)
+_EMPTY_WEIGHTS = np.empty(0, dtype=WEIGHT)
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +54,8 @@ class CSRArrays(NamedTuple):
     ``indices[indptr[u] : indptr[u] + degrees[u]]`` are u's neighbors
     in the exact order the source view iterates them (required for
     bit-identity of sequential accumulations); ``weights`` is parallel
-    to ``indices``.  Rows are usually packed (``degrees`` is
+    to ``indices``.  ``indices`` are int32 and ``weights`` float32
+    (:mod:`repro.widths`), ``indptr`` and ``degrees`` int64.  Rows are usually packed (``degrees`` is
     ``np.diff(indptr)``), but the incrementally-maintained views of
     :mod:`repro.compute.csrstore` export rows with slack between them;
     every kernel therefore reads row extents from ``indptr[u]`` +
@@ -73,6 +76,8 @@ def csr_from_edges(
     The grouping sort is stable, so per-vertex neighbor order equals
     the chronological order of the edge list -- which is how the
     driver's incidence buffer and the reference graph's dicts iterate.
+    Ids and weights are cast to the view's widths as the live CSR casts
+    its deltas; the checked boundary is :class:`~repro.graph.edge.EdgeBatch`.
     """
     keys = src if by_src else dst
     vals = dst if by_src else src
@@ -82,8 +87,8 @@ def csr_from_edges(
     np.cumsum(counts, out=indptr[1:])
     return CSRArrays(
         indptr=indptr,
-        indices=vals[order],
-        weights=weight[order],
+        indices=vals[order].astype(VERTEX, copy=False),
+        weights=weight[order].astype(WEIGHT, copy=False),
         degrees=counts,
     )
 
@@ -191,14 +196,14 @@ def csr_from_pair_rows(rows, num_nodes: int) -> CSRArrays:
     np.cumsum(counts, out=indptr[1:])
     total = int(indptr[-1])
     if total == 0:
-        return CSRArrays(indptr, _EMPTY_I64, _EMPTY_F64, counts)
+        return CSRArrays(indptr, _EMPTY_IDS, _EMPTY_WEIGHTS, counts)
     flat = np.array(
         [pair for u in range(num_nodes) for pair in rows[u]], dtype=np.float64
     ).reshape(total, 2)
     return CSRArrays(
         indptr=indptr,
-        indices=flat[:, 0].astype(np.int64),
-        weights=np.ascontiguousarray(flat[:, 1]),
+        indices=flat[:, 0].astype(VERTEX),
+        weights=flat[:, 1].astype(WEIGHT),
         degrees=counts,
     )
 
@@ -223,7 +228,7 @@ def packed_in_edges(cv: ComputeView) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     if cached is None:
         csr = cv.in_csr
         n = cv.num_nodes
-        dst = np.repeat(np.arange(n, dtype=np.int64), csr.degrees[:n])
+        dst = np.repeat(np.arange(n, dtype=VERTEX), csr.degrees[:n])
         if cv.packed:
             cached = (csr.indices, dst, csr.weights)
         else:
@@ -269,7 +274,7 @@ def expand_frontier(
     counts = csr.degrees[frontier]
     total = int(counts.sum())
     if total == 0:
-        return _EMPTY_I64, _EMPTY_I64, _EMPTY_F64
+        return _EMPTY_SEG, _EMPTY_IDS, _EMPTY_WEIGHTS
     ck = ckernels.get()
     if ck is not None:
         return ck.expand(csr, frontier, total)
@@ -300,7 +305,7 @@ def unique_ids(ids: np.ndarray, bound: int) -> np.ndarray:
 def as_frontier(affected, num_nodes: int) -> np.ndarray:
     """Normalize an affected set to a unique ascending int64 array."""
     if isinstance(affected, np.ndarray):
-        arr = affected.astype(np.int64, copy=False)
+        arr = affected
     else:
         arr = np.fromiter(affected, dtype=np.int64)
     return unique_ids(arr[arr < num_nodes], num_nodes)

@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.widths import VERTEX
 
 #: Columns of :attr:`ComputeRun.rounds`.
 ROUND_COLUMNS = ("offset", "pulled", "pushed", "cas_ops", "pushes")
@@ -67,7 +68,7 @@ def check_round_table(rounds: np.ndarray, log_length: int) -> None:
 def _grown(buffer: np.ndarray, used: int, needed: int) -> np.ndarray:
     """``buffer`` with room for ``needed`` rows (at least doubled), the
     ``used`` prefix kept."""
-    grown = np.empty((max(needed, 2 * len(buffer)),) + buffer.shape[1:], np.int64)
+    grown = np.empty((max(needed, 2 * len(buffer)),) + buffer.shape[1:], buffer.dtype)
     grown[:used] = buffer[:used]
     return grown
 
@@ -77,7 +78,7 @@ class ComputeRun:
     """Everything one compute-phase execution produced.
 
     ``values`` is the final vertex property array.  The operation counts
-    the pricer consumes are two columns: ``vertex_log`` (int64) and the
+    the pricer consumes are two columns: ``vertex_log`` (int32) and the
     round table ``rounds``, one ``(offset, pulled, pushed, cas_ops,
     pushes)`` row per parallel iteration -- the round's pull vertices
     are the ``pulled`` log entries from ``offset`` on, its push vertices
@@ -97,7 +98,7 @@ class ComputeRun:
     # Both columns sit in buffers with room to spare; the used prefixes
     # are what ``vertex_log`` and ``rounds`` return.
     _log: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64), init=False, repr=False
+        default_factory=lambda: np.empty(0, VERTEX), init=False, repr=False
     )
     _table: np.ndarray = field(
         default_factory=lambda: np.empty((0, len(ROUND_COLUMNS)), np.int64),
@@ -121,7 +122,7 @@ class ComputeRun:
         Every row must lie inside ``vertex_log``: the pricer passes both
         to native code by pointer.
         """
-        log = np.ascontiguousarray(vertex_log, dtype=np.int64)
+        log = np.ascontiguousarray(vertex_log, dtype=VERTEX)
         table = np.ascontiguousarray(rounds, dtype=np.int64)
         if log.ndim != 1 or table.ndim != 2 or table.shape[1] != len(ROUND_COLUMNS):
             raise SimulationError(
@@ -134,8 +135,8 @@ class ComputeRun:
 
     def add_round(self, pull=(), push=(), pushes: int = 0, cas_ops: int = 0) -> None:
         """Append one parallel iteration (the round-at-a-time engines)."""
-        pull = np.asarray(pull, dtype=np.int64)
-        push = np.asarray(push, dtype=np.int64)
+        pull = np.asarray(pull, dtype=VERTEX)
+        push = np.asarray(push, dtype=VERTEX)
         start = self._logged
         mid = start + len(pull)
         end = mid + len(push)

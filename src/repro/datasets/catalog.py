@@ -242,7 +242,9 @@ def make_rmat_dataset(
     :func:`~repro.datasets.rmat.rmat_edge_chunks` sequence, in RAM or,
     with ``mmap_dir``, in a memory-mapped directory written one chunk
     at a time and reused on a recipe match (:func:`materialize`); both
-    transports hold the same bytes.
+    transports hold the same bytes.  A directory holding a stream of an
+    older layout version (int64/float64 columns) is not a match: it is
+    regenerated in place, as a directory of another recipe is.
     """
     spec = DatasetSpec(
         name=f"RMAT-s{scale}",

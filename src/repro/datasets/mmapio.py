@@ -8,11 +8,14 @@ on disk --
 ::
 
     <dir>/meta.json    {"version", "edges", "columns", "source"}
-    <dir>/src.bin      edges x int64, little-endian
-    <dir>/dst.bin      edges x int64
-    <dir>/weight.bin   edges x float64
+    <dir>/src.bin      edges x int32, little-endian
+    <dir>/dst.bin      edges x int32
+    <dir>/weight.bin   edges x float32
 
--- written append-only by :class:`EdgeStreamWriter` (so generators and
+-- 12 bytes per edge, the widths of :mod:`repro.widths` (layout version
+2; a version-1 directory, 24 bytes per edge in int64/float64 columns,
+is refused by name and rewritten by :func:`materialize`) --
+written append-only by :class:`EdgeStreamWriter` (so generators and
 parsers never materialize more than one chunk) and re-opened zero-copy
 by :func:`open_edge_mmap` as ``np.memmap``-backed
 :class:`~repro.graph.edge.EdgeBatch` arrays.  The OS page cache is the
@@ -47,18 +50,20 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
 from repro.obs.metrics import METRICS
+from repro.widths import VERTEX, WEIGHT, vertex_column, weight_column
 
-#: Version of the on-disk layout; bumped on incompatible change.
-MMAP_LAYOUT_VERSION = 1
+#: Version of the on-disk layout; bumped on incompatible change.  Version
+#: 1 held int64 ids and float64 weights.
+MMAP_LAYOUT_VERSION = 2
 
 #: Metadata file name inside a stream directory.
 META_FILE = "meta.json"
 
 #: The three columns of a stream, with their fixed little-endian dtypes.
 COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("src", "<i8"),
-    ("dst", "<i8"),
-    ("weight", "<f8"),
+    ("src", VERTEX.newbyteorder("<").str),
+    ("dst", VERTEX.newbyteorder("<").str),
+    ("weight", WEIGHT.newbyteorder("<").str),
 )
 
 
@@ -92,12 +97,17 @@ class EdgeStreamWriter:
     def append(
         self, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
     ) -> None:
-        """Append one chunk of parallel (src, dst, weight) arrays."""
+        """Append one chunk of parallel (src, dst, weight) arrays.
+
+        An id outside ``[0, 2**31)`` or a weight a ``float32`` cannot
+        hold raises :class:`DatasetError`, before anything is written.
+        """
         if self._closed:
             raise DatasetError("cannot append to a closed EdgeStreamWriter")
         if not (len(src) == len(dst) == len(weight)):
             raise DatasetError("edge stream chunk arrays must have equal length")
-        for (name, dtype), column in zip(COLUMNS, (src, dst, weight)):
+        columns = (vertex_column(src, low=0), vertex_column(dst, low=0), weight_column(weight))
+        for (name, dtype), column in zip(COLUMNS, columns):
             np.ascontiguousarray(column, dtype=dtype).tofile(self._handles[name])
         self._edges += len(src)
 
@@ -174,6 +184,12 @@ def read_meta(directory: Union[str, Path]) -> dict:
     except (ValueError, OSError) as error:
         raise DatasetError(f"corrupt {meta_path}: {error}") from error
     version = meta.get("version")
+    if version == 1:
+        raise DatasetError(
+            f"{directory} is a version-1 edge stream (int64 ids, float64 "
+            f"weights); this build reads version {MMAP_LAYOUT_VERSION} "
+            "(int32 ids, float32 weights): regenerate it"
+        )
     if version != MMAP_LAYOUT_VERSION:
         raise DatasetError(
             f"unsupported edge stream layout version {version!r} in "
@@ -266,8 +282,8 @@ def materialize(
     Without ``directory`` the chunks are concatenated.  With one, a
     directory whose recorded recipe equals ``source`` is opened as it
     is and ``chunks`` is never drawn; any other (absent, unreadable,
-    unfinished, another recipe) is rewritten from ``chunks``, one chunk
-    in RAM at a time.  ``finish`` post-processes a fresh stream's
+    unfinished, another recipe, an older layout version) is rewritten
+    from ``chunks``, one chunk in RAM at a time.  ``finish`` post-processes a fresh stream's
     columns in place -- RAM arrays, or writable memmaps that are then
     flushed -- and the recipe is attached only after it returns, so an
     interrupted post-pass is a miss on the next call.

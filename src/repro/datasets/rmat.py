@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
+from repro.widths import VERTEX, WEIGHT
 
 #: The paper's R-MAT parameters (a, b, c, d).
 PAPER_RMAT_PARAMS = (0.55, 0.15, 0.15, 0.25)
@@ -58,8 +59,9 @@ def rmat_edges(scale: int, num_edges: int, seed: int = 0) -> EdgeBatch:
     a, b, c, d = PAPER_RMAT_PARAMS
     total = a + b + c + d
     rng = np.random.default_rng(seed)
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
+    # A scale-30 id fits an int32 (the stream's width) with a bit to spare.
+    src = np.zeros(num_edges, dtype=VERTEX)
+    dst = np.zeros(num_edges, dtype=VERTEX)
     t0, t1, t2 = np.cumsum([a / total, b / total, c / total]).tolist()
     draw = np.empty(num_edges)
     bit = np.empty(num_edges, dtype=bool)
@@ -77,7 +79,7 @@ def rmat_edges(scale: int, num_edges: int, seed: int = 0) -> EdgeBatch:
         dst |= bit
     loops = src == dst
     dst[loops] = (dst[loops] + 1) % (1 << scale)
-    weight = rng.integers(1, MAX_WEIGHT + 1, size=num_edges).astype(np.float64)
+    weight = rng.integers(1, MAX_WEIGHT + 1, size=num_edges).astype(WEIGHT)
     return EdgeBatch(src=src, dst=dst, weight=weight)
 
 

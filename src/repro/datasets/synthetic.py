@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
+from repro.widths import VERTEX, WEIGHT
 
 
 def _top_share(alpha: float, num_nodes: int) -> float:
@@ -107,5 +108,5 @@ def power_law_edges(
         dst[loops] = perm_in[rng.choice(num_nodes, size=count, p=p_in)]
     else:
         dst[src == dst] = (dst[src == dst] + 1) % num_nodes
-    weight = rng.integers(1, max_weight + 1, size=num_edges).astype(np.float64)
-    return EdgeBatch(src=src.astype(np.int64), dst=dst.astype(np.int64), weight=weight)
+    weight = rng.integers(1, max_weight + 1, size=num_edges).astype(WEIGHT)
+    return EdgeBatch(src=src.astype(VERTEX), dst=dst.astype(VERTEX), weight=weight)

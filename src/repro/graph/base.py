@@ -66,6 +66,7 @@ from repro.sim.scheduler import (
     TaskArray,
 )
 from repro.sim.trace import MemoryTrace, NullRecorder, TraceRecorder
+from repro.widths import check_vertex_space, vertex_column
 
 #: Default chunk count; matches the paper's 64 hardware threads.
 DEFAULT_CHUNKS = 64
@@ -170,6 +171,7 @@ class GraphDataStructure(abc.ABC):
     ) -> None:
         if max_nodes < 1:
             raise StructureError(f"max_nodes must be >= 1, got {max_nodes}")
+        check_vertex_space(max_nodes)
         self.max_nodes = max_nodes
         self.directed = directed
         self.cost = cost_model or DEFAULT_COST_MODEL
@@ -506,7 +508,7 @@ def _trace_traversals(store, vertices) -> Tuple[np.ndarray, np.ndarray]:
     its per-vertex ``trace_traversal`` -- the reference the C emitters
     are tested against -- in a loop.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
+    vertices = vertex_column(vertices)
     if store.kernels is not None:
         return store.traversals(vertices)
     recorder = TraceRecorder()

@@ -2,7 +2,8 @@
 
 A streaming graph's input is a stream of weighted edges, consumed in
 fixed-size batches (Section II-A of the paper).  :class:`EdgeBatch`
-stores one batch as parallel numpy arrays; it is the unit handed to
+stores one batch as parallel numpy arrays -- ids ``int32``, weights
+``float32`` (:mod:`repro.widths`) -- and is the unit handed to
 :meth:`repro.graph.base.GraphDataStructure.update`.
 """
 
@@ -14,6 +15,7 @@ from typing import Iterator, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.errors import DatasetError
+from repro.widths import VERTEX, WEIGHT, vertex_column, weight_column
 
 
 class Edge(NamedTuple):
@@ -26,7 +28,13 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class EdgeBatch:
-    """A batch of edges as parallel arrays (src, dst, weight)."""
+    """A batch of edges as parallel arrays (src, dst, weight).
+
+    Columns of other dtypes are narrowed on construction, checked: an id
+    an ``int32`` cannot hold or a weight a ``float32`` cannot hold
+    raises :class:`~repro.errors.DatasetError`.  Columns that already
+    have the widths are kept as they are (a memmap stays mapped).
+    """
 
     src: np.ndarray
     dst: np.ndarray
@@ -35,6 +43,9 @@ class EdgeBatch:
     def __post_init__(self) -> None:
         if not (len(self.src) == len(self.dst) == len(self.weight)):
             raise DatasetError("edge batch arrays must have equal length")
+        object.__setattr__(self, "src", vertex_column(self.src))
+        object.__setattr__(self, "dst", vertex_column(self.dst))
+        object.__setattr__(self, "weight", weight_column(self.weight))
 
     @classmethod
     def from_edges(cls, edges: Sequence[Tuple[int, int, float]]) -> "EdgeBatch":
@@ -62,9 +73,9 @@ class EdgeBatch:
     @classmethod
     def empty(cls) -> "EdgeBatch":
         return cls(
-            src=np.empty(0, dtype=np.int64),
-            dst=np.empty(0, dtype=np.int64),
-            weight=np.empty(0, dtype=np.float64),
+            src=np.empty(0, dtype=VERTEX),
+            dst=np.empty(0, dtype=VERTEX),
+            weight=np.empty(0, dtype=WEIGHT),
         )
 
     def __len__(self) -> int:

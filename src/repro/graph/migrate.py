@@ -30,6 +30,7 @@ from repro.graph.edge import EdgeBatch
 from repro.graph.reference import ReferenceGraph
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
+from repro.widths import VERTEX
 
 
 @dataclass
@@ -54,7 +55,7 @@ def export_live_edges(reference: ReferenceGraph) -> EdgeBatch:
     """
     csr = reference.compute_view().out_csr
     slots = flat_slots(csr.indptr, csr.degrees)
-    src = np.repeat(np.arange(reference.num_nodes, dtype=np.int64), csr.degrees)
+    src = np.repeat(np.arange(reference.num_nodes, dtype=VERTEX), csr.degrees)
     dst, weight = csr.indices[slots], csr.weights[slots]
     if not reference.directed:
         once = dst >= src

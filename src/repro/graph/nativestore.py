@@ -19,7 +19,8 @@ arrays.  Each operation on that state is written twice:
   access log.  This is what every batch of a store with a kernel runs,
   traced or not.  A family declares only what differs: its store's
   ``descriptor()`` (the int64 array of pointers and sizes the kernel
-  unpacks), ``grow(resource, need)`` for a stall, ``replay_events``
+  unpacks; the neighbor and weight pools it points at are int32 and
+  float32, :mod:`repro.widths`), ``grow(resource, need)`` for a stall, ``replay_events``
   for the event log, and how many events and new regions one
   operation can add (``EVENTS_PER_OP``, ``SPARE_HOLDERS_PER_OP``).
 
@@ -81,6 +82,7 @@ from repro.obs.tracer import TRACER
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace, Region
 from repro.sim.tasks import NO_LOCK
+from repro.widths import VERTEX, WEIGHT
 
 #: Initial per-store entry pool; doubled on demand (kernel stall).
 INITIAL_POOL = 1 << 14
@@ -101,7 +103,7 @@ def _emit_traversals(emitter, vertices, store_args, overrun):
     ``counts.sum()`` entries.
     """
     p = cingest.IngestKernels._p
-    vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+    vertices = np.ascontiguousarray(vertices, dtype=VERTEX)
     counts = np.empty(len(vertices), dtype=np.int64)
     refused = emitter(len(vertices), p(vertices), *store_args, p(counts), None)
     if refused >= 0:
@@ -137,8 +139,8 @@ class _PooledVectorState:
         self._off = np.zeros(max_nodes, dtype=np.int64)
         self._len = np.zeros(max_nodes, dtype=np.int64)
         self._capacity = np.zeros(max_nodes, dtype=np.int64)
-        self._nbr = np.empty(INITIAL_POOL, dtype=np.int64)
-        self._wgt = np.empty(INITIAL_POOL, dtype=np.float64)
+        self._nbr = np.empty(INITIAL_POOL, dtype=VERTEX)
+        self._wgt = np.empty(INITIAL_POOL, dtype=WEIGHT)
         self._state = np.zeros(1, dtype=np.int64)  # [0] = pool cursor
         self._header = space.alloc(max_nodes * HEADER_BYTES, f"{label}.headers")
         #: Base address of each vertex's vector; with ``_capacity`` it
@@ -165,8 +167,8 @@ class _PooledVectorState:
             size *= 2
         if size > len(self._nbr):
             cursor = int(self._state[0])
-            nbr = np.empty(size, dtype=np.int64)
-            wgt = np.empty(size, dtype=np.float64)
+            nbr = np.empty(size, dtype=VERTEX)
+            wgt = np.empty(size, dtype=WEIGHT)
             nbr[:cursor] = self._nbr[:cursor]
             wgt[:cursor] = self._wgt[:cursor]
             self._nbr = nbr
@@ -509,8 +511,8 @@ class NativeStingerStore:
         self._bcap = np.zeros(max_nodes, dtype=np.int64)
         self._deg = np.zeros(max_nodes, dtype=np.int64)
         self._bids = np.empty(self.INITIAL_BIDS, dtype=np.int64)
-        self._bnbr = np.empty(self.INITIAL_BLOCKS * 16, dtype=np.int64)
-        self._bwgt = np.empty(self.INITIAL_BLOCKS * 16, dtype=np.float64)
+        self._bnbr = np.empty(self.INITIAL_BLOCKS * 16, dtype=VERTEX)
+        self._bwgt = np.empty(self.INITIAL_BLOCKS * 16, dtype=WEIGHT)
         self._blen = np.zeros(self.INITIAL_BLOCKS, dtype=np.int64)
         self._state = np.zeros(2, dtype=np.int64)  # [bid cursor, next id]
         #: Base address of each block's region, sized like ``_blen``.
@@ -555,8 +557,8 @@ class NativeStingerStore:
     def _grow_block_pool(self) -> None:
         blocks = 2 * len(self._blen)
         used = int(self._state[1])
-        bnbr = np.empty(blocks * 16, dtype=np.int64)
-        bwgt = np.empty(blocks * 16, dtype=np.float64)
+        bnbr = np.empty(blocks * 16, dtype=VERTEX)
+        bwgt = np.empty(blocks * 16, dtype=WEIGHT)
         blen = np.zeros(blocks, dtype=np.int64)
         base = np.zeros(blocks, dtype=np.int64)
         bnbr[:used * 16] = self._bnbr[:used * 16]
@@ -898,12 +900,12 @@ def _batch_columns(batch, directed: bool, delete: bool):
     """``(n, src, dst, wgt, rows)`` of one batch for a kernel call:
     contiguous columns and the number of store operations (an
     undirected self-loop has no mirror operation)."""
-    src = np.ascontiguousarray(batch.src, dtype=np.int64)
-    dst = np.ascontiguousarray(batch.dst, dtype=np.int64)
+    src = np.ascontiguousarray(batch.src, dtype=VERTEX)
+    dst = np.ascontiguousarray(batch.dst, dtype=VERTEX)
     if delete:
-        wgt = np.empty(1, dtype=np.float64)
+        wgt = np.empty(1, dtype=WEIGHT)
     else:
-        wgt = np.ascontiguousarray(batch.weight, dtype=np.float64)
+        wgt = np.ascontiguousarray(batch.weight, dtype=WEIGHT)
     n = len(batch)
     rows = 2 * n if directed else n + int(np.count_nonzero(src != dst))
     return n, src, dst, wgt, rows
@@ -1026,27 +1028,27 @@ class NativeDAHStore:
         self._lcap = np.full(chunks, self.LOW_INIT, dtype=np.int64)
         self._lsize = np.zeros(chunks, dtype=np.int64)
         self._lkeys = np.full(
-            max(self.INITIAL_LOW_ARENA, 2 * low_span), self.EMPTY, dtype=np.int64
+            max(self.INITIAL_LOW_ARENA, 2 * low_span), self.EMPTY, dtype=VERTEX
         )
         self._lval = np.zeros(len(self._lkeys), dtype=np.int64)
         self._hoff = np.arange(chunks, dtype=np.int64) * self.HIGH_INIT
         self._hcap = np.full(chunks, self.HIGH_INIT, dtype=np.int64)
         self._hsize = np.zeros(chunks, dtype=np.int64)
         self._hkeys = np.full(
-            max(self.INITIAL_HIGH_ARENA, 2 * high_span), self.EMPTY, dtype=np.int64
+            max(self.INITIAL_HIGH_ARENA, 2 * high_span), self.EMPTY, dtype=VERTEX
         )
         self._hval = np.zeros(len(self._hkeys), dtype=np.int64)
         inline_cap = self.INITIAL_INLINE
-        self._inl_nbr = np.empty(self.INLINE_CAP * inline_cap, dtype=np.int64)
-        self._inl_wgt = np.empty(self.INLINE_CAP * inline_cap, dtype=np.float64)
+        self._inl_nbr = np.empty(self.INLINE_CAP * inline_cap, dtype=VERTEX)
+        self._inl_wgt = np.empty(self.INLINE_CAP * inline_cap, dtype=WEIGHT)
         self._inl_len = np.zeros(inline_cap, dtype=np.int64)
         self._inl_free = np.zeros(inline_cap, dtype=np.int64)
         meta = self.INITIAL_SETS
         self._soff = np.zeros(meta, dtype=np.int64)
         self._scap = np.zeros(meta, dtype=np.int64)
         self._ssize = np.zeros(meta, dtype=np.int64)
-        self._skeys = np.full(self.INITIAL_SET_ARENA, self.EMPTY, dtype=np.int64)
-        self._swgt = np.zeros(len(self._skeys), dtype=np.float64)
+        self._skeys = np.full(self.INITIAL_SET_ARENA, self.EMPTY, dtype=VERTEX)
+        self._swgt = np.zeros(len(self._skeys), dtype=WEIGHT)
         self._state = np.zeros(6, dtype=np.int64)
         self._state[0] = low_span
         self._state[1] = high_span

@@ -34,6 +34,7 @@ from repro.compute.csrstore import ViewMaintainer
 from repro.errors import StructureError
 from repro.graph.edge import EdgeBatch
 from repro.obs.tracer import TRACER
+from repro.widths import VERTEX, WEIGHT
 
 
 def with_reverse_interleaved(
@@ -48,9 +49,9 @@ def with_reverse_interleaved(
     counts = 1 + forward.astype(np.int64)
     offsets = np.cumsum(counts) - counts
     total = int(counts.sum())
-    out_src = np.empty(total, dtype=np.int64)
-    out_dst = np.empty(total, dtype=np.int64)
-    out_weight = np.empty(total, dtype=np.float64)
+    out_src = np.empty(total, dtype=VERTEX)
+    out_dst = np.empty(total, dtype=VERTEX)
+    out_weight = np.empty(total, dtype=WEIGHT)
     out_src[offsets] = src
     out_dst[offsets] = dst
     out_weight[offsets] = weight
@@ -94,10 +95,9 @@ class ReferenceGraph:
         structures do.
         """
         src, dst = self._checked_endpoints(batch)
-        weight = np.asarray(batch.weight, dtype=np.float64)
         first, live, _ = self._lookup(src, dst)
         kept = np.flatnonzero(first & ~live)
-        inserted = EdgeBatch(src=src[kept], dst=dst[kept], weight=weight[kept])
+        inserted = EdgeBatch(src=src[kept], dst=dst[kept], weight=batch.weight[kept])
         if len(kept):
             self._max_seen = max(self._max_seen, int(src.max()), int(dst.max()))
             self._edges += len(kept)
@@ -121,9 +121,8 @@ class ReferenceGraph:
         return removed
 
     def _checked_endpoints(self, batch: EdgeBatch):
-        """The batch's int64 endpoint columns, range-checked up front."""
-        src = np.asarray(batch.src, dtype=np.int64)
-        dst = np.asarray(batch.dst, dtype=np.int64)
+        """The batch's endpoint columns, range-checked up front."""
+        src, dst = batch.src, batch.dst
         bad = (src < 0) | (src >= self.max_nodes) | (dst < 0) | (dst >= self.max_nodes)
         if bad.any():
             i = int(np.argmax(bad))

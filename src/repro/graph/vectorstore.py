@@ -74,9 +74,9 @@ def row_layout(src, dst, directed):
     then its mirror operation (skipped for undirected self-loops) -- on
     both ingest paths, so per-row columns that depend only on the batch
     content (lock and chunk ids) are built vectorized from it.
+    ``row_src`` is int64: lock and chunk ids are computed from it.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src, dst = np.asarray(src), np.asarray(dst)
     n = len(src)
     if directed:
         row_src = np.empty(2 * n, dtype=np.int64)

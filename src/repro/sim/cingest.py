@@ -264,8 +264,9 @@ static void emit_run(int64_t *out, int64_t w, int64_t first, int64_t count,
 /* ------------------------------------------------------------------ *
  * Vector-family ingest (AS, AC, BA).
  *
- * Store state: one flat (neighbor, weight) pool per store plus
- * per-vertex (offset, length, capacity) arrays.  A vertex's vector is
+ * Store state: one flat (neighbor, weight) pool per store -- int32
+ * ids, float weights -- plus per-vertex int64 (offset, length,
+ * capacity) arrays.  A vertex's vector is
  * pool[off .. off+len); growth bump-allocates a doubled span at the
  * pool cursor (state[0]) and copies -- mirroring the alloc-then-free
  * (AS/AC) or pool-acquire-then-release (BA) of the Python stores,
@@ -289,8 +290,8 @@ typedef struct {
     int64_t *off;
     int64_t *len;
     int64_t *cap;
-    int64_t *nbr;
-    double  *wgt;
+    int32_t *nbr;
+    float   *wgt;
     int64_t *state;     /* [0] = pool cursor */
     int64_t  pool_cap;
     int64_t  h0;        /* first holder of this store */
@@ -300,8 +301,8 @@ typedef struct {
 static void vec_unpack(const int64_t *d, VecStore *s)
 {
     s->off = (int64_t *)d[0]; s->len = (int64_t *)d[1];
-    s->cap = (int64_t *)d[2]; s->nbr = (int64_t *)d[3];
-    s->wgt = (double *)d[4]; s->state = (int64_t *)d[5];
+    s->cap = (int64_t *)d[2]; s->nbr = (int32_t *)d[3];
+    s->wgt = (float *)d[4]; s->state = (int64_t *)d[5];
     s->pool_cap = d[6];
 }
 
@@ -312,7 +313,7 @@ static int64_t vec_scan(VecStore *s, int64_t u, int64_t v, int64_t row,
 {
     int64_t len = s->len[u];
     int64_t pos = -1;
-    const int64_t *nbr = s->nbr + s->off[u];
+    const int32_t *nbr = s->nbr + s->off[u];
     for (int64_t k = 0; k < len; k++) {
         if (nbr[k] == v) { pos = k; break; }
     }
@@ -324,7 +325,7 @@ static int64_t vec_scan(VecStore *s, int64_t u, int64_t v, int64_t row,
 
 /* One search-then-insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
 static __attribute__((noinline)) int
-vec_insert_op(VecStore *s, int64_t u, int64_t v, double w, Batch *bt)
+vec_insert_op(VecStore *s, int64_t u, int64_t v, float w, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t off = s->off[u];
@@ -353,7 +354,7 @@ vec_insert_op(VecStore *s, int64_t u, int64_t v, double w, Batch *bt)
         grew = len;
         log_event(bt, bt->mirror, u, newcap, s->h0 + 1 + u);
     }
-    s->nbr[off + len] = v;
+    s->nbr[off + len] = (int32_t)v;
     s->wgt[off + len] = w;
     s->len[u] = len + 1;
     lg_put(lg, bt->row, s->h0 + 1 + u, len * VEC_ENTRY_BYTES, 1);
@@ -395,7 +396,7 @@ vec_delete_op(VecStore *s, int64_t u, int64_t v, Batch *bt)
 /* Traversal emitter: per vertex its header, then its len entries from
  * its region's base.  A vertex outside [0, limit) has no header. */
 int64_t saga_vec_traversals(
-    int64_t n, const int64_t *vertices, int64_t limit, int64_t header_base,
+    int64_t n, const int32_t *vertices, int64_t limit, int64_t header_base,
     const int64_t *len, const int64_t *region_base,
     int64_t *counts, int64_t *addresses)
 {
@@ -414,8 +415,8 @@ int64_t saga_vec_traversals(
 /* ------------------------------------------------------------------ *
  * Stinger ingest: linked 16-entry edge blocks with fine locks.
  *
- * Store state: a block pool (16-slot neighbor/weight rows plus a fill
- * count, block id == pool slot, ids never reused so state[1] is both
+ * Store state: a block pool (16-slot int32 neighbor / float weight
+ * rows plus a fill count, block id == pool slot, ids never reused so state[1] is both
  * the next id and the pool cursor), a flat block-id pool holding each
  * vertex's block list as a (offset, count, capacity) span, and a
  * per-vertex degree array.  Region accounting replays from events:
@@ -446,8 +447,8 @@ typedef struct {
     int64_t *deg;
     int64_t *bids;
     int64_t  bids_cap;
-    int64_t *bnbr;
-    double  *bwgt;
+    int32_t *bnbr;
+    float   *bwgt;
     int64_t *blen;
     int64_t  blk_cap;
     int64_t *state;   /* [0] = bid-pool cursor, [1] = next block id */
@@ -461,7 +462,7 @@ static void st_unpack(const int64_t *d, StStore *s)
     s->boff = (int64_t *)d[2]; s->bcnt = (int64_t *)d[3];
     s->bcap = (int64_t *)d[4]; s->deg = (int64_t *)d[5];
     s->bids = (int64_t *)d[6]; s->bids_cap = d[7];
-    s->bnbr = (int64_t *)d[8]; s->bwgt = (double *)d[9];
+    s->bnbr = (int32_t *)d[8]; s->bwgt = (float *)d[9];
     s->blen = (int64_t *)d[10]; s->blk_cap = d[11];
     s->state = (int64_t *)d[12];
 }
@@ -482,7 +483,7 @@ static void st_find(const StStore *s, int64_t u, int64_t v, int64_t row,
     for (int64_t bi = 0; bi < bcnt && *found_bi < 0; bi++) {
         int64_t bid = bids[bi];
         int64_t len = s->blen[bid];
-        const int64_t *nbr = s->bnbr + bid * ST_BLOCK_CAPACITY;
+        const int32_t *nbr = s->bnbr + bid * ST_BLOCK_CAPACITY;
         lg_put(lg, row, s->h0 + 1 + bid, 0, 0);  /* header / next pointer */
         lg_run(lg, row, s->h0 + 1 + bid, ST_HEADER_BYTES, len,
                ST_ENTRY_BYTES);
@@ -500,7 +501,7 @@ static void st_find(const StStore *s, int64_t u, int64_t v, int64_t row,
 
 /* One insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
 static __attribute__((noinline)) int
-st_insert_op(StStore *s, int64_t u, int64_t v, double w, Batch *bt)
+st_insert_op(StStore *s, int64_t u, int64_t v, float w, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t bi, slot, before;
@@ -549,7 +550,7 @@ st_insert_op(StStore *s, int64_t u, int64_t v, double w, Batch *bt)
     }
     int64_t tb = s->bids[s->boff[u] + target];
     int64_t tslot = s->blen[tb];
-    s->bnbr[tb * ST_BLOCK_CAPACITY + tslot] = v;
+    s->bnbr[tb * ST_BLOCK_CAPACITY + tslot] = (int32_t)v;
     s->bwgt[tb * ST_BLOCK_CAPACITY + tslot] = w;
     s->blen[tb] = tslot + 1;
     lg_put(lg, bt->row, s->h0 + 1 + tb,
@@ -612,7 +613,7 @@ st_delete_op(StStore *s, int64_t u, int64_t v, Batch *bt)
  * of its list the header (at the block's base) and the block's
  * entries.  A vertex outside [0, limit) has no vertex-array entry. */
 int64_t saga_stinger_traversals(
-    int64_t n, const int64_t *vertices, int64_t limit, int64_t vertex_base,
+    int64_t n, const int32_t *vertices, int64_t limit, int64_t vertex_base,
     const int64_t *boff, const int64_t *bcnt, const int64_t *bids,
     const int64_t *blen, const int64_t *block_base,
     int64_t *counts, int64_t *addresses)
@@ -641,7 +642,9 @@ int64_t saga_stinger_traversals(
  * Store state: per-chunk Robin Hood low tables (key arena + parallel
  * value arena of inline-array ids) and open-address high tables (value
  * arena of neighbor-set ids); neighbor sets are open-address tables in
- * a shared (key, weight) arena.  Table growth bump-allocates a doubled
+ * a shared (key, weight) arena.  Every key is a vertex id (int32, or
+ * DAH_EMPTY / DAH_TOMB) and is hashed widened to int64, every weight
+ * a float.  Table growth bump-allocates a doubled
  * span at the matching arena cursor (old spans are leaked -- arenas
  * are backing storage, not the simulated memory, which Python replays
  * from the event log: LOW_RESIZE / HIGH_RESIZE / SET_NEW / SET_RESIZE,
@@ -677,20 +680,22 @@ int64_t saga_stinger_traversals(
 typedef struct {
     int64_t  chunks;
     int64_t *loff, *lcap, *lsize;   /* low tables: spans in lkeys/lval */
-    int64_t *lkeys, *lval;
+    int32_t *lkeys;
+    int64_t *lval;
     int64_t  lkeys_cap;
     int64_t *hoff, *hcap, *hsize;   /* high tables: spans in hkeys/hval */
-    int64_t *hkeys, *hval;
+    int32_t *hkeys;
+    int64_t *hval;
     int64_t  hkeys_cap;
-    int64_t *inl_nbr;               /* [DAH_INLINE_CAP * inline_cap] */
-    double  *inl_wgt;
+    int32_t *inl_nbr;               /* [DAH_INLINE_CAP * inline_cap] */
+    float   *inl_wgt;
     int64_t *inl_len;
     int64_t  inline_cap;
     int64_t *inl_free;              /* free-id stack, top in state[3] */
     int64_t *soff, *scap, *ssize;   /* per-set metadata, indexed by id */
     int64_t  set_meta_cap;
-    int64_t *skeys;                 /* set arena (parallel swgt) */
-    double  *swgt;
+    int32_t *skeys;                 /* set arena (parallel swgt) */
+    float   *swgt;
     int64_t  skeys_cap;
     int64_t *state;  /* [0]=lkeys cursor [1]=hkeys cursor [2]=inline next
                         [3]=inline free top [4]=set cursor [5]=set count */
@@ -707,20 +712,20 @@ static void dah_unpack(const int64_t *d, DahStore *s)
     s->chunks = d[0];
     s->loff = (int64_t *)d[1]; s->lcap = (int64_t *)d[2];
     s->lsize = (int64_t *)d[3];
-    s->lkeys = (int64_t *)d[4]; s->lval = (int64_t *)d[5];
+    s->lkeys = (int32_t *)d[4]; s->lval = (int64_t *)d[5];
     s->lkeys_cap = d[6];
     s->hoff = (int64_t *)d[7]; s->hcap = (int64_t *)d[8];
     s->hsize = (int64_t *)d[9];
-    s->hkeys = (int64_t *)d[10]; s->hval = (int64_t *)d[11];
+    s->hkeys = (int32_t *)d[10]; s->hval = (int64_t *)d[11];
     s->hkeys_cap = d[12];
-    s->inl_nbr = (int64_t *)d[13]; s->inl_wgt = (double *)d[14];
+    s->inl_nbr = (int32_t *)d[13]; s->inl_wgt = (float *)d[14];
     s->inl_len = (int64_t *)d[15];
     s->inline_cap = d[16];
     s->inl_free = (int64_t *)d[17];
     s->soff = (int64_t *)d[18]; s->scap = (int64_t *)d[19];
     s->ssize = (int64_t *)d[20];
     s->set_meta_cap = d[21];
-    s->skeys = (int64_t *)d[22]; s->swgt = (double *)d[23];
+    s->skeys = (int32_t *)d[22]; s->swgt = (float *)d[23];
     s->skeys_cap = d[24];
     s->state = (int64_t *)d[25];
 }
@@ -739,7 +744,7 @@ static int dah_over_load(int64_t size, int64_t cap)
 }
 
 /* Robin Hood probe; returns slot or -1, probe count in *probes. */
-static int64_t rh_get(const int64_t *keys, int64_t cap, int64_t key,
+static int64_t rh_get(const int32_t *keys, int64_t cap, int64_t key,
                       int64_t *probes)
 {
     int64_t mask = cap - 1;
@@ -759,19 +764,20 @@ static int64_t rh_get(const int64_t *keys, int64_t cap, int64_t key,
 }
 
 /* Rehash-time Robin Hood insert (unique keys, no counting). */
-static void rh_raw_insert(int64_t *keys, int64_t *vals, int64_t cap,
-                          int64_t key, int64_t val)
+static void rh_raw_insert(int32_t *keys, int64_t *vals, int64_t cap,
+                          int32_t key, int64_t val)
 {
     int64_t mask = cap - 1;
     int64_t slot = dah_hash(key, mask);
-    int64_t ck = key, cv = val, cd = 0;
+    int32_t ck = key;
+    int64_t cv = val, cd = 0;
     for (;;) {
-        int64_t occ = keys[slot];
+        int32_t occ = keys[slot];
         if (occ == DAH_EMPTY) { keys[slot] = ck; vals[slot] = cv; return; }
         int64_t od = (slot - dah_hash(occ, mask)) & mask;
         if (od < cd) {
-            int64_t t = keys[slot]; keys[slot] = ck; ck = t;
-            t = vals[slot]; vals[slot] = cv; cv = t;
+            keys[slot] = ck; ck = occ;
+            int64_t t = vals[slot]; vals[slot] = cv; cv = t;
             cd = od;
         }
         slot = (slot + 1) & mask;
@@ -780,7 +786,7 @@ static void rh_raw_insert(int64_t *keys, int64_t *vals, int64_t cap,
 }
 
 /* Low-table put (space pre-checked by the caller); emits LOW_RESIZE. */
-static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
+static int64_t low_put(DahStore *s, int64_t c, int32_t key, int64_t val,
                        int64_t *probes, Batch *bt)
 {
     int64_t moved = 0;
@@ -790,7 +796,7 @@ static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         for (int64_t i = 0; i < ncap; i++) s->lkeys[noff + i] = DAH_EMPTY;
         /* Slot-order rehash, as Python's _snapshot + _raw_insert. */
         for (int64_t i = 0; i < ocap; i++) {
-            int64_t k = s->lkeys[ooff + i];
+            int32_t k = s->lkeys[ooff + i];
             if (k == DAH_EMPTY) continue;
             rh_raw_insert(s->lkeys + noff, s->lval + noff, ncap,
                           k, s->lval[ooff + i]);
@@ -802,15 +808,16 @@ static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         log_event(bt, bt->mirror * 4, c, ncap,  /* LOW_RESIZE */
                   DAH_LOW_HOLDER(s, c));
     }
-    int64_t *keys = s->lkeys + s->loff[c];
+    int32_t *keys = s->lkeys + s->loff[c];
     int64_t *vals = s->lval + s->loff[c];
     int64_t mask = s->lcap[c] - 1;
     int64_t slot = dah_hash(key, mask);
     int64_t p = 0;
-    int64_t ck = key, cv = val, cd = 0;
+    int32_t ck = key;
+    int64_t cv = val, cd = 0;
     for (;;) {
         p++;
-        int64_t occ = keys[slot];
+        int32_t occ = keys[slot];
         if (occ == DAH_EMPTY) {
             keys[slot] = ck; vals[slot] = cv;
             s->lsize[c] += 1;
@@ -820,8 +827,8 @@ static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
          * caller probed first), so only steal-and-continue remains. */
         int64_t od = (slot - dah_hash(occ, mask)) & mask;
         if (od < cd) {
-            int64_t t = keys[slot]; keys[slot] = ck; ck = t;
-            t = vals[slot]; vals[slot] = cv; cv = t;
+            keys[slot] = ck; ck = occ;
+            int64_t t = vals[slot]; vals[slot] = cv; cv = t;
             cd = od;
         }
         slot = (slot + 1) & mask;
@@ -832,7 +839,7 @@ static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
 }
 
 /* Robin Hood delete with backward shift; probe count in *probes. */
-static void rh_delete(int64_t *keys, int64_t *vals, int64_t cap,
+static void rh_delete(int32_t *keys, int64_t *vals, int64_t cap,
                       int64_t key, int64_t *probes)
 {
     int64_t slot = rh_get(keys, cap, key, probes);
@@ -840,7 +847,7 @@ static void rh_delete(int64_t *keys, int64_t *vals, int64_t cap,
     int64_t mask = cap - 1;
     for (;;) {
         int64_t nxt = (slot + 1) & mask;
-        int64_t occ = keys[nxt];
+        int32_t occ = keys[nxt];
         if (occ == DAH_EMPTY || dah_hash(occ, mask) == nxt) break;
         keys[slot] = occ;
         vals[slot] = vals[nxt];
@@ -851,7 +858,7 @@ static void rh_delete(int64_t *keys, int64_t *vals, int64_t cap,
 }
 
 /* Open-address probe; returns slot or -1, probe count in *probes. */
-static int64_t oa_get(const int64_t *keys, int64_t cap, int64_t key,
+static int64_t oa_get(const int32_t *keys, int64_t cap, int64_t key,
                       int64_t *probes)
 {
     int64_t mask = cap - 1;
@@ -867,8 +874,8 @@ static int64_t oa_get(const int64_t *keys, int64_t cap, int64_t key,
 }
 
 /* Rehash-time open-address insert: fresh table, first empty slot. */
-static void oa_raw_insert_i(int64_t *keys, int64_t *vals, int64_t cap,
-                            int64_t key, int64_t val)
+static void oa_raw_insert_i(int32_t *keys, int64_t *vals, int64_t cap,
+                            int32_t key, int64_t val)
 {
     int64_t mask = cap - 1;
     int64_t slot = dah_hash(key, mask);
@@ -877,8 +884,8 @@ static void oa_raw_insert_i(int64_t *keys, int64_t *vals, int64_t cap,
     vals[slot] = val;
 }
 
-static void oa_raw_insert_d(int64_t *keys, double *vals, int64_t cap,
-                            int64_t key, double val)
+static void oa_raw_insert_f(int32_t *keys, float *vals, int64_t cap,
+                            int32_t key, float val)
 {
     int64_t mask = cap - 1;
     int64_t slot = dah_hash(key, mask);
@@ -890,7 +897,7 @@ static void oa_raw_insert_d(int64_t *keys, double *vals, int64_t cap,
 /* Open-address put into a table with int64 values (the high tables);
  * space pre-checked by the caller; emits HIGH_RESIZE.  The caller
  * probed first, so the key is absent (tombstone reuse still applies). */
-static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
+static int64_t high_put(DahStore *s, int64_t c, int32_t key, int64_t val,
                         int64_t *probes, Batch *bt)
 {
     int64_t moved = 0;
@@ -899,7 +906,7 @@ static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         int64_t ncap = ocap * 2, noff = s->state[1];
         for (int64_t i = 0; i < ncap; i++) s->hkeys[noff + i] = DAH_EMPTY;
         for (int64_t i = 0; i < ocap; i++) {
-            int64_t k = s->hkeys[ooff + i];
+            int32_t k = s->hkeys[ooff + i];
             if (k == DAH_EMPTY || k == DAH_TOMB) continue;
             oa_raw_insert_i(s->hkeys + noff, s->hval + noff, ncap,
                             k, s->hval[ooff + i]);
@@ -912,7 +919,7 @@ static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         log_event(bt, bt->mirror * 4 + 1, c, ncap,  /* HIGH_RESIZE */
                   DAH_HIGH_HOLDER(s, c));
     }
-    int64_t *keys = s->hkeys + s->hoff[c];
+    int32_t *keys = s->hkeys + s->hoff[c];
     int64_t *vals = s->hval + s->hoff[c];
     int64_t mask = s->hcap[c] - 1;
     int64_t slot = dah_hash(key, mask);
@@ -937,7 +944,7 @@ static int64_t high_put(DahStore *s, int64_t c, int64_t key, int64_t val,
 
 /* Neighbor-set put (key absent unless duplicate-checked by caller);
  * emits SET_RESIZE.  Space pre-checked by the caller. */
-static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
+static int64_t set_put(DahStore *s, int64_t sid, int32_t key, float val,
                        int64_t *probes, Batch *bt)
 {
     int64_t moved = 0;
@@ -946,9 +953,9 @@ static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
         int64_t ncap = ocap * 2, noff = s->state[4];
         for (int64_t i = 0; i < ncap; i++) s->skeys[noff + i] = DAH_EMPTY;
         for (int64_t i = 0; i < ocap; i++) {
-            int64_t k = s->skeys[ooff + i];
+            int32_t k = s->skeys[ooff + i];
             if (k == DAH_EMPTY || k == DAH_TOMB) continue;
-            oa_raw_insert_d(s->skeys + noff, s->swgt + noff, ncap,
+            oa_raw_insert_f(s->skeys + noff, s->swgt + noff, ncap,
                             k, s->swgt[ooff + i]);
             moved++;
         }
@@ -959,8 +966,8 @@ static int64_t set_put(DahStore *s, int64_t sid, int64_t key, double val,
         log_event(bt, bt->mirror * 4 + 3, sid, ncap,  /* SET_RESIZE */
                   DAH_SET_HOLDER(s, sid));
     }
-    int64_t *keys = s->skeys + s->soff[sid];
-    double *vals = s->swgt + s->soff[sid];
+    int32_t *keys = s->skeys + s->soff[sid];
+    float *vals = s->swgt + s->soff[sid];
     int64_t cap = s->scap[sid];
     int64_t mask = cap - 1;
     int64_t slot = dah_hash(key, mask);
@@ -1016,7 +1023,7 @@ static int64_t dah_new_set(DahStore *s, Batch *bt)
 
 /* One insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
 static __attribute__((noinline)) int
-dah_insert_op(DahStore *s, int64_t u, int64_t v, double w, Batch *bt)
+dah_insert_op(DahStore *s, int32_t u, int32_t v, float w, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t row = bt->row;
@@ -1082,7 +1089,7 @@ dah_insert_op(DahStore *s, int64_t u, int64_t v, double w, Batch *bt)
         } else {
             int64_t iid = s->lval[s->loff[c] + lslot];
             int64_t len = s->inl_len[iid];
-            int64_t *nbr = s->inl_nbr + iid * DAH_INLINE_CAP;
+            int32_t *nbr = s->inl_nbr + iid * DAH_INLINE_CAP;
             int64_t dup = 0;
             for (int64_t j = 0; j < len; j++) {
                 inline_scanned = j + 1;
@@ -1118,7 +1125,7 @@ dah_insert_op(DahStore *s, int64_t u, int64_t v, double w, Batch *bt)
                     table_probes += dprobes;
                     int64_t sid = dah_new_set(s, bt);
                     int64_t set = DAH_SET_HOLDER(s, sid);
-                    double *wgts = s->inl_wgt + iid * DAH_INLINE_CAP;
+                    float *wgts = s->inl_wgt + iid * DAH_INLINE_CAP;
                     for (int64_t j = 0; j < len + 1; j++) {
                         int64_t gs = oa_get(s->skeys + s->soff[sid],
                                             s->scap[sid], nbr[j], &probes);
@@ -1166,7 +1173,7 @@ dah_insert_op(DahStore *s, int64_t u, int64_t v, double w, Batch *bt)
 
 /* One remove; allocates nothing, so only the log stalls it. */
 static __attribute__((noinline)) int
-dah_delete_op(DahStore *s, int64_t u, int64_t v, Batch *bt)
+dah_delete_op(DahStore *s, int32_t u, int32_t v, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t row = bt->row;
@@ -1179,7 +1186,7 @@ dah_delete_op(DahStore *s, int64_t u, int64_t v, Batch *bt)
                 DAH_HIGH_SLOT_BYTES, 0);
     if (hslot >= 0) {
         int64_t sid = s->hval[s->hoff[c] + hslot];
-        int64_t *keys = s->skeys + s->soff[sid];
+        int32_t *keys = s->skeys + s->soff[sid];
         int64_t gslot = oa_get(keys, s->scap[sid], v, &probes);
         hash_ops = 2;
         table_probes += probes;
@@ -1188,7 +1195,7 @@ dah_delete_op(DahStore *s, int64_t u, int64_t v, Batch *bt)
                     DAH_SET_SLOT_BYTES, gslot >= 0);
         if (gslot >= 0) {
             keys[gslot] = DAH_TOMB;
-            s->swgt[s->soff[sid] + gslot] = 0.0;
+            s->swgt[s->soff[sid] + gslot] = 0.0f;
             s->ssize[sid] -= 1;
             hit = 1;
         }
@@ -1203,8 +1210,8 @@ dah_delete_op(DahStore *s, int64_t u, int64_t v, Batch *bt)
         if (lslot >= 0) {
             int64_t iid = s->lval[s->loff[c] + lslot];
             int64_t len = s->inl_len[iid];
-            int64_t *nbr = s->inl_nbr + iid * DAH_INLINE_CAP;
-            double *wgts = s->inl_wgt + iid * DAH_INLINE_CAP;
+            int32_t *nbr = s->inl_nbr + iid * DAH_INLINE_CAP;
+            float *wgts = s->inl_wgt + iid * DAH_INLINE_CAP;
             for (int64_t j = 0; j < len; j++) {
                 inline_scanned = j + 1;
                 if (nbr[j] == v) {
@@ -1261,8 +1268,8 @@ static void unpack(int64_t family, const int64_t *d, int64_t h0, Store *s)
 }
 
 int64_t saga_ingest(
-    int64_t family, int64_t n, const int64_t *src, const int64_t *dst,
-    const double *wgt, int64_t directed, int64_t delete_mode,
+    int64_t family, int64_t n, const int32_t *src, const int32_t *dst,
+    const float *wgt, int64_t directed, int64_t delete_mode,
     const int64_t *out_desc, const int64_t *in_desc, int64_t *cols,
     int64_t *events, int64_t *ctl, const int64_t *log_desc)
 {
@@ -1281,13 +1288,13 @@ int64_t saga_ingest(
     int64_t half = ctl[1];
     int64_t positive = ctl[3];
     for (; i < n; i++) {
-        int64_t u = src[i];
-        int64_t v = dst[i];
-        double w = delete_mode ? 0.0 : wgt[i];
+        int32_t u = src[i];
+        int32_t v = dst[i];
+        float w = delete_mode ? 0.0f : wgt[i];
         for (; half < 2; half++) {
             if (half && u == v && !directed) break;
             Store *s = half ? &in : &out;
-            int64_t a = half ? v : u, b = half ? u : v;
+            int32_t a = half ? v : u, b = half ? u : v;
             int64_t mark = bt.lg.n;
             int rc;
             bt.mirror = half;
@@ -1341,7 +1348,7 @@ static int emit_path(int64_t *out, int64_t w, int64_t base, int64_t end,
  * set_base the base of every neighbor set.  A path leaving its table's
  * region stops the emitter with bad[0] = that table, bad[1] = the slot. */
 int64_t saga_dah_traversals(
-    int64_t n, const int64_t *vertices, const int64_t *desc,
+    int64_t n, const int32_t *vertices, const int64_t *desc,
     const int64_t *table_base, const int64_t *table_end,
     const int64_t *set_base, int64_t *bad,
     int64_t *counts, int64_t *addresses)

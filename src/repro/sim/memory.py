@@ -57,8 +57,12 @@ class Region:
         )
 
     def elements(self, indices: np.ndarray, element_bytes: int) -> np.ndarray:
-        """:meth:`element` over an index array, with the same overrun check."""
-        addrs = self.base + indices * element_bytes
+        """:meth:`element` over an index array, with the same overrun check.
+
+        The indices are widened first: int32 vertex ids times a slot size
+        would wrap in int32.
+        """
+        addrs = self.base + np.asarray(indices, dtype=np.int64) * element_bytes
         over = addrs + element_bytes > self.end
         if over.any():
             self.element(int(indices[np.argmax(over)]), element_bytes)

@@ -160,12 +160,14 @@ class TestSSSPRefusedInput:
 
     @ENGINES
     def test_bucket_index_overflow(self, engine):
-        """``1e300 / 1e-9`` does not fit in an int64 bucket index: numpy
-        cast it to ``INT64_MIN`` (three RuntimeWarnings) and settled the
-        far vertex before the near one; in C the cast is undefined."""
+        """``3.4e38 / 1e-9`` (the largest float32 weight over a tiny delta)
+        does not fit in an int64 bucket index: numpy cast it to
+        ``INT64_MIN`` (three RuntimeWarnings) and settled the far vertex
+        before the near one; in C the cast is undefined."""
         from repro.algorithms.sssp import SSSP
 
-        view = _weighted([(0, 1, 1.0), (0, 2, 1e300)])
+        largest = float(np.finfo(np.float32).max)
+        view = _weighted([(0, 1, 1.0), (0, 2, largest)])
         with native_env(engine), warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SimulationError, match="bucket index"):

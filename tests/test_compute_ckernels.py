@@ -597,15 +597,23 @@ class TestRunLog:
         is not ``floor(weight / delta)`` (``1.0 // 0.1`` is 9), and the
         leaves of one bucket are settled in one pass.
 
+        Weights are float32: the float32s nearest to multiples of delta
+        and their float32 neighbours, whole numbers (``k / 0.1`` rounds to
+        the integer ``10 k``, which ``np.floor_divide`` puts one bucket
+        lower when ``fmod`` leaves a remainder), a subnormal and two past
+        the shortcut's ``2**50`` bound.
+
         Fails when the kernel files events by ``floor(candidate /
         delta)`` and when its shortcut for quotients clear of an integer
-        is taken too close to one.
+        is taken at one.
         """
         delta = 0.1
-        weights = [k * delta for k in range(1, 40)]
-        weights += [np.nextafter(w, np.inf) for w in weights[:20]]
-        weights += [np.nextafter(w, 0.0) for w in weights[:20]]
-        weights += [1.0, 0.3, 0.7, 2.5, 1e-300, 1.23456e14, 2.0**51 * delta]
+        near = [np.float32(k * delta) for k in range(1, 40)]
+        weights = [float(w) for w in near]
+        weights += [float(np.nextafter(w, np.float32(np.inf))) for w in near[:20]]
+        weights += [float(np.nextafter(w, np.float32(0.0))) for w in near[:20]]
+        weights += [float(k) for k in range(1, 40)] + [2.5, 0.75, 0.25]
+        weights += [float(np.float32(x)) for x in (1e-45, 1.23456e14, 2.0**51 * delta)]
         leaves = np.arange(1, len(weights) + 1, dtype=np.int64)
         cv = _view_from_edges(
             np.zeros(leaves.size, dtype=np.int64), leaves, np.array(weights), leaves.size + 1
@@ -624,15 +632,15 @@ class TestRunLog:
         assert order == sorted(order) and set(order) == set(bucket.tolist())
 
     def test_bucket_index_must_fit_int64(self):
-        """The largest quotient below 2**63 is a bucket like any other;
-        2**63 and an infinite quotient are refused with the same error
-        by both engines.  Fails (under UBSan: traps on the cast) when the
-        kernel casts first."""
+        """The largest float32 quotient below 2**63 is a bucket like any
+        other; 2**63 and the largest float32 are refused with the same
+        error by both engines.  Fails (under UBSan: traps on the cast)
+        when the kernel casts first."""
         limit = 2.0**63
         for weight, fits in (
-            (np.nextafter(limit, 0.0), True),
+            (float(np.nextafter(np.float32(limit), np.float32(0.0))), True),
             (limit, False),
-            (1e300, False),
+            (float(np.finfo(np.float32).max), False),
         ):
             cv = _view_from_edges(
                 np.zeros(2, dtype=np.int64),

@@ -511,7 +511,8 @@ def _graph_streams(draw):
     """
     n = draw(st.integers(min_value=2, max_value=40))
     vertex = st.integers(min_value=0, max_value=n - 1)
-    weight = st.floats(min_value=0.5, max_value=9.0, allow_nan=False)
+    # Half precision: the echoed w + 1.0 and w + 2.0 stay float32 weights.
+    weight = st.floats(min_value=0.5, max_value=9.0, allow_nan=False, width=16)
     steps = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))

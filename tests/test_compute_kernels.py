@@ -47,7 +47,8 @@ def _stream(num_nodes=64, batches=3, per_batch=90, seed=7):
     for _ in range(batches):
         src = rng.integers(0, num_nodes, size=per_batch).tolist()
         dst = rng.integers(0, num_nodes, size=per_batch).tolist()
-        wts = np.round(rng.uniform(0.5, 4.0, size=per_batch), 2).tolist()
+        # Two decimals, then the nearest float32: the stream's weight width.
+        wts = np.round(rng.uniform(0.5, 4.0, size=per_batch), 2).astype(np.float32).tolist()
         out.append(EdgeBatch.from_edges(list(zip(src, dst, wts))))
     return out
 

@@ -16,7 +16,7 @@ class TestIterationStats:
         run = _run()
         run.add_round(pull=[1, 2], push=(3,), pushes=1, cas_ops=2)
         (it,) = run.iterations
-        assert it.pull_vertices.dtype == it.push_vertices.dtype == np.int64
+        assert it.pull_vertices.dtype == it.push_vertices.dtype == np.int32
         assert list(it.pull_vertices) == [1, 2]
         assert list(it.push_vertices) == [3]
         assert (it.pushes, it.cas_ops) == (1, 2)

@@ -65,10 +65,20 @@ class TestRMAT:
         assert batch.weight.max() <= MAX_WEIGHT
 
 
-def _column_digests(edges):
+#: The column dtypes of the streams these digests were first pinned in
+#: (int64 ids, float64 weights), and of the stream now (int32, float32).
+WIDE = ("<i8", "<i8", "<f8")
+NARROW = ("<i4", "<i4", "<f4")
+
+
+def _column_digests(edges, dtypes):
+    """sha256 of each column as ``dtypes``: the wide digests show the
+    values did not move when the columns narrowed."""
     return {
-        name: hashlib.sha256(np.ascontiguousarray(getattr(edges, name)).tobytes()).hexdigest()
-        for name in ("src", "dst", "weight")
+        name: hashlib.sha256(
+            np.ascontiguousarray(getattr(edges, name), dtype=dtype).tobytes()
+        ).hexdigest()
+        for name, dtype in zip(("src", "dst", "weight"), dtypes)
     }
 
 
@@ -90,10 +100,17 @@ class TestRMATBytes:
     """The generator's output values, not only their shape, are pinned."""
 
     def test_one_call_is_pinned(self):
-        assert _column_digests(rmat_edges(18, 100_000, seed=[0, 0])) == {
+        edges = rmat_edges(18, 100_000, seed=[0, 0])
+        assert _column_digests(edges, WIDE) == {
             "src": "b3dfac601624f76351136e2e65f2c89aa2be6e2d41616aab40beb3b418d566fe",
             "dst": "53c6613b82e6065fd877bbf12ec8ac887f7215319f31d318a1cd91f4a996036d",
             "weight": "24d3fb6fe3c0eeb5bf3db86b133e5be55db480ec5e83afe1144b77ad3f71b4cd",
+        }
+        assert tuple(getattr(edges, name).dtype.str for name in ("src", "dst", "weight")) == NARROW
+        assert _column_digests(edges, NARROW) == {
+            "src": "7a6e0c52f39277b7658a402a77b1f364cda7570599ecf42a266d3e014dc85d71",
+            "dst": "7e966ae13bd937d8780c810ef44be8a14e250c9953ffe6b08a559efc65db1279",
+            "weight": "23dfe2aa6bdec16c2c8893abafc218947c0f4ffe317c9dcc91b632595fc07e19",
         }
 
     @pytest.mark.parametrize("mmap", [False, True], ids=["ram", "mmap"])
@@ -103,10 +120,15 @@ class TestRMATBytes:
             mmap_dir=tmp_path / "stream" if mmap else None,
         )
         assert len(dataset.edges) == 25_000
-        assert _column_digests(dataset.edges) == {
+        assert _column_digests(dataset.edges, WIDE) == {
             "src": "185103b156516d5f8dea771b5c7e20eaf0aa96a277f7f8817ea3e2a28be05db5",
             "dst": "afaf063490250d01ea86160b0ff33d12e446b9d36ccb125ab85a14800d76a730",
             "weight": "e228f541de8e98d63654a677cfeac5850de63f8f54c7cacc0eac46e48155f2f1",
+        }
+        assert _column_digests(dataset.edges, NARROW) == {
+            "src": "1b0ecf4e75b28fc0f6041b19f129b690a4d95966f1c665a5069699c7ba221910",
+            "dst": "dfeb7c9b8dba8bcc9ff7976629c578174170c1e1515eddf5af65e25f67242ad5",
+            "weight": "b6b3addc2edee9b29be58476a6a8731836bc6e723b1e3a506d6cf9ce0fa9e752",
         }
 
     @pytest.mark.parametrize("params", [PAPER_RMAT_PARAMS], ids=["paper"])

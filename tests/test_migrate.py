@@ -57,7 +57,7 @@ class TestExportLiveEdges:
             batch = EdgeBatch(
                 src=rng.integers(0, 12, 40),
                 dst=rng.integers(0, 12, 40),
-                weight=rng.uniform(0.5, 9.0, 40),
+                weight=rng.uniform(0.5, 9.0, 40).astype(np.float32),
             )
             for graph in (reference, oracle):
                 graph.update_collect(batch)
@@ -70,7 +70,7 @@ class TestExportLiveEdges:
             if directed or v >= u
         ]
         exported = export_live_edges(reference)
-        assert exported.src.dtype == exported.dst.dtype == np.int64
+        assert exported.src.dtype == exported.dst.dtype == np.int32
         assert [tuple(edge) for edge in exported] == expected
 
     def test_self_loops_survive(self):

@@ -93,8 +93,8 @@ class TestRoundTrip:
         METRICS.enable()
         try:
             open_edge_mmap(tmp_path / "s")
-            # 100 edges x (8 + 8 + 8) bytes across the three columns.
-            assert METRICS.value("stream_bytes_mapped") == 100 * 24
+            # 100 edges x (4 + 4 + 4) bytes across the three columns.
+            assert METRICS.value("stream_bytes_mapped") == 100 * 12
         finally:
             METRICS.disable()
             METRICS.reset()
