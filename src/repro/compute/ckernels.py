@@ -157,7 +157,9 @@ static inline double take_max(double acc, double x)
 }
 
 /* expand_frontier: all adjacency rows of the frontier, in sequential
- * iteration order (frontier position major, neighbor order minor). */
+ * iteration order (frontier position major, neighbor order minor).  The
+ * frontier is a numpy index array (intp, here int64_t), the rows the
+ * CSR's own widths. */
 void saga_expand(
     int64_t k,
     const int64_t *frontier,
@@ -1710,6 +1712,7 @@ class ComputeKernels:
         self, csr, frontier: np.ndarray, total: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """C twin of :func:`repro.compute.kernels.expand_frontier`."""
+        frontier = np.ascontiguousarray(frontier, dtype=np.intp)
         seg = np.empty(total, dtype=np.int64)
         nbr = np.empty(total, dtype=VERTEX)
         wt = np.empty(total, dtype=WEIGHT)

@@ -8,7 +8,8 @@ zero-copy to the compute kernels; nothing else holds an edge.
 :class:`DynamicCSR`
     A "slack CSR": per-row ``starts``/``lens``/``caps`` (int64) plus a
     shared column heap (``cols`` int32 / ``wts`` float32, the widths of
-    :mod:`repro.widths`: 16 bytes per directed edge for the pair).  Rows keep capacity slack, so an
+    :mod:`repro.widths`; 8 bytes per entry, 16 per directed edge for
+    the out/in pair).  Rows keep capacity slack, so an
     append is usually an in-place write; a row that overflows relocates
     to the heap's end with doubled capacity (amortized O(1) per edge),
     leaving its old extent behind as a *tombstone* -- dead heap space

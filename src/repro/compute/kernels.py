@@ -55,7 +55,8 @@ class CSRArrays(NamedTuple):
     in the exact order the source view iterates them (required for
     bit-identity of sequential accumulations); ``weights`` is parallel
     to ``indices``.  ``indices`` are int32 and ``weights`` float32
-    (:mod:`repro.widths`), ``indptr`` and ``degrees`` int64.  Rows are usually packed (``degrees`` is
+    (:mod:`repro.widths`), ``indptr`` and ``degrees`` int64.  Rows are
+    usually packed (``degrees`` is
     ``np.diff(indptr)``), but the incrementally-maintained views of
     :mod:`repro.compute.csrstore` export rows with slack between them;
     every kernel therefore reads row extents from ``indptr[u]`` +

@@ -106,7 +106,9 @@ class EdgeStreamWriter:
             raise DatasetError("cannot append to a closed EdgeStreamWriter")
         if not (len(src) == len(dst) == len(weight)):
             raise DatasetError("edge stream chunk arrays must have equal length")
-        columns = (vertex_column(src, low=0), vertex_column(dst, low=0), weight_column(weight))
+        columns = (
+            vertex_column(src, low=0), vertex_column(dst, low=0), weight_column(weight)
+        )
         for (name, dtype), column in zip(COLUMNS, columns):
             np.ascontiguousarray(column, dtype=dtype).tofile(self._handles[name])
         self._edges += len(src)
@@ -283,10 +285,11 @@ def materialize(
     directory whose recorded recipe equals ``source`` is opened as it
     is and ``chunks`` is never drawn; any other (absent, unreadable,
     unfinished, another recipe, an older layout version) is rewritten
-    from ``chunks``, one chunk in RAM at a time.  ``finish`` post-processes a fresh stream's
-    columns in place -- RAM arrays, or writable memmaps that are then
-    flushed -- and the recipe is attached only after it returns, so an
-    interrupted post-pass is a miss on the next call.
+    from ``chunks``, one chunk in RAM at a time.  ``finish``
+    post-processes a fresh stream's columns in place -- RAM arrays, or
+    writable memmaps that are then flushed -- and the recipe is attached
+    only after it returns, so an interrupted post-pass is a miss on the
+    next call.
     """
     if directory is None:
         parts = [EdgeBatch.empty(), *chunks]

@@ -20,9 +20,10 @@ arrays.  Each operation on that state is written twice:
   traced or not.  A family declares only what differs: its store's
   ``descriptor()`` (the int64 array of pointers and sizes the kernel
   unpacks; the neighbor and weight pools it points at are int32 and
-  float32, :mod:`repro.widths`), ``grow(resource, need)`` for a stall, ``replay_events``
-  for the event log, and how many events and new regions one
-  operation can add (``EVENTS_PER_OP``, ``SPARE_HOLDERS_PER_OP``).
+  float32, :mod:`repro.widths`), ``grow(resource, need)`` for a
+  stall, ``replay_events`` for the event log, and how many events and
+  new regions one operation can add (``EVENTS_PER_OP``,
+  ``SPARE_HOLDERS_PER_OP``).
 
 Simulated-memory accounting stays in Python on both paths: the kernel
 logs one event per allocation-changing operation (vector growth,

@@ -179,7 +179,11 @@ static void lg_path(AccessLog *lg, int64_t task, int64_t holder,
  * *_delete_op writes its counts into column k of its row,
  * cols[k * rows + row]: one int64 block, the structure's columns.
  * Each store arrives as one int64 descriptor of pointers and
- * capacities, unpacked by its family's *_unpack.
+ * capacities, unpacked by its family's *_unpack.  The batch's ids are
+ * int32 and its weights float (repro.widths).  A vector or Stinger
+ * operation takes its row vertex widened to int64_t, since it is
+ * multiplied into header offsets; a neighbor, and DAH's row, are only
+ * compared, hashed (widened) and stored, and stay int32_t.
  *
  * Control block ctl[10]: [0] resume edge index, [1] resume half (0 =
  * out op next, 1 = mirror op next), [2] output row cursor, [3]
@@ -308,7 +312,7 @@ static void vec_unpack(const int64_t *d, VecStore *s)
 
 /* The search scan both operations start with: position of v in u's
  * vector (-1 when absent), header and scanned entries logged. */
-static int64_t vec_scan(VecStore *s, int64_t u, int64_t v, int64_t row,
+static int64_t vec_scan(VecStore *s, int64_t u, int32_t v, int64_t row,
                         AccessLog *lg)
 {
     int64_t len = s->len[u];
@@ -325,7 +329,7 @@ static int64_t vec_scan(VecStore *s, int64_t u, int64_t v, int64_t row,
 
 /* One search-then-insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
 static __attribute__((noinline)) int
-vec_insert_op(VecStore *s, int64_t u, int64_t v, float w, Batch *bt)
+vec_insert_op(VecStore *s, int64_t u, int32_t v, float w, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t off = s->off[u];
@@ -354,7 +358,7 @@ vec_insert_op(VecStore *s, int64_t u, int64_t v, float w, Batch *bt)
         grew = len;
         log_event(bt, bt->mirror, u, newcap, s->h0 + 1 + u);
     }
-    s->nbr[off + len] = (int32_t)v;
+    s->nbr[off + len] = v;
     s->wgt[off + len] = w;
     s->len[u] = len + 1;
     lg_put(lg, bt->row, s->h0 + 1 + u, len * VEC_ENTRY_BYTES, 1);
@@ -366,7 +370,7 @@ vec_insert_op(VecStore *s, int64_t u, int64_t v, float w, Batch *bt)
 
 /* One search-then-remove; allocates nothing, so only the log stalls it. */
 static __attribute__((noinline)) int
-vec_delete_op(VecStore *s, int64_t u, int64_t v, Batch *bt)
+vec_delete_op(VecStore *s, int64_t u, int32_t v, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t off = s->off[u];
@@ -415,11 +419,12 @@ int64_t saga_vec_traversals(
 /* ------------------------------------------------------------------ *
  * Stinger ingest: linked 16-entry edge blocks with fine locks.
  *
- * Store state: a block pool (16-slot int32 neighbor / float weight
- * rows plus a fill count, block id == pool slot, ids never reused so state[1] is both
- * the next id and the pool cursor), a flat block-id pool holding each
- * vertex's block list as a (offset, count, capacity) span, and a
- * per-vertex degree array.  Region accounting replays from events:
+ * Store state: a block pool (16-slot rows of int32 neighbors and
+ * float weights plus a fill count, block id == pool slot, ids never
+ * reused so state[1] is both the next id and the pool cursor), a flat
+ * block-id pool holding each vertex's block list as a (offset, count,
+ * capacity) span, and a per-vertex degree array.  Region accounting
+ * replays from events:
  * code = mirror*2 + (0 = block allocated, 1 = tail block freed).
  * Stall resources: 0 = the block-id pool (need: the slots of a list's
  * doubled span), 1 = the block pool.  Columns: search chases, search
@@ -470,7 +475,7 @@ static void st_unpack(const int64_t *d, StStore *s)
 /* Search scan shared by insert and remove: finds (block index, slot)
  * of v and the probe count up to it; -1 block index when absent.  The
  * vertex entry and every block the scan reads are logged. */
-static void st_find(const StStore *s, int64_t u, int64_t v, int64_t row,
+static void st_find(const StStore *s, int64_t u, int32_t v, int64_t row,
                     AccessLog *lg, int64_t *found_bi, int64_t *found_slot,
                     int64_t *probes_before)
 {
@@ -501,7 +506,7 @@ static void st_find(const StStore *s, int64_t u, int64_t v, int64_t row,
 
 /* One insert; returns RC_OK, RC_STALL or RC_LOG_FULL. */
 static __attribute__((noinline)) int
-st_insert_op(StStore *s, int64_t u, int64_t v, float w, Batch *bt)
+st_insert_op(StStore *s, int64_t u, int32_t v, float w, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t bi, slot, before;
@@ -550,7 +555,7 @@ st_insert_op(StStore *s, int64_t u, int64_t v, float w, Batch *bt)
     }
     int64_t tb = s->bids[s->boff[u] + target];
     int64_t tslot = s->blen[tb];
-    s->bnbr[tb * ST_BLOCK_CAPACITY + tslot] = (int32_t)v;
+    s->bnbr[tb * ST_BLOCK_CAPACITY + tslot] = v;
     s->bwgt[tb * ST_BLOCK_CAPACITY + tslot] = w;
     s->blen[tb] = tslot + 1;
     lg_put(lg, bt->row, s->h0 + 1 + tb,
@@ -567,7 +572,7 @@ st_insert_op(StStore *s, int64_t u, int64_t v, float w, Batch *bt)
 
 /* One remove; allocates nothing, so only the log stalls it. */
 static __attribute__((noinline)) int
-st_delete_op(StStore *s, int64_t u, int64_t v, Batch *bt)
+st_delete_op(StStore *s, int64_t u, int32_t v, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t bi, slot, before;
@@ -644,8 +649,8 @@ int64_t saga_stinger_traversals(
  * arena of neighbor-set ids); neighbor sets are open-address tables in
  * a shared (key, weight) arena.  Every key is a vertex id (int32, or
  * DAH_EMPTY / DAH_TOMB) and is hashed widened to int64, every weight
- * a float.  Table growth bump-allocates a doubled
- * span at the matching arena cursor (old spans are leaked -- arenas
+ * a float.  Table growth bump-allocates a doubled span at the
+ * matching arena cursor (old spans are leaked -- arenas
  * are backing storage, not the simulated memory, which Python replays
  * from the event log: LOW_RESIZE / HIGH_RESIZE / SET_NEW / SET_RESIZE,
  * +4 when on the mirror store).
