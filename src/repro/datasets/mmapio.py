@@ -186,16 +186,11 @@ def read_meta(directory: Union[str, Path]) -> dict:
     except (ValueError, OSError) as error:
         raise DatasetError(f"corrupt {meta_path}: {error}") from error
     version = meta.get("version")
-    if version == 1:
-        raise DatasetError(
-            f"{directory} is a version-1 edge stream (int64 ids, float64 "
-            f"weights); this build reads version {MMAP_LAYOUT_VERSION} "
-            "(int32 ids, float32 weights): regenerate it"
-        )
     if version != MMAP_LAYOUT_VERSION:
         raise DatasetError(
             f"unsupported edge stream layout version {version!r} in "
-            f"{directory} (this build reads version {MMAP_LAYOUT_VERSION})"
+            f"{directory} (this build reads version {MMAP_LAYOUT_VERSION}: "
+            "int32 ids, float32 weights; regenerate it)"
         )
     edges = meta.get("edges")
     if not isinstance(edges, int) or edges < 0:

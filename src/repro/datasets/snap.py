@@ -10,9 +10,11 @@ numpy buffers -- no intermediate Python lists -- and hands them to
 :func:`repro.datasets.mmapio.materialize`, which holds the stream in
 RAM or in a memory-mapped directory (``mmap_dir``, so a paper-scale
 file never materializes in RAM).  One post-pass then runs over the
-returned columns in either transport: a chunk-wise relabel against
-the vertex-id table gathered during the parse, and the weights from
-one ``default_rng(weight_seed)`` stream drawn chunk by chunk.
+returned columns in either transport: the weights from one
+``default_rng(weight_seed)`` stream drawn chunk by chunk.  A relabelled
+parse reads the file twice: once to gather the sorted vertex-id table,
+then again to hand over chunks already compacted against it, so a raw
+id past the ``int32`` range never reaches a stream column.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import numpy as np
 from repro.datasets.mmapio import materialize
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
+from repro.widths import WEIGHT, vertex_column
 
-#: Edges per parse chunk, and per piece of the relabel and weight
-#: post-pass: the most a parse into a stream directory holds in RAM.
+#: Edges per parse chunk, and per piece of the weight post-pass: the
+#: most a parse into a stream directory holds in RAM.
 #: Not part of a stream's identity -- any chunking gives the same bytes.
 DEFAULT_SNAP_CHUNK = 1 << 20
 
@@ -124,7 +127,11 @@ def load_snap_edges(
     ``[1, max_weight]`` (deterministically from ``weight_seed``) so the
     weighted algorithms (SSSP, SSWP) have something to chew on.  With
     ``relabel``, vertex ids are compacted to ``0..V-1`` (sorted order).
-    ``limit`` truncates to the first N edges.
+    ``limit`` truncates to the first N edges.  Raw ids are parsed as
+    ``int64``: relabelled, any non-negative id is accepted as long as
+    fewer than ``2**31`` distinct ones occur; without ``relabel`` an id
+    outside ``[0, 2**31)`` raises :class:`DatasetError` in both
+    transports.
 
     With ``mmap_dir`` the parsed stream is written to a memory-mapped
     directory and the returned batch is a zero-copy view of it; a
@@ -136,25 +143,28 @@ def load_snap_edges(
     if not path.exists():
         raise DatasetError(f"SNAP file not found: {path}")
     chunk = DEFAULT_SNAP_CHUNK
-    ids = np.empty(0, dtype=np.int64)
 
     def parse():
-        nonlocal ids
+        ids = np.empty(0, dtype=np.int64)
+        if relabel:
+            for src, dst in _iter_snap_chunks(path, chunk, limit):
+                ids = np.union1d(ids, np.union1d(src, dst))
         for src, dst in _iter_snap_chunks(path, chunk, limit):
             if relabel:
-                ids = np.union1d(ids, np.union1d(src, dst))
-            yield EdgeBatch(src=src, dst=dst, weight=np.zeros(len(src)))
+                # An id's rank in the sorted id table is its label.
+                src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+            yield EdgeBatch(
+                src=vertex_column(src, low=0),
+                dst=vertex_column(dst, low=0),
+                weight=np.zeros(len(src), dtype=WEIGHT),
+            )
 
     def finish(edges: EdgeBatch) -> None:
-        # An id's rank in the sorted id table is its compacted label,
-        # and one rng's draws do not depend on how they are split, so
-        # every piece size gives the same bytes.
+        # One rng's draws do not depend on how they are split, so every
+        # piece size gives the same bytes.
         rng = np.random.default_rng(weight_seed)
         for start in range(0, len(edges), chunk):
             stop = min(start + chunk, len(edges))
-            if relabel:
-                edges.src[start:stop] = np.searchsorted(ids, edges.src[start:stop])
-                edges.dst[start:stop] = np.searchsorted(ids, edges.dst[start:stop])
             edges.weight[start:stop] = rng.integers(
                 1, max_weight + 1, size=stop - start
             )

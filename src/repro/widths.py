@@ -50,7 +50,10 @@ def vertex_column(values, low: int = -VERTEX_LIMIT) -> np.ndarray:
 
     An id an ``int32`` cannot hold (or a float that is no integer)
     raises :class:`DatasetError`; a negative one passes (at the default
-    ``low``), for the structures to refuse as out of range.
+    ``low``), for the structures to refuse as out of range.  Integral
+    floats are taken because :meth:`EdgeStreamWriter.append
+    <repro.datasets.mmapio.EdgeStreamWriter.append>` has always cast
+    whatever columns it is handed (``np.zeros(n)`` ids included).
     """
     array = values if isinstance(values, np.ndarray) else np.asarray(values)
     if array.dtype == VERTEX and low <= -VERTEX_LIMIT:

@@ -597,50 +597,71 @@ class TestRunLog:
         is not ``floor(weight / delta)`` (``1.0 // 0.1`` is 9), and the
         leaves of one bucket are settled in one pass.
 
-        Weights are float32: the float32s nearest to multiples of delta
-        and their float32 neighbours, whole numbers (``k / 0.1`` rounds to
+        Weights are float32: the float32s nearest to multiples of 0.1 and
+        their float32 neighbours, whole numbers (``k / 0.1`` rounds to
         the integer ``10 k``, which ``np.floor_divide`` puts one bucket
-        lower when ``fmod`` leaves a remainder), a subnormal and two past
-        the shortcut's ``2**50`` bound.
+        lower when ``fmod`` leaves a remainder), multiples of two anchors,
+        a subnormal and two past the shortcut's ``2**50`` bound.  Delta
+        moves instead of the weights: 0.1, then ``anchor / k`` and its
+        two double neighbours, so that ``anchor * j / delta`` lands on,
+        or a few ulps beside, the integer ``j k`` (SSSP's default delta
+        is a mean weight, an arbitrary double).
 
         Fails when the kernel files events by ``floor(candidate /
         delta)`` and when its shortcut for quotients clear of an integer
-        is taken at one.
+        is taken at or beside one.
         """
-        delta = 0.1
-        near = [np.float32(k * delta) for k in range(1, 40)]
+        near = [np.float32(k * 0.1) for k in range(1, 40)]
         weights = [float(w) for w in near]
         weights += [float(np.nextafter(w, np.float32(np.inf))) for w in near[:20]]
         weights += [float(np.nextafter(w, np.float32(0.0))) for w in near[:20]]
         weights += [float(k) for k in range(1, 40)] + [2.5, 0.75, 0.25]
-        weights += [float(np.float32(x)) for x in (1e-45, 1.23456e14, 2.0**51 * delta)]
+        weights += [float(np.float32(x)) for x in (1e-45, 1.23456e14, 2.0**51 * 0.1)]
+        anchors = [0.375, 7.0]
+        weights += [anchor * j for anchor in anchors for j in range(1, 13)]
+        assert all(float(np.float32(w)) == w for w in weights)
+        deltas = [0.1]
+        for anchor in anchors:
+            for k in (3, 10):
+                on = anchor / k
+                deltas += [on, np.nextafter(on, 0.0), np.nextafter(on, np.inf)]
+        # Quotients a few ulps beside an integer, not on it, are there.
+        quotients = np.divide.outer(weights, deltas)
+        beside = np.abs(quotients - np.round(quotients))
+        assert ((beside > 0) & (beside <= 4 * np.spacing(quotients))).sum() >= 20
         leaves = np.arange(1, len(weights) + 1, dtype=np.int64)
         cv = _view_from_edges(
             np.zeros(leaves.size, dtype=np.int64), leaves, np.array(weights), leaves.size + 1
         )
-        algorithm = SSSP(delta=delta)
-        compiled, fallback = _both_paths(
-            lambda: observed(algorithm.fs_run(cv, source=0))
-        )
-        assert compiled == fallback
-        # Every pass after the source's settles the leaves of one bucket,
-        # buckets ascending, and every leaf is settled.
-        bucket = np.floor_divide(np.array([0.0] + weights), delta)
-        taken = [set(bucket[push].tolist()) for push in _pushed(compiled)]
-        assert all(len(buckets) == 1 for buckets in taken)
-        order = [buckets.pop() for buckets in taken]
-        assert order == sorted(order) and set(order) == set(bucket.tolist())
+        for delta in deltas:
+            algorithm = SSSP(delta=float(delta))
+            compiled, fallback = _both_paths(
+                lambda: observed(algorithm.fs_run(cv, source=0))
+            )
+            assert compiled == fallback
+            # Every pass after the source's settles the leaves of one
+            # bucket, buckets ascending, and every leaf is settled.
+            bucket = np.floor_divide(np.array([0.0] + weights), delta)
+            taken = [set(bucket[push].tolist()) for push in _pushed(compiled)]
+            assert all(len(buckets) == 1 for buckets in taken)
+            order = [buckets.pop() for buckets in taken]
+            assert order == sorted(order) and set(order) == set(bucket.tolist())
 
     def test_bucket_index_must_fit_int64(self):
-        """The largest float32 quotient below 2**63 is a bucket like any
-        other; 2**63 and the largest float32 are refused with the same
-        error by both engines.  Fails (under UBSan: traps on the cast)
-        when the kernel casts first."""
+        """The largest double below 2**63 is a bucket like any other (the
+        largest float32 below 2**63 over a delta just under 1 lands on
+        it); a quotient of 2**63 (the next delta down) and the largest
+        float32 are refused with the same error by both engines.  Fails
+        (under UBSan: traps on the cast) when the kernel casts first."""
         limit = 2.0**63
-        for weight, fits in (
-            (float(np.nextafter(np.float32(limit), np.float32(0.0))), True),
-            (limit, False),
-            (float(np.finfo(np.float32).max), False),
+        weight = float(np.nextafter(np.float32(limit), np.float32(0.0)))
+        delta = weight / np.nextafter(limit, 0.0)
+        assert np.floor_divide(weight, delta) == np.nextafter(limit, 0.0)
+        for weight, delta, fits in (
+            (weight, delta, True),
+            (weight, np.nextafter(delta, 0.0), False),
+            (limit, delta, False),
+            (float(np.finfo(np.float32).max), delta, False),
         ):
             cv = _view_from_edges(
                 np.zeros(2, dtype=np.int64),
@@ -651,7 +672,7 @@ class TestRunLog:
 
             def run():
                 try:
-                    return observed(SSSP(delta=1.0).fs_run(cv, source=0))
+                    return observed(SSSP(delta=float(delta)).fs_run(cv, source=0))
                 except SimulationError as exc:
                     return str(exc)
 

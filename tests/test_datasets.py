@@ -254,6 +254,31 @@ class TestSnapLoader:
         batch = load_snap_edges(path)
         assert max(batch.src.max(), batch.dst.max()) == 2
 
+    @pytest.mark.parametrize("transport", ["ram", "mmap"])
+    def test_relabel_takes_ids_past_int32(self, tmp_path, transport):
+        """Raw ids past 2**31 (and up to int64's largest) are compacted
+        before they reach the int32 columns, in RAM and into a stream
+        directory alike.  Fails when the parse hands raw ids to the
+        columns and relabels afterwards."""
+        path = tmp_path / "graph.txt"
+        path.write_text(f"{2**31} 7\n7 {2**63 - 1}\n{2**63 - 1} {2**31}\n")
+        mmap_dir = tmp_path / "stream" if transport == "mmap" else None
+        batch = load_snap_edges(path, mmap_dir=mmap_dir)
+        assert batch.src.tolist() == [1, 0, 2]
+        assert batch.dst.tolist() == [0, 2, 1]
+        assert batch.src.dtype == np.int32
+
+    @pytest.mark.parametrize("transport", ["ram", "mmap"])
+    @pytest.mark.parametrize("line", [f"{2**31} 1", "-1 1"])
+    def test_no_relabel_refuses_ids_outside_int32(self, tmp_path, transport, line):
+        """Without relabelling, ids past 2**31 and negative ids are
+        refused the same way by both transports."""
+        path = tmp_path / "graph.txt"
+        path.write_text(f"0 1\n{line}\n")
+        mmap_dir = tmp_path / "stream" if transport == "mmap" else None
+        with pytest.raises(DatasetError, match="outside"):
+            load_snap_edges(path, relabel=False, mmap_dir=mmap_dir)
+
     def test_no_relabel(self, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("100 200\n")

@@ -107,6 +107,19 @@ class TestStreamFormat:
         writer.abort()
         assert (tmp_path / "s" / "src.bin").stat().st_size == 0
 
+    def test_the_writer_casts_integral_float_ids_and_refuses_others(self, tmp_path):
+        """``EdgeStreamWriter.append`` casts what it is handed, float id
+        columns such as ``np.zeros(n)`` included, as long as every id is
+        an integer; a fractional id is refused before anything is
+        written."""
+        writer = EdgeStreamWriter(tmp_path / "s")
+        with pytest.raises(DatasetError, match="must be integers"):
+            writer.append(np.array([0.0, 1.5]), np.zeros(2), np.ones(2))
+        assert (tmp_path / "s" / "src.bin").stat().st_size == 0
+        writer.append(np.array([3.0, 0.0]), np.zeros(2), np.ones(2))
+        writer.close()
+        assert open_edge_mmap(tmp_path / "s").src.tolist() == [3, 0]
+
     def test_the_writer_refuses_an_inexact_weight(self, tmp_path):
         writer = EdgeStreamWriter(tmp_path / "s")
         with pytest.raises(DatasetError, match="not a float32"):
@@ -127,7 +140,7 @@ class TestStreamFormat:
     def test_a_version_one_directory_is_refused_by_name(self, tmp_path):
         write_edge_mmap(tmp_path / "s", EdgeBatch.from_edges([(0, 1), (1, 2)]))
         self._as_version_one(tmp_path / "s")
-        with pytest.raises(DatasetError, match="version-1 edge stream.*regenerate"):
+        with pytest.raises(DatasetError, match="layout version 1 .*regenerate"):
             open_edge_mmap(tmp_path / "s")
 
     def test_make_rmat_dataset_regenerates_over_a_version_one_directory(self, tmp_path):
