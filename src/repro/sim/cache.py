@@ -15,10 +15,14 @@ library (:mod:`repro.sim.ckernel`) loaded:
 - the reference and no-compiler fallback: :class:`SetAssociativeCache`
   objects (one insertion-ordered dict per set) driven access by access
   by ``CacheHierarchy._replay``;
-- the fast path: one ``tags[caches, sets, ways]`` int64 array per level
-  (MRU first, -1 = empty way) walked by one ``saga_cache_replay`` call
-  per replay -- a linear scan over at most 16 ways, the right structure
-  for a loop that evicts on almost half of its look-ups.
+- the fast path: one int32 ``tags[caches, sets, lanes]`` array per
+  level (each set MRU first, -1 = empty way, its ways padded with -1 to
+  a multiple of four lanes) walked by one ``saga_cache_replay`` call per
+  replay.  Sets are indexed with shifts and masks, and each look-up is
+  one branch-free pass over the set four ways at a time: compare every
+  way to the tag, then move every way up to the hit (or the whole set,
+  on a miss) one place towards the LRU end -- the right structure for a
+  loop that evicts on almost half of its look-ups.
 
 A hierarchy never mixes the two.  ``tests/test_sim_cache.py`` replays
 the same traces through both, call by call on persistent hierarchies,
@@ -28,7 +32,7 @@ and requires every :class:`CacheStats` field equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,7 +44,9 @@ from repro.sim.machine import MachineConfig
 from repro.sim.trace import MemoryTrace
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+#: Tags are int32 in the native state: an address is replayed only if
+#: its tag at every level, ``line >> log2(sets)``, is below this.
+_TAG_LIMIT = 1 << 31
 
 
 def _set_count(size_bytes: int, ways: int, line_bytes: int) -> int:
@@ -55,9 +61,22 @@ def _set_count(size_bytes: int, ways: int, line_bytes: int) -> int:
     return size_bytes // (ways * line_bytes)
 
 
-def _check_range(column: str, values: np.ndarray, stop: int) -> None:
-    """Raise unless every element of a replay input lies in ``[0, stop)``."""
-    if len(values) and (values.min() < 0 or values.max() >= stop):
+def _log2(power_of_two: int) -> int:
+    return power_of_two.bit_length() - 1
+
+
+def _check_range(column: str, values: np.ndarray, stop: Optional[int] = None) -> None:
+    """Raise unless every element of an integer replay input lies in
+    ``[0, stop)`` (``None``: up to its dtype's maximum).
+
+    One pass: the column's unsigned view reads a negative value as at
+    least ``2**(bits - 1)``, so its maximum alone decides once ``stop``
+    is capped there.
+    """
+    bits = 8 * values.dtype.itemsize
+    limit = 1 << (bits - 1)
+    stop = limit if stop is None else min(stop, limit)
+    if len(values) and values.view(f"u{values.dtype.itemsize}").max() >= stop:
         raise SimulationError(
             f"cannot replay trace: {column} spans [{values.min()}, {values.max()}], "
             f"outside [0, {stop})"
@@ -143,10 +162,21 @@ class CacheHierarchy:
         #: Decides the state's representation, once, for the
         #: hierarchy's life.
         self._native = ckernel.get_cache_replay()
+        sets = [_set_count(size, ways, line) for _, size, ways in levels]
+        #: Addresses from here on have a tag past int32 at some level.
+        self._address_stop = _TAG_LIMIT * line * min(sets)
         if self._native is not None:
             self._tags = [
-                np.full((caches, _set_count(size, ways, line), ways), -1, dtype=np.int64)
-                for caches, size, ways in levels
+                np.full((caches, count, -(-ways // 4) * 4), -1, dtype=np.int32)
+                for (caches, _, ways), count in zip(levels, sets)
+            ]
+            self._core_socket = (
+                np.arange(cores) // machine.cores_per_socket
+            ).astype(np.int32)
+            self._geometry = [
+                arg
+                for tags, count, (_, _, ways) in zip(self._tags, sets, levels)
+                for arg in (tags.ctypes.data, _log2(count), ways)
             ]
         else:
             self._l1, self._l2, self._llc = (
@@ -159,9 +189,10 @@ class CacheHierarchy:
 
         ``task_thread`` maps each task id in the trace to the thread
         that executed it (from a :class:`~repro.sim.scheduler.ScheduleResult`).
-        A negative address, a task id outside ``task_thread`` or a
+        A negative address or one whose tag does not fit int32 (see
+        ``_address_stop``), a task id outside ``task_thread`` or a
         negative thread id raises :class:`SimulationError` before any
-        cache state changes.
+        cache state changes, on either engine.
         """
         engine, replay = (
             ("python", self._replay)
@@ -171,10 +202,10 @@ class CacheHierarchy:
         with TRACER.span(
             "cache.replay", args={"engine": engine, "accesses": len(trace)}
         ):
-            task_thread = np.ascontiguousarray(task_thread, dtype=np.int64)
-            _check_range("addresses", trace.addresses, _INT64_MAX)
+            task_thread = np.asarray(task_thread)
+            _check_range("addresses", trace.addresses, self._address_stop)
             _check_range("task_ids", trace.task_ids, len(task_thread))
-            _check_range("task_thread", task_thread, _INT64_MAX)
+            _check_range("task_thread", task_thread)
             stats = replay(trace, task_thread)
             if METRICS.enabled:
                 self._record_metrics(stats)
@@ -240,25 +271,25 @@ class CacheHierarchy:
         return stats
 
     def _replay_native(self, trace: MemoryTrace, task_thread: np.ndarray) -> CacheStats:
-        """:meth:`_replay` as one ``saga_cache_replay`` call over the columns."""
+        """:meth:`_replay` as one ``saga_cache_replay`` call over the
+        columns, with each task's core computed once, here."""
         machine = self.machine
         addresses = np.ascontiguousarray(trace.addresses, dtype=np.int64)
         task_ids = np.ascontiguousarray(trace.task_ids, dtype=np.int64)
+        task_core = np.ascontiguousarray(
+            task_thread % machine.physical_cores, dtype=np.int32
+        )
         counters = np.zeros(8, dtype=np.int64)
-        l1, l2, llc = self._tags
-        geometry = []
-        for tags in (l1, l2, llc):
-            geometry += [tags.ctypes.data, tags.shape[1], tags.shape[2]]
         self._native(
             len(addresses),
             addresses.ctypes.data,
             task_ids.ctypes.data,
-            task_thread.ctypes.data,
-            machine.line_bytes,
-            machine.page_bytes // machine.line_bytes,
-            l1.shape[0],
-            llc.shape[0],
-            *geometry,
+            task_core.ctypes.data,
+            self._core_socket.ctypes.data,
+            _log2(machine.line_bytes),
+            _log2(machine.page_bytes // machine.line_bytes),
+            machine.sockets,
+            *self._geometry,
             counters.ctypes.data,
         )
         return CacheStats(len(addresses), *counters.tolist())

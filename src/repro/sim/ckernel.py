@@ -13,9 +13,11 @@ dependencies:
 - ``saga_cache_replay`` (:func:`get_cache_replay`): the set-associative
   LRU replay of a :class:`~repro.sim.trace.MemoryTrace` through the
   L1/L2/LLC state arrays of :class:`repro.sim.cache.CacheHierarchy`.
-  Integer-only; its reference is the ``SetAssociativeCache`` loop in
-  :mod:`repro.sim.cache`, and ``tests/test_sim_cache.py`` holds the
-  verifier between the two.
+  Integer-only and division-free on its hot path; its reference is the
+  ``SetAssociativeCache`` loop in :mod:`repro.sim.cache`, and
+  ``tests/test_sim_cache.py`` holds the verifier between the two, while
+  ``tests/test_cache_stack_distance.py`` checks both against LRU stack
+  distances (:func:`repro.verify.cache_replay_counts`).
 
 The event loop is a strict drop-in for the Python loop in
 ``DynamicScheduler._run_event_loop``:
@@ -46,6 +48,7 @@ __all__ = ["get_kernel", "get_cache_replay"]
 _SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Discrete-event scheduler loop over columnar task streams.
  *
@@ -152,76 +155,125 @@ int64_t saga_event_loop(
     return contended;
 }
 
-/* One look-up in one set-associative LRU cache; 1 on a hit.
+/* Four ways of one set: the probe below reads and writes a set four
+ * ways at a time through GCC/Clang vector extensions, which every
+ * target of those compilers lowers (to SIMD where it has it). */
+typedef int32_t lanes __attribute__((vector_size(16)));
+
+/* One look-up in one set of a set-associative LRU cache; 1 on a hit.
  *
- * `tags` is tags[caches][sets][ways], every set ordered MRU first with
- * -1 in its empty ways, which therefore trail (tags of real lines are
- * never negative).  A hit at position p rotates [0..p] so the tag
- * leads; a miss is the same rotation over the whole set, which drops
- * the last way: an empty one while there is one, else the LRU line.
+ * `set` holds the set's `ways` tags MRU first, -1 in its empty ways
+ * (which therefore trail; tags are never negative), padded with -1 to
+ * a multiple of four lanes.  The look-up moves the tag to the front:
+ * every way up to the tag's position p takes its MRU neighbour's tag,
+ * and a miss takes p = ways - 1, which drops the last way -- an empty
+ * one while there is one, else the LRU line.  Neither the probe nor
+ * the move branches on the data: one pass compares every way to the
+ * tag (a set holds a tag at most once, so summing `position + 1` over
+ * the matching lanes gives p + 1, or 0 on a miss; two lane swaps add
+ * the four partial sums into every lane), and a second blends every
+ * way with its MRU-shifted neighbour where its position is <= p.
+ * Padding lanes sit past ways - 1 >= p, so they keep their -1.
+ * The second pass runs top down: an unaligned load at `set + k - 1`
+ * then still reads the old tags of the four ways below, and the
+ * bottom four take the tag itself as their neighbour of lane 0.
  */
-static int lru_access(int64_t *tags, int64_t sets, int64_t ways,
-                      int64_t cache, int64_t line)
+static int lru_access(int32_t *set, int32_t tag, int64_t ways)
 {
-    int64_t *set = tags + (cache * sets + line % sets) * ways;
-    int64_t tag = line / sets;
-    int64_t last = ways - 1, p = 0, q;
-    int hit;
-    while (p < last && set[p] != tag)
-        p++;
-    hit = set[p] == tag;
-    for (q = p; q > 0; q--)
-        set[q] = set[q - 1];
-    set[0] = tag;
-    return hit;
+    int64_t padded = (ways + 3) & ~(int64_t)3, k;
+    lanes key = {tag, tag, tag, tag};
+    lanes four = {4, 4, 4, 4};
+    lanes above = {1, 2, 3, 4};
+    lanes found = {0, 0, 0, 0};
+    lanes position = {0, 1, 2, 3};
+    lanes all_ways = {(int32_t)ways, (int32_t)ways, (int32_t)ways, (int32_t)ways};
+    lanes way, shifted, move, last;
+    for (k = 0; k < padded; k += 4) {
+        memcpy(&way, set + k, sizeof way);
+        found += (way == key) & above;
+        above += four;
+    }
+    found += (lanes){found[2], found[3], found[0], found[1]};
+    found += (lanes){found[1], found[0], found[3], found[2]};
+    last = found - 1 + (all_ways & (found == 0));
+    for (k = padded - 4; k > 0; k -= 4) {
+        memcpy(&way, set + k, sizeof way);
+        memcpy(&shifted, set + k - 1, sizeof shifted);
+        move = position + (int32_t)k <= last;
+        way = (shifted & move) | (way & ~move);
+        memcpy(set + k, &way, sizeof way);
+    }
+    memcpy(&way, set, sizeof way);
+    shifted = (lanes){tag, way[0], way[1], way[2]};
+    move = position <= last;
+    way = (shifted & move) | (way & ~move);
+    memcpy(set, &way, sizeof way);
+    return found[0] != 0;
 }
 
 /* Replay an access trace through private L1/L2 per core and a shared
  * LLC per socket: CacheHierarchy._replay access for access.
  *
- * The caller has checked every address, task id and thread id to be in
- * range (addresses in [0, INT64_MAX), task ids index `task_thread`,
- * thread ids >= 0) and every divisor below to be >= 1.  `counters`
- * receives l1 hits/misses, l2 hits/misses, llc hits/misses, local and
- * remote memory accesses, in CacheStats field order.
+ * Lines, pages and sets are powers of two (MachineConfig refuses any
+ * other geometry), so an access costs shifts and masks only: its line
+ * is `address >> line_log2`, and at a level with 2**log2 sets its set
+ * is `line & (2**log2 - 1)` and its tag `line >> log2`.  Each level is
+ * tags[caches][2**log2][ways rounded up to a multiple of 4], int32.
+ * The one division left, the home socket of an LLC miss, divides by
+ * `sockets`, which need not be a power of two.
+ *
+ * The caller has checked every task id to index `task_core`, every
+ * core in `task_core` to index `core_socket`, every tag to fit int32
+ * (address >> (line_log2 + the smallest log2) < 2**31), and `sockets`
+ * to be >= 1.  `counters` receives l1 hits/misses, l2 hits/misses, llc
+ * hits/misses, local and remote memory accesses, in CacheStats field
+ * order.
  */
 void saga_cache_replay(
     int64_t n,
     const int64_t *addresses,
     const int64_t *task_ids,
-    const int64_t *task_thread,
-    int64_t line_bytes,
-    int64_t lines_per_page,
-    int64_t cores,
+    const int32_t *task_core,
+    const int32_t *core_socket,
+    int64_t line_log2,
+    int64_t page_log2,
     int64_t sockets,
-    int64_t *l1, int64_t l1_sets, int64_t l1_ways,
-    int64_t *l2, int64_t l2_sets, int64_t l2_ways,
-    int64_t *llc, int64_t llc_sets, int64_t llc_ways,
+    int32_t *l1, int64_t l1_log2, int64_t l1_ways,
+    int32_t *l2, int64_t l2_log2, int64_t l2_ways,
+    int32_t *llc, int64_t llc_log2, int64_t llc_ways,
     int64_t *counters)
 {
-    int64_t cores_per_socket = cores / sockets;
+    int64_t l1_mask = ((int64_t)1 << l1_log2) - 1;
+    int64_t l2_mask = ((int64_t)1 << l2_log2) - 1;
+    int64_t llc_mask = ((int64_t)1 << llc_log2) - 1;
+    int64_t l1_padded = (l1_ways + 3) & ~(int64_t)3;
+    int64_t l2_padded = (l2_ways + 3) & ~(int64_t)3;
+    int64_t llc_padded = (llc_ways + 3) & ~(int64_t)3;
     int64_t l1_hits = 0, l2_hits = 0, l2_misses = 0;
     int64_t llc_hits = 0, local = 0, remote = 0;
     int64_t i;
     for (i = 0; i < n; i++) {
-        int64_t line = addresses[i] / line_bytes;
-        int64_t core = task_thread[task_ids[i]] % cores;
+        int64_t line = addresses[i] >> line_log2;
+        int64_t core = task_core[task_ids[i]];
         int64_t socket;
-        if (lru_access(l1, l1_sets, l1_ways, core, line)) {
+        if (lru_access(l1 + ((core << l1_log2) + (line & l1_mask)) * l1_padded,
+                       (int32_t)(line >> l1_log2), l1_ways)) {
             l1_hits++;
             continue;
         }
-        if (lru_access(l2, l2_sets, l2_ways, core, line)) {
+        if (lru_access(l2 + ((core << l2_log2) + (line & l2_mask)) * l2_padded,
+                       (int32_t)(line >> l2_log2), l2_ways)) {
             l2_hits++;
             continue;
         }
         l2_misses++;
-        socket = core / cores_per_socket;
-        if (lru_access(llc, llc_sets, llc_ways, socket, line)) {
+        socket = core_socket[core];
+        if (lru_access(llc + ((socket << llc_log2) + (line & llc_mask)) * llc_padded,
+                       (int32_t)(line >> llc_log2), llc_ways)) {
             llc_hits++;
             continue;
         }
-        if ((line / lines_per_page) % sockets == socket)
+        if ((line >> page_log2) % sockets == socket)
             local++;
         else
             remote++;
@@ -266,10 +318,11 @@ def _bind(lib: ctypes.CDLL):
     replay.restype = None
     replay.argtypes = (
         [ctypes.c_int64]  # n
-        + [ctypes.c_void_p] * 3  # addresses, task_ids, task_thread
-        # line_bytes, lines_per_page, cores, sockets
-        + [ctypes.c_int64] * 4
-        # l1, l2, llc: tags, sets, ways
+        # addresses, task_ids, task_core, core_socket
+        + [ctypes.c_void_p] * 4
+        # line_log2, page_log2 (lines per page), sockets
+        + [ctypes.c_int64] * 3
+        # l1, l2, llc: tags, log2 of the set count, ways
         + [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] * 3
         + [ctypes.c_void_p]  # counters
     )

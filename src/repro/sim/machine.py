@@ -21,12 +21,18 @@ CACHE_LINE_BYTES = 64
 PAGE_BYTES = 4096
 
 
+def _is_power_of_two(value: int) -> bool:
+    return value > 0 and not value & (value - 1)
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """A dual-socket shared-memory server, described structurally.
 
     All capacity fields are in bytes and all bandwidths in bytes per
-    second so that derived counters never need unit juggling.
+    second so that derived counters never need unit juggling.  The line
+    size, the lines per page and every level's set count are powers of
+    two, so the cache replay indexes them with shifts and masks.
     """
 
     sockets: int = 2
@@ -58,16 +64,34 @@ class MachineConfig:
         for name in ("line_bytes", "page_bytes", "l1_ways", "l2_ways", "llc_ways"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.page_bytes % self.line_bytes:
+        # The replay indexes lines, pages and sets with shifts and masks.
+        if not _is_power_of_two(self.line_bytes):
             raise ConfigError(
-                f"page_bytes must be a multiple of the line size "
-                f"{self.line_bytes}, got {self.page_bytes}"
+                f"line_bytes must be a power of two, got {self.line_bytes}"
             )
-        for name in ("l1d_bytes", "l2_bytes", "llc_bytes_per_socket"):
+        if self.page_bytes % self.line_bytes or not _is_power_of_two(
+            self.page_bytes // self.line_bytes
+        ):
+            raise ConfigError(
+                f"page_bytes must be a power-of-two number of "
+                f"{self.line_bytes}-byte lines, got {self.page_bytes}"
+            )
+        for name, ways in (
+            ("l1d_bytes", self.l1_ways),
+            ("l2_bytes", self.l2_ways),
+            ("llc_bytes_per_socket", self.llc_ways),
+        ):
             value = getattr(self, name)
             if value <= 0 or value % self.line_bytes:
                 raise ConfigError(
                     f"{name} must be a positive multiple of the line size, got {value}"
+                )
+            if value % (ways * self.line_bytes) or not _is_power_of_two(
+                value // (ways * self.line_bytes)
+            ):
+                raise ConfigError(
+                    f"{name} must hold a power-of-two number of sets of "
+                    f"{ways} {self.line_bytes}-byte ways, got {value}"
                 )
 
     @property

@@ -26,6 +26,13 @@ is the value of a real path, so the two conditions pin the exact answer.
 
 PR has no tight path.  :func:`check_pagerank` bounds how far one more
 Jacobi step moves an FS run's ranks.
+
+Cache replays are checked the same way: :func:`cache_replay_counts`
+recomputes a cache hierarchy's counters from LRU stack distances
+(Mattson et al., IBM Sys. J. 1970), with no LRU state at all.  An
+access hits an LRU level iff fewer distinct lines of its set were
+touched, in that level's input stream, since the previous access to
+its line; the distance is a count of first touches in that window.
 """
 
 from __future__ import annotations
@@ -162,3 +169,108 @@ def check_pagerank(values, edges, num_nodes, damping, epsilon):
             f"PR: one more Jacobi step moves the ranks by {residual!r} in L1, "
             f"more than {bound!r}"
         )
+
+
+def stack_distances(groups, lines):
+    """Each access's LRU stack distance within its group: how many
+    distinct lines of the same group were accessed since the previous
+    access to its line, or -1 on the first access to the line.
+
+    ``groups`` and ``lines`` are integer columns in access order; an
+    access's line is ``(group, line)``.  With the accesses ordered group
+    by group (stable, so in access order within a group), a line's
+    previous access ``a`` and the access ``i`` bound a window of its own
+    group, and the distinct lines in it are the window's positions ``k``
+    whose own previous access lies at or before ``a`` (or nowhere):
+    ``#{k < i : prev[k] <= a} - (a + 1)``, since every ``k <= a``
+    qualifies.  :func:`_dominance_counts` counts the first term for all
+    windows at once.
+    """
+    groups = np.asarray(groups, dtype=np.int64)
+    lines = np.asarray(lines, dtype=np.int64)
+    n = len(lines)
+    order = np.argsort(groups, kind="stable")
+    # Previous position (in group order) of the same (group, line).
+    by_line = np.lexsort((lines[order], groups[order]))
+    group, line = groups[order][by_line], lines[order][by_line]
+    same = np.zeros(n, dtype=bool)
+    same[1:] = (group[1:] == group[:-1]) & (line[1:] == line[:-1])
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[by_line[same]] = by_line[np.flatnonzero(same) - 1]
+    reuse = np.flatnonzero(prev >= 0)
+    sorted_distance = np.full(n, -1, dtype=np.int64)
+    sorted_distance[reuse] = _dominance_counts(prev, reuse, prev[reuse]) - (
+        prev[reuse] + 1
+    )
+    distance = np.empty(n, dtype=np.int64)
+    distance[order] = sorted_distance
+    return distance
+
+
+def _dominance_counts(prev, at, bound):
+    """``#{k < at[j] : prev[k] <= bound[j]}`` for every query ``j``.
+
+    ``k < at`` splits by the highest bit where ``k`` and ``at`` differ:
+    there ``at`` has a one and ``k`` a zero, and above it they agree, so
+    ``k >> b == (at >> b) - 1``.  Per bit, one sorted array of
+    ``(k >> b, prev[k])`` keys answers every query with two binary
+    searches.
+    """
+    n = len(prev)
+    width = n + 1  # prev + 1 lies in [0, n]
+    counts = np.zeros(len(at), dtype=np.int64)
+    positions = np.arange(n, dtype=np.int64)
+    for b in range(max(n.bit_length(), 1)):
+        split = ((at >> b) & 1).astype(bool)
+        if not split.any():
+            continue
+        keys = np.sort((positions >> b) * width + prev + 1)
+        base = ((at[split] >> b) - 1) * width
+        counts[split] += np.searchsorted(
+            keys, base + bound[split] + 1, side="right"
+        ) - np.searchsorted(keys, base, side="left")
+    return counts
+
+
+def cache_replay_counts(
+    calls, line_bytes, page_bytes, sockets, cores_per_socket, levels
+):
+    """The counters of a sequence of replays through one persistent
+    hierarchy, one tuple per call: accesses, L1 hits and misses, L2 hits
+    and misses, LLC hits and misses, local and remote memory accesses.
+
+    ``calls`` are ``(addresses, task_ids, task_thread)`` triples: byte
+    addresses, the task of each access, and each task's thread.
+    ``levels`` is ``((sets, ways), ...)`` for the private L1 and L2 (one
+    per core, ``thread % cores``) and the shared LLC (one per socket,
+    ``core // cores_per_socket``).  A miss goes on to the next level;
+    an LLC miss reads memory on page ``line // (page_bytes //
+    line_bytes)``, homed on socket ``page % sockets``.
+    """
+    calls = [[np.asarray(column, dtype=np.int64) for column in c] for c in calls]
+    empty = np.zeros(0, dtype=np.int64)
+    line = np.concatenate([empty] + [addresses // line_bytes for addresses, _, _ in calls])
+    core = np.concatenate(
+        [empty] + [threads[tasks] for _, tasks, threads in calls]
+    ) % (sockets * cores_per_socket)
+    socket = core // cores_per_socket
+    call = np.repeat(np.arange(len(calls)), [len(tasks) for _, tasks, _ in calls])
+
+    def tally(mask):
+        return np.bincount(call[mask], minlength=len(calls))
+
+    # Each level sees what the level above it missed, in access order.
+    reaching = np.ones(len(line), dtype=bool)
+    columns = [tally(reaching)]
+    for (sets, ways), cache in zip(levels, (core, core, socket)):
+        at = np.flatnonzero(reaching)
+        distance = stack_distances(
+            cache[at] * sets + line[at] % sets, line[at] // sets
+        )
+        hit = np.zeros(len(line), dtype=bool)
+        hit[at] = (distance >= 0) & (distance < ways)
+        reaching &= ~hit
+        columns += [tally(hit), tally(reaching)]
+    home = line // (page_bytes // line_bytes) % sockets
+    columns += [tally(reaching & (home == socket)), tally(reaching & (home != socket))]
+    return [tuple(int(column[i]) for column in columns) for i in range(len(calls))]

@@ -18,10 +18,10 @@ from repro.errors import ConfigError, SimulationError
 from repro.obs import METRICS
 from repro.sim import ckernel
 from repro.sim.cache import CacheHierarchy, CacheStats, SetAssociativeCache
-from repro.sim.machine import MachineConfig
+from repro.sim.machine import MachineConfig, SCALED_SKYLAKE_GOLD_6142, SKYLAKE_GOLD_6142
 from repro.sim.trace import MemoryTrace, TraceRecorder
 from tests import test_sim_ckernel
-from tests.conftest import ubsan_probe
+from tests.conftest import asan_probe, ubsan_probe
 
 
 def make_trace(addresses, writes=None):
@@ -207,16 +207,40 @@ def _geometry(sockets, cores_per_socket, l1, l2, llc, line=64, page_lines=64):
     )
 
 
-#: One set; one way; non-power-of-two set counts; 11 and 16 ways; 1 and
-#: 2 sockets; 1-4 cores per socket; pages of 1, 4 and 64 lines.
+#: One set; one way; 1-8 sets (``MachineConfig`` takes power-of-two set
+#: counts only); 11 and 16 ways; 1 and 2 sockets; 1-4 cores per socket,
+#: 3 of them not a power of two; pages of 1, 4 and 64 lines.
 GEOMETRIES = (
-    _geometry(1, 1, l1=(1, 1), l2=(1, 2), llc=(3, 2), page_lines=1),
+    _geometry(1, 1, l1=(1, 1), l2=(1, 2), llc=(4, 2), page_lines=1),
     _geometry(2, 1, l1=(1, 1), l2=(2, 1), llc=(8, 1), page_lines=1),
     _geometry(2, 2, l1=(2, 1), l2=(2, 2), llc=(1, 11), page_lines=4),
-    _geometry(2, 3, l1=(1, 2), l2=(3, 4), llc=(5, 4), page_lines=64),
-    _geometry(1, 4, l1=(2, 2), l2=(1, 16), llc=(6, 11), line=16, page_lines=4),
-    _geometry(2, 4, l1=(1, 2), l2=(3, 2), llc=(2, 16), line=32, page_lines=1),
+    _geometry(2, 3, l1=(1, 2), l2=(4, 4), llc=(8, 4), page_lines=64),
+    _geometry(1, 4, l1=(2, 2), l2=(1, 16), llc=(4, 11), line=16, page_lines=4),
+    _geometry(2, 4, l1=(1, 2), l2=(4, 2), llc=(2, 16), line=32, page_lines=1),
 )
+
+#: The machines the figures run on: 8/16/11 ways (the 11-way LLC pads
+#: its sets to 12 lanes) with 64/1 024/32 768 sets, and 8/16/16 ways
+#: with 4/64/2 048 sets.
+SHIPPED = (SKYLAKE_GOLD_6142, SCALED_SKYLAKE_GOLD_6142)
+
+
+def set_counts(machine):
+    """Set counts of L1, L2 and the LLC."""
+    return [
+        size // (ways * machine.line_bytes)
+        for size, ways in (
+            (machine.l1d_bytes, machine.l1_ways),
+            (machine.l2_bytes, machine.l2_ways),
+            (machine.llc_bytes_per_socket, machine.llc_ways),
+        )
+    ]
+
+
+def _address_stop(machine):
+    """The first address whose tag at some level does not fit int32."""
+    return 2**31 * machine.line_bytes * min(set_counts(machine))
+
 
 #: Lines the verifier's traces touch: a few times the largest LLC above,
 #: so every level sees hits, fills and evictions.
@@ -331,6 +355,74 @@ class TestNativeReplayMatchesReference:
         if machine.sockets > 1:
             assert total("local_memory_accesses") and total("remote_memory_accesses")
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("machine", SHIPPED, ids=["full", "scaled"])
+    def test_shipped_machines(self, machine, split):
+        """6 000 accesses from 8 tasks on wrapping threads, over 4 x 48
+        lines that share one set at every level: every level hits, fills
+        and evicts, in 8-, 11- and 16-way sets of up to 32 768 sets.
+        Kills every mutant of ``test_hypothesis_traces`` and a probe
+        that reads the padding lanes of the 11-way LLC as ways."""
+        rng = np.random.default_rng(3)
+        top = max(set_counts(machine))
+        lines = (rng.integers(0, top, size=4)[:, None] + top * np.arange(48)).ravel()
+        walk = np.cumsum(rng.integers(-2, 3, size=6000)) % len(lines)
+        picks = np.where(
+            rng.random(6000) < 0.5, walk, rng.integers(0, len(lines), size=6000)
+        )
+        pairs = _replay_both(
+            machine,
+            lines[picks] * machine.line_bytes
+            + rng.integers(0, machine.line_bytes, size=6000),
+            (np.arange(6000) // 50) % 8,
+            rng.integers(0, 3 * machine.physical_cores, size=8),
+            cuts=(1500, 3000, 4500) if split else (),
+        )
+        for got, want in pairs:
+            assert got == want
+        for field in (
+            "l1_hits", "l2_hits", "llc_hits", "llc_misses",
+            "local_memory_accesses", "remote_memory_accesses",
+        ):
+            assert sum(getattr(got, field) for got, _ in pairs), field
+
+    @pytest.mark.parametrize("machine", GEOMETRIES + SHIPPED)
+    def test_largest_addresses_with_int32_tags(self, machine):
+        """Lines up to the last byte below ``_address_stop``, all in the
+        last set of every level: their tags at the level with the fewest
+        sets are ``2**31 - 1`` and below, and replay alike on both
+        engines.  Kills: tags narrowed to int16; ``_address_stop`` one
+        bit too large (the top tag wraps negative, to an empty way)."""
+        step = machine.line_bytes * max(set_counts(machine))
+        top = _address_stop(machine) - 1
+        offsets = [0, 0, 1, 0, 2, 3, 0, 1, 40, 0, 2]
+        pairs = _replay_both(
+            machine, [top - step * k for k in offsets] + [0], [0] * 12, [0], cuts=()
+        )
+        (got, want), = pairs
+        assert got == want
+        assert got.l1_hits or got.l2_hits
+
+    @pytest.mark.parametrize("machine", GEOMETRIES + SHIPPED)
+    def test_last_set_of_every_level(self, machine):
+        """400 accesses from the last core of the last socket, over 20
+        lines that all land in the last set of every level.  Under
+        AddressSanitizer (``TestSimLibraryUnderUBSan``) a 16-byte load or
+        store past the end of a tags array is reported."""
+        rng = np.random.default_rng(7)
+        top = max(set_counts(machine))
+        lines = top - 1 + top * np.arange(20)
+        pairs = _replay_both(
+            machine,
+            rng.choice(lines, size=400) * machine.line_bytes,
+            np.zeros(400, dtype=np.int64),
+            [machine.physical_cores - 1],
+            cuts=(200,),
+        )
+        for got, want in pairs:
+            assert got == want
+        assert sum(got.l1_hits for got, _ in pairs)
+
     @pytest.mark.parametrize("with_tasks", [False, True])
     def test_empty_trace(self, with_tasks):
         """No accesses, with or without tasks: zero stats from both.
@@ -380,8 +472,10 @@ class TestReplayInputValidation:
 
     MACHINE = GEOMETRIES[0]  # one-set L1
 
-    def _assert_rejected_and_untouched(self, make_hierarchy, column, trace, task_thread):
-        hierarchy = make_hierarchy(self.MACHINE)
+    def _assert_rejected_and_untouched(
+        self, make_hierarchy, column, trace, task_thread, machine=MACHINE
+    ):
+        hierarchy = make_hierarchy(machine)
         with pytest.raises(SimulationError, match=column):
             hierarchy.replay(trace, task_thread)
         # The trace's first access was valid: had it been replayed, this
@@ -402,6 +496,16 @@ class TestReplayInputValidation:
         trace = make_trace([128, np.iinfo(np.int64).max])
         self._assert_rejected_and_untouched(
             make_hierarchy, "addresses", trace, np.zeros(1, dtype=np.int32)
+        )
+
+    @pytest.mark.parametrize("machine", [MACHINE, *SHIPPED])
+    def test_address_whose_tag_needs_more_than_int32(self, make_hierarchy, machine):
+        """The first line past the largest int32 tag is refused, on both
+        engines; ``test_largest_addresses_with_int32_tags`` replays the
+        line before it."""
+        self._assert_rejected_and_untouched(
+            make_hierarchy, "addresses", make_trace([128, _address_stop(machine)]),
+            np.zeros(1, dtype=np.int32), machine,
         )
 
     @pytest.mark.parametrize("task", [-1, 2])
@@ -434,13 +538,42 @@ import numpy as np
 from repro.sim import cbuild, ckernel
 cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
 one = np.zeros(1, dtype=np.int64)
-levels = [np.full(1, -1, dtype=np.int64) for _ in range(3)]
-geometry = [arg for tags in levels for arg in (tags.ctypes.data, 1, 1)]
+core = np.zeros(1, dtype=np.int32)
+# One set of one way per level, padded to four lanes.
+levels = [np.full(4, -1, dtype=np.int32) for _ in range(3)]
+geometry = [arg for tags in levels for arg in (tags.ctypes.data, 0, 1)]
 counters = np.zeros(8, dtype=np.int64)
-# lines_per_page = 0: the home-socket division is undefined.
+# sockets = 0: the home-socket division of the LLC miss is undefined.
 ckernel.get_cache_replay()(
-    1, one.ctypes.data, one.ctypes.data, one.ctypes.data,
-    64, 0, 1, 1, *geometry, counters.ctypes.data,
+    1, one.ctypes.data, one.ctypes.data, core.ctypes.data, core.ctypes.data,
+    6, 6, 0, *geometry, counters.ctypes.data,
+)
+"""
+
+
+_ASAN_CHILD = """
+import os, sys
+import numpy as np
+import pytest
+from repro.sim import cbuild, ckernel
+os.environ.pop("LD_PRELOAD")  # this process has it; cc need not
+cbuild.CFLAGS = cbuild.CFLAGS + tuple(sys.argv[1:])
+import tests.test_sim_cache  # loads the library: after the flags
+print("last sets exit", pytest.main([
+    "-q", "-p", "no:cacheprovider", "-rs",
+    tests.test_sim_cache.__file__
+    + "::TestNativeReplayMatchesReference::test_last_set_of_every_level",
+]), flush=True)
+# An L1 of two sets in the room of one: line 1 probes the missing set.
+address = np.full(1, 64, dtype=np.int64)
+task = np.zeros(1, dtype=np.int64)
+core = np.zeros(1, dtype=np.int32)
+l1, l2, llc = (np.full(4, -1, dtype=np.int32) for _ in range(3))
+counters = np.zeros(8, dtype=np.int64)
+ckernel.get_cache_replay()(
+    1, address.ctypes.data, task.ctypes.data, core.ctypes.data, core.ctypes.data,
+    6, 6, 1, l1.ctypes.data, 1, 1, l2.ctypes.data, 0, 1, llc.ctypes.data, 0, 1,
+    counters.ctypes.data,
 )
 """
 
@@ -452,12 +585,23 @@ class TestSimLibraryUnderUBSan(TestNativeReplayMatchesReference):
 
     def test_the_sanitizer_is_live(self, ubsan_libraries):
         """The build under test does trap: a raw call the Python side
-        would have refused (a page of zero lines) is reported by the
-        UBSan runtime in a child process."""
+        would have refused (a machine of zero sockets) is reported by
+        the UBSan runtime in a child process."""
         assert list(ubsan_libraries.glob("saga_native_*.so"))
         child = ubsan_probe(_UBSAN_PROBE)
         assert child.returncode != 0
         assert "runtime error: division by zero" in child.stderr
+
+    def test_last_sets_under_address_sanitizer(self, tmp_path):
+        """ASan sees what UBSan cannot: a set probe that loads or stores
+        a lane past the end of a level's tags.  The last set of every
+        level on every geometry gives it nothing; a tags array one set
+        short, right after them in the same child, is reported."""
+        child = asan_probe(_ASAN_CHILD, tmp_path)
+        assert "last sets exit 0" in child.stdout, child.stdout + child.stderr
+        assert "SKIPPED" not in child.stdout
+        assert child.returncode != 0
+        assert "heap-buffer-overflow" in child.stderr
 
     def test_event_loop_differential_suite(self):
         suite = unittest.defaultTestLoader.loadTestsFromTestCase(

@@ -5,8 +5,14 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.sim.cache import CacheHierarchy
-from repro.sim.machine import CACHE_LINE_BYTES, MachineConfig, SKYLAKE_GOLD_6142
+from repro.sim.machine import (
+    CACHE_LINE_BYTES,
+    MachineConfig,
+    SCALED_SKYLAKE_GOLD_6142,
+    SKYLAKE_GOLD_6142,
+)
 from repro.sim.trace import MemoryTrace
+from tests.test_sim_cache import set_counts
 
 
 class TestDefaults:
@@ -70,6 +76,36 @@ class TestValidation:
     def test_rejects_zero_ways(self, field):
         with pytest.raises(ConfigError, match=field):
             MachineConfig(**{field: 0})
+
+    def test_rejects_a_line_size_not_a_power_of_two(self):
+        """The replay shifts addresses by log2 of the line size."""
+        with pytest.raises(ConfigError, match="line_bytes"):
+            MachineConfig(line_bytes=48)
+
+    @pytest.mark.parametrize("lines", [3, 6, 96])
+    def test_rejects_pages_of_a_line_count_not_a_power_of_two(self, lines):
+        with pytest.raises(ConfigError, match="page_bytes"):
+            MachineConfig(page_bytes=lines * 64)
+
+    @pytest.mark.parametrize(
+        "field, ways", [("l1d_bytes", "l1_ways"), ("l2_bytes", "l2_ways"),
+                        ("llc_bytes_per_socket", "llc_ways")]
+    )
+    @pytest.mark.parametrize("sets", [3, 5, 6])
+    def test_rejects_a_set_count_not_a_power_of_two(self, field, ways, sets):
+        """The replay masks a line to its set."""
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(**{field: sets * 8 * 64, ways: 8})
+
+    @pytest.mark.parametrize("field", ["l1d_bytes", "l2_bytes", "llc_bytes_per_socket"])
+    def test_rejects_a_capacity_not_a_whole_number_of_sets(self, field):
+        """Whole lines, but 4.5 sets of 16 ways."""
+        with pytest.raises(ConfigError, match=field):
+            MachineConfig(**{field: 72 * 64, "l1_ways": 16, "l2_ways": 16, "llc_ways": 16})
+
+    def test_shipped_machines_have_power_of_two_geometry(self):
+        assert set_counts(SKYLAKE_GOLD_6142) == [64, 1024, 32768]
+        assert set_counts(SCALED_SKYLAKE_GOLD_6142) == [4, 64, 2048]
 
     def test_accepts_one_line_pages(self):
         assert MachineConfig(page_bytes=64).page_bytes == 64
