@@ -1,32 +1,23 @@
-"""Shared fixtures for the benchmark harnesses.
+"""Shared fixtures for the full-size shape assertions.
 
 The paper's evaluation artifacts come from two expensive sweeps: the
 software-level profile (Section V: Table III, Figs. 6-8) and the
 architecture-level profile (Section VI: Figs. 9-10).  Both run once per
-benchmark session here; the per-table/figure benchmarks then time their
-reduction step and write the rendered artifact to
-``benchmarks/output/``.
+benchmark session here, at full size; the per-table/figure benchmarks
+then time their reduction step and assert the paper's shapes on it.
 
-Set ``SAGA_BENCH_QUICK=1`` to run the sweeps at reduced scale while
-developing (the sweeps of ``python -m repro ... --quick``).  Both sweeps go through the experiment engine: point
-``SAGA_BENCH_CACHE_DIR`` at a directory to serve repeated benchmark
-sessions from the RunStore cache, and set ``SAGA_BENCH_JOBS=N`` to fan
-sweep cells over N worker processes.
+The artefacts themselves are written by one command,
+``python -m repro all --output benchmarks/output``.  Point
+``SAGA_BENCH_CACHE_DIR`` at the directory that run cached its sweeps in
+(``--cache-dir``) to serve this session's sweeps from the RunStore.
 """
 
 from __future__ import annotations
-
-import os
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import paper_hardware_profile, paper_software_profile
 from repro.engine import default_store
-
-QUICK = bool(int(os.environ.get("SAGA_BENCH_QUICK", "0")))
-
-OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
@@ -36,43 +27,12 @@ def run_store():
 
 
 @pytest.fixture(scope="session")
-def engine_jobs():
-    """Worker-process count for sweep cells (SAGA_BENCH_JOBS)."""
-    return int(os.environ.get("SAGA_BENCH_JOBS", "0")) or None
-
-
-@pytest.fixture(scope="session")
-def full_scale() -> bool:
-    """False under SAGA_BENCH_QUICK: skip full-scale shape assertions."""
-    return not QUICK
-
-
-@pytest.fixture(scope="session")
-def output_dir() -> Path:
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    return OUTPUT_DIR
-
-
-@pytest.fixture(scope="session")
-def record_output(output_dir):
-    """Write one rendered artifact to disk and echo it."""
-
-    def _record(name: str, text: str) -> str:
-        path = output_dir / f"{name}.txt"
-        path.write_text(text + "\n")
-        print(f"\n{text}\n[written to {path}]")
-        return text
-
-    return _record
-
-
-@pytest.fixture(scope="session")
-def software_profile(run_store, engine_jobs):
+def software_profile(run_store):
     """The full Section V sweep: all datasets, 4 structures x 2 models."""
-    return paper_software_profile(QUICK, run_store, engine_jobs)
+    return paper_software_profile(False, run_store)
 
 
 @pytest.fixture(scope="session")
-def hardware_profile(run_store, engine_jobs):
+def hardware_profile(run_store):
     """The full Section VI sweep on the scaled cache hierarchy."""
-    return paper_hardware_profile(QUICK, run_store, engine_jobs)
+    return paper_hardware_profile(False, run_store)

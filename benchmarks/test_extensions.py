@@ -1,27 +1,15 @@
 """Benches for the beyond-the-paper studies: memory footprint,
-batch-size sensitivity, deletions, and the multi-snapshot store."""
+batch-size sensitivity, deletions, the multi-snapshot store and the
+fifth structure.  Each times and checks what the
+:mod:`repro.analysis.extensions` function behind its ``ext_*``
+artefact returns."""
 
-import numpy as np
-
-from repro.analysis.memory_report import render_memory_report, run_memory_report
-from repro.analysis.sensitivity import render_sensitivity, run_batch_size_sensitivity
-from repro.datasets import load_dataset
-from repro.graph import ExecutionContext, make_structure
-from repro.graph.snapshots import SnapshotStore
-from repro.streaming import make_batches
+from repro.analysis import extensions
 
 
-def test_memory_footprint(benchmark, record_output):
+def test_memory_footprint(benchmark):
     """Bytes/edge per structure on a short- and a heavy-tailed stream."""
-
-    def run():
-        return [
-            run_memory_report(name, size_factor=0.5, batch_size=1250)
-            for name in ("LJ", "Talk")
-        ]
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_output("ext_memory_footprint", render_memory_report(reports))
+    reports = benchmark.pedantic(extensions.memory_footprint, rounds=1, iterations=1)
     for report in reports:
         per_edge = report.final_bytes_per_edge()
         # Stinger's 16-slot blocks waste the most space on sparse
@@ -29,17 +17,10 @@ def test_memory_footprint(benchmark, record_output):
         assert per_edge["Stinger"] > per_edge["AS"], per_edge
 
 
-def test_batch_size_sensitivity(benchmark, record_output):
-    def run():
-        return [
-            run_batch_size_sensitivity(
-                name, batch_sizes=(500, 1500, 4500), size_factor=0.5
-            )
-            for name in ("LJ", "Talk")
-        ]
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_output("ext_batch_size_sensitivity", render_sensitivity(results))
+def test_batch_size_sensitivity(benchmark):
+    results = benchmark.pedantic(
+        extensions.batch_size_sensitivity, rounds=1, iterations=1
+    )
     for result in results:
         # Chunked routing amortizes with batch size everywhere.
         for name in ("AC", "DAH"):
@@ -47,96 +28,33 @@ def test_batch_size_sensitivity(benchmark, record_output):
             assert series[4500] < series[500], (result.dataset, name, series)
 
 
-def test_deletion_churn(benchmark, record_output):
-    """A churn workload: ingest, delete a third, re-ingest."""
-    dataset = load_dataset("Talk", seed=4, size_factor=0.5)
-    batches = make_batches(dataset.edges, 1500, shuffle_seed=4)
-    ctx = ExecutionContext()
-
-    def churn():
-        lines = ["Deletion churn: update/delete/reinsert latency (ms)"]
-        for name in ("AS", "AC", "Stinger", "DAH"):
-            structure = make_structure(
-                name, dataset.max_nodes, directed=dataset.directed
-            )
-            insert_ms = sum(
-                structure.update(b, ctx).latency_seconds(ctx.machine)
-                for b in batches
-            ) * 1e3
-            victims = batches[0]
-            delete_ms = structure.delete(victims, ctx).latency_seconds(ctx.machine) * 1e3
-            reinsert_ms = structure.update(victims, ctx).latency_seconds(ctx.machine) * 1e3
-            lines.append(
-                f"  {name:8s} ingest {insert_ms:8.3f}  delete {delete_ms:7.3f}  "
-                f"reinsert {reinsert_ms:7.3f}"
-            )
-        return "\n".join(lines)
-
-    text = benchmark.pedantic(churn, rounds=1, iterations=1)
-    record_output("ext_deletion_churn", text)
-    assert "DAH" in text
+def test_deletion_churn(benchmark):
+    """A churn workload: ingest, delete the first batch, re-insert it."""
+    rows = benchmark.pedantic(extensions.run_deletion_churn, rounds=1, iterations=1)
+    assert list(rows) == list(extensions.CHURN_STRUCTURES)
+    for name, (ingest, delete, reinsert) in rows.items():
+        # Deleting or re-inserting one batch costs a fraction of the
+        # whole stream's ingest.
+        assert 0.0 < delete < ingest, (name, rows[name])
+        assert 0.0 < reinsert < ingest, (name, rows[name])
 
 
-def test_snapshot_store(benchmark, record_output):
+def test_snapshot_store(benchmark):
     """Multi-snapshot commit throughput and historical query check."""
-    dataset = load_dataset("LJ", seed=6, size_factor=0.5)
-    batches = make_batches(dataset.edges, 2500, shuffle_seed=6)
-
-    def build():
-        store = SnapshotStore(dataset.max_nodes, directed=dataset.directed)
-        for batch in batches:
-            store.commit(batch)
-        return store
-
-    store = benchmark.pedantic(build, rounds=1, iterations=1)
-    history = store.history()
-    text = "Multi-snapshot store: (snapshot, nodes, edges)\n" + "\n".join(
-        f"  {row}" for row in history
-    )
-    record_output("ext_snapshot_store", text)
-    edges = [row[2] for row in history]
+    store = benchmark.pedantic(extensions.run_snapshot_store, rounds=1, iterations=1)
+    edges = [row[2] for row in store.history()]
     assert edges == sorted(edges)
     assert store.snapshot(0).num_edges < store.latest().num_edges
 
 
-def test_fifth_structure_positioning(benchmark, record_output):
+def test_fifth_structure_positioning(benchmark):
     """Where the post-paper Hornet-style BA lands among the four.
 
     BA pairs AC's lockless chunking and AS-grade contiguous traversal
     with pooled power-of-two segments, so it should track AC on both
     tails while avoiding AS's heavy-tailed collapse.
     """
-    from repro.datasets import load_dataset
-    from repro.streaming import StreamConfig, StreamDriver
-
-    def run():
-        rows = {}
-        config = StreamConfig(
-            structures=("AS", "AC", "Stinger", "DAH", "BA"),
-            algorithms=("BFS",),
-            models=("INC",),
-        )
-        for name in ("LJ", "Talk"):
-            dataset = load_dataset(name, seed=1, size_factor=0.6)
-            result = StreamDriver(config).run(dataset)
-            batches = result.batches_per_rep
-            p3 = slice(batches - max(batches // 3, 1), batches)
-            base = result.update_latency("AS")[0, p3].mean()
-            rows[name] = {
-                structure: result.update_latency(structure)[0, p3].mean() / base
-                for structure in config.structures
-            }
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = ["Fifth structure (BA, Hornet-style): P3 update latency vs AS"]
-    for dataset, ratios in rows.items():
-        lines.append(
-            f"  {dataset:6s} "
-            + "  ".join(f"{s}:{r:5.2f}" for s, r in ratios.items())
-        )
-    record_output("ext_fifth_structure", "\n".join(lines))
-
+    rows = benchmark.pedantic(extensions.run_fifth_structure, rounds=1, iterations=1)
     # Short-tailed: BA stays within AC's neighborhood (same chunking).
     assert rows["LJ"]["BA"] <= rows["LJ"]["AC"] * 1.2
     # Heavy-tailed: BA, like AC, sails past AS's lock convoy.

@@ -12,11 +12,10 @@ Shape expectations from the paper (Section V-B):
 
 import numpy as np
 
-from repro.analysis.report import render_fig6
 from repro.datasets.catalog import HEAVY_TAILED, SHORT_TAILED
 
 
-def test_fig6(benchmark, software_profile, record_output, full_scale):
+def test_fig6(benchmark, software_profile):
     datasets = list(software_profile.results)
     algorithms = software_profile.results[datasets[0]].algorithms
 
@@ -28,14 +27,10 @@ def test_fig6(benchmark, software_profile, record_output, full_scale):
         }
 
     ratios = benchmark.pedantic(reduce_all, rounds=1, iterations=1)
-    record_output("fig6_data_structures", render_fig6(software_profile))
-
-    short = [d for d in SHORT_TAILED if d in datasets] if full_scale else []
-    heavy = [d for d in HEAVY_TAILED if d in datasets] if full_scale else []
 
     # (b) update, short-tailed: every structure costs more than AS and
     # DAH costs the most.
-    for dataset in short:
+    for dataset in SHORT_TAILED:
         update = ratios[(algorithms[0], dataset)]["update"]
         assert update["DAH"] > 1.5, (dataset, update)
         assert update["AC"] > 1.2, (dataset, update)
@@ -44,7 +39,7 @@ def test_fig6(benchmark, software_profile, record_output, full_scale):
 
     # (b) update, heavy-tailed: the ordering flips; DAH is fastest and
     # AS slowest.
-    for dataset in heavy:
+    for dataset in HEAVY_TAILED:
         update = ratios[(algorithms[0], dataset)]["update"]
         assert update["DAH"] < 0.5, (dataset, update)
         assert update["Stinger"] < 1.0, (dataset, update)
@@ -52,14 +47,13 @@ def test_fig6(benchmark, software_profile, record_output, full_scale):
         assert update["DAH"] == min(update.values()), (dataset, update)
 
     # The paper's averaged heavy-tailed factors: AS over DAH/Stinger/AC.
-    if heavy:
-        avg = {
-            s: float(np.mean([
-                1.0 / ratios[(algorithms[0], d)]["update"][s] for d in heavy
-            ]))
-            for s in ("AC", "Stinger", "DAH")
-        }
-        assert avg["DAH"] > avg["Stinger"] > avg["AC"] > 1.0, avg
+    avg = {
+        s: float(np.mean([
+            1.0 / ratios[(algorithms[0], d)]["update"][s] for d in HEAVY_TAILED
+        ]))
+        for s in ("AC", "Stinger", "DAH")
+    }
+    assert avg["DAH"] > avg["Stinger"] > avg["AC"] > 1.0, avg
 
     # (c) compute: DAH has the most expensive traversal on every dataset.
     for dataset in datasets:
@@ -72,12 +66,9 @@ def test_fig6(benchmark, software_profile, record_output, full_scale):
             )
 
     # (c) PR punishes DAH hardest among algorithms (degree queries).
-    if "PR" in algorithms:
-        for dataset in datasets:
-            pr_ratio = ratios[("PR", dataset)]["compute"]["DAH"]
-            others = [
-                ratios[(a, dataset)]["compute"]["DAH"]
-                for a in algorithms
-                if a != "PR"
-            ]
-            assert pr_ratio >= max(others) - 1e-9, (dataset, pr_ratio, others)
+    for dataset in datasets:
+        pr_ratio = ratios[("PR", dataset)]["compute"]["DAH"]
+        others = [
+            ratios[(a, dataset)]["compute"]["DAH"] for a in algorithms if a != "PR"
+        ]
+        assert pr_ratio >= max(others) - 1e-9, (dataset, pr_ratio, others)

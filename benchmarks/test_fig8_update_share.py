@@ -6,10 +6,7 @@ workloads -- it is not amortizable overhead but a first-class cost,
 especially for BFS/CC/SSWP and on the small heavy-tailed datasets.
 """
 
-from repro.analysis.report import render_fig8
-
-
-def test_fig8(benchmark, software_profile, record_output, full_scale):
+def test_fig8(benchmark, software_profile):
     datasets = list(software_profile.results)
     algorithms = software_profile.results[datasets[0]].algorithms
 
@@ -21,13 +18,9 @@ def test_fig8(benchmark, software_profile, record_output, full_scale):
         }
 
     shares = benchmark.pedantic(reduce_all, rounds=1, iterations=1)
-    record_output("fig8_update_share", render_fig8(software_profile))
 
     for value_list in shares.values():
         assert all(0.0 <= share <= 1.0 for share in value_list)
-
-    if not full_scale:
-        return
 
     # The paper's headline: >= 40% of batch latency in many workloads.
     above_40 = sum(
@@ -38,8 +31,7 @@ def test_fig8(benchmark, software_profile, record_output, full_scale):
     )
 
     # PR, the heaviest compute, has the smallest update share.
-    if "PR" in algorithms:
-        for dataset in datasets:
-            pr_share = shares[("PR", dataset)][2]
-            others = [shares[(a, dataset)][2] for a in algorithms if a != "PR"]
-            assert pr_share <= min(others) + 0.05, (dataset, pr_share, others)
+    for dataset in datasets:
+        pr_share = shares[("PR", dataset)][2]
+        others = [shares[(a, dataset)][2] for a in algorithms if a != "PR"]
+        assert pr_share <= min(others) + 0.05, (dataset, pr_share, others)

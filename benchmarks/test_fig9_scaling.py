@@ -11,10 +11,7 @@ Shape expectations from the paper (Sections VI-A / VI-B):
   (single hot chunk, no parallel misses).
 """
 
-from repro.analysis.report import render_fig9
-
-
-def test_fig9(benchmark, hardware_profile, record_output, full_scale):
+def test_fig9(benchmark, hardware_profile):
     def reduce_all():
         return {
             (group_name, phase): group.scaling_performance(phase)
@@ -23,26 +20,21 @@ def test_fig9(benchmark, hardware_profile, record_output, full_scale):
         }
 
     scaling = benchmark.pedantic(reduce_all, rounds=1, iterations=1)
-    record_output("fig9_scaling_bandwidth", render_fig9(hardware_profile))
 
     top = {key: max(perf.values()) for key, perf in scaling.items()}
 
-    if full_scale:
-        # (a) compute out-scales update within each group.
-        for group in hardware_profile.groups:
-            assert top[(group, "compute")] > top[(group, "update")], top
+    # (a) compute out-scales update within each group.
+    for group in hardware_profile.groups:
+        assert top[(group, "compute")] > top[(group, "update")], top
 
-        # (a) HTail update is the worst scaler of all four curves.
-        assert top[("HTail", "update")] == min(top.values()), top
+    # (a) HTail update is the worst scaler of all four curves.
+    assert top[("HTail", "update")] == min(top.values()), top
 
     # (a) every curve is monotone non-decreasing up to 5% noise.
     for perf in scaling.values():
         values = [perf[c] for c in sorted(perf)]
         for before, after in zip(values, values[1:]):
             assert after >= 0.95 * before, values
-
-    if not full_scale:
-        return
 
     # (b) HTail update uses a small fraction of STail update's memory
     # bandwidth (the paper: ~5GB/s vs 13-32GB/s).

@@ -26,7 +26,7 @@ def _demo_view():
     return view
 
 
-def test_table1(benchmark, record_output):
+def test_table1(benchmark):
     """Render Table I and exercise every algorithm in both models."""
     view = _demo_view()
 
@@ -41,7 +41,6 @@ def test_table1(benchmark, record_output):
         return render_table1()
 
     text = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    record_output("table1_algorithms", text)
     for name in ("BFS", "CC", "MC", "PR", "SSSP", "SSWP"):
         assert name in text
 

@@ -4,12 +4,10 @@ Regenerates every dataset stand-in and reports vertex/edge/batch
 counts next to the paper's full-scale numbers.
 """
 
-from repro.analysis.report import render_table2
 from repro.datasets import dataset_names, load_dataset
-from repro.datasets.catalog import DEFAULT_BATCH_SIZE
 
 
-def test_table2(benchmark, record_output):
+def test_table2(benchmark):
     def generate_all():
         rows = {}
         for name in dataset_names():
@@ -18,8 +16,6 @@ def test_table2(benchmark, record_output):
         return rows
 
     rows = benchmark.pedantic(generate_all, rounds=1, iterations=1)
-    text = render_table2(DEFAULT_BATCH_SIZE)
-    record_output("table2_datasets", text)
 
     # The paper's size ordering must hold for the stand-ins.
     assert rows["RMAT"][0] == max(edges for edges, _ in rows.values())

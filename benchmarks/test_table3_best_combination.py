@@ -12,13 +12,12 @@ Shape expectations from the paper:
 
 from collections import Counter
 
-from repro.analysis.report import render_table3
+from repro.datasets import dataset_names
 from repro.datasets.catalog import SHORT_TAILED
 
 
-def test_table3(benchmark, software_profile, record_output, full_scale):
+def test_table3(benchmark, software_profile):
     table = benchmark.pedantic(software_profile.table3, rounds=1, iterations=1)
-    record_output("table3_best_combination", render_table3(software_profile))
 
     p3_structures = Counter()
     p3_models = Counter()
@@ -28,27 +27,19 @@ def test_table3(benchmark, software_profile, record_output, full_scale):
         p3_models[p3.best.model] += 1
         assert p3.latency_seconds > 0
 
-    datasets = {dataset for _, dataset in table}
+    assert {dataset for _, dataset in table} == set(dataset_names())
 
     # INC is predominantly optimal (paper Section V-A).
     assert p3_models["INC"] > p3_models["FS"]
 
-    if full_scale:
-        # Short-tailed graphs: AS (occasionally Stinger) best at P3.
-        for dataset in SHORT_TAILED:
-            if dataset not in datasets:
-                continue
-            as_like = (
-                p3_structures[(dataset, "AS")] + p3_structures[(dataset, "Stinger")]
-            )
-            other = p3_structures[(dataset, "AC")] + p3_structures[(dataset, "DAH")]
-            assert as_like >= other, f"{dataset}: AS/Stinger should dominate P3"
+    # Short-tailed graphs: AS (occasionally Stinger) best at P3.
+    for dataset in SHORT_TAILED:
+        as_like = p3_structures[(dataset, "AS")] + p3_structures[(dataset, "Stinger")]
+        other = p3_structures[(dataset, "AC")] + p3_structures[(dataset, "DAH")]
+        assert as_like >= other, f"{dataset}: AS/Stinger should dominate P3"
 
-        # Heavy-tailed Talk: DAH is the most scalable structure at P3.
-        if "Talk" in datasets:
-            talk_total = sum(
-                count
-                for (dataset, _), count in p3_structures.items()
-                if dataset == "Talk"
-            )
-            assert p3_structures[("Talk", "DAH")] >= talk_total / 2
+    # Heavy-tailed Talk: DAH is the most scalable structure at P3.
+    talk_total = sum(
+        count for (dataset, _), count in p3_structures.items() if dataset == "Talk"
+    )
+    assert p3_structures[("Talk", "DAH")] >= talk_total / 2

@@ -6,14 +6,11 @@ a heavy out-tail.  The stand-ins must reproduce that split.
 """
 
 from repro.analysis import degree_table
-from repro.analysis.report import render_table4
 from repro.datasets.catalog import HEAVY_TAILED, SHORT_TAILED
 
 
-def test_table4(benchmark, record_output):
+def test_table4(benchmark):
     rows = benchmark.pedantic(degree_table, rounds=1, iterations=1)
-    text = render_table4(rows)
-    record_output("table4_max_degree", text)
 
     for name in SHORT_TAILED:
         assert not rows[name].heavy_tailed, f"{name} must be short-tailed"

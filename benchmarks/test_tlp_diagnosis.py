@@ -6,24 +6,11 @@ imbalance (heavy-tailed on DAH); the simulator measures both causes
 explicitly per batch.
 """
 
-from repro.analysis.tlp import render_tlp, run_tlp_report
+from repro.analysis import extensions
 
 
-def test_tlp_diagnosis(benchmark, record_output, full_scale):
-    def run():
-        reports = []
-        for dataset, structure in (
-            ("LJ", "AS"),
-            ("Talk", "AS"),
-            ("Talk", "DAH"),
-            ("Wiki", "AS"),
-            ("Wiki", "DAH"),
-        ):
-            reports.append(run_tlp_report(dataset, structure, size_factor=0.6))
-        return reports
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_output("ext_tlp_diagnosis", render_tlp(reports))
+def test_tlp_diagnosis(benchmark):
+    reports = benchmark.pedantic(extensions.tlp_diagnosis, rounds=1, iterations=1)
     by_key = {(r.dataset, r.structure): r for r in reports}
 
     # Contention: heavy-tailed AS waits on locks far more than

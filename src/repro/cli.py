@@ -3,14 +3,18 @@
 Usage::
 
     python -m repro table1|table2|table3|table4|fig6|fig7|fig8|fig9|fig10
-    python -m repro all --quick
+    python -m repro all --output benchmarks/output
     python -m repro stream --dataset Talk --structure DAH --algorithm PR
     python -m repro scale --edges 5000000 --mmap-dir /tmp/rmat
     python -m repro autotune --compare --model-out samples.json
     python -m repro table3 --cache-dir ~/.cache/saga --jobs 4
 
-``--quick`` runs the sweeps at reduced scale (minutes instead of tens
-of minutes); ``--output DIR`` also writes each artifact to a file.
+``--output DIR`` also writes each artifact into DIR under the file name
+it is committed with (``table3`` -> ``table3_best_combination.txt``);
+``all`` writes all 16 files of ``benchmarks/output/``: the nine paper
+artifacts, the conformance report and the six ``ext_*`` studies.
+``--quick`` runs the two sweeps at reduced scale (seconds instead of
+tens of seconds); the ``ext_*`` studies have one size only.
 
 Every subcommand but ``scale`` shares the experiment-engine flags:
 ``--cache-dir`` points the content-addressed RunStore at a directory (a
@@ -28,7 +32,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.datasets import dataset_names
 from repro.datasets.rmat import DEFAULT_RMAT_CHUNK
@@ -37,9 +41,10 @@ from repro.obs import METRICS, TRACER, SpanTracer
 from repro.obs.tracer import ROOT
 from repro.streaming import StreamConfig
 
-SOFTWARE_ARTIFACTS = ("table3", "fig6", "fig7", "fig8")
-HARDWARE_ARTIFACTS = ("fig9", "fig10")
-ALL_ARTIFACTS = ("table1", "table2", "table4") + SOFTWARE_ARTIFACTS + HARDWARE_ARTIFACTS
+#: The paper's artifacts, one subcommand each.
+ALL_ARTIFACTS = (
+    "table1", "table2", "table3", "table4", "fig6", "fig7", "fig8", "fig9", "fig10"
+)
 
 
 class _Session:
@@ -77,37 +82,84 @@ def _session_from_args(args: argparse.Namespace) -> _Session:
     )
 
 
-def _renderers(session: _Session) -> Dict[str, Callable[[], str]]:
+def _artifacts(session: _Session) -> Dict[str, Tuple[str, Callable[[], str]]]:
+    """Every artifact ``repro all`` writes: name -> (file stem, renderer).
+
+    The first nine are the paper's and have their own subcommand; the
+    file stems are the names committed under ``benchmarks/output/``.
+    """
+    from repro.analysis import extensions as ext
     from repro.analysis import report
+    from repro.analysis.conformance import conformance_report, render_conformance
     from repro.analysis.degrees import degree_table
+    from repro.analysis.memory_report import render_memory_report
+    from repro.analysis.sensitivity import render_sensitivity
+    from repro.analysis.tlp import render_tlp
+
+    def software(render):
+        return lambda: render(session.software)
+
+    def hardware(render):
+        return lambda: render(session.hardware)
 
     return {
-        "table1": report.render_table1,
-        "table2": report.render_table2,
-        "table3": lambda: report.render_table3(session.software),
-        "table4": lambda: report.render_table4(degree_table()),
-        "fig6": lambda: report.render_fig6(session.software),
-        "fig7": lambda: report.render_fig7(session.software),
-        "fig8": lambda: report.render_fig8(session.software),
-        "fig9": lambda: report.render_fig9(session.hardware),
-        "fig10": lambda: report.render_fig10(session.hardware),
+        "table1": ("table1_algorithms", report.render_table1),
+        "table2": ("table2_datasets", report.render_table2),
+        "table3": ("table3_best_combination", software(report.render_table3)),
+        "table4": ("table4_max_degree", lambda: report.render_table4(degree_table())),
+        "fig6": ("fig6_data_structures", software(report.render_fig6)),
+        "fig7": ("fig7_compute_model", software(report.render_fig7)),
+        "fig8": ("fig8_update_share", software(report.render_fig8)),
+        "fig9": ("fig9_scaling_bandwidth", hardware(report.render_fig9)),
+        "fig10": ("fig10_caches", hardware(report.render_fig10)),
+        "conformance": (
+            "conformance",
+            lambda: render_conformance(
+                conformance_report(session.software, session.hardware)
+            ),
+        ),
+        "ext_tlp_diagnosis": (
+            "ext_tlp_diagnosis",
+            lambda: render_tlp(ext.tlp_diagnosis()),
+        ),
+        "ext_memory_footprint": (
+            "ext_memory_footprint",
+            lambda: render_memory_report(ext.memory_footprint()),
+        ),
+        "ext_batch_size_sensitivity": (
+            "ext_batch_size_sensitivity",
+            lambda: render_sensitivity(ext.batch_size_sensitivity()),
+        ),
+        "ext_deletion_churn": (
+            "ext_deletion_churn",
+            lambda: ext.render_deletion_churn(ext.run_deletion_churn()),
+        ),
+        "ext_snapshot_store": (
+            "ext_snapshot_store",
+            lambda: ext.render_snapshot_store(ext.run_snapshot_store()),
+        ),
+        "ext_fifth_structure": (
+            "ext_fifth_structure",
+            lambda: ext.render_fifth_structure(ext.run_fifth_structure()),
+        ),
     }
 
 
 def _cmd_artifacts(args: argparse.Namespace) -> int:
     session = _session_from_args(args)
-    renderers = _renderers(session)
-    names = ALL_ARTIFACTS if args.artifact == "all" else (args.artifact,)
+    artifacts = _artifacts(session)
+    names = list(artifacts) if args.artifact == "all" else [args.artifact]
     output_dir: Optional[Path] = Path(args.output) if args.output else None
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
+        stem, render = artifacts[name]
         started = time.time()
-        text = renderers[name]()
+        text = render()
         print(text)
         print(f"[{name}: {time.time() - started:.1f}s]\n")
         if output_dir is not None:
-            (output_dir / f"{name}.txt").write_text(text + "\n")
+            (output_dir / f"{stem}.txt").write_text(text + "\n")
     if getattr(args, "csv", None):
         from repro.analysis.export import (
             export_hardware_profile,
@@ -135,12 +187,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     results = conformance_report(
         software=session.software, hardware=session.hardware
     )
-    text = render_conformance(results)
-    print(text)
-    if args.output:
-        output_dir = Path(args.output)
-        output_dir.mkdir(parents=True, exist_ok=True)
-        (output_dir / "conformance.txt").write_text(text + "\n")
+    print(render_conformance(results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -432,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conformance.set_defaults(func=_cmd_conformance)
     conformance.add_argument("--quick", action="store_true")
-    conformance.add_argument("--output", help="also write the report to DIR")
     _add_engine_args(conformance)
 
     stream = sub.add_parser("stream", help="stream one dataset and print latencies")

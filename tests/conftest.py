@@ -228,3 +228,14 @@ def reference(batch) -> ReferenceGraph:
     graph = ReferenceGraph(60, directed=True)
     graph.update(batch)
     return graph
+
+
+@pytest.fixture(scope="session")
+def quick_artefacts(tmp_path_factory):
+    """The directory ``repro all --quick --no-cache --output`` fills,
+    written once per session."""
+    from repro.cli import main
+
+    directory = tmp_path_factory.mktemp("artefacts")
+    assert main(["all", "--quick", "--no-cache", "--output", str(directory)]) == 0
+    return directory

@@ -32,6 +32,7 @@ UNREACHED = [
     "repro.obs.export",
     "repro.obs.report",
     "repro.analysis.conformance",
+    "repro.analysis.extensions",
     "repro.analysis.software_profile",
     "repro.datasets.snap",
     "concurrent.futures.process",
@@ -40,6 +41,7 @@ UNREACHED = [
 
 #: What ``repro.cli`` imports inside the subcommands that use it.
 ARTEFACT_MODULES = [
+    "repro.analysis.extensions",
     "repro.analysis.hardware_profile",
     "repro.analysis.software_profile",
     "repro.analysis.report",

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import ALL_ARTIFACTS, build_parser, main
@@ -67,7 +69,15 @@ class TestExecution:
 
     def test_table2_writes_output(self, tmp_path, capsys):
         assert main(["table2", "--output", str(tmp_path)]) == 0
-        assert (tmp_path / "table2.txt").exists()
+        assert (tmp_path / "table2_datasets.txt").exists()
+
+    def test_all_writes_the_committed_file_names(self, quick_artefacts):
+        """One writer: ``all --output`` writes exactly the 16 files
+        committed under ``benchmarks/output/``."""
+        committed = Path(__file__).resolve().parents[1] / "benchmarks" / "output"
+        written = sorted(path.name for path in quick_artefacts.iterdir())
+        assert written == sorted(path.name for path in committed.iterdir())
+        assert len(written) == 16
 
     def test_stream_small(self, capsys):
         code = main(
@@ -117,9 +127,3 @@ class TestConformanceCommand:
         args = build_parser().parse_args(["conformance", "--quick"])
         assert args.quick
         assert callable(args.func)
-
-    def test_output_option(self):
-        args = build_parser().parse_args(
-            ["conformance", "--output", "/tmp/somewhere"]
-        )
-        assert args.output == "/tmp/somewhere"

@@ -1,6 +1,5 @@
 """Unit tests for hardware-profile internals."""
 
-import hashlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from bench_e2e.workloads import sim_digest
 from repro.analysis import hardware_profile
 from repro.analysis.hardware_profile import (
     COMPUTE_TRACE_CAPACITY,
@@ -186,18 +186,7 @@ class TestCellOverTheLiveGraphView:
         assert_payloads_equal(payload, oracle_payload)
 
 
-def payload_digest(payload):
-    """sha256 over a ``HardwareCell.to_payload()``'s arrays, by name."""
-    _meta, arrays = payload
-    digest = hashlib.sha256()
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-#: (dataset, structure, size_factor) -> batches, payload digest.  Every
+#: (dataset, structure, size_factor) -> batches, ``sim_digest``.  Every
 #: counter and ladder cycle of the cell; the DAH cell computed when the
 #: cell still ran its own batch loop, before it became the driver's
 #: plane, the AS cell when the cache model lost its prefetcher.
@@ -229,9 +218,9 @@ def test_cell_payload_is_pinned(cell):
             with native_env(setting), mock.patch.object(
                 hardware_profile, "COMPUTE_TRACE_CAPACITY", capacity
             ):
-                payload = profiler.profile_cell(*cell).to_payload()
+                profiled = profiler.profile_cell(*cell)
             assert (
-                payload[0]["batches"], payload_digest(payload)
+                profiled.batches, sim_digest(profiled)
             ) == PINNED_CELLS[cell], (capacity, setting)
 
 
