@@ -405,13 +405,14 @@ def _profile_report(tracer: SpanTracer = TRACER) -> str:
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     """The experiment-engine flags shared by every subcommand."""
-    parser.add_argument(
+    cache = parser.add_mutually_exclusive_group()
+    cache.add_argument(
         "--cache-dir",
         default=None,
         help="RunStore directory: cache sweep results on disk "
              "(default: $SAGA_BENCH_CACHE_DIR if set)",
     )
-    parser.add_argument(
+    cache.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the RunStore even if SAGA_BENCH_CACHE_DIR is set",

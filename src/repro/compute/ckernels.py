@@ -78,7 +78,7 @@ from repro.compute.stats import ROUND_COLUMNS, check_round_table
 from repro.errors import SimulationError
 from repro.obs.metrics import METRICS
 from repro.sim.cbuild import NATIVE
-from repro.widths import VERTEX, WEIGHT
+from repro.widths import SLOT, VERTEX, WEIGHT
 
 #: INC vertex functions (``saga_inc_run``'s ``op``).
 OP_BFS = 0
@@ -139,10 +139,11 @@ _SOURCE = r"""
  * contiguous.  A packed CSR is the special case starts = indptr[:n].
  *
  * Widths (repro.widths): a vertex id in an array -- a CSR's cols, a
- * frontier or run log, a delta column -- is int32_t, a weight float;
- * row offsets and lengths, counts and packed pair keys are int64_t.
- * An id is widened to int64_t before it is multiplied, and a weight
- * to double (exactly) before any arithmetic.
+ * frontier or run log, a delta column -- is int32_t, a weight float; a
+ * row's heap offset, length and capacity (starts, lens, caps, degrees)
+ * is int32_t too, read into int64_t locals; counts and packed pair
+ * keys are int64_t.  An id is widened to int64_t before it is
+ * multiplied, and a weight to double (exactly) before any arithmetic.
  */
 
 /* np.minimum: NaN wins; otherwise the smaller. */
@@ -163,8 +164,8 @@ static inline double take_max(double acc, double x)
 void saga_expand(
     int64_t k,
     const int64_t *frontier,
-    const int64_t *starts,
-    const int64_t *lens,
+    const int32_t *starts,
+    const int32_t *lens,
     const int32_t *cols,
     const float *wts,
     int64_t *seg_out,
@@ -274,11 +275,11 @@ static void sort_ids(int32_t *ids, int64_t n)
 static double inc_recalc(
     int64_t v,
     const double *values,
-    const int64_t *in_starts,
-    const int64_t *in_lens,
+    const int32_t *in_starts,
+    const int32_t *in_lens,
     const int32_t *in_cols,
     const float *in_wts,
-    const int64_t *out_deg,
+    const int32_t *out_deg,
     int32_t op,
     int64_t pinned,
     double pr_base,
@@ -349,14 +350,14 @@ static double inc_recalc(
 static void inc_round(
     int64_t k,
     const int32_t *frontier,
-    const int64_t *in_starts,
-    const int64_t *in_lens,
+    const int32_t *in_starts,
+    const int32_t *in_lens,
     const int32_t *in_cols,
     const float *in_wts,
-    const int64_t *out_starts,
-    const int64_t *out_lens,
+    const int32_t *out_starts,
+    const int32_t *out_lens,
     const int32_t *out_cols,
-    const int64_t *out_deg,
+    const int32_t *out_deg,
     double *values,
     int32_t op,
     double epsilon,
@@ -434,7 +435,7 @@ static void inc_round(
 
 /* Most vertices one round over frontier[] can discover. */
 static int64_t next_frontier_bound(
-    int64_t k, const int32_t *frontier, const int64_t *out_lens, int64_t n)
+    int64_t k, const int32_t *frontier, const int32_t *out_lens, int64_t n)
 {
     int64_t p, total = 0;
     for (p = 0; p < k && total < n; p++)
@@ -471,12 +472,12 @@ static int run_leave(int64_t *ctl, int64_t r, int64_t off, int64_t k,
  * non-empty after max_rounds rounds. */
 int64_t saga_inc_run(
     int64_t n,
-    const int64_t *in_starts,
-    const int64_t *in_lens,
+    const int32_t *in_starts,
+    const int32_t *in_lens,
     const int32_t *in_cols,
     const float *in_wts,
-    const int64_t *out_starts,
-    const int64_t *out_lens,
+    const int32_t *out_starts,
+    const int32_t *out_lens,
     const int32_t *out_cols,
     double *values,
     int32_t op,
@@ -527,8 +528,8 @@ int64_t saga_inc_run(
  * sorted, and is written straight behind the current one. */
 int64_t saga_relax_run(
     int64_t n,
-    const int64_t *starts,
-    const int64_t *lens,
+    const int32_t *starts,
+    const int32_t *lens,
     const int32_t *cols,
     const float *wts,
     double *values,
@@ -587,8 +588,8 @@ int64_t saga_relax_run(
  * is the traversal queue. */
 void saga_taint_closure(
     int64_t n,
-    const int64_t *starts,
-    const int64_t *lens,
+    const int32_t *starts,
+    const int32_t *lens,
     const int32_t *cols,
     uint8_t *tainted,
     const uint8_t *pinned,
@@ -676,7 +677,7 @@ static inline double row_sum(const double *values, const int32_t *row, int64_t d
 
 /* The vertices by ascending in-degree (a stable counting sort; degrees
  * of 63 and up share the last bin). */
-static void order_by_degree(int64_t n, const int64_t *lens, int32_t *order)
+static void order_by_degree(int64_t n, const int32_t *lens, int32_t *order)
 {
     int64_t start[65] = {0};
     int64_t v, d;
@@ -690,11 +691,11 @@ static void order_by_degree(int64_t n, const int64_t *lens, int32_t *order)
 
 int64_t saga_jacobi_run(
     int64_t n,
-    const int64_t *in_starts,
-    const int64_t *in_lens,
+    const int32_t *in_starts,
+    const int32_t *in_lens,
     const int32_t *in_cols,
     const float *in_wts,
-    const int64_t *out_deg,
+    const int32_t *out_deg,
     double *values,
     double *scratch,
     int32_t *order,
@@ -855,8 +856,8 @@ static int64_t bucket_frontier(
 static int64_t delta_pass(
     int64_t k,
     const int32_t *frontier,
-    const int64_t *starts,
-    const int64_t *lens,
+    const int32_t *starts,
+    const int32_t *lens,
     const int32_t *cols,
     const float *wts,
     double *values,
@@ -902,8 +903,8 @@ static int64_t delta_pass(
 }
 
 int64_t saga_delta_run(
-    const int64_t *starts,
-    const int64_t *lens,
+    const int32_t *starts,
+    const int32_t *lens,
     const int32_t *cols,
     const float *wts,
     double *values,
@@ -1153,11 +1154,11 @@ int64_t saga_compute_trace(
     const int64_t *rounds,
     const int32_t *log,
     int64_t nrows,
-    const int64_t *in_starts,
-    const int64_t *in_lens,
+    const int32_t *in_starts,
+    const int32_t *in_lens,
     const int32_t *in_cols,
-    const int64_t *out_starts,
-    const int64_t *out_lens,
+    const int32_t *out_starts,
+    const int32_t *out_lens,
     const int32_t *out_cols,
     int64_t npull,
     const int64_t *in_counts,
@@ -1301,7 +1302,11 @@ int64_t saga_compute_trace(
  * DynamicCSR._grow_heap's policy between an insert's plan and apply.
  * Rows are marked in a zeroed bitmap over max_nodes, so the work is
  * batch-sized plus one word per 64 rows.  A pair's key row * n + col is
- * packed in int64_t, from the widened row id. */
+ * packed in int64_t, from the widened row id.  Python keeps the heap
+ * below 2**31 slots (DynamicCSR._grow_heap, rebuild and compact refuse
+ * more: repro.widths.SLOT_LIMIT), so every offset, length and capacity
+ * narrowed to the int32_t row arrays below fits: the explicit casts
+ * mark where. */
 
 static inline int bit_test_set(uint64_t *bits, int64_t i)
 {
@@ -1327,8 +1332,8 @@ static inline int64_t grown_cap(int64_t cap, int64_t need)
 int64_t saga_csr_insert_plan(
     int64_t m,
     const int32_t *keys,
-    int64_t *lens,
-    const int64_t *caps,
+    int32_t *lens,
+    const int32_t *caps,
     uint64_t *seen,
     int64_t *len_at,
     int64_t *add_at,
@@ -1342,7 +1347,7 @@ int64_t saga_csr_insert_plan(
         if (!bit_test_set(seen, r)) {
             len_at[t] = lens[r];
             add_at[t] = 0;
-            lens[r] = t++;
+            lens[r] = (int32_t)t++; /* t < max_nodes, an int32 */
             if (r < lo)
                 lo = r;
             if (r > hi)
@@ -1356,7 +1361,7 @@ int64_t saga_csr_insert_plan(
             int64_t r = (w << 6) + __builtin_ctzll(bits);
             int64_t slot = lens[r], need = len_at[slot] + add_at[slot];
             bits &= bits - 1;
-            lens[r] = len_at[slot];
+            lens[r] = (int32_t)len_at[slot];
             rows[k] = r;
             adds[k++] = add_at[slot];
             if (need > caps[r])
@@ -1381,9 +1386,9 @@ int64_t saga_csr_insert_apply(
     const int64_t *rows,
     const int64_t *adds,
     int64_t used,
-    int64_t *starts,
-    int64_t *lens,
-    int64_t *caps,
+    int32_t *starts,
+    int32_t *lens,
+    int32_t *caps,
     int32_t *cols,
     float *wts)
 {
@@ -1394,8 +1399,8 @@ int64_t saga_csr_insert_apply(
             memcpy(cols + used, cols + starts[r], (size_t)lens[r] * sizeof(int32_t));
             memcpy(wts + used, wts + starts[r], (size_t)lens[r] * sizeof(float));
             dead += caps[r];
-            starts[r] = used;
-            caps[r] = grown_cap(caps[r], need);
+            starts[r] = (int32_t)used;
+            caps[r] = (int32_t)grown_cap(caps[r], need);
             used += caps[r];
         }
     }
@@ -1502,8 +1507,8 @@ int64_t saga_csr_delete(
     int64_t n,
     const int32_t *keys,
     const int32_t *vals,
-    const int64_t *starts,
-    int64_t *lens,
+    const int32_t *starts,
+    int32_t *lens,
     int32_t *cols,
     float *wts,
     uint64_t *seen,
@@ -1527,7 +1532,7 @@ int64_t saga_csr_delete(
             wts[to++] = wts[s];
         }
         removed += end - to;
-        lens[r] = to - from;
+        lens[r] = (int32_t)(to - from);
     }
     return removed;
 }
@@ -1542,8 +1547,8 @@ void saga_csr_lookup(
     int64_t n,
     const int32_t *keys,
     const int32_t *vals,
-    const int64_t *starts,
-    const int64_t *lens,
+    const int32_t *starts,
+    const int32_t *lens,
     const int32_t *cols,
     const float *wts,
     uint64_t *seen,
@@ -1588,18 +1593,18 @@ void saga_csr_rebuild(
     const int32_t *keys,
     const int32_t *vals,
     const float *wts_in,
-    int64_t *starts,
-    int64_t *lens,
-    int64_t *caps,
+    int32_t *starts,
+    int32_t *lens,
+    int32_t *caps,
     int32_t *cols,
     float *wts)
 {
     int64_t i, r, acc = 0;
-    memset(lens, 0, (size_t)n * sizeof(int64_t));
+    memset(lens, 0, (size_t)n * sizeof(int32_t));
     for (i = 0; i < m; i++)
         lens[keys[i]]++;
     for (r = 0; r < n; r++) {
-        starts[r] = caps[r] = acc; /* caps[] is the fill cursor first */
+        starts[r] = caps[r] = (int32_t)acc; /* caps[] is the fill cursor first */
         acc += lens[r];
     }
     for (i = 0; i < m; i++) {
@@ -1607,27 +1612,27 @@ void saga_csr_rebuild(
         cols[at] = vals[i];
         wts[at] = wts_in[i];
     }
-    memcpy(caps, lens, (size_t)n * sizeof(int64_t));
+    memcpy(caps, lens, (size_t)n * sizeof(int32_t));
 }
 
 /* DynamicCSR.compact: the live rows repacked tight into fresh arrays. */
 void saga_csr_compact(
     int64_t n,
-    const int64_t *starts,
-    const int64_t *lens,
+    const int32_t *starts,
+    const int32_t *lens,
     const int32_t *cols,
     const float *wts,
-    int64_t *new_starts,
-    int64_t *new_caps,
+    int32_t *new_starts,
+    int32_t *new_caps,
     int32_t *new_cols,
     float *new_wts)
 {
     int64_t r, acc = 0;
     for (r = 0; r < n; r++) {
-        int64_t len = lens[r];
+        int32_t len = lens[r];
         memcpy(new_cols + acc, cols + starts[r], (size_t)len * sizeof(int32_t));
         memcpy(new_wts + acc, wts + starts[r], (size_t)len * sizeof(float));
-        new_starts[r] = acc;
+        new_starts[r] = (int32_t)acc;
         new_caps[r] = len;
         acc += len;
     }
@@ -2127,7 +2132,7 @@ class ComputeKernels:
         """``DynamicCSR.rebuild``: fresh arrays, tight."""
         keys, vals, wts = self._deltas(store, keys, vals, wts)
         n, m = store.max_nodes, keys.size
-        starts, lens, caps = (np.empty(n, dtype=np.int64) for _ in range(3))
+        starts, lens, caps = (np.empty(n, dtype=SLOT) for _ in range(3))
         cols = np.empty(m, dtype=VERTEX)
         heap_wts = np.empty(m, dtype=WEIGHT)
         p = self._p
@@ -2145,7 +2150,7 @@ class ComputeKernels:
         """``DynamicCSR.compact``: fresh arrays but ``lens``, tight."""
         n = store.max_nodes
         live = int(store.lens.sum())
-        starts, caps = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        starts, caps = np.empty(n, dtype=SLOT), np.empty(n, dtype=SLOT)
         cols = np.empty(live, dtype=VERTEX)
         heap_wts = np.empty(live, dtype=WEIGHT)
         p = self._p

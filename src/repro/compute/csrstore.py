@@ -6,11 +6,14 @@ and its membership test, read by its per-vertex API and exported
 zero-copy to the compute kernels; nothing else holds an edge.
 
 :class:`DynamicCSR`
-    A "slack CSR": per-row ``starts``/``lens``/``caps`` (int64) plus a
+    A "slack CSR": per-row ``starts``/``lens``/``caps`` (int32) plus a
     shared column heap (``cols`` int32 / ``wts`` float32, the widths of
     :mod:`repro.widths`; 8 bytes per entry, 16 per directed edge for
-    the out/in pair).  Rows keep capacity slack, so an
-    append is usually an in-place write; a row that overflows relocates
+    the out/in pair).  The heap holds fewer than 2**31 slots, so that
+    every offset into it is an int32: a rebuild, compaction or heap
+    growth that would reach that is refused before it changes anything.
+    Rows keep capacity slack, so an append is usually an in-place
+    write; a row that overflows relocates
     to the heap's end with doubled capacity (amortized O(1) per edge),
     leaving its old extent behind as a *tombstone* -- dead heap space
     reclaimed by compaction.  Deletions shift the row's tail left
@@ -61,7 +64,14 @@ from repro.compute.kernels import ComputeView, CSRArrays, flat_slots
 from repro.errors import StructureError
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
-from repro.widths import VERTEX, WEIGHT, check_vertex_space
+from repro.widths import (
+    SLOT,
+    SLOT_LIMIT,
+    VERTEX,
+    WEIGHT,
+    check_slot_extent,
+    check_vertex_space,
+)
 
 #: Churn threshold: repack when a batch's inserts + deletes exceed this
 #: fraction of the live edge count (0 would repack every batch).
@@ -125,9 +135,9 @@ class DynamicCSR:
         check_packable(max_nodes)
         check_vertex_space(max_nodes)
         self.max_nodes = max_nodes
-        self.starts = np.zeros(max_nodes, dtype=np.int64)
-        self.lens = np.zeros(max_nodes, dtype=np.int64)
-        self.caps = np.zeros(max_nodes, dtype=np.int64)
+        self.starts = np.zeros(max_nodes, dtype=SLOT)
+        self.lens = np.zeros(max_nodes, dtype=SLOT)
+        self.caps = np.zeros(max_nodes, dtype=SLOT)
         self.cols = np.empty(0, dtype=VERTEX)
         self.wts = np.empty(0, dtype=WEIGHT)
         self.used = 0  # heap extent handed out (live + dead + slack)
@@ -148,12 +158,13 @@ class DynamicCSR:
         exported arrays are left untouched (the new heap is fresh), so
         a previous batch's view stays a consistent snapshot.
         """
+        check_slot_extent(len(keys), "the CSR heap")
         kernels = ckernels.get()
         if kernels is not None:
             return kernels.csr_rebuild(self, keys, vals, wts)
         order = np.argsort(keys, kind="stable")
-        counts = np.bincount(keys, minlength=self.max_nodes).astype(np.int64)
-        self.starts = np.cumsum(counts) - counts
+        counts = np.bincount(keys, minlength=self.max_nodes).astype(SLOT)
+        self.starts = np.cumsum(counts, dtype=SLOT) - counts
         self.lens = counts
         self.caps = counts.copy()
         self.cols = vals[order].astype(VERTEX, copy=False)
@@ -166,9 +177,10 @@ class DynamicCSR:
 
     def _grow_heap(self, extra: int) -> None:
         needed = self.used + extra
+        check_slot_extent(needed, "the CSR heap")
         if needed <= len(self.cols):
             return
-        capacity = max(len(self.cols) * 2, needed, 1024)
+        capacity = min(max(len(self.cols) * 2, needed, 1024), SLOT_LIMIT - 1)
         for name, dtype in (("cols", VERTEX), ("wts", WEIGHT)):
             old = getattr(self, name)
             grown = np.empty(capacity, dtype=dtype)
@@ -194,7 +206,10 @@ class DynamicCSR:
             rows_over = rows[over]
             old_starts = self.starts[rows_over]
             old_lens = self.lens[rows_over]
-            new_caps = np.maximum(np.maximum(self.caps[rows_over] * 2, need[over]), 4)
+            # Widened: twice a capacity may not fit a slot.
+            new_caps = np.maximum(
+                np.maximum(self.caps[rows_over].astype(np.int64) * 2, need[over]), 4
+            )
             total_new = int(new_caps.sum())
             self._grow_heap(total_new)
             new_starts = self.used + np.cumsum(new_caps) - new_caps
@@ -296,6 +311,7 @@ class DynamicCSR:
     @TRACER.layer("csrstore.compact")
     def compact(self) -> None:
         """Repack the heap tight, dropping tombstones and slack."""
+        check_slot_extent(self.live, "the CSR heap")
         kernels = ckernels.get()
         if kernels is not None:
             return kernels.csr_compact(self)
@@ -303,7 +319,7 @@ class DynamicCSR:
         counts = self.lens
         self.cols = self.cols[flat]
         self.wts = self.wts[flat]
-        self.starts = np.cumsum(counts) - counts
+        self.starts = np.cumsum(counts, dtype=SLOT) - counts
         self.caps = counts.copy()
         self.used = self.live
         self.dead = 0
@@ -328,7 +344,13 @@ class DynamicCSR:
         )
 
     def check_against(self, reference_csr: CSRArrays, num_nodes: int) -> bool:
-        """Row-for-row equality with a packed CSR (test helper)."""
+        """Row-for-row equality with a packed CSR, widths included (test
+        helper)."""
+        ours = (self.starts, self.lens, self.cols, self.wts)
+        theirs = (reference_csr.indptr, reference_csr.degrees, reference_csr.indices,
+                  reference_csr.weights)  # fmt: skip
+        if [a.dtype for a in ours] != [a.dtype for a in theirs]:
+            return False
         if not np.array_equal(self.lens[:num_nodes], reference_csr.degrees):
             return False
         flat = flat_slots(self.starts[:num_nodes], self.lens[:num_nodes])

@@ -30,7 +30,7 @@ from repro.compute.stats import ROUND_COLUMNS, ComputeRun
 from repro.errors import SimulationError
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, METRICS
 from repro.obs.tracer import TRACER
-from repro.widths import VERTEX, WEIGHT
+from repro.widths import SLOT, VERTEX, WEIGHT, check_slot_extent
 
 #: The paper's triggering threshold (Algorithm 1 line 1).
 DEFAULT_EPSILON = 1e-7
@@ -54,9 +54,9 @@ class CSRArrays(NamedTuple):
     ``indices[indptr[u] : indptr[u] + degrees[u]]`` are u's neighbors
     in the exact order the source view iterates them (required for
     bit-identity of sequential accumulations); ``weights`` is parallel
-    to ``indices``.  ``indices`` are int32 and ``weights`` float32
-    (:mod:`repro.widths`), ``indptr`` and ``degrees`` int64.  Rows are
-    usually packed (``degrees`` is
+    to ``indices``.  ``indices``, ``indptr`` and ``degrees`` are int32
+    and ``weights`` float32 (:mod:`repro.widths`: ``VERTEX``, ``SLOT``,
+    ``WEIGHT``).  Rows are usually packed (``degrees`` is
     ``np.diff(indptr)``), but the incrementally-maintained views of
     :mod:`repro.compute.csrstore` export rows with slack between them;
     every kernel therefore reads row extents from ``indptr[u]`` +
@@ -82,10 +82,11 @@ def csr_from_edges(
     """
     keys = src if by_src else dst
     vals = dst if by_src else src
+    check_slot_extent(len(keys), "a CSR")
     order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=num_nodes).astype(np.int64)
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    counts = np.bincount(keys, minlength=num_nodes).astype(SLOT)
+    indptr = np.zeros(num_nodes + 1, dtype=SLOT)
+    np.cumsum(counts, dtype=SLOT, out=indptr[1:])
     return CSRArrays(
         indptr=indptr,
         indices=vals[order].astype(VERTEX, copy=False),
@@ -120,6 +121,13 @@ class ComputeView:
         in_csr: CSRArrays,
         packed: bool = True,
     ) -> None:
+        # The compiled kernels read both row arrays through int32 pointers.
+        for csr in (out_csr, in_csr):
+            if csr.indptr.dtype != SLOT or csr.degrees.dtype != SLOT:
+                raise SimulationError(
+                    f"a CSR's indptr and degrees are {SLOT}, got "
+                    f"{csr.indptr.dtype} and {csr.degrees.dtype}"
+                )
         self.num_nodes = num_nodes
         self.out_csr = out_csr
         self.in_csr = in_csr
@@ -191,10 +199,11 @@ def csr_from_pair_rows(rows, num_nodes: int) -> CSRArrays:
     below 2**53).
     """
     counts = np.fromiter(
-        (len(rows[u]) for u in range(num_nodes)), dtype=np.int64, count=num_nodes
+        (len(rows[u]) for u in range(num_nodes)), dtype=SLOT, count=num_nodes
     )
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    check_slot_extent(int(counts.sum()), "a CSR")
+    indptr = np.zeros(num_nodes + 1, dtype=SLOT)
+    np.cumsum(counts, dtype=SLOT, out=indptr[1:])
     total = int(indptr[-1])
     if total == 0:
         return CSRArrays(indptr, _EMPTY_IDS, _EMPTY_WEIGHTS, counts)

@@ -20,8 +20,10 @@ arrays.  Each operation on that state is written twice:
   traced or not.  A family declares only what differs: its store's
   ``descriptor()`` (the int64 array of pointers and sizes the kernel
   unpacks; the neighbor and weight pools it points at are int32 and
-  float32, :mod:`repro.widths`), ``grow(resource, need)`` for a
-  stall, ``replay_events`` for the event log, and how many events and
+  float32, and the per-vertex offsets, lengths, capacities and degrees
+  int32, :mod:`repro.widths`), ``grow(resource, need)`` for a stall
+  (which keeps every pool below ``SLOT_LIMIT`` slots, so those offsets
+  fit), ``replay_events`` for the event log, and how many events and
   new regions one operation can add (``EVENTS_PER_OP``,
   ``SPARE_HOLDERS_PER_OP``).
 
@@ -83,7 +85,7 @@ from repro.obs.tracer import TRACER
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace, Region
 from repro.sim.tasks import NO_LOCK
-from repro.widths import VERTEX, WEIGHT
+from repro.widths import SLOT, SLOT_LIMIT, VERTEX, WEIGHT, check_slot_extent
 
 #: Initial per-store entry pool; doubled on demand (kernel stall).
 INITIAL_POOL = 1 << 14
@@ -137,9 +139,9 @@ class _PooledVectorState:
         self.space = space
         self.label = label
         self.kernels = kernels
-        self._off = np.zeros(max_nodes, dtype=np.int64)
-        self._len = np.zeros(max_nodes, dtype=np.int64)
-        self._capacity = np.zeros(max_nodes, dtype=np.int64)
+        self._off = np.zeros(max_nodes, dtype=SLOT)
+        self._len = np.zeros(max_nodes, dtype=SLOT)
+        self._capacity = np.zeros(max_nodes, dtype=SLOT)
         self._nbr = np.empty(INITIAL_POOL, dtype=VERTEX)
         self._wgt = np.empty(INITIAL_POOL, dtype=WEIGHT)
         self._state = np.zeros(1, dtype=np.int64)  # [0] = pool cursor
@@ -161,11 +163,13 @@ class _PooledVectorState:
 
     def grow(self, resource: int, need: int) -> None:
         """Double the entry pool (the one resource) until ``need`` more
-        slots fit."""
+        slots fit; it stays below ``SLOT_LIMIT`` slots."""
         target = int(self._state[0]) + int(need)
+        check_slot_extent(target, f"the {self.label} entry pool")
         size = len(self._nbr)
         while size < target:
             size *= 2
+        size = min(size, SLOT_LIMIT - 1)
         if size > len(self._nbr):
             cursor = int(self._state[0])
             nbr = np.empty(size, dtype=VERTEX)
@@ -240,7 +244,10 @@ class _PooledVectorState:
         return (
             np.concatenate(([header.base], self._region_base)),
             np.concatenate(
-                ([header.size - HEADER_BYTES], (self._capacity - 1) * ENTRY_BYTES)
+                (
+                    [header.size - HEADER_BYTES],
+                    (self._capacity.astype(np.int64) - 1) * ENTRY_BYTES,
+                )
             ),
         )
 
@@ -507,10 +514,10 @@ class NativeStingerStore:
         self.label = label
         self.lock_base = lock_base
         self.kernels = kernels
-        self._boff = np.zeros(max_nodes, dtype=np.int64)
-        self._bcnt = np.zeros(max_nodes, dtype=np.int64)
-        self._bcap = np.zeros(max_nodes, dtype=np.int64)
-        self._deg = np.zeros(max_nodes, dtype=np.int64)
+        self._boff = np.zeros(max_nodes, dtype=SLOT)
+        self._bcnt = np.zeros(max_nodes, dtype=SLOT)
+        self._bcap = np.zeros(max_nodes, dtype=SLOT)
+        self._deg = np.zeros(max_nodes, dtype=SLOT)
         self._bids = np.empty(self.INITIAL_BIDS, dtype=np.int64)
         self._bnbr = np.empty(self.INITIAL_BLOCKS * 16, dtype=VERTEX)
         self._bwgt = np.empty(self.INITIAL_BLOCKS * 16, dtype=WEIGHT)
@@ -538,7 +545,9 @@ class NativeStingerStore:
 
     def grow(self, resource: int, need: int) -> None:
         """Enlarge what a kernel stalled on: 0 the block-id pool by
-        ``need`` slots, 1 the block pool."""
+        ``need`` slots, 1 the block pool.  Both stay below
+        ``SLOT_LIMIT`` slots (block entries, for the block pool: a degree
+        counts them)."""
         if resource == 0:
             self._grow_bid_pool(need)
         else:
@@ -546,9 +555,11 @@ class NativeStingerStore:
 
     def _grow_bid_pool(self, need: int) -> None:
         target = int(self._state[0]) + int(need)
+        check_slot_extent(target, f"the {self.label} block-id pool")
         size = len(self._bids)
         while size < target:
             size *= 2
+        size = min(size, SLOT_LIMIT - 1)
         if size > len(self._bids):
             cursor = int(self._state[0])
             bids = np.empty(size, dtype=np.int64)
@@ -556,8 +567,9 @@ class NativeStingerStore:
             self._bids = bids
 
     def _grow_block_pool(self) -> None:
-        blocks = 2 * len(self._blen)
         used = int(self._state[1])
+        check_slot_extent((used + 1) * BLOCK_CAPACITY, f"the {self.label} block pool")
+        blocks = min(2 * len(self._blen), (SLOT_LIMIT - 1) // BLOCK_CAPACITY)
         bnbr = np.empty(blocks * 16, dtype=VERTEX)
         bwgt = np.empty(blocks * 16, dtype=WEIGHT)
         blen = np.zeros(blocks, dtype=np.int64)
@@ -628,19 +640,24 @@ class NativeStingerStore:
         return -1, -1, before
 
     def _append_block(self, u: int) -> int:
-        """Create a block and link it at ``u``'s tail; returns its id."""
+        """Create a block and link it at ``u``'s tail; returns its id.
+
+        Both pools grow, as the kernel checks both, before anything is
+        written: a refused growth changes nothing.
+        """
         bcnt = int(self._bcnt[u])
-        if bcnt == int(self._bcap[u]):
-            need = int(self._bcap[u]) * 2 or 4
+        need = (int(self._bcap[u]) * 2 or 4) if bcnt == int(self._bcap[u]) else 0
+        if need:
             self._grow_bid_pool(need)
+        if int(self._state[1]) >= len(self._blen):
+            self._grow_block_pool()
+        if need:
             boff = int(self._boff[u])
             noff = int(self._state[0])
             self._bids[noff:noff + bcnt] = self._bids[boff:boff + bcnt]
             self._state[0] = noff + need
             self._boff[u] = noff
             self._bcap[u] = need
-        if int(self._state[1]) >= len(self._blen):
-            self._grow_block_pool()
         bid = int(self._state[1])
         self._state[1] = bid + 1
         self._blen[bid] = 0

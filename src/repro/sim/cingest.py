@@ -269,8 +269,11 @@ static void emit_run(int64_t *out, int64_t w, int64_t first, int64_t count,
  * Vector-family ingest (AS, AC, BA).
  *
  * Store state: one flat (neighbor, weight) pool per store -- int32
- * ids, float weights -- plus per-vertex int64 (offset, length,
- * capacity) arrays.  A vertex's vector is
+ * ids, float weights -- plus per-vertex int32 (offset, length,
+ * capacity) arrays (repro.widths.SLOT).  The pool holds fewer than
+ * 2**31 slots (the store's grow keeps it there), and an operation
+ * stalls rather than reach past it, so every offset, length and
+ * capacity narrowed to those arrays fits.  A vertex's vector is
  * pool[off .. off+len); growth bump-allocates a doubled span at the
  * pool cursor (state[0]) and copies -- mirroring the alloc-then-free
  * (AS/AC) or pool-acquire-then-release (BA) of the Python stores,
@@ -291,9 +294,9 @@ static void emit_run(int64_t *out, int64_t w, int64_t first, int64_t count,
 #define VEC_HEADER_BYTES 16
 
 typedef struct {
-    int64_t *off;
-    int64_t *len;
-    int64_t *cap;
+    int32_t *off;
+    int32_t *len;
+    int32_t *cap;
     int32_t *nbr;
     float   *wgt;
     int64_t *state;     /* [0] = pool cursor */
@@ -304,8 +307,8 @@ typedef struct {
 /* See _PooledVectorState.descriptor(). */
 static void vec_unpack(const int64_t *d, VecStore *s)
 {
-    s->off = (int64_t *)d[0]; s->len = (int64_t *)d[1];
-    s->cap = (int64_t *)d[2]; s->nbr = (int32_t *)d[3];
+    s->off = (int32_t *)d[0]; s->len = (int32_t *)d[1];
+    s->cap = (int32_t *)d[2]; s->nbr = (int32_t *)d[3];
     s->wgt = (float *)d[4]; s->state = (int64_t *)d[5];
     s->pool_cap = d[6];
 }
@@ -344,7 +347,7 @@ vec_insert_op(VecStore *s, int64_t u, int32_t v, float w, Batch *bt)
     }
     int64_t grew = 0;
     if (len == s->cap[u]) {
-        int64_t newcap = s->cap[u] ? s->cap[u] * 2 : VEC_MIN_CAPACITY;
+        int64_t newcap = s->cap[u] ? (int64_t)s->cap[u] * 2 : VEC_MIN_CAPACITY;
         if (s->state[0] + newcap > s->pool_cap) return stall(bt, 0, newcap);
         int64_t noff = s->state[0];
         for (int64_t k = 0; k < len; k++) {
@@ -352,15 +355,15 @@ vec_insert_op(VecStore *s, int64_t u, int32_t v, float w, Batch *bt)
             s->wgt[noff + k] = s->wgt[off + k];
         }
         s->state[0] += newcap;
-        s->off[u] = noff;
-        s->cap[u] = newcap;
+        s->off[u] = (int32_t)noff;     /* noff + newcap <= pool_cap < 2**31 */
+        s->cap[u] = (int32_t)newcap;
         off = noff;
         grew = len;
         log_event(bt, bt->mirror, u, newcap, s->h0 + 1 + u);
     }
     s->nbr[off + len] = v;
     s->wgt[off + len] = w;
-    s->len[u] = len + 1;
+    s->len[u] = (int32_t)(len + 1);
     lg_put(lg, bt->row, s->h0 + 1 + u, len * VEC_ENTRY_BYTES, 1);
     COL(0) = len;
     COL(1) = 1;
@@ -391,7 +394,7 @@ vec_delete_op(VecStore *s, int64_t u, int32_t v, Batch *bt)
         moved = 1;
         lg_put(lg, bt->row, s->h0 + 1 + u, pos * VEC_ENTRY_BYTES, 1);
     }
-    s->len[u] = len - 1;
+    s->len[u] = (int32_t)(len - 1);
     COL(1) = 1;
     COL(2) = moved;
     return RC_OK;
@@ -401,7 +404,7 @@ vec_delete_op(VecStore *s, int64_t u, int32_t v, Batch *bt)
  * its region's base.  A vertex outside [0, limit) has no header. */
 int64_t saga_vec_traversals(
     int64_t n, const int32_t *vertices, int64_t limit, int64_t header_base,
-    const int64_t *len, const int64_t *region_base,
+    const int32_t *len, const int64_t *region_base,
     int64_t *counts, int64_t *addresses)
 {
     int64_t w = 0;
@@ -423,7 +426,10 @@ int64_t saga_vec_traversals(
  * float weights plus a fill count, block id == pool slot, ids never
  * reused so state[1] is both the next id and the pool cursor), a flat
  * block-id pool holding each vertex's block list as a (offset, count,
- * capacity) span, and a per-vertex degree array.  Region accounting
+ * capacity) span, and a per-vertex degree array -- all four int32
+ * (repro.widths.SLOT): the store's grow keeps the block-id pool, and
+ * the block pool's entries, which bound a degree, below 2**31 slots,
+ * and an operation stalls rather than reach past a pool.  Region accounting
  * replays from events:
  * code = mirror*2 + (0 = block allocated, 1 = tail block freed).
  * Stall resources: 0 = the block-id pool (need: the slots of a list's
@@ -446,10 +452,10 @@ int64_t saga_vec_traversals(
 typedef struct {
     int64_t  lock_base;
     int64_t  no_lock;
-    int64_t *boff;
-    int64_t *bcnt;
-    int64_t *bcap;
-    int64_t *deg;
+    int32_t *boff;
+    int32_t *bcnt;
+    int32_t *bcap;
+    int32_t *deg;
     int64_t *bids;
     int64_t  bids_cap;
     int32_t *bnbr;
@@ -464,8 +470,8 @@ typedef struct {
 static void st_unpack(const int64_t *d, StStore *s)
 {
     s->lock_base = d[0]; s->no_lock = d[1];
-    s->boff = (int64_t *)d[2]; s->bcnt = (int64_t *)d[3];
-    s->bcap = (int64_t *)d[4]; s->deg = (int64_t *)d[5];
+    s->boff = (int32_t *)d[2]; s->bcnt = (int32_t *)d[3];
+    s->bcap = (int32_t *)d[4]; s->deg = (int32_t *)d[5];
     s->bids = (int64_t *)d[6]; s->bids_cap = d[7];
     s->bnbr = (int32_t *)d[8]; s->bwgt = (float *)d[9];
     s->blen = (int64_t *)d[10]; s->blk_cap = d[11];
@@ -510,7 +516,7 @@ st_insert_op(StStore *s, int64_t u, int32_t v, float w, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t bi, slot, before;
-    if (!lg_room(lg, 2 + s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
+    if (!lg_room(lg, 2 + (int64_t)s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
     st_find(s, u, v, bt->row, lg, &bi, &slot, &before);
     if (bi >= 0) {
         COL(0) = bi + 1;
@@ -532,7 +538,7 @@ st_insert_op(StStore *s, int64_t u, int32_t v, float w, Batch *bt)
     if (target < 0) {
         /* Pre-check both allocations before mutating anything. */
         int64_t list_need = (bcnt == s->bcap[u])
-            ? (s->bcap[u] ? s->bcap[u] * 2 : ST_MIN_LIST) : 0;
+            ? (s->bcap[u] ? (int64_t)s->bcap[u] * 2 : ST_MIN_LIST) : 0;
         if (list_need && s->state[0] + list_need > s->bids_cap)
             return stall(bt, 0, list_need);
         if (s->state[1] >= s->blk_cap) return stall(bt, 1, 0);
@@ -541,13 +547,13 @@ st_insert_op(StStore *s, int64_t u, int32_t v, float w, Batch *bt)
             for (int64_t k = 0; k < bcnt; k++)
                 s->bids[noff + k] = s->bids[s->boff[u] + k];
             s->state[0] += list_need;
-            s->boff[u] = noff;
-            s->bcap[u] = list_need;
+            s->boff[u] = (int32_t)noff;  /* noff + list_need <= bids_cap < 2**31 */
+            s->bcap[u] = (int32_t)list_need;
         }
         int64_t bid = s->state[1]++;
         s->blen[bid] = 0;
         s->bids[s->boff[u] + bcnt] = bid;
-        s->bcnt[u] = bcnt + 1;
+        s->bcnt[u] = (int32_t)(bcnt + 1);
         /* block allocated */
         log_event(bt, bt->mirror * 2, bid, 0, s->h0 + 1 + bid);
         target = bcnt;
@@ -576,7 +582,7 @@ st_delete_op(StStore *s, int64_t u, int32_t v, Batch *bt)
 {
     AccessLog *lg = &bt->lg;
     int64_t bi, slot, before;
-    if (!lg_room(lg, 2 + s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
+    if (!lg_room(lg, 2 + (int64_t)s->bcnt[u] + s->deg[u])) return RC_LOG_FULL;
     st_find(s, u, v, bt->row, lg, &bi, &slot, &before);
     COL(2) = 0;
     if (bi < 0) {
@@ -619,7 +625,7 @@ st_delete_op(StStore *s, int64_t u, int32_t v, Batch *bt)
  * entries.  A vertex outside [0, limit) has no vertex-array entry. */
 int64_t saga_stinger_traversals(
     int64_t n, const int32_t *vertices, int64_t limit, int64_t vertex_base,
-    const int64_t *boff, const int64_t *bcnt, const int64_t *bids,
+    const int32_t *boff, const int32_t *bcnt, const int64_t *bids,
     const int64_t *blen, const int64_t *block_base,
     int64_t *counts, int64_t *addresses)
 {

@@ -9,7 +9,7 @@ the run-to-run variation behind the confidence intervals comes from.
 :func:`make_batches` returns a lazy :class:`BatchView` rather than a
 list of copies: the shuffle is a permutation *index* and each batch is
 gathered from the backing arrays only when accessed.  Peak memory is
-one batch (plus the 8-byte-per-edge permutation), not 2x the stream --
+one batch (plus the 4-byte-per-edge permutation), not 2x the stream --
 which is what lets a memory-mapped stream be driven without ever
 materializing it.
 """
@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.graph.edge import EdgeBatch
 from repro.obs.tracer import TRACER
+from repro.widths import VERTEX, VERTEX_LIMIT
 
 
 def _validate_schedule(schedule: Sequence[int]) -> Tuple[int, ...]:
@@ -145,13 +146,21 @@ def make_batches(
 
     The final batch may be smaller than ``batch_size``; empty streams
     produce an empty view.  The shuffle is the stream's one order:
-    ``default_rng(shuffle_seed).permutation``, gathered per batch.
+    ``default_rng(shuffle_seed).permutation``, its positions held as
+    :data:`~repro.widths.VERTEX` (a shuffle of the same ``arange``, so
+    the same values), gathered per batch; a stream of ``2**31`` edges
+    or more is refused before anything is drawn.
     ``schedule`` cycles per-batch sizes instead of the fixed
     ``batch_size`` (the shuffle order is unaffected -- only where the
     batch boundaries fall).
     """
     order = None
     if shuffle and len(edges):
-        rng = np.random.default_rng(shuffle_seed)
-        order = rng.permutation(len(edges))
+        if len(edges) >= VERTEX_LIMIT:
+            raise DatasetError(
+                f"a stream of {len(edges)} edges cannot be shuffled: its "
+                "positions are int32, so a stream holds fewer than 2**31 edges"
+            )
+        order = np.arange(len(edges), dtype=VERTEX)
+        np.random.default_rng(shuffle_seed).shuffle(order)
     return BatchView(edges, batch_size, order, schedule=schedule)

@@ -9,19 +9,28 @@ Every generator draws integer weights in ``[1, 8]``; widening a
 ``float32`` to ``float64`` is exact, so every float64 intermediate the
 compute kernels and their Python references form is unchanged.
 
+Every per-vertex array of heap offsets, row lengths, capacities and
+degrees -- the live CSR's ``starts``/``lens``/``caps`` and the
+``indptr``/``degrees`` it exports to the compute kernels, the vector
+stores' spans, Stinger's block lists and degrees -- is :data:`SLOT`
+(``int32``): an offset fits it while its pool or heap stays below
+:data:`SLOT_LIMIT` slots, and every growth that would reach that is
+refused (:func:`check_slot_extent`) before anything is allocated.
+
 What stays ``int64``: a packed pair key ``u * max_nodes + v`` (widened
-before the multiply), per-vertex offsets, lengths and capacities,
-simulated addresses, and every array a result's payload holds.
+before the multiply), simulated addresses, and every array a result's
+payload holds (a value taken from a slot array is widened first).
 
 A graph of :data:`VERTEX_LIMIT` vertices or more is refused
-(:func:`check_vertex_space`) rather than served by an ``int64`` twin.
+(:func:`check_vertex_space`) rather than served by an ``int64`` twin;
+so is a pool of :data:`SLOT_LIMIT` slots.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError, DatasetError
+from repro.errors import ConfigError, DatasetError, SimulationError
 
 #: Dtype of every host array of vertex ids.
 VERTEX = np.dtype(np.int32)
@@ -32,6 +41,13 @@ WEIGHT = np.dtype(np.float32)
 #: Vertex ids lie in ``[0, VERTEX_LIMIT)``; ``max_nodes`` stays below it.
 VERTEX_LIMIT = 2**31
 
+#: Dtype of every per-vertex array of heap offsets, lengths, capacities
+#: and degrees.
+SLOT = np.dtype(np.int32)
+
+#: A pool or heap that such offsets index holds fewer slots than this.
+SLOT_LIMIT = 2**31
+
 
 def check_vertex_space(max_nodes: int) -> None:
     """Refuse a graph whose vertex count reaches :data:`VERTEX_LIMIT`,
@@ -40,6 +56,17 @@ def check_vertex_space(max_nodes: int) -> None:
         raise ConfigError(
             f"max_nodes {max_nodes} too large: vertex ids are int32, so a "
             f"graph holds fewer than 2**31 vertices"
+        )
+
+
+def check_slot_extent(slots: int, what: str) -> None:
+    """Refuse to grow ``what`` (a pool or heap) to ``slots`` slots when
+    that reaches :data:`SLOT_LIMIT`, before anything is allocated or
+    changed.  2**31 slots of ids and weights are 16 GiB."""
+    if slots >= SLOT_LIMIT:
+        raise SimulationError(
+            f"{what} would hold {slots} slots: offsets, lengths and capacities "
+            "are int32, so a pool or heap holds fewer than 2**31 slots"
         )
 
 

@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import ALL_ARTIFACTS, build_parser, main
+from repro.engine.store import CACHE_DIR_ENV, default_store
 
 
 class TestParser:
@@ -33,6 +37,26 @@ class TestParser:
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_no_cache_with_a_cache_dir_is_refused(self, tmp_path):
+        """Both flags at once used to drop the directory silently."""
+        store = tmp_path / "D"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "all", "--no-cache", "--cache-dir", str(store)],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert "argument --cache-dir: not allowed with argument --no-cache" in done.stderr
+        assert not store.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_cache_still_switches_the_environment_cache_off(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        args = build_parser().parse_args(["table3", "--no-cache"])
+        assert default_store(args.cache_dir, args.no_cache) is None
 
     @pytest.mark.parametrize("command", ["stream", "scale"])
     def test_shards_option_is_gone(self, command, capsys):

@@ -277,6 +277,7 @@ class TestUndirectedHoldsOneAdjacency:
                 for direction in ("out_csr", "in_csr"):
                     got = getattr(views[0], direction)
                     expected = getattr(views[1], direction)
+                    assert got.degrees.dtype == expected.degrees.dtype
                     assert np.array_equal(got.degrees, expected.degrees)
                     for column in ("indices", "weights"):
                         assert np.array_equal(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_dataset
+from repro.datasets.mmapio import open_edge_mmap, write_edge_mmap
 from repro.errors import ConfigError, DatasetError, SimulationError
 from repro.graph import EdgeBatch
 from repro.streaming import StreamConfig, StreamDriver, make_batches
@@ -41,6 +42,27 @@ class TestBatching:
         a = make_batches(edges, 50, shuffle_seed=1)[0]
         b = make_batches(edges, 50, shuffle_seed=2)[0]
         assert not np.array_equal(a.src, b.src)
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["ram", "mmap"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_the_order_is_the_int32_permutation(self, tmp_path, mapped, seed):
+        """The shuffle keeps 4 bytes per edge, and exactly the positions
+        ``default_rng(seed).permutation`` draws."""
+        edges = EdgeBatch.from_edges([(i % 97, i % 89) for i in range(5_000)])
+        if mapped:
+            write_edge_mmap(tmp_path / "s", edges)
+            edges = open_edge_mmap(tmp_path / "s")
+        order = make_batches(edges, 64, shuffle_seed=seed).order
+        assert order.dtype == np.int32
+        assert order.tolist() == np.random.default_rng(seed).permutation(5_000).tolist()
+
+    def test_a_stream_of_two_to_the_31_edges_is_refused_before_drawing(self):
+        class Huge:
+            def __len__(self):
+                return 2**31
+
+        with pytest.raises(DatasetError, match=r"2\*\*31"):
+            make_batches(Huge(), 64)
 
 
 class TestStreamConfig:

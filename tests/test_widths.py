@@ -12,8 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.compute import ckernels
+from repro import widths
+from repro.compute import ckernels, csrstore
 from repro.compute.csrstore import DynamicCSR, ViewMaintainer, pair_keys
+from repro.compute.kernels import ComputeView, csr_from_edges
 from repro.datasets.catalog import make_rmat_dataset
 from repro.datasets.mmapio import (
     META_FILE,
@@ -22,9 +24,11 @@ from repro.datasets.mmapio import (
     read_meta,
     write_edge_mmap,
 )
-from repro.errors import ConfigError, DatasetError
+from repro.errors import ConfigError, DatasetError, SimulationError
 from repro.graph import EdgeBatch, ReferenceGraph, make_structure
-from repro.widths import VERTEX_LIMIT
+from repro.graph.nativestore import BLOCK_CAPACITY
+from repro.widths import SLOT, SLOT_LIMIT, VERTEX_LIMIT
+from tests.conftest import native_env
 
 #: The largest id an int32 holds; also the largest ``max_nodes`` allowed.
 TOP = VERTEX_LIMIT - 1
@@ -224,3 +228,178 @@ class TestPairKeysAreInt64:
         )  # fmt: skip
         assert removed == 2
         assert self._rows(store) == [[7], [], [3]]
+
+
+#: Both engines: the native library, and every phase on its Python
+#: reference (``SAGA_BENCH_NO_NATIVE=1``).
+ENGINES = pytest.mark.parametrize("engine", [None, "1"], ids=["native", "no-native"])
+
+#: The per-vertex arrays of each structure's stores (arrays of
+#: ``max_nodes`` entries): SLOT, but for the simulated addresses.
+PER_VERTEX = {
+    "AS": {"_off", "_len", "_capacity", "_region_base"},
+    "AC": {"_off", "_len", "_capacity", "_region_base"},
+    "BA": {"_off", "_len", "_capacity", "_region_base"},
+    "Stinger": {"_boff", "_bcnt", "_bcap", "_deg"},
+    "DAH": set(),  # keyed by chunk, not by vertex
+}
+
+#: ``max_nodes`` of the stores below: no pool or table starts this size.
+NODES = 1000
+
+
+def _arrays(*holders):
+    """Every numpy array the holders keep, by position and name."""
+    return {
+        (i, name): (value.dtype, value.shape, value.tobytes())
+        for i, holder in enumerate(holders)
+        for name in getattr(holder, "__slots__", None) or vars(holder)
+        if isinstance(value := getattr(holder, name), np.ndarray)
+    }
+
+
+def _csr_state(store):
+    return _arrays(store), (store.used, store.dead, store.live, store.tight)
+
+
+class TestSlotWidth:
+    """Per-vertex offsets, lengths, capacities and degrees are SLOT."""
+
+    @ENGINES
+    def test_the_live_csr_rows_are_slots(self, engine):
+        rng = np.random.default_rng(3)
+        keys, vals = rng.integers(0, 40, (2, 300)).astype(np.int32)
+        wts = np.ones(300, dtype=np.float32)
+        with native_env(engine):
+            store = DynamicCSR(40)
+            for op, args in [
+                ("rebuild", (keys[:100], vals[:100], wts[:100])),
+                ("insert", (keys[100:], vals[100:], wts[100:])),
+                ("delete", (keys[::3], vals[::3])),
+                ("compact", ()),
+            ]:
+                getattr(store, op)(*args)
+                assert (store.starts.dtype, store.lens.dtype, store.caps.dtype) == (
+                    SLOT, SLOT, SLOT,
+                ), op  # fmt: skip
+
+    @ENGINES
+    def test_an_exported_view_rows_are_slots(self, engine):
+        batch = EdgeBatch.from_edges([(u, (7 * u + 1) % 50) for u in range(50)])
+        with native_env(engine):
+            graph = ReferenceGraph(50)
+            graph.update_collect(batch)
+            structure = make_structure("Stinger", 50)
+            structure.update(batch)
+            views = [graph.compute_view(), ComputeView.of(structure)]
+        packed = csr_from_edges(batch.src, batch.dst, batch.weight, 50, by_src=True)
+        for csr in [packed] + [getattr(v, d) for v in views for d in ("out_csr", "in_csr")]:
+            assert (csr.indptr.dtype, csr.degrees.dtype) == (SLOT, SLOT)
+
+    def test_a_view_of_wider_rows_is_refused(self):
+        """The kernels read ``indptr`` and ``degrees`` as int32."""
+        csr = csr_from_edges(np.array([0]), np.array([1]), np.ones(1), 2, by_src=True)
+        wide = csr._replace(degrees=csr.degrees.astype(np.int64))
+        with pytest.raises(SimulationError, match="int32"):
+            ComputeView(2, out_csr=wide, in_csr=csr)
+
+    @ENGINES
+    @pytest.mark.parametrize("name", sorted(PER_VERTEX))
+    def test_the_stores_per_vertex_arrays_are_slots(self, name, engine):
+        batch = EdgeBatch.from_edges([(u % 40, (u * 7) % 40) for u in range(300)])
+        with native_env(engine):
+            structure = make_structure(name, NODES)
+            structure.update(batch)
+        for store in (structure._out, structure._in):
+            per_vertex = {
+                key: value.dtype
+                for key, value in vars(store).items()
+                if isinstance(value, np.ndarray) and len(value) == NODES
+            }
+            assert set(per_vertex) == PER_VERTEX[name]
+            widths = {key: SLOT for key in per_vertex} | (
+                {"_region_base": np.dtype(np.int64)} if "_region_base" in per_vertex else {}
+            )
+            assert per_vertex == widths
+
+
+class TestSlotLimit:
+    """A pool or heap never reaches ``2**31`` slots: growth that would is
+    refused before anything is allocated or changed, on both engines.
+    Cursors are set near the limit; nothing of that size is allocated."""
+
+    @ENGINES
+    def test_the_csr_heap_does_not_grow_to_the_limit(self, engine):
+        with native_env(engine):
+            store = DynamicCSR(8)
+            store.rebuild(*(np.array(c, dtype=d) for c, d in (
+                ([0, 1], np.int32), ([1, 2], np.int32), ([1, 1], np.float32))))  # fmt: skip
+            store.used = SLOT_LIMIT - 3  # row 0 relocates to 4 slots
+            before = _csr_state(store)
+            with pytest.raises(SimulationError, match=r"fewer than 2\*\*31 slots"):
+                store.insert(*(np.array([c], dtype=d) for c, d in (
+                    (0, np.int32), (3, np.int32), (1.0, np.float32))))  # fmt: skip
+            assert _csr_state(store) == before
+
+    @ENGINES
+    def test_rebuild_and_compact_refuse_the_limit(self, engine):
+        """A zero-stride column of ``2**31`` entries allocates nothing."""
+        with native_env(engine):
+            store = DynamicCSR(8)
+            before = _csr_state(store)
+            huge = [np.broadcast_to(np.zeros(1, dtype=d), (SLOT_LIMIT,))
+                    for d in (np.int32, np.int32, np.float32)]  # fmt: skip
+            with pytest.raises(SimulationError, match=r"fewer than 2\*\*31 slots"):
+                store.rebuild(*huge)
+            assert _csr_state(store) == before
+            store.live = SLOT_LIMIT
+            before = _csr_state(store)
+            with pytest.raises(SimulationError, match=r"fewer than 2\*\*31 slots"):
+                store.compact()
+            assert _csr_state(store) == before
+
+    @ENGINES
+    def test_the_csr_heap_stays_below_a_lowered_limit(self, engine, monkeypatch):
+        """Doubling is capped below the limit, and the heap fills up to
+        it on both engines, then refuses."""
+        limit = 1 << 12
+        for module in (widths, csrstore):
+            monkeypatch.setattr(module, "SLOT_LIMIT", limit)
+        with native_env(engine):
+            store = DynamicCSR(8)
+            hub = np.zeros(300, dtype=np.int32)
+            with pytest.raises(SimulationError, match="slots"):
+                for _ in range(limit):
+                    store.insert(hub, hub + 1, np.ones(300, dtype=np.float32))
+                    assert len(store.cols) < limit
+            assert store.used < limit <= store.used + 2 * store.caps[0]
+
+    @ENGINES
+    @pytest.mark.parametrize(
+        "name, cursor",
+        [
+            ("AS", (0, SLOT_LIMIT - 2)),
+            ("AC", (0, SLOT_LIMIT - 2)),
+            ("BA", (0, SLOT_LIMIT - 2)),
+            ("Stinger", (0, SLOT_LIMIT - 2)),  # the block-id pool
+            ("Stinger", (1, SLOT_LIMIT // BLOCK_CAPACITY)),  # the block pool
+        ],
+        ids=["AS", "AC", "BA", "Stinger-bids", "Stinger-blocks"],
+    )
+    def test_a_store_pool_does_not_grow_to_the_limit(self, name, cursor, engine):
+        """The batch's first operation needs a new span or block past the
+        cursor: the refusal leaves both stores as they were."""
+        with native_env(engine):
+            structure = make_structure(name, 64)
+            structure.update(EdgeBatch.from_edges([(1, 2), (2, 3)]))
+            structure._out._state[cursor[0]] = cursor[1]
+            before = _arrays(structure._out, structure._in)
+            with pytest.raises(SimulationError, match=r"fewer than 2\*\*31 slots"):
+                structure.update(EdgeBatch.from_edges([(5, 6)]))
+            assert _arrays(structure._out, structure._in) == before
+
+
+@pytest.mark.usefixtures("ubsan_libraries")
+class TestSlotLimitUnderUBSan(TestSlotLimit):
+    """The refusals above, inherited, through the ``-fsanitize=undefined``
+    build of the library."""
